@@ -131,13 +131,6 @@ def validate_algebra(a: Algebra) -> list[Violation]:
     return out
 
 
-def require_valid(a: Algebra):
-    bad = validate_algebra(a)
-    if bad:
-        v = bad[0]
-        raise AlgebraError(f"invalid algebra {a.name!r}: {v.kind} fails at {v.indices}")
-
-
 def opposite_algebra(a: Algebra) -> Algebra:
     """Opposite algebra; cached, and an involution on instances."""
     if a._op is None:

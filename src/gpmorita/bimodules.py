@@ -98,12 +98,6 @@ def validate_left_action(m: Bimodule) -> list[str]:
     return []
 
 
-def require_valid_bimodule(m: Bimodule):
-    bad = validate_bimodule(m)
-    if bad:
-        raise BimoduleError(f"invalid bimodule {m.name!r}: {bad[0]}")
-
-
 # -- constructions -----------------------------------------------------------
 
 

@@ -157,19 +157,6 @@ def random_submodule(x: FDModule, rng: random.Random):
 # -- standard Morita contexts -------------------------------------------------
 
 
-def _one_dim_bimodule(left, right, name=""):
-    """k as a bimodule over two algebras acting through their unit
-    characters; caller must make sure those characters exist (they do for
-    the catalog constructions below)."""
-    F = left.field
-    eye = Mat.identity(F, 1)
-    zero = Mat.zeros(F, 1, 1)
-    from .bimodules import Bimodule
-    la = [eye if left.basis_el(t) == left.unit else zero for t in range(left.dim)]
-    ra = [eye if right.basis_el(t) == right.unit else zero for t in range(right.dim)]
-    return Bimodule(left, right, 1, la, ra, name=name or "k")
-
-
 def zero_context(A, B, name=""):
     """(A, B, 0, 0, 0, 0): the triangular-with-no-glue context."""
     from .bimodules import zero_balanced_map, zero_bimodule

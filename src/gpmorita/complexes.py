@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Mat, rank, solve
+from .linalg import Mat, rank, solve, solve_left
 from .modules import (
-    FDModule, ModuleHom, hom_space, image_of, kernel_of, validate_module,
+    FDModule, ModuleHom, direct_sum, hom_space, image_of, kernel_of,
+    regular_module, validate_module,
 )
 from .bimodules import _vec
 from .homology import ext_dim, is_projective
@@ -86,10 +87,8 @@ def homology_dim(c: ComplexWindow, i: int) -> int:
     return ker - rank(c.diff(i - 1).mat)
 
 
-def is_exact(c: ComplexWindow, lo: int | None = None, hi: int | None = None) -> bool:
-    lo = c.lo + 1 if lo is None else lo
-    hi = c.hi - 1 if hi is None else hi
-    return all(homology_dim(c, i) == 0 for i in range(lo, hi + 1))
+def is_exact(c: ComplexWindow) -> bool:
+    return all(homology_dim(c, i) == 0 for i in range(c.lo + 1, c.hi))
 
 
 def kernel_at(c: ComplexWindow, i: int) -> tuple[FDModule, ModuleHom]:
@@ -110,7 +109,6 @@ def hom_complex_data(c: ComplexWindow, y: FDModule):
             continue
         stacked = Mat.vstack([_vec(h.mat) for h in dst])
         rows = []
-        from .linalg import solve_left
         for h in src:
             comp = c.diff(i).mat @ h.mat
             co = solve_left(stacked, _vec(comp))
@@ -121,8 +119,21 @@ def hom_complex_data(c: ComplexWindow, y: FDModule):
     return [len(b) for b in bases], maps
 
 
-def total_exactness(c: ComplexWindow, lo: int | None = None,
-                    hi: int | None = None, seed: int = 0) -> bool:
+def hom_exactness_failure(c: ComplexWindow, y: FDModule,
+                          lo: int | None = None) -> int | None:
+    """The first degree i in [lo, c.hi - 1] (lo defaults to c.lo + 1) where
+    Hom(X^., y) is not exact, or None."""
+    dims, maps = hom_complex_data(c, y)
+    for i in range(c.lo + 1 if lo is None else lo, c.hi):
+        # exactness of ... -> Hom(X^{i+1}) -> Hom(X^i) -> Hom(X^{i-1}) -> ...
+        into = maps[i - c.lo]           # Hom(X^{i+1}) -> Hom(X^i)
+        out_of = maps[i - 1 - c.lo]     # Hom(X^i) -> Hom(X^{i-1})
+        if dims[i - c.lo] - rank(out_of) != rank(into):
+            return i
+    return None
+
+
+def total_exactness(c: ComplexWindow, seed: int = 0) -> bool:
     """Exactness of Hom(X^., regular) at the degrees whose two neighbouring
     maps lie inside the window; terms must be projective."""
     for i in range(c.lo, c.hi + 1):
@@ -130,19 +141,7 @@ def total_exactness(c: ComplexWindow, lo: int | None = None,
             raise ComplexError(f"term {i} is not projective")
     if not is_exact(c):
         return False
-    from .modules import regular_module
-    reg = regular_module(c.algebra)
-    dims, maps = hom_complex_data(c, reg)
-    lo = c.lo + 1 if lo is None else lo
-    hi = c.hi - 1 if hi is None else hi
-    for i in range(lo, hi + 1):
-        # exactness of ... -> Hom(X^{i+1}) -> Hom(X^i) -> Hom(X^{i-1}) -> ...
-        into = maps[i - c.lo]           # Hom(X^{i+1}) -> Hom(X^i)
-        out_of = maps[i - 1 - c.lo]     # Hom(X^i) -> Hom(X^{i-1})
-        ker = dims[i - c.lo] - rank(out_of)
-        if ker != rank(into):
-            return False
-    return True
+    return hom_exactness_failure(c, regular_module(c.algebra)) is None
 
 
 # -- module-hom solving with side conditions ---------------------------------
@@ -259,8 +258,7 @@ def check_horseshoe_hypotheses(ses: ShortExactSequence, xc: ComplexWindow,
 
 
 def horseshoe(ses: ShortExactSequence, xc: ComplexWindow, kx: ModuleHom,
-              yc: ComplexWindow, ky: ModuleHom, seed: int = 0,
-              check: bool = True) -> HorseshoeResult:
+              yc: ComplexWindow, ky: ModuleHom, seed: int = 0) -> HorseshoeResult:
     """Weave two exact complexes along a short exact sequence.
 
     kx: U -> X^0 and ky: V -> Y^0 identify the degree-0 kernels.  The
@@ -283,8 +281,7 @@ def horseshoe(ses: ShortExactSequence, xc: ComplexWindow, kx: ModuleHom,
             raise HorseshoeError(f"kernel identification into {tag}^0 not surjective")
     if not is_exact(xc) or not is_exact(yc):
         raise HorseshoeError("input complexes must be exact on the window")
-    if check:
-        check_horseshoe_hypotheses(ses, xc, yc, seed)
+    check_horseshoe_hypotheses(ses, xc, yc, seed)
     F = xc.algebra.field
     lo, hi = xc.lo, xc.hi
     rho: dict[int, ModuleHom] = {}
@@ -303,11 +300,8 @@ def horseshoe(ses: ShortExactSequence, xc: ComplexWindow, kx: ModuleHom,
         raise HorseshoeError("no equivariant lift for rho^0", degree=0)
     rho[0] = rho0
     embed = Mat.hstack([j0.mat, ses.surject.mat @ ky.mat])
-    from .modules import corestrict
-    from .linalg import solve_left
     for i in range(1, hi):
-        _, dz_prev = _z_term_and_diff(xc, yc, rho, i - 1)
-        w_i, w_incl = image_of(dz_prev)
+        w_i, w_incl = image_of(_z_diff(xc, yc, rho, i - 1))
         dX = xc.term(i).dim
         j_mat = Mat(F, [row[:dX] for row in w_incl.mat.data], dX)
         wy_mat = Mat(F, [row[dX:] for row in w_incl.mat.data],
@@ -339,23 +333,13 @@ def horseshoe(ses: ShortExactSequence, xc: ComplexWindow, kx: ModuleHom,
     terms = []
     diffs = []
     x_incl, y_proj = [], []
-    from .modules import direct_sum
     for i in range(lo, hi + 1):
         z, incls, projs = direct_sum([xc.term(i), yc.term(i)], name=f"Z^{i}")
         terms.append(z)
         x_incl.append(incls[0])
         y_proj.append(projs[1])
     for i in range(lo, hi):
-        dz = Mat.zeros(F, terms[i - lo].dim, terms[i - lo + 1].dim)
-        dx, dy = xc.diff(i).mat, yc.diff(i).mat
-        dX = xc.term(i).dim
-        dX1 = xc.term(i + 1).dim
-        for r in range(dX):
-            dz.data[r][:dX1] = dx.data[r][:]
-        rmat = rho[i].mat
-        for r in range(yc.term(i).dim):
-            dz.data[dX + r][:dX1] = rmat.data[r][:]
-            dz.data[dX + r][dX1:] = dy.data[r][:]
+        dz = twisted_diff(xc.diff(i).mat, rho[i].mat, yc.diff(i).mat)
         diffs.append(ModuleHom(terms[i - lo], terms[i - lo + 1], dz))
     zc = ComplexWindow(lo, hi, terms, diffs)
     bad = validate_complex(zc)
@@ -370,19 +354,17 @@ def horseshoe(ses: ShortExactSequence, xc: ComplexWindow, kx: ModuleHom,
     return HorseshoeResult(zc, rho, embed_hom, x_incl, y_proj)
 
 
-def _z_term_and_diff(xc: ComplexWindow, yc: ComplexWindow, rho: dict, i: int):
-    from .modules import direct_sum
-    F = xc.algebra.field
+def _z_diff(xc: ComplexWindow, yc: ComplexWindow, rho: dict, i: int) -> ModuleHom:
     z, _, _ = direct_sum([xc.term(i), yc.term(i)])
     z1, _, _ = direct_sum([xc.term(i + 1), yc.term(i + 1)])
-    dz = Mat.zeros(F, z.dim, z1.dim)
-    dX, dX1 = xc.term(i).dim, xc.term(i + 1).dim
-    for r in range(dX):
-        dz.data[r][:dX1] = xc.diff(i).mat.data[r][:]
-    for r in range(yc.term(i).dim):
-        dz.data[dX + r][:dX1] = rho[i].mat.data[r][:]
-        dz.data[dX + r][dX1:] = yc.diff(i).mat.data[r][:]
-    return z, ModuleHom(z, z1, dz)
+    return ModuleHom(z, z1, twisted_diff(xc.diff(i).mat, rho[i].mat, yc.diff(i).mat))
+
+
+def twisted_diff(dx: Mat, rho: Mat, dy: Mat) -> Mat:
+    """The differential [[dx, 0], [rho, dy]] of a sum X^i (+) Y^i whose
+    Y-part maps into the X-part of the next term through rho."""
+    zero = Mat.zeros(dx.field, dx.rows, dy.cols)
+    return Mat.vstack([Mat.hstack([dx, zero]), Mat.hstack([rho, dy])])
 
 
 def _check_kernel_sequence(ses, zc, embed, kx, ky, x0_incl, y0_proj):

@@ -22,8 +22,8 @@ from .bimodules import (
     tensor_functor_hom, tensor_module,
 )
 from .complexes import (
-    ComplexWindow, ShortExactSequence, horseshoe, is_exact, total_exactness,
-    validate_complex,
+    ComplexWindow, ShortExactSequence, hom_exactness_failure, horseshoe,
+    is_exact, total_exactness, twisted_diff, validate_complex,
 )
 from .gpcert import GPCertificate, certify_gorenstein_projective
 from .homology import injective_dimension, projective_dimension
@@ -248,7 +248,7 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
     kx_m = tensor_functor_hom(mu_lam, mp_tens[span], p_ki)   # M(x)U -> M(x)P^0
     hs1 = horseshoe(ses_star, mp_cx, ModuleHom(mu_lam.module, mp_cx.term(0),
                                                kx_m.mat),
-                    qcx, q_ki, seed=seed, check=True)
+                    qcx, q_ki, seed=seed)
     ycx = hs1.zc
     rho = hs1.rho
 
@@ -270,14 +270,7 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
         _require(psi_hom_mat is not None, "psi block does not descend")
         tau_i = one_rho.mat @ psi_hom_mat
         tau[i] = ModuleHom(nq_cx.term(i), ip_cx.term(i + 1), tau_i)
-        dz = Mat.zeros(F, z_terms[i + span].dim, z_terms[i + span + 1].dim)
-        dip, dnq = ip_cx.diff(i).mat, nq_cx.diff(i).mat
-        w_ip, w_ip1 = ip_cx.term(i).dim, ip_cx.term(i + 1).dim
-        for r in range(w_ip):
-            dz.data[r][:w_ip1] = dip.data[r][:]
-        for r in range(nq_cx.term(i).dim):
-            dz.data[w_ip + r][:w_ip1] = tau_i.data[r][:]
-            dz.data[w_ip + r][w_ip1:] = dnq.data[r][:]
+        dz = twisted_diff(ip_cx.diff(i).mat, tau_i, nq_cx.diff(i).mat)
         z_diffs.append(ModuleHom(z_terms[i + span], z_terms[i + span + 1], dz))
     zcx = ComplexWindow(-span, span, z_terms, z_diffs)
     _require(validate_complex(zcx) == [], "Z window is not a complex")
@@ -292,12 +285,11 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
     h_lam = ext.lam_module(h_mod, name="H|Lam")
     x_lam = ext.lam_module(q.x, name="X|Lam")
     incl_lam = ModuleHom(h_lam, x_lam, h_incl.mat)
-    lam_x_lam = ModuleHom(x_lam, _as_lam(ext, sm.lambda_x.target, u_lam),
-                          sm.lambda_x.mat)
+    lam_x_lam = ModuleHom(x_lam, u_lam, sm.lambda_x.mat)
     ses_dag = ShortExactSequence(incl_lam, lam_x_lam)
     _require(ses_dag.validate() == [], "the H sequence is not short exact")
     hs2 = horseshoe(ses_dag, zcx, ModuleHom(h_lam, zcx.term(0), kx_z.mat),
-                    pcx, p_ki, seed=seed, check=True)
+                    pcx, p_ki, seed=seed)
     alpha, beta = {}, {}
     for i, r in hs2.rho.items():
         w_ip1 = ip_cx.term(i + 1).dim
@@ -397,11 +389,6 @@ def _ring_of(ctx: MoritaContext) -> MoritaRing:
     if "ring" not in ctx._cache:
         ctx._cache["ring"] = build_ring(ctx)
     return ctx._cache["ring"]
-
-
-def _as_lam(ext: TrivialExtension, mod: FDModule, u_lam: FDModule) -> FDModule:
-    # Coker(g) restricted to Lambda was already built for the report
-    return u_lam
 
 
 def _restrict_window(wc: ComplexWindow, lo: int, hi: int) -> ComplexWindow:
@@ -571,7 +558,7 @@ def check_compat(bim: Bimodule, left_tests: list[ComplexWindow] | None = None,
                 tests_used=len(left_tests) + len(right_tests))
     for k, wc in enumerate(left_tests):
         _require_total(wc, seed)
-        deg = _hom_exactness_failure(wc, left_mod)
+        deg = hom_exactness_failure(wc, left_mod)
         if deg is not None:
             return CompatVerdict(
                 "not_compatible", "hom_witness", True,
@@ -596,7 +583,7 @@ def recheck_compat_witness(bim: Bimodule, wc: ComplexWindow, reason: str,
     if reason == "tensor_witness":
         return not _tensor_exact(bim.as_right_module(), wc)
     if reason == "hom_witness":
-        deg = _hom_exactness_failure(wc, bim.as_left_module())
+        deg = hom_exactness_failure(wc, bim.as_left_module())
         return deg == witness.get("degree")
     return False
 
@@ -634,17 +621,6 @@ def _tensor_exact(u_op: FDModule, wc: ComplexWindow) -> bool:
         if ker != rank(mats[i - wc.lo - 1]):
             return False
     return True
-
-
-def _hom_exactness_failure(wc: ComplexWindow, target: FDModule) -> int | None:
-    from .complexes import hom_complex_data
-    dims, maps = hom_complex_data(wc, target)
-    for i in range(wc.lo + 1, wc.hi):
-        into = maps[i - wc.lo]
-        out_of = maps[i - 1 - wc.lo]
-        if dims[i - wc.lo] - rank(out_of) != rank(into):
-            return i
-    return None
 
 
 # -- semi-weak compatibility of the special one-column modules -----------------
@@ -774,7 +750,7 @@ def check_semi_weak_quadruple(ext: TrivialExtension, ctx: MoritaContext,
         if side == "left":
             if cross_check:
                 _reduction_cross_check_left(ext, ctx, quads, pcx, w_left, seed)
-            deg = _hom_exactness_failure(pcx, w_left)
+            deg = hom_exactness_failure(pcx, w_left)
             if deg is not None:
                 return SemiWeakVerdict(side, which, "refuted",
                                        "hom_complex_not_exact",

@@ -134,11 +134,3 @@ def GF(p: int) -> Field:
 
 class FieldMismatch(ValueError):
     """Raised when operands live over different ground fields."""
-
-
-def require_same_field(*fields: Field) -> Field:
-    first = fields[0]
-    for f in fields[1:]:
-        if f != first:
-            raise FieldMismatch(f"mixed fields {first} and {f}")
-    return first

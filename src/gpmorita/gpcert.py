@@ -12,7 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import opposite_algebra
-from .complexes import ComplexWindow, is_exact, total_exactness, validate_complex
+from .complexes import (
+    ComplexWindow, hom_exactness_failure, is_exact, total_exactness,
+    validate_complex,
+)
 from .homology import (
     Resolution, ext_dim, global_dimension, is_projective, is_self_injective,
     minimal_resolution, projective_cover,
@@ -206,25 +209,33 @@ def _two_sided_window(x: FDModule, res: Resolution, steps: list[RightTailStep],
     return wc, steps[0].alpha
 
 
-def _cosyzygy_periodic_window(x: FDModule, steps: list[RightTailStep], p: int,
+def _periodic_window(block: list[FDModule], internal: list[ModuleHom],
+                     junction: ModuleHom, span: int) -> ComplexWindow:
+    """The window on [-span, span] repeating the terms block[0..p-1] with
+    the differentials internal[0..p-2] inside the block and junction from
+    its last term back to its first."""
+    p = len(block)
+    terms = [block[i % p] for i in range(-span, span + 1)]
+    diffs = []
+    for i in range(-span, span):
+        r = i % p
+        d = internal[r] if r < p - 1 else junction
+        diffs.append(ModuleHom(terms[i + span], terms[i + span + 1], d.mat))
+    return ComplexWindow(-span, span, terms, diffs)
+
+
+def _cosyzygy_periodic_window(steps: list[RightTailStep], p: int,
                               theta: ModuleHom, span: int) -> tuple[ComplexWindow, ModuleHom]:
     """Periodic window from the block P^0..P^{p-1} and an isomorphism
     theta: C^p -> x closing it up."""
     block = [steps[j].target for j in range(p)]
     internal = [steps[j].coker_proj.then(steps[j + 1].alpha) for j in range(p - 1)]
     junction = steps[p - 1].coker_proj.then(theta).then(steps[0].alpha)
-    terms, diffs = [], []
-    for i in range(-span, span + 1):
-        terms.append(block[i % p])
-    for i in range(-span, span):
-        r = i % p
-        d = internal[r] if r < p - 1 else junction
-        diffs.append(ModuleHom(terms[i + span], terms[i + span + 1], d.mat))
-    return ComplexWindow(-span, span, terms, diffs), steps[0].alpha
+    return _periodic_window(block, internal, junction, span), steps[0].alpha
 
 
-def _syzygy_periodic_window(x: FDModule, res: Resolution, p: int,
-                            theta: ModuleHom, span: int) -> tuple[ComplexWindow, ModuleHom]:
+def _syzygy_periodic_window(res: Resolution, p: int, theta: ModuleHom,
+                            span: int) -> tuple[ComplexWindow, ModuleHom]:
     """Periodic window from the resolution block, closed with
     theta: x -> (p-th syzygy)."""
     block = [res.terms[p - 1 - j] for j in range(p)]     # degrees 0..p-1
@@ -234,15 +245,7 @@ def _syzygy_periodic_window(x: FDModule, res: Resolution, p: int,
         ker, incl = kernel_of(res.maps[p - 2])
     internal = [res.maps[p - 2 - j] for j in range(p - 1)]
     junction = res.aug.then(theta).then(incl)            # P_0 -> x -> ker -> P_{p-1}
-    terms, diffs = [], []
-    for i in range(-span, span + 1):
-        terms.append(block[i % p])
-    for i in range(-span, span):
-        r = i % p
-        d = internal[r] if r < p - 1 else junction
-        diffs.append(ModuleHom(terms[i + span], terms[i + span + 1], d.mat))
-    ki = theta.then(incl)
-    return ComplexWindow(-span, span, terms, diffs), ki
+    return _periodic_window(block, internal, junction, span), theta.then(incl)
 
 
 def _finalize_gp(x: FDModule, wc: ComplexWindow, ki: ModuleHom, reason: str,
@@ -255,7 +258,7 @@ def _finalize_gp(x: FDModule, wc: ComplexWindow, ki: ModuleHom, reason: str,
     if not total_exactness(wc, seed=seed):
         raise CertifyError("assembled window is not totally exact")
     ker_rows = left_kernel(wc.diff(0).mat)
-    from .linalg import row_space, in_row_space
+    from .linalg import in_row_space
     if rank(ki.mat) != x.dim or ker_rows.rows != x.dim or \
             not in_row_space(ker_rows, ki.mat):
         raise CertifyError("kernel identification does not match degree 0")
@@ -303,7 +306,7 @@ def _search_period(core: FDModule, steps: list[RightTailStep], tail_end,
             undetermined = True
             continue
         if theta is not None:
-            wc, ki = _cosyzygy_periodic_window(core, steps, p, theta, window)
+            wc, ki = _cosyzygy_periodic_window(steps, p, theta, window)
             return wc, ki, p
     for p in range(1, min(period_bound, len(res.syzygies)) + 1):
         cand = res.syzygies[p - 1]
@@ -313,7 +316,7 @@ def _search_period(core: FDModule, steps: list[RightTailStep], tail_end,
             undetermined = True
             continue
         if theta is not None:
-            wc, ki = _syzygy_periodic_window(core, res, p, theta, window)
+            wc, ki = _syzygy_periodic_window(res, p, theta, window)
             return wc, ki, p
     if undetermined:
         raise Undetermined("periodicity search hit an undetermined isomorphism test")
@@ -389,7 +392,10 @@ def certify_gorenstein_projective(x: FDModule, window: int = 6,
         return GPCertificate("unknown", x, bound=(window, period_bound),
                              reason="dimension budget exceeded")
     probe, _ = _two_sided_window(x, res, steps_x, window)
-    obstruction = _hom_obstruction(probe, seed)
+    # non-exactness of Hom(probe, A) in a positive degree refutes: the
+    # right-tail terms come from projective approximations, so it descends
+    # to the cosyzygies
+    obstruction = hom_exactness_failure(probe, reg, lo=1)
     if obstruction is not None:
         return GPCertificate(
             "not_gp", x,
@@ -413,18 +419,3 @@ def certify_gorenstein_projective(x: FDModule, window: int = 6,
     return GPCertificate("unknown", x, bound=(window, period_bound),
                          reason="no period found within the bound")
 
-
-def _hom_obstruction(wc: ComplexWindow, seed: int) -> int | None:
-    """First positive degree where Hom(window, A) fails exactness; sound
-    as a refutation because the right-tail terms come from projective
-    approximations, so non-vanishing there descends to the cosyzygies."""
-    from .complexes import hom_complex_data
-    reg = regular_module(wc.algebra)
-    dims, maps = hom_complex_data(wc, reg)
-    for i in range(1, wc.hi):
-        into = maps[i - wc.lo]
-        out_of = maps[i - 1 - wc.lo]
-        ker = dims[i - wc.lo] - rank(out_of)
-        if ker != rank(into):
-            return i
-    return None

@@ -9,13 +9,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Algebra, opposite_algebra, radical_basis
-from .bimodules import TensorSpace, balanced_tensor_space, _vec
+from .bimodules import TensorSpace, balanced_tensor_space
 from .idempotents import indecomposable_projectives
 from .linalg import Mat, in_row_space, rank, row_space, solve_left
 from .modules import (
     FDModule, ModuleError, ModuleHom, direct_sum, dual_module, hom_dim,
-    hom_space, kernel_of, quotient_by_rows, regular_module, zero_hom,
-    zero_module,
+    kernel_of, quotient_by_rows, regular_module, zero_hom, zero_module,
 )
 
 
@@ -165,37 +164,19 @@ def projective_dimension(x: FDModule, bound: int, seed: int = 0) -> int | None:
 def ext_dim(x: FDModule, y: FDModule, i: int, seed: int = 0,
             res: Resolution | None = None) -> int:
     """dim Ext^i(x, y) from a minimal projective resolution of x."""
+    from .complexes import ComplexWindow, hom_complex_data
     if i == 0:
         return hom_dim(x, y)
     if x.dim == 0 or y.dim == 0:
         return 0
     res = res or minimal_resolution(x, i + 1, seed)
-    deltas = _hom_complex_maps(res, y)
-    # Ext^i = ker(delta_i) / im(delta_{i-1}) with delta_j : Hom(P_j) -> Hom(P_{j+1})
-    ker_dim = deltas[i].rows - rank(deltas[i])
-    return ker_dim - rank(deltas[i - 1])
-
-
-def _hom_complex_maps(res: Resolution, y: FDModule) -> list[Mat]:
-    """delta_j acting on Hom(P_j, y) coordinates, for j = 0..len-1."""
-    F = y.algebra.field
-    bases = [hom_space(P, y) for P in res.terms]
-    out = []
-    for j in range(len(res.maps)):
-        src, dst = bases[j], bases[j + 1]
-        if not src or not dst:
-            out.append(Mat.zeros(F, len(src), len(dst)))
-            continue
-        stacked_dst = Mat.vstack([_vec(h.mat) for h in dst])
-        rows = []
-        for h in src:
-            comp = res.maps[j].mat @ h.mat
-            c = solve_left(stacked_dst, _vec(comp))
-            if c is None:
-                raise ModuleError("hom complex map failed to express")
-            rows.append(c.row(0))
-        out.append(Mat.from_rows(F, rows, len(dst)))
-    return out
+    # the window P_n -> ... -> P_0 holds P_i in degree -i; Ext^i is the
+    # homology of Hom(P_., y) there
+    n = len(res.maps)
+    dims, maps = hom_complex_data(
+        ComplexWindow(-n, 0, res.terms[::-1], res.maps[::-1]), y)
+    ker_dim = dims[n - i] - rank(maps[n - i - 1])
+    return ker_dim - rank(maps[n - i])
 
 
 def tor_dim(u_op: FDModule, x: FDModule, i: int, seed: int = 0,

@@ -248,18 +248,6 @@ def element_min_poly(a: Algebra, el: list, unit: list | None = None) -> list:
             raise AlgebraError("minimal polynomial did not terminate")
 
 
-def _apply_poly(a: Algebra, poly: list, el: list, unit: list) -> list:
-    out = a.zero_el()
-    power = unit
-    F = a.field
-    for c in poly:
-        if not F.is_zero(c):
-            term = [F.mul(c, v) for v in power]
-            out = [F.add(x, y) for x, y in zip(out, term)]
-        power = a.multiply(power, el)
-    return out
-
-
 # -- semisimple split structure ---------------------------------------------
 
 

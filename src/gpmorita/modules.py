@@ -75,12 +75,6 @@ def validate_module(x: FDModule) -> list[str]:
     return out
 
 
-def require_valid_module(x: FDModule):
-    bad = validate_module(x)
-    if bad:
-        raise ModuleError(f"invalid module {x.name!r}: {bad[0]}")
-
-
 def zero_module(a: Algebra) -> FDModule:
     return FDModule(a, 0, [Mat.zeros(a.field, 0, 0) for _ in range(a.dim)], name="0")
 
@@ -284,15 +278,61 @@ def restrict_along(x: FDModule, hom_rows: Mat, source_alg: Algebra, name: str = 
 # -- isomorphism testing ----------------------------------------------------
 
 
-def is_isomorphic(x: FDModule, y: FDModule, seed: int = 0, trials: int = 40,
-                  grid_budget: int = 200_000) -> ModuleHom | None:
-    """An invertible intertwiner, or None when provably none exists.
+def _invertible_in_span(basis_blocks: list[list[Mat]], seed: int, trials: int,
+                        degree: int) -> list[Mat] | None:
+    """The blocks sum_j c_j basis_blocks[j][b], one per b, at the first
+    coefficients c found that make every block invertible, or None when
+    provably no such c exists.
 
-    Over Q a failed random search falls back to a decisive finite grid
-    (determinant degree bound); over F_p to full enumeration when p^k is
-    small.  If neither decisive step is affordable the search raises
-    Undetermined rather than returning a false negative.
+    Over F_p the whole span is enumerated when p^k is small.  Otherwise
+    seeded random draws come first; over Q a failed search falls back to
+    the grid {0..degree}^k, which is decisive when degree bounds the degree
+    of the product of the block determinants in each coefficient.  If
+    neither decisive step is affordable the search raises Undetermined
+    rather than returning a false negative.
     """
+    F = basis_blocks[0][0].field
+    k = len(basis_blocks)
+    sizes = [m.rows for m in basis_blocks[0]]
+
+    def invertible_combo(coeffs):
+        blocks = [Mat.zeros(F, n, n) for n in sizes]
+        for c, basis_el in zip(coeffs, basis_blocks):
+            if not F.is_zero(c):
+                blocks = [m.add(b.scale(c)) for m, b in zip(blocks, basis_el)]
+        if all(rank(m) == n for m, n in zip(blocks, sizes)):
+            return blocks
+        return None
+
+    def first_invertible(grid):
+        for coeffs in grid:
+            found = invertible_combo([F.of_int(c) for c in coeffs])
+            if found is not None:
+                return found
+        return None
+
+    if not F.is_rational and F.p ** k <= 4096:
+        return first_invertible(iter_product(range(F.p), repeat=k))
+    rng = random.Random(seed)
+    for _ in range(trials):
+        if F.is_rational:
+            coeffs = [rng.randint(-3, 3) for _ in range(k)]
+        else:
+            coeffs = [rng.randrange(F.p) for _ in range(k)]
+        found = invertible_combo([F.of_int(c) for c in coeffs])
+        if found is not None:
+            return found
+    if F.is_rational and (degree + 1) ** k <= 200_000:
+        return first_invertible(iter_product(range(degree + 1), repeat=k))
+    raise Undetermined(
+        f"isomorphism search exhausted its budget ({k}-dimensional hom "
+        f"space, determinant degree {degree})")
+
+
+def is_isomorphic(x: FDModule, y: FDModule, seed: int = 0) -> ModuleHom | None:
+    """An invertible intertwiner, or None when provably none exists; raises
+    Undetermined when the bounded search cannot decide.  The determinant
+    of a combination of homs has degree <= dim in each coefficient."""
     if x.algebra is not y.algebra:
         return None
     if x.dim != y.dim:
@@ -302,39 +342,5 @@ def is_isomorphic(x: FDModule, y: FDModule, seed: int = 0, trials: int = 40,
     basis = hom_space(x, y)
     if not basis:
         return None
-    F = x.algebra.field
-    n, k = x.dim, len(basis)
-
-    def combo(coeffs):
-        m = Mat.zeros(F, n, n)
-        for c, h in zip(coeffs, basis):
-            if not F.is_zero(c):
-                m = m.add(h.mat.scale(c))
-        return m
-
-    rng = random.Random(seed)
-    if not F.is_rational and F.p ** k <= 4096:
-        # decisive enumeration of the whole hom space
-        for coeffs in iter_product(range(F.p), repeat=k):
-            m = combo([F.of_int(c) for c in coeffs])
-            if rank(m) == n:
-                return ModuleHom(x, y, m)
-        return None
-    for _ in range(trials):
-        if F.is_rational:
-            coeffs = [F.of_int(rng.randint(-3, 3)) for _ in range(k)]
-        else:
-            coeffs = [F.of_int(rng.randrange(F.p)) for _ in range(k)]
-        m = combo(coeffs)
-        if rank(m) == n:
-            return ModuleHom(x, y, m)
-    if F.is_rational and (n + 1) ** k <= grid_budget:
-        # det of a generic combination has degree <= n in each coefficient,
-        # so vanishing on the whole grid {0..n}^k proves there is no iso
-        for coeffs in iter_product(range(n + 1), repeat=k):
-            m = combo([F.of_int(c) for c in coeffs])
-            if rank(m) == n:
-                return ModuleHom(x, y, m)
-        return None
-    raise Undetermined(
-        f"isomorphism search exhausted its budget ({x.name or '?'} vs {y.name or '?'})")
+    found = _invertible_in_span([[h.mat] for h in basis], seed, 40, x.dim)
+    return None if found is None else ModuleHom(x, y, found[0])

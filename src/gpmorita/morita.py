@@ -20,8 +20,9 @@ from .bimodules import (
 from .fields import Field
 from .linalg import Mat, kernel_basis, rank, row_space, solve, solve_left
 from .modules import (
-    FDModule, ModuleHom, cokernel_of, identity_hom, kernel_of,
-    quotient_by_rows, regular_module, validate_module, zero_hom, zero_module,
+    FDModule, ModuleHom, _invertible_in_span, cokernel_of, identity_hom,
+    kernel_of, quotient_by_rows, regular_module, validate_module, zero_hom,
+    zero_module,
 )
 
 
@@ -293,14 +294,6 @@ def make_quadruple(ctx: MoritaContext, x: FDModule, y: FDModule,
                            ModuleHom(ny.module, x, g_mat), mx, ny, name=name)
 
 
-def quadruple_from_quotient_maps(ctx: MoritaContext, x: FDModule, y: FDModule,
-                                 f_mat: Mat, g_mat: Mat, name: str = "") -> QuadrupleModule:
-    mx = tensor_module(ctx.M, x)
-    ny = tensor_module(ctx.N, y)
-    return QuadrupleModule(ctx, x, y, ModuleHom(mx.module, y, f_mat),
-                           ModuleHom(ny.module, x, g_mat), mx, ny, name=name)
-
-
 def psi_action_full(ctx: MoritaContext, x: FDModule) -> Mat:
     """The multiplication map N (x)_k M (x)_k X -> X,
     n (x) m (x) v |-> psi(n (x) m) . v."""
@@ -398,12 +391,6 @@ def validate_quadruple(q: QuadrupleModule) -> list[str]:
             out.append("J does not annihilate Coker(f)")
             break
     return out
-
-
-def require_valid_quadruple(q: QuadrupleModule):
-    bad = validate_quadruple(q)
-    if bad:
-        raise ContextError(f"invalid quadruple {q.name!r}: {bad[0]}")
 
 
 def zero_quadruple(ctx: MoritaContext) -> QuadrupleModule:
@@ -695,59 +682,23 @@ def quadruple_cokernel(h: QuadrupleHom, name: str = "") -> tuple[QuadrupleModule
 
 def quadruple_is_isomorphic(q1: QuadrupleModule, q2: QuadrupleModule,
                             seed: int = 0) -> QuadrupleHom | None:
-    """Invertible quadruple map, searched inside the quadruple hom space."""
-    import random as _random
-    from itertools import product as _prod
+    """Invertible quadruple map, searched inside the quadruple hom space.
+    The product of the determinants of the two blocks of a combination has
+    degree <= dim X + dim Y in each coefficient."""
     if (q1.x.dim, q1.y.dim) != (q2.x.dim, q2.y.dim):
         return None
-    basis = quadruple_hom_space(q1, q2)
     if q1.dim == 0:
         return QuadrupleHom(q1, q2, zero_hom(q1.x, q2.x), zero_hom(q1.y, q2.y))
+    basis = quadruple_hom_space(q1, q2)
     if not basis:
         return None
-    F = q1.ctx.A.field
-    k = len(basis)
-    dx, dy = q1.x.dim, q1.y.dim
-
-    def combo(coeffs):
-        am = Mat.zeros(F, dx, dx)
-        bm = Mat.zeros(F, dy, dy)
-        for c, h in zip(coeffs, basis):
-            if not F.is_zero(c):
-                am = am.add(h.alpha.mat.scale(c))
-                bm = bm.add(h.beta.mat.scale(c))
-        return am, bm
-
-    def invertible(am, bm):
-        return rank(am) == dx and rank(bm) == dy
-
-    if not F.is_rational and F.p ** k <= 4096:
-        for coeffs in _prod(range(F.p), repeat=k):
-            am, bm = combo([F.of_int(c) for c in coeffs])
-            if invertible(am, bm):
-                return QuadrupleHom(q1, q2, ModuleHom(q1.x, q2.x, am),
-                                    ModuleHom(q1.y, q2.y, bm))
+    found = _invertible_in_span([[h.alpha.mat, h.beta.mat] for h in basis],
+                                seed, 60, q1.x.dim + q1.y.dim)
+    if found is None:
         return None
-    rng = _random.Random(seed)
-    for _ in range(60):
-        if F.is_rational:
-            coeffs = [F.of_int(rng.randint(-3, 3)) for _ in range(k)]
-        else:
-            coeffs = [F.of_int(rng.randrange(F.p)) for _ in range(k)]
-        am, bm = combo(coeffs)
-        if invertible(am, bm):
-            return QuadrupleHom(q1, q2, ModuleHom(q1.x, q2.x, am),
-                                ModuleHom(q1.y, q2.y, bm))
-    deg = dx + dy
-    if F.is_rational and (deg + 1) ** k <= 200_000:
-        for coeffs in _prod(range(deg + 1), repeat=k):
-            am, bm = combo([F.of_int(c) for c in coeffs])
-            if invertible(am, bm):
-                return QuadrupleHom(q1, q2, ModuleHom(q1.x, q2.x, am),
-                                    ModuleHom(q1.y, q2.y, bm))
-        return None
-    from .modules import Undetermined
-    raise Undetermined("quadruple isomorphism search exhausted its budget")
+    am, bm = found
+    return QuadrupleHom(q1, q2, ModuleHom(q1.x, q2.x, am),
+                        ModuleHom(q1.y, q2.y, bm))
 
 
 # -- the six-functor zoo -----------------------------------------------------
@@ -887,10 +838,6 @@ def u_a(q: QuadrupleModule) -> FDModule:
     return q.x
 
 
-def u_b(q: QuadrupleModule) -> FDModule:
-    return q.y
-
-
 def q_a(q: QuadrupleModule) -> tuple[FDModule, ModuleHom]:
     """X / IX with its projection (the left adjoint of Z on the A side)."""
     ctx = q.ctx
@@ -959,19 +906,6 @@ def p_a(q: QuadrupleModule) -> tuple[FDModule, ModuleHom]:
 
 def p_b(q: QuadrupleModule) -> tuple[FDModule, ModuleHom]:
     return kernel_of(g_tilde(q), name=f"P_B({q.name})")
-
-
-def t_a_hom(ctx: MoritaContext, src: QuadrupleModule, dst: QuadrupleModule,
-            h: ModuleHom) -> QuadrupleHom:
-    """T_A on a morphism h: X -> X' (src and dst must be the T_A images)."""
-    beta = tensor_functor_hom(src.mx, dst.mx, h)
-    return QuadrupleHom(src, dst, h, ModuleHom(src.y, dst.y, beta.mat))
-
-
-def t_b_hom(ctx: MoritaContext, src: QuadrupleModule, dst: QuadrupleModule,
-            h: ModuleHom) -> QuadrupleHom:
-    alpha = tensor_functor_hom(src.ny, dst.ny, h)
-    return QuadrupleHom(src, dst, ModuleHom(src.x, dst.x, alpha.mat), h)
 
 
 def classify_projectives(ctx: MoritaContext, seed: int = 0) -> list[QuadrupleModule]:

@@ -267,22 +267,6 @@ def t_lambda(ext: TrivialExtension, ctx: MoritaContext, x: FDModule,
                           name=name or f"T_Lam({x.name})")
 
 
-def t_lambda_hom(ext: TrivialExtension, ctx: MoritaContext,
-                 src: QuadrupleModule, dst: QuadrupleModule,
-                 h: ModuleHom) -> QuadrupleHom:
-    """T_Lambda on a morphism of Lambda-modules: (h (+) 1_I (x) h, 1_M (x) h)."""
-    ix_src = tensor_module(ext.ideal, h.source)
-    ix_dst = tensor_module(ext.ideal, h.target)
-    one_i_h = tensor_functor_hom(ix_src, ix_dst, h)
-    alpha = Mat.block_diag([h.mat, one_i_h.mat])
-    m_lam = restrict_right(ctx.M, ext.incl_rows, ext.Lam)
-    src_t = tensor_module(m_lam, h.source)
-    dst_t = tensor_module(m_lam, h.target)
-    beta = tensor_functor_hom(src_t, dst_t, h)
-    return QuadrupleHom(src, dst, ModuleHom(src.x, dst.x, alpha),
-                        ModuleHom(src.y, dst.y, beta.mat))
-
-
 # -- structural maps of a quadruple (phi = 0) --------------------------------
 
 

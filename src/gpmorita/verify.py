@@ -3,14 +3,17 @@
 This module deliberately avoids the builder's machinery: projectivity is
 decided by splitting a free presentation (no idempotents, no covers),
 exactness and Hom-complex exactness are recomputed from ranks, and
-periodicity is checked against the stored window.  Shared ground is only
-the exact linear algebra and the module/hom containers.
+periodicity is checked against the stored window.  It keeps its own
+Hom-complex assembly rather than the builder's.  Shared ground is the
+exact linear algebra, the module, hom and complex-window containers, the
+dual, free and regular modules, and two solvers: hom_space for bases of
+Hom spaces and solve_module_hom for the splitting system.
 """
 from __future__ import annotations
 
 from .algebra import opposite_algebra
 from .complexes import ComplexWindow
-from .linalg import Mat, in_row_space, left_kernel, rank
+from .linalg import Mat, in_row_space, left_kernel, rank, solve_left
 from .modules import (
     FDModule, ModuleHom, dual_module, free_module, hom_space, regular_module,
 )
@@ -63,37 +66,41 @@ def _window_exact(wc: ComplexWindow) -> str | None:
     return None
 
 
-def _hom_complex(wc: ComplexWindow, y: FDModule):
+def _hom_complex(terms: list[FDModule], diffs: list[ModuleHom], y: FDModule):
+    """Hom(T_., y) of the complex T_0 -> T_1 -> ... with diffs[j]: T_j ->
+    T_{j+1}: the dims of Hom(T_j, y) and maps[j]: Hom(T_{j+1}, y) ->
+    Hom(T_j, y) in those bases, or None if a map fails to assemble."""
     F = y.algebra.field
-    bases = [hom_space(wc.term(i), y) for i in range(wc.lo, wc.hi + 1)]
+    bases = [hom_space(t, y) for t in terms]
     maps = []
-    from .linalg import solve_left
-    for i in range(wc.lo, wc.hi):
-        src = bases[i - wc.lo + 1]
-        dst = bases[i - wc.lo]
+    for j, d in enumerate(diffs):
+        src, dst = bases[j + 1], bases[j]
         if not src or not dst:
             maps.append(Mat.zeros(F, len(src), len(dst)))
             continue
         stacked = Mat.vstack([_vec(h.mat) for h in dst])
         rows = []
         for h in src:
-            c = solve_left(stacked, _vec(wc.diff(i).mat @ h.mat))
+            c = solve_left(stacked, _vec(d.mat @ h.mat))
             if c is None:
-                return None, None
+                return None
             rows.append(c.row(0))
         maps.append(Mat.from_rows(F, rows, len(dst)))
     return [len(b) for b in bases], maps
 
 
+def _hom_homology(hc, j: int) -> int:
+    """dim of the homology of the Hom complex hc at Hom(T_j, y)."""
+    dims, maps = hc
+    return dims[j] - rank(maps[j - 1]) - rank(maps[j])
+
+
 def _window_totally_exact(wc: ComplexWindow) -> str | None:
-    reg = regular_module(wc.algebra)
-    dims, maps = _hom_complex(wc, reg)
-    if dims is None:
+    hc = _hom_complex(wc.terms, wc.diffs, regular_module(wc.algebra))
+    if hc is None:
         return "hom complex failed to assemble"
     for i in range(wc.lo + 1, wc.hi):
-        into = maps[i - wc.lo]
-        out_of = maps[i - 1 - wc.lo]
-        if dims[i - wc.lo] - rank(out_of) != rank(into):
+        if _hom_homology(hc, i - wc.lo):
             return f"Hom(-, A) complex not exact at {i}"
     return None
 
@@ -249,30 +256,14 @@ def _verify_ext_witness(x: FDModule, w: NotGPWitness) -> list[str]:
         if rank(d.mat) != ker:
             return ["witness resolution is not exact"]
         prev = d
-    # Hom-complex homology at the claimed degree
-    reg = regular_module(x.algebra)
-    bases = [hom_space(t, reg) for t in res.terms]
-    from .linalg import solve_left
-    deltas = []
-    F = x.algebra.field
-    for j, d in enumerate(res.maps):
-        src, dst = bases[j], bases[j + 1]
-        if not src or not dst:
-            deltas.append(Mat.zeros(F, len(src), len(dst)))
-            continue
-        stacked = Mat.vstack([_vec(h.mat) for h in dst])
-        rows = []
-        for h in src:
-            c = solve_left(stacked, _vec(d.mat @ h.mat))
-            if c is None:
-                return ["hom complex failed to assemble"]
-            rows.append(c.row(0))
-        deltas.append(Mat.from_rows(F, rows, len(dst)))
     i = w.degree
-    if i >= len(deltas):
+    if i >= len(res.maps):
         return ["ext witness degree beyond the resolution"]
-    ker = deltas[i].rows - rank(deltas[i])
-    if ker - rank(deltas[i - 1]) == 0:
+    # Ext^i is the homology of Hom(P_., A) at P_i; reversed, P_n comes first
+    hc = _hom_complex(res.terms[::-1], res.maps[::-1], regular_module(x.algebra))
+    if hc is None:
+        return ["hom complex failed to assemble"]
+    if _hom_homology(hc, len(res.maps) - i) == 0:
         return ["claimed Ext group vanishes"]
     return []
 
@@ -284,29 +275,12 @@ def _verify_homology_obstruction(x: FDModule, w: NotGPWitness) -> list[str]:
     if steps[0].stage.dim != x.dim or steps[0].stage.acts != x.acts:
         return ["witness chain does not start at the module"]
     # Hom(-, A) of the right tail P^0 -> P^1 -> ... at the claimed degree
-    reg = regular_module(x.algebra)
     terms = [st.target for st in steps]
     diffs = [steps[j].coker_proj.then(steps[j + 1].alpha)
              for j in range(len(steps) - 1)]
-    F = x.algebra.field
-    bases = [hom_space(t, reg) for t in terms]
-    from .linalg import solve_left
-    maps = []
-    for j, d in enumerate(diffs):
-        src, dst = bases[j + 1], bases[j]
-        if not src or not dst:
-            maps.append(Mat.zeros(F, len(src), len(dst)))
-            continue
-        stacked = Mat.vstack([_vec(h.mat) for h in dst])
-        rows = []
-        for h in src:
-            c = solve_left(stacked, _vec(d.mat @ h.mat))
-            if c is None:
-                return ["hom complex failed to assemble"]
-            rows.append(c.row(0))
-        maps.append(Mat.from_rows(F, rows, len(dst)))
-    i = w.degree
-    ker = len(bases[i]) - rank(maps[i - 1])
-    if ker == rank(maps[i]):
+    hc = _hom_complex(terms, diffs, regular_module(x.algebra))
+    if hc is None:
+        return ["hom complex failed to assemble"]
+    if _hom_homology(hc, w.degree) == 0:
         return ["claimed homology obstruction vanishes"]
     return []

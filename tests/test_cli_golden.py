@@ -1,0 +1,93 @@
+"""Golden CLI reports: every README command on its README fixture with
+--json, plus the criterion-9 commands with --seed 5, must reproduce the
+stored stdout byte for byte and the stored exit code.
+
+Regenerate the files under tests/golden/ with
+    PYTHONPATH=src python tests/test_cli_golden.py
+only when a change of output is intended.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+
+import pytest
+
+from gpmorita.cli import main
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+FIX = os.path.join(HERE, "..", "fixtures")
+GOLDEN = os.path.join(HERE, "golden")
+
+
+def fx(name):
+    return os.path.join(FIX, name)
+
+
+def gold(name):
+    return os.path.join(GOLDEN, f"{name}.json")
+
+
+# name -> (argv, exit code).  verify-report re-checks the stored
+# certify-gp report, so that case must come after it.
+CASES = {
+    "validate": (["validate", fx("glued5.json")], 0),
+    "build-ring": (["build-ring", fx("glued5.json"), "--context", "ctx"], 0),
+    "classify": (["classify", fx("triangular.json"), "--context", "ctx"], 0),
+    "check-gp": (["check-gp", fx("triangular.json"), "--extension", "ext",
+                  "--context", "ctx", "--quadruple", "S2"], 1),
+    "certify-gp": (["certify-gp", fx("dual_numbers.json"), "--module", "S"], 0),
+    "build-resolution": (["build-resolution", fx("triangular.json"),
+                          "--extension", "ext", "--context", "ctx",
+                          "--quadruple", "P2"], 0),
+    "check-compat": (["check-compat", fx("dual_numbers.json"), "--bimodule",
+                      "S_bim", "--right-tests", "S_window"], 1),
+    "nc-tensor-build": (["nc-tensor", "build", fx("two_cycle.json"),
+                         "--context", "ctx"], 0),
+    "nc-tensor-check": (["nc-tensor", "check", fx("nc_phi.json"), "--context",
+                         "ctx", "--extension", "extB", "--quadruple", "PB"], 0),
+    "audit": (["audit", fx("two_cycle.json"), "--extension", "ext",
+               "--context", "ctx", "--quadruples", "S1", "S2"], 0),
+    "verify-report": (["verify-report", fx("dual_numbers.json"), "--report",
+                       gold("certify-gp")], 0),
+    "seed5-check-gp": (["check-gp", fx("triangular.json"), "--extension",
+                        "ext", "--context", "ctx", "--quadruple", "S2",
+                        "--seed", "5"], 1),
+    "seed5-certify-gp": (["certify-gp", fx("dual_numbers.json"), "--module",
+                          "S", "--seed", "5"], 0),
+    "seed5-audit": (["audit", fx("two_cycle.json"), "--extension", "ext",
+                     "--context", "ctx", "--quadruples", "S1", "S2", "--seed",
+                     "5"], 0),
+    "seed5-nc-tensor-build": (["nc-tensor", "build", fx("two_cycle.json"),
+                               "--context", "ctx", "--seed", "5"], 0),
+    "seed5-classify": (["classify", fx("glued5.json"), "--context", "ctx",
+                        "--seed", "5"], 0),
+}
+
+
+def run_case(name) -> tuple[int, str]:
+    argv, _ = CASES[name]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv + ["--json"])
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_cli_output_matches_golden(name):
+    code, out = run_case(name)
+    with open(gold(name), encoding="utf-8", newline="") as fh:
+        expected = fh.read()
+    assert out == expected
+    assert code == CASES[name][1]
+
+
+if __name__ == "__main__":
+    os.makedirs(GOLDEN, exist_ok=True)
+    for name in CASES:
+        code, out = run_case(name)
+        with open(gold(name), "w", encoding="utf-8", newline="") as fh:
+            fh.write(out)
+        print(f"{name}: exit {code}", file=sys.stderr)

@@ -8,14 +8,17 @@ from gpmorita.algebra import opposite_algebra
 from gpmorita.catalog import (
     field_algebra, path_a2, product_fields, proj_a2, random_hom,
     random_module, simple_at_idempotent, simple_kx2, truncated_poly,
+    zero_context,
 )
 from gpmorita.fields import GF, QQ
 from gpmorita.linalg import Mat
 from gpmorita.modules import (
     FDModule, ModuleHom, cokernel_of, direct_sum, dual_module, free_module,
     hom_dim, hom_space, identity_hom, image_of, is_isomorphic, kernel_of,
-    regular_module, restrict_along, validate_module, zero_hom, zero_module,
+    Undetermined, regular_module, restrict_along, validate_module, zero_hom,
+    zero_module,
 )
+from gpmorita.morita import quadruple_is_isomorphic, t_a
 
 
 def test_regular_module_valid():
@@ -68,6 +71,27 @@ def test_iso_distinct_simples_absent():
     assert is_isomorphic(simple_at_idempotent(a, 0), simple_at_idempotent(a, 1)) is None
     b = product_fields(GF(3), 2)
     assert is_isomorphic(simple_at_idempotent(b, 0), simple_at_idempotent(b, 1)) is None
+
+
+@pytest.mark.parametrize("F", [QQ(), GF(3)], ids=["Q", "GF3"])
+def test_bounded_iso_search_is_never_a_false_negative(F):
+    """S^4 vs P^2 over k[x]/(x^2) has a 16-dimensional hom space, past every
+    decisive step, so the search must say it cannot decide; S^2 vs P has a
+    2-dimensional one, small enough to prove there is no isomorphism.  The
+    quadruple search gets the same answers on (X, 0) over a zero context."""
+    a = truncated_poly(F, 2)
+    s, p = simple_kx2(a), regular_module(a)
+
+    def power(m, n):
+        return direct_sum([m] * n)[0]
+
+    with pytest.raises(Undetermined):
+        is_isomorphic(power(s, 4), power(p, 2))
+    assert is_isomorphic(power(s, 2), p) is None
+    ctx = zero_context(a, field_algebra(F))
+    with pytest.raises(Undetermined):
+        quadruple_is_isomorphic(t_a(ctx, power(s, 4)), t_a(ctx, power(p, 2)))
+    assert quadruple_is_isomorphic(t_a(ctx, power(s, 2)), t_a(ctx, p)) is None
 
 
 def test_kernel_of_identity_and_zero():

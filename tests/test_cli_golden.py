@@ -64,6 +64,24 @@ CASES = {
                                "--context", "ctx", "--seed", "5"], 0),
     "seed5-classify": (["classify", fx("glued5.json"), "--context", "ctx",
                         "--seed", "5"], 0),
+    # both corners of the Morita layer: classify and assemble over contexts
+    # with nonzero B-side data, and the corner-swapped criterion
+    "classify-two_cycle": (["classify", fx("two_cycle.json"), "--context",
+                            "ctx"], 0),
+    "classify-nc_phi": (["classify", fx("nc_phi.json"), "--context", "ctx"], 0),
+    "classify-arrow_glue": (["classify", fx("arrow_glue.json"), "--context",
+                             "ctx"], 0),
+    "build-resolution-glued5": (["build-resolution", fx("glued5.json"),
+                                 "--extension", "ext", "--context", "ctx",
+                                 "--quadruple", "P2"], 0),
+    "build-resolution-arrow_glue": (["build-resolution", fx("arrow_glue.json"),
+                                     "--extension", "ext", "--context", "ctx",
+                                     "--quadruple", "P2"], 0),
+    "nc-tensor-check-SB": (["nc-tensor", "check", fx("nc_phi.json"),
+                            "--context", "ctx", "--extension", "extB",
+                            "--quadruple", "SB"], 1),
+    "audit-glued5": (["audit", fx("glued5.json"), "--extension", "ext",
+                      "--context", "ctx", "--quadruples", "P2", "ZB"], 0),
 }
 
 

@@ -364,19 +364,12 @@ def validate_balanced_map(f: BalancedMap) -> list[str]:
     return out
 
 
-def hom_functor_hom(n: Bimodule, h: ModuleHom,
-                    src_basis: list[ModuleHom] | None = None,
-                    dst_basis: list[ModuleHom] | None = None) -> ModuleHom:
+def hom_functor_hom(n: Bimodule, h: ModuleHom) -> ModuleHom:
     """Hom(N, h): the pushforward Hom_A(N, X) -> Hom_A(N, X') along
     h: X -> X', on the canonical hom-module coordinates."""
     from .linalg import solve_left
-    src_mod, src_basis = hom_module(n, h.source) if src_basis is None else \
-        (None, src_basis)
-    dst_mod, dst_basis = hom_module(n, h.target) if dst_basis is None else \
-        (None, dst_basis)
-    if src_mod is None or dst_mod is None:
-        src_mod, src_basis = hom_module(n, h.source)
-        dst_mod, dst_basis = hom_module(n, h.target)
+    src_mod, src_basis = hom_module(n, h.source)
+    dst_mod, dst_basis = hom_module(n, h.target)
     F = n.right.field
     if not src_basis:
         return ModuleHom(src_mod, dst_mod, Mat.zeros(F, 0, len(dst_basis)))

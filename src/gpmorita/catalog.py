@@ -392,7 +392,7 @@ def random_context(F: Field, rng: random.Random):
     if kind == "glued":
         return kind, random_glued_context(F, rng)[1]
     if kind == "swapped":
-        from .nctensor import swap_context
+        from .morita import swap_context
         return kind, swap_context(random_glued_context(F, rng)[1])
     R = rng.choice([truncated_poly(F, 2), product_fields(F, 2),
                     field_algebra(F)])

@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 
-from .complexes import is_exact, total_exactness
 from .engine import (
     EngineError, audit_equivalence, build_total_resolution, check_compat,
     check_conditions,
@@ -23,11 +22,13 @@ from .jsonio import (
     dumps_report, load_problem_file, mat_to_json,
 )
 from .modules import Undetermined
-from .morita import build_ring, classify_injectives, classify_projectives, \
-    quadruple_to_module
+from .morita import (
+    build_ring, classify_injectives, classify_projectives, quadruple_to_module,
+    swap_quadruple,
+)
 from .nctensor import (
     NcTensorError, build_exact_context, build_nc_tensor, iso_with_morita,
-    nc_morita_presentation, swap_context, swap_quadruple_generic,
+    nc_morita_presentation,
 )
 from .verify import verify_certificate
 
@@ -163,12 +164,11 @@ def cmd_build_resolution(args, prob) -> int:
         return FAIL if rep.overall == "fail" else UNKNOWN
     span = min(args.window, 3)
     asm = build_total_resolution(ext, ctx, q, rep, window=span, seed=args.seed)
-    ring_name = _alg_name(prob, asm.tcx.algebra)
+    # build_total_resolution has already required both exactness claims
     payload = {"command": "build-resolution", "quadruple": args.quadruple,
                "verdict": "ok", "window": [asm.tcx.lo, asm.tcx.hi],
                "term_dims": [t.dim for t in asm.tcx.terms],
-               "exact": is_exact(asm.tcx),
-               "totally_exact": total_exactness(asm.tcx, seed=args.seed),
+               "exact": True, "totally_exact": True,
                "kernel_is_module": asm.kernel_iso.is_iso()}
     _emit(args, payload)
     return OK
@@ -226,9 +226,10 @@ def cmd_nc_tensor(args, prob) -> int:
         raise InputError("nc-tensor check needs --extension and --quadruple")
     q = prob.named("quadruples", args.quadruple)
     ext = prob.named("extensions", args.extension)
-    ctx_sw = swap_context(ctx)
-    q_sw = swap_quadruple_generic(ctx_sw, q)
-    rep = check_conditions(ext, ctx_sw, q_sw, args.window, args.period_bound,
+    if q.ctx is not ctx:
+        raise InputError(f"quadruple {args.quadruple} lives over another context")
+    q_sw = swap_quadruple(q, f"swap({q.name})")
+    rep = check_conditions(ext, q_sw.ctx, q_sw, args.window, args.period_bound,
                            args.seed)
     payload = {"command": "nc-tensor", "mode": "check",
                "quadruple": args.quadruple, "verdict": rep.overall}

@@ -40,7 +40,7 @@ from .morita import (
 )
 from .trivext import (
     StructuralMaps, TrivialExtension, check_extension_matches,
-    psi_ideal_coords, recognize_trivial_extension, structural_maps, t_lambda,
+    psi_tensor_block, recognize_trivial_extension, structural_maps, t_lambda,
 )
 
 
@@ -78,15 +78,13 @@ class CriterionReport:
 
 def check_conditions(ext: TrivialExtension, ctx: MoritaContext,
                      q: QuadrupleModule, window: int = 6,
-                     period_bound: int = 12, seed: int = 0,
-                     validate: bool = True) -> CriterionReport:
+                     period_bound: int = 12, seed: int = 0) -> CriterionReport:
     """Evaluate the sufficiency clauses for a quadruple over the
     one-sided-zero context ring built on A = Lambda |x im(psi)."""
     check_extension_matches(ext, ctx)
-    if validate:
-        bad = validate_quadruple(q)
-        if bad:
-            raise EngineError(f"invalid quadruple: {bad[0]}")
+    bad = validate_quadruple(q)
+    if bad:
+        raise EngineError(f"invalid quadruple: {bad[0]}")
     sm = structural_maps(ctx, q)
     u_lam = ext.lam_module(sm.u, name=f"Coker(g)|{ext.Lam.name}")
     cert_g = certify_gorenstein_projective(u_lam, window, period_bound, seed)
@@ -168,31 +166,6 @@ def _require(cond: bool, msg: str):
         raise EngineError(msg)
 
 
-def _psi_block(ctx, ext, p_module, mp_tensor, ip_tensor) -> Mat:
-    """psi (x) 1_P as a matrix N (x)_k (M(x)P) -> I (x)_Lambda P."""
-    F = ctx.A.field
-    dN, dM, dP = ctx.N.dim, ctx.M.dim, p_module.dim
-    psi_i = psi_ideal_coords(ext, ctx)
-    rows = []
-    for i_n in range(dN):
-        for t in range(mp_tensor.module.dim):
-            lift = mp_tensor.section.row(t)
-            acc = [F.zero()] * ip_tensor.module.dim
-            for amb, coef in enumerate(lift):
-                if F.is_zero(coef):
-                    continue
-                i_m, i_p = divmod(amb, dP)
-                ivec = psi_i.row(i_n * dM + i_m)
-                for s, c in enumerate(ivec):
-                    if not F.is_zero(c):
-                        prow = ip_tensor.proj.row(s * dP + i_p)
-                        acc = [F.add(u, F.mul(F.mul(coef, c), w))
-                               for u, w in zip(acc, prow)]
-            rows.append(acc)
-    return Mat.from_rows(F, rows, ip_tensor.module.dim) if rows else \
-        Mat.zeros(F, 0, ip_tensor.module.dim)
-
-
 def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
                            q: QuadrupleModule, report: CriterionReport,
                            window: int | None = None, seed: int = 0) -> ResolutionAssembly:
@@ -264,8 +237,8 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
         # 1_N (x) rho^i : N (x) Q^i -> N (x) (M (x) P^{i+1})
         nmp = tensor_module(n_lam, mp_cx.term(i + 1))
         one_rho = tensor_functor_hom(nq_i, nmp, rho[i])
-        psi_blk = _psi_block(ctx, ext, pcx.term(i + 1), mp_tens[i + span + 1],
-                             ip_tens[i + span + 1])
+        psi_blk = psi_tensor_block(ctx, ext, pcx.term(i + 1),
+                                   mp_tens[i + span + 1], ip_tens[i + span + 1])
         psi_hom_mat = solve(nmp.proj, psi_blk)
         _require(psi_hom_mat is not None, "psi block does not descend")
         tau_i = one_rho.mat @ psi_hom_mat
@@ -421,7 +394,7 @@ def _identify_h_with_z_kernel(ctx, ext, q, sm, hs1, zcx, ip0, nq0, mp0,
     mp_dim = mp0.module.dim
     z0 = zcx.term(0)
     rows = []
-    psi_part = _psi_block(ctx, ext, mp0.arg, mp0, ip0)
+    psi_part = psi_tensor_block(ctx, ext, mp0.arg, mp0, ip0)
     # careful: psi_part is on N (x)_k (M (x) P^0); build sigma on N (x)_k Y^0
     dN = ctx.N.dim
     for i_n in range(dN):
@@ -680,8 +653,7 @@ def corner_complexes(ext: TrivialExtension, ctx: MoritaContext,
 def check_semi_weak_quadruple(ext: TrivialExtension, ctx: MoritaContext,
                               side: str, which: str,
                               tests: list[ComplexWindow],
-                              bound: int = 6, seed: int = 0,
-                              cross_check: bool = True) -> SemiWeakVerdict:
+                              bound: int = 6, seed: int = 0) -> SemiWeakVerdict:
     """Semi-weak compatibility of the one-column modules (W, 0, 0, 0)
     (left side, W in {N, I}) or their right-module mirrors (W in {M, I}).
 
@@ -748,8 +720,7 @@ def check_semi_weak_quadruple(ext: TrivialExtension, ctx: MoritaContext,
         pcx, _, quads = corner_complexes(ext, ctx, mr, wc, seed)
         used += 1
         if side == "left":
-            if cross_check:
-                _reduction_cross_check_left(ext, ctx, quads, pcx, w_left, seed)
+            _reduction_cross_check_left(ext, ctx, quads, pcx, w_left, seed)
             deg = hom_exactness_failure(pcx, w_left)
             if deg is not None:
                 return SemiWeakVerdict(side, which, "refuted",
@@ -758,8 +729,7 @@ def check_semi_weak_quadruple(ext: TrivialExtension, ctx: MoritaContext,
                                        tests_used=used)
         else:
             w_rop = w_bim.as_right_module(f"{which}|rop")
-            if cross_check:
-                _reduction_cross_check_right(ext, ctx, quads, pcx, w_rop, seed)
+            _reduction_cross_check_right(ext, ctx, quads, pcx, w_rop, seed)
             if not _tensor_exact(w_rop, pcx):
                 return SemiWeakVerdict(side, which, "refuted",
                                        "tensor_complex_not_exact",

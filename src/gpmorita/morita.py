@@ -18,7 +18,9 @@ from .bimodules import (
     _middle_relations, _vec,
 )
 from .fields import Field
-from .linalg import Mat, kernel_basis, rank, row_space, solve, solve_left
+from .linalg import (
+    Mat, in_row_space, kernel_basis, rank, row_space, solve, solve_left,
+)
 from .modules import (
     FDModule, ModuleHom, _invertible_in_span, cokernel_of, identity_hom,
     kernel_of, quotient_by_rows, regular_module, validate_module, zero_hom,
@@ -45,7 +47,7 @@ class MoritaContext:
     phi: BalancedMap             # M (x)_A N -> B
     psi: BalancedMap             # N (x)_B M -> A
     name: str = ""
-    _cache: dict = dc_field(default_factory=dict, repr=False)
+    _cache: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
     def ideal_rows_a(self) -> Mat:
         """Row basis of I = im(psi) inside A."""
@@ -62,6 +64,18 @@ class MoritaContext:
     @property
     def psi_is_zero(self) -> bool:
         return self.psi.mat.is_zero()
+
+
+def swap_context(ctx: MoritaContext) -> MoritaContext:
+    """The corner swap (A, B, M, N, phi, psi) -> (B, A, N, M, psi, phi);
+    (a n; m b) |-> (b m; n a) is a ring isomorphism.  Cached both ways, so
+    swapping the swap returns the context itself."""
+    if "swap_context" not in ctx._cache:
+        sw = MoritaContext(ctx.B, ctx.A, ctx.N, ctx.M, ctx.psi, ctx.phi,
+                           name=f"{ctx.name}^swap")
+        sw._cache["swap_context"] = ctx
+        ctx._cache["swap_context"] = sw
+    return ctx._cache["swap_context"]
 
 
 def validate_context(ctx: MoritaContext) -> list[str]:
@@ -85,35 +99,23 @@ def validate_context(ctx: MoritaContext) -> list[str]:
     if out:
         return out
     F = ctx.A.field
-    dN, dM = ctx.N.dim, ctx.M.dim
-    # associativity square on N (x) M (x) N:
-    #   psi(n (x) m) . n' = n . phi(m (x) n')
-    for i in range(dN):
-        ei = Mat.unit_row(F, dN, i)
-        for j in range(dM):
-            a = ctx.psi.value(i, j)
-            left_mat = ctx.N.left_act_of(a)    # n' |-> psi(n,m).n'
-            for k in range(dN):
-                lhs = Mat.unit_row(F, dN, k) @ left_mat
-                b = ctx.phi.value(j, k)
-                rhs = ei @ ctx.N.right_act_of(b)
-                if lhs.data[0] != rhs.data[0]:
-                    out.append(f"first context square fails at (n{i}, m{j}, n{k})")
-                    return out
-    # associativity square on M (x) N (x) M:
-    #   phi(m (x) n) . m' = m . psi(n (x) m')
-    for i in range(dM):
-        ei = Mat.unit_row(F, dM, i)
-        for j in range(dN):
-            b = ctx.phi.value(i, j)
-            left_mat = ctx.M.left_act_of(b)
-            for k in range(dM):
-                lhs = Mat.unit_row(F, dM, k) @ left_mat
-                a = ctx.psi.value(j, k)
-                rhs = ei @ ctx.M.right_act_of(a)
-                if lhs.data[0] != rhs.data[0]:
-                    out.append(f"second context square fails at (m{i}, n{j}, m{k})")
-                    return out
+    # the associativity square on N (x) M (x) N,
+    #   psi(n (x) m) . n' = n . phi(m (x) n'),
+    # and, through the swap, the one on M (x) N (x) M
+    for c, which, (n, m) in ((ctx, "first", "nm"),
+                             (swap_context(ctx), "second", "mn")):
+        dN, dM = c.N.dim, c.M.dim
+        for i in range(dN):
+            ei = Mat.unit_row(F, dN, i)
+            for j in range(dM):
+                left_mat = c.N.left_act_of(c.psi.value(i, j))
+                for k in range(dN):
+                    lhs = Mat.unit_row(F, dN, k) @ left_mat
+                    rhs = ei @ c.N.right_act_of(c.phi.value(j, k))
+                    if lhs.data[0] != rhs.data[0]:
+                        out.append(f"{which} context square fails at "
+                                   f"({n}{i}, {m}{j}, {n}{k})")
+                        return out
     out += _ideal_checks(ctx)
     return out
 
@@ -121,19 +123,14 @@ def validate_context(ctx: MoritaContext) -> list[str]:
 def _ideal_checks(ctx: MoritaContext) -> list[str]:
     out = []
     F = ctx.A.field
+    for c, im, corner in ((ctx, "psi", "A"), (swap_context(ctx), "phi", "B")):
+        I = c.ideal_rows_a()
+        for t in range(c.A.dim):
+            if I.rows and not (in_row_space(I, I @ c.A.lmul_mats()[t])
+                               and in_row_space(I, I @ c.A.rmul_mats()[t])):
+                out.append(f"im({im}) is not a two-sided ideal of {corner}")
+                break
     I = ctx.ideal_rows_a()
-    J = ctx.ideal_rows_b()
-    from .linalg import in_row_space
-    for t in range(ctx.A.dim):
-        if I.rows and not (in_row_space(I, I @ ctx.A.lmul_mats()[t])
-                           and in_row_space(I, I @ ctx.A.rmul_mats()[t])):
-            out.append("im(psi) is not a two-sided ideal of A")
-            break
-    for t in range(ctx.B.dim):
-        if J.rows and not (in_row_space(J, J @ ctx.B.lmul_mats()[t])
-                           and in_row_space(J, J @ ctx.B.rmul_mats()[t])):
-            out.append("im(phi) is not a two-sided ideal of B")
-            break
     if ctx.phi_is_zero and I.rows:
         # with phi = 0: I.N = 0, M.I = 0 and I^2 = 0
         for r in range(I.rows):
@@ -196,14 +193,13 @@ class MoritaRing:
                                  for i in range(self.ctx.B.dim)], self.ring.dim)
 
 
-def build_ring(ctx: MoritaContext, validate: bool = True) -> MoritaRing:
+def build_ring(ctx: MoritaContext) -> MoritaRing:
     """The 2x2 Morita context ring on the basis A ++ N ++ M ++ B.
 
     Validation runs first; a corrupted context is rejected before any ring
     is constructed.
     """
-    if validate:
-        require_valid_context(ctx)
+    require_valid_context(ctx)
     A, B, M, N = ctx.A, ctx.B, ctx.M, ctx.N
     F = A.field
     dA, dN, dM, dB = A.dim, N.dim, M.dim, B.dim
@@ -294,6 +290,13 @@ def make_quadruple(ctx: MoritaContext, x: FDModule, y: FDModule,
                            ModuleHom(ny.module, x, g_mat), mx, ny, name=name)
 
 
+def swap_quadruple(q: QuadrupleModule, name: str | None = None) -> QuadrupleModule:
+    """The quadruple over the swapped context: (X, Y, f, g) -> (Y, X, g, f).
+    Only relabels; nothing is solved again."""
+    return QuadrupleModule(swap_context(q.ctx), q.y, q.x, q.g, q.f, q.ny, q.mx,
+                           name=q.name if name is None else name)
+
+
 def psi_action_full(ctx: MoritaContext, x: FDModule) -> Mat:
     """The multiplication map N (x)_k M (x)_k X -> X,
     n (x) m (x) v |-> psi(n (x) m) . v."""
@@ -306,19 +309,6 @@ def psi_action_full(ctx: MoritaContext, x: FDModule) -> Mat:
             for v in range(dX):
                 rows.append(act.row(v))
     return Mat.from_rows(F, rows, dX) if rows else Mat.zeros(F, 0, dX)
-
-
-def phi_action_full(ctx: MoritaContext, y: FDModule) -> Mat:
-    """M (x)_k N (x)_k Y -> Y, m (x) n (x) w |-> phi(m (x) n) . w."""
-    F = ctx.B.field
-    dM, dN, dY = ctx.M.dim, ctx.N.dim, y.dim
-    rows = []
-    for i in range(dM):
-        for j in range(dN):
-            act = y.act_of(ctx.phi.value(i, j))
-            for w in range(dY):
-                rows.append(act.row(w))
-    return Mat.from_rows(F, rows, dY) if rows else Mat.zeros(F, 0, dY)
 
 
 def psi_hom(ctx: MoritaContext, x: FDModule, mx: TensorModule,
@@ -336,60 +326,41 @@ def psi_hom(ctx: MoritaContext, x: FDModule, mx: TensorModule,
 
 def phi_hom(ctx: MoritaContext, y: FDModule, ny: TensorModule,
             mny: TensorModule) -> ModuleHom:
-    """Phi_Y : M (x)_A (N (x)_B Y) -> Y as a module map over B."""
-    F = ctx.B.field
-    eye_m = Mat.identity(F, ctx.M.dim)
-    big_proj = eye_m.kron(ny.proj) @ mny.proj
-    full = phi_action_full(ctx, y)
-    mat = solve(big_proj, full)
-    if mat is None:
-        raise ContextError("Phi does not factor through the tensor quotient")
-    return ModuleHom(mny.module, y, mat)
+    """Phi_Y : M (x)_A (N (x)_B Y) -> Y, the Psi of the swapped context."""
+    return psi_hom(swap_context(ctx), y, ny, mny)
+
+
+# message labels per side: the corner module, the structure map leaving it,
+# the algebra that map is linear over, the square it closes, the ideal and
+# the map whose cokernel that ideal kills
+_QUADRUPLE_SIDES = (("X", "f", "B", "first", "I", "g"),
+                    ("Y", "g", "A", "second", "J", "f"))
 
 
 def validate_quadruple(q: QuadrupleModule) -> list[str]:
-    out = []
-    out += [f"X: {m}" for m in validate_module(q.x)]
-    out += [f"Y: {m}" for m in validate_module(q.y)]
+    sides = list(zip((q, swap_quadruple(q)), _QUADRUPLE_SIDES))
+    out = [f"{lab[0]}: {m}" for s, lab in sides for m in validate_module(s.x)]
     if out:
         return out
-    if not q.f.intertwines():
-        out.append("f is not B-linear")
-    if not q.g.intertwines():
-        out.append("g is not A-linear")
+    out = [f"{lab[1]} is not {lab[2]}-linear" for s, lab in sides
+           if not s.f.intertwines()]
     if out:
         return out
-    ctx = q.ctx
-    F = ctx.A.field
-    # square 1: (1_N (x) f) g = Psi_X on N (x) M (x) X
-    nmx = tensor_module(ctx.N, q.mx.module)
-    one_f = tensor_functor_hom(nmx, q.ny, q.f)
-    lhs = one_f.then(q.g)
-    psi_x = psi_hom(ctx, q.x, q.mx, nmx)
-    if lhs.mat != psi_x.mat:
-        out.append("first compatibility square fails")
-    # square 2: (1_M (x) g) f = Phi_Y on M (x) N (x) Y
-    mny = tensor_module(ctx.M, q.ny.module)
-    one_g = tensor_functor_hom(mny, q.mx, q.g)
-    lhs2 = one_g.then(q.f)
-    phi_y = phi_hom(ctx, q.y, q.ny, mny)
-    if lhs2.mat != phi_y.mat:
-        out.append("second compatibility square fails")
+    # (1_N (x) f) g = Psi_X on N (x) M (x) X; on the B side
+    # (1_M (x) g) f = Phi_Y on M (x) N (x) Y
+    for s, lab in sides:
+        nmx = tensor_module(s.ctx.N, s.mx.module)
+        lhs = tensor_functor_hom(nmx, s.ny, s.f).then(s.g)
+        if lhs.mat != psi_hom(s.ctx, s.x, s.mx, nmx).mat:
+            out.append(f"{lab[3]} compatibility square fails")
     if out:
         return out
     # consequences: I kills Coker(g), J kills Coker(f)
-    coker_g, _ = cokernel_of(q.g)
-    I = ctx.ideal_rows_a()
-    for r in range(I.rows):
-        if not coker_g.act_of(I.row(r)).is_zero():
-            out.append("I does not annihilate Coker(g)")
-            break
-    coker_f, _ = cokernel_of(q.f)
-    J = ctx.ideal_rows_b()
-    for r in range(J.rows):
-        if not coker_f.act_of(J.row(r)).is_zero():
-            out.append("J does not annihilate Coker(f)")
-            break
+    for s, lab in sides:
+        coker, _ = cokernel_of(s.g)
+        I = s.ctx.ideal_rows_a()
+        if any(not coker.act_of(I.row(r)).is_zero() for r in range(I.rows)):
+            out.append(f"{lab[4]} does not annihilate Coker({lab[5]})")
     return out
 
 
@@ -404,27 +375,22 @@ def direct_sum_quadruples(qs: list[QuadrupleModule], name: str = "") -> Quadrupl
     from .modules import direct_sum
     ctx = qs[0].ctx
     F = ctx.A.field
-    xs, ys = [q.x for q in qs], [q.y for q in qs]
-    x, x_incls, _ = direct_sum(xs)
-    y, y_incls, _ = direct_sum(ys)
-    dM, dN = ctx.M.dim, ctx.N.dim
-    f_full = Mat.zeros(F, dM * x.dim, y.dim)
-    g_full = Mat.zeros(F, dN * y.dim, x.dim)
-    xoff = 0
-    for qi, q in enumerate(qs):
-        full = q.mx.proj @ q.f.mat @ y_incls[qi].mat   # M (x)_k X_i -> Y
-        for i in range(dM):
-            for j in range(q.x.dim):
-                f_full.data[i * x.dim + (xoff + j)] = full.data[i * q.x.dim + j][:]
-        xoff += q.x.dim
-    yoff = 0
-    for qi, q in enumerate(qs):
-        full = q.ny.proj @ q.g.mat @ x_incls[qi].mat
-        for i in range(dN):
-            for j in range(q.y.dim):
-                g_full.data[i * y.dim + (yoff + j)] = full.data[i * q.y.dim + j][:]
-        yoff += q.y.dim
-    return make_quadruple(ctx, x, y, f_full, g_full,
+    sides = (qs, [swap_quadruple(q) for q in qs])
+    sums = [direct_sum([q.x for q in side]) for side in sides]
+    # f on M (x)_k (+)X_i -> (+)Y_i, then g through the swap
+    fulls = []
+    for side, (src, _, _), (dst, incls, _) in zip(sides, sums, sums[::-1]):
+        dM = side[0].ctx.M.dim
+        full = Mat.zeros(F, dM * src.dim, dst.dim)
+        off = 0
+        for qi, q in enumerate(side):
+            part = q.mx.proj @ q.f.mat @ incls[qi].mat   # M (x)_k X_i -> Y
+            for i in range(dM):
+                for j in range(q.x.dim):
+                    full.data[i * src.dim + off + j] = part.data[i * q.x.dim + j][:]
+            off += q.x.dim
+        fulls.append(full)
+    return make_quadruple(ctx, sums[0][0], sums[1][0], fulls[0], fulls[1],
                           name=name or "+".join(q.name or "?" for q in qs))
 
 
@@ -468,46 +434,33 @@ def module_to_quadruple(mr: MoritaRing, v: FDModule, name: str = "") -> Quadrupl
     """Recover the quadruple from a module over the context ring."""
     ctx = mr.ctx
     F = mr.ring.field
-    x_rows = row_space(v.act_of(mr.e1))
-    y_rows = row_space(v.act_of(mr.e2))
-    if x_rows.rows + y_rows.rows != v.dim:
+    parts = [row_space(v.act_of(e)) for e in (mr.e1, mr.e2)]
+    if parts[0].rows + parts[1].rows != v.dim:
         raise ContextError("idempotent decomposition does not exhaust the module")
-    x_acts = []
-    for t in range(ctx.A.dim):
-        moved = x_rows @ v.act_of(mr.embed_a(ctx.A.basis_el(t)))
-        c = solve_left(x_rows, moved)
-        if c is None:
-            raise ContextError("X-part is not A-invariant")
-        x_acts.append(c)
-    y_acts = []
-    for t in range(ctx.B.dim):
-        moved = y_rows @ v.act_of(mr.embed_b(ctx.B.basis_el(t)))
-        c = solve_left(y_rows, moved)
-        if c is None:
-            raise ContextError("Y-part is not B-invariant")
-        y_acts.append(c)
-    x = FDModule(ctx.A, x_rows.rows, x_acts, name=f"{name}|X")
-    y = FDModule(ctx.B, y_rows.rows, y_acts, name=f"{name}|Y")
-    # f on the full tensor space: m_s (x) x_j |-> (embed m_s) . x_j
-    f_rows = []
-    for s in range(ctx.M.dim):
-        act = v.act_of(mr.embed_m(_unit_list(F, ctx.M.dim, s)))
-        moved = x_rows @ act
-        c = solve_left(y_rows, moved)
-        if c is None:
-            raise ContextError("M-action does not land in the Y-part")
-        f_rows.extend(c.data)
-    g_rows = []
-    for s in range(ctx.N.dim):
-        act = v.act_of(mr.embed_n(_unit_list(F, ctx.N.dim, s)))
-        moved = y_rows @ act
-        c = solve_left(x_rows, moved)
-        if c is None:
-            raise ContextError("N-action does not land in the X-part")
-        g_rows.extend(c.data)
-    f_full = Mat.from_rows(F, f_rows, y.dim) if f_rows else Mat.zeros(F, 0, y.dim)
-    g_full = Mat.from_rows(F, g_rows, x.dim) if g_rows else Mat.zeros(F, 0, x.dim)
-    return make_quadruple(ctx, x, y, f_full, g_full, name=name)
+    mods = []
+    for rows, alg, embed, (tag, letter) in zip(
+            parts, (ctx.A, ctx.B), (mr.embed_a, mr.embed_b), ("XA", "YB")):
+        acts = []
+        for t in range(alg.dim):
+            c = solve_left(rows, rows @ v.act_of(embed(alg.basis_el(t))))
+            if c is None:
+                raise ContextError(f"{tag}-part is not {letter}-invariant")
+            acts.append(c)
+        mods.append(FDModule(alg, rows.rows, acts, name=f"{name}|{tag}"))
+    # f on the full tensor space: m_s (x) x_j |-> (embed m_s) . x_j; then g
+    fulls = []
+    for src, dst, bim, embed, (tag, part) in zip(
+            parts, parts[::-1], (ctx.M, ctx.N), (mr.embed_m, mr.embed_n),
+            ("MY", "NX")):
+        rows = []
+        for s in range(bim.dim):
+            c = solve_left(dst, src @ v.act_of(embed(_unit_list(F, bim.dim, s))))
+            if c is None:
+                raise ContextError(f"{tag}-action does not land in the {part}-part")
+            rows.extend(c.data)
+        fulls.append(Mat.from_rows(F, rows, dst.rows) if rows
+                     else Mat.zeros(F, 0, dst.rows))
+    return make_quadruple(ctx, mods[0], mods[1], fulls[0], fulls[1], name=name)
 
 
 # -- homomorphisms of quadruples ---------------------------------------------
@@ -547,137 +500,105 @@ def validate_quadruple_hom(h: QuadrupleHom) -> list[str]:
 
 def quadruple_hom_space(q1: QuadrupleModule, q2: QuadrupleModule) -> list[QuadrupleHom]:
     """Canonical basis of Hom(q1, q2): pairs (alpha, beta) solving the
-    intertwining conditions and the two squares as one linear system."""
-    ctx = q1.ctx
-    F = ctx.A.field
-    dx1, dx2, dy1, dy2 = q1.x.dim, q2.x.dim, q1.y.dim, q2.y.dim
-    na, nb = dx1 * dx2, dy1 * dy2
+    intertwining conditions and the two squares as one linear system.
+
+    The unknowns are alpha then beta, row-major.  Each B-side block of rows
+    is the A-side block of the swapped pair, with the two offsets exchanged;
+    the rows come as: A-linearity of alpha, B-linearity of beta, the
+    f-square, the g-square."""
+    F = q1.ctx.A.field
+    na, nb = q1.x.dim * q2.x.dim, q1.y.dim * q2.y.dim
     if na + nb == 0:
         return []
+    sides = ((q1, q2, 0, na), (swap_quadruple(q1), swap_quadruple(q2), na, 0))
     rows: list[list] = []
-
-    def empty_row():
-        return [F.zero()] * (na + nb)
-
-    # A-linearity of alpha
-    for t in q1.x.gens():
-        A1, A2 = q1.x.acts[t], q2.x.acts[t]
-        for i in range(dx1):
-            for j in range(dx2):
-                r = empty_row()
-                for k in range(dx1):
-                    if not F.is_zero(A1.data[i][k]):
-                        r[k * dx2 + j] = F.add(r[k * dx2 + j], A1.data[i][k])
-                for l in range(dx2):
-                    if not F.is_zero(A2.data[l][j]):
-                        r[i * dx2 + l] = F.sub(r[i * dx2 + l], A2.data[l][j])
-                rows.append(r)
-    # B-linearity of beta
-    for t in q1.y.gens():
-        B1, B2 = q1.y.acts[t], q2.y.acts[t]
-        for i in range(dy1):
-            for j in range(dy2):
-                r = empty_row()
-                for k in range(dy1):
-                    if not F.is_zero(B1.data[i][k]):
-                        r[na + k * dy2 + j] = F.add(r[na + k * dy2 + j], B1.data[i][k])
-                for l in range(dy2):
-                    if not F.is_zero(B2.data[l][j]):
-                        r[na + i * dy2 + l] = F.sub(r[na + i * dy2 + l], B2.data[l][j])
-                rows.append(r)
+    for s1, s2, own, _ in sides:
+        d1, d2 = s1.x.dim, s2.x.dim
+        for t in s1.x.gens():
+            A1, A2 = s1.x.acts[t], s2.x.acts[t]
+            for i in range(d1):
+                for j in range(d2):
+                    r = [F.zero()] * (na + nb)
+                    for k in range(d1):
+                        if not F.is_zero(A1.data[i][k]):
+                            idx = own + k * d2 + j
+                            r[idx] = F.add(r[idx], A1.data[i][k])
+                    for l in range(d2):
+                        if not F.is_zero(A2.data[l][j]):
+                            idx = own + i * d2 + l
+                            r[idx] = F.sub(r[idx], A2.data[l][j])
+                    rows.append(r)
     # f-square: (1_M (x) alpha) f2 = f1 beta, as entries over MX1 x Y2
-    S1 = q1.mx.section               # MX1 -> M (x)_k X1
-    G2 = q2.mx.proj @ q2.f.mat       # M (x)_k X2 -> Y2
-    dM = ctx.M.dim
-    for p in range(q1.mx.module.dim):
-        for qq in range(dy2):
-            r = empty_row()
-            for i in range(dM):
-                for j in range(dx1):
-                    s_coef = S1.data[p][i * dx1 + j]
-                    if F.is_zero(s_coef):
-                        continue
-                    for l in range(dx2):
-                        g_coef = G2.data[i * dx2 + l][qq]
-                        if not F.is_zero(g_coef):
-                            r[j * dx2 + l] = F.add(r[j * dx2 + l],
-                                                   F.mul(s_coef, g_coef))
-            Fm = q1.f.mat
-            for rr in range(dy1):
-                if not F.is_zero(Fm.data[p][rr]):
-                    idx = na + rr * dy2 + qq
-                    r[idx] = F.sub(r[idx], Fm.data[p][rr])
-            rows.append(r)
-    # g-square: (1_N (x) beta) g2 = g1 alpha, entries over NY1 x X2
-    T1 = q1.ny.section
-    H2 = q2.ny.proj @ q2.g.mat
-    dN = ctx.N.dim
-    for p in range(q1.ny.module.dim):
-        for qq in range(dx2):
-            r = empty_row()
-            for i in range(dN):
-                for j in range(dy1):
-                    s_coef = T1.data[p][i * dy1 + j]
-                    if F.is_zero(s_coef):
-                        continue
-                    for l in range(dy2):
-                        h_coef = H2.data[i * dy2 + l][qq]
-                        if not F.is_zero(h_coef):
-                            r[na + j * dy2 + l] = F.add(r[na + j * dy2 + l],
-                                                        F.mul(s_coef, h_coef))
-            Gm = q1.g.mat
-            for rr in range(dx1):
-                if not F.is_zero(Gm.data[p][rr]):
-                    r[rr * dx2 + qq] = F.sub(r[rr * dx2 + qq], Gm.data[p][rr])
-            rows.append(r)
+    for s1, s2, own, other in sides:
+        d1, d2, e1, e2 = s1.x.dim, s2.x.dim, s1.y.dim, s2.y.dim
+        S1 = s1.mx.section               # MX1 -> M (x)_k X1
+        G2 = s2.mx.proj @ s2.f.mat       # M (x)_k X2 -> Y2
+        Fm = s1.f.mat
+        for p in range(s1.mx.module.dim):
+            for qq in range(e2):
+                r = [F.zero()] * (na + nb)
+                for i in range(s1.ctx.M.dim):
+                    for j in range(d1):
+                        s_coef = S1.data[p][i * d1 + j]
+                        if F.is_zero(s_coef):
+                            continue
+                        for l in range(d2):
+                            g_coef = G2.data[i * d2 + l][qq]
+                            if not F.is_zero(g_coef):
+                                idx = own + j * d2 + l
+                                r[idx] = F.add(r[idx], F.mul(s_coef, g_coef))
+                for rr in range(e1):
+                    if not F.is_zero(Fm.data[p][rr]):
+                        idx = other + rr * e2 + qq
+                        r[idx] = F.sub(r[idx], Fm.data[p][rr])
+                rows.append(r)
     system = Mat.from_rows(F, rows, na + nb) if rows else Mat.zeros(F, 0, na + nb)
     ker = kernel_basis(system)
-    out = []
-    for c in range(ker.cols):
-        amat = Mat(F, [[ker.data[i * dx2 + j][c] for j in range(dx2)]
-                       for i in range(dx1)], dx2)
-        bmat = Mat(F, [[ker.data[na + i * dy2 + j][c] for j in range(dy2)]
-                       for i in range(dy1)], dy2)
-        out.append(QuadrupleHom(q1, q2, ModuleHom(q1.x, q2.x, amat),
-                                ModuleHom(q1.y, q2.y, bmat)))
-    return out
+
+    def block(c, own, d1, d2):
+        return Mat(F, [[ker.data[own + i * d2 + j][c] for j in range(d2)]
+                       for i in range(d1)], d2)
+
+    return [QuadrupleHom(q1, q2,
+                         ModuleHom(q1.x, q2.x, block(c, 0, q1.x.dim, q2.x.dim)),
+                         ModuleHom(q1.y, q2.y, block(c, na, q1.y.dim, q2.y.dim)))
+            for c in range(ker.cols)]
 
 
 def quadruple_kernel(h: QuadrupleHom, name: str = "") -> tuple[QuadrupleModule, QuadrupleHom]:
     """Kernel quadruple (ker alpha, ker beta) with the induced structure maps."""
-    ctx = h.src.ctx
-    ka, ia = kernel_of(h.alpha)
-    kb, ib = kernel_of(h.beta)
-    # f restricts: M (x) ker(alpha) -> ker(beta)
-    mka = tensor_module(ctx.M, ka)
-    one_ia = tensor_functor_hom(mka, h.src.mx, ia)
     from .modules import corestrict
-    f_res = corestrict(one_ia.then(h.src.f), kb, ib)
-    nkb = tensor_module(ctx.N, kb)
-    one_ib = tensor_functor_hom(nkb, h.src.ny, ib)
-    g_res = corestrict(one_ib.then(h.src.g), ka, ia)
-    q = QuadrupleModule(ctx, ka, kb, f_res, g_res, mka, nkb, name=name)
-    return q, QuadrupleHom(q, h.src, ia, ib)
+    kers = [kernel_of(h.alpha), kernel_of(h.beta)]
+    maps, tens = [], []
+    # f restricts: M (x) ker(alpha) -> ker(beta); then g through the swap
+    for src, (k, i), (k2, i2) in zip((h.src, swap_quadruple(h.src)), kers,
+                                     kers[::-1]):
+        t = tensor_module(src.ctx.M, k)
+        one_i = tensor_functor_hom(t, src.mx, i)
+        maps.append(corestrict(one_i.then(src.f), k2, i2))
+        tens.append(t)
+    q = QuadrupleModule(h.src.ctx, kers[0][0], kers[1][0], maps[0], maps[1],
+                        tens[0], tens[1], name=name)
+    return q, QuadrupleHom(q, h.src, kers[0][1], kers[1][1])
 
 
 def quadruple_cokernel(h: QuadrupleHom, name: str = "") -> tuple[QuadrupleModule, QuadrupleHom]:
-    ctx = h.src.ctx
-    ca, pa = cokernel_of(h.alpha)
-    cb, pb = cokernel_of(h.beta)
-    mca = tensor_module(ctx.M, ca)
-    one_pa = tensor_functor_hom(h.dst.mx, mca, pa)
-    # induced f: M (x) coker(alpha) -> coker(beta) via surjectivity of 1 (x) pa
-    f_mat = solve(one_pa.mat, h.dst.f.mat @ pb.mat)
-    if f_mat is None:
-        raise ContextError("induced cokernel f does not exist")
-    ncb = tensor_module(ctx.N, cb)
-    one_pb = tensor_functor_hom(h.dst.ny, ncb, pb)
-    g_mat = solve(one_pb.mat, h.dst.g.mat @ pa.mat)
-    if g_mat is None:
-        raise ContextError("induced cokernel g does not exist")
-    q = QuadrupleModule(ctx, ca, cb, ModuleHom(mca.module, cb, f_mat),
-                        ModuleHom(ncb.module, ca, g_mat), mca, ncb, name=name)
-    return q, QuadrupleHom(h.dst, q, pa, pb)
+    cokers = [cokernel_of(h.alpha), cokernel_of(h.beta)]
+    maps, tens = [], []
+    # induced f: M (x) coker(alpha) -> coker(beta) via surjectivity of
+    # 1 (x) pa; then g through the swap
+    for dst, (c, p), (c2, p2), which in zip((h.dst, swap_quadruple(h.dst)),
+                                            cokers, cokers[::-1], "fg"):
+        t = tensor_module(dst.ctx.M, c)
+        one_p = tensor_functor_hom(dst.mx, t, p)
+        mat = solve(one_p.mat, dst.f.mat @ p2.mat)
+        if mat is None:
+            raise ContextError(f"induced cokernel {which} does not exist")
+        maps.append(ModuleHom(t.module, c2, mat))
+        tens.append(t)
+    q = QuadrupleModule(h.src.ctx, cokers[0][0], cokers[1][0], maps[0], maps[1],
+                        tens[0], tens[1], name=name)
+    return q, QuadrupleHom(h.dst, q, cokers[0][1], cokers[1][1])
 
 
 def quadruple_is_isomorphic(q1: QuadrupleModule, q2: QuadrupleModule,
@@ -724,26 +645,6 @@ def zeta_full(ctx: MoritaContext, x: FDModule, hom_basis) -> Mat:
     return Mat.from_rows(F, rows, k) if rows else Mat.zeros(F, 0, k)
 
 
-def xi_full(ctx: MoritaContext, y: FDModule, hom_basis) -> Mat:
-    """N (x)_k Y -> Hom_B(M, Y) coordinates, n (x) w |-> [m |-> phi(m (x) n).w]."""
-    F = ctx.B.field
-    dM, dN, dY = ctx.M.dim, ctx.N.dim, y.dim
-    k = len(hom_basis)
-    if k == 0:
-        return Mat.zeros(F, dN * dY, 0)
-    stacked = Mat.vstack([_vec(h.mat) for h in hom_basis])
-    rows = []
-    for j in range(dN):
-        acts = [y.act_of(ctx.phi.value(t, j)) for t in range(dM)]
-        for w in range(dY):
-            hmat = Mat.from_rows(F, [acts[t].row(w) for t in range(dM)], dY)
-            c = solve_left(stacked, _vec(hmat))
-            if c is None:
-                raise ContextError("xi image is not an intertwiner")
-            rows.append(c.row(0))
-    return Mat.from_rows(F, rows, k) if rows else Mat.zeros(F, 0, k)
-
-
 def evaluation_full(field: Field, outer_dim: int, hom_basis, target_dim: int) -> Mat:
     """W (x)_k Hom(W, X) -> X, w (x) h |-> (w)h."""
     k = len(hom_basis)
@@ -767,14 +668,8 @@ def t_a(ctx: MoritaContext, x: FDModule, name: str = "") -> QuadrupleModule:
 
 
 def t_b(ctx: MoritaContext, y: FDModule, name: str = "") -> QuadrupleModule:
-    """(N (x) Y, Y, Phi_Y, identity)."""
-    ny = tensor_module(ctx.N, y)
-    x = ny.module
-    mx = tensor_module(ctx.M, x)
-    f = phi_hom(ctx, y, ny, mx)
-    g = ModuleHom(ny.module, x, Mat.identity(ctx.A.field, x.dim))
-    return QuadrupleModule(ctx, x, y, f, g, mx, ny,
-                           name=name or f"T_B({y.name})")
+    """(N (x) Y, Y, Phi_Y, identity): T_A of the swapped context."""
+    return swap_quadruple(t_a(swap_context(ctx), y, name=name or f"T_B({y.name})"))
 
 
 def h_a(ctx: MoritaContext, x: FDModule, name: str = "") -> QuadrupleModule:
@@ -794,19 +689,8 @@ def h_a(ctx: MoritaContext, x: FDModule, name: str = "") -> QuadrupleModule:
 
 
 def h_b(ctx: MoritaContext, y: FDModule, name: str = "") -> QuadrupleModule:
-    """(Hom_B(M, Y), Y, evaluation, xi_Y)."""
-    x, basis = hom_module(ctx.M, y)
-    mx = tensor_module(ctx.M, x)
-    ny = tensor_module(ctx.N, y)
-    f_mat = solve(mx.proj, evaluation_full(ctx.B.field, ctx.M.dim, basis, y.dim))
-    if f_mat is None:
-        raise ContextError("evaluation does not factor through the tensor quotient")
-    g_mat = solve(ny.proj, xi_full(ctx, y, basis))
-    if g_mat is None:
-        raise ContextError("xi does not factor through the tensor quotient")
-    return QuadrupleModule(ctx, x, y, ModuleHom(mx.module, y, f_mat),
-                           ModuleHom(ny.module, x, g_mat), mx, ny,
-                           name=name or f"H_B({y.name})")
+    """(Hom_B(M, Y), Y, evaluation, xi_Y): H_A of the swapped context."""
+    return swap_quadruple(h_a(swap_context(ctx), y, name=name or f"H_B({y.name})"))
 
 
 def z_a(ctx: MoritaContext, u: FDModule, name: str = "") -> QuadrupleModule:
@@ -814,7 +698,8 @@ def z_a(ctx: MoritaContext, u: FDModule, name: str = "") -> QuadrupleModule:
     I = ctx.ideal_rows_a()
     for r in range(I.rows):
         if not u.act_of(I.row(r)).is_zero():
-            raise ContextError("Z functor needs I to annihilate the module")
+            raise ContextError("Z functor needs the corner ideal to annihilate "
+                               "the module")
     F = ctx.A.field
     y = zero_module(ctx.B)
     return make_quadruple(ctx, u, y, Mat.zeros(F, ctx.M.dim * u.dim, 0),
@@ -822,39 +707,33 @@ def z_a(ctx: MoritaContext, u: FDModule, name: str = "") -> QuadrupleModule:
 
 
 def z_b(ctx: MoritaContext, v: FDModule, name: str = "") -> QuadrupleModule:
-    """(0, V, 0, 0); requires J.V = 0."""
-    J = ctx.ideal_rows_b()
-    for r in range(J.rows):
-        if not v.act_of(J.row(r)).is_zero():
-            raise ContextError("Z functor needs J to annihilate the module")
-    F = ctx.A.field
-    x = zero_module(ctx.A)
-    return make_quadruple(ctx, x, v, Mat.zeros(F, 0, v.dim),
-                          Mat.zeros(F, ctx.N.dim * v.dim, 0),
-                          name=name or f"Z_B({v.name})")
+    """(0, V, 0, 0); requires J.V = 0.  Z_A of the swapped context."""
+    return swap_quadruple(z_a(swap_context(ctx), v, name=name or f"Z_B({v.name})"))
 
 
 def u_a(q: QuadrupleModule) -> FDModule:
     return q.x
 
 
+def quotient_by_ideal(mod: FDModule, ideal_rows: Mat,
+                      tag: str) -> tuple[FDModule, ModuleHom]:
+    """mod / (ideal . mod) with its projection; `tag` names the ideal."""
+    if ideal_rows.rows == 0 or mod.dim == 0:
+        return mod, identity_hom(mod)
+    rows = row_space(Mat.vstack([mod.act_of(ideal_rows.row(r))
+                                 for r in range(ideal_rows.rows)]))
+    return quotient_by_rows(mod, rows, name=f"{mod.name}/{tag}")
+
+
 def q_a(q: QuadrupleModule) -> tuple[FDModule, ModuleHom]:
     """X / IX with its projection (the left adjoint of Z on the A side)."""
-    ctx = q.ctx
-    I = ctx.ideal_rows_a()
-    if I.rows == 0 or q.x.dim == 0:
-        return q.x, identity_hom(q.x)
-    rows = row_space(Mat.vstack([q.x.act_of(I.row(r)) for r in range(I.rows)]))
-    return quotient_by_rows(q.x, rows, name=f"{q.x.name}/I")
+    return quotient_by_ideal(q.x, q.ctx.ideal_rows_a(), "I")
 
 
 def q_b(q: QuadrupleModule) -> tuple[FDModule, ModuleHom]:
-    ctx = q.ctx
-    J = ctx.ideal_rows_b()
-    if J.rows == 0 or q.y.dim == 0:
-        return q.y, identity_hom(q.y)
-    rows = row_space(Mat.vstack([q.y.act_of(J.row(r)) for r in range(J.rows)]))
-    return quotient_by_rows(q.y, rows, name=f"{q.y.name}/J")
+    """Y / JY: the Q_A quotient of the swapped quadruple."""
+    sw = swap_quadruple(q)
+    return quotient_by_ideal(sw.x, sw.ctx.ideal_rows_a(), "J")
 
 
 def f_tilde(q: QuadrupleModule) -> ModuleHom:
@@ -878,56 +757,31 @@ def f_tilde(q: QuadrupleModule) -> ModuleHom:
     return ModuleHom(q.x, target, Mat.from_rows(F, rows, k))
 
 
-def g_tilde(q: QuadrupleModule) -> ModuleHom:
-    """The adjoint mate Y -> Hom_A(N, X) of g."""
-    ctx = q.ctx
-    F = ctx.A.field
-    target, basis = hom_module(ctx.N, q.x)
-    big = q.ny.proj @ q.g.mat
-    k = len(basis)
-    if k == 0:
-        return zero_hom(q.y, target)
-    stacked = Mat.vstack([_vec(h.mat) for h in basis])
-    rows = []
-    for j in range(q.y.dim):
-        hmat = Mat.from_rows(F, [big.row(i * q.y.dim + j) for i in range(ctx.N.dim)],
-                             q.x.dim)
-        c = solve_left(stacked, _vec(hmat))
-        if c is None:
-            raise ContextError("adjoint mate failed to express")
-        rows.append(c.row(0))
-    return ModuleHom(q.y, target, Mat.from_rows(F, rows, k))
-
-
 def p_a(q: QuadrupleModule) -> tuple[FDModule, ModuleHom]:
     """Kernel of the adjoint mate of f (right adjoint of Z on the A side)."""
     return kernel_of(f_tilde(q), name=f"P_A({q.name})")
 
 
 def p_b(q: QuadrupleModule) -> tuple[FDModule, ModuleHom]:
-    return kernel_of(g_tilde(q), name=f"P_B({q.name})")
+    """Kernel of the adjoint mate Y -> Hom_A(N, X) of g, which is f_tilde of
+    the swapped quadruple."""
+    return kernel_of(f_tilde(swap_quadruple(q)), name=f"P_B({q.name})")
 
 
 def classify_projectives(ctx: MoritaContext, seed: int = 0) -> list[QuadrupleModule]:
     """The indecomposable projective quadruples: T_A on the indecomposable
     projectives of A, then T_B likewise over B."""
     from .homology import _block_reps
-    out = []
-    for mod, _, _, blk in _block_reps(ctx.A, seed):
-        out.append(t_a(ctx, mod, name=f"T_A(P{blk})"))
-    for mod, _, _, blk in _block_reps(ctx.B, seed):
-        out.append(t_b(ctx, mod, name=f"T_B(P{blk})"))
-    return out
+    return [t(ctx, mod, name=f"T_{tag}(P{blk})")
+            for alg, t, tag in ((ctx.A, t_a, "A"), (ctx.B, t_b, "B"))
+            for mod, _, _, blk in _block_reps(alg, seed)]
 
 
 def classify_injectives(ctx: MoritaContext, seed: int = 0) -> list[QuadrupleModule]:
     from .homology import indec_injectives
-    out = []
-    for inj in indec_injectives(ctx.A, seed):
-        out.append(h_a(ctx, inj, name=f"H_A({inj.name})"))
-    for inj in indec_injectives(ctx.B, seed):
-        out.append(h_b(ctx, inj, name=f"H_B({inj.name})"))
-    return out
+    return [h(ctx, inj, name=f"H_{tag}({inj.name})")
+            for alg, h, tag in ((ctx.A, h_a, "A"), (ctx.B, h_b, "B"))
+            for inj in indec_injectives(alg, seed)]
 
 
 def regular_quadruple(mr: MoritaRing) -> QuadrupleModule:
@@ -1145,31 +999,7 @@ def natural_maps(ctx: MoritaContext, x: FDModule, y: FDModule) -> dict:
     """The six structure maps attached to a pair of corner modules: the
     psi/phi multiplication composites, the tensor-to-hom comparison maps,
     and the two evaluation maps, each as a module hom over the right
-    algebra."""
-    F = ctx.A.field
-    mx = tensor_module(ctx.M, x)
-    ny = tensor_module(ctx.N, y)
-    nmx = tensor_module(ctx.N, mx.module)
-    mny = tensor_module(ctx.M, ny.module)
-    hom_nx, basis_nx = hom_module(ctx.N, x)
-    hom_my, basis_my = hom_module(ctx.M, y)
-    zeta_mat = solve(mx.proj, zeta_full(ctx, x, basis_nx))
-    if zeta_mat is None:
-        raise ContextError("zeta does not factor through the tensor quotient")
-    xi_mat = solve(ny.proj, xi_full(ctx, y, basis_my))
-    if xi_mat is None:
-        raise ContextError("xi does not factor through the tensor quotient")
-    nhx = tensor_module(ctx.N, hom_nx)
-    mhy = tensor_module(ctx.M, hom_my)
-    ev_x = solve(nhx.proj, evaluation_full(F, ctx.N.dim, basis_nx, x.dim))
-    ev_y = solve(mhy.proj, evaluation_full(F, ctx.M.dim, basis_my, y.dim))
-    if ev_x is None or ev_y is None:
-        raise ContextError("evaluation does not factor through the quotient")
-    return {
-        "psi": psi_hom(ctx, x, mx, nmx),
-        "phi": phi_hom(ctx, y, ny, mny),
-        "zeta": ModuleHom(mx.module, hom_nx, zeta_mat),
-        "xi": ModuleHom(ny.module, hom_my, xi_mat),
-        "eval_x": ModuleHom(nhx.module, x, ev_x),
-        "eval_y": ModuleHom(mhy.module, y, ev_y),
-    }
+    algebra.  They are the structure maps of T_A X, T_B Y, H_A X and H_B Y."""
+    ta, tb, ha, hb = t_a(ctx, x), t_b(ctx, y), h_a(ctx, x), h_b(ctx, y)
+    return {"psi": ta.g, "phi": tb.f, "zeta": ha.f, "xi": hb.g,
+            "eval_x": ha.g, "eval_y": hb.f}

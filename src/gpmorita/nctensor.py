@@ -20,8 +20,9 @@ from .engine import (
     CompatVerdict, EngineError, build_total_resolution, check_conditions,
 )
 from .linalg import Mat, rank, solve_left
+from . import morita
 from .morita import (
-    MoritaContext, MoritaRing, QuadrupleModule, build_ring, make_quadruple,
+    MoritaContext, MoritaRing, QuadrupleModule, build_ring, swap_context,
 )
 from .trivext import TrivialExtension, trivial_extension
 
@@ -212,26 +213,6 @@ class NcMoritaPresentation:
     swapped_ctx: MoritaContext   # corner-swapped, one-sided-zero form
 
 
-def swap_context(ctx: MoritaContext, name: str = "") -> MoritaContext:
-    """The corner-swap presentation: (A, B, M, N, phi, psi) becomes
-    (B, A, N, M, psi, phi); (a n; m b) |-> (b m; n a) is a ring
-    isomorphism, and left modules transport by (X, Y, f, g) |-> (Y, X, g, f)."""
-    key = "swap_context"
-    if key not in ctx._cache:
-        ctx._cache[key] = MoritaContext(ctx.B, ctx.A, ctx.N, ctx.M,
-                                        ctx.psi, ctx.phi,
-                                        name=name or f"{ctx.name}^swap")
-    return ctx._cache[key]
-
-
-def swap_quadruple_generic(ctx_sw: MoritaContext, q: QuadrupleModule,
-                           name: str = "") -> QuadrupleModule:
-    f_full = q.ny.proj @ q.g.mat
-    g_full = q.mx.proj @ q.f.mat
-    return make_quadruple(ctx_sw, q.y, q.x, f_full, g_full,
-                          name=name or f"swap({q.name})")
-
-
 def nc_morita_presentation(nc: NcTensorRing) -> NcMoritaPresentation:
     """B := Gamma |x (M (x) N); the context (A, B, M, N, phi', 0) with
     phi'(m (x) n) = (0, m (x) n) has context ring isomorphic to the
@@ -280,7 +261,7 @@ def swap_quadruple(pres: NcMoritaPresentation, q: QuadrupleModule,
     corner-swap isomorphism: (X, Y, f, g) |-> (Y, X, g, f)."""
     if q.ctx is not pres.ctx2:
         raise NcTensorError("quadruple lives over the wrong context")
-    return swap_quadruple_generic(pres.swapped_ctx, q, name=name)
+    return morita.swap_quadruple(q, name or f"swap({q.name})")
 
 
 def corollary_criterion(pres: NcMoritaPresentation, q: QuadrupleModule,

@@ -209,6 +209,32 @@ def psi_ideal_coords(ext: TrivialExtension, ctx: MoritaContext) -> Mat:
     return c
 
 
+def psi_tensor_block(ctx: MoritaContext, ext: TrivialExtension, p_module: FDModule,
+                     mp_tensor: TensorModule, ip_tensor: TensorModule) -> Mat:
+    """psi (x) 1_P as a matrix N (x)_k (M (x)_Lambda P) -> I (x)_Lambda P."""
+    F = ctx.A.field
+    dN, dM, dP = ctx.N.dim, ctx.M.dim, p_module.dim
+    psi_i = psi_ideal_coords(ext, ctx)
+    rows = []
+    for i_n in range(dN):
+        for t in range(mp_tensor.module.dim):
+            lift = mp_tensor.section.row(t)
+            acc = [F.zero()] * ip_tensor.module.dim
+            for amb, coef in enumerate(lift):
+                if F.is_zero(coef):
+                    continue
+                i_m, i_p = divmod(amb, dP)
+                ivec = psi_i.row(i_n * dM + i_m)
+                for s, c in enumerate(ivec):
+                    if not F.is_zero(c):
+                        prow = ip_tensor.proj.row(s * dP + i_p)
+                        acc = [F.add(u, F.mul(F.mul(coef, c), w))
+                               for u, w in zip(acc, prow)]
+            rows.append(acc)
+    return Mat.from_rows(F, rows, ip_tensor.module.dim) if rows else \
+        Mat.zeros(F, 0, ip_tensor.module.dim)
+
+
 def t_lambda(ext: TrivialExtension, ctx: MoritaContext, x: FDModule,
              name: str = "") -> QuadrupleModule:
     """The induced quadruple (X(I), M (x)_Lambda X, projection, psi-action)."""
@@ -218,7 +244,6 @@ def t_lambda(ext: TrivialExtension, ctx: MoritaContext, x: FDModule,
     mx_lam = m_tensor_lambda(ext, ctx, x)
     y = mx_lam.module
     dX, dM, dN = x.dim, ctx.M.dim, ctx.N.dim
-    dIX = ix_t.module.dim
     # f: M (x)_k X(I) -> Y = M (x)_Lambda X;
     # m (x) (v, w) |-> m (x) v + (m . i-part of w) (x) ... (zero since MI = 0)
     f_rows = []
@@ -244,25 +269,8 @@ def t_lambda(ext: TrivialExtension, ctx: MoritaContext, x: FDModule,
     f_full = Mat.from_rows(F, f_rows, y.dim) if f_rows else Mat.zeros(F, 0, y.dim)
     # g: N (x)_k Y -> X(I); n (x) (m (x) v) |-> psi(n (x) m) (x) v in the
     # I (x) X block
-    psi_i = psi_ideal_coords(ext, ctx)
-    g_rows = []
-    for i_n in range(dN):
-        for t in range(y.dim):
-            lift = mx_lam.section.row(t)
-            acc = [F.zero()] * xi.dim
-            for amb, coef in enumerate(lift):
-                if F.is_zero(coef):
-                    continue
-                i_m, i_x = divmod(amb, dX)
-                ivec = psi_i.row(i_n * dM + i_m)
-                for s, c in enumerate(ivec):
-                    if not F.is_zero(c):
-                        prow = ix_t.proj.row(s * dX + i_x)
-                        for k2 in range(dIX):
-                            acc[dX + k2] = F.add(acc[dX + k2],
-                                                 F.mul(F.mul(coef, c), prow[k2]))
-            g_rows.append(acc)
-    g_full = Mat.from_rows(F, g_rows, xi.dim) if g_rows else Mat.zeros(F, 0, xi.dim)
+    g_full = Mat.hstack([Mat.zeros(F, dN * y.dim, dX),
+                         psi_tensor_block(ctx, ext, x, mx_lam, ix_t)])
     return make_quadruple(ctx, xi, y, f_full, g_full,
                           name=name or f"T_Lam({x.name})")
 
@@ -448,7 +456,7 @@ class HomIsoCheck:
 
 
 def _coords_in(basis_mats: list[Mat], target: Mat) -> Mat | None:
-    from .bimodules import _vec
+    """Coordinates of target in the span of basis_mats, all flattened."""
     if not basis_mats:
         return None if not target.is_zero() else Mat.zeros(target.field, 1, 0)
     stacked = Mat.vstack([_vec(m) for m in basis_mats])
@@ -545,20 +553,23 @@ def column_hom_iso(ext: TrivialExtension, ctx: MoritaContext, kind: str,
                    y: FDModule | None = None, y2: FDModule | None = None) -> HomIsoCheck:
     """The seven corner-to-ring hom identities for the one-sided-zero
     context ring; `kind` names source and target functor columns."""
-    from .morita import quadruple_hom_space, t_b as _t_b, z_b as _z_b
+    from .morita import quotient_by_ideal, t_b as _t_b, z_a, z_b as _z_b
     F = ext.Lam.field
 
     def tl(mod):
         return t_lambda(ext, ctx, mod)
 
     def zl(mod):
-        return z_a_of_lambda(ext, ctx, mod)
+        return z_a(ctx, ext.inflate(mod, name=f"{mod.name}|A"))
+
+    def zb(mod):
+        return _z_b(ctx, quotient_by_ideal(mod, ctx.ideal_rows_b(), "J")[0])
 
     if kind == "tl_tb":
         # Hom_Lambda(X, N (x) Y) = Hom(T_Lam(X), T_B(Y)), f |-> ((f; 0), 0)
         src, dst = tl(x), _t_b(ctx, y)
         ny = dst.x                      # N (x)_B Y
-        dom = hom_space(x, _as_lam_module(ext, ny))
+        dom = hom_space(x, ext.lam_module(ny))
         build = lambda f: ( _column_alpha(F, src, f.mat), Mat.zeros(F, src.y.dim, dst.y.dim))
     elif kind == "tl_zl":
         src, dst = tl(x), zl(x2)
@@ -572,15 +583,15 @@ def column_hom_iso(ext: TrivialExtension, ctx: MoritaContext, kind: str,
     elif kind == "tb_tb":
         src, dst = _t_b(ctx, y), _t_b(ctx, y2)
         dom = hom_space(y, y2)
-        build = lambda t: (tensor_functor_hom(src_nyt(src), src_nyt(dst),
+        build = lambda t: (tensor_functor_hom(src.ny, dst.ny,
                                               ModuleHom(y, y2, t.mat)).mat, t.mat)
     elif kind == "tb_zb":
-        src, dst = _t_b(ctx, y), _z_b(ctx, _killed_by_j(ctx, y2))
+        src, dst = _t_b(ctx, y), zb(y2)
         dom = hom_space(y, dst.y)
         build = lambda t: (Mat.zeros(F, src.x.dim, dst.x.dim), t.mat)
     elif kind == "zero_pairs":
         a = len(quadruple_hom_space(_t_b(ctx, y), zl(x)))
-        b = len(quadruple_hom_space(tl(x), _z_b(ctx, _killed_by_j(ctx, y))))
+        b = len(quadruple_hom_space(tl(x), zb(y)))
         return HomIsoCheck(0, a + b, True, a == 0 and b == 0)
     else:
         raise ExtensionError(f"unknown hom identity {kind!r}")
@@ -593,10 +604,8 @@ def column_hom_iso(ext: TrivialExtension, ctx: MoritaContext, kind: str,
         qh = QuadrupleHom(src, dst, ModuleHom(src.x, dst.x, am),
                           ModuleHom(src.y, dst.y, bm))
         ok = ok and validate_quadruple_hom(qh) == []
-        vec = Mat.hstack([_flat(am), _flat(bm)])
-        basis_vecs = [Mat.hstack([_flat(h.alpha.mat), _flat(h.beta.mat)])
-                      for h in cod]
-        co = _coords_in_flat(basis_vecs, vec)
+        co = _coords_in([Mat.hstack([_vec(h.alpha.mat), _vec(h.beta.mat)])
+                         for h in cod], Mat.hstack([_vec(am), _vec(bm)]))
         if co is None:
             return HomIsoCheck(len(dom), len(cod), False, False)
         rows.append(co.row(0))
@@ -605,44 +614,9 @@ def column_hom_iso(ext: TrivialExtension, ctx: MoritaContext, kind: str,
     return HomIsoCheck(len(dom), len(cod), ok, bij)
 
 
-def _flat(m: Mat) -> Mat:
-    from .bimodules import _vec
-    return _vec(m)
-
-
-def _coords_in_flat(basis_vecs: list[Mat], target: Mat) -> Mat | None:
-    if not basis_vecs:
-        return None if not target.is_zero() else Mat.zeros(target.field, 1, 0)
-    stacked = Mat.vstack(basis_vecs)
-    return solve_left(stacked, target)
-
-
 def _column_alpha(F, src, f_mat: Mat) -> Mat:
     """(f; 0): the X(I)-source column map vanishing on the ideal block."""
     return Mat.vstack([f_mat, Mat.zeros(F, src.x.dim - f_mat.rows, f_mat.cols)])
-
-
-def _as_lam_module(ext: TrivialExtension, mod: FDModule) -> FDModule:
-    return restrict_along(mod, ext.incl_rows, ext.Lam, name=f"{mod.name}|Lam")
-
-
-def z_a_of_lambda(ext: TrivialExtension, ctx: MoritaContext, x2: FDModule):
-    from .morita import z_a
-    return z_a(ctx, ext.inflate(x2, name=f"{x2.name}|A"))
-
-
-def _killed_by_j(ctx: MoritaContext, y: FDModule) -> FDModule:
-    from .linalg import row_space
-    J = ctx.ideal_rows_b()
-    if J.rows == 0 or y.dim == 0:
-        return y
-    rows = row_space(Mat.vstack([y.act_of(J.row(r)) for r in range(J.rows)]))
-    from .modules import quotient_by_rows
-    return quotient_by_rows(y, rows)[0]
-
-
-def src_nyt(q) -> "TensorModule":
-    return q.ny
 
 
 def _tl_tl_check(ext, ctx, x, x2) -> HomIsoCheck:
@@ -672,10 +646,8 @@ def _tl_tl_check(ext, ctx, x, x2) -> HomIsoCheck:
         qh = QuadrupleHom(src, dst, ModuleHom(src.x, dst.x, am),
                           ModuleHom(src.y, dst.y, bm))
         ok = ok and validate_quadruple_hom(qh) == []
-        vec = Mat.hstack([_flat(am), _flat(bm)])
-        basis_vecs = [Mat.hstack([_flat(h.alpha.mat), _flat(h.beta.mat)])
-                      for h in cod]
-        co = _coords_in_flat(basis_vecs, vec)
+        co = _coords_in([Mat.hstack([_vec(h.alpha.mat), _vec(h.beta.mat)])
+                         for h in cod], Mat.hstack([_vec(am), _vec(bm)]))
         if co is None:
             return HomIsoCheck(len(dom_a) + len(dom_c), len(cod), False, False)
         rows.append(co.row(0))
@@ -702,10 +674,8 @@ def _tb_tl_check(ext, ctx, x, y) -> HomIsoCheck:
         qh = QuadrupleHom(src, dst, ModuleHom(src.x, dst.x, am),
                           ModuleHom(src.y, dst.y, h.mat))
         ok = ok and validate_quadruple_hom(qh) == []
-        vec = Mat.hstack([_flat(am), _flat(h.mat)])
-        basis_vecs = [Mat.hstack([_flat(g.alpha.mat), _flat(g.beta.mat)])
-                      for g in cod]
-        co = _coords_in_flat(basis_vecs, vec)
+        co = _coords_in([Mat.hstack([_vec(g.alpha.mat), _vec(g.beta.mat)])
+                         for g in cod], Mat.hstack([_vec(am), _vec(h.mat)]))
         if co is None:
             return HomIsoCheck(len(dom), len(cod), False, False)
         rows.append(co.row(0))

@@ -110,7 +110,14 @@ class Mat:
         ], self.cols)
 
     def sub(self, other: "Mat") -> "Mat":
-        return self.add(other.neg())
+        self._same_field(other)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch in sub")
+        F = self.field
+        return Mat(F, [
+            [F.sub(a, b) for a, b in zip(r1, r2)]
+            for r1, r2 in zip(self.data, other.data)
+        ], self.cols)
 
     def scale(self, c) -> "Mat":
         F = self.field

@@ -6,8 +6,8 @@ exactness and Hom-complex exactness are recomputed from ranks, and
 periodicity is checked against the stored window.  It keeps its own
 Hom-complex assembly rather than the builder's.  Shared ground is the
 exact linear algebra, the module, hom and complex-window containers, the
-dual, free and regular modules, and two solvers: hom_space for bases of
-Hom spaces and solve_module_hom for the splitting system.
+dual and regular modules, and one solver: hom_space for bases of Hom
+spaces.
 """
 from __future__ import annotations
 
@@ -15,34 +15,46 @@ from .algebra import opposite_algebra
 from .complexes import ComplexWindow
 from .linalg import Mat, in_row_space, left_kernel, rank, solve_left
 from .modules import (
-    FDModule, ModuleHom, dual_module, free_module, hom_space, regular_module,
+    FDModule, ModuleHom, dual_module, hom_space, regular_module,
 )
 from .bimodules import _vec
 from .gpcert import GPCertificate, NotGPWitness
 
 
+def _regular(a) -> FDModule:
+    """The checker's one regular module of a, kept in a._cache so that
+    every hom_space(-, A) the checker asks for hits the same cache entry."""
+    reg = a._cache.get("verify_regular")
+    if reg is None:
+        reg = a._cache["verify_regular"] = regular_module(a)
+    return reg
+
+
 def projective_by_splitting(m: FDModule) -> bool:
-    """m is projective iff its canonical free presentation splits; the
-    splitting is one linear system (intertwining + section condition)."""
-    a = m.algebra
-    F = a.field
+    """m is projective iff its canonical free presentation phi: A^n ->> m
+    (n = dim m) splits.  A section m -> A^n is sum_{i,l} c_{i,l} h_l into
+    copy i over a basis h_1..h_k of Hom(m, A), so s phi = 1_m is one linear
+    system in the n*k coefficients c, with n^2 equations."""
     if m.dim == 0:
         return True
-    if "proj_by_split" in m._cache:
-        return m._cache["proj_by_split"]
-    rows = []
-    for i in range(m.dim):
-        for t in range(a.dim):
-            rows.append(m.acts[t].row(i))
-    phi = Mat.from_rows(F, rows, m.dim)          # A^{dim m} ->> m
-    free = free_module(a, m.dim)
-    if rank(phi) != m.dim:
-        m._cache["proj_by_split"] = False
+    if "proj_by_split" not in m._cache:
+        m._cache["proj_by_split"] = _presentation_splits(m)
+    return m._cache["proj_by_split"]
+
+
+def _presentation_splits(m: FDModule) -> bool:
+    a, F, n = m.algebra, m.algebra.field, m.dim
+    rows = [m.acts[t].row(i) for i in range(n) for t in range(a.dim)]
+    phi = Mat.from_rows(F, rows, n)          # A^n ->> m
+    if rank(phi) != n:
         return False
-    from .complexes import solve_module_hom
-    sec = solve_module_hom(m, free, post=phi, post_rhs=Mat.identity(F, m.dim))
-    m._cache["proj_by_split"] = sec is not None
-    return sec is not None
+    homs = hom_space(m, _regular(a))
+    if not homs:
+        return False
+    # phi_i: the i-th copy of A -> m, rows i*dim A .. (i+1)*dim A of phi
+    blocks = [Mat(F, phi.data[i * a.dim:(i + 1) * a.dim], n) for i in range(n)]
+    system = Mat.vstack([_vec(h.mat @ phi_i) for phi_i in blocks for h in homs])
+    return solve_left(system, _vec(Mat.identity(F, n))) is not None
 
 
 def _window_is_complex(wc: ComplexWindow) -> str | None:
@@ -96,7 +108,7 @@ def _hom_homology(hc, j: int) -> int:
 
 
 def _window_totally_exact(wc: ComplexWindow) -> str | None:
-    hc = _hom_complex(wc.terms, wc.diffs, regular_module(wc.algebra))
+    hc = _hom_complex(wc.terms, wc.diffs, _regular(wc.algebra))
     if hc is None:
         return "hom complex failed to assemble"
     for i in range(wc.lo + 1, wc.hi):
@@ -125,7 +137,7 @@ def _self_injective_by_splitting(algebra) -> bool:
 
 def _approximation_property(alpha: ModuleHom) -> bool:
     """Hom(alpha, A): Hom(P, A) -> Hom(stage, A) surjective."""
-    reg = regular_module(alpha.source.algebra)
+    reg = _regular(alpha.source.algebra)
     src_homs = hom_space(alpha.target, reg)
     dst_homs = hom_space(alpha.source, reg)
     if not dst_homs:
@@ -260,7 +272,7 @@ def _verify_ext_witness(x: FDModule, w: NotGPWitness) -> list[str]:
     if i >= len(res.maps):
         return ["ext witness degree beyond the resolution"]
     # Ext^i is the homology of Hom(P_., A) at P_i; reversed, P_n comes first
-    hc = _hom_complex(res.terms[::-1], res.maps[::-1], regular_module(x.algebra))
+    hc = _hom_complex(res.terms[::-1], res.maps[::-1], _regular(x.algebra))
     if hc is None:
         return ["hom complex failed to assemble"]
     if _hom_homology(hc, len(res.maps) - i) == 0:
@@ -278,7 +290,7 @@ def _verify_homology_obstruction(x: FDModule, w: NotGPWitness) -> list[str]:
     terms = [st.target for st in steps]
     diffs = [steps[j].coker_proj.then(steps[j + 1].alpha)
              for j in range(len(steps) - 1)]
-    hc = _hom_complex(terms, diffs, regular_module(x.algebra))
+    hc = _hom_complex(terms, diffs, _regular(x.algebra))
     if hc is None:
         return ["hom complex failed to assemble"]
     if _hom_homology(hc, w.degree) == 0:

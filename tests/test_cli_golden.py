@@ -1,6 +1,7 @@
 """Golden CLI reports: every README command on its README fixture with
---json, plus the criterion-9 commands with --seed 5, must reproduce the
-stored stdout byte for byte and the stored exit code.
+--json, plus the criterion-9 commands with --seed 5 and certify-gp,
+check-gp and build-resolution on GF(7) copies of three fixtures, must
+reproduce the stored stdout byte for byte and the stored exit code.
 
 Regenerate the files under tests/golden/ with
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -10,8 +11,10 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import sys
+import tempfile
 
 import pytest
 
@@ -28,6 +31,25 @@ def fx(name):
 
 def gold(name):
     return os.path.join(GOLDEN, f"{name}.json")
+
+
+GF7 = "gf7:"
+
+
+def gf7(name):
+    """A fixture's GF(7) copy, made in the temp dir of the run."""
+    return GF7 + name
+
+
+def _gf7_copy(name, tmp):
+    # the same document over {"p": 7}, as the benchmark's GF(7) copies
+    with open(fx(name)) as fh:
+        doc = json.load(fh)
+    doc["field"] = {"p": 7}
+    dst = os.path.join(tmp, name)
+    with open(dst, "w") as fh:
+        json.dump(doc, fh, sort_keys=True)
+    return dst
 
 
 # name -> (argv, exit code).  verify-report re-checks the stored
@@ -82,14 +104,38 @@ CASES = {
                             "--quadruple", "SB"], 1),
     "audit-glued5": (["audit", fx("glued5.json"), "--extension", "ext",
                       "--context", "ctx", "--quadruples", "P2", "ZB"], 0),
+    # the F_p kernels end to end: GF(7) copies of three fixtures
+    "gf7-certify-gp-dual_numbers": (["certify-gp", gf7("dual_numbers.json"),
+                                     "--module", "S"], 0),
+    "gf7-certify-gp-triangular": (["certify-gp", gf7("triangular.json"),
+                                   "--context", "ctx", "--quadruple", "S2"], 1),
+    "gf7-certify-gp-two_cycle": (["certify-gp", gf7("two_cycle.json"),
+                                  "--context", "ctx", "--quadruple", "S1"], 0),
+    "gf7-check-gp-triangular": (["check-gp", gf7("triangular.json"),
+                                 "--extension", "ext", "--context", "ctx",
+                                 "--quadruple", "S2"], 1),
+    "gf7-check-gp-two_cycle": (["check-gp", gf7("two_cycle.json"),
+                                "--extension", "ext", "--context", "ctx",
+                                "--quadruple", "S1"], 1),
+    "gf7-build-resolution-triangular": (["build-resolution",
+                                         gf7("triangular.json"), "--extension",
+                                         "ext", "--context", "ctx",
+                                         "--quadruple", "P2"], 0),
+    "gf7-build-resolution-two_cycle": (["build-resolution",
+                                        gf7("two_cycle.json"), "--extension",
+                                        "ext", "--context", "ctx",
+                                        "--quadruple", "P1"], 0),
 }
 
 
 def run_case(name) -> tuple[int, str]:
     argv, _ = CASES[name]
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv + ["--json"])
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [_gf7_copy(a[len(GF7):], tmp) if a.startswith(GF7) else a
+                for a in argv]
+        with contextlib.redirect_stdout(out):
+            code = main(argv + ["--json"])
     return code, out.getvalue()
 
 

@@ -94,15 +94,24 @@ class Field:
         return a == 0
 
     def parse(self, s):
-        """Read a scalar from its JSON form: an int or an "a/b" string."""
+        """Read a scalar from its JSON form: an int or an "a/b" string.
+        Raises ValueError on anything else, including a denominator that is
+        zero in the field."""
         if isinstance(s, int):
             return self.of_int(s)
         if isinstance(s, str):
             if self.is_rational:
-                return Fraction(s)
+                try:
+                    return Fraction(s)
+                except ZeroDivisionError:
+                    raise ValueError(f"scalar {s!r} has a zero denominator") from None
             if "/" in s:
                 num, den = s.split("/")
-                return self.div(self.of_int(int(num)), self.of_int(int(den)))
+                den = self.of_int(int(den))
+                if den == 0:
+                    raise ValueError(f"scalar {s!r} has a denominator divisible "
+                                     f"by {self.p}")
+                return self.div(self.of_int(int(num)), den)
             return self.of_int(int(s))
         raise ValueError(f"cannot parse scalar {s!r}")
 

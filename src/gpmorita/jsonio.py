@@ -62,7 +62,10 @@ def mat_from_json(F: Field, obj) -> Mat:
         raise InputError(f"malformed matrix: {e}")
     if len(entries) != rows * cols:
         raise InputError("matrix entry count does not match its shape")
-    vals = [F.parse(x) for x in entries]
+    try:
+        vals = [F.parse(x) for x in entries]
+    except ValueError as e:
+        raise InputError(f"malformed matrix: {e}")
     data = [vals[i * cols:(i + 1) * cols] for i in range(rows)]
     return Mat(F, data, cols)
 
@@ -83,7 +86,7 @@ def algebra_from_json(F: Field, obj, name: str) -> Algebra:
         dim = obj["dim"]
         mul = [[[F.parse(c) for c in cell] for cell in row] for row in obj["mul"]]
         unit = [F.parse(c) for c in obj["unit"]]
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"malformed algebra {name!r}: {e}")
     return Algebra(F, dim, mul, unit, name=name)
 

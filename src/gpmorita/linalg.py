@@ -1,9 +1,23 @@
 """Dense exact linear algebra over Q or F_p.
 
-Matrices are immutable-by-convention row-major lists.  Row reduction is
-plain Gauss-Jordan over F_p and fraction-free (Bareiss) over Q, with
-deterministic first-nonzero pivoting, so every echelon form, kernel and
-quotient basis is reproducible across runs.
+Matrices are row-major lists of field elements: `Fraction`s over Q, ints
+in [0, p) over F_p.  Row reduction is Gauss-Jordan over F_p and
+fraction-free (Bareiss) over Q, with deterministic first-nonzero
+pivoting, so every echelon form, kernel and quotient basis is
+reproducible across runs.
+
+Over Q every kernel computes on Python ints.  `_lift` turns a matrix into
+integer rows over one common denominator, the lcm of its entry
+denominators, and caches the result on the matrix; `_drop` turns integer
+rows over a denominator back into one `Fraction` per entry.  The lift is
+canonical, so two matrices are equal exactly when their lifts are.  Over
+F_p the kernels run on the entries themselves and reduce each output
+cell once.
+
+A `Mat` is never written after its first arithmetic use.  Its lift and
+its echelon form are cached on it, so code that builds a matrix by
+writing into `data` (a fresh `zeros`, `identity` or `copy`) finishes
+writing before it passes the matrix to any operation.
 
 Convention used by the rest of the package: linear maps act on ROW
 vectors from the right, x |-> x @ M, so a map V -> W is a (dim V x dim W)
@@ -16,12 +30,76 @@ shapes are stored explicitly.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .fields import Field, FieldMismatch
 
+# Shared constants for small integers: most entries here are small, and a
+# dict hit costs far less than building a Fraction.
+_SMALL = {n: Fraction(n) for n in range(-64, 65)}
+_new = object.__new__
+
+
+def _lift(m: "Mat") -> tuple[list[list[int]], int]:
+    """(rows, den) with m = rows / den and den the lcm of the entry
+    denominators.  Cached on m; the rows are never written."""
+    lifted = m._lifted
+    if lifted is None:
+        data = m.data
+        den = lcm(*{x.denominator for row in data for x in row})
+        if den == 1:
+            rows = [[x.numerator for x in row] for row in data]
+        else:
+            rows = [[x.numerator * (den // x.denominator) for x in row]
+                    for row in data]
+        lifted = m._lifted = (rows, den)
+    return lifted
+
+
+def _drop(rows: list[list[int]], den: int) -> list[list[Fraction]]:
+    """The entries of rows / den as Fractions, one per entry; den > 0."""
+    small = _SMALL
+    if den == 1:
+        return [[small[x] if x in small else Fraction(x) for x in row]
+                for row in rows]
+    out = []
+    for row in rows:
+        frow = []
+        for x in row:
+            g = gcd(x, den)
+            if g == den:
+                x //= den
+                frow.append(small[x] if x in small else Fraction(x))
+            else:
+                # lowest terms with a positive denominator, as Fraction keeps
+                # them, without Fraction's own argument checks
+                f = _new(Fraction)
+                f._numerator, f._denominator = x // g, den // g
+                frow.append(f)
+        out.append(frow)
+    return out
+
+
+def _matmul_rows(a: list[list[int]], b: list[list[int]], n: int,
+                 p: int | None) -> list[list[int]]:
+    """a @ b on int rows, skipping zero entries of a; over F_p (p given)
+    each output cell is reduced once."""
+    out = []
+    for row in a:
+        acc = [0] * n
+        for k, x in enumerate(row):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, b[k])]
+        out.append(acc if p is None else [s % p for s in acc])
+    return out
+
 
 class Mat:
-    __slots__ = ("field", "rows", "cols", "data", "_rref")
+    """A rows x cols matrix over `field`; `data` is never written after the
+    matrix's first arithmetic use, because `_lifted` (the integer lift over
+    Q) and `_rref` (the echelon form) are cached from it."""
+
+    __slots__ = ("field", "rows", "cols", "data", "_lifted", "_rref")
 
     def __init__(self, field: Field, data: list[list], cols: int | None = None):
         self.field = field
@@ -35,6 +113,7 @@ class Mat:
             if cols is None:
                 raise ValueError("empty matrix needs an explicit column count")
             self.cols = cols
+        self._lifted = None
         self._rref = None
 
     # -- constructors -------------------------------------------------
@@ -72,20 +151,19 @@ class Mat:
     # -- basic queries ------------------------------------------------
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Mat)
-            and self.field == other.field
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
+        if not (isinstance(other, Mat) and self.field == other.field
+                and self.rows == other.rows and self.cols == other.cols):
+            return False
+        if self.field.is_rational:
+            return _lift(self) == _lift(other)
+        return self.data == other.data
 
     def __repr__(self):
         return f"Mat({self.rows}x{self.cols} over {self.field})"
 
     def is_zero(self) -> bool:
-        z = self.field.zero()
-        return all(x == z for row in self.data for x in row)
+        rows = _lift(self)[0] if self.field.is_rational else self.data
+        return not any(map(any, rows))
 
     def entry(self, i: int, j: int):
         return self.data[i][j]
@@ -96,33 +174,42 @@ class Mat:
     # -- arithmetic ---------------------------------------------------
 
     def _same_field(self, other: "Mat"):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatch("matrices over different fields")
 
-    def add(self, other: "Mat") -> "Mat":
+    def _combine(self, other: "Mat", sign: int, op: str) -> "Mat":
+        """self + sign * other, for sign = 1 or -1."""
         self._same_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in add")
+            raise ValueError(f"shape mismatch in {op}")
         F = self.field
-        return Mat(F, [
-            [F.add(a, b) for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.data, other.data)
-        ], self.cols)
+        if F.is_rational:
+            (ra, da), (rb, db) = _lift(self), _lift(other)
+            den = lcm(da, db)
+            sa, sb = den // da, sign * (den // db)
+            rows = [[x * sa + y * sb for x, y in zip(r1, r2)]
+                    for r1, r2 in zip(ra, rb)]
+            return Mat(F, _drop(rows, den), self.cols)
+        p = F.p
+        return Mat(F, [[(x + sign * y) % p for x, y in zip(r1, r2)]
+                       for r1, r2 in zip(self.data, other.data)], self.cols)
+
+    def add(self, other: "Mat") -> "Mat":
+        return self._combine(other, 1, "add")
 
     def sub(self, other: "Mat") -> "Mat":
-        self._same_field(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in sub")
-        F = self.field
-        return Mat(F, [
-            [F.sub(a, b) for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.data, other.data)
-        ], self.cols)
+        return self._combine(other, -1, "sub")
 
     def scale(self, c) -> "Mat":
         F = self.field
         c = F.of_int(c) if isinstance(c, int) else c
-        return Mat(F, [[F.mul(c, x) for x in row] for row in self.data], self.cols)
+        if F.is_rational:
+            rows, den = _lift(self)
+            n = c.numerator
+            return Mat(F, _drop([[n * x for x in row] for row in rows],
+                                den * c.denominator), self.cols)
+        p = F.p
+        return Mat(F, [[(c * x) % p for x in row] for row in self.data], self.cols)
 
     def neg(self) -> "Mat":
         return self.scale(-1)
@@ -132,24 +219,11 @@ class Mat:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch in matmul: {self.cols} vs {other.rows}")
         F = self.field
-        z = F.zero()
-        ot = other.data
-        out = []
-        for row in self.data:
-            acc = [z] * other.cols
-            for k, a in enumerate(row):
-                if a == z:
-                    continue
-                orow = ot[k]
-                if F.is_rational:
-                    for j in range(other.cols):
-                        acc[j] += a * orow[j]
-                else:
-                    p = F.p
-                    for j in range(other.cols):
-                        acc[j] = (acc[j] + a * orow[j]) % p
-            out.append(acc)
-        return Mat(F, out, other.cols)
+        n = other.cols
+        if F.is_rational:
+            (ra, da), (rb, db) = _lift(self), _lift(other)
+            return Mat(F, _drop(_matmul_rows(ra, rb, n, None), da * db), n)
+        return Mat(F, _matmul_rows(self.data, other.data, n, F.p), n)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         return self.matmul(other)
@@ -202,20 +276,14 @@ class Mat:
         """
         self._same_field(other)
         F = self.field
-        z = F.zero()
-        out = Mat.zeros(F, self.rows * other.rows, self.cols * other.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                a = self.data[i][j]
-                if a == z:
-                    continue
-                for k in range(other.rows):
-                    orow = other.data[k]
-                    trow = out.data[i * other.rows + k]
-                    base = j * other.cols
-                    for l in range(other.cols):
-                        trow[base + l] = F.add(trow[base + l], F.mul(a, orow[l]))
-        return out
+        cols = self.cols * other.cols
+        if F.is_rational:
+            (ra, da), (rb, db) = _lift(self), _lift(other)
+            rows = [[x * y for x in ar for y in br] for ar in ra for br in rb]
+            return Mat(F, _drop(rows, da * db), cols)
+        p = F.p
+        return Mat(F, [[(x * y) % p for x in ar for y in br]
+                       for ar in self.data for br in other.data], cols)
 
 
 # -- row reduction -----------------------------------------------------
@@ -251,22 +319,15 @@ def _rref_fp(field: Field, data: list[list]) -> tuple[list[list], list[int]]:
     return m[:r], pivots
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _rref_q(data: list[list]) -> tuple[list[list], list[int]]:
     # Clear denominators per row, then fraction-free (Bareiss) elimination
-    # over Z to bound entry growth; normalize to reduced echelon form with
-    # Fractions only on the surviving rows.
+    # over Z to bound entry growth, then back-substitution over Z; only the
+    # reduced rows become Fractions.
     m = []
     for row in data:
-        den = 1
-        for x in row:
-            den = den * x.denominator // _gcd(den, x.denominator)
-        m.append([int(x * den) for x in row])
+        den = lcm(*{x.denominator for x in row})
+        m.append([x.numerator for x in row] if den == 1 else
+                 [x.numerator * (den // x.denominator) for x in row])
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots = []
@@ -295,16 +356,24 @@ def _rref_q(data: list[list]) -> tuple[list[list], list[int]]:
         r += 1
         if r == nrows:
             break
-    ech = [[Fraction(x) for x in m[i]] for i in range(r)]
+    # Bottom up, reduced row i is e / d over Z: e is zero in every other
+    # pivot column and d = e[pivots[i]] > 0, with gcd(e) = 1.
+    red = [None] * r
     for i in range(r - 1, -1, -1):
-        c = pivots[i]
-        piv = ech[i][c]
-        ech[i] = [x / piv for x in ech[i]]
-        for j in range(i):
-            f = ech[j][c]
+        e = m[i]
+        for j in range(i + 1, r):
+            f = e[pivots[j]]
             if f:
-                ech[j] = [x - f * y for x, y in zip(ech[j], ech[i])]
-    return ech, pivots
+                ej, dj = red[j]
+                g = gcd(f, dj)
+                a, b = dj // g, f // g
+                e = [a * x - b * y for x, y in zip(e, ej)]
+        g = gcd(*e)
+        if e[pivots[i]] < 0:
+            g = -g
+        e = [x // g for x in e]
+        red[i] = (e, e[pivots[i]])
+    return [_drop([e], d)[0] for e, d in red], pivots
 
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:

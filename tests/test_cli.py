@@ -39,6 +39,18 @@ def test_validate_rejects_unresolved_names(tmp_path, capsys):
     assert main(["validate", str(p)]) == 3
 
 
+@pytest.mark.parametrize("field, scalar", [("Q", "1/0"), ({"p": 7}, "1/7")])
+def test_zero_denominator_is_an_input_error(tmp_path, capsys, field, scalar):
+    doc = json.load(open(fx("dual_numbers.json")))
+    doc["field"] = field
+    doc["modules"]["S"]["acts"][0]["entries"][0] = scalar
+    p = tmp_path / "zero_den.json"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and repr(scalar) in err
+
+
 def test_corrupted_psi_fails_before_build(tmp_path, capsys):
     doc = json.load(open(fx("glued5.json")))
     # corrupt psi: send n (x) m to 1 instead of into the ideal

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .fields import Field
-from .linalg import Mat, in_row_space, left_kernel, row_space, rref, solve_left
+from .linalg import Mat, in_row_space, left_kernel, quotient_maps, row_space, solve_left
 
 
 class AlgebraError(ValueError):
@@ -161,7 +161,7 @@ def generating_subset(a: Algebra) -> list[int]:
         gens.append(i)
         # close the span under products with everything already present
         while True:
-            rows = [r[:] for r in span.data]
+            rows = span.to_rows()
             for u in list(rows):
                 for g in gens:
                     rows.append(a.multiply(u, a.basis_el(g)))
@@ -235,10 +235,9 @@ def quotient_algebra(a: Algebra, ideal_rows: Mat, name: str = "") -> tuple[Algeb
     for t in range(a.dim):
         if not in_row_space(R, R @ a.lmul_mats()[t]) or not in_row_space(R, R @ a.rmul_mats()[t]):
             raise AlgebraError("row span is not a two-sided ideal")
-    proj = _quotient_projection(F, R, a.dim)
+    proj, lift = quotient_maps(R)
     q = proj.cols
     # products of quotient basis elements via arbitrary lifts
-    lift = _quotient_section(F, R, a.dim)
     mul = []
     for i in range(q):
         rowi = []
@@ -250,42 +249,6 @@ def quotient_algebra(a: Algebra, ideal_rows: Mat, name: str = "") -> tuple[Algeb
     return Algebra(F, q, mul, unit, name=name), proj
 
 
-def _quotient_projection(F: Field, rel_rows: Mat, ambient: int) -> Mat:
-    """Projection of k^ambient onto the non-pivot coordinates mod rel_rows."""
-    return quotient_maps(F, rel_rows, ambient)[0]
-
-
-def quotient_maps(F: Field, rel_rows: Mat, ambient: int) -> tuple[Mat, Mat]:
-    """(projection, canonical section) for k^ambient modulo a row span.
-
-    The quotient lives on the non-pivot coordinates of the span's reduced
-    echelon form; the section lifts quotient coordinates to the matching
-    ambient unit vectors, so sec @ proj = identity.
-    """
-    R, pivots = rref(rel_rows)
-    pivset = set(pivots)
-    free = [c for c in range(ambient) if c not in pivset]
-    proj = Mat.zeros(F, ambient, len(free))
-    sec = Mat.zeros(F, len(free), ambient)
-    for k, c in enumerate(free):
-        proj.data[c][k] = F.one()
-        sec.data[k][c] = F.one()
-    for i, pc in enumerate(pivots):
-        for k, c in enumerate(free):
-            proj.data[pc][k] = F.neg(R.data[i][c])
-    return proj, sec
-
-
-def _quotient_section(F: Field, rel_rows: Mat, ambient: int) -> Mat:
-    _, pivots = rref(rel_rows)
-    pivset = set(pivots)
-    free = [c for c in range(ambient) if c not in pivset]
-    sec = Mat.zeros(F, len(free), ambient)
-    for k, c in enumerate(free):
-        sec.data[k][c] = F.one()
-    return sec
-
-
 class UnsupportedField(AlgebraError):
     """The chosen algorithm does not apply over this field."""
 
@@ -293,20 +256,19 @@ class UnsupportedField(AlgebraError):
 def trace_form(a: Algebra) -> Mat:
     """T[i][j] = trace of left multiplication by b_i b_j on the regular module."""
     F = a.field
-    lm = a.lmul_mats()
-    traces = [sum((m.data[d][d] for d in range(a.dim)), F.zero()) if F.is_rational
-              else sum(m.data[d][d] for d in range(a.dim)) % F.p
-              for m in lm]
-    T = Mat.zeros(F, a.dim, a.dim)
+    traces = [m.trace() for m in a.lmul_mats()]
+    rows = []
     for i in range(a.dim):
+        trow = []
         for j in range(a.dim):
             acc = F.zero()
             row = a.mul[i][j]
             for k in range(a.dim):
                 if not F.is_zero(row[k]):
                     acc = F.add(acc, F.mul(row[k], traces[k]))
-            T.data[i][j] = acc
-    return T
+            trow.append(acc)
+        rows.append(trow)
+    return Mat(F, rows, a.dim)
 
 
 def radical_basis(a: Algebra) -> Mat:
@@ -344,7 +306,7 @@ def ideal_closure(a: Algebra, rows: Mat) -> Mat:
     """Smallest two-sided ideal containing the row span."""
     span = row_space(rows)
     while True:
-        prods = [r[:] for r in span.data]
+        prods = span.to_rows()
         for i in range(span.rows):
             for t in range(a.dim):
                 prods.append((Mat.from_rows(a.field, [span.row(i)], a.dim)

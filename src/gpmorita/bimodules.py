@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Algebra, opposite_algebra, quotient_maps
-from .fields import Field
-from .linalg import Mat, row_space, solve
+from .algebra import Algebra, opposite_algebra
+from .linalg import Mat, intertwining_system, quotient_maps, row_space, solve
 from .modules import FDModule, ModuleError, ModuleHom
 
 
@@ -170,36 +169,13 @@ class TensorModule:
     section: Mat                 # module.dim x (bim.dim * arg.dim)
 
 
-def _middle_relations(F: Field, right_acts_m: list[Mat], acts_x: list[Mat],
-                      dim_m: int, dim_x: int) -> Mat:
-    rows = []
-    amb = dim_m * dim_x
-    for t in range(len(right_acts_m)):
-        Ra = right_acts_m[t]
-        La = acts_x[t]
-        for s in range(dim_m):
-            ra_row = Ra.data[s]
-            for j in range(dim_x):
-                vec = [F.zero()] * amb
-                for s2 in range(dim_m):
-                    if not F.is_zero(ra_row[s2]):
-                        vec[s2 * dim_x + j] = F.add(vec[s2 * dim_x + j], ra_row[s2])
-                la_row = La.data[j]
-                for j2 in range(dim_x):
-                    if not F.is_zero(la_row[j2]):
-                        vec[s * dim_x + j2] = F.sub(vec[s * dim_x + j2], la_row[j2])
-                rows.append(vec)
-    return Mat.from_rows(F, rows, amb) if rows else Mat.zeros(F, 0, amb)
-
-
 def tensor_module(m: Bimodule, x: FDModule, name: str = "") -> TensorModule:
     """M (x)_A X as a module over M's left algebra."""
     if x.algebra is not m.right:
         raise BimoduleError("tensor: module must live over the right-hand algebra")
     F = m.left.field
-    amb = m.dim * x.dim
-    rel = _middle_relations(F, m.right_acts, x.acts, m.dim, x.dim)
-    proj, sec = quotient_maps(F, row_space(rel), amb)
+    proj, sec = quotient_maps(
+        intertwining_system(F, m.dim, x.dim, m.right_acts, x.acts))
     eye_x = Mat.identity(F, x.dim)
     acts = []
     for t in range(m.left.dim):
@@ -239,11 +215,9 @@ def balanced_tensor_space(u_op: FDModule, x: FDModule) -> TensorSpace:
     module; returns the quotient of the k-tensor space."""
     if opposite_algebra(u_op.algebra) is not x.algebra:
         raise BimoduleError("balanced tensor: algebra mismatch")
-    F = x.algebra.field
-    amb = u_op.dim * x.dim
     # right action of a on u is u @ u_op.acts[a]
-    rel = _middle_relations(F, u_op.acts, x.acts, u_op.dim, x.dim)
-    proj, sec = quotient_maps(F, row_space(rel), amb)
+    proj, sec = quotient_maps(intertwining_system(
+        x.algebra.field, u_op.dim, x.dim, u_op.acts, x.acts))
     return TensorSpace(proj.cols, proj, sec)
 
 
@@ -253,9 +227,8 @@ def bimodule_tensor(m: Bimodule, n: Bimodule, name: str = "") -> tuple[Bimodule,
     if m.right is not n.left:
         raise BimoduleError("bimodule tensor: middle algebras differ")
     F = m.left.field
-    amb = m.dim * n.dim
-    rel = _middle_relations(F, m.right_acts, n.left_acts, m.dim, n.dim)
-    proj, sec = quotient_maps(F, row_space(rel), amb)
+    proj, sec = quotient_maps(
+        intertwining_system(F, m.dim, n.dim, m.right_acts, n.left_acts))
     eye_n = Mat.identity(F, n.dim)
     eye_m = Mat.identity(F, m.dim)
     la, ra = [], []
@@ -292,26 +265,19 @@ def hom_module(n: Bimodule, x: FDModule, name: str = "") -> tuple[FDModule, list
     if k == 0:
         from .modules import zero_module
         return zero_module(B), []
-    stacked = Mat.vstack([_vec(h.mat) for h in basis])
+    stacked = Mat.vstack([h.mat.flatten() for h in basis])
     acts = []
     from .linalg import solve_left
     for t in range(B.dim):
         rows = []
         for h in basis:
             moved = n.right_acts[t] @ h.mat      # (b.f) = R_b then f
-            c = solve_left(stacked, _vec(moved))
+            c = solve_left(stacked, moved.flatten())
             if c is None:
                 raise BimoduleError("Hom space not closed under the action")
             rows.append(c.row(0))
         acts.append(Mat.from_rows(F, rows, k))
     return FDModule(B, k, acts, name=name or f"Hom({n.name},{x.name})"), basis
-
-
-def _vec(m: Mat) -> Mat:
-    flat = []
-    for row in m.data:
-        flat.extend(row)
-    return Mat(m.field, [flat], m.rows * m.cols)
 
 
 # -- balanced maps (the phi and psi of a Morita context) ---------------------
@@ -348,7 +314,7 @@ def validate_balanced_map(f: BalancedMap) -> list[str]:
     if f.m.left is not f.target or f.n.right is not f.target:
         return ["outer algebras do not match the target"]
     out = []
-    rel = _middle_relations(F, f.m.right_acts, f.n.left_acts, f.m.dim, f.n.dim)
+    rel = intertwining_system(F, f.m.dim, f.n.dim, f.m.right_acts, f.n.left_acts)
     if not (rel @ f.mat).is_zero():
         out.append("not balanced over the middle algebra")
     eye_n = Mat.identity(F, f.n.dim)
@@ -375,10 +341,10 @@ def hom_functor_hom(n: Bimodule, h: ModuleHom) -> ModuleHom:
         return ModuleHom(src_mod, dst_mod, Mat.zeros(F, 0, len(dst_basis)))
     if not dst_basis:
         return ModuleHom(src_mod, dst_mod, Mat.zeros(F, len(src_basis), 0))
-    stacked = Mat.vstack([_vec(g.mat) for g in dst_basis])
+    stacked = Mat.vstack([g.mat.flatten() for g in dst_basis])
     rows = []
     for f in src_basis:
-        c = solve_left(stacked, _vec(f.mat @ h.mat))
+        c = solve_left(stacked, (f.mat @ h.mat).flatten())
         if c is None:
             raise BimoduleError("hom pushforward failed to express")
         rows.append(c.row(0))

@@ -328,9 +328,9 @@ def random_glued_context(F: Field, rng: random.Random):
     random element of the space of admissible balanced maps."""
     from .bimodules import (
         BalancedMap, Bimodule, outer_bimodule, restrict_right, restrict_left,
-        zero_balanced_map, _middle_relations,
+        zero_balanced_map,
     )
-    from .linalg import kernel_basis
+    from .linalg import intertwining_system, kernel_basis
     from .morita import MoritaContext
     from .trivext import trivial_extension
     pool, chars = _corner_pool(F)
@@ -353,31 +353,21 @@ def random_glued_context(F: Field, rng: random.Random):
     N = restrict_left(n0, ext.proj_rows, A, name="N")
     # admissible psi: B-balanced, A-A-bilinear, image inside the ideal
     dN, dM, dA = N.dim, M.dim, A.dim
-    eye_a = Mat.identity(F, dA)
-    eye_nm = Mat.identity(F, dN * dM)
-    blocks = []
-    rel = _middle_relations(F, N.right_acts, M.left_acts, dN, dM)
-    if rel.rows:
-        blocks.append(rel.kron(eye_a))
-    for t in range(dA):
-        left_big = N.left_acts[t].kron(Mat.identity(F, dM))
-        blocks.append(left_big.kron(eye_a).sub(
-            eye_nm.kron(A.lmul_mats()[t].transpose())))
-        right_big = Mat.identity(F, dN).kron(M.right_acts[t])
-        blocks.append(right_big.kron(eye_a).sub(
-            eye_nm.kron(A.rmul_mats()[t].transpose())))
-    blocks.append(eye_nm.kron(ext.proj_rows.transpose()))
-    system = Mat.vstack(blocks)
-    ker = kernel_basis(system)
+    eye_n, eye_m = Mat.identity(F, dN), Mat.identity(F, dM)
+    basis = kernel_basis(Mat.vstack([
+        intertwining_system(F, dN, dM, N.right_acts, M.left_acts).kron(
+            Mat.identity(F, dA)),
+        intertwining_system(F, dN * dM, dA, [a.kron(eye_m) for a in N.left_acts],
+                            [a.transpose() for a in A.lmul_mats()]),
+        intertwining_system(F, dN * dM, dA, [eye_n.kron(a) for a in M.right_acts],
+                            [a.transpose() for a in A.rmul_mats()]),
+        Mat.identity(F, dN * dM).kron(ext.proj_rows.transpose())])).transpose()
     mat = Mat.zeros(F, dN * dM, dA)
-    for c in range(ker.cols):
+    for c in range(basis.rows):
         coef = rng.randint(-1, 1) if F.is_rational else rng.randrange(F.p)
         if coef:
-            for i in range(dN * dM):
-                for j in range(dA):
-                    mat.data[i][j] = F.add(mat.data[i][j],
-                                           F.mul(F.of_int(coef),
-                                                 ker.data[i * dA + j][c]))
+            mat = mat.add(basis.block(c, c + 1, 0, dN * dM * dA)
+                          .reshape(dN * dM, dA).scale(coef))
     psi = BalancedMap(N, M, A, mat)
     ctx = MoritaContext(A, B, M, N, zero_balanced_map(M, N, B), psi,
                         name="randpsi")
@@ -407,15 +397,16 @@ def corrupt_psi(ctx, rng: random.Random):
     from .morita import MoritaContext, validate_context
     F = ctx.A.field
     for _ in range(200):
-        mat = ctx.psi.mat.copy()
-        i = rng.randrange(max(1, mat.rows))
-        j = rng.randrange(max(1, mat.cols))
-        if mat.rows == 0 or mat.cols == 0:
+        psi = ctx.psi.mat
+        i = rng.randrange(max(1, psi.rows))
+        j = rng.randrange(max(1, psi.cols))
+        if psi.rows == 0 or psi.cols == 0:
             return None
         bump = F.of_int(rng.randint(1, 3)) if F.is_rational else \
             F.of_int(rng.randrange(1, F.p))
-        mat.data[i][j] = F.add(mat.data[i][j], bump)
-        bad_psi = BalancedMap(ctx.N, ctx.M, ctx.A, mat)
+        rows = psi.to_rows()
+        rows[i][j] = F.add(rows[i][j], bump)
+        bad_psi = BalancedMap(ctx.N, ctx.M, ctx.A, Mat(F, rows, psi.cols))
         broken = MoritaContext(ctx.A, ctx.B, ctx.M, ctx.N, ctx.phi, bad_psi)
         if validate_context(broken):
             return broken

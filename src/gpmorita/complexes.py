@@ -9,12 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Mat, rank, solve, solve_left
+from .linalg import Mat, intertwining_system, rank, solve, solve_left
 from .modules import (
     FDModule, ModuleHom, direct_sum, hom_space, image_of, kernel_of,
     regular_module, validate_module,
 )
-from .bimodules import _vec
 from .homology import ext_dim, is_projective
 
 
@@ -107,11 +106,11 @@ def hom_complex_data(c: ComplexWindow, y: FDModule):
         if not src or not dst:
             maps.append(Mat.zeros(F, len(src), len(dst)))
             continue
-        stacked = Mat.vstack([_vec(h.mat) for h in dst])
+        stacked = Mat.vstack([h.mat.flatten() for h in dst])
         rows = []
         for h in src:
             comp = c.diff(i).mat @ h.mat
-            co = solve_left(stacked, _vec(comp))
+            co = solve_left(stacked, comp.flatten())
             if co is None:
                 raise ComplexError("hom complex map failed to express")
             rows.append(co.row(0))
@@ -160,30 +159,20 @@ def solve_module_hom(src: FDModule, dst: FDModule,
         if post_rhs is not None and not post_rhs.is_zero():
             return None
         return ModuleHom(src, dst, Mat.zeros(F, ds, dt))
-    eye_s = Mat.identity(F, ds)
-    eye_t = Mat.identity(F, dt)
-    blocks = []
-    rhs_rows: list[list] = []
-    for t in src.gens():
-        blocks.append(src.acts[t].kron(eye_t).sub(eye_s.kron(dst.acts[t].transpose())))
-        rhs_rows.extend([[F.zero()]] * (ds * dt))
+    gens = src.gens()
+    blocks = [intertwining_system(F, ds, dt, [src.acts[t] for t in gens],
+                                  [dst.acts[t].transpose() for t in gens])]
+    rhs = [Mat.zeros(F, blocks[0].rows, 1)]
     if pre is not None:
-        blocks.append(pre.kron(eye_t))
-        for i in range(pre.rows):
-            for j in range(dt):
-                rhs_rows.append([pre_rhs.data[i][j]])
+        blocks.append(pre.kron(Mat.identity(F, dt)))
+        rhs.append(pre_rhs.reshape(pre.rows * dt, 1))
     if post is not None:
-        blocks.append(eye_s.kron(post.transpose()))
-        for i in range(ds):
-            for j in range(post.cols):
-                rhs_rows.append([post_rhs.data[i][j]])
-    system = Mat.vstack(blocks)
-    rhs = Mat(F, rhs_rows, 1)
-    sol = solve(system, rhs)
+        blocks.append(Mat.identity(F, ds).kron(post.transpose()))
+        rhs.append(post_rhs.reshape(ds * post.cols, 1))
+    sol = solve(Mat.vstack(blocks), Mat.vstack(rhs))
     if sol is None:
         return None
-    J = Mat(F, [[sol.data[i * dt + j][0] for j in range(dt)] for i in range(ds)], dt)
-    return ModuleHom(src, dst, J)
+    return ModuleHom(src, dst, sol.reshape(ds, dt))
 
 
 # -- horseshoe ----------------------------------------------------------------
@@ -303,9 +292,9 @@ def horseshoe(ses: ShortExactSequence, xc: ComplexWindow, kx: ModuleHom,
     for i in range(1, hi):
         w_i, w_incl = image_of(_z_diff(xc, yc, rho, i - 1))
         dX = xc.term(i).dim
-        j_mat = Mat(F, [row[:dX] for row in w_incl.mat.data], dX)
-        wy_mat = Mat(F, [row[dX:] for row in w_incl.mat.data],
-                     yc.term(i).dim)
+        w = w_incl.mat
+        j_mat = w.block(0, w.rows, 0, dX)
+        wy_mat = w.block(0, w.rows, dX, w.cols)
         v_i_target, ky_i = kernel_of(yc.diff(i))
         v_i = solve_left(ky_i.mat, wy_mat)
         if v_i is None:

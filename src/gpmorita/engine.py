@@ -267,10 +267,9 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
     for i, r in hs2.rho.items():
         w_ip1 = ip_cx.term(i + 1).dim
         alpha[i] = ModuleHom(pcx.term(i), ip_cx.term(i + 1),
-                             Mat(F, [row[:w_ip1] for row in r.mat.data], w_ip1))
+                             r.mat.block(0, r.mat.rows, 0, w_ip1))
         beta[i] = ModuleHom(pcx.term(i), nq_cx.term(i + 1),
-                            Mat(F, [row[w_ip1:] for row in r.mat.data],
-                                nq_cx.term(i + 1).dim))
+                            r.mat.block(0, r.mat.rows, w_ip1, r.mat.cols))
 
     # assemble F = P(I) (+) N (x) Q over A and the quadruple terms; repeated
     # window terms (periodic certificates) share one quadruple instance so
@@ -291,26 +290,15 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
         f_terms.append(t_i.x)
         xi_data.append((tq, tb))
     for i in range(-span, span):
-        dP = pcx.diff(i).mat
-        a_m = alpha[i].mat
-        b_m = beta[i].mat
-        one_i_dp = ip_cx.diff(i).mat
-        tau_m = tau[i].mat
-        one_n_dq = nq_cx.diff(i).mat
-        dx0, dix0 = pcx.term(i).dim, ip_cx.term(i).dim
-        dnq0 = nq_cx.term(i).dim
-        dx1, dix1 = pcx.term(i + 1).dim, ip_cx.term(i + 1).dim
-        dnq1 = nq_cx.term(i + 1).dim
-        df = Mat.zeros(F, dx0 + dix0 + dnq0, dx1 + dix1 + dnq1)
-        for r in range(dx0):
-            df.data[r][:dx1] = dP.data[r][:]
-            df.data[r][dx1:dx1 + dix1] = a_m.data[r][:]
-            df.data[r][dx1 + dix1:] = b_m.data[r][:]
-        for r in range(dix0):
-            df.data[dx0 + r][dx1:dx1 + dix1] = one_i_dp.data[r][:]
-        for r in range(dnq0):
-            df.data[dx0 + dix0 + r][dx1:dx1 + dix1] = tau_m.data[r][:]
-            df.data[dx0 + dix0 + r][dx1 + dix1:] = one_n_dq.data[r][:]
+        # on P (+) I(x)P (+) N(x)Q:  [[d_P, alpha, beta],
+        #                              [0, 1_I (x) d_P, 0],
+        #                              [0, tau, 1_N (x) d_Q]]
+        df = Mat.from_blocks(
+            F, [cx.term(i).dim for cx in (pcx, ip_cx, nq_cx)],
+            [cx.term(i + 1).dim for cx in (pcx, ip_cx, nq_cx)],
+            [[pcx.diff(i).mat, alpha[i].mat, beta[i].mat],
+             [None, ip_cx.diff(i).mat, None],
+             [None, tau[i].mat, nq_cx.diff(i).mat]])
         f_diffs.append(ModuleHom(f_terms[i + span], f_terms[i + span + 1], df))
     fcx = ComplexWindow(-span, span, f_terms, f_diffs)
     _require(validate_complex(fcx) == [], "F window is not an A-module complex")
@@ -432,48 +420,25 @@ def _check_blocks(ctx, ext, qh, src_pair, dst_pair, d_p, d_q, alpha_i, beta_i,
     between the summands, matching the displayed shapes."""
     tq_s, tb_s = src_pair
     tq_d, tb_d = dst_pair
-    F = ctx.A.field
-    dxs, dxd = tq_s.x.dim, tq_d.x.dim
-    dys, dyd = tq_s.y.dim, tq_d.y.dim
-    am = qh.alpha.mat
-    bm = qh.beta.mat
-    t11 = QuadrupleHom(tq_s, tq_d,
-                       ModuleHom(tq_s.x, tq_d.x,
-                                 Mat(F, [row[:dxd] for row in am.data[:dxs]], dxd)),
-                       ModuleHom(tq_s.y, tq_d.y,
-                                 Mat(F, [row[:dyd] for row in bm.data[:dys]], dyd)))
-    if validate_quadruple_hom(t11):
-        raise EngineError("t11 block is not a quadruple map")
-    t12 = QuadrupleHom(tq_s, tb_d,
-                       ModuleHom(tq_s.x, tb_d.x,
-                                 Mat(F, [row[dxd:] for row in am.data[:dxs]],
-                                     tb_d.x.dim)),
-                       ModuleHom(tq_s.y, tb_d.y,
-                                 Mat(F, [row[dyd:] for row in bm.data[:dys]],
-                                     tb_d.y.dim)))
-    if validate_quadruple_hom(t12):
-        raise EngineError("t12 block is not a quadruple map")
-    t21 = QuadrupleHom(tb_s, tq_d,
-                       ModuleHom(tb_s.x, tq_d.x,
-                                 Mat(F, [row[:dxd] for row in am.data[dxs:]], dxd)),
-                       ModuleHom(tb_s.y, tq_d.y,
-                                 Mat(F, [row[:dyd] for row in bm.data[dys:]], dyd)))
-    if validate_quadruple_hom(t21):
-        raise EngineError("t21 block is not a quadruple map")
-    t22 = QuadrupleHom(tb_s, tb_d,
-                       ModuleHom(tb_s.x, tb_d.x,
-                                 Mat(F, [row[dxd:] for row in am.data[dxs:]],
-                                     tb_d.x.dim)),
-                       ModuleHom(tb_s.y, tb_d.y,
-                                 Mat(F, [row[dyd:] for row in bm.data[dys:]],
-                                     tb_d.y.dim)))
-    if validate_quadruple_hom(t22):
-        raise EngineError("t22 block is not a quadruple map")
+    am, bm = qh.alpha.mat, qh.beta.mat
+    # row bands: the T_Lam then the T_B summand of the source; column bands
+    # likewise of the target
+    x_rows = ((0, tq_s.x.dim), (tq_s.x.dim, am.rows))
+    x_cols = ((0, tq_d.x.dim), (tq_d.x.dim, am.cols))
+    y_rows = ((0, tq_s.y.dim), (tq_s.y.dim, bm.rows))
+    y_cols = ((0, tq_d.y.dim), (tq_d.y.dim, bm.cols))
+    for r, src in enumerate((tq_s, tb_s)):
+        for c, dst in enumerate((tq_d, tb_d)):
+            blk = QuadrupleHom(
+                src, dst,
+                ModuleHom(src.x, dst.x, am.block(*x_rows[r], *x_cols[c])),
+                ModuleHom(src.y, dst.y, bm.block(*y_rows[r], *y_cols[c])))
+            if validate_quadruple_hom(blk):
+                raise EngineError(f"t{r + 1}{c + 1} block is not a quadruple map")
     # tau factorization: tau = (1_N (x) rho)(psi (x) 1), already used in the
     # construction; re-assert the stored matrices agree with the blocks
-    dP_dim = d_p.source.dim
-    if t11.alpha.mat.data[:dP_dim] != [row[:d_p.target.dim] + a for row, a in
-                                       zip(d_p.mat.data, alpha_i.mat.data)]:
+    if am.block(0, d_p.source.dim, 0, tq_d.x.dim) != \
+            Mat.hstack([d_p.mat, alpha_i.mat]):
         raise EngineError("t11 block does not match (d_P, alpha)")
 
 
@@ -633,10 +598,8 @@ def corner_complexes(ext: TrivialExtension, ctx: MoritaContext,
         d = wc.diff(i).mat
         qs, qd = quads[i - wc.lo], quads[i - wc.lo + 1]
         # alpha and beta blocks of the differential in quadruple coordinates
-        alpha = Mat(ctx.A.field,
-                    [row[:qd.x.dim] for row in d.data[:qs.x.dim]], qd.x.dim)
-        beta = Mat(ctx.A.field,
-                   [row[qd.x.dim:] for row in d.data[qs.x.dim:]], qd.y.dim)
+        alpha = d.block(0, qs.x.dim, 0, qd.x.dim)
+        beta = d.block(qs.x.dim, d.rows, qd.x.dim, d.cols)
         du = solve(u_projs[i - wc.lo].mat, alpha @ u_projs[i - wc.lo + 1].mat)
         if du is None:
             raise EngineError("corner complex P failed to descend")

@@ -72,9 +72,9 @@ def _split_window(x: FDModule, span: int) -> tuple[ComplexWindow, ModuleHom]:
     projective module.  One term instance is shared across all degrees."""
     F = x.algebra.field
     s, incls, _ = direct_sum([x, x], name="P+P")
-    d_mat = Mat.zeros(F, 2 * x.dim, 2 * x.dim)
-    for i in range(x.dim):
-        d_mat.data[i + x.dim][i] = F.one()     # (u, v) |-> (v, 0)
+    # (u, v) |-> (v, 0)
+    d_mat = Mat.from_blocks(F, [x.dim, x.dim], [x.dim, x.dim],
+                            [[None, None], [Mat.identity(F, x.dim), None]])
     d = ModuleHom(s, s, d_mat)
     wc = ComplexWindow(-span, span, [s] * (2 * span + 1), [d] * (2 * span))
     ki = ModuleHom(x, s, incls[0].mat)

@@ -367,19 +367,19 @@ def _idempotent_endo(b: Algebra, endos, seed: int) -> Mat | None:
     """
     F = b.field
     k = len(endos)
-    basis = Mat.vstack([_vec_rows(h.mat) for h in endos])
+    basis = Mat.vstack([h.mat.flatten() for h in endos])
     mul = []
     for i in range(k):
         row = []
         for j in range(k):
             comp = endos[i].mat @ endos[j].mat
-            c = solve_left(basis, _vec_rows(comp))
+            c = solve_left(basis, comp.flatten())
             if c is None:
                 raise AlgebraError("endomorphisms not closed under composition")
             row.append(c.row(0))
         mul.append(row)
     ident = Mat.identity(F, endos[0].mat.rows)
-    unit = solve_left(basis, _vec_rows(ident))
+    unit = solve_left(basis, ident.flatten())
     if unit is None:
         raise AlgebraError("identity endo missing from the endo space")
     E = Algebra(F, k, mul, unit.row(0), name="End")
@@ -392,13 +392,6 @@ def _idempotent_endo(b: Algebra, endos, seed: int) -> Mat | None:
     if rank(out) == ident.rows:
         return None
     return out
-
-
-def _vec_rows(m: Mat) -> Mat:
-    flat = []
-    for row in m.data:
-        flat.extend(row)
-    return Mat(m.field, [flat], m.rows * m.cols)
 
 
 def _isqrt(n: int) -> int:
@@ -437,9 +430,9 @@ def primitive_idempotents_semisimple(ss: Algebra, seed: int = 0) -> list[tuple[l
         Cinv = solve_left(C, Mat.identity(F, block.dim))
         off = 0
         for img in chosen:
-            sel = Mat.zeros(F, block.dim, block.dim)
-            for i in range(img.rows):
-                sel.data[off + i][off + i] = F.one()
+            sel = Mat.block_diag([Mat.zeros(F, off, off), Mat.identity(F, img.rows),
+                                  Mat.zeros(F, block.dim - off - img.rows,
+                                            block.dim - off - img.rows)])
             P = Cinv @ sel @ C
             e_block = (Mat.from_rows(F, [block.unit], block.dim) @ P).row(0)
             e = (Mat.from_rows(F, [e_block], block.dim) @ incl).row(0)

@@ -52,7 +52,7 @@ def field_from_json(obj) -> Field:
 def mat_to_json(m: Mat):
     F = m.field
     return {"rows": m.rows, "cols": m.cols,
-            "entries": [F.format(x) for row in m.data for x in row]}
+            "entries": [F.format(x) for row in m.to_rows() for x in row]}
 
 
 def mat_from_json(F: Field, obj) -> Mat:
@@ -60,6 +60,12 @@ def mat_from_json(F: Field, obj) -> Mat:
         rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
     except (KeyError, TypeError) as e:
         raise InputError(f"malformed matrix: {e}")
+    for key, n in (("rows", rows), ("cols", cols)):
+        if type(n) is not int or n < 0:
+            raise InputError(f"malformed matrix: {key} must be a non-negative "
+                             f"integer, got {n!r}")
+    if not isinstance(entries, list):
+        raise InputError(f"malformed matrix: entries must be a list, got {entries!r}")
     if len(entries) != rows * cols:
         raise InputError("matrix entry count does not match its shape")
     try:

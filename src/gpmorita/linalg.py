@@ -1,5 +1,13 @@
 """Dense exact linear algebra over Q or F_p.
 
+This is the only module that reads or writes matrix entries.  Every
+other module works with whole matrices: arithmetic, Kronecker products,
+stacking, `from_blocks` assembly, `block` slicing, `reshape`/`flatten`,
+`to_rows`, `row` and `trace`, and two builders for matrix-shaped jobs,
+`intertwining_system` (hom spaces and balanced-tensor relations) and
+`quotient_maps` (quotient coordinates).  A change of entry storage stays
+inside this file.
+
 Matrices are row-major lists of field elements: `Fraction`s over Q, ints
 in [0, p) over F_p.  Row reduction is Gauss-Jordan over F_p and
 fraction-free (Bareiss) over Q, with deterministic first-nonzero
@@ -15,7 +23,7 @@ F_p the kernels run on the entries themselves and reduce each output
 cell once.
 
 A `Mat` is never written after its first arithmetic use.  Its lift and
-its echelon form are cached on it, so code that builds a matrix by
+its echelon form are cached on it, so code here that builds a matrix by
 writing into `data` (a fresh `zeros`, `identity` or `copy`) finishes
 writing before it passes the matrix to any operation.
 
@@ -25,7 +33,8 @@ matrix and the composite "first f then g" is f.mat @ g.mat.  The
 functions below are convention-neutral plumbing; `kernel_basis` returns
 the right null space as columns, `left_kernel` the row-vector kernel.
 Zero-extent matrices are first-class (zero modules are routine here), so
-shapes are stored explicitly.
+shapes are stored explicitly.  Tensor spaces use the row-major basis
+(i, j) -> i * dim W + j of V (x) W, matching `Mat.kron`.
 """
 from __future__ import annotations
 
@@ -95,9 +104,14 @@ def _matmul_rows(a: list[list[int]], b: list[list[int]], n: int,
 
 
 class Mat:
-    """A rows x cols matrix over `field`; `data` is never written after the
-    matrix's first arithmetic use, because `_lifted` (the integer lift over
-    Q) and `_rref` (the echelon form) are cached from it."""
+    """A rows x cols matrix over `field`.
+
+    `data` belongs to this module: code outside `linalg` reads and builds
+    matrices only through the methods and functions here (`from_rows`,
+    `to_rows`, `row`, `trace`, `block`, `from_blocks`, `reshape`,
+    `flatten` and the arithmetic).  `data` is never
+    written after the matrix's first arithmetic use, because `_lifted` (the
+    integer lift over Q) and `_rref` (the echelon form) are cached from it."""
 
     __slots__ = ("field", "rows", "cols", "data", "_lifted", "_rref")
 
@@ -135,16 +149,6 @@ class Mat:
         z, o = field.zero(), field.one()
         return Mat(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
 
-    @staticmethod
-    def unit_row(field: Field, n: int, i: int) -> "Mat":
-        m = Mat.zeros(field, 1, n)
-        m.data[0][i] = field.one()
-        return m
-
-    @staticmethod
-    def row_vector(field: Field, entries: list) -> "Mat":
-        return Mat.from_rows(field, [entries], len(entries))
-
     def copy(self) -> "Mat":
         return Mat(self.field, [row[:] for row in self.data], self.cols)
 
@@ -165,11 +169,37 @@ class Mat:
         rows = _lift(self)[0] if self.field.is_rational else self.data
         return not any(map(any, rows))
 
-    def entry(self, i: int, j: int):
-        return self.data[i][j]
-
     def row(self, i: int) -> list:
         return self.data[i][:]
+
+    def to_rows(self) -> list[list]:
+        """The entries as fresh row lists; `from_rows` takes them back."""
+        return [row[:] for row in self.data]
+
+    def trace(self):
+        diag = [self.data[d][d] for d in range(min(self.rows, self.cols))]
+        F = self.field
+        return sum(diag, F.zero()) if F.is_rational else sum(diag) % F.p
+
+    def block(self, r0: int, r1: int, c0: int, c1: int) -> "Mat":
+        """Rows r0..r1-1 and columns c0..c1-1, as a new matrix."""
+        if not (0 <= r0 <= r1 <= self.rows and 0 <= c0 <= c1 <= self.cols):
+            raise ValueError(f"block [{r0}:{r1}, {c0}:{c1}] outside a "
+                             f"{self.rows}x{self.cols} matrix")
+        return Mat(self.field, [row[c0:c1] for row in self.data[r0:r1]], c1 - c0)
+
+    def reshape(self, rows: int, cols: int) -> "Mat":
+        """The same entries, read and written row-major, as rows x cols."""
+        if rows * cols != self.rows * self.cols:
+            raise ValueError(f"cannot reshape {self.rows}x{self.cols} "
+                             f"to {rows}x{cols}")
+        flat = [x for row in self.data for x in row]
+        return Mat(self.field, [flat[i * cols:(i + 1) * cols] for i in range(rows)],
+                   cols)
+
+    def flatten(self) -> "Mat":
+        """The entries as one row vector, row-major."""
+        return self.reshape(1, self.rows * self.cols)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -267,6 +297,28 @@ class Mat:
             r0 += m.rows
             c0 += m.cols
         return out
+
+    @staticmethod
+    def from_blocks(field: Field, row_dims: list[int], col_dims: list[int],
+                    blocks: list[list["Mat | None"]]) -> "Mat":
+        """The block matrix with blocks[i][j], a row_dims[i] x col_dims[j]
+        matrix, in row band i and column band j; None is a zero block."""
+        z = field.zero()
+        data = []
+        for rd, band in zip(row_dims, blocks, strict=True):
+            for m, cd in zip(band, col_dims, strict=True):
+                if m is not None:
+                    if m.field is not field and m.field != field:
+                        raise FieldMismatch("from_blocks over mixed fields")
+                    if (m.rows, m.cols) != (rd, cd):
+                        raise ValueError("from_blocks: a block disagrees with "
+                                         "its band sizes")
+            for i in range(rd):
+                row = []
+                for m, cd in zip(band, col_dims):
+                    row.extend([z] * cd if m is None else m.data[i])
+                data.append(row)
+        return Mat(field, data, sum(col_dims))
 
     def kron(self, other: "Mat") -> "Mat":
         """Kronecker product; row index (i, k) -> i * other.rows + k.
@@ -394,6 +446,12 @@ def rank(m: Mat) -> int:
 
 def kernel_basis(m: Mat) -> Mat:
     """Columns form a basis of the right null space {x : m @ x = 0}."""
+    return _kernel_and_free(m)[0]
+
+
+def _kernel_and_free(m: Mat) -> tuple[Mat, list[int]]:
+    """kernel_basis(m) and the non-pivot columns of m's echelon form,
+    one per kernel column."""
     F = m.field
     R, pivots = rref(m)
     pivset = set(pivots)
@@ -403,7 +461,35 @@ def kernel_basis(m: Mat) -> Mat:
         out.data[c][k] = F.one()
         for i, pc in enumerate(pivots):
             out.data[pc][k] = F.neg(R.data[i][c])
-    return out
+    return out, free
+
+
+def quotient_maps(rel_rows: Mat) -> tuple[Mat, Mat]:
+    """(projection, canonical section) for k^n modulo the row span of
+    rel_rows, n = rel_rows.cols.
+
+    The quotient lives on the non-pivot coordinates of the span's reduced
+    echelon form: the projection is kernel_basis(rel_rows), and the section
+    lifts quotient coordinates to the matching unit vectors, so
+    sec @ proj = identity."""
+    F = rel_rows.field
+    proj, free = _kernel_and_free(rel_rows)
+    z, o = F.zero(), F.one()
+    sec = Mat(F, [[o if j == c else z for j in range(rel_rows.cols)] for c in free],
+              rel_rows.cols)
+    return proj, sec
+
+
+def intertwining_system(field: Field, dp: int, dq: int, ps: list[Mat],
+                        qs: list[Mat]) -> Mat:
+    """The stacked rows P_t (x) 1 - 1 (x) Q_t, for P_t dp x dp and Q_t
+    dq x dq: a dp*dq vector v, read row-major as a dp x dq matrix V, is
+    in its right kernel exactly when P_t V = V Q_t^T for every t.  With
+    Q_t = Y_t^T that is the module-hom condition X_t V = V Y_t; with
+    Q_t = L_t the rows are the middle relations of a balanced tensor."""
+    eye_p, eye_q = Mat.identity(field, dp), Mat.identity(field, dq)
+    blocks = [p.kron(eye_q).sub(eye_p.kron(q)) for p, q in zip(ps, qs, strict=True)]
+    return Mat.vstack(blocks) if blocks else Mat.zeros(field, 0, dp * dq)
 
 
 def left_kernel(m: Mat) -> Mat:

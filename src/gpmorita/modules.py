@@ -13,10 +13,10 @@ import random
 from dataclasses import dataclass, field as dc_field
 from itertools import product as iter_product
 
-from .algebra import Algebra, _quotient_projection, generating_subset
+from .algebra import Algebra, generating_subset
 from .linalg import (
-    Mat, in_row_space, kernel_basis, left_kernel, rank, row_space, solve,
-    solve_left,
+    Mat, in_row_space, intertwining_system, kernel_basis, left_kernel,
+    quotient_maps, rank, row_space, solve, solve_left,
 )
 
 
@@ -146,17 +146,12 @@ def hom_space(x: FDModule, y: FDModule) -> list[ModuleHom]:
     if dx == 0 or dy == 0:
         x._cache[key] = (y, [])
         return []
-    eye_x = Mat.identity(F, dx)
-    eye_y = Mat.identity(F, dy)
-    blocks = []
-    for t in x.gens():
-        blocks.append(x.acts[t].kron(eye_y).sub(eye_x.kron(y.acts[t].transpose())))
-    system = Mat.vstack(blocks) if blocks else Mat.zeros(F, 0, dx * dy)
-    ker = kernel_basis(system)
-    out = []
-    for c in range(ker.cols):
-        mat = Mat(F, [[ker.data[i * dy + j][c] for j in range(dy)] for i in range(dx)], dy)
-        out.append(ModuleHom(x, y, mat))
+    gens = x.gens()
+    basis = kernel_basis(intertwining_system(
+        F, dx, dy, [x.acts[t] for t in gens],
+        [y.acts[t].transpose() for t in gens])).transpose()
+    out = [ModuleHom(x, y, basis.block(c, c + 1, 0, dx * dy).reshape(dx, dy))
+           for c in range(basis.rows)]
     x._cache[key] = (y, out)
     return out
 
@@ -186,9 +181,9 @@ def spanned_submodule(x: FDModule, rows: Mat, name: str = "") -> tuple[FDModule,
     """Submodule generated by arbitrary rows (closure under the action)."""
     span = row_space(rows)
     while True:
-        new_rows = [r[:] for r in span.data]
+        new_rows = span.to_rows()
         for t in range(x.algebra.dim):
-            new_rows.extend((span @ x.acts[t]).data)
+            new_rows.extend((span @ x.acts[t]).to_rows())
         new_span = row_space(Mat.from_rows(x.algebra.field, new_rows, x.dim))
         if new_span.rows == span.rows:
             return submodule_from_rows(x, new_span, name=name)
@@ -197,12 +192,11 @@ def spanned_submodule(x: FDModule, rows: Mat, name: str = "") -> tuple[FDModule,
 
 def quotient_by_rows(x: FDModule, rows: Mat, name: str = "") -> tuple[FDModule, ModuleHom]:
     """Quotient by an invariant row span, on pivot-complement coordinates."""
-    F = x.algebra.field
     sub = row_space(rows)
     for t in range(x.algebra.dim):
         if not in_row_space(sub, sub @ x.acts[t]):
             raise ModuleError("row span is not invariant under the action")
-    proj = _quotient_projection(F, sub, x.dim)
+    proj, _ = quotient_maps(sub)
     acts = []
     for t in range(x.algebra.dim):
         induced = solve(proj, x.acts[t] @ proj)
@@ -243,16 +237,12 @@ def direct_sum(mods: list[FDModule], name: str = "") -> tuple[FDModule, list[Mod
     acts = [Mat.block_diag([m.acts[t] for m in mods]) if total else Mat.zeros(F, 0, 0)
             for t in range(a.dim)]
     s = FDModule(a, total, acts, name=name or "+".join(m.name or "?" for m in mods))
+    eye = Mat.identity(F, total)
     incls, projs = [], []
     off = 0
     for m in mods:
-        inc = Mat.zeros(F, m.dim, total)
-        prj = Mat.zeros(F, total, m.dim)
-        for i in range(m.dim):
-            inc.data[i][off + i] = F.one()
-            prj.data[off + i][i] = F.one()
-        incls.append(ModuleHom(m, s, inc))
-        projs.append(ModuleHom(s, m, prj))
+        incls.append(ModuleHom(m, s, eye.block(off, off + m.dim, 0, total)))
+        projs.append(ModuleHom(s, m, eye.block(0, total, off, off + m.dim)))
         off += m.dim
     return s, incls, projs
 

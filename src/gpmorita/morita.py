@@ -15,11 +15,11 @@ from .algebra import Algebra, opposite_algebra, validate_algebra
 from .bimodules import (
     BalancedMap, Bimodule, TensorModule, hom_module, tensor_functor_hom,
     tensor_module, validate_balanced_map, validate_bimodule,
-    _middle_relations, _vec,
 )
 from .fields import Field
 from .linalg import (
-    Mat, in_row_space, kernel_basis, rank, row_space, solve, solve_left,
+    Mat, in_row_space, intertwining_system, kernel_basis, quotient_maps, rank,
+    row_space, solve, solve_left,
 )
 from .modules import (
     FDModule, ModuleHom, _invertible_in_span, cokernel_of, identity_hom,
@@ -98,7 +98,6 @@ def validate_context(ctx: MoritaContext) -> list[str]:
     out += [f"psi: {msg}" for msg in validate_balanced_map(ctx.psi)]
     if out:
         return out
-    F = ctx.A.field
     # the associativity square on N (x) M (x) N,
     #   psi(n (x) m) . n' = n . phi(m (x) n'),
     # and, through the swap, the one on M (x) N (x) M
@@ -106,13 +105,11 @@ def validate_context(ctx: MoritaContext) -> list[str]:
                              (swap_context(ctx), "second", "mn")):
         dN, dM = c.N.dim, c.M.dim
         for i in range(dN):
-            ei = Mat.unit_row(F, dN, i)
             for j in range(dM):
                 left_mat = c.N.left_act_of(c.psi.value(i, j))
                 for k in range(dN):
-                    lhs = Mat.unit_row(F, dN, k) @ left_mat
-                    rhs = ei @ c.N.right_act_of(c.phi.value(j, k))
-                    if lhs.data[0] != rhs.data[0]:
+                    rhs = c.N.right_act_of(c.phi.value(j, k))
+                    if left_mat.row(k) != rhs.row(i):
                         out.append(f"{which} context square fails at "
                                    f"({n}{i}, {m}{j}, {n}{k})")
                         return out
@@ -217,26 +214,22 @@ def build_ring(ctx: MoritaContext) -> MoritaRing:
         for j in range(dA):
             put(offA + i, offA + j, offA, A.mul[i][j])
         for j in range(dN):
-            put(offA + i, offN + j, offN,
-                (Mat.unit_row(F, dN, j) @ N.left_acts[i]).row(0))
+            put(offA + i, offN + j, offN, N.left_acts[i].row(j))
     for i in range(dN):
         for j in range(dB):
-            put(offN + i, offB + j, offN,
-                (Mat.unit_row(F, dN, i) @ N.right_acts[j]).row(0))
+            put(offN + i, offB + j, offN, N.right_acts[j].row(i))
         for j in range(dM):
             put(offN + i, offM + j, offA, ctx.psi.value(i, j))
     for i in range(dM):
         for j in range(dA):
-            put(offM + i, offA + j, offM,
-                (Mat.unit_row(F, dM, i) @ M.right_acts[j]).row(0))
+            put(offM + i, offA + j, offM, M.right_acts[j].row(i))
         for j in range(dN):
             put(offM + i, offN + j, offB, ctx.phi.value(i, j))
     for i in range(dB):
         for j in range(dB):
             put(offB + i, offB + j, offB, B.mul[i][j])
         for j in range(dM):
-            put(offB + i, offM + j, offM,
-                (Mat.unit_row(F, dM, j) @ M.left_acts[i]).row(0))
+            put(offB + i, offM + j, offM, M.left_acts[i].row(j))
 
     unit = [z] * dim
     unit[offA:offA + dA] = A.unit
@@ -377,18 +370,15 @@ def direct_sum_quadruples(qs: list[QuadrupleModule], name: str = "") -> Quadrupl
     F = ctx.A.field
     sides = (qs, [swap_quadruple(q) for q in qs])
     sums = [direct_sum([q.x for q in side]) for side in sides]
-    # f on M (x)_k (+)X_i -> (+)Y_i, then g through the swap
+    # f on M (x)_k (+)X_i -> (+)Y_i is the sum over i of
+    # (1_M (x) proj_i) f_i incl_i; then g through the swap
     fulls = []
-    for side, (src, _, _), (dst, incls, _) in zip(sides, sums, sums[::-1]):
-        dM = side[0].ctx.M.dim
-        full = Mat.zeros(F, dM * src.dim, dst.dim)
-        off = 0
-        for qi, q in enumerate(side):
-            part = q.mx.proj @ q.f.mat @ incls[qi].mat   # M (x)_k X_i -> Y
-            for i in range(dM):
-                for j in range(q.x.dim):
-                    full.data[i * src.dim + off + j] = part.data[i * q.x.dim + j][:]
-            off += q.x.dim
+    for side, (src, _, projs), (dst, incls, _) in zip(sides, sums, sums[::-1]):
+        eye_m = Mat.identity(F, side[0].ctx.M.dim)
+        full = Mat.zeros(F, eye_m.rows * src.dim, dst.dim)
+        for q, prj, inc in zip(side, projs, incls):
+            part = q.mx.proj @ q.f.mat @ inc.mat     # M (x)_k X_i -> Y
+            full = full.add(eye_m.kron(prj.mat) @ part)
         fulls.append(full)
     return make_quadruple(ctx, sums[0][0], sums[1][0], fulls[0], fulls[1],
                           name=name or "+".join(q.name or "?" for q in qs))
@@ -402,32 +392,24 @@ def quadruple_to_module(mr: MoritaRing, q: QuadrupleModule) -> FDModule:
     ctx = mr.ctx
     F = mr.ring.field
     dx, dy = q.x.dim, q.y.dim
-    dim = dx + dy
     acts = []
     offA, offN, offM, offB = mr.offs
     g_big = q.ny.proj @ q.g.mat        # N (x)_k Y -> X
     f_big = q.mx.proj @ q.f.mat        # M (x)_k X -> Y
     for t in range(mr.ring.dim):
-        m = Mat.zeros(F, dim, dim)
+        blocks = [[None, None], [None, None]]
         if offA <= t < offA + ctx.A.dim:
-            ax = q.x.acts[t - offA]
-            for i in range(dx):
-                m.data[i][:dx] = ax.data[i][:]
+            blocks[0][0] = q.x.acts[t - offA]
         elif offN <= t < offN + ctx.N.dim:
             s = t - offN
-            for j in range(dy):
-                m.data[dx + j][:dx] = g_big.data[s * dy + j][:]
+            blocks[1][0] = g_big.block(s * dy, (s + 1) * dy, 0, dx)
         elif offM <= t < offM + ctx.M.dim:
             s = t - offM
-            for i in range(dx):
-                m.data[i][dx:] = f_big.data[s * dx + i][:]
+            blocks[0][1] = f_big.block(s * dx, (s + 1) * dx, 0, dy)
         else:
-            by = q.y.acts[t - offB]
-            for j in range(dy):
-                m.data[dx + j][dx:] = by.data[j][:]
-        acts.append(m)
-    mod = FDModule(mr.ring, dim, acts, name=q.name or "quad")
-    return mod
+            blocks[1][1] = q.y.acts[t - offB]
+        acts.append(Mat.from_blocks(F, [dx, dy], [dx, dy], blocks))
+    return FDModule(mr.ring, dx + dy, acts, name=q.name or "quad")
 
 
 def module_to_quadruple(mr: MoritaRing, v: FDModule, name: str = "") -> QuadrupleModule:
@@ -457,7 +439,7 @@ def module_to_quadruple(mr: MoritaRing, v: FDModule, name: str = "") -> Quadrupl
             c = solve_left(dst, src @ v.act_of(embed(_unit_list(F, bim.dim, s))))
             if c is None:
                 raise ContextError(f"{tag}-action does not land in the {part}-part")
-            rows.extend(c.data)
+            rows.extend(c.to_rows())
         fulls.append(Mat.from_rows(F, rows, dst.rows) if rows
                      else Mat.zeros(F, 0, dst.rows))
     return make_quadruple(ctx, mods[0], mods[1], fulls[0], fulls[1], name=name)
@@ -510,59 +492,45 @@ def quadruple_hom_space(q1: QuadrupleModule, q2: QuadrupleModule) -> list[Quadru
     na, nb = q1.x.dim * q2.x.dim, q1.y.dim * q2.y.dim
     if na + nb == 0:
         return []
-    sides = ((q1, q2, 0, na), (swap_quadruple(q1), swap_quadruple(q2), na, 0))
-    rows: list[list] = []
-    for s1, s2, own, _ in sides:
+    sides = ((q1, q2, 0), (swap_quadruple(q1), swap_quadruple(q2), na))
+
+    def place(own_part: Mat, other_part: Mat, own: int) -> Mat:
+        """A row block on the unknowns (alpha, beta) from its columns on
+        this side's unknowns and on the other side's."""
+        return Mat.hstack([own_part, other_part] if own == 0 else
+                          [other_part, own_part])
+
+    blocks = []
+    for s1, s2, own in sides:
+        gens = s1.x.gens()
+        lin = intertwining_system(F, s1.x.dim, s2.x.dim,
+                                  [s1.x.acts[t] for t in gens],
+                                  [s2.x.acts[t].transpose() for t in gens])
+        blocks.append(place(lin, Mat.zeros(F, lin.rows, na + nb - lin.cols), own))
+    # f-square: (1_M (x) alpha) f2 = f1 beta, as entries over MX1 x Y2;
+    # with S1_i the columns i*d1..(i+1)*d1 of the section of M (x)_A X1
+    # and G2_i the rows i*d2..(i+1)*d2 of M (x)_k X2 -> Y2, its alpha part
+    # is sum_i S1_i (x) G2_i^T
+    for s1, s2, own in sides:
         d1, d2 = s1.x.dim, s2.x.dim
-        for t in s1.x.gens():
-            A1, A2 = s1.x.acts[t], s2.x.acts[t]
-            for i in range(d1):
-                for j in range(d2):
-                    r = [F.zero()] * (na + nb)
-                    for k in range(d1):
-                        if not F.is_zero(A1.data[i][k]):
-                            idx = own + k * d2 + j
-                            r[idx] = F.add(r[idx], A1.data[i][k])
-                    for l in range(d2):
-                        if not F.is_zero(A2.data[l][j]):
-                            idx = own + i * d2 + l
-                            r[idx] = F.sub(r[idx], A2.data[l][j])
-                    rows.append(r)
-    # f-square: (1_M (x) alpha) f2 = f1 beta, as entries over MX1 x Y2
-    for s1, s2, own, other in sides:
-        d1, d2, e1, e2 = s1.x.dim, s2.x.dim, s1.y.dim, s2.y.dim
         S1 = s1.mx.section               # MX1 -> M (x)_k X1
         G2 = s2.mx.proj @ s2.f.mat       # M (x)_k X2 -> Y2
-        Fm = s1.f.mat
-        for p in range(s1.mx.module.dim):
-            for qq in range(e2):
-                r = [F.zero()] * (na + nb)
-                for i in range(s1.ctx.M.dim):
-                    for j in range(d1):
-                        s_coef = S1.data[p][i * d1 + j]
-                        if F.is_zero(s_coef):
-                            continue
-                        for l in range(d2):
-                            g_coef = G2.data[i * d2 + l][qq]
-                            if not F.is_zero(g_coef):
-                                idx = own + j * d2 + l
-                                r[idx] = F.add(r[idx], F.mul(s_coef, g_coef))
-                for rr in range(e1):
-                    if not F.is_zero(Fm.data[p][rr]):
-                        idx = other + rr * e2 + qq
-                        r[idx] = F.sub(r[idx], Fm.data[p][rr])
-                rows.append(r)
-    system = Mat.from_rows(F, rows, na + nb) if rows else Mat.zeros(F, 0, na + nb)
-    ker = kernel_basis(system)
+        alpha_part = Mat.zeros(F, S1.rows * G2.cols, d1 * d2)
+        for i in range(s1.ctx.M.dim):
+            alpha_part = alpha_part.add(
+                S1.block(0, S1.rows, i * d1, (i + 1) * d1).kron(
+                    G2.block(i * d2, (i + 1) * d2, 0, G2.cols).transpose()))
+        beta_part = s1.f.mat.kron(Mat.identity(F, s2.y.dim)).neg()
+        blocks.append(place(alpha_part, beta_part, own))
+    basis = kernel_basis(Mat.vstack(blocks)).transpose()
 
     def block(c, own, d1, d2):
-        return Mat(F, [[ker.data[own + i * d2 + j][c] for j in range(d2)]
-                       for i in range(d1)], d2)
+        return basis.block(c, c + 1, own, own + d1 * d2).reshape(d1, d2)
 
     return [QuadrupleHom(q1, q2,
                          ModuleHom(q1.x, q2.x, block(c, 0, q1.x.dim, q2.x.dim)),
                          ModuleHom(q1.y, q2.y, block(c, na, q1.y.dim, q2.y.dim)))
-            for c in range(ker.cols)]
+            for c in range(basis.rows)]
 
 
 def quadruple_kernel(h: QuadrupleHom, name: str = "") -> tuple[QuadrupleModule, QuadrupleHom]:
@@ -632,13 +600,13 @@ def zeta_full(ctx: MoritaContext, x: FDModule, hom_basis) -> Mat:
     k = len(hom_basis)
     if k == 0:
         return Mat.zeros(F, dM * dX, 0)
-    stacked = Mat.vstack([_vec(h.mat) for h in hom_basis])
+    stacked = Mat.vstack([h.mat.flatten() for h in hom_basis])
     rows = []
     for i in range(dM):
         acts = [x.act_of(ctx.psi.value(t, i)) for t in range(dN)]
         for v in range(dX):
             hmat = Mat.from_rows(F, [acts[t].row(v) for t in range(dN)], dX)
-            c = solve_left(stacked, _vec(hmat))
+            c = solve_left(stacked, hmat.flatten())
             if c is None:
                 raise ContextError("zeta image is not an intertwiner")
             rows.append(c.row(0))
@@ -745,12 +713,12 @@ def f_tilde(q: QuadrupleModule) -> ModuleHom:
     k = len(basis)
     if k == 0:
         return zero_hom(q.x, target)
-    stacked = Mat.vstack([_vec(h.mat) for h in basis])
+    stacked = Mat.vstack([h.mat.flatten() for h in basis])
     rows = []
     for j in range(q.x.dim):
         hmat = Mat.from_rows(F, [big.row(i * q.x.dim + j) for i in range(ctx.M.dim)],
                              q.y.dim)
-        c = solve_left(stacked, _vec(hmat))
+        c = solve_left(stacked, hmat.flatten())
         if c is None:
             raise ContextError("adjoint mate failed to express")
         rows.append(c.row(0))
@@ -828,11 +796,9 @@ class RightTensor:
 def right_tensor(c_op: FDModule, w: Bimodule, name: str = "") -> RightTensor:
     """C (x)_A W for a right A-module C and an (A, B)-bimodule W, as a
     right B-module (left module over B^op)."""
-    from .algebra import quotient_maps
     F = w.left.field
-    amb = c_op.dim * w.dim
-    rel = _middle_relations(F, c_op.acts, w.left_acts, c_op.dim, w.dim)
-    proj, sec = quotient_maps(F, row_space(rel), amb)
+    proj, sec = quotient_maps(
+        intertwining_system(F, c_op.dim, w.dim, c_op.acts, w.left_acts))
     bop = opposite_algebra(w.right)
     eye_c = Mat.identity(F, c_op.dim)
     acts = []
@@ -864,31 +830,26 @@ def right_quadruple_to_module(mr: MoritaRing, rq: RightQuadruple) -> FDModule:
     ctx = mr.ctx
     F = mr.ring.field
     dc, dd = rq.c.dim, rq.d.dim
-    dim = dc + dd
     offA, offN, offM, offB = mr.offs
-    h_big = rq.cn.proj @ rq.h.mat
-    k_big = rq.dm.proj @ rq.k.mat
+    # row c of h_rows holds c (x) n_s |-> D in column band s; k likewise
+    h_rows = (rq.cn.proj @ rq.h.mat).reshape(dc, ctx.N.dim * dd)
+    k_rows = (rq.dm.proj @ rq.k.mat).reshape(dd, ctx.M.dim * dc)
     acts = []
     for t in range(mr.ring.dim):
-        m = Mat.zeros(F, dim, dim)
+        blocks = [[None, None], [None, None]]
         if offA <= t < offA + ctx.A.dim:
-            ca = rq.c.acts[t - offA]
-            for i in range(dc):
-                m.data[i][:dc] = ca.data[i][:]
+            blocks[0][0] = rq.c.acts[t - offA]
         elif offN <= t < offN + ctx.N.dim:
             s = t - offN
-            for i in range(dc):
-                m.data[i][dc:] = h_big.data[i * ctx.N.dim + s][:]
+            blocks[0][1] = h_rows.block(0, dc, s * dd, (s + 1) * dd)
         elif offM <= t < offM + ctx.M.dim:
             s = t - offM
-            for j in range(dd):
-                m.data[dc + j][:dc] = k_big.data[j * ctx.M.dim + s][:]
+            blocks[1][0] = k_rows.block(0, dd, s * dc, (s + 1) * dc)
         else:
-            db = rq.d.acts[t - offB]
-            for j in range(dd):
-                m.data[dc + j][dc:] = db.data[j][:]
-        acts.append(m)
-    return FDModule(opposite_algebra(mr.ring), dim, acts, name=rq.name or "rquad")
+            blocks[1][1] = rq.d.acts[t - offB]
+        acts.append(Mat.from_blocks(F, [dc, dd], [dc, dd], blocks))
+    return FDModule(opposite_algebra(mr.ring), dc + dd, acts,
+                    name=rq.name or "rquad")
 
 
 def validate_right_quadruple(mr: MoritaRing, rq: RightQuadruple) -> list[str]:
@@ -932,58 +893,23 @@ def tensor_over_ring(rq: RightQuadruple, q: QuadrupleModule) -> int:
     """dim of (C (x)_A X (+) D (x)_B Y) / H, with H spanned by
     c (x) (n (x) y)g - (c (x) n)h (x) y  and  d (x) (m (x) x)f - (d (x) m)k (x) x."""
     from .bimodules import balanced_tensor_space
-    ctx = q.ctx
-    F = ctx.A.field
+    F = q.ctx.A.field
     cx = balanced_tensor_space(rq.c, q.x)
     dy = balanced_tensor_space(rq.d, q.y)
-    total = cx.dim + dy.dim
-    rows = []
     g_big = q.ny.proj @ q.g.mat       # N (x)_k Y -> X
     f_big = q.mx.proj @ q.f.mat
     h_big = rq.cn.proj @ rq.h.mat     # C (x)_k N -> D
     k_big = rq.dm.proj @ rq.k.mat
-    dc, dd, dn, dm = rq.c.dim, rq.d.dim, ctx.N.dim, ctx.M.dim
-    dx, dyy = q.x.dim, q.y.dim
-    for ic in range(dc):
-        for i_n in range(dn):
-            hval = h_big.row(ic * dn + i_n)          # in D
-            for iy in range(dyy):
-                gval = g_big.row(i_n * dyy + iy)     # in X
-                vec = [F.zero()] * total
-                # c (x) gval, projected into C (x)_A X
-                for jx in range(dx):
-                    if not F.is_zero(gval[jx]):
-                        amb = ic * dx + jx
-                        for t in range(cx.dim):
-                            vec[t] = F.add(vec[t], F.mul(gval[jx], cx.proj.data[amb][t]))
-                # minus hval (x) y, projected into D (x)_B Y
-                for jd in range(dd):
-                    if not F.is_zero(hval[jd]):
-                        amb = jd * dyy + iy
-                        for t in range(dy.dim):
-                            vec[cx.dim + t] = F.sub(vec[cx.dim + t],
-                                                    F.mul(hval[jd], dy.proj.data[amb][t]))
-                rows.append(vec)
-    for jd in range(dd):
-        for i_m in range(dm):
-            kval = k_big.row(jd * dm + i_m)          # in C
-            for ix in range(dx):
-                fval = f_big.row(i_m * dx + ix)      # in Y
-                vec = [F.zero()] * total
-                for jy in range(dyy):
-                    if not F.is_zero(fval[jy]):
-                        amb = jd * dyy + jy
-                        for t in range(dy.dim):
-                            vec[cx.dim + t] = F.add(vec[cx.dim + t],
-                                                    F.mul(fval[jy], dy.proj.data[amb][t]))
-                for jc in range(dc):
-                    if not F.is_zero(kval[jc]):
-                        amb = jc * dx + ix
-                        for t in range(cx.dim):
-                            vec[t] = F.sub(vec[t], F.mul(kval[jc], cx.proj.data[amb][t]))
-                rows.append(vec)
-    rel = Mat.from_rows(F, rows, total) if rows else Mat.zeros(F, 0, total)
-    return total - rank(rel)
+    eye_c, eye_d = Mat.identity(F, rq.c.dim), Mat.identity(F, rq.d.dim)
+    eye_x, eye_y = Mat.identity(F, q.x.dim), Mat.identity(F, q.y.dim)
+    # rows c (x) n (x) y, then d (x) m (x) x, each projected into the two
+    # balanced tensor spaces
+    rel = Mat.vstack([
+        Mat.hstack([eye_c.kron(g_big) @ cx.proj,
+                    (h_big.kron(eye_y) @ dy.proj).neg()]),
+        Mat.hstack([(k_big.kron(eye_x) @ cx.proj).neg(),
+                    eye_d.kron(f_big) @ dy.proj])])
+    return cx.dim + dy.dim - rank(rel)
 
 
 def tensor_over_ring_oracle(mr: MoritaRing, rq: RightQuadruple,

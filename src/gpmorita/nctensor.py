@@ -126,23 +126,19 @@ def build_nc_tensor(ctx: MoritaContext, name: str = "") -> NcTensorRing:
         for j in range(dA):
             put(offA + i, offA + j, offA, A.mul[i][j])
         for j in range(dN):
-            put(offA + i, offN + j, offN,
-                (Mat.unit_row(F, dN, j) @ N.left_acts[i]).row(0))
+            put(offA + i, offN + j, offN, N.left_acts[i].row(j))
     for i in range(dN):
         for j in range(dM):
             put(offN + i, offM + j, offA, ctx.psi.value(i, j))
         for j in range(dG):
-            put(offN + i, offG + j, offN,
-                (Mat.unit_row(F, dN, i) @ N.right_acts[j]).row(0))
+            put(offN + i, offG + j, offN, N.right_acts[j].row(i))
         for j in range(dW):
             # n . (m' (x) n') = n . phi(m' (x) n')
             gvec = phi_of_w(j)
-            put(offN + i, offW + j, offN,
-                (Mat.unit_row(F, dN, i) @ N.right_act_of(gvec)).row(0))
+            put(offN + i, offW + j, offN, N.right_act_of(gvec).row(i))
     for i in range(dM):
         for j in range(dA):
-            put(offM + i, offA + j, offM,
-                (Mat.unit_row(F, dM, i) @ M.right_acts[j]).row(0))
+            put(offM + i, offA + j, offM, M.right_acts[j].row(i))
         for j in range(dN):
             # m (x) n lands in the tensor block
             put(offM + i, offN + j, offW, mn_proj.row(i * dN + j))
@@ -150,20 +146,16 @@ def build_nc_tensor(ctx: MoritaContext, name: str = "") -> NcTensorRing:
         for j in range(dG):
             put(offG + i, offG + j, offG, G.mul[i][j])
         for j in range(dM):
-            put(offG + i, offM + j, offM,
-                (Mat.unit_row(F, dM, j) @ M.left_acts[i]).row(0))
+            put(offG + i, offM + j, offM, M.left_acts[i].row(j))
         for j in range(dW):
-            put(offG + i, offW + j, offW,
-                (Mat.unit_row(F, dW, j) @ mn.left_acts[i]).row(0))
+            put(offG + i, offW + j, offW, mn.left_acts[i].row(j))
     for i in range(dW):
         for j in range(dM):
             # (m (x) n) . m' = phi(m (x) n) . m'
             gvec = phi_of_w(i)
-            put(offW + i, offM + j, offM,
-                (Mat.unit_row(F, dM, j) @ M.left_act_of(gvec)).row(0))
+            put(offW + i, offM + j, offM, M.left_act_of(gvec).row(j))
         for j in range(dG):
-            put(offW + i, offG + j, offW,
-                (Mat.unit_row(F, dW, i) @ mn.right_acts[j]).row(0))
+            put(offW + i, offG + j, offW, mn.right_acts[j].row(i))
         for j in range(dW):
             # (m (x) n)(m' (x) n') = m (x) (psi(n (x) m') . n')
             lift_i = mn_sec.row(i)
@@ -178,7 +170,7 @@ def build_nc_tensor(ctx: MoritaContext, name: str = "") -> NcTensorRing:
                         continue
                     im2, jn2 = divmod(amb_j, dN)
                     avec = ctx.psi.value(jn, im2)
-                    nvec = (Mat.unit_row(F, dN, jn2) @ N.left_act_of(avec)).row(0)
+                    nvec = N.left_act_of(avec).row(jn2)
                     for t, c in enumerate(nvec):
                         if not F.is_zero(c):
                             prow = mn_proj.row(im * dN + t)

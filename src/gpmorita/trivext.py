@@ -14,16 +14,18 @@ from dataclasses import dataclass
 from .algebra import Algebra, subalgebra
 from .bimodules import (
     Bimodule, TensorModule, regular_bimodule, restrict_right,
-    sub_bimodule_from_rows, tensor_functor_hom, tensor_module, _vec,
+    sub_bimodule_from_rows, tensor_functor_hom, tensor_module,
 )
-from .linalg import Mat, in_row_space, rank, row_space, solve, solve_left
+from .linalg import (
+    Mat, in_row_space, quotient_maps, rank, row_space, solve, solve_left,
+)
 from .modules import (
     FDModule, ModuleHom, cokernel_of, corestrict, hom_space, image_of,
     quotient_by_rows, restrict_along,
 )
 from .morita import (
     ContextError, MoritaContext, QuadrupleHom, QuadrupleModule, make_quadruple,
-    quadruple_hom_space,
+    quadruple_hom_space, validate_quadruple_hom,
 )
 
 
@@ -65,26 +67,20 @@ def trivial_extension(lam: Algebra, ideal: Bimodule, name: str = "") -> TrivialE
             for k, c in enumerate(prod):
                 mul[i][j][k] = c
         for j in range(di):
-            vec = (Mat.unit_row(F, di, j) @ ideal.left_acts[i]).row(0)
+            vec = ideal.left_acts[i].row(j)
             for k, c in enumerate(vec):
                 mul[i][dl + j][dl + k] = c
     for i in range(di):
         for j in range(dl):
-            vec = (Mat.unit_row(F, di, i) @ ideal.right_acts[j]).row(0)
+            vec = ideal.right_acts[j].row(i)
             for k, c in enumerate(vec):
                 mul[dl + i][j][dl + k] = c
     unit = [z] * dim
     unit[:dl] = lam.unit
     a = Algebra(F, dim, mul, unit, name=name or f"{lam.name}|x{ideal.name}")
-    incl = Mat.zeros(F, dl, dim)
-    proj = Mat.zeros(F, dim, dl)
-    irows = Mat.zeros(F, di, dim)
-    for i in range(dl):
-        incl.data[i][i] = F.one()
-        proj.data[i][i] = F.one()
-    for i in range(di):
-        irows.data[i][dl + i] = F.one()
-    return TrivialExtension(lam, ideal, a, incl, proj, irows)
+    eye = Mat.identity(F, dim)
+    return TrivialExtension(lam, ideal, a, eye.block(0, dl, 0, dim),
+                            eye.block(0, dim, 0, dl), eye.block(dl, dim, 0, dim))
 
 
 def recognize_trivial_extension(a: Algebra, lam_rows: Mat, ideal_rows: Mat,
@@ -129,7 +125,7 @@ def recognize_trivial_extension(a: Algebra, lam_rows: Mat, ideal_rows: Mat,
         ra.append(c2)
     ideal = Bimodule(lam, lam, I.rows, la, ra, name="I")
     cinv = solve(combined, Mat.identity(F, a.dim))
-    proj = Mat(F, [row[:lam.dim] for row in cinv.data], lam.dim)
+    proj = cinv.block(0, cinv.rows, 0, lam.dim)
     return TrivialExtension(lam, ideal, a, L, proj, I)
 
 
@@ -162,6 +158,7 @@ def induced_module_parts(ext: TrivialExtension, x: FDModule, name: str = ""):
     ix_t = tensor_module(ext.ideal, x, name=f"I(x){x.name}")
     dX, dIX = x.dim, ix_t.module.dim
     dim = dX + dIX
+    eye_x = Mat.identity(F, dX)
     acts = []
     for t in range(ext.A.dim):
         lam_c = ext.proj_rows.row(t)
@@ -171,27 +168,13 @@ def induced_module_parts(ext: TrivialExtension, x: FDModule, name: str = ""):
         i_c = solve_left(ext.ideal_rows, Mat.from_rows(F, [rest], ext.A.dim))
         if i_c is None:
             raise ExtensionError("basis element does not split as (lambda, i)")
-        i_c = i_c.row(0)
-        m = Mat.zeros(F, dim, dim)
-        xl = x.act_of(lam_c)
-        for r in range(dX):
-            m.data[r][:dX] = xl.data[r][:]
-            # ideal part sends v to the class of i_c (x) v
-            for s, c in enumerate(i_c):
-                if not F.is_zero(c):
-                    prow = ix_t.proj.row(s * dX + r)
-                    for k2 in range(dIX):
-                        m.data[r][dX + k2] = F.add(m.data[r][dX + k2],
-                                                   F.mul(c, prow[k2]))
-        il = ix_t.module.act_of(lam_c)
-        for r in range(dIX):
-            m.data[dX + r][dX:] = il.data[r][:]
-        acts.append(m)
+        # the ideal part sends v to the class of i_c (x) v
+        ideal_part = i_c.kron(eye_x) @ ix_t.proj
+        acts.append(Mat.from_blocks(F, [dX, dIX], [dX, dIX],
+                                    [[x.act_of(lam_c), ideal_part],
+                                     [None, ix_t.module.act_of(lam_c)]]))
     xi = FDModule(ext.A, dim, acts, name=name or f"{x.name}(I)")
-    e_x = Mat.zeros(F, dX, dim)
-    for r in range(dX):
-        e_x.data[r][r] = F.one()
-    return xi, e_x, ix_t
+    return xi, Mat.identity(F, dim).block(0, dX, 0, dim), ix_t
 
 
 def m_tensor_lambda(ext: TrivialExtension, ctx: MoritaContext, x: FDModule,
@@ -258,8 +241,7 @@ def t_lambda(ext: TrivialExtension, ctx: MoritaContext, x: FDModule,
                     if F.is_zero(coef):
                         continue
                     s, j = divmod(amb, dX)
-                    w = (Mat.unit_row(F, dM, i_m)
-                         @ ctx.M.right_act_of(ext.ideal_rows.row(s))).row(0)
+                    w = ctx.M.right_act_of(ext.ideal_rows.row(s)).row(i_m)
                     for t, wt in enumerate(w):
                         if not F.is_zero(wt):
                             prow = mx_lam.proj.row(t * dX + j)
@@ -334,7 +316,7 @@ def structural_maps(ctx: MoritaContext, q: QuadrupleModule) -> StructuralMaps:
     mlt_rows = []
     for s in range(ibim.dim):
         act = q.x.act_of(ctx.ideal_rows_a().row(s))
-        mlt_rows.extend(act.data)
+        mlt_rows.extend(act.to_rows())
     mlt_full = Mat.from_rows(F, mlt_rows, q.x.dim) if mlt_rows else \
         Mat.zeros(F, 0, q.x.dim)
     mlt_mat = solve(ix_t.proj, mlt_full)
@@ -363,7 +345,7 @@ def _check_structural(ctx: MoritaContext, q: QuadrupleModule, sm: StructuralMaps
     one_lam = tensor_functor_hom(sm.ix_t, sm.iu_t, sm.lambda_x)
     if one_lam.mat @ sm.m_x.mat != sm.mlt.mat:
         raise ContextError("m factorization identity fails")
-    if row_space(sm.m_x.mat).data != sm.ix_rows.data:
+    if row_space(sm.m_x.mat) != sm.ix_rows:
         raise ContextError("im(m) differs from IX")
     I = ctx.ideal_rows_a()
     for r in range(I.rows):
@@ -383,16 +365,13 @@ def pushout_check(ctx: MoritaContext, q: QuadrupleModule, sm: StructuralMaps | N
     sm = sm or structural_maps(ctx, q)
     if not sm.theta.is_injective() or not sm.m_x.is_injective():
         raise ContextError("pushout check precondition: clause (b2)/(b3) isos fail")
-    F = ctx.A.field
     # legs from N (x) M (x) U: psi (x) 1_U into I (x) U, 1_N (x) eta into N (x) Y
     nmu = tensor_module(ctx.N, sm.mu_t.module)
     one_eta = tensor_functor_hom(nmu, q.ny, sm.eta)
     psi_leg = _psi_tensor_one(ctx, sm, nmu)
-    total = sm.iu_t.module.dim + q.ny.module.dim
     delta = Mat.hstack([psi_leg.mat, one_eta.mat.neg()])
     # pushout = (I (x) U (+) N (x) Y) / im(delta)
-    from .algebra import quotient_maps
-    po_proj, _ = quotient_maps(F, row_space(delta), total)
+    po_proj, _ = quotient_maps(delta)
     img_g, incl_g = image_of(q.g)
     # canonical comparison: I (x) U -> Im(g) via m, N (x) Y -> Im(g) via g
     m_to_h = corestrict(ModuleHom(sm.iu_t.module, q.x, sm.m_x.mat), img_g, incl_g)
@@ -455,35 +434,51 @@ class HomIsoCheck:
         return self.images_valid and self.bijective
 
 
-def _coords_in(basis_mats: list[Mat], target: Mat) -> Mat | None:
-    """Coordinates of target in the span of basis_mats, all flattened."""
-    if not basis_mats:
-        return None if not target.is_zero() else Mat.zeros(target.field, 1, 0)
-    stacked = Mat.vstack([_vec(m) for m in basis_mats])
-    return solve_left(stacked, _vec(target))
+def _flat(h: ModuleHom | QuadrupleHom) -> Mat:
+    """A hom as one row vector; a quadruple map as (alpha, beta)."""
+    if isinstance(h, ModuleHom):
+        return h.mat.flatten()
+    return Mat.hstack([h.alpha.mat.flatten(), h.beta.mat.flatten()])
+
+
+def _transport_check(F, n_dom: int, images, cod: list,
+                     injective_only: bool = False) -> HomIsoCheck:
+    """The check behind every identity below.  `images` yields the
+    transported map of each of the n_dom domain basis elements; each must be
+    a genuine (quadruple) map and lie in the span of the target hom basis
+    `cod`.  Their coordinates form the transport matrix, which must be
+    bijective, or only injective when `injective_only`."""
+    stacked = Mat.vstack([_flat(g) for g in cod]) if cod else None
+    rows = []
+    ok = True
+    for h in images:
+        ok = ok and (h.intertwines() if isinstance(h, ModuleHom)
+                     else validate_quadruple_hom(h) == [])
+        target = _flat(h)
+        if stacked is not None:
+            c = solve_left(stacked, target)
+        else:
+            c = None if not target.is_zero() else Mat.zeros(F, 1, 0)
+        if c is None:
+            return HomIsoCheck(n_dom, len(cod), False, False)
+        rows.append(c.row(0))
+    mat = Mat.from_rows(F, rows, len(cod)) if rows else Mat.zeros(F, 0, len(cod))
+    if injective_only:
+        return HomIsoCheck(n_dom, len(cod), ok, rank(mat) == n_dom)
+    bij = n_dom == len(cod) and rank(mat) == n_dom
+    return HomIsoCheck(n_dom, len(cod), ok, bij)
 
 
 def restriction_hom_iso(ext: TrivialExtension, x: FDModule, x2: FDModule) -> HomIsoCheck:
     """Hom_Lambda(X, X') = Hom_A(X(I), X'-inflated), f |-> (f on the X part,
     zero on the ideal part)."""
+    F = ext.Lam.field
     xi = induced_module(ext, x)
     x2_a = ext.inflate(x2, name=f"{x2.name}|A")
     dom = hom_space(x, x2)
     cod = hom_space(xi, x2_a)
-    rows = []
-    ok = True
-    for f in dom:
-        img = Mat.vstack([f.mat, Mat.zeros(ext.Lam.field, xi.dim - x.dim, x2.dim)])
-        h = ModuleHom(xi, x2_a, img)
-        ok = ok and h.intertwines()
-        c = _coords_in([g.mat for g in cod], img)
-        if c is None:
-            return HomIsoCheck(len(dom), len(cod), False, False)
-        rows.append(c.row(0))
-    mat = Mat.from_rows(ext.Lam.field, rows, len(cod)) if rows else \
-        Mat.zeros(ext.Lam.field, 0, len(cod))
-    bij = len(dom) == len(cod) and rank(mat) == len(dom)
-    return HomIsoCheck(len(dom), len(cod), ok, bij)
+    images = (ModuleHom(xi, x2_a, _column_alpha(F, xi.dim, f.mat)) for f in dom)
+    return _transport_check(F, len(dom), images, cod)
 
 
 def ideal_hom_embedding(ext: TrivialExtension, x: FDModule, x2: FDModule) -> HomIsoCheck:
@@ -495,19 +490,9 @@ def ideal_hom_embedding(ext: TrivialExtension, x: FDModule, x2: FDModule) -> Hom
     xi2 = induced_module(ext, x2)
     dom = hom_space(x, ix2.module)
     cod = hom_space(x_a, xi2)
-    rows = []
-    ok = True
-    for g in dom:
-        img = Mat.hstack([Mat.zeros(F, x.dim, x2.dim), g.mat])
-        h = ModuleHom(x_a, xi2, img)
-        ok = ok and h.intertwines()
-        c = _coords_in([f.mat for f in cod], img)
-        if c is None:
-            return HomIsoCheck(len(dom), len(cod), False, False)
-        rows.append(c.row(0))
-    mat = Mat.from_rows(F, rows, len(cod)) if rows else Mat.zeros(F, 0, len(cod))
-    injective = rank(mat) == len(dom)
-    return HomIsoCheck(len(dom), len(cod), ok, injective)
+    images = (ModuleHom(x_a, xi2, Mat.hstack([Mat.zeros(F, x.dim, x2.dim), g.mat]))
+              for g in dom)
+    return _transport_check(F, len(dom), images, cod, injective_only=True)
 
 
 def induced_hom_iso(ext: TrivialExtension, x: FDModule, x2: FDModule) -> HomIsoCheck:
@@ -521,31 +506,31 @@ def induced_hom_iso(ext: TrivialExtension, x: FDModule, x2: FDModule) -> HomIsoC
     dom_a = hom_space(x, x2)
     dom_c = hom_space(x, ix2.module)
     cod = hom_space(xi, xi2)
-    rows = []
-    ok = True
-    for a_part, c_part in _pair_basis(F, dom_a, dom_c, x.dim, x2.dim,
-                                      ix2.module.dim):
-        one_i_a = tensor_functor_hom(ix, ix2, ModuleHom(x, x2, a_part)).mat
-        img = Mat.vstack([
-            Mat.hstack([a_part, c_part]),
-            Mat.hstack([Mat.zeros(F, ix.module.dim, x2.dim), one_i_a])])
-        h = ModuleHom(xi, xi2, img)
-        ok = ok and h.intertwines()
-        co = _coords_in([f.mat for f in cod], img)
-        if co is None:
-            return HomIsoCheck(len(dom_a) + len(dom_c), len(cod), False, False)
-        rows.append(co.row(0))
-    mat = Mat.from_rows(F, rows, len(cod)) if rows else Mat.zeros(F, 0, len(cod))
-    n_dom = len(dom_a) + len(dom_c)
-    bij = n_dom == len(cod) and rank(mat) == n_dom
-    return HomIsoCheck(n_dom, len(cod), ok, bij)
+    images = (ModuleHom(xi, xi2, _induced_alpha(F, ix, ix2, a_part, c_part))
+              for a_part, c_part in _pair_basis(F, dom_a, dom_c, ix2))
+    return _transport_check(F, len(dom_a) + len(dom_c), images, cod)
 
 
-def _pair_basis(F, dom_a, dom_c, dx, dx2, dix2):
+def _pair_basis(F, dom_a, dom_c, ix2: TensorModule):
+    """The basis of Hom(X, X') (+) Hom(X, I (x) X'), as pairs (a, c)."""
     for f in dom_a:
-        yield f.mat, Mat.zeros(F, dx, dix2)
+        yield f.mat, Mat.zeros(F, f.mat.rows, ix2.module.dim)
     for g in dom_c:
-        yield Mat.zeros(F, dx, dx2), g.mat
+        yield Mat.zeros(F, g.mat.rows, ix2.arg.dim), g.mat
+
+
+def _induced_alpha(F, ix: TensorModule, ix2: TensorModule, a_part: Mat,
+                   c_part: Mat) -> Mat:
+    """[[a, c], [0, 1_I (x) a]] : X (+) I (x) X -> X' (+) I (x) X'."""
+    one_i_a = tensor_functor_hom(ix, ix2, ModuleHom(ix.arg, ix2.arg, a_part)).mat
+    return Mat.from_blocks(F, [ix.arg.dim, ix.module.dim],
+                           [ix2.arg.dim, ix2.module.dim],
+                           [[a_part, c_part], [None, one_i_a]])
+
+
+def _column_alpha(F, rows: int, f_mat: Mat) -> Mat:
+    """(f; 0): a map out of X (+) I (x) X vanishing on the ideal block."""
+    return Mat.vstack([f_mat, Mat.zeros(F, rows - f_mat.rows, f_mat.cols)])
 
 
 def column_hom_iso(ext: TrivialExtension, ctx: MoritaContext, kind: str,
@@ -553,7 +538,7 @@ def column_hom_iso(ext: TrivialExtension, ctx: MoritaContext, kind: str,
                    y: FDModule | None = None, y2: FDModule | None = None) -> HomIsoCheck:
     """The seven corner-to-ring hom identities for the one-sided-zero
     context ring; `kind` names source and target functor columns."""
-    from .morita import quotient_by_ideal, t_b as _t_b, z_a, z_b as _z_b
+    from .morita import quotient_by_ideal, t_b, z_a, z_b
     F = ext.Lam.field
 
     def tl(mod):
@@ -563,122 +548,59 @@ def column_hom_iso(ext: TrivialExtension, ctx: MoritaContext, kind: str,
         return z_a(ctx, ext.inflate(mod, name=f"{mod.name}|A"))
 
     def zb(mod):
-        return _z_b(ctx, quotient_by_ideal(mod, ctx.ideal_rows_b(), "J")[0])
+        return z_b(ctx, quotient_by_ideal(mod, ctx.ideal_rows_b(), "J")[0])
 
+    # each kind gives the two quadruples, the domain hom basis and the
+    # (alpha, beta) image of each of its elements
     if kind == "tl_tb":
         # Hom_Lambda(X, N (x) Y) = Hom(T_Lam(X), T_B(Y)), f |-> ((f; 0), 0)
-        src, dst = tl(x), _t_b(ctx, y)
-        ny = dst.x                      # N (x)_B Y
-        dom = hom_space(x, ext.lam_module(ny))
-        build = lambda f: ( _column_alpha(F, src, f.mat), Mat.zeros(F, src.y.dim, dst.y.dim))
+        src, dst = tl(x), t_b(ctx, y)
+        dom = hom_space(x, ext.lam_module(dst.x))      # dst.x = N (x)_B Y
+        pairs = ((_column_alpha(F, src.x.dim, f.mat),
+                  Mat.zeros(F, src.y.dim, dst.y.dim)) for f in dom)
     elif kind == "tl_zl":
         src, dst = tl(x), zl(x2)
         dom = hom_space(x, x2)
-        build = lambda f: (_column_alpha(F, src, f.mat),
-                           Mat.zeros(F, src.y.dim, dst.y.dim))
+        pairs = ((_column_alpha(F, src.x.dim, f.mat),
+                  Mat.zeros(F, src.y.dim, dst.y.dim)) for f in dom)
     elif kind == "tl_tl":
-        return _tl_tl_check(ext, ctx, x, x2)
+        # Hom_Lambda(X, X' (+) I (x) X') = Hom(T_Lam X, T_Lam X'),
+        # (a, c) |-> ([[a, c], [0, 1_I (x) a]], 1_M (x) a)
+        src, dst = tl(x), tl(x2)
+        ix = tensor_module(ext.ideal, x)
+        ix2 = tensor_module(ext.ideal, x2)
+        m_lam = restrict_right(ctx.M, ext.incl_rows, ext.Lam)
+        mx = tensor_module(m_lam, x)
+        mx2 = tensor_module(m_lam, x2)
+        dom_a = hom_space(x, x2)
+        dom_c = hom_space(x, ix2.module)
+        dom = dom_a + dom_c
+        pairs = ((_induced_alpha(F, ix, ix2, a_part, c_part),
+                  tensor_functor_hom(mx, mx2, ModuleHom(x, x2, a_part)).mat)
+                 for a_part, c_part in _pair_basis(F, dom_a, dom_c, ix2))
     elif kind == "tb_tl":
-        return _tb_tl_check(ext, ctx, x, y)
+        # Hom_B(Y, M (x) X) = Hom(T_B Y, T_Lam X), h |-> ((1_N (x) h) psi_X, h)
+        src, dst = t_b(ctx, y), tl(x)
+        dom = hom_space(y, dst.y)                     # Hom_B(Y, M (x)_Lambda X)
+        pairs = ((tensor_functor_hom(src.ny, dst.ny,
+                                     ModuleHom(y, dst.y, h.mat)).mat @ dst.g.mat,
+                  h.mat) for h in dom)
     elif kind == "tb_tb":
-        src, dst = _t_b(ctx, y), _t_b(ctx, y2)
+        src, dst = t_b(ctx, y), t_b(ctx, y2)
         dom = hom_space(y, y2)
-        build = lambda t: (tensor_functor_hom(src.ny, dst.ny,
-                                              ModuleHom(y, y2, t.mat)).mat, t.mat)
+        pairs = ((tensor_functor_hom(src.ny, dst.ny, ModuleHom(y, y2, t.mat)).mat,
+                  t.mat) for t in dom)
     elif kind == "tb_zb":
-        src, dst = _t_b(ctx, y), zb(y2)
+        src, dst = t_b(ctx, y), zb(y2)
         dom = hom_space(y, dst.y)
-        build = lambda t: (Mat.zeros(F, src.x.dim, dst.x.dim), t.mat)
+        pairs = ((Mat.zeros(F, src.x.dim, dst.x.dim), t.mat) for t in dom)
     elif kind == "zero_pairs":
-        a = len(quadruple_hom_space(_t_b(ctx, y), zl(x)))
+        a = len(quadruple_hom_space(t_b(ctx, y), zl(x)))
         b = len(quadruple_hom_space(tl(x), zb(y)))
         return HomIsoCheck(0, a + b, True, a == 0 and b == 0)
     else:
         raise ExtensionError(f"unknown hom identity {kind!r}")
     cod = quadruple_hom_space(src, dst)
-    from .morita import QuadrupleHom, validate_quadruple_hom
-    rows = []
-    ok = True
-    for f in dom:
-        am, bm = build(f)
-        qh = QuadrupleHom(src, dst, ModuleHom(src.x, dst.x, am),
-                          ModuleHom(src.y, dst.y, bm))
-        ok = ok and validate_quadruple_hom(qh) == []
-        co = _coords_in([Mat.hstack([_vec(h.alpha.mat), _vec(h.beta.mat)])
-                         for h in cod], Mat.hstack([_vec(am), _vec(bm)]))
-        if co is None:
-            return HomIsoCheck(len(dom), len(cod), False, False)
-        rows.append(co.row(0))
-    mat = Mat.from_rows(F, rows, len(cod)) if rows else Mat.zeros(F, 0, len(cod))
-    bij = len(dom) == len(cod) and rank(mat) == len(dom)
-    return HomIsoCheck(len(dom), len(cod), ok, bij)
-
-
-def _column_alpha(F, src, f_mat: Mat) -> Mat:
-    """(f; 0): the X(I)-source column map vanishing on the ideal block."""
-    return Mat.vstack([f_mat, Mat.zeros(F, src.x.dim - f_mat.rows, f_mat.cols)])
-
-
-def _tl_tl_check(ext, ctx, x, x2) -> HomIsoCheck:
-    """Hom_Lambda(X, X' (+) I (x) X') = Hom(T_Lam X, T_Lam X'),
-    (a, c) |-> ([[a, c], [0, 1_I (x) a]], 1_M (x) a)."""
-    from .morita import QuadrupleHom, quadruple_hom_space, validate_quadruple_hom
-    F = ext.Lam.field
-    src, dst = t_lambda(ext, ctx, x), t_lambda(ext, ctx, x2)
-    ix = tensor_module(ext.ideal, x)
-    ix2 = tensor_module(ext.ideal, x2)
-    m_lam = restrict_right(ctx.M, ext.incl_rows, ext.Lam)
-    mx = tensor_module(m_lam, x)
-    mx2 = tensor_module(m_lam, x2)
-    dom_a = hom_space(x, x2)
-    dom_c = hom_space(x, ix2.module)
-    cod = quadruple_hom_space(src, dst)
-    rows = []
-    ok = True
-    for a_part, c_part in _pair_basis(F, dom_a, dom_c, x.dim, x2.dim,
-                                      ix2.module.dim):
-        a_hom = ModuleHom(x, x2, a_part)
-        one_i_a = tensor_functor_hom(ix, ix2, a_hom).mat
-        am = Mat.vstack([
-            Mat.hstack([a_part, c_part]),
-            Mat.hstack([Mat.zeros(F, ix.module.dim, x2.dim), one_i_a])])
-        bm = tensor_functor_hom(mx, mx2, a_hom).mat
-        qh = QuadrupleHom(src, dst, ModuleHom(src.x, dst.x, am),
-                          ModuleHom(src.y, dst.y, bm))
-        ok = ok and validate_quadruple_hom(qh) == []
-        co = _coords_in([Mat.hstack([_vec(h.alpha.mat), _vec(h.beta.mat)])
-                         for h in cod], Mat.hstack([_vec(am), _vec(bm)]))
-        if co is None:
-            return HomIsoCheck(len(dom_a) + len(dom_c), len(cod), False, False)
-        rows.append(co.row(0))
-    n_dom = len(dom_a) + len(dom_c)
-    mat = Mat.from_rows(F, rows, len(cod)) if rows else Mat.zeros(F, 0, len(cod))
-    bij = n_dom == len(cod) and rank(mat) == n_dom
-    return HomIsoCheck(n_dom, len(cod), ok, bij)
-
-
-def _tb_tl_check(ext, ctx, x, y) -> HomIsoCheck:
-    """Hom_B(Y, M (x) X) = Hom(T_B Y, T_Lam X), h |-> ((1_N (x) h) psi_X, h)."""
-    from .morita import QuadrupleHom, quadruple_hom_space, t_b as _t_b, \
-        validate_quadruple_hom
-    F = ext.Lam.field
-    src = _t_b(ctx, y)
-    dst = t_lambda(ext, ctx, x)
-    dom = hom_space(y, dst.y)           # Hom_B(Y, M (x)_Lambda X)
-    cod = quadruple_hom_space(src, dst)
-    rows = []
-    ok = True
-    for h in dom:
-        one_h = tensor_functor_hom(src.ny, dst.ny, ModuleHom(y, dst.y, h.mat))
-        am = one_h.mat @ dst.g.mat
-        qh = QuadrupleHom(src, dst, ModuleHom(src.x, dst.x, am),
-                          ModuleHom(src.y, dst.y, h.mat))
-        ok = ok and validate_quadruple_hom(qh) == []
-        co = _coords_in([Mat.hstack([_vec(g.alpha.mat), _vec(g.beta.mat)])
-                         for g in cod], Mat.hstack([_vec(am), _vec(h.mat)]))
-        if co is None:
-            return HomIsoCheck(len(dom), len(cod), False, False)
-        rows.append(co.row(0))
-    mat = Mat.from_rows(F, rows, len(cod)) if rows else Mat.zeros(F, 0, len(cod))
-    bij = len(dom) == len(cod) and rank(mat) == len(dom)
-    return HomIsoCheck(len(dom), len(cod), ok, bij)
+    images = (QuadrupleHom(src, dst, ModuleHom(src.x, dst.x, am),
+                           ModuleHom(src.y, dst.y, bm)) for am, bm in pairs)
+    return _transport_check(F, len(dom), images, cod)

@@ -17,7 +17,6 @@ from .linalg import Mat, in_row_space, left_kernel, rank, solve_left
 from .modules import (
     FDModule, ModuleHom, dual_module, hom_space, regular_module,
 )
-from .bimodules import _vec
 from .gpcert import GPCertificate, NotGPWitness
 
 
@@ -52,9 +51,9 @@ def _presentation_splits(m: FDModule) -> bool:
     if not homs:
         return False
     # phi_i: the i-th copy of A -> m, rows i*dim A .. (i+1)*dim A of phi
-    blocks = [Mat(F, phi.data[i * a.dim:(i + 1) * a.dim], n) for i in range(n)]
-    system = Mat.vstack([_vec(h.mat @ phi_i) for phi_i in blocks for h in homs])
-    return solve_left(system, _vec(Mat.identity(F, n))) is not None
+    blocks = [phi.block(i * a.dim, (i + 1) * a.dim, 0, n) for i in range(n)]
+    system = Mat.vstack([(h.mat @ phi_i).flatten() for phi_i in blocks for h in homs])
+    return solve_left(system, Mat.identity(F, n).flatten()) is not None
 
 
 def _window_is_complex(wc: ComplexWindow) -> str | None:
@@ -90,10 +89,10 @@ def _hom_complex(terms: list[FDModule], diffs: list[ModuleHom], y: FDModule):
         if not src or not dst:
             maps.append(Mat.zeros(F, len(src), len(dst)))
             continue
-        stacked = Mat.vstack([_vec(h.mat) for h in dst])
+        stacked = Mat.vstack([h.mat.flatten() for h in dst])
         rows = []
         for h in src:
-            c = solve_left(stacked, _vec(d.mat @ h.mat))
+            c = solve_left(stacked, (d.mat @ h.mat).flatten())
             if c is None:
                 return None
             rows.append(c.row(0))
@@ -142,11 +141,10 @@ def _approximation_property(alpha: ModuleHom) -> bool:
     dst_homs = hom_space(alpha.source, reg)
     if not dst_homs:
         return True
-    stacked = Mat.vstack([_vec(h.mat) for h in dst_homs])
     images = [alpha.mat @ h.mat for h in src_homs]
     if not images:
         return False
-    img_rows = Mat.vstack([_vec(m) for m in images])
+    img_rows = Mat.vstack([m.flatten() for m in images])
     return rank(img_rows) == len(dst_homs)
 
 

@@ -51,6 +51,21 @@ def test_zero_denominator_is_an_input_error(tmp_path, capsys, field, scalar):
     assert err.startswith("input error:") and repr(scalar) in err
 
 
+@pytest.mark.parametrize("mat", [
+    {"rows": 1.5, "cols": 2, "entries": [1, 0, 0]},
+    {"rows": 1, "cols": 1, "entries": 5},
+    {"rows": -1, "cols": 0, "entries": []},
+    {"rows": True, "cols": 1, "entries": [1]},
+])
+def test_malformed_matrix_shape_is_an_input_error(tmp_path, capsys, mat):
+    doc = json.load(open(fx("dual_numbers.json")))
+    doc["bimodules"]["S_bim"]["left_acts"][0] = mat
+    p = tmp_path / "bad_shape.json"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", str(p)]) == 3
+    assert capsys.readouterr().err.startswith("input error: malformed matrix")
+
+
 def test_corrupted_psi_fails_before_build(tmp_path, capsys):
     doc = json.load(open(fx("glued5.json")))
     # corrupt psi: send n (x) m to 1 instead of into the ideal

@@ -1,0 +1,258 @@
+"""The whole-matrix system builders against the per-entry code they
+replaced.
+
+The oracles below are the earlier per-entry implementations, kept verbatim
+apart from their names: the middle relations of a balanced tensor, the
+linear system of `quadruple_hom_space` with its kernel split into
+(alpha, beta), the relation rows of `tensor_over_ring`, and the quotient
+coordinates of a row span.  The new code must give equal matrices (`Mat ==`,
+same shape, same row order) and equal dimensions, over Q and GF(7), on the
+catalog contexts and on seeded random quadruples.
+"""
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from gpmorita.bimodules import balanced_tensor_space
+from gpmorita.catalog import (
+    arrow_ideal_context, glued_psi_context, random_quadruple,
+    triangular_context, two_cycle_context,
+)
+from gpmorita.fields import GF, QQ, Field
+from gpmorita.linalg import (
+    Mat, intertwining_system, kernel_basis, quotient_maps, rank, row_space, rref,
+)
+from gpmorita.modules import ModuleHom, regular_module
+from gpmorita.morita import (
+    QuadrupleHom, QuadrupleModule, build_ring, direct_sum_quadruples,
+    quadruple_hom_space, regular_right_quadruples, swap_quadruple, t_a, t_b,
+    tensor_over_ring,
+)
+
+FIELDS = {"Q": QQ, "GF7": lambda: GF(7)}
+CONTEXTS = {"triangular": triangular_context, "two_cycle": two_cycle_context,
+            "glued_psi": glued_psi_context, "arrow_ideal": arrow_ideal_context}
+SEEDS = range(6)
+
+
+# -- oracles: the per-entry code, verbatim ------------------------------------
+
+
+def _middle_relations(F: Field, right_acts_m: list[Mat], acts_x: list[Mat],
+                      dim_m: int, dim_x: int) -> Mat:
+    rows = []
+    amb = dim_m * dim_x
+    for t in range(len(right_acts_m)):
+        Ra = right_acts_m[t]
+        La = acts_x[t]
+        for s in range(dim_m):
+            ra_row = Ra.data[s]
+            for j in range(dim_x):
+                vec = [F.zero()] * amb
+                for s2 in range(dim_m):
+                    if not F.is_zero(ra_row[s2]):
+                        vec[s2 * dim_x + j] = F.add(vec[s2 * dim_x + j], ra_row[s2])
+                la_row = La.data[j]
+                for j2 in range(dim_x):
+                    if not F.is_zero(la_row[j2]):
+                        vec[s * dim_x + j2] = F.sub(vec[s * dim_x + j2], la_row[j2])
+                rows.append(vec)
+    return Mat.from_rows(F, rows, amb) if rows else Mat.zeros(F, 0, amb)
+
+
+def _quotient_maps(F: Field, rel_rows: Mat, ambient: int) -> tuple[Mat, Mat]:
+    R, pivots = rref(rel_rows)
+    pivset = set(pivots)
+    free = [c for c in range(ambient) if c not in pivset]
+    proj = Mat.zeros(F, ambient, len(free))
+    sec = Mat.zeros(F, len(free), ambient)
+    for k, c in enumerate(free):
+        proj.data[c][k] = F.one()
+        sec.data[k][c] = F.one()
+    for i, pc in enumerate(pivots):
+        for k, c in enumerate(free):
+            proj.data[pc][k] = F.neg(R.data[i][c])
+    return proj, sec
+
+
+def _quadruple_hom_space(q1: QuadrupleModule, q2: QuadrupleModule) -> list[QuadrupleHom]:
+    F = q1.ctx.A.field
+    na, nb = q1.x.dim * q2.x.dim, q1.y.dim * q2.y.dim
+    if na + nb == 0:
+        return []
+    sides = ((q1, q2, 0, na), (swap_quadruple(q1), swap_quadruple(q2), na, 0))
+    rows: list[list] = []
+    for s1, s2, own, _ in sides:
+        d1, d2 = s1.x.dim, s2.x.dim
+        for t in s1.x.gens():
+            A1, A2 = s1.x.acts[t], s2.x.acts[t]
+            for i in range(d1):
+                for j in range(d2):
+                    r = [F.zero()] * (na + nb)
+                    for k in range(d1):
+                        if not F.is_zero(A1.data[i][k]):
+                            idx = own + k * d2 + j
+                            r[idx] = F.add(r[idx], A1.data[i][k])
+                    for l in range(d2):
+                        if not F.is_zero(A2.data[l][j]):
+                            idx = own + i * d2 + l
+                            r[idx] = F.sub(r[idx], A2.data[l][j])
+                    rows.append(r)
+    # f-square: (1_M (x) alpha) f2 = f1 beta, as entries over MX1 x Y2
+    for s1, s2, own, other in sides:
+        d1, d2, e1, e2 = s1.x.dim, s2.x.dim, s1.y.dim, s2.y.dim
+        S1 = s1.mx.section               # MX1 -> M (x)_k X1
+        G2 = s2.mx.proj @ s2.f.mat       # M (x)_k X2 -> Y2
+        Fm = s1.f.mat
+        for p in range(s1.mx.module.dim):
+            for qq in range(e2):
+                r = [F.zero()] * (na + nb)
+                for i in range(s1.ctx.M.dim):
+                    for j in range(d1):
+                        s_coef = S1.data[p][i * d1 + j]
+                        if F.is_zero(s_coef):
+                            continue
+                        for l in range(d2):
+                            g_coef = G2.data[i * d2 + l][qq]
+                            if not F.is_zero(g_coef):
+                                idx = own + j * d2 + l
+                                r[idx] = F.add(r[idx], F.mul(s_coef, g_coef))
+                for rr in range(e1):
+                    if not F.is_zero(Fm.data[p][rr]):
+                        idx = other + rr * e2 + qq
+                        r[idx] = F.sub(r[idx], Fm.data[p][rr])
+                rows.append(r)
+    system = Mat.from_rows(F, rows, na + nb) if rows else Mat.zeros(F, 0, na + nb)
+    ker = kernel_basis(system)
+
+    def block(c, own, d1, d2):
+        return Mat(F, [[ker.data[own + i * d2 + j][c] for j in range(d2)]
+                       for i in range(d1)], d2)
+
+    return [QuadrupleHom(q1, q2,
+                         ModuleHom(q1.x, q2.x, block(c, 0, q1.x.dim, q2.x.dim)),
+                         ModuleHom(q1.y, q2.y, block(c, na, q1.y.dim, q2.y.dim)))
+            for c in range(ker.cols)]
+
+
+def _tensor_over_ring(rq, q: QuadrupleModule) -> int:
+    ctx = q.ctx
+    F = ctx.A.field
+    cx = balanced_tensor_space(rq.c, q.x)
+    dy = balanced_tensor_space(rq.d, q.y)
+    total = cx.dim + dy.dim
+    rows = []
+    g_big = q.ny.proj @ q.g.mat       # N (x)_k Y -> X
+    f_big = q.mx.proj @ q.f.mat
+    h_big = rq.cn.proj @ rq.h.mat     # C (x)_k N -> D
+    k_big = rq.dm.proj @ rq.k.mat
+    dc, dd, dn, dm = rq.c.dim, rq.d.dim, ctx.N.dim, ctx.M.dim
+    dx, dyy = q.x.dim, q.y.dim
+    for ic in range(dc):
+        for i_n in range(dn):
+            hval = h_big.row(ic * dn + i_n)          # in D
+            for iy in range(dyy):
+                gval = g_big.row(i_n * dyy + iy)     # in X
+                vec = [F.zero()] * total
+                # c (x) gval, projected into C (x)_A X
+                for jx in range(dx):
+                    if not F.is_zero(gval[jx]):
+                        amb = ic * dx + jx
+                        for t in range(cx.dim):
+                            vec[t] = F.add(vec[t], F.mul(gval[jx], cx.proj.data[amb][t]))
+                # minus hval (x) y, projected into D (x)_B Y
+                for jd in range(dd):
+                    if not F.is_zero(hval[jd]):
+                        amb = jd * dyy + iy
+                        for t in range(dy.dim):
+                            vec[cx.dim + t] = F.sub(vec[cx.dim + t],
+                                                    F.mul(hval[jd], dy.proj.data[amb][t]))
+                rows.append(vec)
+    for jd in range(dd):
+        for i_m in range(dm):
+            kval = k_big.row(jd * dm + i_m)          # in C
+            for ix in range(dx):
+                fval = f_big.row(i_m * dx + ix)      # in Y
+                vec = [F.zero()] * total
+                for jy in range(dyy):
+                    if not F.is_zero(fval[jy]):
+                        amb = jd * dyy + jy
+                        for t in range(dy.dim):
+                            vec[cx.dim + t] = F.add(vec[cx.dim + t],
+                                                    F.mul(fval[jy], dy.proj.data[amb][t]))
+                for jc in range(dc):
+                    if not F.is_zero(kval[jc]):
+                        amb = jc * dx + ix
+                        for t in range(cx.dim):
+                            vec[t] = F.sub(vec[t], F.mul(kval[jc], cx.proj.data[amb][t]))
+                rows.append(vec)
+    rel = Mat.from_rows(F, rows, total) if rows else Mat.zeros(F, 0, total)
+    return total - rank(rel)
+
+
+# -- cases ---------------------------------------------------------------------
+
+
+def _cases(field: str, context: str):
+    """The context, T_A(A), T_B(B), their sum and seeded random quadruples."""
+    ctx = CONTEXTS[context](FIELDS[field]())[1]
+    ta, tb = t_a(ctx, regular_module(ctx.A)), t_b(ctx, regular_module(ctx.B))
+    quads = [ta, tb, direct_sum_quadruples([ta, tb])]
+    quads += [random_quadruple(ctx, random.Random(s)) for s in SEEDS]
+    return ctx, quads
+
+
+PARAMS = [(f, c) for f in FIELDS for c in CONTEXTS]
+
+
+@pytest.mark.parametrize("field, context", PARAMS)
+def test_intertwining_system_is_the_middle_relations(field, context):
+    ctx, quads = _cases(field, context)
+    F = ctx.A.field
+    pairs = [(ctx.M.right_acts, q.x.acts, ctx.M.dim, q.x.dim) for q in quads]
+    pairs += [(ctx.N.right_acts, q.y.acts, ctx.N.dim, q.y.dim) for q in quads]
+    pairs += [(ctx.N.right_acts, ctx.M.left_acts, ctx.N.dim, ctx.M.dim),
+              (ctx.M.right_acts, ctx.N.left_acts, ctx.M.dim, ctx.N.dim)]
+    for right_acts, acts, dm, dx in pairs:
+        old = _middle_relations(F, right_acts, acts, dm, dx)
+        new = intertwining_system(F, dm, dx, right_acts, acts)
+        assert new == old
+        proj, sec = quotient_maps(new)
+        old_proj, old_sec = _quotient_maps(F, row_space(old), dm * dx)
+        assert proj == old_proj and sec == old_sec
+
+
+@pytest.mark.parametrize("field, context", PARAMS)
+def test_quadruple_hom_space_matches_per_entry_system(field, context):
+    _, quads = _cases(field, context)
+    for q1 in quads:
+        for q2 in quads:
+            new = quadruple_hom_space(q1, q2)
+            old = _quadruple_hom_space(q1, q2)
+            assert len(new) == len(old)
+            for h, g in zip(new, old):
+                assert h.alpha.mat == g.alpha.mat and h.beta.mat == g.beta.mat
+
+
+@pytest.mark.parametrize("field, context", PARAMS)
+def test_tensor_over_ring_matches_row_loop(field, context):
+    ctx, quads = _cases(field, context)
+    for rq in regular_right_quadruples(build_ring(ctx)):
+        for q in quads:
+            assert tensor_over_ring(rq, q) == _tensor_over_ring(rq, q)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_quotient_maps_match_on_random_spans(field):
+    F = FIELDS[field]()
+    rng = random.Random(5)
+    for _ in range(40):
+        rows, cols = rng.randrange(0, 5), rng.randrange(0, 6)
+        rel = Mat.from_rows(F, [[rng.randint(-2, 2) for _ in range(cols)]
+                                for _ in range(rows)], cols)
+        proj, sec = quotient_maps(rel)
+        old_proj, old_sec = _quotient_maps(F, row_space(rel), cols)
+        assert proj == old_proj and sec == old_sec
+        assert sec @ proj == Mat.identity(F, proj.cols)

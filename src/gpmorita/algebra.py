@@ -13,7 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .fields import Field
-from .linalg import Mat, in_row_space, left_kernel, quotient_maps, row_space, solve_left
+from .linalg import (
+    Mat, in_row_space, left_kernel, linear_combination, quotient_maps, row_space,
+    solve_left,
+)
 
 
 class AlgebraError(ValueError):
@@ -88,19 +91,8 @@ class Algebra:
             ]
         return self._rmul
 
-    def lmul_of(self, a: list) -> Mat:
-        out = Mat.zeros(self.field, self.dim, self.dim)
-        for t, c in enumerate(a):
-            if not self.field.is_zero(c):
-                out = out.add(self.lmul_mats()[t].scale(c))
-        return out
-
     def rmul_of(self, a: list) -> Mat:
-        out = Mat.zeros(self.field, self.dim, self.dim)
-        for t, c in enumerate(a):
-            if not self.field.is_zero(c):
-                out = out.add(self.rmul_mats()[t].scale(c))
-        return out
+        return linear_combination(self.field, self.dim, self.dim, a, self.rmul_mats())
 
 
 @dataclass
@@ -148,9 +140,13 @@ def opposite_algebra(a: Algebra) -> Algebra:
 def generating_subset(a: Algebra) -> list[int]:
     """Indices of basis elements generating a as a unital algebra.
 
-    Intertwiner computations only need constraints for a generating set,
-    which keeps the linear systems small.
+    Intertwiner computations and the module laws only need constraints
+    for a generating set, which keeps the linear systems small.  Computed
+    once per algebra and kept in a._cache; each call returns a fresh list.
     """
+    hit = a._cache.get("generating_subset")
+    if hit is not None:
+        return hit[:]
     F = a.field
     span = row_space(Mat.from_rows(F, [a.unit], a.dim))
     gens: list[int] = []
@@ -172,7 +168,8 @@ def generating_subset(a: Algebra) -> list[int]:
             span = new_span
         if span.rows == a.dim:
             break
-    return gens
+    a._cache["generating_subset"] = gens
+    return gens[:]
 
 
 def subalgebra(a: Algebra, rows: Mat, name: str = "") -> tuple[Algebra, Mat]:

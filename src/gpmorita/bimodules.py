@@ -6,14 +6,22 @@ k-tensor space (row-major basis, index (i, j) -> i * dim X + j) by the
 span of the middle relations m.a (x) x - m (x) a.x; the quotient lives on
 the pivot-complement coordinates of that relation span, so all bases are
 canonical and reproducible.
+
+Each action is validated as a module (`validate_module`, on the
+algebra's generators; see `modules`).  The two actions commute once the
+generators' actions do: for a fixed right action R_t, the s in the left
+algebra with L_s R_t = R_t L_s form a subalgebra, and so do the t with
+L_s R_t = R_t L_s for a fixed s.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Algebra, opposite_algebra
-from .linalg import Mat, intertwining_system, quotient_maps, row_space, solve
-from .modules import FDModule, ModuleError, ModuleHom
+from .algebra import Algebra, generating_subset, opposite_algebra
+from .linalg import (
+    Mat, intertwining_system, linear_combination, quotient_maps, row_space, solve,
+)
+from .modules import FDModule, ModuleError, ModuleHom, validate_module
 
 
 class BimoduleError(ValueError):
@@ -38,18 +46,12 @@ class Bimodule:
                 f"({self.left.name or '?'}, {self.right.name or '?'}))")
 
     def left_act_of(self, coeffs: list) -> Mat:
-        out = Mat.zeros(self.left.field, self.dim, self.dim)
-        for t, c in enumerate(coeffs):
-            if not self.left.field.is_zero(c):
-                out = out.add(self.left_acts[t].scale(c))
-        return out
+        return linear_combination(self.left.field, self.dim, self.dim, coeffs,
+                                  self.left_acts)
 
     def right_act_of(self, coeffs: list) -> Mat:
-        out = Mat.zeros(self.right.field, self.dim, self.dim)
-        for t, c in enumerate(coeffs):
-            if not self.right.field.is_zero(c):
-                out = out.add(self.right_acts[t].scale(c))
-        return out
+        return linear_combination(self.right.field, self.dim, self.dim, coeffs,
+                                  self.right_acts)
 
     def as_left_module(self, name: str = "") -> FDModule:
         return FDModule(self.left, self.dim, self.left_acts,
@@ -64,36 +66,18 @@ class Bimodule:
 
 
 def validate_bimodule(m: Bimodule) -> list[str]:
-    out = validate_left_action(m)
-    if out:
-        return out
-    a = m.right
-    F = a.field
-    ident = Mat.identity(F, m.dim)
-    if m.right_act_of(a.unit) != ident:
-        return ["right unit does not act as identity"]
-    for i in range(a.dim):
-        for j in range(a.dim):
-            if m.right_act_of(a.mul[i][j]) != m.right_acts[i] @ m.right_acts[j]:
-                return [f"right action not multiplicative at ({i},{j})"]
-    for s in range(m.left.dim):
-        for t in range(a.dim):
+    """The first violated law: the left action, then the right action (as
+    a left module over the opposite algebra, so a failing pair (g, j)
+    names the product b_j b_g of the right algebra), then commutation,
+    checked on generator pairs (s, t) of the left and right algebras."""
+    for side, mod in (("left", m.as_left_module()), ("right", m.as_right_module())):
+        bad = validate_module(mod)
+        if bad:
+            return [f"{side} {bad[0]}"]
+    for s in generating_subset(m.left):
+        for t in generating_subset(m.right):
             if m.left_acts[s] @ m.right_acts[t] != m.right_acts[t] @ m.left_acts[s]:
                 return [f"left and right actions do not commute at ({s},{t})"]
-    return []
-
-
-def validate_left_action(m: Bimodule) -> list[str]:
-    a = m.left
-    F = a.field
-    ident = Mat.identity(F, m.dim)
-    if m.left_act_of(a.unit) != ident:
-        return ["left unit does not act as identity"]
-    for i in range(a.dim):
-        for j in range(a.dim):
-            # left rule under the row convention: act(ab) = act(b) @ act(a)
-            if m.left_act_of(a.mul[i][j]) != m.left_acts[j] @ m.left_acts[i]:
-                return [f"left action not multiplicative at ({i},{j})"]
     return []
 
 

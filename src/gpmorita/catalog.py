@@ -7,7 +7,7 @@ import random
 
 from .algebra import Algebra
 from .fields import Field
-from .linalg import Mat, row_space
+from .linalg import Mat, linear_combination, row_space
 from .modules import (
     FDModule, ModuleHom, free_module, hom_space, quotient_by_rows,
     spanned_submodule,
@@ -134,12 +134,10 @@ def random_hom(x: FDModule, y: FDModule, rng: random.Random) -> ModuleHom:
     """A random element of Hom(x, y) with small integer coefficients."""
     basis = hom_space(x, y)
     F = x.algebra.field
-    mat = Mat.zeros(F, x.dim, y.dim)
-    for h in basis:
-        c = rng.randint(-2, 2) if F.is_rational else rng.randrange(F.p)
-        if c:
-            mat = mat.add(h.mat.scale(F.of_int(c)))
-    return ModuleHom(x, y, mat)
+    coeffs = [F.of_int(rng.randint(-2, 2) if F.is_rational else rng.randrange(F.p))
+              for _ in basis]
+    return ModuleHom(x, y, linear_combination(F, x.dim, y.dim, coeffs,
+                                              [h.mat for h in basis]))
 
 
 def random_submodule(x: FDModule, rng: random.Random):
@@ -362,13 +360,12 @@ def random_glued_context(F: Field, rng: random.Random):
         intertwining_system(F, dN * dM, dA, [eye_n.kron(a) for a in M.right_acts],
                             [a.transpose() for a in A.rmul_mats()]),
         Mat.identity(F, dN * dM).kron(ext.proj_rows.transpose())])).transpose()
-    mat = Mat.zeros(F, dN * dM, dA)
-    for c in range(basis.rows):
-        coef = rng.randint(-1, 1) if F.is_rational else rng.randrange(F.p)
-        if coef:
-            mat = mat.add(basis.block(c, c + 1, 0, dN * dM * dA)
-                          .reshape(dN * dM, dA).scale(coef))
-    psi = BalancedMap(N, M, A, mat)
+    coeffs = [F.of_int(rng.randint(-1, 1) if F.is_rational else rng.randrange(F.p))
+              for _ in range(basis.rows)]
+    psi = BalancedMap(N, M, A, linear_combination(
+        F, dN * dM, dA, coeffs,
+        [basis.block(c, c + 1, 0, dN * dM * dA).reshape(dN * dM, dA)
+         for c in range(basis.rows)]))
     ctx = MoritaContext(A, B, M, N, zero_balanced_map(M, N, B), psi,
                         name="randpsi")
     return ext, ctx

@@ -56,6 +56,9 @@ class ComplexWindow:
 
 
 def validate_complex(c: ComplexWindow) -> list[str]:
+    """Terms are modules, each differential a module map between its two
+    terms, and d.d = 0.  validate_module keeps its verdict on the term, so a
+    window that repeats one term instance checks it once."""
     out = []
     for i in range(c.lo, c.hi + 1):
         bad = validate_module(c.term(i))

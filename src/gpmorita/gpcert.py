@@ -20,7 +20,7 @@ from .homology import (
     Resolution, ext_dim, global_dimension, is_projective, is_self_injective,
     minimal_resolution, projective_cover,
 )
-from .linalg import Mat, left_kernel, rank
+from .linalg import Mat, left_kernel, linear_combination, rank
 from .modules import (
     FDModule, ModuleHom, Undetermined, cokernel_of, direct_sum, dual_module,
     free_module, hom_space, is_isomorphic, kernel_of, regular_module,
@@ -105,12 +105,10 @@ def strip_projective_summands(x: FDModule, seed: int = 0):
                 continue
             candidates = [h.mat for h in basis]
             for _ in range(20):
-                m = Mat.zeros(F, mod.dim, cur.dim)
-                for h in basis:
-                    c = rng.randint(-2, 2) if F.is_rational else rng.randrange(F.p)
-                    if c:
-                        m = m.add(h.mat.scale(F.of_int(c)))
-                candidates.append(m)
+                coeffs = [F.of_int(rng.randint(-2, 2) if F.is_rational
+                                   else rng.randrange(F.p)) for _ in basis]
+                candidates.append(linear_combination(F, mod.dim, cur.dim, coeffs,
+                                                     [h.mat for h in basis]))
             from .complexes import solve_module_hom
             for u_mat in candidates:
                 if rank(u_mat) != mod.dim:

@@ -17,7 +17,7 @@ from .algebra import (
     Algebra, AlgebraError, corner_algebra, quotient_algebra, radical_basis,
 )
 from .fields import Field
-from .linalg import Mat, left_kernel, rank, row_space, solve_left
+from .linalg import Mat, left_kernel, linear_combination, rank, row_space, solve_left
 from .modules import (
     FDModule, hom_space, regular_module, submodule_from_rows,
 )
@@ -385,10 +385,8 @@ def _idempotent_endo(b: Algebra, endos, seed: int) -> Mat | None:
     E = Algebra(F, k, mul, unit.row(0), name="End")
     prims = primitive_idempotents_semisimple(E, seed)
     coeffs, _ = prims[0]
-    out = Mat.zeros(F, ident.rows, ident.cols)
-    for c, h in zip(coeffs, endos):
-        if not F.is_zero(c):
-            out = out.add(h.mat.scale(c))
+    out = linear_combination(F, ident.rows, ident.cols, coeffs,
+                             [h.mat for h in endos])
     if rank(out) == ident.rows:
         return None
     return out

@@ -3,7 +3,8 @@
 This is the only module that reads or writes matrix entries.  Every
 other module works with whole matrices: arithmetic, Kronecker products,
 stacking, `from_blocks` assembly, `block` slicing, `reshape`/`flatten`,
-`to_rows`, `row` and `trace`, and two builders for matrix-shaped jobs,
+`to_rows`, `row` and `trace`, and three builders for matrix-shaped jobs,
+`linear_combination` (the action of an algebra element),
 `intertwining_system` (hom spaces and balanced-tensor relations) and
 `quotient_maps` (quotient coordinates).  A change of entry storage stays
 inside this file.
@@ -480,16 +481,74 @@ def quotient_maps(rel_rows: Mat) -> tuple[Mat, Mat]:
     return proj, sec
 
 
+def linear_combination(field: Field, rows: int, cols: int, coeffs: list,
+                       mats: list[Mat]) -> Mat:
+    """sum_t coeffs[t] * mats[t], for rows x cols matrices, in one pass over
+    the integer lifts (Q) or the entries (F_p).  Zero coefficients are
+    skipped; a lone coefficient 1 returns its matrix itself."""
+    terms = [(c, m) for c, m in zip(coeffs, mats, strict=True) if c]
+    for _, m in terms:
+        if m.field is not field and m.field != field:
+            raise FieldMismatch("linear_combination over mixed fields")
+        if (m.rows, m.cols) != (rows, cols):
+            raise ValueError("shape mismatch in linear_combination")
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    if field.is_rational:
+        lifted = [(c, _lift(m)) for c, m in terms]
+        den = lcm(*(c.denominator * d for c, (_, d) in lifted))
+        scaled = [(c.numerator * (den // (c.denominator * d)), r)
+                  for c, (r, d) in lifted]
+    else:
+        scaled = [(c, m.data) for c, m in terms]
+    acc = [[0] * cols for _ in range(rows)]
+    for f, mrows in scaled:
+        acc = [[s + f * x for s, x in zip(ar, r)] for ar, r in zip(acc, mrows)]
+    if field.is_rational:
+        return Mat(field, _drop(acc, den), cols)
+    p = field.p
+    return Mat(field, [[s % p for s in r] for r in acc], cols)
+
+
 def intertwining_system(field: Field, dp: int, dq: int, ps: list[Mat],
                         qs: list[Mat]) -> Mat:
     """The stacked rows P_t (x) 1 - 1 (x) Q_t, for P_t dp x dp and Q_t
     dq x dq: a dp*dq vector v, read row-major as a dp x dq matrix V, is
     in its right kernel exactly when P_t V = V Q_t^T for every t.  With
     Q_t = Y_t^T that is the module-hom condition X_t V = V Y_t; with
-    Q_t = L_t the rows are the middle relations of a balanced tensor."""
-    eye_p, eye_q = Mat.identity(field, dp), Mat.identity(field, dq)
-    blocks = [p.kron(eye_q).sub(eye_p.kron(q)) for p, q in zip(ps, qs, strict=True)]
-    return Mat.vstack(blocks) if blocks else Mat.zeros(field, 0, dp * dq)
+    Q_t = L_t the rows are the middle relations of a balanced tensor.
+
+    Row (i, k) holds P_t[i][j] at column (j, k) and -Q_t[k][l] at column
+    (i, l), so each row is written from the nonzeros of row i of P_t and
+    row k of Q_t: over Q on integer lifts over one common denominator,
+    over F_p reducing only the cells that receive a Q_t entry."""
+    n = dp * dq
+    if field.is_rational:
+        lifts = [_lift(m) for m in (*ps, *qs)]
+        den = lcm(*(d for _, d in lifts))
+        ints = [[[x * (den // d) for x in r] for r in rows] for rows, d in lifts]
+        p_rows, q_rows = ints[:len(ps)], ints[len(ps):]
+    else:
+        p_rows, q_rows = [m.data for m in ps], [m.data for m in qs]
+    p = field.p
+    out = []
+    for prow, qrow in zip(p_rows, q_rows, strict=True):
+        pnz = [[(j * dq, x) for j, x in enumerate(r) if x] for r in prow]
+        qnz = [[(l, y) for l, y in enumerate(r) if y] for r in qrow]
+        for i in range(dp):
+            base = i * dq
+            for k in range(dq):
+                row = [0] * n
+                for c, x in pnz[i]:
+                    row[c + k] = x
+                if p is None:
+                    for l, y in qnz[k]:
+                        row[base + l] -= y
+                else:
+                    for l, y in qnz[k]:
+                        row[base + l] = (row[base + l] - y) % p
+                out.append(row)
+    return Mat(field, _drop(out, den) if field.is_rational else out, n)
 
 
 def left_kernel(m: Mat) -> Mat:

@@ -6,6 +6,16 @@ composite "first f then g" is fg, and a left-module structure satisfies
 act(ab) = act(b) @ act(a) as matrices (the one place the row convention
 shows a reversal; homs and all displayed block matrices transcribe with
 no transposes).
+
+Module laws and hom conditions are checked on the algebra's generators
+(`generating_subset`) only.  Once the unit acts as the identity, the
+elements s with act(s b) = act(b) @ act(s) for every basis element b form
+a subalgebra: it is a subspace, holds 1, and for s, s' in it
+act(s s' b) = act(s' b) @ act(s) = act(b) @ act(s') @ act(s)
+= act(b) @ act(s s').  So the law holds on all of A once it holds for the
+generators, and |G| * dim checks replace dim^2.  Likewise, when both ends
+are modules, the elements whose actions a linear map intertwines form a
+subalgebra, so a map that intertwines the generators is a module map.
 """
 from __future__ import annotations
 
@@ -16,7 +26,7 @@ from itertools import product as iter_product
 from .algebra import Algebra, generating_subset
 from .linalg import (
     Mat, in_row_space, intertwining_system, kernel_basis, left_kernel,
-    quotient_maps, rank, row_space, solve, solve_left,
+    linear_combination, quotient_maps, rank, row_space, solve, solve_left,
 )
 
 
@@ -34,7 +44,6 @@ class FDModule:
     dim: int
     acts: list[Mat]
     name: str = ""
-    _gen_cache: list[int] | None = dc_field(default=None, repr=False)
     _cache: dict = dc_field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -48,31 +57,30 @@ class FDModule:
         return f"FDModule({self.name or '?'}, dim={self.dim} over {self.algebra.name or '?'})"
 
     def act_of(self, coeffs: list) -> Mat:
-        out = Mat.zeros(self.algebra.field, self.dim, self.dim)
-        for t, c in enumerate(coeffs):
-            if not self.algebra.field.is_zero(c):
-                out = out.add(self.acts[t].scale(c))
-        return out
+        return linear_combination(self.algebra.field, self.dim, self.dim,
+                                  coeffs, self.acts)
 
     def gens(self) -> list[int]:
-        if self._gen_cache is None:
-            self._gen_cache = generating_subset(self.algebra)
-        return self._gen_cache
+        return generating_subset(self.algebra)
 
 
 def validate_module(x: FDModule) -> list[str]:
-    out = []
-    a = x.algebra
-    ident = Mat.identity(a.field, x.dim)
-    if x.act_of(a.unit) != ident:
-        out.append("unit does not act as identity")
-    for i in range(a.dim):
-        for j in range(a.dim):
-            # act(b_i b_j) = act(b_j) @ act(b_i) under the row convention
-            if x.act_of(a.mul[i][j]) != x.acts[j] @ x.acts[i]:
-                out.append(f"action not multiplicative at ({i},{j})")
-                return out
-    return out
+    """The module laws x violates: the unit must act as the identity, and
+    act(b_g b_j) = act(b_j) @ act(b_g) (the row convention) must hold for
+    every generator g and every basis element j; the first failing pair
+    (g, j) is named.  The verdict is stored on x, so each instance is
+    checked once; every call returns a fresh list."""
+    hit = x._cache.get("violations")
+    if hit is None:
+        a = x.algebra
+        hit = []
+        if x.act_of(a.unit) != Mat.identity(a.field, x.dim):
+            hit.append("unit does not act as identity")
+        hit += next(([f"action not multiplicative at ({g},{j})"]
+                     for g in x.gens() for j in range(a.dim)
+                     if x.act_of(a.mul[g][j]) != x.acts[j] @ x.acts[g]), [])
+        x._cache["violations"] = hit
+    return hit[:]
 
 
 def zero_module(a: Algebra) -> FDModule:
@@ -119,9 +127,12 @@ class ModuleHom:
         return self.mat.is_zero()
 
     def intertwines(self) -> bool:
+        """Whether mat is a module map, checked on the generators only.
+        Precondition: source and target are modules (validate_module finds
+        nothing); on other actions the answer means nothing."""
         x, y = self.source, self.target
         return all(x.acts[t] @ self.mat == self.mat @ y.acts[t]
-                   for t in range(x.algebra.dim))
+                   for t in x.gens())
 
 
 def identity_hom(x: FDModule) -> ModuleHom:
@@ -286,10 +297,8 @@ def _invertible_in_span(basis_blocks: list[list[Mat]], seed: int, trials: int,
     sizes = [m.rows for m in basis_blocks[0]]
 
     def invertible_combo(coeffs):
-        blocks = [Mat.zeros(F, n, n) for n in sizes]
-        for c, basis_el in zip(coeffs, basis_blocks):
-            if not F.is_zero(c):
-                blocks = [m.add(b.scale(c)) for m, b in zip(blocks, basis_el)]
+        blocks = [linear_combination(F, n, n, coeffs, [el[b] for el in basis_blocks])
+                  for b, n in enumerate(sizes)]
         if all(rank(m) == n for m, n in zip(blocks, sizes)):
             return blocks
         return None

@@ -6,8 +6,12 @@ exactness and Hom-complex exactness are recomputed from ranks, and
 periodicity is checked against the stored window.  It keeps its own
 Hom-complex assembly rather than the builder's.  Shared ground is the
 exact linear algebra, the module, hom and complex-window containers, the
-dual and regular modules, and one solver: hom_space for bases of Hom
-spaces.
+dual and regular modules, validate_module, and one solver: hom_space for
+bases of Hom spaces.
+
+`ModuleHom.intertwines` and `hom_space` work on the algebra's generators,
+which is sound only between modules, so every module of a certificate is
+put through validate_module before any map into or out of it is trusted.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ from .algebra import opposite_algebra
 from .complexes import ComplexWindow
 from .linalg import Mat, in_row_space, left_kernel, rank, solve_left
 from .modules import (
-    FDModule, ModuleHom, dual_module, hom_space, regular_module,
+    FDModule, ModuleHom, dual_module, hom_space, regular_module, validate_module,
 )
 from .gpcert import GPCertificate, NotGPWitness
 
@@ -54,6 +58,16 @@ def _presentation_splits(m: FDModule) -> bool:
     blocks = [phi.block(i * a.dim, (i + 1) * a.dim, 0, n) for i in range(n)]
     system = Mat.vstack([(h.mat @ phi_i).flatten() for phi_i in blocks for h in homs])
     return solve_left(system, Mat.identity(F, n).flatten()) is not None
+
+
+def _non_module(label: str, mods: list[FDModule], first: int = 0) -> str | None:
+    """A message naming the first of mods (labelled first, first + 1, ...)
+    that breaks a module law, or None."""
+    for i, m in enumerate(mods, first):
+        bad = validate_module(m)
+        if bad:
+            return f"{label} {i} is not a module: {bad[0]}"
+    return None
 
 
 def _window_is_complex(wc: ComplexWindow) -> str | None:
@@ -154,6 +168,10 @@ def _verify_right_tail_chain(x: FDModule, steps, upto: int) -> str | None:
         st = steps[j]
         if st.stage.dim != cur.dim or st.stage.acts != cur.acts:
             return f"chain stage {j} does not match"
+        msg = (_non_module("chain stage", [st.stage], j)
+               or _non_module("approximation target", [st.target], j))
+        if msg:
+            return msg
         if not st.alpha.intertwines():
             return f"approximation {j} is not a module map"
         if rank(st.alpha.mat) != st.stage.dim:
@@ -178,11 +196,14 @@ def verify_certificate(cert: GPCertificate, x: FDModule) -> list[str]:
     out = []
     if cert.module.dim != x.dim or cert.module.acts != x.acts:
         return ["certificate is about a different module"]
+    bad = validate_module(x)
+    if bad:
+        return [f"the certified module is not a module: {bad[0]}"]
     if cert.verdict == "gp":
         wc, ki = cert.window, cert.kernel_ident
         if wc is None or ki is None:
             return ["gp certificate lacks its window"]
-        msg = _window_is_complex(wc)
+        msg = _non_module("term", wc.terms, wc.lo) or _window_is_complex(wc)
         if msg:
             return [msg]
         for i in range(wc.lo, wc.hi + 1):
@@ -220,6 +241,9 @@ def verify_certificate(cert: GPCertificate, x: FDModule) -> list[str]:
             expected = x if not w.steps else w.steps[-1].coker_proj.target
             if stage.dim != expected.dim or stage.acts != expected.acts:
                 return ["witness stage does not continue the chain"]
+            msg = _non_module("witness stage", [stage], len(w.steps or []))
+            if msg:
+                return [msg]
             if not w.alpha.intertwines():
                 return ["witness approximation is not a module map"]
             if not _approximation_property(w.alpha):
@@ -253,6 +277,9 @@ def _verify_ext_witness(x: FDModule, w: NotGPWitness) -> list[str]:
         return ["witness resolution is misassembled"]
     if res.module.dim != x.dim or res.module.acts != x.acts:
         return ["witness resolution resolves a different module"]
+    msg = _non_module("witness resolution term", res.terms)
+    if msg:
+        return [msg]
     for t in res.terms:
         if not projective_by_splitting(t):
             return ["witness resolution has a non-projective term"]

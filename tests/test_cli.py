@@ -174,6 +174,56 @@ def test_verify_report_on_certificates(tmp_path, capsys):
                str(rep_path))[0] == 1
 
 
+def _tampered_report(tmp_path, capsys, problem, certify_args, tamper):
+    """A certify-gp report, tampered in place by tamper(certificate), and
+    what verify-report then says about it."""
+    code, out = run(capsys, "certify-gp", problem, *certify_args, "--json")
+    rep = json.loads(out)
+    assert rep["verdict"] == "gp"
+    tamper(rep["certificate"])
+    rep_path = tmp_path / "tampered.json"
+    rep_path.write_text(json.dumps(rep))
+    code, out = run(capsys, "verify-report", problem, "--report", str(rep_path),
+                    "--json")
+    return code, json.loads(out)["problems"]
+
+
+def test_verify_report_rejects_a_non_multiplicative_window_term(tmp_path, capsys):
+    # k[x]/x^3: x generates, so a module whose x^2 acts as zero breaks the
+    # law act(x x) = act(x) act(x) on the pair (x, x) only
+    mul = [[[int(i + j == k) for k in range(3)] for j in range(3)] for i in range(3)]
+    doc = {"field": "Q", "algebras": {"A3": {"dim": 3, "mul": mul, "unit": [1, 0, 0]}},
+           "modules": {"S": {"algebra": "A3", "dim": 1, "acts": [
+               {"rows": 1, "cols": 1, "entries": [e]} for e in (1, 0, 0)]}}}
+    problem = tmp_path / "kx3.json"
+    problem.write_text(json.dumps(doc))
+
+    def zero_x2(cert):
+        for term in cert["window"]["terms"]:
+            term["acts"][2]["entries"] = [0] * len(term["acts"][2]["entries"])
+
+    code, problems = _tampered_report(tmp_path, capsys, str(problem),
+                                      ["--module", "S"], zero_x2)
+    assert code == 1
+    assert problems == ["term -6 is not a module: action not multiplicative at (1,1)"]
+
+
+def test_verify_report_rejects_a_non_unital_certificate(tmp_path, capsys):
+    # basis element 3 of ring(ctx) is the unit's B-corner summand; with its
+    # action zeroed on the module and every window term, every differential
+    # still intertwines every basis element
+    def zero_b3(cert):
+        for mod in [cert["module"], *cert["window"]["terms"]]:
+            mod["acts"][3]["entries"] = [0] * len(mod["acts"][3]["entries"])
+
+    code, problems = _tampered_report(tmp_path, capsys, fx("two_cycle.json"),
+                                      ["--context", "ctx", "--quadruple", "P1"],
+                                      zero_b3)
+    assert code == 1
+    assert problems == ["the certified module is not a module: unit does not act "
+                        "as identity"]
+
+
 def test_nc_tensor_build_and_iso(capsys):
     code, out = run(capsys, "nc-tensor", "build", fx("two_cycle.json"),
                     "--context", "ctx", "--json")

@@ -8,10 +8,16 @@ linear system of `quadruple_hom_space` with its kernel split into
 coordinates of a row span.  The new code must give equal matrices (`Mat ==`,
 same shape, same row order) and equal dimensions, over Q and GF(7), on the
 catalog contexts and on seeded random quadruples.
+
+Two whole-matrix builders are in turn checked against the dense formulas
+they replaced, on seeded random matrices: `intertwining_system` against
+P_t kron 1 - 1 kron Q_t, and `linear_combination` against a zero matrix
+plus one `add(scale(.))` per nonzero coefficient.
 """
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -22,7 +28,8 @@ from gpmorita.catalog import (
 )
 from gpmorita.fields import GF, QQ, Field
 from gpmorita.linalg import (
-    Mat, intertwining_system, kernel_basis, quotient_maps, rank, row_space, rref,
+    Mat, intertwining_system, kernel_basis, linear_combination, quotient_maps,
+    rank, row_space, rref,
 )
 from gpmorita.modules import ModuleHom, regular_module
 from gpmorita.morita import (
@@ -192,6 +199,21 @@ def _tensor_over_ring(rq, q: QuadrupleModule) -> int:
     return total - rank(rel)
 
 
+def _intertwining_system_kron(field: Field, dp: int, dq: int, ps: list[Mat],
+                              qs: list[Mat]) -> Mat:
+    eye_p, eye_q = Mat.identity(field, dp), Mat.identity(field, dq)
+    blocks = [p.kron(eye_q).sub(eye_p.kron(q)) for p, q in zip(ps, qs, strict=True)]
+    return Mat.vstack(blocks) if blocks else Mat.zeros(field, 0, dp * dq)
+
+
+def _act_of(F: Field, rows: int, cols: int, coeffs: list, mats: list[Mat]) -> Mat:
+    out = Mat.zeros(F, rows, cols)
+    for t, c in enumerate(coeffs):
+        if not F.is_zero(c):
+            out = out.add(mats[t].scale(c))
+    return out
+
+
 # -- cases ---------------------------------------------------------------------
 
 
@@ -256,3 +278,50 @@ def test_quotient_maps_match_on_random_spans(field):
         old_proj, old_sec = _quotient_maps(F, row_space(rel), cols)
         assert proj == old_proj and sec == old_sec
         assert sec @ proj == Mat.identity(F, proj.cols)
+
+
+def _random_scalar(F: Field, rng: random.Random):
+    """Zero half the time, else a small entry; over Q with denominator
+    1, 2 or 3."""
+    if rng.random() < 0.5:
+        return F.zero()
+    if F.is_rational:
+        return Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+    return F.of_int(rng.randrange(F.p))
+
+
+def _random_mat(F: Field, rng: random.Random, rows: int, cols: int) -> Mat:
+    return Mat.from_rows(F, [[_random_scalar(F, rng) for _ in range(cols)]
+                             for _ in range(rows)], cols)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_sparse_intertwining_system_matches_kron_formula(field):
+    F = FIELDS[field]()
+    rng = random.Random(11)
+    shapes = [(0, 0, 0), (2, 3, 0), (0, 3, 2), (3, 0, 1), (0, 0, 2)]
+    shapes += [(rng.randrange(0, 4), rng.randrange(0, 4), rng.randrange(0, 4))
+               for _ in range(60)]
+    for dp, dq, k in shapes:
+        ps = [_random_mat(F, rng, dp, dp) for _ in range(k)]
+        qs = [_random_mat(F, rng, dq, dq) for _ in range(k)]
+        new = intertwining_system(F, dp, dq, ps, qs)
+        assert new == _intertwining_system_kron(F, dp, dq, ps, qs)
+        assert (new.rows, new.cols) == (k * dp * dq, dp * dq)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_linear_combination_matches_add_scale_loop(field):
+    F = FIELDS[field]()
+    rng = random.Random(12)
+    for _ in range(80):
+        rows, cols, k = rng.randrange(0, 4), rng.randrange(0, 4), rng.randrange(0, 5)
+        mats = [_random_mat(F, rng, rows, cols) for _ in range(k)]
+        coeffs = [_random_scalar(F, rng) for _ in range(k)]
+        assert (linear_combination(F, rows, cols, coeffs, mats)
+                == _act_of(F, rows, cols, coeffs, mats))
+        if k:
+            # a lone unit coefficient hands back the matrix itself
+            t = rng.randrange(k)
+            unit = [F.one() if s == t else F.zero() for s in range(k)]
+            assert linear_combination(F, rows, cols, unit, mats) is mats[t]

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .fields import Field
 from .linalg import (
-    Mat, in_row_space, left_kernel, linear_combination, quotient_maps, row_space,
-    solve_left,
+    Mat, coordinates, in_row_space, left_kernel, linear_combination,
+    quotient_maps, row_space,
 )
 
 
@@ -178,21 +178,26 @@ def subalgebra(a: Algebra, rows: Mat, name: str = "") -> tuple[Algebra, Mat]:
     Returns (algebra on the canonical row-space basis, inclusion matrix).
     """
     basis = row_space(rows)
-    q = basis.rows
-    unit_c = solve_left(basis, Mat.from_rows(a.field, [a.unit], a.dim))
+    unit_c = coordinates(basis, Mat.from_rows(a.field, [a.unit], a.dim))
     if unit_c is None:
         raise AlgebraError("subalgebra does not contain the unit")
-    mul = []
-    for i in range(q):
-        rowi = []
-        for j in range(q):
-            prod = a.multiply(basis.row(i), basis.row(j))
-            c = solve_left(basis, Mat.from_rows(a.field, [prod], a.dim))
-            if c is None:
-                raise AlgebraError(f"span not closed under multiplication at ({i},{j})")
-            rowi.append(c.row(0))
-        mul.append(rowi)
-    return Algebra(a.field, q, mul, unit_c.row(0), name=name), basis
+    mul = _products_in(a, basis, "span")
+    return Algebra(a.field, basis.rows, mul, unit_c.row(0), name=name), basis
+
+
+def _products_in(a: Algebra, basis: Mat, what: str) -> list:
+    """The structure constants of the products of the rows of `basis`, a
+    canonical row basis, in that basis, found in one batch; the first pair
+    (i, j) whose product leaves the span is named in the error."""
+    q = basis.rows
+    prods = Mat.from_rows(a.field, [a.multiply(basis.row(i), basis.row(j))
+                                    for i in range(q) for j in range(q)], a.dim)
+    c = coordinates(basis, prods)
+    if c is None:
+        i, j = next(divmod(r, q) for r in range(q * q) if coordinates(
+            basis, prods.block(r, r + 1, 0, a.dim)) is None)
+        raise AlgebraError(f"{what} not closed under multiplication at ({i},{j})")
+    return [[c.row(i * q + j) for j in range(q)] for i in range(q)]
 
 
 def corner_algebra(a: Algebra, eps: list, name: str = "") -> tuple[Algebra, Mat]:
@@ -203,21 +208,11 @@ def corner_algebra(a: Algebra, eps: list, name: str = "") -> tuple[Algebra, Mat]
     rows = row_space(Mat.from_rows(
         a.field, [a.multiply(a.multiply(eps, a.basis_el(i)), eps) for i in range(a.dim)],
         a.dim))
-    q = rows.rows
-    unit_c = solve_left(rows, Mat.from_rows(a.field, [eps], a.dim))
+    unit_c = coordinates(rows, Mat.from_rows(a.field, [eps], a.dim))
     if unit_c is None:
         raise AlgebraError("idempotent does not lie in its own corner")
-    mul = []
-    for i in range(q):
-        rowi = []
-        for j in range(q):
-            prod = a.multiply(rows.row(i), rows.row(j))
-            c = solve_left(rows, Mat.from_rows(a.field, [prod], a.dim))
-            if c is None:
-                raise AlgebraError("corner not closed under multiplication")
-            rowi.append(c.row(0))
-        mul.append(rowi)
-    return Algebra(a.field, q, mul, unit_c.row(0), name=name), rows
+    mul = _products_in(a, rows, "corner")
+    return Algebra(a.field, rows.rows, mul, unit_c.row(0), name=name), rows
 
 
 def quotient_algebra(a: Algebra, ideal_rows: Mat, name: str = "") -> tuple[Algebra, Mat]:

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 from .algebra import Algebra, generating_subset, opposite_algebra
 from .linalg import (
-    Mat, intertwining_system, linear_combination, quotient_maps, row_space, solve,
+    Mat, coordinates, intertwining_system, linear_combination, quotient_maps,
+    row_space, solve,
 )
 from .modules import FDModule, ModuleError, ModuleHom, validate_module
 
@@ -112,20 +113,15 @@ def outer_bimodule(v: FDModule, w_right: FDModule, name: str = "") -> Bimodule:
 
 def sub_bimodule_from_rows(m: Bimodule, rows: Mat, name: str = "") -> tuple[Bimodule, Mat]:
     """Sub-bimodule on the canonical basis of a two-sided invariant span."""
-    from .linalg import solve_left
     basis = row_space(rows)
-    la, ra = [], []
-    for t in range(m.left.dim):
-        c = solve_left(basis, basis @ m.left_acts[t])
+    k = basis.rows
+    acts = []
+    for side, mats in (("left", m.left_acts), ("right", m.right_acts)):
+        c = coordinates(basis, Mat.vstack([basis @ a for a in mats]))
         if c is None:
-            raise BimoduleError("span not invariant under the left action")
-        la.append(c)
-    for t in range(m.right.dim):
-        c = solve_left(basis, basis @ m.right_acts[t])
-        if c is None:
-            raise BimoduleError("span not invariant under the right action")
-        ra.append(c)
-    return Bimodule(m.left, m.right, basis.rows, la, ra, name=name), basis
+            raise BimoduleError(f"span not invariant under the {side} action")
+        acts.append([c.block(t * k, (t + 1) * k, 0, k) for t in range(len(mats))])
+    return Bimodule(m.left, m.right, k, acts[0], acts[1], name=name), basis
 
 
 def restrict_right(m: Bimodule, emb_rows: Mat, small: Algebra, name: str = "") -> Bimodule:
@@ -243,24 +239,18 @@ def hom_module(n: Bimodule, x: FDModule, name: str = "") -> tuple[FDModule, list
     if x.algebra is not n.left:
         raise BimoduleError("hom module: module must live over the left algebra")
     B = n.right
-    F = B.field
     basis = hom_space(n.as_left_module(), x)
     k = len(basis)
     if k == 0:
         from .modules import zero_module
         return zero_module(B), []
-    stacked = Mat.vstack([h.mat.flatten() for h in basis])
-    acts = []
-    from .linalg import solve_left
-    for t in range(B.dim):
-        rows = []
-        for h in basis:
-            moved = n.right_acts[t] @ h.mat      # (b.f) = R_b then f
-            c = solve_left(stacked, moved.flatten())
-            if c is None:
-                raise BimoduleError("Hom space not closed under the action")
-            rows.append(c.row(0))
-        acts.append(Mat.from_rows(F, rows, k))
+    # (b.f) = R_b then f, for every t and every h, in one batch
+    c = coordinates(Mat.vstack([h.mat.flatten() for h in basis]),
+                    Mat.vstack([(n.right_acts[t] @ h.mat).flatten()
+                                for t in range(B.dim) for h in basis]))
+    if c is None:
+        raise BimoduleError("Hom space not closed under the action")
+    acts = [c.block(t * k, (t + 1) * k, 0, k) for t in range(B.dim)]
     return FDModule(B, k, acts, name=name or f"Hom({n.name},{x.name})"), basis
 
 
@@ -317,7 +307,6 @@ def validate_balanced_map(f: BalancedMap) -> list[str]:
 def hom_functor_hom(n: Bimodule, h: ModuleHom) -> ModuleHom:
     """Hom(N, h): the pushforward Hom_A(N, X) -> Hom_A(N, X') along
     h: X -> X', on the canonical hom-module coordinates."""
-    from .linalg import solve_left
     src_mod, src_basis = hom_module(n, h.source)
     dst_mod, dst_basis = hom_module(n, h.target)
     F = n.right.field
@@ -325,11 +314,8 @@ def hom_functor_hom(n: Bimodule, h: ModuleHom) -> ModuleHom:
         return ModuleHom(src_mod, dst_mod, Mat.zeros(F, 0, len(dst_basis)))
     if not dst_basis:
         return ModuleHom(src_mod, dst_mod, Mat.zeros(F, len(src_basis), 0))
-    stacked = Mat.vstack([g.mat.flatten() for g in dst_basis])
-    rows = []
-    for f in src_basis:
-        c = solve_left(stacked, (f.mat @ h.mat).flatten())
-        if c is None:
-            raise BimoduleError("hom pushforward failed to express")
-        rows.append(c.row(0))
-    return ModuleHom(src_mod, dst_mod, Mat.from_rows(F, rows, len(dst_basis)))
+    c = coordinates(Mat.vstack([g.mat.flatten() for g in dst_basis]),
+                    Mat.vstack([(f.mat @ h.mat).flatten() for f in src_basis]))
+    if c is None:
+        raise BimoduleError("hom pushforward failed to express")
+    return ModuleHom(src_mod, dst_mod, c)

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Mat, intertwining_system, rank, solve, solve_left
+from .linalg import (
+    Mat, coordinates, intertwining_system, rank, solve, solve_left,
+)
 from .modules import (
     FDModule, ModuleHom, direct_sum, hom_space, image_of, kernel_of,
     regular_module, validate_module,
@@ -109,15 +111,12 @@ def hom_complex_data(c: ComplexWindow, y: FDModule):
         if not src or not dst:
             maps.append(Mat.zeros(F, len(src), len(dst)))
             continue
-        stacked = Mat.vstack([h.mat.flatten() for h in dst])
-        rows = []
-        for h in src:
-            comp = c.diff(i).mat @ h.mat
-            co = solve_left(stacked, comp.flatten())
-            if co is None:
-                raise ComplexError("hom complex map failed to express")
-            rows.append(co.row(0))
-        maps.append(Mat.from_rows(F, rows, len(dst)))
+        d = c.diff(i).mat
+        m = coordinates(Mat.vstack([h.mat.flatten() for h in dst]),
+                        Mat.vstack([(d @ h.mat).flatten() for h in src]))
+        if m is None:
+            raise ComplexError("hom complex map failed to express")
+        maps.append(m)
     return [len(b) for b in bases], maps
 
 

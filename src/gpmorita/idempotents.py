@@ -17,7 +17,9 @@ from .algebra import (
     Algebra, AlgebraError, corner_algebra, quotient_algebra, radical_basis,
 )
 from .fields import Field
-from .linalg import Mat, left_kernel, linear_combination, rank, row_space, solve_left
+from .linalg import (
+    Mat, coordinates, left_kernel, linear_combination, rank, row_space, solve_left,
+)
 from .modules import (
     FDModule, hom_space, regular_module, submodule_from_rows,
 )
@@ -368,18 +370,14 @@ def _idempotent_endo(b: Algebra, endos, seed: int) -> Mat | None:
     F = b.field
     k = len(endos)
     basis = Mat.vstack([h.mat.flatten() for h in endos])
-    mul = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            comp = endos[i].mat @ endos[j].mat
-            c = solve_left(basis, comp.flatten())
-            if c is None:
-                raise AlgebraError("endomorphisms not closed under composition")
-            row.append(c.row(0))
-        mul.append(row)
+    # the k*k composites in one batch, row i*k + j for endos[i] then endos[j]
+    c = coordinates(basis, Mat.vstack([(f.mat @ g.mat).flatten()
+                                       for f in endos for g in endos]))
+    if c is None:
+        raise AlgebraError("endomorphisms not closed under composition")
+    mul = [[c.row(i * k + j) for j in range(k)] for i in range(k)]
     ident = Mat.identity(F, endos[0].mat.rows)
-    unit = solve_left(basis, ident.flatten())
+    unit = coordinates(basis, ident.flatten())
     if unit is None:
         raise AlgebraError("identity endo missing from the endo space")
     E = Algebra(F, k, mul, unit.row(0), name="End")

@@ -10,16 +10,17 @@ and seed give byte-identical output.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import Algebra, validate_algebra
-from .bimodules import BalancedMap, Bimodule, validate_bimodule
-from .complexes import ComplexWindow
+from .bimodules import BalancedMap, Bimodule, BimoduleError, validate_bimodule
+from .complexes import ComplexError, ComplexWindow, validate_complex
 from .fields import Field, FieldSpec
 from .gpcert import GPCertificate, NotGPWitness, RightTailStep
 from .homology import Resolution
 from .linalg import Mat
-from .modules import FDModule, ModuleHom, validate_module
+from .modules import FDModule, ModuleError, ModuleHom, validate_module
 from .morita import MoritaContext, make_quadruple, validate_context
 from .trivext import recognize_trivial_extension
 
@@ -142,6 +143,17 @@ class Problem:
         return table[name]
 
 
+@contextmanager
+def _building(kind: str, name: str):
+    """Report a wrong shape or count met while building a named object
+    (an action matrix that disagrees with `dim`, say) as an input error
+    that names the object."""
+    try:
+        yield
+    except (ModuleError, BimoduleError, ComplexError) as e:
+        raise InputError(f"{kind} {name!r}: {e}") from e
+
+
 def load_problem(doc: dict) -> Problem:
     if not isinstance(doc, dict) or "field" not in doc:
         raise InputError("problem file needs a field spec")
@@ -157,8 +169,9 @@ def load_problem(doc: dict) -> Problem:
         prob.algebra_names[id(a)] = name
     for name, obj in (doc.get("modules") or {}).items():
         a = prob.algebra(obj.get("algebra", ""))
-        acts = [mat_from_json(F, m) for m in obj.get("acts", [])]
-        x = FDModule(a, obj.get("dim", 0), acts, name=name)
+        with _building("module", name):
+            acts = [mat_from_json(F, m) for m in obj.get("acts", [])]
+            x = FDModule(a, obj.get("dim", 0), acts, name=name)
         bad = validate_module(x)
         if bad:
             raise ValidationFailure(f"module {name!r} invalid: {bad[0]}")
@@ -166,11 +179,12 @@ def load_problem(doc: dict) -> Problem:
     for name, obj in (doc.get("bimodules") or {}).items():
         left = prob.algebra(obj.get("left", ""))
         right = prob.algebra(obj.get("right", ""))
-        b = Bimodule(left, right, obj.get("dim", 0),
-                     [mat_from_json(F, m) for m in obj.get("left_acts", [])],
-                     [mat_from_json(F, m) for m in obj.get("right_acts", [])],
-                     name=name)
-        bad = validate_bimodule(b)
+        with _building("bimodule", name):
+            b = Bimodule(left, right, obj.get("dim", 0),
+                         [mat_from_json(F, m) for m in obj.get("left_acts", [])],
+                         [mat_from_json(F, m) for m in obj.get("right_acts", [])],
+                         name=name)
+            bad = validate_bimodule(b)
         if bad:
             raise ValidationFailure(f"bimodule {name!r} invalid: {bad[0]}")
         prob.bimodules[name] = b
@@ -178,7 +192,8 @@ def load_problem(doc: dict) -> Problem:
         m = prob.named("bimodules", obj.get("m", ""))
         n = prob.named("bimodules", obj.get("n", ""))
         target = prob.algebra(obj.get("target", ""))
-        bm = BalancedMap(m, n, target, mat_from_json(F, obj["mat"]))
+        with _building("map", name):
+            bm = BalancedMap(m, n, target, mat_from_json(F, obj["mat"]))
         prob.maps[name] = bm
     for name, obj in (doc.get("contexts") or {}).items():
         ctx = MoritaContext(
@@ -210,16 +225,20 @@ def load_problem(doc: dict) -> Problem:
         prob.quadruples[name] = q
     for name, obj in (doc.get("complexes") or {}).items():
         a = prob.algebra(obj.get("algebra", ""))
-        terms = []
-        for k, t in enumerate(obj.get("terms", [])):
-            acts = [mat_from_json(F, m) for m in t.get("acts", [])]
-            terms.append(FDModule(a, t.get("dim", 0), acts,
-                                  name=f"{name}[{k}]"))
-        diffs = []
-        for k, d in enumerate(obj.get("diffs", [])):
-            diffs.append(ModuleHom(terms[k], terms[k + 1], mat_from_json(F, d)))
-        prob.complexes[name] = ComplexWindow(obj.get("lo", 0), obj.get("hi", 0),
-                                             terms, diffs)
+        with _building("complex", name):
+            terms = []
+            for k, t in enumerate(obj.get("terms", [])):
+                acts = [mat_from_json(F, m) for m in t.get("acts", [])]
+                terms.append(FDModule(a, t.get("dim", 0), acts,
+                                      name=f"{name}[{k}]"))
+            diffs = []
+            for k, d in enumerate(obj.get("diffs", [])):
+                diffs.append(ModuleHom(terms[k], terms[k + 1], mat_from_json(F, d)))
+            c = ComplexWindow(obj.get("lo", 0), obj.get("hi", 0), terms, diffs)
+        bad = validate_complex(c)
+        if bad:
+            raise ValidationFailure(f"complex {name!r} invalid: {bad[0]}")
+        prob.complexes[name] = c
     return prob
 
 

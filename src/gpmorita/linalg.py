@@ -3,11 +3,15 @@
 This is the only module that reads or writes matrix entries.  Every
 other module works with whole matrices: arithmetic, Kronecker products,
 stacking, `from_blocks` assembly, `block` slicing, `reshape`/`flatten`,
-`to_rows`, `row` and `trace`, and three builders for matrix-shaped jobs,
+`to_rows`, `row` and `trace`, and four builders for matrix-shaped jobs,
 `linear_combination` (the action of an algebra element),
-`intertwining_system` (hom spaces and balanced-tensor relations) and
-`quotient_maps` (quotient coordinates).  A change of entry storage stays
-inside this file.
+`intertwining_system` (hom spaces and balanced-tensor relations),
+`quotient_maps` (quotient coordinates) and `coordinates` (vectors
+expressed in a canonical basis).  `coordinates` needs a unit column in
+every basis row, a column that is 1 in that row and 0 in the others, as
+every `row_space`, `left_kernel` and transposed `kernel_basis` has; it
+reads the coordinates off those columns with no row reduction.  A change
+of entry storage stays inside this file.
 
 Matrices are row-major lists of field elements: `Fraction`s over Q, ints
 in [0, p) over F_p.  Row reduction is Gauss-Jordan over F_p and
@@ -612,6 +616,60 @@ def is_surjective(m: Mat) -> bool:
     return rank(m) == m.rows
 
 
+class NonCanonicalBasis(RuntimeError):
+    """`coordinates` got a basis with a row that has no unit column.  This
+    is an internal error, never an input error: every basis the package
+    hands it is a `row_space`, a `left_kernel` or a transposed
+    `kernel_basis`, or a column permutation of one."""
+
+
+def _unit_columns(rows: list[list[int]], one: int) -> list[int]:
+    """For each row i of int rows, the first column holding `one` in row i
+    and 0 in every other row."""
+    nonzeros = [len(col) - col.count(0) for col in zip(*rows)]
+    units = []
+    for i, row in enumerate(rows):
+        c = next((c for c, x in enumerate(row) if x == one and nonzeros[c] == 1),
+                 None)
+        if c is None:
+            raise NonCanonicalBasis(f"basis row {i} has no unit column")
+        units.append(c)
+    return units
+
+
+def coordinates(basis: Mat, vectors: Mat) -> Mat | None:
+    """The x with x @ basis == vectors, or None when some row of `vectors`
+    is outside the row space of `basis`.
+
+    Precondition: every row of `basis` has a unit column, a column that is
+    1 in that row and 0 in every other row.  A reduced echelon basis
+    (`row_space`, `left_kernel`) has one at each pivot, and a transposed
+    `kernel_basis` at each free column; a column permutation keeps them.
+    A basis without one raises `NonCanonicalBasis`.  The coordinates are
+    read off the unit columns, with no elimination, and one product over
+    the whole batch proves the read exact."""
+    if basis.field is not vectors.field and basis.field != vectors.field:
+        raise FieldMismatch("coordinates over mixed fields")
+    if basis.cols != vectors.cols:
+        raise ValueError("coordinates: column counts differ")
+    F = basis.field
+    n = basis.cols
+    if F.is_rational:
+        (rb, db), (rv, dv) = _lift(basis), _lift(vectors)
+        units = _unit_columns(rb, db)
+        prod = _matmul_rows([[r[c] for c in units] for r in rv], rb, n, None)
+        exact = all(got == [y * db for y in r] for got, r in zip(prod, rv))
+    else:
+        units = _unit_columns(basis.data, 1)
+        prod = _matmul_rows([[r[c] for c in units] for r in vectors.data],
+                            basis.data, n, F.p)
+        exact = prod == vectors.data
+    if not exact:
+        return None
+    return Mat(F, [[r[c] for c in units] for r in vectors.data], len(units))
+
+
 def in_row_space(basis: Mat, vectors: Mat) -> bool:
-    """True when every row of `vectors` lies in the row space of `basis`."""
-    return solve_left(basis, vectors) is not None
+    """True when every row of `vectors` lies in the row space of `basis`,
+    a basis with unit columns (see `coordinates`)."""
+    return coordinates(basis, vectors) is not None

@@ -25,8 +25,9 @@ from itertools import product as iter_product
 
 from .algebra import Algebra, generating_subset
 from .linalg import (
-    Mat, in_row_space, intertwining_system, kernel_basis, left_kernel,
-    linear_combination, quotient_maps, rank, row_space, solve, solve_left,
+    Mat, coordinates, in_row_space, intertwining_system, kernel_basis,
+    left_kernel, linear_combination, quotient_maps, rank, row_space, solve,
+    solve_left,
 )
 
 
@@ -177,14 +178,12 @@ def hom_dim(x: FDModule, y: FDModule) -> int:
 def submodule_from_rows(x: FDModule, rows: Mat, name: str = "") -> tuple[FDModule, ModuleHom]:
     """Submodule on the canonical basis of an invariant row span."""
     basis = row_space(rows)
-    acts = []
-    for t in range(x.algebra.dim):
-        moved = basis @ x.acts[t]
-        coeffs = solve_left(basis, moved)
-        if coeffs is None:
-            raise ModuleError("row span is not invariant under the action")
-        acts.append(coeffs)
-    sub = FDModule(x.algebra, basis.rows, acts, name=name)
+    k = basis.rows
+    coeffs = coordinates(basis, Mat.vstack([basis @ m for m in x.acts]))
+    if coeffs is None:
+        raise ModuleError("row span is not invariant under the action")
+    acts = [coeffs.block(t * k, (t + 1) * k, 0, k) for t in range(x.algebra.dim)]
+    sub = FDModule(x.algebra, k, acts, name=name)
     return sub, ModuleHom(sub, x, basis)
 
 

@@ -18,8 +18,8 @@ from .bimodules import (
 )
 from .fields import Field
 from .linalg import (
-    Mat, in_row_space, intertwining_system, kernel_basis, quotient_maps, rank,
-    row_space, solve, solve_left,
+    Mat, coordinates, in_row_space, intertwining_system, kernel_basis,
+    quotient_maps, rank, row_space, solve,
 )
 from .modules import (
     FDModule, ModuleHom, _invertible_in_span, cokernel_of, identity_hom,
@@ -422,26 +422,25 @@ def module_to_quadruple(mr: MoritaRing, v: FDModule, name: str = "") -> Quadrupl
     mods = []
     for rows, alg, embed, (tag, letter) in zip(
             parts, (ctx.A, ctx.B), (mr.embed_a, mr.embed_b), ("XA", "YB")):
-        acts = []
-        for t in range(alg.dim):
-            c = solve_left(rows, rows @ v.act_of(embed(alg.basis_el(t))))
-            if c is None:
-                raise ContextError(f"{tag}-part is not {letter}-invariant")
-            acts.append(c)
-        mods.append(FDModule(alg, rows.rows, acts, name=f"{name}|{tag}"))
+        k = rows.rows
+        c = coordinates(rows, Mat.vstack([rows @ v.act_of(embed(alg.basis_el(t)))
+                                          for t in range(alg.dim)]))
+        if c is None:
+            raise ContextError(f"{tag}-part is not {letter}-invariant")
+        acts = [c.block(t * k, (t + 1) * k, 0, k) for t in range(alg.dim)]
+        mods.append(FDModule(alg, k, acts, name=f"{name}|{tag}"))
     # f on the full tensor space: m_s (x) x_j |-> (embed m_s) . x_j; then g
     fulls = []
     for src, dst, bim, embed, (tag, part) in zip(
             parts, parts[::-1], (ctx.M, ctx.N), (mr.embed_m, mr.embed_n),
             ("MY", "NX")):
-        rows = []
-        for s in range(bim.dim):
-            c = solve_left(dst, src @ v.act_of(embed(_unit_list(F, bim.dim, s))))
-            if c is None:
-                raise ContextError(f"{tag}-action does not land in the {part}-part")
-            rows.extend(c.to_rows())
-        fulls.append(Mat.from_rows(F, rows, dst.rows) if rows
-                     else Mat.zeros(F, 0, dst.rows))
+        images = [src @ v.act_of(embed(_unit_list(F, bim.dim, s)))
+                  for s in range(bim.dim)]
+        c = coordinates(dst, Mat.vstack(images) if images
+                        else Mat.zeros(F, 0, v.dim))
+        if c is None:
+            raise ContextError(f"{tag}-action does not land in the {part}-part")
+        fulls.append(c)
     return make_quadruple(ctx, mods[0], mods[1], fulls[0], fulls[1], name=name)
 
 
@@ -600,17 +599,16 @@ def zeta_full(ctx: MoritaContext, x: FDModule, hom_basis) -> Mat:
     k = len(hom_basis)
     if k == 0:
         return Mat.zeros(F, dM * dX, 0)
-    stacked = Mat.vstack([h.mat.flatten() for h in hom_basis])
-    rows = []
+    flats = []
     for i in range(dM):
         acts = [x.act_of(ctx.psi.value(t, i)) for t in range(dN)]
         for v in range(dX):
-            hmat = Mat.from_rows(F, [acts[t].row(v) for t in range(dN)], dX)
-            c = solve_left(stacked, hmat.flatten())
-            if c is None:
-                raise ContextError("zeta image is not an intertwiner")
-            rows.append(c.row(0))
-    return Mat.from_rows(F, rows, k) if rows else Mat.zeros(F, 0, k)
+            flats.append([e for t in range(dN) for e in acts[t].row(v)])
+    c = coordinates(Mat.vstack([h.mat.flatten() for h in hom_basis]),
+                    Mat.from_rows(F, flats, dN * dX))
+    if c is None:
+        raise ContextError("zeta image is not an intertwiner")
+    return c
 
 
 def evaluation_full(field: Field, outer_dim: int, hom_basis, target_dim: int) -> Mat:
@@ -713,16 +711,15 @@ def f_tilde(q: QuadrupleModule) -> ModuleHom:
     k = len(basis)
     if k == 0:
         return zero_hom(q.x, target)
-    stacked = Mat.vstack([h.mat.flatten() for h in basis])
-    rows = []
-    for j in range(q.x.dim):
-        hmat = Mat.from_rows(F, [big.row(i * q.x.dim + j) for i in range(ctx.M.dim)],
-                             q.y.dim)
-        c = solve_left(stacked, hmat.flatten())
-        if c is None:
-            raise ContextError("adjoint mate failed to express")
-        rows.append(c.row(0))
-    return ModuleHom(q.x, target, Mat.from_rows(F, rows, k))
+    dx, dy = q.x.dim, q.y.dim
+    # row j: the map m_i |-> (m_i (x) x_j) f, rows i of M stacked flat
+    flats = [[e for i in range(ctx.M.dim) for e in big.row(i * dx + j)]
+             for j in range(dx)]
+    c = coordinates(Mat.vstack([h.mat.flatten() for h in basis]),
+                    Mat.from_rows(F, flats, ctx.M.dim * dy))
+    if c is None:
+        raise ContextError("adjoint mate failed to express")
+    return ModuleHom(q.x, target, c)
 
 
 def p_a(q: QuadrupleModule) -> tuple[FDModule, ModuleHom]:

@@ -19,7 +19,7 @@ from .bimodules import (
 from .engine import (
     CompatVerdict, EngineError, build_total_resolution, check_conditions,
 )
-from .linalg import Mat, rank, solve_left
+from .linalg import Mat, coordinates, rank
 from . import morita
 from .morita import (
     MoritaContext, MoritaRing, QuadrupleModule, build_ring, swap_context,
@@ -69,7 +69,7 @@ def build_exact_context(ctx: MoritaContext, mr: MoritaRing | None = None) -> Exa
     r_rows = block_rows([(offA, dA), (offB, dB)])
     s_rows = block_rows([(offA, dA), (offN, dN), (offB, dB)])
     t_rows = block_rows([(offA, dA), (offM, dM), (offB, dB)])
-    rho = Mat.hstack([solve_left(s_rows, r_rows), solve_left(t_rows, r_rows)])
+    rho = Mat.hstack([coordinates(s_rows, r_rows), coordinates(t_rows, r_rows)])
     delta = Mat.vstack([s_rows, t_rows.neg()])
     exact = ((rho @ delta).is_zero()
              and rank(rho) == r_rows.rows

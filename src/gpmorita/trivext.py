@@ -17,7 +17,7 @@ from .bimodules import (
     sub_bimodule_from_rows, tensor_functor_hom, tensor_module,
 )
 from .linalg import (
-    Mat, in_row_space, quotient_maps, rank, row_space, solve, solve_left,
+    Mat, coordinates, in_row_space, quotient_maps, rank, row_space, solve,
 )
 from .modules import (
     FDModule, ModuleHom, cokernel_of, corestrict, hom_space, image_of,
@@ -108,22 +108,17 @@ def recognize_trivial_extension(a: Algebra, lam_rows: Mat, ideal_rows: Mat,
                 raise ExtensionError("ideal does not square to zero")
     lam, _ = subalgebra(a, L, name=name or "Lambda")   # checks closure and unit
     # the ideal as a (Lambda, Lambda)-bimodule
-    la, ra = [], []
-    for t in range(lam.dim):
-        el = L.row(t)
-        lmoved = Mat.from_rows(F, [a.multiply(el, I.row(r)) for r in range(I.rows)],
-                               a.dim)
-        c = solve_left(I, lmoved)
+    k = I.rows
+    acts = []
+    for left in (True, False):
+        moved = [a.multiply(L.row(t), I.row(r)) if left else
+                 a.multiply(I.row(r), L.row(t))
+                 for t in range(lam.dim) for r in range(k)]
+        c = coordinates(I, Mat.from_rows(F, moved, a.dim))
         if c is None:
             raise ExtensionError("ideal is not stable under the subring")
-        la.append(c)
-        rmoved = Mat.from_rows(F, [a.multiply(I.row(r), el) for r in range(I.rows)],
-                               a.dim)
-        c2 = solve_left(I, rmoved)
-        if c2 is None:
-            raise ExtensionError("ideal is not stable under the subring")
-        ra.append(c2)
-    ideal = Bimodule(lam, lam, I.rows, la, ra, name="I")
+        acts.append([c.block(t * k, (t + 1) * k, 0, k) for t in range(lam.dim)])
+    ideal = Bimodule(lam, lam, k, acts[0], acts[1], name="I")
     cinv = solve(combined, Mat.identity(F, a.dim))
     proj = cinv.block(0, cinv.rows, 0, lam.dim)
     return TrivialExtension(lam, ideal, a, L, proj, I)
@@ -159,16 +154,16 @@ def induced_module_parts(ext: TrivialExtension, x: FDModule, name: str = ""):
     dX, dIX = x.dim, ix_t.module.dim
     dim = dX + dIX
     eye_x = Mat.identity(F, dX)
+    # row t: the ideal part b_t - lambda_t of basis element t, in I's basis
+    i_cs = coordinates(ext.ideal_rows, Mat.identity(F, ext.A.dim).sub(
+        ext.proj_rows @ ext.incl_rows))
+    if i_cs is None:
+        raise ExtensionError("basis element does not split as (lambda, i)")
     acts = []
     for t in range(ext.A.dim):
         lam_c = ext.proj_rows.row(t)
-        rest = [F.sub(u, v) for u, v in
-                zip(ext.A.basis_el(t),
-                    (Mat.from_rows(F, [lam_c], ext.Lam.dim) @ ext.incl_rows).row(0))]
-        i_c = solve_left(ext.ideal_rows, Mat.from_rows(F, [rest], ext.A.dim))
-        if i_c is None:
-            raise ExtensionError("basis element does not split as (lambda, i)")
         # the ideal part sends v to the class of i_c (x) v
+        i_c = i_cs.block(t, t + 1, 0, i_cs.cols)
         ideal_part = i_c.kron(eye_x) @ ix_t.proj
         acts.append(Mat.from_blocks(F, [dX, dIX], [dX, dIX],
                                     [[x.act_of(lam_c), ideal_part],
@@ -186,7 +181,7 @@ def m_tensor_lambda(ext: TrivialExtension, ctx: MoritaContext, x: FDModule,
 
 def psi_ideal_coords(ext: TrivialExtension, ctx: MoritaContext) -> Mat:
     """psi with values written in ideal coordinates: (N (x)_k M) -> I."""
-    c = solve_left(ext.ideal_rows, ctx.psi.mat)
+    c = coordinates(ext.ideal_rows, ctx.psi.mat)
     if c is None:
         raise ExtensionError("im(psi) does not lie in the extension ideal")
     return c
@@ -388,7 +383,7 @@ def _psi_tensor_one(ctx: MoritaContext, sm: StructuralMaps, nmu: TensorModule) -
     F = ctx.A.field
     dN, dM, dU = ctx.N.dim, ctx.M.dim, sm.u.dim
     I = ctx.ideal_rows_a()
-    psi_i = solve_left(I, ctx.psi.mat)
+    psi_i = coordinates(I, ctx.psi.mat)
     if psi_i is None:
         raise ContextError("im(psi) escapes its own row space")
     rows = []
@@ -448,21 +443,21 @@ def _transport_check(F, n_dom: int, images, cod: list,
     a genuine (quadruple) map and lie in the span of the target hom basis
     `cod`.  Their coordinates form the transport matrix, which must be
     bijective, or only injective when `injective_only`."""
-    stacked = Mat.vstack([_flat(g) for g in cod]) if cod else None
-    rows = []
+    targets = []
     ok = True
     for h in images:
         ok = ok and (h.intertwines() if isinstance(h, ModuleHom)
                      else validate_quadruple_hom(h) == [])
-        target = _flat(h)
-        if stacked is not None:
-            c = solve_left(stacked, target)
-        else:
-            c = None if not target.is_zero() else Mat.zeros(F, 1, 0)
-        if c is None:
-            return HomIsoCheck(n_dom, len(cod), False, False)
-        rows.append(c.row(0))
-    mat = Mat.from_rows(F, rows, len(cod)) if rows else Mat.zeros(F, 0, len(cod))
+        targets.append(_flat(h))
+    if not targets:
+        mat = Mat.zeros(F, 0, len(cod))
+    elif cod:
+        mat = coordinates(Mat.vstack([_flat(g) for g in cod]), Mat.vstack(targets))
+    else:
+        mat = (None if any(not t.is_zero() for t in targets)
+               else Mat.zeros(F, len(targets), 0))
+    if mat is None:
+        return HomIsoCheck(n_dom, len(cod), False, False)
     if injective_only:
         return HomIsoCheck(n_dom, len(cod), ok, rank(mat) == n_dom)
     bij = n_dom == len(cod) and rank(mat) == n_dom

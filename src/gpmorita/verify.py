@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .algebra import opposite_algebra
 from .complexes import ComplexWindow
-from .linalg import Mat, in_row_space, left_kernel, rank, solve_left
+from .linalg import Mat, coordinates, in_row_space, left_kernel, rank, solve_left
 from .modules import (
     FDModule, ModuleHom, dual_module, hom_space, regular_module, validate_module,
 )
@@ -103,14 +103,11 @@ def _hom_complex(terms: list[FDModule], diffs: list[ModuleHom], y: FDModule):
         if not src or not dst:
             maps.append(Mat.zeros(F, len(src), len(dst)))
             continue
-        stacked = Mat.vstack([h.mat.flatten() for h in dst])
-        rows = []
-        for h in src:
-            c = solve_left(stacked, (d.mat @ h.mat).flatten())
-            if c is None:
-                return None
-            rows.append(c.row(0))
-        maps.append(Mat.from_rows(F, rows, len(dst)))
+        m = coordinates(Mat.vstack([h.mat.flatten() for h in dst]),
+                        Mat.vstack([(d.mat @ h.mat).flatten() for h in src]))
+        if m is None:
+            return None
+        maps.append(m)
     return [len(b) for b in bases], maps
 
 

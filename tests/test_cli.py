@@ -66,6 +66,36 @@ def test_malformed_matrix_shape_is_an_input_error(tmp_path, capsys, mat):
     assert capsys.readouterr().err.startswith("input error: malformed matrix")
 
 
+@pytest.mark.parametrize("kind, name, acts", [
+    ("bimodules", "S_bim", "left_acts"),
+    ("modules", "S", "acts"),
+])
+def test_wrong_shape_action_matrix_is_an_input_error(tmp_path, capsys, kind, name,
+                                                     acts):
+    # a 2x2 action matrix in a 1-dimensional (bi)module
+    doc = json.load(open(fx("dual_numbers.json")))
+    doc[kind][name][acts][0] = {"rows": 2, "cols": 2, "entries": [1, 0, 0, 1]}
+    p = tmp_path / "wrong_shape.json"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {kind[:-1]} {name!r}")
+    assert "wrong shape" in err
+
+
+def test_invalid_complex_fails_validation(tmp_path, capsys):
+    # S_window's term 0 lets x act as the identity, so x*x = 0 acts as I
+    doc = json.load(open(fx("dual_numbers.json")))
+    cx = doc["complexes"]["S_window"]
+    cx["terms"][-cx["lo"]]["acts"][1] = {"rows": 2, "cols": 2,
+                                         "entries": [1, 0, 0, 1]}
+    p = tmp_path / "bad_window.json"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation failed: complex 'S_window' invalid: term 0")
+
+
 def test_corrupted_psi_fails_before_build(tmp_path, capsys):
     doc = json.load(open(fx("glued5.json")))
     # corrupt psi: send n (x) m to 1 instead of into the ideal

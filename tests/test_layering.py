@@ -1,10 +1,13 @@
-"""Two layering rules of the package, checked on its source.
+"""Three layering rules of the package, checked on its source.
 
 Only `linalg` sees matrix entries: no other module reads or writes a
 `.data` attribute, so the entry storage can change in one file.  The
 independent checker `verify` imports only the shared ground (linear
 algebra, modules, complex windows, algebras and the certificate types),
-never a builder module such as `bimodules` or `homology`.
+never a builder module such as `bimodules` or `homology`.  Vectors are
+expressed in a stacked basis of flattened maps through one batched
+`coordinates` call, never through a `solve_left` per vector in a loop,
+which row-reduces the same basis once per call.
 """
 from __future__ import annotations
 
@@ -43,3 +46,44 @@ def test_checker_imports_only_the_shared_ground():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert imported <= CHECKER_IMPORTS, sorted(imported - CHECKER_IMPORTS)
+
+
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+          ast.DictComp, ast.GeneratorExp)
+
+
+def _is_stacked_flatten(node: ast.AST) -> bool:
+    """`Mat.vstack([... .flatten() ...])`."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "vstack"
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "Mat"
+            and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                    and n.func.attr == "flatten"
+                    for arg in node.args for n in ast.walk(arg)))
+
+
+def _is_solve_left(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    return (isinstance(f, ast.Name) and f.id == "solve_left") or \
+        (isinstance(f, ast.Attribute) and f.attr == "solve_left")
+
+
+def test_no_solve_left_per_vector_in_a_stacked_basis():
+    hits = set()
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        name = os.path.basename(path)
+        for fn in ast.walk(_tree(name)):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            stacked = {t.id for n in ast.walk(fn)
+                       if isinstance(n, ast.Assign) and _is_stacked_flatten(n.value)
+                       for t in n.targets if isinstance(t, ast.Name)}
+            hits.update(f"{name}:{call.lineno}"
+                        for loop in ast.walk(fn) if isinstance(loop, _LOOPS)
+                        for call in ast.walk(loop)
+                        if _is_solve_left(call) and call.args
+                        and isinstance(call.args[0], ast.Name)
+                        and call.args[0].id in stacked)
+    assert not hits, f"solve_left per vector in a stacked basis: {sorted(hits)}"

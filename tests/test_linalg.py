@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 from gpmorita import linalg
 from gpmorita.fields import GF, QQ, Field, FieldMismatch, FieldSpec
 from gpmorita.linalg import (
-    Mat, _lift, image_basis, in_row_space, is_injective, is_surjective,
-    kernel_basis, left_kernel, preimage, rank, row_space, solve, solve_left,
+    Mat, NonCanonicalBasis, _lift, coordinates, image_basis, in_row_space,
+    is_injective, is_surjective, kernel_basis, left_kernel, preimage, rank,
+    row_space, solve, solve_left,
 )
 
 
@@ -472,3 +473,62 @@ def test_rref_solve_kernel_match_per_entry_oracle(data, F, r, n, n2):
     if x is not None:
         assert exact(x) == exact(want_x)
     assert_operands_intact(*ops)
+
+
+# -- coordinates in canonical bases, against solve_left ---------------------------
+
+COORD_FIELDS = [QQ(), GF(7)]
+
+
+@st.composite
+def _canonical_basis(draw, F):
+    """A transposed kernel basis or a reduced echelon row basis of a random
+    matrix, so every row has a unit column."""
+    m = draw(_mat(F, draw(dims), draw(st.integers(0, 6))))
+    return kernel_basis(m).transpose() if draw(st.booleans()) else row_space(m)
+
+
+@settings(max_examples=120)
+@given(st.data(), st.sampled_from(COORD_FIELDS))
+def test_coordinates_read_combinations_and_match_solve_left(data, F):
+    basis = data.draw(_canonical_basis(F))
+    ops = [(basis, copy.deepcopy(basis.data))]
+    x = data.draw(_mat(F, data.draw(st.integers(0, 4)), basis.rows))
+    vectors = x @ basis
+    got = coordinates(basis, vectors)
+    assert got is not None and got == x and got @ basis == vectors
+    if vectors.rows and vectors.cols:
+        # one entry moved: off the span unless the span is the whole space
+        i = data.draw(st.integers(0, vectors.rows - 1))
+        j = data.draw(st.integers(0, vectors.cols - 1))
+        rows = vectors.to_rows()
+        rows[i][j] = F.add(rows[i][j], data.draw(_entries(F)))
+        moved = Mat(F, rows, vectors.cols)
+        got, want = coordinates(basis, moved), solve_left(basis, moved)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got == want and got @ basis == moved
+        assert in_row_space(basis, moved) == (want is not None)
+    assert_operands_intact(*ops)
+
+
+@pytest.mark.parametrize("F", COORD_FIELDS)
+def test_coordinates_of_zero_rows_and_in_a_zero_row_basis(F):
+    basis = row_space(Mat.from_rows(F, [[1, 2, 0], [0, 0, 1]]))
+    got = coordinates(basis, Mat.zeros(F, 0, 3))
+    assert (got.rows, got.cols) == (0, 2)
+    empty = Mat.zeros(F, 0, 3)
+    got = coordinates(empty, Mat.zeros(F, 2, 3))
+    assert (got.rows, got.cols) == (2, 0)
+    assert coordinates(empty, Mat.from_rows(F, [[0, 1, 0]])) is None
+    assert coordinates(empty, Mat.zeros(F, 0, 3)).rows == 0
+
+
+@pytest.mark.parametrize("rows", [[[1, 1], [0, 1]], [[2, 0]], [[1, 0], [1, 0]]])
+def test_coordinates_reject_a_basis_without_unit_columns(rows):
+    # an internal error: never a ValueError, which the CLI reports as bad input
+    assert not issubclass(NonCanonicalBasis, ValueError)
+    for F in COORD_FIELDS:
+        basis = Mat.from_rows(F, rows, 2)
+        with pytest.raises(NonCanonicalBasis):
+            coordinates(basis, Mat.zeros(F, 1, 2))

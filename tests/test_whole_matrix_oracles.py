@@ -13,6 +13,11 @@ Two whole-matrix builders are in turn checked against the dense formulas
 they replaced, on seeded random matrices: `intertwining_system` against
 P_t kron 1 - 1 kron Q_t, and `linear_combination` against a zero matrix
 plus one `add(scale(.))` per nonzero coefficient.
+
+The loops that express vectors in a known canonical basis now make one
+batched `coordinates` call.  The per-element `solve_left` loops they
+replaced are kept below as oracles for `hom_complex_data`, `hom_module`
+and `submodule_from_rows`.
 """
 from __future__ import annotations
 
@@ -21,17 +26,23 @@ from fractions import Fraction
 
 import pytest
 
-from gpmorita.bimodules import balanced_tensor_space
+from gpmorita.bimodules import Bimodule, balanced_tensor_space, hom_module
 from gpmorita.catalog import (
-    arrow_ideal_context, glued_psi_context, random_quadruple,
-    triangular_context, two_cycle_context,
+    arrow_ideal_context, glued_psi_context, path_a2, random_hom, random_module,
+    random_quadruple, simple_at_idempotent, simple_kx2, triangular_context,
+    truncated_poly, two_cycle_context, two_cycle_rad_square,
 )
+from gpmorita.complexes import ComplexWindow, hom_complex_data
+from gpmorita.engine import build_total_resolution, check_conditions
 from gpmorita.fields import GF, QQ, Field
+from gpmorita.homology import minimal_resolution
 from gpmorita.linalg import (
-    Mat, intertwining_system, kernel_basis, linear_combination, quotient_maps,
-    rank, row_space, rref,
+    Mat, intertwining_system, kernel_basis, left_kernel, linear_combination,
+    quotient_maps, rank, row_space, rref, solve_left,
 )
-from gpmorita.modules import ModuleHom, regular_module
+from gpmorita.modules import (
+    FDModule, ModuleHom, hom_space, regular_module, submodule_from_rows,
+)
 from gpmorita.morita import (
     QuadrupleHom, QuadrupleModule, build_ring, direct_sum_quadruples,
     quadruple_hom_space, regular_right_quadruples, swap_quadruple, t_a, t_b,
@@ -325,3 +336,136 @@ def test_linear_combination_matches_add_scale_loop(field):
             t = rng.randrange(k)
             unit = [F.one() if s == t else F.zero() for s in range(k)]
             assert linear_combination(F, rows, cols, unit, mats) is mats[t]
+
+
+# -- express-in-a-basis loops: the per-element solve_left code, verbatim --------
+
+
+def _hom_complex_data(c: ComplexWindow, y: FDModule):
+    F = y.algebra.field
+    bases = [hom_space(c.term(i), y) for i in range(c.lo, c.hi + 1)]
+    maps = []
+    for i in range(c.lo, c.hi):
+        src = bases[i - c.lo + 1]       # Hom(X^{i+1}, y)
+        dst = bases[i - c.lo]           # Hom(X^i, y)
+        if not src or not dst:
+            maps.append(Mat.zeros(F, len(src), len(dst)))
+            continue
+        stacked = Mat.vstack([h.mat.flatten() for h in dst])
+        rows = []
+        for h in src:
+            comp = c.diff(i).mat @ h.mat
+            co = solve_left(stacked, comp.flatten())
+            if co is None:
+                raise AssertionError("hom complex map failed to express")
+            rows.append(co.row(0))
+        maps.append(Mat.from_rows(F, rows, len(dst)))
+    return [len(b) for b in bases], maps
+
+
+def _hom_module_acts(n: Bimodule, x: FDModule) -> list[Mat]:
+    B = n.right
+    F = B.field
+    basis = hom_space(n.as_left_module(), x)
+    k = len(basis)
+    if k == 0:
+        return [Mat.zeros(F, 0, 0) for _ in range(B.dim)]
+    stacked = Mat.vstack([h.mat.flatten() for h in basis])
+    acts = []
+    for t in range(B.dim):
+        rows = []
+        for h in basis:
+            moved = n.right_acts[t] @ h.mat      # (b.f) = R_b then f
+            c = solve_left(stacked, moved.flatten())
+            if c is None:
+                raise AssertionError("Hom space not closed under the action")
+            rows.append(c.row(0))
+        acts.append(Mat.from_rows(F, rows, k))
+    return acts
+
+
+def _submodule_acts(x: FDModule, rows: Mat) -> list[Mat]:
+    basis = row_space(rows)
+    acts = []
+    for t in range(x.algebra.dim):
+        moved = basis @ x.acts[t]
+        coeffs = solve_left(basis, moved)
+        if coeffs is None:
+            raise AssertionError("row span is not invariant under the action")
+        acts.append(coeffs)
+    return acts
+
+
+def _random2(alg) -> FDModule:
+    """The first random module of dimension 2 drawn from a fixed stream."""
+    ref = random.Random(0)
+    for _ in range(500):
+        m = random_module(alg, ref)
+        if m.dim == 2:
+            return m
+    raise AssertionError(f"no 2-dimensional random module over {alg.name}")
+
+
+def _resolution_window(x: FDModule) -> ComplexWindow:
+    """The minimal resolution P_3 -> ... -> P_0 of x, as ext_dim windows it."""
+    res = minimal_resolution(x, 3)
+    n = len(res.maps)
+    return ComplexWindow(-n, 0, res.terms[::-1], res.maps[::-1])
+
+
+def _catalog_windows(field: str):
+    """(window, targets): the T windows of the four catalog contexts at
+    T_B(B), and the minimal resolutions of the simples and of random2 over
+    three catalog algebras; the targets are the regular module and random2
+    of the window's algebra."""
+    F = FIELDS[field]()
+    windows = []
+    for make in CONTEXTS.values():
+        ext, ctx = make(F)
+        q = t_b(ctx, regular_module(ctx.B))
+        asm = build_total_resolution(ext, ctx, q, check_conditions(ext, ctx, q),
+                                     window=3)
+        windows.append(asm.tcx)
+    ka2, kx3, cyc = path_a2(F), truncated_poly(F, 3), two_cycle_rad_square(F)
+    simples = [simple_at_idempotent(ka2, 0), simple_at_idempotent(ka2, 2),
+               simple_kx2(kx3), simple_at_idempotent(cyc, 0),
+               simple_at_idempotent(cyc, 1)]
+    for x in simples + [_random2(a) for a in (ka2, kx3, cyc)]:
+        windows.append(_resolution_window(x))
+    return [(w, [regular_module(w.algebra), _random2(w.algebra)]) for w in windows]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_hom_complex_data_matches_solve_left_loop(field):
+    for window, targets in _catalog_windows(field):
+        for y in targets:
+            dims, maps = hom_complex_data(window, y)
+            old_dims, old_maps = _hom_complex_data(window, y)
+            assert dims == old_dims
+            assert len(maps) == len(old_maps)
+            for new, old in zip(maps, old_maps):
+                assert new == old
+
+
+@pytest.mark.parametrize("field, context", PARAMS)
+def test_hom_module_matches_solve_left_loop(field, context):
+    ctx, quads = _cases(field, context)
+    pairs = [(ctx.N, q.x) for q in quads] + [(ctx.M, q.y) for q in quads]
+    for n, x in pairs:
+        mod, _ = hom_module(n, x)
+        assert mod.acts == _hom_module_acts(n, x)
+
+
+@pytest.mark.parametrize("field, context", PARAMS)
+def test_submodule_from_rows_matches_solve_left_loop(field, context):
+    ctx, quads = _cases(field, context)
+    rng = random.Random(3)
+    mods = [m for q in quads for m in (q.x, q.y)]
+    for x in mods:
+        for y in mods:
+            if x.algebra is not y.algebra:
+                continue
+            h = random_hom(x, y, rng)
+            for m, rows in ((x, left_kernel(h.mat)), (y, row_space(h.mat))):
+                sub, _ = submodule_from_rows(m, rows)
+                assert sub.acts == _submodule_acts(m, rows)

@@ -103,7 +103,12 @@ class Violation:
 
 
 def validate_algebra(a: Algebra) -> list[Violation]:
-    """Check associativity on all basis triples and both unit laws."""
+    """Check associativity on all basis triples and both unit laws.  The
+    verdict is stored on a, so each instance is checked once; every call
+    returns a fresh list."""
+    hit = a._cache.get("violations")
+    if hit is not None:
+        return hit[:]
     out = []
     n = a.dim
     for i in range(n):
@@ -120,7 +125,8 @@ def validate_algebra(a: Algebra) -> list[Violation]:
             out.append(Violation("unit", (i,), "1*b != b"))
         if a.multiply(e, a.unit) != e:
             out.append(Violation("unit", (i,), "b*1 != b"))
-    return out
+    a._cache["violations"] = out
+    return out[:]
 
 
 def opposite_algebra(a: Algebra) -> Algebra:
@@ -268,12 +274,15 @@ def radical_basis(a: Algebra) -> Mat:
 
     Uses the trace-form kernel, valid in characteristic 0 and in
     characteristic p > dim; other characteristics raise UnsupportedField.
+    Computed once per algebra and kept in a._cache.
     """
     p = a.field.characteristic
     if p != 0 and p <= a.dim:
         raise UnsupportedField(
             f"radical via trace form needs char 0 or p > dim; got p={p}, dim={a.dim}")
-    return left_kernel(trace_form(a))
+    if "radical_basis" not in a._cache:
+        a._cache["radical_basis"] = left_kernel(trace_form(a))
+    return a._cache["radical_basis"]
 
 
 def nilpotency_index(a: Algebra, rows: Mat, cap: int | None = None) -> int | None:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 from .algebra import Algebra, generating_subset, opposite_algebra
 from .linalg import (
-    Mat, coordinates, intertwining_system, linear_combination, quotient_maps,
-    row_space, solve,
+    Mat, coordinates, factor_through, intertwining_system, linear_combination,
+    quotient_maps, row_space,
 )
 from .modules import FDModule, ModuleError, ModuleHom, validate_module
 
@@ -157,13 +157,9 @@ def tensor_module(m: Bimodule, x: FDModule, name: str = "") -> TensorModule:
     proj, sec = quotient_maps(
         intertwining_system(F, m.dim, x.dim, m.right_acts, x.acts))
     eye_x = Mat.identity(F, x.dim)
-    acts = []
-    for t in range(m.left.dim):
-        big = m.left_acts[t].kron(eye_x)
-        induced = solve(proj, big @ proj)
-        if induced is None:
-            raise BimoduleError("left action does not descend to the tensor quotient")
-        acts.append(induced)
+    acts = factor_through(proj, [a.kron(eye_x) @ proj for a in m.left_acts])
+    if acts is None:
+        raise BimoduleError("left action does not descend to the tensor quotient")
     mod = FDModule(m.left, proj.cols, acts,
                    name=name or f"{m.name}(x){x.name}")
     return TensorModule(mod, m, x, proj, sec)
@@ -211,19 +207,12 @@ def bimodule_tensor(m: Bimodule, n: Bimodule, name: str = "") -> tuple[Bimodule,
         intertwining_system(F, m.dim, n.dim, m.right_acts, n.left_acts))
     eye_n = Mat.identity(F, n.dim)
     eye_m = Mat.identity(F, m.dim)
-    la, ra = [], []
-    for t in range(m.left.dim):
-        big = m.left_acts[t].kron(eye_n)
-        induced = solve(proj, big @ proj)
-        if induced is None:
-            raise BimoduleError("left action does not descend")
-        la.append(induced)
-    for t in range(n.right.dim):
-        big = eye_m.kron(n.right_acts[t])
-        induced = solve(proj, big @ proj)
-        if induced is None:
-            raise BimoduleError("right action does not descend")
-        ra.append(induced)
+    la = factor_through(proj, [a.kron(eye_n) @ proj for a in m.left_acts])
+    if la is None:
+        raise BimoduleError("left action does not descend")
+    ra = factor_through(proj, [eye_m.kron(a) @ proj for a in n.right_acts])
+    if ra is None:
+        raise BimoduleError("right action does not descend")
     out = Bimodule(m.left, n.right, proj.cols, la, ra,
                    name=name or f"{m.name}(x){n.name}")
     return out, proj, sec

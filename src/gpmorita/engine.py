@@ -27,7 +27,7 @@ from .complexes import (
 )
 from .gpcert import GPCertificate, certify_gorenstein_projective
 from .homology import injective_dimension, projective_dimension
-from .linalg import Mat, rank, solve
+from .linalg import Mat, factor_through, rank, solve
 from .modules import (
     FDModule, ModuleHom, cokernel_of, hom_space, image_of, kernel_of,
     restrict_along, zero_module,
@@ -239,9 +239,9 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
         one_rho = tensor_functor_hom(nq_i, nmp, rho[i])
         psi_blk = psi_tensor_block(ctx, ext, pcx.term(i + 1),
                                    mp_tens[i + span + 1], ip_tens[i + span + 1])
-        psi_hom_mat = solve(nmp.proj, psi_blk)
+        psi_hom_mat = factor_through(nmp.proj, [psi_blk])
         _require(psi_hom_mat is not None, "psi block does not descend")
-        tau_i = one_rho.mat @ psi_hom_mat
+        tau_i = one_rho.mat @ psi_hom_mat[0]
         tau[i] = ModuleHom(nq_cx.term(i), ip_cx.term(i + 1), tau_i)
         dz = twisted_diff(ip_cx.diff(i).mat, tau_i, nq_cx.diff(i).mat)
         z_diffs.append(ModuleHom(z_terms[i + span], z_terms[i + span + 1], dz))
@@ -600,14 +600,16 @@ def corner_complexes(ext: TrivialExtension, ctx: MoritaContext,
         # alpha and beta blocks of the differential in quadruple coordinates
         alpha = d.block(0, qs.x.dim, 0, qd.x.dim)
         beta = d.block(qs.x.dim, d.rows, qd.x.dim, d.cols)
-        du = solve(u_projs[i - wc.lo].mat, alpha @ u_projs[i - wc.lo + 1].mat)
+        du = factor_through(u_projs[i - wc.lo].mat,
+                            [alpha @ u_projs[i - wc.lo + 1].mat])
         if du is None:
             raise EngineError("corner complex P failed to descend")
-        u_diffs.append(ModuleHom(u_terms[i - wc.lo], u_terms[i - wc.lo + 1], du))
-        dv = solve(v_projs[i - wc.lo].mat, beta @ v_projs[i - wc.lo + 1].mat)
+        u_diffs.append(ModuleHom(u_terms[i - wc.lo], u_terms[i - wc.lo + 1], du[0]))
+        dv = factor_through(v_projs[i - wc.lo].mat,
+                            [beta @ v_projs[i - wc.lo + 1].mat])
         if dv is None:
             raise EngineError("corner complex Q failed to descend")
-        v_diffs.append(ModuleHom(v_terms[i - wc.lo], v_terms[i - wc.lo + 1], dv))
+        v_diffs.append(ModuleHom(v_terms[i - wc.lo], v_terms[i - wc.lo + 1], dv[0]))
     pcx = ComplexWindow(wc.lo, wc.hi, u_terms, u_diffs)
     qcx = ComplexWindow(wc.lo, wc.hi, v_terms, v_diffs)
     return pcx, qcx, quads

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .algebra import Algebra, opposite_algebra, radical_basis
 from .bimodules import TensorSpace, balanced_tensor_space
 from .idempotents import indecomposable_projectives
-from .linalg import Mat, in_row_space, rank, row_space, solve_left
+from .linalg import Mat, in_row_space, left_kernel, rank, row_space, solve_left
 from .modules import (
     FDModule, ModuleError, ModuleHom, direct_sum, dual_module, hom_dim,
     kernel_of, quotient_by_rows, regular_module, zero_hom, zero_module,
@@ -94,15 +94,10 @@ def projective_cover(x: FDModule, seed: int = 0) -> tuple[FDModule, ModuleHom]:
     phi = ModuleHom(P, x, Mat.vstack(blocks))
     if not phi.is_surjective():
         raise ModuleError("projective cover construction failed to surject")
-    ker_rows = row_space(_left_kernel_rows(phi.mat))
+    ker_rows = left_kernel(phi.mat)
     if ker_rows.rows and not in_row_space(radical_rows_of_module(P), ker_rows):
         raise ModuleError("projective cover is not minimal")
     return P, phi
-
-
-def _left_kernel_rows(m: Mat) -> Mat:
-    from .linalg import left_kernel
-    return left_kernel(m)
 
 
 def is_projective(x: FDModule, seed: int = 0) -> bool:

@@ -21,8 +21,11 @@ from .gpcert import GPCertificate, NotGPWitness, RightTailStep
 from .homology import Resolution
 from .linalg import Mat
 from .modules import FDModule, ModuleError, ModuleHom, validate_module
-from .morita import MoritaContext, make_quadruple, validate_context
-from .trivext import recognize_trivial_extension
+from .morita import (
+    ContextError, MoritaContext, make_quadruple, validate_context,
+    validate_quadruple,
+)
+from .trivext import ExtensionError, recognize_trivial_extension
 
 SCHEMA = "gpmorita-v1"
 
@@ -208,17 +211,31 @@ def load_problem(doc: dict) -> Problem:
         prob.contexts[name] = ctx
     for name, obj in (doc.get("extensions") or {}).items():
         a = prob.algebra(obj.get("algebra", ""))
-        ext = recognize_trivial_extension(
-            a, mat_from_json(F, obj["subring_rows"]),
-            mat_from_json(F, obj["ideal_rows"]), name=name)
+        lam_rows = mat_from_json(F, obj["subring_rows"])
+        ideal_rows = mat_from_json(F, obj["ideal_rows"])
+        try:
+            ext = recognize_trivial_extension(a, lam_rows, ideal_rows, name=name)
+        except ExtensionError as e:
+            raise ValidationFailure(f"extension {name!r} invalid: {e}") from e
         prob.extensions[name] = ext
     for name, obj in (doc.get("quadruples") or {}).items():
         ctx = prob.named("contexts", obj.get("context", ""))
         x = prob.named("modules", obj.get("x", ""))
         y = prob.named("modules", obj.get("y", ""))
-        q = make_quadruple(ctx, x, y, mat_from_json(F, obj["f_full"]),
-                           mat_from_json(F, obj["g_full"]), name=name)
-        from .morita import validate_quadruple
+        if x.algebra is not ctx.A or y.algebra is not ctx.B:
+            raise InputError(f"quadruple {name!r}: x must live over the context's "
+                             f"A and y over its B")
+        f_full = mat_from_json(F, obj["f_full"])
+        g_full = mat_from_json(F, obj["g_full"])
+        for which, m, shape in (("f_full", f_full, (ctx.M.dim * x.dim, y.dim)),
+                                ("g_full", g_full, (ctx.N.dim * y.dim, x.dim))):
+            if (m.rows, m.cols) != shape:
+                raise InputError(f"quadruple {name!r}: {which} is {m.rows}x{m.cols}, "
+                                 f"not {shape[0]}x{shape[1]}")
+        try:
+            q = make_quadruple(ctx, x, y, f_full, g_full, name=name)
+        except ContextError as e:
+            raise ValidationFailure(f"quadruple {name!r} invalid: {e}") from e
         bad = validate_quadruple(q)
         if bad:
             raise ValidationFailure(f"quadruple {name!r} invalid: {bad[0]}")

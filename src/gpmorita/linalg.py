@@ -10,8 +10,10 @@ stacking, `from_blocks` assembly, `block` slicing, `reshape`/`flatten`,
 expressed in a canonical basis).  `coordinates` needs a unit column in
 every basis row, a column that is 1 in that row and 0 in the others, as
 every `row_space`, `left_kernel` and transposed `kernel_basis` has; it
-reads the coordinates off those columns with no row reduction.  A change
-of entry storage stays inside this file.
+reads the coordinates off those columns with no row reduction.
+`factor_through` applies it to the transposes, to factor maps through a
+`kernel_basis` (a quotient projection).  A change of entry storage stays
+inside this file.
 
 Matrices are row-major lists of field elements: `Fraction`s over Q, ints
 in [0, p) over F_p.  Row reduction is Gauss-Jordan over F_p and
@@ -667,6 +669,27 @@ def coordinates(basis: Mat, vectors: Mat) -> Mat | None:
     if not exact:
         return None
     return Mat(F, [[r[c] for c in units] for r in vectors.data], len(units))
+
+
+def factor_through(proj: Mat, mats: list[Mat]) -> list[Mat] | None:
+    """The Z_i with proj @ Z_i == mats[i], or None when some mats[i] does
+    not factor through proj.
+
+    Precondition: proj is a `kernel_basis`, or a product of kernel bases
+    (the projection onto an iterated tensor quotient, say), so that its
+    transpose has a unit column in every row (see `coordinates`).  Such a
+    proj has full column rank, so each Z_i is unique; all of them come
+    from one `coordinates` call on the transposes."""
+    if not mats:
+        return []
+    zt = coordinates(proj.transpose(), Mat.vstack([m.transpose() for m in mats]))
+    if zt is None:
+        return None
+    out, r = [], 0
+    for m in mats:
+        out.append(zt.block(r, r + m.cols, 0, zt.cols).transpose())
+        r += m.cols
+    return out
 
 
 def in_row_space(basis: Mat, vectors: Mat) -> bool:

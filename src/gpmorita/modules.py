@@ -25,8 +25,8 @@ from itertools import product as iter_product
 
 from .algebra import Algebra, generating_subset
 from .linalg import (
-    Mat, coordinates, in_row_space, intertwining_system, kernel_basis,
-    left_kernel, linear_combination, quotient_maps, rank, row_space, solve,
+    Mat, coordinates, factor_through, intertwining_system, kernel_basis,
+    left_kernel, linear_combination, quotient_maps, rank, row_space,
     solve_left,
 )
 
@@ -201,16 +201,14 @@ def spanned_submodule(x: FDModule, rows: Mat, name: str = "") -> tuple[FDModule,
 
 
 def quotient_by_rows(x: FDModule, rows: Mat, name: str = "") -> tuple[FDModule, ModuleHom]:
-    """Quotient by an invariant row span, on pivot-complement coordinates."""
-    sub = row_space(rows)
-    for t in range(x.algebra.dim):
-        if not in_row_space(sub, sub @ x.acts[t]):
-            raise ModuleError("row span is not invariant under the action")
-    proj, _ = quotient_maps(sub)
-    acts = []
-    for t in range(x.algebra.dim):
-        induced = solve(proj, x.acts[t] @ proj)
-        acts.append(induced)
+    """Quotient by an invariant row span, on pivot-complement coordinates.
+    The span is invariant exactly when every act_t @ proj factors through
+    proj (the rows that proj kills are the span), so one `factor_through`
+    both checks it and reads the induced actions."""
+    proj, _ = quotient_maps(rows)
+    acts = factor_through(proj, [m @ proj for m in x.acts])
+    if acts is None:
+        raise ModuleError("row span is not invariant under the action")
     quo = FDModule(x.algebra, proj.cols, acts, name=name)
     return quo, ModuleHom(x, quo, proj)
 
@@ -226,7 +224,7 @@ def image_of(h: ModuleHom, name: str = "") -> tuple[FDModule, ModuleHom]:
 
 
 def cokernel_of(h: ModuleHom, name: str = "") -> tuple[FDModule, ModuleHom]:
-    return quotient_by_rows(h.target, row_space(h.mat), name=name)
+    return quotient_by_rows(h.target, h.mat, name=name)
 
 
 def corestrict(h: ModuleHom, sub: FDModule, incl: ModuleHom) -> ModuleHom:

@@ -18,8 +18,8 @@ from .bimodules import (
 )
 from .fields import Field
 from .linalg import (
-    Mat, coordinates, in_row_space, intertwining_system, kernel_basis,
-    quotient_maps, rank, row_space, solve,
+    Mat, coordinates, factor_through, in_row_space, intertwining_system,
+    kernel_basis, quotient_maps, rank, row_space, solve,
 )
 from .modules import (
     FDModule, ModuleHom, _invertible_in_span, cokernel_of, identity_hom,
@@ -273,14 +273,14 @@ def make_quadruple(ctx: MoritaContext, x: FDModule, y: FDModule,
     M (x)_k X -> Y and N (x)_k Y -> X (they must kill the middle relations)."""
     mx = tensor_module(ctx.M, x)
     ny = tensor_module(ctx.N, y)
-    f_mat = solve(mx.proj, f_full)
+    f_mat = factor_through(mx.proj, [f_full])
     if f_mat is None:
         raise ContextError("f does not factor through M (x)_A X")
-    g_mat = solve(ny.proj, g_full)
+    g_mat = factor_through(ny.proj, [g_full])
     if g_mat is None:
         raise ContextError("g does not factor through N (x)_B Y")
-    return QuadrupleModule(ctx, x, y, ModuleHom(mx.module, y, f_mat),
-                           ModuleHom(ny.module, x, g_mat), mx, ny, name=name)
+    return QuadrupleModule(ctx, x, y, ModuleHom(mx.module, y, f_mat[0]),
+                           ModuleHom(ny.module, x, g_mat[0]), mx, ny, name=name)
 
 
 def swap_quadruple(q: QuadrupleModule, name: str | None = None) -> QuadrupleModule:
@@ -311,10 +311,10 @@ def psi_hom(ctx: MoritaContext, x: FDModule, mx: TensorModule,
     eye_n = Mat.identity(F, ctx.N.dim)
     big_proj = eye_n.kron(mx.proj) @ nmx.proj
     full = psi_action_full(ctx, x)
-    mat = solve(big_proj, full)
+    mat = factor_through(big_proj, [full])
     if mat is None:
         raise ContextError("Psi does not factor through the tensor quotient")
-    return ModuleHom(nmx.module, x, mat)
+    return ModuleHom(nmx.module, x, mat[0])
 
 
 def phi_hom(ctx: MoritaContext, y: FDModule, ny: TensorModule,
@@ -643,14 +643,15 @@ def h_a(ctx: MoritaContext, x: FDModule, name: str = "") -> QuadrupleModule:
     y, basis = hom_module(ctx.N, x)
     mx = tensor_module(ctx.M, x)
     ny = tensor_module(ctx.N, y)
-    f_mat = solve(mx.proj, zeta_full(ctx, x, basis))
+    f_mat = factor_through(mx.proj, [zeta_full(ctx, x, basis)])
     if f_mat is None:
         raise ContextError("zeta does not factor through the tensor quotient")
-    g_mat = solve(ny.proj, evaluation_full(ctx.A.field, ctx.N.dim, basis, x.dim))
+    g_mat = factor_through(
+        ny.proj, [evaluation_full(ctx.A.field, ctx.N.dim, basis, x.dim)])
     if g_mat is None:
         raise ContextError("evaluation does not factor through the tensor quotient")
-    return QuadrupleModule(ctx, x, y, ModuleHom(mx.module, y, f_mat),
-                           ModuleHom(ny.module, x, g_mat), mx, ny,
+    return QuadrupleModule(ctx, x, y, ModuleHom(mx.module, y, f_mat[0]),
+                           ModuleHom(ny.module, x, g_mat[0]), mx, ny,
                            name=name or f"H_A({x.name})")
 
 
@@ -798,13 +799,9 @@ def right_tensor(c_op: FDModule, w: Bimodule, name: str = "") -> RightTensor:
         intertwining_system(F, c_op.dim, w.dim, c_op.acts, w.left_acts))
     bop = opposite_algebra(w.right)
     eye_c = Mat.identity(F, c_op.dim)
-    acts = []
-    for t in range(bop.dim):
-        big = eye_c.kron(w.right_acts[t])
-        induced = solve(proj, big @ proj)
-        if induced is None:
-            raise ContextError("right action does not descend to the tensor")
-        acts.append(induced)
+    acts = factor_through(proj, [eye_c.kron(a) @ proj for a in w.right_acts])
+    if acts is None:
+        raise ContextError("right action does not descend to the tensor")
     return RightTensor(FDModule(bop, proj.cols, acts, name=name), proj, sec)
 
 
@@ -812,14 +809,14 @@ def make_right_quadruple(ctx: MoritaContext, c: FDModule, d: FDModule,
                          h_full: Mat, k_full: Mat, name: str = "") -> RightQuadruple:
     cn = right_tensor(c, ctx.N, name=f"{c.name}(x)N")
     dm = right_tensor(d, ctx.M, name=f"{d.name}(x)M")
-    h_mat = solve(cn.proj, h_full)
+    h_mat = factor_through(cn.proj, [h_full])
     if h_mat is None:
         raise ContextError("h does not factor through C (x)_A N")
-    k_mat = solve(dm.proj, k_full)
+    k_mat = factor_through(dm.proj, [k_full])
     if k_mat is None:
         raise ContextError("k does not factor through D (x)_B M")
-    return RightQuadruple(ctx, c, d, ModuleHom(cn.module, d, h_mat),
-                          ModuleHom(dm.module, c, k_mat), cn, dm, name=name)
+    return RightQuadruple(ctx, c, d, ModuleHom(cn.module, d, h_mat[0]),
+                          ModuleHom(dm.module, c, k_mat[0]), cn, dm, name=name)
 
 
 def right_quadruple_to_module(mr: MoritaRing, rq: RightQuadruple) -> FDModule:

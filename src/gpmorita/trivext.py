@@ -17,7 +17,8 @@ from .bimodules import (
     sub_bimodule_from_rows, tensor_functor_hom, tensor_module,
 )
 from .linalg import (
-    Mat, coordinates, in_row_space, quotient_maps, rank, row_space, solve,
+    Mat, coordinates, factor_through, in_row_space, quotient_maps, rank,
+    row_space, solve,
 )
 from .modules import (
     FDModule, ModuleHom, cokernel_of, corestrict, hom_space, image_of,
@@ -314,10 +315,10 @@ def structural_maps(ctx: MoritaContext, q: QuadrupleModule) -> StructuralMaps:
         mlt_rows.extend(act.to_rows())
     mlt_full = Mat.from_rows(F, mlt_rows, q.x.dim) if mlt_rows else \
         Mat.zeros(F, 0, q.x.dim)
-    mlt_mat = solve(ix_t.proj, mlt_full)
+    mlt_mat = factor_through(ix_t.proj, [mlt_full])
     if mlt_mat is None:
         raise ContextError("multiplication does not factor through I (x) X")
-    mlt = ModuleHom(ix_t.module, q.x, mlt_mat)
+    mlt = ModuleHom(ix_t.module, q.x, mlt_mat[0])
     iu_t = tensor_module(ibim, u)
     one_lambda_i = tensor_functor_hom(ix_t, iu_t, lambda_x)
     m_mat = solve(one_lambda_i.mat, mlt.mat)
@@ -372,10 +373,10 @@ def pushout_check(ctx: MoritaContext, q: QuadrupleModule, sm: StructuralMaps | N
     m_to_h = corestrict(ModuleHom(sm.iu_t.module, q.x, sm.m_x.mat), img_g, incl_g)
     g_to_h = corestrict(q.g, img_g, incl_g)
     legs = Mat.vstack([m_to_h.mat, g_to_h.mat])
-    induced = solve(po_proj, legs)
+    induced = factor_through(po_proj, [legs])
     if induced is None:
         return False
-    return rank(induced) == img_g.dim and po_proj.cols == img_g.dim
+    return rank(induced[0]) == img_g.dim and po_proj.cols == img_g.dim
 
 
 def _psi_tensor_one(ctx: MoritaContext, sm: StructuralMaps, nmu: TensorModule) -> ModuleHom:
@@ -401,10 +402,10 @@ def _psi_tensor_one(ctx: MoritaContext, sm: StructuralMaps, nmu: TensorModule) -
         Mat.zeros(F, 0, sm.iu_t.module.dim)
     eye_n = Mat.identity(F, dN)
     big_proj = eye_n.kron(sm.mu_t.proj) @ nmu.proj
-    mat = solve(big_proj, full)
+    mat = factor_through(big_proj, [full])
     if mat is None:
         raise ContextError("psi (x) 1 does not factor through the quotient")
-    return ModuleHom(nmu.module, sm.iu_t.module, mat)
+    return ModuleHom(nmu.module, sm.iu_t.module, mat[0])
 
 
 # -- hom transport identities ---------------------------------------------------

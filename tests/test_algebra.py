@@ -32,6 +32,22 @@ def test_validate_catches_nonassociative():
     assert bad and bad[0].kind == "associativity"
 
 
+def test_validate_algebra_checks_each_instance_once(monkeypatch):
+    a = truncated_poly(QQ(), 3)
+    a.mul[1][1][0] = QQ().one()
+    first = validate_algebra(a)
+    assert first and first[0].kind == "associativity"
+    calls = []
+    monkeypatch.setattr(Algebra, "multiply",
+                        lambda self, x, y: calls.append(1) or [])
+    first.clear()
+    second = validate_algebra(a)
+    assert not calls
+    assert second and second[0].kind == "associativity"
+    second.append("mutated")
+    assert validate_algebra(a)[-1] != "mutated"
+
+
 def test_opposite_of_commutative_is_identical():
     a = truncated_poly(QQ(), 3)
     assert opposite_algebra(a).mul == a.mul

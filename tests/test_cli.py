@@ -96,6 +96,42 @@ def test_invalid_complex_fails_validation(tmp_path, capsys):
     assert err.startswith("validation failed: complex 'S_window' invalid: term 0")
 
 
+@pytest.mark.parametrize("fixture, kind, name, key, value, code, message", [
+    # triangular: A = B = k, M = 0, N = k; P1 is (k, 0), P2 is (k, k)
+    ("triangular", "quadruples", "P1", "f_full",
+     {"rows": 1, "cols": 0, "entries": []}, 3,
+     "input error: quadruple 'P1': f_full is 1x0, not 0x0"),
+    ("triangular", "quadruples", "P2", "g_full",
+     {"rows": 2, "cols": 1, "entries": [1, 0]}, 3,
+     "input error: quadruple 'P2': g_full is 2x1, not 1x1"),
+    ("triangular", "quadruples", "P2", "g_full",
+     {"rows": 1, "cols": 2, "entries": [1, 0]}, 3,
+     "input error: quadruple 'P2': g_full is 1x2, not 1x1"),
+    ("triangular", "quadruples", "P2", "x", "P2.y", 3,
+     "input error: quadruple 'P2': x must live over the context's A and y "
+     "over its B"),
+    # the ideal row k.1 overlaps the subring k.1
+    ("triangular", "extensions", "ext", "ideal_rows",
+     {"rows": 1, "cols": 1, "entries": [1]}, 1,
+     "validation failed: extension 'ext' invalid: subring and ideal do not "
+     "sum to the algebra"),
+    # M (x)_A X is 0 for arrow_glue's P2, so a nonzero f_full cannot factor;
+    # triangular has no middle relations, so every map factors there
+    ("arrow_glue", "quadruples", "P2", "f_full",
+     {"rows": 1, "cols": 1, "entries": [1]}, 1,
+     "validation failed: quadruple 'P2' invalid: f does not factor through "
+     "M (x)_A X"),
+], ids=["f_rows", "g_rows", "g_cols", "x_algebra", "extension", "f_factor"])
+def test_bad_quadruple_or_extension_is_reported(tmp_path, capsys, fixture, kind,
+                                                name, key, value, code, message):
+    doc = json.load(open(fx(f"{fixture}.json")))
+    doc[kind][name][key] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", str(p)]) == code
+    assert capsys.readouterr().err == message + "\n"
+
+
 def test_corrupted_psi_fails_before_build(tmp_path, capsys):
     doc = json.load(open(fx("glued5.json")))
     # corrupt psi: send n (x) m to 1 instead of into the ideal

@@ -1,4 +1,4 @@
-"""Three layering rules of the package, checked on its source.
+"""Four layering rules of the package, checked on its source.
 
 Only `linalg` sees matrix entries: no other module reads or writes a
 `.data` attribute, so the entry storage can change in one file.  The
@@ -7,7 +7,9 @@ algebra, modules, complex windows, algebras and the certificate types),
 never a builder module such as `bimodules` or `homology`.  Vectors are
 expressed in a stacked basis of flattened maps through one batched
 `coordinates` call, never through a `solve_left` per vector in a loop,
-which row-reduces the same basis once per call.
+which row-reduces the same basis once per call.  Maps are factored
+through a quotient projection (a `kernel_basis`) with `factor_through`,
+never with `solve`, which stacks and row-reduces the projection again.
 """
 from __future__ import annotations
 
@@ -87,3 +89,35 @@ def test_no_solve_left_per_vector_in_a_stacked_basis():
                         and isinstance(call.args[0], ast.Name)
                         and call.args[0].id in stacked)
     assert not hits, f"solve_left per vector in a stacked basis: {sorted(hits)}"
+
+
+# `solve` against a projection that is not known to be canonical, with the
+# reason it must stay a `solve`
+SOLVE_ON_PROJ_ALLOWED = {
+    # the cokernel projection of a witness step comes from a report file,
+    # outside input that may not be a kernel basis; a tampered one must be
+    # reported as an input error, not raise NonCanonicalBasis
+    ("jsonio.py", "_induced_acts"),
+}
+
+
+def _is_projection(node: ast.AST) -> bool:
+    """A `proj` or `*_proj` name, or a `.proj` attribute."""
+    if isinstance(node, ast.Name):
+        return node.id == "proj" or node.id.endswith("_proj")
+    return isinstance(node, ast.Attribute) and node.attr == "proj"
+
+
+def test_no_solve_against_a_quotient_projection():
+    hits = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        name = os.path.basename(path)
+        for fn in ast.walk(_tree(name)):
+            if (not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or (name, fn.name) in SOLVE_ON_PROJ_ALLOWED):
+                continue
+            hits += [f"{name}:{call.lineno}" for call in ast.walk(fn)
+                     if isinstance(call, ast.Call)
+                     and isinstance(call.func, ast.Name) and call.func.id == "solve"
+                     and call.args and _is_projection(call.args[0])]
+    assert not hits, f"solve against a quotient projection: {sorted(set(hits))}"

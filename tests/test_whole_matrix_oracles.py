@@ -18,6 +18,14 @@ The loops that express vectors in a known canonical basis now make one
 batched `coordinates` call.  The per-element `solve_left` loops they
 replaced are kept below as oracles for `hom_complex_data`, `hom_module`
 and `submodule_from_rows`.
+
+Actions induced on a quotient, and maps factored through a quotient
+projection, are read off the projection's unit rows by one
+`factor_through` call.  The per-element `solve(proj, ...)` loops they
+replaced are kept below as oracles for `quotient_by_rows`,
+`tensor_module`, `bimodule_tensor` and `make_quadruple`, including the
+cases that must raise.  The cached `radical_basis` is checked against a
+fresh trace-form kernel.
 """
 from __future__ import annotations
 
@@ -26,26 +34,35 @@ from fractions import Fraction
 
 import pytest
 
-from gpmorita.bimodules import Bimodule, balanced_tensor_space, hom_module
+from gpmorita.algebra import (
+    UnsupportedField, opposite_algebra, radical_basis, trace_form,
+)
+from gpmorita.bimodules import (
+    Bimodule, BimoduleError, balanced_tensor_space, bimodule_tensor, hom_module,
+    regular_bimodule, tensor_module,
+)
 from gpmorita.catalog import (
-    arrow_ideal_context, glued_psi_context, path_a2, random_hom, random_module,
-    random_quadruple, simple_at_idempotent, simple_kx2, triangular_context,
-    truncated_poly, two_cycle_context, two_cycle_rad_square,
+    arrow_ideal_context, field_algebra, glued_psi_context, path_a2,
+    product_fields, random_hom, random_module, random_quadruple,
+    simple_at_idempotent, simple_kx2, triangular_context, truncated_poly,
+    two_cycle_context, two_cycle_rad_square,
 )
 from gpmorita.complexes import ComplexWindow, hom_complex_data
 from gpmorita.engine import build_total_resolution, check_conditions
 from gpmorita.fields import GF, QQ, Field
-from gpmorita.homology import minimal_resolution
+from gpmorita.homology import minimal_resolution, top_of
 from gpmorita.linalg import (
-    Mat, intertwining_system, kernel_basis, left_kernel, linear_combination,
-    quotient_maps, rank, row_space, rref, solve_left,
+    Mat, in_row_space, intertwining_system, kernel_basis, left_kernel,
+    linear_combination, quotient_maps, rank, row_space, rref, solve, solve_left,
 )
 from gpmorita.modules import (
-    FDModule, ModuleHom, hom_space, regular_module, submodule_from_rows,
+    FDModule, ModuleError, ModuleHom, cokernel_of, hom_space, quotient_by_rows,
+    regular_module, submodule_from_rows,
 )
 from gpmorita.morita import (
-    QuadrupleHom, QuadrupleModule, build_ring, direct_sum_quadruples,
-    quadruple_hom_space, regular_right_quadruples, swap_quadruple, t_a, t_b,
+    ContextError, QuadrupleHom, QuadrupleModule, build_ring,
+    direct_sum_quadruples, make_quadruple, quadruple_hom_space,
+    regular_right_quadruples, right_tensor, swap_quadruple, t_a, t_b,
     tensor_over_ring,
 )
 
@@ -426,13 +443,18 @@ def _catalog_windows(field: str):
         asm = build_total_resolution(ext, ctx, q, check_conditions(ext, ctx, q),
                                      window=3)
         windows.append(asm.tcx)
+    windows += [_resolution_window(x) for x in _resolved_modules(F)]
+    return [(w, [regular_module(w.algebra), _random2(w.algebra)]) for w in windows]
+
+
+def _resolved_modules(F: Field) -> list[FDModule]:
+    """The simples and random2 of path_a2, k[x]/(x^3) and the two-cycle
+    algebra."""
     ka2, kx3, cyc = path_a2(F), truncated_poly(F, 3), two_cycle_rad_square(F)
     simples = [simple_at_idempotent(ka2, 0), simple_at_idempotent(ka2, 2),
                simple_kx2(kx3), simple_at_idempotent(cyc, 0),
                simple_at_idempotent(cyc, 1)]
-    for x in simples + [_random2(a) for a in (ka2, kx3, cyc)]:
-        windows.append(_resolution_window(x))
-    return [(w, [regular_module(w.algebra), _random2(w.algebra)]) for w in windows]
+    return simples + [_random2(a) for a in (ka2, kx3, cyc)]
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -469,3 +491,189 @@ def test_submodule_from_rows_matches_solve_left_loop(field, context):
             for m, rows in ((x, left_kernel(h.mat)), (y, row_space(h.mat))):
                 sub, _ = submodule_from_rows(m, rows)
                 assert sub.acts == _submodule_acts(m, rows)
+
+
+# -- factoring through a quotient projection: the per-element solve code --------
+
+
+def _quotient_acts(x: FDModule, proj: Mat) -> list[Mat]:
+    acts = []
+    for t in range(x.algebra.dim):
+        induced = solve(proj, x.acts[t] @ proj)
+        acts.append(induced)
+    return acts
+
+
+def _tensor_acts(m: Bimodule, x: FDModule, proj: Mat) -> list[Mat]:
+    F = m.left.field
+    eye_x = Mat.identity(F, x.dim)
+    acts = []
+    for t in range(m.left.dim):
+        big = m.left_acts[t].kron(eye_x)
+        induced = solve(proj, big @ proj)
+        if induced is None:
+            raise BimoduleError("left action does not descend to the tensor quotient")
+        acts.append(induced)
+    return acts
+
+
+def _bimodule_tensor_acts(m: Bimodule, n: Bimodule, proj: Mat):
+    F = m.left.field
+    eye_n = Mat.identity(F, n.dim)
+    eye_m = Mat.identity(F, m.dim)
+    la, ra = [], []
+    for t in range(m.left.dim):
+        big = m.left_acts[t].kron(eye_n)
+        induced = solve(proj, big @ proj)
+        if induced is None:
+            raise BimoduleError("left action does not descend")
+        la.append(induced)
+    for t in range(n.right.dim):
+        big = eye_m.kron(n.right_acts[t])
+        induced = solve(proj, big @ proj)
+        if induced is None:
+            raise BimoduleError("right action does not descend")
+        ra.append(induced)
+    return la, ra
+
+
+def _quadruple_maps(mx_proj: Mat, ny_proj: Mat, f_full: Mat, g_full: Mat):
+    f_mat = solve(mx_proj, f_full)
+    if f_mat is None:
+        raise ContextError("f does not factor through M (x)_A X")
+    g_mat = solve(ny_proj, g_full)
+    if g_mat is None:
+        raise ContextError("g does not factor through N (x)_B Y")
+    return f_mat, g_mat
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_quotient_actions_match_solve_loop(field):
+    # the tops (quotients by the radical rows) of every module, term and
+    # syzygy of the minimal resolutions, and the cokernel of every map
+    for x in _resolved_modules(FIELDS[field]()):
+        res = minimal_resolution(x, 3)
+        for m in [x, *res.terms, *res.syzygies]:
+            quo, p = top_of(m)
+            assert quo.acts == _quotient_acts(m, p.mat)
+        for h in [res.aug, *res.maps]:
+            quo, p = cokernel_of(h)
+            assert quo.acts == _quotient_acts(h.target, p.mat)
+
+
+@pytest.mark.parametrize("field, context", PARAMS)
+def test_tensor_actions_match_solve_loop(field, context):
+    ctx, quads = _cases(field, context)
+    for m, x in [(ctx.M, q.x) for q in quads] + [(ctx.N, q.y) for q in quads]:
+        t = tensor_module(m, x)
+        assert t.module.acts == _tensor_acts(m, x, t.proj)
+    for m, n in ((ctx.M, ctx.N), (ctx.N, ctx.M)):
+        out, proj, _ = bimodule_tensor(m, n)
+        assert (out.left_acts, out.right_acts) == _bimodule_tensor_acts(m, n, proj)
+
+
+@pytest.mark.parametrize("field, context", PARAMS)
+def test_make_quadruple_matches_solve(field, context):
+    ctx, quads = _cases(field, context)
+    for q in quads:
+        f_full, g_full = q.mx.proj @ q.f.mat, q.ny.proj @ q.g.mat
+        new = make_quadruple(ctx, q.x, q.y, f_full, g_full)
+        f_mat, g_mat = _quadruple_maps(new.mx.proj, new.ny.proj, f_full, g_full)
+        assert new.f.mat == f_mat == q.f.mat
+        assert new.g.mat == g_mat == q.g.mat
+
+
+def _same_error(new, old, exc, message):
+    """Both calls raise exc with exactly this message."""
+    for call in (new, old):
+        with pytest.raises(exc) as info:
+            call()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_non_invariant_span_still_raises(field):
+    a = truncated_poly(FIELDS[field](), 3)
+    x = regular_module(a)
+    rows = Mat.from_rows(a.field, [a.unit], a.dim)      # x . 1 = x leaves k.1
+
+    def old():
+        sub = row_space(rows)
+        for t in range(x.algebra.dim):
+            if not in_row_space(sub, sub @ x.acts[t]):
+                raise ModuleError("row span is not invariant under the action")
+
+    _same_error(lambda: quotient_by_rows(x, rows), old, ModuleError,
+                "row span is not invariant under the action")
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_non_descending_actions_still_raise(field):
+    # right multiplication passed off as a left action (or left as right)
+    # does not commute with the other side, so it leaves the relation span
+    a = two_cycle_rad_square(FIELDS[field]())
+    reg = regular_bimodule(a)
+    bad_left = Bimodule(a, a, a.dim, a.rmul_mats(), a.rmul_mats())
+    bad_right = Bimodule(a, a, a.dim, a.lmul_mats(), a.lmul_mats())
+    x = regular_module(a)
+    proj_x = quotient_maps(intertwining_system(a.field, a.dim, a.dim,
+                                               bad_left.right_acts, x.acts))[0]
+    _same_error(lambda: tensor_module(bad_left, x),
+                lambda: _tensor_acts(bad_left, x, proj_x), BimoduleError,
+                "left action does not descend to the tensor quotient")
+    for m, n, side in ((bad_left, reg, "left"), (reg, bad_right, "right")):
+        proj = quotient_maps(intertwining_system(a.field, m.dim, n.dim,
+                                                 m.right_acts, n.left_acts))[0]
+        _same_error(lambda: bimodule_tensor(m, n),
+                    lambda: _bimodule_tensor_acts(m, n, proj), BimoduleError,
+                    f"{side} action does not descend")
+    with pytest.raises(ContextError, match="^right action does not descend"):
+        right_tensor(regular_module(opposite_algebra(a)), bad_right)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_non_factoring_structure_maps_still_raise(field):
+    cases = 0
+    for context in CONTEXTS:
+        ctx, quads = _cases(field, context)
+        F = ctx.A.field
+        for q in quads:
+            f_full, g_full = q.mx.proj @ q.f.mat, q.ny.proj @ q.g.mat
+            for bad, proj, cod in (("f", q.mx.proj, q.y), ("g", q.ny.proj, q.x)):
+                units = [Mat.identity(F, proj.rows).block(0, proj.rows, j, j + 1)
+                         for j in range(proj.rows)]
+                outside = [e for e in units if solve(proj, e) is None]
+                if not outside or cod.dim == 0:
+                    continue
+                full = Mat.hstack([outside[0], Mat.zeros(F, proj.rows, cod.dim - 1)])
+                args = (full, g_full) if bad == "f" else (f_full, full)
+                what = "M (x)_A X" if bad == "f" else "N (x)_B Y"
+                _same_error(lambda: make_quadruple(ctx, q.x, q.y, *args),
+                            lambda: _quadruple_maps(q.mx.proj, q.ny.proj, *args),
+                            ContextError, f"{bad} does not factor through {what}")
+                cases += 1
+    assert cases
+
+
+def _catalog_algebras(F: Field):
+    algs = [field_algebra(F), product_fields(F, 2), truncated_poly(F, 2),
+            truncated_poly(F, 3), path_a2(F), two_cycle_rad_square(F)]
+    for make in CONTEXTS.values():
+        ext, ctx = make(F)
+        algs += [ctx.A, ctx.B, ext.Lam, build_ring(ctx).ring]
+    return algs
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_cached_radical_is_the_trace_form_kernel(field):
+    for a in _catalog_algebras(FIELDS[field]()):
+        rad = radical_basis(a)
+        assert rad == left_kernel(trace_form(a))
+        assert radical_basis(a) is rad
+
+
+def test_radical_field_check_runs_on_every_call():
+    a = truncated_poly(GF(7), 7)
+    for _ in range(2):
+        with pytest.raises(UnsupportedField):
+            radical_basis(a)

@@ -311,6 +311,8 @@ def _verify_cert_json(prob, cert_obj) -> list[str]:
         ctx_name = name[5:-1]
         if ctx_name in prob.contexts:
             algebra = build_ring(prob.contexts[ctx_name]).ring
+    if algebra is None and name in prob.extensions:
+        algebra = prob.extensions[name].Lam
     if algebra is None:
         return [f"certificate references unknown algebra {name!r}"]
     cert = certificate_from_json(algebra, cert_obj)

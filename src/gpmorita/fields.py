@@ -2,8 +2,11 @@
 
 A Field instance fixes the ground field for a whole session.  Rational
 values are `fractions.Fraction` (always lowest terms, positive
-denominator); F_p values are ints in [0, p).  Mixed-field arithmetic is
-an error everywhere in this package, never a coercion.
+denominator); F_p values are ints in [0, p).  These are the scalar types
+at the boundary of `linalg`: matrices take and return them, but store
+integer rows over one denominator and compute on those, with no call
+into this class per entry.  Mixed-field arithmetic is an error
+everywhere in this package, never a coercion.
 """
 from __future__ import annotations
 

@@ -12,27 +12,32 @@ every basis row, a column that is 1 in that row and 0 in the others, as
 every `row_space`, `left_kernel` and transposed `kernel_basis` has; it
 reads the coordinates off those columns with no row reduction.
 `factor_through` applies it to the transposes, to factor maps through a
-`kernel_basis` (a quotient projection).  A change of entry storage stays
-inside this file.
+`kernel_basis` (a quotient projection).
 
-Matrices are row-major lists of field elements: `Fraction`s over Q, ints
-in [0, p) over F_p.  Row reduction is Gauss-Jordan over F_p and
-fraction-free (Bareiss) over Q, with deterministic first-nonzero
+Storage.  Every `Mat`, over either field, holds integer rows over one
+positive denominator, `_ints / _den`, built once at construction and
+never written afterwards.  Over F_p the denominator is 1 and the entries
+lie in [0, p).  Over Q the denominator is canonical, the least positive
+one with integer rows, so two matrices are equal exactly when their
+storage is.
+
+Kernels.  Arithmetic, the builders above, kernels and `solve` compute on
+the integer rows, with one code path for both fields.  A result whose
+storage may not be canonical passes through one normaliser, `_canon`:
+over F_p it reduces the rows mod p, over Q it divides out the gcd of the
+entries and the denominator.  Pure rearrangements (transposes, stacks,
+reshapes), entries taken from a matrix over denominator 1 (`_select`) and
+the 0/1 matrices keep canonical storage as they are.  Row
+reduction is the one field-dependent kernel: Gauss-Jordan over F_p and
+fraction-free (Bareiss) over Z for Q, with deterministic first-nonzero
 pivoting, so every echelon form, kernel and quotient basis is
-reproducible across runs.
+reproducible across runs.  The echelon form is cached on the matrix and
+on itself, so an echelon form is never reduced again.
 
-Over Q every kernel computes on Python ints.  `_lift` turns a matrix into
-integer rows over one common denominator, the lcm of its entry
-denominators, and caches the result on the matrix; `_drop` turns integer
-rows over a denominator back into one `Fraction` per entry.  The lift is
-canonical, so two matrices are equal exactly when their lifts are.  Over
-F_p the kernels run on the entries themselves and reduce each output
-cell once.
-
-A `Mat` is never written after its first arithmetic use.  Its lift and
-its echelon form are cached on it, so code here that builds a matrix by
-writing into `data` (a fresh `zeros`, `identity` or `copy`) finishes
-writing before it passes the matrix to any operation.
+Boundary.  Field elements, `Fraction`s over Q and ints over F_p, appear
+only where matrices meet the rest of the package: `Mat(F, rows, cols)`
+and `from_rows` take them, and `row`, `to_rows`, `trace` and the
+read-only `data` return fresh ones.
 
 Convention used by the rest of the package: linear maps act on ROW
 vectors from the right, x |-> x @ M, so a map V -> W is a (dim V x dim W)
@@ -53,33 +58,65 @@ from .fields import Field, FieldMismatch
 # Shared constants for small integers: most entries here are small, and a
 # dict hit costs far less than building a Fraction.
 _SMALL = {n: Fraction(n) for n in range(-64, 65)}
-_new = object.__new__
 
 
-def _lift(m: "Mat") -> tuple[list[list[int]], int]:
-    """(rows, den) with m = rows / den and den the lcm of the entry
-    denominators.  Cached on m; the rows are never written."""
-    lifted = m._lifted
-    if lifted is None:
-        data = m.data
-        den = lcm(*{x.denominator for row in data for x in row})
-        if den == 1:
-            rows = [[x.numerator for x in row] for row in data]
+def _wrap(field: Field, ints: list[list[int]], den: int, cols: int) -> "Mat":
+    """A Mat holding ints / den as given, which must be canonical storage."""
+    m = object.__new__(Mat)
+    m.field = field
+    m.rows = len(ints)
+    m.cols = cols
+    m._ints = ints
+    m._den = den
+    m._rref = None
+    return m
+
+
+def _canon(field: Field, ints: list[list[int]], den: int, cols: int) -> "Mat":
+    """The matrix ints / den, den > 0, in canonical storage: over F_p the
+    rows reduced mod p over 1, over Q the rows and den divided by their
+    gcd."""
+    p = field.p
+    if p is not None:
+        if den != 1:    # a Fraction entry given to the constructor
+            inv = pow(den, -1, p)
+            ints = [[x * inv for x in r] for r in ints]
+        return _wrap(field, [[x % p for x in r] for r in ints], 1, cols)
+    if den != 1:
+        g = den
+        for r in ints:
+            g = gcd(g, *r)
+            if g == 1:
+                break
         else:
-            rows = [[x.numerator * (den // x.denominator) for x in row]
-                    for row in data]
-        lifted = m._lifted = (rows, den)
-    return lifted
+            ints, den = [[x // g for x in r] for r in ints], den // g
+    return _wrap(field, ints, den, cols)
 
 
-def _drop(rows: list[list[int]], den: int) -> list[list[Fraction]]:
-    """The entries of rows / den as Fractions, one per entry; den > 0."""
+def _select(field: Field, ints: list[list[int]], den: int, cols: int) -> "Mat":
+    """The matrix ints / den, where ints holds entries (and zeros) of the
+    integer rows of a matrix stored over den.  Over den 1 they are
+    canonical as they stand, in both fields; otherwise a smaller
+    denominator may do, so they go through the normaliser."""
+    return _wrap(field, ints, 1, cols) if den == 1 else _canon(field, ints, den, cols)
+
+
+def _over(m: "Mat", den: int) -> list[list[int]]:
+    """m's integer rows over den, a multiple of m's denominator."""
+    s = den // m._den
+    return m._ints if s == 1 else [[x * s for x in r] for r in m._ints]
+
+
+def _drop(field: Field, ints: list[list[int]], den: int) -> list[list]:
+    """The entries of ints / den as field elements, in fresh rows."""
+    if not field.is_rational:
+        return [r[:] for r in ints]
     small = _SMALL
     if den == 1:
         return [[small[x] if x in small else Fraction(x) for x in row]
-                for row in rows]
+                for row in ints]
     out = []
-    for row in rows:
+    for row in ints:
         frow = []
         for x in row:
             g = gcd(x, den)
@@ -89,120 +126,117 @@ def _drop(rows: list[list[int]], den: int) -> list[list[Fraction]]:
             else:
                 # lowest terms with a positive denominator, as Fraction keeps
                 # them, without Fraction's own argument checks
-                f = _new(Fraction)
+                f = object.__new__(Fraction)
                 f._numerator, f._denominator = x // g, den // g
                 frow.append(f)
         out.append(frow)
     return out
 
 
-def _matmul_rows(a: list[list[int]], b: list[list[int]], n: int,
-                 p: int | None) -> list[list[int]]:
-    """a @ b on int rows, skipping zero entries of a; over F_p (p given)
-    each output cell is reduced once."""
+def _matmul_rows(a: list[list[int]], b: list[list[int]], n: int) -> list[list[int]]:
+    """a @ b on int rows with n columns, skipping zero entries of a."""
     out = []
     for row in a:
         acc = [0] * n
         for k, x in enumerate(row):
             if x:
                 acc = [s + x * y for s, y in zip(acc, b[k])]
-        out.append(acc if p is None else [s % p for s in acc])
+        out.append(acc)
     return out
 
 
 class Mat:
-    """A rows x cols matrix over `field`.
+    """A rows x cols matrix over `field`, stored as integer rows over one
+    denominator (see the module docstring) and never written after
+    construction.
 
-    `data` belongs to this module: code outside `linalg` reads and builds
-    matrices only through the methods and functions here (`from_rows`,
-    `to_rows`, `row`, `trace`, `block`, `from_blocks`, `reshape`,
-    `flatten` and the arithmetic).  `data` is never
-    written after the matrix's first arithmetic use, because `_lifted` (the
-    integer lift over Q) and `_rref` (the echelon form) are cached from it."""
+    The storage belongs to this module: code outside `linalg` builds and
+    reads matrices only through the methods and functions here
+    (`Mat(F, rows, cols)`, `from_rows`, `to_rows`, `row`, `data`, `trace`,
+    `block`, `from_blocks`, `reshape`, `flatten` and the arithmetic), which
+    take and return field elements.  The echelon form is cached in
+    `_rref`."""
 
-    __slots__ = ("field", "rows", "cols", "data", "_lifted", "_rref")
+    __slots__ = ("field", "rows", "cols", "_ints", "_den", "_rref")
 
     def __init__(self, field: Field, data: list[list], cols: int | None = None):
-        self.field = field
-        self.data = data
-        self.rows = len(data)
+        """The matrix with the given rows of field elements (ints are read
+        into the field)."""
         if data:
-            self.cols = len(data[0])
-            if cols is not None and cols != self.cols:
+            if cols is not None and cols != len(data[0]):
                 raise ValueError("declared column count disagrees with data")
-        else:
-            if cols is None:
-                raise ValueError("empty matrix needs an explicit column count")
-            self.cols = cols
-        self._lifted = None
-        self._rref = None
+            cols = len(data[0])
+        elif cols is None:
+            raise ValueError("empty matrix needs an explicit column count")
+        den = lcm(*{x.denominator for row in data for x in row})
+        ints = [[x.numerator * (den // x.denominator) for x in row] for row in data]
+        c = _canon(field, ints, den, cols)
+        self.field, self.rows, self.cols = field, c.rows, cols
+        self._ints, self._den, self._rref = c._ints, c._den, None
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def from_rows(field: Field, rows: list[list], cols: int | None = None) -> "Mat":
-        out = []
-        for r in rows:
-            out.append([field.of_int(x) if isinstance(x, int) else x for x in r])
-        return Mat(field, out, cols)
+        return Mat(field, rows, cols)
 
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Mat":
-        z = field.zero()
-        return Mat(field, [[z] * cols for _ in range(rows)], cols)
+        return _wrap(field, [[0] * cols for _ in range(rows)], 1, cols)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Mat":
-        z, o = field.zero(), field.one()
-        return Mat(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
+        return _wrap(field, [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)], 1, n)
 
     def copy(self) -> "Mat":
-        return Mat(self.field, [row[:] for row in self.data], self.cols)
+        """The same matrix with no cached echelon form."""
+        return _wrap(self.field, self._ints, self._den, self.cols)
 
     # -- basic queries ------------------------------------------------
 
     def __eq__(self, other):
-        if not (isinstance(other, Mat) and self.field == other.field
-                and self.rows == other.rows and self.cols == other.cols):
-            return False
-        if self.field.is_rational:
-            return _lift(self) == _lift(other)
-        return self.data == other.data
+        return (isinstance(other, Mat) and self.field == other.field
+                and self.rows == other.rows and self.cols == other.cols
+                and self._den == other._den and self._ints == other._ints)
 
     def __repr__(self):
         return f"Mat({self.rows}x{self.cols} over {self.field})"
 
     def is_zero(self) -> bool:
-        rows = _lift(self)[0] if self.field.is_rational else self.data
-        return not any(map(any, rows))
+        return not any(map(any, self._ints))
+
+    @property
+    def data(self) -> list[list]:
+        """The entries as fresh row lists, read-only like `to_rows`."""
+        return _drop(self.field, self._ints, self._den)
 
     def row(self, i: int) -> list:
-        return self.data[i][:]
+        return _drop(self.field, [self._ints[i]], self._den)[0]
 
     def to_rows(self) -> list[list]:
         """The entries as fresh row lists; `from_rows` takes them back."""
-        return [row[:] for row in self.data]
+        return _drop(self.field, self._ints, self._den)
 
     def trace(self):
-        diag = [self.data[d][d] for d in range(min(self.rows, self.cols))]
-        F = self.field
-        return sum(diag, F.zero()) if F.is_rational else sum(diag) % F.p
+        s = sum(self._ints[d][d] for d in range(min(self.rows, self.cols)))
+        return _canon(self.field, [[s]], self._den, 1).row(0)[0]
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "Mat":
         """Rows r0..r1-1 and columns c0..c1-1, as a new matrix."""
         if not (0 <= r0 <= r1 <= self.rows and 0 <= c0 <= c1 <= self.cols):
             raise ValueError(f"block [{r0}:{r1}, {c0}:{c1}] outside a "
                              f"{self.rows}x{self.cols} matrix")
-        return Mat(self.field, [row[c0:c1] for row in self.data[r0:r1]], c1 - c0)
+        return _select(self.field, [row[c0:c1] for row in self._ints[r0:r1]],
+                       self._den, c1 - c0)
 
     def reshape(self, rows: int, cols: int) -> "Mat":
         """The same entries, read and written row-major, as rows x cols."""
         if rows * cols != self.rows * self.cols:
             raise ValueError(f"cannot reshape {self.rows}x{self.cols} "
                              f"to {rows}x{cols}")
-        flat = [x for row in self.data for x in row]
-        return Mat(self.field, [flat[i * cols:(i + 1) * cols] for i in range(rows)],
-                   cols)
+        flat = [x for row in self._ints for x in row]
+        return _wrap(self.field, [flat[i * cols:(i + 1) * cols] for i in range(rows)],
+                     self._den, cols)
 
     def flatten(self) -> "Mat":
         """The entries as one row vector, row-major."""
@@ -219,17 +253,12 @@ class Mat:
         self._same_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError(f"shape mismatch in {op}")
-        F = self.field
-        if F.is_rational:
-            (ra, da), (rb, db) = _lift(self), _lift(other)
-            den = lcm(da, db)
-            sa, sb = den // da, sign * (den // db)
-            rows = [[x * sa + y * sb for x, y in zip(r1, r2)]
-                    for r1, r2 in zip(ra, rb)]
-            return Mat(F, _drop(rows, den), self.cols)
-        p = F.p
-        return Mat(F, [[(x + sign * y) % p for x, y in zip(r1, r2)]
-                       for r1, r2 in zip(self.data, other.data)], self.cols)
+        da, db = self._den, other._den
+        den = lcm(da, db)
+        sa, sb = den // da, sign * (den // db)
+        ints = [[x * sa + y * sb for x, y in zip(r1, r2)]
+                for r1, r2 in zip(self._ints, other._ints)]
+        return _canon(self.field, ints, den, self.cols)
 
     def add(self, other: "Mat") -> "Mat":
         return self._combine(other, 1, "add")
@@ -238,15 +267,10 @@ class Mat:
         return self._combine(other, -1, "sub")
 
     def scale(self, c) -> "Mat":
-        F = self.field
-        c = F.of_int(c) if isinstance(c, int) else c
-        if F.is_rational:
-            rows, den = _lift(self)
-            n = c.numerator
-            return Mat(F, _drop([[n * x for x in row] for row in rows],
-                                den * c.denominator), self.cols)
-        p = F.p
-        return Mat(F, [[(c * x) % p for x in row] for row in self.data], self.cols)
+        """c * self, for an int or a field element c."""
+        n = c.numerator
+        ints = [[n * x for x in row] for row in self._ints]
+        return _canon(self.field, ints, self._den * c.denominator, self.cols)
 
     def neg(self) -> "Mat":
         return self.scale(-1)
@@ -255,12 +279,8 @@ class Mat:
         self._same_field(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch in matmul: {self.cols} vs {other.rows}")
-        F = self.field
-        n = other.cols
-        if F.is_rational:
-            (ra, da), (rb, db) = _lift(self), _lift(other)
-            return Mat(F, _drop(_matmul_rows(ra, rb, n, None), da * db), n)
-        return Mat(F, _matmul_rows(self.data, other.data, n, F.p), n)
+        ints = _matmul_rows(self._ints, other._ints, other.cols)
+        return _canon(self.field, ints, self._den * other._den, other.cols)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         return self.matmul(other)
@@ -268,50 +288,48 @@ class Mat:
     def transpose(self) -> "Mat":
         if self.rows == 0 or self.cols == 0:
             return Mat.zeros(self.field, self.cols, self.rows)
-        return Mat(self.field, [list(col) for col in zip(*self.data)], self.rows)
+        return _wrap(self.field, [list(col) for col in zip(*self._ints)], self._den,
+                     self.rows)
 
     # -- block operations ----------------------------------------------
+    # The lcm of canonical denominators is the canonical denominator of the
+    # assembled matrix, so these need no normaliser.
 
     @staticmethod
     def hstack(mats: list["Mat"]) -> "Mat":
         rows = mats[0].rows
         if any(m.rows != rows for m in mats):
             raise ValueError("hstack: row counts differ")
-        cols = sum(m.cols for m in mats)
-        return Mat(mats[0].field,
-                   [sum((m.data[i] for m in mats), []) for i in range(rows)], cols)
+        den = lcm(*(m._den for m in mats))
+        parts = [_over(m, den) for m in mats]
+        return _wrap(mats[0].field, [sum(r, []) for r in zip(*parts)], den,
+                     sum(m.cols for m in mats))
 
     @staticmethod
     def vstack(mats: list["Mat"]) -> "Mat":
         cols = mats[0].cols
         if any(m.cols != cols for m in mats):
             raise ValueError("vstack: column counts differ")
-        data = []
-        for m in mats:
-            data.extend(row[:] for row in m.data)
-        return Mat(mats[0].field, data, cols)
+        den = lcm(*(m._den for m in mats))
+        return _wrap(mats[0].field, [r for m in mats for r in _over(m, den)], den, cols)
 
     @staticmethod
     def block_diag(mats: list["Mat"]) -> "Mat":
-        field = mats[0].field
-        rows = sum(m.rows for m in mats)
         cols = sum(m.cols for m in mats)
-        out = Mat.zeros(field, rows, cols)
-        r0 = c0 = 0
+        den = lcm(*(m._den for m in mats))
+        ints = []
+        c0 = 0
         for m in mats:
-            for i in range(m.rows):
-                out.data[r0 + i][c0:c0 + m.cols] = m.data[i][:]
-            r0 += m.rows
+            pad = [0] * (cols - c0 - m.cols)
+            ints.extend([0] * c0 + r + pad for r in _over(m, den))
             c0 += m.cols
-        return out
+        return _wrap(mats[0].field, ints, den, cols)
 
     @staticmethod
     def from_blocks(field: Field, row_dims: list[int], col_dims: list[int],
                     blocks: list[list["Mat | None"]]) -> "Mat":
         """The block matrix with blocks[i][j], a row_dims[i] x col_dims[j]
         matrix, in row band i and column band j; None is a zero block."""
-        z = field.zero()
-        data = []
         for rd, band in zip(row_dims, blocks, strict=True):
             for m, cd in zip(band, col_dims, strict=True):
                 if m is not None:
@@ -320,12 +338,16 @@ class Mat:
                     if (m.rows, m.cols) != (rd, cd):
                         raise ValueError("from_blocks: a block disagrees with "
                                          "its band sizes")
+        den = lcm(*(m._den for band in blocks for m in band if m is not None))
+        ints = []
+        for rd, band in zip(row_dims, blocks):
+            parts = [None if m is None else _over(m, den) for m in band]
             for i in range(rd):
                 row = []
-                for m, cd in zip(band, col_dims):
-                    row.extend([z] * cd if m is None else m.data[i])
-                data.append(row)
-        return Mat(field, data, sum(col_dims))
+                for p, cd in zip(parts, col_dims):
+                    row.extend([0] * cd if p is None else p[i])
+                ints.append(row)
+        return _wrap(field, ints, den, sum(col_dims))
 
     def kron(self, other: "Mat") -> "Mat":
         """Kronecker product; row index (i, k) -> i * other.rows + k.
@@ -334,23 +356,17 @@ class Mat:
         (u (x) v) @ (A kron B) = (u @ A) (x) (v @ B).
         """
         self._same_field(other)
-        F = self.field
-        cols = self.cols * other.cols
-        if F.is_rational:
-            (ra, da), (rb, db) = _lift(self), _lift(other)
-            rows = [[x * y for x in ar for y in br] for ar in ra for br in rb]
-            return Mat(F, _drop(rows, da * db), cols)
-        p = F.p
-        return Mat(F, [[(x * y) % p for x in ar for y in br]
-                       for ar in self.data for br in other.data], cols)
+        ints = [[x * y for x in ar for y in br]
+                for ar in self._ints for br in other._ints]
+        return _canon(self.field, ints, self._den * other._den, self.cols * other.cols)
 
 
 # -- row reduction -----------------------------------------------------
 
 
-def _rref_fp(field: Field, data: list[list]) -> tuple[list[list], list[int]]:
-    p = field.p
-    m = [row[:] for row in data]
+def _rref_fp(p: int, ints: list[list[int]]) -> tuple[list[list[int]], int, list[int]]:
+    """Gauss-Jordan mod p: (reduced rows, denominator 1, pivot columns)."""
+    m = list(ints)
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots = []
@@ -375,18 +391,15 @@ def _rref_fp(field: Field, data: list[list]) -> tuple[list[list], list[int]]:
         r += 1
         if r == nrows:
             break
-    return m[:r], pivots
+    return m[:r], 1, pivots
 
 
-def _rref_q(data: list[list]) -> tuple[list[list], list[int]]:
-    # Clear denominators per row, then fraction-free (Bareiss) elimination
-    # over Z to bound entry growth, then back-substitution over Z; only the
-    # reduced rows become Fractions.
-    m = []
-    for row in data:
-        den = lcm(*{x.denominator for x in row})
-        m.append([x.numerator for x in row] if den == 1 else
-                 [x.numerator * (den // x.denominator) for x in row])
+def _rref_q(ints: list[list[int]]) -> tuple[list[list[int]], int, list[int]]:
+    """Fraction-free (Bareiss) elimination over Z to bound entry growth,
+    then back-substitution over Z: (reduced rows over their canonical
+    denominator, that denominator, pivot columns).  Scaling a matrix
+    keeps its echelon form, so the stored denominator plays no part."""
+    m = list(ints)
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots = []
@@ -416,7 +429,8 @@ def _rref_q(data: list[list]) -> tuple[list[list], list[int]]:
         if r == nrows:
             break
     # Bottom up, reduced row i is e / d over Z: e is zero in every other
-    # pivot column and d = e[pivots[i]] > 0, with gcd(e) = 1.
+    # pivot column and d = e[pivots[i]] > 0, with gcd(e) = 1, so d is the
+    # row's canonical denominator and their lcm the matrix's.
     red = [None] * r
     for i in range(r - 1, -1, -1):
         e = m[i]
@@ -432,19 +446,25 @@ def _rref_q(data: list[list]) -> tuple[list[list], list[int]]:
             g = -g
         e = [x // g for x in e]
         red[i] = (e, e[pivots[i]])
-    return [_drop([e], d)[0] for e, d in red], pivots
+    den = lcm(*(d for _, d in red))
+    return [[x * (den // d) for x in e] for e, d in red], den, pivots
 
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form (zero rows dropped) and pivot columns."""
     if m._rref is None:
-        if m.field.is_rational:
-            rows, piv = _rref_q(m.data)
+        F = m.field
+        if F.is_rational:
+            ints, den, piv = _rref_q(m._ints)
         else:
-            rows, piv = _rref_fp(m.field, m.data)
-        R = Mat(m.field, rows, m.cols)
+            ints, den, piv = _rref_fp(F.p, m._ints)
+        R = _wrap(F, ints, den, m.cols)
+        # R is its own echelon form: None stands for R itself, so that no
+        # reference cycle outlives the caller's last use of R
+        R._rref = (None, tuple(piv))
         m._rref = (R, tuple(piv))
-    return m._rref
+    cached = m._rref
+    return cached if cached[0] is not None else (m, cached[1])
 
 
 def rank(m: Mat) -> int:
@@ -459,16 +479,15 @@ def kernel_basis(m: Mat) -> Mat:
 def _kernel_and_free(m: Mat) -> tuple[Mat, list[int]]:
     """kernel_basis(m) and the non-pivot columns of m's echelon form,
     one per kernel column."""
-    F = m.field
     R, pivots = rref(m)
     pivset = set(pivots)
     free = [c for c in range(m.cols) if c not in pivset]
-    out = Mat.zeros(F, m.cols, len(free))
+    ints = [[0] * len(free) for _ in range(m.cols)]
     for k, c in enumerate(free):
-        out.data[c][k] = F.one()
+        ints[c][k] = R._den
         for i, pc in enumerate(pivots):
-            out.data[pc][k] = F.neg(R.data[i][c])
-    return out, free
+            ints[pc][k] = -R._ints[i][c]
+    return _canon(m.field, ints, R._den, len(free)), free
 
 
 def quotient_maps(rel_rows: Mat) -> tuple[Mat, Mat]:
@@ -479,19 +498,18 @@ def quotient_maps(rel_rows: Mat) -> tuple[Mat, Mat]:
     echelon form: the projection is kernel_basis(rel_rows), and the section
     lifts quotient coordinates to the matching unit vectors, so
     sec @ proj = identity."""
-    F = rel_rows.field
+    n = rel_rows.cols
     proj, free = _kernel_and_free(rel_rows)
-    z, o = F.zero(), F.one()
-    sec = Mat(F, [[o if j == c else z for j in range(rel_rows.cols)] for c in free],
-              rel_rows.cols)
-    return proj, sec
+    return proj, _wrap(rel_rows.field, [[0] * c + [1] + [0] * (n - 1 - c) for c in free],
+                       1, n)
 
 
 def linear_combination(field: Field, rows: int, cols: int, coeffs: list,
                        mats: list[Mat]) -> Mat:
-    """sum_t coeffs[t] * mats[t], for rows x cols matrices, in one pass over
-    the integer lifts (Q) or the entries (F_p).  Zero coefficients are
-    skipped; a lone coefficient 1 returns its matrix itself."""
+    """sum_t coeffs[t] * mats[t], for rows x cols matrices and int or
+    field-element coefficients, in one pass over the integer rows.  Zero
+    coefficients are skipped; a lone coefficient 1 returns its matrix
+    itself."""
     terms = [(c, m) for c, m in zip(coeffs, mats, strict=True) if c]
     for _, m in terms:
         if m.field is not field and m.field != field:
@@ -500,20 +518,12 @@ def linear_combination(field: Field, rows: int, cols: int, coeffs: list,
             raise ValueError("shape mismatch in linear_combination")
     if len(terms) == 1 and terms[0][0] == 1:
         return terms[0][1]
-    if field.is_rational:
-        lifted = [(c, _lift(m)) for c, m in terms]
-        den = lcm(*(c.denominator * d for c, (_, d) in lifted))
-        scaled = [(c.numerator * (den // (c.denominator * d)), r)
-                  for c, (r, d) in lifted]
-    else:
-        scaled = [(c, m.data) for c, m in terms]
+    den = lcm(*(c.denominator * m._den for c, m in terms))
     acc = [[0] * cols for _ in range(rows)]
-    for f, mrows in scaled:
-        acc = [[s + f * x for s, x in zip(ar, r)] for ar, r in zip(acc, mrows)]
-    if field.is_rational:
-        return Mat(field, _drop(acc, den), cols)
-    p = field.p
-    return Mat(field, [[s % p for s in r] for r in acc], cols)
+    for c, m in terms:
+        f = c.numerator * (den // (c.denominator * m._den))
+        acc = [[s + f * x for s, x in zip(ar, r)] for ar, r in zip(acc, m._ints)]
+    return _canon(field, acc, den, cols)
 
 
 def intertwining_system(field: Field, dp: int, dq: int, ps: list[Mat],
@@ -526,35 +536,23 @@ def intertwining_system(field: Field, dp: int, dq: int, ps: list[Mat],
 
     Row (i, k) holds P_t[i][j] at column (j, k) and -Q_t[k][l] at column
     (i, l), so each row is written from the nonzeros of row i of P_t and
-    row k of Q_t: over Q on integer lifts over one common denominator,
-    over F_p reducing only the cells that receive a Q_t entry."""
+    row k of Q_t, on integer rows over one common denominator."""
     n = dp * dq
-    if field.is_rational:
-        lifts = [_lift(m) for m in (*ps, *qs)]
-        den = lcm(*(d for _, d in lifts))
-        ints = [[[x * (den // d) for x in r] for r in rows] for rows, d in lifts]
-        p_rows, q_rows = ints[:len(ps)], ints[len(ps):]
-    else:
-        p_rows, q_rows = [m.data for m in ps], [m.data for m in qs]
-    p = field.p
+    den = lcm(*(m._den for m in (*ps, *qs)))
     out = []
-    for prow, qrow in zip(p_rows, q_rows, strict=True):
-        pnz = [[(j * dq, x) for j, x in enumerate(r) if x] for r in prow]
-        qnz = [[(l, y) for l, y in enumerate(r) if y] for r in qrow]
+    for pm, qm in zip(ps, qs, strict=True):
+        pnz = [[(j * dq, x) for j, x in enumerate(r) if x] for r in _over(pm, den)]
+        qnz = [[(l, y) for l, y in enumerate(r) if y] for r in _over(qm, den)]
         for i in range(dp):
             base = i * dq
             for k in range(dq):
                 row = [0] * n
                 for c, x in pnz[i]:
                     row[c + k] = x
-                if p is None:
-                    for l, y in qnz[k]:
-                        row[base + l] -= y
-                else:
-                    for l, y in qnz[k]:
-                        row[base + l] = (row[base + l] - y) % p
+                for l, y in qnz[k]:
+                    row[base + l] -= y
                 out.append(row)
-    return Mat(field, _drop(out, den) if field.is_rational else out, n)
+    return _canon(field, out, den, n)
 
 
 def left_kernel(m: Mat) -> Mat:
@@ -573,8 +571,7 @@ def image_basis(m: Mat) -> Mat:
     """Basis of the column space: the pivot columns of m, kept verbatim."""
     _, piv = rref(m.transpose())
     # pivot columns of m are the pivot "rows" of m^T
-    cols = [[m.data[i][c] for c in piv] for i in range(m.rows)]
-    return Mat(m.field, cols, len(piv)) if m.rows else Mat.zeros(m.field, 0, len(piv))
+    return _select(m.field, [[r[c] for c in piv] for r in m._ints], m._den, len(piv))
 
 
 def solve(a: Mat, b: Mat) -> Mat | None:
@@ -585,14 +582,12 @@ def solve(a: Mat, b: Mat) -> Mat | None:
         raise ValueError("solve: row counts differ")
     aug = Mat.hstack([a, b])
     R, pivots = rref(aug)
-    for p in pivots:
-        if p >= a.cols:
-            return None
-    F = a.field
-    x = Mat.zeros(F, a.cols, b.cols)
+    if any(p >= a.cols for p in pivots):
+        return None
+    ints = [[0] * b.cols for _ in range(a.cols)]
     for i, p in enumerate(pivots):
-        x.data[p] = [R.data[i][a.cols + j] for j in range(b.cols)]
-    return x
+        ints[p] = R._ints[i][a.cols:]
+    return _select(a.field, ints, R._den, b.cols)
 
 
 def solve_left(a: Mat, b: Mat) -> Mat | None:
@@ -655,20 +650,12 @@ def coordinates(basis: Mat, vectors: Mat) -> Mat | None:
     if basis.cols != vectors.cols:
         raise ValueError("coordinates: column counts differ")
     F = basis.field
-    n = basis.cols
-    if F.is_rational:
-        (rb, db), (rv, dv) = _lift(basis), _lift(vectors)
-        units = _unit_columns(rb, db)
-        prod = _matmul_rows([[r[c] for c in units] for r in rv], rb, n, None)
-        exact = all(got == [y * db for y in r] for got, r in zip(prod, rv))
-    else:
-        units = _unit_columns(basis.data, 1)
-        prod = _matmul_rows([[r[c] for c in units] for r in vectors.data],
-                            basis.data, n, F.p)
-        exact = prod == vectors.data
-    if not exact:
+    units = _unit_columns(basis._ints, basis._den)
+    x = [[r[c] for c in units] for r in vectors._ints]    # over vectors._den
+    prod = _matmul_rows(x, basis._ints, basis.cols)
+    if _canon(F, prod, vectors._den * basis._den, vectors.cols) != vectors:
         return None
-    return Mat(F, [[r[c] for c in units] for r in vectors.data], len(units))
+    return _select(F, x, vectors._den, len(units))
 
 
 def factor_through(proj: Mat, mats: list[Mat]) -> list[Mat] | None:

@@ -290,6 +290,67 @@ def test_verify_report_rejects_a_non_unital_certificate(tmp_path, capsys):
                         "as identity"]
 
 
+def _extension_checks(field):
+    """(field, fixture, subcommand, options) for check-gp, or nc-tensor
+    check where the extension lives over B, on every quadruple of every
+    fixture that has an extension; over GF(7) only the fixtures the
+    benchmark also runs there."""
+    names = (["arrow_glue.json", "glued5.json", "nc_phi.json", "triangular.json",
+              "two_cycle.json"] if field == "Q" else ["triangular.json", "two_cycle.json"])
+    cases = []
+    for name in names:
+        with open(fx(name), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        for e, ext in sorted(doc["extensions"].items()):
+            for c, ctx in sorted(doc["contexts"].items()):
+                cmd = ["check-gp"] if ext["algebra"] == ctx["A"] else ["nc-tensor", "check"]
+                cases += [(field, name, cmd, ["--extension", e, "--context", c,
+                                              "--quadruple", q])
+                          for q in sorted(doc["quadruples"])]
+    return cases
+
+
+def _problem_over(field, name, tmp_path):
+    if field == "Q":
+        return fx(name)
+    with open(fx(name), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["field"] = {"p": 7}
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("field, name, cmd, opts",
+                         _extension_checks("Q") + _extension_checks("GF7"),
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_verify_report_round_trips_extension_checks(tmp_path, capsys, field, name,
+                                                    cmd, opts):
+    problem = _problem_over(field, name, tmp_path)
+    code, out = run(capsys, *cmd, problem, *opts, "--json")
+    assert code in (0, 1), out
+    rep_path = tmp_path / "report.json"
+    rep_path.write_text(out)
+    code, out = run(capsys, "verify-report", problem, "--report", str(rep_path),
+                    "--json")
+    assert (code, json.loads(out)["problems"]) == (0, [])
+
+
+def test_verify_report_rejects_a_tampered_extension_certificate(tmp_path, capsys):
+    code, out = run(capsys, "check-gp", fx("two_cycle.json"), "--extension", "ext",
+                    "--context", "ctx", "--quadruple", "S1", "--json")
+    rep = json.loads(out)
+    rep["coker_g_certificate"]["module"]["acts"] = [
+        {"rows": 1, "cols": 1, "entries": [5]}]
+    rep_path = tmp_path / "tampered.json"
+    rep_path.write_text(json.dumps(rep))
+    code, out = run(capsys, "verify-report", fx("two_cycle.json"), "--report",
+                    str(rep_path), "--json")
+    assert code == 1
+    assert json.loads(out)["problems"] == [
+        "the certified module is not a module: unit does not act as identity"]
+
+
 def test_nc_tensor_build_and_iso(capsys):
     code, out = run(capsys, "nc-tensor", "build", fx("two_cycle.json"),
                     "--context", "ctx", "--json")

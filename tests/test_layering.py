@@ -1,7 +1,9 @@
-"""Four layering rules of the package, checked on its source.
+"""Five layering rules of the package, checked on its source.
 
 Only `linalg` sees matrix entries: no other module reads or writes a
-`.data` attribute, so the entry storage can change in one file.  The
+`.data` attribute or the integer storage behind it, so the storage can
+change in one file.  Inside `linalg` the kernels compute on that integer
+storage, never through a per-element `Field` call.  The
 independent checker `verify` imports only the shared ground (linear
 algebra, modules, complex windows, algebras and the certificate types),
 never a builder module such as `bimodules` or `homology`.  Vectors are
@@ -29,6 +31,10 @@ def _tree(name: str) -> ast.AST:
         return ast.parse(fh.read(), path)
 
 
+# `Mat.data` and the private storage it is read from
+ENTRY_ATTRS = {"data", "_ints", "_den"}
+
+
 def test_only_linalg_touches_matrix_entries():
     hits = []
     for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
@@ -36,8 +42,25 @@ def test_only_linalg_touches_matrix_entries():
         if name == "linalg.py":
             continue
         hits += [f"{name}:{node.lineno}" for node in ast.walk(_tree(name))
-                 if isinstance(node, ast.Attribute) and node.attr == "data"]
-    assert not hits, f".data outside linalg: {hits}"
+                 if isinstance(node, ast.Attribute) and node.attr in ENTRY_ATTRS]
+    assert not hits, f"matrix entries outside linalg: {hits}"
+
+
+FIELD_ELEMENT_OPS = {"add", "sub", "neg", "mul", "inv", "div", "is_zero", "zero",
+                     "one"}
+
+
+def _is_field(node: ast.AST) -> bool:
+    """`F`, `field` or a `.field` attribute."""
+    return (isinstance(node, ast.Name) and node.id in ("F", "field")) or \
+        (isinstance(node, ast.Attribute) and node.attr == "field")
+
+
+def test_linalg_makes_no_per_element_field_call():
+    hits = [f"linalg.py:{node.lineno}" for node in ast.walk(_tree("linalg.py"))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in FIELD_ELEMENT_OPS and _is_field(node.func.value)]
+    assert not hits, f"per-element Field calls in linalg: {hits}"
 
 
 def test_checker_imports_only_the_shared_ground():

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import copy
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -11,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from gpmorita import linalg
 from gpmorita.fields import GF, QQ, Field, FieldMismatch, FieldSpec
 from gpmorita.linalg import (
-    Mat, NonCanonicalBasis, _lift, coordinates, image_basis, in_row_space,
+    Mat, NonCanonicalBasis, coordinates, image_basis, in_row_space,
     is_injective, is_surjective, kernel_basis, left_kernel, preimage, rank,
     row_space, solve, solve_left,
 )
@@ -274,7 +273,7 @@ def old_kron(self, other: "Mat") -> "Mat":
     self._same_field(other)
     F = self.field
     z = F.zero()
-    out = Mat.zeros(F, self.rows * other.rows, self.cols * other.cols)
+    out = Mat.zeros(F, self.rows * other.rows, self.cols * other.cols).to_rows()
     for i in range(self.rows):
         for j in range(self.cols):
             a = self.data[i][j]
@@ -282,11 +281,11 @@ def old_kron(self, other: "Mat") -> "Mat":
                 continue
             for k in range(other.rows):
                 orow = other.data[k]
-                trow = out.data[i * other.rows + k]
+                trow = out[i * other.rows + k]
                 base = j * other.cols
                 for l in range(other.cols):
                     trow[base + l] = F.add(trow[base + l], F.mul(a, orow[l]))
-    return out
+    return Mat(F, out, self.cols * other.cols)
 
 
 def _rref_fp(field: Field, data: list[list]) -> tuple[list[list], list[int]]:
@@ -417,12 +416,10 @@ def exact(m: Mat):
 
 
 def assert_operands_intact(*ms: tuple[Mat, list]):
-    """Each operand's data is as before, and its cached lift, if any, is
-    still the lift of that data: no result shares rows with an operand."""
+    """Each operand's entries are as before: no result shares rows with an
+    operand."""
     for m, before in ms:
-        assert m.data == before
-        if m._lifted is not None:
-            assert m._lifted == _lift(Mat(m.field, m.data, m.cols))
+        assert m.to_rows() == before
 
 
 dims = st.integers(0, 5)
@@ -434,8 +431,8 @@ def test_kernels_match_per_entry_oracle(data, F, r, k, n):
     a = data.draw(_mat(F, r, k))
     b = data.draw(_mat(F, k, n))
     c = data.draw(_mat(F, r, k))
-    ops = [(a, copy.deepcopy(a.data)), (b, copy.deepcopy(b.data)),
-           (c, copy.deepcopy(c.data))]
+    ops = [(a, a.to_rows()), (b, b.to_rows()),
+           (c, c.to_rows())]
     s = data.draw(st.one_of(st.integers(-3, 3), _entries(F)))
     pairs = [(a.matmul(b), old_matmul(a, b)), (a.kron(b), old_kron(a, b)),
              (b.kron(a), old_kron(b, a)), (a.add(c), old_add(a, c)),
@@ -446,9 +443,10 @@ def test_kernels_match_per_entry_oracle(data, F, r, k, n):
         assert_operands_intact(*ops)
     for m in (a, b, a.sub(a), a.sub(c), Mat.zeros(F, r, n)):
         assert m.is_zero() == old_is_zero(m)
-    tweaked = a.copy()
+    rows = a.to_rows()
     if r and k:
-        tweaked.data[0][0] = F.add(tweaked.data[0][0], F.one())
+        rows[0][0] = F.add(rows[0][0], F.one())
+    tweaked = Mat(F, rows, a.cols)
     for x, y in [(a, a.copy()), (a, c), (a, tweaked), (a, b), (a, a.add(c).sub(c))]:
         assert (x == y) == old_eq(x, y)
     assert_operands_intact(*ops)
@@ -459,7 +457,7 @@ def test_kernels_match_per_entry_oracle(data, F, r, k, n):
 def test_rref_solve_kernel_match_per_entry_oracle(data, F, r, n, n2):
     a = data.draw(_mat(F, r, n))
     b = data.draw(_mat(F, r, n2))
-    ops = [(a, copy.deepcopy(a.data)), (b, copy.deepcopy(b.data))]
+    ops = [(a, a.to_rows()), (b, b.to_rows())]
     with mock.patch.object(linalg, "rref", old_rref):
         want_ker = kernel_basis(a)
         want_x = solve(a, b)
@@ -492,7 +490,7 @@ def _canonical_basis(draw, F):
 @given(st.data(), st.sampled_from(COORD_FIELDS))
 def test_coordinates_read_combinations_and_match_solve_left(data, F):
     basis = data.draw(_canonical_basis(F))
-    ops = [(basis, copy.deepcopy(basis.data))]
+    ops = [(basis, basis.to_rows())]
     x = data.draw(_mat(F, data.draw(st.integers(0, 4)), basis.rows))
     vectors = x @ basis
     got = coordinates(basis, vectors)
@@ -532,3 +530,89 @@ def test_coordinates_reject_a_basis_without_unit_columns(rows):
         basis = Mat.from_rows(F, rows, 2)
         with pytest.raises(NonCanonicalBasis):
             coordinates(basis, Mat.zeros(F, 1, 2))
+
+
+# -- storage: integer rows over one denominator ---------------------------------
+
+STORAGE_FIELDS = [QQ(), GF(5), GF(7)]
+
+
+def _scalars(F):
+    """Nonzero scalars of F with their inverses."""
+    if F.is_rational:
+        return st.builds(Fraction, st.integers(1, 40) | st.integers(-40, -1),
+                         st.integers(1, 40)).map(lambda c: (c, 1 / c))
+    return st.integers(1, F.p - 1).map(lambda c: (c, pow(c, -1, F.p)))
+
+
+@settings(max_examples=150)
+@given(st.data(), st.sampled_from(STORAGE_FIELDS), dims, dims)
+def test_storage_round_trips_field_elements(data, F, r, n):
+    rows = [[data.draw(_entries(F)) for _ in range(n)] for _ in range(r)]
+    m = Mat(F, rows, n)
+    assert m.to_rows() == rows and m.data == rows
+    assert [m.row(i) for i in range(r)] == rows
+    if F.is_rational:
+        # lowest terms, positive denominators, as Fraction itself keeps them
+        for row in m.to_rows():
+            for x in row:
+                assert type(x) is Fraction and x.denominator > 0
+                assert _gcd(abs(x.numerator), x.denominator) == 1
+        assert exact(m) == exact(Mat(F, [[Fraction(x) for x in row] for row in rows],
+                                     n))
+
+
+@settings(max_examples=150)
+@given(st.data(), st.sampled_from(STORAGE_FIELDS), dims, dims)
+def test_equal_values_from_differently_scaled_inputs_are_equal(data, F, r, n):
+    m = data.draw(_mat(F, r, n))
+    c, inv = data.draw(_scalars(F))
+    scaled = Mat(F, [[F.mul(c, x) for x in row] for row in m.to_rows()], n)
+    for same in (scaled.scale(inv), m.scale(c).scale(inv), m.add(scaled).sub(scaled)):
+        assert same == m and exact(same) == exact(m)
+    if r and n:
+        assert m.block(0, 1, 0, n) == Mat(F, [m.row(0)], n)
+
+
+def test_equal_values_from_differently_scaled_fractions_are_equal():
+    F = QQ()
+    a = Mat(F, [[Fraction(1, 2), Fraction(1, 3)]])
+    b = Mat(F, [[3, 2]]).scale(Fraction(1, 6))
+    assert a == b and exact(a) == exact(b)
+    assert Mat(F, [[Fraction(1, 2)]]).kron(Mat(F, [[2]])) == Mat.identity(F, 1)
+    assert Mat(F, [[Fraction(1, 2), 1]]).block(0, 1, 1, 2) == Mat.identity(F, 1)
+
+
+@pytest.mark.parametrize("F", STORAGE_FIELDS)
+def test_returned_rows_do_not_write_through(F):
+    m = Mat.from_rows(F, [[1, 2], [3, 4]])
+    before = m.to_rows()
+    m.data[0][0] = F.of_int(9)
+    m.row(1)[1] = F.of_int(9)
+    m.to_rows()[0][1] = F.of_int(9)
+    m.data.append([F.of_int(9)] * 2)
+    assert m.to_rows() == before and m.rows == 2
+    assert m == Mat.from_rows(F, [[1, 2], [3, 4]])
+    with pytest.raises(AttributeError):
+        m.data = [[F.of_int(0)] * 2] * 2
+
+
+# -- an echelon form is its own echelon form ------------------------------------
+
+
+@pytest.mark.parametrize("F", STORAGE_FIELDS)
+def test_rref_of_an_echelon_form_runs_no_elimination(F):
+    m = Mat.from_rows(F, [[1, 2, 3], [2, 4, 7], [0, 0, 2]])
+    R = row_space(m)
+    K = left_kernel(m.transpose())
+    with mock.patch.object(linalg, "_rref_q") as q, \
+            mock.patch.object(linalg, "_rref_fp") as fp:
+        assert linalg.rref(R) == (R, (0, 2)) and rank(R) == 2
+        assert row_space(R) is R and row_space(K) is K
+        assert kernel_basis(R).cols == 1 and kernel_basis(K).cols == 2
+    assert not q.called and not fp.called
+    # a copy carries no echelon form: it is reduced afresh, to the same result
+    with mock.patch.object(linalg, "_rref_q", wraps=linalg._rref_q) as q, \
+            mock.patch.object(linalg, "_rref_fp", wraps=linalg._rref_fp) as fp:
+        assert linalg.rref(R.copy()) == linalg.rref(R)
+    assert q.call_count + fp.call_count == 1

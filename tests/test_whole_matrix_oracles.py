@@ -101,15 +101,15 @@ def _quotient_maps(F: Field, rel_rows: Mat, ambient: int) -> tuple[Mat, Mat]:
     R, pivots = rref(rel_rows)
     pivset = set(pivots)
     free = [c for c in range(ambient) if c not in pivset]
-    proj = Mat.zeros(F, ambient, len(free))
-    sec = Mat.zeros(F, len(free), ambient)
+    proj = Mat.zeros(F, ambient, len(free)).to_rows()
+    sec = Mat.zeros(F, len(free), ambient).to_rows()
     for k, c in enumerate(free):
-        proj.data[c][k] = F.one()
-        sec.data[k][c] = F.one()
+        proj[c][k] = F.one()
+        sec[k][c] = F.one()
     for i, pc in enumerate(pivots):
         for k, c in enumerate(free):
-            proj.data[pc][k] = F.neg(R.data[i][c])
-    return proj, sec
+            proj[pc][k] = F.neg(R.data[i][c])
+    return Mat(F, proj, len(free)), Mat(F, sec, ambient)
 
 
 def _quadruple_hom_space(q1: QuadrupleModule, q2: QuadrupleModule) -> list[QuadrupleHom]:

@@ -14,7 +14,7 @@ import sys
 
 from .engine import (
     EngineError, audit_equivalence, build_total_resolution, check_compat,
-    check_conditions,
+    check_conditions, criterion_verdict,
 )
 from .gpcert import certify_gorenstein_projective
 from .jsonio import (
@@ -282,6 +282,8 @@ def cmd_verify_report(args, prob) -> int:
         for clause in rep.get("clauses", []):
             if not isinstance(clause.get("holds"), bool):
                 problems.append(f"clause {clause.get('name')} malformed")
+        if not problems and (cmd == "check-gp" or rep.get("mode") == "check"):
+            problems += _reconcile_criterion(rep)
     elif cmd == "check-compat":
         v = rep.get("verdict")
         if v == "not_compatible":
@@ -302,6 +304,24 @@ def cmd_verify_report(args, prob) -> int:
                "verdict": "ok" if not problems else "fail"}
     _emit(args, payload)
     return OK if not problems else FAIL
+
+
+def _reconcile_criterion(rep: dict) -> list[str]:
+    """The report's overall, failing and verdict must be what its clauses
+    and its two certificate verdicts imply."""
+    clauses = rep.get("clauses", [])
+    certs = [rep.get(f"coker_{s}_certificate") for s in "gf"]
+    if [c.get("name") for c in clauses] != ["iso_b1", "iso_b2", "iso_b3"] \
+            or None in certs:
+        return ["the report lacks a clause or a certificate of the criterion"]
+    overall, failing = criterion_verdict(
+        [(c["name"], c["holds"]) for c in clauses],
+        certs[0].get("verdict"), certs[1].get("verdict"))
+    if (rep.get("overall"), rep.get("failing"), rep.get("verdict")) != \
+            (overall, failing, overall):
+        return [f"the verdict does not follow from the clauses and "
+                f"certificates: expected {overall} failing {failing}"]
+    return []
 
 
 def _verify_cert_json(prob, cert_obj) -> list[str]:

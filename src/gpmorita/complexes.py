@@ -16,7 +16,7 @@ from .modules import (
     FDModule, ModuleHom, direct_sum, hom_space, image_of, kernel_of,
     regular_module, validate_module,
 )
-from .homology import ext_dim, is_projective
+from .homology import is_projective
 
 
 class ComplexError(ValueError):
@@ -227,34 +227,19 @@ class HorseshoeResult:
     y_proj: list[ModuleHom]       # Z^i -> Y^i
 
 
-def check_horseshoe_hypotheses(ses: ShortExactSequence, xc: ComplexWindow,
-                               yc: ComplexWindow, seed: int = 0):
-    """Ext^1(ker d_Y^i, X^i) = 0 and Ext^1(im d_Y^i, X^{i+1}) = 0 for the
-    rightward degrees, Ext^1(Y^{-i}, im d_X^{-i}) = 0 for the leftward
-    ones; raises with the offending degree."""
-    for i in range(0, xc.hi):
-        kv, _ = kernel_of(yc.diff(i))
-        if ext_dim(kv, xc.term(i), 1, seed) != 0:
-            raise HorseshoeError(
-                f"Ext^1(ker d_Y^{i}, X^{i}) != 0", degree=i)
-        iv, _ = image_of(yc.diff(i))
-        if ext_dim(iv, xc.term(i + 1), 1, seed) != 0:
-            raise HorseshoeError(
-                f"Ext^1(im d_Y^{i}, X^{i+1}) != 0", degree=i)
-    for i in range(1, -xc.lo + 1):
-        img, _ = image_of(xc.diff(-i))
-        if ext_dim(yc.term(-i), img, 1, seed) != 0:
-            raise HorseshoeError(
-                f"Ext^1(Y^{-i}, im d_X^{-i}) != 0", degree=-i)
-
-
 def horseshoe(ses: ShortExactSequence, xc: ComplexWindow, kx: ModuleHom,
-              yc: ComplexWindow, ky: ModuleHom, seed: int = 0) -> HorseshoeResult:
+              yc: ComplexWindow, ky: ModuleHom) -> HorseshoeResult:
     """Weave two exact complexes along a short exact sequence.
 
     kx: U -> X^0 and ky: V -> Y^0 identify the degree-0 kernels.  The
     result has Z^i = X^i (+) Y^i, differentials [[d_X, 0], [rho, d_Y]],
     and its degree-0 kernel sequence is the given one on the nose.
+
+    Each lift rho^i is decided by solving for it, with no Ext^1 pre-check
+    (vanishing Ext^1 is sufficient, not necessary); a missing lift raises
+    HorseshoeError with its degree.  The sequence, both kernel
+    identifications and the exactness of both inputs are checked first,
+    and the woven window and its kernel sequence last.
     """
     if (xc.lo, xc.hi) != (yc.lo, yc.hi):
         raise HorseshoeError("the two windows must agree")
@@ -272,7 +257,6 @@ def horseshoe(ses: ShortExactSequence, xc: ComplexWindow, kx: ModuleHom,
             raise HorseshoeError(f"kernel identification into {tag}^0 not surjective")
     if not is_exact(xc) or not is_exact(yc):
         raise HorseshoeError("input complexes must be exact on the window")
-    check_horseshoe_hypotheses(ses, xc, yc, seed)
     F = xc.algebra.field
     lo, hi = xc.lo, xc.hi
     rho: dict[int, ModuleHom] = {}

@@ -6,7 +6,9 @@ projective, the A-side one over the subring Lambda) and clause (b) (the
 three canonical comparison maps eta, theta, m are bijective).
 build_total_resolution runs the double-horseshoe construction and
 assembles the totally exact complex over the context ring whose degree-0
-kernel is the given quadruple, re-verifying every intermediate claim.
+kernel is the given quadruple.  It proves each fact once: the inputs are
+the report's certificates, the horseshoes check what they weave, and the
+output window and its kernel are checked at the end (see its docstring).
 check_compat / check_semi_weak_quadruple evaluate the bimodule
 compatibility hypotheses, separating proof-grade reasons (finite one-sided
 homological dimensions) from sampled evidence; audit_equivalence
@@ -22,21 +24,22 @@ from .bimodules import (
     tensor_functor_hom, tensor_module,
 )
 from .complexes import (
-    ComplexWindow, ShortExactSequence, hom_exactness_failure, horseshoe,
-    is_exact, total_exactness, twisted_diff, validate_complex,
+    ComplexWindow, HorseshoeError, HorseshoeResult, ShortExactSequence,
+    hom_exactness_failure, horseshoe, is_exact, total_exactness, twisted_diff,
+    validate_complex,
 )
 from .gpcert import GPCertificate, certify_gorenstein_projective
 from .homology import injective_dimension, projective_dimension
 from .linalg import Mat, factor_through, rank, solve
 from .modules import (
-    FDModule, ModuleHom, cokernel_of, hom_space, image_of, kernel_of,
-    restrict_along, zero_module,
+    FDModule, ModuleError, ModuleHom, cokernel_of, hom_space, image_of,
+    kernel_of, restrict_along, zero_module,
 )
 from .morita import (
     MoritaContext, MoritaRing, QuadrupleHom, QuadrupleModule, build_ring,
     make_right_quadruple, module_to_quadruple, quadruple_hom_space,
     quadruple_is_isomorphic, quadruple_kernel, quadruple_to_module, t_b,
-    tensor_over_ring, validate_quadruple, validate_quadruple_hom, z_a,
+    tensor_over_ring, validate_quadruple, z_a,
 )
 from .trivext import (
     StructuralMaps, TrivialExtension, check_extension_matches,
@@ -98,18 +101,28 @@ def check_conditions(ext: TrivialExtension, ctx: MoritaContext,
     b3 = IsoClause("iso_b3", sm.m_x.is_injective(),
                    f"I(x)Coker(g) dim {sm.m_x.source.dim} vs IX dim "
                    f"{sm.ix_rows.rows}")
-    failing = [c.name for c in (b1, b2, b3) if not c.holds]
-    for tag, cert in (("coker_g", cert_g), ("coker_f", cert_f)):
-        if cert.verdict == "not_gp":
-            failing.append(tag)
-    if failing:
-        overall = "fail"
-    elif cert_g.verdict == "unknown" or cert_f.verdict == "unknown":
-        overall = "unknown"
-    else:
-        overall = "pass"
+    overall, failing = criterion_verdict(
+        [(c.name, c.holds) for c in (b1, b2, b3)], cert_g.verdict,
+        cert_f.verdict)
     return CriterionReport(q, sm, u_lam, cert_g, cert_f, b1, b2, b3,
                            overall, failing)
+
+
+def criterion_verdict(clauses: list[tuple[str, bool]], verdict_g: str,
+                      verdict_f: str) -> tuple[str, list[str]]:
+    """(overall, failing) from the (name, holds) clauses of (b) and the
+    verdicts of the two cokernel certificates: every false clause and every
+    not_gp cokernel fails; otherwise an unknown certificate leaves the
+    criterion unknown."""
+    failing = [name for name, holds in clauses if not holds]
+    for tag, verdict in (("coker_g", verdict_g), ("coker_f", verdict_f)):
+        if verdict == "not_gp":
+            failing.append(tag)
+    if failing:
+        return "fail", failing
+    if "unknown" in (verdict_g, verdict_f):
+        return "unknown", failing
+    return "pass", failing
 
 
 def zero_case_check(ctx: MoritaContext, q: QuadrupleModule, window: int = 6,
@@ -172,9 +185,20 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
     """Run the double-horseshoe construction and assemble the totally
     exact complex of projective quadruples with degree-0 kernel q.
 
-    The two total resolutions come from the report's certificates; they
-    are re-verified here, as are the horseshoe hypotheses (they follow
-    from weak compatibility, and are checked directly instead)."""
+    Each fact is proved once, at the step that uses it:
+    - P and Q are totally exact windows resolving Coker(g) and Coker(f):
+      the certificates of a passing report (checked when they were made);
+    - M (x) P, I (x) P and N (x) Q are exact (C3): checked here, each
+      failure named;
+    - Y and Z are exact and resolve their sequences: the horseshoes check
+      their inputs (Z's exactness, both kernel identifications) and their
+      outputs (the woven window and its kernel sequence);
+    - T is a complex of modules over the context ring, exact and totally
+      exact: checked here on the T window.  Its differential is
+      block_diag(F, Y), so this covers F, and ring-linearity is exactly
+      being a quadruple map;
+    - ker(d_T^0) is isomorphic to q: found by the isomorphism search.
+    A failed horseshoe raises EngineError with its degree."""
     check_extension_matches(ext, ctx)
     _require(report.passed, "criterion report must pass before assembly")
     sm = report.structural
@@ -188,15 +212,6 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
     qcx = _restrict_window(cert_f.window, -span, span)
     p_ki, q_ki = cert_g.kernel_ident, cert_f.kernel_ident
     u_lam = report.coker_g_lambda
-    # re-verify the inputs rather than trusting the certificates
-    _require(validate_complex(pcx) == [] and is_exact(pcx),
-             "P window is not an exact complex")
-    _require(validate_complex(qcx) == [] and is_exact(qcx),
-             "Q window is not an exact complex")
-    _require(total_exactness(pcx, seed=seed), "P window is not totally exact")
-    _require(total_exactness(qcx, seed=seed), "Q window is not totally exact")
-    _require(_kernel_matches(pcx, p_ki, u_lam), "P window does not resolve Coker(g)")
-    _require(_kernel_matches(qcx, q_ki, sm.v), "Q window does not resolve Coker(f)")
 
     m_lam = restrict_right(ctx.M, ext.incl_rows, ext.Lam, name="M|Lam")
     n_lam = restrict_left(ctx.N, ext.incl_rows, ext.Lam, name="N|Lam")
@@ -216,12 +231,9 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
              and mu_lam.module.acts == sm.mu_t.module.acts,
              "M (x)_Lambda Coker(g) differs from M (x)_A Coker(g)")
     eta = ModuleHom(mu_lam.module, q.y, sm.eta.mat)
-    ses_star = ShortExactSequence(eta, sm.mu_y)
-    _require(ses_star.validate() == [], "the eta sequence is not short exact")
     kx_m = tensor_functor_hom(mu_lam, mp_tens[span], p_ki)   # M(x)U -> M(x)P^0
-    hs1 = horseshoe(ses_star, mp_cx, ModuleHom(mu_lam.module, mp_cx.term(0),
-                                               kx_m.mat),
-                    qcx, q_ki, seed=seed)
+    hs1 = _weave("first", ShortExactSequence(eta, sm.mu_y), mp_cx,
+                 ModuleHom(mu_lam.module, mp_cx.term(0), kx_m.mat), qcx, q_ki)
     ycx = hs1.zc
     rho = hs1.rho
 
@@ -246,8 +258,6 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
         dz = twisted_diff(ip_cx.diff(i).mat, tau_i, nq_cx.diff(i).mat)
         z_diffs.append(ModuleHom(z_terms[i + span], z_terms[i + span + 1], dz))
     zcx = ComplexWindow(-span, span, z_terms, z_diffs)
-    _require(validate_complex(zcx) == [], "Z window is not a complex")
-    _require(is_exact(zcx), "Z window is not exact")
 
     # identify ker(d_Z^0) with H = Im(g)
     h_mod, h_incl = image_of(q.g, name="Im(g)")
@@ -259,10 +269,8 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
     x_lam = ext.lam_module(q.x, name="X|Lam")
     incl_lam = ModuleHom(h_lam, x_lam, h_incl.mat)
     lam_x_lam = ModuleHom(x_lam, u_lam, sm.lambda_x.mat)
-    ses_dag = ShortExactSequence(incl_lam, lam_x_lam)
-    _require(ses_dag.validate() == [], "the H sequence is not short exact")
-    hs2 = horseshoe(ses_dag, zcx, ModuleHom(h_lam, zcx.term(0), kx_z.mat),
-                    pcx, p_ki, seed=seed)
+    hs2 = _weave("second", ShortExactSequence(incl_lam, lam_x_lam), zcx,
+                 ModuleHom(h_lam, zcx.term(0), kx_z.mat), pcx, p_ki)
     alpha, beta = {}, {}
     for i, r in hs2.rho.items():
         w_ip1 = ip_cx.term(i + 1).dim
@@ -276,19 +284,16 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
     # the hom-space caches can work
     from .morita import direct_sum_quadruples
     t_quads, f_terms, f_diffs = [], [], []
-    xi_data = []
-    seen: dict[tuple[int, int], tuple] = {}
+    seen: dict[tuple[int, int], QuadrupleModule] = {}
     for i in range(-span, span + 1):
         key = (id(pcx.term(i)), id(qcx.term(i)))
         if key not in seen:
             tq = t_lambda(ext, ctx, pcx.term(i), name=f"T_Lam(P^{i})")
             tb = t_b(ctx, qcx.term(i), name=f"T_B(Q^{i})")
             _require(tq.y.dim == mp_cx.term(i).dim, "M-part mismatch")
-            seen[key] = (tq, tb, direct_sum_quadruples([tq, tb], name=f"T^{i}"))
-        tq, tb, t_i = seen[key]
-        t_quads.append(t_i)
-        f_terms.append(t_i.x)
-        xi_data.append((tq, tb))
+            seen[key] = direct_sum_quadruples([tq, tb], name=f"T^{i}")
+        t_quads.append(seen[key])
+        f_terms.append(seen[key].x)
     for i in range(-span, span):
         # on P (+) I(x)P (+) N(x)Q:  [[d_P, alpha, beta],
         #                              [0, 1_I (x) d_P, 0],
@@ -301,10 +306,8 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
              [None, tau[i].mat, nq_cx.diff(i).mat]])
         f_diffs.append(ModuleHom(f_terms[i + span], f_terms[i + span + 1], df))
     fcx = ComplexWindow(-span, span, f_terms, f_diffs)
-    _require(validate_complex(fcx) == [], "F window is not an A-module complex")
-    _require(is_exact(fcx), "F window is not exact")
 
-    # the differential of T as quadruple maps, with all four blocks checked
+    # T over the context ring, with differential block_diag(F, Y)
     mr = _ring_of(ctx)
     t_terms, t_diffs = [], []
     ring_seen: dict[int, FDModule] = {}
@@ -313,22 +316,13 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
         if qk not in ring_seen:
             ring_seen[qk] = quadruple_to_module(mr, t_quads[i + span])
         t_terms.append(ring_seen[qk])
-    kernel_iso = None
     for i in range(-span, span):
-        dy = ycx.diff(i).mat
-        qh = QuadrupleHom(t_quads[i + span], t_quads[i + span + 1],
-                          ModuleHom(t_quads[i + span].x, t_quads[i + span + 1].x,
-                                    f_diffs[i + span].mat),
-                          ModuleHom(t_quads[i + span].y, t_quads[i + span + 1].y,
-                                    dy))
-        bad = validate_quadruple_hom(qh)
-        _require(bad == [], f"T differential fails at degree {i}: {bad[:1]}")
-        _check_blocks(ctx, ext, qh, xi_data[i + span], xi_data[i + span + 1],
-                      pcx.diff(i), qcx.diff(i), alpha[i], beta[i], tau[i], rho[i])
         t_diffs.append(ModuleHom(t_terms[i + span], t_terms[i + span + 1],
-                                 Mat.block_diag([f_diffs[i + span].mat, dy])))
+                                 Mat.block_diag([f_diffs[i + span].mat,
+                                                 ycx.diff(i).mat])))
     tcx = ComplexWindow(-span, span, t_terms, t_diffs)
-    _require(validate_complex(tcx) == [], "T window is not a complex")
+    bad = validate_complex(tcx)
+    _require(bad == [], f"T window is not a complex: {bad[:1]}")
     _require(is_exact(tcx), "T window is not exact")
     _require(total_exactness(tcx, seed=seed), "T window is not totally exact")
 
@@ -341,9 +335,18 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
     ker_q, _ = quadruple_kernel(d0, name="ker(d_T^0)")
     iso = quadruple_is_isomorphic(ker_q, q, seed=seed)
     _require(iso is not None, "ker(d_T^0) is not isomorphic to the quadruple")
-    _require(validate_quadruple_hom(iso) == [], "kernel isomorphism is not a map")
     return ResolutionAssembly(pcx, qcx, rho, tau, alpha, beta, ycx, zcx, fcx,
                               tcx, t_quads, iso)
+
+
+def _weave(which: str, ses: ShortExactSequence, xc: ComplexWindow,
+           kx: ModuleHom, yc: ComplexWindow, ky: ModuleHom) -> HorseshoeResult:
+    """A horseshoe of the assembly; its failure is an assembly failure."""
+    try:
+        return horseshoe(ses, xc, kx, yc, ky)
+    except HorseshoeError as e:
+        at = "" if e.degree is None else f" at degree {e.degree}"
+        raise EngineError(f"{which} horseshoe failed{at}: {e}") from e
 
 
 def _ring_of(ctx: MoritaContext) -> MoritaRing:
@@ -358,17 +361,6 @@ def _restrict_window(wc: ComplexWindow, lo: int, hi: int) -> ComplexWindow:
     terms = [wc.term(i) for i in range(lo, hi + 1)]
     diffs = [wc.diff(i) for i in range(lo, hi)]
     return ComplexWindow(lo, hi, terms, diffs)
-
-
-def _kernel_matches(wc: ComplexWindow, ki: ModuleHom, target: FDModule) -> bool:
-    if ki is None or ki.source.dim != target.dim:
-        return False
-    if ki.source.acts != target.acts:
-        return False
-    from .linalg import left_kernel, in_row_space
-    ker_rows = left_kernel(wc.diff(0).mat)
-    return (rank(ki.mat) == target.dim and ker_rows.rows == target.dim
-            and in_row_space(ker_rows, ki.mat))
 
 
 def _identify_h_with_z_kernel(ctx, ext, q, sm, hs1, zcx, ip0, nq0, mp0,
@@ -401,10 +393,13 @@ def _identify_h_with_z_kernel(ctx, ext, q, sm, hs1, zcx, ip0, nq0, mp0,
     sigma0 = Mat.from_rows(F, rows, z0.dim) if rows else Mat.zeros(F, 0, z0.dim)
     eye_n = Mat.identity(F, dN)
     delta_mat = q.ny.section @ eye_n.kron(hs1.embed.mat) @ sigma0
-    ker_z, ker_incl = kernel_of(zcx.diff(0))
     from .modules import corestrict
-    delta = corestrict(ModuleHom(ext.lam_module(q.ny.module), zcx.term(0),
-                                 delta_mat), ker_z, ker_incl)
+    try:
+        ker_z, ker_incl = kernel_of(zcx.diff(0))
+        delta = corestrict(ModuleHom(ext.lam_module(q.ny.module), zcx.term(0),
+                                     delta_mat), ker_z, ker_incl)
+    except ModuleError as e:
+        raise EngineError(f"delta does not map into ker(d_Z^0): {e}") from e
     _require(delta.is_surjective(), "delta does not surject onto ker(d_Z^0)")
     sigma_g = corestrict(q.g, h_mod, h_incl)
     h_map = solve(sigma_g.mat, delta.mat)
@@ -412,34 +407,6 @@ def _identify_h_with_z_kernel(ctx, ext, q, sm, hs1, zcx, ip0, nq0, mp0,
     _require(rank(h_map) == h_mod.dim and h_mod.dim == ker_z.dim,
              "Im(g) and ker(d_Z^0) are not identified (clause (b) content)")
     return ModuleHom(ext.lam_module(h_mod), zcx.term(0), h_map @ ker_incl.mat)
-
-
-def _check_blocks(ctx, ext, qh, src_pair, dst_pair, d_p, d_q, alpha_i, beta_i,
-                  tau_i, rho_i):
-    """The four corner blocks of the T differential are quadruple maps
-    between the summands, matching the displayed shapes."""
-    tq_s, tb_s = src_pair
-    tq_d, tb_d = dst_pair
-    am, bm = qh.alpha.mat, qh.beta.mat
-    # row bands: the T_Lam then the T_B summand of the source; column bands
-    # likewise of the target
-    x_rows = ((0, tq_s.x.dim), (tq_s.x.dim, am.rows))
-    x_cols = ((0, tq_d.x.dim), (tq_d.x.dim, am.cols))
-    y_rows = ((0, tq_s.y.dim), (tq_s.y.dim, bm.rows))
-    y_cols = ((0, tq_d.y.dim), (tq_d.y.dim, bm.cols))
-    for r, src in enumerate((tq_s, tb_s)):
-        for c, dst in enumerate((tq_d, tb_d)):
-            blk = QuadrupleHom(
-                src, dst,
-                ModuleHom(src.x, dst.x, am.block(*x_rows[r], *x_cols[c])),
-                ModuleHom(src.y, dst.y, bm.block(*y_rows[r], *y_cols[c])))
-            if validate_quadruple_hom(blk):
-                raise EngineError(f"t{r + 1}{c + 1} block is not a quadruple map")
-    # tau factorization: tau = (1_N (x) rho)(psi (x) 1), already used in the
-    # construction; re-assert the stored matrices agree with the blocks
-    if am.block(0, d_p.source.dim, 0, tq_d.x.dim) != \
-            Mat.hstack([d_p.mat, alpha_i.mat]):
-        raise EngineError("t11 block does not match (d_P, alpha)")
 
 
 # -- compatibility hypotheses --------------------------------------------------

@@ -405,3 +405,57 @@ def test_reports_are_deterministic(capsys):
                         "--module", "S", "--seed", "3", "--json")
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def test_build_resolution_horseshoe_failure_exits_1(monkeypatch, capsys):
+    # a horseshoe that finds no lift is an assembly failure, not an input error
+    from gpmorita import engine
+    from gpmorita.complexes import HorseshoeError
+
+    def no_lift(*args):
+        raise HorseshoeError("no equivariant lift for rho^1", degree=1)
+
+    monkeypatch.setattr(engine, "horseshoe", no_lift)
+    code = main(["build-resolution", fx("triangular.json"), "--extension", "ext",
+                 "--context", "ctx", "--quadruple", "P2", "--json"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("failed: first horseshoe failed at degree 1: ")
+    assert "no equivariant lift for rho^1" in err
+
+
+def _flip_overall(rep):
+    rep["overall"] = "pass" if rep["overall"] == "fail" else "fail"
+
+
+def _bogus_failing(rep):
+    rep["failing"] = ["bogus"]
+
+
+def _drop_failing(rep):
+    rep["failing"] = rep["failing"][1:]
+
+
+@pytest.mark.parametrize("tamper", [_flip_overall, _bogus_failing, _drop_failing],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("name, cmd, opts", [
+    ("triangular.json", ["check-gp"],
+     ["--extension", "ext", "--context", "ctx", "--quadruple", "S2"]),
+    ("nc_phi.json", ["nc-tensor", "check"],
+     ["--extension", "extB", "--context", "ctx", "--quadruple", "SB"]),
+], ids=["check-gp", "nc-tensor-check"])
+@pytest.mark.parametrize("field", ["Q", "GF7"])
+def test_verify_report_reconciles_the_criterion_verdict(tmp_path, capsys, field,
+                                                        name, cmd, opts, tamper):
+    problem = _problem_over(field, name, tmp_path)
+    code, out = run(capsys, *cmd, problem, *opts, "--json")
+    rep = json.loads(out)
+    assert code == 1 and rep["failing"], out
+    tamper(rep)
+    rep_path = tmp_path / "tampered.json"
+    rep_path.write_text(json.dumps(rep))
+    code, out = run(capsys, "verify-report", problem, "--report", str(rep_path),
+                    "--json")
+    assert code == 1
+    [problem_text] = json.loads(out)["problems"]
+    assert problem_text.startswith("the verdict does not follow")

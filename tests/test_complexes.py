@@ -9,13 +9,12 @@ from gpmorita.catalog import (
     truncated_poly, two_cycle_rad_square,
 )
 from gpmorita.complexes import (
-    ComplexWindow, HorseshoeError, ShortExactSequence, check_horseshoe_hypotheses,
-    homology_dim, horseshoe, is_exact, kernel_at, solve_module_hom,
-    total_exactness, validate_complex,
+    ComplexWindow, HorseshoeError, ShortExactSequence, homology_dim, horseshoe,
+    is_exact, kernel_at, solve_module_hom, total_exactness, validate_complex,
 )
 from gpmorita.fields import GF, QQ
 from gpmorita.gpcert import certify_gorenstein_projective
-from gpmorita.homology import minimal_resolution, projective_cover
+from gpmorita.homology import ext_dim, minimal_resolution, projective_cover
 from gpmorita.linalg import Mat, rank, row_space
 from gpmorita.modules import (
     FDModule, ModuleHom, direct_sum, hom_space, identity_hom, kernel_of,
@@ -147,9 +146,8 @@ def test_horseshoe_split_input():
     assert validate_complex(res.zc) == []
 
 
-def test_horseshoe_hypothesis_failure_reports_degree():
-    # over the path algebra (not self-injective) Ext conditions can fail:
-    # resolve the two simples and check the reported degree
+def test_horseshoe_rejects_mismatched_kernel_identification():
+    # the Y-side kernel identification names S1 where the sequence ends in S2
     a = path_a2(QQ())
     s1 = simple_at_idempotent(a, 0, name="S1")   # projective simple
     s2 = simple_at_idempotent(a, 2, name="S2")
@@ -157,9 +155,36 @@ def test_horseshoe_hypothesis_failure_reports_degree():
     ses = ShortExactSequence(incls[0], projs[1])
     c1 = certify_gorenstein_projective(s1, window=2)
     assert c1.verdict == "gp"           # projective
-    c2 = certify_gorenstein_projective(s2, window=2)
-    assert c2.verdict == "not_gp"
-    # build a fake exact right tail for s2 is impossible; instead check the
-    # hypothesis checker on mismatched data raises
+    assert certify_gorenstein_projective(s2, window=2).verdict == "not_gp"
     with pytest.raises(HorseshoeError):
         horseshoe(ses, c1.window, c1.kernel_ident, c1.window, c1.kernel_ident)
+
+
+@pytest.mark.parametrize("F", [QQ(), GF(7)], ids=["Q", "GF7"])
+def test_horseshoe_decides_lifts_without_ext_precheck(F):
+    # over the path algebra (not self-injective) Ext^1(S2, S1) != 0, so the
+    # sufficient condition Ext^1(ker d_Y^0, X^0) = 0 fails for the windows
+    # X = [S1 -1-> S1 -> 0] and Y = [P2 -> S2 -> 0].  The horseshoe decides
+    # each lift by solving: the split sequence weaves, the non-split one
+    # 0 -> S1 -> P2 -> S2 -> 0 has no lift at degree 0.
+    a = path_a2(F)
+    p2 = proj_a2(a)
+    rad = Mat.from_rows(F, [[1, 0]])
+    s1, incl = spanned_submodule(p2, rad, name="S1")
+    s2, proj = quotient_by_rows(p2, rad, name="S2")
+    assert ext_dim(s2, s1, 1) != 0
+    z = zero_module(a)
+    xc = ComplexWindow(-1, 1, [s1, s1, z], [identity_hom(s1), zero_hom(s1, z)])
+    yc = ComplexWindow(-1, 1, [p2, s2, z], [proj, zero_hom(s2, z)])
+    assert validate_complex(xc) == [] and is_exact(xc)
+    assert validate_complex(yc) == [] and is_exact(yc)
+    w, incls, projs = direct_sum([s1, s2])
+    split = ShortExactSequence(incls[0], projs[1])
+    res = horseshoe(split, xc, identity_hom(s1), yc, identity_hom(s2))
+    assert validate_complex(res.zc) == [] and is_exact(res.zc)
+    assert split.inject.mat @ res.embed.mat == res.x_incl[1].mat
+    assert res.embed.mat @ res.y_proj[1].mat == split.surject.mat
+    with pytest.raises(HorseshoeError) as err:
+        horseshoe(ShortExactSequence(incl, proj), xc, identity_hom(s1), yc,
+                  identity_hom(s2))
+    assert err.value.degree == 0

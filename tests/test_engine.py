@@ -1,14 +1,21 @@
 from __future__ import annotations
 
 import random
+import sys
+from dataclasses import replace
 
 import pytest
+
+from gpmorita import complexes, engine, homology, morita
 
 from gpmorita.catalog import (
     arrow_ideal_context, field_algebra, glued_psi_context, simple_at_idempotent,
     triangular_context, two_cycle_context,
 )
-from gpmorita.complexes import is_exact, total_exactness, validate_complex
+from gpmorita.complexes import (
+    ComplexWindow, horseshoe, is_exact, total_exactness, twisted_diff,
+    validate_complex,
+)
 from gpmorita.engine import (
     AuditReport, CompatVerdict, EngineError, audit_equivalence,
     build_total_resolution, check_compat, check_conditions,
@@ -17,9 +24,10 @@ from gpmorita.engine import (
 )
 from gpmorita.fields import GF, QQ
 from gpmorita.gpcert import certify_gorenstein_projective
-from gpmorita.modules import regular_module, zero_module
+from gpmorita.linalg import Mat
+from gpmorita.modules import ModuleHom, regular_module, zero_module
 from gpmorita.morita import (
-    build_ring, quadruple_to_module, t_a, t_b, z_a, z_b,
+    build_ring, direct_sum_quadruples, quadruple_to_module, t_a, t_b, z_a, z_b,
 )
 from gpmorita.trivext import t_lambda
 
@@ -259,3 +267,134 @@ def test_build_total_resolution_arrow_ideal():
     from gpmorita.verify import projective_by_splitting
     for i in range(asm.tcx.lo, asm.tcx.hi + 1):
         assert projective_by_splitting(asm.tcx.term(i))
+
+
+# -- the one check per fact catches a wrong input or a builder bug ------------
+#
+# On triangular_context the ideal I is 0, so tau and alpha are empty, and
+# P2 alone has a zero P window; P1 (+) P2 gives both corners nonzero
+# windows.  On glued_psi_context T_Lam(Lam) (+) P2 makes every block of the
+# assembly nonempty.
+
+
+def _mutation_case(which, F):
+    if which == "triangular":
+        ext, ctx = triangular_context(F)
+        q = direct_sum_quadruples([_p1(ctx), _p2(ctx)], name="P1+P2")
+    else:
+        ext, ctx = glued_psi_context(F)
+        q = direct_sum_quadruples(
+            [t_lambda(ext, ctx, regular_module(ext.Lam)), _p2(ctx)], name="T+P2")
+    rep = check_conditions(ext, ctx, q)
+    assert rep.passed
+    return ext, ctx, q, rep
+
+
+def _bump(m, r, c):
+    """m with one added to its (r, c) entry."""
+    F = m.field
+    rows = m.to_rows()
+    rows[r][c] = F.add(rows[r][c], F.one())
+    return Mat.from_rows(F, rows, m.cols)
+
+
+def _bumped_hom(h, r=0, c=0):
+    return ModuleHom(h.source, h.target, _bump(h.mat, r, c))
+
+
+FIELDS = pytest.mark.parametrize("F", [QQ(), GF(7)], ids=["Q", "GF7"])
+BOTH = pytest.mark.parametrize("which", ["triangular", "glued"])
+
+
+@FIELDS
+@BOTH
+def test_assembly_rejects_a_corrupted_p_window(F, which):
+    ext, ctx, q, rep = _mutation_case(which, F)
+    cert = rep.coker_g_cert
+    wc = cert.window
+    diffs = list(wc.diffs)
+    diffs[-wc.lo] = _bumped_hom(wc.diff(0))
+    bad = ComplexWindow(wc.lo, wc.hi, wc.terms, diffs)
+    assert validate_complex(bad) != [] or not is_exact(bad)
+    rep = replace(rep, coker_g_cert=replace(cert, window=bad))
+    with pytest.raises(EngineError):
+        build_total_resolution(ext, ctx, q, rep, window=3)
+
+
+@FIELDS
+@BOTH
+def test_assembly_rejects_a_corrupted_q_kernel_ident(F, which):
+    ext, ctx, q, rep = _mutation_case(which, F)
+    cert = rep.coker_f_cert
+    ki, d0 = cert.kernel_ident, cert.window.diff(0).mat
+    col = next(c for c in range(d0.rows) if not d0.block(c, c + 1, 0, d0.cols).is_zero())
+    bad = _bumped_hom(ki, 0, col)
+    assert not (bad.mat @ d0).is_zero()
+    rep = replace(rep, coker_f_cert=replace(cert, kernel_ident=bad))
+    with pytest.raises(EngineError):
+        build_total_resolution(ext, ctx, q, rep, window=3)
+
+
+@FIELDS
+def test_assembly_rejects_a_corrupted_tau(F, monkeypatch):
+    # tau is empty on triangular_context (I = 0)
+    ext, ctx, q, rep = _mutation_case("glued", F)
+    calls = []
+
+    def corrupt(dx, tau_i, dy):
+        calls.append(tau_i)
+        if len(calls) == 4:             # degree 0 of the window [-3, 3]
+            tau_i = _bump(tau_i, 0, 0)
+        return twisted_diff(dx, tau_i, dy)
+
+    monkeypatch.setattr(engine, "twisted_diff", corrupt)
+    with pytest.raises(EngineError):
+        build_total_resolution(ext, ctx, q, rep, window=3)
+    assert len(calls) >= 4
+
+
+@FIELDS
+@BOTH
+def test_assembly_rejects_a_corrupted_alpha_beta_block(F, which, monkeypatch):
+    # entry (0, 0) of rho^0 of the second horseshoe lies in alpha^0 on the
+    # glued context and in beta^0 on the triangular one (alpha is empty)
+    ext, ctx, q, rep = _mutation_case(which, F)
+    calls = []
+
+    def corrupt_second(*args, **kwargs):
+        res = horseshoe(*args, **kwargs)
+        calls.append(res)
+        if len(calls) == 2:
+            res.rho[0] = _bumped_hom(res.rho[0])
+        return res
+
+    monkeypatch.setattr(engine, "horseshoe", corrupt_second)
+    with pytest.raises(EngineError):
+        build_total_resolution(ext, ctx, q, rep, window=3)
+    assert len(calls) == 2
+
+
+def _count_calls(monkeypatch, fn):
+    """Count the calls of fn through every gpmorita module that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("gpmorita") and getattr(mod, fn.__name__, None) is fn:
+            monkeypatch.setattr(mod, fn.__name__, counted)
+    return calls
+
+
+def test_assembly_checks_each_fact_once(monkeypatch):
+    ext, ctx = triangular_context(QQ())
+    q = _p2(ctx)
+    rep = check_conditions(ext, ctx, q)
+    counts = {fn.__name__: _count_calls(monkeypatch, fn)
+              for fn in (complexes.total_exactness, morita.validate_quadruple_hom,
+                         homology.ext_dim)}
+    build_total_resolution(ext, ctx, q, rep, window=3)
+    assert {k: len(v) for k, v in counts.items()} == {
+        "total_exactness": 1, "validate_quadruple_hom": 0, "ext_dim": 0}

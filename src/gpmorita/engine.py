@@ -187,16 +187,17 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
 
     Each fact is proved once, at the step that uses it:
     - P and Q are totally exact windows resolving Coker(g) and Coker(f):
-      the certificates of a passing report (checked when they were made);
+      the certificates of a passing report, correct by construction (see
+      gpcert), and the horseshoes check that P and Q are exact;
     - M (x) P, I (x) P and N (x) Q are exact (C3): checked here, each
       failure named;
     - Y and Z are exact and resolve their sequences: the horseshoes check
       their inputs (Z's exactness, both kernel identifications) and their
       outputs (the woven window and its kernel sequence);
-    - T is a complex of modules over the context ring, exact and totally
-      exact: checked here on the T window.  Its differential is
-      block_diag(F, Y), so this covers F, and ring-linearity is exactly
-      being a quadruple map;
+    - T is a complex of modules over the context ring and totally exact
+      (which includes exact): checked here on the T window.  Its
+      differential is block_diag(F, Y), so this covers F, and
+      ring-linearity is exactly being a quadruple map;
     - ker(d_T^0) is isomorphic to q: found by the isomorphism search.
     A failed horseshoe raises EngineError with its degree."""
     check_extension_matches(ext, ctx)
@@ -323,7 +324,6 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
     tcx = ComplexWindow(-span, span, t_terms, t_diffs)
     bad = validate_complex(tcx)
     _require(bad == [], f"T window is not a complex: {bad[:1]}")
-    _require(is_exact(tcx), "T window is not exact")
     _require(total_exactness(tcx, seed=seed), "T window is not totally exact")
 
     # ker(d_T^0) is the given quadruple

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-import sys
 from dataclasses import replace
 
 import pytest
@@ -126,10 +125,21 @@ def test_build_total_resolution_glued():
     assert is_exact(asm.tcx)
     assert total_exactness(asm.tcx)
     assert asm.kernel_iso.is_iso()
-    # tau = (1 (x) rho)(psi (x) 1) holds by construction; spot-check shapes
-    for i in asm.tau:
-        assert asm.tau[i].source.dim == asm.ycx.term(i).dim - asm.pcx.term(i).dim \
-            or True
+    # tau is 0x2 here and 2x2 on T_Lambda(Lambda) (+) P2
+    ext, ctx, q, rep = _mutation_case("glued", QQ())
+    for a in (asm, build_total_resolution(ext, ctx, q, rep, window=3)):
+        _assert_z_blocks(a)
+
+
+def _assert_z_blocks(asm):
+    """Z^{i+1} is I (x) P^{i+1} (+) N (x) Q^{i+1}, and tau^i is the
+    lower-left block of d_Z^i = [[1 (x) d_P, 0], [tau^i, 1 (x) d_Q]]."""
+    assert asm.tau
+    for i, tau in asm.tau.items():
+        assert asm.zcx.term(i + 1).dim == tau.target.dim + asm.beta[i].target.dim
+        dz = asm.zcx.diff(i).mat
+        assert dz.block(dz.rows - tau.source.dim, dz.rows,
+                        0, tau.target.dim) == tau.mat
 
 
 def test_build_total_resolution_rejects_failing_report():
@@ -374,25 +384,11 @@ def test_assembly_rejects_a_corrupted_alpha_beta_block(F, which, monkeypatch):
     assert len(calls) == 2
 
 
-def _count_calls(monkeypatch, fn):
-    """Count the calls of fn through every gpmorita module that binds it."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return fn(*args, **kwargs)
-
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("gpmorita") and getattr(mod, fn.__name__, None) is fn:
-            monkeypatch.setattr(mod, fn.__name__, counted)
-    return calls
-
-
-def test_assembly_checks_each_fact_once(monkeypatch):
+def test_assembly_checks_each_fact_once(count_calls):
     ext, ctx = triangular_context(QQ())
     q = _p2(ctx)
     rep = check_conditions(ext, ctx, q)
-    counts = {fn.__name__: _count_calls(monkeypatch, fn)
+    counts = {fn.__name__: count_calls(fn)
               for fn in (complexes.total_exactness, morita.validate_quadruple_hom,
                          homology.ext_dim)}
     build_total_resolution(ext, ctx, q, rep, window=3)

@@ -4,14 +4,22 @@ import random
 
 import pytest
 
+from gpmorita import complexes, gpcert
 from gpmorita.catalog import (
-    field_algebra, path_a2, product_fields, proj_a2, random_module,
-    simple_at_idempotent, simple_kx2, truncated_poly, two_cycle_rad_square,
+    arrow_ideal_context, field_algebra, glued_psi_context, path_a2,
+    product_fields, proj_a2, random_module, simple_at_idempotent, simple_kx2,
+    triangular_context, truncated_poly, two_cycle_context, two_cycle_rad_square,
 )
+from gpmorita.complexes import ComplexWindow
 from gpmorita.fields import GF, QQ
 from gpmorita.gpcert import certify_gorenstein_projective
 from gpmorita.homology import is_projective
-from gpmorita.modules import direct_sum, regular_module, zero_module
+from gpmorita.linalg import Mat
+from gpmorita.modules import ModuleHom, direct_sum, regular_module, zero_module
+from gpmorita.morita import (
+    ContextError, build_ring, h_a, h_b, quadruple_to_module, t_a, t_b, z_a, z_b,
+)
+from gpmorita.trivext import structural_maps, t_lambda
 from gpmorita.verify import projective_by_splitting, verify_certificate
 
 
@@ -153,3 +161,115 @@ def test_finite_gldim_certify_iff_projective_random_sweep():
             cert = certify_gorenstein_projective(m, window=4)
             assert (cert.verdict == "gp") == is_projective(m)
             seen += 1
+
+
+# -- windows hold by construction; verify_certificate is their check ---------
+
+# the sweep's only not_gp modules: the ring modules of H_B(B) and Z_B(B)
+# over the three contexts whose ring has finite global dimension
+NOT_GP = {f"{c}:{q}:ring{plus}" for c in ("tri", "5dim", "a2glue")
+          for q in ("HB", "ZB") for plus in ("", "+P")}
+
+
+def _functor_images(ext, ctx):
+    """The quadruple functors on the regular modules, where defined."""
+    images = {"P1": lambda: t_a(ctx, regular_module(ctx.A)),
+              "P2": lambda: t_b(ctx, regular_module(ctx.B)),
+              "ZA": lambda: z_a(ctx, regular_module(ctx.A)),
+              "ZB": lambda: z_b(ctx, regular_module(ctx.B)),
+              "HA": lambda: h_a(ctx, regular_module(ctx.A)),
+              "HB": lambda: h_b(ctx, regular_module(ctx.B)),
+              "TL": lambda: t_lambda(ext, ctx, regular_module(ext.Lam))}
+    for name, build in images.items():
+        try:
+            yield name, build()
+        except ContextError:
+            pass                    # Z_A needs I to kill A
+
+
+def _sweep(F):
+    """(label, module): three seeded random modules over each of five
+    catalog algebras (non-projective draws first), the Lambda-corner
+    modules Coker(g) and the ring modules of the functor images over the
+    four catalog contexts, and each of these plus a projective."""
+    rng = random.Random(5)
+    out = []
+    for alg in (truncated_poly(F, 2), truncated_poly(F, 3),
+                two_cycle_rad_square(F), path_a2(F), product_fields(F, 2)):
+        drawn = [m for m in (random_module(alg, rng, max_cuts=3) for _ in range(30))
+                 if m.dim]
+        picked = ([m for m in drawn if not is_projective(m)] + drawn)[:3]
+        out += [(f"{alg.name}:rand{k}", m, regular_module(alg))
+                for k, m in enumerate(picked)]
+    for make in (triangular_context, two_cycle_context, glued_psi_context,
+                 arrow_ideal_context):
+        ext, ctx = make(F)
+        mr = build_ring(ctx)
+        p2 = quadruple_to_module(mr, t_b(ctx, regular_module(ctx.B)))
+        for name, q in _functor_images(ext, ctx):
+            out.append((f"{ctx.name}:{name}:Lam",
+                        ext.lam_module(structural_maps(ctx, q).u),
+                        regular_module(ext.Lam)))
+            out.append((f"{ctx.name}:{name}:ring", quadruple_to_module(mr, q), p2))
+    return ([(label, m) for label, m, _ in out]
+            + [(f"{label}+P", direct_sum([m, p])[0]) for label, m, p in out])
+
+
+@pytest.mark.parametrize("window", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("F", [QQ(), GF(7)], ids=["Q", "GF7"])
+def test_every_gp_certificate_of_the_sweep_passes_the_checker(F, window,
+                                                              count_calls):
+    combined = count_calls(gpcert._combine_with_split)
+    for label, m in _sweep(F):
+        cert = certify_gorenstein_projective(m, window=window)
+        assert cert.verdict == ("not_gp" if label in NOT_GP else "gp"), label
+        if cert.is_gp:
+            assert verify_certificate(cert, m) == [], label
+    assert combined
+
+
+def _bumped(h):
+    """h with one added to its (0, 0) entry."""
+    F = h.mat.field
+    rows = h.mat.to_rows()
+    rows[0][0] = F.add(rows[0][0], F.one())
+    return ModuleHom(h.source, h.target, Mat.from_rows(F, rows, h.mat.cols))
+
+
+def test_a_broken_split_window_is_caught_by_the_checker(monkeypatch):
+    real = gpcert._split_window
+
+    def broken(x, span):
+        wc, ki = real(x, span)
+        return ComplexWindow(wc.lo, wc.hi, wc.terms,
+                             [_bumped(wc.diff(wc.lo))] * len(wc.diffs)), ki
+
+    monkeypatch.setattr(gpcert, "_split_window", broken)
+    p2 = proj_a2(path_a2(QQ()))
+    cert = certify_gorenstein_projective(p2)
+    assert cert.reason == "split-projective"
+    assert verify_certificate(cert, p2) != []
+
+
+def test_a_broken_periodic_junction_is_caught_by_the_checker(monkeypatch):
+    real = gpcert._periodic_window
+
+    def broken(block, internal, junction, span):
+        return real(block, internal, _bumped(junction), span)
+
+    monkeypatch.setattr(gpcert, "_periodic_window", broken)
+    s1 = simple_at_idempotent(two_cycle_rad_square(QQ()), 0, name="S1")
+    cert = certify_gorenstein_projective(s1)
+    assert cert.reason == "self-injective" and cert.period is not None
+    assert verify_certificate(cert, s1) != []
+
+
+def test_split_and_self_injective_windows_are_not_rechecked(count_calls):
+    counts = [count_calls(fn) for fn in (complexes.total_exactness,
+                                         complexes.validate_complex,
+                                         complexes.is_exact)]
+    p2 = proj_a2(path_a2(QQ()))
+    s1 = simple_at_idempotent(two_cycle_rad_square(QQ()), 0, name="S1")
+    assert certify_gorenstein_projective(p2).reason == "split-projective"
+    assert certify_gorenstein_projective(s1).reason == "self-injective"
+    assert [len(c) for c in counts] == [0, 0, 0]

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import glob
+import json
+import os
 import random
 
 import pytest
@@ -7,8 +10,9 @@ import pytest
 from gpmorita.algebra import validate_algebra
 from gpmorita.bimodules import BalancedMap
 from gpmorita.catalog import (
-    field_algebra, glued_psi_context, path_a2, random_module, triangular_context,
-    truncated_poly, two_cycle_context, two_cycle_rad_square,
+    arrow_ideal_context, field_algebra, glued_psi_context, path_a2,
+    random_module, triangular_context, truncated_poly, two_cycle_context,
+    two_cycle_rad_square,
 )
 from gpmorita.fields import GF, QQ
 from gpmorita.linalg import Mat, rank
@@ -20,11 +24,12 @@ from gpmorita.morita import (
     direct_sum_quadruples, h_a, h_b, make_quadruple, module_to_quadruple,
     p_a, p_b, q_a, q_b, quadruple_cokernel, quadruple_hom_space,
     quadruple_is_isomorphic, quadruple_kernel, quadruple_to_module,
-    regular_quadruple, regular_right_quadruples, t_a, t_b, tensor_over_ring,
-    tensor_over_ring_oracle, u_a, validate_context, validate_quadruple,
-    validate_quadruple_hom, z_a, z_b, zero_quadruple,
+    regular_quadruple, regular_right_quadruples, swap_context, t_a, t_b,
+    tensor_over_ring, tensor_over_ring_oracle, u_a, validate_context,
+    validate_quadruple, validate_quadruple_hom, z_a, z_b, zero_quadruple,
 )
 from gpmorita.homology import is_projective
+from gpmorita.jsonio import load_problem
 from gpmorita.trivext import t_lambda
 
 
@@ -38,6 +43,27 @@ def _contexts():
 def test_validate_standard_contexts():
     for ctx in _contexts():
         assert validate_context(ctx) == []
+
+
+@pytest.mark.parametrize("spec, F", [("Q", QQ()), ({"p": 7}, GF(7))],
+                         ids=["Q", "GF7"])
+def test_context_ring_is_associative_and_unital_without_a_recheck(spec, F):
+    # validate_context proves the ring axioms, so build_ring checks nothing
+    # on the ring it builds; validate_algebra confirms the transcription
+    contexts = [make(F)[1] for make in (triangular_context, two_cycle_context,
+                                        glued_psi_context, arrow_ideal_context)]
+    fixtures = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+    for path in sorted(glob.glob(os.path.join(fixtures, "*.json"))):
+        with open(path) as fh:
+            doc = json.load(fh)
+        doc["field"] = spec
+        contexts += load_problem(doc).contexts.values()
+    assert len(contexts) == 9
+    for ctx in contexts:
+        for c in (ctx, swap_context(ctx)):
+            mr = build_ring(c)
+            assert "violations" not in mr.ring._cache
+            assert validate_algebra(mr.ring) == []
 
 
 def test_validate_rejects_corrupted_psi():

@@ -296,15 +296,13 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
         t_quads.append(seen[key])
         f_terms.append(seen[key].x)
     for i in range(-span, span):
-        # on P (+) I(x)P (+) N(x)Q:  [[d_P, alpha, beta],
-        #                              [0, 1_I (x) d_P, 0],
-        #                              [0, tau, 1_N (x) d_Q]]
+        # on P (+) Z, Z = I(x)P (+) N(x)Q:  [[d_P, (alpha, beta)],
+        #                                    [0,   d_Z]]
         df = Mat.from_blocks(
-            F, [cx.term(i).dim for cx in (pcx, ip_cx, nq_cx)],
-            [cx.term(i + 1).dim for cx in (pcx, ip_cx, nq_cx)],
-            [[pcx.diff(i).mat, alpha[i].mat, beta[i].mat],
-             [None, ip_cx.diff(i).mat, None],
-             [None, tau[i].mat, nq_cx.diff(i).mat]])
+            F, [cx.term(i).dim for cx in (pcx, zcx)],
+            [cx.term(i + 1).dim for cx in (pcx, zcx)],
+            [[pcx.diff(i).mat, hs2.rho[i].mat],
+             [None, zcx.diff(i).mat]])
         f_diffs.append(ModuleHom(f_terms[i + span], f_terms[i + span + 1], df))
     fcx = ComplexWindow(-span, span, f_terms, f_diffs)
 

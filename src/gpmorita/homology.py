@@ -65,10 +65,22 @@ def simple_modules(a: Algebra, seed: int = 0) -> list[FDModule]:
     return a._cache[key]
 
 
+def _radical_rows_of_projective(mod: FDModule) -> Mat:
+    """radical_rows_of_module of an indecomposable projective, kept on it."""
+    if "radical_rows" not in mod._cache:
+        mod._cache["radical_rows"] = radical_rows_of_module(mod)
+    return mod._cache["radical_rows"]
+
+
 def projective_cover(x: FDModule, seed: int = 0) -> tuple[FDModule, ModuleHom]:
-    """Minimal projective cover P ->> x (kernel inside rad P)."""
+    """Minimal projective cover P ->> x (kernel inside rad P).
+
+    Per block, one solve lifts every top row t_r of eT to some y_r with
+    y_r @ proj_T = t_r, and x_r = y_r @ e gives the summand A*e -> x,
+    v |-> v . x_r; one product against the hstacked actions of the basis
+    of A*e gives the maps of all the block's summands.  The radical rows
+    of P are the block diagonal of its summands' radical rows."""
     a = x.algebra
-    F = a.field
     if x.dim == 0:
         z = zero_module(a)
         return z, zero_hom(z, x)
@@ -77,16 +89,16 @@ def projective_cover(x: FDModule, seed: int = 0) -> tuple[FDModule, ModuleHom]:
     blocks: list[Mat] = []
     for mod, incl, e, blk in _block_reps(a, seed):
         eT = row_space(T.act_of(e))
+        if eT.rows == 0:
+            continue
+        y = solve_left(proj_T.mat, eT)
+        if y is None:
+            raise ModuleError("top projection is not surjective")
+        basis_acts = Mat.hstack([x.act_of(incl.mat.row(i)) for i in range(mod.dim)])
+        homs = y @ x.act_of(e) @ basis_acts
         for r in range(eT.rows):
-            t_r = Mat(F, [eT.row(r)], T.dim)
-            y = solve_left(proj_T.mat, t_r)
-            if y is None:
-                raise ModuleError("top projection is not surjective")
-            x_r = y @ x.act_of(e)
-            # hom A*e -> x, v |-> v . x_r with x_r in e.x
-            rows = [(x_r @ x.act_of(incl.mat.row(i))).row(0) for i in range(mod.dim)]
             summands.append(mod)
-            blocks.append(Mat.from_rows(F, rows, x.dim))
+            blocks.append(homs.block(r, r + 1, 0, homs.cols).reshape(mod.dim, x.dim))
     if not summands:
         z = zero_module(a)
         return z, zero_hom(z, x)
@@ -95,8 +107,10 @@ def projective_cover(x: FDModule, seed: int = 0) -> tuple[FDModule, ModuleHom]:
     if not phi.is_surjective():
         raise ModuleError("projective cover construction failed to surject")
     ker_rows = left_kernel(phi.mat)
-    if ker_rows.rows and not in_row_space(radical_rows_of_module(P), ker_rows):
-        raise ModuleError("projective cover is not minimal")
+    if ker_rows.rows:
+        rad_P = Mat.block_diag([_radical_rows_of_projective(m) for m in summands])
+        if not in_row_space(rad_P, ker_rows):
+            raise ModuleError("projective cover is not minimal")
     return P, phi
 
 
@@ -207,13 +221,19 @@ def injective_dimension(x: FDModule, bound: int, seed: int = 0) -> int | None:
 
 
 def global_dimension(a: Algebra, bound: int, seed: int = 0) -> int | None:
-    best = 0
-    for s in simple_modules(a, seed):
-        d = projective_dimension(s, bound, seed)
-        if d is None:
-            return None
-        best = max(best, d)
-    return best
+    """The largest projective dimension of a simple module, or None when
+    one exceeds bound; kept per algebra, bound and seed."""
+    key = ("gldim", bound, seed)
+    if key not in a._cache:
+        best = 0
+        for s in simple_modules(a, seed):
+            d = projective_dimension(s, bound, seed)
+            if d is None:
+                best = None
+                break
+            best = max(best, d)
+        a._cache[key] = best
+    return a._cache[key]
 
 
 def is_self_injective(a: Algebra, seed: int = 0) -> bool:

@@ -363,6 +363,37 @@ def test_assembly_rejects_a_corrupted_tau(F, monkeypatch):
     assert len(calls) >= 4
 
 
+def _assert_f_holds_z(asm):
+    """d_F^i = [[d_P^i, (alpha^i, beta^i)], [0, d_Z^i]] on P (+) Z."""
+    for i in range(asm.fcx.lo, asm.fcx.hi):
+        df, dz = asm.fcx.diff(i).mat, asm.zcx.diff(i).mat
+        assert df.block(df.rows - dz.rows, df.rows, df.cols - dz.cols, df.cols) == dz
+
+
+@FIELDS
+def test_f_differential_holds_the_z_differential(F, monkeypatch):
+    ext, ctx, q, rep = _mutation_case("glued", F)
+    _assert_f_holds_z(build_total_resolution(ext, ctx, q, rep, window=3))
+    swaps = []
+
+    def swap_row_blocks(dx, tau_i, dy):
+        d = twisted_diff(dx, tau_i, dy)
+        swapped = Mat.vstack([d.block(dx.rows, d.rows, 0, d.cols),
+                              d.block(0, dx.rows, 0, d.cols)])
+        swaps.append(swapped != d)
+        return swapped
+
+    # a wrong d_Z either breaks the assembly or shows in F as well
+    monkeypatch.setattr(engine, "twisted_diff", swap_row_blocks)
+    try:
+        asm = build_total_resolution(ext, ctx, q, rep, window=3)
+    except EngineError:
+        asm = None
+    assert any(swaps)
+    if asm is not None:
+        _assert_f_holds_z(asm)
+
+
 @FIELDS
 @BOTH
 def test_assembly_rejects_a_corrupted_alpha_beta_block(F, which, monkeypatch):

@@ -4,12 +4,14 @@ import random
 
 import pytest
 
+from gpmorita import homology
 from gpmorita.algebra import opposite_algebra
 from gpmorita.catalog import (
     field_algebra, path_a2, product_fields, proj_a2, random_module,
     simple_at_idempotent, simple_kx2, truncated_poly, two_cycle_rad_square,
 )
 from gpmorita.fields import GF, QQ
+from gpmorita.gpcert import certify_gorenstein_projective
 from gpmorita.homology import (
     ext_dim, global_dimension, indec_injectives, injective_dimension,
     is_projective, is_self_injective, minimal_resolution, projective_cover,
@@ -18,8 +20,8 @@ from gpmorita.homology import (
 from gpmorita.idempotents import primitive_idempotents
 from gpmorita.linalg import Mat
 from gpmorita.modules import (
-    dual_module, hom_dim, is_isomorphic, regular_module, validate_module,
-    zero_module,
+    ModuleError, direct_sum, dual_module, hom_dim, is_isomorphic,
+    regular_module, validate_module, zero_module,
 )
 
 
@@ -173,6 +175,76 @@ def test_global_dimension():
     assert global_dimension(field_algebra(QQ()), 3) == 0
     assert global_dimension(path_a2(QQ()), 3) == 1
     assert global_dimension(truncated_poly(QQ(), 2), 4) is None
+
+
+def test_global_dimension_is_kept_per_algebra(count_calls):
+    # the simples of path_a2 are resolved by the first certify call only
+    a = path_a2(QQ())
+    calls = count_calls(homology.projective_dimension)
+    s2 = simple_at_idempotent(a, 2, name="S2")
+    for x in (s2, direct_sum([s2, s2])[0]):
+        assert certify_gorenstein_projective(x).verdict == "not_gp"
+    assert len(calls) == len(simple_modules(a)) == 2
+
+
+@pytest.mark.parametrize("bounds", [(0, 1), (1, 0)], ids=["0-then-1", "1-then-0"])
+def test_global_dimension_keeps_each_bound_apart(bounds):
+    a = path_a2(QQ())
+    for _ in range(2):
+        for b in bounds:
+            assert global_dimension(a, b) == {0: None, 1: 1}[b]
+
+
+# -- each check of projective_cover still fires ---------------------------------
+
+COVER_FIELDS = pytest.mark.parametrize("F", [QQ(), GF(7)], ids=["Q", "GF7"])
+
+
+@COVER_FIELDS
+def test_cover_rejects_a_non_invariant_radical(F, monkeypatch):
+    # the span of the unit is not a submodule of the regular module
+    a = path_a2(F)
+    monkeypatch.setattr(homology, "radical_rows_of_module",
+                        lambda x: Mat(F, [a.unit], a.dim))
+    with pytest.raises(ModuleError, match="not invariant"):
+        projective_cover(regular_module(a))
+
+
+@COVER_FIELDS
+def test_cover_rejects_a_top_without_lifts(F, monkeypatch):
+    monkeypatch.setattr(homology, "solve_left", lambda a, b: None)
+    with pytest.raises(ModuleError, match="top projection is not surjective"):
+        projective_cover(regular_module(path_a2(F)))
+
+
+@COVER_FIELDS
+def test_cover_rejects_lifts_that_miss_the_top(F, monkeypatch):
+    # the first lifted top row is replaced by zero, so the lifts no longer
+    # span the top
+    real = homology.solve_left
+    calls = []
+
+    def drop_first_lift(a, b):
+        y = real(a, b)
+        calls.append(y)
+        if len(calls) == 1:
+            y = Mat.vstack([Mat.zeros(F, 1, y.cols), y.block(1, y.rows, 0, y.cols)])
+        return y
+
+    monkeypatch.setattr(homology, "solve_left", drop_first_lift)
+    with pytest.raises(ModuleError, match="failed to surject"):
+        projective_cover(regular_module(path_a2(F)))
+    assert calls
+
+
+@COVER_FIELDS
+def test_cover_rejects_a_non_minimal_summand_list(F, monkeypatch):
+    # every indecomposable projective offered twice: P maps onto x, but
+    # its kernel leaves rad P
+    real = homology._block_reps
+    monkeypatch.setattr(homology, "_block_reps", lambda a, seed=0: real(a, seed) * 2)
+    with pytest.raises(ModuleError, match="not minimal"):
+        projective_cover(simple_at_idempotent(path_a2(F), 2, name="S2"))
 
 
 def test_self_injective():

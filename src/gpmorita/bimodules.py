@@ -97,6 +97,13 @@ def zero_bimodule(left: Algebra, right: Algebra) -> Bimodule:
                     [Mat.zeros(F, 0, 0) for _ in range(right.dim)], name="0")
 
 
+def opposite_bimodule(m: Bimodule) -> Bimodule:
+    """M^op over (A^op, B^op) for M over (B, A): the right action read as a
+    left one and the left as a right one, on the same matrices."""
+    return Bimodule(opposite_algebra(m.right), opposite_algebra(m.left), m.dim,
+                    m.right_acts, m.left_acts, name=f"{m.name}^op")
+
+
 def outer_bimodule(v: FDModule, w_right: FDModule, name: str = "") -> Bimodule:
     """V (x)_k W with B acting on the left factor and A on the right; the
     right module is supplied as a left module over A^op."""

@@ -270,6 +270,28 @@ def arrow_ideal_context(F: Field, name="a2glue"):
     return ext, ctx
 
 
+def wide_psi_context(F: Field, name="wide"):
+    """Lambda = k and I = k, so A = Lambda |x I = k[x]/(x^2); B = k and
+    M = N = k^2 with x acting as 0, phi = 0, and psi(n_i (x) m_j) = c_ij x
+    for c = [[1, 2], [0, 3]].  Its bimodules have dimension 2 and psi is not
+    symmetric in its two factors, so a swap of the factors of N (x) M
+    changes psi."""
+    from .bimodules import BalancedMap, Bimodule, zero_balanced_map
+    from .morita import MoritaContext
+    from .trivext import trivial_extension
+    lam = field_algebra(F)
+    one = Mat.identity(F, 1)
+    ext = trivial_extension(lam, Bimodule(lam, lam, 1, [one], [one], name="I"),
+                            name="A")
+    A, B = ext.A, field_algebra(F, "B")
+    eye, zero = Mat.identity(F, 2), Mat.zeros(F, 2, 2)
+    N = Bimodule(A, B, 2, [eye, zero], [eye], name="N")
+    M = Bimodule(B, A, 2, [eye], [eye, zero], name="M")
+    psi = BalancedMap(N, M, A, Mat.from_rows(F, [[0, 1], [0, 2], [0, 0], [0, 3]], 2))
+    ctx = MoritaContext(A, B, M, N, zero_balanced_map(M, N, B), psi, name=name)
+    return ext, ctx
+
+
 # -- randomized context generation (for the acceptance sweeps) -----------------
 
 

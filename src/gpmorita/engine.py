@@ -33,11 +33,11 @@ from .homology import injective_dimension, projective_dimension
 from .linalg import Mat, factor_through, rank, solve
 from .modules import (
     FDModule, ModuleError, ModuleHom, cokernel_of, hom_space, image_of,
-    kernel_of, restrict_along, zero_module,
+    kernel_of, restrict_along,
 )
 from .morita import (
     MoritaContext, MoritaRing, QuadrupleHom, QuadrupleModule, build_ring,
-    make_right_quadruple, module_to_quadruple, quadruple_hom_space,
+    module_to_quadruple, opposite_context, opposite_ring, quadruple_hom_space,
     quadruple_is_isomorphic, quadruple_kernel, quadruple_to_module, t_b,
     tensor_over_ring, validate_quadruple, z_a,
 )
@@ -262,9 +262,8 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
 
     # identify ker(d_Z^0) with H = Im(g)
     h_mod, h_incl = image_of(q.g, name="Im(g)")
-    kx_z = _identify_h_with_z_kernel(ctx, ext, q, sm, hs1, zcx, ip_tens[span],
-                                     nq_tens[span], mp_tens[span], h_mod, h_incl,
-                                     span)
+    kx_z = _identify_h_with_z_kernel(ctx, ext, q, hs1, zcx, ip_tens[span],
+                                     nq_tens[span], mp_tens[span], h_mod, h_incl)
     # second horseshoe, over Lambda: 0 -> H -> X -> U -> 0 against Z and P
     h_lam = ext.lam_module(h_mod, name="H|Lam")
     x_lam = ext.lam_module(q.x, name="X|Lam")
@@ -361,36 +360,14 @@ def _restrict_window(wc: ComplexWindow, lo: int, hi: int) -> ComplexWindow:
     return ComplexWindow(lo, hi, terms, diffs)
 
 
-def _identify_h_with_z_kernel(ctx, ext, q, sm, hs1, zcx, ip0, nq0, mp0,
-                              h_mod, h_incl, span) -> ModuleHom:
+def _identify_h_with_z_kernel(ctx, ext, q, hs1, zcx, ip0, nq0, mp0,
+                              h_mod, h_incl) -> ModuleHom:
     """The canonical isomorphism Im(g) -> ker(d_Z^0), via the chain map
     sigma^0 = [[psi (x) 1, 0], [0, 1]] composed with the kernel embedding
     of Y; bijectivity is exactly clause (b)."""
-    F = ctx.A.field
-    # sigma^0 on the full space N (x)_k Y^0 -> Z^0
-    y0 = hs1.zc.term(0)
-    mp_dim = mp0.module.dim
-    z0 = zcx.term(0)
-    rows = []
-    psi_part = psi_tensor_block(ctx, ext, mp0.arg, mp0, ip0)
-    # careful: psi_part is on N (x)_k (M (x) P^0); build sigma on N (x)_k Y^0
-    dN = ctx.N.dim
-    for i_n in range(dN):
-        for c in range(y0.dim):
-            acc = [F.zero()] * z0.dim
-            if c < mp_dim:
-                prow = psi_part.row(i_n * mp_dim + c)
-                acc[:ip0.module.dim] = prow
-            else:
-                j = c - mp_dim
-                nq_amb = i_n * nq0.arg.dim + j
-                prow = nq0.proj.row(nq_amb)
-                for k2 in range(nq0.module.dim):
-                    acc[ip0.module.dim + k2] = prow[k2]
-            rows.append(acc)
-    sigma0 = Mat.from_rows(F, rows, z0.dim) if rows else Mat.zeros(F, 0, z0.dim)
-    eye_n = Mat.identity(F, dN)
-    delta_mat = q.ny.section @ eye_n.kron(hs1.embed.mat) @ sigma0
+    eye_n = Mat.identity(ctx.A.field, ctx.N.dim)
+    delta_mat = (q.ny.section @ eye_n.kron(hs1.embed.mat)
+                 @ _sigma0(ctx, ext, ip0, nq0, mp0))
     from .modules import corestrict
     try:
         ker_z, ker_incl = kernel_of(zcx.diff(0))
@@ -405,6 +382,19 @@ def _identify_h_with_z_kernel(ctx, ext, q, sm, hs1, zcx, ip0, nq0, mp0,
     _require(rank(h_map) == h_mod.dim and h_mod.dim == ker_z.dim,
              "Im(g) and ker(d_Z^0) are not identified (clause (b) content)")
     return ModuleHom(ext.lam_module(h_mod), zcx.term(0), h_map @ ker_incl.mat)
+
+
+def _sigma0(ctx, ext, ip0, nq0, mp0) -> Mat:
+    """sigma^0 = [[psi (x) 1, 0], [0, 1]] on the full space N (x)_k Y^0, for
+    Y^0 = M (x) P^0 (+) Q^0, into Z^0 = I (x) P^0 (+) N (x) Q^0: psi (x) 1 on
+    the first block of Y^0, the projection onto N (x) Q^0 on the second."""
+    F = ctx.A.field
+    mp_dim = mp0.module.dim
+    dy = mp_dim + nq0.arg.dim
+    eye_y, eye_n = Mat.identity(F, dy), Mat.identity(F, ctx.N.dim)
+    psi_part = psi_tensor_block(ctx, ext, mp0.arg, mp0, ip0)
+    return Mat.hstack([eye_n.kron(eye_y.block(0, dy, 0, mp_dim)) @ psi_part,
+                       eye_n.kron(eye_y.block(0, dy, mp_dim, dy)) @ nq0.proj])
 
 
 # -- compatibility hypotheses --------------------------------------------------
@@ -544,7 +534,7 @@ class SemiWeakVerdict:
 
 
 def corner_complexes(ext: TrivialExtension, ctx: MoritaContext,
-                     mr: MoritaRing, wc: ComplexWindow, seed: int = 0):
+                     mr: MoritaRing, wc: ComplexWindow):
     """Extract the Lambda-side complex P (cokernels of the g components)
     and the B-side complex Q (cokernels of the f components) from a
     totally exact complex of projectives over the context ring."""
@@ -596,7 +586,6 @@ def check_semi_weak_quadruple(ext: TrivialExtension, ctx: MoritaContext,
     """
     check_extension_matches(ext, ctx)
     mr = _ring_of(ctx)
-    F = ctx.A.field
     if which == "N":
         w_left = restrict_along(ctx.N.as_left_module(), ext.incl_rows, ext.Lam,
                                 name="N|Lam")
@@ -611,56 +600,50 @@ def check_semi_weak_quadruple(ext: TrivialExtension, ctx: MoritaContext,
         raise EngineError(f"unknown special module {which!r}")
     # proof-grade fast path: dimensions of the one-column module over the
     # ring itself (dimensions over the corner do not suffice: the corner
-    # complex extracted from a totally exact ring complex need not be exact)
+    # complex extracted from a totally exact ring complex need not be exact).
+    # The one-column module Z(W) is built once; on the right side it is a
+    # quadruple over the opposite context, W a right A-module through the
+    # canonical surjection
     from .algebra import UnsupportedField
     if side == "left":
         if which == "M":
             raise EngineError("M is a right-side special module")
-        w_infl = ext.inflate(w_left, name=f"{which}|A")
-        ring_mod = quadruple_to_module(mr, z_a(ctx, w_infl))
-        try:
-            d = injective_dimension(ring_mod, bound, seed)
-        except UnsupportedField:
-            d = None
-        if d is not None:
-            return SemiWeakVerdict(side, which, "pass_proof",
-                                   f"finite_injective_dimension({d})")
+        w = w_left
+        zq = z_a(ctx, ext.inflate(w, name=f"{which}|A"))
+        ring_mod = quadruple_to_module(mr, zq)
+        dimension, label = injective_dimension, "injective"
     else:
         if which == "N":
             raise EngineError("N is a left-side special module")
-        w_rop0 = w_bim.as_right_module(f"{which}|rop")
-        aop = opposite_algebra(ctx.A)
-        w_a_op = restrict_along(w_rop0, ext.proj_rows, aop, name=f"{which}|Aop")
-        rq0 = make_right_quadruple(
-            ctx, w_a_op, zero_module(opposite_algebra(ctx.B)),
-            Mat.zeros(F, w_a_op.dim * ctx.N.dim, 0),
-            Mat.zeros(F, 0, w_a_op.dim), name=f"Z({which})")
-        from .morita import right_quadruple_to_module
-        ring_mod_op = right_quadruple_to_module(mr, rq0)
-        try:
-            d = projective_dimension(ring_mod_op, bound, seed)
-        except UnsupportedField:
-            d = None
-        if d is not None:
-            return SemiWeakVerdict(side, which, "pass_proof",
-                                   f"finite_projective_dimension({d})")
+        w = w_bim.as_right_module(f"{which}|rop")
+        zq = z_a(opposite_context(ctx),
+                 restrict_along(w, ext.proj_rows, opposite_algebra(ctx.A),
+                                name=f"{which}|Aop"), name=f"Z({which})")
+        ring_mod = quadruple_to_module(opposite_ring(mr), zq)
+        dimension, label = projective_dimension, "projective"
+    try:
+        d = dimension(ring_mod, bound, seed)
+    except UnsupportedField:
+        d = None
+    if d is not None:
+        return SemiWeakVerdict(side, which, "pass_proof",
+                               f"finite_{label}_dimension({d})")
     used = 0
     for k, wc in enumerate(tests):
         _require_total(wc, seed)
-        pcx, _, quads = corner_complexes(ext, ctx, mr, wc, seed)
+        pcx, _, quads = corner_complexes(ext, ctx, mr, wc)
         used += 1
         if side == "left":
-            _reduction_cross_check_left(ext, ctx, quads, pcx, w_left, seed)
-            deg = hom_exactness_failure(pcx, w_left)
+            _reduction_cross_check_left(zq, quads, pcx, w)
+            deg = hom_exactness_failure(pcx, w)
             if deg is not None:
                 return SemiWeakVerdict(side, which, "refuted",
                                        "hom_complex_not_exact",
                                        witness={"test": k, "degree": deg},
                                        tests_used=used)
         else:
-            w_rop = w_bim.as_right_module(f"{which}|rop")
-            _reduction_cross_check_right(ext, ctx, quads, pcx, w_rop, seed)
-            if not _tensor_exact(w_rop, pcx):
+            _reduction_cross_check_right(zq, quads, pcx, w)
+            if not _tensor_exact(w, pcx):
                 return SemiWeakVerdict(side, which, "refuted",
                                        "tensor_complex_not_exact",
                                        witness={"test": k},
@@ -672,33 +655,22 @@ def check_semi_weak_quadruple(ext: TrivialExtension, ctx: MoritaContext,
                            tests_used=0)
 
 
-def _reduction_cross_check_left(ext, ctx, quads, pcx, w_left, seed):
-    """dim Hom(T^i, (W,0,0,0)) computed directly on quadruples must match
+def _reduction_cross_check_left(zq, quads, pcx, w):
+    """dim Hom(T^i, Z(W)) computed directly on quadruples must match
     dim Hom_Lambda(P^i, W)."""
-    w_infl = ext.inflate(w_left, name="W|A")
-    zq = z_a(ctx, w_infl)
     for i, qd in enumerate(quads):
         lhs = len(quadruple_hom_space(qd, zq))
-        rhs = len(hom_space(pcx.terms[i], w_left))
+        rhs = len(hom_space(pcx.terms[i], w))
         if lhs != rhs:
             raise EngineError(
                 f"hom reduction identity fails at degree {i}: {lhs} != {rhs}")
 
 
-def _reduction_cross_check_right(ext, ctx, quads, pcx, w_rop, seed):
-    """dim((W,0,0,0) (x) T^i) must match dim(W (x)_Lambda P^i)."""
-    F = ctx.A.field
-    aop = opposite_algebra(ctx.A)
-    lam_op = opposite_algebra(ext.Lam)
-    # W as a right A-module through the canonical surjection
-    w_a_op = restrict_along(w_rop, ext.proj_rows, aop, name="W|Aop")
-    rq = make_right_quadruple(
-        ctx, w_a_op, zero_module(opposite_algebra(ctx.B)),
-        Mat.zeros(F, w_a_op.dim * ctx.N.dim, 0),
-        Mat.zeros(F, 0, w_a_op.dim), name="Z(W)")
+def _reduction_cross_check_right(zq, quads, pcx, w):
+    """dim(Z(W) (x) T^i) must match dim(W (x)_Lambda P^i)."""
     for i, qd in enumerate(quads):
-        lhs = tensor_over_ring(rq, qd)
-        rhs = balanced_tensor_space(w_rop, pcx.terms[i]).dim
+        lhs = tensor_over_ring(zq, qd)
+        rhs = balanced_tensor_space(w, pcx.terms[i]).dim
         if lhs != rhs:
             raise EngineError(
                 f"tensor reduction identity fails at degree {i}: {lhs} != {rhs}")

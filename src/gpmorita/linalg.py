@@ -3,8 +3,8 @@
 This is the only module that reads or writes matrix entries.  Every
 other module works with whole matrices: arithmetic, Kronecker products,
 stacking, `from_blocks` assembly, `block` slicing, `reshape`/`flatten`,
-`to_rows`, `row` and `trace`, and four builders for matrix-shaped jobs,
-`linear_combination` (the action of an algebra element),
+`swap_factors`, `to_rows`, `row` and `trace`, and four builders for
+matrix-shaped jobs, `linear_combination` (the action of an algebra element),
 `intertwining_system` (hom spaces and balanced-tensor relations),
 `quotient_maps` (quotient coordinates) and `coordinates` (vectors
 expressed in a canonical basis).  `coordinates` needs a unit column in
@@ -153,9 +153,9 @@ class Mat:
     The storage belongs to this module: code outside `linalg` builds and
     reads matrices only through the methods and functions here
     (`Mat(F, rows, cols)`, `from_rows`, `to_rows`, `row`, `data`, `trace`,
-    `block`, `from_blocks`, `reshape`, `flatten` and the arithmetic), which
-    take and return field elements.  The echelon form is cached in
-    `_rref`."""
+    `block`, `from_blocks`, `reshape`, `flatten`, `swap_factors` and the
+    arithmetic), which take and return field elements.  The echelon form is
+    cached in `_rref`."""
 
     __slots__ = ("field", "rows", "cols", "_ints", "_den", "_rref")
 
@@ -241,6 +241,17 @@ class Mat:
     def flatten(self) -> "Mat":
         """The entries as one row vector, row-major."""
         return self.reshape(1, self.rows * self.cols)
+
+    def swap_factors(self, a: int, b: int) -> "Mat":
+        """The rows, indexed (i, j) -> i * b + j on a (x) b, re-indexed to
+        (j, i) -> j * a + i on b (x) a: the map precomposed with the swap
+        of the two tensor factors."""
+        if a * b != self.rows:
+            raise ValueError(f"cannot swap factors {a} x {b} of {self.rows} rows")
+        ints = self._ints
+        return _wrap(self.field,
+                     [ints[i * b + j] for j in range(b) for i in range(a)],
+                     self._den, self.cols)
 
     # -- arithmetic ---------------------------------------------------
 

@@ -13,13 +13,13 @@ from dataclasses import dataclass, field as dc_field
 
 from .algebra import Algebra, opposite_algebra, validate_algebra
 from .bimodules import (
-    BalancedMap, Bimodule, TensorModule, hom_module, tensor_functor_hom,
-    tensor_module, validate_balanced_map, validate_bimodule,
+    BalancedMap, Bimodule, TensorModule, hom_module, opposite_bimodule,
+    tensor_functor_hom, tensor_module, validate_balanced_map, validate_bimodule,
 )
 from .fields import Field
 from .linalg import (
     Mat, coordinates, factor_through, in_row_space, intertwining_system,
-    kernel_basis, quotient_maps, rank, row_space, solve,
+    kernel_basis, rank, row_space, solve,
 )
 from .modules import (
     FDModule, ModuleHom, _invertible_in_span, cokernel_of, identity_hom,
@@ -78,7 +78,38 @@ def swap_context(ctx: MoritaContext) -> MoritaContext:
     return ctx._cache["swap_context"]
 
 
+def opposite_context(ctx: MoritaContext) -> MoritaContext:
+    """The opposite context (A^op, B^op, N^op, M^op, phi', psi') with
+    phi'(n (x) m) = phi(m (x) n) and psi'(m (x) n) = psi(n (x) m).  Its ring
+    is the opposite of the context ring (see `opposite_ring`), so a right
+    module (C, D, h: C (x)_A N -> D, k: D (x)_B M -> C) over the context
+    ring is a quadruple (C, D, h, k) over this context, with h and k read on
+    N (x) C and M (x) D.  Cached both ways, so the opposite of the opposite
+    returns the context itself."""
+    if "opposite_context" not in ctx._cache:
+        m_op, n_op = opposite_bimodule(ctx.N), opposite_bimodule(ctx.M)
+        a_op, b_op = m_op.right, m_op.left
+        dM, dN = ctx.M.dim, ctx.N.dim
+        op = MoritaContext(
+            a_op, b_op, m_op, n_op,
+            BalancedMap(m_op, n_op, b_op, ctx.phi.mat.swap_factors(dM, dN)),
+            BalancedMap(n_op, m_op, a_op, ctx.psi.mat.swap_factors(dN, dM)),
+            name=f"{ctx.name}^op")
+        op._cache["opposite_context"] = ctx
+        ctx._cache["opposite_context"] = op
+    return ctx._cache["opposite_context"]
+
+
 def validate_context(ctx: MoritaContext) -> list[str]:
+    """The violated context axioms.  The verdict is stored on ctx, so each
+    instance is checked once; every call returns a fresh list."""
+    hit = ctx._cache.get("violations")
+    if hit is None:
+        hit = ctx._cache["violations"] = _context_violations(ctx)
+    return hit[:]
+
+
+def _context_violations(ctx: MoritaContext) -> list[str]:
     out = []
     if validate_algebra(ctx.A):
         out.append("corner algebra A is invalid")
@@ -242,6 +273,16 @@ def build_ring(ctx: MoritaContext) -> MoritaRing:
     e2 = [z] * dim
     e2[offB:offB + dB] = B.unit
     return MoritaRing(ctx, ring, (offA, offN, offM, offB), e1, e2)
+
+
+def opposite_ring(mr: MoritaRing) -> MoritaRing:
+    """The ring of `opposite_context`: the opposite algebra of the context
+    ring on the same coordinates, since (a n; m b) |-> (a m; n b) is a ring
+    isomorphism that is the identity on A ++ N ++ M ++ B.  The N block of
+    the opposite context is M^op, so the N and M offsets trade places."""
+    offA, offN, offM, offB = mr.offs
+    return MoritaRing(opposite_context(mr.ctx), opposite_algebra(mr.ring),
+                      (offA, offM, offN, offB), mr.e1, mr.e2)
 
 
 # -- quadruple modules -------------------------------------------------------
@@ -754,146 +795,35 @@ def regular_quadruple(mr: MoritaRing) -> QuadrupleModule:
     return module_to_quadruple(mr, regular_module(mr.ring), name="Lambda")
 
 
-# -- right modules as quadruples ---------------------------------------------
+# -- right modules, as quadruples over the opposite context ------------------
 
 
-@dataclass
-class RightQuadruple:
-    """A right module over the context ring: (C_A, D_B, h, k) with
-    h: C (x)_A N -> D and k: D (x)_B M -> C.
-
-    Storage convention: C and D are left modules over the opposite corner
-    algebras (the package-wide encoding of right modules), and the maps h,
-    k are given on the quotient coordinates of the balanced tensor spaces
-    below.  The "first corner" of the opposite presentation is C (the
-    A-side), mirroring the left-module convention.
-    """
-
-    ctx: MoritaContext
-    c: FDModule                  # over A^op
-    d: FDModule                  # over B^op
-    h: ModuleHom                 # (C (x)_A N as B^op-module) -> D
-    k: ModuleHom                 # (D (x)_B M as A^op-module) -> C
-    cn: "RightTensor"
-    dm: "RightTensor"
-    name: str = ""
-
-    @property
-    def dim(self) -> int:
-        return self.c.dim + self.d.dim
-
-
-@dataclass
-class RightTensor:
-    module: FDModule
-    proj: Mat
-    section: Mat
-
-
-def right_tensor(c_op: FDModule, w: Bimodule, name: str = "") -> RightTensor:
-    """C (x)_A W for a right A-module C and an (A, B)-bimodule W, as a
-    right B-module (left module over B^op)."""
-    F = w.left.field
-    proj, sec = quotient_maps(
-        intertwining_system(F, c_op.dim, w.dim, c_op.acts, w.left_acts))
-    bop = opposite_algebra(w.right)
-    eye_c = Mat.identity(F, c_op.dim)
-    acts = factor_through(proj, [eye_c.kron(a) @ proj for a in w.right_acts])
-    if acts is None:
-        raise ContextError("right action does not descend to the tensor")
-    return RightTensor(FDModule(bop, proj.cols, acts, name=name), proj, sec)
-
-
-def make_right_quadruple(ctx: MoritaContext, c: FDModule, d: FDModule,
-                         h_full: Mat, k_full: Mat, name: str = "") -> RightQuadruple:
-    cn = right_tensor(c, ctx.N, name=f"{c.name}(x)N")
-    dm = right_tensor(d, ctx.M, name=f"{d.name}(x)M")
-    h_mat = factor_through(cn.proj, [h_full])
-    if h_mat is None:
-        raise ContextError("h does not factor through C (x)_A N")
-    k_mat = factor_through(dm.proj, [k_full])
-    if k_mat is None:
-        raise ContextError("k does not factor through D (x)_B M")
-    return RightQuadruple(ctx, c, d, ModuleHom(cn.module, d, h_mat[0]),
-                          ModuleHom(dm.module, c, k_mat[0]), cn, dm, name=name)
-
-
-def right_quadruple_to_module(mr: MoritaRing, rq: RightQuadruple) -> FDModule:
-    """As a left module over the opposite context ring."""
-    ctx = mr.ctx
-    F = mr.ring.field
-    dc, dd = rq.c.dim, rq.d.dim
-    offA, offN, offM, offB = mr.offs
-    # row c of h_rows holds c (x) n_s |-> D in column band s; k likewise
-    h_rows = (rq.cn.proj @ rq.h.mat).reshape(dc, ctx.N.dim * dd)
-    k_rows = (rq.dm.proj @ rq.k.mat).reshape(dd, ctx.M.dim * dc)
-    acts = []
-    for t in range(mr.ring.dim):
-        blocks = [[None, None], [None, None]]
-        if offA <= t < offA + ctx.A.dim:
-            blocks[0][0] = rq.c.acts[t - offA]
-        elif offN <= t < offN + ctx.N.dim:
-            s = t - offN
-            blocks[0][1] = h_rows.block(0, dc, s * dd, (s + 1) * dd)
-        elif offM <= t < offM + ctx.M.dim:
-            s = t - offM
-            blocks[1][0] = k_rows.block(0, dd, s * dc, (s + 1) * dc)
-        else:
-            blocks[1][1] = rq.d.acts[t - offB]
-        acts.append(Mat.from_blocks(F, [dc, dd], [dc, dd], blocks))
-    return FDModule(opposite_algebra(mr.ring), dc + dd, acts,
-                    name=rq.name or "rquad")
-
-
-def validate_right_quadruple(mr: MoritaRing, rq: RightQuadruple) -> list[str]:
-    mod = right_quadruple_to_module(mr, rq)
-    return validate_module(mod)
-
-
-def regular_right_quadruples(mr: MoritaRing) -> list[RightQuadruple]:
+def regular_right_quadruples(mr: MoritaRing) -> list[QuadrupleModule]:
     """The two right ideals e1.Lambda = (A, N, mult, psi) and
-    e2.Lambda = (M, B, phi, mult)."""
-    ctx = mr.ctx
-    F = mr.ring.field
-    Aop, Bop = opposite_algebra(ctx.A), opposite_algebra(ctx.B)
-    a_right = FDModule(Aop, ctx.A.dim, ctx.A.rmul_mats(), name="A")
-    b_right = FDModule(Bop, ctx.B.dim, ctx.B.rmul_mats(), name="B")
-    m_right = rq_m = FDModule(Aop, ctx.M.dim, ctx.M.right_acts, name="M")
-    n_right = FDModule(Bop, ctx.N.dim, ctx.N.right_acts, name="N")
-    # e1.Lambda: C = A, D = N; h: A (x) N -> N multiplication, k = psi
-    h_full_rows = []
-    for i in range(ctx.A.dim):
-        la = ctx.N.left_acts[i]
-        for j in range(ctx.N.dim):
-            h_full_rows.append(la.row(j))
-    h_full = Mat.from_rows(F, h_full_rows, ctx.N.dim) if h_full_rows else \
-        Mat.zeros(F, 0, ctx.N.dim)
-    k_full = ctx.psi.mat
-    top = make_right_quadruple(ctx, a_right, n_right, h_full, k_full, name="e1L")
-    # e2.Lambda: C = M, D = B; h = phi, k: B (x) M -> M multiplication
-    k2_rows = []
-    for i in range(ctx.B.dim):
-        lb = ctx.M.left_acts[i]
-        for j in range(ctx.M.dim):
-            k2_rows.append(lb.row(j))
-    k2_full = Mat.from_rows(F, k2_rows, ctx.M.dim) if k2_rows else \
-        Mat.zeros(F, 0, ctx.M.dim)
-    bot = make_right_quadruple(ctx, m_right, b_right, ctx.phi.mat, k2_full, name="e2L")
-    return [top, bot]
+    e2.Lambda = (M, B, phi, mult): T_A(A^op) and T_B(B^op) over the
+    opposite context."""
+    op = opposite_context(mr.ctx)
+    return [t_a(op, regular_module(op.A)), t_b(op, regular_module(op.B))]
 
 
-def tensor_over_ring(rq: RightQuadruple, q: QuadrupleModule) -> int:
-    """dim of (C (x)_A X (+) D (x)_B Y) / H, with H spanned by
-    c (x) (n (x) y)g - (c (x) n)h (x) y  and  d (x) (m (x) x)f - (d (x) m)k (x) x."""
+def tensor_over_ring(rq: QuadrupleModule, q: QuadrupleModule) -> int:
+    """dim of (C (x)_A X (+) D (x)_B Y) / H for the right module
+    rq = (C, D, h, k), a quadruple over the opposite context, with H spanned
+    by c (x) (n (x) y)g - (c (x) n)h (x) y  and  d (x) (m (x) x)f - (d (x) m)k (x) x."""
     from .bimodules import balanced_tensor_space
-    F = q.ctx.A.field
-    cx = balanced_tensor_space(rq.c, q.x)
-    dy = balanced_tensor_space(rq.d, q.y)
+    ctx = q.ctx
+    if rq.ctx is not opposite_context(ctx):
+        raise ContextError("the right module must be a quadruple over the "
+                           "opposite context")
+    F = ctx.A.field
+    cx = balanced_tensor_space(rq.x, q.x)
+    dy = balanced_tensor_space(rq.y, q.y)
     g_big = q.ny.proj @ q.g.mat       # N (x)_k Y -> X
     f_big = q.mx.proj @ q.f.mat
-    h_big = rq.cn.proj @ rq.h.mat     # C (x)_k N -> D
-    k_big = rq.dm.proj @ rq.k.mat
-    eye_c, eye_d = Mat.identity(F, rq.c.dim), Mat.identity(F, rq.d.dim)
+    # C (x)_k N -> D and D (x)_k M -> C, re-indexed from N (x) C and M (x) D
+    h_big = (rq.mx.proj @ rq.f.mat).swap_factors(ctx.N.dim, rq.x.dim)
+    k_big = (rq.ny.proj @ rq.g.mat).swap_factors(ctx.M.dim, rq.y.dim)
+    eye_c, eye_d = Mat.identity(F, rq.x.dim), Mat.identity(F, rq.y.dim)
     eye_x, eye_y = Mat.identity(F, q.x.dim), Mat.identity(F, q.y.dim)
     # rows c (x) n (x) y, then d (x) m (x) x, each projected into the two
     # balanced tensor spaces
@@ -905,11 +835,11 @@ def tensor_over_ring(rq: RightQuadruple, q: QuadrupleModule) -> int:
     return cx.dim + dy.dim - rank(rel)
 
 
-def tensor_over_ring_oracle(mr: MoritaRing, rq: RightQuadruple,
+def tensor_over_ring_oracle(mr: MoritaRing, rq: QuadrupleModule,
                             q: QuadrupleModule) -> int:
     """Brute-force dim of the tensor over the whole context ring."""
     from .bimodules import balanced_tensor_space
-    u = right_quadruple_to_module(mr, rq)
+    u = quadruple_to_module(opposite_ring(mr), rq)
     v = quadruple_to_module(mr, q)
     return balanced_tensor_space(u, v).dim
 

@@ -190,64 +190,32 @@ def psi_ideal_coords(ext: TrivialExtension, ctx: MoritaContext) -> Mat:
 
 def psi_tensor_block(ctx: MoritaContext, ext: TrivialExtension, p_module: FDModule,
                      mp_tensor: TensorModule, ip_tensor: TensorModule) -> Mat:
-    """psi (x) 1_P as a matrix N (x)_k (M (x)_Lambda P) -> I (x)_Lambda P."""
+    """psi (x) 1_P as a matrix N (x)_k (M (x)_Lambda P) -> I (x)_Lambda P:
+    lift M (x)_Lambda P to M (x)_k P, apply psi in ideal coordinates, project."""
     F = ctx.A.field
-    dN, dM, dP = ctx.N.dim, ctx.M.dim, p_module.dim
-    psi_i = psi_ideal_coords(ext, ctx)
-    rows = []
-    for i_n in range(dN):
-        for t in range(mp_tensor.module.dim):
-            lift = mp_tensor.section.row(t)
-            acc = [F.zero()] * ip_tensor.module.dim
-            for amb, coef in enumerate(lift):
-                if F.is_zero(coef):
-                    continue
-                i_m, i_p = divmod(amb, dP)
-                ivec = psi_i.row(i_n * dM + i_m)
-                for s, c in enumerate(ivec):
-                    if not F.is_zero(c):
-                        prow = ip_tensor.proj.row(s * dP + i_p)
-                        acc = [F.add(u, F.mul(F.mul(coef, c), w))
-                               for u, w in zip(acc, prow)]
-            rows.append(acc)
-    return Mat.from_rows(F, rows, ip_tensor.module.dim) if rows else \
-        Mat.zeros(F, 0, ip_tensor.module.dim)
+    eye_n = Mat.identity(F, ctx.N.dim)
+    eye_p = Mat.identity(F, p_module.dim)
+    return (eye_n.kron(mp_tensor.section) @ psi_ideal_coords(ext, ctx).kron(eye_p)
+            @ ip_tensor.proj)
 
 
 def t_lambda(ext: TrivialExtension, ctx: MoritaContext, x: FDModule,
              name: str = "") -> QuadrupleModule:
-    """The induced quadruple (X(I), M (x)_Lambda X, projection, psi-action)."""
+    """The induced quadruple (X(I), M (x)_Lambda X, projection, psi-action).
+
+    f: M (x)_k X(I) -> M (x)_Lambda X is m (x) (v, w) |-> m (x) v.  The
+    I (x) X block contributes nothing: phi = 0 and the second associativity
+    square give M.I = 0 (which `_ideal_checks` also checks), so
+    m (x) (i (x) v) |-> m.i (x) v is 0."""
     check_extension_matches(ext, ctx)
     F = ext.Lam.field
     xi, e_x, ix_t = induced_module_parts(ext, x)
     mx_lam = m_tensor_lambda(ext, ctx, x)
     y = mx_lam.module
-    dX, dM, dN = x.dim, ctx.M.dim, ctx.N.dim
-    # f: M (x)_k X(I) -> Y = M (x)_Lambda X;
-    # m (x) (v, w) |-> m (x) v + (m . i-part of w) (x) ... (zero since MI = 0)
-    f_rows = []
-    for i_m in range(dM):
-        for c in range(xi.dim):
-            if c < dX:
-                f_rows.append(mx_lam.proj.row(i_m * dX + c))
-            else:
-                lift = ix_t.section.row(c - dX)
-                acc = [F.zero()] * y.dim
-                for amb, coef in enumerate(lift):
-                    if F.is_zero(coef):
-                        continue
-                    s, j = divmod(amb, dX)
-                    w = ctx.M.right_act_of(ext.ideal_rows.row(s)).row(i_m)
-                    for t, wt in enumerate(w):
-                        if not F.is_zero(wt):
-                            prow = mx_lam.proj.row(t * dX + j)
-                            acc = [F.add(u, F.mul(F.mul(coef, wt), v))
-                                   for u, v in zip(acc, prow)]
-                f_rows.append(acc)
-    f_full = Mat.from_rows(F, f_rows, y.dim) if f_rows else Mat.zeros(F, 0, y.dim)
+    f_full = Mat.identity(F, ctx.M.dim).kron(e_x.transpose()) @ mx_lam.proj
     # g: N (x)_k Y -> X(I); n (x) (m (x) v) |-> psi(n (x) m) (x) v in the
     # I (x) X block
-    g_full = Mat.hstack([Mat.zeros(F, dN * y.dim, dX),
+    g_full = Mat.hstack([Mat.zeros(F, ctx.N.dim * y.dim, x.dim),
                          psi_tensor_block(ctx, ext, x, mx_lam, ix_t)])
     return make_quadruple(ctx, xi, y, f_full, g_full,
                           name=name or f"T_Lam({x.name})")
@@ -363,26 +331,11 @@ def pushout_check(ctx: MoritaContext, q: QuadrupleModule, sm: StructuralMaps | N
 def _psi_tensor_one(ctx: MoritaContext, sm: StructuralMaps, nmu: TensorModule) -> ModuleHom:
     """psi (x) 1_U : N (x)_B M (x)_A U -> I (x)_A U."""
     F = ctx.A.field
-    dN, dM, dU = ctx.N.dim, ctx.M.dim, sm.u.dim
-    I = ctx.ideal_rows_a()
-    psi_i = coordinates(I, ctx.psi.mat)
+    psi_i = coordinates(ctx.ideal_rows_a(), ctx.psi.mat)
     if psi_i is None:
         raise ContextError("im(psi) escapes its own row space")
-    rows = []
-    for i_n in range(dN):
-        for i_m in range(dM):
-            ivec = psi_i.row(i_n * dM + i_m)
-            for i_u in range(dU):
-                acc = [F.zero()] * sm.iu_t.module.dim
-                for s, c in enumerate(ivec):
-                    if not F.is_zero(c):
-                        prow = sm.iu_t.proj.row(s * dU + i_u)
-                        acc = [F.add(p, F.mul(c, w)) for p, w in zip(acc, prow)]
-                rows.append(acc)
-    full = Mat.from_rows(F, rows, sm.iu_t.module.dim) if rows else \
-        Mat.zeros(F, 0, sm.iu_t.module.dim)
-    eye_n = Mat.identity(F, dN)
-    big_proj = eye_n.kron(sm.mu_t.proj) @ nmu.proj
+    full = psi_i.kron(Mat.identity(F, sm.u.dim)) @ sm.iu_t.proj
+    big_proj = Mat.identity(F, ctx.N.dim).kron(sm.mu_t.proj) @ nmu.proj
     mat = factor_through(big_proj, [full])
     if mat is None:
         raise ContextError("psi (x) 1 does not factor through the quotient")

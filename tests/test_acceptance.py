@@ -33,11 +33,11 @@ from gpmorita.homology import is_projective
 from gpmorita.linalg import Mat, rank
 from gpmorita.modules import (
     ModuleHom, direct_sum, dual_module, hom_dim, kernel_of, regular_module,
-    free_module, restrict_along, zero_module,
+    free_module, restrict_along,
 )
 from gpmorita.morita import (
-    ContextError, build_ring, direct_sum_quadruples, make_right_quadruple,
-    module_to_quadruple, quadruple_hom_space, quadruple_is_isomorphic,
+    ContextError, build_ring, direct_sum_quadruples, module_to_quadruple,
+    opposite_context, quadruple_hom_space, quadruple_is_isomorphic,
     quadruple_kernel, quadruple_to_module, regular_right_quadruples, t_a, t_b,
     tensor_over_ring, tensor_over_ring_oracle, u_a, validate_context,
     validate_quadruple_hom, z_a, z_b, QuadrupleHom,
@@ -164,21 +164,14 @@ def test_criterion_3_hom_and_tensor_identities():
         count = 0
         while count < 20:
             ext, ctx = setups[count % len(setups)]
-            F = ctx.A.field
-            aop = opposite_algebra(ctx.A)
-            bop = opposite_algebra(ctx.B)
+            # right modules are quadruples over the opposite context
+            op = opposite_context(ctx)
             lam_op = opposite_algebra(ext.Lam)
             c_mod = random_module(lam_op, rng, max_free=1, max_cuts=1)
-            d_mod = random_module(bop, rng, max_free=1, max_cuts=1)
-            c_a = restrict_along(c_mod, ext.proj_rows, aop, name="C|Aop")
-            zc = make_right_quadruple(
-                ctx, c_a, zero_module(bop),
-                Mat.zeros(F, c_a.dim * ctx.N.dim, 0),
-                Mat.zeros(F, 0, c_a.dim), name="Z(C)")
-            zd = make_right_quadruple(
-                ctx, zero_module(aop), d_mod,
-                Mat.zeros(F, 0, d_mod.dim),
-                Mat.zeros(F, d_mod.dim * ctx.M.dim, 0), name="Z(D)")
+            d_mod = random_module(op.B, rng, max_free=1, max_cuts=1)
+            c_a = restrict_along(c_mod, ext.proj_rows, op.A, name="C|Aop")
+            zc = z_a(op, c_a, name="Z(C)")
+            zd = z_b(op, d_mod, name="Z(D)")
             x = random_module(ext.Lam, rng, max_free=1, max_cuts=1)
             y = random_module(ctx.B, rng, max_free=1, max_cuts=1)
             tlx = t_lambda(ext, ctx, x)

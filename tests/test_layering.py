@@ -1,9 +1,11 @@
-"""Five layering rules of the package, checked on its source.
+"""Six layering rules of the package, checked on its source.
 
 Only `linalg` sees matrix entries: no other module reads or writes a
 `.data` attribute or the integer storage behind it, so the storage can
 change in one file.  Inside `linalg` the kernels compute on that integer
-storage, never through a per-element `Field` call.  The
+storage, never through a per-element `Field` call, and the Morita layers
+(`morita`, `trivext`, `engine`) build their maps from whole matrices, with
+no per-element `Field` arithmetic.  The
 independent checker `verify` imports only the shared ground (linear
 algebra, modules, complex windows, algebras and the certificate types),
 never a builder module such as `bimodules` or `homology`.  Vectors are
@@ -61,6 +63,20 @@ def test_linalg_makes_no_per_element_field_call():
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
             and node.func.attr in FIELD_ELEMENT_OPS and _is_field(node.func.value)]
     assert not hits, f"per-element Field calls in linalg: {hits}"
+
+
+# the per-element arithmetic of a Field; `is_zero`, `zero` and `one` only
+# test or name an element
+FIELD_ARITHMETIC = {"add", "sub", "mul", "div", "inv", "neg"}
+
+
+def test_morita_layers_make_no_per_element_field_arithmetic():
+    hits = [f"{name}:{node.lineno}"
+            for name in ("morita.py", "trivext.py", "engine.py")
+            for node in ast.walk(_tree(name))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in FIELD_ARITHMETIC and _is_field(node.func.value)]
+    assert not hits, f"per-element Field arithmetic in the Morita layers: {hits}"
 
 
 def test_checker_imports_only_the_shared_ground():

@@ -151,6 +151,22 @@ def test_kron_dims_and_identity(data, n, m):
     assert (k.rows, k.cols) == (n * m, m * n)
 
 
+@settings(max_examples=30)
+@given(st.data(), st.integers(0, 3), st.integers(0, 3), st.integers(1, 3))
+def test_swap_factors_is_the_commutation_of_the_two_factors(data, a, b, c):
+    # (v (x) u) @ M.swap_factors(a, b) = (u (x) v) @ M, and swapping back
+    # restores M
+    F = QQ()
+    m = _rand_mat(F, data, a * b, c)
+    s = m.swap_factors(a, b)
+    for u in range(a):
+        for v in range(b):
+            assert s.row(v * a + u) == m.row(u * b + v)
+    assert s.swap_factors(b, a) == m
+    with pytest.raises(ValueError):
+        m.swap_factors(a * b + 1, 1)
+
+
 def test_row_space_canonical_and_membership():
     F = QQ()
     m = Mat.from_rows(F, [[2, 4, 0], [1, 2, 1]])

@@ -7,12 +7,12 @@ import random
 
 import pytest
 
-from gpmorita.algebra import validate_algebra
+from gpmorita.algebra import opposite_algebra, validate_algebra
 from gpmorita.bimodules import BalancedMap
 from gpmorita.catalog import (
     arrow_ideal_context, field_algebra, glued_psi_context, path_a2,
     random_module, triangular_context, truncated_poly, two_cycle_context,
-    two_cycle_rad_square,
+    two_cycle_rad_square, wide_psi_context,
 )
 from gpmorita.fields import GF, QQ
 from gpmorita.linalg import Mat, rank
@@ -21,8 +21,9 @@ from gpmorita.modules import (
 )
 from gpmorita.morita import (
     ContextError, build_ring, classify_injectives, classify_projectives,
-    direct_sum_quadruples, h_a, h_b, make_quadruple, module_to_quadruple,
-    p_a, p_b, q_a, q_b, quadruple_cokernel, quadruple_hom_space,
+    MoritaContext, direct_sum_quadruples, h_a, h_b, make_quadruple,
+    module_to_quadruple, opposite_context, opposite_ring, p_a, p_b, q_a, q_b,
+    quadruple_cokernel, quadruple_hom_space,
     quadruple_is_isomorphic, quadruple_kernel, quadruple_to_module,
     regular_quadruple, regular_right_quadruples, swap_context, t_a, t_b,
     tensor_over_ring, tensor_over_ring_oracle, u_a, validate_context,
@@ -70,7 +71,6 @@ def test_validate_rejects_corrupted_psi():
     ext, ctx = glued_psi_context(QQ())
     # break balancedness/linearity: send n (x) m to 1 instead of x
     bad = BalancedMap(ctx.N, ctx.M, ctx.A, Mat.from_rows(QQ(), [[1, 0]], 2))
-    from gpmorita.morita import MoritaContext
     broken = MoritaContext(ctx.A, ctx.B, ctx.M, ctx.N, ctx.phi, bad)
     assert validate_context(broken) != []
     with pytest.raises(ContextError):
@@ -277,8 +277,8 @@ def test_tensor_over_ring_matches_oracle():
         qs = [t_a(ctx, regular_module(ctx.A)), t_b(ctx, regular_module(ctx.B)),
               regular_quadruple(mr)]
         for rq in rqs:
-            from gpmorita.morita import validate_right_quadruple
-            assert validate_right_quadruple(mr, rq) == []
+            assert validate_quadruple(rq) == []
+            assert validate_module(quadruple_to_module(opposite_ring(mr), rq)) == []
             for q in qs:
                 assert tensor_over_ring(rq, q) == tensor_over_ring_oracle(mr, rq, q)
 
@@ -290,3 +290,81 @@ def test_regular_right_tensor_gives_module_dim():
         q = regular_quadruple(mr)
         r1, r2 = regular_right_quadruples(mr)
         assert tensor_over_ring(r1, q) + tensor_over_ring(r2, q) == q.dim
+
+
+CATALOG = (triangular_context, two_cycle_context, glued_psi_context,
+           arrow_ideal_context, wide_psi_context)
+
+
+def _catalog_contexts(field):
+    """The catalog contexts and their swaps (in the wide one, psi is not
+    symmetric in its factors; in its swap, phi is not)."""
+    for make in CATALOG:
+        ctx = make(FIELDS[field]())[1]
+        yield from (ctx, swap_context(ctx))
+FIELDS = {"Q": QQ, "GF7": lambda: GF(7)}
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_opposite_context_is_an_involution_and_validates(field):
+    for ctx in _catalog_contexts(field):
+        op = opposite_context(ctx)
+        assert validate_context(op) == []
+        assert opposite_context(op) is ctx
+        # rebuilt from an uncached copy, the opposite of the opposite has
+        # the original algebras and the original matrices
+        copy = MoritaContext(op.A, op.B, op.M, op.N, op.phi, op.psi)
+        back = opposite_context(copy)
+        assert back.A is ctx.A and back.B is ctx.B
+        for got, want in ((back.M, ctx.M), (back.N, ctx.N)):
+            assert got.left is want.left and got.right is want.right
+            assert got.left_acts == want.left_acts
+            assert got.right_acts == want.right_acts
+        assert back.phi.mat == ctx.phi.mat and back.psi.mat == ctx.psi.mat
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_opposite_ring_is_the_ring_of_the_opposite_context(field):
+    for ctx in _catalog_contexts(field):
+        mr = build_ring(ctx)
+        op = opposite_ring(mr)
+        built = build_ring(opposite_context(ctx))
+        assert op.ctx is built.ctx
+        assert op.ring is opposite_algebra(mr.ring)
+        # the block permutation: block k of op sits at op.offs[k], of built
+        # at built.offs[k]
+        dims = (ctx.A.dim, ctx.M.dim, ctx.N.dim, ctx.B.dim)
+        perm = [0] * mr.ring.dim
+        for k, d in enumerate(dims):
+            for i in range(d):
+                perm[op.offs[k] + i] = built.offs[k] + i
+
+        def moved(v):
+            out = [None] * len(v)
+            for t, c in enumerate(v):
+                out[perm[t]] = c
+            return out
+
+        n = mr.ring.dim
+        for i in range(n):
+            for j in range(n):
+                assert moved(op.ring.mul[i][j]) == built.ring.mul[perm[i]][perm[j]]
+        assert moved(op.ring.unit) == built.ring.unit
+        assert (moved(op.e1), moved(op.e2)) == (built.e1, built.e2)
+
+
+def test_build_ring_after_load_problem_does_not_revalidate(count_calls):
+    from gpmorita.bimodules import validate_bimodule
+    fixtures = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+    contexts = []
+    for path in sorted(glob.glob(os.path.join(fixtures, "*.json"))):
+        with open(path) as fh:
+            contexts += load_problem(json.load(fh)).contexts.values()
+    assert contexts
+    calls = count_calls(validate_bimodule)
+    for ctx in contexts:
+        build_ring(ctx)
+        verdict = validate_context(ctx)
+        verdict.append("a caller's own list")
+        assert validate_context(ctx) == []
+    assert calls == []

@@ -31,10 +31,20 @@ fresh trace-form kernel.
 block and builds the cover map with one product per block.  The per-row
 cover it replaced is kept below as an oracle, over Q, GF(7) and GF(5), on
 seeded random modules over every catalog algebra and its opposite.
+
+A right module over the context ring is a quadruple over the opposite
+context.  The separate right-module layer it replaced (`right_tensor`,
+`make_right_quadruple`, `right_quadruple_to_module`) is kept below as an
+oracle: fed each quadruple's maps, re-indexed from N (x) C and M (x) D to
+C (x) N and D (x) M, it must give the same module over the same opposite
+ring, and the row loop of `tensor_over_ring` the same dimension.  The
+psi (x) 1 maps of `trivext` and the engine's sigma^0 are Kronecker
+products; the coefficient loops they replaced are kept below as oracles.
 """
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -43,25 +53,27 @@ from gpmorita.algebra import (
     UnsupportedField, opposite_algebra, radical_basis, trace_form,
 )
 from gpmorita.bimodules import (
-    Bimodule, BimoduleError, balanced_tensor_space, bimodule_tensor, hom_module,
-    regular_bimodule, tensor_module,
+    Bimodule, BimoduleError, TensorModule, balanced_tensor_space,
+    bimodule_tensor, hom_module, opposite_bimodule, regular_bimodule,
+    restrict_left, tensor_module,
 )
 from gpmorita.catalog import (
     arrow_ideal_context, field_algebra, glued_psi_context, path_a2,
     product_fields, random_hom, random_module, random_quadruple,
     simple_at_idempotent, simple_kx2, triangular_context, truncated_poly,
-    two_cycle_context, two_cycle_rad_square,
+    two_cycle_context, two_cycle_rad_square, wide_psi_context,
 )
 from gpmorita.complexes import ComplexWindow, hom_complex_data
-from gpmorita.engine import build_total_resolution, check_conditions
+from gpmorita.engine import _sigma0, build_total_resolution, check_conditions
 from gpmorita.fields import GF, QQ, Field
 from gpmorita.homology import (
     _block_reps, minimal_resolution, projective_cover, radical_rows_of_module,
     simple_modules, top_of,
 )
 from gpmorita.linalg import (
-    Mat, in_row_space, intertwining_system, kernel_basis, left_kernel,
-    linear_combination, quotient_maps, rank, row_space, rref, solve, solve_left,
+    Mat, coordinates, factor_through, in_row_space, intertwining_system,
+    kernel_basis, left_kernel, linear_combination, quotient_maps, rank,
+    row_space, rref, solve, solve_left,
 )
 from gpmorita.modules import (
     FDModule, ModuleError, ModuleHom, cokernel_of, direct_sum, hom_space,
@@ -69,15 +81,25 @@ from gpmorita.modules import (
     zero_module,
 )
 from gpmorita.morita import (
-    ContextError, QuadrupleHom, QuadrupleModule, build_ring,
-    direct_sum_quadruples, make_quadruple, quadruple_hom_space,
-    regular_right_quadruples, right_tensor, swap_quadruple, t_a, t_b,
+    ContextError, MoritaContext, MoritaRing, QuadrupleHom, QuadrupleModule,
+    build_ring, direct_sum_quadruples, h_a, h_b, make_quadruple,
+    opposite_context, opposite_ring, quadruple_hom_space, quadruple_to_module,
+    regular_right_quadruples, swap_context, swap_quadruple, t_a, t_b,
     tensor_over_ring,
+)
+from gpmorita.trivext import (
+    StructuralMaps, TrivialExtension, _psi_tensor_one, check_extension_matches,
+    induced_module_parts, m_tensor_lambda, psi_ideal_coords, psi_tensor_block,
+    structural_maps, t_lambda,
 )
 
 FIELDS = {"Q": QQ, "GF7": lambda: GF(7)}
 CONTEXTS = {"triangular": triangular_context, "two_cycle": two_cycle_context,
             "glued_psi": glued_psi_context, "arrow_ideal": arrow_ideal_context}
+# the tests of right modules and of the psi maps also run on the wide
+# context, whose bimodules have dimension 2 and whose psi is not symmetric
+# in its two factors
+ALL_CONTEXTS = {**CONTEXTS, "wide": wide_psi_context}
 SEEDS = range(6)
 
 
@@ -236,6 +258,237 @@ def _tensor_over_ring(rq, q: QuadrupleModule) -> int:
     return total - rank(rel)
 
 
+# the parent's right-module layer: right modules over the context ring as
+# (C, D, h: C (x)_A N -> D, k: D (x)_B M -> C) on their own tensor spaces
+
+
+@dataclass
+class _RightQuadruple:
+    """A right module over the context ring: (C_A, D_B, h, k) with
+    h: C (x)_A N -> D and k: D (x)_B M -> C.
+
+    Storage convention: C and D are left modules over the opposite corner
+    algebras (the package-wide encoding of right modules), and the maps h,
+    k are given on the quotient coordinates of the balanced tensor spaces
+    below.  The "first corner" of the opposite presentation is C (the
+    A-side), mirroring the left-module convention.
+    """
+
+    ctx: MoritaContext
+    c: FDModule                  # over A^op
+    d: FDModule                  # over B^op
+    h: ModuleHom                 # (C (x)_A N as B^op-module) -> D
+    k: ModuleHom                 # (D (x)_B M as A^op-module) -> C
+    cn: "_RightTensor"
+    dm: "_RightTensor"
+    name: str = ""
+
+    @property
+    def dim(self) -> int:
+        return self.c.dim + self.d.dim
+
+
+@dataclass
+class _RightTensor:
+    module: FDModule
+    proj: Mat
+    section: Mat
+
+
+def _right_tensor(c_op: FDModule, w: Bimodule, name: str = "") -> _RightTensor:
+    """C (x)_A W for a right A-module C and an (A, B)-bimodule W, as a
+    right B-module (left module over B^op)."""
+    F = w.left.field
+    proj, sec = quotient_maps(
+        intertwining_system(F, c_op.dim, w.dim, c_op.acts, w.left_acts))
+    bop = opposite_algebra(w.right)
+    eye_c = Mat.identity(F, c_op.dim)
+    acts = factor_through(proj, [eye_c.kron(a) @ proj for a in w.right_acts])
+    if acts is None:
+        raise ContextError("right action does not descend to the tensor")
+    return _RightTensor(FDModule(bop, proj.cols, acts, name=name), proj, sec)
+
+
+def _make_right_quadruple(ctx: MoritaContext, c: FDModule, d: FDModule,
+                          h_full: Mat, k_full: Mat, name: str = "") -> _RightQuadruple:
+    cn = _right_tensor(c, ctx.N, name=f"{c.name}(x)N")
+    dm = _right_tensor(d, ctx.M, name=f"{d.name}(x)M")
+    h_mat = factor_through(cn.proj, [h_full])
+    if h_mat is None:
+        raise ContextError("h does not factor through C (x)_A N")
+    k_mat = factor_through(dm.proj, [k_full])
+    if k_mat is None:
+        raise ContextError("k does not factor through D (x)_B M")
+    return _RightQuadruple(ctx, c, d, ModuleHom(cn.module, d, h_mat[0]),
+                           ModuleHom(dm.module, c, k_mat[0]), cn, dm, name=name)
+
+
+def _right_quadruple_to_module(mr: MoritaRing, rq: _RightQuadruple) -> FDModule:
+    """As a left module over the opposite context ring."""
+    ctx = mr.ctx
+    F = mr.ring.field
+    dc, dd = rq.c.dim, rq.d.dim
+    offA, offN, offM, offB = mr.offs
+    # row c of h_rows holds c (x) n_s |-> D in column band s; k likewise
+    h_rows = (rq.cn.proj @ rq.h.mat).reshape(dc, ctx.N.dim * dd)
+    k_rows = (rq.dm.proj @ rq.k.mat).reshape(dd, ctx.M.dim * dc)
+    acts = []
+    for t in range(mr.ring.dim):
+        blocks = [[None, None], [None, None]]
+        if offA <= t < offA + ctx.A.dim:
+            blocks[0][0] = rq.c.acts[t - offA]
+        elif offN <= t < offN + ctx.N.dim:
+            s = t - offN
+            blocks[0][1] = h_rows.block(0, dc, s * dd, (s + 1) * dd)
+        elif offM <= t < offM + ctx.M.dim:
+            s = t - offM
+            blocks[1][0] = k_rows.block(0, dd, s * dc, (s + 1) * dc)
+        else:
+            blocks[1][1] = rq.d.acts[t - offB]
+        acts.append(Mat.from_blocks(F, [dc, dd], [dc, dd], blocks))
+    return FDModule(opposite_algebra(mr.ring), dc + dd, acts,
+                    name=rq.name or "rquad")
+
+
+def _as_right_quadruple(rq: QuadrupleModule) -> "_RightQuadruple":
+    """The parent's right quadruple with the maps of rq, a quadruple over
+    the opposite context, re-indexed row by row from N (x) C and M (x) D to
+    C (x) N and D (x) M."""
+    ctx = opposite_context(rq.ctx)
+    F = ctx.A.field
+
+    def swapped(big: Mat, a: int, b: int) -> Mat:
+        rows = [big.row(i * b + j) for j in range(b) for i in range(a)]
+        return Mat.from_rows(F, rows, big.cols) if rows else big
+
+    h_full = swapped(rq.mx.proj @ rq.f.mat, ctx.N.dim, rq.x.dim)
+    k_full = swapped(rq.ny.proj @ rq.g.mat, ctx.M.dim, rq.y.dim)
+    return _make_right_quadruple(ctx, rq.x, rq.y, h_full, k_full, name=rq.name)
+
+
+# the psi (x) 1 coefficient loops that the Kronecker products replaced
+
+
+def _psi_tensor_block(ctx: MoritaContext, ext: TrivialExtension, p_module: FDModule,
+                      mp_tensor: TensorModule, ip_tensor: TensorModule) -> Mat:
+    """psi (x) 1_P as a matrix N (x)_k (M (x)_Lambda P) -> I (x)_Lambda P."""
+    F = ctx.A.field
+    dN, dM, dP = ctx.N.dim, ctx.M.dim, p_module.dim
+    psi_i = psi_ideal_coords(ext, ctx)
+    rows = []
+    for i_n in range(dN):
+        for t in range(mp_tensor.module.dim):
+            lift = mp_tensor.section.row(t)
+            acc = [F.zero()] * ip_tensor.module.dim
+            for amb, coef in enumerate(lift):
+                if F.is_zero(coef):
+                    continue
+                i_m, i_p = divmod(amb, dP)
+                ivec = psi_i.row(i_n * dM + i_m)
+                for s, c in enumerate(ivec):
+                    if not F.is_zero(c):
+                        prow = ip_tensor.proj.row(s * dP + i_p)
+                        acc = [F.add(u, F.mul(F.mul(coef, c), w))
+                               for u, w in zip(acc, prow)]
+            rows.append(acc)
+    return Mat.from_rows(F, rows, ip_tensor.module.dim) if rows else \
+        Mat.zeros(F, 0, ip_tensor.module.dim)
+
+
+def _t_lambda(ext: TrivialExtension, ctx: MoritaContext, x: FDModule,
+              name: str = "") -> QuadrupleModule:
+    """The induced quadruple (X(I), M (x)_Lambda X, projection, psi-action)."""
+    check_extension_matches(ext, ctx)
+    F = ext.Lam.field
+    xi, e_x, ix_t = induced_module_parts(ext, x)
+    mx_lam = m_tensor_lambda(ext, ctx, x)
+    y = mx_lam.module
+    dX, dM, dN = x.dim, ctx.M.dim, ctx.N.dim
+    # f: M (x)_k X(I) -> Y = M (x)_Lambda X;
+    # m (x) (v, w) |-> m (x) v + (m . i-part of w) (x) ... (zero since MI = 0)
+    f_rows = []
+    for i_m in range(dM):
+        for c in range(xi.dim):
+            if c < dX:
+                f_rows.append(mx_lam.proj.row(i_m * dX + c))
+            else:
+                lift = ix_t.section.row(c - dX)
+                acc = [F.zero()] * y.dim
+                for amb, coef in enumerate(lift):
+                    if F.is_zero(coef):
+                        continue
+                    s, j = divmod(amb, dX)
+                    w = ctx.M.right_act_of(ext.ideal_rows.row(s)).row(i_m)
+                    for t, wt in enumerate(w):
+                        if not F.is_zero(wt):
+                            prow = mx_lam.proj.row(t * dX + j)
+                            acc = [F.add(u, F.mul(F.mul(coef, wt), v))
+                                   for u, v in zip(acc, prow)]
+                f_rows.append(acc)
+    f_full = Mat.from_rows(F, f_rows, y.dim) if f_rows else Mat.zeros(F, 0, y.dim)
+    # g: N (x)_k Y -> X(I); n (x) (m (x) v) |-> psi(n (x) m) (x) v in the
+    # I (x) X block
+    g_full = Mat.hstack([Mat.zeros(F, dN * y.dim, dX),
+                         _psi_tensor_block(ctx, ext, x, mx_lam, ix_t)])
+    return make_quadruple(ctx, xi, y, f_full, g_full,
+                          name=name or f"T_Lam({x.name})")
+
+
+def _psi_tensor_one_loop(ctx: MoritaContext, sm: StructuralMaps,
+                         nmu: TensorModule) -> ModuleHom:
+    """psi (x) 1_U : N (x)_B M (x)_A U -> I (x)_A U."""
+    F = ctx.A.field
+    dN, dM, dU = ctx.N.dim, ctx.M.dim, sm.u.dim
+    I = ctx.ideal_rows_a()
+    psi_i = coordinates(I, ctx.psi.mat)
+    if psi_i is None:
+        raise ContextError("im(psi) escapes its own row space")
+    rows = []
+    for i_n in range(dN):
+        for i_m in range(dM):
+            ivec = psi_i.row(i_n * dM + i_m)
+            for i_u in range(dU):
+                acc = [F.zero()] * sm.iu_t.module.dim
+                for s, c in enumerate(ivec):
+                    if not F.is_zero(c):
+                        prow = sm.iu_t.proj.row(s * dU + i_u)
+                        acc = [F.add(p, F.mul(c, w)) for p, w in zip(acc, prow)]
+                rows.append(acc)
+    full = Mat.from_rows(F, rows, sm.iu_t.module.dim) if rows else \
+        Mat.zeros(F, 0, sm.iu_t.module.dim)
+    eye_n = Mat.identity(F, dN)
+    big_proj = eye_n.kron(sm.mu_t.proj) @ nmu.proj
+    mat = factor_through(big_proj, [full])
+    if mat is None:
+        raise ContextError("psi (x) 1 does not factor through the quotient")
+    return ModuleHom(nmu.module, sm.iu_t.module, mat[0])
+
+
+def _sigma0_loop(ctx, ext, ip0, nq0, mp0) -> Mat:
+    F = ctx.A.field
+    mp_dim = mp0.module.dim
+    y0_dim = mp_dim + nq0.arg.dim
+    z0_dim = ip0.module.dim + nq0.module.dim
+    rows = []
+    psi_part = psi_tensor_block(ctx, ext, mp0.arg, mp0, ip0)
+    # careful: psi_part is on N (x)_k (M (x) P^0); build sigma on N (x)_k Y^0
+    dN = ctx.N.dim
+    for i_n in range(dN):
+        for c in range(y0_dim):
+            acc = [F.zero()] * z0_dim
+            if c < mp_dim:
+                prow = psi_part.row(i_n * mp_dim + c)
+                acc[:ip0.module.dim] = prow
+            else:
+                j = c - mp_dim
+                nq_amb = i_n * nq0.arg.dim + j
+                prow = nq0.proj.row(nq_amb)
+                for k2 in range(nq0.module.dim):
+                    acc[ip0.module.dim + k2] = prow[k2]
+            rows.append(acc)
+    return Mat.from_rows(F, rows, z0_dim) if rows else Mat.zeros(F, 0, z0_dim)
+
+
 def _intertwining_system_kron(field: Field, dp: int, dq: int, ps: list[Mat],
                               qs: list[Mat]) -> Mat:
     eye_p, eye_q = Mat.identity(field, dp), Mat.identity(field, dq)
@@ -255,8 +508,11 @@ def _act_of(F: Field, rows: int, cols: int, coeffs: list, mats: list[Mat]) -> Ma
 
 
 def _cases(field: str, context: str):
-    """The context, T_A(A), T_B(B), their sum and seeded random quadruples."""
-    ctx = CONTEXTS[context](FIELDS[field]())[1]
+    """The context, T_A(A), T_B(B), their sum and seeded random quadruples;
+    a context name ending in "^swap" names the swap of a catalog context."""
+    ctx = ALL_CONTEXTS[context.removesuffix("^swap")](FIELDS[field]())[1]
+    if context.endswith("^swap"):
+        ctx = swap_context(ctx)
     ta, tb = t_a(ctx, regular_module(ctx.A)), t_b(ctx, regular_module(ctx.B))
     quads = [ta, tb, direct_sum_quadruples([ta, tb])]
     quads += [random_quadruple(ctx, random.Random(s)) for s in SEEDS]
@@ -264,6 +520,9 @@ def _cases(field: str, context: str):
 
 
 PARAMS = [(f, c) for f in FIELDS for c in CONTEXTS]
+WIDE_PARAMS = PARAMS + [(f, "wide") for f in FIELDS]
+# with phi != 0 as well: the swap of the wide context
+RIGHT_PARAMS = WIDE_PARAMS + [(f, "wide^swap") for f in FIELDS]
 
 
 @pytest.mark.parametrize("field, context", PARAMS)
@@ -295,12 +554,72 @@ def test_quadruple_hom_space_matches_per_entry_system(field, context):
                 assert h.alpha.mat == g.alpha.mat and h.beta.mat == g.beta.mat
 
 
-@pytest.mark.parametrize("field, context", PARAMS)
+def _right_cases(ctx):
+    """Right modules over the context ring, as quadruples over the opposite
+    context: the two regular ones, T and H of every simple corner module,
+    and seeded random quadruples (corner modules drawn with max_cuts=1)."""
+    op = opposite_context(ctx)
+    rqs = regular_right_quadruples(build_ring(ctx))
+    rqs += [f(op, c) for c in simple_modules(op.A) for f in (t_a, h_a)]
+    rqs += [f(op, d) for d in simple_modules(op.B) for f in (t_b, h_b)]
+    rqs += [random_quadruple(op, random.Random(s)) for s in SEEDS]
+    return rqs
+
+
+@pytest.mark.parametrize("field, context", RIGHT_PARAMS)
+def test_right_quadruples_match_the_parent_right_layer(field, context):
+    ctx, _ = _cases(field, context)
+    mr = build_ring(ctx)
+    for rq in _right_cases(ctx):
+        new = quadruple_to_module(opposite_ring(mr), rq)
+        old = _right_quadruple_to_module(mr, _as_right_quadruple(rq))
+        assert new.algebra is old.algebra
+        assert new.acts == old.acts
+
+
+@pytest.mark.parametrize("field, context", RIGHT_PARAMS)
 def test_tensor_over_ring_matches_row_loop(field, context):
     ctx, quads = _cases(field, context)
-    for rq in regular_right_quadruples(build_ring(ctx)):
+    for rq in _right_cases(ctx):
+        old = _as_right_quadruple(rq)
         for q in quads:
-            assert tensor_over_ring(rq, q) == _tensor_over_ring(rq, q)
+            assert tensor_over_ring(rq, q) == _tensor_over_ring(old, q)
+
+
+def test_tensor_over_ring_wants_the_opposite_context():
+    ctx, quads = _cases("Q", "glued_psi")
+    with pytest.raises(ContextError, match="opposite context"):
+        tensor_over_ring(quads[0], quads[1])
+
+
+@pytest.mark.parametrize("field, context", WIDE_PARAMS)
+def test_psi_kron_products_match_the_coefficient_loops(field, context):
+    ext, ctx = ALL_CONTEXTS[context](FIELDS[field]())
+    rng = random.Random(7)
+    ps = simple_modules(ext.Lam) + [random_module(ext.Lam, rng, max_cuts=1)
+                                    for _ in range(3)]
+    qs = simple_modules(ctx.B) + [random_module(ctx.B, rng, max_cuts=1)
+                                  for _ in range(2)]
+    n_lam = restrict_left(ctx.N, ext.incl_rows, ext.Lam)
+    quads = []
+    for p in ps:
+        mp, ip = m_tensor_lambda(ext, ctx, p), tensor_module(ext.ideal, p)
+        assert psi_tensor_block(ctx, ext, p, mp, ip) == \
+            _psi_tensor_block(ctx, ext, p, mp, ip)
+        new, old = t_lambda(ext, ctx, p), _t_lambda(ext, ctx, p)
+        assert new.f.mat == old.f.mat and new.g.mat == old.g.mat
+        quads.append(new)
+        for q in qs:
+            nq = tensor_module(n_lam, q)
+            assert _sigma0(ctx, ext, ip, nq, mp) == _sigma0_loop(ctx, ext, ip, nq, mp)
+    nonzero = 0
+    for q in quads + [t_b(ctx, y) for y in qs]:
+        sm = structural_maps(ctx, q)
+        nmu = tensor_module(ctx.N, sm.mu_t.module)
+        new = _psi_tensor_one(ctx, sm, nmu)
+        assert new.mat == _psi_tensor_one_loop(ctx, sm, nmu).mat
+        nonzero += not new.mat.is_zero()
+    assert nonzero or ctx.psi_is_zero
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -636,8 +955,8 @@ def test_non_descending_actions_still_raise(field):
         _same_error(lambda: bimodule_tensor(m, n),
                     lambda: _bimodule_tensor_acts(m, n, proj), BimoduleError,
                     f"{side} action does not descend")
-    with pytest.raises(ContextError, match="^right action does not descend"):
-        right_tensor(regular_module(opposite_algebra(a)), bad_right)
+    with pytest.raises(BimoduleError, match="^left action does not descend"):
+        tensor_module(opposite_bimodule(bad_right), regular_module(opposite_algebra(a)))
 
 
 @pytest.mark.parametrize("field", FIELDS)

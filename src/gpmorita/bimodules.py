@@ -15,7 +15,7 @@ L_s R_t = R_t L_s for a fixed s.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from .algebra import Algebra, generating_subset, opposite_algebra
 from .linalg import (
@@ -37,6 +37,7 @@ class Bimodule:
     left_acts: list[Mat]         # b_t . x = x @ left_acts[t]
     right_acts: list[Mat]        # x . b_t = x @ right_acts[t]
     name: str = ""
+    _cache: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.left_acts) != self.left.dim or len(self.right_acts) != self.right.dim:
@@ -70,7 +71,16 @@ def validate_bimodule(m: Bimodule) -> list[str]:
     """The first violated law: the left action, then the right action (as
     a left module over the opposite algebra, so a failing pair (g, j)
     names the product b_j b_g of the right algebra), then commutation,
-    checked on generator pairs (s, t) of the left and right algebras."""
+    checked on generator pairs (s, t) of the left and right algebras.  The
+    verdict is stored on m, so each instance is checked once; every call
+    returns a fresh list."""
+    hit = m._cache.get("violations")
+    if hit is None:
+        hit = m._cache["violations"] = _bimodule_violations(m)
+    return hit[:]
+
+
+def _bimodule_violations(m: Bimodule) -> list[str]:
     for side, mod in (("left", m.as_left_module()), ("right", m.as_right_module())):
         bad = validate_module(mod)
         if bad:
@@ -157,19 +167,24 @@ class TensorModule:
 
 
 def tensor_module(m: Bimodule, x: FDModule, name: str = "") -> TensorModule:
-    """M (x)_A X as a module over M's left algebra."""
+    """M (x)_A X as a module over M's left algebra.  When M or X is zero,
+    so is the tensor product: the zero module, with 0 x 0 projection and
+    section, built with no relation system."""
     if x.algebra is not m.right:
         raise BimoduleError("tensor: module must live over the right-hand algebra")
     F = m.left.field
+    name = name or f"{m.name}(x){x.name}"
+    if m.dim == 0 or x.dim == 0:
+        zero = Mat.zeros(F, 0, 0)
+        return TensorModule(FDModule(m.left, 0, [zero] * m.left.dim, name=name),
+                            m, x, zero, zero)
     proj, sec = quotient_maps(
         intertwining_system(F, m.dim, x.dim, m.right_acts, x.acts))
     eye_x = Mat.identity(F, x.dim)
     acts = factor_through(proj, [a.kron(eye_x) @ proj for a in m.left_acts])
     if acts is None:
         raise BimoduleError("left action does not descend to the tensor quotient")
-    mod = FDModule(m.left, proj.cols, acts,
-                   name=name or f"{m.name}(x){x.name}")
-    return TensorModule(mod, m, x, proj, sec)
+    return TensorModule(FDModule(m.left, proj.cols, acts, name=name), m, x, proj, sec)
 
 
 def tensor_functor_hom(src: TensorModule, dst: TensorModule, h: ModuleHom) -> ModuleHom:
@@ -178,6 +193,9 @@ def tensor_functor_hom(src: TensorModule, dst: TensorModule, h: ModuleHom) -> Mo
         raise BimoduleError("tensor pushforward needs a common bimodule")
     if h.source.dim != src.arg.dim or h.target.dim != dst.arg.dim:
         raise ModuleError("tensor pushforward shape mismatch")
+    if src.module.dim == 0 or dst.module.dim == 0:
+        return ModuleHom(src.module, dst.module, Mat.zeros(
+            src.proj.field, src.module.dim, dst.module.dim))
     eye_m = Mat.identity(src.proj.field, src.bim.dim)
     mat = src.section @ eye_m.kron(h.mat) @ dst.proj
     return ModuleHom(src.module, dst.module, mat)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 from .algebra import opposite_algebra
 from .bimodules import (
-    Bimodule, balanced_tensor_space, restrict_left, restrict_right,
-    tensor_functor_hom, tensor_module,
+    Bimodule, TensorModule, balanced_tensor_space, restrict_left,
+    restrict_right, tensor_functor_hom, tensor_module,
 )
 from .complexes import (
     ComplexWindow, HorseshoeError, HorseshoeResult, ShortExactSequence,
@@ -166,9 +166,16 @@ class ResolutionAssembly:
 
 def _tensor_window(bim: Bimodule, wc: ComplexWindow, name: str):
     """Termwise tensor of a bimodule with a complex window; returns the
-    window plus the TensorModule data per degree."""
-    tens = [tensor_module(bim, wc.term(i), name=f"{name}^{i}")
-            for i in range(wc.lo, wc.hi + 1)]
+    window plus the TensorModule data per degree.  Repeated term instances
+    (periodic windows) share one tensor product, named at its first
+    degree."""
+    seen: dict[int, TensorModule] = {}
+    tens = []
+    for i in range(wc.lo, wc.hi + 1):
+        t = wc.term(i)
+        if id(t) not in seen:
+            seen[id(t)] = tensor_module(bim, t, name=f"{name}^{i}")
+        tens.append(seen[id(t)])
     diffs = [tensor_functor_hom(tens[i - wc.lo], tens[i - wc.lo + 1], wc.diff(i))
              for i in range(wc.lo, wc.hi)]
     return ComplexWindow(wc.lo, wc.hi, [t.module for t in tens], diffs), tens
@@ -245,10 +252,14 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
     for i in range(-span, span + 1):
         zt, _, _ = direct_sum([ip_cx.term(i), nq_cx.term(i)], name=f"Z^{i}")
         z_terms.append(zt)
+    nmp_seen: dict[int, TensorModule] = {}
     for i in range(-span, span):
         nq_i = nq_tens[i + span]
         # 1_N (x) rho^i : N (x) Q^i -> N (x) (M (x) P^{i+1})
-        nmp = tensor_module(n_lam, mp_cx.term(i + 1))
+        mp = mp_cx.term(i + 1)
+        if id(mp) not in nmp_seen:
+            nmp_seen[id(mp)] = tensor_module(n_lam, mp)
+        nmp = nmp_seen[id(mp)]
         one_rho = tensor_functor_hom(nq_i, nmp, rho[i])
         psi_blk = psi_tensor_block(ctx, ext, pcx.term(i + 1),
                                    mp_tens[i + span + 1], ip_tens[i + span + 1])

@@ -12,7 +12,8 @@ every basis row, a column that is 1 in that row and 0 in the others, as
 every `row_space`, `left_kernel` and transposed `kernel_basis` has; it
 reads the coordinates off those columns with no row reduction.
 `factor_through` applies it to the transposes, to factor maps through a
-`kernel_basis` (a quotient projection).
+`kernel_basis` (a quotient projection); an empty projection, one with no
+columns, factors only zero maps and needs no `coordinates` call.
 
 Storage.  Every `Mat`, over either field, holds integer rows over one
 positive denominator, `_ints / _den`, built once at construction and
@@ -25,14 +26,18 @@ Kernels.  Arithmetic, the builders above, kernels and `solve` compute on
 the integer rows, with one code path for both fields.  A result whose
 storage may not be canonical passes through one normaliser, `_canon`:
 over F_p it reduces the rows mod p, over Q it divides out the gcd of the
-entries and the denominator.  Pure rearrangements (transposes, stacks,
-reshapes), entries taken from a matrix over denominator 1 (`_select`) and
-the 0/1 matrices keep canonical storage as they are.  Row
-reduction is the one field-dependent kernel: Gauss-Jordan over F_p and
-fraction-free (Bareiss) over Z for Q, with deterministic first-nonzero
-pivoting, so every echelon form, kernel and quotient basis is
-reproducible across runs.  The echelon form is cached on the matrix and
-on itself, so an echelon form is never reduced again.
+entries and the denominator.  Over F_p the arithmetic kernels (`add`,
+`sub`, `matmul`, `kron`, `linear_combination`, `intertwining_system`)
+skip it: they reduce mod p inside their own loops, only the cells that can
+leave [0, p).  Pure rearrangements (transposes, stacks, reshapes), entries
+taken from a matrix over denominator 1 (`_select`) and the 0/1 matrices
+keep canonical storage as they are.  Row reduction is the one
+field-dependent kernel: Gauss-Jordan over F_p and fraction-free (Bareiss)
+over Z for Q, with deterministic first-nonzero pivoting, so every echelon
+form, kernel and quotient basis is reproducible across runs.  The echelon
+form is cached on the matrix and on itself, and a matrix that arrives
+already in reduced echelon form, or zero, is recognised by one scan, so
+neither is ever eliminated.
 
 Boundary.  Field elements, `Fraction`s over Q and ints over F_p, appear
 only where matrices meet the rest of the package: `Mat(F, rows, cols)`
@@ -133,15 +138,17 @@ def _drop(field: Field, ints: list[list[int]], den: int) -> list[list]:
     return out
 
 
-def _matmul_rows(a: list[list[int]], b: list[list[int]], n: int) -> list[list[int]]:
-    """a @ b on int rows with n columns, skipping zero entries of a."""
+def _matmul_rows(a: list[list[int]], b: list[list[int]], n: int,
+                 p: int | None = None) -> list[list[int]]:
+    """a @ b on int rows with n columns, skipping zero entries of a; with a
+    modulus p, each output row is reduced mod p as it is finished."""
     out = []
     for row in a:
         acc = [0] * n
         for k, x in enumerate(row):
             if x:
                 acc = [s + x * y for s, y in zip(acc, b[k])]
-        out.append(acc)
+        out.append(acc if p is None else [s % p for s in acc])
     return out
 
 
@@ -264,6 +271,11 @@ class Mat:
         self._same_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError(f"shape mismatch in {op}")
+        p = self.field.p
+        if p is not None:
+            ints = [[(x + sign * y) % p for x, y in zip(r1, r2)]
+                    for r1, r2 in zip(self._ints, other._ints)]
+            return _wrap(self.field, ints, 1, self.cols)
         da, db = self._den, other._den
         den = lcm(da, db)
         sa, sb = den // da, sign * (den // db)
@@ -290,7 +302,10 @@ class Mat:
         self._same_field(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch in matmul: {self.cols} vs {other.rows}")
-        ints = _matmul_rows(self._ints, other._ints, other.cols)
+        p = self.field.p
+        ints = _matmul_rows(self._ints, other._ints, other.cols, p)
+        if p is not None:
+            return _wrap(self.field, ints, 1, other.cols)
         return _canon(self.field, ints, self._den * other._den, other.cols)
 
     def __matmul__(self, other: "Mat") -> "Mat":
@@ -367,9 +382,15 @@ class Mat:
         (u (x) v) @ (A kron B) = (u @ A) (x) (v @ B).
         """
         self._same_field(other)
+        cols = self.cols * other.cols
+        p = self.field.p
+        if p is not None:
+            ints = [[x * y % p for x in ar for y in br]
+                    for ar in self._ints for br in other._ints]
+            return _wrap(self.field, ints, 1, cols)
         ints = [[x * y for x in ar for y in br]
                 for ar in self._ints for br in other._ints]
-        return _canon(self.field, ints, self._den * other._den, self.cols * other.cols)
+        return _canon(self.field, ints, self._den * other._den, cols)
 
 
 # -- row reduction -----------------------------------------------------
@@ -461,19 +482,43 @@ def _rref_q(ints: list[list[int]]) -> tuple[list[list[int]], int, list[int]]:
     return [[x * (den // d) for x in e] for e, d in red], den, pivots
 
 
+def _reduced_pivots(ints: list[list[int]], den: int) -> list[int] | None:
+    """The pivot columns of ints / den when it is already in reduced row
+    echelon form with no zero row (a matrix with no rows is), else None:
+    each row leads with den, further right than the row above, in a column
+    that is zero in the rows above (the rows below lead further right)."""
+    piv = []
+    for i, row in enumerate(ints):
+        c = next((c for c, x in enumerate(row) if x), None)
+        if (c is None or row[c] != den or (piv and c <= piv[-1])
+                or any(r[c] for r in ints[:i])):
+            return None
+        piv.append(c)
+    return piv
+
+
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form (zero rows dropped) and pivot columns."""
+    """Reduced row echelon form (zero rows dropped) and pivot columns.  A
+    matrix already in that form is recognised by one scan, and a zero
+    matrix (one with no columns, say) has the form with no rows, so
+    neither is eliminated; the form is unique, so the result is the same."""
     if m._rref is None:
         F = m.field
-        if F.is_rational:
-            ints, den, piv = _rref_q(m._ints)
+        piv = _reduced_pivots(m._ints, m._den)
+        if piv is not None:
+            m._rref = (None, tuple(piv))
         else:
-            ints, den, piv = _rref_fp(F.p, m._ints)
-        R = _wrap(F, ints, den, m.cols)
-        # R is its own echelon form: None stands for R itself, so that no
-        # reference cycle outlives the caller's last use of R
-        R._rref = (None, tuple(piv))
-        m._rref = (R, tuple(piv))
+            if m.is_zero():
+                ints, den, piv = [], 1, []
+            elif F.is_rational:
+                ints, den, piv = _rref_q(m._ints)
+            else:
+                ints, den, piv = _rref_fp(F.p, m._ints)
+            R = _wrap(F, ints, den, m.cols)
+            # R is its own echelon form: None stands for R itself, so that
+            # no reference cycle outlives the caller's last use of R
+            R._rref = (None, tuple(piv))
+            m._rref = (R, tuple(piv))
     cached = m._rref
     return cached if cached[0] is not None else (m, cached[1])
 
@@ -531,9 +576,16 @@ def linear_combination(field: Field, rows: int, cols: int, coeffs: list,
         return terms[0][1]
     den = lcm(*(c.denominator * m._den for c, m in terms))
     acc = [[0] * cols for _ in range(rows)]
-    for c, m in terms:
+    p = field.p
+    for t, (c, m) in enumerate(terms, 1):
         f = c.numerator * (den // (c.denominator * m._den))
-        acc = [[s + f * x for s, x in zip(ar, r)] for ar, r in zip(acc, m._ints)]
+        if p is not None and t == len(terms):   # the last term reduces mod p
+            acc = [[(s + f * x) % p for s, x in zip(ar, r)]
+                   for ar, r in zip(acc, m._ints)]
+        else:
+            acc = [[s + f * x for s, x in zip(ar, r)] for ar, r in zip(acc, m._ints)]
+    if p is not None:
+        return _wrap(field, acc, 1, cols)
     return _canon(field, acc, den, cols)
 
 
@@ -547,9 +599,12 @@ def intertwining_system(field: Field, dp: int, dq: int, ps: list[Mat],
 
     Row (i, k) holds P_t[i][j] at column (j, k) and -Q_t[k][l] at column
     (i, l), so each row is written from the nonzeros of row i of P_t and
-    row k of Q_t, on integer rows over one common denominator."""
+    row k of Q_t, on integer rows over one common denominator.  Over F_p
+    only the cells that receive a -Q_t entry can leave [0, p), so only
+    they are reduced."""
     n = dp * dq
     den = lcm(*(m._den for m in (*ps, *qs)))
+    p = field.p
     out = []
     for pm, qm in zip(ps, qs, strict=True):
         pnz = [[(j * dq, x) for j, x in enumerate(r) if x] for r in _over(pm, den)]
@@ -560,10 +615,14 @@ def intertwining_system(field: Field, dp: int, dq: int, ps: list[Mat],
                 row = [0] * n
                 for c, x in pnz[i]:
                     row[c + k] = x
-                for l, y in qnz[k]:
-                    row[base + l] -= y
+                if p is None:
+                    for l, y in qnz[k]:
+                        row[base + l] -= y
+                else:
+                    for l, y in qnz[k]:
+                        row[base + l] = (row[base + l] - y) % p
                 out.append(row)
-    return _canon(field, out, den, n)
+    return _wrap(field, out, 1, n) if p is not None else _canon(field, out, den, n)
 
 
 def left_kernel(m: Mat) -> Mat:
@@ -677,9 +736,20 @@ def factor_through(proj: Mat, mats: list[Mat]) -> list[Mat] | None:
     (the projection onto an iterated tensor quotient, say), so that its
     transpose has a unit column in every row (see `coordinates`).  Such a
     proj has full column rank, so each Z_i is unique; all of them come
-    from one `coordinates` call on the transposes."""
+    from one `coordinates` call on the transposes.  An empty projection
+    (no columns) needs no call: the only Z_i is 0 x mats[i].cols, and it
+    factors mats[i] exactly when mats[i] is zero."""
     if not mats:
         return []
+    if proj.cols == 0:
+        for m in mats:
+            if m.field is not proj.field and m.field != proj.field:
+                raise FieldMismatch("factor_through over mixed fields")
+            if m.rows != proj.rows:
+                raise ValueError("factor_through: row counts differ")
+        if not all(m.is_zero() for m in mats):
+            return None
+        return [Mat.zeros(proj.field, 0, m.cols) for m in mats]
     zt = coordinates(proj.transpose(), Mat.vstack([m.transpose() for m in mats]))
     if zt is None:
         return None

@@ -627,8 +627,41 @@ def test_rref_of_an_echelon_form_runs_no_elimination(F):
         assert row_space(R) is R and row_space(K) is K
         assert kernel_basis(R).cols == 1 and kernel_basis(K).cols == 2
     assert not q.called and not fp.called
-    # a copy carries no echelon form: it is reduced afresh, to the same result
+    # a copy carries no echelon form, but it is recognised as one on
+    # arrival: the same (R, pivots), with no elimination
+    with mock.patch.object(linalg, "_rref_q") as q, \
+            mock.patch.object(linalg, "_rref_fp") as fp:
+        assert linalg.rref(R.copy()) == linalg.rref(R)
+    assert not q.called and not fp.called
+
+
+@pytest.mark.parametrize("F", STORAGE_FIELDS)
+@pytest.mark.parametrize("rows", [
+    [[0, 1, 2], [1, 0, 3]],         # not in echelon form
+    [[2, 0, 1], [0, 1, 4]],         # an echelon form with a pivot 2
+    [[1, 3, 0], [0, 1, 2]],         # a nonzero entry above a pivot
+    [[1, 0, 2], [0, 0, 0]],         # a zero row
+    [[0, 0, 0], [0, 1, 2]],         # a zero row on top
+], ids=["not-echelon", "pivot-2", "above-pivot", "zero-row", "zero-row-on-top"])
+def test_rref_of_a_matrix_not_reduced_eliminates_once(F, rows):
+    m = Mat.from_rows(F, rows)
     with mock.patch.object(linalg, "_rref_q", wraps=linalg._rref_q) as q, \
             mock.patch.object(linalg, "_rref_fp", wraps=linalg._rref_fp) as fp:
-        assert linalg.rref(R.copy()) == linalg.rref(R)
+        assert linalg.rref(m) == old_rref(m)
+        assert linalg.rref(m) == old_rref(m)
     assert q.call_count + fp.call_count == 1
+
+
+@pytest.mark.parametrize("F", STORAGE_FIELDS)
+def test_rref_of_an_empty_or_zero_matrix_runs_no_elimination(F):
+    cases = [Mat.zeros(F, 0, 3), Mat.zeros(F, 0, 0), Mat.zeros(F, 3, 0),
+             Mat.zeros(F, 2, 3)]
+    with mock.patch.object(linalg, "_rref_q") as q, \
+            mock.patch.object(linalg, "_rref_fp") as fp:
+        for m in cases:
+            R, piv = linalg.rref(m)
+            assert (R.rows, R.cols, piv) == (0, m.cols, ())
+            assert (R, piv) == old_rref(m)
+        # a matrix with no rows is its own form
+        assert linalg.rref(cases[0])[0] is cases[0]
+    assert not q.called and not fp.called

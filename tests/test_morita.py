@@ -353,6 +353,23 @@ def test_opposite_ring_is_the_ring_of_the_opposite_context(field):
         assert (moved(op.e1), moved(op.e2)) == (built.e1, built.e2)
 
 
+@pytest.mark.parametrize("fixture", ["arrow_glue", "glued5", "nc_phi",
+                                     "triangular", "two_cycle"])
+def test_load_problem_validates_each_bimodule_once(count_calls, fixture):
+    """The two bimodules of a context are validated as named bimodules and
+    again as the context's M and N; the second time reads the verdict."""
+    from gpmorita import bimodules
+    path = os.path.join(os.path.dirname(__file__), "..", "fixtures", f"{fixture}.json")
+    verdicts = count_calls(bimodules.validate_bimodule)
+    full = count_calls(bimodules._bimodule_violations)
+    with open(path) as fh:
+        ctx, = load_problem(json.load(fh)).contexts.values()
+    assert (len(verdicts), len(full)) == (4, 2)
+    verdict = bimodules.validate_bimodule(ctx.M)
+    verdict.append("a caller's own list")
+    assert bimodules.validate_bimodule(ctx.M) == [] and len(full) == 2
+
+
 def test_build_ring_after_load_problem_does_not_revalidate(count_calls):
     from gpmorita.bimodules import validate_bimodule
     fixtures = os.path.join(os.path.dirname(__file__), "..", "fixtures")

@@ -40,6 +40,16 @@ C (x) N and D (x) M, it must give the same module over the same opposite
 ring, and the row loop of `tensor_over_ring` the same dimension.  The
 psi (x) 1 maps of `trivext` and the engine's sigma^0 are Kronecker
 products; the coefficient loops they replaced are kept below as oracles.
+
+Zero objects and reduced inputs take short cuts: a tensor product with a
+zero factor, a tensor pushforward between zero modules, a factorisation
+through a projection with no columns and the echelon form of a matrix
+already reduced (or zero) are built without the general path.  The general
+`tensor_module`, `tensor_functor_hom`, `factor_through` and `rref` they
+bypass are kept below as oracles, over Q, GF(7) and GF(5), on zero and
+nonzero bimodules and modules (the simples and random modules with one
+cut, so that non-projectives occur) and on seeded random matrices:
+echelon, near-echelon, with no rows and with no columns.
 """
 from __future__ import annotations
 
@@ -49,13 +59,14 @@ from fractions import Fraction
 
 import pytest
 
+from gpmorita import linalg
 from gpmorita.algebra import (
     UnsupportedField, opposite_algebra, radical_basis, trace_form,
 )
 from gpmorita.bimodules import (
     Bimodule, BimoduleError, TensorModule, balanced_tensor_space,
     bimodule_tensor, hom_module, opposite_bimodule, regular_bimodule,
-    restrict_left, tensor_module,
+    restrict_left, tensor_functor_hom, tensor_module, zero_bimodule,
 )
 from gpmorita.catalog import (
     arrow_ideal_context, field_algebra, glued_psi_context, path_a2,
@@ -64,7 +75,9 @@ from gpmorita.catalog import (
     two_cycle_context, two_cycle_rad_square, wide_psi_context,
 )
 from gpmorita.complexes import ComplexWindow, hom_complex_data
-from gpmorita.engine import _sigma0, build_total_resolution, check_conditions
+from gpmorita.engine import (
+    _sigma0, _tensor_window, build_total_resolution, check_conditions,
+)
 from gpmorita.fields import GF, QQ, Field
 from gpmorita.homology import (
     _block_reps, minimal_resolution, projective_cover, radical_rows_of_module,
@@ -1076,3 +1089,217 @@ def test_projective_cover_matches_per_row_solve(field):
             assert phi.mat == old_phi.mat
             kernels += left_kernel(phi.mat).rows > 0
     assert kernels
+
+
+# -- short cuts for zero objects and reduced inputs: the general path, verbatim --
+
+
+def _tensor_module(m: Bimodule, x: FDModule, name: str = "") -> TensorModule:
+    """M (x)_A X as a module over M's left algebra."""
+    if x.algebra is not m.right:
+        raise BimoduleError("tensor: module must live over the right-hand algebra")
+    F = m.left.field
+    proj, sec = quotient_maps(
+        intertwining_system(F, m.dim, x.dim, m.right_acts, x.acts))
+    eye_x = Mat.identity(F, x.dim)
+    acts = _factor_through(proj, [a.kron(eye_x) @ proj for a in m.left_acts])
+    if acts is None:
+        raise BimoduleError("left action does not descend to the tensor quotient")
+    mod = FDModule(m.left, proj.cols, acts,
+                   name=name or f"{m.name}(x){x.name}")
+    return TensorModule(mod, m, x, proj, sec)
+
+
+def _tensor_functor_hom(src: TensorModule, dst: TensorModule, h: ModuleHom) -> ModuleHom:
+    """1_M (x) h on the tensor quotients."""
+    if src.bim is not dst.bim:
+        raise BimoduleError("tensor pushforward needs a common bimodule")
+    if h.source.dim != src.arg.dim or h.target.dim != dst.arg.dim:
+        raise ModuleError("tensor pushforward shape mismatch")
+    eye_m = Mat.identity(src.proj.field, src.bim.dim)
+    mat = src.section @ eye_m.kron(h.mat) @ dst.proj
+    return ModuleHom(src.module, dst.module, mat)
+
+
+def _factor_through(proj: Mat, mats: list[Mat]) -> list[Mat] | None:
+    if not mats:
+        return []
+    zt = coordinates(proj.transpose(), Mat.vstack([m.transpose() for m in mats]))
+    if zt is None:
+        return None
+    out, r = [], 0
+    for m in mats:
+        out.append(zt.block(r, r + m.cols, 0, zt.cols).transpose())
+        r += m.cols
+    return out
+
+
+def _rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """Reduced row echelon form (zero rows dropped) and pivot columns."""
+    if m._rref is None:
+        F = m.field
+        if F.is_rational:
+            ints, den, piv = linalg._rref_q(m._ints)
+        else:
+            ints, den, piv = linalg._rref_fp(F.p, m._ints)
+        R = linalg._wrap(F, ints, den, m.cols)
+        # R is its own echelon form: None stands for R itself, so that no
+        # reference cycle outlives the caller's last use of R
+        R._rref = (None, tuple(piv))
+        m._rref = (R, tuple(piv))
+    cached = m._rref
+    return cached if cached[0] is not None else (m, cached[1])
+
+
+def _tensor_cases(F: Field):
+    """(bimodule, modules over its right algebra): the regular and zero
+    bimodules of three catalog algebras, and M, N, the ideal I of the
+    trivial extension and a zero bimodule for each catalog context; the
+    modules are the simples (where the field computes the radical), three
+    random modules with one cut and the zero module."""
+    rng = random.Random(7)
+
+    def modules(a):
+        out = [] if 0 < F.characteristic <= a.dim else list(simple_modules(a))
+        out += [random_module(a, rng, max_cuts=1) for _ in range(3)]
+        return out + [zero_module(a)]
+
+    for a in (truncated_poly(F, 2), path_a2(F), two_cycle_rad_square(F)):
+        xs = modules(a)
+        yield regular_bimodule(a), xs
+        yield zero_bimodule(a, a), xs
+    for make in ALL_CONTEXTS.values():
+        ext, ctx = make(F)
+        for m in (ctx.M, ctx.N, ext.ideal):
+            xs = modules(m.right)
+            yield m, xs
+            yield zero_bimodule(m.left, m.right), xs
+
+
+@pytest.mark.parametrize("field", COVER_FIELDS)
+def test_tensor_short_cuts_match_the_general_path(field):
+    """Equal tensor modules (actions, projection, section) and equal
+    pushforwards of random homs between neighbouring modules; the cases
+    include zero bimodules, zero modules and zero tensor products of
+    nonzero factors."""
+    F = COVER_FIELDS[field]()
+    rng = random.Random(8)
+    zero_factor = zero_product = 0
+    for m, xs in _tensor_cases(F):
+        new = [tensor_module(m, x) for x in xs]
+        old = [_tensor_module(m, x) for x in xs]
+        for t, o in zip(new, old):
+            assert t.module.dim == o.module.dim and t.module.acts == o.module.acts
+            assert t.proj == o.proj and t.section == o.section
+            zero_factor += m.dim * t.arg.dim == 0
+            zero_product += t.module.dim == 0 < m.dim * t.arg.dim
+        for i in range(len(xs)):
+            j = (i + 1) % len(xs)
+            h = random_hom(xs[i], xs[j], rng)
+            assert (tensor_functor_hom(new[i], new[j], h).mat
+                    == _tensor_functor_hom(old[i], old[j], h).mat)
+    assert zero_factor and zero_product
+
+
+@pytest.mark.parametrize("field", COVER_FIELDS)
+def test_factor_through_short_cut_matches_the_coordinates_path(field):
+    """Equal factors, and None on the same inputs, for projections with
+    columns, n x 0 and 0 x 0 ones; the maps are zero, factor by
+    construction or are random."""
+    F = COVER_FIELDS[field]()
+    rng = random.Random(9)
+    empty = refused = 0
+    for _ in range(150):
+        n = rng.randrange(0, 5)
+        if rng.random() < 0.4:
+            proj = kernel_basis(Mat.identity(F, n))     # n x 0
+        else:
+            proj = kernel_basis(_random_mat(F, rng, rng.randrange(0, 4), n))
+        mats = []
+        for _ in range(rng.randrange(1, 4)):
+            c, kind = rng.randrange(0, 3), rng.randrange(3)
+            if kind == 0:
+                mats.append(Mat.zeros(F, n, c))
+            elif kind == 1:
+                mats.append(proj @ _random_mat(F, rng, proj.cols, c))
+            else:
+                mats.append(_random_mat(F, rng, n, c))
+        new, old = factor_through(proj, mats), _factor_through(proj, mats)
+        assert (new is None) == (old is None)
+        assert new == old
+        if proj.cols == 0:
+            empty += 1
+            refused += new is None
+    assert empty and refused
+    # a map with the wrong number of rows is refused either way
+    with pytest.raises(ValueError):
+        factor_through(kernel_basis(Mat.identity(F, 2)), [Mat.zeros(F, 3, 1)])
+    with pytest.raises(ValueError):
+        _factor_through(kernel_basis(Mat.identity(F, 2)), [Mat.zeros(F, 3, 1)])
+
+
+def _near_echelon(F: Field, rng: random.Random, R: Mat) -> list[Mat]:
+    """Matrices one step away from the reduced form R with at least one
+    row: a pivot scaled by 2, a later row added to an earlier one (a
+    nonzero above a pivot, with two rows), a zero row appended and two
+    rows swapped."""
+    rows = R.to_rows()
+    two = F.of_int(2)
+    out = []
+    i = rng.randrange(len(rows))
+    out.append([[x * two for x in r] if k == i else r for k, r in enumerate(rows)])
+    if len(rows) > 1:
+        out.append([[x + y for x, y in zip(rows[0], rows[1])]] + rows[1:])
+        out.append([rows[1], rows[0]] + rows[2:])
+    out.append(rows + [[F.zero()] * R.cols])
+    return [Mat.from_rows(F, r, R.cols) for r in out]
+
+
+@pytest.mark.parametrize("field", COVER_FIELDS)
+def test_rref_short_cut_matches_elimination(field):
+    """Equal (R, pivots) from fresh copies of random matrices (with no rows
+    or no columns among them), their echelon forms and near-echelon
+    matrices."""
+    F = COVER_FIELDS[field]()
+    rng = random.Random(10)
+    cases = [Mat.zeros(F, 0, 3), Mat.zeros(F, 3, 0), Mat.zeros(F, 0, 0)]
+    for _ in range(120):
+        m = _random_mat(F, rng, rng.randrange(0, 5), rng.randrange(0, 5))
+        R = _rref(m.copy())[0]
+        cases += [m, R]
+        if R.rows:
+            cases += _near_echelon(F, rng, R)
+    for m in cases:
+        new, old = rref(m.copy()), _rref(m.copy())
+        assert new == old
+        assert new[0].rows == len(new[1])
+
+
+def test_zero_tensor_builds_no_relation_system(count_calls):
+    F = QQ()
+    a = path_a2(F)
+    systems, quotients = count_calls(intertwining_system), count_calls(quotient_maps)
+    for m, x in ((zero_bimodule(a, a), regular_module(a)),
+                 (regular_bimodule(a), zero_module(a))):
+        t = tensor_module(m, x)
+        assert t.module.dim == 0 and tensor_functor_hom(t, t, zero_hom(x, x)).mat.rows == 0
+    assert systems == [] and quotients == []
+    tensor_module(regular_bimodule(a), regular_module(a))
+    assert len(systems) == 1 and len(quotients) == 1
+
+
+def test_a_repeating_window_tensors_each_term_instance_once(count_calls):
+    F = QQ()
+    a = truncated_poly(F, 2)
+    x, s = regular_module(a), simple_kx2(a)
+    terms = [x, s, x, s, x]
+    window = ComplexWindow(-2, 2, terms,
+                           [zero_hom(u, v) for u, v in zip(terms, terms[1:])])
+    bim = regular_bimodule(a)
+    calls = count_calls(tensor_module)
+    cx, tens = _tensor_window(bim, window, "A(x)W")
+    assert len(calls) == 2
+    assert tens[0] is tens[2] is tens[4] and tens[1] is tens[3]
+    assert [t.module for t in tens] == cx.terms
+    for i in range(-2, 2):
+        assert cx.diff(i).source is cx.term(i) and cx.diff(i).target is cx.term(i + 1)

@@ -30,10 +30,11 @@ class Algebra:
     mul: list[list[list]]          # mul[i][j] = coords of b_i * b_j
     unit: list                     # coords of 1
     name: str = ""
-    _lmul: list[Mat] | None = dc_field(default=None, repr=False)
-    _rmul: list[Mat] | None = dc_field(default=None, repr=False)
-    _op: "Algebra | None" = dc_field(default=None, repr=False)
-    _cache: dict = dc_field(default_factory=dict, repr=False)
+    # memos: equality is that of the structure, not of what was computed
+    _lmul: list[Mat] | None = dc_field(default=None, repr=False, compare=False)
+    _rmul: list[Mat] | None = dc_field(default=None, repr=False, compare=False)
+    _op: "Algebra | None" = dc_field(default=None, repr=False, compare=False)
+    _cache: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.dim

@@ -2,7 +2,9 @@
 the engine, emit a deterministic report.
 
 Exit codes: 0 pass/ok, 1 fail (with an embedded witness), 2 unknown or
-undetermined, 3 input error.  Identical input and seed give byte-identical
+undetermined, 3 input error, 4 internal error (an exception no other code
+covers, reported as one `internal error: <Type>: <message>` line on stderr
+with nothing on stdout).  Identical input and seed give byte-identical
 reports; `verify-report` re-checks the witnesses embedded in a previous
 report against the same problem file.
 """
@@ -32,7 +34,7 @@ from .nctensor import (
 )
 from .verify import verify_certificate
 
-OK, FAIL, UNKNOWN, BAD_INPUT = 0, 1, 2, 3
+OK, FAIL, UNKNOWN, BAD_INPUT, INTERNAL = 0, 1, 2, 3, 4
 
 
 def _emit(args, payload: dict) -> None:
@@ -406,6 +408,15 @@ HANDLERS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except Exception as e:
+        message = " ".join(str(e).splitlines())
+        print(f"internal error: {type(e).__name__}: {message}", file=sys.stderr)
+        return INTERNAL
+
+
+def _run(args) -> int:
     try:
         prob = load_problem_file(args.problem)
     except ValidationFailure as e:

@@ -95,10 +95,6 @@ def is_exact(c: ComplexWindow) -> bool:
     return all(homology_dim(c, i) == 0 for i in range(c.lo + 1, c.hi))
 
 
-def kernel_at(c: ComplexWindow, i: int) -> tuple[FDModule, ModuleHom]:
-    return kernel_of(c.diff(i))
-
-
 def hom_complex_data(c: ComplexWindow, y: FDModule):
     """The complex Hom(X^., y): dims per degree and the maps induced by
     precomposition with the differentials (degree-reversing)."""

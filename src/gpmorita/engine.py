@@ -33,13 +33,12 @@ from .homology import injective_dimension, projective_dimension
 from .linalg import Mat, factor_through, rank, solve
 from .modules import (
     FDModule, ModuleError, ModuleHom, cokernel_of, hom_space, image_of,
-    kernel_of, restrict_along,
+    is_isomorphic, kernel_of, restrict_along,
 )
 from .morita import (
-    MoritaContext, MoritaRing, QuadrupleHom, QuadrupleModule, build_ring,
-    module_to_quadruple, opposite_context, opposite_ring, quadruple_hom_space,
-    quadruple_is_isomorphic, quadruple_kernel, quadruple_to_module, t_b,
-    tensor_over_ring, validate_quadruple, z_a,
+    MoritaContext, MoritaRing, QuadrupleModule, build_ring,
+    module_to_quadruple, opposite_context, opposite_ring, quadruple_to_module,
+    t_b, tensor_over_ring, validate_quadruple, z_a,
 )
 from .trivext import (
     StructuralMaps, TrivialExtension, check_extension_matches,
@@ -161,7 +160,7 @@ class ResolutionAssembly:
     fcx: ComplexWindow                     # over A
     tcx: ComplexWindow                     # over the context ring
     t_quads: list[QuadrupleModule]
-    kernel_iso: QuadrupleHom               # ker(d_T^0) -> q
+    kernel_iso: ModuleHom                  # ker(d_T^0) -> q, over the ring
 
 
 def _tensor_window(bim: Bimodule, wc: ComplexWindow, name: str):
@@ -205,7 +204,8 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
       (which includes exact): checked here on the T window.  Its
       differential is block_diag(F, Y), so this covers F, and
       ring-linearity is exactly being a quadruple map;
-    - ker(d_T^0) is isomorphic to q: found by the isomorphism search.
+    - ker(d_T^0) is isomorphic to q: the kernel of d_T^0 over the ring,
+      matched with the ring module of q by `modules.is_isomorphic`.
     A failed horseshoe raises EngineError with its degree."""
     check_extension_matches(ext, ctx)
     _require(report.passed, "criterion report must pass before assembly")
@@ -335,13 +335,8 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
     _require(total_exactness(tcx, seed=seed), "T window is not totally exact")
 
     # ker(d_T^0) is the given quadruple
-    d0 = QuadrupleHom(t_quads[span], t_quads[span + 1],
-                      ModuleHom(t_quads[span].x, t_quads[span + 1].x,
-                                f_diffs[span].mat),
-                      ModuleHom(t_quads[span].y, t_quads[span + 1].y,
-                                ycx.diff(0).mat))
-    ker_q, _ = quadruple_kernel(d0, name="ker(d_T^0)")
-    iso = quadruple_is_isomorphic(ker_q, q, seed=seed)
+    ker_t, _ = kernel_of(t_diffs[span], name="ker(d_T^0)")
+    iso = is_isomorphic(ker_t, quadruple_to_module(mr, q), seed=seed)
     _require(iso is not None, "ker(d_T^0) is not isomorphic to the quadruple")
     return ResolutionAssembly(pcx, qcx, rho, tau, alpha, beta, ycx, zcx, fcx,
                               tcx, t_quads, iso)
@@ -645,7 +640,7 @@ def check_semi_weak_quadruple(ext: TrivialExtension, ctx: MoritaContext,
         pcx, _, quads = corner_complexes(ext, ctx, mr, wc)
         used += 1
         if side == "left":
-            _reduction_cross_check_left(zq, quads, pcx, w)
+            _reduction_cross_check_left(mr, ring_mod, quads, pcx, w)
             deg = hom_exactness_failure(pcx, w)
             if deg is not None:
                 return SemiWeakVerdict(side, which, "refuted",
@@ -666,11 +661,12 @@ def check_semi_weak_quadruple(ext: TrivialExtension, ctx: MoritaContext,
                            tests_used=0)
 
 
-def _reduction_cross_check_left(zq, quads, pcx, w):
-    """dim Hom(T^i, Z(W)) computed directly on quadruples must match
-    dim Hom_Lambda(P^i, W)."""
+def _reduction_cross_check_left(mr, ring_mod, quads, pcx, w):
+    """dim Hom(T^i, Z(W)) over the context ring must match
+    dim Hom_Lambda(P^i, W).  The terms go through `quadruple_to_module` on
+    mr, as Z(W) did, so both ends live over the same ring instance."""
     for i, qd in enumerate(quads):
-        lhs = len(quadruple_hom_space(qd, zq))
+        lhs = len(hom_space(quadruple_to_module(mr, qd), ring_mod))
         rhs = len(hom_space(pcx.terms[i], w))
         if lhs != rhs:
             raise EngineError(

@@ -666,14 +666,6 @@ def solve_left(a: Mat, b: Mat) -> Mat | None:
     return None if xt is None else xt.transpose()
 
 
-def preimage(a: Mat, b: Mat) -> tuple[Mat, Mat] | None:
-    """All solutions of a @ x = b: (particular solution, kernel columns)."""
-    x = solve(a, b)
-    if x is None:
-        return None
-    return x, kernel_basis(a)
-
-
 def is_injective(m: Mat) -> bool:
     """Injectivity of the column-vector map x |-> m @ x."""
     return rank(m) == m.cols

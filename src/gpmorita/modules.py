@@ -45,7 +45,7 @@ class FDModule:
     dim: int
     acts: list[Mat]
     name: str = ""
-    _cache: dict = dc_field(default_factory=dict, repr=False)
+    _cache: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.acts) != self.algebra.dim:
@@ -276,59 +276,49 @@ def restrict_along(x: FDModule, hom_rows: Mat, source_alg: Algebra, name: str = 
 # -- isomorphism testing ----------------------------------------------------
 
 
-def _invertible_in_span(basis_blocks: list[list[Mat]], seed: int, trials: int,
-                        degree: int) -> list[Mat] | None:
-    """The blocks sum_j c_j basis_blocks[j][b], one per b, at the first
-    coefficients c found that make every block invertible, or None when
-    provably no such c exists.
+def _invertible_in_span(basis: list[Mat], seed: int) -> Mat | None:
+    """The combination sum_j c_j basis[j] at the first coefficients c found
+    that make it invertible, or None when provably no such c exists.
 
     Over F_p the whole span is enumerated when p^k is small.  Otherwise
-    seeded random draws come first; over Q a failed search falls back to
-    the grid {0..degree}^k, which is decisive when degree bounds the degree
-    of the product of the block determinants in each coefficient.  If
-    neither decisive step is affordable the search raises Undetermined
-    rather than returning a false negative.
+    40 seeded random draws come first; over Q a failed search falls back to
+    the grid {0..n}^k for n x n matrices, which is decisive because the
+    determinant has degree <= n in each coefficient.  If neither decisive
+    step is affordable the search raises Undetermined rather than returning
+    a false negative.
     """
-    F = basis_blocks[0][0].field
-    k = len(basis_blocks)
-    sizes = [m.rows for m in basis_blocks[0]]
+    F = basis[0].field
+    k, n = len(basis), basis[0].rows
 
     def invertible_combo(coeffs):
-        blocks = [linear_combination(F, n, n, coeffs, [el[b] for el in basis_blocks])
-                  for b, n in enumerate(sizes)]
-        if all(rank(m) == n for m, n in zip(blocks, sizes)):
-            return blocks
-        return None
+        m = linear_combination(F, n, n, [F.of_int(c) for c in coeffs], basis)
+        return m if rank(m) == n else None
 
     def first_invertible(grid):
-        for coeffs in grid:
-            found = invertible_combo([F.of_int(c) for c in coeffs])
-            if found is not None:
-                return found
-        return None
+        return next((m for m in map(invertible_combo, grid) if m is not None),
+                    None)
 
     if not F.is_rational and F.p ** k <= 4096:
         return first_invertible(iter_product(range(F.p), repeat=k))
     rng = random.Random(seed)
-    for _ in range(trials):
+    for _ in range(40):
         if F.is_rational:
             coeffs = [rng.randint(-3, 3) for _ in range(k)]
         else:
             coeffs = [rng.randrange(F.p) for _ in range(k)]
-        found = invertible_combo([F.of_int(c) for c in coeffs])
+        found = invertible_combo(coeffs)
         if found is not None:
             return found
-    if F.is_rational and (degree + 1) ** k <= 200_000:
-        return first_invertible(iter_product(range(degree + 1), repeat=k))
+    if F.is_rational and (n + 1) ** k <= 200_000:
+        return first_invertible(iter_product(range(n + 1), repeat=k))
     raise Undetermined(
         f"isomorphism search exhausted its budget ({k}-dimensional hom "
-        f"space, determinant degree {degree})")
+        f"space, determinant degree {n})")
 
 
 def is_isomorphic(x: FDModule, y: FDModule, seed: int = 0) -> ModuleHom | None:
     """An invertible intertwiner, or None when provably none exists; raises
-    Undetermined when the bounded search cannot decide.  The determinant
-    of a combination of homs has degree <= dim in each coefficient."""
+    Undetermined when the bounded search cannot decide."""
     if x.algebra is not y.algebra:
         return None
     if x.dim != y.dim:
@@ -338,5 +328,5 @@ def is_isomorphic(x: FDModule, y: FDModule, seed: int = 0) -> ModuleHom | None:
     basis = hom_space(x, y)
     if not basis:
         return None
-    found = _invertible_in_span([[h.mat] for h in basis], seed, 40, x.dim)
-    return None if found is None else ModuleHom(x, y, found[0])
+    found = _invertible_in_span([h.mat for h in basis], seed)
+    return None if found is None else ModuleHom(x, y, found)

@@ -6,6 +6,13 @@ bimodule, phi: M (x)_A N -> B and psi: N (x)_B M -> A balanced bimodule
 maps making the two associativity squares commute.  The ring lives on
 A (+) N (+) M (+) B in that basis order.  A left module is a quadruple
 (X, Y, f: M (x) X -> Y, g: N (x) Y -> X) whose two squares commute.
+
+This module owns the objects and the equivalence (`quadruple_to_module`,
+`module_to_quadruple`).  A map of quadruples (alpha, beta) is the ring
+module map block_diag(alpha, beta) between their images under
+`quadruple_to_module` (Green's equivalence), so hom spaces, kernels,
+cokernels and isomorphisms of quadruples are those of `modules`, taken
+on the ring modules.
 """
 from __future__ import annotations
 
@@ -18,13 +25,11 @@ from .bimodules import (
 )
 from .fields import Field
 from .linalg import (
-    Mat, coordinates, factor_through, in_row_space, intertwining_system,
-    kernel_basis, rank, row_space, solve,
+    Mat, coordinates, factor_through, in_row_space, rank, row_space,
 )
 from .modules import (
-    FDModule, ModuleHom, _invertible_in_span, cokernel_of, identity_hom,
-    kernel_of, quotient_by_rows, regular_module, validate_module, zero_hom,
-    zero_module,
+    FDModule, ModuleHom, cokernel_of, identity_hom, kernel_of,
+    quotient_by_rows, regular_module, validate_module, zero_hom, zero_module,
 )
 
 
@@ -298,6 +303,9 @@ class QuadrupleModule:
     mx: TensorModule
     ny: TensorModule
     name: str = ""
+    # init=False: a dataclasses.replace copy starts with no verdict
+    _cache: dict = dc_field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     @property
     def dim(self) -> int:
@@ -371,6 +379,15 @@ _QUADRUPLE_SIDES = (("X", "f", "B", "first", "I", "g"),
 
 
 def validate_quadruple(q: QuadrupleModule) -> list[str]:
+    """The violated quadruple axioms.  The verdict is stored on q, so each
+    instance is checked once; every call returns a fresh list."""
+    hit = q._cache.get("violations")
+    if hit is None:
+        hit = q._cache["violations"] = _quadruple_violations(q)
+    return hit[:]
+
+
+def _quadruple_violations(q: QuadrupleModule) -> list[str]:
     sides = list(zip((q, swap_quadruple(q)), _QUADRUPLE_SIDES))
     out = [f"{lab[0]}: {m}" for s, lab in sides for m in validate_module(s.x)]
     if out:
@@ -484,151 +501,6 @@ def module_to_quadruple(mr: MoritaRing, v: FDModule, name: str = "") -> Quadrupl
     return make_quadruple(ctx, mods[0], mods[1], fulls[0], fulls[1], name=name)
 
 
-# -- homomorphisms of quadruples ---------------------------------------------
-
-
-@dataclass
-class QuadrupleHom:
-    src: QuadrupleModule
-    dst: QuadrupleModule
-    alpha: ModuleHom
-    beta: ModuleHom
-
-    def then(self, other: "QuadrupleHom") -> "QuadrupleHom":
-        return QuadrupleHom(self.src, other.dst, self.alpha.then(other.alpha),
-                            self.beta.then(other.beta))
-
-    def is_iso(self) -> bool:
-        return self.alpha.is_iso() and self.beta.is_iso()
-
-
-def validate_quadruple_hom(h: QuadrupleHom) -> list[str]:
-    out = []
-    if not h.alpha.intertwines():
-        out.append("alpha is not A-linear")
-    if not h.beta.intertwines():
-        out.append("beta is not B-linear")
-    if out:
-        return out
-    ta = tensor_functor_hom(h.src.mx, h.dst.mx, h.alpha)
-    if h.src.f.mat @ h.beta.mat != ta.mat @ h.dst.f.mat:
-        out.append("f-square fails")
-    tb = tensor_functor_hom(h.src.ny, h.dst.ny, h.beta)
-    if h.src.g.mat @ h.alpha.mat != tb.mat @ h.dst.g.mat:
-        out.append("g-square fails")
-    return out
-
-
-def quadruple_hom_space(q1: QuadrupleModule, q2: QuadrupleModule) -> list[QuadrupleHom]:
-    """Canonical basis of Hom(q1, q2): pairs (alpha, beta) solving the
-    intertwining conditions and the two squares as one linear system.
-
-    The unknowns are alpha then beta, row-major.  Each B-side block of rows
-    is the A-side block of the swapped pair, with the two offsets exchanged;
-    the rows come as: A-linearity of alpha, B-linearity of beta, the
-    f-square, the g-square."""
-    F = q1.ctx.A.field
-    na, nb = q1.x.dim * q2.x.dim, q1.y.dim * q2.y.dim
-    if na + nb == 0:
-        return []
-    sides = ((q1, q2, 0), (swap_quadruple(q1), swap_quadruple(q2), na))
-
-    def place(own_part: Mat, other_part: Mat, own: int) -> Mat:
-        """A row block on the unknowns (alpha, beta) from its columns on
-        this side's unknowns and on the other side's."""
-        return Mat.hstack([own_part, other_part] if own == 0 else
-                          [other_part, own_part])
-
-    blocks = []
-    for s1, s2, own in sides:
-        gens = s1.x.gens()
-        lin = intertwining_system(F, s1.x.dim, s2.x.dim,
-                                  [s1.x.acts[t] for t in gens],
-                                  [s2.x.acts[t].transpose() for t in gens])
-        blocks.append(place(lin, Mat.zeros(F, lin.rows, na + nb - lin.cols), own))
-    # f-square: (1_M (x) alpha) f2 = f1 beta, as entries over MX1 x Y2;
-    # with S1_i the columns i*d1..(i+1)*d1 of the section of M (x)_A X1
-    # and G2_i the rows i*d2..(i+1)*d2 of M (x)_k X2 -> Y2, its alpha part
-    # is sum_i S1_i (x) G2_i^T
-    for s1, s2, own in sides:
-        d1, d2 = s1.x.dim, s2.x.dim
-        S1 = s1.mx.section               # MX1 -> M (x)_k X1
-        G2 = s2.mx.proj @ s2.f.mat       # M (x)_k X2 -> Y2
-        alpha_part = Mat.zeros(F, S1.rows * G2.cols, d1 * d2)
-        for i in range(s1.ctx.M.dim):
-            alpha_part = alpha_part.add(
-                S1.block(0, S1.rows, i * d1, (i + 1) * d1).kron(
-                    G2.block(i * d2, (i + 1) * d2, 0, G2.cols).transpose()))
-        beta_part = s1.f.mat.kron(Mat.identity(F, s2.y.dim)).neg()
-        blocks.append(place(alpha_part, beta_part, own))
-    basis = kernel_basis(Mat.vstack(blocks)).transpose()
-
-    def block(c, own, d1, d2):
-        return basis.block(c, c + 1, own, own + d1 * d2).reshape(d1, d2)
-
-    return [QuadrupleHom(q1, q2,
-                         ModuleHom(q1.x, q2.x, block(c, 0, q1.x.dim, q2.x.dim)),
-                         ModuleHom(q1.y, q2.y, block(c, na, q1.y.dim, q2.y.dim)))
-            for c in range(basis.rows)]
-
-
-def quadruple_kernel(h: QuadrupleHom, name: str = "") -> tuple[QuadrupleModule, QuadrupleHom]:
-    """Kernel quadruple (ker alpha, ker beta) with the induced structure maps."""
-    from .modules import corestrict
-    kers = [kernel_of(h.alpha), kernel_of(h.beta)]
-    maps, tens = [], []
-    # f restricts: M (x) ker(alpha) -> ker(beta); then g through the swap
-    for src, (k, i), (k2, i2) in zip((h.src, swap_quadruple(h.src)), kers,
-                                     kers[::-1]):
-        t = tensor_module(src.ctx.M, k)
-        one_i = tensor_functor_hom(t, src.mx, i)
-        maps.append(corestrict(one_i.then(src.f), k2, i2))
-        tens.append(t)
-    q = QuadrupleModule(h.src.ctx, kers[0][0], kers[1][0], maps[0], maps[1],
-                        tens[0], tens[1], name=name)
-    return q, QuadrupleHom(q, h.src, kers[0][1], kers[1][1])
-
-
-def quadruple_cokernel(h: QuadrupleHom, name: str = "") -> tuple[QuadrupleModule, QuadrupleHom]:
-    cokers = [cokernel_of(h.alpha), cokernel_of(h.beta)]
-    maps, tens = [], []
-    # induced f: M (x) coker(alpha) -> coker(beta) via surjectivity of
-    # 1 (x) pa; then g through the swap
-    for dst, (c, p), (c2, p2), which in zip((h.dst, swap_quadruple(h.dst)),
-                                            cokers, cokers[::-1], "fg"):
-        t = tensor_module(dst.ctx.M, c)
-        one_p = tensor_functor_hom(dst.mx, t, p)
-        mat = solve(one_p.mat, dst.f.mat @ p2.mat)
-        if mat is None:
-            raise ContextError(f"induced cokernel {which} does not exist")
-        maps.append(ModuleHom(t.module, c2, mat))
-        tens.append(t)
-    q = QuadrupleModule(h.src.ctx, cokers[0][0], cokers[1][0], maps[0], maps[1],
-                        tens[0], tens[1], name=name)
-    return q, QuadrupleHom(h.dst, q, cokers[0][1], cokers[1][1])
-
-
-def quadruple_is_isomorphic(q1: QuadrupleModule, q2: QuadrupleModule,
-                            seed: int = 0) -> QuadrupleHom | None:
-    """Invertible quadruple map, searched inside the quadruple hom space.
-    The product of the determinants of the two blocks of a combination has
-    degree <= dim X + dim Y in each coefficient."""
-    if (q1.x.dim, q1.y.dim) != (q2.x.dim, q2.y.dim):
-        return None
-    if q1.dim == 0:
-        return QuadrupleHom(q1, q2, zero_hom(q1.x, q2.x), zero_hom(q1.y, q2.y))
-    basis = quadruple_hom_space(q1, q2)
-    if not basis:
-        return None
-    found = _invertible_in_span([[h.alpha.mat, h.beta.mat] for h in basis],
-                                seed, 60, q1.x.dim + q1.y.dim)
-    if found is None:
-        return None
-    am, bm = found
-    return QuadrupleHom(q1, q2, ModuleHom(q1.x, q2.x, am),
-                        ModuleHom(q1.y, q2.y, bm))
-
-
 # -- the six-functor zoo -----------------------------------------------------
 
 
@@ -716,10 +588,6 @@ def z_a(ctx: MoritaContext, u: FDModule, name: str = "") -> QuadrupleModule:
 def z_b(ctx: MoritaContext, v: FDModule, name: str = "") -> QuadrupleModule:
     """(0, V, 0, 0); requires J.V = 0.  Z_A of the swapped context."""
     return swap_quadruple(z_a(swap_context(ctx), v, name=name or f"Z_B({v.name})"))
-
-
-def u_a(q: QuadrupleModule) -> FDModule:
-    return q.x
 
 
 def quotient_by_ideal(mod: FDModule, ideal_rows: Mat,

@@ -25,8 +25,8 @@ from .modules import (
     quotient_by_rows, restrict_along,
 )
 from .morita import (
-    ContextError, MoritaContext, QuadrupleHom, QuadrupleModule, make_quadruple,
-    quadruple_hom_space, validate_quadruple_hom,
+    ContextError, MoritaContext, QuadrupleModule, build_ring, make_quadruple,
+    quadruple_to_module,
 )
 
 
@@ -346,10 +346,11 @@ def _psi_tensor_one(ctx: MoritaContext, sm: StructuralMaps, nmu: TensorModule) -
 #
 # The extension-of-scalars isomorphisms between hom spaces over Lambda and
 # over A = Lambda |x I, and their ring-level versions between corner hom
-# spaces and quadruple hom spaces.  Each checker realizes the displayed
-# elementwise formula as a linear map on canonical hom-space coordinates
-# and certifies that every image is a genuine (quadruple) map and that the
-# coordinate matrix is bijective.
+# spaces and hom spaces over the context ring, where a quadruple map
+# (alpha, beta) is the ring module map block_diag(alpha, beta).  Each
+# checker realizes the displayed elementwise formula as a linear map on
+# canonical hom-space coordinates and certifies that every image is a
+# genuine module map and that the coordinate matrix is bijective.
 
 
 @dataclass
@@ -364,30 +365,23 @@ class HomIsoCheck:
         return self.images_valid and self.bijective
 
 
-def _flat(h: ModuleHom | QuadrupleHom) -> Mat:
-    """A hom as one row vector; a quadruple map as (alpha, beta)."""
-    if isinstance(h, ModuleHom):
-        return h.mat.flatten()
-    return Mat.hstack([h.alpha.mat.flatten(), h.beta.mat.flatten()])
-
-
 def _transport_check(F, n_dom: int, images, cod: list,
                      injective_only: bool = False) -> HomIsoCheck:
     """The check behind every identity below.  `images` yields the
     transported map of each of the n_dom domain basis elements; each must be
-    a genuine (quadruple) map and lie in the span of the target hom basis
-    `cod`.  Their coordinates form the transport matrix, which must be
-    bijective, or only injective when `injective_only`."""
+    a genuine module map and lie in the span of the target hom basis `cod`.
+    Their coordinates form the transport matrix, which must be bijective,
+    or only injective when `injective_only`."""
     targets = []
     ok = True
     for h in images:
-        ok = ok and (h.intertwines() if isinstance(h, ModuleHom)
-                     else validate_quadruple_hom(h) == [])
-        targets.append(_flat(h))
+        ok = ok and h.intertwines()
+        targets.append(h.mat.flatten())
     if not targets:
         mat = Mat.zeros(F, 0, len(cod))
     elif cod:
-        mat = coordinates(Mat.vstack([_flat(g) for g in cod]), Mat.vstack(targets))
+        mat = coordinates(Mat.vstack([g.mat.flatten() for g in cod]),
+                          Mat.vstack(targets))
     else:
         mat = (None if any(not t.is_zero() for t in targets)
                else Mat.zeros(F, len(targets), 0))
@@ -470,6 +464,10 @@ def column_hom_iso(ext: TrivialExtension, ctx: MoritaContext, kind: str,
     context ring; `kind` names source and target functor columns."""
     from .morita import quotient_by_ideal, t_b, z_a, z_b
     F = ext.Lam.field
+    mr = build_ring(ctx)
+
+    def ring(q):
+        return quadruple_to_module(mr, q)
 
     def tl(mod):
         return t_lambda(ext, ctx, mod)
@@ -525,12 +523,12 @@ def column_hom_iso(ext: TrivialExtension, ctx: MoritaContext, kind: str,
         dom = hom_space(y, dst.y)
         pairs = ((Mat.zeros(F, src.x.dim, dst.x.dim), t.mat) for t in dom)
     elif kind == "zero_pairs":
-        a = len(quadruple_hom_space(t_b(ctx, y), zl(x)))
-        b = len(quadruple_hom_space(tl(x), zb(y)))
+        a = len(hom_space(ring(t_b(ctx, y)), ring(zl(x))))
+        b = len(hom_space(ring(tl(x)), ring(zb(y))))
         return HomIsoCheck(0, a + b, True, a == 0 and b == 0)
     else:
         raise ExtensionError(f"unknown hom identity {kind!r}")
-    cod = quadruple_hom_space(src, dst)
-    images = (QuadrupleHom(src, dst, ModuleHom(src.x, dst.x, am),
-                           ModuleHom(src.y, dst.y, bm)) for am, bm in pairs)
-    return _transport_check(F, len(dom), images, cod)
+    src_v, dst_v = ring(src), ring(dst)
+    images = (ModuleHom(src_v, dst_v, Mat.block_diag([am, bm]))
+              for am, bm in pairs)
+    return _transport_check(F, len(dom), images, hom_space(src_v, dst_v))

@@ -24,7 +24,7 @@ from gpmorita.complexes import (
     ShortExactSequence, horseshoe, is_exact, validate_complex,
 )
 from gpmorita.engine import (
-    audit_equivalence, build_total_resolution, check_conditions,
+    _ring_of, audit_equivalence, build_total_resolution, check_conditions,
     check_semi_weak_quadruple,
 )
 from gpmorita.fields import GF, QQ
@@ -32,15 +32,14 @@ from gpmorita.gpcert import certify_gorenstein_projective
 from gpmorita.homology import is_projective
 from gpmorita.linalg import Mat, rank
 from gpmorita.modules import (
-    ModuleHom, direct_sum, dual_module, hom_dim, kernel_of, regular_module,
-    free_module, restrict_along,
+    ModuleHom, direct_sum, dual_module, hom_dim, hom_space, is_isomorphic,
+    kernel_of, regular_module, free_module, restrict_along,
 )
 from gpmorita.morita import (
     ContextError, build_ring, direct_sum_quadruples, module_to_quadruple,
-    opposite_context, quadruple_hom_space, quadruple_is_isomorphic,
-    quadruple_kernel, quadruple_to_module, regular_right_quadruples, t_a, t_b,
-    tensor_over_ring, tensor_over_ring_oracle, u_a, validate_context,
-    validate_quadruple_hom, z_a, z_b, QuadrupleHom,
+    opposite_context, quadruple_to_module, regular_right_quadruples, t_a, t_b,
+    tensor_over_ring, tensor_over_ring_oracle, validate_context,
+    validate_quadruple, z_a, z_b,
 )
 from gpmorita.nctensor import (
     build_exact_context, build_nc_tensor, corollary_criterion, iso_with_morita,
@@ -101,32 +100,35 @@ def test_criterion_2_equivalence_layer():
             assert v.dim == q.dim
             q2 = module_to_quadruple(mr, v)
             assert (q2.x.dim, q2.y.dim) == (q.x.dim, q.y.dim)
-            # hom-space exactness of the equivalence
-            assert len(quadruple_hom_space(q, q)) == hom_dim(v, v)
-            iso = quadruple_is_isomorphic(q, q2, seed=done)
-            assert iso is not None and validate_quadruple_hom(iso) == []
+            # the round trip is an isomorphism of ring modules
+            iso = is_isomorphic(v, quadruple_to_module(mr, q2), seed=done)
+            assert iso is not None and iso.intertwines() and iso.is_iso()
             done += 1
-        # kernels and cokernels commute with the equivalence
+        # kernels commute with the equivalence: the kernel of a ring map
+        # block_diag(alpha, beta) is a quadruple on (ker alpha, ker beta)
         checked = 0
         while checked < 8:
             ctx = contexts[checked % len(contexts)]
             mr = rings[id(ctx)]
             q1 = random_quadruple(ctx, rng, allow_sum=False)
             q2 = random_quadruple(ctx, rng, allow_sum=False)
-            homs = quadruple_hom_space(q1, q2)
+            homs = hom_space(quadruple_to_module(mr, q1),
+                             quadruple_to_module(mr, q2))
             if not homs:
                 checked += 1
                 continue
             h = homs[len(homs) // 2]
-            ker_q, _ = quadruple_kernel(h)
-            big = Mat.block_diag([h.alpha.mat, h.beta.mat])
-            hv = ModuleHom(quadruple_to_module(mr, q1),
-                           quadruple_to_module(mr, q2), big)
-            kv, _ = kernel_of(hv)
-            assert kv.dim == ker_q.dim
-            iso = quadruple_is_isomorphic(ker_q, module_to_quadruple(mr, kv),
-                                          seed=checked)
-            assert iso is not None
+            dx1, dx2 = q1.x.dim, q2.x.dim
+            m = h.mat
+            assert m.block(0, dx1, dx2, m.cols).is_zero()
+            assert m.block(dx1, m.rows, 0, dx2).is_zero()
+            kq = module_to_quadruple(mr, kernel_of(h)[0])
+            assert validate_quadruple(kq) == []
+            for part, src, dst, blk in (
+                    (kq.x, q1.x, q2.x, m.block(0, dx1, 0, dx2)),
+                    (kq.y, q1.y, q2.y, m.block(dx1, m.rows, dx2, m.cols))):
+                corner, _ = kernel_of(ModuleHom(src, dst, blk))
+                assert is_isomorphic(part, corner, seed=checked) is not None
             checked += 1
 
 
@@ -140,9 +142,11 @@ def test_criterion_3_hom_and_tensor_identities():
         count = 0
         while count < 20:
             ext, ctx = setups[count % len(setups)]
+            mr = build_ring(ctx)
             x = random_module(ctx.A, rng, max_free=1, max_cuts=1)
             v = random_quadruple(ctx, rng, allow_sum=False)
-            assert len(quadruple_hom_space(t_a(ctx, x), v)) == hom_dim(x, u_a(v))
+            assert hom_dim(quadruple_to_module(mr, t_a(ctx, x)),
+                           quadruple_to_module(mr, v)) == hom_dim(x, v.x)
             count += 1
         # the seven hom transports (>= 20 instances each)
         kinds = ["tl_tb", "tl_zl", "tl_tl", "tb_tl", "tb_tb", "tb_zb",
@@ -250,17 +254,10 @@ def test_criterion_5_main_theorem_positive():
         for i in range(wc.lo, wc.hi + 1):
             assert projective_by_splitting(wc.term(i))
         assert _window_totally_exact(wc) is None
-        # fresh kernel extraction and quadruple isomorphism with P2
-        d0 = QuadrupleHom(asm.t_quads[-wc.lo], asm.t_quads[-wc.lo + 1],
-                          ModuleHom(asm.t_quads[-wc.lo].x,
-                                    asm.t_quads[-wc.lo + 1].x,
-                                    asm.fcx.diff(0).mat),
-                          ModuleHom(asm.t_quads[-wc.lo].y,
-                                    asm.t_quads[-wc.lo + 1].y,
-                                    asm.ycx.diff(0).mat))
-        ker_q, _ = quadruple_kernel(d0)
-        iso = quadruple_is_isomorphic(ker_q, p2)
-        assert iso is not None and validate_quadruple_hom(iso) == []
+        # fresh kernel extraction and isomorphism with P2 over the ring
+        ker_t, _ = kernel_of(wc.diff(0))
+        iso = is_isomorphic(ker_t, quadruple_to_module(_ring_of(ctx), p2))
+        assert iso is not None and iso.intertwines() and iso.is_iso()
 
 
 def test_criterion_6_main_theorem_audit():

@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from gpmorita import cli
 from gpmorita.cli import main
+from gpmorita.linalg import NonCanonicalBasis
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -459,3 +461,20 @@ def test_verify_report_reconciles_the_criterion_verdict(tmp_path, capsys, field,
     assert code == 1
     [problem_text] = json.loads(out)["problems"]
     assert problem_text.startswith("the verdict does not follow")
+
+
+@pytest.mark.parametrize("exc", [IndexError("list index out of range"),
+                                 NonCanonicalBasis("row 0 has no unit\ncolumn")],
+                         ids=["IndexError", "NonCanonicalBasis"])
+def test_unmapped_exception_is_an_internal_error(monkeypatch, capsys, exc):
+    # an exception no other exit code covers exits 4 with one stderr line,
+    # never 1, which means a mathematical "fail"
+    def broken(args, prob):
+        raise exc
+
+    monkeypatch.setitem(cli.HANDLERS, "validate", broken)
+    assert main(["validate", fx("triangular.json")]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = " ".join(str(exc).splitlines())
+    assert captured.err == f"internal error: {type(exc).__name__}: {message}\n"

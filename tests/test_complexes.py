@@ -10,7 +10,7 @@ from gpmorita.catalog import (
 )
 from gpmorita.complexes import (
     ComplexWindow, HorseshoeError, ShortExactSequence, homology_dim, horseshoe,
-    is_exact, kernel_at, solve_module_hom, total_exactness, validate_complex,
+    is_exact, solve_module_hom, total_exactness, validate_complex,
 )
 from gpmorita.fields import GF, QQ
 from gpmorita.gpcert import certify_gorenstein_projective

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from gpmorita import complexes, engine, homology, morita
+from gpmorita import complexes, engine, homology, modules
 
 from gpmorita.catalog import (
     arrow_ideal_context, field_algebra, glued_psi_context, simple_at_idempotent,
@@ -420,8 +420,8 @@ def test_assembly_checks_each_fact_once(count_calls):
     q = _p2(ctx)
     rep = check_conditions(ext, ctx, q)
     counts = {fn.__name__: count_calls(fn)
-              for fn in (complexes.total_exactness, morita.validate_quadruple_hom,
+              for fn in (complexes.total_exactness, modules.is_isomorphic,
                          homology.ext_dim)}
     build_total_resolution(ext, ctx, q, rep, window=3)
     assert {k: len(v) for k, v in counts.items()} == {
-        "total_exactness": 1, "validate_quadruple_hom": 0, "ext_dim": 0}
+        "total_exactness": 1, "is_isomorphic": 1, "ext_dim": 0}

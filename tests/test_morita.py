@@ -4,8 +4,11 @@ import glob
 import json
 import os
 import random
+from dataclasses import replace
 
 import pytest
+
+from gpmorita import morita
 
 from gpmorita.algebra import opposite_algebra, validate_algebra
 from gpmorita.bimodules import BalancedMap
@@ -17,21 +20,22 @@ from gpmorita.catalog import (
 from gpmorita.fields import GF, QQ
 from gpmorita.linalg import Mat, rank
 from gpmorita.modules import (
-    hom_dim, hom_space, is_isomorphic, regular_module, validate_module,
+    ModuleHom, cokernel_of, hom_dim, hom_space, is_isomorphic, kernel_of,
+    regular_module, validate_module,
 )
 from gpmorita.morita import (
     ContextError, build_ring, classify_injectives, classify_projectives,
     MoritaContext, direct_sum_quadruples, h_a, h_b, make_quadruple,
     module_to_quadruple, opposite_context, opposite_ring, p_a, p_b, q_a, q_b,
-    quadruple_cokernel, quadruple_hom_space,
-    quadruple_is_isomorphic, quadruple_kernel, quadruple_to_module,
-    regular_quadruple, regular_right_quadruples, swap_context, t_a, t_b,
-    tensor_over_ring, tensor_over_ring_oracle, u_a, validate_context,
-    validate_quadruple, validate_quadruple_hom, z_a, z_b, zero_quadruple,
+    quadruple_to_module, regular_quadruple, regular_right_quadruples,
+    swap_context, t_a, t_b, tensor_over_ring, tensor_over_ring_oracle,
+    validate_context, validate_quadruple, z_a, z_b, zero_quadruple,
 )
 from gpmorita.homology import is_projective
 from gpmorita.jsonio import load_problem
 from gpmorita.trivext import t_lambda
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def _contexts():
@@ -128,8 +132,8 @@ def test_quadruple_to_module_round_trip():
             assert v.dim == q.dim
             q2 = module_to_quadruple(mr, v)
             assert (q2.x.dim, q2.y.dim) == (q.x.dim, q.y.dim)
-            iso = quadruple_is_isomorphic(q, q2)
-            assert iso is not None and validate_quadruple_hom(iso) == []
+            iso = is_isomorphic(v, quadruple_to_module(mr, q2))
+            assert iso is not None and iso.intertwines() and iso.is_iso()
 
 
 def test_regular_module_is_ta_plus_tb():
@@ -139,36 +143,51 @@ def test_regular_module_is_ta_plus_tb():
         split = direct_sum_quadruples(
             [t_a(ctx, regular_module(ctx.A)), t_b(ctx, regular_module(ctx.B))])
         assert validate_quadruple(split) == []
-        iso = quadruple_is_isomorphic(reg, split)
+        iso = is_isomorphic(quadruple_to_module(mr, reg),
+                            quadruple_to_module(mr, split))
         assert iso is not None
 
 
 def test_u_a_section_of_t_a():
     _, ctx = glued_psi_context(QQ())
     x = regular_module(ctx.A)
-    assert u_a(t_a(ctx, x)) is x
+    assert t_a(ctx, x).x is x             # U_A reads the A corner
 
 
 def test_adjunction_dims_t_a():
     rng = random.Random(1)
     for ctx in _contexts():
+        mr = build_ring(ctx)
         for _ in range(3):
             x = random_module(ctx.A, rng, max_free=1)
             v = t_b(ctx, random_module(ctx.B, rng, max_free=1))
-            lhs = len(quadruple_hom_space(t_a(ctx, x), v))
-            rhs = hom_dim(x, u_a(v))
-            assert lhs == rhs
+            lhs = hom_dim(quadruple_to_module(mr, t_a(ctx, x)),
+                          quadruple_to_module(mr, v))
+            assert lhs == hom_dim(x, v.x)
 
 
-def test_quadruple_hom_space_matches_ring_homs():
+def _corner_blocks(h: ModuleHom, q1, q2):
+    """The four blocks of a ring map between the modules of q1 and q2,
+    on X1 (+) Y1 -> X2 (+) Y2."""
+    m, dx1, dx2 = h.mat, q1.x.dim, q2.x.dim
+    return (m.block(0, dx1, 0, dx2), m.block(0, dx1, dx2, m.cols),
+            m.block(dx1, m.rows, 0, dx2), m.block(dx1, m.rows, dx2, m.cols))
+
+
+def test_ring_homs_of_quadruples_are_block_diagonal():
+    # Green's equivalence: a ring map between quadruple modules is
+    # block_diag(alpha, beta) with alpha A-linear and beta B-linear
     for ctx in _contexts():
         mr = build_ring(ctx)
         qs = [t_a(ctx, regular_module(ctx.A)), t_b(ctx, regular_module(ctx.B))]
         for q1 in qs:
             for q2 in qs:
-                lhs = len(quadruple_hom_space(q1, q2))
-                rhs = hom_dim(quadruple_to_module(mr, q1), quadruple_to_module(mr, q2))
-                assert lhs == rhs
+                for h in hom_space(quadruple_to_module(mr, q1),
+                                   quadruple_to_module(mr, q2)):
+                    alpha, xy, yx, beta = _corner_blocks(h, q1, q2)
+                    assert xy.is_zero() and yx.is_zero()
+                    assert ModuleHom(q1.x, q2.x, alpha).intertwines()
+                    assert ModuleHom(q1.y, q2.y, beta).intertwines()
 
 
 def test_classify_projectives_triangular():
@@ -220,32 +239,26 @@ def test_p_q_functors():
 
 
 def test_quadruple_kernel_cokernel_commute_with_equivalence():
+    # the kernel and cokernel of a ring map block_diag(alpha, beta) are
+    # quadruples whose corners are those of alpha and of beta
     rng = random.Random(7)
     for ctx in _contexts():
         mr = build_ring(ctx)
-        q1 = t_a(ctx, random_module(ctx.A, rng, max_free=1))
-        q2 = t_a(ctx, random_module(ctx.A, rng, max_free=1))
-        homs = quadruple_hom_space(q1, q2)
-        if not homs:
-            continue
+        homs = []
+        while not homs:       # most draws are zero or have no maps between them
+            q1 = t_a(ctx, random_module(ctx.A, rng, max_free=1))
+            q2 = t_a(ctx, random_module(ctx.A, rng, max_free=1))
+            homs = hom_space(quadruple_to_module(mr, q1),
+                             quadruple_to_module(mr, q2))
         h = homs[0]
-        assert validate_quadruple_hom(h) == []
-        ker_q, _ = quadruple_kernel(h)
-        cok_q, _ = quadruple_cokernel(h)
-        assert validate_quadruple(ker_q) == []
-        assert validate_quadruple(cok_q) == []
-        # compare against kernels over the ring
-        from gpmorita.modules import kernel_of, cokernel_of, ModuleHom
-        v1, v2 = quadruple_to_module(mr, q1), quadruple_to_module(mr, q2)
-        big = Mat.block_diag([h.alpha.mat, h.beta.mat])
-        hv = ModuleHom(v1, v2, big)
-        assert hv.intertwines()
-        kv, _ = kernel_of(hv)
-        cv, _ = cokernel_of(hv)
-        assert kv.dim == ker_q.dim
-        assert cv.dim == cok_q.dim
-        iso = quadruple_is_isomorphic(ker_q, module_to_quadruple(mr, kv))
-        assert iso is not None
+        alpha, _, _, beta = _corner_blocks(h, q1, q2)
+        corners = [ModuleHom(q1.x, q2.x, alpha), ModuleHom(q1.y, q2.y, beta)]
+        for make in (kernel_of, cokernel_of):
+            v, _ = make(h)
+            q = module_to_quadruple(mr, v)
+            assert validate_quadruple(q) == []
+            for part, corner in zip((q.x, q.y), corners):
+                assert is_isomorphic(part, make(corner)[0]) is not None
 
 
 def test_t_lambda_of_regular_is_projective_column():
@@ -255,7 +268,8 @@ def test_t_lambda_of_regular_is_projective_column():
     assert (tq.x.dim, tq.y.dim) == (2, 1)
     col = t_a(ctx, regular_module(ctx.A))
     # T_Lambda(Lambda) = Lambda_psi e1 = T_A(A)
-    iso = quadruple_is_isomorphic(tq, col)
+    mr = build_ring(ctx)
+    iso = is_isomorphic(quadruple_to_module(mr, tq), quadruple_to_module(mr, col))
     assert iso is not None
 
 
@@ -385,3 +399,34 @@ def test_build_ring_after_load_problem_does_not_revalidate(count_calls):
         verdict.append("a caller's own list")
         assert validate_context(ctx) == []
     assert calls == []
+
+
+def test_validate_quadruple_runs_the_squares_once_per_quadruple(monkeypatch):
+    # load_problem validates every quadruple of the file and check_conditions
+    # validates the chosen one again; the second call reads the verdict
+    from gpmorita.cli import main
+    seen = []
+    inner = morita._quadruple_violations
+
+    def counted(q):
+        seen.append(q.name)
+        return inner(q)
+
+    monkeypatch.setattr(morita, "_quadruple_violations", counted)
+    main(["check-gp", os.path.join(FIXTURES, "triangular.json"),
+          "--extension", "ext", "--context", "ctx", "--quadruple", "S2"])
+    assert seen.count("S2") == 1
+    assert len(seen) == len(set(seen))
+
+
+def test_a_replaced_quadruple_is_validated_afresh():
+    # the verdict is not copied by dataclasses.replace, so a corrupted f on
+    # a copy of a valid quadruple is still rejected
+    _, ctx = glued_psi_context(QQ())
+    q = t_a(ctx, regular_module(ctx.A))
+    assert validate_quadruple(q) == []
+    F = ctx.A.field
+    bad = replace(q, f=ModuleHom(q.f.source, q.f.target,
+                                 q.f.mat.scale(F.of_int(2))))
+    assert validate_quadruple(bad) == ["first compatibility square fails"]
+    assert validate_quadruple(q) == []

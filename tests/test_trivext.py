@@ -14,7 +14,7 @@ from gpmorita.fields import GF, QQ
 from gpmorita.linalg import Mat, rank
 from gpmorita.modules import is_isomorphic, regular_module, validate_module
 from gpmorita.morita import (
-    build_ring, quadruple_is_isomorphic, t_a, t_b, validate_quadruple, z_b,
+    build_ring, t_a, t_b, validate_quadruple, z_b,
 )
 from gpmorita.trivext import (
     ExtensionError, check_extension_matches, induced_module, pushout_check,

@@ -6,7 +6,9 @@ undetermined, 3 input error, 4 internal error (an exception no other code
 covers, reported as one `internal error: <Type>: <message>` line on stderr
 with nothing on stdout).  Identical input and seed give byte-identical
 reports; `verify-report` re-checks the witnesses embedded in a previous
-report against the same problem file.
+report against the same problem file.  Each call builds the argument
+parser of its own command only; usage, help and error messages are those
+of the full parser.
 """
 from __future__ import annotations
 
@@ -341,54 +343,55 @@ def _verify_cert_json(prob, cert_obj) -> list[str]:
     return verify_certificate(cert, cert.module)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser for argv: only the subparser of its command when argv
+    starts with one, all of them otherwise (no command, help, an unknown
+    command, an option first)."""
+    # the options of each command beyond the common ones, in help order
+    options = {
+        "validate": [],
+        "build-ring": [("--context", {"required": True})],
+        "classify": [("--context", {"required": True})],
+        "check-gp": [("--extension", {"required": True}),
+                     ("--context", {"required": True}),
+                     ("--quadruple", {"required": True})],
+        "certify-gp": [("--module", {}), ("--context", {}), ("--quadruple", {})],
+        "build-resolution": [("--extension", {"required": True}),
+                             ("--context", {"required": True}),
+                             ("--quadruple", {"required": True})],
+        "check-compat": [("--bimodule", {"required": True}),
+                         ("--left-tests", {"nargs": "*", "default": []}),
+                         ("--right-tests", {"nargs": "*", "default": []})],
+        "nc-tensor": [("--context", {"required": True}), ("--extension", {}),
+                      ("--quadruple", {})],
+        "audit": [("--extension", {"required": True}),
+                  ("--context", {"required": True}),
+                  ("--quadruples", {"nargs": "+", "required": True})],
+        "verify-report": [("--report", {"required": True})],
+    }
     p = argparse.ArgumentParser(prog="gpmorita", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, problem=True):
-        if problem:
-            sp.add_argument("problem", help="JSON problem file")
+    if argv and argv[0] in HANDLERS:
+        # the top-level usage, printed with an unrecognized-argument error,
+        # still lists every command
+        sub = p.add_subparsers(dest="command", required=True,
+                               metavar="{" + ",".join(HANDLERS) + "}")
+        names = [argv[0]]
+    else:
+        sub = p.add_subparsers(dest="command", required=True)
+        names = list(HANDLERS)
+    for name in names:
+        sp = sub.add_parser(name)
+        if name == "nc-tensor":
+            sp.add_argument("mode", choices=["build", "iso", "check"])
+        sp.add_argument("problem", help="JSON problem file")
         sp.add_argument("--json", action="store_true",
                         help="emit the machine-readable report")
         sp.add_argument("--window", type=int, default=6)
         sp.add_argument("--period-bound", type=int, default=12)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--budget", type=int, default=600)
-        return sp
-
-    common(sub.add_parser("validate"))
-    sp = common(sub.add_parser("build-ring"))
-    sp.add_argument("--context", required=True)
-    sp = common(sub.add_parser("classify"))
-    sp.add_argument("--context", required=True)
-    sp = common(sub.add_parser("check-gp"))
-    sp.add_argument("--extension", required=True)
-    sp.add_argument("--context", required=True)
-    sp.add_argument("--quadruple", required=True)
-    sp = common(sub.add_parser("certify-gp"))
-    sp.add_argument("--module")
-    sp.add_argument("--context")
-    sp.add_argument("--quadruple")
-    sp = common(sub.add_parser("build-resolution"))
-    sp.add_argument("--extension", required=True)
-    sp.add_argument("--context", required=True)
-    sp.add_argument("--quadruple", required=True)
-    sp = common(sub.add_parser("check-compat"))
-    sp.add_argument("--bimodule", required=True)
-    sp.add_argument("--left-tests", nargs="*", default=[])
-    sp.add_argument("--right-tests", nargs="*", default=[])
-    sp = sub.add_parser("nc-tensor")
-    sp.add_argument("mode", choices=["build", "iso", "check"])
-    common(sp)
-    sp.add_argument("--context", required=True)
-    sp.add_argument("--extension")
-    sp.add_argument("--quadruple")
-    sp = common(sub.add_parser("audit"))
-    sp.add_argument("--extension", required=True)
-    sp.add_argument("--context", required=True)
-    sp.add_argument("--quadruples", nargs="+", required=True)
-    sp = common(sub.add_parser("verify-report"))
-    sp.add_argument("--report", required=True)
+        for flag, kwargs in options[name]:
+            sp.add_argument(flag, **kwargs)
     return p
 
 
@@ -407,7 +410,9 @@ HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return _run(args)
     except Exception as e:

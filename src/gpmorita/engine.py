@@ -299,9 +299,10 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
     for i in range(-span, span + 1):
         key = (id(pcx.term(i)), id(qcx.term(i)))
         if key not in seen:
-            tq = t_lambda(ext, ctx, pcx.term(i), name=f"T_Lam(P^{i})")
+            # I (x) P^i and M (x) P^i are the tensors the C3 checks built
+            tq = t_lambda(ext, ctx, pcx.term(i), name=f"T_Lam(P^{i})",
+                          ix_t=ip_tens[i + span], mx_lam=mp_tens[i + span])
             tb = t_b(ctx, qcx.term(i), name=f"T_B(Q^{i})")
-            _require(tq.y.dim == mp_cx.term(i).dim, "M-part mismatch")
             seen[key] = direct_sum_quadruples([tq, tb], name=f"T^{i}")
         t_quads.append(seen[key])
         f_terms.append(seen[key].x)

@@ -49,7 +49,13 @@ def field_from_json(obj) -> Field:
     if obj == "Q":
         return Field(FieldSpec("Q"))
     if isinstance(obj, dict) and "p" in obj:
-        return Field(FieldSpec("Fp", obj["p"]))
+        p = obj["p"]
+        if type(p) is not int:
+            raise InputError(f"field modulus must be an integer, got {p!r}")
+        try:
+            return Field(FieldSpec("Fp", p))
+        except ValueError as e:
+            raise InputError(str(e)) from None
     raise InputError(f"unrecognized field spec {obj!r}")
 
 

@@ -145,13 +145,16 @@ def induced_module(ext: TrivialExtension, x: FDModule, name: str = "") -> FDModu
     return induced_module_parts(ext, x, name)[0]
 
 
-def induced_module_parts(ext: TrivialExtension, x: FDModule, name: str = ""):
+def induced_module_parts(ext: TrivialExtension, x: FDModule, name: str = "",
+                         ix_t: TensorModule | None = None):
     """(X(I), embed X, I (x)_Lambda X tensor data) with the ideal block on
-    the balanced-tensor quotient coordinates."""
+    the balanced-tensor quotient coordinates.  ix_t, when given, is
+    I (x)_Lambda X as the caller already built it."""
     if x.algebra is not ext.Lam:
         raise ExtensionError("induced module wants a Lambda-module")
     F = ext.Lam.field
-    ix_t = tensor_module(ext.ideal, x, name=f"I(x){x.name}")
+    if ix_t is None:
+        ix_t = tensor_module(ext.ideal, x, name=f"I(x){x.name}")
     dX, dIX = x.dim, ix_t.module.dim
     dim = dX + dIX
     eye_x = Mat.identity(F, dX)
@@ -200,17 +203,20 @@ def psi_tensor_block(ctx: MoritaContext, ext: TrivialExtension, p_module: FDModu
 
 
 def t_lambda(ext: TrivialExtension, ctx: MoritaContext, x: FDModule,
-             name: str = "") -> QuadrupleModule:
+             name: str = "", ix_t: TensorModule | None = None,
+             mx_lam: TensorModule | None = None) -> QuadrupleModule:
     """The induced quadruple (X(I), M (x)_Lambda X, projection, psi-action).
 
     f: M (x)_k X(I) -> M (x)_Lambda X is m (x) (v, w) |-> m (x) v.  The
     I (x) X block contributes nothing: phi = 0 and the second associativity
     square give M.I = 0 (which `_ideal_checks` also checks), so
-    m (x) (i (x) v) |-> m.i (x) v is 0."""
+    m (x) (i (x) v) |-> m.i (x) v is 0.  ix_t and mx_lam, when given, are
+    I (x)_Lambda X and M (x)_Lambda X as the caller already built them."""
     check_extension_matches(ext, ctx)
     F = ext.Lam.field
-    xi, e_x, ix_t = induced_module_parts(ext, x)
-    mx_lam = m_tensor_lambda(ext, ctx, x)
+    xi, e_x, ix_t = induced_module_parts(ext, x, ix_t=ix_t)
+    if mx_lam is None:
+        mx_lam = m_tensor_lambda(ext, ctx, x)
     y = mx_lam.module
     f_full = Mat.identity(F, ctx.M.dim).kron(e_x.transpose()) @ mx_lam.proj
     # g: N (x)_k Y -> X(I); n (x) (m (x) v) |-> psi(n (x) m) (x) v in the

@@ -17,12 +17,13 @@ settings.load_profile("gpmorita")
 @pytest.fixture
 def count_calls(monkeypatch):
     """count_calls(fn) counts the calls of fn through every gpmorita module
-    that binds it, for the rest of the test; returns the list of calls."""
+    that binds it, for the rest of the test; returns the list of calls, each
+    recorded as its tuple of positional arguments."""
     def count(fn):
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(1)
+            calls.append(args)
             return fn(*args, **kwargs)
 
         for name, mod in list(sys.modules.items()):

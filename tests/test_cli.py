@@ -1,8 +1,8 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
-import sys
 
 import pytest
 
@@ -51,6 +51,23 @@ def test_zero_denominator_is_an_input_error(tmp_path, capsys, field, scalar):
     assert main(["validate", str(p)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("input error:") and repr(scalar) in err
+
+
+@pytest.mark.parametrize("p, message", [
+    (4, "modulus must be a prime <= 2^31, got 4"),
+    (1, "modulus must be a prime <= 2^31, got 1"),
+    ("7", "field modulus must be an integer, got '7'"),
+    (7.0, "field modulus must be an integer, got 7.0"),
+    (True, "field modulus must be an integer, got True"),
+    (None, "field modulus must be an integer, got None"),
+], ids=["4", "1", "str", "float", "bool", "null"])
+def test_malformed_field_spec_is_an_input_error(tmp_path, capsys, p, message):
+    doc = json.load(open(fx("dual_numbers.json")))
+    doc["field"] = {"p": p}
+    path = tmp_path / "bad_field.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 3
+    assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 @pytest.mark.parametrize("mat", [
@@ -478,3 +495,89 @@ def test_unmapped_exception_is_an_internal_error(monkeypatch, capsys, exc):
     assert captured.out == ""
     message = " ".join(str(exc).splitlines())
     assert captured.err == f"internal error: {type(exc).__name__}: {message}\n"
+
+
+# -- each call builds the parser of its own command only ----------------------
+
+PARSER_SWEEP = [
+    [], ["-h"], ["--help"], ["bogus"], ["-x"],
+    ["--json", "validate", fx("glued5.json")],
+    ["--", "validate", fx("glued5.json")],
+    ["validate"], ["validate", "-h"], ["nc-tensor", "--help"],
+    ["validate", fx("glued5.json"), "-h"],
+    ["validate", fx("glued5.json"), "--nope"],
+    ["validate", fx("glued5.json"), "extra"],
+    ["validate", fx("glued5.json"), "--window", "x"],
+    ["build-ring", fx("glued5.json"), "--window"],
+    ["check-gp", fx("triangular.json")],
+    ["audit", fx("two_cycle.json"), "--extension", "ext", "--context", "ctx"],
+    ["nc-tensor", "bogus", fx("two_cycle.json"), "--context", "ctx"],
+    ["validate", "--", fx("glued5.json")],
+    ["build-ring", fx("glued5.json"), "--context", "ctx", "--json"],
+    ["check-gp", fx("triangular.json"), "--ext", "ext", "--cont", "ctx",
+     "--quad", "S2"],
+    ["certify-gp", fx("dual_numbers.json"), "--module", "S", "--json"],
+    ["check-compat", fx("dual_numbers.json"), "--bimodule", "S_bim",
+     "--right-tests", "S_window", "--json"],
+    ["nc-tensor", "build", fx("two_cycle.json"), "--context", "ctx", "--json"],
+    ["verify-report", fx("dual_numbers.json"), "--report",
+     fx("no_such_report.json")],
+]
+
+
+def _outcome(monkeypatch, capsys, argv, full):
+    """(exit code or SystemExit code, stdout, stderr, parsed namespaces) of
+    main(argv); full=True builds every subparser whatever the command."""
+    namespaces = []
+    with monkeypatch.context() as m:
+        run_args = cli._run
+
+        def recorded(args):
+            namespaces.append(vars(args))
+            return run_args(args)
+
+        m.setattr(cli, "_run", recorded)
+        if full:
+            build = cli.build_parser
+            m.setattr(cli, "build_parser", lambda argv=None: build())
+        try:
+            code = main(list(argv))
+        except SystemExit as e:
+            code = ("SystemExit", e.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, namespaces
+
+
+@pytest.mark.parametrize("argv", PARSER_SWEEP,
+                         ids=lambda a: " ".join(os.path.basename(w) for w in a))
+def test_narrowed_parser_behaves_as_the_full_one(monkeypatch, capsys, argv):
+    narrowed = _outcome(monkeypatch, capsys, argv, full=False)
+    assert narrowed == _outcome(monkeypatch, capsys, argv, full=True)
+
+
+def test_a_command_builds_only_its_own_subparser(monkeypatch, capsys):
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert main(["validate", fx("glued5.json")]) == 0
+    assert names == ["validate"]
+    names.clear()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert names == list(cli.HANDLERS)
+
+
+@pytest.mark.parametrize("argv, error", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+], ids=["none", "unknown"])
+def test_top_level_errors_name_the_command_argument(capsys, argv, error):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"gpmorita: error: {error}" in capsys.readouterr().err

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from gpmorita import complexes, engine, homology, modules
+from gpmorita import bimodules, complexes, engine, homology, modules
 
 from gpmorita.catalog import (
     arrow_ideal_context, field_algebra, glued_psi_context, simple_at_idempotent,
@@ -425,3 +425,49 @@ def test_assembly_checks_each_fact_once(count_calls):
     build_total_resolution(ext, ctx, q, rep, window=3)
     assert {k: len(v) for k, v in counts.items()} == {
         "total_exactness": 1, "is_isomorphic": 1, "ext_dim": 0}
+
+
+# -- the quadruple terms reuse the tensors of the C3 checks -------------------
+
+CATALOG = [triangular_context, two_cycle_context, glued_psi_context,
+           arrow_ideal_context]
+
+
+def _t_plus_p2(make, F):
+    ext, ctx = make(F)
+    q = direct_sum_quadruples(
+        [t_lambda(ext, ctx, regular_module(ext.Lam)), _p2(ctx)], name="T+P2")
+    rep = check_conditions(ext, ctx, q)
+    assert rep.passed
+    return ext, ctx, q, rep
+
+
+@FIELDS
+@pytest.mark.parametrize("make", CATALOG, ids=lambda m: m.__name__)
+def test_t_window_matches_quadruples_built_fresh(F, make):
+    ext, ctx, q, rep = _t_plus_p2(make, F)
+    asm = build_total_resolution(ext, ctx, q, rep, window=3)
+    mr = engine._ring_of(ctx)
+    for i in range(asm.tcx.lo, asm.tcx.hi + 1):
+        fresh = direct_sum_quadruples([t_lambda(ext, ctx, asm.pcx.term(i)),
+                                       t_b(ctx, asm.qcx.term(i))])
+        kept = asm.t_quads[i - asm.tcx.lo]
+        for part in ("x", "y"):
+            assert getattr(kept, part).acts == getattr(fresh, part).acts
+        assert kept.f.mat == fresh.f.mat and kept.g.mat == fresh.g.mat
+        assert asm.tcx.term(i).acts == quadruple_to_module(mr, fresh).acts
+
+
+@FIELDS
+@pytest.mark.parametrize("make", CATALOG, ids=lambda m: m.__name__)
+def test_assembly_tensors_each_pair_once(F, make, count_calls):
+    # a (bimodule, module) pair is tensored once per assembly: T_Lam(P^i)
+    # takes I (x) P^i and M (x) P^i from the C3 checks
+    ext, ctx, q, rep = _t_plus_p2(make, F)
+    calls = count_calls(bimodules.tensor_module)
+    build_total_resolution(ext, ctx, q, rep, window=3)
+    pairs = []
+    for bim, x, *_ in calls:
+        assert not any(x is x2 and bim == bim2 for bim2, x2 in pairs), \
+            f"{bim!r} (x) {x.name} twice"
+        pairs.append((bim, x))

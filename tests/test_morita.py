@@ -13,25 +13,24 @@ from gpmorita import morita
 from gpmorita.algebra import opposite_algebra, validate_algebra
 from gpmorita.bimodules import BalancedMap
 from gpmorita.catalog import (
-    arrow_ideal_context, field_algebra, glued_psi_context, path_a2,
-    random_module, triangular_context, truncated_poly, two_cycle_context,
-    two_cycle_rad_square, wide_psi_context,
+    arrow_ideal_context, glued_psi_context, path_a2, random_module,
+    triangular_context, two_cycle_context, wide_psi_context,
 )
 from gpmorita.fields import GF, QQ
-from gpmorita.linalg import Mat, rank
+from gpmorita.linalg import Mat
 from gpmorita.modules import (
     ModuleHom, cokernel_of, hom_dim, hom_space, is_isomorphic, kernel_of,
     regular_module, validate_module,
 )
 from gpmorita.morita import (
     ContextError, build_ring, classify_injectives, classify_projectives,
-    MoritaContext, direct_sum_quadruples, h_a, h_b, make_quadruple,
-    module_to_quadruple, opposite_context, opposite_ring, p_a, p_b, q_a, q_b,
-    quadruple_to_module, regular_quadruple, regular_right_quadruples,
-    swap_context, t_a, t_b, tensor_over_ring, tensor_over_ring_oracle,
-    validate_context, validate_quadruple, z_a, z_b, zero_quadruple,
+    MoritaContext, direct_sum_quadruples, h_a, h_b, module_to_quadruple,
+    opposite_context, opposite_ring, p_a, p_b, q_a, quadruple_to_module,
+    regular_quadruple, regular_right_quadruples, swap_context, t_a, t_b,
+    tensor_over_ring, tensor_over_ring_oracle, validate_context,
+    validate_quadruple, z_a,
 )
-from gpmorita.homology import is_projective
+from gpmorita.homology import is_projective, simple_modules
 from gpmorita.jsonio import load_problem
 from gpmorita.trivext import t_lambda
 
@@ -236,6 +235,30 @@ def test_p_q_functors():
     assert ker.dim == 0                   # g is an isomorphism for T_B
     xq, _ = q_a(p2)
     assert xq.dim == p2.x.dim             # I = 0 here
+
+
+@pytest.mark.parametrize("F", [QQ(), GF(7)], ids=["Q", "GF7"])
+def test_p_a_is_right_adjoint_to_z_a(F):
+    # a ring map Z_A(W) -> q is an A-map W -> X killed by the mate of f,
+    # that is an A-map W -> P_A(q), for every W with I.W = 0
+    nonzero = 0
+    for make in (triangular_context, two_cycle_context, glued_psi_context,
+                 arrow_ideal_context):
+        ext, ctx = make(F)
+        mr = build_ring(ctx)
+        ws = [ext.inflate(w) for w in
+              [regular_module(ext.Lam)] + simple_modules(ext.Lam)]
+        qs = [t_a(ctx, regular_module(ctx.A)), t_b(ctx, regular_module(ctx.B)),
+              t_lambda(ext, ctx, regular_module(ext.Lam)),
+              h_a(ctx, regular_module(ctx.A)), regular_quadruple(mr),
+              z_a(ctx, ws[0])]
+        for w in ws:
+            zw = quadruple_to_module(mr, z_a(ctx, w))
+            for q in qs:
+                dim = hom_dim(zw, quadruple_to_module(mr, q))
+                assert dim == hom_dim(w, p_a(q)[0]), (make.__name__, q.name)
+                nonzero += dim > 0
+    assert nonzero
 
 
 def test_quadruple_kernel_cokernel_commute_with_equivalence():

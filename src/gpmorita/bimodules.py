@@ -213,9 +213,13 @@ class TensorSpace:
 
 def balanced_tensor_space(u_op: FDModule, x: FDModule) -> TensorSpace:
     """Tensor over A of a right module (as a module over A^op) and a left
-    module; returns the quotient of the k-tensor space."""
+    module; returns the quotient of the k-tensor space, or with a zero
+    factor the zero space, built with no relation system."""
     if opposite_algebra(u_op.algebra) is not x.algebra:
         raise BimoduleError("balanced tensor: algebra mismatch")
+    if u_op.dim == 0 or x.dim == 0:
+        zero = Mat.zeros(x.algebra.field, 0, 0)
+        return TensorSpace(0, zero, zero)
     # right action of a on u is u @ u_op.acts[a]
     proj, sec = quotient_maps(intertwining_system(
         x.algebra.field, u_op.dim, x.dim, u_op.acts, x.acts))

@@ -1,14 +1,18 @@
-"""Bounded windows of cochain complexes, exactness and total exactness,
-and the two-sided horseshoe construction for exact complexes.
+"""Bounded windows of cochain complexes, their Hom and tensor complexes
+and the homology of all three, total exactness, and the two-sided
+horseshoe construction for exact complexes.
 
 A window holds terms X^i for lo <= i <= hi and differentials
 d^i : X^i -> X^{i+1} for lo <= i < hi.  Maps compose left to right, so
-d^i then d^{i+1} is d^i.mat @ d^{i+1}.mat.
+d^i then d^{i+1} is d^i.mat @ d^{i+1}.mat.  A window, its Hom complex
+and its tensor complex are each read as (dims, maps), maps[j] joining the
+terms j and j + 1, and homology_at is the one homology count over them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .bimodules import balanced_tensor_space
 from .linalg import (
     Mat, coordinates, intertwining_system, rank, solve, solve_left,
 )
@@ -82,52 +86,76 @@ def validate_complex(c: ComplexWindow) -> list[str]:
     return out
 
 
+def homology_at(dims: list[int], maps: list[Mat], k: int) -> int:
+    """The homology at term k of a complex of dims with maps[j] joining terms
+    j and j + 1: the count holds whichever way the maps run."""
+    return dims[k] - rank(maps[k - 1]) - rank(maps[k])
+
+
+def _first_inexact(c: ComplexWindow, data, lo: int | None = None) -> int | None:
+    """The first degree i in [lo, c.hi - 1] (lo defaults to c.lo + 1) where
+    the complex data = (dims, maps) over the degrees of c is not exact."""
+    dims, maps = data
+    return next((i for i in range(c.lo + 1 if lo is None else lo, c.hi)
+                 if homology_at(dims, maps, i - c.lo)), None)
+
+
 def homology_dim(c: ComplexWindow, i: int) -> int:
     """dim ker(d^i) - rank(d^{i-1}); needs lo < i < hi."""
     if not c.lo < i < c.hi:
         raise ComplexError(f"homology at {i} needs interior degree of "
                            f"[{c.lo}, {c.hi}]")
-    ker = c.term(i).dim - rank(c.diff(i).mat)
-    return ker - rank(c.diff(i - 1).mat)
+    return homology_at([t.dim for t in c.terms], [d.mat for d in c.diffs],
+                       i - c.lo)
 
 
 def is_exact(c: ComplexWindow) -> bool:
-    return all(homology_dim(c, i) == 0 for i in range(c.lo + 1, c.hi))
+    return _first_inexact(
+        c, ([t.dim for t in c.terms], [d.mat for d in c.diffs])) is None
 
 
 def hom_complex_data(c: ComplexWindow, y: FDModule):
     """The complex Hom(X^., y): dims per degree and the maps induced by
     precomposition with the differentials (degree-reversing)."""
     F = y.algebra.field
-    bases = [hom_space(c.term(i), y) for i in range(c.lo, c.hi + 1)]
+    bases = [hom_space(t, y) for t in c.terms]
     maps = []
-    for i in range(c.lo, c.hi):
-        src = bases[i - c.lo + 1]       # Hom(X^{i+1}, y)
-        dst = bases[i - c.lo]           # Hom(X^i, y)
+    # Hom(X^{i+1}, y) -> Hom(X^i, y), h |-> d^i h
+    for src, dst, d in zip(bases[1:], bases, c.diffs):
         if not src or not dst:
             maps.append(Mat.zeros(F, len(src), len(dst)))
             continue
-        d = c.diff(i).mat
         m = coordinates(Mat.vstack([h.mat.flatten() for h in dst]),
-                        Mat.vstack([(d @ h.mat).flatten() for h in src]))
+                        Mat.vstack([(d.mat @ h.mat).flatten() for h in src]))
         if m is None:
             raise ComplexError("hom complex map failed to express")
         maps.append(m)
     return [len(b) for b in bases], maps
 
 
+def tensor_complex_data(u_op: FDModule, c: ComplexWindow):
+    """The complex U (x)_A X^. for a right module U, given as a module over
+    the opposite algebra: dims per degree and the maps 1 (x) d^i
+    (degree-preserving)."""
+    F = u_op.algebra.field
+    spaces = [balanced_tensor_space(u_op, t) for t in c.terms]
+    eye = Mat.identity(F, u_op.dim)
+    maps = [s.section @ eye.kron(d.mat) @ t.proj if s.dim and t.dim
+            else Mat.zeros(F, s.dim, t.dim)
+            for s, t, d in zip(spaces, spaces[1:], c.diffs)]
+    return [s.dim for s in spaces], maps
+
+
 def hom_exactness_failure(c: ComplexWindow, y: FDModule,
                           lo: int | None = None) -> int | None:
     """The first degree i in [lo, c.hi - 1] (lo defaults to c.lo + 1) where
     Hom(X^., y) is not exact, or None."""
-    dims, maps = hom_complex_data(c, y)
-    for i in range(c.lo + 1 if lo is None else lo, c.hi):
-        # exactness of ... -> Hom(X^{i+1}) -> Hom(X^i) -> Hom(X^{i-1}) -> ...
-        into = maps[i - c.lo]           # Hom(X^{i+1}) -> Hom(X^i)
-        out_of = maps[i - 1 - c.lo]     # Hom(X^i) -> Hom(X^{i-1})
-        if dims[i - c.lo] - rank(out_of) != rank(into):
-            return i
-    return None
+    return _first_inexact(c, hom_complex_data(c, y), lo)
+
+
+def tensor_exactness_failure(c: ComplexWindow, u_op: FDModule) -> int | None:
+    """The first interior degree where U (x)_A X^. is not exact, or None."""
+    return _first_inexact(c, tensor_complex_data(u_op, c))
 
 
 def total_exactness(c: ComplexWindow, seed: int = 0) -> bool:
@@ -136,9 +164,7 @@ def total_exactness(c: ComplexWindow, seed: int = 0) -> bool:
     for i in range(c.lo, c.hi + 1):
         if not is_projective(c.term(i), seed):
             raise ComplexError(f"term {i} is not projective")
-    if not is_exact(c):
-        return False
-    return hom_exactness_failure(c, regular_module(c.algebra)) is None
+    return is_exact(c) and hom_exactness_failure(c, regular_module(c.algebra)) is None
 
 
 # -- module-hom solving with side conditions ---------------------------------

@@ -25,11 +25,11 @@ from .bimodules import (
 )
 from .complexes import (
     ComplexWindow, HorseshoeError, HorseshoeResult, ShortExactSequence,
-    hom_exactness_failure, horseshoe, is_exact, total_exactness, twisted_diff,
-    validate_complex,
+    hom_exactness_failure, horseshoe, is_exact, tensor_exactness_failure,
+    total_exactness, twisted_diff, validate_complex,
 )
 from .gpcert import GPCertificate, certify_gorenstein_projective
-from .homology import injective_dimension, projective_dimension
+from .homology import injective_dimension, projective_dimension, tor_dim
 from .linalg import Mat, factor_through, rank, solve
 from .modules import (
     FDModule, ModuleError, ModuleHom, cokernel_of, hom_space, image_of,
@@ -433,11 +433,10 @@ def check_compat(bim: Bimodule, left_tests: list[ComplexWindow] | None = None,
     """
     left_tests = left_tests or []
     right_tests = right_tests or []
-    zero = bim.dim == 0
     left_mod = bim.as_left_module()
     right_mod = bim.as_right_module()
-    d_left = 0 if zero else injective_dimension(left_mod, bound, seed)
-    d_right = 0 if zero else injective_dimension(right_mod, bound, seed)
+    d_left = injective_dimension(left_mod, bound, seed)
+    d_right = injective_dimension(right_mod, bound, seed)
     if d_left is not None and d_right is not None:
         return CompatVerdict("weakly_compatible", "finite_injective_dimension",
                              True, inj_dims=(d_left, d_right))
@@ -445,13 +444,12 @@ def check_compat(bim: Bimodule, left_tests: list[ComplexWindow] | None = None,
         _require_total(wc, seed)
         for i in range(wc.lo, wc.hi):
             ker, _ = kernel_of(wc.diff(i))
-            from .homology import tor_dim
             if tor_dim(right_mod, ker, 1, seed) != 0:
                 return CompatVerdict(
                     "not_compatible", "tor_witness", True,
                     witness={"test": k, "degree": i, "tor": 1},
                     tests_used=len(left_tests) + len(right_tests))
-        if not _tensor_exact(right_mod, wc):
+        if tensor_exactness_failure(wc, right_mod) is not None:
             return CompatVerdict(
                 "not_compatible", "tensor_witness", True,
                 witness={"test": k, "side": "right"},
@@ -477,14 +475,13 @@ def recheck_compat_witness(bim: Bimodule, wc: ComplexWindow, reason: str,
     if not total_exactness(wc, seed=seed):
         return False
     if reason == "tor_witness":
-        from .homology import tor_dim
         ker, _ = kernel_of(wc.diff(witness["degree"]))
         return tor_dim(bim.as_right_module(), ker, 1, seed) != 0
     if reason == "tensor_witness":
-        return not _tensor_exact(bim.as_right_module(), wc)
+        return tensor_exactness_failure(wc, bim.as_right_module()) is not None
     if reason == "hom_witness":
         deg = hom_exactness_failure(wc, bim.as_left_module())
-        return deg == witness.get("degree")
+        return deg is not None and deg == witness.get("degree")
     return False
 
 
@@ -502,25 +499,6 @@ def compose_compat(xy: CompatVerdict, yz: CompatVerdict) -> CompatVerdict:
 def _require_total(wc: ComplexWindow, seed: int):
     if not total_exactness(wc, seed=seed):
         raise EngineError("test complex is not totally exact")
-
-
-def _tensor_exact(u_op: FDModule, wc: ComplexWindow) -> bool:
-    spaces = [balanced_tensor_space(u_op, wc.term(i))
-              for i in range(wc.lo, wc.hi + 1)]
-    F = u_op.algebra.field
-    eye = Mat.identity(F, u_op.dim)
-    mats = []
-    for i in range(wc.lo, wc.hi):
-        s, t = spaces[i - wc.lo], spaces[i - wc.lo + 1]
-        if s.dim == 0 or t.dim == 0:
-            mats.append(Mat.zeros(F, s.dim, t.dim))
-        else:
-            mats.append(s.section @ eye.kron(wc.diff(i).mat) @ t.proj)
-    for i in range(wc.lo + 1, wc.hi):
-        ker = spaces[i - wc.lo].dim - rank(mats[i - wc.lo])
-        if ker != rank(mats[i - wc.lo - 1]):
-            return False
-    return True
 
 
 # -- semi-weak compatibility of the special one-column modules -----------------
@@ -650,7 +628,7 @@ def check_semi_weak_quadruple(ext: TrivialExtension, ctx: MoritaContext,
                                        tests_used=used)
         else:
             _reduction_cross_check_right(zq, quads, pcx, w)
-            if not _tensor_exact(w, pcx):
+            if tensor_exactness_failure(pcx, w) is not None:
                 return SemiWeakVerdict(side, which, "refuted",
                                        "tensor_complex_not_exact",
                                        witness={"test": k},

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from .algebra import opposite_algebra
 from .complexes import ComplexWindow, hom_exactness_failure, total_exactness
 from .homology import (
-    Resolution, ext_dim, global_dimension, is_projective, is_self_injective,
-    minimal_resolution, projective_cover,
+    Resolution, first_nonzero_ext, global_dimension, is_projective,
+    is_self_injective, minimal_resolution, projective_cover,
 )
 from .linalg import Mat, left_kernel, linear_combination, rank
 from .modules import (
@@ -332,14 +332,13 @@ def certify_gorenstein_projective(x: FDModule, window: int = 6,
     gl = global_dimension(a, window, seed)
     if gl is not None:
         res = minimal_resolution(x, gl + 1, seed)
-        reg = regular_module(a)
-        for i in range(1, gl + 1):
-            if ext_dim(x, reg, i, seed, res=res) != 0:
-                return GPCertificate(
-                    "not_gp", x,
-                    witness=NotGPWitness("non_vanishing_ext", i, resolution=res))
-        raise CertifyError(
-            "finite global dimension, not projective, but no Ext witness")
+        i = first_nonzero_ext(res, regular_module(a))
+        if i is None:
+            raise CertifyError(
+                "finite global dimension, not projective, but no Ext witness")
+        return GPCertificate(
+            "not_gp", x,
+            witness=NotGPWitness("non_vanishing_ext", i, resolution=res))
     self_inj = is_self_injective(a, seed)
     core, projs, overall = strip_projective_summands(x, seed)
     core_is_x = not projs
@@ -367,11 +366,11 @@ def certify_gorenstein_projective(x: FDModule, window: int = 6,
 
     res = minimal_resolution(x, window + 1, seed)
     reg = regular_module(a)
-    for i in range(1, window + 1):
-        if ext_dim(x, reg, i, seed, res=res) != 0:
-            return GPCertificate(
-                "not_gp", x,
-                witness=NotGPWitness("non_vanishing_ext", i, resolution=res))
+    i = first_nonzero_ext(res, reg)
+    if i is not None:
+        return GPCertificate(
+            "not_gp", x,
+            witness=NotGPWitness("non_vanishing_ext", i, resolution=res))
     steps_x, tail_x = _right_tail(x, window, seed, dim_budget, use_dual=False)
     if steps_x is None:
         return GPCertificate("not_gp", x, witness=tail_x)

@@ -9,9 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Algebra, opposite_algebra, radical_basis
-from .bimodules import TensorSpace, balanced_tensor_space
+from .bimodules import balanced_tensor_space
 from .idempotents import indecomposable_projectives
-from .linalg import Mat, in_row_space, left_kernel, rank, row_space, solve_left
+from .linalg import Mat, in_row_space, left_kernel, row_space, solve_left
 from .modules import (
     FDModule, ModuleError, ModuleHom, direct_sum, dual_module, hom_dim,
     kernel_of, quotient_by_rows, regular_module, zero_hom, zero_module,
@@ -133,6 +133,12 @@ class Resolution:
     syzygies: list[FDModule]     # ker(aug), ker(d_1), ...
     finished: bool               # resolution terminated within the window
 
+    def window(self):
+        """P_n -> ... -> P_0 as a window, P_j in degree -j (index n - j)."""
+        from .complexes import ComplexWindow
+        n = len(self.maps)
+        return ComplexWindow(-n, 0, self.terms[::-1], self.maps[::-1])
+
 
 def minimal_resolution(x: FDModule, length: int, seed: int = 0) -> Resolution:
     terms: list[FDModule] = []
@@ -170,48 +176,32 @@ def projective_dimension(x: FDModule, bound: int, seed: int = 0) -> int | None:
     return None
 
 
-def ext_dim(x: FDModule, y: FDModule, i: int, seed: int = 0,
-            res: Resolution | None = None) -> int:
+def ext_dim(x: FDModule, y: FDModule, i: int, seed: int = 0) -> int:
     """dim Ext^i(x, y) from a minimal projective resolution of x."""
-    from .complexes import ComplexWindow, hom_complex_data
+    from .complexes import hom_complex_data, homology_at
     if i == 0:
         return hom_dim(x, y)
-    if x.dim == 0 or y.dim == 0:
-        return 0
-    res = res or minimal_resolution(x, i + 1, seed)
-    # the window P_n -> ... -> P_0 holds P_i in degree -i; Ext^i is the
-    # homology of Hom(P_., y) there
+    res = minimal_resolution(x, i + 1, seed)
+    return homology_at(*hom_complex_data(res.window(), y), len(res.maps) - i)
+
+
+def first_nonzero_ext(res: Resolution, y: FDModule) -> int | None:
+    """The least i in [1, len(res.maps)) with Ext^i(res.module, y) != 0, or
+    None, read off one Hom complex of the resolution."""
+    from .complexes import hom_complex_data, homology_at
+    dims, maps = hom_complex_data(res.window(), y)
     n = len(res.maps)
-    dims, maps = hom_complex_data(
-        ComplexWindow(-n, 0, res.terms[::-1], res.maps[::-1]), y)
-    ker_dim = dims[n - i] - rank(maps[n - i - 1])
-    return ker_dim - rank(maps[n - i])
+    return next((i for i in range(1, n) if homology_at(dims, maps, n - i)), None)
 
 
-def tor_dim(u_op: FDModule, x: FDModule, i: int, seed: int = 0,
-            res: Resolution | None = None) -> int:
+def tor_dim(u_op: FDModule, x: FDModule, i: int, seed: int = 0) -> int:
     """dim Tor_i(U, x) for a right module U given over the opposite algebra."""
+    from .complexes import homology_at, tensor_complex_data
     if i == 0:
         return balanced_tensor_space(u_op, x).dim
-    if x.dim == 0 or u_op.dim == 0:
-        return 0
-    res = res or minimal_resolution(x, i + 1, seed)
-    spaces = [balanced_tensor_space(u_op, P) if P.dim else
-              TensorSpace(0, Mat.zeros(x.algebra.field, 0, 0),
-                          Mat.zeros(x.algebra.field, 0, 0))
-              for P in res.terms]
-    eye_u = Mat.identity(x.algebra.field, u_op.dim)
-
-    def t_map(j: int) -> Mat:
-        # U (x) P_{j+1} -> U (x) P_j
-        if spaces[j + 1].dim == 0 or spaces[j].dim == 0:
-            return Mat.zeros(x.algebra.field, spaces[j + 1].dim, spaces[j].dim)
-        return spaces[j + 1].section @ eye_u.kron(res.maps[j].mat) @ spaces[j].proj
-
-    ti = t_map(i - 1)       # U(x)P_i -> U(x)P_{i-1}
-    tip = t_map(i)          # U(x)P_{i+1} -> U(x)P_i
-    ker_dim = spaces[i].dim - rank(ti)
-    return ker_dim - rank(tip)
+    res = minimal_resolution(x, i + 1, seed)
+    return homology_at(*tensor_complex_data(u_op, res.window()),
+                       len(res.maps) - i)
 
 
 def injective_dimension(x: FDModule, bound: int, seed: int = 0) -> int | None:

@@ -333,9 +333,14 @@ def make_quadruple(ctx: MoritaContext, x: FDModule, y: FDModule,
 
 def swap_quadruple(q: QuadrupleModule, name: str | None = None) -> QuadrupleModule:
     """The quadruple over the swapped context: (X, Y, f, g) -> (Y, X, g, f).
-    Only relabels; nothing is solved again."""
-    return QuadrupleModule(swap_context(q.ctx), q.y, q.x, q.g, q.f, q.ny, q.mx,
-                           name=q.name if name is None else name)
+    Only relabels; nothing is solved again.  The quadruple axioms are
+    symmetric under the swap, so a stored verdict of no violations is
+    carried over; a list of violations is not, as its messages name sides."""
+    sw = QuadrupleModule(swap_context(q.ctx), q.y, q.x, q.g, q.f, q.ny, q.mx,
+                         name=q.name if name is None else name)
+    if q._cache.get("violations") == []:
+        sw._cache["violations"] = []
+    return sw
 
 
 def psi_action_full(ctx: MoritaContext, x: FDModule) -> Mat:

@@ -20,9 +20,9 @@ from .engine import (
     CompatVerdict, EngineError, build_total_resolution, check_conditions,
 )
 from .linalg import Mat, coordinates, rank
-from . import morita
 from .morita import (
     MoritaContext, MoritaRing, QuadrupleModule, build_ring, swap_context,
+    swap_quadruple,
 )
 from .trivext import TrivialExtension, trivial_extension
 
@@ -241,15 +241,6 @@ def iso_with_morita(pres: NcMoritaPresentation) -> Mat:
     return Mat.identity(nc.ring.field, nc.ring.dim)
 
 
-def swap_quadruple(pres: NcMoritaPresentation, q: QuadrupleModule,
-                   name: str = "") -> QuadrupleModule:
-    """Transport a module over the (phi', 0) presentation through the
-    corner-swap isomorphism: (X, Y, f, g) |-> (Y, X, g, f)."""
-    if q.ctx is not pres.ctx2:
-        raise NcTensorError("quadruple lives over the wrong context")
-    return morita.swap_quadruple(q, name or f"swap({q.name})")
-
-
 def corollary_criterion(pres: NcMoritaPresentation, q: QuadrupleModule,
                         compat: dict[str, CompatVerdict] | None = None,
                         window: int = 6, period_bound: int = 12, seed: int = 0,
@@ -265,7 +256,9 @@ def corollary_criterion(pres: NcMoritaPresentation, q: QuadrupleModule,
             raise EngineError(f"missing compatibility verdict for {key}")
         if v.kind != "weakly_compatible":
             raise EngineError(f"bimodule {key} lacks weak compatibility: {v.kind}")
-    q_sw = swap_quadruple(pres, q)
+    if q.ctx is not pres.ctx2:
+        raise NcTensorError("quadruple lives over the wrong context")
+    q_sw = swap_quadruple(q, f"swap({q.name})")
     rep = check_conditions(pres.swapped_ext, pres.swapped_ctx, q_sw,
                            window, period_bound, seed)
     asm = None

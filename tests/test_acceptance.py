@@ -43,7 +43,7 @@ from gpmorita.morita import (
 )
 from gpmorita.nctensor import (
     build_exact_context, build_nc_tensor, corollary_criterion, iso_with_morita,
-    nc_morita_presentation, swap_quadruple,
+    nc_morita_presentation,
 )
 from gpmorita.trivext import column_hom_iso, t_lambda
 from gpmorita.verify import (

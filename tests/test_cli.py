@@ -243,6 +243,55 @@ def test_verify_report_checks_compat_witness(tmp_path, capsys):
     assert code == 0
 
 
+def test_check_compat_hom_witness_round_trips(tmp_path, capsys):
+    # Hom(S_window, S) is not exact at degree -2; verify-report recomputes
+    # that degree, so a report naming another one, or none, fails
+    code, out = run(capsys, "check-compat", fx("dual_numbers.json"),
+                    "--bimodule", "S_bim", "--left-tests", "S_window",
+                    "--json")
+    assert code == 1
+    rep = json.loads(out)
+    assert (rep["reason"], rep["proof_grade"]) == ("hom_witness", True)
+    assert rep["witness"] == {"degree": -2, "side": "left", "test": 0,
+                              "test_name": "S_window"}
+    rep_path = tmp_path / "compat.json"
+    rep_path.write_text(out)
+    assert run(capsys, "verify-report", fx("dual_numbers.json"), "--report",
+               str(rep_path))[0] == 0
+    for degree in (-1, 0, None):
+        rep["witness"]["degree"] = degree
+        rep_path.write_text(json.dumps(rep))
+        code, out = run(capsys, "verify-report", fx("dual_numbers.json"),
+                        "--report", str(rep_path), "--json")
+        assert code == 1
+        assert json.loads(out)["problems"] == ["compat witness does not re-verify"]
+
+
+def test_verify_report_rejects_a_hom_witness_on_an_exact_hom_complex(
+        tmp_path, capsys):
+    # the regular bimodule of k[x]/(x^2) has injective dimension 0, so
+    # Hom(S_window, A) is exact; a refutation naming no degree must fail
+    doc = json.load(open(fx("dual_numbers.json")))
+    mul = doc["algebras"]["A2"]["mul"]
+    acts = [{"rows": 2, "cols": 2, "entries": [e for row in mul[t] for e in row]}
+            for t in range(2)]
+    doc["bimodules"]["R_bim"] = {"left": "A2", "right": "A2", "dim": 2,
+                                 "left_acts": acts, "right_acts": acts}
+    problem = tmp_path / "dual_numbers_r.json"
+    problem.write_text(json.dumps(doc))
+    code, out = run(capsys, "check-compat", str(problem), "--bimodule", "R_bim",
+                    "--left-tests", "S_window", "--json")
+    assert (code, json.loads(out)["reason"]) == (0, "finite_injective_dimension")
+    forged = {"command": "check-compat", "bimodule": "R_bim",
+              "verdict": "not_compatible", "reason": "hom_witness",
+              "proof_grade": True, "schema": "gpmorita-v1",
+              "witness": {"side": "left", "test": 0, "test_name": "S_window"}}
+    rep_path = tmp_path / "forged.json"
+    rep_path.write_text(json.dumps(forged))
+    assert run(capsys, "verify-report", str(problem), "--report",
+               str(rep_path))[0] == 1
+
+
 def test_verify_report_on_certificates(tmp_path, capsys):
     code, out = run(capsys, "certify-gp", fx("dual_numbers.json"), "--module",
                     "R", "--json")

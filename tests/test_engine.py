@@ -421,10 +421,11 @@ def test_assembly_checks_each_fact_once(count_calls):
     rep = check_conditions(ext, ctx, q)
     counts = {fn.__name__: count_calls(fn)
               for fn in (complexes.total_exactness, modules.is_isomorphic,
-                         homology.ext_dim)}
+                         homology.ext_dim, homology.first_nonzero_ext)}
     build_total_resolution(ext, ctx, q, rep, window=3)
     assert {k: len(v) for k, v in counts.items()} == {
-        "total_exactness": 1, "is_isomorphic": 1, "ext_dim": 0}
+        "total_exactness": 1, "is_isomorphic": 1, "ext_dim": 0,
+        "first_nonzero_ext": 0}
 
 
 # -- the quadruple terms reuse the tensors of the C3 checks -------------------

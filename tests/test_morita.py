@@ -26,8 +26,8 @@ from gpmorita.morita import (
     ContextError, build_ring, classify_injectives, classify_projectives,
     MoritaContext, direct_sum_quadruples, h_a, h_b, module_to_quadruple,
     opposite_context, opposite_ring, p_a, p_b, q_a, quadruple_to_module,
-    regular_quadruple, regular_right_quadruples, swap_context, t_a, t_b,
-    tensor_over_ring, tensor_over_ring_oracle, validate_context,
+    regular_quadruple, regular_right_quadruples, swap_context, swap_quadruple,
+    t_a, t_b, tensor_over_ring, tensor_over_ring_oracle, validate_context,
     validate_quadruple, z_a,
 )
 from gpmorita.homology import is_projective, simple_modules
@@ -440,6 +440,39 @@ def test_validate_quadruple_runs_the_squares_once_per_quadruple(monkeypatch):
           "--extension", "ext", "--context", "ctx", "--quadruple", "S2"])
     assert seen.count("S2") == 1
     assert len(seen) == len(set(seen))
+
+
+def test_nc_tensor_check_validates_the_quadruple_once(monkeypatch):
+    # the swap of a valid quadruple carries its empty verdict, so the
+    # mirrored criterion does not run the squares on swap(PB) again
+    from gpmorita.cli import main
+    seen = []
+    inner = morita._quadruple_violations
+
+    def counted(q):
+        seen.append(q.name)
+        return inner(q)
+
+    monkeypatch.setattr(morita, "_quadruple_violations", counted)
+    main(["nc-tensor", "check", os.path.join(FIXTURES, "nc_phi.json"),
+          "--context", "ctx", "--extension", "extB", "--quadruple", "PB"])
+    assert seen.count("PB") == 1
+    assert "swap(PB)" not in seen
+
+
+def test_the_swap_carries_no_list_of_violations():
+    # the messages of a violated verdict name sides, so the swap of an
+    # invalid quadruple is validated afresh, under the swapped labels
+    _, ctx = glued_psi_context(QQ())
+    q = t_a(ctx, regular_module(ctx.A))
+    F = ctx.A.field
+    bad = replace(q, f=ModuleHom(q.f.source, q.f.target,
+                                 q.f.mat.scale(F.of_int(2))))
+    assert validate_quadruple(bad) == ["first compatibility square fails"]
+    assert validate_quadruple(swap_quadruple(bad)) == [
+        "second compatibility square fails"]
+    assert validate_quadruple(q) == []
+    assert swap_quadruple(q)._cache == {"violations": []}
 
 
 def test_a_replaced_quadruple_is_validated_afresh():

@@ -16,7 +16,7 @@ from gpmorita.modules import regular_module, zero_module
 from gpmorita.morita import build_ring, module_to_quadruple, t_a, t_b, z_b
 from gpmorita.nctensor import (
     NcTensorError, build_exact_context, build_nc_tensor, corollary_criterion,
-    iso_with_morita, nc_morita_presentation, swap_quadruple,
+    iso_with_morita, nc_morita_presentation,
 )
 
 
@@ -116,6 +116,14 @@ def test_corollary_projectives_pass():
     q2 = t_a(pres.ctx2, regular_module(pres.ctx2.A), name="P1")
     rep2, _ = corollary_criterion(pres, q2)
     assert rep2.passed
+
+
+def test_corollary_refuses_a_quadruple_over_another_context():
+    _, ctx = two_cycle_context(QQ())
+    pres = nc_morita_presentation(build_nc_tensor(ctx))
+    q = t_b(pres.swapped_ctx, regular_module(pres.swapped_ctx.B), name="P")
+    with pytest.raises(NcTensorError, match="wrong context"):
+        corollary_criterion(pres, q)
 
 
 def test_corollary_failing_module():

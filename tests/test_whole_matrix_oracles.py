@@ -56,6 +56,16 @@ bypass are kept below as oracles, over Q, GF(7) and GF(5), on zero and
 nonzero bimodules and modules (the simples and random modules with one
 cut, so that non-projectives occur) and on seeded random matrices:
 echelon, near-echelon, with no rows and with no columns.
+
+Hom(-, y) and U (x) - of a window are `hom_complex_data` and
+`tensor_complex_data`, and `homology_at` is the one homology count over
+them.  The code they replaced (`ext_dim` and `tor_dim` with their own
+complexes, the engine's tensor exactness, `hom_exactness_failure`, the
+balanced tensor space with no zero short cut and the certifier's
+per-degree Ext loop) is kept below as an oracle, over Q, GF(7) and GF(5),
+on catalog algebras and their opposites, on simples, random cyclic
+modules with one cut and zero modules, and on certificate and resolution
+windows.
 """
 from __future__ import annotations
 
@@ -70,7 +80,7 @@ from gpmorita.algebra import (
     UnsupportedField, opposite_algebra, radical_basis, trace_form,
 )
 from gpmorita.bimodules import (
-    Bimodule, BimoduleError, TensorModule, balanced_tensor_space,
+    Bimodule, BimoduleError, TensorModule, TensorSpace, balanced_tensor_space,
     bimodule_tensor, hom_module, opposite_bimodule, regular_bimodule,
     restrict_left, tensor_functor_hom, tensor_module, zero_bimodule,
 )
@@ -80,14 +90,18 @@ from gpmorita.catalog import (
     simple_at_idempotent, simple_kx2, triangular_context, truncated_poly,
     two_cycle_context, two_cycle_rad_square, wide_psi_context,
 )
-from gpmorita.complexes import ComplexWindow, hom_complex_data
+from gpmorita.complexes import (
+    ComplexWindow, hom_complex_data, hom_exactness_failure,
+    tensor_exactness_failure,
+)
 from gpmorita.engine import (
     _sigma0, _tensor_window, build_total_resolution, check_conditions,
 )
 from gpmorita.fields import GF, QQ, Field
+from gpmorita.gpcert import certify_gorenstein_projective
 from gpmorita.homology import (
-    _block_reps, minimal_resolution, projective_cover, radical_rows_of_module,
-    simple_modules, top_of,
+    _block_reps, ext_dim, first_nonzero_ext, minimal_resolution,
+    projective_cover, radical_rows_of_module, simple_modules, top_of, tor_dim,
 )
 from gpmorita.linalg import (
     Mat, coordinates, factor_through, in_row_space, intertwining_system,
@@ -95,9 +109,9 @@ from gpmorita.linalg import (
     row_space, rref, solve, solve_left,
 )
 from gpmorita.modules import (
-    FDModule, ModuleError, ModuleHom, cokernel_of, direct_sum, hom_space,
-    kernel_of, quotient_by_rows, regular_module, submodule_from_rows, zero_hom,
-    zero_module,
+    FDModule, ModuleError, ModuleHom, cokernel_of, direct_sum, hom_dim,
+    hom_space, kernel_of, quotient_by_rows, regular_module, submodule_from_rows,
+    zero_hom, zero_module,
 )
 from gpmorita.morita import (
     ContextError, MoritaContext, MoritaRing, QuadrupleModule,
@@ -1310,3 +1324,201 @@ def test_a_repeating_window_tensors_each_term_instance_once(count_calls):
     assert [t.module for t in tens] == cx.terms
     for i in range(-2, 2):
         assert cx.diff(i).source is cx.term(i) and cx.diff(i).target is cx.term(i + 1)
+
+
+# -- functors on a window and their homology: the parent code, verbatim --------
+
+
+def _ext_dim(x: FDModule, y: FDModule, i: int, seed: int = 0,
+             res=None) -> int:
+    """dim Ext^i(x, y) from a minimal projective resolution of x."""
+    if i == 0:
+        return hom_dim(x, y)
+    if x.dim == 0 or y.dim == 0:
+        return 0
+    res = res or minimal_resolution(x, i + 1, seed)
+    # the window P_n -> ... -> P_0 holds P_i in degree -i; Ext^i is the
+    # homology of Hom(P_., y) there
+    n = len(res.maps)
+    dims, maps = _hom_complex_data(
+        ComplexWindow(-n, 0, res.terms[::-1], res.maps[::-1]), y)
+    ker_dim = dims[n - i] - rank(maps[n - i - 1])
+    return ker_dim - rank(maps[n - i])
+
+
+def _first_ext_by_loop(x: FDModule, y: FDModule, top: int, seed: int, res):
+    """The certifier's per-degree Ext loop, with the witness degree."""
+    for i in range(1, top + 1):
+        if _ext_dim(x, y, i, seed, res=res) != 0:
+            return i
+    return None
+
+
+def _tor_dim(u_op: FDModule, x: FDModule, i: int, seed: int = 0,
+             res=None) -> int:
+    """dim Tor_i(U, x) for a right module U given over the opposite algebra."""
+    if i == 0:
+        return _balanced_tensor_space(u_op, x).dim
+    if x.dim == 0 or u_op.dim == 0:
+        return 0
+    res = res or minimal_resolution(x, i + 1, seed)
+    spaces = [_balanced_tensor_space(u_op, P) if P.dim else
+              TensorSpace(0, Mat.zeros(x.algebra.field, 0, 0),
+                          Mat.zeros(x.algebra.field, 0, 0))
+              for P in res.terms]
+    eye_u = Mat.identity(x.algebra.field, u_op.dim)
+
+    def t_map(j: int) -> Mat:
+        # U (x) P_{j+1} -> U (x) P_j
+        if spaces[j + 1].dim == 0 or spaces[j].dim == 0:
+            return Mat.zeros(x.algebra.field, spaces[j + 1].dim, spaces[j].dim)
+        return spaces[j + 1].section @ eye_u.kron(res.maps[j].mat) @ spaces[j].proj
+
+    ti = t_map(i - 1)       # U(x)P_i -> U(x)P_{i-1}
+    tip = t_map(i)          # U(x)P_{i+1} -> U(x)P_i
+    ker_dim = spaces[i].dim - rank(ti)
+    return ker_dim - rank(tip)
+
+
+def _tensor_exact(u_op: FDModule, wc: ComplexWindow) -> bool:
+    spaces = [_balanced_tensor_space(u_op, wc.term(i))
+              for i in range(wc.lo, wc.hi + 1)]
+    F = u_op.algebra.field
+    eye = Mat.identity(F, u_op.dim)
+    mats = []
+    for i in range(wc.lo, wc.hi):
+        s, t = spaces[i - wc.lo], spaces[i - wc.lo + 1]
+        if s.dim == 0 or t.dim == 0:
+            mats.append(Mat.zeros(F, s.dim, t.dim))
+        else:
+            mats.append(s.section @ eye.kron(wc.diff(i).mat) @ t.proj)
+    for i in range(wc.lo + 1, wc.hi):
+        ker = spaces[i - wc.lo].dim - rank(mats[i - wc.lo])
+        if ker != rank(mats[i - wc.lo - 1]):
+            return False
+    return True
+
+
+def _hom_exactness_failure(c: ComplexWindow, y: FDModule,
+                           lo: int | None = None) -> int | None:
+    dims, maps = _hom_complex_data(c, y)
+    for i in range(c.lo + 1 if lo is None else lo, c.hi):
+        # exactness of ... -> Hom(X^{i+1}) -> Hom(X^i) -> Hom(X^{i-1}) -> ...
+        into = maps[i - c.lo]           # Hom(X^{i+1}) -> Hom(X^i)
+        out_of = maps[i - 1 - c.lo]     # Hom(X^i) -> Hom(X^{i-1})
+        if dims[i - c.lo] - rank(out_of) != rank(into):
+            return i
+    return None
+
+
+def _balanced_tensor_space(u_op: FDModule, x: FDModule) -> TensorSpace:
+    if opposite_algebra(u_op.algebra) is not x.algebra:
+        raise BimoduleError("balanced tensor: algebra mismatch")
+    # right action of a on u is u @ u_op.acts[a]
+    proj, sec = quotient_maps(intertwining_system(
+        x.algebra.field, u_op.dim, x.dim, u_op.acts, x.acts))
+    return TensorSpace(proj.cols, proj, sec)
+
+
+def _functor_modules(a, rng: random.Random) -> list[FDModule]:
+    """The simples of a (where the field computes its radical), two random
+    cyclic modules with one cut and the zero module."""
+    F = a.field
+    out = [] if 0 < F.characteristic <= a.dim else list(simple_modules(a))
+    out += [random_module(a, rng, max_free=1, max_cuts=1) for _ in range(2)]
+    return out + [zero_module(a)]
+
+
+def _functor_algebras(F: Field):
+    """The catalog algebras with their opposites, where the field computes
+    the radical; the rings of the contexts are left to the windows."""
+    algs = [truncated_poly(F, 2), truncated_poly(F, 3), path_a2(F),
+            two_cycle_rad_square(F), product_fields(F, 2)]
+    _, ctx = triangular_context(F)
+    algs += [ctx.A, ctx.B]
+    for a in algs:
+        if not 0 < F.characteristic <= a.dim:
+            yield a
+            yield opposite_algebra(a)
+
+
+@pytest.mark.parametrize("field", THREE_FIELDS)
+def test_ext_and_tor_match_the_parent_code(field):
+    """Equal dim Ext^i(x, y) and dim Tor_i(U, x) for i = 0..3, and the same
+    least nonzero Ext^i off a shared resolution as the certifier's
+    per-degree loop; the modules include zero ones and
+    non-projectives, and both a vanishing and a nonzero Ext and Tor occur."""
+    F = THREE_FIELDS[field]()
+    rng = random.Random(11)
+    seen = set()
+    for a in _functor_algebras(F):
+        aop = opposite_algebra(a)
+        xs, us = _functor_modules(a, rng), _functor_modules(aop, rng)
+        ys = [regular_module(a), xs[0]]
+        for x in xs:
+            res = minimal_resolution(x, 4)
+            for y in ys:
+                for i in range(4):
+                    e = ext_dim(x, y, i)
+                    assert e == _ext_dim(x, y, i)
+                    seen.add(("ext", i > 0, e > 0))
+                first = first_nonzero_ext(res, y)
+                assert first == _first_ext_by_loop(x, y, 3, 0, res)
+                seen.add(("first", first is None))
+            for u in us:
+                for i in range(4):
+                    t = tor_dim(u, x, i)
+                    assert t == _tor_dim(u, x, i)
+                    seen.add(("tor", i > 0, t > 0))
+    assert {("ext", True, True), ("ext", True, False), ("tor", True, True),
+            ("tor", True, False), ("first", True), ("first", False)} <= seen
+
+
+def _functor_windows(F: Field):
+    """Certificate windows (periodic, self-injective and split ones) and
+    resolution windows of the modules of _functor_modules."""
+    rng = random.Random(13)
+    for a in _functor_algebras(F):
+        for x in _functor_modules(a, rng):
+            yield minimal_resolution(x, 3).window()
+            cert = certify_gorenstein_projective(x, window=2)
+            if cert.window is not None:
+                yield cert.window
+
+
+@pytest.mark.parametrize("field", THREE_FIELDS)
+def test_window_exactness_matches_the_parent_code(field):
+    """The first inexact degree of Hom(W, y) (from every degree and from
+    degree 1 on) and the exactness of U (x) W agree with the parent code on
+    certificate and resolution windows; each outcome occurs."""
+    F = THREE_FIELDS[field]()
+    rng = random.Random(14)
+    seen = set()
+    for w in _functor_windows(F):
+        a = w.algebra
+        for y in [regular_module(a)] + _functor_modules(a, rng):
+            deg = hom_exactness_failure(w, y)
+            assert deg == _hom_exactness_failure(w, y)
+            if w.hi > 1:
+                assert (hom_exactness_failure(w, y, lo=1)
+                        == _hom_exactness_failure(w, y, lo=1))
+            seen.add(("hom", deg is None))
+        for u in _functor_modules(opposite_algebra(a), rng):
+            exact = tensor_exactness_failure(w, u) is None
+            assert exact == _tensor_exact(u, w)
+            seen.add(("tensor", exact))
+    assert seen == {("hom", True), ("hom", False), ("tensor", True),
+                    ("tensor", False)}
+
+
+def test_zero_balanced_tensor_space_builds_no_relation_system(count_calls):
+    F = QQ()
+    a = path_a2(F)
+    aop = opposite_algebra(a)
+    systems = count_calls(intertwining_system)
+    for u, x in ((zero_module(aop), regular_module(a)),
+                 (regular_module(aop), zero_module(a))):
+        t = balanced_tensor_space(u, x)
+        assert systems == []
+        old = _balanced_tensor_space(u, x)
+        assert (t.dim, t.proj, t.section) == (old.dim, old.proj, old.section)

@@ -22,7 +22,7 @@ from .linalg import (
     Mat, coordinates, factor_through, intertwining_system, linear_combination,
     quotient_maps, row_space,
 )
-from .modules import FDModule, ModuleError, ModuleHom, validate_module
+from .modules import FDModule, ModuleError, ModuleHom, pair_memo, validate_module
 
 
 class BimoduleError(ValueError):
@@ -166,14 +166,16 @@ class TensorModule:
     section: Mat                 # module.dim x (bim.dim * arg.dim)
 
 
-def tensor_module(m: Bimodule, x: FDModule, name: str = "") -> TensorModule:
-    """M (x)_A X as a module over M's left algebra.  When M or X is zero,
-    so is the tensor product: the zero module, with 0 x 0 projection and
-    section, built with no relation system."""
+@pair_memo(1)
+def tensor_module(m: Bimodule, x: FDModule) -> TensorModule:
+    """M (x)_A X as a module over M's left algebra, named M(x)X.  When M or
+    X is zero, so is the tensor product: the zero module, with 0 x 0
+    projection and section, built with no relation system.  Memoized per
+    (m, x) instance pair, on x, as `modules.hom_space` is."""
     if x.algebra is not m.right:
         raise BimoduleError("tensor: module must live over the right-hand algebra")
     F = m.left.field
-    name = name or f"{m.name}(x){x.name}"
+    name = f"{m.name}(x){x.name}"
     if m.dim == 0 or x.dim == 0:
         zero = Mat.zeros(F, 0, 0)
         return TensorModule(FDModule(m.left, 0, [zero] * m.left.dim, name=name),
@@ -211,10 +213,12 @@ class TensorSpace:
     section: Mat
 
 
+@pair_memo(1)
 def balanced_tensor_space(u_op: FDModule, x: FDModule) -> TensorSpace:
     """Tensor over A of a right module (as a module over A^op) and a left
     module; returns the quotient of the k-tensor space, or with a zero
-    factor the zero space, built with no relation system."""
+    factor the zero space, built with no relation system.  Memoized per
+    (u_op, x) instance pair, on x, as `modules.hom_space` is."""
     if opposite_algebra(u_op.algebra) is not x.algebra:
         raise BimoduleError("balanced tensor: algebra mismatch")
     if u_op.dim == 0 or x.dim == 0:

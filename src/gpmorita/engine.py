@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 from .algebra import opposite_algebra
 from .bimodules import (
-    Bimodule, TensorModule, balanced_tensor_space, restrict_left,
-    restrict_right, tensor_functor_hom, tensor_module,
+    Bimodule, balanced_tensor_space, tensor_functor_hom, tensor_module,
 )
 from .complexes import (
     ComplexWindow, HorseshoeError, HorseshoeResult, ShortExactSequence,
@@ -41,7 +40,7 @@ from .morita import (
     t_b, tensor_over_ring, validate_quadruple, z_a,
 )
 from .trivext import (
-    StructuralMaps, TrivialExtension, check_extension_matches,
+    StructuralMaps, TrivialExtension, check_extension_matches, lam_bimodules,
     psi_tensor_block, recognize_trivial_extension, structural_maps, t_lambda,
 )
 
@@ -163,20 +162,14 @@ class ResolutionAssembly:
     kernel_iso: ModuleHom                  # ker(d_T^0) -> q, over the ring
 
 
-def _tensor_window(bim: Bimodule, wc: ComplexWindow, name: str):
+def _tensor_window(bim: Bimodule, wc: ComplexWindow):
     """Termwise tensor of a bimodule with a complex window; returns the
     window plus the TensorModule data per degree.  Repeated term instances
-    (periodic windows) share one tensor product, named at its first
-    degree."""
-    seen: dict[int, TensorModule] = {}
-    tens = []
-    for i in range(wc.lo, wc.hi + 1):
-        t = wc.term(i)
-        if id(t) not in seen:
-            seen[id(t)] = tensor_module(bim, t, name=f"{name}^{i}")
-        tens.append(seen[id(t)])
-    diffs = [tensor_functor_hom(tens[i - wc.lo], tens[i - wc.lo + 1], wc.diff(i))
-             for i in range(wc.lo, wc.hi)]
+    (periodic windows) share one tensor product, by the memo of
+    `tensor_module`."""
+    tens = [tensor_module(bim, t) for t in wc.terms]
+    diffs = [tensor_functor_hom(s, t, d)
+             for s, t, d in zip(tens, tens[1:], wc.diffs)]
     return ComplexWindow(wc.lo, wc.hi, [t.module for t in tens], diffs), tens
 
 
@@ -221,16 +214,17 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
     p_ki, q_ki = cert_g.kernel_ident, cert_f.kernel_ident
     u_lam = report.coker_g_lambda
 
-    m_lam = restrict_right(ctx.M, ext.incl_rows, ext.Lam, name="M|Lam")
-    n_lam = restrict_left(ctx.N, ext.incl_rows, ext.Lam, name="N|Lam")
+    m_lam, _ = lam_bimodules(ext, ctx)
 
-    # weak-compatibility consequences, checked directly
-    mp_cx, mp_tens = _tensor_window(m_lam, pcx, "M(x)P")
+    # weak-compatibility consequences, checked directly.  N (x)_B Q is built
+    # over ctx.N, as T_B(Q^i) builds it; Z reads its terms over Lambda
+    mp_cx, mp_tens = _tensor_window(m_lam, pcx)
     _require(is_exact(mp_cx), "M (x) P is not exact (C3 for M fails here)")
-    ip_cx, ip_tens = _tensor_window(ext.ideal, pcx, "I(x)P")
+    ip_cx, _ = _tensor_window(ext.ideal, pcx)
     _require(is_exact(ip_cx), "I (x) P is not exact (C3 for I fails here)")
-    nq_cx, nq_tens = _tensor_window(n_lam, qcx, "N(x)Q")
+    nq_cx, nq_tens = _tensor_window(ctx.N, qcx)
     _require(is_exact(nq_cx), "N (x) Q is not exact (C3 for N fails here)")
+    nq_lam = [ext.lam_module(t) for t in nq_cx.terms]
 
     # first horseshoe, over B: 0 -> M (x) U -> Y -> V -> 0 against
     # M (x) P and Q
@@ -250,31 +244,26 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
     z_terms, z_diffs = [], []
     from .modules import direct_sum
     for i in range(-span, span + 1):
-        zt, _, _ = direct_sum([ip_cx.term(i), nq_cx.term(i)], name=f"Z^{i}")
+        zt, _, _ = direct_sum([ip_cx.term(i), nq_lam[i + span]], name=f"Z^{i}")
         z_terms.append(zt)
-    nmp_seen: dict[int, TensorModule] = {}
     for i in range(-span, span):
-        nq_i = nq_tens[i + span]
-        # 1_N (x) rho^i : N (x) Q^i -> N (x) (M (x) P^{i+1})
-        mp = mp_cx.term(i + 1)
-        if id(mp) not in nmp_seen:
-            nmp_seen[id(mp)] = tensor_module(n_lam, mp)
-        nmp = nmp_seen[id(mp)]
-        one_rho = tensor_functor_hom(nq_i, nmp, rho[i])
-        psi_blk = psi_tensor_block(ctx, ext, pcx.term(i + 1),
-                                   mp_tens[i + span + 1], ip_tens[i + span + 1])
+        # 1_N (x) rho^i : N (x) Q^i -> N (x) (M (x) P^{i+1}), over ctx.N as
+        # the g of T_Lam(P^{i+1}) builds it
+        nmp = tensor_module(ctx.N, mp_cx.term(i + 1))
+        one_rho = tensor_functor_hom(nq_tens[i + span], nmp, rho[i])
+        psi_blk = psi_tensor_block(ctx, ext, pcx.term(i + 1))
         psi_hom_mat = factor_through(nmp.proj, [psi_blk])
         _require(psi_hom_mat is not None, "psi block does not descend")
         tau_i = one_rho.mat @ psi_hom_mat[0]
-        tau[i] = ModuleHom(nq_cx.term(i), ip_cx.term(i + 1), tau_i)
+        tau[i] = ModuleHom(nq_lam[i + span], ip_cx.term(i + 1), tau_i)
         dz = twisted_diff(ip_cx.diff(i).mat, tau_i, nq_cx.diff(i).mat)
         z_diffs.append(ModuleHom(z_terms[i + span], z_terms[i + span + 1], dz))
     zcx = ComplexWindow(-span, span, z_terms, z_diffs)
 
     # identify ker(d_Z^0) with H = Im(g)
     h_mod, h_incl = image_of(q.g, name="Im(g)")
-    kx_z = _identify_h_with_z_kernel(ctx, ext, q, hs1, zcx, ip_tens[span],
-                                     nq_tens[span], mp_tens[span], h_mod, h_incl)
+    kx_z = _identify_h_with_z_kernel(ctx, ext, q, hs1, zcx, pcx.term(0),
+                                     qcx.term(0), h_mod, h_incl)
     # second horseshoe, over Lambda: 0 -> H -> X -> U -> 0 against Z and P
     h_lam = ext.lam_module(h_mod, name="H|Lam")
     x_lam = ext.lam_module(q.x, name="X|Lam")
@@ -287,7 +276,7 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
         w_ip1 = ip_cx.term(i + 1).dim
         alpha[i] = ModuleHom(pcx.term(i), ip_cx.term(i + 1),
                              r.mat.block(0, r.mat.rows, 0, w_ip1))
-        beta[i] = ModuleHom(pcx.term(i), nq_cx.term(i + 1),
+        beta[i] = ModuleHom(pcx.term(i), nq_lam[i + span + 1],
                             r.mat.block(0, r.mat.rows, w_ip1, r.mat.cols))
 
     # assemble F = P(I) (+) N (x) Q over A and the quadruple terms; repeated
@@ -299,9 +288,7 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
     for i in range(-span, span + 1):
         key = (id(pcx.term(i)), id(qcx.term(i)))
         if key not in seen:
-            # I (x) P^i and M (x) P^i are the tensors the C3 checks built
-            tq = t_lambda(ext, ctx, pcx.term(i), name=f"T_Lam(P^{i})",
-                          ix_t=ip_tens[i + span], mx_lam=mp_tens[i + span])
+            tq = t_lambda(ext, ctx, pcx.term(i), name=f"T_Lam(P^{i})")
             tb = t_b(ctx, qcx.term(i), name=f"T_B(Q^{i})")
             seen[key] = direct_sum_quadruples([tq, tb], name=f"T^{i}")
         t_quads.append(seen[key])
@@ -319,13 +306,8 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
 
     # T over the context ring, with differential block_diag(F, Y)
     mr = _ring_of(ctx)
-    t_terms, t_diffs = [], []
-    ring_seen: dict[int, FDModule] = {}
-    for i in range(-span, span + 1):
-        qk = id(t_quads[i + span])
-        if qk not in ring_seen:
-            ring_seen[qk] = quadruple_to_module(mr, t_quads[i + span])
-        t_terms.append(ring_seen[qk])
+    t_terms = [quadruple_to_module(mr, tq) for tq in t_quads]
+    t_diffs = []
     for i in range(-span, span):
         t_diffs.append(ModuleHom(t_terms[i + span], t_terms[i + span + 1],
                                  Mat.block_diag([f_diffs[i + span].mat,
@@ -367,14 +349,14 @@ def _restrict_window(wc: ComplexWindow, lo: int, hi: int) -> ComplexWindow:
     return ComplexWindow(lo, hi, terms, diffs)
 
 
-def _identify_h_with_z_kernel(ctx, ext, q, hs1, zcx, ip0, nq0, mp0,
+def _identify_h_with_z_kernel(ctx, ext, q, hs1, zcx, p0, q0,
                               h_mod, h_incl) -> ModuleHom:
     """The canonical isomorphism Im(g) -> ker(d_Z^0), via the chain map
     sigma^0 = [[psi (x) 1, 0], [0, 1]] composed with the kernel embedding
     of Y; bijectivity is exactly clause (b)."""
     eye_n = Mat.identity(ctx.A.field, ctx.N.dim)
     delta_mat = (q.ny.section @ eye_n.kron(hs1.embed.mat)
-                 @ _sigma0(ctx, ext, ip0, nq0, mp0))
+                 @ _sigma0(ctx, ext, p0, q0))
     from .modules import corestrict
     try:
         ker_z, ker_incl = kernel_of(zcx.diff(0))
@@ -391,15 +373,16 @@ def _identify_h_with_z_kernel(ctx, ext, q, hs1, zcx, ip0, nq0, mp0,
     return ModuleHom(ext.lam_module(h_mod), zcx.term(0), h_map @ ker_incl.mat)
 
 
-def _sigma0(ctx, ext, ip0, nq0, mp0) -> Mat:
+def _sigma0(ctx, ext, p0, q0) -> Mat:
     """sigma^0 = [[psi (x) 1, 0], [0, 1]] on the full space N (x)_k Y^0, for
     Y^0 = M (x) P^0 (+) Q^0, into Z^0 = I (x) P^0 (+) N (x) Q^0: psi (x) 1 on
     the first block of Y^0, the projection onto N (x) Q^0 on the second."""
     F = ctx.A.field
-    mp_dim = mp0.module.dim
-    dy = mp_dim + nq0.arg.dim
+    mp_dim = tensor_module(lam_bimodules(ext, ctx)[0], p0).module.dim
+    nq0 = tensor_module(ctx.N, q0)
+    dy = mp_dim + q0.dim
     eye_y, eye_n = Mat.identity(F, dy), Mat.identity(F, ctx.N.dim)
-    psi_part = psi_tensor_block(ctx, ext, mp0.arg, mp0, ip0)
+    psi_part = psi_tensor_block(ctx, ext, p0)
     return Mat.hstack([eye_n.kron(eye_y.block(0, dy, 0, mp_dim)) @ psi_part,
                        eye_n.kron(eye_y.block(0, dy, mp_dim, dy)) @ nq0.proj])
 
@@ -571,13 +554,11 @@ def check_semi_weak_quadruple(ext: TrivialExtension, ctx: MoritaContext,
     """
     check_extension_matches(ext, ctx)
     mr = _ring_of(ctx)
+    m_lam, n_lam = lam_bimodules(ext, ctx)
     if which == "N":
-        w_left = restrict_along(ctx.N.as_left_module(), ext.incl_rows, ext.Lam,
-                                name="N|Lam")
-        w_bim = restrict_left(ctx.N, ext.incl_rows, ext.Lam)
+        w_left, w_bim = n_lam.as_left_module("N|Lam"), n_lam
     elif which == "M":
-        w_bim = restrict_right(ctx.M, ext.incl_rows, ext.Lam)
-        w_left = None
+        w_left, w_bim = None, m_lam
     elif which == "I":
         w_left = ext.ideal.as_left_module("I|Lam")
         w_bim = ext.ideal
@@ -694,8 +675,7 @@ def audit_equivalence(ext: TrivialExtension, ctx: MoritaContext,
     """
     check_extension_matches(ext, ctx)
     mr = _ring_of(ctx)
-    m_lam = restrict_right(ctx.M, ext.incl_rows, ext.Lam)
-    n_lam = restrict_left(ctx.N, ext.incl_rows, ext.Lam)
+    m_lam, n_lam = lam_bimodules(ext, ctx)
     bim_verdicts = {
         "N": check_compat(n_lam, bound=window, seed=seed),
         "M": check_compat(m_lam, bound=window, seed=seed),

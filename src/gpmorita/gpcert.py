@@ -349,18 +349,27 @@ def certify_gorenstein_projective(x: FDModule, window: int = 6,
         return GPCertificate("gp", x, reason=reason, period=period, window=wc,
                              kernel_ident=ki)
 
+    def unknown(reason):
+        return GPCertificate("unknown", x, bound=(window, period_bound),
+                             reason=reason)
+
+    # the two-sided window on [-window, window] reads the right-tail steps
+    # 0..window, so it needs window + 1 of them
     if self_inj:
         core_res = minimal_resolution(core, window + 1, seed)
         steps, tail_end = _right_tail(core, window, seed, dim_budget, use_dual=True)
         if steps is None:
             raise CertifyError("embedding failed over a self-injective algebra")
         if tail_end == "budget":
-            return GPCertificate("unknown", x, bound=(window, period_bound),
-                                 reason="dimension budget exceeded")
+            return unknown("dimension budget exceeded")
         wc, ki, p = _search_period(core, steps, tail_end, core_res, window,
                                    period_bound, seed)
         if wc is not None:
             return emit(wc, ki, "self-injective", p)
+        steps, tail_end = _right_tail(core, window + 1, seed, dim_budget,
+                                      use_dual=True)
+        if tail_end == "budget":
+            return unknown("dimension budget exceeded")
         wc, ki = _two_sided_window(core, core_res, steps, window)
         return emit(wc, ki, "self-injective", None)
 
@@ -371,12 +380,11 @@ def certify_gorenstein_projective(x: FDModule, window: int = 6,
         return GPCertificate(
             "not_gp", x,
             witness=NotGPWitness("non_vanishing_ext", i, resolution=res))
-    steps_x, tail_x = _right_tail(x, window, seed, dim_budget, use_dual=False)
+    steps_x, tail_x = _right_tail(x, window + 1, seed, dim_budget, use_dual=False)
     if steps_x is None:
         return GPCertificate("not_gp", x, witness=tail_x)
     if tail_x == "budget":
-        return GPCertificate("unknown", x, bound=(window, period_bound),
-                             reason="dimension budget exceeded")
+        return unknown("dimension budget exceeded")
     probe, _ = _two_sided_window(x, res, steps_x, window)
     # non-exactness of Hom(probe, A) in a positive degree refutes: the
     # right-tail terms come from projective approximations, so it descends
@@ -391,13 +399,12 @@ def certify_gorenstein_projective(x: FDModule, window: int = 6,
         steps_c, tail_c, res_c = steps_x, tail_x, res
     else:
         res_c = minimal_resolution(core, window + 1, seed)
-        steps_c, tail_c = _right_tail(core, window, seed, dim_budget,
+        steps_c, tail_c = _right_tail(core, window + 1, seed, dim_budget,
                                       use_dual=False)
         if steps_c is None:
             return GPCertificate("not_gp", x, witness=tail_c)
         if tail_c == "budget":
-            return GPCertificate("unknown", x, bound=(window, period_bound),
-                                 reason="dimension budget exceeded")
+            return unknown("dimension budget exceeded")
     wc, ki, p = _search_period(core, steps_c, tail_c, res_c, window,
                                period_bound, seed)
     if wc is not None:
@@ -406,6 +413,5 @@ def certify_gorenstein_projective(x: FDModule, window: int = 6,
         if not total_exactness(wc, seed=seed):
             raise CertifyError("assembled window is not totally exact")
         return emit(wc, ki, "periodic", p)
-    return GPCertificate("unknown", x, bound=(window, period_bound),
-                         reason="no period found within the bound")
+    return unknown("no period found within the bound")
 

@@ -203,7 +203,6 @@ def _cz_roots(F: Field, lin: list, seed: int) -> list:
             return
         while True:
             a = F.of_int(rng.randrange(F.p))
-            shifted = [F.add(f[0], F.zero()), *f[1:]]
             # g = gcd((x + a)^((p-1)/2) - 1, f)
             base = [a, F.one()]
             e = (F.p - 1) // 2

@@ -19,6 +19,7 @@ subalgebra, so a map that intertwines the generators is a module map.
 """
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field as dc_field
 from itertools import product as iter_product
@@ -144,28 +145,40 @@ def zero_hom(x: FDModule, y: FDModule) -> ModuleHom:
     return ModuleHom(x, y, Mat.zeros(x.algebra.field, x.dim, y.dim))
 
 
+def pair_memo(on: int):
+    """Memoize f(a, b) per (a, b) instance pair.  The entry lives on the
+    `_cache` of argument `on` (0 or 1), keyed by f's name and the id of the
+    other argument, and holds that argument, so a reused id cannot hit; it
+    lives as long as its holder."""
+    def wrap(f):
+        @functools.wraps(f)
+        def memo(a, b):
+            holder, other = (a, b) if on == 0 else (b, a)
+            key = (f.__name__, id(other))
+            hit = holder._cache.get(key)
+            if hit is None or hit[0] is not other:
+                hit = holder._cache[key] = (other, f(a, b))
+            return hit[1]
+        return memo
+    return wrap
+
+
+@pair_memo(0)
 def hom_space(x: FDModule, y: FDModule) -> list[ModuleHom]:
     """Canonical basis of Hom_A(x, y), via the intertwining linear system.
-    Memoized per (x, y) instance pair."""
+    Memoized per (x, y) instance pair, on x."""
     if x.algebra is not y.algebra:
         raise ModuleError("hom space needs a common algebra")
-    key = ("hom", id(y))
-    hit = x._cache.get(key)
-    if hit is not None and hit[0] is y:
-        return hit[1]
     F = x.algebra.field
     dx, dy = x.dim, y.dim
     if dx == 0 or dy == 0:
-        x._cache[key] = (y, [])
         return []
     gens = x.gens()
     basis = kernel_basis(intertwining_system(
         F, dx, dy, [x.acts[t] for t in gens],
         [y.acts[t].transpose() for t in gens])).transpose()
-    out = [ModuleHom(x, y, basis.block(c, c + 1, 0, dx * dy).reshape(dx, dy))
-           for c in range(basis.rows)]
-    x._cache[key] = (y, out)
-    return out
+    return [ModuleHom(x, y, basis.block(c, c + 1, 0, dx * dy).reshape(dx, dy))
+            for c in range(basis.rows)]
 
 
 def hom_dim(x: FDModule, y: FDModule) -> int:

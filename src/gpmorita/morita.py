@@ -28,7 +28,7 @@ from .linalg import (
     Mat, coordinates, factor_through, in_row_space, rank, row_space,
 )
 from .modules import (
-    FDModule, ModuleHom, cokernel_of, identity_hom, kernel_of,
+    FDModule, ModuleHom, cokernel_of, identity_hom, kernel_of, pair_memo,
     quotient_by_rows, regular_module, validate_module, zero_hom, zero_module,
 )
 
@@ -303,7 +303,7 @@ class QuadrupleModule:
     mx: TensorModule
     ny: TensorModule
     name: str = ""
-    # init=False: a dataclasses.replace copy starts with no verdict
+    # init=False: a dataclasses.replace copy starts with an empty cache
     _cache: dict = dc_field(default_factory=dict, init=False, repr=False,
                             compare=False)
 
@@ -449,8 +449,10 @@ def direct_sum_quadruples(qs: list[QuadrupleModule], name: str = "") -> Quadrupl
 # -- the equivalence with modules over the ring ------------------------------
 
 
+@pair_memo(1)
 def quadruple_to_module(mr: MoritaRing, q: QuadrupleModule) -> FDModule:
-    """The module on X (+) Y with the action determined by the quadruple."""
+    """The module on X (+) Y with the action determined by the quadruple.
+    Memoized per (mr, q) instance pair, on q."""
     ctx = mr.ctx
     F = mr.ring.field
     dx, dy = q.x.dim, q.y.dim

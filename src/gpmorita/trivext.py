@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .algebra import Algebra, subalgebra
 from .bimodules import (
-    Bimodule, TensorModule, regular_bimodule, restrict_right,
+    Bimodule, TensorModule, regular_bimodule, restrict_left, restrict_right,
     sub_bimodule_from_rows, tensor_functor_hom, tensor_module,
 )
 from .linalg import (
@@ -22,7 +22,7 @@ from .linalg import (
 )
 from .modules import (
     FDModule, ModuleHom, cokernel_of, corestrict, hom_space, image_of,
-    quotient_by_rows, restrict_along,
+    pair_memo, quotient_by_rows, restrict_along,
 )
 from .morita import (
     ContextError, MoritaContext, QuadrupleModule, build_ring, make_quadruple,
@@ -141,22 +141,13 @@ def check_extension_matches(ext: TrivialExtension, ctx: MoritaContext):
 
 def induced_module(ext: TrivialExtension, x: FDModule, name: str = "") -> FDModule:
     """X(I) = X (+) I (x)_Lambda X as an A-module, with the action
-    (l, i).(v, w) = (l v, i (x) v + l.w)."""
-    return induced_module_parts(ext, x, name)[0]
-
-
-def induced_module_parts(ext: TrivialExtension, x: FDModule, name: str = "",
-                         ix_t: TensorModule | None = None):
-    """(X(I), embed X, I (x)_Lambda X tensor data) with the ideal block on
-    the balanced-tensor quotient coordinates.  ix_t, when given, is
-    I (x)_Lambda X as the caller already built it."""
+    (l, i).(v, w) = (l v, i (x) v + l.w), the ideal block on the
+    balanced-tensor quotient coordinates."""
     if x.algebra is not ext.Lam:
         raise ExtensionError("induced module wants a Lambda-module")
     F = ext.Lam.field
-    if ix_t is None:
-        ix_t = tensor_module(ext.ideal, x, name=f"I(x){x.name}")
+    ix_t = tensor_module(ext.ideal, x)
     dX, dIX = x.dim, ix_t.module.dim
-    dim = dX + dIX
     eye_x = Mat.identity(F, dX)
     # row t: the ideal part b_t - lambda_t of basis element t, in I's basis
     i_cs = coordinates(ext.ideal_rows, Mat.identity(F, ext.A.dim).sub(
@@ -172,15 +163,17 @@ def induced_module_parts(ext: TrivialExtension, x: FDModule, name: str = "",
         acts.append(Mat.from_blocks(F, [dX, dIX], [dX, dIX],
                                     [[x.act_of(lam_c), ideal_part],
                                      [None, ix_t.module.act_of(lam_c)]]))
-    xi = FDModule(ext.A, dim, acts, name=name or f"{x.name}(I)")
-    return xi, Mat.identity(F, dim).block(0, dX, 0, dim), ix_t
+    return FDModule(ext.A, dX + dIX, acts, name=name or f"{x.name}(I)")
 
 
-def m_tensor_lambda(ext: TrivialExtension, ctx: MoritaContext, x: FDModule,
-                    name: str = "") -> TensorModule:
-    """M (x)_Lambda X for a Lambda-module X (restricting M's right action)."""
-    m_lam = restrict_right(ctx.M, ext.incl_rows, ext.Lam, name="M|Lam")
-    return tensor_module(m_lam, x, name=name or f"M(x){x.name}")
+@pair_memo(1)
+def lam_bimodules(ext: TrivialExtension, ctx: MoritaContext) -> tuple[Bimodule, Bimodule]:
+    """M|Lambda and N|Lambda: M's right and N's left action restricted
+    along the inclusion Lambda -> A.  Built once per (ext, ctx) pair and
+    kept on ctx, so the memoized tensor products over them are found
+    again."""
+    return (restrict_right(ctx.M, ext.incl_rows, ext.Lam, name="M|Lam"),
+            restrict_left(ctx.N, ext.incl_rows, ext.Lam, name="N|Lam"))
 
 
 def psi_ideal_coords(ext: TrivialExtension, ctx: MoritaContext) -> Mat:
@@ -191,38 +184,37 @@ def psi_ideal_coords(ext: TrivialExtension, ctx: MoritaContext) -> Mat:
     return c
 
 
-def psi_tensor_block(ctx: MoritaContext, ext: TrivialExtension, p_module: FDModule,
-                     mp_tensor: TensorModule, ip_tensor: TensorModule) -> Mat:
+def psi_tensor_block(ctx: MoritaContext, ext: TrivialExtension, p: FDModule) -> Mat:
     """psi (x) 1_P as a matrix N (x)_k (M (x)_Lambda P) -> I (x)_Lambda P:
     lift M (x)_Lambda P to M (x)_k P, apply psi in ideal coordinates, project."""
     F = ctx.A.field
+    mp = tensor_module(lam_bimodules(ext, ctx)[0], p)
+    ip = tensor_module(ext.ideal, p)
     eye_n = Mat.identity(F, ctx.N.dim)
-    eye_p = Mat.identity(F, p_module.dim)
-    return (eye_n.kron(mp_tensor.section) @ psi_ideal_coords(ext, ctx).kron(eye_p)
-            @ ip_tensor.proj)
+    eye_p = Mat.identity(F, p.dim)
+    return (eye_n.kron(mp.section) @ psi_ideal_coords(ext, ctx).kron(eye_p)
+            @ ip.proj)
 
 
 def t_lambda(ext: TrivialExtension, ctx: MoritaContext, x: FDModule,
-             name: str = "", ix_t: TensorModule | None = None,
-             mx_lam: TensorModule | None = None) -> QuadrupleModule:
+             name: str = "") -> QuadrupleModule:
     """The induced quadruple (X(I), M (x)_Lambda X, projection, psi-action).
 
     f: M (x)_k X(I) -> M (x)_Lambda X is m (x) (v, w) |-> m (x) v.  The
     I (x) X block contributes nothing: phi = 0 and the second associativity
     square give M.I = 0 (which `_ideal_checks` also checks), so
-    m (x) (i (x) v) |-> m.i (x) v is 0.  ix_t and mx_lam, when given, are
-    I (x)_Lambda X and M (x)_Lambda X as the caller already built them."""
+    m (x) (i (x) v) |-> m.i (x) v is 0."""
     check_extension_matches(ext, ctx)
     F = ext.Lam.field
-    xi, e_x, ix_t = induced_module_parts(ext, x, ix_t=ix_t)
-    if mx_lam is None:
-        mx_lam = m_tensor_lambda(ext, ctx, x)
+    xi = induced_module(ext, x)
+    mx_lam = tensor_module(lam_bimodules(ext, ctx)[0], x)
     y = mx_lam.module
+    e_x = Mat.identity(F, xi.dim).block(0, x.dim, 0, xi.dim)
     f_full = Mat.identity(F, ctx.M.dim).kron(e_x.transpose()) @ mx_lam.proj
     # g: N (x)_k Y -> X(I); n (x) (m (x) v) |-> psi(n (x) m) (x) v in the
     # I (x) X block
     g_full = Mat.hstack([Mat.zeros(F, ctx.N.dim * y.dim, x.dim),
-                         psi_tensor_block(ctx, ext, x, mx_lam, ix_t)])
+                         psi_tensor_block(ctx, ext, x)])
     return make_quadruple(ctx, xi, y, f_full, g_full,
                           name=name or f"T_Lam({x.name})")
 
@@ -503,7 +495,7 @@ def column_hom_iso(ext: TrivialExtension, ctx: MoritaContext, kind: str,
         src, dst = tl(x), tl(x2)
         ix = tensor_module(ext.ideal, x)
         ix2 = tensor_module(ext.ideal, x2)
-        m_lam = restrict_right(ctx.M, ext.incl_rows, ext.Lam)
+        m_lam, _ = lam_bimodules(ext, ctx)
         mx = tensor_module(m_lam, x)
         mx2 = tensor_module(m_lam, x2)
         dom_a = hom_space(x, x2)

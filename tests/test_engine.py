@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import replace
 
 import pytest
 
-from gpmorita import bimodules, complexes, engine, homology, modules
+from gpmorita import complexes, engine, homology, linalg, modules
 
 from gpmorita.catalog import (
     arrow_ideal_context, field_algebra, glued_psi_context, simple_at_idempotent,
@@ -23,12 +24,15 @@ from gpmorita.engine import (
 )
 from gpmorita.fields import GF, QQ
 from gpmorita.gpcert import certify_gorenstein_projective
+from gpmorita.jsonio import load_problem_file
 from gpmorita.linalg import Mat
 from gpmorita.modules import ModuleHom, regular_module, zero_module
 from gpmorita.morita import (
     build_ring, direct_sum_quadruples, quadruple_to_module, t_a, t_b, z_a, z_b,
 )
 from gpmorita.trivext import t_lambda
+
+FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def _p1(ctx):
@@ -459,16 +463,37 @@ def test_t_window_matches_quadruples_built_fresh(F, make):
         assert asm.tcx.term(i).acts == quadruple_to_module(mr, fresh).acts
 
 
+def _repeated_systems(systems) -> int:
+    """How many recorded `intertwining_system` calls repeat an earlier one:
+    the same right-action list on the same module's action list.  A tensor
+    product is built from exactly this system, so a repeat is a (right
+    action, module) pair tensored twice, whether through one bimodule
+    instance or through two that share the action (N and N|Lambda do).
+    `count_calls` keeps the lists alive, so no id is reused."""
+    pairs = [(id(acts), id(mod_acts)) for _, _, _, acts, mod_acts in systems]
+    return len(pairs) - len(set(pairs))
+
+
 @FIELDS
 @pytest.mark.parametrize("make", CATALOG, ids=lambda m: m.__name__)
 def test_assembly_tensors_each_pair_once(F, make, count_calls):
-    # a (bimodule, module) pair is tensored once per assembly: T_Lam(P^i)
-    # takes I (x) P^i and M (x) P^i from the C3 checks
+    # a (right action, module) pair is tensored once per assembly: the C3
+    # checks, T_Lam(P^i), T_B(Q^i), tau and sigma^0 all find the tensors
+    # of M|Lam, I and N in the memo of `tensor_module`, and N (x) Q^i and
+    # N (x) (M (x) P^i) are built over N itself, not over N|Lam
     ext, ctx, q, rep = _t_plus_p2(make, F)
-    calls = count_calls(bimodules.tensor_module)
+    systems = count_calls(linalg.intertwining_system)
     build_total_resolution(ext, ctx, q, rep, window=3)
-    pairs = []
-    for bim, x, *_ in calls:
-        assert not any(x is x2 and bim == bim2 for bim2, x2 in pairs), \
-            f"{bim!r} (x) {x.name} twice"
-        pairs.append((bim, x))
+    assert systems and _repeated_systems(systems) == 0
+
+
+def test_audit_tensors_each_pair_once(count_calls):
+    # the right-side semi-weak check reads W (x)_Lambda P^i twice, in its
+    # reduction cross-check and in `tensor_exactness_failure`; the memo of
+    # `balanced_tensor_space` builds it once
+    prob = load_problem_file(os.path.join(FIX, "two_cycle.json"))
+    ext, ctx = prob.named("extensions", "ext"), prob.named("contexts", "ctx")
+    family = [prob.named("quadruples", n) for n in ("S1", "S2")]
+    systems = count_calls(linalg.intertwining_system)
+    audit_equivalence(ext, ctx, family)
+    assert systems and _repeated_systems(systems) == 0

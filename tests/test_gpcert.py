@@ -5,6 +5,7 @@ import random
 import pytest
 
 from gpmorita import complexes, gpcert
+from gpmorita.bimodules import regular_bimodule, zero_balanced_map, zero_bimodule
 from gpmorita.catalog import (
     arrow_ideal_context, field_algebra, glued_psi_context, path_a2,
     product_fields, proj_a2, random_module, simple_at_idempotent, simple_kx2,
@@ -17,7 +18,8 @@ from gpmorita.homology import is_projective
 from gpmorita.linalg import Mat
 from gpmorita.modules import ModuleHom, direct_sum, regular_module, zero_module
 from gpmorita.morita import (
-    ContextError, build_ring, h_a, h_b, quadruple_to_module, t_a, t_b, z_a, z_b,
+    ContextError, MoritaContext, build_ring, h_a, h_b, quadruple_to_module,
+    t_a, t_b, z_a, z_b,
 )
 from gpmorita.trivext import structural_maps, t_lambda
 from gpmorita.verify import projective_by_splitting, verify_certificate
@@ -273,3 +275,32 @@ def test_split_and_self_injective_windows_are_not_rechecked(count_calls):
     assert certify_gorenstein_projective(p2).reason == "split-projective"
     assert certify_gorenstein_projective(s1).reason == "self-injective"
     assert [len(c) for c in counts] == [0, 0, 0]
+
+
+# the two-sided window on [-w, w] reads the right-tail steps 0..w
+
+
+def test_the_general_path_builds_its_two_sided_probe():
+    # (k, 0, 0, 0) over T2(R) = the context (R, R, 0, R, 0, 0) with
+    # R = k[x]/(x^2): a GP simple over a ring that is neither self-injective
+    # nor of finite global dimension, so it takes the general path
+    F = GF(7)
+    r = truncated_poly(F, 2)
+    m, n = zero_bimodule(r, r), regular_bimodule(r)
+    ctx = MoritaContext(r, r, m, n, zero_balanced_map(m, n, r),
+                        zero_balanced_map(n, m, r), name="T2")
+    x = quadruple_to_module(build_ring(ctx), z_a(ctx, simple_kx2(r)))
+    cert = certify_gorenstein_projective(x, window=2, dim_budget=120)
+    assert cert.verdict == "unknown"
+    assert cert.reason == "dimension budget exceeded"
+
+
+@pytest.mark.parametrize("F", [QQ(), GF(7)], ids=["Q", "GF7"])
+def test_a_self_injective_module_with_no_period_in_the_bound_is_certified(F):
+    # the simple over k[x]/(x^3) has period 2; with period_bound 1 the
+    # certificate is the plain two-sided window
+    s = simple_kx2(truncated_poly(F, 3))
+    cert = certify_gorenstein_projective(s, window=2, period_bound=1)
+    assert (cert.verdict, cert.reason, cert.period) == ("gp", "self-injective",
+                                                        None)
+    assert verify_certificate(cert, s) == []

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from gpmorita import homology
+from gpmorita import homology, idempotents
 from gpmorita.algebra import opposite_algebra
 from gpmorita.catalog import (
     field_algebra, path_a2, product_fields, proj_a2, random_module,
@@ -17,7 +17,7 @@ from gpmorita.homology import (
     is_projective, is_self_injective, minimal_resolution, projective_cover,
     projective_dimension, simple_modules, top_of, tor_dim,
 )
-from gpmorita.idempotents import primitive_idempotents
+from gpmorita.idempotents import _poly_mul, linear_roots, primitive_idempotents
 from gpmorita.linalg import Mat
 from gpmorita.modules import (
     ModuleError, direct_sum, dual_module, hom_dim, is_isomorphic,
@@ -52,11 +52,9 @@ def test_primitive_idempotents_path_a2():
     assert len({blk for _, blk in prims}) == 2
 
 
-def test_primitive_idempotents_matrix_algebra():
-    # full 2x2 matrices: one block, two primitive idempotents
-    F = QQ()
+def _m2(F):
+    """The full 2x2 matrix algebra on the basis E11, E12, E21, E22."""
     from gpmorita.algebra import Algebra
-    # basis E11, E12, E21, E22
     z = F.zero()
     mul = [[[z] * 4 for _ in range(4)] for _ in range(4)]
 
@@ -69,10 +67,62 @@ def test_primitive_idempotents_matrix_algebra():
         for (c_, d_), j in idx.items():
             if b_ == c_:
                 setp(i, j, idx[(a_, d_)])
-    alg = Algebra(F, 4, mul, [F.one(), z, z, F.one()], name="M2")
-    prims = primitive_idempotents(alg)
+    return Algebra(F, 4, mul, [F.one(), z, z, F.one()], name="M2")
+
+
+def test_primitive_idempotents_matrix_algebra():
+    # full 2x2 matrices: one block, two primitive idempotents
+    prims = primitive_idempotents(_m2(QQ()))
     assert len(prims) == 2
     assert all(blk == 0 for _, blk in prims)
+
+
+def test_primitive_idempotents_matrix_algebra_over_gf7(count_calls):
+    # a simple block of dimension 4 is split by the zero-divisor search
+    probes = count_calls(idempotents._singular_candidates)
+    prims = primitive_idempotents(_m2(GF(7)))
+    assert len(prims) == 2
+    assert all(blk == 0 for _, blk in prims)
+    assert probes
+
+
+# above 4096 the roots over F_p come from equal-degree splitting, not a scan
+LARGE_PRIMES = pytest.mark.parametrize("p", [4099, 2**31 - 1])
+
+
+@LARGE_PRIMES
+def test_linear_roots_over_a_large_prime(p, count_calls):
+    F = GF(p)
+    splits = count_calls(idempotents._cz_roots)
+
+    def product(*factors):
+        out = [F.one()]
+        for f in factors:
+            out = _poly_mul(F, out, f)
+        return out
+
+    def linear(r):
+        return [F.neg(F.of_int(r)), F.one()]
+
+    roots, split = linear_roots(F, product(linear(3), linear(5), linear(2**30)))
+    assert roots == sorted(F.of_int(r) for r in (3, 5, 2**30)) and split
+    # x^2 + 1 has no root mod either prime (both are 3 mod 4)
+    roots, split = linear_roots(F, product(linear(3), [F.one(), F.zero(), F.one()]))
+    assert roots == [F.of_int(3)] and not split
+    assert splits
+
+
+@LARGE_PRIMES
+@pytest.mark.parametrize("make", [path_a2, two_cycle_rad_square],
+                         ids=lambda m: m.__name__)
+def test_primitive_idempotents_over_a_large_prime(p, make, count_calls):
+    splits = count_calls(idempotents._cz_roots)
+    a = make(GF(p))
+    prims = primitive_idempotents(a)
+    assert len(prims) == 2 and len({blk for _, blk in prims}) == 2
+    for e, _ in prims:
+        assert a.multiply(e, e) == e
+    assert splits
 
 
 def test_cover_of_projective_is_iso():

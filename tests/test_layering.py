@@ -1,4 +1,4 @@
-"""Six layering rules of the package, checked on its source.
+"""Eight layering rules of the package, checked on its source.
 
 Only `linalg` sees matrix entries: no other module reads or writes a
 `.data` attribute or the integer storage behind it, so the storage can
@@ -14,6 +14,11 @@ expressed in a stacked basis of flattened maps through one batched
 which row-reduces the same basis once per call.  Maps are factored
 through a quotient projection (a `kernel_basis`) with `factor_through`,
 never with `solve`, which stacks and row-reduces the projection again.
+M and N are restricted to Lambda in one function, `trivext.lam_bimodules`,
+which keeps them on the context, so the memoized tensor products over
+M|Lambda and N|Lambda are found again; and no function takes an optional
+tensor product that its caller may have built, since `tensor_module`
+returns the one it built.
 """
 from __future__ import annotations
 
@@ -160,3 +165,57 @@ def test_no_solve_against_a_quotient_projection():
                      and isinstance(call.func, ast.Name) and call.func.id == "solve"
                      and call.args and _is_projection(call.args[0])]
     assert not hits, f"solve against a quotient projection: {sorted(set(hits))}"
+
+
+# the one function that restricts M and N along the inclusion Lambda -> A
+LAM_RESTRICTION = ("trivext.py", "lam_bimodules")
+
+
+def _restricts_along_the_inclusion(node: ast.AST) -> bool:
+    """`restrict_left(...)` or `restrict_right(...)` with an `incl_rows`
+    attribute as the embedding."""
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+    if name not in ("restrict_left", "restrict_right"):
+        return False
+    emb = node.args[1] if len(node.args) > 1 else next(
+        (k.value for k in node.keywords if k.arg == "emb_rows"), None)
+    return isinstance(emb, ast.Attribute) and emb.attr == "incl_rows"
+
+
+def test_m_and_n_are_restricted_to_lambda_in_one_function():
+    hits, inside = [], 0
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        name = os.path.basename(path)
+        tree = _tree(name)
+        allowed = {id(n) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef)
+                   and (name, fn.name) == LAM_RESTRICTION
+                   for n in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if _restricts_along_the_inclusion(node):
+                if id(node) in allowed:
+                    inside += 1
+                else:
+                    hits.append(f"{name}:{node.lineno}")
+    assert not hits, f"M or N restricted to Lambda outside lam_bimodules: {hits}"
+    assert inside == 2, "lam_bimodules restricts M and N once each"
+
+
+def test_no_function_takes_an_optional_tensor_product():
+    hits = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        name = os.path.basename(path)
+        for fn in ast.walk(_tree(name)):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            hits += [f"{name}:{fn.name}({a.arg})"
+                     for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)
+                     if a.annotation is not None
+                     and ast.unparse(a.annotation).replace(" ", "") in
+                     ("TensorModule|None", "None|TensorModule",
+                      "Optional[TensorModule]")]
+    assert not hits, f"optional tensor parameters: {hits}"

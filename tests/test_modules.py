@@ -15,8 +15,8 @@ from gpmorita.linalg import Mat
 from gpmorita.modules import (
     FDModule, ModuleHom, cokernel_of, direct_sum, dual_module, free_module,
     hom_dim, hom_space, identity_hom, image_of, is_isomorphic, kernel_of,
-    Undetermined, regular_module, restrict_along, validate_module, zero_hom,
-    zero_module,
+    pair_memo, Undetermined, regular_module, restrict_along, validate_module,
+    zero_hom, zero_module,
 )
 from gpmorita.morita import build_ring, quadruple_to_module, t_a
 
@@ -192,3 +192,25 @@ def test_equality_does_not_depend_on_memos():
     opposite_algebra(a), opposite_algebra(b)
     assert a == b
     assert a != truncated_poly(QQ(), 3) and x != direct_sum([y, y])[0]
+
+
+def test_pair_memo_answers_only_its_own_instance_pair():
+    class Holder:
+        def __init__(self):
+            self._cache = {}
+
+    calls = []
+
+    @pair_memo(1)
+    def build(a, b):
+        calls.append((a, b))
+        return object()
+
+    a, b = Holder(), Holder()
+    out = build(a, b)
+    assert build(a, b) is out and len(calls) == 1
+    assert build(Holder(), b) is not out and len(calls) == 2
+    # an entry whose key id now belongs to another object is not a hit: the
+    # entry holds the argument it was built for
+    b._cache[("build", id(a))] = (Holder(), "stale")
+    assert build(a, b) not in (out, "stale") and len(calls) == 3

@@ -82,7 +82,7 @@ from gpmorita.algebra import (
 from gpmorita.bimodules import (
     Bimodule, BimoduleError, TensorModule, TensorSpace, balanced_tensor_space,
     bimodule_tensor, hom_module, opposite_bimodule, regular_bimodule,
-    restrict_left, tensor_functor_hom, tensor_module, zero_bimodule,
+    tensor_functor_hom, tensor_module, zero_bimodule,
 )
 from gpmorita.catalog import (
     arrow_ideal_context, field_algebra, glued_psi_context, path_a2,
@@ -122,7 +122,7 @@ from gpmorita.morita import (
 )
 from gpmorita.trivext import (
     StructuralMaps, TrivialExtension, _psi_tensor_one, check_extension_matches,
-    induced_module_parts, m_tensor_lambda, psi_ideal_coords, psi_tensor_block,
+    induced_module, lam_bimodules, psi_ideal_coords, psi_tensor_block,
     structural_maps, t_lambda,
 )
 
@@ -433,8 +433,9 @@ def _t_lambda(ext: TrivialExtension, ctx: MoritaContext, x: FDModule,
     """The induced quadruple (X(I), M (x)_Lambda X, projection, psi-action)."""
     check_extension_matches(ext, ctx)
     F = ext.Lam.field
-    xi, e_x, ix_t = induced_module_parts(ext, x)
-    mx_lam = m_tensor_lambda(ext, ctx, x)
+    xi = induced_module(ext, x)
+    ix_t = tensor_module(ext.ideal, x)
+    mx_lam = tensor_module(lam_bimodules(ext, ctx)[0], x)
     y = mx_lam.module
     dX, dM, dN = x.dim, ctx.M.dim, ctx.N.dim
     # f: M (x)_k X(I) -> Y = M (x)_Lambda X;
@@ -503,7 +504,7 @@ def _sigma0_loop(ctx, ext, ip0, nq0, mp0) -> Mat:
     y0_dim = mp_dim + nq0.arg.dim
     z0_dim = ip0.module.dim + nq0.module.dim
     rows = []
-    psi_part = psi_tensor_block(ctx, ext, mp0.arg, mp0, ip0)
+    psi_part = psi_tensor_block(ctx, ext, mp0.arg)
     # careful: psi_part is on N (x)_k (M (x) P^0); build sigma on N (x)_k Y^0
     dN = ctx.N.dim
     for i_n in range(dN):
@@ -637,18 +638,18 @@ def test_psi_kron_products_match_the_coefficient_loops(field, context):
                                     for _ in range(3)]
     qs = simple_modules(ctx.B) + [random_module(ctx.B, rng, max_cuts=1)
                                   for _ in range(2)]
-    n_lam = restrict_left(ctx.N, ext.incl_rows, ext.Lam)
+    m_lam, n_lam = lam_bimodules(ext, ctx)
     quads = []
     for p in ps:
-        mp, ip = m_tensor_lambda(ext, ctx, p), tensor_module(ext.ideal, p)
-        assert psi_tensor_block(ctx, ext, p, mp, ip) == \
+        mp, ip = tensor_module(m_lam, p), tensor_module(ext.ideal, p)
+        assert psi_tensor_block(ctx, ext, p) == \
             _psi_tensor_block(ctx, ext, p, mp, ip)
         new, old = t_lambda(ext, ctx, p), _t_lambda(ext, ctx, p)
         assert new.f.mat == old.f.mat and new.g.mat == old.g.mat
         quads.append(new)
         for q in qs:
             nq = tensor_module(n_lam, q)
-            assert _sigma0(ctx, ext, ip, nq, mp) == _sigma0_loop(ctx, ext, ip, nq, mp)
+            assert _sigma0(ctx, ext, p, q) == _sigma0_loop(ctx, ext, ip, nq, mp)
     nonzero = 0
     for q in quads + [t_b(ctx, y) for y in qs]:
         sm = structural_maps(ctx, q)
@@ -1317,9 +1318,9 @@ def test_a_repeating_window_tensors_each_term_instance_once(count_calls):
     window = ComplexWindow(-2, 2, terms,
                            [zero_hom(u, v) for u, v in zip(terms, terms[1:])])
     bim = regular_bimodule(a)
-    calls = count_calls(tensor_module)
-    cx, tens = _tensor_window(bim, window, "A(x)W")
-    assert len(calls) == 2
+    systems = count_calls(intertwining_system)
+    cx, tens = _tensor_window(bim, window)
+    assert len(systems) == 2
     assert tens[0] is tens[2] is tens[4] and tens[1] is tens[3]
     assert [t.module for t in tens] == cx.terms
     for i in range(-2, 2):

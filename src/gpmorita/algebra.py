@@ -10,6 +10,9 @@ R_{ab} = R_a @ R_b.
 """
 from __future__ import annotations
 
+import functools
+import inspect
+import operator
 from dataclasses import dataclass, field as dc_field
 
 from .fields import Field
@@ -23,6 +26,70 @@ class AlgebraError(ValueError):
     pass
 
 
+# arguments keyed by value; any other argument is keyed by its id
+_BY_VALUE = (int, str, bool, float, type(None))
+
+
+def memo(f=None, *, on: int = 0):
+    """The package's one memo of derived values.  f(*args) is kept on the
+    `_cache` of its argument number `on`, the holder, and lives as long as
+    the holder does.  The entry is keyed by f and the other arguments, with
+    defaults filled in, so a positional and a keyword call share it:
+    numbers, strings and None by value, any other object by id.  Those
+    objects are held in the entry, so a reused id cannot hit, and a hit
+    returns the very instance that was stored.  An exception is not stored.
+
+    `f.put(value, *args)` records a value known without computing it, such
+    as the reverse of an involution; `f.get(*args)` reads an entry without
+    computing one (None when there is none)."""
+    if f is None:
+        return functools.partial(memo, on=on)
+    sig = inspect.signature(f)
+    defaults = tuple(p.default for p in sig.parameters.values())
+    n = len(defaults)
+    required = sum(d is inspect.Parameter.empty for d in defaults)
+
+    def find(args, kw):
+        """The holder's cache, the key and the held objects of a call, and
+        the entry stored for it or None."""
+        if kw or not required <= len(args) <= n:
+            bound = sig.bind(*args, **kw)
+            bound.apply_defaults()
+            args = tuple(bound.arguments.values())
+        elif len(args) < n:
+            args += defaults[len(args):]
+        key, held = (f,), ()
+        for v in args[:on] + args[on + 1:]:
+            if type(v) in _BY_VALUE:
+                key += (v,)
+            else:
+                key += (id(v),)
+                held += (v,)
+        cache = args[on]._cache
+        entry = cache.get(key)
+        if entry is not None and not all(map(operator.is_, entry[0], held)):
+            entry = None
+        return cache, key, held, entry
+
+    @functools.wraps(f)
+    def cached(*args, **kw):
+        cache, key, held, entry = find(args, kw)
+        if entry is None:
+            entry = cache[key] = (held, f(*args, **kw))
+        return entry[1]
+
+    def put(value, *args, **kw):
+        cache, key, held, _ = find(args, kw)
+        cache[key] = (held, value)
+
+    def get(*args, **kw):
+        entry = find(args, kw)[3]
+        return None if entry is None else entry[1]
+
+    cached.put, cached.get = put, get
+    return cached
+
+
 @dataclass
 class Algebra:
     field: Field
@@ -30,11 +97,10 @@ class Algebra:
     mul: list[list[list]]          # mul[i][j] = coords of b_i * b_j
     unit: list                     # coords of 1
     name: str = ""
-    # memos: equality is that of the structure, not of what was computed
-    _lmul: list[Mat] | None = dc_field(default=None, repr=False, compare=False)
-    _rmul: list[Mat] | None = dc_field(default=None, repr=False, compare=False)
-    _op: "Algebra | None" = dc_field(default=None, repr=False, compare=False)
-    _cache: dict = dc_field(default_factory=dict, repr=False, compare=False)
+    # `memo` entries: equality is that of the structure, not of what was
+    # computed, and a dataclasses.replace copy starts with none
+    _cache: dict = dc_field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         n = self.dim
@@ -74,23 +140,17 @@ class Algebra:
                         out[k] = F.add(out[k], F.mul(c, row[k]))
         return out
 
+    @memo
     def lmul_mats(self) -> list[Mat]:
         """Left multiplication by each basis element, as row-action matrices."""
-        if self._lmul is None:
-            self._lmul = [
-                Mat(self.field, [self.mul[t][i][:] for i in range(self.dim)], self.dim)
-                for t in range(self.dim)
-            ]
-        return self._lmul
+        return [Mat(self.field, [self.mul[t][i][:] for i in range(self.dim)], self.dim)
+                for t in range(self.dim)]
 
+    @memo
     def rmul_mats(self) -> list[Mat]:
         """Right multiplication by each basis element."""
-        if self._rmul is None:
-            self._rmul = [
-                Mat(self.field, [self.mul[i][t][:] for i in range(self.dim)], self.dim)
-                for t in range(self.dim)
-            ]
-        return self._rmul
+        return [Mat(self.field, [self.mul[i][t][:] for i in range(self.dim)], self.dim)
+                for t in range(self.dim)]
 
     def rmul_of(self, a: list) -> Mat:
         return linear_combination(self.field, self.dim, self.dim, a, self.rmul_mats())
@@ -107,9 +167,11 @@ def validate_algebra(a: Algebra) -> list[Violation]:
     """Check associativity on all basis triples and both unit laws.  The
     verdict is stored on a, so each instance is checked once; every call
     returns a fresh list."""
-    hit = a._cache.get("violations")
-    if hit is not None:
-        return hit[:]
+    return _algebra_violations(a)[:]
+
+
+@memo
+def _algebra_violations(a: Algebra) -> list[Violation]:
     out = []
     n = a.dim
     for i in range(n):
@@ -126,34 +188,28 @@ def validate_algebra(a: Algebra) -> list[Violation]:
             out.append(Violation("unit", (i,), "1*b != b"))
         if a.multiply(e, a.unit) != e:
             out.append(Violation("unit", (i,), "b*1 != b"))
-    a._cache["violations"] = out
-    return out[:]
+    return out
 
 
+@memo
 def opposite_algebra(a: Algebra) -> Algebra:
-    """Opposite algebra; cached, and an involution on instances."""
-    if a._op is None:
-        op = Algebra(
-            a.field, a.dim,
-            [[a.mul[j][i][:] for j in range(a.dim)] for i in range(a.dim)],
-            a.unit[:],
-            name=f"{a.name}^op" if a.name else "op",
-        )
-        a._op = op
-        op._op = a
-    return a._op
+    """Opposite algebra; cached both ways, so it is an involution on
+    instances."""
+    op = Algebra(a.field, a.dim,
+                 [[a.mul[j][i][:] for j in range(a.dim)] for i in range(a.dim)],
+                 a.unit[:], name=f"{a.name}^op" if a.name else "op")
+    opposite_algebra.put(a, op)
+    return op
 
 
+@memo
 def generating_subset(a: Algebra) -> list[int]:
     """Indices of basis elements generating a as a unital algebra.
 
     Intertwiner computations and the module laws only need constraints
-    for a generating set, which keeps the linear systems small.  Computed
-    once per algebra and kept in a._cache; each call returns a fresh list.
+    for a generating set, which keeps the linear systems small.  Memoized
+    on a; callers only read the list.
     """
-    hit = a._cache.get("generating_subset")
-    if hit is not None:
-        return hit[:]
     F = a.field
     span = row_space(Mat.from_rows(F, [a.unit], a.dim))
     gens: list[int] = []
@@ -175,8 +231,7 @@ def generating_subset(a: Algebra) -> list[int]:
             span = new_span
         if span.rows == a.dim:
             break
-    a._cache["generating_subset"] = gens
-    return gens[:]
+    return gens
 
 
 def subalgebra(a: Algebra, rows: Mat, name: str = "") -> tuple[Algebra, Mat]:
@@ -253,37 +308,28 @@ class UnsupportedField(AlgebraError):
 
 
 def trace_form(a: Algebra) -> Mat:
-    """T[i][j] = trace of left multiplication by b_i b_j on the regular module."""
-    F = a.field
-    traces = [m.trace() for m in a.lmul_mats()]
-    rows = []
-    for i in range(a.dim):
-        trow = []
-        for j in range(a.dim):
-            acc = F.zero()
-            row = a.mul[i][j]
-            for k in range(a.dim):
-                if not F.is_zero(row[k]):
-                    acc = F.add(acc, F.mul(row[k], traces[k]))
-            trow.append(acc)
-        rows.append(trow)
-    return Mat(F, rows, a.dim)
+    """T[i][j] = trace of left multiplication by b_i b_j on the regular
+    module, sum_k c[i][j][k] tr(L_{b_k}): the n^2 x n stacked structure
+    constants times the column of traces, read as n x n."""
+    F, n = a.field, a.dim
+    consts = Mat(F, [a.mul[i][j] for i in range(n) for j in range(n)], n)
+    traces = Mat(F, [[m.trace()] for m in a.lmul_mats()], 1)
+    return (consts @ traces).reshape(n, n)
 
 
+@memo
 def radical_basis(a: Algebra) -> Mat:
     """Canonical row basis of the Jacobson radical.
 
     Uses the trace-form kernel, valid in characteristic 0 and in
     characteristic p > dim; other characteristics raise UnsupportedField.
-    Computed once per algebra and kept in a._cache.
+    Memoized on a.
     """
     p = a.field.characteristic
     if p != 0 and p <= a.dim:
         raise UnsupportedField(
             f"radical via trace form needs char 0 or p > dim; got p={p}, dim={a.dim}")
-    if "radical_basis" not in a._cache:
-        a._cache["radical_basis"] = left_kernel(trace_form(a))
-    return a._cache["radical_basis"]
+    return left_kernel(trace_form(a))
 
 
 def nilpotency_index(a: Algebra, rows: Mat, cap: int | None = None) -> int | None:

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .algebra import Algebra, generating_subset, opposite_algebra
+from .algebra import Algebra, generating_subset, memo, opposite_algebra
 from .linalg import (
     Mat, coordinates, factor_through, intertwining_system, linear_combination,
     quotient_maps, row_space,
 )
-from .modules import FDModule, ModuleError, ModuleHom, pair_memo, validate_module
+from .modules import FDModule, ModuleError, ModuleHom, validate_module
 
 
 class BimoduleError(ValueError):
@@ -37,7 +37,8 @@ class Bimodule:
     left_acts: list[Mat]         # b_t . x = x @ left_acts[t]
     right_acts: list[Mat]        # x . b_t = x @ right_acts[t]
     name: str = ""
-    _cache: dict = dc_field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = dc_field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         if len(self.left_acts) != self.left.dim or len(self.right_acts) != self.right.dim:
@@ -74,10 +75,12 @@ def validate_bimodule(m: Bimodule) -> list[str]:
     checked on generator pairs (s, t) of the left and right algebras.  The
     verdict is stored on m, so each instance is checked once; every call
     returns a fresh list."""
-    hit = m._cache.get("violations")
-    if hit is None:
-        hit = m._cache["violations"] = _bimodule_violations(m)
-    return hit[:]
+    return _bimodule_verdict(m)[:]
+
+
+@memo
+def _bimodule_verdict(m: Bimodule) -> list[str]:
+    return _bimodule_violations(m)
 
 
 def _bimodule_violations(m: Bimodule) -> list[str]:
@@ -166,7 +169,7 @@ class TensorModule:
     section: Mat                 # module.dim x (bim.dim * arg.dim)
 
 
-@pair_memo(1)
+@memo(on=1)
 def tensor_module(m: Bimodule, x: FDModule) -> TensorModule:
     """M (x)_A X as a module over M's left algebra, named M(x)X.  When M or
     X is zero, so is the tensor product: the zero module, with 0 x 0
@@ -213,7 +216,7 @@ class TensorSpace:
     section: Mat
 
 
-@pair_memo(1)
+@memo(on=1)
 def balanced_tensor_space(u_op: FDModule, x: FDModule) -> TensorSpace:
     """Tensor over A of a right module (as a module over A^op) and a left
     module; returns the quotient of the k-tensor space, or with a zero

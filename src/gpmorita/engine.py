@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import opposite_algebra
+from .algebra import memo, opposite_algebra
 from .bimodules import (
     Bimodule, balanced_tensor_space, tensor_functor_hom, tensor_module,
 )
@@ -134,13 +134,11 @@ def zero_case_check(ctx: MoritaContext, q: QuadrupleModule, window: int = 6,
     return check_conditions(ext, ctx, q, window, period_bound, seed)
 
 
+@memo
 def identity_extension(ctx: MoritaContext) -> TrivialExtension:
-    key = "identity_extension"
-    if key not in ctx._cache:
-        F = ctx.A.field
-        ctx._cache[key] = recognize_trivial_extension(
-            ctx.A, Mat.identity(F, ctx.A.dim), Mat.zeros(F, 0, ctx.A.dim))
-    return ctx._cache[key]
+    F = ctx.A.field
+    return recognize_trivial_extension(
+        ctx.A, Mat.identity(F, ctx.A.dim), Mat.zeros(F, 0, ctx.A.dim))
 
 
 # -- the total resolution ------------------------------------------------------
@@ -305,7 +303,7 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
     fcx = ComplexWindow(-span, span, f_terms, f_diffs)
 
     # T over the context ring, with differential block_diag(F, Y)
-    mr = _ring_of(ctx)
+    mr = build_ring(ctx)
     t_terms = [quadruple_to_module(mr, tq) for tq in t_quads]
     t_diffs = []
     for i in range(-span, span):
@@ -333,12 +331,6 @@ def _weave(which: str, ses: ShortExactSequence, xc: ComplexWindow,
     except HorseshoeError as e:
         at = "" if e.degree is None else f" at degree {e.degree}"
         raise EngineError(f"{which} horseshoe failed{at}: {e}") from e
-
-
-def _ring_of(ctx: MoritaContext) -> MoritaRing:
-    if "ring" not in ctx._cache:
-        ctx._cache["ring"] = build_ring(ctx)
-    return ctx._cache["ring"]
 
 
 def _restrict_window(wc: ComplexWindow, lo: int, hi: int) -> ComplexWindow:
@@ -553,7 +545,7 @@ def check_semi_weak_quadruple(ext: TrivialExtension, ctx: MoritaContext,
     proof-grade refutation with the failing degree as witness.
     """
     check_extension_matches(ext, ctx)
-    mr = _ring_of(ctx)
+    mr = build_ring(ctx)
     m_lam, n_lam = lam_bimodules(ext, ctx)
     if which == "N":
         w_left, w_bim = n_lam.as_left_module("N|Lam"), n_lam
@@ -674,7 +666,7 @@ def audit_equivalence(ext: TrivialExtension, ctx: MoritaContext,
     proof-grade reasons they falsify the build; otherwise undetermined.
     """
     check_extension_matches(ext, ctx)
-    mr = _ring_of(ctx)
+    mr = build_ring(ctx)
     m_lam, n_lam = lam_bimodules(ext, ctx)
     bim_verdicts = {
         "N": check_compat(n_lam, bound=window, seed=seed),

@@ -18,6 +18,7 @@ verify.verify_certificate is the independent check of every certificate.
 """
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 from .algebra import opposite_algebra
@@ -106,7 +107,9 @@ def strip_projective_summands(x: FDModule, seed: int = 0):
         for mod, _, _, _ in _block_reps(a, seed):
             if mod.dim > cur.dim:
                 continue
-            basis = hom_space(mod, cur)
+            # the unmemoized body: mod is kept on the algebra and cur is
+            # transient, so an entry on mod would keep cur alive
+            basis = inspect.unwrap(hom_space)(mod, cur)
             if not basis:
                 continue
             candidates = [h.mat for h in basis]

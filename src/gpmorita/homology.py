@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Algebra, opposite_algebra, radical_basis
+from .algebra import Algebra, memo, opposite_algebra, radical_basis
 from .bimodules import balanced_tensor_space
 from .idempotents import indecomposable_projectives
 from .linalg import Mat, in_row_space, left_kernel, row_space, solve_left
@@ -18,27 +18,24 @@ from .modules import (
 )
 
 
+@memo
 def _projectives(a: Algebra, seed: int = 0):
-    key = ("indec_projectives", seed)
-    if key not in a._cache:
-        a._cache[key] = indecomposable_projectives(a, seed)
-    return a._cache[key]
+    return indecomposable_projectives(a, seed)
 
 
+@memo
 def _block_reps(a: Algebra, seed: int = 0):
     """One (module, inclusion, idempotent, block) per block of A/rad."""
-    key = ("block_reps", seed)
-    if key not in a._cache:
-        seen = set()
-        reps = []
-        for item in _projectives(a, seed):
-            if item[3] not in seen:
-                seen.add(item[3])
-                reps.append(item)
-        a._cache[key] = reps
-    return a._cache[key]
+    seen = set()
+    reps = []
+    for item in _projectives(a, seed):
+        if item[3] not in seen:
+            seen.add(item[3])
+            reps.append(item)
+    return reps
 
 
+@memo
 def radical_rows_of_module(x: FDModule) -> Mat:
     a = x.algebra
     rad = radical_basis(a)
@@ -52,24 +49,15 @@ def top_of(x: FDModule) -> tuple[FDModule, ModuleHom]:
     return quotient_by_rows(x, radical_rows_of_module(x), name=f"top({x.name})")
 
 
+@memo
 def simple_modules(a: Algebra, seed: int = 0) -> list[FDModule]:
     """One simple module per block, as the top of the block's projective."""
-    key = ("simples", seed)
-    if key not in a._cache:
-        out = []
-        for mod, _, _, blk in _block_reps(a, seed):
-            s, _ = top_of(mod)
-            s.name = f"S{blk}"
-            out.append(s)
-        a._cache[key] = out
-    return a._cache[key]
-
-
-def _radical_rows_of_projective(mod: FDModule) -> Mat:
-    """radical_rows_of_module of an indecomposable projective, kept on it."""
-    if "radical_rows" not in mod._cache:
-        mod._cache["radical_rows"] = radical_rows_of_module(mod)
-    return mod._cache["radical_rows"]
+    out = []
+    for mod, _, _, blk in _block_reps(a, seed):
+        s, _ = top_of(mod)
+        s.name = f"S{blk}"
+        out.append(s)
+    return out
 
 
 def projective_cover(x: FDModule, seed: int = 0) -> tuple[FDModule, ModuleHom]:
@@ -108,18 +96,16 @@ def projective_cover(x: FDModule, seed: int = 0) -> tuple[FDModule, ModuleHom]:
         raise ModuleError("projective cover construction failed to surject")
     ker_rows = left_kernel(phi.mat)
     if ker_rows.rows:
-        rad_P = Mat.block_diag([_radical_rows_of_projective(m) for m in summands])
+        rad_P = Mat.block_diag([radical_rows_of_module(m) for m in summands])
         if not in_row_space(rad_P, ker_rows):
             raise ModuleError("projective cover is not minimal")
     return P, phi
 
 
+@memo
 def is_projective(x: FDModule, seed: int = 0) -> bool:
-    key = ("is_projective", seed)
-    if key not in x._cache:
-        P, _ = projective_cover(x, seed)
-        x._cache[key] = P.dim == x.dim
-    return x._cache[key]
+    P, _ = projective_cover(x, seed)
+    return P.dim == x.dim
 
 
 @dataclass
@@ -210,31 +196,25 @@ def injective_dimension(x: FDModule, bound: int, seed: int = 0) -> int | None:
     return projective_dimension(dual_module(x, aop), bound, seed)
 
 
+@memo
 def global_dimension(a: Algebra, bound: int, seed: int = 0) -> int | None:
     """The largest projective dimension of a simple module, or None when
     one exceeds bound; kept per algebra, bound and seed."""
-    key = ("gldim", bound, seed)
-    if key not in a._cache:
-        best = 0
-        for s in simple_modules(a, seed):
-            d = projective_dimension(s, bound, seed)
-            if d is None:
-                best = None
-                break
-            best = max(best, d)
-        a._cache[key] = best
-    return a._cache[key]
+    best = 0
+    for s in simple_modules(a, seed):
+        d = projective_dimension(s, bound, seed)
+        if d is None:
+            return None
+        best = max(best, d)
+    return best
 
 
+@memo
 def is_self_injective(a: Algebra, seed: int = 0) -> bool:
     """The regular module is injective iff the dual of the regular right
     module is projective as a left module."""
-    key = ("self_inj", seed)
-    if key not in a._cache:
-        aop = opposite_algebra(a)
-        d = dual_module(regular_module(aop), a)
-        a._cache[key] = is_projective(d, seed)
-    return a._cache[key]
+    aop = opposite_algebra(a)
+    return is_projective(dual_module(regular_module(aop), a), seed)
 
 
 def indec_injectives(a: Algebra, seed: int = 0) -> list[FDModule]:

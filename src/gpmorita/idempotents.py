@@ -14,7 +14,8 @@ from __future__ import annotations
 import random
 
 from .algebra import (
-    Algebra, AlgebraError, corner_algebra, quotient_algebra, radical_basis,
+    Algebra, AlgebraError, corner_algebra, nilpotency_index, quotient_algebra,
+    radical_basis,
 )
 from .fields import Field
 from .linalg import (
@@ -469,16 +470,7 @@ def primitive_idempotents(a: Algebra, seed: int = 0) -> list[tuple[list, int]]:
     assert section is not None
     bars = primitive_idempotents_semisimple(ss, seed)
     # radical nilpotency index bounds the lifting iterations
-    nilp = 1
-    cur = rad
-    while cur.rows:
-        prods = []
-        for i in range(cur.rows):
-            for j in range(rad.rows):
-                prods.append(a.multiply(cur.row(i), rad.row(j)))
-        cur = row_space(Mat.from_rows(F, prods, a.dim)) if prods else Mat.zeros(F, 0, a.dim)
-        nilp += 1
-    iters = max(1, (nilp - 1).bit_length() + 1)
+    iters = max(1, (nilpotency_index(a, rad) - 1).bit_length() + 1)
     lifted: list[tuple[list, int]] = []
     fsum = a.zero_el()
     for k, (ebar, blk) in enumerate(bars):

@@ -19,12 +19,11 @@ subalgebra, so a map that intertwines the generators is a module map.
 """
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass, field as dc_field
 from itertools import product as iter_product
 
-from .algebra import Algebra, generating_subset
+from .algebra import Algebra, generating_subset, memo
 from .linalg import (
     Mat, coordinates, factor_through, intertwining_system, kernel_basis,
     left_kernel, linear_combination, quotient_maps, rank, row_space,
@@ -46,7 +45,8 @@ class FDModule:
     dim: int
     acts: list[Mat]
     name: str = ""
-    _cache: dict = dc_field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = dc_field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         if len(self.acts) != self.algebra.dim:
@@ -72,17 +72,18 @@ def validate_module(x: FDModule) -> list[str]:
     every generator g and every basis element j; the first failing pair
     (g, j) is named.  The verdict is stored on x, so each instance is
     checked once; every call returns a fresh list."""
-    hit = x._cache.get("violations")
-    if hit is None:
-        a = x.algebra
-        hit = []
-        if x.act_of(a.unit) != Mat.identity(a.field, x.dim):
-            hit.append("unit does not act as identity")
-        hit += next(([f"action not multiplicative at ({g},{j})"]
-                     for g in x.gens() for j in range(a.dim)
-                     if x.act_of(a.mul[g][j]) != x.acts[j] @ x.acts[g]), [])
-        x._cache["violations"] = hit
-    return hit[:]
+    return _module_violations(x)[:]
+
+
+@memo
+def _module_violations(x: FDModule) -> list[str]:
+    a = x.algebra
+    out = []
+    if x.act_of(a.unit) != Mat.identity(a.field, x.dim):
+        out.append("unit does not act as identity")
+    return out + next(([f"action not multiplicative at ({g},{j})"]
+                       for g in x.gens() for j in range(a.dim)
+                       if x.act_of(a.mul[g][j]) != x.acts[j] @ x.acts[g]), [])
 
 
 def zero_module(a: Algebra) -> FDModule:
@@ -145,25 +146,7 @@ def zero_hom(x: FDModule, y: FDModule) -> ModuleHom:
     return ModuleHom(x, y, Mat.zeros(x.algebra.field, x.dim, y.dim))
 
 
-def pair_memo(on: int):
-    """Memoize f(a, b) per (a, b) instance pair.  The entry lives on the
-    `_cache` of argument `on` (0 or 1), keyed by f's name and the id of the
-    other argument, and holds that argument, so a reused id cannot hit; it
-    lives as long as its holder."""
-    def wrap(f):
-        @functools.wraps(f)
-        def memo(a, b):
-            holder, other = (a, b) if on == 0 else (b, a)
-            key = (f.__name__, id(other))
-            hit = holder._cache.get(key)
-            if hit is None or hit[0] is not other:
-                hit = holder._cache[key] = (other, f(a, b))
-            return hit[1]
-        return memo
-    return wrap
-
-
-@pair_memo(0)
+@memo
 def hom_space(x: FDModule, y: FDModule) -> list[ModuleHom]:
     """Canonical basis of Hom_A(x, y), via the intertwining linear system.
     Memoized per (x, y) instance pair, on x."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .algebra import Algebra, opposite_algebra, validate_algebra
+from .algebra import Algebra, memo, opposite_algebra, validate_algebra
 from .bimodules import (
     BalancedMap, Bimodule, TensorModule, hom_module, opposite_bimodule,
     tensor_functor_hom, tensor_module, validate_balanced_map, validate_bimodule,
@@ -28,7 +28,7 @@ from .linalg import (
     Mat, coordinates, factor_through, in_row_space, rank, row_space,
 )
 from .modules import (
-    FDModule, ModuleHom, cokernel_of, identity_hom, kernel_of, pair_memo,
+    FDModule, ModuleHom, cokernel_of, identity_hom, kernel_of,
     quotient_by_rows, regular_module, validate_module, zero_hom, zero_module,
 )
 
@@ -52,7 +52,8 @@ class MoritaContext:
     phi: BalancedMap             # M (x)_A N -> B
     psi: BalancedMap             # N (x)_B M -> A
     name: str = ""
-    _cache: dict = dc_field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = dc_field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def ideal_rows_a(self) -> Mat:
         """Row basis of I = im(psi) inside A."""
@@ -71,18 +72,18 @@ class MoritaContext:
         return self.psi.mat.is_zero()
 
 
+@memo
 def swap_context(ctx: MoritaContext) -> MoritaContext:
     """The corner swap (A, B, M, N, phi, psi) -> (B, A, N, M, psi, phi);
     (a n; m b) |-> (b m; n a) is a ring isomorphism.  Cached both ways, so
     swapping the swap returns the context itself."""
-    if "swap_context" not in ctx._cache:
-        sw = MoritaContext(ctx.B, ctx.A, ctx.N, ctx.M, ctx.psi, ctx.phi,
-                           name=f"{ctx.name}^swap")
-        sw._cache["swap_context"] = ctx
-        ctx._cache["swap_context"] = sw
-    return ctx._cache["swap_context"]
+    sw = MoritaContext(ctx.B, ctx.A, ctx.N, ctx.M, ctx.psi, ctx.phi,
+                       name=f"{ctx.name}^swap")
+    swap_context.put(ctx, sw)
+    return sw
 
 
+@memo
 def opposite_context(ctx: MoritaContext) -> MoritaContext:
     """The opposite context (A^op, B^op, N^op, M^op, phi', psi') with
     phi'(n (x) m) = phi(m (x) n) and psi'(m (x) n) = psi(n (x) m).  Its ring
@@ -91,29 +92,25 @@ def opposite_context(ctx: MoritaContext) -> MoritaContext:
     ring is a quadruple (C, D, h, k) over this context, with h and k read on
     N (x) C and M (x) D.  Cached both ways, so the opposite of the opposite
     returns the context itself."""
-    if "opposite_context" not in ctx._cache:
-        m_op, n_op = opposite_bimodule(ctx.N), opposite_bimodule(ctx.M)
-        a_op, b_op = m_op.right, m_op.left
-        dM, dN = ctx.M.dim, ctx.N.dim
-        op = MoritaContext(
-            a_op, b_op, m_op, n_op,
-            BalancedMap(m_op, n_op, b_op, ctx.phi.mat.swap_factors(dM, dN)),
-            BalancedMap(n_op, m_op, a_op, ctx.psi.mat.swap_factors(dN, dM)),
-            name=f"{ctx.name}^op")
-        op._cache["opposite_context"] = ctx
-        ctx._cache["opposite_context"] = op
-    return ctx._cache["opposite_context"]
+    m_op, n_op = opposite_bimodule(ctx.N), opposite_bimodule(ctx.M)
+    a_op, b_op = m_op.right, m_op.left
+    dM, dN = ctx.M.dim, ctx.N.dim
+    op = MoritaContext(
+        a_op, b_op, m_op, n_op,
+        BalancedMap(m_op, n_op, b_op, ctx.phi.mat.swap_factors(dM, dN)),
+        BalancedMap(n_op, m_op, a_op, ctx.psi.mat.swap_factors(dN, dM)),
+        name=f"{ctx.name}^op")
+    opposite_context.put(ctx, op)
+    return op
 
 
 def validate_context(ctx: MoritaContext) -> list[str]:
     """The violated context axioms.  The verdict is stored on ctx, so each
     instance is checked once; every call returns a fresh list."""
-    hit = ctx._cache.get("violations")
-    if hit is None:
-        hit = ctx._cache["violations"] = _context_violations(ctx)
-    return hit[:]
+    return _context_violations(ctx)[:]
 
 
+@memo
 def _context_violations(ctx: MoritaContext) -> list[str]:
     out = []
     if validate_algebra(ctx.A):
@@ -226,8 +223,10 @@ class MoritaRing:
                                  for i in range(self.ctx.B.dim)], self.ring.dim)
 
 
+@memo
 def build_ring(ctx: MoritaContext) -> MoritaRing:
-    """The 2x2 Morita context ring on the basis A ++ N ++ M ++ B.
+    """The 2x2 Morita context ring on the basis A ++ N ++ M ++ B, memoized
+    on ctx, so every caller works over the one ring.
 
     Validation runs first; a corrupted context is rejected before any ring
     is constructed.  The context axioms (algebras, unital bimodules,
@@ -303,7 +302,7 @@ class QuadrupleModule:
     mx: TensorModule
     ny: TensorModule
     name: str = ""
-    # init=False: a dataclasses.replace copy starts with an empty cache
+    # init=False: a dataclasses.replace copy starts with no memo entries
     _cache: dict = dc_field(default_factory=dict, init=False, repr=False,
                             compare=False)
 
@@ -338,8 +337,8 @@ def swap_quadruple(q: QuadrupleModule, name: str | None = None) -> QuadrupleModu
     carried over; a list of violations is not, as its messages name sides."""
     sw = QuadrupleModule(swap_context(q.ctx), q.y, q.x, q.g, q.f, q.ny, q.mx,
                          name=q.name if name is None else name)
-    if q._cache.get("violations") == []:
-        sw._cache["violations"] = []
+    if _quadruple_verdict.get(q) == []:
+        _quadruple_verdict.put([], sw)
     return sw
 
 
@@ -386,10 +385,12 @@ _QUADRUPLE_SIDES = (("X", "f", "B", "first", "I", "g"),
 def validate_quadruple(q: QuadrupleModule) -> list[str]:
     """The violated quadruple axioms.  The verdict is stored on q, so each
     instance is checked once; every call returns a fresh list."""
-    hit = q._cache.get("violations")
-    if hit is None:
-        hit = q._cache["violations"] = _quadruple_violations(q)
-    return hit[:]
+    return _quadruple_verdict(q)[:]
+
+
+@memo
+def _quadruple_verdict(q: QuadrupleModule) -> list[str]:
+    return _quadruple_violations(q)
 
 
 def _quadruple_violations(q: QuadrupleModule) -> list[str]:
@@ -449,7 +450,7 @@ def direct_sum_quadruples(qs: list[QuadrupleModule], name: str = "") -> Quadrupl
 # -- the equivalence with modules over the ring ------------------------------
 
 
-@pair_memo(1)
+@memo(on=1)
 def quadruple_to_module(mr: MoritaRing, q: QuadrupleModule) -> FDModule:
     """The module on X (+) Y with the action determined by the quadruple.
     Memoized per (mr, q) instance pair, on q."""

@@ -47,11 +47,11 @@ class ExactContextReport:
         return self.dim_r - self.dim_s - self.dim_t + self.dim_w
 
 
-def build_exact_context(ctx: MoritaContext, mr: MoritaRing | None = None) -> ExactContextReport:
+def build_exact_context(ctx: MoritaContext) -> ExactContextReport:
     """Verify that the diagonal, upper and lower triangular subrings of the
     context ring fit into the exact sequence 0 -> R -> S (+) T -> W -> 0
     with (r) |-> (r, r) and (s, t) |-> s - t."""
-    mr = mr or build_ring(ctx)
+    mr = build_ring(ctx)
     F = mr.ring.field
     W = mr.ring
     dA, dN, dM, dB = ctx.A.dim, ctx.N.dim, ctx.M.dim, ctx.B.dim

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Algebra, subalgebra
+from .algebra import Algebra, memo, subalgebra
 from .bimodules import (
     Bimodule, TensorModule, regular_bimodule, restrict_left, restrict_right,
     sub_bimodule_from_rows, tensor_functor_hom, tensor_module,
@@ -22,7 +22,7 @@ from .linalg import (
 )
 from .modules import (
     FDModule, ModuleHom, cokernel_of, corestrict, hom_space, image_of,
-    pair_memo, quotient_by_rows, restrict_along,
+    quotient_by_rows, restrict_along,
 )
 from .morita import (
     ContextError, MoritaContext, QuadrupleModule, build_ring, make_quadruple,
@@ -166,7 +166,7 @@ def induced_module(ext: TrivialExtension, x: FDModule, name: str = "") -> FDModu
     return FDModule(ext.A, dX + dIX, acts, name=name or f"{x.name}(I)")
 
 
-@pair_memo(1)
+@memo(on=1)
 def lam_bimodules(ext: TrivialExtension, ctx: MoritaContext) -> tuple[Bimodule, Bimodule]:
     """M|Lambda and N|Lambda: M's right and N's left action restricted
     along the inclusion Lambda -> A.  Built once per (ext, ctx) pair and
@@ -242,13 +242,11 @@ class StructuralMaps:
     ix_rows: Mat                 # row basis of IX inside X
 
 
+@memo
 def ideal_bimodule_a(ctx: MoritaContext) -> Bimodule:
-    key = "ideal_bimodule_a"
-    if key not in ctx._cache:
-        bim, _ = sub_bimodule_from_rows(regular_bimodule(ctx.A),
-                                        ctx.ideal_rows_a(), name="I")
-        ctx._cache[key] = bim
-    return ctx._cache[key]
+    bim, _ = sub_bimodule_from_rows(regular_bimodule(ctx.A),
+                                    ctx.ideal_rows_a(), name="I")
+    return bim
 
 
 def structural_maps(ctx: MoritaContext, q: QuadrupleModule) -> StructuralMaps:

@@ -15,7 +15,7 @@ put through validate_module before any map into or out of it is trusted.
 """
 from __future__ import annotations
 
-from .algebra import opposite_algebra
+from .algebra import memo, opposite_algebra
 from .complexes import ComplexWindow
 from .linalg import Mat, coordinates, in_row_space, left_kernel, rank, solve_left
 from .modules import (
@@ -24,25 +24,20 @@ from .modules import (
 from .gpcert import GPCertificate, NotGPWitness
 
 
+@memo
 def _regular(a) -> FDModule:
-    """The checker's one regular module of a, kept in a._cache so that
-    every hom_space(-, A) the checker asks for hits the same cache entry."""
-    reg = a._cache.get("verify_regular")
-    if reg is None:
-        reg = a._cache["verify_regular"] = regular_module(a)
-    return reg
+    """The checker's one regular module of a, memoized on a so that every
+    hom_space(-, A) the checker asks for hits the same memo entry."""
+    return regular_module(a)
 
 
+@memo
 def projective_by_splitting(m: FDModule) -> bool:
     """m is projective iff its canonical free presentation phi: A^n ->> m
     (n = dim m) splits.  A section m -> A^n is sum_{i,l} c_{i,l} h_l into
     copy i over a basis h_1..h_k of Hom(m, A), so s phi = 1_m is one linear
     system in the n*k coefficients c, with n^2 equations."""
-    if m.dim == 0:
-        return True
-    if "proj_by_split" not in m._cache:
-        m._cache["proj_by_split"] = _presentation_splits(m)
-    return m._cache["proj_by_split"]
+    return m.dim == 0 or _presentation_splits(m)
 
 
 def _presentation_splits(m: FDModule) -> bool:

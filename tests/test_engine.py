@@ -199,8 +199,7 @@ def test_corner_complex_extraction_round_trip():
     q = t_lambda(ext, ctx, regular_module(ext.Lam))
     rep = check_conditions(ext, ctx, q)
     asm = build_total_resolution(ext, ctx, q, rep, window=3)
-    from gpmorita.engine import _ring_of
-    mr = _ring_of(ctx)
+    mr = build_ring(ctx)
     pcx, qcx, _ = corner_complexes(ext, ctx, mr, asm.tcx)
     assert [t.dim for t in pcx.terms] == [t.dim for t in asm.pcx.terms]
     assert [t.dim for t in qcx.terms] == [t.dim for t in asm.qcx.terms]
@@ -452,7 +451,7 @@ def _t_plus_p2(make, F):
 def test_t_window_matches_quadruples_built_fresh(F, make):
     ext, ctx, q, rep = _t_plus_p2(make, F)
     asm = build_total_resolution(ext, ctx, q, rep, window=3)
-    mr = engine._ring_of(ctx)
+    mr = build_ring(ctx)
     for i in range(asm.tcx.lo, asm.tcx.hi + 1):
         fresh = direct_sum_quadruples([t_lambda(ext, ctx, asm.pcx.term(i)),
                                        t_b(ctx, asm.qcx.term(i))])

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -14,7 +16,7 @@ from gpmorita.catalog import (
 from gpmorita.complexes import ComplexWindow
 from gpmorita.fields import GF, QQ
 from gpmorita.gpcert import certify_gorenstein_projective
-from gpmorita.homology import is_projective
+from gpmorita.homology import _block_reps, is_projective, simple_modules
 from gpmorita.linalg import Mat
 from gpmorita.modules import ModuleHom, direct_sum, regular_module, zero_module
 from gpmorita.morita import (
@@ -32,6 +34,23 @@ def test_projective_certifies_with_period_one():
     assert cert.verdict == "gp" and cert.period == 1
     assert cert.reason == "split-projective"
     assert verify_certificate(cert, p2) == []
+
+
+def test_certifying_keeps_nothing_of_the_module_on_the_algebra():
+    # the projective summands are searched for with Hom(P, x) for each block
+    # representative P, which the algebra keeps: x must not stay behind
+    a = truncated_poly(QQ(), 3)
+    reps = [rep[0] for rep in _block_reps(a)]
+    sizes, alive = [], []
+    for _ in range(5):
+        x = direct_sum([simple_modules(a)[0], regular_module(a)])[0]
+        assert certify_gorenstein_projective(x).verdict == "gp"
+        alive.append(weakref.ref(x))
+        del x
+        gc.collect()
+        sizes.append([len(p._cache) for p in reps])
+    assert sizes == sizes[:1] * 5
+    assert all(ref() is None for ref in alive)
 
 
 def test_zero_module_certifies():

@@ -1,4 +1,4 @@
-"""Eight layering rules of the package, checked on its source.
+"""Nine layering rules of the package, checked on its source.
 
 Only `linalg` sees matrix entries: no other module reads or writes a
 `.data` attribute or the integer storage behind it, so the storage can
@@ -18,7 +18,9 @@ M and N are restricted to Lambda in one function, `trivext.lam_bimodules`,
 which keeps them on the context, so the memoized tensor products over
 M|Lambda and N|Lambda are found again; and no function takes an optional
 tensor product that its caller may have built, since `tensor_module`
-returns the one it built.
+returns the one it built.  Every derived value kept on an instance goes
+through the one memo, `algebra.memo`: no other code reads or writes an
+instance's `_cache`.
 """
 from __future__ import annotations
 
@@ -219,3 +221,21 @@ def test_no_function_takes_an_optional_tensor_product():
                      ("TensorModule|None", "None|TensorModule",
                       "Optional[TensorModule]")]
     assert not hits, f"optional tensor parameters: {hits}"
+
+
+# the one function that reads and writes the per-instance memo storage
+MEMO = ("algebra.py", "memo")
+
+
+def test_only_the_memo_touches_cache():
+    hits = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        name = os.path.basename(path)
+        tree = _tree(name)
+        allowed = {id(n) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef) and (name, fn.name) == MEMO
+                   for n in ast.walk(fn)}
+        hits += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "_cache"
+                 and id(node) not in allowed]
+    assert not hits, f"_cache read or written outside the memo: {hits}"

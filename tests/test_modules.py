@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from gpmorita.algebra import opposite_algebra, radical_basis
+from gpmorita import morita
+from gpmorita.algebra import memo, opposite_algebra, radical_basis
+from gpmorita.bimodules import BalancedMap
 from gpmorita.catalog import (
-    field_algebra, path_a2, product_fields, proj_a2, random_hom,
+    field_algebra, glued_psi_context, path_a2, product_fields, proj_a2, random_hom,
     random_module, simple_at_idempotent, simple_kx2, truncated_poly,
     zero_context,
 )
@@ -15,10 +18,12 @@ from gpmorita.linalg import Mat
 from gpmorita.modules import (
     FDModule, ModuleHom, cokernel_of, direct_sum, dual_module, free_module,
     hom_dim, hom_space, identity_hom, image_of, is_isomorphic, kernel_of,
-    pair_memo, Undetermined, regular_module, restrict_along, validate_module,
+    Undetermined, regular_module, restrict_along, validate_module,
     zero_hom, zero_module,
 )
-from gpmorita.morita import build_ring, quadruple_to_module, t_a
+from gpmorita.morita import (
+    ContextError, MoritaContext, build_ring, quadruple_to_module, t_a,
+)
 
 
 def test_regular_module_valid():
@@ -194,23 +199,50 @@ def test_equality_does_not_depend_on_memos():
     assert a != truncated_poly(QQ(), 3) and x != direct_sum([y, y])[0]
 
 
-def test_pair_memo_answers_only_its_own_instance_pair():
+def test_a_replaced_module_is_validated_afresh():
+    # a dataclasses.replace copy starts with no memo entries, so a copy with
+    # corrupted actions does not read the verdict of the valid original
+    x = regular_module(truncated_poly(QQ(), 3))
+    assert validate_module(x) == []
+    bad = replace(x, acts=[m.scale(QQ().of_int(2)) for m in x.acts])
+    assert validate_module(bad) == ["unit does not act as identity",
+                                    "action not multiplicative at (1,0)"]
+
+
+def test_memo_answers_only_its_own_arguments(count_calls):
     class Holder:
         def __init__(self):
             self._cache = {}
 
     calls = []
 
-    @pair_memo(1)
-    def build(a, b):
-        calls.append((a, b))
+    @memo(on=1)
+    def build(a, b, seed=0, bound=None):
+        calls.append((a, b, seed, bound))
         return object()
 
     a, b = Holder(), Holder()
     out = build(a, b)
-    assert build(a, b) is out and len(calls) == 1
+    # positional, keyword and defaulted calls share one entry
+    assert build(a, b, 0) is out and build(a, b, seed=0, bound=None) is out
+    assert build(b=b, a=a) is out and len(calls) == 1
     assert build(Holder(), b) is not out and len(calls) == 2
+    # each seed and each bound has its own entry
+    by_seed, by_bound = build(a, b, 1), build(a, b, bound=3)
+    assert len({id(out), id(by_seed), id(by_bound)}) == 3 and len(calls) == 4
+    assert build(a, b, seed=1) is by_seed and build(a, b, 0, 3) is by_bound
+    assert build(a, b) is out and len(calls) == 4
     # an entry whose key id now belongs to another object is not a hit: the
-    # entry holds the argument it was built for
-    b._cache[("build", id(a))] = (Holder(), "stale")
-    assert build(a, b) not in (out, "stale") and len(calls) == 3
+    # entry holds the arguments it was built for
+    for key, (held, _) in list(b._cache.items()):
+        b._cache[key] = (tuple(Holder() for _ in held), "stale")
+    assert build(a, b) not in (out, "stale") and len(calls) == 5
+    # an exception is not stored: the next call runs the body again
+    _, ctx = glued_psi_context(QQ())
+    bad = BalancedMap(ctx.N, ctx.M, ctx.A, Mat.from_rows(QQ(), [[1, 0]], 2))
+    broken = MoritaContext(ctx.A, ctx.B, ctx.M, ctx.N, ctx.phi, bad)
+    checks = count_calls(morita.require_valid_context)
+    for n in (1, 2):
+        with pytest.raises(ContextError):
+            build_ring(broken)
+        assert len(checks) == n

@@ -51,7 +51,8 @@ def test_validate_standard_contexts():
 
 @pytest.mark.parametrize("spec, F", [("Q", QQ()), ({"p": 7}, GF(7))],
                          ids=["Q", "GF7"])
-def test_context_ring_is_associative_and_unital_without_a_recheck(spec, F):
+def test_context_ring_is_associative_and_unital_without_a_recheck(spec, F,
+                                                                  count_calls):
     # validate_context proves the ring axioms, so build_ring checks nothing
     # on the ring it builds; validate_algebra confirms the transcription
     contexts = [make(F)[1] for make in (triangular_context, two_cycle_context,
@@ -63,10 +64,11 @@ def test_context_ring_is_associative_and_unital_without_a_recheck(spec, F):
         doc["field"] = spec
         contexts += load_problem(doc).contexts.values()
     assert len(contexts) == 9
+    calls = count_calls(validate_algebra)
     for ctx in contexts:
         for c in (ctx, swap_context(ctx)):
             mr = build_ring(c)
-            assert "violations" not in mr.ring._cache
+            assert all(args[0] is not mr.ring for args in calls)
             assert validate_algebra(mr.ring) == []
 
 
@@ -460,7 +462,7 @@ def test_nc_tensor_check_validates_the_quadruple_once(monkeypatch):
     assert "swap(PB)" not in seen
 
 
-def test_the_swap_carries_no_list_of_violations():
+def test_the_swap_carries_no_list_of_violations(count_calls):
     # the messages of a violated verdict name sides, so the swap of an
     # invalid quadruple is validated afresh, under the swapped labels
     _, ctx = glued_psi_context(QQ())
@@ -472,7 +474,9 @@ def test_the_swap_carries_no_list_of_violations():
     assert validate_quadruple(swap_quadruple(bad)) == [
         "second compatibility square fails"]
     assert validate_quadruple(q) == []
-    assert swap_quadruple(q)._cache == {"violations": []}
+    # the empty verdict is carried: the swap's squares are not run again
+    squares = count_calls(morita._quadruple_violations)
+    assert validate_quadruple(swap_quadruple(q)) == [] and squares == []
 
 
 def test_a_replaced_quadruple_is_validated_afresh():

@@ -1,0 +1,94 @@
+#!/usr/bin/env python3
+"""Time the elimination-bound scale cases, over Q and over GF(31), and
+print one JSON line per case.
+
+- hom: `hom_space(A^3, A)` for A = k[x]/(x^16), a 768 x 768 system
+- checker: `verify_certificate` on the certificate of S (+) S over
+  k[x]/(x^16), S the simple module
+- assembly: `check_conditions`, then `build_total_resolution` (window 3),
+  on (S, 0) (+) T_B(S) over T2(k[x]/(x^8)) = (R, R, 0, R, 0, 0), a ring
+  of dimension 24
+
+Every case builds its algebra afresh, so no memo carries over from an
+earlier case or repeat.  "seconds" is the minimum over the repeats of the
+timed step: the hom space, the check, or the assembly (check_conditions
+is reported apart as "criterion_seconds").
+
+Run from the repository root:
+
+    python3 scripts/scale_ladder.py [--repeat N] [--case hom|checker|assembly]
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import time
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+from gpmorita.catalog import simple_kx2, triangular_over, truncated_poly
+from gpmorita.engine import (
+    build_total_resolution, check_conditions, identity_extension,
+)
+from gpmorita.fields import GF, QQ
+from gpmorita.gpcert import certify_gorenstein_projective
+from gpmorita.modules import direct_sum, free_module, hom_space, regular_module
+from gpmorita.morita import direct_sum_quadruples, t_b, z_a
+from gpmorita.verify import verify_certificate
+
+
+def _timed(f):
+    t = time.perf_counter()
+    out = f()
+    return out, time.perf_counter() - t
+
+
+def hom_case(F):
+    a = truncated_poly(F, 16)
+    homs, s = _timed(lambda: hom_space(free_module(a, 3), regular_module(a)))
+    assert len(homs) == 3 * a.dim
+    return {"seconds": s, "hom_dim": len(homs)}
+
+
+def checker_case(F):
+    s = simple_kx2(truncated_poly(F, 16))
+    x = direct_sum([s, s])[0]
+    cert = certify_gorenstein_projective(x)
+    bad, secs = _timed(lambda: verify_certificate(cert, x))
+    assert bad == [], bad
+    return {"seconds": secs, "verdict": cert.verdict}
+
+
+def assembly_case(F):
+    r = truncated_poly(F, 8)
+    ctx = triangular_over(r)
+    ext = identity_extension(ctx)
+    s = simple_kx2(r)
+    q = direct_sum_quadruples([z_a(ctx, s), t_b(ctx, s)])
+    rep, crit_s = _timed(lambda: check_conditions(ext, ctx, q))
+    assert rep.passed
+    _, secs = _timed(lambda: build_total_resolution(ext, ctx, q, rep, window=3))
+    return {"seconds": secs, "criterion_seconds": crit_s, "ring_dim": 3 * r.dim}
+
+
+CASES = {"hom": hom_case, "checker": checker_case, "assembly": assembly_case}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--repeat", type=int, default=1)
+    ap.add_argument("--case", choices=sorted(CASES), action="append")
+    args = ap.parse_args(argv)
+    for name in args.case or list(CASES):
+        for label, F in (("Q", QQ()), ("GF31", GF(31))):
+            runs = [CASES[name](F) for _ in range(args.repeat)]
+            best = min(runs, key=lambda r: r["seconds"])
+            print(json.dumps({"case": name, "field": label, **best,
+                              "repeats": args.repeat}), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -165,6 +165,16 @@ def zero_context(A, B, name=""):
                          zero_balanced_map(N, M, A), name=name)
 
 
+def triangular_over(R: Algebra, name="T2"):
+    """(R, R, 0, R, 0, 0): M = 0, N = R regular, both maps zero; the ring
+    is the triangular matrix ring of R, of dimension 3 dim R."""
+    from .bimodules import regular_bimodule, zero_balanced_map, zero_bimodule
+    from .morita import MoritaContext
+    M, N = zero_bimodule(R, R), regular_bimodule(R)
+    return MoritaContext(R, R, M, N, zero_balanced_map(M, N, R),
+                         zero_balanced_map(N, M, R), name=name)
+
+
 def triangular_context(F: Field, name="tri"):
     """A = B = k, M = 0, N = k with zero maps, together with the trivial
     extension A = k |x 0; the ring is the upper triangular 2x2 algebra."""

@@ -32,12 +32,13 @@ skip it: they reduce mod p inside their own loops, only the cells that can
 leave [0, p).  Pure rearrangements (transposes, stacks, reshapes), entries
 taken from a matrix over denominator 1 (`_select`) and the 0/1 matrices
 keep canonical storage as they are.  Row reduction is the one
-field-dependent kernel: Gauss-Jordan over F_p and fraction-free (Bareiss)
-over Z for Q, with deterministic first-nonzero pivoting, so every echelon
-form, kernel and quotient basis is reproducible across runs.  The echelon
-form is cached on the matrix and on itself, and a matrix that arrives
-already in reduced echelon form, or zero, is recognised by one scan, so
-neither is ever eliminated.
+field-dependent kernel: Gauss-Jordan over F_p, and over Z for Q a forward
+pass that keeps every row primitive and touches only the rows with a
+nonzero in the pivot column.  Both pivot on the first nonzero, so every
+echelon form, kernel and quotient basis is reproducible across runs.
+The echelon form is cached on the matrix and on itself, and a matrix
+that arrives already in reduced echelon form, or zero, is recognised by
+one scan, so neither is ever eliminated.
 
 Boundary.  Field elements, `Fraction`s over Q and ints over F_p, appear
 only where matrices meet the rest of the package: `Mat(F, rows, cols)`
@@ -427,16 +428,24 @@ def _rref_fp(p: int, ints: list[list[int]]) -> tuple[list[list[int]], int, list[
 
 
 def _rref_q(ints: list[list[int]]) -> tuple[list[list[int]], int, list[int]]:
-    """Fraction-free (Bareiss) elimination over Z to bound entry growth,
-    then back-substitution over Z: (reduced rows over their canonical
+    """Forward elimination over Z with primitive rows, then
+    back-substitution over Z: (reduced rows over their canonical
     denominator, that denominator, pivot columns).  Scaling a matrix
-    keeps its echelon form, so the stored denominator plays no part."""
+    keeps its echelon form, so the stored denominator plays no part.
+
+    At each pivot only the rows with a nonzero f in the pivot column
+    change: such a row becomes (piv/g)·row - (f/g)·(pivot row), with
+    g = gcd(piv, f), divided by its content.  So a pivot costs in
+    proportion to the rows it clears, not to all the rows below it.
+    Every row stays a multiple of its Gaussian-elimination row, and the
+    Bareiss (fraction-free) row, whose entries are minors of the input,
+    is an integer multiple of the same primitive row; so no entry
+    outgrows Bareiss's bound."""
     m = list(ints)
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots = []
     r = 0
-    prev = 1
     for c in range(ncols):
         pr = None
         for i in range(r, nrows):
@@ -446,16 +455,17 @@ def _rref_q(ints: list[list[int]]) -> tuple[list[list[int]], int, list[int]]:
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
+        mr = m[r]
+        piv = mr[c]
         for i in range(r + 1, nrows):
             f = m[i][c]
-            mi, mr = m[i], m[r]
-            if f == 0:
-                if piv != prev:
-                    m[i] = [x * piv // prev for x in mi]
-            else:
-                m[i] = [(piv * x - f * y) // prev for x, y in zip(mi, mr)]
-        prev = piv
+            if f:
+                g = gcd(piv, f)
+                a, b = piv // g, f // g
+                row = [a * x - b * y for x, y in zip(m[i], mr)]
+                g = gcd(*row)
+                # a row that cancels to zero has content 0
+                m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == nrows:

@@ -10,7 +10,7 @@ from gpmorita import complexes, engine, homology, linalg, modules
 
 from gpmorita.catalog import (
     arrow_ideal_context, field_algebra, glued_psi_context, simple_at_idempotent,
-    triangular_context, two_cycle_context,
+    triangular_context, triangular_over, truncated_poly, two_cycle_context,
 )
 from gpmorita.complexes import (
     ComplexWindow, horseshoe, is_exact, total_exactness, twisted_diff,
@@ -280,6 +280,23 @@ def test_build_total_resolution_arrow_ideal():
     from gpmorita.verify import projective_by_splitting
     for i in range(asm.tcx.lo, asm.tcx.hi + 1):
         assert projective_by_splitting(asm.tcx.term(i))
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_assembly_over_the_triangular_ring_of_a_truncated_polynomial_ring(n):
+    # (S, 0) (+) T_B(S) over T2(k[x]/(x^n)), a ring of dim 3n, over Q: the
+    # criterion passes, and the assembly, which raises on any failed
+    # exactness or kernel check, returns.  At n = 8 its Hom systems are
+    # large enough that the cost of Q elimination shows in --durations.
+    r = truncated_poly(QQ(), n)
+    ctx = triangular_over(r)
+    ext = identity_extension(ctx)
+    s = simple_at_idempotent(r, 0)
+    q = direct_sum_quadruples([z_a(ctx, s), t_b(ctx, s)])
+    rep = check_conditions(ext, ctx, q)
+    assert rep.overall == "pass"
+    asm = build_total_resolution(ext, ctx, q, rep, window=3)
+    assert asm.tcx.term(0).algebra.dim == 3 * n
 
 
 # -- the one check per fact catches a wrong input or a builder bug ------------

@@ -7,11 +7,11 @@ import weakref
 import pytest
 
 from gpmorita import complexes, gpcert
-from gpmorita.bimodules import regular_bimodule, zero_balanced_map, zero_bimodule
 from gpmorita.catalog import (
     arrow_ideal_context, field_algebra, glued_psi_context, path_a2,
     product_fields, proj_a2, random_module, simple_at_idempotent, simple_kx2,
-    triangular_context, truncated_poly, two_cycle_context, two_cycle_rad_square,
+    triangular_context, triangular_over, truncated_poly, two_cycle_context,
+    two_cycle_rad_square,
 )
 from gpmorita.complexes import ComplexWindow
 from gpmorita.fields import GF, QQ
@@ -20,7 +20,7 @@ from gpmorita.homology import _block_reps, is_projective, simple_modules
 from gpmorita.linalg import Mat
 from gpmorita.modules import ModuleHom, direct_sum, regular_module, zero_module
 from gpmorita.morita import (
-    ContextError, MoritaContext, build_ring, h_a, h_b, quadruple_to_module,
+    ContextError, build_ring, h_a, h_b, quadruple_to_module,
     t_a, t_b, z_a, z_b,
 )
 from gpmorita.trivext import structural_maps, t_lambda
@@ -303,11 +303,8 @@ def test_the_general_path_builds_its_two_sided_probe():
     # (k, 0, 0, 0) over T2(R) = the context (R, R, 0, R, 0, 0) with
     # R = k[x]/(x^2): a GP simple over a ring that is neither self-injective
     # nor of finite global dimension, so it takes the general path
-    F = GF(7)
-    r = truncated_poly(F, 2)
-    m, n = zero_bimodule(r, r), regular_bimodule(r)
-    ctx = MoritaContext(r, r, m, n, zero_balanced_map(m, n, r),
-                        zero_balanced_map(n, m, r), name="T2")
+    r = truncated_poly(GF(7), 2)
+    ctx = triangular_over(r)
     x = quadruple_to_module(build_ring(ctx), z_a(ctx, simple_kx2(r)))
     cert = certify_gorenstein_projective(x, window=2, dim_budget=120)
     assert cert.verdict == "unknown"

@@ -1,19 +1,26 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpmorita import linalg
+from gpmorita.catalog import (
+    path_a2, random_module, simple_at_idempotent, truncated_poly,
+    two_cycle_rad_square,
+)
 from gpmorita.fields import GF, QQ, Field, FieldMismatch, FieldSpec
 from gpmorita.linalg import (
     Mat, NonCanonicalBasis, coordinates, image_basis, in_row_space,
     is_injective, is_surjective, kernel_basis, left_kernel, rank,
     row_space, solve, solve_left,
 )
+from gpmorita.modules import direct_sum, regular_module
 
 
 def test_field_spec_rejects_bad_modulus():
@@ -397,6 +404,65 @@ def old_rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     return Mat(m.field, rows, m.cols), tuple(piv)
 
 
+# -- the Bareiss forward pass the primitive-row one replaced, kept as an oracle
+# The body is linalg._rref_q's, verbatim, from before its forward pass kept
+# rows primitive.
+
+
+def bareiss_rref_q(ints: list[list[int]]) -> tuple[list[list[int]], int, list[int]]:
+    """Bareiss elimination, which rescales every row below each pivot,
+    then the same back-substitution."""
+    m = list(ints)
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    prev = 1
+    for c in range(ncols):
+        pr = None
+        for i in range(r, nrows):
+            if m[i][c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        piv = m[r][c]
+        for i in range(r + 1, nrows):
+            f = m[i][c]
+            mi, mr = m[i], m[r]
+            if f == 0:
+                if piv != prev:
+                    m[i] = [x * piv // prev for x in mi]
+            else:
+                m[i] = [(piv * x - f * y) // prev for x, y in zip(mi, mr)]
+        prev = piv
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    # Bottom up, reduced row i is e / d over Z: e is zero in every other
+    # pivot column and d = e[pivots[i]] > 0, with gcd(e) = 1, so d is the
+    # row's canonical denominator and their lcm the matrix's.
+    red = [None] * r
+    for i in range(r - 1, -1, -1):
+        e = m[i]
+        for j in range(i + 1, r):
+            f = e[pivots[j]]
+            if f:
+                ej, dj = red[j]
+                g = gcd(f, dj)
+                a, b = dj // g, f // g
+                e = [a * x - b * y for x, y in zip(e, ej)]
+        g = gcd(*e)
+        if e[pivots[i]] < 0:
+            g = -g
+        e = [x // g for x in e]
+        red[i] = (e, e[pivots[i]])
+    den = lcm(*(d for _, d in red))
+    return [[x * (den // d) for x in e] for e, d in red], den, pivots
+
+
 # -- differential tests against the oracles ------------------------------------------
 
 BIG = 2 ** 70
@@ -486,6 +552,110 @@ def test_rref_solve_kernel_match_per_entry_oracle(data, F, r, n, n2):
     if x is not None:
         assert exact(x) == exact(want_x)
     assert_operands_intact(*ops)
+
+
+# -- the primitive-row forward pass against Bareiss, on structured inputs ----
+
+
+def assert_rref_q_matches_bareiss(ints: list[list[int]]):
+    before = [list(r) for r in ints]
+    assert linalg._rref_q(ints) == bareiss_rref_q(ints)
+    assert ints == before
+
+
+def _intertwining_ints(x, y) -> list[list[int]]:
+    """The integer rows of the system whose kernel is Hom(x, y)."""
+    gens = x.gens()
+    return linalg.intertwining_system(
+        x.algebra.field, x.dim, y.dim, [x.acts[t] for t in gens],
+        [y.acts[t].transpose() for t in gens])._ints
+
+
+def test_rref_q_matches_bareiss_on_hom_systems_of_catalog_modules():
+    rng = random.Random(11)
+    F = QQ()
+    for a in (truncated_poly(F, 3), truncated_poly(F, 4), path_a2(F),
+              two_cycle_rad_square(F)):
+        mods = [regular_module(a), simple_at_idempotent(a, 0)]
+        mods += [m for m in (random_module(a, rng) for _ in range(3)) if m.dim]
+        mods += [direct_sum([mods[0], mods[0]])[0],
+                 direct_sum([mods[1], mods[-1]])[0]]
+        for x, y in product(mods, repeat=2):
+            if x.dim * y.dim <= 64:
+                assert_rref_q_matches_bareiss(_intertwining_ints(x, y))
+
+
+def _block_diagonal(rng: random.Random) -> list[list[int]]:
+    blocks = [[[rng.randint(-4, 4) for _ in range(c)] for _ in range(r)]
+              for r, c in ((rng.randint(1, 6), rng.randint(1, 6))
+                           for _ in range(rng.randint(2, 8)))]
+    ncols = sum(len(b[0]) for b in blocks)
+    out, left = [], 0
+    for b in blocks:
+        w = len(b[0])
+        out += [[0] * left + row + [0] * (ncols - left - w) for row in b]
+        left += w
+    return out
+
+
+def _with_cancelling_rows(rng: random.Random) -> list[list[int]]:
+    """Independent rows, plus integer combinations of two or three of them
+    placed below, which cancel to zero once their last term's pivot is
+    cleared, partway through the elimination."""
+    c = rng.randint(2, 12)
+    base = [[rng.randint(-5, 5) for _ in range(c)] for _ in range(rng.randint(2, c))]
+    out = list(base)
+    for _ in range(rng.randint(1, 4)):
+        terms = rng.sample(range(len(base)), min(len(base), rng.randint(2, 3)))
+        coef = [rng.choice([-3, -2, -1, 1, 2, 5]) for _ in terms]
+        out.append([sum(k * base[t][j] for k, t in zip(coef, terms))
+                    for j in range(c)])
+    return out
+
+
+def _dense_big(rng: random.Random) -> list[list[int]]:
+    r, c = rng.randint(1, 10), rng.randint(1, 10)
+    entry = [lambda: rng.randint(BIG - 3, BIG + 3),
+             lambda: rng.randint(-BIG - 3, -BIG + 3), lambda: rng.randint(-6, 6)]
+    return [[rng.choice(entry)() for _ in range(c)] for _ in range(r)]
+
+
+def _sparse_square(rng: random.Random) -> list[list[int]]:
+    """Up to 60 x 60 with about a tenth of the cells nonzero, full rank or
+    the product of two such matrices through fewer dimensions."""
+    n = rng.randint(30, 60)
+
+    def sparse(r, c):
+        return [[rng.randint(-3, 3) if rng.random() < 0.1 else 0
+                 for _ in range(c)] for _ in range(r)]
+    if rng.random() < 0.5:
+        return sparse(n, n)
+    k = rng.randint(1, n - 1)
+    a, b = sparse(n, k), sparse(k, n)
+    return [[sum(x * b[t][j] for t, x in enumerate(row) if x) for j in range(n)]
+            for row in a]
+
+
+@pytest.mark.parametrize("make", [_block_diagonal, _with_cancelling_rows,
+                                  _dense_big, _sparse_square])
+@pytest.mark.parametrize("seed", range(6))
+def test_rref_q_matches_bareiss_on_seeded_structured_matrices(make, seed):
+    assert_rref_q_matches_bareiss(make(random.Random(seed)))
+
+
+@pytest.mark.parametrize("ints", [
+    [],                                     # no rows
+    [[], [], []],                           # no columns
+    [[0, 0, 0], [0, 0, 0]],                 # zero
+    [[1, 2, 3], [2, 4, 6]],                 # cancels at the first pivot
+    [[1, 0, 1], [0, 1, 1], [1, 1, 2]],      # cancels at the second pivot
+    [[2, 1], [4, 2], [0, 3]],               # cancels above a live row
+    [[0, 6, 4], [3, 0, 9], [6, 6, 0]],      # pivots with a common factor
+    [[-BIG, BIG + 1], [BIG - 1, -BIG]],     # entries near +-2^70
+], ids=["no-rows", "no-cols", "zero", "cancel-first", "cancel-second",
+        "zero-row-above", "common-factors", "big"])
+def test_rref_q_matches_bareiss_on_edge_shapes(ints):
+    assert_rref_q_matches_bareiss(ints)
 
 
 # -- coordinates in canonical bases, against solve_left ---------------------------

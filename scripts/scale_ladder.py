@@ -3,20 +3,22 @@
 print one JSON line per case.
 
 - hom: `hom_space(A^3, A)` for A = k[x]/(x^16), a 768 x 768 system
+- certify: `certify_gorenstein_projective` on S (+) S over k[x]/(x^16),
+  S the simple module, which has period 2
 - checker: `verify_certificate` on the certificate of S (+) S over
-  k[x]/(x^16), S the simple module
+  k[x]/(x^16)
 - assembly: `check_conditions`, then `build_total_resolution` (window 3),
   on (S, 0) (+) T_B(S) over T2(k[x]/(x^8)) = (R, R, 0, R, 0, 0), a ring
   of dimension 24
 
 Every case builds its algebra afresh, so no memo carries over from an
 earlier case or repeat.  "seconds" is the minimum over the repeats of the
-timed step: the hom space, the check, or the assembly (check_conditions
-is reported apart as "criterion_seconds").
+timed step: the hom space, the certifier, the check, or the assembly
+(check_conditions is reported apart as "criterion_seconds").
 
 Run from the repository root:
 
-    python3 scripts/scale_ladder.py [--repeat N] [--case hom|checker|assembly]
+    python3 scripts/scale_ladder.py [--repeat N] [--case hom|certify|checker|assembly]
 """
 from __future__ import annotations
 
@@ -52,6 +54,14 @@ def hom_case(F):
     return {"seconds": s, "hom_dim": len(homs)}
 
 
+def certify_case(F):
+    s = simple_kx2(truncated_poly(F, 16))
+    x = direct_sum([s, s])[0]
+    cert, secs = _timed(lambda: certify_gorenstein_projective(x))
+    assert (cert.verdict, cert.period) == ("gp", 2), (cert.verdict, cert.period)
+    return {"seconds": secs, "verdict": cert.verdict, "period": cert.period}
+
+
 def checker_case(F):
     s = simple_kx2(truncated_poly(F, 16))
     x = direct_sum([s, s])[0]
@@ -73,7 +83,8 @@ def assembly_case(F):
     return {"seconds": secs, "criterion_seconds": crit_s, "ring_dim": 3 * r.dim}
 
 
-CASES = {"hom": hom_case, "checker": checker_case, "assembly": assembly_case}
+CASES = {"hom": hom_case, "certify": certify_case, "checker": checker_case,
+         "assembly": assembly_case}
 
 
 def main(argv=None) -> int:

@@ -9,9 +9,13 @@ finds neither returns an honest "unknown".
 
 Windows are correct by construction and are not re-checked: the split
 window X (+) X with the shift differential is contractible; a
-self-injective window is a minimal resolution spliced to dual embeddings,
-exact, and its Hom into A is exact because A is injective; stripped
-projective summands add a contractible window through an isomorphism.
+self-injective window is a period of dual embeddings closed up by an
+isomorphism, or else a minimal resolution spliced to them, exact, and its
+Hom into A is exact because A is injective; stripped projective summands
+add a contractible window through an isomorphism.  The tails behind a
+window are built on demand: the right tail one cosyzygy at a time, up to
+the first period, and the left resolution only when no cosyzygy period
+turns up.
 The general path's periodic window keeps one total_exactness check, for
 the Hom exactness that its construction does not prove.
 verify.verify_certificate is the independent check of every certificate.
@@ -173,12 +177,15 @@ def _dual_embedding(cur: FDModule, seed: int) -> tuple[ModuleHom, FDModule]:
 
 
 def _right_tail(x: FDModule, length: int, seed: int, dim_budget: int,
-                use_dual: bool):
-    """Build cosyzygy steps; returns (steps, final_stage) or a NotGPWitness."""
+                use_dual: bool, steps: list[RightTailStep] | None = None):
+    """Extend the cosyzygy steps of x (the given ones, else none) to
+    `length` steps; returns (steps, final_stage), (steps, "budget") or
+    (None, NotGPWitness).  Each step is deterministic, so a tail extended
+    one step at a time equals the tail built at once."""
     reg = regular_module(x.algebra)
-    steps: list[RightTailStep] = []
-    cur = x
-    for j in range(length):
+    steps = [] if steps is None else steps
+    cur = steps[-1].coker_proj.target if steps else x
+    for j in range(len(steps), length):
         if use_dual:
             alpha, P = _dual_embedding(cur, seed)
         else:
@@ -277,39 +284,47 @@ def _combine_with_split(x: FDModule, overall: Mat, projs: list[FDModule],
     return wc, ModuleHom(x, terms[-core_wc.lo], ki_mat)
 
 
-def _search_period(core: FDModule, steps: list[RightTailStep], tail_end,
-                   res: Resolution, window: int, period_bound: int, seed: int):
-    """(window, kernel_ident, period) for the core, or (None, None, None);
-    raises Undetermined only when a decisive answer was blocked."""
+def _search_period(core: FDModule, steps: list[RightTailStep], length: int,
+                   res: Resolution | None, window: int, period_bound: int,
+                   seed: int, dim_budget: int, use_dual: bool):
+    """Look for a period of the core, building only what the search reads.
+
+    The core's right tail in steps grows one step at a time to `length`
+    steps, and C^p ~ core is tested after step p (p <= period_bound).  A
+    hit returns at once: past it the tail repeats, with the same target
+    dimensions and the same injectivity, so the steps left unbuilt could
+    not have stopped it.  Only then is the left resolution res (built here
+    when None) searched for a syzygy period.  Returns (found, res): found
+    is (window, kernel_ident, period), the tail's stop ("budget" or a
+    NotGPWitness), or None.  Raises Undetermined only when a decisive
+    answer was blocked."""
     undetermined = False
-    for p in range(1, period_bound + 1):
-        if p < len(steps):
-            cand = steps[p].stage
-        elif p == len(steps) and isinstance(tail_end, FDModule):
-            cand = tail_end
-        else:
-            break
+    for p in range(1, length + 1):
+        grown, stop = _right_tail(core, p, seed, dim_budget, use_dual, steps)
+        if grown is None or stop == "budget":
+            return stop, res
+        if p > period_bound:
+            continue
         try:
-            theta = is_isomorphic(cand, core, seed=seed)
+            theta = is_isomorphic(steps[p - 1].coker_proj.target, core, seed=seed)
         except Undetermined:
             undetermined = True
             continue
         if theta is not None:
-            wc, ki = _cosyzygy_periodic_window(steps, p, theta, window)
-            return wc, ki, p
+            return (*_cosyzygy_periodic_window(steps, p, theta, window), p), res
+    if res is None:
+        res = minimal_resolution(core, window + 1, seed)
     for p in range(1, min(period_bound, len(res.syzygies)) + 1):
-        cand = res.syzygies[p - 1]
         try:
-            theta = is_isomorphic(core, cand, seed=seed)
+            theta = is_isomorphic(core, res.syzygies[p - 1], seed=seed)
         except Undetermined:
             undetermined = True
             continue
         if theta is not None:
-            wc, ki = _syzygy_periodic_window(res, p, theta, window)
-            return wc, ki, p
+            return (*_syzygy_periodic_window(res, p, theta, window), p), res
     if undetermined:
         raise Undetermined("periodicity search hit an undetermined isomorphism test")
-    return None, None, None
+    return None, res
 
 
 def certify_gorenstein_projective(x: FDModule, window: int = 6,
@@ -322,8 +337,15 @@ def certify_gorenstein_projective(x: FDModule, window: int = 6,
     "projective or not GP"; over a self-injective algebra every module is
     certified.  The general path builds a minimal left tail, checks
     Ext^i(x, A) = 0 on the window, grows a right tail by projective
-    approximations, and hunts for a syzygy or cosyzygy period of the
+    approximations, and hunts for a cosyzygy or syzygy period of the
     module with its projective summands stripped off.
+
+    The tails of that module are built on demand: its right tail grows one
+    cosyzygy at a time and the search stops at the first period, so a
+    period-p module over a self-injective algebra costs p embeddings
+    whatever the window; its left resolution is built only when no
+    cosyzygy period turns up.  The certificate is the one that the whole
+    window of both tails would give.
     """
     if window < 2:
         raise ValueError("window must be at least 2")
@@ -356,25 +378,26 @@ def certify_gorenstein_projective(x: FDModule, window: int = 6,
         return GPCertificate("unknown", x, bound=(window, period_bound),
                              reason=reason)
 
-    # the two-sided window on [-window, window] reads the right-tail steps
-    # 0..window, so it needs window + 1 of them
     if self_inj:
-        core_res = minimal_resolution(core, window + 1, seed)
-        steps, tail_end = _right_tail(core, window, seed, dim_budget, use_dual=True)
-        if steps is None:
+        steps: list[RightTailStep] = []
+        found, core_res = _search_period(core, steps, window, None, window,
+                                         period_bound, seed, dim_budget,
+                                         use_dual=True)
+        if found is None:
+            # the two-sided window on [-window, window] reads the right-tail
+            # steps 0..window, so it needs one step more
+            found = _right_tail(core, window + 1, seed, dim_budget,
+                                use_dual=True, steps=steps)[1]
+        if isinstance(found, NotGPWitness):
             raise CertifyError("embedding failed over a self-injective algebra")
-        if tail_end == "budget":
+        if found == "budget":
             return unknown("dimension budget exceeded")
-        wc, ki, p = _search_period(core, steps, tail_end, core_res, window,
-                                   period_bound, seed)
-        if wc is not None:
-            return emit(wc, ki, "self-injective", p)
-        steps, tail_end = _right_tail(core, window + 1, seed, dim_budget,
-                                      use_dual=True)
-        if tail_end == "budget":
-            return unknown("dimension budget exceeded")
-        wc, ki = _two_sided_window(core, core_res, steps, window)
-        return emit(wc, ki, "self-injective", None)
+        if isinstance(found, tuple):
+            wc, ki, p = found
+        else:
+            wc, ki = _two_sided_window(core, core_res, steps, window)
+            p = None
+        return emit(wc, ki, "self-injective", p)
 
     res = minimal_resolution(x, window + 1, seed)
     reg = regular_module(a)
@@ -398,23 +421,18 @@ def certify_gorenstein_projective(x: FDModule, window: int = 6,
             "not_gp", x,
             witness=NotGPWitness("homology_obstruction", obstruction,
                                  steps=steps_x))
-    if core_is_x:
-        steps_c, tail_c, res_c = steps_x, tail_x, res
-    else:
-        res_c = minimal_resolution(core, window + 1, seed)
-        steps_c, tail_c = _right_tail(core, window + 1, seed, dim_budget,
-                                      use_dual=False)
-        if steps_c is None:
-            return GPCertificate("not_gp", x, witness=tail_c)
-        if tail_c == "budget":
-            return unknown("dimension budget exceeded")
-    wc, ki, p = _search_period(core, steps_c, tail_c, res_c, window,
-                               period_bound, seed)
-    if wc is not None:
-        # Hom(-, A) of the closed-up window is the one fact of this path
-        # that its construction does not prove
-        if not total_exactness(wc, seed=seed):
-            raise CertifyError("assembled window is not totally exact")
-        return emit(wc, ki, "periodic", p)
-    return unknown("no period found within the bound")
-
+    found, _ = _search_period(core, steps_x if core_is_x else [], window + 1,
+                              res if core_is_x else None, window, period_bound,
+                              seed, dim_budget, use_dual=False)
+    if isinstance(found, NotGPWitness):
+        return GPCertificate("not_gp", x, witness=found)
+    if found == "budget":
+        return unknown("dimension budget exceeded")
+    if found is None:
+        return unknown("no period found within the bound")
+    wc, ki, p = found
+    # Hom(-, A) of the closed-up window is the one fact of this path that
+    # its construction does not prove
+    if not total_exactness(wc, seed=seed):
+        raise CertifyError("assembled window is not totally exact")
+    return emit(wc, ki, "periodic", p)

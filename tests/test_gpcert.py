@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import json
 import random
 import weakref
 
@@ -13,12 +14,24 @@ from gpmorita.catalog import (
     triangular_context, triangular_over, truncated_poly, two_cycle_context,
     two_cycle_rad_square,
 )
-from gpmorita.complexes import ComplexWindow
+from gpmorita.complexes import (
+    ComplexWindow, hom_exactness_failure, total_exactness,
+)
 from gpmorita.fields import GF, QQ
-from gpmorita.gpcert import certify_gorenstein_projective
-from gpmorita.homology import _block_reps, is_projective, simple_modules
-from gpmorita.linalg import Mat
-from gpmorita.modules import ModuleHom, direct_sum, regular_module, zero_module
+from gpmorita.gpcert import (
+    CertifyError, GPCertificate, NotGPWitness, RightTailStep,
+    certify_gorenstein_projective,
+)
+from gpmorita.homology import (
+    _block_reps, first_nonzero_ext, global_dimension, is_projective,
+    is_self_injective, minimal_resolution, projective_cover, simple_modules,
+)
+from gpmorita.jsonio import certificate_to_json
+from gpmorita.linalg import Mat, left_kernel
+from gpmorita.modules import (
+    FDModule, ModuleHom, Undetermined, cokernel_of, direct_sum, is_isomorphic,
+    regular_module, zero_module,
+)
 from gpmorita.morita import (
     ContextError, build_ring, h_a, h_b, quadruple_to_module,
     t_a, t_b, z_a, z_b,
@@ -320,3 +333,297 @@ def test_a_self_injective_module_with_no_period_in_the_bound_is_certified(F):
     assert (cert.verdict, cert.reason, cert.period) == ("gp", "self-injective",
                                                         None)
     assert verify_certificate(cert, s) == []
+
+
+# -- tails on demand against the eager certifier ------------------------------
+#
+# The certifier used to build both tails of the core over the whole window
+# before it looked for a period.  Its code is kept here verbatim, renamed,
+# as the oracle of the on-demand search: every step and every isomorphism
+# test is deterministic, so the certificates must agree byte for byte.
+
+
+def eager_right_tail(x, length, seed, dim_budget, use_dual):
+    """Build cosyzygy steps; returns (steps, final_stage) or a NotGPWitness."""
+    reg = regular_module(x.algebra)
+    steps = []
+    cur = x
+    for j in range(length):
+        if use_dual:
+            alpha, P = gpcert._dual_embedding(cur, seed)
+        else:
+            alpha, P = gpcert._generator_approximation(cur, reg)
+        ker_rows = left_kernel(alpha.mat)
+        if ker_rows.rows:
+            return None, NotGPWitness("non_injective_approximation", j,
+                                      steps=steps, stage=cur, alpha=alpha,
+                                      kernel_row=Mat(ker_rows.field,
+                                                     [ker_rows.row(0)],
+                                                     ker_rows.cols))
+        nxt, proj = cokernel_of(alpha, name=f"C{j + 1}")
+        steps.append(RightTailStep(cur, alpha, P, proj))
+        if P.dim > dim_budget:
+            return steps, "budget"
+        cur = nxt
+    return steps, cur
+
+
+def eager_search_period(core, steps, tail_end, res, window, period_bound, seed):
+    """(window, kernel_ident, period) for the core, or (None, None, None);
+    raises Undetermined only when a decisive answer was blocked."""
+    undetermined = False
+    for p in range(1, period_bound + 1):
+        if p < len(steps):
+            cand = steps[p].stage
+        elif p == len(steps) and isinstance(tail_end, FDModule):
+            cand = tail_end
+        else:
+            break
+        try:
+            theta = is_isomorphic(cand, core, seed=seed)
+        except Undetermined:
+            undetermined = True
+            continue
+        if theta is not None:
+            wc, ki = gpcert._cosyzygy_periodic_window(steps, p, theta, window)
+            return wc, ki, p
+    for p in range(1, min(period_bound, len(res.syzygies)) + 1):
+        cand = res.syzygies[p - 1]
+        try:
+            theta = is_isomorphic(core, cand, seed=seed)
+        except Undetermined:
+            undetermined = True
+            continue
+        if theta is not None:
+            wc, ki = gpcert._syzygy_periodic_window(res, p, theta, window)
+            return wc, ki, p
+    if undetermined:
+        raise Undetermined("periodicity search hit an undetermined isomorphism test")
+    return None, None, None
+
+
+def eager_certify(x, window=6, period_bound=12, seed=0, dim_budget=600):
+    """The certifier with both tails of the core built over the whole window."""
+    if window < 2:
+        raise ValueError("window must be at least 2")
+    a = x.algebra
+    if x.dim == 0 or is_projective(x, seed):
+        wc, ki = gpcert._split_window(x, window)
+        return GPCertificate("gp", x, reason="split-projective", period=1,
+                             window=wc, kernel_ident=ki)
+    gl = global_dimension(a, window, seed)
+    if gl is not None:
+        res = minimal_resolution(x, gl + 1, seed)
+        i = first_nonzero_ext(res, regular_module(a))
+        if i is None:
+            raise CertifyError(
+                "finite global dimension, not projective, but no Ext witness")
+        return GPCertificate(
+            "not_gp", x,
+            witness=NotGPWitness("non_vanishing_ext", i, resolution=res))
+    self_inj = is_self_injective(a, seed)
+    core, projs, overall = gpcert.strip_projective_summands(x, seed)
+    core_is_x = not projs
+
+    def emit(wc, ki, reason, period):
+        if not core_is_x:
+            wc, ki = gpcert._combine_with_split(x, overall, projs, wc, ki, window)
+        return GPCertificate("gp", x, reason=reason, period=period, window=wc,
+                             kernel_ident=ki)
+
+    def unknown(reason):
+        return GPCertificate("unknown", x, bound=(window, period_bound),
+                             reason=reason)
+
+    # the two-sided window on [-window, window] reads the right-tail steps
+    # 0..window, so it needs window + 1 of them
+    if self_inj:
+        core_res = minimal_resolution(core, window + 1, seed)
+        steps, tail_end = eager_right_tail(core, window, seed, dim_budget, use_dual=True)
+        if steps is None:
+            raise CertifyError("embedding failed over a self-injective algebra")
+        if tail_end == "budget":
+            return unknown("dimension budget exceeded")
+        wc, ki, p = eager_search_period(core, steps, tail_end, core_res, window,
+                                        period_bound, seed)
+        if wc is not None:
+            return emit(wc, ki, "self-injective", p)
+        steps, tail_end = eager_right_tail(core, window + 1, seed, dim_budget,
+                                           use_dual=True)
+        if tail_end == "budget":
+            return unknown("dimension budget exceeded")
+        wc, ki = gpcert._two_sided_window(core, core_res, steps, window)
+        return emit(wc, ki, "self-injective", None)
+
+    res = minimal_resolution(x, window + 1, seed)
+    reg = regular_module(a)
+    i = first_nonzero_ext(res, reg)
+    if i is not None:
+        return GPCertificate(
+            "not_gp", x,
+            witness=NotGPWitness("non_vanishing_ext", i, resolution=res))
+    steps_x, tail_x = eager_right_tail(x, window + 1, seed, dim_budget, use_dual=False)
+    if steps_x is None:
+        return GPCertificate("not_gp", x, witness=tail_x)
+    if tail_x == "budget":
+        return unknown("dimension budget exceeded")
+    probe, _ = gpcert._two_sided_window(x, res, steps_x, window)
+    # non-exactness of Hom(probe, A) in a positive degree refutes: the
+    # right-tail terms come from projective approximations, so it descends
+    # to the cosyzygies
+    obstruction = hom_exactness_failure(probe, reg, lo=1)
+    if obstruction is not None:
+        return GPCertificate(
+            "not_gp", x,
+            witness=NotGPWitness("homology_obstruction", obstruction,
+                                 steps=steps_x))
+    if core_is_x:
+        steps_c, tail_c, res_c = steps_x, tail_x, res
+    else:
+        res_c = minimal_resolution(core, window + 1, seed)
+        steps_c, tail_c = eager_right_tail(core, window + 1, seed, dim_budget,
+                                           use_dual=False)
+        if steps_c is None:
+            return GPCertificate("not_gp", x, witness=tail_c)
+        if tail_c == "budget":
+            return unknown("dimension budget exceeded")
+    wc, ki, p = eager_search_period(core, steps_c, tail_c, res_c, window,
+                                    period_bound, seed)
+    if wc is not None:
+        # Hom(-, A) of the closed-up window is the one fact of this path
+        # that its construction does not prove
+        if not total_exactness(wc, seed=seed):
+            raise CertifyError("assembled window is not totally exact")
+        return emit(wc, ki, "periodic", p)
+    return unknown("no period found within the bound")
+
+
+def _as_json(cert):
+    return json.dumps(certificate_to_json(cert, cert.module.algebra.name))
+
+
+def _self_injective_modules(F):
+    """(label, module): the simples, a sum of two simples and the
+    non-projective seeded random draws over k[x]/(x^n), n = 2, 3, 4, and
+    over the radical-square-zero two-cycle algebra; the first simple and
+    the sum also plus an indecomposable projective."""
+    rng = random.Random(22)
+    out = []
+    for alg in (truncated_poly(F, 2), truncated_poly(F, 3), truncated_poly(F, 4),
+                two_cycle_rad_square(F)):
+        simples = simple_modules(alg)
+        s0, ss = simples[0], direct_sum([simples[0], simples[-1]])[0]
+        proj = _block_reps(alg)[-1][0]
+        drawn = [m for m in (random_module(alg, rng, max_cuts=3) for _ in range(30))
+                 if m.dim and not is_projective(m)]
+        mods = ([(f"S{k}", s) for k, s in enumerate(simples)]
+                + [("S+S", ss), ("S0+P", direct_sum([s0, proj])[0]),
+                   ("S+S+P", direct_sum([ss, proj])[0])]
+                + [("rand", m) for m in drawn[:1]])
+        out += [(f"{alg.name}:{label}", m) for label, m in mods]
+    return out
+
+
+@pytest.mark.parametrize("window", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("F", [QQ(), GF(7)], ids=["Q", "GF7"])
+def test_tails_on_demand_give_the_eager_certificates(F, window):
+    seen, checked = set(), set()
+    for label, m in _self_injective_modules(F):
+        for period_bound, dim_budget in ((1, 600), (12, 600), (2, 3)):
+            kw = dict(window=window, period_bound=period_bound,
+                      dim_budget=dim_budget)
+            cert = certify_gorenstein_projective(m, **kw)
+            text = _as_json(cert)
+            assert text == _as_json(eager_certify(m, **kw)), (label, kw)
+            seen.add((cert.verdict, cert.reason, cert.period is None))
+            # a certificate equal to one already checked is not checked again
+            if cert.is_gp and text not in checked:
+                assert verify_certificate(cert, m) == [], (label, kw)
+                checked.add(text)
+    # periods, the two-sided fallback and the budget stop all occurred
+    assert {("gp", "self-injective", False), ("gp", "self-injective", True),
+            ("unknown", "dimension budget exceeded", True)} <= seen
+
+
+@pytest.mark.parametrize("F", [QQ(), GF(7)], ids=["Q", "GF7"])
+def test_tails_on_demand_give_the_eager_certificates_on_the_general_path(F):
+    # (k, 0, 0, 0) over T2(k[x]/(x^2)) with a budget that its right tail
+    # exceeds; a budget that it does not exceed costs seconds a call, so
+    # the search that it leads to is compared below, on smaller algebras
+    r = truncated_poly(F, 2)
+    ctx = triangular_over(r)
+    x = quadruple_to_module(build_ring(ctx), z_a(ctx, simple_kx2(r)))
+    cert = certify_gorenstein_projective(x, window=2, dim_budget=120)
+    assert cert.reason == "dimension budget exceeded"
+    assert _as_json(cert) == _as_json(eager_certify(x, window=2, dim_budget=120))
+
+
+def _found_as_json(m, found):
+    wc, ki, p = found
+    return _as_json(GPCertificate("gp", m, period=p, window=wc, kernel_ident=ki))
+
+
+@pytest.mark.parametrize("F", [QQ(), GF(7)], ids=["Q", "GF7"])
+def test_the_general_search_reads_what_the_eager_search_read(F):
+    # the general path's search with right tails of projective
+    # approximations: on a core with no tail built yet, whose tail stops on
+    # a non-injective step over kA2 or on a small budget, and on a core
+    # whose whole tail and resolution are given, as when the core is x
+    rng = random.Random(3)
+    algs = (path_a2(F), truncated_poly(F, 3), two_cycle_rad_square(F))
+    mods = [m for alg in algs for m in
+            simple_modules(alg) + [random_module(alg, rng, max_cuts=3)]
+            if m.dim and not is_projective(m)]
+    seen = set()
+    for m in mods:
+        for window in (2, 3):
+            for period_bound, dim_budget in ((1, 600), (12, 600), (12, 2)):
+                args = (window, period_bound, 0)
+                found, res = gpcert._search_period(
+                    m, [], window + 1, None, *args, dim_budget, use_dual=False)
+                steps, tail = eager_right_tail(m, window + 1, 0, dim_budget,
+                                               use_dual=False)
+                if steps is None or tail == "budget":
+                    seen.add(type(tail).__name__)
+                    assert type(found) is type(tail)
+                    if steps is None:
+                        assert (found.degree, len(found.steps)) == (
+                            tail.degree, len(tail.steps))
+                    continue
+                eager_res = minimal_resolution(m, window + 1, 0)
+                eager = eager_search_period(m, steps, tail, eager_res, *args)
+                given, _ = gpcert._search_period(
+                    m, list(steps), window + 1, eager_res, *args, dim_budget,
+                    use_dual=False)
+                if eager[0] is None:
+                    seen.add(None)
+                    assert found is None and given is None
+                    assert len(res.syzygies) == len(eager_res.syzygies)
+                    continue
+                seen.add(eager[2])
+                text = _found_as_json(m, eager)
+                assert _found_as_json(m, found) == text == _found_as_json(m, given)
+    assert {"NotGPWitness", "str", None, 2} <= seen
+
+
+def test_a_period_two_simple_builds_two_embeddings_and_no_left_resolution(
+        count_calls):
+    # the simple of k[x]/(x^3) has period 2; the eager certifier made 15
+    # projective covers at window 6: one for the projectivity test, 8 for
+    # the core's left resolution and 6 for the dual embeddings
+    a = truncated_poly(QQ(), 3)
+    covers = count_calls(projective_cover)
+    embeddings = count_calls(gpcert._dual_embedding)
+    resolutions = count_calls(minimal_resolution)
+    counts = {}
+    for window in (3, 6):
+        # the algebra's own verdicts are kept on it; only the module's work counts
+        global_dimension(a, window), is_self_injective(a)
+        s = simple_kx2(a)
+        del covers[:], embeddings[:], resolutions[:]
+        cert = certify_gorenstein_projective(s, window=window)
+        assert (cert.reason, cert.period) == ("self-injective", 2)
+        assert len(embeddings) == 2
+        assert resolutions == []
+        counts[window] = len(covers)
+    assert counts == {3: 3, 6: 3}

@@ -34,6 +34,7 @@ from .nctensor import (
     NcTensorError, build_exact_context, build_nc_tensor, iso_with_morita,
     nc_morita_presentation,
 )
+from .trivext import structural_maps
 from .verify import verify_certificate
 
 OK, FAIL, UNKNOWN, BAD_INPUT, INTERNAL = 0, 1, 2, 3, 4
@@ -287,7 +288,7 @@ def cmd_verify_report(args, prob) -> int:
             if not isinstance(clause.get("holds"), bool):
                 problems.append(f"clause {clause.get('name')} malformed")
         if not problems and (cmd == "check-gp" or rep.get("mode") == "check"):
-            problems += _reconcile_criterion(rep)
+            problems += _reconcile_criterion(prob, rep)
     elif cmd == "check-compat":
         v = rep.get("verdict")
         if v == "not_compatible":
@@ -310,22 +311,31 @@ def cmd_verify_report(args, prob) -> int:
     return OK if not problems else FAIL
 
 
-def _reconcile_criterion(rep: dict) -> list[str]:
-    """The report's overall, failing and verdict must be what its clauses
-    and its two certificate verdicts imply."""
+def _reconcile_criterion(prob, rep: dict) -> list[str]:
+    """Each clause must be what the problem file gives, the injectivity of
+    eta, theta or m of the report's quadruple (swapped for `nc-tensor
+    check`), and overall, failing and verdict what the clauses and the
+    two certificate verdicts imply."""
     clauses = rep.get("clauses", [])
     certs = [rep.get(f"coker_{s}_certificate") for s in "gf"]
     if [c.get("name") for c in clauses] != ["iso_b1", "iso_b2", "iso_b3"] \
             or None in certs:
         return ["the report lacks a clause or a certificate of the criterion"]
+    q = prob.named("quadruples", rep.get("quadruple", ""))
+    if rep["command"] == "nc-tensor":
+        q = swap_quadruple(q, f"swap({q.name})")
+    sm = structural_maps(q.ctx, q)
+    holds = [sm.eta.is_injective(), sm.theta.is_injective(), sm.m_x.is_injective()]
+    problems = [f"clause {c['name']} does not recompute: holds is {json.dumps(h)}"
+                for c, h in zip(clauses, holds) if c["holds"] != h]
     overall, failing = criterion_verdict(
         [(c["name"], c["holds"]) for c in clauses],
         certs[0].get("verdict"), certs[1].get("verdict"))
     if (rep.get("overall"), rep.get("failing"), rep.get("verdict")) != \
             (overall, failing, overall):
-        return [f"the verdict does not follow from the clauses and "
-                f"certificates: expected {overall} failing {failing}"]
-    return []
+        problems.append(f"the verdict does not follow from the clauses and "
+                        f"certificates: expected {overall} failing {failing}")
+    return problems
 
 
 def _verify_cert_json(prob, cert_obj) -> list[str]:

@@ -31,14 +31,17 @@ entries and the denominator.  Over F_p the arithmetic kernels (`add`,
 skip it: they reduce mod p inside their own loops, only the cells that can
 leave [0, p).  Pure rearrangements (transposes, stacks, reshapes), entries
 taken from a matrix over denominator 1 (`_select`) and the 0/1 matrices
-keep canonical storage as they are.  Row reduction is the one
-field-dependent kernel: Gauss-Jordan over F_p, and over Z for Q a forward
-pass that keeps every row primitive and touches only the rows with a
-nonzero in the pivot column.  Both pivot on the first nonzero, so every
-echelon form, kernel and quotient basis is reproducible across runs.
-The echelon form is cached on the matrix and on itself, and a matrix
-that arrives already in reduced echelon form, or zero, is recognised by
-one scan, so neither is ever eliminated.
+keep canonical storage as they are.  Row reduction is one kernel for
+both fields, `_rref`: a forward pass that touches only the rows with a
+nonzero in the pivot column, then a back-substitution, on integer rows
+over Z for Q and over F_p.  The field enters only in how a row is
+normalised: over Z a combined row is divided by its content and a pivot
+row made primitive with a positive lead, over F_p a combined row is
+reduced mod p and a pivot row scaled to lead with 1.  It pivots on the
+first nonzero, so every echelon form, kernel and quotient basis is
+reproducible across runs.  The echelon form is cached on the matrix and
+on itself, and a matrix that arrives already in reduced echelon form, or
+zero, is recognised by one scan, so neither is ever eliminated.
 
 Boundary.  Field elements, `Fraction`s over Q and ints over F_p, appear
 only where matrices meet the rest of the package: `Mat(F, rows, cols)`
@@ -397,49 +400,46 @@ class Mat:
 # -- row reduction -----------------------------------------------------
 
 
-def _rref_fp(p: int, ints: list[list[int]]) -> tuple[list[list[int]], int, list[int]]:
-    """Gauss-Jordan mod p: (reduced rows, denominator 1, pivot columns)."""
-    m = list(ints)
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if m[i][c] % p != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                mr = m[r]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], mr)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m[:r], 1, pivots
+def _combination(a: int, u: list[int], b: int, v: list[int],
+                 p: int | None) -> list[int]:
+    """The row a·u - b·v, normalised: over Z (p None) divided by its
+    content (a row that cancels to zero has content 0 and stays zero),
+    over F_p reduced mod p."""
+    if p is None:
+        row = [a * x - b * y for x, y in zip(u, v)]
+        g = gcd(*row)
+        return [x // g for x in row] if g > 1 else row
+    return [(a * x - b * y) % p for x, y in zip(u, v)]
 
 
-def _rref_q(ints: list[list[int]]) -> tuple[list[list[int]], int, list[int]]:
-    """Forward elimination over Z with primitive rows, then
-    back-substitution over Z: (reduced rows over their canonical
-    denominator, that denominator, pivot columns).  Scaling a matrix
-    keeps its echelon form, so the stored denominator plays no part.
+def _leading(row: list[int], c: int, p: int | None) -> list[int]:
+    """The nonzero row, led by column c, scaled so that row[c] is its
+    canonical denominator: over Z primitive with row[c] > 0, over F_p
+    with row[c] = 1."""
+    if p is None:
+        g = gcd(*row) if row[c] > 0 else -gcd(*row)
+        return row if g == 1 else [x // g for x in row]
+    s = pow(row[c], -1, p)
+    return row if s == 1 else [x * s % p for x in row]
 
-    At each pivot only the rows with a nonzero f in the pivot column
-    change: such a row becomes (piv/g)·row - (f/g)·(pivot row), with
-    g = gcd(piv, f), divided by its content.  So a pivot costs in
-    proportion to the rows it clears, not to all the rows below it.
-    Every row stays a multiple of its Gaussian-elimination row, and the
-    Bareiss (fraction-free) row, whose entries are minors of the input,
-    is an integer multiple of the same primitive row; so no entry
+
+def _rref(ints: list[list[int]], p: int | None) -> tuple[list[list[int]], int, list[int]]:
+    """Row reduction over Z (p None, for Q) or over F_p: (reduced rows
+    over their canonical denominator, that denominator, pivot columns).
+    The input rows are left as they are.  Scaling a matrix keeps its
+    echelon form, so the stored denominator plays no part.
+
+    The forward pass pivots on the first nonzero of each column and
+    scales the pivot row by `_leading` (a row that leads with 1 is
+    already as `_leading` leaves it).  Then only the rows with a
+    nonzero f in the pivot column change: such a row becomes
+    (piv/g)·row - (f/g)·(pivot row), with g = gcd(piv, f), normalised by
+    `_combination`.  So a pivot costs in proportion to the rows it
+    clears, not to all the rows below it.  The field enters only in
+    those two normalisations.  Over F_p every entry stays in [0, p).
+    Over Z every row stays a multiple of its Gaussian-elimination row,
+    and the Bareiss (fraction-free) row, whose entries are minors of the
+    input, is an integer multiple of the same primitive row; so no entry
     outgrows Bareiss's bound."""
     m = list(ints)
     nrows = len(m)
@@ -454,25 +454,26 @@ def _rref_q(ints: list[list[int]]) -> tuple[list[list[int]], int, list[int]]:
                 break
         if pr is None:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        mr = m[r]
+        mr = m[pr]
+        if mr[c] != 1:
+            mr = _leading(mr, c, p)
+        # row r, which the pivot row replaces, is zero in column c (unless
+        # it is the pivot row), as are the rows between them
+        m[pr], m[r] = m[r], mr
         piv = mr[c]
-        for i in range(r + 1, nrows):
+        for i in range(pr + 1, nrows):
             f = m[i][c]
             if f:
                 g = gcd(piv, f)
-                a, b = piv // g, f // g
-                row = [a * x - b * y for x, y in zip(m[i], mr)]
-                g = gcd(*row)
-                # a row that cancels to zero has content 0
-                m[i] = [x // g for x in row] if g > 1 else row
+                m[i] = _combination(piv // g, m[i], f // g, mr, p)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    # Bottom up, reduced row i is e / d over Z: e is zero in every other
-    # pivot column and d = e[pivots[i]] > 0, with gcd(e) = 1, so d is the
-    # row's canonical denominator and their lcm the matrix's.
+    # Bottom up, reduced row i is e / d: e is zero in every other pivot
+    # column and d = e[pivots[i]] is the row's canonical denominator, as
+    # `_leading` made it (a combination with dj / g > 0 keeps e primitive
+    # over Z, and keeps d = 1 over F_p); the lcm of the d is the matrix's.
     red = [None] * r
     for i in range(r - 1, -1, -1):
         e = m[i]
@@ -481,15 +482,10 @@ def _rref_q(ints: list[list[int]]) -> tuple[list[list[int]], int, list[int]]:
             if f:
                 ej, dj = red[j]
                 g = gcd(f, dj)
-                a, b = dj // g, f // g
-                e = [a * x - b * y for x, y in zip(e, ej)]
-        g = gcd(*e)
-        if e[pivots[i]] < 0:
-            g = -g
-        e = [x // g for x in e]
+                e = _combination(dj // g, e, f // g, ej, p)
         red[i] = (e, e[pivots[i]])
     den = lcm(*(d for _, d in red))
-    return [[x * (den // d) for x in e] for e, d in red], den, pivots
+    return [e if d == den else [x * (den // d) for x in e] for e, d in red], den, pivots
 
 
 def _reduced_pivots(ints: list[list[int]], den: int) -> list[int] | None:
@@ -518,12 +514,7 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
         if piv is not None:
             m._rref = (None, tuple(piv))
         else:
-            if m.is_zero():
-                ints, den, piv = [], 1, []
-            elif F.is_rational:
-                ints, den, piv = _rref_q(m._ints)
-            else:
-                ints, den, piv = _rref_fp(F.p, m._ints)
+            ints, den, piv = ([], 1, []) if m.is_zero() else _rref(m._ints, F.p)
             R = _wrap(F, ints, den, m.cols)
             # R is its own echelon form: None stands for R itself, so that
             # no reference cycle outlives the caller's last use of R

@@ -529,6 +529,37 @@ def test_verify_report_reconciles_the_criterion_verdict(tmp_path, capsys, field,
     assert problem_text.startswith("the verdict does not follow")
 
 
+@pytest.mark.parametrize("clause", [0, 1, 2], ids=["iso_b1", "iso_b2", "iso_b3"])
+@pytest.mark.parametrize("name, cmd, opts", [
+    ("triangular.json", ["check-gp"],
+     ["--extension", "ext", "--context", "ctx", "--quadruple", "S2"]),
+    ("nc_phi.json", ["nc-tensor", "check"],
+     ["--extension", "extB", "--context", "ctx", "--quadruple", "SB"]),
+], ids=["check-gp", "nc-tensor-check"])
+@pytest.mark.parametrize("field", ["Q", "GF7"])
+def test_verify_report_recomputes_each_clause(tmp_path, capsys, field, name, cmd,
+                                              opts, clause):
+    """A flipped clause, with overall, failing and verdict made to follow
+    from it, fails: the clause is recomputed from the problem file."""
+    from gpmorita.engine import criterion_verdict
+    problem = _problem_over(field, name, tmp_path)
+    code, out = run(capsys, *cmd, problem, *opts, "--json")
+    rep = json.loads(out)
+    c = rep["clauses"][clause]
+    c["holds"] = not c["holds"]
+    overall, failing = criterion_verdict(
+        [(c["name"], c["holds"]) for c in rep["clauses"]],
+        rep["coker_g_certificate"]["verdict"], rep["coker_f_certificate"]["verdict"])
+    rep.update(overall=overall, failing=failing, verdict=overall)
+    rep_path = tmp_path / "tampered.json"
+    rep_path.write_text(json.dumps(rep))
+    code, out = run(capsys, "verify-report", problem, "--report", str(rep_path),
+                    "--json")
+    assert code == 1
+    assert json.loads(out)["problems"] == [
+        f"clause {c['name']} does not recompute: holds is {json.dumps(not c['holds'])}"]
+
+
 @pytest.mark.parametrize("exc", [IndexError("list index out of range"),
                                  NonCanonicalBasis("row 0 has no unit\ncolumn")],
                          ids=["IndexError", "NonCanonicalBasis"])

@@ -18,10 +18,10 @@ from gpmorita.homology import (
     projective_dimension, simple_modules, top_of, tor_dim,
 )
 from gpmorita.idempotents import _poly_mul, linear_roots, primitive_idempotents
-from gpmorita.linalg import Mat
+from gpmorita.linalg import Mat, rank
 from gpmorita.modules import (
-    ModuleError, direct_sum, dual_module, hom_dim, is_isomorphic,
-    regular_module, validate_module, zero_module,
+    ModuleError, ModuleHom, direct_sum, dual_module, free_module, hom_dim,
+    hom_space, is_isomorphic, regular_module, validate_module, zero_module,
 )
 
 
@@ -50,6 +50,27 @@ def test_primitive_idempotents_path_a2():
     prims = primitive_idempotents(a)
     assert len(prims) == 2
     assert len({blk for _, blk in prims}) == 2
+
+
+@pytest.mark.parametrize("F", [QQ(), GF(7)], ids=["Q", "GF7"])
+def test_idempotent_endo_of_k2_is_a_rank_one_idempotent(F):
+    # End(k^2) is the 2x2 matrix algebra, so a primitive idempotent of it
+    # is a proper idempotent endomorphism of rank 1
+    a = field_algebra(F)
+    k2 = free_module(a, 2)
+    e = idempotents._idempotent_endo(a, hom_space(k2, k2), 0)
+    assert e is not None
+    assert e @ e == e and rank(e) == 1
+    assert ModuleHom(k2, k2, e).intertwines()
+
+
+@pytest.mark.parametrize("F", [QQ(), GF(7)], ids=["Q", "GF7"])
+def test_idempotent_endo_of_a_simple_is_none(F):
+    # End(S) = k has no proper idempotent
+    s = simple_kx2(truncated_poly(F, 2))
+    endos = hom_space(s, s)
+    assert len(endos) == 1
+    assert idempotents._idempotent_endo(s.algebra, endos, 0) is None
 
 
 def _m2(F):

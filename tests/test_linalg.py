@@ -404,9 +404,40 @@ def old_rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     return Mat(m.field, rows, m.cols), tuple(piv)
 
 
-# -- the Bareiss forward pass the primitive-row one replaced, kept as an oracle
-# The body is linalg._rref_q's, verbatim, from before its forward pass kept
-# rows primitive.
+# -- the two row reductions the one kernel replaced, kept as oracles
+# bareiss_rref_q's body is the Q kernel's, verbatim, from before its forward
+# pass kept rows primitive; gauss_jordan_rref_fp's is the F_p kernel's,
+# verbatim, from before the two fields shared one kernel.
+
+
+def gauss_jordan_rref_fp(p: int, ints: list[list[int]]) -> tuple[list[list[int]], int, list[int]]:
+    """Gauss-Jordan mod p: (reduced rows, denominator 1, pivot columns)."""
+    m = list(ints)
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, nrows):
+            if m[i][c] % p != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = pow(m[r][c], p - 2, p)
+        m[r] = [(x * inv) % p for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                mr = m[r]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], mr)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m[:r], 1, pivots
 
 
 def bareiss_rref_q(ints: list[list[int]]) -> tuple[list[list[int]], int, list[int]]:
@@ -554,12 +585,24 @@ def test_rref_solve_kernel_match_per_entry_oracle(data, F, r, n, n2):
     assert_operands_intact(*ops)
 
 
-# -- the primitive-row forward pass against Bareiss, on structured inputs ----
+# -- the one kernel against Bareiss over Q and Gauss-Jordan over F_p ----------
+
+KERNEL_PRIMES = [2, 3, 7, 31]
 
 
 def assert_rref_q_matches_bareiss(ints: list[list[int]]):
     before = [list(r) for r in ints]
-    assert linalg._rref_q(ints) == bareiss_rref_q(ints)
+    assert linalg._rref(ints, None) == bareiss_rref_q(ints)
+    assert ints == before
+
+
+def assert_rref_fp_matches_gauss_jordan(ints: list[list[int]], p: int):
+    """The kernel over F_p on ints reduced mod p, as Mat storage holds
+    them, against Gauss-Jordan: the same rows, denominator and pivots, and
+    the input left as it was."""
+    ints = [[x % p for x in r] for r in ints]
+    before = [list(r) for r in ints]
+    assert linalg._rref(ints, p) == gauss_jordan_rref_fp(p, ints)
     assert ints == before
 
 
@@ -571,9 +614,10 @@ def _intertwining_ints(x, y) -> list[list[int]]:
         [y.acts[t].transpose() for t in gens])._ints
 
 
-def test_rref_q_matches_bareiss_on_hom_systems_of_catalog_modules():
+def _catalog_hom_systems(F: Field):
+    """The integer rows of the Hom systems between catalog modules over F:
+    regular, simple, seeded random and direct sums, up to 64 columns."""
     rng = random.Random(11)
-    F = QQ()
     for a in (truncated_poly(F, 3), truncated_poly(F, 4), path_a2(F),
               two_cycle_rad_square(F)):
         mods = [regular_module(a), simple_at_idempotent(a, 0)]
@@ -582,7 +626,18 @@ def test_rref_q_matches_bareiss_on_hom_systems_of_catalog_modules():
                  direct_sum([mods[1], mods[-1]])[0]]
         for x, y in product(mods, repeat=2):
             if x.dim * y.dim <= 64:
-                assert_rref_q_matches_bareiss(_intertwining_ints(x, y))
+                yield _intertwining_ints(x, y)
+
+
+def test_rref_q_matches_bareiss_on_hom_systems_of_catalog_modules():
+    for ints in _catalog_hom_systems(QQ()):
+        assert_rref_q_matches_bareiss(ints)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_rref_fp_matches_gauss_jordan_on_hom_systems_of_catalog_modules(p):
+    for ints in _catalog_hom_systems(GF(p)):
+        assert_rref_fp_matches_gauss_jordan(ints, p)
 
 
 def _block_diagonal(rng: random.Random) -> list[list[int]]:
@@ -636,14 +691,34 @@ def _sparse_square(rng: random.Random) -> list[list[int]]:
             for row in a]
 
 
+def _low_rank_square(rng: random.Random) -> list[list[int]]:
+    """Up to 60 x 60, dense, of rank at most k < n: the product of an
+    n x k and a k x n matrix, so its rows cancel to zero once k pivots
+    are cleared."""
+    n = rng.randint(2, 60)
+    k = rng.randint(1, n - 1)
+    a = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)]
+    b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+    return [[sum(x * b[t][j] for t, x in enumerate(row)) for j in range(n)]
+            for row in a]
+
+
 @pytest.mark.parametrize("make", [_block_diagonal, _with_cancelling_rows,
-                                  _dense_big, _sparse_square])
+                                  _dense_big, _sparse_square, _low_rank_square])
 @pytest.mark.parametrize("seed", range(6))
 def test_rref_q_matches_bareiss_on_seeded_structured_matrices(make, seed):
     assert_rref_q_matches_bareiss(make(random.Random(seed)))
 
 
-@pytest.mark.parametrize("ints", [
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+@pytest.mark.parametrize("make", [_block_diagonal, _with_cancelling_rows,
+                                  _dense_big, _sparse_square, _low_rank_square])
+@pytest.mark.parametrize("seed", range(6))
+def test_rref_fp_matches_gauss_jordan_on_seeded_structured_matrices(make, seed, p):
+    assert_rref_fp_matches_gauss_jordan(make(random.Random(seed)), p)
+
+
+EDGE_SHAPES = [
     [],                                     # no rows
     [[], [], []],                           # no columns
     [[0, 0, 0], [0, 0, 0]],                 # zero
@@ -652,10 +727,20 @@ def test_rref_q_matches_bareiss_on_seeded_structured_matrices(make, seed):
     [[2, 1], [4, 2], [0, 3]],               # cancels above a live row
     [[0, 6, 4], [3, 0, 9], [6, 6, 0]],      # pivots with a common factor
     [[-BIG, BIG + 1], [BIG - 1, -BIG]],     # entries near +-2^70
-], ids=["no-rows", "no-cols", "zero", "cancel-first", "cancel-second",
-        "zero-row-above", "common-factors", "big"])
+]
+EDGE_IDS = ["no-rows", "no-cols", "zero", "cancel-first", "cancel-second",
+            "zero-row-above", "common-factors", "big"]
+
+
+@pytest.mark.parametrize("ints", EDGE_SHAPES, ids=EDGE_IDS)
 def test_rref_q_matches_bareiss_on_edge_shapes(ints):
     assert_rref_q_matches_bareiss(ints)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+@pytest.mark.parametrize("ints", EDGE_SHAPES, ids=EDGE_IDS)
+def test_rref_fp_matches_gauss_jordan_on_edge_shapes(ints, p):
+    assert_rref_fp_matches_gauss_jordan(ints, p)
 
 
 # -- coordinates in canonical bases, against solve_left ---------------------------
@@ -790,18 +875,16 @@ def test_rref_of_an_echelon_form_runs_no_elimination(F):
     m = Mat.from_rows(F, [[1, 2, 3], [2, 4, 7], [0, 0, 2]])
     R = row_space(m)
     K = left_kernel(m.transpose())
-    with mock.patch.object(linalg, "_rref_q") as q, \
-            mock.patch.object(linalg, "_rref_fp") as fp:
+    with mock.patch.object(linalg, "_rref") as kernel:
         assert linalg.rref(R) == (R, (0, 2)) and rank(R) == 2
         assert row_space(R) is R and row_space(K) is K
         assert kernel_basis(R).cols == 1 and kernel_basis(K).cols == 2
-    assert not q.called and not fp.called
+    assert not kernel.called
     # a copy carries no echelon form, but it is recognised as one on
     # arrival: the same (R, pivots), with no elimination
-    with mock.patch.object(linalg, "_rref_q") as q, \
-            mock.patch.object(linalg, "_rref_fp") as fp:
+    with mock.patch.object(linalg, "_rref") as kernel:
         assert linalg.rref(R.copy()) == linalg.rref(R)
-    assert not q.called and not fp.called
+    assert not kernel.called
 
 
 @pytest.mark.parametrize("F", STORAGE_FIELDS)
@@ -814,23 +897,21 @@ def test_rref_of_an_echelon_form_runs_no_elimination(F):
 ], ids=["not-echelon", "pivot-2", "above-pivot", "zero-row", "zero-row-on-top"])
 def test_rref_of_a_matrix_not_reduced_eliminates_once(F, rows):
     m = Mat.from_rows(F, rows)
-    with mock.patch.object(linalg, "_rref_q", wraps=linalg._rref_q) as q, \
-            mock.patch.object(linalg, "_rref_fp", wraps=linalg._rref_fp) as fp:
+    with mock.patch.object(linalg, "_rref", wraps=linalg._rref) as kernel:
         assert linalg.rref(m) == old_rref(m)
         assert linalg.rref(m) == old_rref(m)
-    assert q.call_count + fp.call_count == 1
+    assert kernel.call_count == 1
 
 
 @pytest.mark.parametrize("F", STORAGE_FIELDS)
 def test_rref_of_an_empty_or_zero_matrix_runs_no_elimination(F):
     cases = [Mat.zeros(F, 0, 3), Mat.zeros(F, 0, 0), Mat.zeros(F, 3, 0),
              Mat.zeros(F, 2, 3)]
-    with mock.patch.object(linalg, "_rref_q") as q, \
-            mock.patch.object(linalg, "_rref_fp") as fp:
+    with mock.patch.object(linalg, "_rref") as kernel:
         for m in cases:
             R, piv = linalg.rref(m)
             assert (R.rows, R.cols, piv) == (0, m.cols, ())
             assert (R, piv) == old_rref(m)
         # a matrix with no rows is its own form
         assert linalg.rref(cases[0])[0] is cases[0]
-    assert not q.called and not fp.called
+    assert not kernel.called

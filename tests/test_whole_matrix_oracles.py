@@ -1160,10 +1160,7 @@ def _rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form (zero rows dropped) and pivot columns."""
     if m._rref is None:
         F = m.field
-        if F.is_rational:
-            ints, den, piv = linalg._rref_q(m._ints)
-        else:
-            ints, den, piv = linalg._rref_fp(F.p, m._ints)
+        ints, den, piv = linalg._rref(m._ints, F.p)
         R = linalg._wrap(F, ints, den, m.cols)
         # R is its own echelon form: None stands for R itself, so that no
         # reference cycle outlives the caller's last use of R

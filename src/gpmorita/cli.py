@@ -34,7 +34,7 @@ from .nctensor import (
     NcTensorError, build_exact_context, build_nc_tensor, iso_with_morita,
     nc_morita_presentation,
 )
-from .trivext import structural_maps
+from .trivext import ExtensionError, check_extension_matches, structural_maps
 from .verify import verify_certificate
 
 OK, FAIL, UNKNOWN, BAD_INPUT, INTERNAL = 0, 1, 2, 3, 4
@@ -279,16 +279,18 @@ def cmd_verify_report(args, prob) -> int:
     cmd = rep.get("command")
     problems: list[str] = []
     if cmd == "certify-gp":
-        problems = _verify_cert_json(prob, rep.get("certificate", {}))
+        problems = _verify_cert_json(prob, rep.get("certificate", {}))[0]
     elif cmd in ("check-gp", "nc-tensor"):
+        certs = {}
         for key in ("coker_g_certificate", "coker_f_certificate"):
             if key in rep:
-                problems += _verify_cert_json(prob, rep[key])
+                found, certs[key] = _verify_cert_json(prob, rep[key])
+                problems += found
         for clause in rep.get("clauses", []):
             if not isinstance(clause.get("holds"), bool):
                 problems.append(f"clause {clause.get('name')} malformed")
         if not problems and (cmd == "check-gp" or rep.get("mode") == "check"):
-            problems += _reconcile_criterion(prob, rep)
+            problems += _reconcile_criterion(prob, rep, certs)
     elif cmd == "check-compat":
         v = rep.get("verdict")
         if v == "not_compatible":
@@ -311,11 +313,12 @@ def cmd_verify_report(args, prob) -> int:
     return OK if not problems else FAIL
 
 
-def _reconcile_criterion(prob, rep: dict) -> list[str]:
+def _reconcile_criterion(prob, rep: dict, parsed: dict) -> list[str]:
     """Each clause must be what the problem file gives, the injectivity of
     eta, theta or m of the report's quadruple (swapped for `nc-tensor
     check`), and overall, failing and verdict what the clauses and the
-    two certificate verdicts imply."""
+    two certificate verdicts imply; the two certificates must be about
+    the quadruple's Coker(g)|Lambda and Coker(f)."""
     clauses = rep.get("clauses", [])
     certs = [rep.get(f"coker_{s}_certificate") for s in "gf"]
     if [c.get("name") for c in clauses] != ["iso_b1", "iso_b2", "iso_b3"] \
@@ -326,8 +329,10 @@ def _reconcile_criterion(prob, rep: dict) -> list[str]:
         q = swap_quadruple(q, f"swap({q.name})")
     sm = structural_maps(q.ctx, q)
     holds = [sm.eta.is_injective(), sm.theta.is_injective(), sm.m_x.is_injective()]
-    problems = [f"clause {c['name']} does not recompute: holds is {json.dumps(h)}"
-                for c, h in zip(clauses, holds) if c["holds"] != h]
+    problems = _unbound_certificates(prob, q, sm, parsed["coker_g_certificate"],
+                                     parsed["coker_f_certificate"])
+    problems += [f"clause {c['name']} does not recompute: holds is {json.dumps(h)}"
+                 for c, h in zip(clauses, holds) if c["holds"] != h]
     overall, failing = criterion_verdict(
         [(c["name"], c["holds"]) for c in clauses],
         certs[0].get("verdict"), certs[1].get("verdict"))
@@ -338,7 +343,35 @@ def _reconcile_criterion(prob, rep: dict) -> list[str]:
     return problems
 
 
-def _verify_cert_json(prob, cert_obj) -> list[str]:
+def _unbound_certificates(prob, q, sm, cert_g, cert_f) -> list[str]:
+    """cert_g must be about Coker(g) restricted to Lambda, where Lambda is
+    its algebra and must be that of an extension matching the quadruple's
+    context, and cert_f about Coker(f); "about" as verify_certificate
+    compares its module, over the same algebra."""
+    out = []
+    ext = next((e for e in prob.extensions.values()
+                if e.Lam is cert_g.module.algebra), None)
+    try:
+        if ext is not None:
+            check_extension_matches(ext, q.ctx)
+    except ExtensionError:
+        ext = None
+    if ext is None or not _about(cert_g, ext.lam_module(sm.u)):
+        out.append("coker_g_certificate is not about the quadruple's "
+                   "Coker(g) restricted to Lambda")
+    if not _about(cert_f, sm.v):
+        out.append("coker_f_certificate is not about the quadruple's Coker(f)")
+    return out
+
+
+def _about(cert, x) -> bool:
+    m = cert.module
+    return m.algebra is x.algebra and m.dim == x.dim and m.acts == x.acts
+
+
+def _verify_cert_json(prob, cert_obj):
+    """The problems verify_certificate finds with a certificate in JSON,
+    and the certificate (None when its algebra is unknown)."""
     name = cert_obj.get("algebra", "")
     algebra = prob.algebras.get(name)
     if algebra is None and name.startswith("ring(") and name.endswith(")"):
@@ -348,9 +381,9 @@ def _verify_cert_json(prob, cert_obj) -> list[str]:
     if algebra is None and name in prob.extensions:
         algebra = prob.extensions[name].Lam
     if algebra is None:
-        return [f"certificate references unknown algebra {name!r}"]
+        return [f"certificate references unknown algebra {name!r}"], None
     cert = certificate_from_json(algebra, cert_obj)
-    return verify_certificate(cert, cert.module)
+    return verify_certificate(cert, cert.module), cert
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:

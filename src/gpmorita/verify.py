@@ -12,6 +12,24 @@ bases of Hom spaces.
 `ModuleHom.intertwines` and `hom_space` work on the algebra's generators,
 which is sound only between modules, so every module of a certificate is
 put through validate_module before any map into or out of it is trusted.
+
+A periodic window is checked over one period.  When a "gp" certificate
+gives a period p with 1 <= p <= hi - lo - 1, the checker first compares
+the window with itself shifted by p: the terms over the same algebra with
+the same actions, the differentials with the same matrices.  If the window
+repeats, every check at degree i is the check at degree i - p: a term's
+module laws and projectivity, a differential's shape and module-map
+property, the d.d pair at i, exactness and Hom(-, A)-exactness at i.  So
+each check is run on the sub-window [lo, lo + p + 1] only, whose p + 2
+terms and p + 1 differentials hold every residue mod p of the terms, the
+differentials, the d.d pairs (lo .. lo + p - 1) and the inner degrees
+(lo + 1 .. lo + p) once; the differential at lo + p, one past a period,
+is the overlap that covers the junction between two periods.  The first
+failure found is the one the whole window gives first, as the first
+failing degree lies within a period.  A window that does not repeat, or
+a period it cannot witness, gets the whole window's checks before the
+periodicity message, and the kernel identification always reads the whole
+window.
 """
 from __future__ import annotations
 
@@ -49,10 +67,18 @@ def _presentation_splits(m: FDModule) -> bool:
     homs = hom_space(m, _regular(a))
     if not homs:
         return False
-    # phi_i: the i-th copy of A -> m, rows i*dim A .. (i+1)*dim A of phi
-    blocks = [phi.block(i * a.dim, (i + 1) * a.dim, 0, n) for i in range(n)]
-    system = Mat.vstack([(h.mat @ phi_i).flatten() for phi_i in blocks for h in homs])
-    return solve_left(system, Mat.identity(F, n).flatten()) is not None
+    return solve_left(_section_system(phi, homs), Mat.identity(F, n).flatten()) is not None
+
+
+def _section_system(phi: Mat, homs: list[ModuleHom]) -> Mat:
+    """The rows of s phi = 1_m in the coefficients c_{i,l}: row (i, l) is
+    h_l phi_i flattened, where phi_i: A -> m is the i-th copy of A, rows
+    i*dim A .. (i+1)*dim A of phi.  One product per copy: the Hom basis
+    stacked, times phi_i, read as k rows of n^2."""
+    d, n, k = homs[0].target.dim, phi.cols, len(homs)
+    stacked = Mat.vstack([h.mat for h in homs])
+    return Mat.vstack([(stacked @ phi.block(i * d, (i + 1) * d, 0, n)).reshape(k, n * n)
+                       for i in range(n)])
 
 
 def _non_module(label: str, mods: list[FDModule], first: int = 0) -> str | None:
@@ -122,12 +148,22 @@ def _window_totally_exact(wc: ComplexWindow) -> str | None:
     return None
 
 
+def _period_unwitnessed(wc: ComplexWindow, p) -> str | None:
+    """p must be an int (not a bool) the window can repeat by: two terms
+    and two differentials p apart at least."""
+    if isinstance(p, bool) or not isinstance(p, int) or not 1 <= p <= wc.hi - wc.lo - 1:
+        return f"period {p!r} is not witnessed by the window [{wc.lo}, {wc.hi}]"
+    return None
+
+
 def _window_periodic(wc: ComplexWindow, p: int) -> str | None:
-    """Literal periodicity of the stored window (terms and differentials
-    repeat); the builders emit genuinely repeating windows."""
+    """Literal periodicity of the stored window (terms over one algebra
+    with equal actions, and differentials, repeat); the builders emit
+    genuinely repeating windows."""
     for i in range(wc.lo, wc.hi + 1 - p):
         a, b = wc.term(i), wc.term(i + p)
-        if a.dim != b.dim or any(a.acts[t] != b.acts[t] for t in range(a.algebra.dim)):
+        if (a.algebra is not b.algebra or a.dim != b.dim
+                or any(s != t for s, t in zip(a.acts, b.acts))):
             return f"terms at {i} and {i + p} differ"
     for i in range(wc.lo, wc.hi - p):
         if wc.diff(i).mat != wc.diff(i + p).mat:
@@ -182,6 +218,18 @@ def _verify_right_tail_chain(x: FDModule, steps, upto: int) -> str | None:
     return None
 
 
+def _window_failure(wc: ComplexWindow) -> str | None:
+    """The first failure of wc as a complex of projectives that is exact
+    and Hom(-, A)-exact at its inner degrees, or None."""
+    msg = _non_module("term", wc.terms, wc.lo) or _window_is_complex(wc)
+    if msg:
+        return msg
+    for i in range(wc.lo, wc.hi + 1):
+        if not projective_by_splitting(wc.term(i)):
+            return f"term {i} is not projective"
+    return _window_exact(wc) or _window_totally_exact(wc)
+
+
 def verify_certificate(cert: GPCertificate, x: FDModule) -> list[str]:
     """Re-check a certificate against the module it claims to describe;
     returns the list of discrepancies (empty = verified)."""
@@ -195,24 +243,20 @@ def verify_certificate(cert: GPCertificate, x: FDModule) -> list[str]:
         wc, ki = cert.window, cert.kernel_ident
         if wc is None or ki is None:
             return ["gp certificate lacks its window"]
-        msg = _non_module("term", wc.terms, wc.lo) or _window_is_complex(wc)
+        p, periodic, checked = cert.period, None, wc
+        if p is not None:
+            periodic = _period_unwitnessed(wc, p) or _window_periodic(wc, p)
+            if periodic is None:
+                checked = ComplexWindow(wc.lo, wc.lo + p + 1, wc.terms[:p + 2],
+                                        wc.diffs[:p + 1])
+        msg = _window_failure(checked) or periodic
         if msg:
             return [msg]
-        for i in range(wc.lo, wc.hi + 1):
-            if not projective_by_splitting(wc.term(i)):
-                return [f"term {i} is not projective"]
-        msg = _window_exact(wc) or _window_totally_exact(wc)
-        if msg:
-            return [msg]
-        if cert.period is not None:
-            msg = _window_periodic(wc, cert.period)
-            if msg:
-                return [msg]
-        elif cert.reason == "self-injective":
+        if p is None:
+            if cert.reason != "self-injective":
+                return ["gp certificate needs a period or self-injectivity"]
             if not _self_injective_by_splitting(x.algebra):
                 return ["algebra is not self-injective"]
-        else:
-            return ["gp certificate needs a period or self-injectivity"]
         if not ki.intertwines() or rank(ki.mat) != x.dim:
             return ["kernel identification is not an embedding"]
         ker_rows = left_kernel(wc.diff(0).mat)

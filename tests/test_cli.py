@@ -419,6 +419,56 @@ def test_verify_report_rejects_a_tampered_extension_certificate(tmp_path, capsys
         "the certified module is not a module: unit does not act as identity"]
 
 
+@pytest.mark.parametrize("period", [0, 12, 13, 100, True, -1, "1", 1.5],
+                         ids=repr)
+@pytest.mark.parametrize("field", ["Q", "GF7"])
+def test_verify_report_rejects_a_period_the_window_cannot_witness(tmp_path, capsys,
+                                                                  field, period):
+    # the window is [-6, 6], so a period must be an int from 1 to 11: 0 and
+    # 12 compare nothing or each term with itself, 13 and 100 compare nothing
+    problem = _problem_over(field, "dual_numbers.json", tmp_path)
+
+    def forge(cert):
+        cert["period"] = period
+
+    code, problems = _tampered_report(tmp_path, capsys, problem, ["--module", "S"],
+                                      forge)
+    assert (code, problems) == (
+        1, [f"period {period!r} is not witnessed by the window [-6, 6]"])
+
+
+@pytest.mark.parametrize("key, message", [
+    ("coker_g_certificate",
+     "coker_g_certificate is not about the quadruple's Coker(g) restricted to Lambda"),
+    ("coker_f_certificate", "coker_f_certificate is not about the quadruple's Coker(f)"),
+], ids=["coker_g", "coker_f"])
+@pytest.mark.parametrize("name, cmd, opts, mine, other", [
+    ("triangular.json", ["check-gp"], ["--extension", "ext", "--context", "ctx"],
+     "P1", "P2"),
+    ("nc_phi.json", ["nc-tensor", "check"], ["--extension", "extB", "--context", "ctx"],
+     "PA", "PB"),
+], ids=["check-gp", "nc-tensor-check"])
+@pytest.mark.parametrize("field", ["Q", "GF7"])
+def test_verify_report_binds_the_certificates_to_the_quadruple(
+        tmp_path, capsys, field, name, cmd, opts, mine, other, key, message):
+    # the two quadruples' cokernels differ in dimension (0 against 1), and
+    # each certificate verifies on its own
+    problem = _problem_over(field, name, tmp_path)
+    reports = {}
+    for q in (mine, other):
+        code, out = run(capsys, *cmd, problem, *opts, "--quadruple", q, "--json")
+        assert code == 0, out
+        reports[q] = json.loads(out)
+    rep = reports[mine]
+    assert rep[key]["module"]["dim"] != reports[other][key]["module"]["dim"]
+    rep[key] = reports[other][key]
+    rep_path = tmp_path / "tampered.json"
+    rep_path.write_text(json.dumps(rep))
+    code, out = run(capsys, "verify-report", problem, "--report", str(rep_path),
+                    "--json")
+    assert (code, json.loads(out)["problems"]) == (1, [message])
+
+
 def test_nc_tensor_build_and_iso(capsys):
     code, out = run(capsys, "nc-tensor", "build", fx("two_cycle.json"),
                     "--context", "ctx", "--json")

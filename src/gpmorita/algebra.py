@@ -1,7 +1,19 @@
 """Finite-dimensional associative unital algebras via structure constants.
 
-An algebra is a basis b_0..b_{n-1} with products b_i b_j = sum_k c[i][j][k] b_k
-and a distinguished unit vector.  Elements are coordinate lists.
+An algebra is a basis b_0..b_{n-1} and a distinguished unit vector;
+elements are coordinate lists.  The product is stored as one n^2 x n
+matrix, `consts`: row i*n + j holds the coordinates of b_i b_j.  Every
+product job is then a whole-matrix operation: a product of elements is
+(a (x) b) @ consts, the left multiplications are the n row blocks of
+consts, the opposite algebra is consts with its two factors swapped, and
+subalgebras, corners, quotients and the associativity check are products
+of consts with Kronecker squares and stacks.
+
+The package's block rings (the Morita context ring, Lambda |x I and the
+noncommutative tensor ring) are built by one function, `glued_algebra`:
+the basis is a sequence of blocks, and a table P of shape
+(d_s * d_t) x d_u gives the products of block s with block t, landing in
+block u; row i * d_t + j of P is b_i b_j.
 
 Matrix convention (package-wide): maps act on row vectors from the right.
 Left multiplication by a, L_a : x |-> a x, then satisfies L_{ab} = L_b @ L_a
@@ -94,7 +106,7 @@ def memo(f=None, *, on: int = 0):
 class Algebra:
     field: Field
     dim: int
-    mul: list[list[list]]          # mul[i][j] = coords of b_i * b_j
+    consts: Mat                    # row i * dim + j = coords of b_i * b_j
     unit: list                     # coords of 1
     name: str = ""
     # `memo` entries: equality is that of the structure, not of what was
@@ -104,10 +116,8 @@ class Algebra:
 
     def __post_init__(self):
         n = self.dim
-        if len(self.mul) != n or any(len(r) != n for r in self.mul):
+        if (self.consts.rows, self.consts.cols) != (n * n, n):
             raise AlgebraError("structure constant table has wrong shape")
-        if any(len(self.mul[i][j]) != n for i in range(n) for j in range(n)):
-            raise AlgebraError("structure constant entries have wrong length")
         if len(self.unit) != n:
             raise AlgebraError("unit vector has wrong length")
 
@@ -125,32 +135,23 @@ class Algebra:
         return e
 
     def multiply(self, a: list, b: list) -> list:
-        F = self.field
-        out = self.zero_el()
-        for i, ai in enumerate(a):
-            if F.is_zero(ai):
-                continue
-            for j, bj in enumerate(b):
-                if F.is_zero(bj):
-                    continue
-                c = F.mul(ai, bj)
-                row = self.mul[i][j]
-                for k in range(self.dim):
-                    if not F.is_zero(row[k]):
-                        out[k] = F.add(out[k], F.mul(c, row[k]))
-        return out
+        """The product of two elements, (a (x) b) @ consts."""
+        F, n = self.field, self.dim
+        return (Mat.from_rows(F, [a], n).kron(Mat.from_rows(F, [b], n))
+                @ self.consts).row(0)
 
     @memo
     def lmul_mats(self) -> list[Mat]:
-        """Left multiplication by each basis element, as row-action matrices."""
-        return [Mat(self.field, [self.mul[t][i][:] for i in range(self.dim)], self.dim)
-                for t in range(self.dim)]
+        """Left multiplication by each basis element, as row-action
+        matrices: the n row blocks of consts."""
+        n = self.dim
+        return [self.consts.block(t * n, (t + 1) * n, 0, n) for t in range(n)]
 
     @memo
     def rmul_mats(self) -> list[Mat]:
-        """Right multiplication by each basis element."""
-        return [Mat(self.field, [self.mul[i][t][:] for i in range(self.dim)], self.dim)
-                for t in range(self.dim)]
+        """Right multiplication by each basis element: left multiplication
+        in the opposite algebra."""
+        return opposite_algebra(self).lmul_mats()
 
     def rmul_of(self, a: list) -> Mat:
         return linear_combination(self.field, self.dim, self.dim, a, self.rmul_mats())
@@ -172,34 +173,61 @@ def validate_algebra(a: Algebra) -> list[Violation]:
 
 @memo
 def _algebra_violations(a: Algebra) -> list[Violation]:
-    out = []
-    n = a.dim
+    """Row (i*n + j)*n + k of C @ C.reshape(n, n^2), read as n^3 x n, is
+    (b_i b_j) b_k, and row i*n^2 + j*n + k of the stack of the C @ L_i is
+    b_i (b_j b_k); the triples are read off the rows where they differ, in
+    the order (i, j, k).  The unit laws are (1 (x) b_i) @ C and
+    (b_i (x) 1) @ C against b_i."""
+    F, n, C = a.field, a.dim, a.consts
+    if n == 0:      # the zero algebra: no triple, and no L_i to stack
+        return []
+    diff = (C @ C.reshape(n, n * n)).reshape(n ** 3, n).sub(
+        Mat.vstack([C @ L for L in a.lmul_mats()]))
+    out = [Violation("associativity", (r // (n * n), r // n % n, r % n))
+           for r in diff.nonzero_rows()]
+    unit, eye = Mat.from_rows(F, [a.unit], n), Mat.identity(F, n)
+    left = set((unit.kron(eye) @ C).sub(eye).nonzero_rows())
+    right = set((eye.kron(unit) @ C).sub(eye).nonzero_rows())
     for i in range(n):
-        for j in range(n):
-            ij = a.mul[i][j]
-            for k in range(n):
-                left = a.multiply(ij, a.basis_el(k))
-                right = a.multiply(a.basis_el(i), a.mul[j][k])
-                if left != right:
-                    out.append(Violation("associativity", (i, j, k)))
-    for i in range(n):
-        e = a.basis_el(i)
-        if a.multiply(a.unit, e) != e:
+        if i in left:
             out.append(Violation("unit", (i,), "1*b != b"))
-        if a.multiply(e, a.unit) != e:
+        if i in right:
             out.append(Violation("unit", (i,), "b*1 != b"))
     return out
 
 
 @memo
 def opposite_algebra(a: Algebra) -> Algebra:
-    """Opposite algebra; cached both ways, so it is an involution on
-    instances."""
-    op = Algebra(a.field, a.dim,
-                 [[a.mul[j][i][:] for j in range(a.dim)] for i in range(a.dim)],
-                 a.unit[:], name=f"{a.name}^op" if a.name else "op")
+    """Opposite algebra, b_i * b_j = b_j b_i: consts with its two factors
+    swapped.  Cached both ways, so it is an involution on instances."""
+    op = Algebra(a.field, a.dim, a.consts.swap_factors(a.dim, a.dim), a.unit[:],
+                 name=f"{a.name}^op" if a.name else "op")
     opposite_algebra.put(a, op)
     return op
+
+
+def glued_algebra(F: Field, dims: list[int], tables: dict, unit: list,
+                  name: str = "") -> Algebra:
+    """The algebra on the concatenated blocks of the given dims whose
+    products of block s with block t are tables[(s, t)] = (u, P): row
+    i * d_t + j of P, a (d_s * d_t) x d_u matrix, is b_i b_j in block u.
+    Pairs without a table multiply to zero.
+
+    The products b_i b_J of block s, in the order (J, i), fall into one
+    band of rows per block t of J, holding P with its two factors swapped;
+    swapping the factors of the whole band back gives the rows i * n + J
+    of consts."""
+    n = sum(dims)
+    bands = []
+    for s, ds in enumerate(dims):
+        blocks = [[None] * len(dims) for _ in dims]
+        for t, dt in enumerate(dims):
+            if (s, t) in tables:
+                u, P = tables[(s, t)]
+                blocks[t][u] = P.swap_factors(ds, dt)
+        bands.append(Mat.from_blocks(F, [dt * ds for dt in dims], dims, blocks)
+                     .swap_factors(n, ds))
+    return Algebra(F, n, Mat.vstack(bands), unit, name=name)
 
 
 @memo
@@ -218,14 +246,12 @@ def generating_subset(a: Algebra) -> list[int]:
         if in_row_space(span, e):
             continue
         gens.append(i)
-        # close the span under products with everything already present
+        # close the span under left products with the generators: it holds
+        # 1, so that gives every word in them, a span closed under right
+        # products too
         while True:
-            rows = span.to_rows()
-            for u in list(rows):
-                for g in gens:
-                    rows.append(a.multiply(u, a.basis_el(g)))
-                    rows.append(a.multiply(a.basis_el(g), u))
-            new_span = row_space(Mat.from_rows(F, rows, a.dim))
+            new_span = row_space(Mat.vstack(
+                [span] + [span @ a.lmul_mats()[g] for g in gens]))
             if new_span.rows == span.rows:
                 break
             span = new_span
@@ -243,23 +269,23 @@ def subalgebra(a: Algebra, rows: Mat, name: str = "") -> tuple[Algebra, Mat]:
     unit_c = coordinates(basis, Mat.from_rows(a.field, [a.unit], a.dim))
     if unit_c is None:
         raise AlgebraError("subalgebra does not contain the unit")
-    mul = _products_in(a, basis, "span")
-    return Algebra(a.field, basis.rows, mul, unit_c.row(0), name=name), basis
+    consts = _products_in(a, basis, "span")
+    return Algebra(a.field, basis.rows, consts, unit_c.row(0), name=name), basis
 
 
-def _products_in(a: Algebra, basis: Mat, what: str) -> list:
+def _products_in(a: Algebra, basis: Mat, what: str) -> Mat:
     """The structure constants of the products of the rows of `basis`, a
-    canonical row basis, in that basis, found in one batch; the first pair
-    (i, j) whose product leaves the span is named in the error."""
+    canonical row basis, in that basis: the coordinates of
+    (basis (x) basis) @ consts.  The first pair (i, j) whose product
+    leaves the span is named in the error."""
     q = basis.rows
-    prods = Mat.from_rows(a.field, [a.multiply(basis.row(i), basis.row(j))
-                                    for i in range(q) for j in range(q)], a.dim)
+    prods = basis.kron(basis) @ a.consts
     c = coordinates(basis, prods)
     if c is None:
         i, j = next(divmod(r, q) for r in range(q * q) if coordinates(
             basis, prods.block(r, r + 1, 0, a.dim)) is None)
         raise AlgebraError(f"{what} not closed under multiplication at ({i},{j})")
-    return [[c.row(i * q + j) for j in range(q)] for i in range(q)]
+    return c
 
 
 def corner_algebra(a: Algebra, eps: list, name: str = "") -> tuple[Algebra, Mat]:
@@ -267,14 +293,13 @@ def corner_algebra(a: Algebra, eps: list, name: str = "") -> tuple[Algebra, Mat]
 
     Returns (corner algebra on the canonical basis, inclusion matrix).
     """
-    rows = row_space(Mat.from_rows(
-        a.field, [a.multiply(a.multiply(eps, a.basis_el(i)), eps) for i in range(a.dim)],
-        a.dim))
-    unit_c = coordinates(rows, Mat.from_rows(a.field, [eps], a.dim))
+    F, n = a.field, a.dim
+    rows = row_space(linear_combination(F, n, n, eps, a.lmul_mats()) @ a.rmul_of(eps))
+    unit_c = coordinates(rows, Mat.from_rows(F, [eps], n))
     if unit_c is None:
         raise AlgebraError("idempotent does not lie in its own corner")
-    mul = _products_in(a, rows, "corner")
-    return Algebra(a.field, rows.rows, mul, unit_c.row(0), name=name), rows
+    consts = _products_in(a, rows, "corner")
+    return Algebra(F, rows.rows, consts, unit_c.row(0), name=name), rows
 
 
 def quotient_algebra(a: Algebra, ideal_rows: Mat, name: str = "") -> tuple[Algebra, Mat]:
@@ -282,7 +307,9 @@ def quotient_algebra(a: Algebra, ideal_rows: Mat, name: str = "") -> tuple[Algeb
 
     Returns (quotient algebra, projection matrix a -> quotient); the
     quotient basis is the set of non-pivot coordinates of the ideal's
-    reduced echelon form, so it is canonical.
+    reduced echelon form, so it is canonical.  The products of quotient
+    basis elements are taken through the canonical lifts,
+    (lift (x) lift) @ consts @ proj.
     """
     F = a.field
     R = row_space(ideal_rows)
@@ -290,17 +317,9 @@ def quotient_algebra(a: Algebra, ideal_rows: Mat, name: str = "") -> tuple[Algeb
         if not in_row_space(R, R @ a.lmul_mats()[t]) or not in_row_space(R, R @ a.rmul_mats()[t]):
             raise AlgebraError("row span is not a two-sided ideal")
     proj, lift = quotient_maps(R)
-    q = proj.cols
-    # products of quotient basis elements via arbitrary lifts
-    mul = []
-    for i in range(q):
-        rowi = []
-        for j in range(q):
-            prod = a.multiply(lift.row(i), lift.row(j))
-            rowi.append((Mat.from_rows(F, [prod], a.dim) @ proj).row(0))
-        mul.append(rowi)
+    consts = lift.kron(lift) @ a.consts @ proj
     unit = (Mat.from_rows(F, [a.unit], a.dim) @ proj).row(0)
-    return Algebra(F, q, mul, unit, name=name), proj
+    return Algebra(F, proj.cols, consts, unit, name=name), proj
 
 
 class UnsupportedField(AlgebraError):
@@ -312,9 +331,8 @@ def trace_form(a: Algebra) -> Mat:
     module, sum_k c[i][j][k] tr(L_{b_k}): the n^2 x n stacked structure
     constants times the column of traces, read as n x n."""
     F, n = a.field, a.dim
-    consts = Mat(F, [a.mul[i][j] for i in range(n) for j in range(n)], n)
     traces = Mat(F, [[m.trace()] for m in a.lmul_mats()], 1)
-    return (consts @ traces).reshape(n, n)
+    return (a.consts @ traces).reshape(n, n)
 
 
 @memo
@@ -340,12 +358,8 @@ def nilpotency_index(a: Algebra, rows: Mat, cap: int | None = None) -> int | Non
     while cur.rows:
         if m > cap:
             return None
-        prods = []
-        for i in range(cur.rows):
-            for j in range(rows.rows):
-                prods.append(a.multiply(cur.row(i), rows.row(j)))
-        cur = row_space(Mat.from_rows(a.field, prods, a.dim)) if prods else \
-            Mat.zeros(a.field, 0, a.dim)
+        # every product of a row of cur with a row of rows, in one product
+        cur = row_space(cur.kron(rows) @ a.consts)
         m += 1
     return m
 
@@ -354,14 +368,8 @@ def ideal_closure(a: Algebra, rows: Mat) -> Mat:
     """Smallest two-sided ideal containing the row span."""
     span = row_space(rows)
     while True:
-        prods = span.to_rows()
-        for i in range(span.rows):
-            for t in range(a.dim):
-                prods.append((Mat.from_rows(a.field, [span.row(i)], a.dim)
-                              @ a.lmul_mats()[t]).row(0))
-                prods.append((Mat.from_rows(a.field, [span.row(i)], a.dim)
-                              @ a.rmul_mats()[t]).row(0))
-        new = row_space(Mat.from_rows(a.field, prods, a.dim))
+        new = row_space(Mat.vstack([span] + [span @ m for m in
+                                             (*a.lmul_mats(), *a.rmul_mats())]))
         if new.rows == span.rows:
             return new
         span = new

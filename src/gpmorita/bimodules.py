@@ -95,6 +95,17 @@ def _bimodule_violations(m: Bimodule) -> list[str]:
     return []
 
 
+def left_table(m: Bimodule) -> Mat:
+    """The left action as one table: row t * dim M + j is b_t . m_j."""
+    return Mat.vstack(m.left_acts)
+
+
+def right_table(m: Bimodule) -> Mat:
+    """The right action as one table: row j * dim A + t is m_j . b_t, for
+    M over (B, A)."""
+    return Mat.vstack(m.right_acts).swap_factors(m.right.dim, m.dim)
+
+
 # -- constructions -----------------------------------------------------------
 
 

@@ -14,63 +14,50 @@ from .modules import (
 )
 
 
-def _empty_mul(F: Field, n: int):
-    z = F.zero()
-    return [[[z] * n for _ in range(n)] for _ in range(n)]
+def _monomial_algebra(F: Field, n: int, products: dict, unit: list,
+                      name: str) -> Algebra:
+    """The algebra on b_0..b_{n-1} with b_i b_j = b_k for each
+    (i, j): k in products, and b_i b_j = 0 otherwise."""
+    rows = [[0] * n for _ in range(n * n)]
+    for (i, j), k in products.items():
+        rows[i * n + j][k] = 1
+    return Algebra(F, n, Mat(F, rows, n), unit, name=name)
 
 
 def field_algebra(F: Field, name: str = "k") -> Algebra:
-    mul = _empty_mul(F, 1)
-    mul[0][0][0] = F.one()
-    return Algebra(F, 1, mul, [F.one()], name=name)
+    return _monomial_algebra(F, 1, {(0, 0): 0}, [F.one()], name)
 
 
 def product_fields(F: Field, n: int, name: str = "") -> Algebra:
     """k x ... x k with componentwise product."""
-    mul = _empty_mul(F, n)
-    for i in range(n):
-        mul[i][i][i] = F.one()
-    return Algebra(F, n, mul, [F.one()] * n, name=name or f"k^{n}")
+    return _monomial_algebra(F, n, {(i, i): i for i in range(n)}, [F.one()] * n,
+                             name or f"k^{n}")
 
 
 def truncated_poly(F: Field, n: int, name: str = "") -> Algebra:
     """k[x]/(x^n) with basis 1, x, ..., x^{n-1}."""
-    mul = _empty_mul(F, n)
-    for i in range(n):
-        for j in range(n):
-            if i + j < n:
-                mul[i][j][i + j] = F.one()
     unit = [F.one()] + [F.zero()] * (n - 1)
-    return Algebra(F, n, mul, unit, name=name or f"k[x]/x^{n}")
+    return _monomial_algebra(F, n, {(i, j): i + j for i in range(n)
+                                    for j in range(n - i)},
+                             unit, name or f"k[x]/x^{n}")
 
 
 def path_a2(F: Field, name: str = "kA2") -> Algebra:
     """Upper triangular 2x2 matrices; basis e1 = E11, a = E12, e2 = E22."""
-    mul = _empty_mul(F, 3)
-    one = F.one()
     E1, A, E2 = 0, 1, 2
-    mul[E1][E1][E1] = one
-    mul[E2][E2][E2] = one
-    mul[E1][A][A] = one     # e1 * a = a
-    mul[A][E2][A] = one     # a * e2 = a
-    unit = [one, F.zero(), one]
-    return Algebra(F, 3, mul, unit, name=name)
+    # e1 * a = a = a * e2
+    products = {(E1, E1): E1, (E2, E2): E2, (E1, A): A, (A, E2): A}
+    return _monomial_algebra(F, 3, products, [F.one(), F.zero(), F.one()], name)
 
 
 def two_cycle_rad_square(F: Field, name: str = "2cyc") -> Algebra:
     """Path algebra of 1 <-> 2 modulo paths of length 2; basis e1, e2, a, b
     with a: 1 -> 2 and b: 2 -> 1 (so e1*a = a = a*e2, e2*b = b = b*e1)."""
-    mul = _empty_mul(F, 4)
-    one = F.one()
     E1, E2, A, B = 0, 1, 2, 3
-    mul[E1][E1][E1] = one
-    mul[E2][E2][E2] = one
-    mul[E1][A][A] = one
-    mul[A][E2][A] = one
-    mul[E2][B][B] = one
-    mul[B][E1][B] = one
-    unit = [one, one, F.zero(), F.zero()]
-    return Algebra(F, 4, mul, unit, name=name)
+    products = {(E1, E1): E1, (E2, E2): E2, (E1, A): A, (A, E2): A,
+                (E2, B): B, (B, E1): B}
+    one, z = F.one(), F.zero()
+    return _monomial_algebra(F, 4, products, [one, one, z, z], name)
 
 
 # -- hand-built modules -----------------------------------------------------
@@ -240,11 +227,7 @@ def full_context(R, scale=None, name="full"):
     F = R.field
     c = scale if scale is not None else F.one()
     reg = regular_bimodule_of(R)
-    mult_rows = []
-    for i in range(R.dim):
-        for j in range(R.dim):
-            mult_rows.append([F.mul(c, v) for v in R.mul[i][j]])
-    mult = Mat.from_rows(F, mult_rows, R.dim)
+    mult = R.consts.scale(c)
     phi = BalancedMap(reg, reg, R, mult)
     psi = BalancedMap(reg, reg, R, mult)
     from .morita import MoritaContext

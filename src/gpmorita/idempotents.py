@@ -11,6 +11,7 @@ ring bigger than k, raises SplitError.
 """
 from __future__ import annotations
 
+import math
 import random
 
 from .algebra import (
@@ -136,9 +137,7 @@ def linear_roots(F: Field, poly: list, seed: int = 0) -> tuple[list, bool]:
     roots = []
     if F.is_rational:
         # clear denominators, rational root theorem
-        den = 1
-        for c in sf:
-            den = den * c.denominator // _gcd_int(den, c.denominator)
+        den = math.lcm(*(c.denominator for c in sf))
         zc = [int(c * den) for c in sf]
         lead, const = zc[-1], zc[0]
         if const == 0:
@@ -174,12 +173,6 @@ def linear_roots(F: Field, poly: list, seed: int = 0) -> tuple[list, bool]:
         return roots, deg_lin == n
     roots = _cz_roots(F, lin, seed)
     return sorted(roots), deg_lin == n
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _poly_eval(F: Field, a: list, x):
@@ -299,9 +292,10 @@ def _singular_candidates(b: Algebra, seed: int, budget: int = 300):
     F = b.field
     for i in range(b.dim):
         yield b.basis_el(i)
+    products = b.consts.to_rows()
     for i in range(b.dim):
         for j in range(b.dim):
-            yield b.mul[i][j]
+            yield products[i * b.dim + j]
             if i < j:
                 e = [F.add(x, y) for x, y in zip(b.basis_el(i), b.basis_el(j))]
                 yield e
@@ -334,7 +328,7 @@ def _minimal_left_ideal(b: Algebra, seed: int = 0) -> FDModule:
         if 0 < img.rows < b.dim:
             if current is None or img.rows < current.dim:
                 current, current_incl = submodule_from_rows(reg, img)
-        if current is not None and current.dim <= _isqrt(b.dim):
+        if current is not None and current.dim <= math.isqrt(b.dim):
             break
     if current is None:
         raise SplitError("no zero divisor found; possibly a division algebra")
@@ -375,12 +369,11 @@ def _idempotent_endo(b: Algebra, endos, seed: int) -> Mat | None:
                                        for f in endos for g in endos]))
     if c is None:
         raise AlgebraError("endomorphisms not closed under composition")
-    mul = [[c.row(i * k + j) for j in range(k)] for i in range(k)]
     ident = Mat.identity(F, endos[0].mat.rows)
     unit = coordinates(basis, ident.flatten())
     if unit is None:
         raise AlgebraError("identity endo missing from the endo space")
-    E = Algebra(F, k, mul, unit.row(0), name="End")
+    E = Algebra(F, k, c, unit.row(0), name="End")
     prims = primitive_idempotents_semisimple(E, seed)
     coeffs, _ = prims[0]
     out = linear_combination(F, ident.rows, ident.cols, coeffs,
@@ -388,15 +381,6 @@ def _idempotent_endo(b: Algebra, endos, seed: int) -> Mat | None:
     if rank(out) == ident.rows:
         return None
     return out
-
-
-def _isqrt(n: int) -> int:
-    r = int(n ** 0.5)
-    while r * r > n:
-        r -= 1
-    while (r + 1) * (r + 1) <= n:
-        r += 1
-    return r
 
 
 def primitive_idempotents_semisimple(ss: Algebra, seed: int = 0) -> list[tuple[list, int]]:

@@ -90,21 +90,27 @@ def mat_from_json(F: Field, obj) -> Mat:
 
 
 def algebra_to_json(a: Algebra):
-    F = a.field
-    return {"dim": a.dim,
-            "mul": [[[F.format(c) for c in a.mul[i][j]] for j in range(a.dim)]
-                    for i in range(a.dim)],
+    """The nested table "mul": mul[i][j] is row i * dim + j of consts."""
+    F, n = a.field, a.dim
+    rows = [[F.format(c) for c in row] for row in a.consts.to_rows()]
+    return {"dim": n,
+            "mul": [rows[i * n:(i + 1) * n] for i in range(n)],
             "unit": [F.format(c) for c in a.unit]}
 
 
 def algebra_from_json(F: Field, obj, name: str) -> Algebra:
     try:
         dim = obj["dim"]
-        mul = [[[F.parse(c) for c in cell] for cell in row] for row in obj["mul"]]
+        table = obj["mul"]
+        if not isinstance(dim, int) or len(table) != dim or any(
+                len(row) != dim for row in table):
+            raise ValueError("structure constant table has wrong shape")
+        consts = Mat(F, [[F.parse(c) for c in cell] for row in table for cell in row],
+                     dim)
         unit = [F.parse(c) for c in obj["unit"]]
+        return Algebra(F, dim, consts, unit, name=name)
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"malformed algebra {name!r}: {e}")
-    return Algebra(F, dim, mul, unit, name=name)
 
 
 def module_to_json(x: FDModule, algebra_name: str):
@@ -312,17 +318,41 @@ def certificate_to_json(cert: GPCertificate, algebra_name: str):
     return out
 
 
+def _require(obj, keys: tuple, what: str):
+    """Raise InputError unless obj is an object with every key."""
+    if not isinstance(obj, dict):
+        raise InputError(f"malformed certificate: {what} is not an object")
+    missing = next((k for k in keys if k not in obj), None)
+    if missing is not None:
+        raise InputError(f"malformed certificate: {what} has no {missing!r}")
+
+
 def certificate_from_json(a: Algebra, obj) -> GPCertificate:
+    """The certificate in obj, over a.  A missing key, window bounds that
+    are not ints, or a window whose term and differential counts do not
+    match its bounds raise InputError."""
     F = a.field
 
-    def mod(o):
+    def mod(o, what="a module"):
+        _require(o, ("dim", "acts"), what)
         return FDModule(a, o["dim"], [mat_from_json(F, m) for m in o["acts"]])
 
-    module = mod(obj["module"])
+    _require(obj, ("verdict", "module"), "the certificate")
+    module = mod(obj["module"], "the module")
     window = None
     kernel_ident = None
     if "window" in obj:
         wobj = obj["window"]
+        _require(wobj, ("lo", "hi", "terms", "diffs"), "the window")
+        lo, hi = wobj["lo"], wobj["hi"]
+        if type(lo) is not int or type(hi) is not int:
+            raise InputError(f"malformed certificate: window bounds {lo!r}, {hi!r} "
+                             "are not ints")
+        if not (isinstance(wobj["terms"], list) and isinstance(wobj["diffs"], list)
+                and len(wobj["terms"]) == hi - lo + 1
+                and len(wobj["diffs"]) == hi - lo):
+            raise InputError(f"malformed certificate: a window on [{lo}, {hi}] needs "
+                             f"{hi - lo + 1} terms and {hi - lo} differentials")
         terms = [mod(t) for t in wobj["terms"]]
         diffs = [ModuleHom(terms[k], terms[k + 1], mat_from_json(F, d))
                  for k, d in enumerate(wobj["diffs"])]
@@ -333,11 +363,17 @@ def certificate_from_json(a: Algebra, obj) -> GPCertificate:
     witness = None
     if "witness" in obj:
         wobj = obj["witness"]
+        _require(wobj, ("kind", "degree"), "the witness")
         resolution = None
         steps = None
         stage = alpha = kernel_row = None
         if "resolution" in wobj:
             robj = wobj["resolution"]
+            _require(robj, ("terms", "maps", "aug"), "the witness resolution")
+            if not (isinstance(robj["terms"], list) and isinstance(robj["maps"], list)
+                    and len(robj["terms"]) == len(robj["maps"]) + 1):
+                raise InputError("malformed certificate: the witness resolution "
+                                 "needs one term more than it has maps")
             terms = [mod(t) for t in robj["terms"]]
             maps = [ModuleHom(terms[k + 1], terms[k], mat_from_json(F, d))
                     for k, d in enumerate(robj["maps"])]
@@ -346,6 +382,7 @@ def certificate_from_json(a: Algebra, obj) -> GPCertificate:
         if "steps" in wobj:
             steps = []
             for st in wobj["steps"]:
+                _require(st, ("stage", "alpha", "target", "coker_proj"), "a witness step")
                 s_mod = mod(st["stage"])
                 t_mod = mod(st["target"])
                 al = ModuleHom(s_mod, t_mod, mat_from_json(F, st["alpha"]))
@@ -354,6 +391,7 @@ def certificate_from_json(a: Algebra, obj) -> GPCertificate:
                 steps.append(RightTailStep(s_mod, al, t_mod,
                                            ModuleHom(t_mod, nxt, ck)))
         if "fail_stage" in wobj:
+            _require(wobj, ("fail_alpha", "kernel_row"), "the witness")
             stage = mod(wobj["fail_stage"])
             tgt_mat = mat_from_json(F, wobj["fail_alpha"])
             from .modules import free_module

@@ -3,11 +3,11 @@
 This is the only module that reads or writes matrix entries.  Every
 other module works with whole matrices: arithmetic, Kronecker products,
 stacking, `from_blocks` assembly, `block` slicing, `reshape`/`flatten`,
-`swap_factors`, `to_rows`, `row` and `trace`, and four builders for
-matrix-shaped jobs, `linear_combination` (the action of an algebra element),
-`intertwining_system` (hom spaces and balanced-tensor relations),
-`quotient_maps` (quotient coordinates) and `coordinates` (vectors
-expressed in a canonical basis).  `coordinates` needs a unit column in
+`swap_factors`, `nonzero_rows`, `to_rows`, `row` and `trace`, and four
+builders for matrix-shaped jobs, `linear_combination` (the action of an
+algebra element), `intertwining_system` (hom spaces and balanced-tensor
+relations), `quotient_maps` (quotient coordinates) and `coordinates`
+(vectors expressed in a canonical basis).  `coordinates` needs a unit column in
 every basis row, a column that is 1 in that row and 0 in the others, as
 every `row_space`, `left_kernel` and transposed `kernel_basis` has; it
 reads the coordinates off those columns with no row reduction.
@@ -164,19 +164,23 @@ class Mat:
     The storage belongs to this module: code outside `linalg` builds and
     reads matrices only through the methods and functions here
     (`Mat(F, rows, cols)`, `from_rows`, `to_rows`, `row`, `data`, `trace`,
-    `block`, `from_blocks`, `reshape`, `flatten`, `swap_factors` and the
-    arithmetic), which take and return field elements.  The echelon form is
+    `block`, `from_blocks`, `reshape`, `flatten`, `swap_factors`,
+    `nonzero_rows` and the arithmetic), which take and return field elements.  The echelon form is
     cached in `_rref`."""
 
     __slots__ = ("field", "rows", "cols", "_ints", "_den", "_rref")
 
     def __init__(self, field: Field, data: list[list], cols: int | None = None):
         """The matrix with the given rows of field elements (ints are read
-        into the field)."""
+        into the field).  Every row must have the same length."""
         if data:
             if cols is not None and cols != len(data[0]):
                 raise ValueError("declared column count disagrees with data")
             cols = len(data[0])
+            if len(data) > 1 and set(map(len, data)) != {cols}:
+                bad = next(i for i, row in enumerate(data) if len(row) != cols)
+                raise ValueError(f"row {bad} has {len(data[bad])} entries, "
+                                 f"not {cols}")
         elif cols is None:
             raise ValueError("empty matrix needs an explicit column count")
         den = lcm(*{x.denominator for row in data for x in row})
@@ -215,6 +219,10 @@ class Mat:
 
     def is_zero(self) -> bool:
         return not any(map(any, self._ints))
+
+    def nonzero_rows(self) -> list[int]:
+        """The indices of the rows that are not zero, in order."""
+        return [i for i, row in enumerate(self._ints) if any(row)]
 
     @property
     def data(self) -> list[list]:

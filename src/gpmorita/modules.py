@@ -81,9 +81,20 @@ def _module_violations(x: FDModule) -> list[str]:
     out = []
     if x.act_of(a.unit) != Mat.identity(a.field, x.dim):
         out.append("unit does not act as identity")
-    return out + next(([f"action not multiplicative at ({g},{j})"]
-                       for g in x.gens() for j in range(a.dim)
-                       if x.act_of(a.mul[g][j]) != x.acts[j] @ x.acts[g]), [])
+    gens = x.gens()
+    if not gens:        # the unit spans the algebra
+        return out
+    n, dd = a.dim, x.dim * x.dim
+    stack = Mat.vstack(x.acts)              # row j * dim + r: row r of act(b_j)
+    flat = stack.reshape(n, dd)             # row j: act(b_j), flattened
+    for g in gens:
+        # row j: act(b_g b_j) = L_g's row j times the actions, against
+        # act(b_j) @ act(b_g)
+        bad = (a.lmul_mats()[g] @ flat).sub(
+            (stack @ x.acts[g]).reshape(n, dd)).nonzero_rows()
+        if bad:
+            return out + [f"action not multiplicative at ({g},{bad[0]})"]
+    return out
 
 
 def zero_module(a: Algebra) -> FDModule:

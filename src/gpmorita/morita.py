@@ -18,10 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .algebra import Algebra, memo, opposite_algebra, validate_algebra
+from .algebra import (
+    Algebra, glued_algebra, memo, opposite_algebra, validate_algebra,
+)
 from .bimodules import (
-    BalancedMap, Bimodule, TensorModule, hom_module, opposite_bimodule,
-    tensor_functor_hom, tensor_module, validate_balanced_map, validate_bimodule,
+    BalancedMap, Bimodule, TensorModule, hom_module, left_table,
+    opposite_bimodule, right_table, tensor_functor_hom, tensor_module,
+    validate_balanced_map, validate_bimodule,
 )
 from .fields import Field
 from .linalg import (
@@ -152,7 +155,6 @@ def _context_violations(ctx: MoritaContext) -> list[str]:
 
 def _ideal_checks(ctx: MoritaContext) -> list[str]:
     out = []
-    F = ctx.A.field
     for c, im, corner in ((ctx, "psi", "A"), (swap_context(ctx), "phi", "B")):
         I = c.ideal_rows_a()
         for t in range(c.A.dim):
@@ -171,10 +173,9 @@ def _ideal_checks(ctx: MoritaContext) -> list[str]:
             if not ctx.M.right_act_of(a).is_zero():
                 out.append("M.I != 0 although phi = 0")
                 break
-            for s in range(I.rows):
-                if any(not F.is_zero(c) for c in ctx.A.multiply(I.row(r), I.row(s))):
-                    out.append("I^2 != 0 although phi = 0")
-                    break
+            # the products of row r with every row of I, in one product
+            if not (I.block(r, r + 1, 0, I.cols).kron(I) @ ctx.A.consts).is_zero():
+                out.append("I^2 != 0 although phi = 0")
     return out
 
 
@@ -236,47 +237,20 @@ def build_ring(ctx: MoritaContext) -> MoritaRing:
     require_valid_context(ctx)
     A, B, M, N = ctx.A, ctx.B, ctx.M, ctx.N
     F = A.field
-    dA, dN, dM, dB = A.dim, N.dim, M.dim, B.dim
-    dim = dA + dN + dM + dB
-    offA, offN, offM, offB = 0, dA, dA + dN, dA + dN + dM
-    z = F.zero()
-    mul = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
-
-    def put(i: int, j: int, off: int, vec: list):
-        row = mul[i][j]
-        for k, c in enumerate(vec):
-            row[off + k] = c
-
-    for i in range(dA):
-        for j in range(dA):
-            put(offA + i, offA + j, offA, A.mul[i][j])
-        for j in range(dN):
-            put(offA + i, offN + j, offN, N.left_acts[i].row(j))
-    for i in range(dN):
-        for j in range(dB):
-            put(offN + i, offB + j, offN, N.right_acts[j].row(i))
-        for j in range(dM):
-            put(offN + i, offM + j, offA, ctx.psi.value(i, j))
-    for i in range(dM):
-        for j in range(dA):
-            put(offM + i, offA + j, offM, M.right_acts[j].row(i))
-        for j in range(dN):
-            put(offM + i, offN + j, offB, ctx.phi.value(i, j))
-    for i in range(dB):
-        for j in range(dB):
-            put(offB + i, offB + j, offB, B.mul[i][j])
-        for j in range(dM):
-            put(offB + i, offM + j, offM, M.left_acts[i].row(j))
-
-    unit = [z] * dim
-    unit[offA:offA + dA] = A.unit
-    unit[offB:offB + dB] = B.unit
-    ring = Algebra(F, dim, mul, unit, name=ctx.name or "Lambda")
-    e1 = [z] * dim
-    e1[offA:offA + dA] = A.unit
-    e2 = [z] * dim
-    e2[offB:offB + dB] = B.unit
-    return MoritaRing(ctx, ring, (offA, offN, offM, offB), e1, e2)
+    dims = [A.dim, N.dim, M.dim, B.dim]
+    offs = tuple(sum(dims[:b]) for b in range(4))
+    z = [F.zero()]
+    e1 = A.unit + z * (N.dim + M.dim + B.dim)
+    e2 = z * (A.dim + N.dim + M.dim) + B.unit
+    unit = A.unit + z * (N.dim + M.dim) + B.unit
+    # blocks 0 A, 1 N, 2 M, 3 B; (s, t): (u, table of block s times block t)
+    ring = glued_algebra(F, dims, {
+        (0, 0): (0, A.consts), (0, 1): (1, left_table(N)),
+        (1, 3): (1, right_table(N)), (1, 2): (0, ctx.psi.mat),
+        (2, 0): (2, right_table(M)), (2, 1): (3, ctx.phi.mat),
+        (3, 3): (3, B.consts), (3, 2): (2, left_table(M)),
+    }, unit, name=ctx.name or "Lambda")
+    return MoritaRing(ctx, ring, offs, e1, e2)
 
 
 def opposite_ring(mr: MoritaRing) -> MoritaRing:

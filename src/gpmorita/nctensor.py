@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Algebra, validate_algebra
+from .algebra import Algebra, glued_algebra, validate_algebra
 from .bimodules import (
-    BalancedMap, Bimodule, bimodule_tensor, restrict_left, restrict_right,
-    zero_balanced_map,
+    BalancedMap, Bimodule, bimodule_tensor, left_table, restrict_left,
+    restrict_right, right_table, zero_balanced_map,
 )
 from .engine import (
     CompatVerdict, EngineError, build_total_resolution, check_conditions,
@@ -92,104 +92,44 @@ class NcTensorRing:
 
 
 def build_nc_tensor(ctx: MoritaContext, name: str = "") -> NcTensorRing:
-    """Transcribe the displayed multiplication of the noncommutative tensor
-    product; associativity is validated and any violation is reported with
-    the offending basis triple (a transcription-bug detector)."""
+    """The noncommutative tensor product ring on A ++ N ++ M ++ Gamma ++ W,
+    W = M (x)_A N, glued from the tables of its displayed multiplication:
+    a product with a factor in W goes through the section `sec` of W into
+    M (x)_k N, where n . (m (x) n') = n . phi(m (x) n'),
+    (m (x) n) . m' = phi(m (x) n) . m' and
+    (m (x) n)(m' (x) n') = m (x) (psi(n (x) m') . n').  Associativity is
+    validated and any violation is reported with the offending basis
+    triple."""
     from .morita import require_valid_context
     require_valid_context(ctx)
     A, G, M, N = ctx.A, ctx.B, ctx.M, ctx.N
     F = A.field
-    mn, mn_proj, mn_sec = bimodule_tensor(M, N, name="M(x)N")
-    dA, dN, dM, dG, dW = A.dim, N.dim, M.dim, G.dim, mn.dim
-    dim = dA + dN + dM + dG + dW
-    offA, offN, offM, offG, offW = 0, dA, dA + dN, dA + dN + dM, dA + dN + dM + dG
-    z = F.zero()
-    mul = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
-
-    def put(i, j, off, vec):
-        row = mul[i][j]
-        for k, c in enumerate(vec):
-            row[off + k] = F.add(row[off + k], c)
-
-    def phi_of_w(w_idx):
-        lift = mn_sec.row(w_idx)
-        acc = [z] * dG
-        for amb, coef in enumerate(lift):
-            if F.is_zero(coef):
-                continue
-            im, jn = divmod(amb, dN)
-            val = ctx.phi.value(im, jn)
-            acc = [F.add(u, F.mul(coef, v)) for u, v in zip(acc, val)]
-        return acc
-
-    for i in range(dA):
-        for j in range(dA):
-            put(offA + i, offA + j, offA, A.mul[i][j])
-        for j in range(dN):
-            put(offA + i, offN + j, offN, N.left_acts[i].row(j))
-    for i in range(dN):
-        for j in range(dM):
-            put(offN + i, offM + j, offA, ctx.psi.value(i, j))
-        for j in range(dG):
-            put(offN + i, offG + j, offN, N.right_acts[j].row(i))
-        for j in range(dW):
-            # n . (m' (x) n') = n . phi(m' (x) n')
-            gvec = phi_of_w(j)
-            put(offN + i, offW + j, offN, N.right_act_of(gvec).row(i))
-    for i in range(dM):
-        for j in range(dA):
-            put(offM + i, offA + j, offM, M.right_acts[j].row(i))
-        for j in range(dN):
-            # m (x) n lands in the tensor block
-            put(offM + i, offN + j, offW, mn_proj.row(i * dN + j))
-    for i in range(dG):
-        for j in range(dG):
-            put(offG + i, offG + j, offG, G.mul[i][j])
-        for j in range(dM):
-            put(offG + i, offM + j, offM, M.left_acts[i].row(j))
-        for j in range(dW):
-            put(offG + i, offW + j, offW, mn.left_acts[i].row(j))
-    for i in range(dW):
-        for j in range(dM):
-            # (m (x) n) . m' = phi(m (x) n) . m'
-            gvec = phi_of_w(i)
-            put(offW + i, offM + j, offM, M.left_act_of(gvec).row(j))
-        for j in range(dG):
-            put(offW + i, offG + j, offW, mn.right_acts[j].row(i))
-        for j in range(dW):
-            # (m (x) n)(m' (x) n') = m (x) (psi(n (x) m') . n')
-            lift_i = mn_sec.row(i)
-            lift_j = mn_sec.row(j)
-            acc = [z] * dW
-            for amb_i, ci in enumerate(lift_i):
-                if F.is_zero(ci):
-                    continue
-                im, jn = divmod(amb_i, dN)
-                for amb_j, cj in enumerate(lift_j):
-                    if F.is_zero(cj):
-                        continue
-                    im2, jn2 = divmod(amb_j, dN)
-                    avec = ctx.psi.value(jn, im2)
-                    nvec = N.left_act_of(avec).row(jn2)
-                    for t, c in enumerate(nvec):
-                        if not F.is_zero(c):
-                            prow = mn_proj.row(im * dN + t)
-                            coef = F.mul(F.mul(ci, cj), c)
-                            acc = [F.add(u, F.mul(coef, w))
-                                   for u, w in zip(acc, prow)]
-            put(offW + i, offW + j, offW, acc)
-
-    unit = [z] * dim
-    unit[offA:offA + dA] = A.unit
-    unit[offG:offG + dG] = G.unit
-    ring = Algebra(F, dim, mul, unit, name=name or "C")
+    mn, proj, sec = bimodule_tensor(M, N, name="M(x)N")
+    eye_m, eye_n = Mat.identity(F, M.dim), Mat.identity(F, N.dim)
+    phi_w = sec @ ctx.phi.mat                         # W -> Gamma
+    # m (x) (psi(n (x) m') . n') on M (x) N (x) M (x) N, into W
+    ww = sec.kron(sec) @ eye_m.kron(ctx.psi.mat.kron(eye_n) @ left_table(N)) @ proj
+    dims = [A.dim, N.dim, M.dim, G.dim, mn.dim]
+    z = [F.zero()]
+    unit = A.unit + z * (N.dim + M.dim) + G.unit + z * mn.dim
+    # blocks 0 A, 1 N, 2 M, 3 Gamma, 4 W; (s, t): (u, table of s times t)
+    ring = glued_algebra(F, dims, {
+        (0, 0): (0, A.consts), (0, 1): (1, left_table(N)),
+        (1, 2): (0, ctx.psi.mat), (1, 3): (1, right_table(N)),
+        (1, 4): (1, eye_n.kron(phi_w) @ right_table(N)),
+        (2, 0): (2, right_table(M)), (2, 1): (4, proj),
+        (3, 3): (3, G.consts), (3, 2): (2, left_table(M)),
+        (3, 4): (4, left_table(mn)),
+        (4, 2): (2, phi_w.kron(eye_m) @ left_table(M)),
+        (4, 3): (4, right_table(mn)), (4, 4): (4, ww),
+    }, unit, name=name or "C")
     bad = validate_algebra(ring)
     if bad:
         v = bad[0]
         raise NcTensorError(
             f"the transcribed product is not associative at {v.indices}")
-    return NcTensorRing(ctx, ring, (offA, offN, offM, offG, offW), mn,
-                        mn_proj, mn_sec)
+    offs = tuple(sum(dims[:b]) for b in range(5))
+    return NcTensorRing(ctx, ring, offs, mn, proj, sec)
 
 
 # -- identification with the one-sided-zero Morita ring --------------------------
@@ -201,7 +141,6 @@ class NcMoritaPresentation:
     ext_b: TrivialExtension      # B = Gamma |x (M (x) N)
     ctx2: MoritaContext          # (A, B, M', N', phi', 0)
     mr2: MoritaRing
-    swapped_ext: TrivialExtension
     swapped_ctx: MoritaContext   # corner-swapped, one-sided-zero form
 
 
@@ -226,7 +165,7 @@ def nc_morita_presentation(nc: NcTensorRing) -> NcMoritaPresentation:
     ctx2 = MoritaContext(A, B, m2, n2, phi2, zero_balanced_map(n2, m2, A),
                          name="Lambda_phi")
     mr2 = build_ring(ctx2)
-    return NcMoritaPresentation(nc, ext_b, ctx2, mr2, ext_b, swap_context(ctx2))
+    return NcMoritaPresentation(nc, ext_b, ctx2, mr2, swap_context(ctx2))
 
 
 def iso_with_morita(pres: NcMoritaPresentation) -> Mat:
@@ -236,7 +175,7 @@ def iso_with_morita(pres: NcMoritaPresentation) -> Mat:
     nc, mr2 = pres.nc, pres.mr2
     if nc.ring.dim != mr2.ring.dim:
         raise NcTensorError("dimension mismatch between the two rings")
-    if nc.ring.mul != mr2.ring.mul or nc.ring.unit != mr2.ring.unit:
+    if nc.ring.consts != mr2.ring.consts or nc.ring.unit != mr2.ring.unit:
         raise NcTensorError("structure constants do not coincide")
     return Mat.identity(nc.ring.field, nc.ring.dim)
 
@@ -259,11 +198,11 @@ def corollary_criterion(pres: NcMoritaPresentation, q: QuadrupleModule,
     if q.ctx is not pres.ctx2:
         raise NcTensorError("quadruple lives over the wrong context")
     q_sw = swap_quadruple(q, f"swap({q.name})")
-    rep = check_conditions(pres.swapped_ext, pres.swapped_ctx, q_sw,
+    rep = check_conditions(pres.ext_b, pres.swapped_ctx, q_sw,
                            window, period_bound, seed)
     asm = None
     if build and rep.passed:
-        asm = build_total_resolution(pres.swapped_ext, pres.swapped_ctx,
+        asm = build_total_resolution(pres.ext_b, pres.swapped_ctx,
                                      q_sw, rep, window=min(3, window), seed=seed)
     return rep, asm
 

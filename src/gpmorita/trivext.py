@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Algebra, memo, subalgebra
+from .algebra import Algebra, glued_algebra, memo, subalgebra
 from .bimodules import (
-    Bimodule, TensorModule, regular_bimodule, restrict_left, restrict_right,
-    sub_bimodule_from_rows, tensor_functor_hom, tensor_module,
+    Bimodule, TensorModule, left_table, regular_bimodule, restrict_left,
+    restrict_right, right_table, sub_bimodule_from_rows, tensor_functor_hom,
+    tensor_module,
 )
 from .linalg import (
     Mat, coordinates, factor_through, in_row_space, quotient_maps, rank,
@@ -60,25 +61,10 @@ def trivial_extension(lam: Algebra, ideal: Bimodule, name: str = "") -> TrivialE
     F = lam.field
     dl, di = lam.dim, ideal.dim
     dim = dl + di
-    z = F.zero()
-    mul = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(dl):
-        for j in range(dl):
-            prod = lam.mul[i][j]
-            for k, c in enumerate(prod):
-                mul[i][j][k] = c
-        for j in range(di):
-            vec = ideal.left_acts[i].row(j)
-            for k, c in enumerate(vec):
-                mul[i][dl + j][dl + k] = c
-    for i in range(di):
-        for j in range(dl):
-            vec = ideal.right_acts[j].row(i)
-            for k, c in enumerate(vec):
-                mul[dl + i][j][dl + k] = c
-    unit = [z] * dim
-    unit[:dl] = lam.unit
-    a = Algebra(F, dim, mul, unit, name=name or f"{lam.name}|x{ideal.name}")
+    a = glued_algebra(F, [dl, di], {
+        (0, 0): (0, lam.consts), (0, 1): (1, left_table(ideal)),
+        (1, 0): (1, right_table(ideal)),
+    }, lam.unit + [F.zero()] * di, name=name or f"{lam.name}|x{ideal.name}")
     eye = Mat.identity(F, dim)
     return TrivialExtension(lam, ideal, a, eye.block(0, dl, 0, dim),
                             eye.block(0, dim, 0, dl), eye.block(dl, dim, 0, dim))
@@ -96,26 +82,19 @@ def recognize_trivial_extension(a: Algebra, lam_rows: Mat, ideal_rows: Mat,
     combined = Mat.vstack([L, I])
     if rank(combined) != a.dim:
         raise ExtensionError("subring and ideal overlap")
-    for r in range(I.rows):
-        x = I.row(r)
-        for t in range(a.dim):
-            moved = Mat.from_rows(F, [a.multiply(a.basis_el(t), x),
-                                      a.multiply(x, a.basis_el(t))], a.dim)
-            if not in_row_space(I, moved):
-                raise ExtensionError("ideal span is not a two-sided ideal")
-        for s in range(I.rows):
-            prod = a.multiply(x, I.row(s))
-            if any(not F.is_zero(c) for c in prod):
-                raise ExtensionError("ideal does not square to zero")
+    for m in (*a.lmul_mats(), *a.rmul_mats()):
+        if not in_row_space(I, I @ m):
+            raise ExtensionError("ideal span is not a two-sided ideal")
+    if not (I.kron(I) @ a.consts).is_zero():
+        raise ExtensionError("ideal does not square to zero")
     lam, _ = subalgebra(a, L, name=name or "Lambda")   # checks closure and unit
-    # the ideal as a (Lambda, Lambda)-bimodule
+    # the ideal as a (Lambda, Lambda)-bimodule: the products L_t I_r and
+    # I_r L_t, both in the row order (t, r)
     k = I.rows
     acts = []
-    for left in (True, False):
-        moved = [a.multiply(L.row(t), I.row(r)) if left else
-                 a.multiply(I.row(r), L.row(t))
-                 for t in range(lam.dim) for r in range(k)]
-        c = coordinates(I, Mat.from_rows(F, moved, a.dim))
+    for moved in (L.kron(I) @ a.consts,
+                  (I.kron(L) @ a.consts).swap_factors(k, lam.dim)):
+        c = coordinates(I, moved)
         if c is None:
             raise ExtensionError("ideal is not stable under the subring")
         acts.append([c.block(t * k, (t + 1) * k, 0, k) for t in range(lam.dim)])

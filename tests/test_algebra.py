@@ -22,27 +22,35 @@ def test_validate_kx2_ok():
     assert validate_algebra(truncated_poly(QQ(), 2)) == []
 
 
+def _x_squared_one_plus(a: Algebra) -> Algebra:
+    """k[x]/(x^3) with the product x*x = 1 + x^2: b_1 b_1 is row 1*3 + 1."""
+    rows = a.consts.to_rows()
+    rows[1 * 3 + 1][0] = a.field.one()
+    return Algebra(a.field, 3, Mat(a.field, rows, 3), a.unit)
+
+
 def test_validate_catches_nonassociative():
     F = QQ()
     # b1*b1 = b1 (so b1 is not idempotent-compatible with unit b0): force
     # (b1 b1) b1 != b1 (b1 b1) by an asymmetric table
-    a = truncated_poly(F, 3)
-    a.mul[1][1][0] = F.one()   # x*x = 1 + x^2, breaks associativity
+    a = _x_squared_one_plus(truncated_poly(F, 3))   # breaks associativity
     bad = validate_algebra(a)
     assert bad and bad[0].kind == "associativity"
 
 
 def test_validate_algebra_checks_each_instance_once(monkeypatch):
-    a = truncated_poly(QQ(), 3)
-    a.mul[1][1][0] = QQ().one()
+    a = _x_squared_one_plus(truncated_poly(QQ(), 3))
+    calls = []
+    matmul = Mat.matmul
+    monkeypatch.setattr(Mat, "matmul",
+                        lambda self, other: calls.append(1) or matmul(self, other))
     first = validate_algebra(a)
     assert first and first[0].kind == "associativity"
-    calls = []
-    monkeypatch.setattr(Algebra, "multiply",
-                        lambda self, x, y: calls.append(1) or [])
+    made = len(calls)
+    assert made
     first.clear()
     second = validate_algebra(a)
-    assert not calls
+    assert len(calls) == made
     assert second and second[0].kind == "associativity"
     second.append("mutated")
     assert validate_algebra(a)[-1] != "mutated"
@@ -50,7 +58,7 @@ def test_validate_algebra_checks_each_instance_once(monkeypatch):
 
 def test_opposite_of_commutative_is_identical():
     a = truncated_poly(QQ(), 3)
-    assert opposite_algebra(a).mul == a.mul
+    assert opposite_algebra(a).consts == a.consts
 
 
 def test_opposite_path_algebra_hand_constants():
@@ -59,14 +67,14 @@ def test_opposite_path_algebra_hand_constants():
     # in the opposite algebra the arrow composes the other way around:
     # e1 *op a = a *orig e1 = 0 and a *op e2 = 0, while e2 *op a = a
     F = a.field
-    assert op.mul[0][1] == [F.zero()] * 3
-    assert op.mul[2][1] == a.basis_el(1)
+    assert op.consts.row(0 * 3 + 1) == [F.zero()] * 3
+    assert op.consts.row(2 * 3 + 1) == a.basis_el(1)
     assert validate_algebra(op) == []
 
 
 def test_opposite_is_involution():
     for a in [path_a2(QQ()), two_cycle_rad_square(GF(7)), truncated_poly(GF(5), 3)]:
-        assert opposite_algebra(opposite_algebra(a)).mul == a.mul
+        assert opposite_algebra(opposite_algebra(a)).consts == a.consts
 
 
 def test_generating_subset_small():

@@ -102,6 +102,21 @@ def test_wrong_shape_action_matrix_is_an_input_error(tmp_path, capsys, kind, nam
     assert "wrong shape" in err
 
 
+@pytest.mark.parametrize("field", ["Q", "GF7"])
+def test_short_structure_constant_cell_is_an_input_error(tmp_path, capsys, field):
+    # b_1 b_1 of A2 given with one coordinate
+    doc = json.load(open(fx("dual_numbers.json")))
+    if field == "GF7":
+        doc["field"] = {"p": 7}
+    doc["algebras"]["A2"]["mul"][1][1] = doc["algebras"]["A2"]["mul"][1][1][:-1]
+    p = tmp_path / "short_cell.json"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: malformed algebra 'A2'")
+    assert "Traceback" not in err
+
+
 def test_invalid_complex_fails_validation(tmp_path, capsys):
     # S_window's term 0 lets x act as the identity, so x*x = 0 acts as I
     doc = json.load(open(fx("dual_numbers.json")))
@@ -435,6 +450,64 @@ def test_verify_report_rejects_a_period_the_window_cannot_witness(tmp_path, caps
                                       forge)
     assert (code, problems) == (
         1, [f"period {period!r} is not witnessed by the window [-6, 6]"])
+
+
+def _drop(key):
+    return lambda d: d.pop(key)
+
+
+def _set(key, value):
+    return lambda d: d.__setitem__(key, value)
+
+
+@pytest.mark.parametrize("part, tamper, message", [
+    ("window", _set("lo", "x"), "window bounds 'x', 6 are not ints"),
+    ("window", _set("hi", True), "window bounds -6, True are not ints"),
+    ("window", lambda w: w["terms"].pop(),
+     "a window on [-6, 6] needs 13 terms and 12 differentials"),
+    ("window", lambda w: w["diffs"].append(w["diffs"][0]),
+     "a window on [-6, 6] needs 13 terms and 12 differentials"),
+    ("window", _drop("lo"), "the window has no 'lo'"),
+    ("certificate", _drop("module"), "the certificate has no 'module'"),
+    ("certificate", _drop("verdict"), "the certificate has no 'verdict'"),
+    ("module", _drop("acts"), "the module has no 'acts'"),
+], ids=["lo-str", "hi-bool", "terms-short", "diffs-long", "no-lo", "no-module",
+        "no-verdict", "no-acts"])
+@pytest.mark.parametrize("field", ["Q", "GF7"])
+def test_verify_report_names_a_malformed_certificate(tmp_path, capsys, field, part,
+                                                      tamper, message):
+    problem = _problem_over(field, "dual_numbers.json", tmp_path)
+    code, out = run(capsys, "certify-gp", problem, "--module", "S", "--json")
+    rep = json.loads(out)
+    cert = rep["certificate"]
+    tamper(cert if part == "certificate" else cert[part])
+    rep_path = tmp_path / "malformed.json"
+    rep_path.write_text(json.dumps(rep))
+    code = main(["verify-report", problem, "--report", str(rep_path), "--json"])
+    err = capsys.readouterr().err
+    assert (code, err) == (3, f"input error: malformed certificate: {message}\n")
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda w: w.pop("kind"), "the witness has no 'kind'"),
+    (lambda w: w["resolution"].pop("aug"), "the witness resolution has no 'aug'"),
+    (lambda w: w["resolution"]["maps"].append(w["resolution"]["maps"][0]),
+     "the witness resolution needs one term more than it has maps"),
+], ids=["no-kind", "no-aug", "maps-long"])
+@pytest.mark.parametrize("field", ["Q", "GF7"])
+def test_verify_report_names_a_malformed_witness(tmp_path, capsys, field, tamper,
+                                                  message):
+    problem = _problem_over(field, "triangular.json", tmp_path)
+    code, out = run(capsys, "certify-gp", problem, "--context", "ctx", "--quadruple",
+                    "S2", "--json")
+    rep = json.loads(out)
+    assert rep["verdict"] == "not_gp"
+    tamper(rep["certificate"]["witness"])
+    rep_path = tmp_path / "malformed.json"
+    rep_path.write_text(json.dumps(rep))
+    code = main(["verify-report", problem, "--report", str(rep_path), "--json"])
+    err = capsys.readouterr().err
+    assert (code, err) == (3, f"input error: malformed certificate: {message}\n")
 
 
 @pytest.mark.parametrize("key, message", [

@@ -77,10 +77,10 @@ def _m2(F):
     """The full 2x2 matrix algebra on the basis E11, E12, E21, E22."""
     from gpmorita.algebra import Algebra
     z = F.zero()
-    mul = [[[z] * 4 for _ in range(4)] for _ in range(4)]
+    consts = [[z] * 4 for _ in range(16)]
 
     def setp(i, j, k):
-        mul[i][j][k] = F.one()
+        consts[i * 4 + j][k] = F.one()
 
     # E(ab) * E(cd) = delta(bc) E(ad); index = 2*(a-1)+(d-1)... encode:
     idx = {(1, 1): 0, (1, 2): 1, (2, 1): 2, (2, 2): 3}
@@ -88,7 +88,7 @@ def _m2(F):
         for (c_, d_), j in idx.items():
             if b_ == c_:
                 setp(i, j, idx[(a_, d_)])
-    return Algebra(F, 4, mul, [F.one(), z, z, F.one()], name="M2")
+    return Algebra(F, 4, Mat(F, consts, 4), [F.one(), z, z, F.one()], name="M2")
 
 
 def test_primitive_idempotents_matrix_algebra():

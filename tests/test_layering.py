@@ -1,11 +1,14 @@
-"""Nine layering rules of the package, checked on its source.
+"""Ten layering rules of the package, checked on its source.
 
 Only `linalg` sees matrix entries: no other module reads or writes a
 `.data` attribute or the integer storage behind it, so the storage can
 change in one file.  Inside `linalg` the kernels compute on that integer
 storage, never through a per-element `Field` call, and the Morita layers
 (`morita`, `trivext`, `engine`) build their maps from whole matrices, with
-no per-element `Field` arithmetic.  The
+no per-element `Field` arithmetic.  An algebra's product is one n^2 x n
+matrix: the algebra and ring builders (`algebra`, `morita`, `trivext`,
+`nctensor`) make no per-element `Field` call, and no module reads a nested
+`.mul` table.  The
 independent checker `verify` imports only the shared ground (linear
 algebra, modules, complex windows, algebras and the certificate types),
 never a builder module such as `bimodules` or `homology`.  Vectors are
@@ -84,6 +87,32 @@ def test_morita_layers_make_no_per_element_field_arithmetic():
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
             and node.func.attr in FIELD_ARITHMETIC and _is_field(node.func.value)]
     assert not hits, f"per-element Field arithmetic in the Morita layers: {hits}"
+
+
+# the layers whose products are whole-matrix operations on `Algebra.consts`
+PRODUCT_TABLE_LAYERS = ("algebra.py", "morita.py", "trivext.py", "nctensor.py")
+# a Field's per-element arithmetic and its zero test
+FIELD_PER_ELEMENT = {"add", "sub", "mul", "neg", "inv", "div", "is_zero"}
+
+
+def test_product_tables_are_whole_matrices():
+    """No per-element `Field` call in the algebra and ring builders, and no
+    read of a nested `.mul` table anywhere: every product is read from the
+    one n^2 x n matrix `consts`.  A `.mul` attribute that is called is a
+    Field's product, which only the other rule limits."""
+    hits = [f"{name}:{node.lineno}"
+            for name in PRODUCT_TABLE_LAYERS
+            for node in ast.walk(_tree(name))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in FIELD_PER_ELEMENT and _is_field(node.func.value)]
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        name = os.path.basename(path)
+        tree = _tree(name)
+        called = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+        hits += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "mul"
+                 and id(node) not in called]
+    assert not hits, f"per-element products outside the product table: {hits}"
 
 
 def test_checker_imports_only_the_shared_ground():

@@ -101,6 +101,19 @@ def test_solve_shape_mismatch():
         solve(Mat.identity(F, 2), Mat.zeros(F, 3, 1))
 
 
+@pytest.mark.parametrize("field", [QQ(), GF(7)], ids=["Q", "GF7"])
+@pytest.mark.parametrize("rows, message", [
+    ([[1, 2], [3]], "row 1 has 1 entries, not 2"),
+    ([[1], [3, 4, 5]], "row 1 has 3 entries, not 1"),
+    ([[1, 2, 3], [4, 5, 6], [7, 8]], "row 2 has 2 entries, not 3"),
+], ids=["short", "long", "third"])
+def test_rows_of_unequal_length_are_rejected(field, rows, message):
+    with pytest.raises(ValueError, match=message):
+        Mat(field, rows)
+    with pytest.raises(ValueError, match=message):
+        Mat.from_rows(field, rows, len(rows[0]))
+
+
 def test_mixed_field_is_error():
     with pytest.raises(FieldMismatch):
         Mat.identity(QQ(), 2).matmul(Mat.identity(GF(5), 2))

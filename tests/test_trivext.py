@@ -30,7 +30,7 @@ def test_trivial_extension_k_by_k_is_dual_numbers():
     ext = trivial_extension(lam, ideal)
     assert ext.A.dim == 2
     assert validate_algebra(ext.A) == []
-    assert ext.A.mul == truncated_poly(F, 2).mul
+    assert ext.A.consts == truncated_poly(F, 2).consts
 
 
 def test_trivial_extension_by_zero_is_identity():
@@ -38,7 +38,7 @@ def test_trivial_extension_by_zero_is_identity():
     lam = field_algebra(F)
     ext = trivial_extension(lam, zero_bimodule(lam, lam))
     assert ext.A.dim == 1
-    assert ext.A.mul == lam.mul
+    assert ext.A.consts == lam.consts
 
 
 def test_recognize_on_dual_numbers():

@@ -66,6 +66,20 @@ per-degree Ext loop) is kept below as an oracle, over Q, GF(7) and GF(5),
 on catalog algebras and their opposites, on simples, random cyclic
 modules with one cut and zero modules, and on certificate and resolution
 windows.
+
+An algebra's product is one n^2 x n matrix, `consts`, and the block rings
+are glued from tables by `glued_algebra`.  The parent's nested table, its
+per-element `multiply` and action matrices, the associativity and unit
+loops of `validate_algebra`, the loops of `generating_subset`,
+`nilpotency_index`, `corner_algebra` and `quotient_algebra`, and the
+per-element transcriptions of `build_ring`, `trivial_extension` and
+`build_nc_tensor` are kept below as oracles.  Over Q, GF(7) and GF(5) the
+structure constants must be equal on every catalog algebra, its opposite,
+its corners at idempotent basis elements and its radical quotient, on the
+rings of the catalog contexts, of full contexts at scales 1 to 3 and of
+seeded random contexts, on trivial extensions and on the tensor rings of
+`tests/test_nctensor.py`; a table or unit with one entry changed must get
+the same violation list, in the same order.
 """
 from __future__ import annotations
 
@@ -77,7 +91,9 @@ import pytest
 
 from gpmorita import linalg
 from gpmorita.algebra import (
-    UnsupportedField, opposite_algebra, radical_basis, trace_form,
+    Algebra, AlgebraError, UnsupportedField, Violation, corner_algebra,
+    generating_subset, nilpotency_index, opposite_algebra, quotient_algebra,
+    radical_basis, trace_form, validate_algebra,
 )
 from gpmorita.bimodules import (
     Bimodule, BimoduleError, TensorModule, TensorSpace, balanced_tensor_space,
@@ -85,10 +101,11 @@ from gpmorita.bimodules import (
     tensor_functor_hom, tensor_module, zero_bimodule,
 )
 from gpmorita.catalog import (
-    arrow_ideal_context, field_algebra, glued_psi_context, path_a2,
-    product_fields, random_hom, random_module, random_quadruple,
-    simple_at_idempotent, simple_kx2, triangular_context, truncated_poly,
-    two_cycle_context, two_cycle_rad_square, wide_psi_context,
+    arrow_ideal_context, field_algebra, full_context, glued_psi_context,
+    path_a2, product_fields, random_context, random_glued_context, random_hom,
+    random_module, random_quadruple, simple_at_idempotent, simple_kx2,
+    triangular_context, truncated_poly, two_cycle_context,
+    two_cycle_rad_square, wide_psi_context,
 )
 from gpmorita.complexes import (
     ComplexWindow, hom_complex_data, hom_exactness_failure,
@@ -120,10 +137,11 @@ from gpmorita.morita import (
     regular_right_quadruples, swap_context, swap_quadruple, t_a, t_b,
     tensor_over_ring,
 )
+from gpmorita.nctensor import build_nc_tensor
 from gpmorita.trivext import (
     StructuralMaps, TrivialExtension, _psi_tensor_one, check_extension_matches,
     induced_module, lam_bimodules, psi_ideal_coords, psi_tensor_block,
-    structural_maps, t_lambda,
+    recognize_trivial_extension, structural_maps, t_lambda, trivial_extension,
 )
 
 FIELDS = {"Q": QQ, "GF7": lambda: GF(7)}
@@ -1520,3 +1538,439 @@ def test_zero_balanced_tensor_space_builds_no_relation_system(count_calls):
         assert systems == []
         old = _balanced_tensor_space(u, x)
         assert (t.dim, t.proj, t.section) == (old.dim, old.proj, old.section)
+
+
+# -- oracles: the nested product table and its per-element loops, verbatim -------
+
+
+class _LoopAlgebra:
+    """The parent's `Algebra`: a nested table mul[i][j] of coordinate lists,
+    with its per-element `multiply` and its action matrices, verbatim."""
+
+    def __init__(self, field: Field, dim: int, mul: list, unit: list, name: str = ""):
+        self.field, self.dim, self.mul, self.unit, self.name = field, dim, mul, unit, name
+
+    def zero_el(self) -> list:
+        return [self.field.zero()] * self.dim
+
+    def basis_el(self, i: int) -> list:
+        e = self.zero_el()
+        e[i] = self.field.one()
+        return e
+
+    def multiply(self, a: list, b: list) -> list:
+        F = self.field
+        out = self.zero_el()
+        for i, ai in enumerate(a):
+            if F.is_zero(ai):
+                continue
+            for j, bj in enumerate(b):
+                if F.is_zero(bj):
+                    continue
+                c = F.mul(ai, bj)
+                row = self.mul[i][j]
+                for k in range(self.dim):
+                    if not F.is_zero(row[k]):
+                        out[k] = F.add(out[k], F.mul(c, row[k]))
+        return out
+
+    def lmul_mats(self) -> list[Mat]:
+        return [Mat(self.field, [self.mul[t][i][:] for i in range(self.dim)], self.dim)
+                for t in range(self.dim)]
+
+    def rmul_mats(self) -> list[Mat]:
+        return [Mat(self.field, [self.mul[i][t][:] for i in range(self.dim)], self.dim)
+                for t in range(self.dim)]
+
+
+def _loop(a: Algebra) -> _LoopAlgebra:
+    """The nested table of a: mul[i][j] is row i * dim + j of consts."""
+    n = a.dim
+    return _LoopAlgebra(a.field, n, [[a.consts.row(i * n + j) for j in range(n)]
+                                     for i in range(n)], a.unit[:], a.name)
+
+
+def _flat(a: _LoopAlgebra) -> Mat:
+    n = a.dim
+    return Mat(a.field, [a.mul[i][j] for i in range(n) for j in range(n)], n)
+
+
+def _loop_violations(a: _LoopAlgebra) -> list[Violation]:
+    out = []
+    n = a.dim
+    for i in range(n):
+        for j in range(n):
+            ij = a.mul[i][j]
+            for k in range(n):
+                left = a.multiply(ij, a.basis_el(k))
+                right = a.multiply(a.basis_el(i), a.mul[j][k])
+                if left != right:
+                    out.append(Violation("associativity", (i, j, k)))
+    for i in range(n):
+        e = a.basis_el(i)
+        if a.multiply(a.unit, e) != e:
+            out.append(Violation("unit", (i,), "1*b != b"))
+        if a.multiply(e, a.unit) != e:
+            out.append(Violation("unit", (i,), "b*1 != b"))
+    return out
+
+
+def _loop_opposite(a: _LoopAlgebra) -> _LoopAlgebra:
+    return _LoopAlgebra(a.field, a.dim,
+                        [[a.mul[j][i][:] for j in range(a.dim)] for i in range(a.dim)],
+                        a.unit[:])
+
+
+def _loop_generating_subset(a: _LoopAlgebra) -> list[int]:
+    F = a.field
+    span = row_space(Mat.from_rows(F, [a.unit], a.dim))
+    gens: list[int] = []
+    for i in range(a.dim):
+        e = Mat.from_rows(F, [a.basis_el(i)], a.dim)
+        if in_row_space(span, e):
+            continue
+        gens.append(i)
+        # close the span under products with everything already present
+        while True:
+            rows = span.to_rows()
+            for u in list(rows):
+                for g in gens:
+                    rows.append(a.multiply(u, a.basis_el(g)))
+                    rows.append(a.multiply(a.basis_el(g), u))
+            new_span = row_space(Mat.from_rows(F, rows, a.dim))
+            if new_span.rows == span.rows:
+                break
+            span = new_span
+        if span.rows == a.dim:
+            break
+    return gens
+
+
+def _loop_nilpotency_index(a: _LoopAlgebra, rows: Mat, cap: int | None = None) -> int | None:
+    cap = cap if cap is not None else a.dim + 1
+    cur = row_space(rows)
+    m = 1
+    while cur.rows:
+        if m > cap:
+            return None
+        prods = []
+        for i in range(cur.rows):
+            for j in range(rows.rows):
+                prods.append(a.multiply(cur.row(i), rows.row(j)))
+        cur = row_space(Mat.from_rows(a.field, prods, a.dim)) if prods else \
+            Mat.zeros(a.field, 0, a.dim)
+        m += 1
+    return m
+
+
+def _loop_products_in(a: _LoopAlgebra, basis: Mat, what: str) -> list:
+    q = basis.rows
+    prods = Mat.from_rows(a.field, [a.multiply(basis.row(i), basis.row(j))
+                                    for i in range(q) for j in range(q)], a.dim)
+    c = coordinates(basis, prods)
+    if c is None:
+        i, j = next(divmod(r, q) for r in range(q * q) if coordinates(
+            basis, prods.block(r, r + 1, 0, a.dim)) is None)
+        raise AlgebraError(f"{what} not closed under multiplication at ({i},{j})")
+    return [[c.row(i * q + j) for j in range(q)] for i in range(q)]
+
+
+def _loop_corner_algebra(a: _LoopAlgebra, eps: list) -> tuple[_LoopAlgebra, Mat]:
+    rows = row_space(Mat.from_rows(
+        a.field, [a.multiply(a.multiply(eps, a.basis_el(i)), eps) for i in range(a.dim)],
+        a.dim))
+    unit_c = coordinates(rows, Mat.from_rows(a.field, [eps], a.dim))
+    if unit_c is None:
+        raise AlgebraError("idempotent does not lie in its own corner")
+    mul = _loop_products_in(a, rows, "corner")
+    return _LoopAlgebra(a.field, rows.rows, mul, unit_c.row(0)), rows
+
+
+def _loop_quotient_algebra(a: _LoopAlgebra, ideal_rows: Mat) -> tuple[_LoopAlgebra, Mat]:
+    F = a.field
+    R = row_space(ideal_rows)
+    for t in range(a.dim):
+        if not in_row_space(R, R @ a.lmul_mats()[t]) or not in_row_space(R, R @ a.rmul_mats()[t]):
+            raise AlgebraError("row span is not a two-sided ideal")
+    proj, lift = quotient_maps(R)
+    q = proj.cols
+    # products of quotient basis elements via arbitrary lifts
+    mul = []
+    for i in range(q):
+        rowi = []
+        for j in range(q):
+            prod = a.multiply(lift.row(i), lift.row(j))
+            rowi.append((Mat.from_rows(F, [prod], a.dim) @ proj).row(0))
+        mul.append(rowi)
+    unit = (Mat.from_rows(F, [a.unit], a.dim) @ proj).row(0)
+    return _LoopAlgebra(F, q, mul, unit), proj
+
+
+def _loop_build_ring(ctx: MoritaContext) -> _LoopAlgebra:
+    A, B, M, N = _loop(ctx.A), _loop(ctx.B), ctx.M, ctx.N
+    F = A.field
+    dA, dN, dM, dB = A.dim, N.dim, M.dim, B.dim
+    dim = dA + dN + dM + dB
+    offA, offN, offM, offB = 0, dA, dA + dN, dA + dN + dM
+    z = F.zero()
+    mul = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
+
+    def put(i: int, j: int, off: int, vec: list):
+        row = mul[i][j]
+        for k, c in enumerate(vec):
+            row[off + k] = c
+
+    for i in range(dA):
+        for j in range(dA):
+            put(offA + i, offA + j, offA, A.mul[i][j])
+        for j in range(dN):
+            put(offA + i, offN + j, offN, N.left_acts[i].row(j))
+    for i in range(dN):
+        for j in range(dB):
+            put(offN + i, offB + j, offN, N.right_acts[j].row(i))
+        for j in range(dM):
+            put(offN + i, offM + j, offA, ctx.psi.value(i, j))
+    for i in range(dM):
+        for j in range(dA):
+            put(offM + i, offA + j, offM, M.right_acts[j].row(i))
+        for j in range(dN):
+            put(offM + i, offN + j, offB, ctx.phi.value(i, j))
+    for i in range(dB):
+        for j in range(dB):
+            put(offB + i, offB + j, offB, B.mul[i][j])
+        for j in range(dM):
+            put(offB + i, offM + j, offM, M.left_acts[i].row(j))
+
+    unit = [z] * dim
+    unit[offA:offA + dA] = A.unit
+    unit[offB:offB + dB] = B.unit
+    return _LoopAlgebra(F, dim, mul, unit)
+
+
+def _loop_trivial_extension(lam: Algebra, ideal: Bimodule) -> _LoopAlgebra:
+    lam = _loop(lam)
+    F = lam.field
+    dl, di = lam.dim, ideal.dim
+    dim = dl + di
+    z = F.zero()
+    mul = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
+    for i in range(dl):
+        for j in range(dl):
+            prod = lam.mul[i][j]
+            for k, c in enumerate(prod):
+                mul[i][j][k] = c
+        for j in range(di):
+            vec = ideal.left_acts[i].row(j)
+            for k, c in enumerate(vec):
+                mul[i][dl + j][dl + k] = c
+    for i in range(di):
+        for j in range(dl):
+            vec = ideal.right_acts[j].row(i)
+            for k, c in enumerate(vec):
+                mul[dl + i][j][dl + k] = c
+    unit = [z] * dim
+    unit[:dl] = lam.unit
+    return _LoopAlgebra(F, dim, mul, unit)
+
+
+def _loop_nc_tensor(ctx: MoritaContext) -> _LoopAlgebra:
+    A, G, M, N = _loop(ctx.A), _loop(ctx.B), ctx.M, ctx.N
+    F = A.field
+    mn, mn_proj, mn_sec = bimodule_tensor(M, N, name="M(x)N")
+    dA, dN, dM, dG, dW = A.dim, N.dim, M.dim, G.dim, mn.dim
+    dim = dA + dN + dM + dG + dW
+    offA, offN, offM, offG, offW = 0, dA, dA + dN, dA + dN + dM, dA + dN + dM + dG
+    z = F.zero()
+    mul = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
+
+    def put(i, j, off, vec):
+        row = mul[i][j]
+        for k, c in enumerate(vec):
+            row[off + k] = F.add(row[off + k], c)
+
+    def phi_of_w(w_idx):
+        lift = mn_sec.row(w_idx)
+        acc = [z] * dG
+        for amb, coef in enumerate(lift):
+            if F.is_zero(coef):
+                continue
+            im, jn = divmod(amb, dN)
+            val = ctx.phi.value(im, jn)
+            acc = [F.add(u, F.mul(coef, v)) for u, v in zip(acc, val)]
+        return acc
+
+    for i in range(dA):
+        for j in range(dA):
+            put(offA + i, offA + j, offA, A.mul[i][j])
+        for j in range(dN):
+            put(offA + i, offN + j, offN, N.left_acts[i].row(j))
+    for i in range(dN):
+        for j in range(dM):
+            put(offN + i, offM + j, offA, ctx.psi.value(i, j))
+        for j in range(dG):
+            put(offN + i, offG + j, offN, N.right_acts[j].row(i))
+        for j in range(dW):
+            # n . (m' (x) n') = n . phi(m' (x) n')
+            gvec = phi_of_w(j)
+            put(offN + i, offW + j, offN, N.right_act_of(gvec).row(i))
+    for i in range(dM):
+        for j in range(dA):
+            put(offM + i, offA + j, offM, M.right_acts[j].row(i))
+        for j in range(dN):
+            # m (x) n lands in the tensor block
+            put(offM + i, offN + j, offW, mn_proj.row(i * dN + j))
+    for i in range(dG):
+        for j in range(dG):
+            put(offG + i, offG + j, offG, G.mul[i][j])
+        for j in range(dM):
+            put(offG + i, offM + j, offM, M.left_acts[i].row(j))
+        for j in range(dW):
+            put(offG + i, offW + j, offW, mn.left_acts[i].row(j))
+    for i in range(dW):
+        for j in range(dM):
+            # (m (x) n) . m' = phi(m (x) n) . m'
+            gvec = phi_of_w(i)
+            put(offW + i, offM + j, offM, M.left_act_of(gvec).row(j))
+        for j in range(dG):
+            put(offW + i, offG + j, offW, mn.right_acts[j].row(i))
+        for j in range(dW):
+            # (m (x) n)(m' (x) n') = m (x) (psi(n (x) m') . n')
+            lift_i = mn_sec.row(i)
+            lift_j = mn_sec.row(j)
+            acc = [z] * dW
+            for amb_i, ci in enumerate(lift_i):
+                if F.is_zero(ci):
+                    continue
+                im, jn = divmod(amb_i, dN)
+                for amb_j, cj in enumerate(lift_j):
+                    if F.is_zero(cj):
+                        continue
+                    im2, jn2 = divmod(amb_j, dN)
+                    avec = ctx.psi.value(jn, im2)
+                    nvec = N.left_act_of(avec).row(jn2)
+                    for t, c in enumerate(nvec):
+                        if not F.is_zero(c):
+                            prow = mn_proj.row(im * dN + t)
+                            coef = F.mul(F.mul(ci, cj), c)
+                            acc = [F.add(u, F.mul(coef, w))
+                                   for u, w in zip(acc, prow)]
+            put(offW + i, offW + j, offW, acc)
+
+    unit = [z] * dim
+    unit[offA:offA + dA] = A.unit
+    unit[offG:offG + dG] = G.unit
+    return _LoopAlgebra(F, dim, mul, unit)
+
+
+def _same_table(new: Algebra, old: _LoopAlgebra):
+    assert (new.dim, new.consts, new.unit) == (old.dim, _flat(old), old.unit)
+
+
+def _ring_contexts(F: Field) -> list[MoritaContext]:
+    """The catalog contexts (the wide one too), full contexts at scales 1
+    to 3 over commutative and noncommutative corners, and seeded random
+    contexts."""
+    ctxs = [make(F)[1] for make in ALL_CONTEXTS.values()]
+    for R in (truncated_poly(F, 2), product_fields(F, 2), path_a2(F)):
+        ctxs += [full_context(R, scale=F.of_int(c)) for c in (1, 2, 3)]
+    rng = random.Random(25)
+    for _ in range(8):
+        ctxs.append(random_context(F, rng)[1])
+        ctxs.append(random_glued_context(F, rng)[1])
+    return ctxs
+
+
+def _idempotents(a: Algebra, old: _LoopAlgebra) -> list[list]:
+    """The unit and the idempotent basis elements."""
+    return [a.unit] + [e for e in map(a.basis_el, range(a.dim))
+                       if e != a.unit and old.multiply(e, e) == e]
+
+
+@pytest.mark.parametrize("field", THREE_FIELDS)
+def test_product_tables_match_the_nested_loops(field):
+    """Every catalog algebra (corners and context rings included), its
+    opposite, its corners at idempotent basis elements and its radical
+    quotient have the parent's structure constants, and so do their
+    products of elements, generating sets and radical nilpotency."""
+    F = THREE_FIELDS[field]()
+    rng = random.Random(3)
+    quotients = 0
+    for a in _catalog_algebras(F):
+        old = _loop(a)
+        _same_table(opposite_algebra(a), _loop_opposite(old))
+        for _ in range(4):
+            x, y = ([_random_scalar(F, rng) for _ in range(a.dim)] for _ in range(2))
+            assert a.multiply(x, y) == old.multiply(x, y)
+        assert generating_subset(a) == _loop_generating_subset(old)
+        for eps in _idempotents(a, old):
+            new_c, new_rows = corner_algebra(a, eps)
+            old_c, old_rows = _loop_corner_algebra(old, eps)
+            _same_table(new_c, old_c)
+            assert new_rows == old_rows
+        try:
+            rad = radical_basis(a)
+        except UnsupportedField:
+            continue
+        assert nilpotency_index(a, rad) == _loop_nilpotency_index(old, rad)
+        new_q, new_proj = quotient_algebra(a, rad)
+        old_q, old_proj = _loop_quotient_algebra(old, rad)
+        _same_table(new_q, old_q)
+        assert new_proj == old_proj
+        quotients += 1
+    assert quotients
+
+
+@pytest.mark.parametrize("field", THREE_FIELDS)
+def test_glued_rings_match_the_transcriptions(field):
+    """`build_ring`, `trivial_extension` and `build_nc_tensor` give the
+    structure constants of the parent's per-element transcriptions."""
+    F = THREE_FIELDS[field]()
+    for ctx in _ring_contexts(F):
+        _same_table(build_ring(ctx).ring, _loop_build_ring(ctx))
+    exts = [make(F)[0] for make in ALL_CONTEXTS.values()]
+    exts += [random_glued_context(F, random.Random(s))[0] for s in range(6)]
+    pairs = [(e.Lam, e.ideal) for e in exts]
+    pairs += [(a, b) for a in (truncated_poly(F, 2), path_a2(F), two_cycle_rad_square(F))
+              for b in (regular_bimodule(a), zero_bimodule(a, a))]
+    for lam, ideal in pairs:
+        ext = trivial_extension(lam, ideal)
+        _same_table(ext.A, _loop_trivial_extension(lam, ideal))
+        # recognized on the unit rows, the extension gives back lam and I
+        rec = recognize_trivial_extension(ext.A, ext.incl_rows, ext.ideal_rows)
+        assert rec.Lam.consts == lam.consts
+        assert (rec.ideal.left_acts, rec.ideal.right_acts) == (ideal.left_acts,
+                                                               ideal.right_acts)
+    # the tensor rings of tests/test_nctensor.py, and the full contexts
+    # above (over the noncommutative path algebra too)
+    nc_ctxs = [two_cycle_context(F)[1], triangular_context(F)[1]]
+    nc_ctxs += [full_context(R, scale=c) for R in (
+        field_algebra(F), truncated_poly(F, 2), product_fields(F, 2), path_a2(F))
+        for c in (F.one(), F.of_int(2))]
+    for ctx in nc_ctxs:
+        _same_table(build_nc_tensor(ctx).ring, _loop_nc_tensor(ctx))
+
+
+@pytest.mark.parametrize("field", THREE_FIELDS)
+def test_corrupted_tables_give_the_loop_violations(field):
+    """A table or unit with one entry changed gets the parent's violation
+    list: the same kinds, indices and details, in the same order."""
+    F = THREE_FIELDS[field]()
+    rng = random.Random(9)
+    seen = set()
+    for a in _catalog_algebras(F):
+        n = a.dim
+        assert validate_algebra(a) == _loop_violations(_loop(a)) == []
+        for _ in range(3):
+            rows, unit = a.consts.to_rows(), a.unit[:]
+            if rng.random() < 0.75:
+                r, c = rng.randrange(n * n), rng.randrange(n)
+                rows[r][c] = F.add(rows[r][c], F.of_int(rng.randrange(1, 3)))
+            else:
+                i = rng.randrange(n)
+                unit[i] = F.add(unit[i], F.one())
+            bad = Algebra(F, n, Mat(F, rows, n), unit)
+            old = _LoopAlgebra(F, n, [rows[i * n:(i + 1) * n] for i in range(n)], unit)
+            found = validate_algebra(bad)
+            assert found == _loop_violations(old)
+            seen.update(v.kind for v in found)
+    assert seen == {"associativity", "unit"}

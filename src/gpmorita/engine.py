@@ -29,15 +29,15 @@ from .complexes import (
 )
 from .gpcert import GPCertificate, certify_gorenstein_projective
 from .homology import injective_dimension, projective_dimension, tor_dim
-from .linalg import Mat, factor_through, rank, solve
+from .linalg import Mat, coordinates, factor_through, rank, solve
 from .modules import (
     FDModule, ModuleError, ModuleHom, cokernel_of, hom_space, image_of,
     is_isomorphic, kernel_of, restrict_along,
 )
 from .morita import (
     MoritaContext, MoritaRing, QuadrupleModule, build_ring,
-    module_to_quadruple, opposite_context, opposite_ring, quadruple_to_module,
-    t_b, tensor_over_ring, validate_quadruple, z_a,
+    module_to_quadruple, opposite_context, opposite_ring, quadruple_bases,
+    quadruple_to_module, t_b, tensor_over_ring, validate_quadruple, z_a,
 )
 from .trivext import (
     StructuralMaps, TrivialExtension, check_extension_matches, lam_bimodules,
@@ -500,6 +500,7 @@ def corner_complexes(ext: TrivialExtension, ctx: MoritaContext,
     totally exact complex of projectives over the context ring."""
     quads = [module_to_quadruple(mr, wc.term(i), name=f"T^{i}")
              for i in range(wc.lo, wc.hi + 1)]
+    bases = [quadruple_bases(mr, wc.term(i)) for i in range(wc.lo, wc.hi + 1)]
     u_terms, u_projs, v_terms, v_projs = [], [], [], []
     for qd in quads:
         u, lam = cokernel_of(qd.g)
@@ -511,10 +512,10 @@ def corner_complexes(ext: TrivialExtension, ctx: MoritaContext,
     u_diffs, v_diffs = [], []
     for i in range(wc.lo, wc.hi):
         d = wc.diff(i).mat
-        qs, qd = quads[i - wc.lo], quads[i - wc.lo + 1]
-        # alpha and beta blocks of the differential in quadruple coordinates
-        alpha = d.block(0, qs.x.dim, 0, qd.x.dim)
-        beta = d.block(qs.x.dim, d.rows, qd.x.dim, d.cols)
+        (xs, ys), (xd, yd) = bases[i - wc.lo], bases[i - wc.lo + 1]
+        # alpha and beta: the differential read in the quadruple bases
+        alpha = coordinates(xd, xs @ d)
+        beta = coordinates(yd, ys @ d)
         du = factor_through(u_projs[i - wc.lo].mat,
                             [alpha @ u_projs[i - wc.lo + 1].mat])
         if du is None:

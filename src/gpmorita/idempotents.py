@@ -4,6 +4,8 @@ Route: radical quotient -> central idempotents of the semisimple quotient
 (splitting minimal polynomials of central elements) -> one minimal left
 ideal per block and a decomposition of the block's regular module ->
 projections give primitive idempotents -> lift through the radical.
+Every product is a matrix product (a row times R_x, or (E (x) E) @ consts);
+the polynomials serve only to find roots.
 
 Splitness is required: any minimal polynomial with an irreducible factor
 of degree > 1 over the ground field, or a simple module with endomorphism
@@ -224,23 +226,39 @@ def _cz_roots(F: Field, lin: list, seed: int) -> list:
 # -- minimal polynomials inside an algebra ---------------------------------
 
 
+def _krylov(a: Algebra, el: list, unit: list | None = None) -> tuple[Mat, list]:
+    """K, the rows unit*el^k for k = 0, 1, ... up to the first row that
+    depends on the rows above it, and the minimal polynomial of `el` in the
+    (corner) algebra with that unit.  Row k + 1 is row k times R_el."""
+    F = a.field
+    r = a.rmul_of(el)
+    k = nxt = Mat.from_rows(F, [unit if unit is not None else a.unit], a.dim)
+    while True:
+        nxt = nxt @ r
+        coeffs = solve_left(k, nxt)
+        if coeffs is not None:
+            return k, _poly_trim(F, [F.neg(x) for x in coeffs.row(0)] + [F.one()])
+        k = Mat.vstack([k, nxt])
+
+
 def element_min_poly(a: Algebra, el: list, unit: list | None = None) -> list:
     """Minimal polynomial of `el` in the (corner) algebra with the given unit."""
-    F = a.field
-    unit = unit if unit is not None else a.unit
-    powers = [unit]
-    rows = [unit]
-    while True:
-        nxt = a.multiply(powers[-1], el)
-        coeffs = solve_left(Mat.from_rows(F, rows, a.dim),
-                            Mat.from_rows(F, [nxt], a.dim))
-        if coeffs is not None:
-            c = coeffs.row(0)
-            return _poly_trim(F, [F.neg(x) for x in c] + [F.one()])
-        powers.append(nxt)
-        rows.append(nxt)
-        if len(rows) > a.dim + 1:
-            raise AlgebraError("minimal polynomial did not terminate")
+    return _krylov(a, el, unit)[1]
+
+
+def _check_idempotents(a: Algebra, es: list[list], what: str) -> None:
+    """Raise unless `es` are orthogonal idempotents that sum to 1: row
+    i*k + j of (E (x) E) @ consts is delta_ij e_i, and 1 @ E is the unit."""
+    F, k = a.field, len(es)
+    E = Mat.from_rows(F, es, a.dim)
+    prods = (E.kron(E) @ a.consts).to_rows()
+    if any(prods[i * k + i] != e for i, e in enumerate(es)):
+        raise AlgebraError(f"{what}: not idempotent")
+    if any(not F.is_zero(c) for i in range(k) for j in range(k) if i != j
+           for c in prods[i * k + j]):
+        raise AlgebraError(f"{what}: not orthogonal")
+    if (Mat.from_rows(F, [[F.one()] * k], k) @ E).row(0) != list(a.unit):
+        raise AlgebraError(f"{what}: do not sum to 1")
 
 
 # -- semisimple split structure ---------------------------------------------
@@ -257,33 +275,31 @@ def central_primitive_idempotents(ss: Algebra, seed: int = 0) -> list[list]:
     Z = center_rows(ss)
     idems = [ss.unit]
     for zi in range(Z.rows):
-        z = Z.row(zi)
+        rz = ss.rmul_of(Z.row(zi))
         new = []
         for e in idems:
-            w = ss.multiply(z, e)
-            mp = element_min_poly(ss, w, unit=e)
+            w = (Mat.from_rows(F, [e], ss.dim) @ rz).row(0)
+            K, mp = _krylov(ss, w, unit=e)
             roots, fully = linear_roots(F, mp, seed)
             if not fully:
                 raise SplitError("central element with a non-linear irreducible factor")
             if len(roots) <= 1:
                 new.append(e)
                 continue
+            # the Lagrange idempotent of each eigenvalue lam of w on the
+            # corner: the coefficients of prod (x - mu) / (lam - mu) times K
+            lagrange = []
             for lam in roots:
-                # Lagrange idempotent for the eigenvalue lam of w on the corner
-                num = e
-                den = F.one()
+                num, den = [F.one()], F.one()
                 for mu in roots:
-                    if mu == lam:
-                        continue
-                    shift = [F.sub(x, F.mul(mu, y)) for x, y in zip(w, e)]
-                    num = ss.multiply(num, shift)
-                    den = F.mul(den, F.sub(lam, mu))
-                piece = [F.mul(F.inv(den), x) for x in num]
-                new.append(piece)
+                    if mu != lam:
+                        num = _poly_mul(F, num, [F.neg(mu), F.one()])
+                        den = F.mul(den, F.sub(lam, mu))
+                coeffs = [F.div(c, den) for c in num]
+                lagrange.append(coeffs + [F.zero()] * (K.rows - len(coeffs)))
+            new += (Mat.from_rows(F, lagrange, K.rows) @ K).to_rows()
         idems = new
-    for e in idems:
-        if ss.multiply(e, e) != e:
-            raise AlgebraError("central splitting produced a non-idempotent")
+    _check_idempotents(ss, idems, "central idempotents")
     return idems
 
 
@@ -407,39 +423,16 @@ def primitive_idempotents_semisimple(ss: Algebra, seed: int = 0) -> list[tuple[l
         if span.rows != block.dim:
             raise SplitError("regular module did not decompose into one simple")
         C = Mat.vstack(chosen)
-        Cinv = solve_left(C, Mat.identity(F, block.dim))
+        # the unit's component in copy t of the simple
+        u = Mat.from_rows(F, [block.unit], block.dim) @ solve_left(
+            C, Mat.identity(F, block.dim))
         off = 0
         for img in chosen:
-            sel = Mat.block_diag([Mat.zeros(F, off, off), Mat.identity(F, img.rows),
-                                  Mat.zeros(F, block.dim - off - img.rows,
-                                            block.dim - off - img.rows)])
-            P = Cinv @ sel @ C
-            e_block = (Mat.from_rows(F, [block.unit], block.dim) @ P).row(0)
-            e = (Mat.from_rows(F, [e_block], block.dim) @ incl).row(0)
-            out.append((e, block_index))
+            e = u.block(0, 1, off, off + img.rows) @ img @ incl
+            out.append((e.row(0), block_index))
             off += img.rows
-    total = [F.zero()] * ss.dim
-    for e, _ in out:
-        total = [F.add(x, y) for x, y in zip(total, e)]
-    if total != list(ss.unit):
-        raise AlgebraError("primitive idempotents do not sum to 1")
-    for i, (e, _) in enumerate(out):
-        if ss.multiply(e, e) != e:
-            raise AlgebraError("projection produced a non-idempotent")
-        for j, (f, _) in enumerate(out):
-            if i != j and any(not F.is_zero(c) for c in ss.multiply(e, f)):
-                raise AlgebraError("idempotents are not orthogonal")
+    _check_idempotents(ss, [e for e, _ in out], "primitive idempotents")
     return out
-
-
-def _newton_idempotent(a: Algebra, x: list, iters: int) -> list:
-    F = a.field
-    for _ in range(iters):
-        x2 = a.multiply(x, x)
-        x3 = a.multiply(x2, x)
-        x = [F.sub(F.mul(F.of_int(3), u), F.mul(F.of_int(2), v))
-             for u, v in zip(x2, x3)]
-    return x
 
 
 def primitive_idempotents(a: Algebra, seed: int = 0) -> list[tuple[list, int]]:
@@ -456,27 +449,20 @@ def primitive_idempotents(a: Algebra, seed: int = 0) -> list[tuple[list, int]]:
     # radical nilpotency index bounds the lifting iterations
     iters = max(1, (nilpotency_index(a, rad) - 1).bit_length() + 1)
     lifted: list[tuple[list, int]] = []
-    fsum = a.zero_el()
+    comp = Mat.from_rows(F, [a.unit], a.dim)    # 1 - the idempotents so far
     for k, (ebar, blk) in enumerate(bars):
-        if k == len(bars) - 1:
-            e = [F.sub(u, v) for u, v in zip(a.unit, fsum)]
-        else:
-            x = (Mat.from_rows(F, [ebar], ss.dim) @ section).row(0)
-            comp = [F.sub(u, v) for u, v in zip(a.unit, fsum)]
-            x = a.multiply(a.multiply(comp, x), comp)
-            e = _newton_idempotent(a, x, iters)
-        if a.multiply(e, e) != e:
-            raise AlgebraError("idempotent lifting failed")
-        lifted.append((e, blk))
-        fsum = [F.add(u, v) for u, v in zip(fsum, e)]
-    if fsum != list(a.unit):
-        raise AlgebraError("lifted idempotents do not sum to 1")
-    for i in range(len(lifted)):
-        for j in range(len(lifted)):
-            if i != j:
-                prod = a.multiply(lifted[i][0], lifted[j][0])
-                if any(not F.is_zero(c) for c in prod):
-                    raise AlgebraError("lifted idempotents are not orthogonal")
+        e = comp
+        if k < len(bars) - 1:
+            # comp x comp, then the Newton step x -> 3x^2 - 2x^3
+            x = Mat.from_rows(F, [ebar], ss.dim) @ section
+            e = comp @ a.rmul_of(x.row(0)) @ a.rmul_of(comp.row(0))
+            for _ in range(iters):
+                r = a.rmul_of(e.row(0))
+                e2 = e @ r
+                e = e2.scale(3).sub((e2 @ r).scale(2))
+        lifted.append((e.row(0), blk))
+        comp = comp.sub(e)
+    _check_idempotents(a, [e for e, _ in lifted], "lifted idempotents")
     return lifted
 
 

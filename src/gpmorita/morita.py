@@ -451,11 +451,17 @@ def quadruple_to_module(mr: MoritaRing, q: QuadrupleModule) -> FDModule:
     return FDModule(mr.ring, dx + dy, acts, name=q.name or "quad")
 
 
+def quadruple_bases(mr: MoritaRing, v: FDModule) -> list[Mat]:
+    """The bases of e1.V and e2.V, as rows: the bases of X and Y in which
+    `module_to_quadruple` reads the ring module V."""
+    return [row_space(v.act_of(e)) for e in (mr.e1, mr.e2)]
+
+
 def module_to_quadruple(mr: MoritaRing, v: FDModule, name: str = "") -> QuadrupleModule:
     """Recover the quadruple from a module over the context ring."""
     ctx = mr.ctx
     F = mr.ring.field
-    parts = [row_space(v.act_of(e)) for e in (mr.e1, mr.e2)]
+    parts = quadruple_bases(mr, v)
     if parts[0].rows + parts[1].rows != v.dim:
         raise ContextError("idempotent decomposition does not exhaust the module")
     mods = []

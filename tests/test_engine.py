@@ -9,8 +9,9 @@ import pytest
 from gpmorita import complexes, engine, homology, linalg, modules
 
 from gpmorita.catalog import (
-    arrow_ideal_context, field_algebra, glued_psi_context, simple_at_idempotent,
-    triangular_context, triangular_over, truncated_poly, two_cycle_context,
+    arrow_ideal_context, field_algebra, full_context, glued_psi_context,
+    random_quadruple, simple_at_idempotent, triangular_context, triangular_over,
+    truncated_poly, two_cycle_context, wide_psi_context,
 )
 from gpmorita.complexes import (
     ComplexWindow, horseshoe, is_exact, total_exactness, twisted_diff,
@@ -27,8 +28,10 @@ from gpmorita.gpcert import certify_gorenstein_projective
 from gpmorita.jsonio import load_problem_file
 from gpmorita.linalg import Mat
 from gpmorita.modules import ModuleHom, regular_module, zero_module
+from gpmorita.homology import simple_modules
 from gpmorita.morita import (
-    build_ring, direct_sum_quadruples, quadruple_to_module, t_a, t_b, z_a, z_b,
+    build_ring, direct_sum_quadruples, h_a, h_b, quadruple_to_module, t_a, t_b,
+    z_a, z_b,
 )
 from gpmorita.trivext import t_lambda
 
@@ -203,6 +206,62 @@ def test_corner_complex_extraction_round_trip():
     pcx, qcx, _ = corner_complexes(ext, ctx, mr, asm.tcx)
     assert [t.dim for t in pcx.terms] == [t.dim for t in asm.pcx.terms]
     assert [t.dim for t in qcx.terms] == [t.dim for t in asm.qcx.terms]
+
+
+@pytest.mark.parametrize("F", [QQ(), GF(7)], ids=["Q", "GF7"])
+def test_corner_complexes_read_each_term_in_its_quadruple_basis(F):
+    # T_A(A) is certified by a window contractible on T_A(A) + T_A(A),
+    # whose basis is (X1, Y1, X2, Y2), not the X part then the Y part
+    ext, ctx = glued_psi_context(F)
+    mr = build_ring(ctx)
+    cert = certify_gorenstein_projective(quadruple_to_module(mr, _p1(ctx)))
+    assert cert.verdict == "gp"
+    pcx, qcx, _ = corner_complexes(ext, ctx, mr, cert.window)
+    assert {t.dim for t in pcx.terms} == {2} and {t.dim for t in qcx.terms} == {0}
+    assert is_exact(pcx) and is_exact(qcx)
+
+
+def test_semi_weak_left_n_fails_where_the_ring_hom_into_z_n_fails():
+    # over the two-cycle ring Lambda = A, and by the paper's reduction the
+    # corner complex Hom_Lambda(P, N) is Hom over the ring into Z(N); the
+    # window of P1 is contractible, so neither may fail there
+    ext, ctx = two_cycle_context(QQ())
+    mr = build_ring(ctx)
+    zn = quadruple_to_module(mr, z_a(ctx, ctx.N.as_left_module("N")))
+    family = [_p1(ctx), _p2(ctx), z_a(ctx, regular_module(ctx.A)), _s2(ctx)]
+    for q in family:
+        window = certify_gorenstein_projective(quadruple_to_module(mr, q)).window
+        v = check_semi_weak_quadruple(ext, ctx, "left", "N", [window])
+        failure = complexes.hom_exactness_failure(window, zn)
+        assert v.witness == (None if failure is None
+                             else {"test": 0, "degree": failure})
+
+
+def _audit_family(ctx, randoms: int) -> list:
+    """The T, H and Z images of the simples and seeded random quadruples."""
+    family = [f(ctx, s) for s in simple_modules(ctx.A) for f in (t_a, h_a, z_a)]
+    family += [f(ctx, s) for s in simple_modules(ctx.B) for f in (t_b, h_b, z_b)]
+    rng = random.Random(0)
+    return family + [random_quadruple(ctx, rng) for _ in range(randoms)]
+
+
+def test_audit_of_lambda00_decides_every_entry():
+    # Lambda_(0,0), the self-injective ring of (R, R, R, R, 0, 0) over
+    # R = k[x]/(x^2), whose certified windows are not ordered (X, Y)
+    ctx = full_context(truncated_poly(QQ(), 2), scale=0)
+    report = audit_equivalence(identity_extension(ctx), ctx,
+                               _audit_family(ctx, 6), window=3)
+    assert report.consistent
+    assert {e.classification for e in report.entries} == {
+        "consistent", "expected_divergence"}
+
+
+def test_semi_weak_verdicts_of_the_wide_context_are_not_refuted():
+    # the corner complex of a contractible ring window has exact Hom, so a
+    # refutation there came from slicing the differential in the wrong basis
+    ext, ctx = wide_psi_context(QQ())
+    report = audit_equivalence(ext, ctx, _audit_family(ctx, 6), window=3)
+    assert {v.kind for v in report.semi_weak_verdicts.values()} == {"pass_sampled"}
 
 
 def test_semi_weak_two_cycle_refuted():

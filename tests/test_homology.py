@@ -5,7 +5,7 @@ import random
 import pytest
 
 from gpmorita import homology, idempotents
-from gpmorita.algebra import opposite_algebra
+from gpmorita.algebra import AlgebraError, opposite_algebra
 from gpmorita.catalog import (
     field_algebra, path_a2, product_fields, proj_a2, random_module,
     simple_at_idempotent, simple_kx2, truncated_poly, two_cycle_rad_square,
@@ -17,7 +17,9 @@ from gpmorita.homology import (
     is_projective, is_self_injective, minimal_resolution, projective_cover,
     projective_dimension, simple_modules, top_of, tor_dim,
 )
-from gpmorita.idempotents import _poly_mul, linear_roots, primitive_idempotents
+from gpmorita.idempotents import (
+    _check_idempotents, _poly_mul, linear_roots, primitive_idempotents,
+)
 from gpmorita.linalg import Mat, rank
 from gpmorita.modules import (
     ModuleError, ModuleHom, direct_sum, dual_module, free_module, hom_dim,
@@ -50,6 +52,19 @@ def test_primitive_idempotents_path_a2():
     prims = primitive_idempotents(a)
     assert len(prims) == 2
     assert len({blk for _, blk in prims}) == 2
+
+
+# over k x k, with basis e1, e2 and unit e1 + e2
+@pytest.mark.parametrize("es, message", [
+    ([[2, 0], [-1, 1]], "not idempotent"),
+    ([[1, 1], [1, 0]], "not orthogonal"),
+    ([[1, 0]], "do not sum to 1"),
+], ids=["non_idempotent", "non_orthogonal", "wrong_sum"])
+def test_idempotent_check_rejects_each_bad_list(es, message):
+    a = product_fields(QQ(), 2)
+    _check_idempotents(a, [[1, 0], [0, 1]], "basis")
+    with pytest.raises(AlgebraError, match=message):
+        _check_idempotents(a, es, "bad")
 
 
 @pytest.mark.parametrize("F", [QQ(), GF(7)], ids=["Q", "GF7"])

@@ -1,4 +1,4 @@
-"""Ten layering rules of the package, checked on its source.
+"""Eleven layering rules of the package, checked on its source.
 
 Only `linalg` sees matrix entries: no other module reads or writes a
 `.data` attribute or the integer storage behind it, so the storage can
@@ -8,7 +8,8 @@ storage, never through a per-element `Field` call, and the Morita layers
 no per-element `Field` arithmetic.  An algebra's product is one n^2 x n
 matrix: the algebra and ring builders (`algebra`, `morita`, `trivext`,
 `nctensor`) make no per-element `Field` call, and no module reads a nested
-`.mul` table.  The
+`.mul` table; the idempotent search (`idempotents`) multiplies whole
+matrices and never calls `multiply` on two single elements.  The
 independent checker `verify` imports only the shared ground (linear
 algebra, modules, complex windows, algebras and the certificate types),
 never a builder module such as `bimodules` or `homology`.  Vectors are
@@ -113,6 +114,16 @@ def test_product_tables_are_whole_matrices():
                  if isinstance(node, ast.Attribute) and node.attr == "mul"
                  and id(node) not in called]
     assert not hits, f"per-element products outside the product table: {hits}"
+
+
+def test_idempotents_multiply_no_single_elements():
+    """Powers, Lagrange idempotents, lifting and the idempotent check are
+    products with R_x matrices and `consts`, not `Algebra.multiply`."""
+    hits = [f"idempotents.py:{node.lineno}"
+            for node in ast.walk(_tree("idempotents.py"))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "multiply"]
+    assert not hits, f"per-element products in idempotents: {hits}"
 
 
 def test_checker_imports_only_the_shared_ground():

@@ -61,6 +61,44 @@ class ComplexWindow:
         return self.terms[0].algebra
 
 
+def _repeats(c: ComplexWindow, p: int) -> bool:
+    """c repeats literally by p: each term equals the term p degrees on as
+    a module, and each differential the one p degrees on, as a matrix
+    between equal modules."""
+    return (all(_same_module(a, b) for a, b in zip(c.terms, c.terms[p:]))
+            and all(d.mat == e.mat and _same_module(d.source, e.source)
+                    and _same_module(d.target, e.target)
+                    for d, e in zip(c.diffs, c.diffs[p:])))
+
+
+def window_period(*cs: ComplexWindow) -> int | None:
+    """The least p with 1 <= p <= hi - lo - 1 by which every window of cs,
+    all over the degrees of the first, repeats literally, or None."""
+    c = cs[0]
+    return next((p for p in range(1, c.hi - c.lo)
+                 if all(_repeats(x, p) for x in cs)), None)
+
+
+def one_period(c: ComplexWindow) -> ComplexWindow:
+    """The sub-window [lo, lo + p + 1] of c for its least period p, or c
+    when it does not repeat.
+
+    When c repeats by p, every check at degree i is the check at i - p: a
+    term's module laws and projectivity, a differential's ends and
+    module-map property, the d.d pair at i, exactness and
+    Hom(-, A)-exactness at i.  The p + 2 terms and p + 1 differentials of
+    the sub-window hold every residue mod p of the terms, the
+    differentials, the d.d pairs and the inner degrees once (the
+    differential at lo + p covers the junction of two periods), so a check
+    passes on c iff it passes there, and the first failure it names lies
+    within the first period.  `verify` keeps its own copy of this argument
+    and does not call this builder helper."""
+    p = window_period(c)
+    if p is None:
+        return c
+    return ComplexWindow(c.lo, c.lo + p + 1, c.terms[:p + 2], c.diffs[:p + 1])
+
+
 def validate_complex(c: ComplexWindow) -> list[str]:
     """Terms are modules, each differential a module map between its two
     terms, and d.d = 0.  validate_module keeps its verdict on the term, so a
@@ -262,6 +300,19 @@ def horseshoe(ses: ShortExactSequence, xc: ComplexWindow, kx: ModuleHom,
     HorseshoeError with its degree.  The sequence, both kernel
     identifications and the exactness of both inputs are checked first,
     and the woven window and its kernel sequence last.
+
+    Periodic inputs are built and checked over one period.  The lift at a
+    degree i >= 1 is a deterministic function of the terms of X and Y at
+    i - 1, i and i + 1, their differentials at i - 1 and i, and rho^{i-1};
+    the lift at i <= -1 one of the terms at i and i + 1, the
+    differentials d_Y^i and d_X^{i+1}, and rho^{i+1}.  So when X and Y
+    both repeat literally by L, and rho^{i-1} equals rho^{i-1-L} (i - L >=
+    1) or rho^{i+1} equals rho^{i+1+L} (i + L <= -1), the lift at i - L
+    (or i + L) is the very matrix that solving again would give, and it is
+    reused.  Each distinct pair (X^i, Y^i) of term instances gives one
+    direct sum.  The exactness of the inputs and the validity and
+    exactness of the woven window are checked on `one_period` of each,
+    which is the whole window when it does not repeat.
     """
     if (xc.lo, xc.hi) != (yc.lo, yc.hi):
         raise HorseshoeError("the two windows must agree")
@@ -277,11 +328,21 @@ def horseshoe(ses: ShortExactSequence, xc: ComplexWindow, kx: ModuleHom,
             raise HorseshoeError(f"kernel identification into {tag}^0 misses the kernel")
         if rank(k.mat) != c.term(0).dim - rank(c.diff(0).mat):
             raise HorseshoeError(f"kernel identification into {tag}^0 not surjective")
-    if not is_exact(xc) or not is_exact(yc):
+    if not is_exact(one_period(xc)) or not is_exact(one_period(yc)):
         raise HorseshoeError("input complexes must be exact on the window")
-    F = xc.algebra.field
     lo, hi = xc.lo, xc.hi
+    period = window_period(xc, yc)
+    sums: dict[tuple[int, int], tuple] = {}
+    for i, x, y in zip(range(lo, hi + 1), xc.terms, yc.terms):
+        if (id(x), id(y)) not in sums:
+            sums[id(x), id(y)] = direct_sum([x, y], name=f"Z^{i}")
+    z_sums = [sums[id(x), id(y)] for x, y in zip(xc.terms, yc.terms)]
+    terms = [z for z, _, _ in z_sums]
     rho: dict[int, ModuleHom] = {}
+
+    def woven(i: int) -> ModuleHom:
+        return ModuleHom(terms[i - lo], terms[i - lo + 1],
+                         twisted_diff(xc.diff(i).mat, rho[i].mat, yc.diff(i).mat))
 
     # stage 0 lifts the given sequence; later stages reuse the X-component
     # of the image of the previous differential, which makes d.d = 0 an
@@ -298,7 +359,11 @@ def horseshoe(ses: ShortExactSequence, xc: ComplexWindow, kx: ModuleHom,
     rho[0] = rho0
     embed = Mat.hstack([j0.mat, ses.surject.mat @ ky.mat])
     for i in range(1, hi):
-        w_i, w_incl = image_of(_z_diff(xc, yc, rho, i - 1))
+        if (period and i - period >= 1
+                and rho[i - 1].mat == rho[i - 1 - period].mat):
+            rho[i] = ModuleHom(yc.term(i), xc.term(i + 1), rho[i - period].mat)
+            continue
+        w_i, w_incl = image_of(woven(i - 1))
         dX = xc.term(i).dim
         w = w_incl.mat
         j_mat = w.block(0, w.rows, 0, dX)
@@ -318,43 +383,31 @@ def horseshoe(ses: ShortExactSequence, xc: ComplexWindow, kx: ModuleHom,
             raise HorseshoeError(f"no equivariant lift for rho^{i}", degree=i)
         rho[i] = rho_i
     for i in range(-1, lo - 1, -1):
-        rhs = (yc.diff(i).mat @ rho[i + 1].mat).neg() if i + 1 in rho else None
-        if rhs is None:
-            rhs = Mat.zeros(F, yc.term(i).dim, xc.term(i + 1).dim)
+        if (period and i + period <= -1
+                and rho[i + 1].mat == rho[i + 1 + period].mat):
+            rho[i] = ModuleHom(yc.term(i), xc.term(i + 1), rho[i + period].mat)
+            continue
         rho_i = solve_module_hom(yc.term(i), xc.term(i + 1),
-                                 post=xc.diff(i + 1).mat, post_rhs=rhs)
+                                 post=xc.diff(i + 1).mat,
+                                 post_rhs=(yc.diff(i).mat @ rho[i + 1].mat).neg())
         if rho_i is None:
             raise HorseshoeError(f"no equivariant lift for rho^{i}", degree=i)
         rho[i] = rho_i
 
-    terms = []
-    diffs = []
-    x_incl, y_proj = [], []
-    for i in range(lo, hi + 1):
-        z, incls, projs = direct_sum([xc.term(i), yc.term(i)], name=f"Z^{i}")
-        terms.append(z)
-        x_incl.append(incls[0])
-        y_proj.append(projs[1])
-    for i in range(lo, hi):
-        dz = twisted_diff(xc.diff(i).mat, rho[i].mat, yc.diff(i).mat)
-        diffs.append(ModuleHom(terms[i - lo], terms[i - lo + 1], dz))
-    zc = ComplexWindow(lo, hi, terms, diffs)
-    bad = validate_complex(zc)
+    zc = ComplexWindow(lo, hi, terms, [woven(i) for i in range(lo, hi)])
+    checked = one_period(zc)
+    bad = validate_complex(checked)
     if bad:
         raise HorseshoeError(f"assembled complex invalid: {bad[0]}")
-    if not is_exact(zc):
+    if not is_exact(checked):
         raise HorseshoeError("assembled complex is not exact")
+    x_incl = [incls[0] for _, incls, _ in z_sums]
+    y_proj = [projs[1] for _, _, projs in z_sums]
     embed_hom = ModuleHom(ses.w, zc.term(0), embed)
     if not embed_hom.intertwines():
         raise HorseshoeError("kernel embedding is not a module map")
     _check_kernel_sequence(ses, zc, embed_hom, kx, ky, x_incl[-lo], y_proj[-lo])
     return HorseshoeResult(zc, rho, embed_hom, x_incl, y_proj)
-
-
-def _z_diff(xc: ComplexWindow, yc: ComplexWindow, rho: dict, i: int) -> ModuleHom:
-    z, _, _ = direct_sum([xc.term(i), yc.term(i)])
-    z1, _, _ = direct_sum([xc.term(i + 1), yc.term(i + 1)])
-    return ModuleHom(z, z1, twisted_diff(xc.diff(i).mat, rho[i].mat, yc.diff(i).mat))
 
 
 def twisted_diff(dx: Mat, rho: Mat, dy: Mat) -> Mat:

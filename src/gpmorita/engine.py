@@ -24,8 +24,8 @@ from .bimodules import (
 )
 from .complexes import (
     ComplexWindow, HorseshoeError, HorseshoeResult, ShortExactSequence,
-    hom_exactness_failure, horseshoe, is_exact, tensor_exactness_failure,
-    total_exactness, twisted_diff, validate_complex,
+    hom_exactness_failure, horseshoe, is_exact, one_period,
+    tensor_exactness_failure, total_exactness, twisted_diff, validate_complex,
 )
 from .gpcert import GPCertificate, certify_gorenstein_projective
 from .homology import injective_dimension, projective_dimension, tor_dim
@@ -197,7 +197,18 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
       ring-linearity is exactly being a quadruple map;
     - ker(d_T^0) is isomorphic to q: the kernel of d_T^0 over the ring,
       matched with the ring module of q by `modules.is_isomorphic`.
-    A failed horseshoe raises EngineError with its degree."""
+    A failed horseshoe raises EngineError with its degree.
+
+    A periodic window is built and checked over one period.  Each check
+    above but the kernel's (the C3 exactness of M (x) P, I (x) P and
+    N (x) Q, the horseshoes' checks, and T's module laws, complex and
+    total exactness) runs on `complexes.one_period` of its window: when
+    the window repeats literally by p, every check at degree i is the
+    check at i - p, so the sub-window [lo, lo + p + 1] stands for the
+    whole; a window that does not repeat is checked whole.  The horseshoes
+    reuse a lift whose inputs repeat, and each distinct pair of term
+    instances gives one direct sum, so a window whose certificates repeat
+    builds and checks each distinct piece once."""
     check_extension_matches(ext, ctx)
     _require(report.passed, "criterion report must pass before assembly")
     sm = report.structural
@@ -217,12 +228,20 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
     # weak-compatibility consequences, checked directly.  N (x)_B Q is built
     # over ctx.N, as T_B(Q^i) builds it; Z reads its terms over Lambda
     mp_cx, mp_tens = _tensor_window(m_lam, pcx)
-    _require(is_exact(mp_cx), "M (x) P is not exact (C3 for M fails here)")
+    _require(is_exact(one_period(mp_cx)),
+             "M (x) P is not exact (C3 for M fails here)")
     ip_cx, _ = _tensor_window(ext.ideal, pcx)
-    _require(is_exact(ip_cx), "I (x) P is not exact (C3 for I fails here)")
+    _require(is_exact(one_period(ip_cx)),
+             "I (x) P is not exact (C3 for I fails here)")
     nq_cx, nq_tens = _tensor_window(ctx.N, qcx)
-    _require(is_exact(nq_cx), "N (x) Q is not exact (C3 for N fails here)")
-    nq_lam = [ext.lam_module(t) for t in nq_cx.terms]
+    _require(is_exact(one_period(nq_cx)),
+             "N (x) Q is not exact (C3 for N fails here)")
+    # one restriction to Lambda per distinct N (x) Q^i instance
+    lams: dict[int, FDModule] = {}
+    for t in nq_cx.terms:
+        if id(t) not in lams:
+            lams[id(t)] = ext.lam_module(t)
+    nq_lam = [lams[id(t)] for t in nq_cx.terms]
 
     # first horseshoe, over B: 0 -> M (x) U -> Y -> V -> 0 against
     # M (x) P and Q
@@ -237,13 +256,16 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
     ycx = hs1.zc
     rho = hs1.rho
 
-    # Z window: I (x) P (+) N (x) Q with tau = (1 (x) rho)(psi (x) 1)
+    # Z window: I (x) P (+) N (x) Q with tau = (1 (x) rho)(psi (x) 1), one
+    # direct sum per distinct pair of term instances
     tau = {}
-    z_terms, z_diffs = [], []
+    z_diffs = []
     from .modules import direct_sum
-    for i in range(-span, span + 1):
-        zt, _, _ = direct_sum([ip_cx.term(i), nq_lam[i + span]], name=f"Z^{i}")
-        z_terms.append(zt)
+    z_sums: dict[tuple[int, int], FDModule] = {}
+    for i, ip, nq in zip(range(-span, span + 1), ip_cx.terms, nq_lam):
+        if (id(ip), id(nq)) not in z_sums:
+            z_sums[id(ip), id(nq)] = direct_sum([ip, nq], name=f"Z^{i}")[0]
+    z_terms = [z_sums[id(ip), id(nq)] for ip, nq in zip(ip_cx.terms, nq_lam)]
     for i in range(-span, span):
         # 1_N (x) rho^i : N (x) Q^i -> N (x) (M (x) P^{i+1}), over ctx.N as
         # the g of T_Lam(P^{i+1}) builds it
@@ -311,9 +333,11 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
                                  Mat.block_diag([f_diffs[i + span].mat,
                                                  ycx.diff(i).mat])))
     tcx = ComplexWindow(-span, span, t_terms, t_diffs)
-    bad = validate_complex(tcx)
+    t_checked = one_period(tcx)
+    bad = validate_complex(t_checked)
     _require(bad == [], f"T window is not a complex: {bad[:1]}")
-    _require(total_exactness(tcx, seed=seed), "T window is not totally exact")
+    _require(total_exactness(t_checked, seed=seed),
+             "T window is not totally exact")
 
     # ker(d_T^0) is the given quadruple
     ker_t, _ = kernel_of(t_diffs[span], name="ker(d_T^0)")
@@ -497,18 +521,19 @@ def corner_complexes(ext: TrivialExtension, ctx: MoritaContext,
                      mr: MoritaRing, wc: ComplexWindow):
     """Extract the Lambda-side complex P (cokernels of the g components)
     and the B-side complex Q (cokernels of the f components) from a
-    totally exact complex of projectives over the context ring."""
-    quads = [module_to_quadruple(mr, wc.term(i), name=f"T^{i}")
-             for i in range(wc.lo, wc.hi + 1)]
-    bases = [quadruple_bases(mr, wc.term(i)) for i in range(wc.lo, wc.hi + 1)]
-    u_terms, u_projs, v_terms, v_projs = [], [], [], []
-    for qd in quads:
-        u, lam = cokernel_of(qd.g)
-        u_terms.append(ext.lam_module(u))
-        u_projs.append(lam)
-        v, mu = cokernel_of(qd.f)
-        v_terms.append(v)
-        v_projs.append(mu)
+    totally exact complex of projectives over the context ring.  Each
+    distinct term instance (a periodic window repeats them) is read as a
+    quadruple, and its two cokernels taken, once."""
+    corners: dict[int, tuple] = {}
+    for i, t in zip(range(wc.lo, wc.hi + 1), wc.terms):
+        if id(t) not in corners:
+            qd = module_to_quadruple(mr, t, name=f"T^{i}")
+            u, lam = cokernel_of(qd.g)
+            v, mu = cokernel_of(qd.f)
+            corners[id(t)] = (qd, quadruple_bases(mr, t), ext.lam_module(u),
+                              lam, v, mu)
+    quads, bases, u_terms, u_projs, v_terms, v_projs = (
+        list(col) for col in zip(*(corners[id(t)] for t in wc.terms)))
     u_diffs, v_diffs = [], []
     for i in range(wc.lo, wc.hi):
         d = wc.diff(i).mat

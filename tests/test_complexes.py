@@ -10,7 +10,8 @@ from gpmorita.catalog import (
 )
 from gpmorita.complexes import (
     ComplexWindow, HorseshoeError, ShortExactSequence, homology_dim, horseshoe,
-    is_exact, solve_module_hom, total_exactness, validate_complex,
+    is_exact, one_period, solve_module_hom, total_exactness, validate_complex,
+    window_period,
 )
 from gpmorita.fields import GF, QQ
 from gpmorita.gpcert import certify_gorenstein_projective
@@ -53,6 +54,58 @@ def test_periodic_complete_resolution_kx2_exact_and_total():
     assert wc.lo <= -3 and wc.hi >= 3
     assert is_exact(wc)
     assert total_exactness(wc)
+
+
+def _kx_resolution(n):
+    """The complete resolution of the simple module over k[x]/(x^n), Q: it
+    alternates x and x^(n-1), so it repeats by 1 at n = 2 and by 2 above."""
+    cert = certify_gorenstein_projective(simple_kx2(truncated_poly(QQ(), n)),
+                                         window=4)
+    assert cert.verdict == "gp"
+    return cert.window
+
+
+def _with_diff(wc, i, mat):
+    diffs = list(wc.diffs)
+    diffs[i - wc.lo] = ModuleHom(wc.diff(i).source, wc.diff(i).target, mat)
+    return ComplexWindow(wc.lo, wc.hi, wc.terms, diffs)
+
+
+@pytest.mark.parametrize("n, period", [(2, 1), (3, 2)])
+def test_one_period_is_the_sub_window_of_the_least_period(n, period):
+    wc = _kx_resolution(n)
+    assert window_period(wc) == period
+    sub = one_period(wc)
+    assert (sub.lo, sub.hi) == (wc.lo, wc.lo + period + 1)
+    assert sub.terms == wc.terms[:period + 2] and sub.diffs == wc.diffs[:period + 1]
+    assert validate_complex(sub) == [] and is_exact(sub) and total_exactness(sub)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_window_repeating_but_at_its_last_differential_is_checked_whole(n):
+    # a zero last differential breaks exactness at hi - 1 only, beyond the
+    # first period; no period witnesses the window, so it is checked whole
+    wc = _kx_resolution(n)
+    last = wc.diff(wc.hi - 1)
+    bad = _with_diff(wc, wc.hi - 1, Mat.zeros(last.mat.field, last.mat.rows,
+                                              last.mat.cols))
+    assert window_period(bad) is None and one_period(bad) is bad
+    assert not is_exact(one_period(bad))
+    assert is_exact(ComplexWindow(bad.lo, bad.hi - 1, bad.terms[:-1],
+                                  bad.diffs[:-1]))
+
+
+def test_window_period_compares_the_ends_of_the_differentials():
+    # equal matrices between unequal modules do not repeat: the period
+    # helper compares each differential's source and target as modules
+    a = truncated_poly(QQ(), 2)
+    s = simple_kx2(a)
+    other = FDModule(a, 1, [Mat.identity(QQ(), 1), Mat.identity(QQ(), 1)])
+    z = Mat.zeros(QQ(), 1, 1)
+    wc = ComplexWindow(0, 3, [s] * 4, [ModuleHom(s, s, z), ModuleHom(s, s, z),
+                                       ModuleHom(other, s, z)])
+    assert window_period(wc) is None and one_period(wc) is wc
+    assert validate_complex(wc) == ["differential 2 connects the wrong terms"]
 
 
 def test_total_exactness_fails_for_truncated_resolution():

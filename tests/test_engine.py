@@ -14,8 +14,8 @@ from gpmorita.catalog import (
     truncated_poly, two_cycle_context, wide_psi_context,
 )
 from gpmorita.complexes import (
-    ComplexWindow, horseshoe, is_exact, total_exactness, twisted_diff,
-    validate_complex,
+    ComplexWindow, horseshoe, is_exact, one_period, total_exactness,
+    twisted_diff, validate_complex, window_period,
 )
 from gpmorita.engine import (
     AuditReport, CompatVerdict, EngineError, audit_equivalence,
@@ -492,6 +492,80 @@ def test_assembly_rejects_a_corrupted_alpha_beta_block(F, which, monkeypatch):
     with pytest.raises(EngineError):
         build_total_resolution(ext, ctx, q, rep, window=3)
     assert len(calls) == 2
+
+
+# -- the one-period path still sees a fault beyond the first period -----------
+#
+# Every window of these cases repeats by 1, so the checks of a window that
+# still repeats run on [-3, -1]; each fault below sits at degree 2 and
+# breaks the repetition, and must be found by the whole-window checks.
+
+
+def _corrupt_horseshoe(monkeypatch, which, degree):
+    """Corrupt the lift at `degree` of the `which`-th horseshoe (1 or 2)
+    after it returns: rho^degree, and the woven differential that holds it."""
+    calls = []
+
+    def corrupt(*args, **kwargs):
+        res = horseshoe(*args, **kwargs)
+        calls.append(res)
+        if len(calls) == which:
+            # rho^degree is the lower left block of [[d_X, 0], [rho, d_Y]]
+            r = res.rho[degree]
+            d = res.zc.diff(degree)
+            res.rho[degree] = _bumped_hom(r)
+            res.zc.diffs[degree - res.zc.lo] = _bumped_hom(
+                d, d.mat.rows - r.mat.rows, 0)
+        return res
+
+    monkeypatch.setattr(engine, "horseshoe", corrupt)
+    return calls
+
+
+@FIELDS
+@BOTH
+def test_assembly_rejects_a_t_differential_corrupted_at_its_last_degree(
+        F, which, monkeypatch):
+    # rho^2 of the second horseshoe is the (alpha^2, beta^2) block of d_F^2,
+    # so d_T^2 = block_diag(d_F^2, d_Y^2), at hi - 1, is wrong and only the
+    # T checks read it
+    ext, ctx, q, rep = _mutation_case(which, F)
+    asm = build_total_resolution(ext, ctx, q, rep, window=3)
+    assert one_period(asm.tcx).hi == -1
+    calls = _corrupt_horseshoe(monkeypatch, 2, 2)
+    with pytest.raises(EngineError, match="T window"):
+        build_total_resolution(ext, ctx, q, rep, window=3)
+    assert len(calls) == 2
+
+
+@FIELDS
+def test_assembly_rejects_a_lift_corrupted_at_degree_2(F, monkeypatch):
+    # rho^2 of the first horseshoe: the Y differential at 2, and tau^2 of Z.
+    # On triangular_context M (x) P is 0, so the first horseshoe's lifts
+    # are empty
+    ext, ctx, q, rep = _mutation_case("glued", F)
+    calls = _corrupt_horseshoe(monkeypatch, 1, 2)
+    with pytest.raises(EngineError):
+        build_total_resolution(ext, ctx, q, rep, window=3)
+    assert calls
+
+
+@FIELDS
+@BOTH
+def test_assembly_rejects_a_p_window_corrupted_at_its_last_differential(F, which):
+    # P repeats on [-3, 3] except at its last differential, d_P^2
+    ext, ctx, q, rep = _mutation_case(which, F)
+    cert = rep.coker_g_cert
+    wc = cert.window
+    diffs = list(wc.diffs)
+    diffs[2 - wc.lo] = _bumped_hom(wc.diff(2))
+    bad = ComplexWindow(wc.lo, wc.hi, wc.terms, diffs)
+    pcx = ComplexWindow(-3, 3, bad.terms[-3 - wc.lo:4 - wc.lo],
+                        bad.diffs[-3 - wc.lo:3 - wc.lo])
+    assert window_period(pcx) is None
+    rep = replace(rep, coker_g_cert=replace(cert, window=bad))
+    with pytest.raises(EngineError):
+        build_total_resolution(ext, ctx, q, rep, window=3)
 
 
 def test_assembly_checks_each_fact_once(count_calls):

@@ -1,4 +1,4 @@
-"""Eleven layering rules of the package, checked on its source.
+"""Twelve layering rules of the package, checked on its source.
 
 Only `linalg` sees matrix entries: no other module reads or writes a
 `.data` attribute or the integer storage behind it, so the storage can
@@ -12,10 +12,12 @@ matrix: the algebra and ring builders (`algebra`, `morita`, `trivext`,
 matrices and never calls `multiply` on two single elements.  The
 independent checker `verify` imports only the shared ground (linear
 algebra, modules, complex windows, algebras and the certificate types),
-never a builder module such as `bimodules` or `homology`.  Vectors are
-expressed in a stacked basis of flattened maps through one batched
-`coordinates` call, never through a `solve_left` per vector in a loop,
-which row-reduces the same basis once per call.  Maps are factored
+never a builder module such as `bimodules` or `homology`, and it checks
+a periodic window with its own code, not with the builder's period
+helpers in `complexes`.  Vectors are expressed in a stacked basis of
+flattened maps through one batched `coordinates` call, never through a
+`solve_left` per vector in a loop, which row-reduces the same basis once
+per call.  Maps are factored
 through a quotient projection (a `kernel_basis`) with `factor_through`,
 never with `solve`, which stacks and row-reduces the projection again.
 M and N are restricted to Lambda in one function, `trivext.lam_bimodules`,
@@ -134,6 +136,23 @@ def test_checker_imports_only_the_shared_ground():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert imported <= CHECKER_IMPORTS, sorted(imported - CHECKER_IMPORTS)
+
+
+# the builder's period helpers, which `verify._window_periodic` duplicates
+BUILDER_PERIOD_HELPERS = {"one_period", "window_period"}
+
+
+def test_checker_keeps_its_own_period_check():
+    hits = []
+    for node in ast.walk(_tree("verify.py")):
+        if isinstance(node, ast.ImportFrom):
+            hits += [f"verify.py:{node.lineno}" for alias in node.names
+                     if alias.name in BUILDER_PERIOD_HELPERS]
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name in BUILDER_PERIOD_HELPERS:
+                hits.append(f"verify.py:{node.lineno}")
+    assert not hits, f"the checker uses the builder's period helper: {hits}"
 
 
 _LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,

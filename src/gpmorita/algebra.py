@@ -302,6 +302,16 @@ def corner_algebra(a: Algebra, eps: list, name: str = "") -> tuple[Algebra, Mat]
     return Algebra(F, rows.rows, consts, unit_c.row(0), name=name), rows
 
 
+def ideal_products(a: Algebra, rows: Mat) -> Mat:
+    """rows @ L_t for every basis element b_t, then rows @ R_t, stacked:
+    the products b_t r and r b_t of each row r.  The rows span a two-sided
+    ideal exactly when these all lie in their span.  The zero algebra has
+    no L_t to stack, and its rows (with no columns) are their own products."""
+    if a.dim == 0:
+        return rows
+    return Mat.vstack([rows @ m for m in (*a.lmul_mats(), *a.rmul_mats())])
+
+
 def quotient_algebra(a: Algebra, ideal_rows: Mat, name: str = "") -> tuple[Algebra, Mat]:
     """Quotient by a two-sided ideal given as a row span.
 
@@ -313,9 +323,8 @@ def quotient_algebra(a: Algebra, ideal_rows: Mat, name: str = "") -> tuple[Algeb
     """
     F = a.field
     R = row_space(ideal_rows)
-    for t in range(a.dim):
-        if not in_row_space(R, R @ a.lmul_mats()[t]) or not in_row_space(R, R @ a.rmul_mats()[t]):
-            raise AlgebraError("row span is not a two-sided ideal")
+    if not in_row_space(R, ideal_products(a, R)):
+        raise AlgebraError("row span is not a two-sided ideal")
     proj, lift = quotient_maps(R)
     consts = lift.kron(lift) @ a.consts @ proj
     unit = (Mat.from_rows(F, [a.unit], a.dim) @ proj).row(0)
@@ -368,8 +377,7 @@ def ideal_closure(a: Algebra, rows: Mat) -> Mat:
     """Smallest two-sided ideal containing the row span."""
     span = row_space(rows)
     while True:
-        new = row_space(Mat.vstack([span] + [span @ m for m in
-                                             (*a.lmul_mats(), *a.rmul_mats())]))
+        new = row_space(Mat.vstack([span, ideal_products(a, span)]))
         if new.rows == span.rows:
             return new
         span = new

@@ -7,7 +7,7 @@ import random
 
 from .algebra import Algebra
 from .fields import Field
-from .linalg import Mat, linear_combination, row_space
+from .linalg import Mat, linear_combination
 from .modules import (
     FDModule, ModuleHom, free_module, hom_space, quotient_by_rows,
     spanned_submodule,
@@ -428,29 +428,21 @@ def corrupt_psi(ctx, rng: random.Random):
 def random_quadruple(ctx, rng: random.Random, allow_sum: bool = True):
     """A random valid quadruple: a functor image on a random corner module,
     or a direct sum of two of them."""
-    from .linalg import row_space
-    from .modules import quotient_by_rows
-    from .morita import direct_sum_quadruples, h_a, h_b, t_a, t_b, z_a, z_b
+    from .morita import (
+        direct_sum_quadruples, h_a, h_b, quotient_by_ideal, t_a, t_b, z_a, z_b,
+    )
 
     def one():
         kind = rng.choice(["t_a", "t_b", "h_a", "h_b", "z_a", "z_b"])
         if kind in ("t_a", "h_a", "z_a"):
             u = random_module(ctx.A, rng, max_free=1, max_cuts=1)
             if kind == "z_a":
-                I = ctx.ideal_rows_a()
-                if I.rows and u.dim:
-                    rows = row_space(Mat.vstack(
-                        [u.act_of(I.row(r)) for r in range(I.rows)]))
-                    u, _ = quotient_by_rows(u, rows)
+                u, _ = quotient_by_ideal(u, ctx.ideal_rows_a(), "I")
                 return z_a(ctx, u, name="rand_za")
             return (t_a if kind == "t_a" else h_a)(ctx, u, name=f"rand_{kind}")
         v = random_module(ctx.B, rng, max_free=1, max_cuts=1)
         if kind == "z_b":
-            J = ctx.ideal_rows_b()
-            if J.rows and v.dim:
-                rows = row_space(Mat.vstack(
-                    [v.act_of(J.row(r)) for r in range(J.rows)]))
-                v, _ = quotient_by_rows(v, rows)
+            v, _ = quotient_by_ideal(v, ctx.ideal_rows_b(), "J")
             return z_b(ctx, v, name="rand_zb")
         return (t_b if kind == "t_b" else h_b)(ctx, v, name=f"rand_{kind}")
 

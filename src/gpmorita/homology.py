@@ -41,8 +41,7 @@ def radical_rows_of_module(x: FDModule) -> Mat:
     rad = radical_basis(a)
     if rad.rows == 0 or x.dim == 0:
         return Mat.zeros(a.field, 0, x.dim)
-    stacked = Mat.vstack([x.act_of(rad.row(i)) for i in range(rad.rows)])
-    return row_space(stacked)
+    return row_space(x.acts_of(rad))
 
 
 def top_of(x: FDModule) -> tuple[FDModule, ModuleHom]:

@@ -62,6 +62,14 @@ class FDModule:
         return linear_combination(self.algebra.field, self.dim, self.dim,
                                   coeffs, self.acts)
 
+    def acts_of(self, rows: Mat) -> Mat:
+        """The actions of the elements in the rows of `rows`, stacked: row
+        r * dim + v is rows[r] . x_v, so rows spanning an ideal I give a
+        matrix whose row space is I.x."""
+        if rows.rows == 0:
+            return Mat.zeros(self.algebra.field, 0, self.dim)
+        return Mat.vstack([self.act_of(rows.row(r)) for r in range(rows.rows)])
+
     def gens(self) -> list[int]:
         return generating_subset(self.algebra)
 
@@ -198,10 +206,7 @@ def spanned_submodule(x: FDModule, rows: Mat, name: str = "") -> tuple[FDModule,
     """Submodule generated by arbitrary rows (closure under the action)."""
     span = row_space(rows)
     while True:
-        new_rows = span.to_rows()
-        for t in range(x.algebra.dim):
-            new_rows.extend((span @ x.acts[t]).to_rows())
-        new_span = row_space(Mat.from_rows(x.algebra.field, new_rows, x.dim))
+        new_span = row_space(Mat.vstack([span] + [span @ m for m in x.acts]))
         if new_span.rows == span.rows:
             return submodule_from_rows(x, new_span, name=name)
         span = new_span

@@ -28,7 +28,7 @@ from .bimodules import (
 )
 from .fields import Field
 from .linalg import (
-    Mat, coordinates, factor_through, in_row_space, rank, row_space,
+    Mat, coordinates, factor_through, rank, row_space,
 )
 from .modules import (
     FDModule, ModuleHom, cokernel_of, identity_hom, kernel_of,
@@ -38,12 +38,6 @@ from .modules import (
 
 class ContextError(ValueError):
     pass
-
-
-def _unit_list(F: Field, n: int, i: int) -> list:
-    out = [F.zero()] * n
-    out[i] = F.one()
-    return out
 
 
 @dataclass
@@ -115,6 +109,19 @@ def validate_context(ctx: MoritaContext) -> list[str]:
 
 @memo
 def _context_violations(ctx: MoritaContext) -> list[str]:
+    """The algebras, the bimodules, the balanced maps and then the two
+    associativity squares, each only once the ones before it hold.
+
+    The facts about I = im(psi) that the paper uses follow from these
+    axioms, so they are not checked again.  I is a two-sided ideal of A
+    because psi is A-bilinear, and im(phi) is one of B because phi is
+    B-bilinear.  With phi = 0 the first square gives I.N = 0, as
+    psi(n (x) m).n' = n.phi(m (x) n') = 0, and the second gives M.I = 0;
+    then I^2 = 0, as psi(n (x) m) psi(n' (x) m') = psi(n (x) m.psi(n' (x) m')).
+
+    Each square compares two whole matrices whose row (i, j, k) is
+    psi(n_i (x) m_j).n_k and n_i.phi(m_j (x) n_k); the first row where
+    they differ names the triple."""
     out = []
     if validate_algebra(ctx.A):
         out.append("corner algebra A is invalid")
@@ -140,42 +147,13 @@ def _context_violations(ctx: MoritaContext) -> list[str]:
     for c, which, (n, m) in ((ctx, "first", "nm"),
                              (swap_context(ctx), "second", "mn")):
         dN, dM = c.N.dim, c.M.dim
-        for i in range(dN):
-            for j in range(dM):
-                left_mat = c.N.left_act_of(c.psi.value(i, j))
-                for k in range(dN):
-                    rhs = c.N.right_act_of(c.phi.value(j, k))
-                    if left_mat.row(k) != rhs.row(i):
-                        out.append(f"{which} context square fails at "
-                                   f"({n}{i}, {m}{j}, {n}{k})")
-                        return out
-    out += _ideal_checks(ctx)
-    return out
-
-
-def _ideal_checks(ctx: MoritaContext) -> list[str]:
-    out = []
-    for c, im, corner in ((ctx, "psi", "A"), (swap_context(ctx), "phi", "B")):
-        I = c.ideal_rows_a()
-        for t in range(c.A.dim):
-            if I.rows and not (in_row_space(I, I @ c.A.lmul_mats()[t])
-                               and in_row_space(I, I @ c.A.rmul_mats()[t])):
-                out.append(f"im({im}) is not a two-sided ideal of {corner}")
-                break
-    I = ctx.ideal_rows_a()
-    if ctx.phi_is_zero and I.rows:
-        # with phi = 0: I.N = 0, M.I = 0 and I^2 = 0
-        for r in range(I.rows):
-            a = I.row(r)
-            if not ctx.N.left_act_of(a).is_zero():
-                out.append("I.N != 0 although phi = 0")
-                break
-            if not ctx.M.right_act_of(a).is_zero():
-                out.append("M.I != 0 although phi = 0")
-                break
-            # the products of row r with every row of I, in one product
-            if not (I.block(r, r + 1, 0, I.cols).kron(I) @ ctx.A.consts).is_zero():
-                out.append("I^2 != 0 although phi = 0")
+        lhs = c.N.as_left_module().acts_of(c.psi.mat)
+        rhs = c.N.as_right_module().acts_of(c.phi.mat).swap_factors(dM * dN, dN)
+        if lhs != rhs:
+            r = lhs.sub(rhs).nonzero_rows()[0]
+            out.append(f"{which} context square fails at "
+                       f"({n}{r // (dM * dN)}, {m}{r // dN % dM}, {n}{r % dN})")
+            return out
     return out
 
 
@@ -195,33 +173,6 @@ class MoritaRing:
     offs: tuple[int, int, int, int]      # offsets of the A, N, M, B blocks
     e1: list
     e2: list
-
-    def embed_a(self, coeffs: list) -> list:
-        return self._embed(coeffs, 0, self.ctx.A.dim)
-
-    def embed_n(self, coeffs: list) -> list:
-        return self._embed(coeffs, self.offs[1], self.ctx.N.dim)
-
-    def embed_m(self, coeffs: list) -> list:
-        return self._embed(coeffs, self.offs[2], self.ctx.M.dim)
-
-    def embed_b(self, coeffs: list) -> list:
-        return self._embed(coeffs, self.offs[3], self.ctx.B.dim)
-
-    def _embed(self, coeffs: list, off: int, d: int) -> list:
-        out = self.ring.zero_el()
-        out[off:off + d] = coeffs
-        return out
-
-    def embed_a_rows(self) -> Mat:
-        F = self.ring.field
-        return Mat.from_rows(F, [self.embed_a(self.ctx.A.basis_el(i))
-                                 for i in range(self.ctx.A.dim)], self.ring.dim)
-
-    def embed_b_rows(self) -> Mat:
-        F = self.ring.field
-        return Mat.from_rows(F, [self.embed_b(self.ctx.B.basis_el(i))
-                                 for i in range(self.ctx.B.dim)], self.ring.dim)
 
 
 @memo
@@ -316,28 +267,15 @@ def swap_quadruple(q: QuadrupleModule, name: str | None = None) -> QuadrupleModu
     return sw
 
 
-def psi_action_full(ctx: MoritaContext, x: FDModule) -> Mat:
-    """The multiplication map N (x)_k M (x)_k X -> X,
-    n (x) m (x) v |-> psi(n (x) m) . v."""
-    F = ctx.A.field
-    dN, dM, dX = ctx.N.dim, ctx.M.dim, x.dim
-    rows = []
-    for i in range(dN):
-        for j in range(dM):
-            act = x.act_of(ctx.psi.value(i, j))
-            for v in range(dX):
-                rows.append(act.row(v))
-    return Mat.from_rows(F, rows, dX) if rows else Mat.zeros(F, 0, dX)
-
-
 def psi_hom(ctx: MoritaContext, x: FDModule, mx: TensorModule,
             nmx: TensorModule) -> ModuleHom:
-    """Psi_X : N (x)_B (M (x)_A X) -> X as a module map over A."""
+    """Psi_X : N (x)_B (M (x)_A X) -> X as a module map over A; on the
+    full tensor space N (x)_k M (x)_k X it is n (x) m (x) v |->
+    psi(n (x) m) . v, the actions of the values of psi, stacked."""
     F = ctx.A.field
     eye_n = Mat.identity(F, ctx.N.dim)
     big_proj = eye_n.kron(mx.proj) @ nmx.proj
-    full = psi_action_full(ctx, x)
-    mat = factor_through(big_proj, [full])
+    mat = factor_through(big_proj, [x.acts_of(ctx.psi.mat)])
     if mat is None:
         raise ContextError("Psi does not factor through the tensor quotient")
     return ModuleHom(nmx.module, x, mat[0])
@@ -388,8 +326,7 @@ def _quadruple_violations(q: QuadrupleModule) -> list[str]:
     # consequences: I kills Coker(g), J kills Coker(f)
     for s, lab in sides:
         coker, _ = cokernel_of(s.g)
-        I = s.ctx.ideal_rows_a()
-        if any(not coker.act_of(I.row(r)).is_zero() for r in range(I.rows)):
+        if not coker.acts_of(s.ctx.ideal_rows_a()).is_zero():
             out.append(f"{lab[4]} does not annihilate Coker({lab[5]})")
     return out
 
@@ -454,33 +391,34 @@ def quadruple_to_module(mr: MoritaRing, q: QuadrupleModule) -> FDModule:
 def quadruple_bases(mr: MoritaRing, v: FDModule) -> list[Mat]:
     """The bases of e1.V and e2.V, as rows: the bases of X and Y in which
     `module_to_quadruple` reads the ring module V."""
-    return [row_space(v.act_of(e)) for e in (mr.e1, mr.e2)]
+    return [row_space(v.act_of(mr.e1)), row_space(v.act_of(mr.e2))]
 
 
 def module_to_quadruple(mr: MoritaRing, v: FDModule, name: str = "") -> QuadrupleModule:
-    """Recover the quadruple from a module over the context ring."""
+    """Recover the quadruple from a module over the context ring.  The
+    basis element t of the block at offset `off` acts on V by
+    v.acts[off + t]."""
     ctx = mr.ctx
     F = mr.ring.field
+    offA, offN, offM, offB = mr.offs
     parts = quadruple_bases(mr, v)
     if parts[0].rows + parts[1].rows != v.dim:
         raise ContextError("idempotent decomposition does not exhaust the module")
     mods = []
-    for rows, alg, embed, (tag, letter) in zip(
-            parts, (ctx.A, ctx.B), (mr.embed_a, mr.embed_b), ("XA", "YB")):
+    for rows, alg, off, (tag, letter) in zip(
+            parts, (ctx.A, ctx.B), (offA, offB), ("XA", "YB")):
         k = rows.rows
-        c = coordinates(rows, Mat.vstack([rows @ v.act_of(embed(alg.basis_el(t)))
+        c = coordinates(rows, Mat.vstack([rows @ v.acts[off + t]
                                           for t in range(alg.dim)]))
         if c is None:
             raise ContextError(f"{tag}-part is not {letter}-invariant")
         acts = [c.block(t * k, (t + 1) * k, 0, k) for t in range(alg.dim)]
         mods.append(FDModule(alg, k, acts, name=f"{name}|{tag}"))
-    # f on the full tensor space: m_s (x) x_j |-> (embed m_s) . x_j; then g
+    # f on the full tensor space: m_s (x) x_j |-> m_s . x_j; then g
     fulls = []
-    for src, dst, bim, embed, (tag, part) in zip(
-            parts, parts[::-1], (ctx.M, ctx.N), (mr.embed_m, mr.embed_n),
-            ("MY", "NX")):
-        images = [src @ v.act_of(embed(_unit_list(F, bim.dim, s)))
-                  for s in range(bim.dim)]
+    for src, dst, bim, off, (tag, part) in zip(
+            parts, parts[::-1], (ctx.M, ctx.N), (offM, offN), ("MY", "NX")):
+        images = [src @ v.acts[off + s] for s in range(bim.dim)]
         c = coordinates(dst, Mat.vstack(images) if images
                         else Mat.zeros(F, 0, v.dim))
         if c is None:
@@ -493,33 +431,28 @@ def module_to_quadruple(mr: MoritaRing, v: FDModule, name: str = "") -> Quadrupl
 
 
 def zeta_full(ctx: MoritaContext, x: FDModule, hom_basis) -> Mat:
-    """M (x)_k X -> Hom_A(N, X) coordinates, m (x) v |-> [n |-> psi(n (x) m).v]."""
+    """M (x)_k X -> Hom_A(N, X) coordinates, m (x) v |-> [n |-> psi(n (x) m).v]:
+    the rows (t, i, v) of psi(n_t (x) m_i).x_v, moved to (i, v, t) and
+    read dN at a time as one flattened map."""
     F = ctx.A.field
     dM, dN, dX = ctx.M.dim, ctx.N.dim, x.dim
-    k = len(hom_basis)
-    if k == 0:
+    if not hom_basis:
         return Mat.zeros(F, dM * dX, 0)
-    flats = []
-    for i in range(dM):
-        acts = [x.act_of(ctx.psi.value(t, i)) for t in range(dN)]
-        for v in range(dX):
-            flats.append([e for t in range(dN) for e in acts[t].row(v)])
+    flats = x.acts_of(ctx.psi.mat).swap_factors(dN, dM * dX)
     c = coordinates(Mat.vstack([h.mat.flatten() for h in hom_basis]),
-                    Mat.from_rows(F, flats, dN * dX))
+                    flats.reshape(dM * dX, dN * dX))
     if c is None:
         raise ContextError("zeta image is not an intertwiner")
     return c
 
 
 def evaluation_full(field: Field, outer_dim: int, hom_basis, target_dim: int) -> Mat:
-    """W (x)_k Hom(W, X) -> X, w (x) h |-> (w)h."""
-    k = len(hom_basis)
-    rows = []
-    for i in range(outer_dim):
-        for t in range(k):
-            rows.append(hom_basis[t].mat.row(i))
-    return Mat.from_rows(field, rows, target_dim) if rows else \
-        Mat.zeros(field, 0, target_dim)
+    """W (x)_k Hom(W, X) -> X, w (x) h |-> (w)h: the stacked hom matrices,
+    rows (t, i) for h_t and w_i, re-indexed to (i, t)."""
+    if not hom_basis:
+        return Mat.zeros(field, 0, target_dim)
+    return Mat.vstack([h.mat for h in hom_basis]).swap_factors(len(hom_basis),
+                                                              outer_dim)
 
 
 def t_a(ctx: MoritaContext, x: FDModule, name: str = "") -> QuadrupleModule:
@@ -562,11 +495,8 @@ def h_b(ctx: MoritaContext, y: FDModule, name: str = "") -> QuadrupleModule:
 
 def z_a(ctx: MoritaContext, u: FDModule, name: str = "") -> QuadrupleModule:
     """(U, 0, 0, 0); requires I.U = 0."""
-    I = ctx.ideal_rows_a()
-    for r in range(I.rows):
-        if not u.act_of(I.row(r)).is_zero():
-            raise ContextError("Z functor needs the corner ideal to annihilate "
-                               "the module")
+    if not u.acts_of(ctx.ideal_rows_a()).is_zero():
+        raise ContextError("Z functor needs the corner ideal to annihilate the module")
     F = ctx.A.field
     y = zero_module(ctx.B)
     return make_quadruple(ctx, u, y, Mat.zeros(F, ctx.M.dim * u.dim, 0),
@@ -583,8 +513,7 @@ def quotient_by_ideal(mod: FDModule, ideal_rows: Mat,
     """mod / (ideal . mod) with its projection; `tag` names the ideal."""
     if ideal_rows.rows == 0 or mod.dim == 0:
         return mod, identity_hom(mod)
-    rows = row_space(Mat.vstack([mod.act_of(ideal_rows.row(r))
-                                 for r in range(ideal_rows.rows)]))
+    rows = row_space(mod.acts_of(ideal_rows))
     return quotient_by_rows(mod, rows, name=f"{mod.name}/{tag}")
 
 
@@ -602,18 +531,14 @@ def q_b(q: QuadrupleModule) -> tuple[FDModule, ModuleHom]:
 def f_tilde(q: QuadrupleModule) -> ModuleHom:
     """The adjoint mate X -> Hom_B(M, Y) of f."""
     ctx = q.ctx
-    F = ctx.A.field
     target, basis = hom_module(ctx.M, q.y)
     big = q.mx.proj @ q.f.mat       # M (x)_k X -> Y
-    k = len(basis)
-    if k == 0:
+    if not basis:
         return zero_hom(q.x, target)
-    dx, dy = q.x.dim, q.y.dim
+    dM, dx = ctx.M.dim, q.x.dim
     # row j: the map m_i |-> (m_i (x) x_j) f, rows i of M stacked flat
-    flats = [[e for i in range(ctx.M.dim) for e in big.row(i * dx + j)]
-             for j in range(dx)]
-    c = coordinates(Mat.vstack([h.mat.flatten() for h in basis]),
-                    Mat.from_rows(F, flats, ctx.M.dim * dy))
+    flats = big.swap_factors(dM, dx).reshape(dx, dM * q.y.dim)
+    c = coordinates(Mat.vstack([h.mat.flatten() for h in basis]), flats)
     if c is None:
         raise ContextError("adjoint mate failed to express")
     return ModuleHom(q.x, target, c)

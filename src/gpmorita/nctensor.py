@@ -57,14 +57,11 @@ def build_exact_context(ctx: MoritaContext) -> ExactContextReport:
     dA, dN, dM, dB = ctx.A.dim, ctx.N.dim, ctx.M.dim, ctx.B.dim
     offA, offN, offM, offB = mr.offs
 
+    eye = Mat.identity(F, W.dim)
+
     def block_rows(offsets_dims):
-        rows = []
-        for off, d in offsets_dims:
-            for i in range(d):
-                r = [F.zero()] * W.dim
-                r[off + i] = F.one()
-                rows.append(r)
-        return Mat.from_rows(F, rows, W.dim)
+        return Mat.vstack([eye.block(off, off + d, 0, W.dim)
+                           for off, d in offsets_dims])
 
     r_rows = block_rows([(offA, dA), (offB, dB)])
     s_rows = block_rows([(offA, dA), (offN, dN), (offB, dB)])

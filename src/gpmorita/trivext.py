@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Algebra, glued_algebra, memo, subalgebra
+from .algebra import Algebra, glued_algebra, ideal_products, memo, subalgebra
 from .bimodules import (
     Bimodule, TensorModule, left_table, regular_bimodule, restrict_left,
     restrict_right, right_table, sub_bimodule_from_rows, tensor_functor_hom,
@@ -82,9 +82,8 @@ def recognize_trivial_extension(a: Algebra, lam_rows: Mat, ideal_rows: Mat,
     combined = Mat.vstack([L, I])
     if rank(combined) != a.dim:
         raise ExtensionError("subring and ideal overlap")
-    for m in (*a.lmul_mats(), *a.rmul_mats()):
-        if not in_row_space(I, I @ m):
-            raise ExtensionError("ideal span is not a two-sided ideal")
+    if not in_row_space(I, ideal_products(a, I)):
+        raise ExtensionError("ideal span is not a two-sided ideal")
     if not (I.kron(I) @ a.consts).is_zero():
         raise ExtensionError("ideal does not square to zero")
     lam, _ = subalgebra(a, L, name=name or "Lambda")   # checks closure and unit
@@ -121,27 +120,26 @@ def check_extension_matches(ext: TrivialExtension, ctx: MoritaContext):
 def induced_module(ext: TrivialExtension, x: FDModule, name: str = "") -> FDModule:
     """X(I) = X (+) I (x)_Lambda X as an A-module, with the action
     (l, i).(v, w) = (l v, i (x) v + l.w), the ideal block on the
-    balanced-tensor quotient coordinates."""
+    balanced-tensor quotient coordinates.  The Lambda-parts l are the
+    actions of X and I (x) X inflated to A; the ideal parts of all the
+    basis elements are one product."""
     if x.algebra is not ext.Lam:
         raise ExtensionError("induced module wants a Lambda-module")
     F = ext.Lam.field
     ix_t = tensor_module(ext.ideal, x)
     dX, dIX = x.dim, ix_t.module.dim
-    eye_x = Mat.identity(F, dX)
     # row t: the ideal part b_t - lambda_t of basis element t, in I's basis
     i_cs = coordinates(ext.ideal_rows, Mat.identity(F, ext.A.dim).sub(
         ext.proj_rows @ ext.incl_rows))
     if i_cs is None:
         raise ExtensionError("basis element does not split as (lambda, i)")
-    acts = []
-    for t in range(ext.A.dim):
-        lam_c = ext.proj_rows.row(t)
-        # the ideal part sends v to the class of i_c (x) v
-        i_c = i_cs.block(t, t + 1, 0, i_cs.cols)
-        ideal_part = i_c.kron(eye_x) @ ix_t.proj
-        acts.append(Mat.from_blocks(F, [dX, dIX], [dX, dIX],
-                                    [[x.act_of(lam_c), ideal_part],
-                                     [None, ix_t.module.act_of(lam_c)]]))
+    # rows t * dX + v: the class of i_t (x) v
+    ideal = i_cs.kron(Mat.identity(F, dX)) @ ix_t.proj
+    lam_x, lam_ix = ext.inflate(x), ext.inflate(ix_t.module)
+    acts = [Mat.from_blocks(F, [dX, dIX], [dX, dIX],
+                            [[lam_x.acts[t], ideal.block(t * dX, (t + 1) * dX, 0, dIX)],
+                             [None, lam_ix.acts[t]]])
+            for t in range(ext.A.dim)]
     return FDModule(ext.A, dX + dIX, acts, name=name or f"{x.name}(I)")
 
 
@@ -181,8 +179,7 @@ def t_lambda(ext: TrivialExtension, ctx: MoritaContext, x: FDModule,
 
     f: M (x)_k X(I) -> M (x)_Lambda X is m (x) (v, w) |-> m (x) v.  The
     I (x) X block contributes nothing: phi = 0 and the second associativity
-    square give M.I = 0 (which `_ideal_checks` also checks), so
-    m (x) (i (x) v) |-> m.i (x) v is 0."""
+    square give M.I = 0, so m (x) (i (x) v) |-> m.i (x) v is 0."""
     check_extension_matches(ext, ctx)
     F = ext.Lam.field
     xi = induced_module(ext, x)
@@ -245,9 +242,9 @@ def structural_maps(ctx: MoritaContext, q: QuadrupleModule) -> StructuralMaps:
     if eta_mat is None:
         raise ContextError("f does not factor through M (x) Coker(g)")
     eta = ModuleHom(mu_t.module, q.y, eta_mat)
-    I = ctx.ideal_rows_a()
-    ix_rows = (row_space(Mat.vstack([q.x.act_of(I.row(r)) for r in range(I.rows)]))
-               if I.rows and q.x.dim else Mat.zeros(F, 0, q.x.dim))
+    # the multiplication I (x)_k X -> X, whose rows span IX
+    mlt_full = q.x.acts_of(ctx.ideal_rows_a())
+    ix_rows = row_space(mlt_full) if mlt_full.rows else Mat.zeros(F, 0, q.x.dim)
     x_mod_ix, p_x = quotient_by_rows(q.x, ix_rows, name=f"{q.x.name}/IX")
     nv_t = tensor_module(ctx.N, v)
     one_mu = tensor_functor_hom(q.ny, nv_t, mu_y)
@@ -257,12 +254,6 @@ def structural_maps(ctx: MoritaContext, q: QuadrupleModule) -> StructuralMaps:
     theta = ModuleHom(nv_t.module, x_mod_ix, theta_mat)
     ibim = ideal_bimodule_a(ctx)
     ix_t = tensor_module(ibim, q.x)
-    mlt_rows = []
-    for s in range(ibim.dim):
-        act = q.x.act_of(ctx.ideal_rows_a().row(s))
-        mlt_rows.extend(act.to_rows())
-    mlt_full = Mat.from_rows(F, mlt_rows, q.x.dim) if mlt_rows else \
-        Mat.zeros(F, 0, q.x.dim)
     mlt_mat = factor_through(ix_t.proj, [mlt_full])
     if mlt_mat is None:
         raise ContextError("multiplication does not factor through I (x) X")

@@ -1,11 +1,15 @@
-"""Twelve layering rules of the package, checked on its source.
+"""Fourteen layering rules of the package, checked on its source.
 
 Only `linalg` sees matrix entries: no other module reads or writes a
 `.data` attribute or the integer storage behind it, so the storage can
 change in one file.  Inside `linalg` the kernels compute on that integer
 storage, never through a per-element `Field` call, and the Morita layers
 (`morita`, `trivext`, `engine`) build their maps from whole matrices, with
-no per-element `Field` arithmetic.  An algebra's product is one n^2 x n
+no per-element `Field` arithmetic.  The Morita layers and the builders
+beside them (`morita`, `trivext`, `catalog`, `nctensor`) act by a span
+with one `acts_of`, never by an `act_of` per element in a loop, and no
+code reads a balanced map one value at a time (`BalancedMap.value`): the
+values are the rows of its matrix.  An algebra's product is one n^2 x n
 matrix: the algebra and ring builders (`algebra`, `morita`, `trivext`,
 `nctensor`) make no per-element `Field` call, and no module reads a nested
 `.mul` table; the idempotent search (`idempotents`) multiplies whole
@@ -157,6 +161,30 @@ def test_checker_keeps_its_own_period_check():
 
 _LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
           ast.DictComp, ast.GeneratorExp)
+
+# the actions of single elements, which `FDModule.acts_of` stacks for a span
+ELEMENT_ACTIONS = {"act_of", "left_act_of", "right_act_of"}
+
+
+def _calls_method(node: ast.AST, names) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in names)
+
+
+def test_morita_layers_act_by_spans_not_elements():
+    hits = {f"{name}:{call.lineno}"
+            for name in ("morita.py", "trivext.py", "catalog.py", "nctensor.py")
+            for loop in ast.walk(_tree(name)) if isinstance(loop, _LOOPS)
+            for call in ast.walk(loop) if _calls_method(call, ELEMENT_ACTIONS)}
+    assert not hits, f"an action per element in a loop: {sorted(hits)}"
+
+
+def test_no_balanced_map_is_read_value_by_value():
+    hits = [f"{os.path.basename(path)}:{node.lineno}"
+            for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py")))
+            for node in ast.walk(_tree(os.path.basename(path)))
+            if _calls_method(node, {"value"})]
+    assert not hits, f"BalancedMap.value calls: {hits}"
 
 
 def _is_stacked_flatten(node: ast.AST) -> bool:

@@ -87,7 +87,7 @@ def test_build_ring_two_cycle():
     mr = build_ring(ctx)
     assert mr.ring.dim == 4
     # both off-diagonal products vanish
-    n, m = mr.embed_n([QQ().one()]), mr.embed_m([QQ().one()])
+    n, m = mr.ring.basis_el(mr.offs[1]), mr.ring.basis_el(mr.offs[2])
     assert mr.ring.multiply(n, m) == mr.ring.zero_el()
     assert mr.ring.multiply(m, n) == mr.ring.zero_el()
     # e1 + e2 = 1, orthogonal
@@ -100,9 +100,9 @@ def test_build_ring_glued_psi():
     _, ctx = glued_psi_context(QQ())
     mr = build_ring(ctx)
     assert mr.ring.dim == 5
-    n, m = mr.embed_n([QQ().one()]), mr.embed_m([QQ().one()])
+    n, m = mr.ring.basis_el(mr.offs[1]), mr.ring.basis_el(mr.offs[2])
     nm = mr.ring.multiply(n, m)           # = x inside the A corner
-    assert nm == mr.embed_a([QQ().zero(), QQ().one()])
+    assert nm == mr.ring.basis_el(mr.offs[0] + 1)
     assert mr.ring.multiply(m, n) == mr.ring.zero_el()
 
 

@@ -80,6 +80,21 @@ rings of the catalog contexts, of full contexts at scales 1 to 3 and of
 seeded random contexts, on trivial extensions and on the tensor rings of
 `tests/test_nctensor.py`; a table or unit with one entry changed must get
 the same violation list, in the same order.
+
+The Morita layer acts by a span with one `FDModule.acts_of` and re-indexes
+whole products with `swap_factors` and `reshape`.  The per-element code it
+replaced is kept below as oracles: the context squares and the ideal checks
+of `validate_context`, the psi, zeta, evaluation and adjoint-mate maps,
+`module_to_quadruple` on the ring's block embeddings, the two loops of
+`structural_maps`, `induced_module`, and the ideal loops of
+`quotient_algebra`, `recognize_trivial_extension` and `ideal_closure`.
+They must give equal matrices and equal message lists, the errors
+included, on the wide context and its swap (whose bimodules have dimension
+2, so a wrong factor order shows), and over Q, GF(7) and GF(5) on seeded
+random contexts, on contexts whose psi or phi is a random admissible
+balanced map, and on `corrupt_psi` contexts.  On every context that
+passes `validate_context`, the parent's ideal checks find nothing: the
+axioms prove them.
 """
 from __future__ import annotations
 
@@ -92,20 +107,21 @@ import pytest
 from gpmorita import linalg
 from gpmorita.algebra import (
     Algebra, AlgebraError, UnsupportedField, Violation, corner_algebra,
-    generating_subset, nilpotency_index, opposite_algebra, quotient_algebra,
-    radical_basis, trace_form, validate_algebra,
+    generating_subset, ideal_closure, nilpotency_index, opposite_algebra,
+    quotient_algebra, radical_basis, trace_form, validate_algebra,
 )
 from gpmorita.bimodules import (
-    Bimodule, BimoduleError, TensorModule, TensorSpace, balanced_tensor_space,
-    bimodule_tensor, hom_module, opposite_bimodule, regular_bimodule,
-    tensor_functor_hom, tensor_module, zero_bimodule,
+    BalancedMap, Bimodule, BimoduleError, TensorModule, TensorSpace,
+    balanced_tensor_space, bimodule_tensor, hom_module, opposite_bimodule,
+    regular_bimodule, tensor_functor_hom, tensor_module, validate_balanced_map,
+    validate_bimodule, zero_balanced_map, zero_bimodule,
 )
 from gpmorita.catalog import (
-    arrow_ideal_context, field_algebra, full_context, glued_psi_context,
-    path_a2, product_fields, random_context, random_glued_context, random_hom,
-    random_module, random_quadruple, simple_at_idempotent, simple_kx2,
-    triangular_context, truncated_poly, two_cycle_context,
-    two_cycle_rad_square, wide_psi_context,
+    arrow_ideal_context, corrupt_psi, field_algebra, full_context,
+    glued_psi_context, path_a2, product_fields, random_context,
+    random_glued_context, random_hom, random_module, random_quadruple,
+    simple_at_idempotent, simple_kx2, triangular_context, truncated_poly,
+    two_cycle_context, two_cycle_rad_square, wide_psi_context,
 )
 from gpmorita.complexes import (
     ComplexWindow, hom_complex_data, hom_exactness_failure,
@@ -132,15 +148,15 @@ from gpmorita.modules import (
 )
 from gpmorita.morita import (
     ContextError, MoritaContext, MoritaRing, QuadrupleModule,
-    build_ring, direct_sum_quadruples, h_a, h_b, make_quadruple,
-    opposite_context, opposite_ring, quadruple_to_module,
-    regular_right_quadruples, swap_context, swap_quadruple, t_a, t_b,
-    tensor_over_ring,
+    build_ring, direct_sum_quadruples, evaluation_full, f_tilde, h_a, h_b,
+    make_quadruple, module_to_quadruple, opposite_context, opposite_ring,
+    psi_hom, quadruple_to_module, regular_right_quadruples, swap_context,
+    swap_quadruple, t_a, t_b, tensor_over_ring, validate_context, zeta_full,
 )
 from gpmorita.nctensor import build_nc_tensor
 from gpmorita.trivext import (
-    StructuralMaps, TrivialExtension, _psi_tensor_one, check_extension_matches,
-    induced_module, lam_bimodules, psi_ideal_coords, psi_tensor_block,
+    ExtensionError, StructuralMaps, TrivialExtension, _psi_tensor_one,
+    check_extension_matches, ideal_bimodule_a, induced_module, lam_bimodules, psi_ideal_coords, psi_tensor_block,
     recognize_trivial_extension, structural_maps, t_lambda, trivial_extension,
 )
 
@@ -1974,3 +1990,486 @@ def test_corrupted_tables_give_the_loop_violations(field):
             assert found == _loop_violations(old)
             seen.update(v.kind for v in found)
     assert seen == {"associativity", "unit"}
+
+
+# -- the Morita layer without per-element loops ---------------------------------
+#
+# The parent's per-element code, verbatim apart from the names: the context
+# squares and the ideal checks of `validate_context`, the psi, zeta,
+# evaluation and adjoint-mate maps, `module_to_quadruple` on the ring's
+# embeddings, the two loops of `structural_maps`, `induced_module`, and the
+# ideal loops of `quotient_algebra` and `recognize_trivial_extension`.
+
+
+def _loop_context_violations(ctx: MoritaContext) -> list[str]:
+    out = []
+    if validate_algebra(ctx.A):
+        out.append("corner algebra A is invalid")
+    if validate_algebra(ctx.B):
+        out.append("corner algebra B is invalid")
+    if out:
+        return out
+    if ctx.M.left is not ctx.B or ctx.M.right is not ctx.A:
+        out.append("M must be a bimodule over (B, A)")
+    if ctx.N.left is not ctx.A or ctx.N.right is not ctx.B:
+        out.append("N must be a bimodule over (A, B)")
+    if out:
+        return out
+    out += [f"M: {msg}" for msg in validate_bimodule(ctx.M)]
+    out += [f"N: {msg}" for msg in validate_bimodule(ctx.N)]
+    out += [f"phi: {msg}" for msg in validate_balanced_map(ctx.phi)]
+    out += [f"psi: {msg}" for msg in validate_balanced_map(ctx.psi)]
+    if out:
+        return out
+    # the associativity square on N (x) M (x) N,
+    #   psi(n (x) m) . n' = n . phi(m (x) n'),
+    # and, through the swap, the one on M (x) N (x) M
+    for c, which, (n, m) in ((ctx, "first", "nm"),
+                             (swap_context(ctx), "second", "mn")):
+        dN, dM = c.N.dim, c.M.dim
+        for i in range(dN):
+            for j in range(dM):
+                left_mat = c.N.left_act_of(c.psi.value(i, j))
+                for k in range(dN):
+                    rhs = c.N.right_act_of(c.phi.value(j, k))
+                    if left_mat.row(k) != rhs.row(i):
+                        out.append(f"{which} context square fails at "
+                                   f"({n}{i}, {m}{j}, {n}{k})")
+                        return out
+    out += _loop_ideal_checks(ctx)
+    return out
+
+
+def _loop_ideal_checks(ctx: MoritaContext) -> list[str]:
+    out = []
+    for c, im, corner in ((ctx, "psi", "A"), (swap_context(ctx), "phi", "B")):
+        I = c.ideal_rows_a()
+        for t in range(c.A.dim):
+            if I.rows and not (in_row_space(I, I @ c.A.lmul_mats()[t])
+                               and in_row_space(I, I @ c.A.rmul_mats()[t])):
+                out.append(f"im({im}) is not a two-sided ideal of {corner}")
+                break
+    I = ctx.ideal_rows_a()
+    if ctx.phi_is_zero and I.rows:
+        # with phi = 0: I.N = 0, M.I = 0 and I^2 = 0
+        for r in range(I.rows):
+            a = I.row(r)
+            if not ctx.N.left_act_of(a).is_zero():
+                out.append("I.N != 0 although phi = 0")
+                break
+            if not ctx.M.right_act_of(a).is_zero():
+                out.append("M.I != 0 although phi = 0")
+                break
+            # the products of row r with every row of I, in one product
+            if not (I.block(r, r + 1, 0, I.cols).kron(I) @ ctx.A.consts).is_zero():
+                out.append("I^2 != 0 although phi = 0")
+    return out
+
+
+def _psi_action_full(ctx: MoritaContext, x: FDModule) -> Mat:
+    """The multiplication map N (x)_k M (x)_k X -> X,
+    n (x) m (x) v |-> psi(n (x) m) . v."""
+    F = ctx.A.field
+    dN, dM, dX = ctx.N.dim, ctx.M.dim, x.dim
+    rows = []
+    for i in range(dN):
+        for j in range(dM):
+            act = x.act_of(ctx.psi.value(i, j))
+            for v in range(dX):
+                rows.append(act.row(v))
+    return Mat.from_rows(F, rows, dX) if rows else Mat.zeros(F, 0, dX)
+
+
+def _zeta_full(ctx: MoritaContext, x: FDModule, hom_basis) -> Mat:
+    """M (x)_k X -> Hom_A(N, X) coordinates, m (x) v |-> [n |-> psi(n (x) m).v]."""
+    F = ctx.A.field
+    dM, dN, dX = ctx.M.dim, ctx.N.dim, x.dim
+    k = len(hom_basis)
+    if k == 0:
+        return Mat.zeros(F, dM * dX, 0)
+    flats = []
+    for i in range(dM):
+        acts = [x.act_of(ctx.psi.value(t, i)) for t in range(dN)]
+        for v in range(dX):
+            flats.append([e for t in range(dN) for e in acts[t].row(v)])
+    c = coordinates(Mat.vstack([h.mat.flatten() for h in hom_basis]),
+                    Mat.from_rows(F, flats, dN * dX))
+    if c is None:
+        raise ContextError("zeta image is not an intertwiner")
+    return c
+
+
+def _evaluation_full(field: Field, outer_dim: int, hom_basis, target_dim: int) -> Mat:
+    """W (x)_k Hom(W, X) -> X, w (x) h |-> (w)h."""
+    k = len(hom_basis)
+    rows = []
+    for i in range(outer_dim):
+        for t in range(k):
+            rows.append(hom_basis[t].mat.row(i))
+    return Mat.from_rows(field, rows, target_dim) if rows else \
+        Mat.zeros(field, 0, target_dim)
+
+
+def _f_tilde(q: QuadrupleModule) -> ModuleHom:
+    """The adjoint mate X -> Hom_B(M, Y) of f."""
+    ctx = q.ctx
+    F = ctx.A.field
+    target, basis = hom_module(ctx.M, q.y)
+    big = q.mx.proj @ q.f.mat       # M (x)_k X -> Y
+    k = len(basis)
+    if k == 0:
+        return zero_hom(q.x, target)
+    dx, dy = q.x.dim, q.y.dim
+    # row j: the map m_i |-> (m_i (x) x_j) f, rows i of M stacked flat
+    flats = [[e for i in range(ctx.M.dim) for e in big.row(i * dx + j)]
+             for j in range(dx)]
+    c = coordinates(Mat.vstack([h.mat.flatten() for h in basis]),
+                    Mat.from_rows(F, flats, ctx.M.dim * dy))
+    if c is None:
+        raise ContextError("adjoint mate failed to express")
+    return ModuleHom(q.x, target, c)
+
+
+def _unit_list(F: Field, n: int, i: int) -> list:
+    out = [F.zero()] * n
+    out[i] = F.one()
+    return out
+
+
+@dataclass
+class _EmbeddingRing:
+    """A context ring with the parent's embeddings of the four blocks."""
+    ctx: MoritaContext
+    ring: Algebra
+    offs: tuple[int, int, int, int]
+    e1: list
+    e2: list
+
+    def embed_a(self, coeffs: list) -> list:
+        return self._embed(coeffs, 0, self.ctx.A.dim)
+
+    def embed_n(self, coeffs: list) -> list:
+        return self._embed(coeffs, self.offs[1], self.ctx.N.dim)
+
+    def embed_m(self, coeffs: list) -> list:
+        return self._embed(coeffs, self.offs[2], self.ctx.M.dim)
+
+    def embed_b(self, coeffs: list) -> list:
+        return self._embed(coeffs, self.offs[3], self.ctx.B.dim)
+
+    def _embed(self, coeffs: list, off: int, d: int) -> list:
+        out = self.ring.zero_el()
+        out[off:off + d] = coeffs
+        return out
+
+
+def _quadruple_bases(mr, v: FDModule) -> list[Mat]:
+    return [row_space(v.act_of(e)) for e in (mr.e1, mr.e2)]
+
+
+def _module_to_quadruple(mr, v: FDModule, name: str = "") -> QuadrupleModule:
+    """Recover the quadruple from a module over the context ring."""
+    ctx = mr.ctx
+    F = mr.ring.field
+    parts = _quadruple_bases(mr, v)
+    if parts[0].rows + parts[1].rows != v.dim:
+        raise ContextError("idempotent decomposition does not exhaust the module")
+    mods = []
+    for rows, alg, embed, (tag, letter) in zip(
+            parts, (ctx.A, ctx.B), (mr.embed_a, mr.embed_b), ("XA", "YB")):
+        k = rows.rows
+        c = coordinates(rows, Mat.vstack([rows @ v.act_of(embed(alg.basis_el(t)))
+                                          for t in range(alg.dim)]))
+        if c is None:
+            raise ContextError(f"{tag}-part is not {letter}-invariant")
+        acts = [c.block(t * k, (t + 1) * k, 0, k) for t in range(alg.dim)]
+        mods.append(FDModule(alg, k, acts, name=f"{name}|{tag}"))
+    # f on the full tensor space: m_s (x) x_j |-> (embed m_s) . x_j; then g
+    fulls = []
+    for src, dst, bim, embed, (tag, part) in zip(
+            parts, parts[::-1], (ctx.M, ctx.N), (mr.embed_m, mr.embed_n),
+            ("MY", "NX")):
+        images = [src @ v.act_of(embed(_unit_list(F, bim.dim, s)))
+                  for s in range(bim.dim)]
+        c = coordinates(dst, Mat.vstack(images) if images
+                        else Mat.zeros(F, 0, v.dim))
+        if c is None:
+            raise ContextError(f"{tag}-action does not land in the {part}-part")
+        fulls.append(c)
+    return make_quadruple(ctx, mods[0], mods[1], fulls[0], fulls[1], name=name)
+
+
+def _structural_loops(ctx: MoritaContext, q: QuadrupleModule) -> tuple[Mat, Mat]:
+    """The row basis of IX and the multiplication I (x)_k X -> X of
+    `structural_maps`."""
+    F = ctx.A.field
+    I = ctx.ideal_rows_a()
+    ix_rows = (row_space(Mat.vstack([q.x.act_of(I.row(r)) for r in range(I.rows)]))
+               if I.rows and q.x.dim else Mat.zeros(F, 0, q.x.dim))
+    ibim = ideal_bimodule_a(ctx)
+    mlt_rows = []
+    for s in range(ibim.dim):
+        act = q.x.act_of(ctx.ideal_rows_a().row(s))
+        mlt_rows.extend(act.to_rows())
+    mlt_full = Mat.from_rows(F, mlt_rows, q.x.dim) if mlt_rows else \
+        Mat.zeros(F, 0, q.x.dim)
+    return ix_rows, mlt_full
+
+
+def _induced_module(ext: TrivialExtension, x: FDModule, name: str = "") -> FDModule:
+    """X(I) = X (+) I (x)_Lambda X as an A-module, with the action
+    (l, i).(v, w) = (l v, i (x) v + l.w), the ideal block on the
+    balanced-tensor quotient coordinates."""
+    if x.algebra is not ext.Lam:
+        raise ExtensionError("induced module wants a Lambda-module")
+    F = ext.Lam.field
+    ix_t = tensor_module(ext.ideal, x)
+    dX, dIX = x.dim, ix_t.module.dim
+    eye_x = Mat.identity(F, dX)
+    # row t: the ideal part b_t - lambda_t of basis element t, in I's basis
+    i_cs = coordinates(ext.ideal_rows, Mat.identity(F, ext.A.dim).sub(
+        ext.proj_rows @ ext.incl_rows))
+    if i_cs is None:
+        raise ExtensionError("basis element does not split as (lambda, i)")
+    acts = []
+    for t in range(ext.A.dim):
+        lam_c = ext.proj_rows.row(t)
+        # the ideal part sends v to the class of i_c (x) v
+        i_c = i_cs.block(t, t + 1, 0, i_cs.cols)
+        ideal_part = i_c.kron(eye_x) @ ix_t.proj
+        acts.append(Mat.from_blocks(F, [dX, dIX], [dX, dIX],
+                                    [[x.act_of(lam_c), ideal_part],
+                                     [None, ix_t.module.act_of(lam_c)]]))
+    return FDModule(ext.A, dX + dIX, acts, name=name or f"{x.name}(I)")
+
+
+def _quotient_ideal_loop(a: Algebra, ideal_rows: Mat):
+    """The two-sided ideal check of `quotient_algebra`."""
+    R = row_space(ideal_rows)
+    for t in range(a.dim):
+        if not in_row_space(R, R @ a.lmul_mats()[t]) or not in_row_space(R, R @ a.rmul_mats()[t]):
+            raise AlgebraError("row span is not a two-sided ideal")
+
+
+def _recognize_ideal_loop(a: Algebra, I: Mat):
+    """The two-sided ideal check of `recognize_trivial_extension`."""
+    for m in (*a.lmul_mats(), *a.rmul_mats()):
+        if not in_row_space(I, I @ m):
+            raise ExtensionError("ideal span is not a two-sided ideal")
+
+
+def _ideal_closure(a: Algebra, rows: Mat) -> Mat:
+    """Smallest two-sided ideal containing the row span."""
+    span = row_space(rows)
+    while True:
+        new = row_space(Mat.vstack([span] + [span @ m for m in
+                                             (*a.lmul_mats(), *a.rmul_mats())]))
+        if new.rows == span.rows:
+            return new
+        span = new
+
+
+# -- cases of the Morita layer -----------------------------------------------------
+
+
+def _admissible_map(x: Bimodule, y: Bimodule, c: Algebra, rng: random.Random) -> Mat:
+    """A random C-bilinear map X (x)_D Y -> C that is balanced over D, for X
+    over (C, D) and Y over (D, C), on the full tensor basis: a random point
+    of the kernel of the three linear conditions."""
+    F = c.field
+    dx, dy, dc = x.dim, y.dim, c.dim
+    if dx * dy == 0:
+        return Mat.zeros(F, 0, dc)
+    eye_x, eye_y = Mat.identity(F, dx), Mat.identity(F, dy)
+    basis = kernel_basis(Mat.vstack([
+        intertwining_system(F, dx, dy, x.right_acts, y.left_acts).kron(
+            Mat.identity(F, dc)),
+        intertwining_system(F, dx * dy, dc, [a.kron(eye_y) for a in x.left_acts],
+                            [a.transpose() for a in c.lmul_mats()]),
+        intertwining_system(F, dx * dy, dc, [eye_x.kron(a) for a in y.right_acts],
+                            [a.transpose() for a in c.rmul_mats()])])).transpose()
+    return linear_combination(
+        F, dx * dy, dc, [_random_scalar(F, rng) for _ in range(basis.rows)],
+        [basis.block(r, r + 1, 0, dx * dy * dc).reshape(dx * dy, dc)
+         for r in range(basis.rows)]) if basis.rows else Mat.zeros(F, dx * dy, dc)
+
+
+def _second_square_context(F: Field) -> MoritaContext:
+    """A = k[x]/(x^2), B = k, N = k with x acting as 0, M = A, phi = 0 and
+    psi(n (x) m) = x m: I = kx kills N but not M, so the first square holds
+    and the second fails."""
+    A, B = truncated_poly(F, 2), field_algebra(F)
+    one, zero = Mat.identity(F, 1), Mat.zeros(F, 1, 1)
+    N = Bimodule(A, B, 1, [one, zero], [one], name="N")
+    M = Bimodule(B, A, 2, [Mat.identity(F, 2)], A.rmul_mats(), name="M")
+    psi = BalancedMap(N, M, A, Mat.from_rows(F, [[0, 1], [0, 0]], 2))
+    return MoritaContext(A, B, M, N, zero_balanced_map(M, N, B), psi)
+
+
+def _context_cases(F: Field, seed: int) -> list[MoritaContext]:
+    """The catalog contexts, their swaps and opposites, full contexts at
+    scale 2 over k[x]/(x^2) and the path algebra of A2, a context whose
+    second square alone fails, and seeded random contexts; each of these
+    again with psi, or phi, replaced by a random admissible balanced map
+    (which may break a square), and with psi perturbed by `corrupt_psi`."""
+    rng = random.Random(seed)
+    base = [make(F)[1] for make in ALL_CONTEXTS.values()]
+    base.append(_second_square_context(F))
+    base += [full_context(R, scale=F.of_int(2)) for R in (truncated_poly(F, 2),
+                                                          path_a2(F))]
+    base += [random_context(F, rng)[1] for _ in range(6)]
+    base += [c for ctx in base[:len(ALL_CONTEXTS) + 1]
+             for c in (swap_context(ctx), opposite_context(ctx))]
+    out = list(base)
+    for ctx in base:
+        A, B, M, N = ctx.A, ctx.B, ctx.M, ctx.N
+        out.append(MoritaContext(A, B, M, N, ctx.phi,
+                                 BalancedMap(N, M, A, _admissible_map(N, M, A, rng))))
+        out.append(MoritaContext(A, B, M, N,
+                                 BalancedMap(M, N, B, _admissible_map(M, N, B, rng)),
+                                 ctx.psi))
+        broken = corrupt_psi(ctx, rng)
+        if broken is not None:
+            out.append(broken)
+    return out
+
+
+@pytest.mark.parametrize("field", THREE_FIELDS)
+def test_context_messages_match_the_loops(field):
+    """`validate_context` gives the parent's message list, the ideal
+    checks included, on valid, square-breaking and corrupted contexts."""
+    F = THREE_FIELDS[field]()
+    seen = set()
+    for ctx in _context_cases(F, 28):
+        found = validate_context(ctx)
+        assert found == _loop_context_violations(ctx)
+        seen.update(msg.split(" fails at ")[0] for msg in found)
+    assert {"first context square", "second context square"} <= seen
+    assert any(msg.startswith("psi: ") for msg in seen)
+
+
+def _valid_contexts(F: Field) -> list[MoritaContext]:
+    """The catalog contexts with their swaps and opposites, 40 seeded
+    random contexts, and the valid ones among `_context_cases`."""
+    out = []
+    for make in ALL_CONTEXTS.values():
+        ctx = make(F)[1]
+        out += [ctx, swap_context(ctx), opposite_context(ctx)]
+    rng = random.Random(40)
+    out += [random_context(F, rng)[1] for _ in range(40)]
+    out += _context_cases(F, 29)
+    return [c for c in out if not validate_context(c)]
+
+
+@pytest.mark.parametrize("field", THREE_FIELDS)
+def test_the_axioms_prove_the_ideal_checks(field):
+    """On every context that passes `validate_context`, the parent's ideal
+    checks find nothing: im(psi) and im(phi) are ideals, and with phi = 0,
+    I.N = 0, M.I = 0 and I^2 = 0."""
+    F = THREE_FIELDS[field]()
+    valid = _valid_contexts(F)
+    assert len(valid) >= 60
+    nonzero = 0
+    for ctx in valid:
+        assert _loop_ideal_checks(ctx) == []
+        nonzero += ctx.phi_is_zero and ctx.ideal_rows_a().rows > 0
+    assert nonzero
+
+
+@pytest.mark.parametrize("field, context", RIGHT_PARAMS)
+def test_morita_maps_match_the_element_loops(field, context):
+    """psi, zeta, the evaluation and the adjoint mate on both sides of every
+    quadruple, and `module_to_quadruple` on the ring modules of the
+    quadruples (right ones too), are the parent's matrices."""
+    ctx, quads = _cases(field, context)
+    mr = build_ring(ctx)
+    for q in quads:
+        for s in (q, swap_quadruple(q)):
+            c, x = s.ctx, s.x
+            assert x.acts_of(c.psi.mat) == _psi_action_full(c, x)
+            nmx = tensor_module(c.N, s.mx.module)
+            big_proj = Mat.identity(c.A.field, c.N.dim).kron(s.mx.proj) @ nmx.proj
+            assert psi_hom(c, x, s.mx, nmx).mat == \
+                factor_through(big_proj, [_psi_action_full(c, x)])[0]
+            _, basis = hom_module(c.N, x)
+            assert zeta_full(c, x, basis) == _zeta_full(c, x, basis)
+            assert evaluation_full(c.A.field, c.N.dim, basis, x.dim) == \
+                _evaluation_full(c.A.field, c.N.dim, basis, x.dim)
+            assert f_tilde(s).mat == _f_tilde(s).mat
+    rings = [(mr, [quadruple_to_module(mr, q) for q in quads]
+              + [regular_module(mr.ring)])]
+    op = opposite_ring(mr)
+    rings.append((op, [quadruple_to_module(op, rq) for rq in _right_cases(ctx)]))
+    for ring, mods in rings:
+        old_ring = _EmbeddingRing(ring.ctx, ring.ring, ring.offs, ring.e1, ring.e2)
+        for v in mods:
+            new, old = module_to_quadruple(ring, v), _module_to_quadruple(old_ring, v)
+            assert (new.x.acts, new.y.acts) == (old.x.acts, old.y.acts)
+            assert (new.f.mat, new.g.mat) == (old.f.mat, old.g.mat)
+
+
+@pytest.mark.parametrize("field, context", RIGHT_PARAMS)
+def test_trivext_maps_match_the_element_loops(field, context):
+    """`induced_module` on Lambda-modules, and IX and the multiplication
+    of `structural_maps` on every quadruple of a context with phi = 0."""
+    ext = ALL_CONTEXTS[context.removesuffix("^swap")](FIELDS[field]())[0]
+    rng = random.Random(11)
+    for x in simple_modules(ext.Lam) + [random_module(ext.Lam, rng, max_cuts=1)
+                                        for _ in range(3)]:
+        assert induced_module(ext, x).acts == _induced_module(ext, x).acts
+    ctx, quads = _cases(field, context)
+    if not ctx.phi_is_zero:
+        return
+    for q in quads:
+        sm = structural_maps(ctx, q)
+        ix_rows, mlt_full = _structural_loops(ctx, q)
+        assert sm.ix_rows == ix_rows
+        assert sm.mlt.mat == factor_through(sm.ix_t.proj, [mlt_full])[0]
+
+
+def _message(call) -> str | None:
+    try:
+        call()
+    except (AlgebraError, ExtensionError) as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("field", THREE_FIELDS)
+def test_ideal_products_match_the_ideal_loops(field):
+    """`quotient_algebra` and `recognize_trivial_extension` raise on a span
+    exactly when the parent's loop over L_t and R_t does, with its message,
+    and `ideal_closure` gives the parent's span."""
+    F = THREE_FIELDS[field]()
+    rng = random.Random(13)
+    raised = 0
+    zero = Algebra(F, 0, Mat.zeros(F, 0, 0), [])      # loadable from a file
+    for a in _catalog_algebras(F) + [zero]:
+        spans = [_random_mat(F, rng, rng.randint(0, a.dim), a.dim) for _ in range(4)]
+        for rows in spans:
+            closure = ideal_closure(a, rows)
+            assert closure == _ideal_closure(a, rows)
+            for span in (rows, closure):
+                old = _message(lambda: _quotient_ideal_loop(a, span))
+                new = _message(lambda: quotient_algebra(a, span))
+                assert new == old
+                raised += old is not None
+    exts = [make(F)[0] for make in ALL_CONTEXTS.values()]
+    exts += [random_glued_context(F, random.Random(s))[0] for s in range(4)]
+    empty = Mat.zeros(F, 0, 0)
+    assert recognize_trivial_extension(zero, empty, empty).ideal.dim == 0
+    for ext in exts:
+        L = row_space(ext.incl_rows)
+        for _ in range(3):
+            # each row of the ideal moved by a random element of Lambda:
+            # still a complement, rarely an ideal
+            k = ext.ideal_rows.rows
+            I = row_space(ext.ideal_rows.add(_random_mat(F, rng, k, L.rows) @ L))
+            old = _message(lambda: _recognize_ideal_loop(ext.A, I))
+            new = _message(lambda: recognize_trivial_extension(ext.A, L, I))
+            if old is not None:
+                assert new == old
+                raised += 1
+            else:
+                assert new != "ideal span is not a two-sided ideal"
+    assert raised

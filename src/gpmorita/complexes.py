@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 from .bimodules import balanced_tensor_space
 from .linalg import (
-    Mat, coordinates, intertwining_system, rank, solve, solve_left,
+    Mat, coordinates, intertwining_system, left_kernel, rank, row_space, solve,
+    solve_left,
 )
 from .modules import (
-    FDModule, ModuleHom, direct_sum, hom_space, image_of, kernel_of,
-    regular_module, validate_module,
+    FDModule, ModuleHom, direct_sum, hom_space, regular_module, validate_module,
 )
 from .homology import is_projective
 
@@ -363,13 +363,14 @@ def horseshoe(ses: ShortExactSequence, xc: ComplexWindow, kx: ModuleHom,
                 and rho[i - 1].mat == rho[i - 1 - period].mat):
             rho[i] = ModuleHom(yc.term(i), xc.term(i + 1), rho[i - period].mat)
             continue
-        w_i, w_incl = image_of(woven(i - 1))
+        # the image of the previous woven differential and the kernel of
+        # d_Y^i, as their canonical row bases
+        w = row_space(woven(i - 1).mat)
         dX = xc.term(i).dim
-        w = w_incl.mat
         j_mat = w.block(0, w.rows, 0, dX)
         wy_mat = w.block(0, w.rows, dX, w.cols)
-        v_i_target, ky_i = kernel_of(yc.diff(i))
-        v_i = solve_left(ky_i.mat, wy_mat)
+        ky_i = left_kernel(yc.diff(i).mat)
+        v_i = solve_left(ky_i, wy_mat)
         if v_i is None:
             raise HorseshoeError(f"kernel bookkeeping failed at degree {i}",
                                  degree=i)
@@ -377,7 +378,7 @@ def horseshoe(ses: ShortExactSequence, xc: ComplexWindow, kx: ModuleHom,
         if c_mat is None:
             raise HorseshoeError(f"factorization through V failed at degree {i}",
                                  degree=i)
-        rho_i = solve_module_hom(yc.term(i), xc.term(i + 1), pre=ky_i.mat,
+        rho_i = solve_module_hom(yc.term(i), xc.term(i + 1), pre=ky_i,
                                  pre_rhs=c_mat)
         if rho_i is None:
             raise HorseshoeError(f"no equivariant lift for rho^{i}", degree=i)

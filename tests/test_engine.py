@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import os
-import random
 from dataclasses import replace
 
 import pytest
@@ -10,8 +9,8 @@ from gpmorita import complexes, engine, homology, linalg, modules
 
 from gpmorita.catalog import (
     arrow_ideal_context, field_algebra, full_context, glued_psi_context,
-    random_quadruple, simple_at_idempotent, triangular_context, triangular_over,
-    truncated_poly, two_cycle_context, wide_psi_context,
+    simple_at_idempotent, triangular_context, triangular_over, truncated_poly,
+    two_cycle_context, wide_psi_context,
 )
 from gpmorita.complexes import (
     ComplexWindow, horseshoe, is_exact, one_period, total_exactness,
@@ -20,20 +19,19 @@ from gpmorita.complexes import (
 from gpmorita.engine import (
     AuditReport, CompatVerdict, EngineError, audit_equivalence,
     build_total_resolution, check_compat, check_conditions,
-    check_semi_weak_quadruple, compose_compat, corner_complexes,
-    identity_extension, zero_case_check,
+    check_semi_weak_quadruple, compose_compat, identity_extension,
+    zero_case_check,
 )
 from gpmorita.fields import GF, QQ
 from gpmorita.gpcert import certify_gorenstein_projective
 from gpmorita.jsonio import load_problem_file
 from gpmorita.linalg import Mat
 from gpmorita.modules import ModuleHom, regular_module, zero_module
-from gpmorita.homology import simple_modules
 from gpmorita.morita import (
-    build_ring, direct_sum_quadruples, h_a, h_b, quadruple_to_module, t_a, t_b,
-    z_a, z_b,
+    build_ring, direct_sum_quadruples, quadruple_to_module, t_a, t_b, z_a, z_b,
 )
 from gpmorita.trivext import t_lambda
+from test_reduction_oracle import _audit_family, corner_complexes
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -237,14 +235,6 @@ def test_semi_weak_left_n_fails_where_the_ring_hom_into_z_n_fails():
                              else {"test": 0, "degree": failure})
 
 
-def _audit_family(ctx, randoms: int) -> list:
-    """The T, H and Z images of the simples and seeded random quadruples."""
-    family = [f(ctx, s) for s in simple_modules(ctx.A) for f in (t_a, h_a, z_a)]
-    family += [f(ctx, s) for s in simple_modules(ctx.B) for f in (t_b, h_b, z_b)]
-    rng = random.Random(0)
-    return family + [random_quadruple(ctx, rng) for _ in range(randoms)]
-
-
 def test_audit_of_lambda00_decides_every_entry():
     # Lambda_(0,0), the self-injective ring of (R, R, R, R, 0, 0) over
     # R = k[x]/(x^2), whose certified windows are not ordered (X, Y)
@@ -257,8 +247,8 @@ def test_audit_of_lambda00_decides_every_entry():
 
 
 def test_semi_weak_verdicts_of_the_wide_context_are_not_refuted():
-    # the corner complex of a contractible ring window has exact Hom, so a
-    # refutation there came from slicing the differential in the wrong basis
+    # Hom into Z(W) and Z(W) (x) - keep a contractible ring window exact, so
+    # no sampled test may refute here
     ext, ctx = wide_psi_context(QQ())
     report = audit_equivalence(ext, ctx, _audit_family(ctx, 6), window=3)
     assert {v.kind for v in report.semi_weak_verdicts.values()} == {"pass_sampled"}
@@ -637,9 +627,9 @@ def test_assembly_tensors_each_pair_once(F, make, count_calls):
 
 
 def test_audit_tensors_each_pair_once(count_calls):
-    # the right-side semi-weak check reads W (x)_Lambda P^i twice, in its
-    # reduction cross-check and in `tensor_exactness_failure`; the memo of
-    # `balanced_tensor_space` builds it once
+    # the right-side semi-weak check reads Z(W) (x) T^i over the ring for
+    # each term of a test window, and a window's period repeats its term
+    # instances; the memo of `balanced_tensor_space` builds each pair once
     prob = load_problem_file(os.path.join(FIX, "two_cycle.json"))
     ext, ctx = prob.named("extensions", "ext"), prob.named("contexts", "ctx")
     family = [prob.named("quadruples", n) for n in ("S1", "S2")]

@@ -1,4 +1,4 @@
-"""Fourteen layering rules of the package, checked on its source.
+"""Fifteen layering rules of the package, checked on its source.
 
 Only `linalg` sees matrix entries: no other module reads or writes a
 `.data` attribute or the integer storage behind it, so the storage can
@@ -18,7 +18,10 @@ independent checker `verify` imports only the shared ground (linear
 algebra, modules, complex windows, algebras and the certificate types),
 never a builder module such as `bimodules` or `homology`, and it checks
 a periodic window with its own code, not with the builder's period
-helpers in `complexes`.  Vectors are expressed in a stacked basis of
+helpers in `complexes`.  The engine decides semi-weak compatibility over
+the context ring alone: it never reads a ring module back as a quadruple
+(`module_to_quadruple`, `quadruple_bases`), which a second, corner-side
+route to the same verdict would need.  Vectors are expressed in a stacked basis of
 flattened maps through one batched `coordinates` call, never through a
 `solve_left` per vector in a loop, which row-reduces the same basis once
 per call.  Maps are factored
@@ -157,6 +160,23 @@ def test_checker_keeps_its_own_period_check():
             if name in BUILDER_PERIOD_HELPERS:
                 hits.append(f"verify.py:{node.lineno}")
     assert not hits, f"the checker uses the builder's period helper: {hits}"
+
+
+# the readings of a ring module in its corners, which the engine does not use
+CORNER_READINGS = {"module_to_quadruple", "quadruple_bases"}
+
+
+def test_engine_reads_no_ring_module_as_a_quadruple():
+    hits = []
+    for node in ast.walk(_tree("engine.py")):
+        if isinstance(node, ast.ImportFrom):
+            hits += [f"engine.py:{node.lineno}" for alias in node.names
+                     if alias.name in CORNER_READINGS]
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name in CORNER_READINGS:
+                hits.append(f"engine.py:{node.lineno}")
+    assert not hits, f"the engine reads a ring module in its corners: {hits}"
 
 
 _LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,

@@ -13,10 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bimodules import balanced_tensor_space
-from .linalg import (
-    Mat, coordinates, intertwining_system, left_kernel, rank, row_space, solve,
-    solve_left,
-)
+from .linalg import Mat, coordinates, intertwining_system, rank, solve
 from .modules import (
     FDModule, ModuleHom, direct_sum, hom_space, regular_module, validate_module,
 )
@@ -295,15 +292,24 @@ def horseshoe(ses: ShortExactSequence, xc: ComplexWindow, kx: ModuleHom,
     result has Z^i = X^i (+) Y^i, differentials [[d_X, 0], [rho, d_Y]],
     and its degree-0 kernel sequence is the given one on the nose.
 
-    Each lift rho^i is decided by solving for it, with no Ext^1 pre-check
-    (vanishing Ext^1 is sufficient, not necessary); a missing lift raises
-    HorseshoeError with its degree.  The sequence, both kernel
-    identifications and the exactness of both inputs are checked first,
-    and the woven window and its kernel sequence last.
+    Each lift rho^i is one `solve_module_hom` system making d.d = 0 against
+    its built neighbour, with no Ext^1 pre-check (vanishing Ext^1 is
+    sufficient, not necessary): b @ rho^i = -(a @ d_X^i) for i >= 0, (a, b)
+    the X- and Y-parts of the differential into degree i ([j0, surject.ky]
+    at 0, j0 extending kx along the sequence), and rho^i @ d_X^{i+1} =
+    -(d_Y^i @ rho^{i+1}) for i <= -1; a missing lift raises HorseshoeError
+    with its degree.  The long exact homology sequence makes the woven
+    window exact.  As Y is exact and surject is onto V, a forward system
+    has the solutions of prescribing rho^i on ker d_Y^i through the image
+    of the previous woven differential, and `solve` reads its answer off the
+    reduced echelon form, which the solutions fix: each lift is the matrix
+    that route gives.  The sequence, both kernel identifications and the
+    exactness of both inputs are checked first, and the woven window and
+    its kernel sequence last.
 
     Periodic inputs are built and checked over one period.  The lift at a
     degree i >= 1 is a deterministic function of the terms of X and Y at
-    i - 1, i and i + 1, their differentials at i - 1 and i, and rho^{i-1};
+    i and i + 1, the differentials d_Y^{i-1} and d_X^i, and rho^{i-1};
     the lift at i <= -1 one of the terms at i and i + 1, the
     differentials d_Y^i and d_X^{i+1}, and rho^{i+1}.  So when X and Y
     both repeat literally by L, and rho^{i-1} equals rho^{i-1-L} (i - L >=
@@ -339,47 +345,20 @@ def horseshoe(ses: ShortExactSequence, xc: ComplexWindow, kx: ModuleHom,
     z_sums = [sums[id(x), id(y)] for x, y in zip(xc.terms, yc.terms)]
     terms = [z for z, _, _ in z_sums]
     rho: dict[int, ModuleHom] = {}
-
-    def woven(i: int) -> ModuleHom:
-        return ModuleHom(terms[i - lo], terms[i - lo + 1],
-                         twisted_diff(xc.diff(i).mat, rho[i].mat, yc.diff(i).mat))
-
-    # stage 0 lifts the given sequence; later stages reuse the X-component
-    # of the image of the previous differential, which makes d.d = 0 an
-    # identity rather than an extra constraint.
     j0 = solve_module_hom(ses.w, xc.term(0), pre=ses.inject.mat, pre_rhs=kx.mat)
     if j0 is None:
         raise HorseshoeError("no equivariant extension at degree 0", degree=0)
-    c_mat = solve(ses.surject.mat, (j0.mat @ xc.diff(0).mat).neg())
-    if c_mat is None:
-        raise HorseshoeError("factorization through V failed at degree 0", degree=0)
-    rho0 = solve_module_hom(yc.term(0), xc.term(1), pre=ky.mat, pre_rhs=c_mat)
-    if rho0 is None:
-        raise HorseshoeError("no equivariant lift for rho^0", degree=0)
-    rho[0] = rho0
-    embed = Mat.hstack([j0.mat, ses.surject.mat @ ky.mat])
-    for i in range(1, hi):
+    v_part = ses.surject.mat @ ky.mat
+    embed = Mat.hstack([j0.mat, v_part])
+    for i in range(hi):
         if (period and i - period >= 1
                 and rho[i - 1].mat == rho[i - 1 - period].mat):
             rho[i] = ModuleHom(yc.term(i), xc.term(i + 1), rho[i - period].mat)
             continue
-        # the image of the previous woven differential and the kernel of
-        # d_Y^i, as their canonical row bases
-        w = row_space(woven(i - 1).mat)
-        dX = xc.term(i).dim
-        j_mat = w.block(0, w.rows, 0, dX)
-        wy_mat = w.block(0, w.rows, dX, w.cols)
-        ky_i = left_kernel(yc.diff(i).mat)
-        v_i = solve_left(ky_i, wy_mat)
-        if v_i is None:
-            raise HorseshoeError(f"kernel bookkeeping failed at degree {i}",
-                                 degree=i)
-        c_mat = solve(v_i, (j_mat @ xc.diff(i).mat).neg())
-        if c_mat is None:
-            raise HorseshoeError(f"factorization through V failed at degree {i}",
-                                 degree=i)
-        rho_i = solve_module_hom(yc.term(i), xc.term(i + 1), pre=ky_i,
-                                 pre_rhs=c_mat)
+        # d.d = 0 into degree i + 1, (a, b) the differential into degree i
+        a, b = (j0.mat, v_part) if i == 0 else (rho[i - 1].mat, yc.diff(i - 1).mat)
+        rho_i = solve_module_hom(yc.term(i), xc.term(i + 1), pre=b,
+                                 pre_rhs=(a @ xc.diff(i).mat).neg())
         if rho_i is None:
             raise HorseshoeError(f"no equivariant lift for rho^{i}", degree=i)
         rho[i] = rho_i
@@ -395,7 +374,10 @@ def horseshoe(ses: ShortExactSequence, xc: ComplexWindow, kx: ModuleHom,
             raise HorseshoeError(f"no equivariant lift for rho^{i}", degree=i)
         rho[i] = rho_i
 
-    zc = ComplexWindow(lo, hi, terms, [woven(i) for i in range(lo, hi)])
+    zc = ComplexWindow(lo, hi, terms, [
+        ModuleHom(terms[i - lo], terms[i - lo + 1],
+                  twisted_diff(xc.diff(i).mat, rho[i].mat, yc.diff(i).mat))
+        for i in range(lo, hi)])
     checked = one_period(zc)
     bad = validate_complex(checked)
     if bad:

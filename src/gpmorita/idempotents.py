@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 from .algebra import (
     Algebra, AlgebraError, corner_algebra, nilpotency_index, quotient_algebra,
@@ -86,10 +87,6 @@ def _poly_gcd(F: Field, a: list, b: list) -> list:
     return a
 
 
-def _poly_deriv(F: Field, a: list) -> list:
-    return _poly_trim(F, [F.mul(F.of_int(i), a[i]) for i in range(1, len(a))])
-
-
 def _poly_powmod_xq(F: Field, modulus: list, q: int) -> list:
     """x^q mod modulus by binary powering."""
     result = [F.zero(), F.one()]
@@ -119,62 +116,40 @@ def _int_divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def squarefree_part(F: Field, a: list) -> list:
-    d = _poly_deriv(F, a)
-    if not d:
-        return a
-    g = _poly_gcd(F, a, d)
-    q, r = _poly_divmod(F, a, g)
-    assert not r
-    return q
-
-
 def linear_roots(F: Field, poly: list, seed: int = 0) -> tuple[list, bool]:
-    """Distinct roots of `poly` in F, and whether its squarefree part is a
-    product of linear factors over F."""
-    sf = squarefree_part(F, poly)
-    n = len(sf) - 1
+    """Distinct roots of `poly` in F, ascending, and whether their number is
+    its degree: for a squarefree poly (the minimal polynomial of an element
+    of a semisimple algebra), whether it splits into linear factors over F."""
+    poly = _poly_trim(F, poly)
+    n = len(poly) - 1
     if n <= 0:
         return [], True
-    roots = []
     if F.is_rational:
-        # clear denominators, rational root theorem
-        den = math.lcm(*(c.denominator for c in sf))
-        zc = [int(c * den) for c in sf]
-        lead, const = zc[-1], zc[0]
-        if const == 0:
-            roots.append(F.zero())
-            sf2, _ = _poly_divmod(F, sf, [F.zero(), F.one()])
-            more, split = linear_roots(F, sf2, seed)
-            return sorted(set([F.zero()] + more)), split
-        from fractions import Fraction
-        cands = set()
-        for p in _int_divisors(const):
-            for q in _int_divisors(lead):
-                cands.add(Fraction(p, q))
-                cands.add(Fraction(-p, q))
-        for cand in sorted(cands):
-            if _poly_eval(F, sf, cand) == 0:
-                roots.append(cand)
-        return roots, len(roots) == n
+        # poly = x^k g with g(0) != 0: 0 if k > 0, then the rational root
+        # theorem on g with its denominators cleared
+        k = next(i for i, c in enumerate(poly) if c)
+        g = poly[k:]
+        den = math.lcm(*(c.denominator for c in g))
+        zc = [int(c * den) for c in g]
+        cands = {Fraction(sign * a, b) for a in _int_divisors(zc[0])
+                 for b in _int_divisors(zc[-1]) for sign in (1, -1)}
+        roots = [F.zero()] if k else []
+        roots += [c for c in sorted(cands) if _poly_eval(F, g, c) == 0]
+        return sorted(roots), len(roots) == n
     p = F.p
-    # product of the distinct linear factors: gcd(x^p - x, sf)
-    xp = _poly_powmod_xq(F, sf, p)
+    if p <= 4096:
+        roots = [F.of_int(c) for c in range(p)
+                 if F.is_zero(_poly_eval(F, poly, F.of_int(c)))]
+        return roots, len(roots) == n
+    # the product of the distinct linear factors: gcd(x^p - x, poly)
+    xp = _poly_powmod_xq(F, poly, p)
     width = max(len(xp), 2)
     a_ = xp + [F.zero()] * (width - len(xp))
     b_ = [F.zero(), F.one()] + [F.zero()] * (width - 2)
     xpx = _poly_trim(F, [F.sub(u, v) for u, v in zip(a_, b_)])
-    lin = _poly_gcd(F, xpx, sf) if xpx else sf
-    deg_lin = len(lin) - 1 if lin else 0
-    if deg_lin == 0:
-        return [], n == 0
-    if p <= 4096:
-        for c in range(p):
-            if _poly_eval(F, lin, F.of_int(c)) == 0:
-                roots.append(F.of_int(c))
-        return roots, deg_lin == n
-    roots = _cz_roots(F, lin, seed)
-    return sorted(roots), deg_lin == n
+    lin = _poly_gcd(F, xpx, poly) if xpx else poly
+    roots = sorted(_cz_roots(F, lin, seed))
+    return roots, len(roots) == n
 
 
 def _poly_eval(F: Field, a: list, x):

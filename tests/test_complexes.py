@@ -5,7 +5,7 @@ import random
 import pytest
 
 from gpmorita.catalog import (
-    path_a2, proj_a2, random_module, simple_at_idempotent, simple_kx2,
+    field_algebra, path_a2, proj_a2, random_module, simple_at_idempotent, simple_kx2,
     truncated_poly, two_cycle_rad_square,
 )
 from gpmorita.complexes import (
@@ -241,3 +241,42 @@ def test_horseshoe_decides_lifts_without_ext_precheck(F):
         horseshoe(ShortExactSequence(incl, proj), xc, identity_hom(s1), yc,
                   identity_hom(s2))
     assert err.value.degree == 0
+
+
+@pytest.mark.parametrize("F", [QQ(), GF(7)], ids=["Q", "GF7"])
+def test_horseshoe_input_guards(F):
+    # over the field k, X = [k -1-> k -> 0] on [-1, 1] and the split sequence
+    # 0 -> k -> k^2 -> k -> 0 weave with X itself; each case below breaks one
+    # guard.  The lifts assume an exact Y (im d_Y^{i-1} = ker d_Y^i), and a Y
+    # that passes the rank count without d.d = 0 is refused on the woven
+    # window.
+    k = regular_module(field_algebra(F))
+    z = zero_module(k.algebra)
+    k2, incls, projs = direct_sum([k, k])
+    split = ShortExactSequence(incls[0], projs[1])
+    one = identity_hom(k)
+
+    def window(lo, terms, rows):
+        return ComplexWindow(lo, lo + len(rows), terms, [
+            ModuleHom(s, t, Mat.from_rows(F, r, t.dim))
+            for s, t, r in zip(terms, terms[1:], rows)])
+
+    def x_at(lo):
+        return window(lo, [k, k, z], [[[1]], [[]]])
+
+    xc = x_at(-1)
+    res = horseshoe(split, xc, one, xc, one)
+    assert validate_complex(res.zc) == [] and is_exact(res.zc)
+    with pytest.raises(HorseshoeError, match="the two windows must agree"):
+        horseshoe(split, xc, one, x_at(0), one)
+    with pytest.raises(HorseshoeError, match=r"window must contain \[0, 1\]"):
+        horseshoe(split, x_at(1), one, x_at(1), one)
+    inexact = window(-1, [k, k, z], [[[0]], [[]]])
+    with pytest.raises(HorseshoeError, match="input complexes must be exact"):
+        horseshoe(split, xc, one, inexact, one)
+    # k -[1 0]-> k^2 -[1; 0]-> k: homology 0 by ranks, but d.d = 1
+    not_complex = window(-1, [k, k2, k], [[[1, 0]], [[1], [0]]])
+    assert is_exact(not_complex) and validate_complex(not_complex) != []
+    ky = ModuleHom(k, k2, Mat.from_rows(F, [[0, 1]]))
+    with pytest.raises(HorseshoeError, match="assembled complex invalid"):
+        horseshoe(split, xc, one, not_complex, ky)

@@ -148,6 +148,23 @@ def test_linear_roots_over_a_large_prime(p, count_calls):
     assert splits
 
 
+@pytest.mark.parametrize("F", [QQ(), GF(7), GF(4099)], ids=["Q", "GF7", "GF4099"])
+def test_linear_roots_of_a_polynomial_with_repeated_roots(F):
+    # the distinct roots, ascending; the flag counts them against the degree
+    def from_roots(*rs):
+        out = [F.one()]
+        for r in rs:
+            out = _poly_mul(F, out, [F.neg(F.of_int(r)), F.one()])
+        return out
+
+    roots, split = linear_roots(F, from_roots(3, 3, 5))
+    assert roots == [F.of_int(3), F.of_int(5)] and not split
+    roots, split = linear_roots(F, from_roots(0, 0, 2))
+    assert roots == [F.zero(), F.of_int(2)] and not split
+    roots, split = linear_roots(F, from_roots(5, 0, 3))
+    assert roots == [F.zero(), F.of_int(3), F.of_int(5)] and split
+
+
 @LARGE_PRIMES
 @pytest.mark.parametrize("make", [path_a2, two_cycle_rad_square],
                          ids=lambda m: m.__name__)

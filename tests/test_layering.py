@@ -1,4 +1,4 @@
-"""Fifteen layering rules of the package, checked on its source.
+"""Sixteen layering rules of the package, checked on its source.
 
 Only `linalg` sees matrix entries: no other module reads or writes a
 `.data` attribute or the integer storage behind it, so the storage can
@@ -33,7 +33,9 @@ M|Lambda and N|Lambda are found again; and no function takes an optional
 tensor product that its caller may have built, since `tensor_module`
 returns the one it built.  Every derived value kept on an instance goes
 through the one memo, `algebra.memo`: no other code reads or writes an
-instance's `_cache`.
+instance's `_cache`.  Each lift of the horseshoe is one
+`solve_module_hom` system: `complexes.horseshoe` calls no `solve`,
+`solve_left`, `row_space` or `left_kernel` of its own.
 """
 from __future__ import annotations
 
@@ -346,3 +348,17 @@ def test_only_the_memo_touches_cache():
                  if isinstance(node, ast.Attribute) and node.attr == "_cache"
                  and id(node) not in allowed]
     assert not hits, f"_cache read or written outside the memo: {hits}"
+
+
+# the linear algebra a lift through images and kernels would call
+KERNEL_BOOKKEEPING = {"solve", "solve_left", "row_space", "left_kernel"}
+
+
+def test_horseshoe_solves_each_lift_as_one_system():
+    hits = [f"complexes.py:{call.lineno}"
+            for fn in ast.walk(_tree("complexes.py"))
+            if isinstance(fn, ast.FunctionDef) and fn.name == "horseshoe"
+            for call in ast.walk(fn) if isinstance(call, ast.Call)
+            and (call.func.id if isinstance(call.func, ast.Name)
+                 else getattr(call.func, "attr", None)) in KERNEL_BOOKKEEPING]
+    assert not hits, f"kernel bookkeeping in the horseshoe: {hits}"

@@ -96,6 +96,19 @@ def one_period(c: ComplexWindow) -> ComplexWindow:
     return ComplexWindow(c.lo, c.lo + p + 1, c.terms[:p + 2], c.diffs[:p + 1])
 
 
+def per_instance(build, *windows: ComplexWindow) -> list:
+    """[build(i) for each degree i of the first window], with build called
+    once per distinct tuple of the windows' term instances: a degree whose
+    instances are all those of an earlier degree j shares the value built
+    at the first such j, as a periodic window shares its terms."""
+    lo, out = windows[0].lo, []
+    for i in range(lo, windows[0].hi + 1):
+        j = next(j for j in range(lo, i + 1)
+                 if all(w.term(j) is w.term(i) for w in windows))
+        out.append(build(i) if j == i else out[j - lo])
+    return out
+
+
 def validate_complex(c: ComplexWindow) -> list[str]:
     """Terms are modules, each differential a module map between its two
     terms, and d.d = 0.  validate_module keeps its verdict on the term, so a
@@ -316,9 +329,9 @@ def horseshoe(ses: ShortExactSequence, xc: ComplexWindow, kx: ModuleHom,
     1) or rho^{i+1} equals rho^{i+1+L} (i + L <= -1), the lift at i - L
     (or i + L) is the very matrix that solving again would give, and it is
     reused.  Each distinct pair (X^i, Y^i) of term instances gives one
-    direct sum.  The exactness of the inputs and the validity and
-    exactness of the woven window are checked on `one_period` of each,
-    which is the whole window when it does not repeat.
+    direct sum (`per_instance`).  The exactness of the inputs and the
+    validity and exactness of the woven window are checked on `one_period`
+    of each, which is the whole window when it does not repeat.
     """
     if (xc.lo, xc.hi) != (yc.lo, yc.hi):
         raise HorseshoeError("the two windows must agree")
@@ -338,11 +351,8 @@ def horseshoe(ses: ShortExactSequence, xc: ComplexWindow, kx: ModuleHom,
         raise HorseshoeError("input complexes must be exact on the window")
     lo, hi = xc.lo, xc.hi
     period = window_period(xc, yc)
-    sums: dict[tuple[int, int], tuple] = {}
-    for i, x, y in zip(range(lo, hi + 1), xc.terms, yc.terms):
-        if (id(x), id(y)) not in sums:
-            sums[id(x), id(y)] = direct_sum([x, y], name=f"Z^{i}")
-    z_sums = [sums[id(x), id(y)] for x, y in zip(xc.terms, yc.terms)]
+    z_sums = per_instance(
+        lambda i: direct_sum([xc.term(i), yc.term(i)], name=f"Z^{i}"), xc, yc)
     terms = [z for z, _, _ in z_sums]
     rho: dict[int, ModuleHom] = {}
     j0 = solve_module_hom(ses.w, xc.term(0), pre=ses.inject.mat, pre_rhs=kx.mat)

@@ -22,23 +22,24 @@ from .algebra import memo, opposite_algebra
 from .bimodules import Bimodule, tensor_functor_hom, tensor_module
 from .complexes import (
     ComplexWindow, HorseshoeError, HorseshoeResult, ShortExactSequence,
-    hom_exactness_failure, horseshoe, is_exact, one_period,
+    hom_exactness_failure, horseshoe, is_exact, one_period, per_instance,
     tensor_exactness_failure, total_exactness, twisted_diff, validate_complex,
 )
 from .gpcert import GPCertificate, certify_gorenstein_projective
 from .homology import injective_dimension, projective_dimension, tor_dim
-from .linalg import Mat, factor_through, rank, solve
+from .linalg import Mat, rank, solve
 from .modules import (
-    FDModule, ModuleHom, corestrict, image_of, is_isomorphic, kernel_of,
-    restrict_along,
+    FDModule, ModuleHom, corestrict, direct_sum, image_of, is_isomorphic,
+    kernel_of, restrict_along,
 )
 from .morita import (
-    MoritaContext, QuadrupleModule, build_ring, opposite_context,
-    opposite_ring, quadruple_to_module, t_b, validate_quadruple, z_a,
+    MoritaContext, QuadrupleModule, build_ring, direct_sum_quadruples,
+    opposite_context, opposite_ring, quadruple_to_module, t_b,
+    validate_quadruple, z_a,
 )
 from .trivext import (
     StructuralMaps, TrivialExtension, check_extension_matches, lam_bimodules,
-    psi_tensor_block, recognize_trivial_extension, structural_maps, t_lambda,
+    recognize_trivial_extension, structural_maps, t_lambda,
 )
 
 
@@ -196,6 +197,12 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
       matched with the ring module of q by `modules.is_isomorphic`.
     A failed horseshoe raises EngineError with its degree.
 
+    The quadruples T^i = T_Lam(P^i) (+) T_B(Q^i) are built before Z, and
+    psi (x) 1 is read off their g, a map of quadruples: the twist
+    tau^i = (1 (x) rho^i)(psi (x) 1) of Z through the I (x) P^{i+1} block
+    of the g of T_Lam(P^{i+1}), and sigma^0 = [[psi (x) 1, 0], [0, 1]],
+    which sends Im(g) into Z^0, as the g of T^0 without its P^0 columns.
+
     A periodic window is built and checked over one period.  Each check
     above but the kernel's (the C3 exactness of M (x) P, I (x) P and
     N (x) Q, the horseshoes' checks, and T's module laws, complex and
@@ -203,9 +210,10 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
     the window repeats literally by p, every check at degree i is the
     check at i - p, so the sub-window [lo, lo + p + 1] stands for the
     whole; a window that does not repeat is checked whole.  The horseshoes
-    reuse a lift whose inputs repeat, and each distinct pair of term
-    instances gives one direct sum, so a window whose certificates repeat
-    builds and checks each distinct piece once."""
+    reuse a lift whose inputs repeat, and each distinct tuple of term
+    instances gives one direct sum, T_Lam and T (`complexes.per_instance`),
+    so a window whose certificates repeat builds and checks each distinct
+    piece once."""
     check_extension_matches(ext, ctx)
     _require(report.passed, "criterion report must pass before assembly")
     sm = report.structural
@@ -234,11 +242,7 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
     _require(is_exact(one_period(nq_cx)),
              "N (x) Q is not exact (C3 for N fails here)")
     # one restriction to Lambda per distinct N (x) Q^i instance
-    lams: dict[int, FDModule] = {}
-    for t in nq_cx.terms:
-        if id(t) not in lams:
-            lams[id(t)] = ext.lam_module(t)
-    nq_lam = [lams[id(t)] for t in nq_cx.terms]
+    nq_lam = per_instance(lambda i: ext.lam_module(nq_cx.term(i)), nq_cx)
 
     # first horseshoe, over B: 0 -> M (x) U -> Y -> V -> 0 against
     # M (x) P and Q
@@ -253,25 +257,28 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
     ycx = hs1.zc
     rho = hs1.rho
 
-    # Z window: I (x) P (+) N (x) Q with tau = (1 (x) rho)(psi (x) 1), one
-    # direct sum per distinct pair of term instances
+    # the quadruples T^i = T_Lam(P^i) (+) T_B(Q^i): one T_Lam per distinct
+    # P^i instance and one T^i per distinct pair, so the hom-space caches
+    # of repeated window terms (periodic certificates) can work
+    t_lams = per_instance(
+        lambda i: t_lambda(ext, ctx, pcx.term(i), name=f"T_Lam(P^{i})"), pcx)
+    t_quads = per_instance(
+        lambda i: direct_sum_quadruples(
+            [t_lams[i + span], t_b(ctx, qcx.term(i), name=f"T_B(Q^{i})")],
+            name=f"T^{i}"), pcx, qcx)
+
+    # Z window: I (x) P (+) N (x) Q with tau = (1 (x) rho)(psi (x) 1), psi (x) 1
+    # the I (x) P^{i+1} block of the g of T_Lam(P^{i+1}), whose N (x) Y is
+    # N (x) (M (x) P^{i+1}) over ctx.N
+    z_terms = per_instance(
+        lambda i: direct_sum([ip_cx.term(i), nq_lam[i + span]], name=f"Z^{i}")[0],
+        ip_cx, nq_cx)
     tau = {}
     z_diffs = []
-    from .modules import direct_sum
-    z_sums: dict[tuple[int, int], FDModule] = {}
-    for i, ip, nq in zip(range(-span, span + 1), ip_cx.terms, nq_lam):
-        if (id(ip), id(nq)) not in z_sums:
-            z_sums[id(ip), id(nq)] = direct_sum([ip, nq], name=f"Z^{i}")[0]
-    z_terms = [z_sums[id(ip), id(nq)] for ip, nq in zip(ip_cx.terms, nq_lam)]
     for i in range(-span, span):
-        # 1_N (x) rho^i : N (x) Q^i -> N (x) (M (x) P^{i+1}), over ctx.N as
-        # the g of T_Lam(P^{i+1}) builds it
-        nmp = tensor_module(ctx.N, mp_cx.term(i + 1))
-        one_rho = tensor_functor_hom(nq_tens[i + span], nmp, rho[i])
-        psi_blk = psi_tensor_block(ctx, ext, pcx.term(i + 1))
-        psi_hom_mat = factor_through(nmp.proj, [psi_blk])
-        _require(psi_hom_mat is not None, "psi block does not descend")
-        tau_i = one_rho.mat @ psi_hom_mat[0]
+        tl = t_lams[i + span + 1]
+        one_rho = tensor_functor_hom(nq_tens[i + span], tl.ny, rho[i])
+        tau_i = one_rho.mat @ _g_off_p(tl, pcx.term(i + 1))
         tau[i] = ModuleHom(nq_lam[i + span], ip_cx.term(i + 1), tau_i)
         dz = twisted_diff(ip_cx.diff(i).mat, tau_i, nq_cx.diff(i).mat)
         z_diffs.append(ModuleHom(z_terms[i + span], z_terms[i + span + 1], dz))
@@ -279,8 +286,8 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
 
     # identify ker(d_Z^0) with H = Im(g)
     h_mod, h_incl = image_of(q.g, name="Im(g)")
-    kx_z = _identify_h_with_z_kernel(ctx, ext, q, hs1, zcx, pcx.term(0),
-                                     qcx.term(0), h_mod, h_incl)
+    kx_z = _identify_h_with_z_kernel(ext, q, hs1, t_quads[span], pcx.term(0),
+                                     zcx, h_mod, h_incl)
     # second horseshoe, over Lambda: 0 -> H -> X -> U -> 0 against Z and P
     h_lam = ext.lam_module(h_mod, name="H|Lam")
     x_lam = ext.lam_module(q.x, name="X|Lam")
@@ -296,20 +303,9 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
         beta[i] = ModuleHom(pcx.term(i), nq_lam[i + span + 1],
                             r.mat.block(0, r.mat.rows, w_ip1, r.mat.cols))
 
-    # assemble F = P(I) (+) N (x) Q over A and the quadruple terms; repeated
-    # window terms (periodic certificates) share one quadruple instance so
-    # the hom-space caches can work
-    from .morita import direct_sum_quadruples
-    t_quads, f_terms, f_diffs = [], [], []
-    seen: dict[tuple[int, int], QuadrupleModule] = {}
-    for i in range(-span, span + 1):
-        key = (id(pcx.term(i)), id(qcx.term(i)))
-        if key not in seen:
-            tq = t_lambda(ext, ctx, pcx.term(i), name=f"T_Lam(P^{i})")
-            tb = t_b(ctx, qcx.term(i), name=f"T_B(Q^{i})")
-            seen[key] = direct_sum_quadruples([tq, tb], name=f"T^{i}")
-        t_quads.append(seen[key])
-        f_terms.append(seen[key].x)
+    # F = P(I) (+) N (x) Q over A, the X side of the quadruple terms
+    f_terms = [tq.x for tq in t_quads]
+    f_diffs = []
     for i in range(-span, span):
         # on P (+) Z, Z = I(x)P (+) N(x)Q:  [[d_P, (alpha, beta)],
         #                                    [0,   d_Z]]
@@ -362,34 +358,28 @@ def _restrict_window(wc: ComplexWindow, lo: int, hi: int) -> ComplexWindow:
     return ComplexWindow(lo, hi, terms, diffs)
 
 
-def _identify_h_with_z_kernel(ctx, ext, q, hs1, zcx, p0, q0,
+def _g_off_p(t: QuadrupleModule, p: FDModule) -> Mat:
+    """The g of t = T_Lam(P) or T_Lam(P) (+) T_B(Q) without its P columns:
+    N (x) Y -> I (x) P or I (x) P (+) N (x) Q, psi (x) 1 on T_Lam(P)."""
+    g = t.g.mat
+    return g.block(0, g.rows, p.dim, g.cols)
+
+
+def _identify_h_with_z_kernel(ext, q, hs1, t0, p0, zcx,
                               h_mod, h_incl) -> ModuleHom:
     """The canonical map Im(g) -> Z^0 onto ker(d_Z^0): delta, the kernel
     embedding of Y composed with the chain map sigma^0 = [[psi (x) 1, 0],
-    [0, 1]], factored through g corestricted onto Im(g).  That
-    corestriction has full column rank, so the factor is the one candidate;
-    the second horseshoe checks that it is injective, lands in ker(d_Z^0)
-    and is onto it, which is clause (b)'s content here."""
-    eye_n = Mat.identity(ctx.A.field, ctx.N.dim)
-    delta = (q.ny.section @ eye_n.kron(hs1.embed.mat)
-             @ _sigma0(ctx, ext, p0, q0))
+    [0, 1]], factored through g corestricted onto Im(g).  sigma^0 is the g
+    of T^0 = T_Lam(P^0) (+) T_B(Q^0) without its P^0 columns: the I (x) P^0
+    block of T_Lam(P^0) is psi (x) 1, and the g of T_B(Q^0) is the
+    identity.  The corestriction has full column rank, so the factor is the
+    one candidate; the second horseshoe checks that it is injective, lands
+    in ker(d_Z^0) and is onto it, which is clause (b)'s content here."""
+    delta = (tensor_functor_hom(q.ny, t0.ny, hs1.embed).mat
+             @ _g_off_p(t0, p0))
     h_map = solve(corestrict(q.g, h_mod, h_incl).mat, delta)
     _require(h_map is not None, "delta does not factor through Im(g)")
     return ModuleHom(ext.lam_module(h_mod), zcx.term(0), h_map)
-
-
-def _sigma0(ctx, ext, p0, q0) -> Mat:
-    """sigma^0 = [[psi (x) 1, 0], [0, 1]] on the full space N (x)_k Y^0, for
-    Y^0 = M (x) P^0 (+) Q^0, into Z^0 = I (x) P^0 (+) N (x) Q^0: psi (x) 1 on
-    the first block of Y^0, the projection onto N (x) Q^0 on the second."""
-    F = ctx.A.field
-    mp_dim = tensor_module(lam_bimodules(ext, ctx)[0], p0).module.dim
-    nq0 = tensor_module(ctx.N, q0)
-    dy = mp_dim + q0.dim
-    eye_y, eye_n = Mat.identity(F, dy), Mat.identity(F, ctx.N.dim)
-    psi_part = psi_tensor_block(ctx, ext, p0)
-    return Mat.hstack([eye_n.kron(eye_y.block(0, dy, 0, mp_dim)) @ psi_part,
-                       eye_n.kron(eye_y.block(0, dy, mp_dim, dy)) @ nq0.proj])
 
 
 # -- compatibility hypotheses --------------------------------------------------

@@ -26,7 +26,8 @@ import inspect
 from dataclasses import dataclass
 
 from .algebra import opposite_algebra
-from .complexes import ComplexWindow, hom_exactness_failure, total_exactness
+from .complexes import (ComplexWindow, hom_exactness_failure, per_instance,
+                        total_exactness)
 from .homology import (
     Resolution, first_nonzero_ext, global_dimension, is_projective,
     is_self_injective, minimal_resolution, projective_cover,
@@ -269,13 +270,10 @@ def _combine_with_split(x: FDModule, overall: Mat, projs: list[FDModule],
     onto a certified window for the core."""
     psum = projs[0] if len(projs) == 1 else direct_sum(projs)[0]
     split_wc, split_ki = _split_window(psum, span)
-    combined: dict[int, FDModule] = {}
-    terms, diffs = [], []
-    for i in range(core_wc.lo, core_wc.hi + 1):
-        key = id(core_wc.term(i))
-        if key not in combined:
-            combined[key], _, _ = direct_sum([split_wc.term(i), core_wc.term(i)])
-        terms.append(combined[key])
+    terms = per_instance(
+        lambda i: direct_sum([split_wc.term(i), core_wc.term(i)])[0],
+        core_wc, split_wc)
+    diffs = []
     for i in range(core_wc.lo, core_wc.hi):
         mat = Mat.block_diag([split_wc.diff(i).mat, core_wc.diff(i).mat])
         diffs.append(ModuleHom(terms[i - core_wc.lo], terms[i - core_wc.lo + 1], mat))

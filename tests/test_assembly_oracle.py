@@ -1,14 +1,16 @@
 """The one-period assembly against the per-degree one it replaced.
 
-`horseshoe`, `_z_diff`, `build_total_resolution` and `_weave` below are the
-per-degree construction: every lift solved, every direct sum built and
-every check run over the whole window.  They are kept verbatim (only the
-two function-local imports made absolute) as the oracle of
+`horseshoe`, `_z_diff`, `build_total_resolution`, `_weave`,
+`_identify_h_with_z_kernel` and `_sigma0` below are the per-degree
+construction: every lift solved, every direct sum built, every check run
+over the whole window, and psi (x) 1 computed for tau and sigma^0 on its
+own rather than read off the T quadruples.  They are kept verbatim (only
+the two function-local imports made absolute) as the oracle of
 `complexes.horseshoe` and `engine.build_total_resolution`, which build
 and check a literally periodic window over one period.  The two must give
 equal windows, lifts, tau, alpha, beta and kernel isomorphism, over Q and
 GF(7), on the catalog contexts (functor images of regular modules and
-seeded random quadruples) and on T2(k[x]/(x^n)), whose windows have
+seeded random quadruples; the wide context over Q and GF(11)) and on T2(k[x]/(x^n)), whose windows have
 period 2 (1 at n = 2), at windows 3 and 5; the horseshoes alone are also
 compared on short exact sequences whose lifts do not repeat at once.
 """
@@ -23,7 +25,7 @@ from gpmorita import engine
 from gpmorita.catalog import (
     arrow_ideal_context, glued_psi_context, random_module, random_quadruple,
     random_submodule, simple_kx2, triangular_context, triangular_over,
-    truncated_poly, two_cycle_context, two_cycle_rad_square,
+    truncated_poly, two_cycle_context, two_cycle_rad_square, wide_psi_context,
 )
 from gpmorita.complexes import (
     ComplexWindow, HorseshoeError, HorseshoeResult, ShortExactSequence,
@@ -31,15 +33,15 @@ from gpmorita.complexes import (
     twisted_diff, validate_complex, window_period,
 )
 from gpmorita.engine import (
-    EngineError, ResolutionAssembly, _identify_h_with_z_kernel, _require,
-    _restrict_window, _tensor_window, check_conditions, identity_extension,
+    EngineError, ResolutionAssembly, _require, _restrict_window,
+    _tensor_window, check_conditions, identity_extension,
 )
 from gpmorita.bimodules import tensor_functor_hom, tensor_module
 from gpmorita.fields import GF, QQ
 from gpmorita.gpcert import certify_gorenstein_projective
 from gpmorita.linalg import Mat, factor_through, rank, solve, solve_left
 from gpmorita.modules import (
-    ModuleHom, direct_sum, image_of, is_isomorphic, kernel_of,
+    ModuleHom, corestrict, direct_sum, image_of, is_isomorphic, kernel_of,
     quotient_by_rows, regular_module, spanned_submodule,
 )
 from gpmorita.morita import (
@@ -319,6 +321,36 @@ def _weave(which: str, ses: ShortExactSequence, xc: ComplexWindow,
         raise EngineError(f"{which} horseshoe failed{at}: {e}") from e
 
 
+def _identify_h_with_z_kernel(ctx, ext, q, hs1, zcx, p0, q0,
+                              h_mod, h_incl) -> ModuleHom:
+    """The canonical map Im(g) -> Z^0 onto ker(d_Z^0): delta, the kernel
+    embedding of Y composed with the chain map sigma^0 = [[psi (x) 1, 0],
+    [0, 1]], factored through g corestricted onto Im(g).  That
+    corestriction has full column rank, so the factor is the one candidate;
+    the second horseshoe checks that it is injective, lands in ker(d_Z^0)
+    and is onto it, which is clause (b)'s content here."""
+    eye_n = Mat.identity(ctx.A.field, ctx.N.dim)
+    delta = (q.ny.section @ eye_n.kron(hs1.embed.mat)
+             @ _sigma0(ctx, ext, p0, q0))
+    h_map = solve(corestrict(q.g, h_mod, h_incl).mat, delta)
+    _require(h_map is not None, "delta does not factor through Im(g)")
+    return ModuleHom(ext.lam_module(h_mod), zcx.term(0), h_map)
+
+
+def _sigma0(ctx, ext, p0, q0) -> Mat:
+    """sigma^0 = [[psi (x) 1, 0], [0, 1]] on the full space N (x)_k Y^0, for
+    Y^0 = M (x) P^0 (+) Q^0, into Z^0 = I (x) P^0 (+) N (x) Q^0: psi (x) 1 on
+    the first block of Y^0, the projection onto N (x) Q^0 on the second."""
+    F = ctx.A.field
+    mp_dim = tensor_module(lam_bimodules(ext, ctx)[0], p0).module.dim
+    nq0 = tensor_module(ctx.N, q0)
+    dy = mp_dim + q0.dim
+    eye_y, eye_n = Mat.identity(F, dy), Mat.identity(F, ctx.N.dim)
+    psi_part = psi_tensor_block(ctx, ext, p0)
+    return Mat.hstack([eye_n.kron(eye_y.block(0, dy, 0, mp_dim)) @ psi_part,
+                       eye_n.kron(eye_y.block(0, dy, mp_dim, dy)) @ nq0.proj])
+
+
 # -- the comparison ----------------------------------------------------------------
 
 
@@ -379,11 +411,7 @@ CATALOG = [triangular_context, two_cycle_context, glued_psi_context,
            arrow_ideal_context]
 
 
-@FIELDS
-@WINDOWS
-@pytest.mark.parametrize("make", CATALOG, ids=lambda m: m.__name__)
-def test_catalog_assemblies_match_the_per_degree_oracle(F, window, make):
-    ext, ctx = make(F)
+def _assert_images_match_the_oracle(ext, ctx, window):
     assembled = 0
     for q in _images(ext, ctx):
         rep = check_conditions(ext, ctx, q)
@@ -394,6 +422,23 @@ def test_catalog_assemblies_match_the_per_degree_oracle(F, window, make):
                                                           window=window))
         assembled += 1
     assert assembled
+
+
+@FIELDS
+@WINDOWS
+@pytest.mark.parametrize("make", CATALOG, ids=lambda m: m.__name__)
+def test_catalog_assemblies_match_the_per_degree_oracle(F, window, make):
+    _assert_images_match_the_oracle(*make(F), window)
+
+
+# the one catalog context with dim M, dim N >= 2 and psi not symmetric in
+# its two factors, so the one where a swap of the factors of N (x) M in
+# reading psi (x) 1 off the T quadruples would show; over GF(7) its ring of
+# dimension 7 has no radical search (UnsupportedField), so GF(11) stands in
+@pytest.mark.parametrize("F", [QQ(), GF(11)], ids=["Q", "GF11"])
+@WINDOWS
+def test_wide_psi_assemblies_match_the_per_degree_oracle(F, window):
+    _assert_images_match_the_oracle(*wide_psi_context(F), window)
 
 
 def _radical_sequence(F):

@@ -1,16 +1,21 @@
 from __future__ import annotations
 
 import os
+import random
 from dataclasses import replace
 
 import pytest
 
 from gpmorita import complexes, engine, homology, linalg, modules
 
+from gpmorita.bimodules import (
+    BalancedMap, Bimodule, regular_bimodule, tensor_functor_hom, tensor_module,
+    zero_balanced_map,
+)
 from gpmorita.catalog import (
     arrow_ideal_context, field_algebra, full_context, glued_psi_context,
-    simple_at_idempotent, triangular_context, triangular_over, truncated_poly,
-    two_cycle_context, wide_psi_context,
+    random_module, simple_at_idempotent, simple_kx2, triangular_context,
+    triangular_over, truncated_poly, two_cycle_context, wide_psi_context,
 )
 from gpmorita.complexes import (
     ComplexWindow, horseshoe, is_exact, one_period, total_exactness,
@@ -24,13 +29,18 @@ from gpmorita.engine import (
 )
 from gpmorita.fields import GF, QQ
 from gpmorita.gpcert import certify_gorenstein_projective
+from gpmorita.homology import simple_modules
 from gpmorita.jsonio import load_problem_file
 from gpmorita.linalg import Mat
-from gpmorita.modules import ModuleHom, regular_module, zero_module
+from gpmorita.modules import FDModule, ModuleHom, regular_module, zero_module
 from gpmorita.morita import (
-    build_ring, direct_sum_quadruples, quadruple_to_module, t_a, t_b, z_a, z_b,
+    MoritaContext, build_ring, direct_sum_quadruples, make_quadruple,
+    quadruple_to_module, t_a, t_b, validate_context, validate_quadruple, z_a,
+    z_b,
 )
-from gpmorita.trivext import t_lambda
+from gpmorita.trivext import (
+    lam_bimodules, psi_tensor_block, t_lambda, trivial_extension,
+)
 from test_reduction_oracle import _audit_family, corner_complexes
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -152,6 +162,91 @@ def test_build_total_resolution_rejects_failing_report():
     rep = check_conditions(ext, ctx, _s2(ctx))
     with pytest.raises(EngineError):
         build_total_resolution(ext, ctx, _s2(ctx), rep, window=3)
+
+
+# -- tau and sigma^0 read off the T quadruples ---------------------------------
+#
+# No assembly of the catalog contexts has a nonzero tau (B is k or M = 0 and
+# Lambda is k or k x k, so both horseshoe sequences split), so the
+# assembly tests cannot see a wrong psi (x) 1 block.  This compares the
+# engine's reading of tau^i = (1 (x) rho^i)(psi (x) 1) off the g of
+# T_Lam(P) with psi (x) 1 descended on its own, for every rho in
+# Hom(Q, M (x) P), on the contexts whose psi is nonzero.
+
+
+@pytest.mark.parametrize("make, F", [
+    (glued_psi_context, QQ()), (arrow_ideal_context, GF(7)),
+    (wide_psi_context, GF(11))], ids=["glued_psi-Q", "arrow_ideal-GF7",
+                                      "wide_psi-GF11"])
+def test_tau_read_off_t_lambda_is_psi_tensor_one_descended(make, F):
+    ext, ctx = make(F)
+    rng = random.Random(3)
+    m_lam, _ = lam_bimodules(ext, ctx)
+    ps = simple_modules(ext.Lam) + [random_module(ext.Lam, rng, max_cuts=1)
+                                    for _ in range(2)]
+    qs = simple_modules(ctx.B) + [random_module(ctx.B, rng, max_cuts=1)]
+    nonzero = 0
+    for p in ps:
+        tl = t_lambda(ext, ctx, p)
+        mp = tensor_module(m_lam, p)
+        nmp = tensor_module(ctx.N, mp.module)
+        assert tl.ny is nmp
+        psi_one = linalg.factor_through(nmp.proj,
+                                        [psi_tensor_block(ctx, ext, p)])[0]
+        for y in qs:
+            nq = tensor_module(ctx.N, y)
+            for rho in modules.hom_space(y, mp.module):
+                tau = (tensor_functor_hom(nq, tl.ny, rho).mat
+                       @ engine._g_off_p(tl, p))
+                assert tau == tensor_functor_hom(nq, nmp, rho).mat @ psi_one
+                nonzero += not tau.is_zero()
+    assert nonzero
+
+
+# -- an assembly that a real context makes fail ---------------------------------
+
+
+def _eps_context(F):
+    """A = k[x]/(x^2) = k |x kx, B = k[y]/(y^2), M = k (x and y act as 0),
+    N = B (right regular, x acts as 0), phi = 0 and psi(n (x) m) =
+    eps(n) m x, eps(n) the coefficient of 1 in n; with the quadruple
+    X = A (+) ke (x e = 0), Y = B, f(m (x) 1) = y, f(m (x) e) = 0,
+    g(1) = e, g(y) = x."""
+    lam = field_algebra(F, "k")
+    one, zero = Mat.identity(F, 1), Mat.zeros(F, 1, 1)
+    ext = trivial_extension(lam, Bimodule(lam, lam, 1, [one], [one], name="I"),
+                            name="A")
+    A, B = ext.A, truncated_poly(F, 2, "B")
+    M = Bimodule(B, A, 1, [one, zero], [one, zero], name="M")
+    N = Bimodule(A, B, 2, [Mat.identity(F, 2), Mat.zeros(F, 2, 2)],
+                 regular_bimodule(B).right_acts, name="N")
+    psi = BalancedMap(N, M, A, Mat.from_rows(F, [[0, 1], [0, 0]], 2))
+    ctx = MoritaContext(A, B, M, N, zero_balanced_map(M, N, B), psi, name="eps")
+    x = FDModule(A, 3, [Mat.identity(F, 3), Mat.from_rows(
+        F, [[0, 1, 0], [0, 0, 0], [0, 0, 0]], 3)], name="A+ke")
+    q = make_quadruple(
+        ctx, x, regular_module(B), Mat.from_rows(F, [[0, 1], [0, 0], [0, 0]], 2),
+        Mat.from_rows(F, [[0, 0, 1], [0, 1, 0], [0, 1, 0], [0, 0, 0]], 3),
+        name="X")
+    return ext, ctx, q
+
+
+@pytest.mark.parametrize("F", [QQ(), GF(11)], ids=["Q", "GF11"])
+def test_assembly_fails_where_m_is_not_weakly_compatible(F):
+    # the criterion passes, but M|Lambda fails the Hom condition of weak
+    # compatibility on the complete resolution of the simple B-module, and
+    # the first horseshoe finds no extension of M (x) Coker(g) -> M (x) P^0
+    # along eta: the construction needs weak compatibility of M
+    ext, ctx, q = _eps_context(F)
+    assert validate_context(ctx) == [] and validate_quadruple(q) == []
+    rep = check_conditions(ext, ctx, q)
+    assert rep.passed
+    cert = certify_gorenstein_projective(simple_kx2(ctx.B))
+    verdict = check_compat(lam_bimodules(ext, ctx)[0], left_tests=[cert.window])
+    assert verdict.kind == "not_compatible" and verdict.reason == "hom_witness"
+    with pytest.raises(EngineError, match="first horseshoe failed at degree 0: "
+                       "no equivariant extension at degree 0"):
+        build_total_resolution(ext, ctx, q, rep)
 
 
 def test_check_compat_semisimple_proof_grade():

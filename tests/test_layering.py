@@ -1,4 +1,4 @@
-"""Sixteen layering rules of the package, checked on its source.
+"""Eighteen layering rules of the package, checked on its source.
 
 Only `linalg` sees matrix entries: no other module reads or writes a
 `.data` attribute or the integer storage behind it, so the storage can
@@ -21,7 +21,12 @@ a periodic window with its own code, not with the builder's period
 helpers in `complexes`.  The engine decides semi-weak compatibility over
 the context ring alone: it never reads a ring module back as a quadruple
 (`module_to_quadruple`, `quadruple_bases`), which a second, corner-side
-route to the same verdict would need.  Vectors are expressed in a stacked basis of
+route to the same verdict would need.  Nor does it compute psi (x) 1
+(`psi_tensor_block`) or descend a map to a tensor quotient
+(`factor_through`) of its own: tau and sigma^0 are read off the g of the
+T quadruples.  The builders of windows (`complexes`, `engine`, `gpcert`)
+share repeated term instances through `complexes.per_instance` alone,
+with no `id()`-keyed table of their own.  Vectors are expressed in a stacked basis of
 flattened maps through one batched `coordinates` call, never through a
 `solve_left` per vector in a loop, which row-reduces the same basis once
 per call.  Maps are factored
@@ -168,17 +173,41 @@ def test_checker_keeps_its_own_period_check():
 CORNER_READINGS = {"module_to_quadruple", "quadruple_bases"}
 
 
-def test_engine_reads_no_ring_module_as_a_quadruple():
+def _engine_uses(names) -> list[str]:
+    """The lines of engine.py that import or name one of names."""
     hits = []
     for node in ast.walk(_tree("engine.py")):
         if isinstance(node, ast.ImportFrom):
             hits += [f"engine.py:{node.lineno}" for alias in node.names
-                     if alias.name in CORNER_READINGS]
+                     if alias.name in names]
         elif isinstance(node, (ast.Name, ast.Attribute)):
             name = node.id if isinstance(node, ast.Name) else node.attr
-            if name in CORNER_READINGS:
+            if name in names:
                 hits.append(f"engine.py:{node.lineno}")
+    return hits
+
+
+def test_engine_reads_no_ring_module_as_a_quadruple():
+    hits = _engine_uses(CORNER_READINGS)
     assert not hits, f"the engine reads a ring module in its corners: {hits}"
+
+
+# psi (x) 1 and its descent to the tensor quotient, which the g of the T
+# quadruples already holds
+OWN_PSI_TENSOR = {"psi_tensor_block", "factor_through"}
+
+
+def test_engine_reads_psi_tensor_one_off_the_t_quadruples():
+    hits = _engine_uses(OWN_PSI_TENSOR)
+    assert not hits, f"the engine computes psi (x) 1 of its own: {hits}"
+
+
+def test_repeated_window_terms_are_shared_by_one_helper():
+    hits = [f"{name}:{call.lineno}"
+            for name in ("complexes.py", "engine.py", "gpcert.py")
+            for call in ast.walk(_tree(name)) if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name) and call.func.id == "id"]
+    assert not hits, f"term instances keyed by id(): {hits}"
 
 
 _LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,

@@ -128,7 +128,7 @@ from gpmorita.complexes import (
     tensor_exactness_failure,
 )
 from gpmorita.engine import (
-    _sigma0, _tensor_window, build_total_resolution, check_conditions,
+    _g_off_p, _tensor_window, build_total_resolution, check_conditions,
 )
 from gpmorita.fields import GF, QQ, Field
 from gpmorita.gpcert import certify_gorenstein_projective
@@ -682,8 +682,12 @@ def test_psi_kron_products_match_the_coefficient_loops(field, context):
         assert new.f.mat == old.f.mat and new.g.mat == old.g.mat
         quads.append(new)
         for q in qs:
+            # sigma^0 as the engine reads it off T^0: its g on the full
+            # space N (x)_k Y^0, without the P columns
             nq = tensor_module(n_lam, q)
-            assert _sigma0(ctx, ext, p, q) == _sigma0_loop(ctx, ext, ip, nq, mp)
+            t0 = direct_sum_quadruples([new, t_b(ctx, q)])
+            assert t0.ny.proj @ _g_off_p(t0, p) == \
+                _sigma0_loop(ctx, ext, ip, nq, mp)
     nonzero = 0
     for q in quads + [t_b(ctx, y) for y in qs]:
         sm = structural_maps(ctx, q)

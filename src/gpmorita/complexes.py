@@ -10,7 +10,7 @@ terms j and j + 1, and homology_at is the one homology count over them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from .bimodules import balanced_tensor_space
 from .linalg import Mat, coordinates, intertwining_system, rank, solve
@@ -34,6 +34,9 @@ class ComplexWindow:
     hi: int
     terms: list[FDModule]
     diffs: list[ModuleHom]
+    # `memo` entries; a window is read, never changed, once built
+    _cache: dict = dc_field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         if self.hi < self.lo:

@@ -474,8 +474,11 @@ def compose_compat(xy: CompatVerdict, yz: CompatVerdict) -> CompatVerdict:
                          tests_used=xy.tests_used + yz.tests_used)
 
 
+@memo
 def _require_total(wc: ComplexWindow, seed: int):
-    if not total_exactness(wc, seed=seed):
+    """Raise unless wc is totally exact, proven on one period of it; kept
+    on wc, so a test window passed to several checks is proven once."""
+    if not total_exactness(one_period(wc), seed=seed):
         raise EngineError("test complex is not totally exact")
 
 
@@ -556,8 +559,8 @@ def check_semi_weak_quadruple(ext: TrivialExtension, ctx: MoritaContext,
         return SemiWeakVerdict(side, which, "pass_proof",
                                f"finite_{label}_dimension({d})")
     for k, wc in enumerate(tests):
-        wc = one_period(wc)
         _require_total(wc, seed)
+        wc = one_period(wc)
         if side == "left":
             deg = hom_exactness_failure(wc, ring_mod)
             if deg is not None:

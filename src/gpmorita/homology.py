@@ -13,8 +13,8 @@ from .bimodules import balanced_tensor_space
 from .idempotents import indecomposable_projectives
 from .linalg import Mat, in_row_space, left_kernel, row_space, solve_left
 from .modules import (
-    FDModule, ModuleError, ModuleHom, direct_sum, dual_module, hom_dim,
-    kernel_of, quotient_by_rows, regular_module, zero_hom, zero_module,
+    FDModule, ModuleError, ModuleHom, direct_sum, direct_summands, dual_module,
+    hom_dim, kernel_of, quotient_by_rows, regular_module, zero_hom, zero_module,
 )
 
 
@@ -103,6 +103,11 @@ def projective_cover(x: FDModule, seed: int = 0) -> tuple[FDModule, ModuleHom]:
 
 @memo
 def is_projective(x: FDModule, seed: int = 0) -> bool:
+    """Whether the projective cover of x is as large as x; a direct sum is
+    projective iff each of its summands is."""
+    parts = direct_summands(x)
+    if parts is not None:
+        return all(is_projective(s, seed) for s in parts)
     P, _ = projective_cover(x, seed)
     return P.dim == x.dim
 

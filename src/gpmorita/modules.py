@@ -47,6 +47,10 @@ class FDModule:
     name: str = ""
     _cache: dict = dc_field(default_factory=dict, init=False, repr=False,
                             compare=False)
+    # the parts `direct_sum` built this module from; read only through
+    # `direct_summands`, which checks them against the actions
+    summands: list | None = dc_field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def __post_init__(self):
         if len(self.acts) != self.algebra.dim:
@@ -85,6 +89,9 @@ def validate_module(x: FDModule) -> list[str]:
 
 @memo
 def _module_violations(x: FDModule) -> list[str]:
+    parts = direct_summands(x)
+    if parts is not None:
+        return next((bad for bad in map(_module_violations, parts) if bad), [])
     a = x.algebra
     out = []
     if x.act_of(a.unit) != Mat.identity(a.field, x.dim):
@@ -95,13 +102,14 @@ def _module_violations(x: FDModule) -> list[str]:
     n, dd = a.dim, x.dim * x.dim
     stack = Mat.vstack(x.acts)              # row j * dim + r: row r of act(b_j)
     flat = stack.reshape(n, dd)             # row j: act(b_j), flattened
-    for g in gens:
-        # row j: act(b_g b_j) = L_g's row j times the actions, against
-        # act(b_j) @ act(b_g)
-        bad = (a.lmul_mats()[g] @ flat).sub(
-            (stack @ x.acts[g]).reshape(n, dd)).nonzero_rows()
-        if bad:
-            return out + [f"action not multiplicative at ({g},{bad[0]})"]
+    # row k * n + j, g the k-th generator: act(b_g b_j) = L_g's row j times
+    # the actions, against act(b_j) @ act(b_g); one comparison for all g
+    lhs = Mat.vstack([a.lmul_mats()[g] for g in gens]) @ flat
+    rhs = Mat.vstack([(stack @ x.acts[g]).reshape(n, dd) for g in gens])
+    bad = lhs.sub(rhs).nonzero_rows()
+    if bad:
+        k, j = divmod(bad[0], n)
+        return out + [f"action not multiplicative at ({gens[k]},{j})"]
     return out
 
 
@@ -257,6 +265,7 @@ def direct_sum(mods: list[FDModule], name: str = "") -> tuple[FDModule, list[Mod
     acts = [Mat.block_diag([m.acts[t] for m in mods]) if total else Mat.zeros(F, 0, 0)
             for t in range(a.dim)]
     s = FDModule(a, total, acts, name=name or "+".join(m.name or "?" for m in mods))
+    s.summands = list(mods)
     eye = Mat.identity(F, total)
     incls, projs = [], []
     off = 0
@@ -267,10 +276,37 @@ def direct_sum(mods: list[FDModule], name: str = "") -> tuple[FDModule, list[Mod
     return s, incls, projs
 
 
+def direct_summands(x: FDModule) -> list[FDModule] | None:
+    """The summands x was built from by `direct_sum`, or None when x has
+    no such record or the record disagrees with x: every summand must be
+    over x's algebra and each action of x the block diagonal of theirs.
+    A property additive over direct sums (module laws, projectivity) then
+    holds for x iff it holds for each summand."""
+    parts = x.summands
+    if parts is None or any(s.algebra is not x.algebra for s in parts):
+        return None
+    if any(x.acts[t] != Mat.block_diag([s.acts[t] for s in parts])
+           for t in range(x.algebra.dim)):
+        return None
+    return parts
+
+
 def dual_module(x: FDModule, opposite: Algebra, name: str = "") -> FDModule:
-    """k-linear dual as a module over the opposite algebra (transposed actions)."""
-    return FDModule(opposite, x.dim, [m.transpose() for m in x.acts],
-                    name=name or f"D({x.name or '?'})")
+    """k-linear dual as a module over the opposite algebra (transposed
+    actions).  The dual of a direct sum is the direct sum of the duals of
+    its summands, each built once per (summand, opposite algebra)."""
+    name = name or f"D({x.name or '?'})"
+    parts = direct_summands(x)
+    if parts is not None:
+        return direct_sum([_dual(s, opposite) for s in parts], name=name)[0]
+    return FDModule(opposite, x.dim, [m.transpose() for m in x.acts], name=name)
+
+
+@memo
+def _dual(x: FDModule, opposite: Algebra) -> FDModule:
+    """dual_module(x, opposite), kept on x: the dual of an indecomposable
+    projective of an algebra is built, and proven projective, once."""
+    return dual_module(x, opposite)
 
 
 def restrict_along(x: FDModule, hom_rows: Mat, source_alg: Algebra, name: str = "") -> FDModule:

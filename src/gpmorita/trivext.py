@@ -228,9 +228,9 @@ def ideal_bimodule_a(ctx: MoritaContext) -> Bimodule:
 def structural_maps(ctx: MoritaContext, q: QuadrupleModule) -> StructuralMaps:
     """eta, theta and m of a valid quadruple, each solved exactly from its
     factorisation identity, so the identities hold by construction, and
-    im(m) = IX because 1 (x) lambda is onto.  I Coker(g) = 0 is a
-    validate_quadruple check; I Im(g) = 0 follows from phi = 0 and the two
-    squares of a quadruple."""
+    im(m) = IX because 1 (x) lambda is onto.  I Coker(g) = 0 follows
+    from the first square of a quadruple (Psi_X lands in Im g), and
+    I Im(g) = 0 from phi = 0 and the two squares."""
     if not ctx.phi_is_zero:
         raise ContextError("structural maps require phi = 0")
     F = ctx.A.field

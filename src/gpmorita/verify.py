@@ -6,8 +6,12 @@ exactness and Hom-complex exactness are recomputed from ranks, and
 periodicity is checked against the stored window.  It keeps its own
 Hom-complex assembly rather than the builder's.  Shared ground is the
 exact linear algebra, the module, hom and complex-window containers, the
-dual and regular modules, validate_module, and one solver: hom_space for
-bases of Hom spaces.
+dual and regular modules, validate_module, one solver: hom_space for
+bases of Hom spaces, and the verified direct-sum record: a module that
+`direct_sum` built keeps its summands, and `direct_summands` hands them
+out only when their block-diagonal actions are the module's, so
+projectivity (additive over direct sums) is proven per summand.  A record
+that disagrees is ignored and the module is proven whole.
 
 `ModuleHom.intertwines` and `hom_space` work on the algebra's generators,
 which is sound only between modules, so every module of a certificate is
@@ -37,7 +41,8 @@ from .algebra import memo, opposite_algebra
 from .complexes import ComplexWindow
 from .linalg import Mat, coordinates, in_row_space, left_kernel, rank, solve_left
 from .modules import (
-    FDModule, ModuleHom, dual_module, hom_space, regular_module, validate_module,
+    FDModule, ModuleHom, direct_summands, dual_module, hom_space, regular_module,
+    validate_module,
 )
 from .gpcert import GPCertificate, NotGPWitness
 
@@ -54,7 +59,12 @@ def projective_by_splitting(m: FDModule) -> bool:
     """m is projective iff its canonical free presentation phi: A^n ->> m
     (n = dim m) splits.  A section m -> A^n is sum_{i,l} c_{i,l} h_l into
     copy i over a basis h_1..h_k of Hom(m, A), so s phi = 1_m is one linear
-    system in the n*k coefficients c, with n^2 equations."""
+    system in the n*k coefficients c, with n^2 equations.  A direct sum
+    whose record `direct_summands` confirms is projective iff each summand
+    is, so each summand is proven once, however many sums it is part of."""
+    parts = direct_summands(m)
+    if parts is not None:
+        return all(map(projective_by_splitting, parts))
     return m.dim == 0 or _presentation_splits(m)
 
 

@@ -731,3 +731,36 @@ def test_audit_tensors_each_pair_once(count_calls):
     systems = count_calls(linalg.intertwining_system)
     audit_equivalence(ext, ctx, family)
     assert systems and _repeated_systems(systems) == 0
+
+
+def test_the_audit_proves_each_test_window_totally_exact_once(monkeypatch):
+    """The four (side, W) semi-weak checks of an audit share the windows the
+    audit certified; a window that several checks read is proven totally
+    exact once, on the certificate window itself."""
+    prob = load_problem_file(os.path.join(FIX, "two_cycle.json"))
+    ext, ctx = prob.named("extensions", "ext"), prob.named("contexts", "ctx")
+    family = [prob.named("quadruples", n) for n in ("P1", "P2", "S1", "S2")]
+    passed, required, proven = [], [], []
+    real_semi_weak = engine.check_semi_weak_quadruple
+    real_require, real_total = engine._require_total, engine.total_exactness
+
+    def semi_weak(*args, **kw):
+        passed.append(args[4])
+        return real_semi_weak(*args, **kw)
+
+    def require_total(wc, seed):
+        required.append(wc)
+        return real_require(wc, seed)
+
+    def total(wc, seed=0):
+        proven.append(wc)
+        return real_total(wc, seed=seed)
+
+    monkeypatch.setattr(engine, "check_semi_weak_quadruple", semi_weak)
+    monkeypatch.setattr(engine, "_require_total", require_total)
+    monkeypatch.setattr(engine, "total_exactness", total)
+    audit_equivalence(ext, ctx, family)
+    windows = {id(wc) for wc in required}
+    assert len(passed) == 4
+    assert windows <= {id(wc) for tests in passed for wc in tests}
+    assert len(proven) == len(windows) < len(required)

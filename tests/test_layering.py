@@ -1,4 +1,4 @@
-"""Eighteen layering rules of the package, checked on its source.
+"""Nineteen layering rules of the package, checked on its source.
 
 Only `linalg` sees matrix entries: no other module reads or writes a
 `.data` attribute or the integer storage behind it, so the storage can
@@ -40,7 +40,10 @@ returns the one it built.  Every derived value kept on an instance goes
 through the one memo, `algebra.memo`: no other code reads or writes an
 instance's `_cache`.  Each lift of the horseshoe is one
 `solve_module_hom` system: `complexes.horseshoe` calls no `solve`,
-`solve_left`, `row_space` or `left_kernel` of its own.
+`solve_left`, `row_space` or `left_kernel` of its own.  A module's record
+of its direct summands is written in one place, `modules.direct_sum`, and
+read in one, `modules.direct_summands`, which checks it against the
+module's actions before any caller answers from the summands.
 """
 from __future__ import annotations
 
@@ -391,3 +394,27 @@ def test_horseshoe_solves_each_lift_as_one_system():
             and (call.func.id if isinstance(call.func, ast.Name)
                  else getattr(call.func, "attr", None)) in KERNEL_BOOKKEEPING]
     assert not hits, f"kernel bookkeeping in the horseshoe: {hits}"
+
+
+# where a module's record of its summands is written, and where it is read
+SUMMANDS_WRITER = ("modules.py", "direct_sum")
+SUMMANDS_READER = ("modules.py", "direct_summands")
+
+
+def test_the_summands_record_has_one_writer_and_one_reader():
+    hits = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        name = os.path.basename(path)
+        tree = _tree(name)
+        inside = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for n in ast.walk(fn):
+                    inside.setdefault(id(n), (name, fn.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "summands":
+                where = (SUMMANDS_WRITER if isinstance(node.ctx, ast.Store)
+                         else SUMMANDS_READER)
+                if inside.get(id(node)) != where:
+                    hits.append(f"{name}:{node.lineno}")
+    assert not hits, f"summands written or read outside their one place: {hits}"

@@ -18,12 +18,12 @@ import sys
 
 from .engine import (
     EngineError, audit_equivalence, build_total_resolution, check_compat,
-    check_conditions, criterion_verdict,
+    check_conditions, criterion_verdict, recheck_compat_witness,
 )
 from .gpcert import certify_gorenstein_projective
 from .jsonio import (
     InputError, ValidationFailure, certificate_from_json, certificate_to_json,
-    dumps_report, load_problem_file, mat_to_json,
+    dumps_report, json_field, load_problem_file, mat_to_json,
 )
 from .modules import Undetermined
 from .morita import (
@@ -107,8 +107,8 @@ def cmd_build_ring(args, prob) -> int:
 def cmd_classify(args, prob) -> int:
     ctx = prob.named("contexts", args.context)
     mr = build_ring(ctx)
-    projs = classify_projectives(ctx, args.seed)
-    injs = classify_injectives(ctx, args.seed)
+    projs = classify_projectives(ctx)
+    injs = classify_injectives(ctx)
     payload = {"command": "classify", "context": args.context,
                "ring_dim": mr.ring.dim,
                "projectives": [{"name": q.name, "x_dim": q.x.dim,
@@ -183,7 +183,7 @@ def cmd_check_compat(args, prob) -> int:
     bim = prob.named("bimodules", args.bimodule)
     left = [prob.named("complexes", n) for n in (args.left_tests or [])]
     right = [prob.named("complexes", n) for n in (args.right_tests or [])]
-    v = check_compat(bim, left, right, bound=args.window, seed=args.seed)
+    v = check_compat(bim, left, right, bound=args.window)
     witness = dict(v.witness) if v.witness else None
     if witness is not None and "test" in witness:
         names = args.left_tests if witness.get("side") == "left" else args.right_tests
@@ -276,6 +276,8 @@ def cmd_verify_report(args, prob) -> int:
     except (OSError, json.JSONDecodeError) as e:
         print(f"input error: cannot read report: {e}", file=sys.stderr)
         return BAD_INPUT
+    if not isinstance(rep, dict):
+        raise InputError("the report is not an object")
     cmd = rep.get("command")
     problems: list[str] = []
     if cmd == "certify-gp":
@@ -286,8 +288,11 @@ def cmd_verify_report(args, prob) -> int:
             if key in rep:
                 found, certs[key] = _verify_cert_json(prob, rep[key])
                 problems += found
-        for clause in rep.get("clauses", []):
-            if not isinstance(clause.get("holds"), bool):
+        clauses = rep.get("clauses", [])
+        for clause in clauses if isinstance(clauses, list) else [clauses]:
+            if not isinstance(clause, dict):
+                problems.append(f"clause {clause!r} malformed")
+            elif not isinstance(clause.get("holds"), bool):
                 problems.append(f"clause {clause.get('name')} malformed")
         if not problems and (cmd == "check-gp" or rep.get("mode") == "check"):
             problems += _reconcile_criterion(prob, rep, certs)
@@ -295,10 +300,9 @@ def cmd_verify_report(args, prob) -> int:
         v = rep.get("verdict")
         if v == "not_compatible":
             w = rep.get("witness") or {}
-            if "test_name" not in w:
+            if not isinstance(w, dict) or "test_name" not in w:
                 problems.append("refutation without a named witness")
             else:
-                from .engine import recheck_compat_witness
                 bim = prob.named("bimodules", rep.get("bimodule", ""))
                 wc = prob.named("complexes", w["test_name"])
                 if not recheck_compat_witness(bim, wc, rep.get("reason", ""), w):
@@ -372,7 +376,8 @@ def _about(cert, x) -> bool:
 def _verify_cert_json(prob, cert_obj):
     """The problems verify_certificate finds with a certificate in JSON,
     and the certificate (None when its algebra is unknown)."""
-    name = cert_obj.get("algebra", "")
+    name = json_field(cert_obj, "malformed certificate: the certificate",
+                      "algebra", str, "")
     algebra = prob.algebras.get(name)
     if algebra is None and name.startswith("ring(") and name.endswith(")"):
         ctx_name = name[5:-1]

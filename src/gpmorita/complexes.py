@@ -209,11 +209,11 @@ def tensor_exactness_failure(c: ComplexWindow, u_op: FDModule) -> int | None:
     return _first_inexact(c, tensor_complex_data(u_op, c))
 
 
-def total_exactness(c: ComplexWindow, seed: int = 0) -> bool:
+def total_exactness(c: ComplexWindow) -> bool:
     """Exactness of Hom(X^., regular) at the degrees whose two neighbouring
     maps lie inside the window; terms must be projective."""
     for i in range(c.lo, c.hi + 1):
-        if not is_projective(c.term(i), seed):
+        if not is_projective(c.term(i)):
             raise ComplexError(f"term {i} is not projective")
     return is_exact(c) and hom_exactness_failure(c, regular_module(c.algebra)) is None
 

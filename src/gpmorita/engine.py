@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import memo, opposite_algebra
+from .algebra import UnsupportedField, memo, opposite_algebra
 from .bimodules import Bimodule, tensor_functor_hom, tensor_module
 from .complexes import (
     ComplexWindow, HorseshoeError, HorseshoeResult, ShortExactSequence,
@@ -329,8 +329,7 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
     t_checked = one_period(tcx)
     bad = validate_complex(t_checked)
     _require(bad == [], f"T window is not a complex: {bad[:1]}")
-    _require(total_exactness(t_checked, seed=seed),
-             "T window is not totally exact")
+    _require(total_exactness(t_checked), "T window is not totally exact")
 
     # ker(d_T^0) is the given quadruple
     ker_t, _ = kernel_of(t_diffs[span], name="ker(d_T^0)")
@@ -401,7 +400,7 @@ class CompatVerdict:
 
 def check_compat(bim: Bimodule, left_tests: list[ComplexWindow] | None = None,
                  right_tests: list[ComplexWindow] | None = None,
-                 bound: int = 6, seed: int = 0) -> CompatVerdict:
+                 bound: int = 6) -> CompatVerdict:
     """Weak compatibility of a bimodule: decision ladder.
 
     (1) finite injective dimension on both sides is a proof-grade reason;
@@ -413,16 +412,16 @@ def check_compat(bim: Bimodule, left_tests: list[ComplexWindow] | None = None,
     right_tests = right_tests or []
     left_mod = bim.as_left_module()
     right_mod = bim.as_right_module()
-    d_left = injective_dimension(left_mod, bound, seed)
-    d_right = injective_dimension(right_mod, bound, seed)
+    d_left = injective_dimension(left_mod, bound)
+    d_right = injective_dimension(right_mod, bound)
     if d_left is not None and d_right is not None:
         return CompatVerdict("weakly_compatible", "finite_injective_dimension",
                              True, inj_dims=(d_left, d_right))
     for k, wc in enumerate(right_tests):
-        _require_total(wc, seed)
+        _require_total(wc)
         for i in range(wc.lo, wc.hi):
             ker, _ = kernel_of(wc.diff(i))
-            if tor_dim(right_mod, ker, 1, seed) != 0:
+            if tor_dim(right_mod, ker, 1) != 0:
                 return CompatVerdict(
                     "not_compatible", "tor_witness", True,
                     witness={"test": k, "degree": i, "tor": 1},
@@ -433,7 +432,7 @@ def check_compat(bim: Bimodule, left_tests: list[ComplexWindow] | None = None,
                 witness={"test": k, "side": "right"},
                 tests_used=len(left_tests) + len(right_tests))
     for k, wc in enumerate(left_tests):
-        _require_total(wc, seed)
+        _require_total(wc)
         deg = hom_exactness_failure(wc, left_mod)
         if deg is not None:
             return CompatVerdict(
@@ -448,13 +447,16 @@ def check_compat(bim: Bimodule, left_tests: list[ComplexWindow] | None = None,
 
 
 def recheck_compat_witness(bim: Bimodule, wc: ComplexWindow, reason: str,
-                           witness: dict, seed: int = 0) -> bool:
+                           witness: dict) -> bool:
     """Independently reconfirm a refutation witness from check_compat."""
-    if not total_exactness(wc, seed=seed):
+    if not total_exactness(wc):
         return False
     if reason == "tor_witness":
-        ker, _ = kernel_of(wc.diff(witness["degree"]))
-        return tor_dim(bim.as_right_module(), ker, 1, seed) != 0
+        i = witness.get("degree")
+        if type(i) is not int or not wc.lo <= i < wc.hi:
+            return False
+        ker, _ = kernel_of(wc.diff(i))
+        return tor_dim(bim.as_right_module(), ker, 1) != 0
     if reason == "tensor_witness":
         return tensor_exactness_failure(wc, bim.as_right_module()) is not None
     if reason == "hom_witness":
@@ -475,10 +477,10 @@ def compose_compat(xy: CompatVerdict, yz: CompatVerdict) -> CompatVerdict:
 
 
 @memo
-def _require_total(wc: ComplexWindow, seed: int):
+def _require_total(wc: ComplexWindow):
     """Raise unless wc is totally exact, proven on one period of it; kept
     on wc, so a test window passed to several checks is proven once."""
-    if not total_exactness(one_period(wc), seed=seed):
+    if not total_exactness(one_period(wc)):
         raise EngineError("test complex is not totally exact")
 
 
@@ -500,9 +502,8 @@ class SemiWeakVerdict:
 
 
 def check_semi_weak_quadruple(ext: TrivialExtension, ctx: MoritaContext,
-                              side: str, which: str,
-                              tests: list[ComplexWindow],
-                              bound: int = 6, seed: int = 0) -> SemiWeakVerdict:
+                              side: str, which: str, tests: list[ComplexWindow],
+                              bound: int = 6) -> SemiWeakVerdict:
     """Semi-weak compatibility of the one-column modules Z(W) = (W, 0, 0, 0)
     (left side, W in {N, I}) or their right-module mirrors (W in {M, I}).
 
@@ -535,7 +536,6 @@ def check_semi_weak_quadruple(ext: TrivialExtension, ctx: MoritaContext,
     # of a totally exact ring complex need not be exact).  On the right
     # side Z(W) is a quadruple over the opposite context, W a right
     # A-module through the canonical surjection
-    from .algebra import UnsupportedField
     if side == "left":
         if which == "M":
             raise EngineError("M is a right-side special module")
@@ -552,14 +552,14 @@ def check_semi_weak_quadruple(ext: TrivialExtension, ctx: MoritaContext,
         ring_mod = quadruple_to_module(opposite_ring(mr), zq)
         dimension, label = projective_dimension, "projective"
     try:
-        d = dimension(ring_mod, bound, seed)
+        d = dimension(ring_mod, bound)
     except UnsupportedField:
         d = None
     if d is not None:
         return SemiWeakVerdict(side, which, "pass_proof",
                                f"finite_{label}_dimension({d})")
     for k, wc in enumerate(tests):
-        _require_total(wc, seed)
+        _require_total(wc)
         wc = one_period(wc)
         if side == "left":
             deg = hom_exactness_failure(wc, ring_mod)
@@ -613,9 +613,9 @@ def audit_equivalence(ext: TrivialExtension, ctx: MoritaContext,
     mr = build_ring(ctx)
     m_lam, n_lam = lam_bimodules(ext, ctx)
     bim_verdicts = {
-        "N": check_compat(n_lam, bound=window, seed=seed),
-        "M": check_compat(m_lam, bound=window, seed=seed),
-        "I": check_compat(ext.ideal, bound=window, seed=seed),
+        "N": check_compat(n_lam, bound=window),
+        "M": check_compat(m_lam, bound=window),
+        "I": check_compat(ext.ideal, bound=window),
     }
     entries = []
     gp_windows: list[ComplexWindow] = []
@@ -631,7 +631,7 @@ def audit_equivalence(ext: TrivialExtension, ctx: MoritaContext,
     for side, which in (("left", "N"), ("left", "I"), ("right", "M"),
                         ("right", "I")):
         semi_weak[f"{side}:{which}"] = check_semi_weak_quadruple(
-            ext, ctx, side, which, gp_windows, bound=window, seed=seed)
+            ext, ctx, side, which, gp_windows, bound=window)
     weak_proof = all(v.kind == "weakly_compatible" and v.proof_grade
                      for v in bim_verdicts.values())
     semi_refuted = [k for k, v in semi_weak.items() if v.refuted]

@@ -23,16 +23,17 @@ verify.verify_certificate is the independent check of every certificate.
 from __future__ import annotations
 
 import inspect
+import random
 from dataclasses import dataclass
 
 from .algebra import opposite_algebra
 from .complexes import (ComplexWindow, hom_exactness_failure, per_instance,
-                        total_exactness)
+                        solve_module_hom, total_exactness)
 from .homology import (
-    Resolution, first_nonzero_ext, global_dimension, is_projective,
+    Resolution, _block_reps, first_nonzero_ext, global_dimension, is_projective,
     is_self_injective, minimal_resolution, projective_cover,
 )
-from .linalg import Mat, left_kernel, linear_combination, rank
+from .linalg import Mat, left_kernel, linear_combination, rank, solve_left
 from .modules import (
     FDModule, ModuleHom, Undetermined, cokernel_of, direct_sum, dual_module,
     free_module, hom_space, is_isomorphic, kernel_of, regular_module,
@@ -98,18 +99,16 @@ def strip_projective_summands(x: FDModule, seed: int = 0):
     summand).  Returns (core, projs, overall) with overall an isomorphism
     x -> P_1 (+) ... (+) P_k (+) core.  The search is seeded and bounded;
     missing a summand only costs certificate strength, never soundness."""
-    import random as _random
-    from .homology import _block_reps
     a = x.algebra
     F = a.field
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     projs: list[FDModule] = []
     cur = x
     overall = Mat.identity(F, x.dim)
     collected = 0
     while cur.dim > 0:
         found = None
-        for mod, _, _, _ in _block_reps(a, seed):
+        for mod, _, _, _ in _block_reps(a):
             if mod.dim > cur.dim:
                 continue
             # the unmemoized body: mod is kept on the algebra and cur is
@@ -123,7 +122,6 @@ def strip_projective_summands(x: FDModule, seed: int = 0):
                                    else rng.randrange(F.p)) for _ in basis]
                 candidates.append(linear_combination(F, mod.dim, cur.dim, coeffs,
                                                      [h.mat for h in basis]))
-            from .complexes import solve_module_hom
             for u_mat in candidates:
                 if rank(u_mat) != mod.dim:
                     continue
@@ -141,7 +139,6 @@ def strip_projective_summands(x: FDModule, seed: int = 0):
         # cur = im(u) (+) ker(v); sigma projects onto the complement
         e_mat = v.mat @ u.mat
         k_mod, k_incl = kernel_of(ModuleHom(cur, mod, v.mat))
-        from .linalg import solve_left
         sigma = solve_left(k_incl.mat, Mat.identity(F, cur.dim).sub(e_mat))
         if sigma is None:
             raise CertifyError("projective summand complement failed")
@@ -165,19 +162,19 @@ def _generator_approximation(cur: FDModule, reg: FDModule) -> tuple[ModuleHom, F
     return ModuleHom(cur, P, mat), P
 
 
-def _dual_embedding(cur: FDModule, seed: int) -> tuple[ModuleHom, FDModule]:
+def _dual_embedding(cur: FDModule) -> tuple[ModuleHom, FDModule]:
     """Minimal embedding into a projective over a self-injective algebra:
     the dual of the projective cover of the dual."""
     a = cur.algebra
     aop = opposite_algebra(a)
     dcur = dual_module(cur, aop)
-    P_op, cov = projective_cover(dcur, seed)
+    P_op, cov = projective_cover(dcur)
     P = dual_module(P_op, a)
     P.name = f"D({P_op.name})"
     return ModuleHom(cur, P, cov.mat.transpose()), P
 
 
-def _right_tail(x: FDModule, length: int, seed: int, dim_budget: int,
+def _right_tail(x: FDModule, length: int, dim_budget: int,
                 use_dual: bool, steps: list[RightTailStep] | None = None):
     """Extend the cosyzygy steps of x (the given ones, else none) to
     `length` steps; returns (steps, final_stage), (steps, "budget") or
@@ -188,7 +185,7 @@ def _right_tail(x: FDModule, length: int, seed: int, dim_budget: int,
     cur = steps[-1].coker_proj.target if steps else x
     for j in range(len(steps), length):
         if use_dual:
-            alpha, P = _dual_embedding(cur, seed)
+            alpha, P = _dual_embedding(cur)
         else:
             alpha, P = _generator_approximation(cur, reg)
         ker_rows = left_kernel(alpha.mat)
@@ -206,7 +203,7 @@ def _right_tail(x: FDModule, length: int, seed: int, dim_budget: int,
     return steps, cur
 
 
-def _two_sided_window(x: FDModule, res: Resolution, steps: list[RightTailStep],
+def _two_sided_window(res: Resolution, steps: list[RightTailStep],
                       span: int) -> tuple[ComplexWindow, ModuleHom]:
     """Left tail ++ right tail spliced at the module."""
     terms, diffs = [], []
@@ -298,7 +295,7 @@ def _search_period(core: FDModule, steps: list[RightTailStep], length: int,
     answer was blocked."""
     undetermined = False
     for p in range(1, length + 1):
-        grown, stop = _right_tail(core, p, seed, dim_budget, use_dual, steps)
+        grown, stop = _right_tail(core, p, dim_budget, use_dual, steps)
         if grown is None or stop == "budget":
             return stop, res
         if p > period_bound:
@@ -311,7 +308,7 @@ def _search_period(core: FDModule, steps: list[RightTailStep], length: int,
         if theta is not None:
             return (*_cosyzygy_periodic_window(steps, p, theta, window), p), res
     if res is None:
-        res = minimal_resolution(core, window + 1, seed)
+        res = minimal_resolution(core, window + 1)
     for p in range(1, min(period_bound, len(res.syzygies)) + 1):
         try:
             theta = is_isomorphic(core, res.syzygies[p - 1], seed=seed)
@@ -348,13 +345,13 @@ def certify_gorenstein_projective(x: FDModule, window: int = 6,
     if window < 2:
         raise ValueError("window must be at least 2")
     a = x.algebra
-    if x.dim == 0 or is_projective(x, seed):
+    if x.dim == 0 or is_projective(x):
         wc, ki = _split_window(x, window)
         return GPCertificate("gp", x, reason="split-projective", period=1,
                              window=wc, kernel_ident=ki)
-    gl = global_dimension(a, window, seed)
+    gl = global_dimension(a, window)
     if gl is not None:
-        res = minimal_resolution(x, gl + 1, seed)
+        res = minimal_resolution(x, gl + 1)
         i = first_nonzero_ext(res, regular_module(a))
         if i is None:
             raise CertifyError(
@@ -362,7 +359,7 @@ def certify_gorenstein_projective(x: FDModule, window: int = 6,
         return GPCertificate(
             "not_gp", x,
             witness=NotGPWitness("non_vanishing_ext", i, resolution=res))
-    self_inj = is_self_injective(a, seed)
+    self_inj = is_self_injective(a)
     core, projs, overall = strip_projective_summands(x, seed)
     core_is_x = not projs
 
@@ -384,8 +381,8 @@ def certify_gorenstein_projective(x: FDModule, window: int = 6,
         if found is None:
             # the two-sided window on [-window, window] reads the right-tail
             # steps 0..window, so it needs one step more
-            found = _right_tail(core, window + 1, seed, dim_budget,
-                                use_dual=True, steps=steps)[1]
+            found = _right_tail(core, window + 1, dim_budget, use_dual=True,
+                                steps=steps)[1]
         if isinstance(found, NotGPWitness):
             raise CertifyError("embedding failed over a self-injective algebra")
         if found == "budget":
@@ -393,23 +390,23 @@ def certify_gorenstein_projective(x: FDModule, window: int = 6,
         if isinstance(found, tuple):
             wc, ki, p = found
         else:
-            wc, ki = _two_sided_window(core, core_res, steps, window)
+            wc, ki = _two_sided_window(core_res, steps, window)
             p = None
         return emit(wc, ki, "self-injective", p)
 
-    res = minimal_resolution(x, window + 1, seed)
+    res = minimal_resolution(x, window + 1)
     reg = regular_module(a)
     i = first_nonzero_ext(res, reg)
     if i is not None:
         return GPCertificate(
             "not_gp", x,
             witness=NotGPWitness("non_vanishing_ext", i, resolution=res))
-    steps_x, tail_x = _right_tail(x, window + 1, seed, dim_budget, use_dual=False)
+    steps_x, tail_x = _right_tail(x, window + 1, dim_budget, use_dual=False)
     if steps_x is None:
         return GPCertificate("not_gp", x, witness=tail_x)
     if tail_x == "budget":
         return unknown("dimension budget exceeded")
-    probe, _ = _two_sided_window(x, res, steps_x, window)
+    probe, _ = _two_sided_window(res, steps_x, window)
     # non-exactness of Hom(probe, A) in a positive degree refutes: the
     # right-tail terms come from projective approximations, so it descends
     # to the cosyzygies
@@ -431,6 +428,6 @@ def certify_gorenstein_projective(x: FDModule, window: int = 6,
     wc, ki, p = found
     # Hom(-, A) of the closed-up window is the one fact of this path that
     # its construction does not prove
-    if not total_exactness(wc, seed=seed):
+    if not total_exactness(wc):
         raise CertifyError("assembled window is not totally exact")
     return emit(wc, ki, "periodic", p)

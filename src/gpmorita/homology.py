@@ -3,6 +3,9 @@ dimensions over a split finite-dimensional algebra.
 
 Right modules enter every signature as left modules over the opposite
 algebra; duals swap the sides by transposing all action matrices.
+Nothing here takes a seed: these are facts about the algebra, and the
+idempotents behind them draw from one fixed stream (see `idempotents`),
+so each algebra keeps one set of block representatives.
 """
 from __future__ import annotations
 
@@ -19,16 +22,11 @@ from .modules import (
 
 
 @memo
-def _projectives(a: Algebra, seed: int = 0):
-    return indecomposable_projectives(a, seed)
-
-
-@memo
-def _block_reps(a: Algebra, seed: int = 0):
+def _block_reps(a: Algebra):
     """One (module, inclusion, idempotent, block) per block of A/rad."""
     seen = set()
     reps = []
-    for item in _projectives(a, seed):
+    for item in indecomposable_projectives(a):
         if item[3] not in seen:
             seen.add(item[3])
             reps.append(item)
@@ -49,17 +47,17 @@ def top_of(x: FDModule) -> tuple[FDModule, ModuleHom]:
 
 
 @memo
-def simple_modules(a: Algebra, seed: int = 0) -> list[FDModule]:
+def simple_modules(a: Algebra) -> list[FDModule]:
     """One simple module per block, as the top of the block's projective."""
     out = []
-    for mod, _, _, blk in _block_reps(a, seed):
+    for mod, _, _, blk in _block_reps(a):
         s, _ = top_of(mod)
         s.name = f"S{blk}"
         out.append(s)
     return out
 
 
-def projective_cover(x: FDModule, seed: int = 0) -> tuple[FDModule, ModuleHom]:
+def projective_cover(x: FDModule) -> tuple[FDModule, ModuleHom]:
     """Minimal projective cover P ->> x (kernel inside rad P).
 
     Per block, one solve lifts every top row t_r of eT to some y_r with
@@ -74,7 +72,7 @@ def projective_cover(x: FDModule, seed: int = 0) -> tuple[FDModule, ModuleHom]:
     T, proj_T = top_of(x)
     summands: list[FDModule] = []
     blocks: list[Mat] = []
-    for mod, incl, e, blk in _block_reps(a, seed):
+    for mod, incl, e, blk in _block_reps(a):
         eT = row_space(T.act_of(e))
         if eT.rows == 0:
             continue
@@ -102,13 +100,13 @@ def projective_cover(x: FDModule, seed: int = 0) -> tuple[FDModule, ModuleHom]:
 
 
 @memo
-def is_projective(x: FDModule, seed: int = 0) -> bool:
+def is_projective(x: FDModule) -> bool:
     """Whether the projective cover of x is as large as x; a direct sum is
     projective iff each of its summands is."""
     parts = direct_summands(x)
     if parts is not None:
-        return all(is_projective(s, seed) for s in parts)
-    P, _ = projective_cover(x, seed)
+        return all(is_projective(s) for s in parts)
+    P, _ = projective_cover(x)
     return P.dim == x.dim
 
 
@@ -130,11 +128,11 @@ class Resolution:
         return ComplexWindow(-n, 0, self.terms[::-1], self.maps[::-1])
 
 
-def minimal_resolution(x: FDModule, length: int, seed: int = 0) -> Resolution:
+def minimal_resolution(x: FDModule, length: int) -> Resolution:
     terms: list[FDModule] = []
     maps: list[ModuleHom] = []
     syzygies: list[FDModule] = []
-    P0, aug = projective_cover(x, seed)
+    P0, aug = projective_cover(x)
     terms.append(P0)
     cur_ker, cur_incl = kernel_of(aug)
     syzygies.append(cur_ker)
@@ -146,7 +144,7 @@ def minimal_resolution(x: FDModule, length: int, seed: int = 0) -> Resolution:
             maps.append(zero_hom(z, terms[-2]))
             syzygies.append(z)
             continue
-        P, cov = projective_cover(cur_ker, seed)
+        P, cov = projective_cover(cur_ker)
         terms.append(P)
         maps.append(cov.then(cur_incl))
         cur_ker, cur_incl = kernel_of(cov)
@@ -156,22 +154,22 @@ def minimal_resolution(x: FDModule, length: int, seed: int = 0) -> Resolution:
     return Resolution(x, terms, maps, aug, syzygies, finished)
 
 
-def projective_dimension(x: FDModule, bound: int, seed: int = 0) -> int | None:
+def projective_dimension(x: FDModule, bound: int) -> int | None:
     if x.dim == 0:
         return 0
-    res = minimal_resolution(x, bound, seed)
+    res = minimal_resolution(x, bound)
     for j, s in enumerate(res.syzygies):
         if s.dim == 0:
             return j
     return None
 
 
-def ext_dim(x: FDModule, y: FDModule, i: int, seed: int = 0) -> int:
+def ext_dim(x: FDModule, y: FDModule, i: int) -> int:
     """dim Ext^i(x, y) from a minimal projective resolution of x."""
     from .complexes import hom_complex_data, homology_at
     if i == 0:
         return hom_dim(x, y)
-    res = minimal_resolution(x, i + 1, seed)
+    res = minimal_resolution(x, i + 1)
     return homology_at(*hom_complex_data(res.window(), y), len(res.maps) - i)
 
 
@@ -184,29 +182,29 @@ def first_nonzero_ext(res: Resolution, y: FDModule) -> int | None:
     return next((i for i in range(1, n) if homology_at(dims, maps, n - i)), None)
 
 
-def tor_dim(u_op: FDModule, x: FDModule, i: int, seed: int = 0) -> int:
+def tor_dim(u_op: FDModule, x: FDModule, i: int) -> int:
     """dim Tor_i(U, x) for a right module U given over the opposite algebra."""
     from .complexes import homology_at, tensor_complex_data
     if i == 0:
         return balanced_tensor_space(u_op, x).dim
-    res = minimal_resolution(x, i + 1, seed)
+    res = minimal_resolution(x, i + 1)
     return homology_at(*tensor_complex_data(u_op, res.window()),
                        len(res.maps) - i)
 
 
-def injective_dimension(x: FDModule, bound: int, seed: int = 0) -> int | None:
+def injective_dimension(x: FDModule, bound: int) -> int | None:
     """Via the projective dimension of the dual over the opposite algebra."""
     aop = opposite_algebra(x.algebra)
-    return projective_dimension(dual_module(x, aop), bound, seed)
+    return projective_dimension(dual_module(x, aop), bound)
 
 
 @memo
-def global_dimension(a: Algebra, bound: int, seed: int = 0) -> int | None:
+def global_dimension(a: Algebra, bound: int) -> int | None:
     """The largest projective dimension of a simple module, or None when
-    one exceeds bound; kept per algebra, bound and seed."""
+    one exceeds bound; kept per algebra and bound."""
     best = 0
-    for s in simple_modules(a, seed):
-        d = projective_dimension(s, bound, seed)
+    for s in simple_modules(a):
+        d = projective_dimension(s, bound)
         if d is None:
             return None
         best = max(best, d)
@@ -214,19 +212,19 @@ def global_dimension(a: Algebra, bound: int, seed: int = 0) -> int | None:
 
 
 @memo
-def is_self_injective(a: Algebra, seed: int = 0) -> bool:
+def is_self_injective(a: Algebra) -> bool:
     """The regular module is injective iff the dual of the regular right
     module is projective as a left module."""
     aop = opposite_algebra(a)
-    return is_projective(dual_module(regular_module(aop), a), seed)
+    return is_projective(dual_module(regular_module(aop), a))
 
 
-def indec_injectives(a: Algebra, seed: int = 0) -> list[FDModule]:
+def indec_injectives(a: Algebra) -> list[FDModule]:
     """Indecomposable injectives: duals of the opposite's indecomposable
     projectives."""
     aop = opposite_algebra(a)
     out = []
-    for mod, _, _, blk in _block_reps(aop, seed):
+    for mod, _, _, blk in _block_reps(aop):
         inj = dual_module(mod, a)
         inj.name = f"I{blk}"
         out.append(inj)

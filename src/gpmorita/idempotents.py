@@ -10,6 +10,11 @@ the polynomials serve only to find roots.
 Splitness is required: any minimal polynomial with an irreducible factor
 of degree > 1 over the ground field, or a simple module with endomorphism
 ring bigger than k, raises SplitError.
+
+Nothing here takes a seed.  The zero-divisor search ends with random
+draws, and root finding over F_p with p > 4096 splits with random shifts;
+both draw from one fixed stream, a fresh Random(0) per call, so the
+idempotents of an algebra depend on the algebra alone.
 """
 from __future__ import annotations
 
@@ -116,7 +121,7 @@ def _int_divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def linear_roots(F: Field, poly: list, seed: int = 0) -> tuple[list, bool]:
+def linear_roots(F: Field, poly: list) -> tuple[list, bool]:
     """Distinct roots of `poly` in F, ascending, and whether their number is
     its degree: for a squarefree poly (the minimal polynomial of an element
     of a semisimple algebra), whether it splits into linear factors over F."""
@@ -148,7 +153,7 @@ def linear_roots(F: Field, poly: list, seed: int = 0) -> tuple[list, bool]:
     b_ = [F.zero(), F.one()] + [F.zero()] * (width - 2)
     xpx = _poly_trim(F, [F.sub(u, v) for u, v in zip(a_, b_)])
     lin = _poly_gcd(F, xpx, poly) if xpx else poly
-    roots = sorted(_cz_roots(F, lin, seed))
+    roots = sorted(_cz_roots(F, lin))
     return roots, len(roots) == n
 
 
@@ -159,10 +164,10 @@ def _poly_eval(F: Field, a: list, x):
     return acc
 
 
-def _cz_roots(F: Field, lin: list, seed: int) -> list:
+def _cz_roots(F: Field, lin: list) -> list:
     """Roots of a product of distinct linear factors over a large F_p
-    (equal-degree splitting with a seeded generator)."""
-    rng = random.Random(seed)
+    (equal-degree splitting, drawing from the fixed stream Random(0))."""
+    rng = random.Random(0)
     out = []
 
     def split(f):
@@ -244,7 +249,7 @@ def center_rows(a: Algebra) -> Mat:
     return left_kernel(Mat.hstack(diffs)) if diffs else Mat.identity(a.field, a.dim)
 
 
-def central_primitive_idempotents(ss: Algebra, seed: int = 0) -> list[list]:
+def central_primitive_idempotents(ss: Algebra) -> list[list]:
     """Central primitive idempotents of a split semisimple algebra."""
     F = ss.field
     Z = center_rows(ss)
@@ -255,7 +260,7 @@ def central_primitive_idempotents(ss: Algebra, seed: int = 0) -> list[list]:
         for e in idems:
             w = (Mat.from_rows(F, [e], ss.dim) @ rz).row(0)
             K, mp = _krylov(ss, w, unit=e)
-            roots, fully = linear_roots(F, mp, seed)
+            roots, fully = linear_roots(F, mp)
             if not fully:
                 raise SplitError("central element with a non-linear irreducible factor")
             if len(roots) <= 1:
@@ -278,8 +283,11 @@ def central_primitive_idempotents(ss: Algebra, seed: int = 0) -> list[list]:
     return idems
 
 
-def _singular_candidates(b: Algebra, seed: int, budget: int = 300):
-    """Deterministic-then-seeded stream of elements to probe for zero divisors."""
+_RANDOM_PROBES = 300     # random elements tried after the structured ones
+
+
+def _singular_candidates(b: Algebra):
+    """Elements to probe for zero divisors; the random ones come from Random(0)."""
     F = b.field
     for i in range(b.dim):
         yield b.basis_el(i)
@@ -295,18 +303,18 @@ def _singular_candidates(b: Algebra, seed: int, budget: int = 300):
     for i in range(b.dim):
         el = b.basis_el(i)
         mp = element_min_poly(b, el)
-        roots, _ = linear_roots(F, mp, seed)
+        roots, _ = linear_roots(F, mp)
         for lam in roots:
             yield [F.sub(x, F.mul(lam, u)) for x, u in zip(el, b.unit)]
-    rng = random.Random(seed)
-    for _ in range(budget):
+    rng = random.Random(0)
+    for _ in range(_RANDOM_PROBES):
         if F.is_rational:
             yield [F.of_int(rng.randint(-2, 2)) for _ in range(b.dim)]
         else:
             yield [F.of_int(rng.randrange(F.p)) for _ in range(b.dim)]
 
 
-def _minimal_left_ideal(b: Algebra, seed: int = 0) -> FDModule:
+def _minimal_left_ideal(b: Algebra) -> FDModule:
     """A simple submodule of the regular module of a split simple algebra."""
     reg = regular_module(b)
     if b.dim == 1:
@@ -314,7 +322,7 @@ def _minimal_left_ideal(b: Algebra, seed: int = 0) -> FDModule:
     F = b.field
     current: FDModule | None = None
     current_incl = None
-    for u in _singular_candidates(b, seed):
+    for u in _singular_candidates(b):
         img = row_space(b.rmul_of(u))   # B*u = image of right multiplication
         if 0 < img.rows < b.dim:
             if current is None or img.rows < current.dim:
@@ -339,14 +347,14 @@ def _minimal_left_ideal(b: Algebra, seed: int = 0) -> FDModule:
             continue
         # no singular endo in the canonical basis: split the (strictly
         # smaller) endomorphism algebra recursively and use a projection
-        proj = _idempotent_endo(b, endos, seed)
+        proj = _idempotent_endo(b, endos)
         if proj is None:
             raise SplitError("simple module with endomorphism ring bigger than k")
         rows = row_space(proj @ current_incl.mat)
         current, current_incl = submodule_from_rows(reg, rows)
 
 
-def _idempotent_endo(b: Algebra, endos, seed: int) -> Mat | None:
+def _idempotent_endo(b: Algebra, endos) -> Mat | None:
     """A proper idempotent in an endomorphism algebra, as a matrix.
 
     The endo algebra (product = composition, source first) is strictly
@@ -365,7 +373,7 @@ def _idempotent_endo(b: Algebra, endos, seed: int) -> Mat | None:
     if unit is None:
         raise AlgebraError("identity endo missing from the endo space")
     E = Algebra(F, k, c, unit.row(0), name="End")
-    prims = primitive_idempotents_semisimple(E, seed)
+    prims = primitive_idempotents_semisimple(E)
     coeffs, _ = prims[0]
     out = linear_combination(F, ident.rows, ident.cols, coeffs,
                              [h.mat for h in endos])
@@ -374,15 +382,15 @@ def _idempotent_endo(b: Algebra, endos, seed: int) -> Mat | None:
     return out
 
 
-def primitive_idempotents_semisimple(ss: Algebra, seed: int = 0) -> list[tuple[list, int]]:
+def primitive_idempotents_semisimple(ss: Algebra) -> list[tuple[list, int]]:
     """Primitive orthogonal idempotents of a split semisimple algebra,
     tagged with the index of their central block; they sum to 1."""
     F = ss.field
     out = []
-    centrals = central_primitive_idempotents(ss, seed)
+    centrals = central_primitive_idempotents(ss)
     for block_index, eps in enumerate(centrals):
         block, incl = corner_algebra(ss, eps, name=f"block{block_index}")
-        simple = _minimal_left_ideal(block, seed)
+        simple = _minimal_left_ideal(block)
         reg = regular_module(block)
         # decompose the regular module into copies of the simple
         chosen: list[Mat] = []
@@ -410,17 +418,17 @@ def primitive_idempotents_semisimple(ss: Algebra, seed: int = 0) -> list[tuple[l
     return out
 
 
-def primitive_idempotents(a: Algebra, seed: int = 0) -> list[tuple[list, int]]:
+def primitive_idempotents(a: Algebra) -> list[tuple[list, int]]:
     """Complete list of primitive orthogonal idempotents of a split algebra,
     each tagged with its block (= isomorphism class of the projective Ae)."""
     F = a.field
     rad = radical_basis(a)
     if rad.rows == 0:
-        return primitive_idempotents_semisimple(a, seed)
+        return primitive_idempotents_semisimple(a)
     ss, proj = quotient_algebra(a, rad, name=f"{a.name}/rad")
     section = solve_left(proj, Mat.identity(F, ss.dim))
     assert section is not None
-    bars = primitive_idempotents_semisimple(ss, seed)
+    bars = primitive_idempotents_semisimple(ss)
     # radical nilpotency index bounds the lifting iterations
     iters = max(1, (nilpotency_index(a, rad) - 1).bit_length() + 1)
     lifted: list[tuple[list, int]] = []
@@ -441,14 +449,14 @@ def primitive_idempotents(a: Algebra, seed: int = 0) -> list[tuple[list, int]]:
     return lifted
 
 
-def indecomposable_projectives(a: Algebra, seed: int = 0):
+def indecomposable_projectives(a: Algebra):
     """One projective module A*e per primitive idempotent, with block tags.
 
     Returns a list of (module, inclusion-into-regular, idempotent, block).
     """
     reg = regular_module(a)
     out = []
-    for e, blk in primitive_idempotents(a, seed):
+    for e, blk in primitive_idempotents(a):
         rows = row_space(a.rmul_of(e))
         mod, incl = submodule_from_rows(reg, rows, name=f"P(e{len(out)})")
         out.append((mod, incl, e, blk))

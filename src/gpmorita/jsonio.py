@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 from .algebra import Algebra, validate_algebra
 from .bimodules import BalancedMap, Bimodule, BimoduleError, validate_bimodule
@@ -20,7 +21,7 @@ from .fields import Field, FieldSpec
 from .gpcert import GPCertificate, NotGPWitness, RightTailStep
 from .homology import Resolution
 from .linalg import Mat
-from .modules import FDModule, ModuleError, ModuleHom, validate_module
+from .modules import FDModule, ModuleError, ModuleHom, free_module, validate_module
 from .morita import (
     ContextError, MoritaContext, make_quadruple, validate_context,
     validate_quadruple,
@@ -36,6 +37,27 @@ class InputError(ValueError):
 
 class ValidationFailure(InputError):
     """A named object parsed fine but fails its own invariants."""
+
+
+_REQUIRED = object()
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def json_field(obj, what: str, key, kind: type, default=_REQUIRED):
+    """obj[key], which must be of the JSON type kind: dict, list, str, int
+    (not bool) or object (any value).  When default is given, an absent
+    key or a null gives it.  Anything else raises InputError naming
+    `what`, the object read."""
+    if not isinstance(obj, dict):
+        raise InputError(f"{what} is not an object")
+    value = obj.get(key)
+    if value is None and default is not _REQUIRED:
+        return default
+    if key not in obj:
+        raise InputError(f"{what} has no {key!r}")
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise InputError(f"{what}: {key!r} is {value!r}, not {_KINDS[kind]}")
+    return value
 
 
 # -- scalars and matrices ------------------------------------------------------
@@ -133,6 +155,11 @@ def complex_to_json(wc: ComplexWindow, algebra_name: str):
 # -- the problem file -------------------------------------------------------------
 
 
+def _noun(kind: str) -> str:
+    """One object of a section: "modules" -> "module"."""
+    return "complex" if kind == "complexes" else kind[:-1]
+
+
 @dataclass
 class Problem:
     field: Field
@@ -153,8 +180,8 @@ class Problem:
 
     def named(self, kind: str, name: str):
         table = getattr(self, kind)
-        if name not in table:
-            raise InputError(f"unknown {kind[:-1]} {name!r}")
+        if type(name) is not str or name not in table:
+            raise InputError(f"unknown {_noun(kind)} {name!r}")
         return table[name]
 
 
@@ -174,7 +201,16 @@ def load_problem(doc: dict) -> Problem:
         raise InputError("problem file needs a field spec")
     F = field_from_json(doc["field"])
     prob = Problem(F)
-    for name, obj in (doc.get("algebras") or {}).items():
+
+    def section(kind: str):
+        """(name, obj, get) for each object of a section; get(key, type,
+        default) is json_field on obj, named as the object."""
+        table = json_field(doc, "the problem file", kind, dict, {})
+        for name in table:
+            obj = json_field(table, kind, name, dict)
+            yield name, obj, partial(json_field, obj, f"{_noun(kind)} {name!r}")
+
+    for name, obj, _ in section("algebras"):
         a = algebra_from_json(F, obj, name)
         bad = validate_algebra(a)
         if bad:
@@ -182,63 +218,65 @@ def load_problem(doc: dict) -> Problem:
                              f"{bad[0].indices}")
         prob.algebras[name] = a
         prob.algebra_names[id(a)] = name
-    for name, obj in (doc.get("modules") or {}).items():
-        a = prob.algebra(obj.get("algebra", ""))
+    for name, obj, get in section("modules"):
+        a = prob.algebra(get("algebra", str, ""))
         with _building("module", name):
-            acts = [mat_from_json(F, m) for m in obj.get("acts", [])]
-            x = FDModule(a, obj.get("dim", 0), acts, name=name)
+            acts = [mat_from_json(F, m) for m in get("acts", list, [])]
+            x = FDModule(a, get("dim", int, 0), acts, name=name)
         bad = validate_module(x)
         if bad:
             raise ValidationFailure(f"module {name!r} invalid: {bad[0]}")
         prob.modules[name] = x
-    for name, obj in (doc.get("bimodules") or {}).items():
-        left = prob.algebra(obj.get("left", ""))
-        right = prob.algebra(obj.get("right", ""))
+    for name, obj, get in section("bimodules"):
+        left = prob.algebra(get("left", str, ""))
+        right = prob.algebra(get("right", str, ""))
         with _building("bimodule", name):
-            b = Bimodule(left, right, obj.get("dim", 0),
-                         [mat_from_json(F, m) for m in obj.get("left_acts", [])],
-                         [mat_from_json(F, m) for m in obj.get("right_acts", [])],
+            b = Bimodule(left, right, get("dim", int, 0),
+                         [mat_from_json(F, m) for m in get("left_acts", list, [])],
+                         [mat_from_json(F, m) for m in get("right_acts", list, [])],
                          name=name)
             bad = validate_bimodule(b)
         if bad:
             raise ValidationFailure(f"bimodule {name!r} invalid: {bad[0]}")
         prob.bimodules[name] = b
-    for name, obj in (doc.get("maps") or {}).items():
-        m = prob.named("bimodules", obj.get("m", ""))
-        n = prob.named("bimodules", obj.get("n", ""))
-        target = prob.algebra(obj.get("target", ""))
+    for name, obj, get in section("maps"):
+        m = prob.named("bimodules", get("m", str, ""))
+        n = prob.named("bimodules", get("n", str, ""))
+        target = prob.algebra(get("target", str, ""))
         with _building("map", name):
-            bm = BalancedMap(m, n, target, mat_from_json(F, obj["mat"]))
+            bm = BalancedMap(m, n, target, mat_from_json(F, get("mat", dict)))
         prob.maps[name] = bm
-    for name, obj in (doc.get("contexts") or {}).items():
+    for name, obj, get in section("contexts"):
         ctx = MoritaContext(
-            prob.algebra(obj.get("A", "")), prob.algebra(obj.get("B", "")),
-            prob.named("bimodules", obj.get("M", "")),
-            prob.named("bimodules", obj.get("N", "")),
-            prob.named("maps", obj.get("phi", "")),
-            prob.named("maps", obj.get("psi", "")), name=name)
+            prob.algebra(get("A", str, "")), prob.algebra(get("B", str, "")),
+            prob.named("bimodules", get("M", str, "")),
+            prob.named("bimodules", get("N", str, "")),
+            prob.named("maps", get("phi", str, "")),
+            prob.named("maps", get("psi", str, "")), name=name)
         bad = validate_context(ctx)
         if bad:
             raise ValidationFailure(f"context {name!r} invalid: {bad[0]}")
         prob.contexts[name] = ctx
-    for name, obj in (doc.get("extensions") or {}).items():
-        a = prob.algebra(obj.get("algebra", ""))
-        lam_rows = mat_from_json(F, obj["subring_rows"])
-        ideal_rows = mat_from_json(F, obj["ideal_rows"])
+    for name, obj, get in section("extensions"):
+        a = prob.algebra(get("algebra", str, ""))
+        lam_rows = mat_from_json(F, get("subring_rows", dict))
+        ideal_rows = mat_from_json(F, get("ideal_rows", dict))
+        if lam_rows.cols != a.dim or ideal_rows.cols != a.dim:
+            raise InputError(f"extension {name!r}: its rows need {a.dim} columns")
         try:
             ext = recognize_trivial_extension(a, lam_rows, ideal_rows, name=name)
         except ExtensionError as e:
             raise ValidationFailure(f"extension {name!r} invalid: {e}") from e
         prob.extensions[name] = ext
-    for name, obj in (doc.get("quadruples") or {}).items():
-        ctx = prob.named("contexts", obj.get("context", ""))
-        x = prob.named("modules", obj.get("x", ""))
-        y = prob.named("modules", obj.get("y", ""))
+    for name, obj, get in section("quadruples"):
+        ctx = prob.named("contexts", get("context", str, ""))
+        x = prob.named("modules", get("x", str, ""))
+        y = prob.named("modules", get("y", str, ""))
         if x.algebra is not ctx.A or y.algebra is not ctx.B:
             raise InputError(f"quadruple {name!r}: x must live over the context's "
                              f"A and y over its B")
-        f_full = mat_from_json(F, obj["f_full"])
-        g_full = mat_from_json(F, obj["g_full"])
+        f_full = mat_from_json(F, get("f_full", dict))
+        g_full = mat_from_json(F, get("g_full", dict))
         for which, m, shape in (("f_full", f_full, (ctx.M.dim * x.dim, y.dim)),
                                 ("g_full", g_full, (ctx.N.dim * y.dim, x.dim))):
             if (m.rows, m.cols) != shape:
@@ -252,18 +290,21 @@ def load_problem(doc: dict) -> Problem:
         if bad:
             raise ValidationFailure(f"quadruple {name!r} invalid: {bad[0]}")
         prob.quadruples[name] = q
-    for name, obj in (doc.get("complexes") or {}).items():
-        a = prob.algebra(obj.get("algebra", ""))
+    for name, obj, get in section("complexes"):
+        a = prob.algebra(get("algebra", str, ""))
         with _building("complex", name):
             terms = []
-            for k, t in enumerate(obj.get("terms", [])):
-                acts = [mat_from_json(F, m) for m in t.get("acts", [])]
-                terms.append(FDModule(a, t.get("dim", 0), acts,
+            for k, t in enumerate(get("terms", list, [])):
+                t_get = partial(json_field, t, f"term {k} of complex {name!r}")
+                acts = [mat_from_json(F, m) for m in t_get("acts", list, [])]
+                terms.append(FDModule(a, t_get("dim", int, 0), acts,
                                       name=f"{name}[{k}]"))
-            diffs = []
-            for k, d in enumerate(obj.get("diffs", [])):
-                diffs.append(ModuleHom(terms[k], terms[k + 1], mat_from_json(F, d)))
-            c = ComplexWindow(obj.get("lo", 0), obj.get("hi", 0), terms, diffs)
+            diffs = get("diffs", list, [])
+            if len(diffs) != len(terms) - 1:
+                raise ComplexError("one differential per adjacent pair required")
+            diffs = [ModuleHom(s, t, mat_from_json(F, d))
+                     for s, t, d in zip(terms, terms[1:], diffs)]
+            c = ComplexWindow(get("lo", int, 0), get("hi", int, 0), terms, diffs)
         bad = validate_complex(c)
         if bad:
             raise ValidationFailure(f"complex {name!r} invalid: {bad[0]}")
@@ -318,93 +359,89 @@ def certificate_to_json(cert: GPCertificate, algebra_name: str):
     return out
 
 
-def _require(obj, keys: tuple, what: str):
-    """Raise InputError unless obj is an object with every key."""
-    if not isinstance(obj, dict):
-        raise InputError(f"malformed certificate: {what} is not an object")
-    missing = next((k for k in keys if k not in obj), None)
-    if missing is not None:
-        raise InputError(f"malformed certificate: {what} has no {missing!r}")
-
-
 def certificate_from_json(a: Algebra, obj) -> GPCertificate:
-    """The certificate in obj, over a.  A missing key, window bounds that
-    are not ints, or a window whose term and differential counts do not
-    match its bounds raise InputError."""
+    """The certificate in obj, over a.  A missing key, a value of the wrong
+    JSON type, window bounds that are not ints, or a window whose term and
+    differential counts do not match its bounds raise InputError."""
     F = a.field
 
-    def mod(o, what="a module"):
-        _require(o, ("dim", "acts"), what)
-        return FDModule(a, o["dim"], [mat_from_json(F, m) for m in o["acts"]])
+    def fields(o, what):
+        return partial(json_field, o, f"malformed certificate: {what}")
 
-    _require(obj, ("verdict", "module"), "the certificate")
-    module = mod(obj["module"], "the module")
+    def mod(o, what="a module"):
+        get = fields(o, what)
+        dim = get("dim", int)
+        return FDModule(a, dim, [mat_from_json(F, m) for m in get("acts", list)])
+
+    get = fields(obj, "the certificate")
+    verdict = get("verdict", str)
+    module = mod(get("module", object), "the module")
     window = None
     kernel_ident = None
     if "window" in obj:
-        wobj = obj["window"]
-        _require(wobj, ("lo", "hi", "terms", "diffs"), "the window")
-        lo, hi = wobj["lo"], wobj["hi"]
+        wget = fields(obj["window"], "the window")
+        lo, hi, wterms, wdiffs = (wget(k, object)
+                                  for k in ("lo", "hi", "terms", "diffs"))
         if type(lo) is not int or type(hi) is not int:
             raise InputError(f"malformed certificate: window bounds {lo!r}, {hi!r} "
                              "are not ints")
-        if not (isinstance(wobj["terms"], list) and isinstance(wobj["diffs"], list)
-                and len(wobj["terms"]) == hi - lo + 1
-                and len(wobj["diffs"]) == hi - lo):
+        if not (isinstance(wterms, list) and isinstance(wdiffs, list)
+                and len(wterms) == hi - lo + 1 and len(wdiffs) == hi - lo):
             raise InputError(f"malformed certificate: a window on [{lo}, {hi}] needs "
                              f"{hi - lo + 1} terms and {hi - lo} differentials")
-        terms = [mod(t) for t in wobj["terms"]]
+        terms = [mod(t) for t in wterms]
         diffs = [ModuleHom(terms[k], terms[k + 1], mat_from_json(F, d))
-                 for k, d in enumerate(wobj["diffs"])]
-        window = ComplexWindow(wobj["lo"], wobj["hi"], terms, diffs)
+                 for k, d in enumerate(wdiffs)]
+        window = ComplexWindow(lo, hi, terms, diffs)
     if "kernel_ident" in obj and window is not None:
         kernel_ident = ModuleHom(module, window.term(0),
                                  mat_from_json(F, obj["kernel_ident"]))
     witness = None
     if "witness" in obj:
-        wobj = obj["witness"]
-        _require(wobj, ("kind", "degree"), "the witness")
+        wget = fields(obj["witness"], "the witness")
+        kind, degree = wget("kind", str), wget("degree", int)
         resolution = None
         steps = None
         stage = alpha = kernel_row = None
-        if "resolution" in wobj:
-            robj = wobj["resolution"]
-            _require(robj, ("terms", "maps", "aug"), "the witness resolution")
-            if not (isinstance(robj["terms"], list) and isinstance(robj["maps"], list)
-                    and len(robj["terms"]) == len(robj["maps"]) + 1):
+        robj = wget("resolution", object, None)
+        if robj is not None:
+            rget = fields(robj, "the witness resolution")
+            rterms, rmaps, raug = (rget(k, object) for k in ("terms", "maps", "aug"))
+            if not (isinstance(rterms, list) and isinstance(rmaps, list)
+                    and len(rterms) == len(rmaps) + 1):
                 raise InputError("malformed certificate: the witness resolution "
                                  "needs one term more than it has maps")
-            terms = [mod(t) for t in robj["terms"]]
+            terms = [mod(t) for t in rterms]
             maps = [ModuleHom(terms[k + 1], terms[k], mat_from_json(F, d))
-                    for k, d in enumerate(robj["maps"])]
-            aug = ModuleHom(terms[0], module, mat_from_json(F, robj["aug"]))
+                    for k, d in enumerate(rmaps)]
+            aug = ModuleHom(terms[0], module, mat_from_json(F, raug))
             resolution = Resolution(module, terms, maps, aug, [], False)
-        if "steps" in wobj:
+        wsteps = wget("steps", list, None)
+        if wsteps is not None:
             steps = []
-            for st in wobj["steps"]:
-                _require(st, ("stage", "alpha", "target", "coker_proj"), "a witness step")
-                s_mod = mod(st["stage"])
-                t_mod = mod(st["target"])
-                al = ModuleHom(s_mod, t_mod, mat_from_json(F, st["alpha"]))
-                ck = mat_from_json(F, st["coker_proj"])
+            for st in wsteps:
+                sget = fields(st, "a witness step")
+                s_mod = mod(sget("stage", object))
+                t_mod = mod(sget("target", object))
+                al = ModuleHom(s_mod, t_mod, mat_from_json(F, sget("alpha", object)))
+                ck = mat_from_json(F, sget("coker_proj", object))
                 nxt = FDModule(a, ck.cols, _induced_acts(a, t_mod, ck))
                 steps.append(RightTailStep(s_mod, al, t_mod,
                                            ModuleHom(t_mod, nxt, ck)))
-        if "fail_stage" in wobj:
-            _require(wobj, ("fail_alpha", "kernel_row"), "the witness")
-            stage = mod(wobj["fail_stage"])
-            tgt_mat = mat_from_json(F, wobj["fail_alpha"])
-            from .modules import free_module
+        fail_stage = wget("fail_stage", object, None)
+        if fail_stage is not None:
+            stage = mod(fail_stage)
+            tgt_mat = mat_from_json(F, wget("fail_alpha", object))
             target = free_module(a, tgt_mat.cols // a.dim if a.dim else 0)
             alpha = ModuleHom(stage, target, tgt_mat)
-            kernel_row = mat_from_json(F, wobj["kernel_row"])
-        witness = NotGPWitness(wobj["kind"], wobj["degree"],
-                               resolution=resolution, steps=steps,
+            kernel_row = mat_from_json(F, wget("kernel_row", object))
+        witness = NotGPWitness(kind, degree, resolution=resolution, steps=steps,
                                stage=stage, alpha=alpha, kernel_row=kernel_row)
-    return GPCertificate(obj["verdict"], module, reason=obj.get("reason", ""),
+    bound = get("bound", list, None)
+    return GPCertificate(verdict, module, reason=obj.get("reason", ""),
                          period=obj.get("period"), window=window,
                          kernel_ident=kernel_ident, witness=witness,
-                         bound=tuple(obj["bound"]) if obj.get("bound") else None)
+                         bound=tuple(bound) if bound else None)
 
 
 def _induced_acts(a: Algebra, src: FDModule, proj: Mat):

@@ -27,6 +27,7 @@ from .bimodules import (
     validate_balanced_map, validate_bimodule,
 )
 from .fields import Field
+from .homology import _block_reps, indec_injectives
 from .linalg import (
     Mat, coordinates, factor_through, rank, row_space,
 )
@@ -551,20 +552,18 @@ def p_b(q: QuadrupleModule) -> tuple[FDModule, ModuleHom]:
     return kernel_of(f_tilde(swap_quadruple(q)), name=f"P_B({q.name})")
 
 
-def classify_projectives(ctx: MoritaContext, seed: int = 0) -> list[QuadrupleModule]:
+def classify_projectives(ctx: MoritaContext) -> list[QuadrupleModule]:
     """The indecomposable projective quadruples: T_A on the indecomposable
     projectives of A, then T_B likewise over B."""
-    from .homology import _block_reps
     return [t(ctx, mod, name=f"T_{tag}(P{blk})")
             for alg, t, tag in ((ctx.A, t_a, "A"), (ctx.B, t_b, "B"))
-            for mod, _, _, blk in _block_reps(alg, seed)]
+            for mod, _, _, blk in _block_reps(alg)]
 
 
-def classify_injectives(ctx: MoritaContext, seed: int = 0) -> list[QuadrupleModule]:
-    from .homology import indec_injectives
+def classify_injectives(ctx: MoritaContext) -> list[QuadrupleModule]:
     return [h(ctx, inj, name=f"H_{tag}({inj.name})")
             for alg, h, tag in ((ctx.A, h_a, "A"), (ctx.B, h_b, "B"))
-            for inj in indec_injectives(alg, seed)]
+            for inj in indec_injectives(alg)]
 
 
 def regular_quadruple(mr: MoritaRing) -> QuadrupleModule:

@@ -17,7 +17,8 @@ from .bimodules import (
     restrict_right, right_table, zero_balanced_map,
 )
 from .engine import (
-    CompatVerdict, EngineError, build_total_resolution, check_conditions,
+    CompatVerdict, EngineError, build_total_resolution, check_compat,
+    check_conditions,
 )
 from .linalg import Mat, coordinates, rank
 from .morita import (
@@ -185,7 +186,7 @@ def corollary_criterion(pres: NcMoritaPresentation, q: QuadrupleModule,
     product: swap corners and run the one-sided-zero engine over
     B = Gamma |x J.  Requires weak-compatibility verdicts for M, N and
     J = M (x) N; a missing or refuted verdict is an error."""
-    compat = compat or default_compat_verdicts(pres, window, seed)
+    compat = compat or default_compat_verdicts(pres, window)
     for key in ("M", "N", "J"):
         v = compat.get(key)
         if v is None:
@@ -204,12 +205,11 @@ def corollary_criterion(pres: NcMoritaPresentation, q: QuadrupleModule,
     return rep, asm
 
 
-def default_compat_verdicts(pres: NcMoritaPresentation, bound: int = 6,
-                            seed: int = 0) -> dict[str, CompatVerdict]:
-    from .engine import check_compat
+def default_compat_verdicts(pres: NcMoritaPresentation,
+                            bound: int = 6) -> dict[str, CompatVerdict]:
     ctx = pres.nc.ctx
     return {
-        "M": check_compat(ctx.M, bound=bound, seed=seed),
-        "N": check_compat(ctx.N, bound=bound, seed=seed),
-        "J": check_compat(pres.nc.mn, bound=bound, seed=seed),
+        "M": check_compat(ctx.M, bound=bound),
+        "N": check_compat(ctx.N, bound=bound),
+        "J": check_compat(pres.nc.mn, bound=bound),
     }

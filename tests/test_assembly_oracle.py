@@ -301,7 +301,7 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
     tcx = ComplexWindow(-span, span, t_terms, t_diffs)
     bad = validate_complex(tcx)
     _require(bad == [], f"T window is not a complex: {bad[:1]}")
-    _require(total_exactness(tcx, seed=seed), "T window is not totally exact")
+    _require(total_exactness(tcx), "T window is not totally exact")
 
     # ker(d_T^0) is the given quadruple
     ker_t, _ = kernel_of(t_diffs[span], name="ker(d_T^0)")

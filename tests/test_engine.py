@@ -748,13 +748,13 @@ def test_the_audit_proves_each_test_window_totally_exact_once(monkeypatch):
         passed.append(args[4])
         return real_semi_weak(*args, **kw)
 
-    def require_total(wc, seed):
+    def require_total(wc):
         required.append(wc)
-        return real_require(wc, seed)
+        return real_require(wc)
 
-    def total(wc, seed=0):
+    def total(wc):
         proven.append(wc)
-        return real_total(wc, seed=seed)
+        return real_total(wc)
 
     monkeypatch.setattr(engine, "check_semi_weak_quadruple", semi_weak)
     monkeypatch.setattr(engine, "_require_total", require_total)

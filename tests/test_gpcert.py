@@ -350,7 +350,7 @@ def eager_right_tail(x, length, seed, dim_budget, use_dual):
     cur = x
     for j in range(length):
         if use_dual:
-            alpha, P = gpcert._dual_embedding(cur, seed)
+            alpha, P = gpcert._dual_embedding(cur)
         else:
             alpha, P = gpcert._generator_approximation(cur, reg)
         ker_rows = left_kernel(alpha.mat)
@@ -407,13 +407,13 @@ def eager_certify(x, window=6, period_bound=12, seed=0, dim_budget=600):
     if window < 2:
         raise ValueError("window must be at least 2")
     a = x.algebra
-    if x.dim == 0 or is_projective(x, seed):
+    if x.dim == 0 or is_projective(x):
         wc, ki = gpcert._split_window(x, window)
         return GPCertificate("gp", x, reason="split-projective", period=1,
                              window=wc, kernel_ident=ki)
-    gl = global_dimension(a, window, seed)
+    gl = global_dimension(a, window)
     if gl is not None:
-        res = minimal_resolution(x, gl + 1, seed)
+        res = minimal_resolution(x, gl + 1)
         i = first_nonzero_ext(res, regular_module(a))
         if i is None:
             raise CertifyError(
@@ -421,7 +421,7 @@ def eager_certify(x, window=6, period_bound=12, seed=0, dim_budget=600):
         return GPCertificate(
             "not_gp", x,
             witness=NotGPWitness("non_vanishing_ext", i, resolution=res))
-    self_inj = is_self_injective(a, seed)
+    self_inj = is_self_injective(a)
     core, projs, overall = gpcert.strip_projective_summands(x, seed)
     core_is_x = not projs
 
@@ -438,7 +438,7 @@ def eager_certify(x, window=6, period_bound=12, seed=0, dim_budget=600):
     # the two-sided window on [-window, window] reads the right-tail steps
     # 0..window, so it needs window + 1 of them
     if self_inj:
-        core_res = minimal_resolution(core, window + 1, seed)
+        core_res = minimal_resolution(core, window + 1)
         steps, tail_end = eager_right_tail(core, window, seed, dim_budget, use_dual=True)
         if steps is None:
             raise CertifyError("embedding failed over a self-injective algebra")
@@ -452,10 +452,10 @@ def eager_certify(x, window=6, period_bound=12, seed=0, dim_budget=600):
                                            use_dual=True)
         if tail_end == "budget":
             return unknown("dimension budget exceeded")
-        wc, ki = gpcert._two_sided_window(core, core_res, steps, window)
+        wc, ki = gpcert._two_sided_window(core_res, steps, window)
         return emit(wc, ki, "self-injective", None)
 
-    res = minimal_resolution(x, window + 1, seed)
+    res = minimal_resolution(x, window + 1)
     reg = regular_module(a)
     i = first_nonzero_ext(res, reg)
     if i is not None:
@@ -467,7 +467,7 @@ def eager_certify(x, window=6, period_bound=12, seed=0, dim_budget=600):
         return GPCertificate("not_gp", x, witness=tail_x)
     if tail_x == "budget":
         return unknown("dimension budget exceeded")
-    probe, _ = gpcert._two_sided_window(x, res, steps_x, window)
+    probe, _ = gpcert._two_sided_window(res, steps_x, window)
     # non-exactness of Hom(probe, A) in a positive degree refutes: the
     # right-tail terms come from projective approximations, so it descends
     # to the cosyzygies
@@ -480,7 +480,7 @@ def eager_certify(x, window=6, period_bound=12, seed=0, dim_budget=600):
     if core_is_x:
         steps_c, tail_c, res_c = steps_x, tail_x, res
     else:
-        res_c = minimal_resolution(core, window + 1, seed)
+        res_c = minimal_resolution(core, window + 1)
         steps_c, tail_c = eager_right_tail(core, window + 1, seed, dim_budget,
                                            use_dual=False)
         if steps_c is None:
@@ -492,7 +492,7 @@ def eager_certify(x, window=6, period_bound=12, seed=0, dim_budget=600):
     if wc is not None:
         # Hom(-, A) of the closed-up window is the one fact of this path
         # that its construction does not prove
-        if not total_exactness(wc, seed=seed):
+        if not total_exactness(wc):
             raise CertifyError("assembled window is not totally exact")
         return emit(wc, ki, "periodic", p)
     return unknown("no period found within the bound")
@@ -590,7 +590,7 @@ def test_the_general_search_reads_what_the_eager_search_read(F):
                         assert (found.degree, len(found.steps)) == (
                             tail.degree, len(tail.steps))
                     continue
-                eager_res = minimal_resolution(m, window + 1, 0)
+                eager_res = minimal_resolution(m, window + 1)
                 eager = eager_search_period(m, steps, tail, eager_res, *args)
                 given, _ = gpcert._search_period(
                     m, list(steps), window + 1, eager_res, *args, dim_budget,

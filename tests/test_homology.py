@@ -73,7 +73,7 @@ def test_idempotent_endo_of_k2_is_a_rank_one_idempotent(F):
     # is a proper idempotent endomorphism of rank 1
     a = field_algebra(F)
     k2 = free_module(a, 2)
-    e = idempotents._idempotent_endo(a, hom_space(k2, k2), 0)
+    e = idempotents._idempotent_endo(a, hom_space(k2, k2))
     assert e is not None
     assert e @ e == e and rank(e) == 1
     assert ModuleHom(k2, k2, e).intertwines()
@@ -85,7 +85,7 @@ def test_idempotent_endo_of_a_simple_is_none(F):
     s = simple_kx2(truncated_poly(F, 2))
     endos = hom_space(s, s)
     assert len(endos) == 1
-    assert idempotents._idempotent_endo(s.algebra, endos, 0) is None
+    assert idempotents._idempotent_endo(s.algebra, endos) is None
 
 
 def _m2(F):
@@ -345,7 +345,7 @@ def test_cover_rejects_a_non_minimal_summand_list(F, monkeypatch):
     # every indecomposable projective offered twice: P maps onto x, but
     # its kernel leaves rad P
     real = homology._block_reps
-    monkeypatch.setattr(homology, "_block_reps", lambda a, seed=0: real(a, seed) * 2)
+    monkeypatch.setattr(homology, "_block_reps", lambda a: real(a) * 2)
     with pytest.raises(ModuleError, match="not minimal"):
         projective_cover(simple_at_idempotent(path_a2(F), 2, name="S2"))
 

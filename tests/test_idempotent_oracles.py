@@ -83,7 +83,7 @@ def _old_central_primitive_idempotents(ss: Algebra, seed: int = 0) -> list[list]
         for e in idems:
             w = ss.multiply(z, e)
             mp = _old_element_min_poly(ss, w, unit=e)
-            roots, fully = linear_roots(F, mp, seed)
+            roots, fully = linear_roots(F, mp)
             if not fully:
                 raise SplitError("central element with a non-linear irreducible factor")
             if len(roots) <= 1:
@@ -116,7 +116,7 @@ def _old_primitive_idempotents_semisimple(ss: Algebra, seed: int = 0) -> list[tu
     centrals = _old_central_primitive_idempotents(ss, seed)
     for block_index, eps in enumerate(centrals):
         block, incl = corner_algebra(ss, eps, name=f"block{block_index}")
-        simple = _minimal_left_ideal(block, seed)
+        simple = _minimal_left_ideal(block)
         reg = regular_module(block)
         # decompose the regular module into copies of the simple
         chosen: list[Mat] = []

@@ -1,4 +1,4 @@
-"""Nineteen layering rules of the package, checked on its source.
+"""Twenty layering rules of the package, checked on its source.
 
 Only `linalg` sees matrix entries: no other module reads or writes a
 `.data` attribute or the integer storage behind it, so the storage can
@@ -43,7 +43,12 @@ instance's `_cache`.  Each lift of the horseshoe is one
 `solve_left`, `row_space` or `left_kernel` of its own.  A module's record
 of its direct summands is written in one place, `modules.direct_sum`, and
 read in one, `modules.direct_summands`, which checks it against the
-module's actions before any caller answers from the summands.
+module's actions before any caller answers from the summands.  The
+structure of an algebra (its idempotents, projectives, resolutions and
+dimensions) takes no seed: only the randomized searches whose results
+are printed, the isomorphism and projective-summand searches, and the
+entry points that reach them take a `seed` (`catalog`, which draws with
+the `random.Random` its callers pass, is not scanned).
 """
 from __future__ import annotations
 
@@ -418,3 +423,29 @@ def test_the_summands_record_has_one_writer_and_one_reader():
                 if inside.get(id(node)) != where:
                     hits.append(f"{name}:{node.lineno}")
     assert not hits, f"summands written or read outside their one place: {hits}"
+
+
+# the randomized searches whose results are printed, and their entry points
+SEEDED = {
+    ("modules.py", "is_isomorphic"), ("modules.py", "_invertible_in_span"),
+    ("gpcert.py", "strip_projective_summands"), ("gpcert.py", "_search_period"),
+    ("gpcert.py", "certify_gorenstein_projective"),
+    ("engine.py", "check_conditions"), ("engine.py", "build_total_resolution"),
+    ("engine.py", "audit_equivalence"), ("engine.py", "zero_case_check"),
+    ("nctensor.py", "corollary_criterion"),
+}
+
+
+def test_only_the_randomized_searches_take_a_seed():
+    seeded = set()
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        name = os.path.basename(path)
+        if name == "catalog.py":
+            continue
+        for fn in ast.walk(_tree(name)):
+            if isinstance(fn, ast.FunctionDef) and "seed" in {
+                    a.arg for a in fn.args.posonlyargs + fn.args.args
+                    + fn.args.kwonlyargs}:
+                seeded.add((name, fn.name))
+    assert seeded == SEEDED, (f"seeded beyond the searches: {sorted(seeded - SEEDED)}, "
+                              f"unseeded searches: {sorted(SEEDED - seeded)}")

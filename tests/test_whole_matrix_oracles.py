@@ -1096,7 +1096,7 @@ def _projective_cover(x: FDModule, seed: int = 0) -> tuple[FDModule, ModuleHom]:
     T, proj_T = top_of(x)
     summands: list[FDModule] = []
     blocks: list[Mat] = []
-    for mod, incl, e, blk in _block_reps(a, seed):
+    for mod, incl, e, blk in _block_reps(a):
         eT = row_space(T.act_of(e))
         for r in range(eT.rows):
             t_r = Mat(F, [eT.row(r)], T.dim)
@@ -1372,7 +1372,7 @@ def _ext_dim(x: FDModule, y: FDModule, i: int, seed: int = 0,
         return hom_dim(x, y)
     if x.dim == 0 or y.dim == 0:
         return 0
-    res = res or minimal_resolution(x, i + 1, seed)
+    res = res or minimal_resolution(x, i + 1)
     # the window P_n -> ... -> P_0 holds P_i in degree -i; Ext^i is the
     # homology of Hom(P_., y) there
     n = len(res.maps)
@@ -1397,7 +1397,7 @@ def _tor_dim(u_op: FDModule, x: FDModule, i: int, seed: int = 0,
         return _balanced_tensor_space(u_op, x).dim
     if x.dim == 0 or u_op.dim == 0:
         return 0
-    res = res or minimal_resolution(x, i + 1, seed)
+    res = res or minimal_resolution(x, i + 1)
     spaces = [_balanced_tensor_space(u_op, P) if P.dim else
               TensorSpace(0, Mat.zeros(x.algebra.field, 0, 0),
                           Mat.zeros(x.algebra.field, 0, 0))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .algebra import Algebra, memo, opposite_algebra, radical_basis
 from .bimodules import balanced_tensor_space
 from .idempotents import indecomposable_projectives
-from .linalg import Mat, in_row_space, left_kernel, row_space, solve_left
+from .linalg import Mat, in_row_space, left_kernel, rank, row_space, solve_left
 from .modules import (
     FDModule, ModuleError, ModuleHom, direct_sum, direct_summands, dual_module,
     hom_dim, kernel_of, quotient_by_rows, regular_module, zero_hom, zero_module,
@@ -101,13 +101,23 @@ def projective_cover(x: FDModule) -> tuple[FDModule, ModuleHom]:
 
 @memo
 def is_projective(x: FDModule) -> bool:
-    """Whether the projective cover of x is as large as x; a direct sum is
-    projective iff each of its summands is."""
+    """Whether the projective cover of x is as large as x, counted without
+    building it.  The cover holds P_b = A e_b, for each block rep
+    (P_b, e_b), dim e_b top(x) times (Auslander, Reiten & Smalø, ch. I),
+    and e top(x) = e x / e rad(x); with E_b the action of e_b and R the
+    radical rows of x that is rank E_b - rank (R @ E_b).  So x is
+    projective iff the sum of those counts times dim P_b is dim x, the
+    dimension `projective_cover` would build.  A direct sum is projective
+    iff each of its summands is."""
     parts = direct_summands(x)
     if parts is not None:
         return all(is_projective(s) for s in parts)
-    P, _ = projective_cover(x)
-    return P.dim == x.dim
+    R = radical_rows_of_module(x)
+    cover = 0
+    for mod, _, e, _ in _block_reps(x.algebra):
+        E = x.act_of(e)
+        cover += (rank(E) - rank(R @ E)) * mod.dim
+    return cover == x.dim
 
 
 @dataclass

@@ -19,6 +19,7 @@ subalgebra, so a map that intertwines the generators is a module map.
 """
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass, field as dc_field
 from itertools import product as iter_product
@@ -117,14 +118,23 @@ def zero_module(a: Algebra) -> FDModule:
     return FDModule(a, 0, [Mat.zeros(a.field, 0, 0) for _ in range(a.dim)], name="0")
 
 
+@memo
 def regular_module(a: Algebra) -> FDModule:
+    """The regular module A, one instance per algebra, kept on it: every
+    caller shares it, so every hom_space(-, A) hits the same memo entries
+    and a sum's Hom into A is read off entries kept on its summands."""
     return FDModule(a, a.dim, a.lmul_mats(), name=f"{a.name or 'A'}")
 
 
 def free_module(a: Algebra, n: int) -> FDModule:
-    mats = [Mat.block_diag([m] * n) if n else Mat.zeros(a.field, 0, 0)
-            for m in a.lmul_mats()]
-    return FDModule(a, a.dim * n, mats, name=f"{a.name or 'A'}^{n}")
+    """A^n as a fresh direct sum of n copies of the one regular module
+    (fresh, so a caller may rename it); A^0 is a renamed zero module."""
+    name = f"{a.name or 'A'}^{n}"
+    if n == 0:
+        z = zero_module(a)
+        z.name = name
+        return z
+    return direct_sum([regular_module(a)] * n, name=name)[0]
 
 
 @dataclass
@@ -176,13 +186,30 @@ def zero_hom(x: FDModule, y: FDModule) -> ModuleHom:
 @memo
 def hom_space(x: FDModule, y: FDModule) -> list[ModuleHom]:
     """Canonical basis of Hom_A(x, y), via the intertwining linear system.
-    Memoized per (x, y) instance pair, on x."""
+    Memoized per (x, y) instance pair, on x.
+
+    When `direct_summands` confirms x = x_1 (+) ... (+) x_n, the system is
+    block diagonal over the contiguous blocks of unknowns that make up the
+    rows of each x_i, so its canonical basis is the basis of each
+    Hom(x_i, y) in turn, zero-padded to x's rows: the same list, matrix
+    for matrix.  The pieces are kept on the x_i only when y is the
+    algebra's regular module, which lives as long as they do; for any
+    other y they are solved unmemoized, so no long-lived summand keeps a
+    transient y alive."""
     if x.algebra is not y.algebra:
         raise ModuleError("hom space needs a common algebra")
     F = x.algebra.field
     dx, dy = x.dim, y.dim
     if dx == 0 or dy == 0:
         return []
+    parts = direct_summands(x)
+    if parts is not None:
+        piece = (hom_space if y is regular_module(y.algebra)
+                 else inspect.unwrap(hom_space))
+        dims, zeros = [s.dim for s in parts], [[None]] * len(parts)
+        return [ModuleHom(x, y, Mat.from_blocks(
+                    F, dims, [dy], zeros[:i] + [[h.mat]] + zeros[i + 1:]))
+                for i, s in enumerate(parts) for h in piece(s, y)]
     gens = x.gens()
     basis = kernel_basis(intertwining_system(
         F, dx, dy, [x.acts[t] for t in gens],
@@ -266,22 +293,24 @@ def direct_sum(mods: list[FDModule], name: str = "") -> tuple[FDModule, list[Mod
             for t in range(a.dim)]
     s = FDModule(a, total, acts, name=name or "+".join(m.name or "?" for m in mods))
     s.summands = list(mods)
-    eye = Mat.identity(F, total)
+    dims, zeros = [m.dim for m in mods], [None] * len(mods)
     incls, projs = [], []
-    off = 0
-    for m in mods:
-        incls.append(ModuleHom(m, s, eye.block(off, off + m.dim, 0, total)))
-        projs.append(ModuleHom(s, m, eye.block(0, total, off, off + m.dim)))
-        off += m.dim
+    for i, m in enumerate(mods):
+        incl = Mat.from_blocks(F, [m.dim], dims, [
+            zeros[:i] + [Mat.identity(F, m.dim)] + zeros[i + 1:]])
+        incls.append(ModuleHom(m, s, incl))
+        projs.append(ModuleHom(s, m, incl.transpose()))
     return s, incls, projs
 
 
+@memo
 def direct_summands(x: FDModule) -> list[FDModule] | None:
     """The summands x was built from by `direct_sum`, or None when x has
     no such record or the record disagrees with x: every summand must be
     over x's algebra and each action of x the block diagonal of theirs.
     A property additive over direct sums (module laws, projectivity) then
-    holds for x iff it holds for each summand."""
+    holds for x iff it holds for each summand, and Hom out of x is read
+    off the summands.  The record is checked once per instance."""
     parts = x.summands
     if parts is None or any(s.algebra is not x.algebra for s in parts):
         return None

@@ -6,12 +6,15 @@ exactness and Hom-complex exactness are recomputed from ranks, and
 periodicity is checked against the stored window.  It keeps its own
 Hom-complex assembly rather than the builder's.  Shared ground is the
 exact linear algebra, the module, hom and complex-window containers, the
-dual and regular modules, validate_module, one solver: hom_space for
-bases of Hom spaces, and the verified direct-sum record: a module that
-`direct_sum` built keeps its summands, and `direct_summands` hands them
-out only when their block-diagonal actions are the module's, so
-projectivity (additive over direct sums) is proven per summand.  A record
-that disagrees is ignored and the module is proven whole.
+dual module, the one regular module of each algebra (so the checker and
+the builders share its hom_space(-, A) memo entries), validate_module,
+one solver: hom_space for bases of Hom spaces, and the verified
+direct-sum record: a module that `direct_sum` built keeps its summands,
+and `direct_summands` hands them out only when their block-diagonal
+actions are the module's, so projectivity (additive over direct sums) is
+proven per summand, and hom_space reads Hom(sum, y) off the Hom spaces of
+the summands.  A record that disagrees is ignored and the module is
+proven whole.
 
 `ModuleHom.intertwines` and `hom_space` work on the algebra's generators,
 which is sound only between modules, so every module of a certificate is
@@ -48,13 +51,6 @@ from .gpcert import GPCertificate, NotGPWitness
 
 
 @memo
-def _regular(a) -> FDModule:
-    """The checker's one regular module of a, memoized on a so that every
-    hom_space(-, A) the checker asks for hits the same memo entry."""
-    return regular_module(a)
-
-
-@memo
 def projective_by_splitting(m: FDModule) -> bool:
     """m is projective iff its canonical free presentation phi: A^n ->> m
     (n = dim m) splits.  A section m -> A^n is sum_{i,l} c_{i,l} h_l into
@@ -74,7 +70,7 @@ def _presentation_splits(m: FDModule) -> bool:
     phi = Mat.from_rows(F, rows, n)          # A^n ->> m
     if rank(phi) != n:
         return False
-    homs = hom_space(m, _regular(a))
+    homs = hom_space(m, regular_module(a))
     if not homs:
         return False
     return solve_left(_section_system(phi, homs), Mat.identity(F, n).flatten()) is not None
@@ -149,7 +145,7 @@ def _hom_homology(hc, j: int) -> int:
 
 
 def _window_totally_exact(wc: ComplexWindow) -> str | None:
-    hc = _hom_complex(wc.terms, wc.diffs, _regular(wc.algebra))
+    hc = _hom_complex(wc.terms, wc.diffs, regular_module(wc.algebra))
     if hc is None:
         return "hom complex failed to assemble"
     for i in range(wc.lo + 1, wc.hi):
@@ -188,7 +184,7 @@ def _self_injective_by_splitting(algebra) -> bool:
 
 def _approximation_property(alpha: ModuleHom) -> bool:
     """Hom(alpha, A): Hom(P, A) -> Hom(stage, A) surjective."""
-    reg = _regular(alpha.source.algebra)
+    reg = regular_module(alpha.source.algebra)
     src_homs = hom_space(alpha.target, reg)
     dst_homs = hom_space(alpha.source, reg)
     if not dst_homs:
@@ -343,7 +339,7 @@ def _verify_ext_witness(x: FDModule, w: NotGPWitness) -> list[str]:
     if i >= len(res.maps):
         return ["ext witness degree beyond the resolution"]
     # Ext^i is the homology of Hom(P_., A) at P_i; reversed, P_n comes first
-    hc = _hom_complex(res.terms[::-1], res.maps[::-1], _regular(x.algebra))
+    hc = _hom_complex(res.terms[::-1], res.maps[::-1], regular_module(x.algebra))
     if hc is None:
         return ["hom complex failed to assemble"]
     if _hom_homology(hc, len(res.maps) - i) == 0:
@@ -361,7 +357,7 @@ def _verify_homology_obstruction(x: FDModule, w: NotGPWitness) -> list[str]:
     terms = [st.target for st in steps]
     diffs = [steps[j].coker_proj.then(steps[j + 1].alpha)
              for j in range(len(steps) - 1)]
-    hc = _hom_complex(terms, diffs, _regular(x.algebra))
+    hc = _hom_complex(terms, diffs, regular_module(x.algebra))
     if hc is None:
         return ["hom complex failed to assemble"]
     if _hom_homology(hc, w.degree) == 0:

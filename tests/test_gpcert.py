@@ -610,7 +610,9 @@ def test_a_period_two_simple_builds_two_embeddings_and_no_left_resolution(
         count_calls):
     # the simple of k[x]/(x^3) has period 2; the eager certifier made 15
     # projective covers at window 6: one for the projectivity test, 8 for
-    # the core's left resolution and 6 for the dual embeddings
+    # the core's left resolution and 6 for the dual embeddings.  Now the
+    # projectivity test counts the cover without building it, and the two
+    # dual embeddings are the only covers
     a = truncated_poly(QQ(), 3)
     covers = count_calls(projective_cover)
     embeddings = count_calls(gpcert._dual_embedding)
@@ -626,4 +628,4 @@ def test_a_period_two_simple_builds_two_embeddings_and_no_left_resolution(
         assert len(embeddings) == 2
         assert resolutions == []
         counts[window] = len(covers)
-    assert counts == {3: 3, 6: 3}
+    assert counts == {3: 2, 6: 2}

@@ -1,4 +1,4 @@
-"""Twenty layering rules of the package, checked on its source.
+"""Twenty-two layering rules of the package, checked on its source.
 
 Only `linalg` sees matrix entries: no other module reads or writes a
 `.data` attribute or the integer storage behind it, so the storage can
@@ -48,7 +48,13 @@ structure of an algebra (its idempotents, projectives, resolutions and
 dimensions) takes no seed: only the randomized searches whose results
 are printed, the isomorphism and projective-summand searches, and the
 entry points that reach them take a `seed` (`catalog`, which draws with
-the `random.Random` its callers pass, is not scanned).
+the `random.Random` its callers pass, is not scanned).  An algebra has
+one regular module: only `modules.regular_module`, which is memoized on
+the algebra, builds an `FDModule` from `lmul_mats()`, so every Hom into A
+hits the same memo entries.  The unmemoized body of `hom_space` is
+reached only where no entry may be kept: in `modules.hom_space` itself,
+for the pieces of a sum into a target other than A, and in
+`gpcert.strip_projective_summands`, whose source is kept on the algebra.
 """
 from __future__ import annotations
 
@@ -401,6 +407,16 @@ def test_horseshoe_solves_each_lift_as_one_system():
     assert not hits, f"kernel bookkeeping in the horseshoe: {hits}"
 
 
+def _enclosing(tree: ast.AST, name: str) -> dict:
+    """id(node) -> (file, name of the outermost function holding it)."""
+    inside = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for n in ast.walk(fn):
+                inside.setdefault(id(n), (name, fn.name))
+    return inside
+
+
 # where a module's record of its summands is written, and where it is read
 SUMMANDS_WRITER = ("modules.py", "direct_sum")
 SUMMANDS_READER = ("modules.py", "direct_summands")
@@ -411,11 +427,7 @@ def test_the_summands_record_has_one_writer_and_one_reader():
     for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
         name = os.path.basename(path)
         tree = _tree(name)
-        inside = {}
-        for fn in ast.walk(tree):
-            if isinstance(fn, ast.FunctionDef):
-                for n in ast.walk(fn):
-                    inside.setdefault(id(n), (name, fn.name))
+        inside = _enclosing(tree, name)
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr == "summands":
                 where = (SUMMANDS_WRITER if isinstance(node.ctx, ast.Store)
@@ -449,3 +461,46 @@ def test_only_the_randomized_searches_take_a_seed():
                 seeded.add((name, fn.name))
     assert seeded == SEEDED, (f"seeded beyond the searches: {sorted(seeded - SEEDED)}, "
                               f"unseeded searches: {sorted(SEEDED - seeded)}")
+
+
+def _called(call: ast.Call) -> str | None:
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+
+# the one builder of an algebra's regular module
+REGULAR_BUILDER = ("modules.py", "regular_module")
+
+
+def test_only_regular_module_builds_the_regular_module():
+    hits = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        name = os.path.basename(path)
+        for fn in ast.walk(_tree(name)):
+            if not isinstance(fn, ast.FunctionDef) or (name, fn.name) == REGULAR_BUILDER:
+                continue
+            calls = {_called(c) for c in ast.walk(fn) if isinstance(c, ast.Call)}
+            if {"FDModule", "lmul_mats"} <= calls:
+                hits.append(f"{name}:{fn.lineno} {fn.name}")
+    assert not hits, f"an FDModule built from lmul_mats() elsewhere: {hits}"
+
+
+# where the unmemoized hom_space body may be called
+UNWRAPPED_HOM = {("modules.py", "hom_space"),
+                 ("gpcert.py", "strip_projective_summands")}
+
+
+def test_the_unmemoized_hom_space_is_reached_from_two_places():
+    seen = set()
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        name = os.path.basename(path)
+        tree = _tree(name)
+        inside = _enclosing(tree, name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and _called(node) == "unwrap"
+                    and any(isinstance(a, ast.Name) and a.id == "hom_space"
+                            for a in node.args)
+                    or isinstance(node, ast.Attribute) and node.attr == "__wrapped__"
+                    and isinstance(node.value, ast.Name) and node.value.id == "hom_space"):
+                seen.add(inside.get(id(node), (name, None)))
+    assert seen == UNWRAPPED_HOM, f"the unmemoized hom_space reached from {sorted(seen)}"

@@ -29,7 +29,7 @@ from gpmorita.modules import (
 )
 from gpmorita.trivext import structural_maps
 from gpmorita.verify import (
-    _approximation_property, _non_module, _regular, _section_system,
+    _approximation_property, _non_module, _section_system,
     _self_injective_by_splitting, _verify_ext_witness,
     _verify_homology_obstruction, _verify_right_tail_chain, _window_exact,
     _window_is_complex, _window_totally_exact, projective_by_splitting,
@@ -114,7 +114,7 @@ def test_the_section_system_is_the_pairwise_one(alg, field):
     for m in mods:
         rows = [m.acts[t].row(i) for i in range(m.dim) for t in range(a.dim)]
         phi = Mat.from_rows(a.field, rows, m.dim)
-        homs = hom_space(m, _regular(a))
+        homs = hom_space(m, regular_module(a))
         if not homs:
             continue
         system = _section_system(phi, homs)

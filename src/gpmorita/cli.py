@@ -281,7 +281,9 @@ def cmd_verify_report(args, prob) -> int:
     cmd = rep.get("command")
     problems: list[str] = []
     if cmd == "certify-gp":
-        problems = _verify_cert_json(prob, rep.get("certificate", {}))[0]
+        problems, cert = _verify_cert_json(prob, rep.get("certificate", {}))
+        if not problems:
+            problems = _unbound_certify_gp(prob, rep, cert)
     elif cmd in ("check-gp", "nc-tensor"):
         certs = {}
         for key in ("coker_g_certificate", "coker_f_certificate"):
@@ -365,6 +367,24 @@ def _unbound_certificates(prob, q, sm, cert_g, cert_f) -> list[str]:
                    "Coker(g) restricted to Lambda")
     if not _about(cert_f, sm.v):
         out.append("coker_f_certificate is not about the quadruple's Coker(f)")
+    return out
+
+
+def _unbound_certify_gp(prob, rep: dict, cert) -> list[str]:
+    """A certify-gp certificate that verifies must be about the module the
+    report names, as _about compares them: the problem's module, or, for a
+    certificate over ring(ctx), the quadruple as a module over its
+    context's ring; and the report's verdict must be the certificate's."""
+    tag = rep.get("module")
+    if rep["certificate"]["algebra"] in prob.algebras:
+        x, what = prob.named("modules", tag), "module"
+    else:
+        q = prob.named("quadruples", tag)
+        x, what = quadruple_to_module(build_ring(q.ctx), q), "quadruple"
+    out = [] if _about(cert, x) else [f"the certificate is not about {what} {tag}"]
+    if rep.get("verdict") != cert.verdict:
+        out.append(f"the report's verdict {json.dumps(rep.get('verdict'))} is not "
+                   f"the certificate's {json.dumps(cert.verdict)}")
     return out
 
 

@@ -179,7 +179,9 @@ def _right_tail(x: FDModule, length: int, dim_budget: int,
     """Extend the cosyzygy steps of x (the given ones, else none) to
     `length` steps; returns (steps, final_stage), (steps, "budget") or
     (None, NotGPWitness).  Each step is deterministic, so a tail extended
-    one step at a time equals the tail built at once."""
+    one step at a time equals the tail built at once.  The budget is
+    checked before the cokernel of a step is built, so no cokernel of a
+    target above it is computed; a budget stop's steps are not used."""
     reg = regular_module(x.algebra)
     steps = [] if steps is None else steps
     cur = steps[-1].coker_proj.target if steps else x
@@ -195,10 +197,10 @@ def _right_tail(x: FDModule, length: int, dim_budget: int,
                                       kernel_row=Mat(ker_rows.field,
                                                      [ker_rows.row(0)],
                                                      ker_rows.cols))
-        nxt, proj = cokernel_of(alpha, name=f"C{j + 1}")
-        steps.append(RightTailStep(cur, alpha, P, proj))
         if P.dim > dim_budget:
             return steps, "budget"
+        nxt, proj = cokernel_of(alpha, name=f"C{j + 1}")
+        steps.append(RightTailStep(cur, alpha, P, proj))
         cur = nxt
     return steps, cur
 

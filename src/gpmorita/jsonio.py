@@ -6,6 +6,21 @@ declarations, quadruples and complexes.  Names are resolved eagerly and
 every referenced object is validated before any command runs.  Reports
 are emitted with sorted keys and no volatile content, so identical input
 and seed give byte-identical output.
+
+A certificate's pieces cross JSON once per distinct piece.  Writing, each
+module and matrix instance is encoded once and its dict reused wherever
+the instance recurs (a periodic window repeats one term instance and its
+differential matrices); json.dumps writes a shared dict out in full at
+each place, so the text is that of encoding every place on its own.
+Reading, pieces with equal JSON (the same canonical text) become one
+instance, and so do the equal terms of a complex in a problem file.  That
+is sound for a checker that trusts nothing it reads: every check of a
+module or a matrix is a function of its field, algebra, dimension and
+entries, all read off the JSON, so equal JSON gives equal answers; the
+checks that keep their verdict on an instance (validate_module,
+projective_by_splitting, hom_space) then prove each distinct piece once.
+A piece is parsed at its first occurrence, so a malformed one raises
+there, as it did when every occurrence was parsed.
 """
 from __future__ import annotations
 
@@ -81,6 +96,35 @@ def field_from_json(obj) -> Field:
     raise InputError(f"unrecognized field spec {obj!r}")
 
 
+def _encoded_once(encode):
+    """encode, run once per distinct instance: a repeated instance gets the
+    dict made at its first occurrence (shared, so copy it before editing
+    it in place)."""
+    made = {}
+
+    def once(x):
+        entry = made.get(id(x))
+        if entry is None:
+            entry = made[id(x)] = (x, encode(x))    # x held: its id stays its own
+        return entry[1]
+    return once
+
+
+def _decoded_once(decode):
+    """decode, run once per distinct JSON value: a value whose canonical
+    text was met before gives the instance decoded then.  The text tells
+    1, 1.0 and true apart, which == on parsed JSON does not."""
+    made = {}
+
+    def once(obj, *args):
+        key = json.dumps(obj, sort_keys=True)
+        value = made.get(key)
+        if value is None:
+            value = made[key] = decode(obj, *args)
+        return value
+    return once
+
+
 def mat_to_json(m: Mat):
     F = m.field
     return {"rows": m.rows, "cols": m.cols,
@@ -147,9 +191,13 @@ def bimodule_to_json(b: Bimodule, left_name: str, right_name: str):
 
 
 def complex_to_json(wc: ComplexWindow, algebra_name: str):
+    """The window, each distinct term and differential instance encoded
+    once: a periodic window's repeated term is one dict."""
+    mod = _encoded_once(partial(module_to_json, algebra_name=algebra_name))
+    mat = _encoded_once(mat_to_json)
     return {"algebra": algebra_name, "lo": wc.lo, "hi": wc.hi,
-            "terms": [module_to_json(t, algebra_name) for t in wc.terms],
-            "diffs": [mat_to_json(d.mat) for d in wc.diffs]}
+            "terms": [mod(t) for t in wc.terms],
+            "diffs": [mat(d.mat) for d in wc.diffs]}
 
 
 # -- the problem file -------------------------------------------------------------
@@ -293,12 +341,15 @@ def load_problem(doc: dict) -> Problem:
     for name, obj, get in section("complexes"):
         a = prob.algebra(get("algebra", str, ""))
         with _building("complex", name):
-            terms = []
-            for k, t in enumerate(get("terms", list, [])):
+            # equal terms share the instance named by their first degree,
+            # so validate_complex checks each distinct term once
+            @_decoded_once
+            def term(t, k):
                 t_get = partial(json_field, t, f"term {k} of complex {name!r}")
                 acts = [mat_from_json(F, m) for m in t_get("acts", list, [])]
-                terms.append(FDModule(a, t_get("dim", int, 0), acts,
-                                      name=f"{name}[{k}]"))
+                return FDModule(a, t_get("dim", int, 0), acts, name=f"{name}[{k}]")
+
+            terms = [term(t, k) for k, t in enumerate(get("terms", list, []))]
             diffs = get("diffs", list, [])
             if len(diffs) != len(terms) - 1:
                 raise ComplexError("one differential per adjacent pair required")
@@ -325,34 +376,39 @@ def load_problem_file(path: str) -> Problem:
 
 
 def certificate_to_json(cert: GPCertificate, algebra_name: str):
+    """The certificate as JSON, each distinct module and matrix instance of
+    its window, and of the rest of it, encoded once: a repeated one is the
+    same dict (copy the result before editing it in place).  A window is
+    part of a "gp" certificate and a witness of a "not_gp" one, so no
+    instance is met in both."""
+    mod = _encoded_once(partial(module_to_json, algebra_name=algebra_name))
+    mat = _encoded_once(mat_to_json)
     out = {"verdict": cert.verdict, "reason": cert.reason,
            "algebra": algebra_name,
-           "module": module_to_json(cert.module, algebra_name),
+           "module": mod(cert.module),
            "period": cert.period}
     if cert.window is not None:
         out["window"] = complex_to_json(cert.window, algebra_name)
     if cert.kernel_ident is not None:
-        out["kernel_ident"] = mat_to_json(cert.kernel_ident.mat)
+        out["kernel_ident"] = mat(cert.kernel_ident.mat)
     if cert.witness is not None:
         w = cert.witness
         wout = {"kind": w.kind, "degree": w.degree}
         if w.resolution is not None:
             res = w.resolution
             wout["resolution"] = {
-                "terms": [module_to_json(t, algebra_name) for t in res.terms],
-                "maps": [mat_to_json(d.mat) for d in res.maps],
-                "aug": mat_to_json(res.aug.mat)}
+                "terms": [mod(t) for t in res.terms],
+                "maps": [mat(d.mat) for d in res.maps],
+                "aug": mat(res.aug.mat)}
         if w.steps is not None:
             wout["steps"] = [
-                {"stage": module_to_json(st.stage, algebra_name),
-                 "alpha": mat_to_json(st.alpha.mat),
-                 "target": module_to_json(st.target, algebra_name),
-                 "coker_proj": mat_to_json(st.coker_proj.mat)}
+                {"stage": mod(st.stage), "alpha": mat(st.alpha.mat),
+                 "target": mod(st.target), "coker_proj": mat(st.coker_proj.mat)}
                 for st in w.steps]
         if w.stage is not None:
-            wout["fail_stage"] = module_to_json(w.stage, algebra_name)
-            wout["fail_alpha"] = mat_to_json(w.alpha.mat)
-            wout["kernel_row"] = mat_to_json(w.kernel_row)
+            wout["fail_stage"] = mod(w.stage)
+            wout["fail_alpha"] = mat(w.alpha.mat)
+            wout["kernel_row"] = mat(w.kernel_row)
         out["witness"] = wout
     if cert.bound is not None:
         out["bound"] = list(cert.bound)
@@ -362,16 +418,20 @@ def certificate_to_json(cert: GPCertificate, algebra_name: str):
 def certificate_from_json(a: Algebra, obj) -> GPCertificate:
     """The certificate in obj, over a.  A missing key, a value of the wrong
     JSON type, window bounds that are not ints, or a window whose term and
-    differential counts do not match its bounds raise InputError."""
+    differential counts do not match its bounds raise InputError.  Modules
+    with equal JSON are one instance, and so are matrices."""
     F = a.field
 
     def fields(o, what):
         return partial(json_field, o, f"malformed certificate: {what}")
 
+    @_decoded_once
     def mod(o, what="a module"):
         get = fields(o, what)
         dim = get("dim", int)
         return FDModule(a, dim, [mat_from_json(F, m) for m in get("acts", list)])
+
+    mat = _decoded_once(partial(mat_from_json, F))
 
     get = fields(obj, "the certificate")
     verdict = get("verdict", str)
@@ -390,12 +450,12 @@ def certificate_from_json(a: Algebra, obj) -> GPCertificate:
             raise InputError(f"malformed certificate: a window on [{lo}, {hi}] needs "
                              f"{hi - lo + 1} terms and {hi - lo} differentials")
         terms = [mod(t) for t in wterms]
-        diffs = [ModuleHom(terms[k], terms[k + 1], mat_from_json(F, d))
+        diffs = [ModuleHom(terms[k], terms[k + 1], mat(d))
                  for k, d in enumerate(wdiffs)]
         window = ComplexWindow(lo, hi, terms, diffs)
     if "kernel_ident" in obj and window is not None:
         kernel_ident = ModuleHom(module, window.term(0),
-                                 mat_from_json(F, obj["kernel_ident"]))
+                                 mat(obj["kernel_ident"]))
     witness = None
     if "witness" in obj:
         wget = fields(obj["witness"], "the witness")
@@ -412,9 +472,9 @@ def certificate_from_json(a: Algebra, obj) -> GPCertificate:
                 raise InputError("malformed certificate: the witness resolution "
                                  "needs one term more than it has maps")
             terms = [mod(t) for t in rterms]
-            maps = [ModuleHom(terms[k + 1], terms[k], mat_from_json(F, d))
+            maps = [ModuleHom(terms[k + 1], terms[k], mat(d))
                     for k, d in enumerate(rmaps)]
-            aug = ModuleHom(terms[0], module, mat_from_json(F, raug))
+            aug = ModuleHom(terms[0], module, mat(raug))
             resolution = Resolution(module, terms, maps, aug, [], False)
         wsteps = wget("steps", list, None)
         if wsteps is not None:
@@ -423,18 +483,18 @@ def certificate_from_json(a: Algebra, obj) -> GPCertificate:
                 sget = fields(st, "a witness step")
                 s_mod = mod(sget("stage", object))
                 t_mod = mod(sget("target", object))
-                al = ModuleHom(s_mod, t_mod, mat_from_json(F, sget("alpha", object)))
-                ck = mat_from_json(F, sget("coker_proj", object))
+                al = ModuleHom(s_mod, t_mod, mat(sget("alpha", object)))
+                ck = mat(sget("coker_proj", object))
                 nxt = FDModule(a, ck.cols, _induced_acts(a, t_mod, ck))
                 steps.append(RightTailStep(s_mod, al, t_mod,
                                            ModuleHom(t_mod, nxt, ck)))
         fail_stage = wget("fail_stage", object, None)
         if fail_stage is not None:
             stage = mod(fail_stage)
-            tgt_mat = mat_from_json(F, wget("fail_alpha", object))
+            tgt_mat = mat(wget("fail_alpha", object))
             target = free_module(a, tgt_mat.cols // a.dim if a.dim else 0)
             alpha = ModuleHom(stage, target, tgt_mat)
-            kernel_row = mat_from_json(F, wget("kernel_row", object))
+            kernel_row = mat(wget("kernel_row", object))
         witness = NotGPWitness(kind, degree, resolution=resolution, steps=steps,
                                stage=stage, alpha=alpha, kernel_row=kernel_row)
     bound = get("bound", list, None)

@@ -37,6 +37,16 @@ failing degree lies within a period.  A window that does not repeat, or
 a period it cannot witness, gets the whole window's checks before the
 periodicity message, and the kernel identification always reads the whole
 window.
+
+A certificate read from JSON (`jsonio.certificate_from_json`) has one
+instance per distinct piece: window terms, resolution terms and chain
+stages with equal JSON are one module, equal matrices one matrix.  Every
+check here is a function of a module's algebra, dimension and actions
+and of a map's matrix, so equal JSON gives equal answers, and the checks
+that keep their verdict on an instance prove each distinct term once:
+the module laws, projectivity and Hom(-, A) of a repeated window term
+are proven at its first degree.  Such a window carries no direct-sum
+record, so each distinct term is proven whole.
 """
 from __future__ import annotations
 
@@ -168,11 +178,12 @@ def _window_periodic(wc: ComplexWindow, p: int) -> str | None:
     genuinely repeating windows."""
     for i in range(wc.lo, wc.hi + 1 - p):
         a, b = wc.term(i), wc.term(i + p)
-        if (a.algebra is not b.algebra or a.dim != b.dim
-                or any(s != t for s, t in zip(a.acts, b.acts))):
+        if a is not b and (a.algebra is not b.algebra or a.dim != b.dim
+                           or any(s != t for s, t in zip(a.acts, b.acts))):
             return f"terms at {i} and {i + p} differ"
     for i in range(wc.lo, wc.hi - p):
-        if wc.diff(i).mat != wc.diff(i + p).mat:
+        a, b = wc.diff(i).mat, wc.diff(i + p).mat
+        if a is not b and a != b:
             return f"differentials at {i} and {i + p} differ"
     return None
 

@@ -542,6 +542,61 @@ def test_verify_report_binds_the_certificates_to_the_quadruple(
     assert (code, json.loads(out)["problems"]) == (1, [message])
 
 
+def _certify_gp_reports(capsys, problem):
+    """tag -> the certify-gp report of every quadruple of a fixture with a
+    context, or of every module of one without."""
+    with open(problem, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if doc.get("contexts"):
+        opts = {q: ["--context", c, "--quadruple", q]
+                for c in sorted(doc["contexts"]) for q in sorted(doc["quadruples"])}
+    else:
+        opts = {m: ["--module", m] for m in sorted(doc["modules"])}
+    return {tag: json.loads(run(capsys, "certify-gp", problem, *o, "--json")[1])
+            for tag, o in opts.items()}
+
+
+@pytest.mark.parametrize("name", ["arrow_glue.json", "dual_numbers.json",
+                                  "glued5.json", "nc_phi.json", "triangular.json",
+                                  "two_cycle.json"])
+@pytest.mark.parametrize("field", ["Q", "GF7"])
+def test_verify_report_binds_a_certify_gp_report_to_its_module(tmp_path, capsys,
+                                                               field, name):
+    # a report relabelled to another module or quadruple, or with another
+    # verdict than its certificate's, is rejected; a label of the wrong
+    # type is an input error
+    problem = _problem_over(field, name, tmp_path)
+    reports = _certify_gp_reports(capsys, problem)
+    rep_path = tmp_path / "report.json"
+
+    def verdict_of(rep):
+        rep_path.write_text(json.dumps(rep))
+        code, out = run(capsys, "verify-report", problem, "--report", str(rep_path),
+                        "--json")
+        return code, json.loads(out)["problems"]
+
+    relabelled = 0
+    for tag, rep in reports.items():
+        assert verdict_of(rep) == (0, [])
+        what = "quadruple" if rep["certificate"]["algebra"].startswith("ring(") \
+            else "module"
+        for other, other_rep in reports.items():
+            if other_rep["certificate"]["module"] != rep["certificate"]["module"]:
+                relabelled += 1
+                assert verdict_of({**rep, "module": other}) == (
+                    1, [f"the certificate is not about {what} {other}"])
+        for verdict in {"gp", "not_gp", "unknown"} - {rep["verdict"]}:
+            assert verdict_of({**rep, "verdict": verdict}) == (
+                1, [f"the report's verdict \"{verdict}\" is not the certificate's "
+                    f"\"{rep['verdict']}\""])
+        for label in (7, [1], {"k": 1}, None, "nope"):
+            rep_path.write_text(json.dumps({**rep, "module": label}))
+            code = main(["verify-report", problem, "--report", str(rep_path)])
+            err = capsys.readouterr().err
+            assert code == 3 and err.startswith(f"input error: unknown {what}"), err
+    assert relabelled
+
+
 def test_nc_tensor_build_and_iso(capsys):
     code, out = run(capsys, "nc-tensor", "build", fx("two_cycle.json"),
                     "--context", "ctx", "--json")

@@ -324,6 +324,24 @@ def test_the_general_path_builds_its_two_sided_probe():
     assert cert.reason == "dimension budget exceeded"
 
 
+def test_no_cokernel_is_built_past_the_dimension_budget(monkeypatch):
+    # the module of the test above grows targets of dims 12, 60 and 300;
+    # the budget 120 stops the tail before the cokernel of the third
+    r = truncated_poly(GF(7), 2)
+    ctx = triangular_over(r)
+    x = quadruple_to_module(build_ring(ctx), z_a(ctx, simple_kx2(r)))
+    targets = []
+
+    def spy(alpha, *args, **kwargs):
+        targets.append(alpha.target.dim)
+        return cokernel_of(alpha, *args, **kwargs)
+
+    monkeypatch.setattr(gpcert, "cokernel_of", spy)
+    cert = certify_gorenstein_projective(x, window=2, dim_budget=120)
+    assert (cert.verdict, cert.reason) == ("unknown", "dimension budget exceeded")
+    assert targets and max(targets) <= 120
+
+
 @pytest.mark.parametrize("F", [QQ(), GF(7)], ids=["Q", "GF7"])
 def test_a_self_injective_module_with_no_period_in_the_bound_is_certified(F):
     # the simple over k[x]/(x^3) has period 2; with period_bound 1 the

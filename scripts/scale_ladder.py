@@ -10,6 +10,9 @@ print one JSON line per case.
 - assembly: `check_conditions`, then `build_total_resolution` (window 3),
   on (S, 0) (+) T_B(S) over T2(k[x]/(x^8)) = (R, R, 0, R, 0, 0), a ring
   of dimension 24
+- general2 to general8: `certify_gorenstein_projective` on Z_A(S) = (S, 0)
+  over T2(k[x]/(x^n)), n = 2 to 8, a ring that is neither self-injective
+  nor of finite global dimension, so the certifier takes its general path
 
 Every case builds its algebra afresh, so no memo carries over from an
 earlier case or repeat.  "seconds" is the minimum over the repeats of the
@@ -18,7 +21,7 @@ timed step: the hom space, the certifier, the check, or the assembly
 
 Run from the repository root:
 
-    python3 scripts/scale_ladder.py [--repeat N] [--case hom|certify|checker|assembly]
+    python3 scripts/scale_ladder.py [--repeat N] [--case hom|certify|checker|assembly|generalN]
 """
 from __future__ import annotations
 
@@ -27,6 +30,7 @@ import json
 import os
 import sys
 import time
+from functools import partial
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -37,7 +41,9 @@ from gpmorita.engine import (
 from gpmorita.fields import GF, QQ
 from gpmorita.gpcert import certify_gorenstein_projective
 from gpmorita.modules import direct_sum, free_module, hom_space, regular_module
-from gpmorita.morita import direct_sum_quadruples, t_b, z_a
+from gpmorita.morita import (
+    build_ring, direct_sum_quadruples, quadruple_to_module, t_b, z_a,
+)
 from gpmorita.verify import verify_certificate
 
 
@@ -83,8 +89,19 @@ def assembly_case(F):
     return {"seconds": secs, "criterion_seconds": crit_s, "ring_dim": 3 * r.dim}
 
 
+def general_case(F, n):
+    r = truncated_poly(F, n)
+    ctx = triangular_over(r)
+    x = quadruple_to_module(build_ring(ctx), z_a(ctx, simple_kx2(r)))
+    cert, secs = _timed(lambda: certify_gorenstein_projective(x))
+    assert cert.verdict == "gp", (cert.verdict, cert.reason)
+    return {"seconds": secs, "verdict": cert.verdict, "period": cert.period,
+            "ring_dim": 3 * r.dim}
+
+
 CASES = {"hom": hom_case, "certify": certify_case, "checker": checker_case,
-         "assembly": assembly_case}
+         "assembly": assembly_case,
+         **{f"general{n}": partial(general_case, n=n) for n in range(2, 9)}}
 
 
 def main(argv=None) -> int:

@@ -99,8 +99,8 @@ class Field:
     def parse(self, s):
         """Read a scalar from its JSON form: an int or an "a/b" string.
         Raises ValueError on anything else, including a denominator that is
-        zero in the field."""
-        if isinstance(s, int):
+        zero in the field.  A JSON true or false is no scalar."""
+        if isinstance(s, int) and not isinstance(s, bool):
             return self.of_int(s)
         if isinstance(s, str):
             if self.is_rational:

@@ -9,7 +9,7 @@ finds neither returns an honest "unknown".
 
 Windows are correct by construction and are not re-checked: the split
 window X (+) X with the shift differential is contractible; a
-self-injective window is a period of dual embeddings closed up by an
+self-injective window is a period of injective envelopes closed up by an
 isomorphism, or else a minimal resolution spliced to them, exact, and its
 Hom into A is exact because A is injective; stripped projective summands
 add a contractible window through an isomorphism.  The tails behind a
@@ -26,18 +26,18 @@ import inspect
 import random
 from dataclasses import dataclass
 
-from .algebra import opposite_algebra
+from .algebra import radical_basis
 from .complexes import (ComplexWindow, hom_exactness_failure, per_instance,
                         solve_module_hom, total_exactness)
 from .homology import (
     Resolution, _block_reps, first_nonzero_ext, global_dimension, is_projective,
-    is_self_injective, minimal_resolution, projective_cover,
+    is_self_injective, minimal_resolution,
 )
-from .linalg import Mat, left_kernel, linear_combination, rank, solve_left
+from .linalg import (Mat, coordinates, left_kernel, linear_combination, rank,
+                     row_space, rref, solve_left)
 from .modules import (
-    FDModule, ModuleHom, Undetermined, cokernel_of, direct_sum, dual_module,
-    free_module, hom_space, is_isomorphic, kernel_of, regular_module,
-    zero_hom,
+    FDModule, ModuleHom, Undetermined, cokernel_of, direct_sum, free_module,
+    hom_space, is_isomorphic, kernel_of, regular_module, zero_hom,
 )
 
 
@@ -150,46 +150,45 @@ def strip_projective_summands(x: FDModule, seed: int = 0):
     return cur, projs, overall
 
 
-def _generator_approximation(cur: FDModule, reg: FDModule) -> tuple[ModuleHom, FDModule]:
-    """The map into a free module built from a spanning set of Hom(cur, A);
-    a left projective approximation by construction."""
+def _minimal_approximation(cur: FDModule) -> tuple[ModuleHom, FDModule]:
+    """The minimal left add(A)-approximation of cur (Auslander, Reiten &
+    Smalo, ch. I): per block representative A*e, one A*e for each map of a
+    complement of span{h*r*e : r in rad A} in span{h*e}, h in Hom(cur, A).
+    Over a self-injective algebra it is the injective envelope."""
     a = cur.algebra
-    basis = hom_space(cur, reg)
-    P = free_module(a, len(basis))
-    if not basis:
+    homs = hom_space(cur, regular_module(a))
+    if not homs:
+        P = free_module(a, 0)
         return zero_hom(cur, P), P
-    mat = Mat.hstack([h.mat for h in basis])
-    return ModuleHom(cur, P, mat), P
-
-
-def _dual_embedding(cur: FDModule) -> tuple[ModuleHom, FDModule]:
-    """Minimal embedding into a projective over a self-injective algebra:
-    the dual of the projective cover of the dual."""
-    a = cur.algebra
-    aop = opposite_algebra(a)
-    dcur = dual_module(cur, aop)
-    P_op, cov = projective_cover(dcur)
-    P = dual_module(P_op, a)
-    P.name = f"D({P_op.name})"
-    return ModuleHom(cur, P, cov.mat.transpose()), P
+    stacked, rad = Mat.vstack([h.mat for h in homs]), radical_basis(a)
+    k, d = len(homs), cur.dim * a.dim
+    mods, blocks = [], []
+    for mod, incl, e, _ in _block_reps(a):
+        # one flattened map a row: the h*r*e, r*e over a basis of rad*e,
+        # then the h*e, whose pivots pick the complement
+        rad_e = row_space(rad @ a.rmul_of(e))
+        els = [rad_e.row(r) for r in range(rad_e.rows)] + [e]
+        maps = Mat.vstack([(stacked @ a.rmul_of(el)).reshape(k, d) for el in els])
+        for p in (q for q in rref(maps.transpose())[1] if q >= k * rad_e.rows):
+            g = maps.block(p, p + 1, 0, d).reshape(cur.dim, a.dim)
+            blocks.append(coordinates(incl.mat, g))
+            mods.append(mod)
+    P = direct_sum(mods)[0]
+    return ModuleHom(cur, P, Mat.hstack(blocks)), P
 
 
 def _right_tail(x: FDModule, length: int, dim_budget: int,
-                use_dual: bool, steps: list[RightTailStep] | None = None):
+                steps: list[RightTailStep] | None = None):
     """Extend the cosyzygy steps of x (the given ones, else none) to
     `length` steps; returns (steps, final_stage), (steps, "budget") or
     (None, NotGPWitness).  Each step is deterministic, so a tail extended
     one step at a time equals the tail built at once.  The budget is
     checked before the cokernel of a step is built, so no cokernel of a
     target above it is computed; a budget stop's steps are not used."""
-    reg = regular_module(x.algebra)
     steps = [] if steps is None else steps
     cur = steps[-1].coker_proj.target if steps else x
     for j in range(len(steps), length):
-        if use_dual:
-            alpha, P = _dual_embedding(cur)
-        else:
-            alpha, P = _generator_approximation(cur, reg)
+        alpha, P = _minimal_approximation(cur)
         ker_rows = left_kernel(alpha.mat)
         if ker_rows.rows:
             return None, NotGPWitness("non_injective_approximation", j,
@@ -283,7 +282,7 @@ def _combine_with_split(x: FDModule, overall: Mat, projs: list[FDModule],
 
 def _search_period(core: FDModule, steps: list[RightTailStep], length: int,
                    res: Resolution | None, window: int, period_bound: int,
-                   seed: int, dim_budget: int, use_dual: bool):
+                   seed: int, dim_budget: int):
     """Look for a period of the core, building only what the search reads.
 
     The core's right tail in steps grows one step at a time to `length`
@@ -297,7 +296,7 @@ def _search_period(core: FDModule, steps: list[RightTailStep], length: int,
     answer was blocked."""
     undetermined = False
     for p in range(1, length + 1):
-        grown, stop = _right_tail(core, p, dim_budget, use_dual, steps)
+        grown, stop = _right_tail(core, p, dim_budget, steps)
         if grown is None or stop == "budget":
             return stop, res
         if p > period_bound:
@@ -333,13 +332,13 @@ def certify_gorenstein_projective(x: FDModule, window: int = 6,
     window; over an algebra of finite global dimension the verdict is
     "projective or not GP"; over a self-injective algebra every module is
     certified.  The general path builds a minimal left tail, checks
-    Ext^i(x, A) = 0 on the window, grows a right tail by projective
-    approximations, and hunts for a cosyzygy or syzygy period of the
-    module with its projective summands stripped off.
+    Ext^i(x, A) = 0 on the window, grows a right tail by minimal left
+    add(A)-approximations, and hunts for a cosyzygy or syzygy period of
+    the module with its projective summands stripped off.
 
     The tails of that module are built on demand: its right tail grows one
     cosyzygy at a time and the search stops at the first period, so a
-    period-p module over a self-injective algebra costs p embeddings
+    period-p module over a self-injective algebra costs p approximations
     whatever the window; its left resolution is built only when no
     cosyzygy period turns up.  The certificate is the one that the whole
     window of both tails would give.
@@ -378,13 +377,11 @@ def certify_gorenstein_projective(x: FDModule, window: int = 6,
     if self_inj:
         steps: list[RightTailStep] = []
         found, core_res = _search_period(core, steps, window, None, window,
-                                         period_bound, seed, dim_budget,
-                                         use_dual=True)
+                                         period_bound, seed, dim_budget)
         if found is None:
             # the two-sided window on [-window, window] reads the right-tail
             # steps 0..window, so it needs one step more
-            found = _right_tail(core, window + 1, dim_budget, use_dual=True,
-                                steps=steps)[1]
+            found = _right_tail(core, window + 1, dim_budget, steps)[1]
         if isinstance(found, NotGPWitness):
             raise CertifyError("embedding failed over a self-injective algebra")
         if found == "budget":
@@ -403,7 +400,7 @@ def certify_gorenstein_projective(x: FDModule, window: int = 6,
         return GPCertificate(
             "not_gp", x,
             witness=NotGPWitness("non_vanishing_ext", i, resolution=res))
-    steps_x, tail_x = _right_tail(x, window + 1, dim_budget, use_dual=False)
+    steps_x, tail_x = _right_tail(x, window + 1, dim_budget)
     if steps_x is None:
         return GPCertificate("not_gp", x, witness=tail_x)
     if tail_x == "budget":
@@ -420,7 +417,7 @@ def certify_gorenstein_projective(x: FDModule, window: int = 6,
                                  steps=steps_x))
     found, _ = _search_period(core, steps_x if core_is_x else [], window + 1,
                               res if core_is_x else None, window, period_bound,
-                              seed, dim_budget, use_dual=False)
+                              seed, dim_budget)
     if isinstance(found, NotGPWitness):
         return GPCertificate("not_gp", x, witness=found)
     if found == "budget":

@@ -36,7 +36,7 @@ from .fields import Field, FieldSpec
 from .gpcert import GPCertificate, NotGPWitness, RightTailStep
 from .homology import Resolution
 from .linalg import Mat
-from .modules import FDModule, ModuleError, ModuleHom, free_module, validate_module
+from .modules import FDModule, ModuleError, ModuleHom, validate_module
 from .morita import (
     ContextError, MoritaContext, make_quadruple, validate_context,
     validate_quadruple,
@@ -407,6 +407,7 @@ def certificate_to_json(cert: GPCertificate, algebra_name: str):
                 for st in w.steps]
         if w.stage is not None:
             wout["fail_stage"] = mod(w.stage)
+            wout["fail_target"] = mod(w.alpha.target)
             wout["fail_alpha"] = mat(w.alpha.mat)
             wout["kernel_row"] = mat(w.kernel_row)
         out["witness"] = wout
@@ -491,9 +492,8 @@ def certificate_from_json(a: Algebra, obj) -> GPCertificate:
         fail_stage = wget("fail_stage", object, None)
         if fail_stage is not None:
             stage = mod(fail_stage)
-            tgt_mat = mat(wget("fail_alpha", object))
-            target = free_module(a, tgt_mat.cols // a.dim if a.dim else 0)
-            alpha = ModuleHom(stage, target, tgt_mat)
+            target = mod(wget("fail_target", object))
+            alpha = ModuleHom(stage, target, mat(wget("fail_alpha", object)))
             kernel_row = mat(wget("kernel_row", object))
         witness = NotGPWitness(kind, degree, resolution=resolution, steps=steps,
                                stage=stage, alpha=alpha, kernel_row=kernel_row)

@@ -294,7 +294,9 @@ def verify_certificate(cert: GPCertificate, x: FDModule) -> list[str]:
             expected = x if not w.steps else w.steps[-1].coker_proj.target
             if stage.dim != expected.dim or stage.acts != expected.acts:
                 return ["witness stage does not continue the chain"]
-            msg = _non_module("witness stage", [stage], len(w.steps or []))
+            msg = (_non_module("witness stage", [stage], len(w.steps or []))
+                   or _non_module("witness target", [w.alpha.target],
+                                  len(w.steps or [])))
             if msg:
                 return [msg]
             if not w.alpha.intertwines():

@@ -85,6 +85,28 @@ def test_malformed_matrix_shape_is_an_input_error(tmp_path, capsys, mat):
     assert capsys.readouterr().err.startswith("input error: malformed matrix")
 
 
+@pytest.mark.parametrize("entry", [True, False, None, [1]],
+                         ids=["true", "false", "null", "list"])
+def test_a_boolean_matrix_entry_is_malformed_as_any_other(tmp_path, capsys, entry):
+    # true and false equal 1 and 0 in Python but are no scalars in JSON: in
+    # a problem file and in a certificate each is an input error worded as
+    # for null or a list
+    message = f"input error: malformed matrix: cannot parse scalar {entry!r}\n"
+    doc = json.load(open(fx("dual_numbers.json")))
+    doc["bimodules"]["S_bim"]["left_acts"][0]["entries"][0] = entry
+    p = tmp_path / "bad_entry.json"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", str(p)]) == 3
+    assert capsys.readouterr().err == message
+    assert main(["certify-gp", fx("dual_numbers.json"), "--module", "S",
+                 "--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    rep["certificate"]["window"]["diffs"][0]["entries"][0] = entry
+    p.write_text(json.dumps(rep))
+    assert main(["verify-report", fx("dual_numbers.json"), "--report", str(p)]) == 3
+    assert capsys.readouterr().err == message
+
+
 @pytest.mark.parametrize("kind, name, acts", [
     ("bimodules", "S_bim", "left_acts"),
     ("modules", "S", "acts"),

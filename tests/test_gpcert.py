@@ -8,11 +8,12 @@ import weakref
 import pytest
 
 from gpmorita import complexes, gpcert
+from gpmorita.algebra import opposite_algebra
 from gpmorita.catalog import (
     arrow_ideal_context, field_algebra, glued_psi_context, path_a2,
-    product_fields, proj_a2, random_module, simple_at_idempotent, simple_kx2,
-    triangular_context, triangular_over, truncated_poly, two_cycle_context,
-    two_cycle_rad_square,
+    product_fields, proj_a2, random_module, random_quadruple,
+    simple_at_idempotent, simple_kx2, triangular_context, triangular_over,
+    truncated_poly, two_cycle_context, two_cycle_rad_square,
 )
 from gpmorita.complexes import (
     ComplexWindow, hom_exactness_failure, total_exactness,
@@ -29,8 +30,8 @@ from gpmorita.homology import (
 from gpmorita.jsonio import certificate_to_json
 from gpmorita.linalg import Mat, left_kernel
 from gpmorita.modules import (
-    FDModule, ModuleHom, Undetermined, cokernel_of, direct_sum, is_isomorphic,
-    regular_module, zero_module,
+    FDModule, ModuleHom, Undetermined, cokernel_of, direct_sum, dual_module,
+    is_isomorphic, regular_module, zero_module,
 )
 from gpmorita.morita import (
     ContextError, build_ring, h_a, h_b, quadruple_to_module,
@@ -312,24 +313,17 @@ def test_split_and_self_injective_windows_are_not_rechecked(count_calls):
 # the two-sided window on [-w, w] reads the right-tail steps 0..w
 
 
-def test_the_general_path_builds_its_two_sided_probe():
+def _t2_simple(F):
     # (k, 0, 0, 0) over T2(R) = the context (R, R, 0, R, 0, 0) with
     # R = k[x]/(x^2): a GP simple over a ring that is neither self-injective
     # nor of finite global dimension, so it takes the general path
-    r = truncated_poly(GF(7), 2)
+    r = truncated_poly(F, 2)
     ctx = triangular_over(r)
-    x = quadruple_to_module(build_ring(ctx), z_a(ctx, simple_kx2(r)))
-    cert = certify_gorenstein_projective(x, window=2, dim_budget=120)
-    assert cert.verdict == "unknown"
-    assert cert.reason == "dimension budget exceeded"
+    return quadruple_to_module(build_ring(ctx), z_a(ctx, simple_kx2(r)))
 
 
-def test_no_cokernel_is_built_past_the_dimension_budget(monkeypatch):
-    # the module of the test above grows targets of dims 12, 60 and 300;
-    # the budget 120 stops the tail before the cokernel of the third
-    r = truncated_poly(GF(7), 2)
-    ctx = triangular_over(r)
-    x = quadruple_to_module(build_ring(ctx), z_a(ctx, simple_kx2(r)))
+def _cokernel_targets(monkeypatch):
+    """The dims of the targets whose cokernels the certifier builds."""
     targets = []
 
     def spy(alpha, *args, **kwargs):
@@ -337,9 +331,51 @@ def test_no_cokernel_is_built_past_the_dimension_budget(monkeypatch):
         return cokernel_of(alpha, *args, **kwargs)
 
     monkeypatch.setattr(gpcert, "cokernel_of", spy)
-    cert = certify_gorenstein_projective(x, window=2, dim_budget=120)
+    return targets
+
+
+def test_the_general_path_builds_its_two_sided_probe(monkeypatch):
+    # minimal approximations keep every target of this tail at dim 2, far
+    # below the budget, and the tail closes up with period 1
+    for F in (QQ(), GF(7)):
+        x = _t2_simple(F)
+        targets = _cokernel_targets(monkeypatch)
+        cert = certify_gorenstein_projective(x, window=2, dim_budget=120)
+        assert (cert.verdict, cert.reason, cert.period) == ("gp", "periodic", 1)
+        assert targets and max(targets) <= 2
+        assert verify_certificate(cert, x) == []
+
+
+def test_no_cokernel_is_built_past_the_dimension_budget(monkeypatch):
+    # the first target of the module above has dim 2: the budget 1 stops
+    # the tail before its cokernel
+    x = _t2_simple(GF(7))
+    targets = _cokernel_targets(monkeypatch)
+    cert = certify_gorenstein_projective(x, window=2, dim_budget=1)
     assert (cert.verdict, cert.reason) == ("unknown", "dimension budget exceeded")
-    assert targets and max(targets) <= 120
+    assert targets == []
+
+
+@pytest.mark.parametrize("n, F", [(2, QQ()), (2, GF(7)), (3, QQ()), (3, GF(11))],
+                         ids=["n2-Q", "n2-GF7", "n3-Q", "n3-GF11"])
+def test_known_answers_on_the_triangular_ring_over_truncated_polynomials(n, F):
+    # over T2(R), R = k[x]/(x^n) self-injective, (X, Y, g) is GP exactly
+    # when g is injective (Li & Zhang, J. Algebra 323 (2010)); the corner
+    # modules of random_quadruple are max_cuts=1 draws.  At n = 3 the ring
+    # has dim 9 and its radical by trace form needs p > 9: GF(11), not GF(7)
+    ctx = triangular_over(truncated_poly(F, n))
+    ring, rng = build_ring(ctx), random.Random(37)
+    seen = set()
+    for _ in range(25):
+        q = random_quadruple(ctx, rng)
+        if not q.dim:
+            continue
+        x = quadruple_to_module(ring, q)
+        cert = certify_gorenstein_projective(x, window=2)
+        assert cert.verdict == ("gp" if q.g.is_injective() else "not_gp"), q
+        assert verify_certificate(cert, x) == [], q
+        seen.add((cert.verdict, cert.reason))
+    assert {("gp", "periodic"), ("not_gp", "")} <= seen, seen
 
 
 @pytest.mark.parametrize("F", [QQ(), GF(7)], ids=["Q", "GF7"])
@@ -361,16 +397,12 @@ def test_a_self_injective_module_with_no_period_in_the_bound_is_certified(F):
 # test is deterministic, so the certificates must agree byte for byte.
 
 
-def eager_right_tail(x, length, seed, dim_budget, use_dual):
+def eager_right_tail(x, length, seed, dim_budget):
     """Build cosyzygy steps; returns (steps, final_stage) or a NotGPWitness."""
-    reg = regular_module(x.algebra)
     steps = []
     cur = x
     for j in range(length):
-        if use_dual:
-            alpha, P = gpcert._dual_embedding(cur)
-        else:
-            alpha, P = gpcert._generator_approximation(cur, reg)
+        alpha, P = gpcert._minimal_approximation(cur)
         ker_rows = left_kernel(alpha.mat)
         if ker_rows.rows:
             return None, NotGPWitness("non_injective_approximation", j,
@@ -457,7 +489,7 @@ def eager_certify(x, window=6, period_bound=12, seed=0, dim_budget=600):
     # 0..window, so it needs window + 1 of them
     if self_inj:
         core_res = minimal_resolution(core, window + 1)
-        steps, tail_end = eager_right_tail(core, window, seed, dim_budget, use_dual=True)
+        steps, tail_end = eager_right_tail(core, window, seed, dim_budget)
         if steps is None:
             raise CertifyError("embedding failed over a self-injective algebra")
         if tail_end == "budget":
@@ -466,8 +498,7 @@ def eager_certify(x, window=6, period_bound=12, seed=0, dim_budget=600):
                                         period_bound, seed)
         if wc is not None:
             return emit(wc, ki, "self-injective", p)
-        steps, tail_end = eager_right_tail(core, window + 1, seed, dim_budget,
-                                           use_dual=True)
+        steps, tail_end = eager_right_tail(core, window + 1, seed, dim_budget)
         if tail_end == "budget":
             return unknown("dimension budget exceeded")
         wc, ki = gpcert._two_sided_window(core_res, steps, window)
@@ -480,7 +511,7 @@ def eager_certify(x, window=6, period_bound=12, seed=0, dim_budget=600):
         return GPCertificate(
             "not_gp", x,
             witness=NotGPWitness("non_vanishing_ext", i, resolution=res))
-    steps_x, tail_x = eager_right_tail(x, window + 1, seed, dim_budget, use_dual=False)
+    steps_x, tail_x = eager_right_tail(x, window + 1, seed, dim_budget)
     if steps_x is None:
         return GPCertificate("not_gp", x, witness=tail_x)
     if tail_x == "budget":
@@ -499,8 +530,7 @@ def eager_certify(x, window=6, period_bound=12, seed=0, dim_budget=600):
         steps_c, tail_c, res_c = steps_x, tail_x, res
     else:
         res_c = minimal_resolution(core, window + 1)
-        steps_c, tail_c = eager_right_tail(core, window + 1, seed, dim_budget,
-                                           use_dual=False)
+        steps_c, tail_c = eager_right_tail(core, window + 1, seed, dim_budget)
         if steps_c is None:
             return GPCertificate("not_gp", x, witness=tail_c)
         if tail_c == "budget":
@@ -563,17 +593,38 @@ def test_tails_on_demand_give_the_eager_certificates(F, window):
             ("unknown", "dimension budget exceeded", True)} <= seen
 
 
+def dual_embedding(cur):
+    """The embedding that the self-injective branch built before the minimal
+    approximation, kept as its oracle: the dual of the projective cover of
+    the dual."""
+    P_op, cov = projective_cover(dual_module(cur, opposite_algebra(cur.algebra)))
+    return ModuleHom(cur, dual_module(P_op, cur.algebra), cov.mat.transpose())
+
+
+@pytest.mark.parametrize("F", [QQ(), GF(7)], ids=["Q", "GF7"])
+def test_over_a_self_injective_algebra_the_approximation_is_the_envelope(F):
+    # the injective envelope is unique up to isomorphism: targets of the
+    # same dim and isomorphic cosyzygies, two steps deep
+    for label, m in _self_injective_modules(F):
+        ours, theirs = m, m
+        for _ in range(2):
+            alpha, P = gpcert._minimal_approximation(ours)
+            beta = dual_embedding(theirs)
+            assert alpha.is_injective() and P.dim == beta.target.dim, label
+            ours, theirs = cokernel_of(alpha)[0], cokernel_of(beta)[0]
+            assert is_isomorphic(ours, theirs) is not None, label
+
+
 @pytest.mark.parametrize("F", [QQ(), GF(7)], ids=["Q", "GF7"])
 def test_tails_on_demand_give_the_eager_certificates_on_the_general_path(F):
-    # (k, 0, 0, 0) over T2(k[x]/(x^2)) with a budget that its right tail
-    # exceeds; a budget that it does not exceed costs seconds a call, so
-    # the search that it leads to is compared below, on smaller algebras
-    r = truncated_poly(F, 2)
-    ctx = triangular_over(r)
-    x = quadruple_to_module(build_ring(ctx), z_a(ctx, simple_kx2(r)))
-    cert = certify_gorenstein_projective(x, window=2, dim_budget=120)
-    assert cert.reason == "dimension budget exceeded"
-    assert _as_json(cert) == _as_json(eager_certify(x, window=2, dim_budget=120))
+    # (k, 0, 0, 0) over T2(k[x]/(x^2)), certified with a period, and with
+    # a budget below its first target
+    x = _t2_simple(F)
+    for dim_budget in (120, 1):
+        cert = certify_gorenstein_projective(x, window=2, dim_budget=dim_budget)
+        assert cert.verdict == ("gp" if dim_budget > 1 else "unknown")
+        assert _as_json(cert) == _as_json(eager_certify(x, window=2,
+                                                        dim_budget=dim_budget))
 
 
 def _found_as_json(m, found):
@@ -598,9 +649,8 @@ def test_the_general_search_reads_what_the_eager_search_read(F):
             for period_bound, dim_budget in ((1, 600), (12, 600), (12, 2)):
                 args = (window, period_bound, 0)
                 found, res = gpcert._search_period(
-                    m, [], window + 1, None, *args, dim_budget, use_dual=False)
-                steps, tail = eager_right_tail(m, window + 1, 0, dim_budget,
-                                               use_dual=False)
+                    m, [], window + 1, None, *args, dim_budget)
+                steps, tail = eager_right_tail(m, window + 1, 0, dim_budget)
                 if steps is None or tail == "budget":
                     seen.add(type(tail).__name__)
                     assert type(found) is type(tail)
@@ -611,8 +661,7 @@ def test_the_general_search_reads_what_the_eager_search_read(F):
                 eager_res = minimal_resolution(m, window + 1)
                 eager = eager_search_period(m, steps, tail, eager_res, *args)
                 given, _ = gpcert._search_period(
-                    m, list(steps), window + 1, eager_res, *args, dim_budget,
-                    use_dual=False)
+                    m, list(steps), window + 1, eager_res, *args, dim_budget)
                 if eager[0] is None:
                     seen.add(None)
                     assert found is None and given is None
@@ -628,12 +677,12 @@ def test_a_period_two_simple_builds_two_embeddings_and_no_left_resolution(
         count_calls):
     # the simple of k[x]/(x^3) has period 2; the eager certifier made 15
     # projective covers at window 6: one for the projectivity test, 8 for
-    # the core's left resolution and 6 for the dual embeddings.  Now the
+    # the core's left resolution and 6 for the embeddings.  Now the
     # projectivity test counts the cover without building it, and the two
-    # dual embeddings are the only covers
+    # embeddings, minimal approximations, build none
     a = truncated_poly(QQ(), 3)
     covers = count_calls(projective_cover)
-    embeddings = count_calls(gpcert._dual_embedding)
+    embeddings = count_calls(gpcert._minimal_approximation)
     resolutions = count_calls(minimal_resolution)
     counts = {}
     for window in (3, 6):
@@ -646,4 +695,4 @@ def test_a_period_two_simple_builds_two_embeddings_and_no_left_resolution(
         assert len(embeddings) == 2
         assert resolutions == []
         counts[window] = len(covers)
-    assert counts == {3: 2, 6: 2}
+    assert counts == {3: 0, 6: 0}

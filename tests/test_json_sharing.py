@@ -1,8 +1,9 @@
 """A certificate crosses JSON once per distinct piece.
 
 `jsonio` used to encode every place of a certificate on its own and to
-decode every place into its own instance.  That code is kept here
-verbatim, renamed, as the oracle: on every fixture, over Q and GF(7), the
+decode every place into its own instance.  That code is kept here,
+renamed, as the oracle (a failing approximation's target, `fail_target`,
+crosses JSON in both): on every fixture, over Q and GF(7), the
 certificates of `certify-gp`, `check-gp` and `nc-tensor check` encode to
 the same bytes, and the certificates it decodes verify with the same
 answers, tampered ones with the same messages.  Decoded pieces are one
@@ -31,7 +32,7 @@ from gpmorita.jsonio import (
     mat_to_json, module_to_json,
 )
 from gpmorita.linalg import Mat
-from gpmorita.modules import FDModule, ModuleHom, free_module
+from gpmorita.modules import FDModule, ModuleHom
 from gpmorita.morita import build_ring
 
 FIX = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixtures")
@@ -75,6 +76,7 @@ def per_place_certificate_to_json(cert: GPCertificate, algebra_name: str):
                 for st in w.steps]
         if w.stage is not None:
             wout["fail_stage"] = module_to_json(w.stage, algebra_name)
+            wout["fail_target"] = module_to_json(w.alpha.target, algebra_name)
             wout["fail_alpha"] = mat_to_json(w.alpha.mat)
             wout["kernel_row"] = mat_to_json(w.kernel_row)
         out["witness"] = wout
@@ -152,9 +154,9 @@ def per_place_certificate_from_json(a, obj) -> GPCertificate:
         fail_stage = wget("fail_stage", object, None)
         if fail_stage is not None:
             stage = mod(fail_stage)
-            tgt_mat = mat_from_json(F, wget("fail_alpha", object))
-            target = free_module(a, tgt_mat.cols // a.dim if a.dim else 0)
-            alpha = ModuleHom(stage, target, tgt_mat)
+            target = mod(wget("fail_target", object))
+            alpha = ModuleHom(stage, target,
+                              mat_from_json(F, wget("fail_alpha", object)))
             kernel_row = mat_from_json(F, wget("kernel_row", object))
         witness = NotGPWitness(kind, degree, resolution=resolution, steps=steps,
                                stage=stage, alpha=alpha, kernel_row=kernel_row)

@@ -21,6 +21,7 @@ from gpmorita.gpcert import GPCertificate, certify_gorenstein_projective
 from gpmorita.homology import _block_reps, is_projective, simple_modules
 from gpmorita.jsonio import (
     certificate_from_json, certificate_to_json, mat_from_json, mat_to_json,
+    module_to_json,
 )
 from gpmorita.linalg import Mat, in_row_space, left_kernel, rank
 from gpmorita.modules import (
@@ -246,16 +247,15 @@ def _workload_modules(F):
 
 def _general_periodic(F):
     """(label, module, certificate): the period that the general path's
-    search finds (no dual embeddings) for the non-projective simples and a
-    seeded random module over k[x]/(x^3) and the two-cycle algebra, closed
-    up as the general path closes it up."""
+    search finds for the non-projective simples and a seeded random module
+    over k[x]/(x^3) and the two-cycle algebra, closed up as the general
+    path closes it up."""
     rng, out = random.Random(3), []
     for alg in (truncated_poly(F, 3), two_cycle_rad_square(F)):
         for m in simple_modules(alg) + [random_module(alg, rng, max_cuts=3)]:
             if not m.dim or is_projective(m):
                 continue
-            found, _ = gpcert._search_period(m, [], 4, None, 3, 12, 0, 600,
-                                             use_dual=False)
+            found, _ = gpcert._search_period(m, [], 4, None, 3, 12, 0, 600)
             wc, ki, p = found
             out.append((f"{alg.name}:{m.name}", m, GPCertificate(
                 "gp", m, reason="periodic", period=p, window=wc, kernel_ident=ki)))
@@ -365,3 +365,24 @@ def test_one_period_gives_the_whole_window_verdicts(F):
                       ("term beyond the first period", True), ("period - 1", True),
                       ("zero junctions", True), ("period + 1", True),
                       ("period + 1", False)}, caught
+
+
+@pytest.mark.parametrize("F", [QQ(), GF(7)], ids=["Q", "GF7"])
+def test_a_non_injective_approximation_crosses_json_with_its_target(F):
+    # S0 (+) S1 over kA2: the one simple with a map into A is the simple
+    # projective, so the minimal approximation kills the other simple and
+    # its target is A*e of dim 1, which no free module of A has
+    x = direct_sum(simple_modules(path_a2(F)))[0]
+    steps, w = gpcert._right_tail(x, 1, 600)
+    assert steps is None and w.kind == "non_injective_approximation"
+    assert w.alpha.target.dim == 1
+    cert = GPCertificate("not_gp", x, witness=w)
+    assert verify_certificate(cert, x) == []
+    back = _round_trip(cert)
+    assert back.witness.alpha.target.acts == w.alpha.target.acts
+    assert verify_certificate(back, back.module) == []
+    # a target of the same dim that is not projective is caught
+    obj = certificate_to_json(cert, "A")
+    other = next(s for s in simple_modules(x.algebra) if not is_projective(s))
+    obj["witness"]["fail_target"] = module_to_json(other, "A")
+    assert verify_certificate(_round_trip(cert, obj), x) != []

@@ -6,13 +6,17 @@ print one JSON line per case.
 - certify: `certify_gorenstein_projective` on S (+) S over k[x]/(x^16),
   S the simple module, which has period 2
 - checker: `verify_certificate` on the certificate of S (+) S over
-  k[x]/(x^16)
+  k[x]/(x^16), a Frobenius algebra, so the checker builds no Hom complex
 - assembly: `check_conditions`, then `build_total_resolution` (window 3),
   on (S, 0) (+) T_B(S) over T2(k[x]/(x^8)) = (R, R, 0, R, 0, 0), a ring
   of dimension 24
 - general2 to general8: `certify_gorenstein_projective` on Z_A(S) = (S, 0)
   over T2(k[x]/(x^n)), n = 2 to 8, a ring that is neither self-injective
   nor of finite global dimension, so the certifier takes its general path
+- checker_general2 to checker_general5: `verify_certificate` on the
+  general-path certificate of Z_A(S) over T2(k[x]/(x^n)), n = 2 to 5: the
+  ring has no nondegenerate form, so the checker builds the window's
+  Hom(-, A) complex
 
 Every case builds its algebra afresh, so no memo carries over from an
 earlier case or repeat.  "seconds" is the minimum over the repeats of the
@@ -21,7 +25,7 @@ timed step: the hom space, the certifier, the check, or the assembly
 
 Run from the repository root:
 
-    python3 scripts/scale_ladder.py [--repeat N] [--case hom|certify|checker|assembly|generalN]
+    python3 scripts/scale_ladder.py [--repeat N] [--case hom|certify|checker|assembly|generalN|checker_generalN]
 """
 from __future__ import annotations
 
@@ -89,19 +93,36 @@ def assembly_case(F):
     return {"seconds": secs, "criterion_seconds": crit_s, "ring_dim": 3 * r.dim}
 
 
-def general_case(F, n):
+def _general_module(F, n):
+    """Z_A(S) = (S, 0) over T2(k[x]/(x^n)), and the ring's dimension."""
     r = truncated_poly(F, n)
     ctx = triangular_over(r)
-    x = quadruple_to_module(build_ring(ctx), z_a(ctx, simple_kx2(r)))
+    return quadruple_to_module(build_ring(ctx), z_a(ctx, simple_kx2(r))), 3 * r.dim
+
+
+def general_case(F, n):
+    x, ring_dim = _general_module(F, n)
     cert, secs = _timed(lambda: certify_gorenstein_projective(x))
     assert cert.verdict == "gp", (cert.verdict, cert.reason)
     return {"seconds": secs, "verdict": cert.verdict, "period": cert.period,
-            "ring_dim": 3 * r.dim}
+            "ring_dim": ring_dim}
+
+
+def checker_general_case(F, n):
+    x, ring_dim = _general_module(F, n)
+    cert = certify_gorenstein_projective(x)
+    assert cert.verdict == "gp", (cert.verdict, cert.reason)
+    bad, secs = _timed(lambda: verify_certificate(cert, x))
+    assert bad == [], bad
+    return {"seconds": secs, "verdict": cert.verdict, "period": cert.period,
+            "ring_dim": ring_dim}
 
 
 CASES = {"hom": hom_case, "certify": certify_case, "checker": checker_case,
          "assembly": assembly_case,
-         **{f"general{n}": partial(general_case, n=n) for n in range(2, 9)}}
+         **{f"general{n}": partial(general_case, n=n) for n in range(2, 9)},
+         **{f"checker_general{n}": partial(checker_general_case, n=n)
+            for n in range(2, 6)}}
 
 
 def main(argv=None) -> int:

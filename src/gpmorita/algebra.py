@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dc_field
 from .fields import Field
 from .linalg import (
     Mat, coordinates, in_row_space, left_kernel, linear_combination,
-    quotient_maps, row_space,
+    quotient_maps, rank, row_space,
 )
 
 
@@ -342,6 +342,24 @@ def trace_form(a: Algebra) -> Mat:
     F, n = a.field, a.dim
     traces = Mat(F, [[m.trace()] for m in a.lmul_mats()], 1)
     return (a.consts @ traces).reshape(n, n)
+
+
+@memo
+def frobenius_form(a: Algebra) -> Mat | None:
+    """A form lambda on a, as a 1 x n row, whose pairing
+    (x, y) |-> lambda(xy) is nondegenerate, or None.  Such a form makes a
+    a Frobenius algebra, so A is an injective A-module (Lam, *Lectures on
+    Modules and Rings*, ch. 6).  The pairing's matrix lambda(b_i b_j) is
+    consts @ lambda^T read as n x n.  The first of three fixed integer
+    forms, lambda(b_k) = 1, k + 1 and k^2 + 1, whose pairing has rank n
+    is returned.  None proves nothing: a self-injective algebra may have
+    no such form among the three."""
+    F, n = a.field, a.dim
+    for values in ([1] * n, [k + 1 for k in range(n)], [k * k + 1 for k in range(n)]):
+        lam = Mat(F, [values], n)
+        if rank((a.consts @ lam.transpose()).reshape(n, n)) == n:
+            return lam
+    return None
 
 
 @memo

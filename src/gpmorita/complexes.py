@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+from .algebra import frobenius_form
 from .bimodules import balanced_tensor_space
 from .linalg import Mat, coordinates, intertwining_system, rank, solve
 from .modules import (
@@ -210,12 +211,18 @@ def tensor_exactness_failure(c: ComplexWindow, u_op: FDModule) -> int | None:
 
 
 def total_exactness(c: ComplexWindow) -> bool:
-    """Exactness of Hom(X^., regular) at the degrees whose two neighbouring
-    maps lie inside the window; terms must be projective."""
+    """Exactness of X^. and of Hom(X^., regular) at the degrees whose two
+    neighbouring maps lie inside the window; terms must be projective.
+    Over an algebra with a nondegenerate form (`frobenius_form`) the
+    regular module is injective, so Hom(-, A) is exact and an exact window
+    is totally exact: its Hom complex is not built."""
     for i in range(c.lo, c.hi + 1):
         if not is_projective(c.term(i)):
             raise ComplexError(f"term {i} is not projective")
-    return is_exact(c) and hom_exactness_failure(c, regular_module(c.algebra)) is None
+    if not is_exact(c):
+        return False
+    return (frobenius_form(c.algebra) is not None
+            or hom_exactness_failure(c, regular_module(c.algebra)) is None)
 
 
 # -- module-hom solving with side conditions ---------------------------------

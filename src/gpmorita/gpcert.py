@@ -26,7 +26,7 @@ import inspect
 import random
 from dataclasses import dataclass
 
-from .algebra import radical_basis
+from .algebra import Algebra, memo, radical_basis
 from .complexes import (ComplexWindow, hom_exactness_failure, per_instance,
                         solve_module_hom, total_exactness)
 from .homology import (
@@ -150,6 +150,21 @@ def strip_projective_summands(x: FDModule, seed: int = 0):
     return cur, projs, overall
 
 
+@memo
+def _radical_right_mults(a: Algebra) -> list[tuple[int, Mat]]:
+    """Per block representative (A*e, incl, e) of `_block_reps`, the number
+    m of rows of a basis r_1*e .. r_m*e of rad*e, and the right
+    multiplications by r_1*e, .., r_m*e and then e, side by side, an
+    n x (m + 1)n matrix: facts of the algebra that each minimal
+    approximation over it reads."""
+    rad, out = radical_basis(a), []
+    for _, _, e, _ in _block_reps(a):
+        rad_e = row_space(rad @ a.rmul_of(e))
+        els = [rad_e.row(r) for r in range(rad_e.rows)] + [e]
+        out.append((rad_e.rows, Mat.hstack([a.rmul_of(el) for el in els])))
+    return out
+
+
 def _minimal_approximation(cur: FDModule) -> tuple[ModuleHom, FDModule]:
     """The minimal left add(A)-approximation of cur (Auslander, Reiten &
     Smalo, ch. I): per block representative A*e, one A*e for each map of a
@@ -160,16 +175,16 @@ def _minimal_approximation(cur: FDModule) -> tuple[ModuleHom, FDModule]:
     if not homs:
         P = free_module(a, 0)
         return zero_hom(cur, P), P
-    stacked, rad = Mat.vstack([h.mat for h in homs]), radical_basis(a)
-    k, d = len(homs), cur.dim * a.dim
+    stacked = Mat.vstack([h.mat for h in homs])
+    k, n, d = len(homs), a.dim, cur.dim * a.dim
     mods, blocks = [], []
-    for mod, incl, e, _ in _block_reps(a):
+    for (mod, incl, _, _), (m, mults) in zip(_block_reps(a), _radical_right_mults(a)):
         # one flattened map a row: the h*r*e, r*e over a basis of rad*e,
         # then the h*e, whose pivots pick the complement
-        rad_e = row_space(rad @ a.rmul_of(e))
-        els = [rad_e.row(r) for r in range(rad_e.rows)] + [e]
-        maps = Mat.vstack([(stacked @ a.rmul_of(el)).reshape(k, d) for el in els])
-        for p in (q for q in rref(maps.transpose())[1] if q >= k * rad_e.rows):
+        prods = stacked @ mults
+        maps = Mat.vstack([prods.block(0, prods.rows, t * n, (t + 1) * n).reshape(k, d)
+                           for t in range(m + 1)])
+        for p in (q for q in rref(maps.transpose())[1] if q >= k * m):
             g = maps.block(p, p + 1, 0, d).reshape(cur.dim, a.dim)
             blocks.append(coordinates(incl.mat, g))
             mods.append(mod)

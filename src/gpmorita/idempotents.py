@@ -389,6 +389,10 @@ def primitive_idempotents_semisimple(ss: Algebra) -> list[tuple[list, int]]:
     out = []
     centrals = central_primitive_idempotents(ss)
     for block_index, eps in enumerate(centrals):
+        if rank(ss.rmul_of(eps)) == 1:
+            # a one-dimensional block is a copy of k: eps is primitive
+            out.append((list(eps), block_index))
+            continue
         block, incl = corner_algebra(ss, eps, name=f"block{block_index}")
         simple = _minimal_left_ideal(block)
         reg = regular_module(block)

@@ -2,19 +2,31 @@
 
 This module deliberately avoids the builder's machinery: projectivity is
 decided by splitting a free presentation (no idempotents, no covers),
-exactness and Hom-complex exactness are recomputed from ranks, and
-periodicity is checked against the stored window.  It keeps its own
-Hom-complex assembly rather than the builder's.  Shared ground is the
-exact linear algebra, the module, hom and complex-window containers, the
-dual module, the one regular module of each algebra (so the checker and
-the builders share its hom_space(-, A) memo entries), validate_module,
-one solver: hom_space for bases of Hom spaces, and the verified
-direct-sum record: a module that `direct_sum` built keeps its summands,
-and `direct_summands` hands them out only when their block-diagonal
-actions are the module's, so projectivity (additive over direct sums) is
-proven per summand, and hom_space reads Hom(sum, y) off the Hom spaces of
-the summands.  A record that disagrees is ignored and the module is
-proven whole.
+exactness and Hom-complex exactness are recomputed from ranks (the latter
+only over an algebra it cannot prove Frobenius), and periodicity is
+checked against the stored window.  It keeps its own Hom-complex assembly
+rather than the builder's.  Shared ground is the exact linear algebra, the
+form `algebra.frobenius_form` offers, the module, hom and complex-window
+containers, the dual module, the one regular module of each algebra (so
+the checker and the builders share its hom_space(-, A) memo entries),
+validate_module, one solver: hom_space for bases of Hom spaces, and the
+verified direct-sum record: a module that `direct_sum` built keeps its
+summands, and `direct_summands` hands them out only when their
+block-diagonal actions are the module's, so projectivity (additive over
+direct sums) is proven per summand, and hom_space reads Hom(sum, y) off
+the Hom spaces of the summands.  A record that disagrees is ignored and
+the module is proven whole.
+
+Over a Frobenius algebra an exact window is totally exact.  A form
+lambda whose pairing lambda(b_i b_j) is nondegenerate makes A a Frobenius
+algebra, so A is injective over itself (Lam, *Lectures on Modules and
+Rings*, ch. 6) and Hom(-, A) is exact: an exact complex of projectives
+stays exact under it (Enochs & Jenda, *Relative Homological Algebra*,
+ch. 10-11).  The checker takes lambda from `algebra.frobenius_form`, but
+rebuilds the pairing and proves its rank itself (`_frobenius`), so a wrong
+form can only send it back to the Hom complex.  Over such an algebra the
+window's Hom(-, A) complex is not built, and self-injectivity needs no
+splitting proof.  Every other algebra gets both.
 
 `ModuleHom.intertwines` and `hom_space` work on the algebra's generators,
 which is sound only between modules, so every module of a certificate is
@@ -50,7 +62,7 @@ record, so each distinct term is proven whole.
 """
 from __future__ import annotations
 
-from .algebra import memo, opposite_algebra
+from .algebra import frobenius_form, memo, opposite_algebra
 from .complexes import ComplexWindow
 from .linalg import Mat, coordinates, in_row_space, left_kernel, rank, solve_left
 from .modules import (
@@ -188,7 +200,24 @@ def _window_periodic(wc: ComplexWindow, p: int) -> str | None:
     return None
 
 
+@memo
+def _frobenius(a) -> bool:
+    """a is Frobenius, so self-injective: the form lambda that
+    `algebra.frobenius_form` offers pairs the basis nondegenerately.  The
+    pairing lambda(b_i b_j), consts @ lambda^T read as n x n, is rebuilt
+    here and must have rank n, so a wrong form costs the proof, not its
+    soundness."""
+    lam, n = frobenius_form(a), a.dim
+    return (lam is not None and (lam.rows, lam.cols) == (1, n)
+            and rank((a.consts @ lam.transpose()).reshape(n, n)) == n)
+
+
 def _self_injective_by_splitting(algebra) -> bool:
+    """A Frobenius algebra is self-injective; otherwise A is injective iff
+    the dual of the regular right module is projective, proven by
+    splitting."""
+    if _frobenius(algebra):
+        return True
     aop = opposite_algebra(algebra)
     return projective_by_splitting(dual_module(regular_module(aop), algebra))
 
@@ -237,14 +266,19 @@ def _verify_right_tail_chain(x: FDModule, steps, upto: int) -> str | None:
 
 def _window_failure(wc: ComplexWindow) -> str | None:
     """The first failure of wc as a complex of projectives that is exact
-    and Hom(-, A)-exact at its inner degrees, or None."""
+    and Hom(-, A)-exact at its inner degrees, or None.  Over a Frobenius
+    algebra A, Hom(-, A) is exact, so an exact window of A-modules is
+    totally exact and its Hom complex is not built."""
     msg = _non_module("term", wc.terms, wc.lo) or _window_is_complex(wc)
     if msg:
         return msg
     for i in range(wc.lo, wc.hi + 1):
         if not projective_by_splitting(wc.term(i)):
             return f"term {i} is not projective"
-    return _window_exact(wc) or _window_totally_exact(wc)
+    msg = _window_exact(wc)
+    if msg or _frobenius(wc.algebra):
+        return msg
+    return _window_totally_exact(wc)
 
 
 def verify_certificate(cert: GPCertificate, x: FDModule) -> list[str]:

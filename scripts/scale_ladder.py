@@ -5,6 +5,11 @@ print one JSON line per case.
 - hom: `hom_space(A^3, A)` for A = k[x]/(x^16), a 768 x 768 system
 - certify: `certify_gorenstein_projective` on S (+) S over k[x]/(x^16),
   S the simple module, which has period 2
+- certify_strip: `certify_gorenstein_projective` on M (+) M over
+  k[x]/(x^16), M = k[x]/(x^15), which has period 2; the regular module,
+  of dimension 16, fits in M (+) M, so the certifier counts its
+  projective summands (it has none) where `certify`'s S (+) S is too
+  small to hold one
 - checker: `verify_certificate` on the certificate of S (+) S over
   k[x]/(x^16), a Frobenius algebra, so the checker builds no Hom complex
 - assembly: `check_conditions`, then `build_total_resolution` (window 3),
@@ -25,7 +30,10 @@ timed step: the hom space, the certifier, the check, or the assembly
 
 Run from the repository root:
 
-    python3 scripts/scale_ladder.py [--repeat N] [--case hom|certify|checker|assembly|generalN|checker_generalN]
+    python3 scripts/scale_ladder.py [--repeat N] [--case NAME]
+
+NAME is one of hom, certify, certify_strip, checker, assembly, generalN
+and checker_generalN; without --case every case runs.
 """
 from __future__ import annotations
 
@@ -44,7 +52,10 @@ from gpmorita.engine import (
 )
 from gpmorita.fields import GF, QQ
 from gpmorita.gpcert import certify_gorenstein_projective
-from gpmorita.modules import direct_sum, free_module, hom_space, regular_module
+from gpmorita.linalg import Mat
+from gpmorita.modules import (
+    direct_sum, free_module, hom_space, quotient_by_rows, regular_module,
+)
 from gpmorita.morita import (
     build_ring, direct_sum_quadruples, quadruple_to_module, t_b, z_a,
 )
@@ -67,6 +78,16 @@ def hom_case(F):
 def certify_case(F):
     s = simple_kx2(truncated_poly(F, 16))
     x = direct_sum([s, s])[0]
+    cert, secs = _timed(lambda: certify_gorenstein_projective(x))
+    assert (cert.verdict, cert.period) == ("gp", 2), (cert.verdict, cert.period)
+    return {"seconds": secs, "verdict": cert.verdict, "period": cert.period}
+
+
+def certify_strip_case(F):
+    a = truncated_poly(F, 16)
+    reg = regular_module(a)
+    m, _ = quotient_by_rows(reg, Mat(F, [[0] * 15 + [1]], 16), name="M")
+    x = direct_sum([m, m])[0]
     cert, secs = _timed(lambda: certify_gorenstein_projective(x))
     assert (cert.verdict, cert.period) == ("gp", 2), (cert.verdict, cert.period)
     return {"seconds": secs, "verdict": cert.verdict, "period": cert.period}
@@ -118,7 +139,8 @@ def checker_general_case(F, n):
             "ring_dim": ring_dim}
 
 
-CASES = {"hom": hom_case, "certify": certify_case, "checker": checker_case,
+CASES = {"hom": hom_case, "certify": certify_case,
+         "certify_strip": certify_strip_case, "checker": checker_case,
          "assembly": assembly_case,
          **{f"general{n}": partial(general_case, n=n) for n in range(2, 9)},
          **{f"checker_general{n}": partial(checker_general_case, n=n)

@@ -12,7 +12,9 @@ window X (+) X with the shift differential is contractible; a
 self-injective window is a period of injective envelopes closed up by an
 isomorphism, or else a minimal resolution spliced to them, exact, and its
 Hom into A is exact because A is injective; stripped projective summands
-add a contractible window through an isomorphism.  The tails behind a
+add a contractible window through an isomorphism.  Those summands are
+counted before any is searched for, so a module with none is its own
+core and pays for no search.  The tails behind a
 window are built on demand: the right tail one cosyzygy at a time, up to
 the first period, and the left resolution only when no cosyzygy period
 turns up.
@@ -31,7 +33,7 @@ from .complexes import (ComplexWindow, hom_exactness_failure, per_instance,
                         solve_module_hom, total_exactness)
 from .homology import (
     Resolution, _block_reps, first_nonzero_ext, global_dimension, is_projective,
-    is_self_injective, minimal_resolution,
+    is_self_injective, minimal_resolution, projective_summand_count,
 )
 from .linalg import (Mat, coordinates, left_kernel, linear_combination, rank,
                      row_space, rref, solve_left)
@@ -97,16 +99,23 @@ def _split_window(x: FDModule, span: int) -> tuple[ComplexWindow, ModuleHom]:
 def strip_projective_summands(x: FDModule, seed: int = 0):
     """Split x as (projective part) (+) (core with no detected projective
     summand).  Returns (core, projs, overall) with overall an isomorphism
-    x -> P_1 (+) ... (+) P_k (+) core.  The search is seeded and bounded;
-    missing a summand only costs certificate strength, never soundness."""
+    x -> P_1 (+) ... (+) P_k (+) core.  The projective summands are first
+    counted (`projective_summand_count`): with none, x is its own core and
+    nothing is searched.  Otherwise a seeded, bounded search finds them
+    and stops once it holds that many, since the core then counts none.
+    The search may miss a summand only when the count is positive, and a
+    miss costs certificate strength, never soundness."""
     a = x.algebra
     F = a.field
+    overall = Mat.identity(F, x.dim)
+    count = projective_summand_count(x)
+    if count == 0:
+        return x, [], overall
     rng = random.Random(seed)
     projs: list[FDModule] = []
     cur = x
-    overall = Mat.identity(F, x.dim)
     collected = 0
-    while cur.dim > 0:
+    while len(projs) < count:
         found = None
         for mod, _, _, _ in _block_reps(a):
             if mod.dim > cur.dim:
@@ -349,7 +358,9 @@ def certify_gorenstein_projective(x: FDModule, window: int = 6,
     certified.  The general path builds a minimal left tail, checks
     Ext^i(x, A) = 0 on the window, grows a right tail by minimal left
     add(A)-approximations, and hunts for a cosyzygy or syzygy period of
-    the module with its projective summands stripped off.
+    the module with its projective summands stripped off.  It strips only
+    once those checks have found no refutation, so a "not_gp" verdict
+    pays for no strip.
 
     The tails of that module are built on demand: its right tail grows one
     cosyzygy at a time and the search stops at the first period, so a
@@ -375,12 +386,10 @@ def certify_gorenstein_projective(x: FDModule, window: int = 6,
         return GPCertificate(
             "not_gp", x,
             witness=NotGPWitness("non_vanishing_ext", i, resolution=res))
-    self_inj = is_self_injective(a)
-    core, projs, overall = strip_projective_summands(x, seed)
-    core_is_x = not projs
 
     def emit(wc, ki, reason, period):
-        if not core_is_x:
+        # each path strips x before it emits
+        if projs:
             wc, ki = _combine_with_split(x, overall, projs, wc, ki, window)
         return GPCertificate("gp", x, reason=reason, period=period, window=wc,
                              kernel_ident=ki)
@@ -389,7 +398,8 @@ def certify_gorenstein_projective(x: FDModule, window: int = 6,
         return GPCertificate("unknown", x, bound=(window, period_bound),
                              reason=reason)
 
-    if self_inj:
+    if is_self_injective(a):
+        core, projs, overall = strip_projective_summands(x, seed)
         steps: list[RightTailStep] = []
         found, core_res = _search_period(core, steps, window, None, window,
                                          period_bound, seed, dim_budget)
@@ -430,6 +440,10 @@ def certify_gorenstein_projective(x: FDModule, window: int = 6,
             "not_gp", x,
             witness=NotGPWitness("homology_obstruction", obstruction,
                                  steps=steps_x))
+    # stripped only now, so that a refutation pays for no strip; the
+    # strip's generator is its own, so no other draw moves
+    core, projs, overall = strip_projective_summands(x, seed)
+    core_is_x = not projs
     found, _ = _search_period(core, steps_x if core_is_x else [], window + 1,
                               res if core_is_x else None, window, period_bound,
                               seed, dim_budget)

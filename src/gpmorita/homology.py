@@ -5,7 +5,11 @@ Right modules enter every signature as left modules over the opposite
 algebra; duals swap the sides by transposing all action matrices.
 Nothing here takes a seed: these are facts about the algebra, and the
 idempotents behind them draw from one fixed stream (see `idempotents`),
-so each algebra keeps one set of block representatives.
+so each algebra keeps one set of block representatives.  Projectivity
+and projective summands are counted, not found: `is_projective` counts
+the copies of each A e_b in the projective cover, and
+`projective_summand_count` the copies of each A e_b that split off,
+so neither builds a cover or searches for a summand.
 """
 from __future__ import annotations
 
@@ -14,10 +18,12 @@ from dataclasses import dataclass
 from .algebra import Algebra, memo, opposite_algebra, radical_basis
 from .bimodules import balanced_tensor_space
 from .idempotents import indecomposable_projectives
-from .linalg import Mat, in_row_space, left_kernel, rank, row_space, solve_left
+from .linalg import (Mat, in_row_space, left_kernel, quotient_maps, rank, row_space,
+                     solve_left)
 from .modules import (
     FDModule, ModuleError, ModuleHom, direct_sum, direct_summands, dual_module,
-    hom_dim, kernel_of, quotient_by_rows, regular_module, zero_hom, zero_module,
+    hom_dim, hom_space, kernel_of, quotient_by_rows, regular_module, zero_hom,
+    zero_module,
 )
 
 
@@ -118,6 +124,50 @@ def is_projective(x: FDModule) -> bool:
         E = x.act_of(e)
         cover += (rank(E) - rank(R @ E)) * mod.dim
     return cover == x.dim
+
+
+@memo
+def _summand_functionals(a: Algebra) -> Mat:
+    """Per block rep (A e_b, incl, e_b) of `_block_reps`, one column of an
+    n x B matrix: the functional y |-> tau_b(e_b y e_b) on A, where tau_b
+    reads the coefficient of the class of e_b in e_b A e_b / e_b rad(A) e_b,
+    which is k as A is split.  It is L_{e_b} R_{e_b} times the column of
+    A -> A/rad at which e_b's class is nonzero, divided by that entry."""
+    F, n = a.field, a.dim
+    proj, _ = quotient_maps(radical_basis(a))
+    reg = regular_module(a)
+    cols = []
+    for _, _, e, _ in _block_reps(a):
+        ebar = Mat.from_rows(F, [e], n) @ proj
+        j = ebar.transpose().nonzero_rows()[0]
+        col = reg.act_of(e) @ a.rmul_of(e) @ proj.block(0, n, j, j + 1)
+        cols.append(col.scale(F.inv(ebar.row(0)[j])))
+    return Mat.hstack(cols)
+
+
+def projective_summand_count(x: FDModule) -> int:
+    """The number of indecomposable projective summands of x, counted
+    without finding them.  End(A e)/rad is k, so the multiplicity of A e
+    as a summand of x is the rank of the composition pairing
+    Hom(A e, x) x Hom(x, A e) -> End(A e)/rad (Auslander, Reiten & Smalø,
+    ch. I).  Hom(A e_b, x) is e_b x, and every map x -> A e_b is some
+    h in Hom(x, A) followed by right multiplication by e_b; so the pairing
+    is (v, h) |-> tau_b(e_b (v h) e_b), which already vanishes on
+    (1 - e_b) x.  Its rank is that of the k x dim x matrix of the values
+    of each h against `_summand_functionals`, one product for all blocks.
+    A block whose A e_b is larger than x has no summand there, and when
+    every block is such, no Hom space is solved.  Hom(x, A) is the
+    memoized entry that the minimal approximation of x reads."""
+    a = x.algebra
+    blocks = [b for b, (mod, _, _, _) in enumerate(_block_reps(a)) if mod.dim <= x.dim]
+    if not blocks:
+        return 0
+    homs = hom_space(x, regular_module(a))
+    if not homs:
+        return 0
+    vals = Mat.vstack([h.mat for h in homs]) @ _summand_functionals(a)
+    return sum(rank(vals.block(0, vals.rows, b, b + 1).reshape(len(homs), x.dim))
+               for b in blocks)
 
 
 @dataclass

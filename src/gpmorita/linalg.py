@@ -3,11 +3,15 @@
 This is the only module that reads or writes matrix entries.  Every
 other module works with whole matrices: arithmetic, Kronecker products,
 stacking, `from_blocks` assembly, `block` slicing, `reshape`/`flatten`,
-`swap_factors`, `nonzero_rows`, `to_rows`, `row` and `trace`, and four
+`swap_factors`, `nonzero_rows`, `to_rows`, `row` and `trace`, and five
 builders for matrix-shaped jobs, `linear_combination` (the action of an
 algebra element), `intertwining_system` (hom spaces and balanced-tensor
-relations), `quotient_maps` (quotient coordinates) and `coordinates`
-(vectors expressed in a canonical basis).  `coordinates` needs a unit column in
+relations), `quotient_maps` (quotient coordinates), `coordinates`
+(vectors expressed in a canonical basis) and `first_invertible_combination`
+(the isomorphism scan: the first coefficients of a grid whose combination
+of square matrices is invertible, tested on integer rows by a forward pass
+that stops at the first column with no pivot, so no candidate becomes a
+`Mat`).  `coordinates` needs a unit column in
 every basis row, a column that is 1 in that row and 0 in the others, as
 every `row_space`, `left_kernel` and transposed `kernel_basis` has; it
 reads the coordinates off those columns with no row reduction.
@@ -596,6 +600,57 @@ def linear_combination(field: Field, rows: int, cols: int, coeffs: list,
     if p is not None:
         return _wrap(field, acc, 1, cols)
     return _canon(field, acc, den, cols)
+
+
+def _nonsingular(m: list[list[int]], p: int | None) -> bool:
+    """Whether the square int rows m (consumed) are nonsingular over Q (p
+    None) or over F_p: a forward pass that stops at the first column with
+    no pivot.  After each pivot the column is dropped from the rows that
+    stay, which `_combination` keeps primitive over Z and in [0, p) over
+    F_p."""
+    while m:
+        pr = next((i for i, row in enumerate(m) if row[0]), None)
+        if pr is None:
+            return False
+        mr = m.pop(pr)
+        piv = mr[0]
+        for i, row in enumerate(m):
+            f = row[0]
+            if f:
+                g = gcd(piv, f)
+                row = _combination(piv // g, row, f // g, mr, p)
+            m[i] = row[1:]
+    return True
+
+
+def first_invertible_combination(mats: list[Mat], grid) -> tuple | None:
+    """The first coefficient tuple c of `grid`, an iterable of int tuples,
+    whose combination sum_j c_j mats[j] of square matrices is invertible,
+    or None when none is.  Each candidate is built and tested on integer
+    rows over the matrices' common denominator, with no `Mat` and no
+    echelon form, and its test stops at the first column with no pivot.
+    The grid is read one tuple at a time, so a lazy one is drawn only up
+    to the winner."""
+    F = mats[0].field
+    p, n = F.p, mats[0].rows
+    for m in mats:
+        if m.field is not F and m.field != F:
+            raise FieldMismatch("first_invertible_combination over mixed fields")
+        if (m.rows, m.cols) != (n, n):
+            raise ValueError("first_invertible_combination needs square matrices "
+                             "of one size")
+    den = lcm(*(m._den for m in mats))
+    flats = [[x for r in _over(m, den) for x in r] for m in mats]
+    for coeffs in grid:
+        acc = [0] * (n * n)
+        for c, flat in zip(coeffs, flats, strict=True):
+            if c:
+                acc = [s + c * x for s, x in zip(acc, flat)]
+        if p is not None:
+            acc = [s % p for s in acc]
+        if _nonsingular([acc[i * n:(i + 1) * n] for i in range(n)], p):
+            return tuple(coeffs)
+    return None
 
 
 def intertwining_system(field: Field, dp: int, dq: int, ps: list[Mat],

@@ -26,9 +26,9 @@ from itertools import product as iter_product
 
 from .algebra import Algebra, generating_subset, memo
 from .linalg import (
-    Mat, coordinates, factor_through, intertwining_system, kernel_basis,
-    left_kernel, linear_combination, quotient_maps, rank, row_space,
-    solve_left,
+    Mat, coordinates, factor_through, first_invertible_combination,
+    intertwining_system, kernel_basis, left_kernel, linear_combination,
+    quotient_maps, rank, row_space, solve_left,
 )
 
 
@@ -362,30 +362,28 @@ def _invertible_in_span(basis: list[Mat], seed: int) -> Mat | None:
     the grid {0..n}^k for n x n matrices, which is decisive because the
     determinant has degree <= n in each coefficient.  If neither decisive
     step is affordable the search raises Undetermined rather than returning
-    a false negative.
+    a false negative.  `first_invertible_combination` tests the candidates
+    on integer rows, drawing the random ones one at a time, and only the
+    winner is built as a matrix.
     """
     F = basis[0].field
     k, n = len(basis), basis[0].rows
 
-    def invertible_combo(coeffs):
-        m = linear_combination(F, n, n, [F.of_int(c) for c in coeffs], basis)
-        return m if rank(m) == n else None
-
     def first_invertible(grid):
-        return next((m for m in map(invertible_combo, grid) if m is not None),
-                    None)
+        coeffs = first_invertible_combination(basis, grid)
+        return None if coeffs is None else linear_combination(
+            F, n, n, [F.of_int(c) for c in coeffs], basis)
 
     if not F.is_rational and F.p ** k <= 4096:
         return first_invertible(iter_product(range(F.p), repeat=k))
     rng = random.Random(seed)
-    for _ in range(40):
-        if F.is_rational:
-            coeffs = [rng.randint(-3, 3) for _ in range(k)]
-        else:
-            coeffs = [rng.randrange(F.p) for _ in range(k)]
-        found = invertible_combo(coeffs)
-        if found is not None:
-            return found
+    if F.is_rational:
+        draws = ([rng.randint(-3, 3) for _ in range(k)] for _ in range(40))
+    else:
+        draws = ([rng.randrange(F.p) for _ in range(k)] for _ in range(40))
+    found = first_invertible(draws)
+    if found is not None:
+        return found
     if F.is_rational and (n + 1) ** k <= 200_000:
         return first_invertible(iter_product(range(n + 1), repeat=k))
     raise Undetermined(

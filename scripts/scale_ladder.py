@@ -22,18 +22,22 @@ print one JSON line per case.
   general-path certificate of Z_A(S) over T2(k[x]/(x^n)), n = 2 to 5: the
   ring has no nondegenerate form, so the checker builds the window's
   Hom(-, A) complex
+- structure: `_block_reps` of the ring of T2(k[x]/(x^8)), cold: its
+  radical, the lifting of its idempotents (whose rounds the radical's
+  nilpotency index sets) and its indecomposable projectives
 
 Every case builds its algebra afresh, so no memo carries over from an
 earlier case or repeat.  "seconds" is the minimum over the repeats of the
-timed step: the hom space, the certifier, the check, or the assembly
-(check_conditions is reported apart as "criterion_seconds").
+timed step: the hom space, the certifier, the check, the assembly or the
+block representatives (check_conditions is reported apart as
+"criterion_seconds").
 
 Run from the repository root:
 
     python3 scripts/scale_ladder.py [--repeat N] [--case NAME]
 
-NAME is one of hom, certify, certify_strip, checker, assembly, generalN
-and checker_generalN; without --case every case runs.
+NAME is one of hom, certify, certify_strip, checker, assembly, generalN,
+checker_generalN and structure; without --case every case runs.
 """
 from __future__ import annotations
 
@@ -52,6 +56,7 @@ from gpmorita.engine import (
 )
 from gpmorita.fields import GF, QQ
 from gpmorita.gpcert import certify_gorenstein_projective
+from gpmorita.homology import _block_reps
 from gpmorita.linalg import Mat
 from gpmorita.modules import (
     direct_sum, free_module, hom_space, quotient_by_rows, regular_module,
@@ -139,12 +144,19 @@ def checker_general_case(F, n):
             "ring_dim": ring_dim}
 
 
+def structure_case(F):
+    ring = build_ring(triangular_over(truncated_poly(F, 8))).ring
+    reps, secs = _timed(lambda: _block_reps(ring))
+    return {"seconds": secs, "blocks": len(reps), "ring_dim": ring.dim}
+
+
 CASES = {"hom": hom_case, "certify": certify_case,
          "certify_strip": certify_strip_case, "checker": checker_case,
          "assembly": assembly_case,
          **{f"general{n}": partial(general_case, n=n) for n in range(2, 9)},
          **{f"checker_general{n}": partial(checker_general_case, n=n)
-            for n in range(2, 6)}}
+            for n in range(2, 6)},
+         "structure": structure_case}
 
 
 def main(argv=None) -> int:

@@ -10,6 +10,7 @@ terms j and j + 1, and homology_at is the one homology count over them.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import frobenius_form
@@ -18,7 +19,7 @@ from .linalg import Mat, coordinates, intertwining_system, rank, solve
 from .modules import (
     FDModule, ModuleHom, direct_sum, hom_space, regular_module, validate_module,
 )
-from .homology import is_projective
+from .homology import is_projective, self_injective_dimension
 
 
 class ComplexError(ValueError):
@@ -100,16 +101,25 @@ def one_period(c: ComplexWindow) -> ComplexWindow:
     return ComplexWindow(c.lo, c.lo + p + 1, c.terms[:p + 2], c.diffs[:p + 1])
 
 
-def per_instance(build, *windows: ComplexWindow) -> list:
-    """[build(i) for each degree i of the first window], with build called
-    once per distinct tuple of the windows' term instances: a degree whose
-    instances are all those of an earlier degree j shares the value built
-    at the first such j, as a periodic window shares its terms."""
-    lo, out = windows[0].lo, []
-    for i in range(lo, windows[0].hi + 1):
-        j = next(j for j in range(lo, i + 1)
-                 if all(w.term(j) is w.term(i) for w in windows))
-        out.append(build(i) if j == i else out[j - lo])
+def per_instance(build, degrees, inputs) -> list:
+    """[build(i) for i in degrees], with build called once per distinct
+    tuple inputs(i): the objects that degree i reads, such as its terms,
+    differential matrices and lifts.  A degree whose inputs are the very
+    instances (`is`) of an earlier degree's shares the value built there,
+    as a periodic window shares its terms; the shared value is itself one
+    instance, so a later build keyed by it shares in turn, and a window
+    that repeats costs one period."""
+    built: list[tuple[tuple, object]] = []
+    out = []
+    for i in degrees:
+        key = inputs(i)
+        for seen, value in built:
+            if all(map(operator.is_, seen, key)):
+                break
+        else:
+            value = build(i)
+            built.append((key, value))
+        out.append(value)
     return out
 
 
@@ -213,16 +223,38 @@ def tensor_exactness_failure(c: ComplexWindow, u_op: FDModule) -> int | None:
 def total_exactness(c: ComplexWindow) -> bool:
     """Exactness of X^. and of Hom(X^., regular) at the degrees whose two
     neighbouring maps lie inside the window; terms must be projective.
-    Over an algebra with a nondegenerate form (`frobenius_form`) the
-    regular module is injective, so Hom(-, A) is exact and an exact window
-    is totally exact: its Hom complex is not built."""
+
+    Hom(-, A)-exactness at i is Ext^1(Coker d^i, A) = 0 for an exact
+    window.  Over an algebra with a nondegenerate form (`frobenius_form`)
+    the regular module is injective, so an exact window is totally exact.
+    Otherwise let d = id(_A A) (`homology.self_injective_dimension`).  At
+    an interior degree i with i + d + 1 <= hi, Coker d^i is a d-th syzygy
+    of Coker d^{i+d}, so Ext^1(Coker d^i, A) = Ext^{d+1}(Coker d^{i+d}, A)
+    = 0 (Enochs & Jenda, Relative Homological Algebra, ch. 10; Iyengar &
+    Krause, Doc. Math. 11 (2006)): only the last d + 2 terms,
+    [max(lo, hi - d - 1), hi], build the Hom complex.  A window that
+    repeats literally (`window_period`) builds none: its periodic
+    extension is exact at every degree, and there each degree of the
+    window lies d + 1 degrees before a later end.  Past the bound of d
+    the whole Hom complex is built."""
     for i in range(c.lo, c.hi + 1):
         if not is_projective(c.term(i)):
             raise ComplexError(f"term {i} is not projective")
     if not is_exact(c):
         return False
-    return (frobenius_form(c.algebra) is not None
-            or hom_exactness_failure(c, regular_module(c.algebra)) is None)
+    a = c.algebra
+    if frobenius_form(a) is not None:
+        return True
+    d = self_injective_dimension(a)
+    if d is not None:
+        if window_period(c) is not None:
+            return True
+        lo = max(c.lo, c.hi - d - 1)
+        if lo >= c.hi - 1:
+            return True
+        k = lo - c.lo
+        c = ComplexWindow(lo, c.hi, c.terms[k:], c.diffs[k:])
+    return hom_exactness_failure(c, regular_module(a)) is None
 
 
 # -- module-hom solving with side conditions ---------------------------------
@@ -339,9 +371,12 @@ def horseshoe(ses: ShortExactSequence, xc: ComplexWindow, kx: ModuleHom,
     1) or rho^{i+1} equals rho^{i+1+L} (i + L <= -1), the lift at i - L
     (or i + L) is the very matrix that solving again would give, and it is
     reused.  Each distinct pair (X^i, Y^i) of term instances gives one
-    direct sum (`per_instance`).  The exactness of the inputs and the
-    validity and exactness of the woven window are checked on `one_period`
-    of each, which is the whole window when it does not repeat.
+    direct sum, and each distinct tuple of its two sums, d_X^i, rho^i and
+    d_Y^i one woven differential (`per_instance`), so a reused lift gives
+    a shared differential and a periodic window costs one period.  The
+    exactness of the inputs and the validity and exactness of the woven
+    window are checked on `one_period` of each, which is the whole window
+    when it does not repeat.
     """
     if (xc.lo, xc.hi) != (yc.lo, yc.hi):
         raise HorseshoeError("the two windows must agree")
@@ -362,7 +397,8 @@ def horseshoe(ses: ShortExactSequence, xc: ComplexWindow, kx: ModuleHom,
     lo, hi = xc.lo, xc.hi
     period = window_period(xc, yc)
     z_sums = per_instance(
-        lambda i: direct_sum([xc.term(i), yc.term(i)], name=f"Z^{i}"), xc, yc)
+        lambda i: direct_sum([xc.term(i), yc.term(i)], name=f"Z^{i}"),
+        range(lo, hi + 1), lambda i: (xc.term(i), yc.term(i)))
     terms = [z for z, _, _ in z_sums]
     rho: dict[int, ModuleHom] = {}
     j0 = solve_module_hom(ses.w, xc.term(0), pre=ses.inject.mat, pre_rhs=kx.mat)
@@ -394,10 +430,11 @@ def horseshoe(ses: ShortExactSequence, xc: ComplexWindow, kx: ModuleHom,
             raise HorseshoeError(f"no equivariant lift for rho^{i}", degree=i)
         rho[i] = rho_i
 
-    zc = ComplexWindow(lo, hi, terms, [
-        ModuleHom(terms[i - lo], terms[i - lo + 1],
-                  twisted_diff(xc.diff(i).mat, rho[i].mat, yc.diff(i).mat))
-        for i in range(lo, hi)])
+    zc = ComplexWindow(lo, hi, terms, per_instance(
+        lambda i: ModuleHom(terms[i - lo], terms[i - lo + 1],
+                            twisted_diff(xc.diff(i).mat, rho[i].mat, yc.diff(i).mat)),
+        range(lo, hi), lambda i: (terms[i - lo], terms[i - lo + 1], xc.diff(i).mat,
+                                  rho[i].mat, yc.diff(i).mat)))
     checked = one_period(zc)
     bad = validate_complex(checked)
     if bad:

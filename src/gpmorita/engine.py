@@ -162,10 +162,13 @@ def _tensor_window(bim: Bimodule, wc: ComplexWindow):
     """Termwise tensor of a bimodule with a complex window; returns the
     window plus the TensorModule data per degree.  Repeated term instances
     (periodic windows) share one tensor product, by the memo of
-    `tensor_module`."""
+    `tensor_module`, and repeated (terms, differential) instances one
+    differential (`per_instance`)."""
     tens = [tensor_module(bim, t) for t in wc.terms]
-    diffs = [tensor_functor_hom(s, t, d)
-             for s, t, d in zip(tens, tens[1:], wc.diffs)]
+    diffs = per_instance(
+        lambda i: tensor_functor_hom(tens[i - wc.lo], tens[i - wc.lo + 1], wc.diff(i)),
+        range(wc.lo, wc.hi),
+        lambda i: (tens[i - wc.lo], tens[i - wc.lo + 1], wc.diff(i).mat))
     return ComplexWindow(wc.lo, wc.hi, [t.module for t in tens], diffs), tens
 
 
@@ -192,7 +195,11 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
     - T is a complex of modules over the context ring and totally exact
       (which includes exact): checked here on the T window.  Its
       differential is block_diag(F, Y), so this covers F, and
-      ring-linearity is exactly being a quadruple map;
+      ring-linearity is exactly being a quadruple map.  Total exactness
+      rests on the ring's left self-injective dimension d
+      (`complexes.total_exactness`): a T window that repeats literally
+      builds no Hom(-, Gamma) complex, any other one on its last d + 2
+      terms only, and one over a ring with d past the bound whole;
     - ker(d_T^0) is isomorphic to q: the kernel of d_T^0 over the ring,
       matched with the ring module of q by `modules.is_isomorphic`.
     A failed horseshoe raises EngineError with its degree.
@@ -210,10 +217,12 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
     the window repeats literally by p, every check at degree i is the
     check at i - p, so the sub-window [lo, lo + p + 1] stands for the
     whole; a window that does not repeat is checked whole.  The horseshoes
-    reuse a lift whose inputs repeat, and each distinct tuple of term
-    instances gives one direct sum, T_Lam and T (`complexes.per_instance`),
-    so a window whose certificates repeat builds and checks each distinct
-    piece once."""
+    reuse a lift whose inputs repeat.  Each distinct tuple of term
+    instances gives one direct sum, T_Lam and T, and each distinct tuple
+    of the terms, differential matrices and lifts a degree reads gives one
+    tensored differential, tau^i with d_Z^i, d_F^i and d_T^i
+    (`complexes.per_instance`), so a window whose certificates repeat
+    builds and checks each distinct piece once."""
     check_extension_matches(ext, ctx)
     _require(report.passed, "criterion report must pass before assembly")
     sm = report.structural
@@ -226,6 +235,7 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
     pcx = _restrict_window(cert_g.window, -span, span)
     qcx = _restrict_window(cert_f.window, -span, span)
     p_ki, q_ki = cert_g.kernel_ident, cert_f.kernel_ident
+    degrees, diff_degrees = range(-span, span + 1), range(-span, span)
     u_lam = report.coker_g_lambda
 
     m_lam, _ = lam_bimodules(ext, ctx)
@@ -242,7 +252,8 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
     _require(is_exact(one_period(nq_cx)),
              "N (x) Q is not exact (C3 for N fails here)")
     # one restriction to Lambda per distinct N (x) Q^i instance
-    nq_lam = per_instance(lambda i: ext.lam_module(nq_cx.term(i)), nq_cx)
+    nq_lam = per_instance(lambda i: ext.lam_module(nq_cx.term(i)), degrees,
+                          lambda i: (nq_cx.term(i),))
 
     # first horseshoe, over B: 0 -> M (x) U -> Y -> V -> 0 against
     # M (x) P and Q
@@ -261,28 +272,34 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
     # P^i instance and one T^i per distinct pair, so the hom-space caches
     # of repeated window terms (periodic certificates) can work
     t_lams = per_instance(
-        lambda i: t_lambda(ext, ctx, pcx.term(i), name=f"T_Lam(P^{i})"), pcx)
+        lambda i: t_lambda(ext, ctx, pcx.term(i), name=f"T_Lam(P^{i})"),
+        degrees, lambda i: (pcx.term(i),))
     t_quads = per_instance(
         lambda i: direct_sum_quadruples(
             [t_lams[i + span], t_b(ctx, qcx.term(i), name=f"T_B(Q^{i})")],
-            name=f"T^{i}"), pcx, qcx)
+            name=f"T^{i}"), degrees, lambda i: (pcx.term(i), qcx.term(i)))
 
     # Z window: I (x) P (+) N (x) Q with tau = (1 (x) rho)(psi (x) 1), psi (x) 1
     # the I (x) P^{i+1} block of the g of T_Lam(P^{i+1}), whose N (x) Y is
-    # N (x) (M (x) P^{i+1}) over ctx.N
+    # N (x) (M (x) P^{i+1}) over ctx.N; tau^i and d_Z^i once per distinct
+    # tuple of their inputs
     z_terms = per_instance(
         lambda i: direct_sum([ip_cx.term(i), nq_lam[i + span]], name=f"Z^{i}")[0],
-        ip_cx, nq_cx)
-    tau = {}
-    z_diffs = []
-    for i in range(-span, span):
+        degrees, lambda i: (ip_cx.term(i), nq_cx.term(i)))
+
+    def tau_and_dz(i):
         tl = t_lams[i + span + 1]
         one_rho = tensor_functor_hom(nq_tens[i + span], tl.ny, rho[i])
         tau_i = one_rho.mat @ _g_off_p(tl, pcx.term(i + 1))
-        tau[i] = ModuleHom(nq_lam[i + span], ip_cx.term(i + 1), tau_i)
         dz = twisted_diff(ip_cx.diff(i).mat, tau_i, nq_cx.diff(i).mat)
-        z_diffs.append(ModuleHom(z_terms[i + span], z_terms[i + span + 1], dz))
-    zcx = ComplexWindow(-span, span, z_terms, z_diffs)
+        return (ModuleHom(nq_lam[i + span], ip_cx.term(i + 1), tau_i),
+                ModuleHom(z_terms[i + span], z_terms[i + span + 1], dz))
+
+    tau_dz = per_instance(tau_and_dz, diff_degrees, lambda i: (
+        nq_tens[i + span], t_lams[i + span + 1], rho[i].mat, ip_cx.diff(i).mat,
+        nq_cx.diff(i).mat, z_terms[i + span], z_terms[i + span + 1]))
+    tau = {i: t for i, (t, _) in zip(diff_degrees, tau_dz)}
+    zcx = ComplexWindow(-span, span, z_terms, [dz for _, dz in tau_dz])
 
     # identify ker(d_Z^0) with H = Im(g)
     h_mod, h_incl = image_of(q.g, name="Im(g)")
@@ -304,27 +321,25 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
                             r.mat.block(0, r.mat.rows, w_ip1, r.mat.cols))
 
     # F = P(I) (+) N (x) Q over A, the X side of the quadruple terms
+    # on P (+) Z, Z = I(x)P (+) N(x)Q:  [[d_P, (alpha, beta)], [0, d_Z]]
     f_terms = [tq.x for tq in t_quads]
-    f_diffs = []
-    for i in range(-span, span):
-        # on P (+) Z, Z = I(x)P (+) N(x)Q:  [[d_P, (alpha, beta)],
-        #                                    [0,   d_Z]]
-        df = Mat.from_blocks(
+    f_diffs = per_instance(
+        lambda i: ModuleHom(f_terms[i + span], f_terms[i + span + 1], Mat.from_blocks(
             F, [cx.term(i).dim for cx in (pcx, zcx)],
             [cx.term(i + 1).dim for cx in (pcx, zcx)],
-            [[pcx.diff(i).mat, hs2.rho[i].mat],
-             [None, zcx.diff(i).mat]])
-        f_diffs.append(ModuleHom(f_terms[i + span], f_terms[i + span + 1], df))
+            [[pcx.diff(i).mat, hs2.rho[i].mat], [None, zcx.diff(i).mat]])),
+        diff_degrees, lambda i: (f_terms[i + span], f_terms[i + span + 1],
+                                 pcx.diff(i).mat, hs2.rho[i].mat, zcx.diff(i).mat))
     fcx = ComplexWindow(-span, span, f_terms, f_diffs)
 
     # T over the context ring, with differential block_diag(F, Y)
     mr = build_ring(ctx)
     t_terms = [quadruple_to_module(mr, tq) for tq in t_quads]
-    t_diffs = []
-    for i in range(-span, span):
-        t_diffs.append(ModuleHom(t_terms[i + span], t_terms[i + span + 1],
-                                 Mat.block_diag([f_diffs[i + span].mat,
-                                                 ycx.diff(i).mat])))
+    t_diffs = per_instance(
+        lambda i: ModuleHom(t_terms[i + span], t_terms[i + span + 1], Mat.block_diag(
+            [f_diffs[i + span].mat, ycx.diff(i).mat])),
+        diff_degrees, lambda i: (t_terms[i + span], t_terms[i + span + 1],
+                                 f_diffs[i + span].mat, ycx.diff(i).mat))
     tcx = ComplexWindow(-span, span, t_terms, t_diffs)
     t_checked = one_period(tcx)
     bad = validate_complex(t_checked)

@@ -294,7 +294,8 @@ def _combine_with_split(x: FDModule, overall: Mat, projs: list[FDModule],
     split_wc, split_ki = _split_window(psum, span)
     terms = per_instance(
         lambda i: direct_sum([split_wc.term(i), core_wc.term(i)])[0],
-        core_wc, split_wc)
+        range(core_wc.lo, core_wc.hi + 1),
+        lambda i: (core_wc.term(i), split_wc.term(i)))
     diffs = []
     for i in range(core_wc.lo, core_wc.hi):
         mat = Mat.block_diag([split_wc.diff(i).mat, core_wc.diff(i).mat])

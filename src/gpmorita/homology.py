@@ -9,7 +9,10 @@ so each algebra keeps one set of block representatives.  Projectivity
 and projective summands are counted, not found: `is_projective` counts
 the copies of each A e_b in the projective cover, and
 `projective_summand_count` the copies of each A e_b that split off,
-so neither builds a cover or searches for a summand.
+so neither builds a cover or searches for a summand.  The left
+self-injective dimension id(_A A) (`self_injective_dimension`) is kept per
+algebra: it bounds how far from its end a window of projectives needs its
+Hom(-, A) complex.
 """
 from __future__ import annotations
 
@@ -269,6 +272,15 @@ def global_dimension(a: Algebra, bound: int) -> int | None:
             return None
         best = max(best, d)
     return best
+
+
+@memo
+def self_injective_dimension(a: Algebra) -> int | None:
+    """id(_A A), the injective dimension of the regular module, or None
+    past the fixed bound 3, where None proves nothing.  Over a finite
+    value d every exact window of projectives is Hom(-, A)-exact d + 1
+    degrees before its end (`complexes.total_exactness`)."""
+    return injective_dimension(regular_module(a), 3)
 
 
 @memo

@@ -511,20 +511,31 @@ def test_assembly_rejects_a_corrupted_q_kernel_ident(F, which):
 
 @FIELDS
 def test_assembly_rejects_a_corrupted_tau(F, monkeypatch):
-    # tau is empty on triangular_context (I = 0)
+    # tau is empty on triangular_context (I = 0).  d_Z is built once per
+    # distinct tuple of its inputs, so a recording run finds the call whose
+    # differential degree 0 of the window [-3, 3] uses
     ext, ctx, q, rep = _mutation_case("glued", F)
+    made = []
+
+    def record(dx, tau_i, dy):
+        made.append(twisted_diff(dx, tau_i, dy))
+        return made[-1]
+
+    monkeypatch.setattr(engine, "twisted_diff", record)
+    asm = build_total_resolution(ext, ctx, q, rep, window=3)
+    k = next(k for k, d in enumerate(made) if d is asm.zcx.diff(0).mat)
     calls = []
 
     def corrupt(dx, tau_i, dy):
         calls.append(tau_i)
-        if len(calls) == 4:             # degree 0 of the window [-3, 3]
+        if len(calls) == k + 1:
             tau_i = _bump(tau_i, 0, 0)
         return twisted_diff(dx, tau_i, dy)
 
     monkeypatch.setattr(engine, "twisted_diff", corrupt)
     with pytest.raises(EngineError):
         build_total_resolution(ext, ctx, q, rep, window=3)
-    assert len(calls) >= 4
+    assert len(calls) > k
 
 
 def _assert_f_holds_z(asm):

@@ -18,6 +18,12 @@ corners and trivial extensions of the catalog contexts, T2(k[x]/(x^2)),
 the ring of full_context(k[x]/(x^2), scale=0) and of seeded random
 contexts, and each of these on a seeded random basis; each is taken with
 its opposite and its corner at every primitive idempotent.
+
+`algebra.nilpotency_index`, which sets the number of lifting rounds,
+multiplies each power of the radical J past J^2 by a complement of J^2 in
+J only; the parent's, which multiplies by all of J, is kept below as its
+oracle, and the two must agree, with and without a cap, on the same
+algebras and their opposites over Q, GF(11) and GF(4099).
 """
 from __future__ import annotations
 
@@ -26,8 +32,8 @@ import random
 import pytest
 
 from gpmorita.algebra import (
-    Algebra, AlgebraError, corner_algebra, nilpotency_index, opposite_algebra,
-    quotient_algebra, radical_basis,
+    Algebra, AlgebraError, UnsupportedField, corner_algebra, nilpotency_index,
+    opposite_algebra, quotient_algebra, radical_basis,
 )
 from gpmorita.catalog import (
     arrow_ideal_context, field_algebra, full_context, glued_psi_context,
@@ -51,6 +57,20 @@ CONTEXTS = (triangular_context, two_cycle_context, glued_psi_context,
 
 
 # -- oracles: the parent's per-element code, verbatim -------------------------
+
+
+def _old_nilpotency_index(a: Algebra, rows: Mat, cap: int | None = None) -> int | None:
+    """Least m with span^m = 0 under products, or None if not nilpotent by cap."""
+    cap = cap if cap is not None else a.dim + 1
+    cur = row_space(rows)
+    m = 1
+    while cur.rows:
+        if m > cap:
+            return None
+        # every product of a row of cur with a row of rows, in one product
+        cur = row_space(cur.kron(rows) @ a.consts)
+        m += 1
+    return m
 
 
 def _old_element_min_poly(a: Algebra, el: list, unit: list | None = None) -> list:
@@ -269,4 +289,23 @@ def test_primitive_idempotents_match_the_per_element_code(field):
                 corner, _ = corner_algebra(a, e)
                 assert repr(_outcome(primitive_idempotents, corner)) == \
                     repr(_outcome(_old_primitive_idempotents, corner))
+    assert compared
+
+
+@pytest.mark.parametrize("field", ["Q", "GF11", "GF4099"])
+def test_nilpotency_index_matches_the_products_with_all_of_the_radical(field):
+    F = FIELDS[field]()
+    compared = 0
+    for alg in _algebras(F) + [truncated_poly(F, 6), build_ring(
+            triangular_over(truncated_poly(F, 3))).ring]:
+        for a in (alg, opposite_algebra(alg)):
+            try:
+                rad = radical_basis(a)
+            except UnsupportedField:
+                continue
+            m = nilpotency_index(a, rad)
+            assert m == _old_nilpotency_index(a, rad)
+            for cap in range(m):
+                assert nilpotency_index(a, rad, cap) == _old_nilpotency_index(a, rad, cap)
+            compared += 1
     assert compared

@@ -17,9 +17,11 @@ print one JSON line per case.
   of dimension 24
 - general2 to general8: `certify_gorenstein_projective` on Z_A(S) = (S, 0)
   over T2(k[x]/(x^n)), n = 2 to 8, a ring that is neither self-injective
-  nor of finite global dimension, so the certifier takes its general path
+  nor of finite global dimension; it is 1-Gorenstein, so the certifier
+  checks Ext^1(Z_A(S), A), builds no right-tail probe and searches for a
+  period
 - checker_general2 to checker_general5: `verify_certificate` on the
-  general-path certificate of Z_A(S) over T2(k[x]/(x^n)), n = 2 to 5: the
+  periodic certificate of Z_A(S) over T2(k[x]/(x^n)), n = 2 to 5: the
   ring has no nondegenerate form, so the checker builds the window's
   Hom(-, A) complex
 - structure: `_block_reps` of the ring of T2(k[x]/(x^8)), cold: its

@@ -13,7 +13,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field as dc_field
 
-from .algebra import frobenius_form
 from .bimodules import balanced_tensor_space
 from .linalg import Mat, coordinates, intertwining_system, rank, solve
 from .modules import (
@@ -225,32 +224,27 @@ def total_exactness(c: ComplexWindow) -> bool:
     neighbouring maps lie inside the window; terms must be projective.
 
     Hom(-, A)-exactness at i is Ext^1(Coker d^i, A) = 0 for an exact
-    window.  Over an algebra with a nondegenerate form (`frobenius_form`)
-    the regular module is injective, so an exact window is totally exact.
-    Otherwise let d = id(_A A) (`homology.self_injective_dimension`).  At
+    window.  Let d = id(_A A) (`homology.self_injective_dimension`).  At
     an interior degree i with i + d + 1 <= hi, Coker d^i is a d-th syzygy
     of Coker d^{i+d}, so Ext^1(Coker d^i, A) = Ext^{d+1}(Coker d^{i+d}, A)
     = 0 (Enochs & Jenda, Relative Homological Algebra, ch. 10; Iyengar &
     Krause, Doc. Math. 11 (2006)): only the last d + 2 terms,
-    [max(lo, hi - d - 1), hi], build the Hom complex.  A window that
-    repeats literally (`window_period`) builds none: its periodic
-    extension is exact at every degree, and there each degree of the
-    window lies d + 1 degrees before a later end.  Past the bound of d
-    the whole Hom complex is built."""
+    [max(lo, hi - d - 1), hi], build the Hom complex, and at d = 0, where
+    A is injective, none.  A window that repeats literally
+    (`window_period`) builds none either: its periodic extension is exact
+    at every degree, and there each degree of the window lies d + 1
+    degrees before a later end.  Past the bound of d the whole Hom
+    complex is built."""
     for i in range(c.lo, c.hi + 1):
         if not is_projective(c.term(i)):
             raise ComplexError(f"term {i} is not projective")
     if not is_exact(c):
         return False
     a = c.algebra
-    if frobenius_form(a) is not None:
-        return True
     d = self_injective_dimension(a)
     if d is not None:
-        if window_period(c) is not None:
-            return True
         lo = max(c.lo, c.hi - d - 1)
-        if lo >= c.hi - 1:
+        if lo >= c.hi - 1 or window_period(c) is not None:
             return True
         k = lo - c.lo
         c = ComplexWindow(lo, c.hi, c.terms[k:], c.diffs[k:])

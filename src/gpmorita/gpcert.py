@@ -7,6 +7,11 @@ algebra (any exact resolution is totally exact there).  Refutations carry
 one of three independently checkable witnesses.  A bounded search that
 finds neither returns an honest "unknown".
 
+One number decides the path: the Gorenstein dimension d of the algebra
+(`homology.gorenstein_dimension`).  Over a proven d, Ext^{1..d}(x, A) = 0
+is the whole answer; only an unproven d builds x's right tail and a
+two-sided probe, whose refutations hold over any algebra.
+
 Windows are correct by construction and are not re-checked: the split
 window X (+) X with the shift differential is contractible; a
 self-injective window is a period of injective envelopes closed up by an
@@ -14,12 +19,11 @@ isomorphism, or else a minimal resolution spliced to them, exact, and its
 Hom into A is exact because A is injective; stripped projective summands
 add a contractible window through an isomorphism.  Those summands are
 counted before any is searched for, so a module with none is its own
-core and pays for no search.  The tails behind a
-window are built on demand: the right tail one cosyzygy at a time, up to
-the first period, and the left resolution only when no cosyzygy period
-turns up.
-The general path's periodic window keeps one total_exactness check, for
-the Hom exactness that its construction does not prove.
+core and pays for no search.  The tails behind a window are built on
+demand: the right tail one cosyzygy at a time, up to the first period,
+and the left resolution only when no cosyzygy period turns up.  Over
+d != 0 a periodic window keeps one total_exactness check, for the Hom
+exactness that its construction does not prove.
 verify.verify_certificate is the independent check of every certificate.
 """
 from __future__ import annotations
@@ -32,8 +36,8 @@ from .algebra import Algebra, memo, radical_basis
 from .complexes import (ComplexWindow, hom_exactness_failure, per_instance,
                         solve_module_hom, total_exactness)
 from .homology import (
-    Resolution, _block_reps, first_nonzero_ext, global_dimension, is_projective,
-    is_self_injective, minimal_resolution, projective_summand_count,
+    Resolution, _block_reps, first_nonzero_ext, gorenstein_dimension,
+    is_projective, minimal_resolution, projective_summand_count,
 )
 from .linalg import (Mat, coordinates, left_kernel, linear_combination, rank,
                      row_space, rref, solve_left)
@@ -353,22 +357,21 @@ def certify_gorenstein_projective(x: FDModule, window: int = 6,
                                   dim_budget: int = 600) -> GPCertificate:
     """Decide Gorenstein-projectivity within the given bounds.
 
-    Fast paths: projectives are certified by a contractible periodic
-    window; over an algebra of finite global dimension the verdict is
-    "projective or not GP"; over a self-injective algebra every module is
-    certified.  The general path builds a minimal left tail, checks
-    Ext^i(x, A) = 0 on the window, grows a right tail by minimal left
-    add(A)-approximations, and hunts for a cosyzygy or syzygy period of
-    the module with its projective summands stripped off.  It strips only
-    once those checks have found no refutation, so a "not_gp" verdict
-    pays for no strip.
+    A projective module gets a contractible periodic window.  Any other
+    module takes one path on d = `homology.gorenstein_dimension`:
+    Ext^i(x, A) = 0 is checked for 1 <= i <= d, or on the window when d is
+    unproven, where x's right tail (by minimal left add(A)-approximations)
+    and the two-sided probe may also refute.  Then x's projective summands
+    are stripped and a cosyzygy or syzygy period of the core is searched
+    for: a period gives reason "self-injective" at d = 0 and "periodic"
+    otherwise; with none, d = 0 certifies the two-sided window the search
+    built, and any other d gives "unknown".
 
-    The tails of that module are built on demand: its right tail grows one
-    cosyzygy at a time and the search stops at the first period, so a
-    period-p module over a self-injective algebra costs p approximations
-    whatever the window; its left resolution is built only when no
-    cosyzygy period turns up.  The certificate is the one that the whole
-    window of both tails would give.
+    The core's right tail grows one cosyzygy at a time up to the first
+    period, so a period-p module over a self-injective algebra costs p
+    approximations whatever the window, and its left resolution is built
+    only when no cosyzygy period turns up.  The certificate is the one
+    that the whole window of both tails would give.
     """
     if window < 2:
         raise ValueError("window must be at least 2")
@@ -377,86 +380,62 @@ def certify_gorenstein_projective(x: FDModule, window: int = 6,
         wc, ki = _split_window(x, window)
         return GPCertificate("gp", x, reason="split-projective", period=1,
                              window=wc, kernel_ident=ki)
-    gl = global_dimension(a, window)
-    if gl is not None:
-        res = minimal_resolution(x, gl + 1)
-        i = first_nonzero_ext(res, regular_module(a))
-        if i is None:
-            raise CertifyError(
-                "finite global dimension, not projective, but no Ext witness")
-        return GPCertificate(
-            "not_gp", x,
-            witness=NotGPWitness("non_vanishing_ext", i, resolution=res))
 
-    def emit(wc, ki, reason, period):
-        # each path strips x before it emits
-        if projs:
-            wc, ki = _combine_with_split(x, overall, projs, wc, ki, window)
-        return GPCertificate("gp", x, reason=reason, period=period, window=wc,
-                             kernel_ident=ki)
+    def not_gp(witness):
+        return GPCertificate("not_gp", x, witness=witness)
 
     def unknown(reason):
         return GPCertificate("unknown", x, bound=(window, period_bound),
                              reason=reason)
 
-    if is_self_injective(a):
-        core, projs, overall = strip_projective_summands(x, seed)
-        steps: list[RightTailStep] = []
-        found, core_res = _search_period(core, steps, window, None, window,
-                                         period_bound, seed, dim_budget)
-        if found is None:
-            # the two-sided window on [-window, window] reads the right-tail
-            # steps 0..window, so it needs one step more
-            found = _right_tail(core, window + 1, dim_budget, steps)[1]
-        if isinstance(found, NotGPWitness):
-            raise CertifyError("embedding failed over a self-injective algebra")
-        if found == "budget":
-            return unknown("dimension budget exceeded")
-        if isinstance(found, tuple):
-            wc, ki, p = found
-        else:
-            wc, ki = _two_sided_window(core_res, steps, window)
-            p = None
-        return emit(wc, ki, "self-injective", p)
-
-    res = minimal_resolution(x, window + 1)
+    d = gorenstein_dimension(a)
     reg = regular_module(a)
-    i = first_nonzero_ext(res, reg)
-    if i is not None:
-        return GPCertificate(
-            "not_gp", x,
-            witness=NotGPWitness("non_vanishing_ext", i, resolution=res))
-    steps_x, tail_x = _right_tail(x, window + 1, dim_budget)
-    if steps_x is None:
-        return GPCertificate("not_gp", x, witness=tail_x)
-    if tail_x == "budget":
-        return unknown("dimension budget exceeded")
-    probe, _ = _two_sided_window(res, steps_x, window)
-    # non-exactness of Hom(probe, A) in a positive degree refutes: the
-    # right-tail terms come from projective approximations, so it descends
-    # to the cosyzygies
-    obstruction = hom_exactness_failure(probe, reg, lo=1)
-    if obstruction is not None:
-        return GPCertificate(
-            "not_gp", x,
-            witness=NotGPWitness("homology_obstruction", obstruction,
-                                 steps=steps_x))
+    steps: list[RightTailStep] = []
+    res = None
+    if d != 0:
+        res = minimal_resolution(x, window + 1 if d is None else d + 1)
+        i = first_nonzero_ext(res, reg)
+        if i is not None:
+            return not_gp(NotGPWitness("non_vanishing_ext", i, resolution=res))
+    if d is None:
+        grown, tail = _right_tail(x, window + 1, dim_budget, steps)
+        if grown is None:
+            return not_gp(tail)
+        if tail == "budget":
+            return unknown("dimension budget exceeded")
+        probe, _ = _two_sided_window(res, steps, window)
+        # non-exactness of Hom(probe, A) in a positive degree refutes: the
+        # right-tail terms come from projective approximations, so it
+        # descends to the cosyzygies
+        obstruction = hom_exactness_failure(probe, reg, lo=1)
+        if obstruction is not None:
+            return not_gp(NotGPWitness("homology_obstruction", obstruction,
+                                       steps=steps))
     # stripped only now, so that a refutation pays for no strip; the
     # strip's generator is its own, so no other draw moves
     core, projs, overall = strip_projective_summands(x, seed)
-    core_is_x = not projs
-    found, _ = _search_period(core, steps_x if core_is_x else [], window + 1,
-                              res if core_is_x else None, window, period_bound,
-                              seed, dim_budget)
+    if projs or d is not None:
+        # x's tails are the core's only with nothing stripped, and whole only
+        # over an unproven d
+        steps, res = [], None
+    found, res = _search_period(core, steps, window + 1, res, window,
+                                period_bound, seed, dim_budget)
     if isinstance(found, NotGPWitness):
-        return GPCertificate("not_gp", x, witness=found)
+        if d is not None:
+            raise CertifyError("non-injective approximation over a Gorenstein algebra")
+        return not_gp(found)
     if found == "budget":
         return unknown("dimension budget exceeded")
-    if found is None:
+    if found is None and d != 0:
         return unknown("no period found within the bound")
-    wc, ki, p = found
-    # Hom(-, A) of the closed-up window is the one fact of this path that
-    # its construction does not prove
-    if not total_exactness(wc):
+    # with no period (d = 0), the two-sided window on [-window, window]
+    # reads the right-tail steps 0..window, which the search built
+    wc, ki, p = found or (*_two_sided_window(res, steps, window), None)
+    # over d != 0, Hom(-, A) of the periodic window is the one fact of this
+    # path that its construction does not prove
+    if d != 0 and not total_exactness(wc):
         raise CertifyError("assembled window is not totally exact")
-    return emit(wc, ki, "periodic", p)
+    if projs:
+        wc, ki = _combine_with_split(x, overall, projs, wc, ki, window)
+    return GPCertificate("gp", x, reason="self-injective" if d == 0 else "periodic",
+                         period=p, window=wc, kernel_ident=ki)

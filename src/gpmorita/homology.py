@@ -12,13 +12,15 @@ the copies of each A e_b in the projective cover, and
 so neither builds a cover or searches for a summand.  The left
 self-injective dimension id(_A A) (`self_injective_dimension`) is kept per
 algebra: it bounds how far from its end a window of projectives needs its
-Hom(-, A) complex.
+Hom(-, A) complex.  The Gorenstein dimension d = id(_A A) = id(A_A)
+(`gorenstein_dimension`) is kept per algebra too: a module is
+Gorenstein-projective exactly when Ext^i(-, A) vanishes for 1 <= i <= d.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Algebra, memo, opposite_algebra, radical_basis
+from .algebra import Algebra, frobenius_form, memo, opposite_algebra, radical_basis
 from .bimodules import balanced_tensor_space
 from .idempotents import indecomposable_projectives
 from .linalg import (Mat, in_row_space, left_kernel, quotient_maps, rank, row_space,
@@ -277,16 +279,37 @@ def global_dimension(a: Algebra, bound: int) -> int | None:
 @memo
 def self_injective_dimension(a: Algebra) -> int | None:
     """id(_A A), the injective dimension of the regular module, or None
-    past the fixed bound 3, where None proves nothing.  Over a finite
-    value d every exact window of projectives is Hom(-, A)-exact d + 1
-    degrees before its end (`complexes.total_exactness`)."""
+    past the fixed bound 3, where None proves nothing.  A nondegenerate
+    form (`algebra.frobenius_form`) proves 0 without a resolution.  Over a
+    finite value d every exact window of projectives is Hom(-, A)-exact
+    d + 1 degrees before its end (`complexes.total_exactness`)."""
+    if frobenius_form(a) is not None:
+        return 0
     return injective_dimension(regular_module(a), 3)
 
 
 @memo
+def gorenstein_dimension(a: Algebra) -> int | None:
+    """The d with id(_A A) = id(A_A) = d <= 3, or None, which proves
+    nothing.  Over such an A, X is Gorenstein-projective iff Ext^i(X, A)
+    = 0 for 1 <= i <= d (Enochs & Jenda, Relative Homological Algebra,
+    ch. 10-11).  Proofs, cheapest first: a nondegenerate form gives d = 0;
+    a finite global dimension g gives d = g; else the injective dimensions
+    of the regular module on both sides must be finite, and are then
+    equal (Zaks)."""
+    if frobenius_form(a) is not None:
+        return 0
+    g = global_dimension(a, 3)
+    if g is not None:
+        return g
+    left = self_injective_dimension(a)
+    right = self_injective_dimension(opposite_algebra(a))
+    return None if left is None or right is None else max(left, right)
+
+
+@memo
 def is_self_injective(a: Algebra) -> bool:
-    """The regular module is injective iff the dual of the regular right
-    module is projective as a left module."""
+    """A_A is injective iff its dual is projective as a left module."""
     aop = opposite_algebra(a)
     return is_projective(dual_module(regular_module(aop), a))
 

@@ -316,7 +316,8 @@ def test_split_and_self_injective_windows_are_not_rechecked(count_calls):
 def _t2_simple(F):
     # (k, 0, 0, 0) over T2(R) = the context (R, R, 0, R, 0, 0) with
     # R = k[x]/(x^2): a GP simple over a ring that is neither self-injective
-    # nor of finite global dimension, so it takes the general path
+    # nor of finite global dimension, but 1-Gorenstein, so its certificate
+    # is periodic
     r = truncated_poly(F, 2)
     ctx = triangular_over(r)
     return quadruple_to_module(build_ring(ctx), z_a(ctx, simple_kx2(r)))

@@ -1,4 +1,4 @@
-"""Twenty-two layering rules of the package, checked on its source.
+"""Twenty-three layering rules of the package, checked on its source.
 
 Only `linalg` sees matrix entries: no other module reads or writes a
 `.data` attribute or the integer storage behind it, so the storage can
@@ -55,6 +55,10 @@ hits the same memo entries.  The unmemoized body of `hom_space` is
 reached only where no entry may be kept: in `modules.hom_space` itself,
 for the pieces of a sum into a target other than A, and in
 `gpcert.strip_projective_summands`, whose source is kept on the algebra.
+One number, `homology.gorenstein_dimension`, decides the certifier's
+path: `gpcert` asks no other proof of it (`global_dimension`,
+`is_self_injective`), and `complexes` reads the self-injective dimension
+alone, never a Frobenius form of its own.
 """
 from __future__ import annotations
 
@@ -504,3 +508,22 @@ def test_the_unmemoized_hom_space_is_reached_from_two_places():
                     and isinstance(node.value, ast.Name) and node.value.id == "hom_space"):
                 seen.add(inside.get(id(node), (name, None)))
     assert seen == UNWRAPPED_HOM, f"the unmemoized hom_space reached from {sorted(seen)}"
+
+
+# the proofs of a Gorenstein dimension that `homology` makes, per module
+# that must not make them itself
+OWN_DIMENSION_PROOFS = {"gpcert.py": {"global_dimension", "is_self_injective"},
+                        "complexes.py": {"frobenius_form"}}
+
+
+def test_one_gorenstein_dimension_decides():
+    hits = []
+    for name, names in OWN_DIMENSION_PROOFS.items():
+        for node in ast.walk(_tree(name)):
+            if isinstance(node, ast.ImportFrom):
+                hits += [f"{name}:{node.lineno}" for alias in node.names
+                         if alias.name in names]
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                if (node.id if isinstance(node, ast.Name) else node.attr) in names:
+                    hits.append(f"{name}:{node.lineno}")
+    assert not hits, f"a proof of the dimension outside homology: {hits}"

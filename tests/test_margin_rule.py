@@ -1,7 +1,8 @@
 """Total exactness from the ring's self-injective dimension.
 
 `homology.self_injective_dimension(a)` is d = id(_A A), or None past its
-bound.  Over a finite d an exact window of projectives is Hom(-, A)-exact
+bound, and `homology.gorenstein_dimension(a)` the d with id(_A A) =
+id(A_A) = d, which is the same on every ring here.  Over a finite d an exact window of projectives is Hom(-, A)-exact
 at every interior degree i with i + d + 1 <= hi, so
 `complexes.total_exactness` builds the Hom(-, A) complex only on the last
 d + 2 terms of a window, and none on a window that repeats literally.
@@ -28,7 +29,8 @@ from gpmorita.engine import build_total_resolution, check_conditions
 from gpmorita.fields import GF, QQ
 from gpmorita.gpcert import certify_gorenstein_projective
 from gpmorita.homology import (
-    ext_dim, minimal_resolution, self_injective_dimension, simple_modules,
+    ext_dim, gorenstein_dimension, minimal_resolution, self_injective_dimension,
+    simple_modules,
 )
 from gpmorita.linalg import Mat
 from gpmorita.modules import regular_module, zero_hom, zero_module
@@ -67,7 +69,9 @@ KNOWN = {"path_a2": (path_a2, 1), "k[x]/x^3": (lambda F: truncated_poly(F, 3), 0
 @pytest.mark.parametrize("name", sorted(KNOWN))
 def test_known_self_injective_dimensions(name, field):
     make, d = KNOWN[name]
-    assert self_injective_dimension(make(FIELDS[field]())) == d
+    a = make(FIELDS[field]())
+    assert self_injective_dimension(a) == d
+    assert gorenstein_dimension(a) == d
 
 
 # the ring of T2(k[x]/(x^n)) has dimension 3n, past GF(7)'s trace form
@@ -76,6 +80,7 @@ def test_known_self_injective_dimensions(name, field):
 def test_triangular_rings_over_truncated_polynomials_have_dimension_one(n, F):
     ring = build_ring(triangular_over(truncated_poly(F, n))).ring
     assert self_injective_dimension(ring) == 1
+    assert gorenstein_dimension(ring) == 1
 
 
 def _full_verdict(wc: ComplexWindow) -> bool:

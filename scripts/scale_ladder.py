@@ -7,9 +7,12 @@ print one JSON line per case.
   S the simple module, which has period 2
 - certify_strip: `certify_gorenstein_projective` on M (+) M over
   k[x]/(x^16), M = k[x]/(x^15), which has period 2; the regular module,
-  of dimension 16, fits in M (+) M, so the certifier counts its
-  projective summands (it has none) where `certify`'s S (+) S is too
-  small to hold one
+  of dimension 16, fits in M (+) M, so the certifier reads the pairing
+  that would split off its projective summands (it has none) where
+  `certify`'s S (+) S is too small to hold one
+- certify_split: `certify_gorenstein_projective` on M (+) A (+) M over
+  k[x]/(x^16), M as above, which has period 2; the certifier splits off
+  the regular summand A before it searches the core M (+) M for a period
 - checker: `verify_certificate` on the certificate of S (+) S over
   k[x]/(x^16), a Frobenius algebra, so the checker builds no Hom complex
 - assembly: `check_conditions`, then `build_total_resolution` (window 3),
@@ -38,8 +41,9 @@ Run from the repository root:
 
     python3 scripts/scale_ladder.py [--repeat N] [--case NAME]
 
-NAME is one of hom, certify, certify_strip, checker, assembly, generalN,
-checker_generalN and structure; without --case every case runs.
+NAME is one of hom, certify, certify_strip, certify_split, checker,
+assembly, generalN, checker_generalN and structure; without --case every
+case runs.
 """
 from __future__ import annotations
 
@@ -100,6 +104,16 @@ def certify_strip_case(F):
     return {"seconds": secs, "verdict": cert.verdict, "period": cert.period}
 
 
+def certify_split_case(F):
+    a = truncated_poly(F, 16)
+    reg = regular_module(a)
+    m, _ = quotient_by_rows(reg, Mat(F, [[0] * 15 + [1]], 16), name="M")
+    x = direct_sum([m, reg, m])[0]
+    cert, secs = _timed(lambda: certify_gorenstein_projective(x))
+    assert (cert.verdict, cert.period) == ("gp", 2), (cert.verdict, cert.period)
+    return {"seconds": secs, "verdict": cert.verdict, "period": cert.period}
+
+
 def checker_case(F):
     s = simple_kx2(truncated_poly(F, 16))
     x = direct_sum([s, s])[0]
@@ -153,7 +167,8 @@ def structure_case(F):
 
 
 CASES = {"hom": hom_case, "certify": certify_case,
-         "certify_strip": certify_strip_case, "checker": checker_case,
+         "certify_strip": certify_strip_case, "certify_split": certify_split_case,
+         "checker": checker_case,
          "assembly": assembly_case,
          **{f"general{n}": partial(general_case, n=n) for n in range(2, 9)},
          **{f"checker_general{n}": partial(checker_general_case, n=n)

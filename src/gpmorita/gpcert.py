@@ -16,10 +16,10 @@ Windows are correct by construction and are not re-checked: the split
 window X (+) X with the shift differential is contractible; a
 self-injective window is a period of injective envelopes closed up by an
 isomorphism, or else a minimal resolution spliced to them, exact, and its
-Hom into A is exact because A is injective; stripped projective summands
-add a contractible window through an isomorphism.  Those summands are
-counted before any is searched for, so a module with none is its own
-core and pays for no search.  The tails behind a window are built on
+Hom into A is exact because A is injective; split-off projective
+summands add a contractible window through an isomorphism.  They are
+split off with no search (`homology.split_projective_summands`), so the
+core has none left.  The tails behind a window are built on
 demand: the right tail one cosyzygy at a time, up to the first period,
 and the left resolution only when no cosyzygy period turns up.  Over
 d != 0 a periodic window keeps one total_exactness check, for the Hom
@@ -28,19 +28,16 @@ verify.verify_certificate is the independent check of every certificate.
 """
 from __future__ import annotations
 
-import inspect
-import random
 from dataclasses import dataclass
 
 from .algebra import Algebra, memo, radical_basis
 from .complexes import (ComplexWindow, hom_exactness_failure, per_instance,
-                        solve_module_hom, total_exactness)
+                        total_exactness)
 from .homology import (
     Resolution, _block_reps, first_nonzero_ext, gorenstein_dimension,
-    is_projective, minimal_resolution, projective_summand_count,
+    is_projective, minimal_resolution, split_projective_summands,
 )
-from .linalg import (Mat, coordinates, left_kernel, linear_combination, rank,
-                     row_space, rref, solve_left)
+from .linalg import Mat, coordinates, left_kernel, row_space, rref
 from .modules import (
     FDModule, ModuleHom, Undetermined, cokernel_of, direct_sum, free_module,
     hom_space, is_isomorphic, kernel_of, regular_module, zero_hom,
@@ -98,69 +95,6 @@ def _split_window(x: FDModule, span: int) -> tuple[ComplexWindow, ModuleHom]:
     wc = ComplexWindow(-span, span, [s] * (2 * span + 1), [d] * (2 * span))
     ki = ModuleHom(x, s, incls[0].mat)
     return wc, ki
-
-
-def strip_projective_summands(x: FDModule, seed: int = 0):
-    """Split x as (projective part) (+) (core with no detected projective
-    summand).  Returns (core, projs, overall) with overall an isomorphism
-    x -> P_1 (+) ... (+) P_k (+) core.  The projective summands are first
-    counted (`projective_summand_count`): with none, x is its own core and
-    nothing is searched.  Otherwise a seeded, bounded search finds them
-    and stops once it holds that many, since the core then counts none.
-    The search may miss a summand only when the count is positive, and a
-    miss costs certificate strength, never soundness."""
-    a = x.algebra
-    F = a.field
-    overall = Mat.identity(F, x.dim)
-    count = projective_summand_count(x)
-    if count == 0:
-        return x, [], overall
-    rng = random.Random(seed)
-    projs: list[FDModule] = []
-    cur = x
-    collected = 0
-    while len(projs) < count:
-        found = None
-        for mod, _, _, _ in _block_reps(a):
-            if mod.dim > cur.dim:
-                continue
-            # the unmemoized body: mod is kept on the algebra and cur is
-            # transient, so an entry on mod would keep cur alive
-            basis = inspect.unwrap(hom_space)(mod, cur)
-            if not basis:
-                continue
-            candidates = [h.mat for h in basis]
-            for _ in range(20):
-                coeffs = [F.of_int(rng.randint(-2, 2) if F.is_rational
-                                   else rng.randrange(F.p)) for _ in basis]
-                candidates.append(linear_combination(F, mod.dim, cur.dim, coeffs,
-                                                     [h.mat for h in basis]))
-            for u_mat in candidates:
-                if rank(u_mat) != mod.dim:
-                    continue
-                u = ModuleHom(mod, cur, u_mat)
-                v = solve_module_hom(cur, mod, pre=u_mat,
-                                     pre_rhs=Mat.identity(F, mod.dim))
-                if v is not None:
-                    found = (mod, u, v)
-                    break
-            if found:
-                break
-        if not found:
-            break
-        mod, u, v = found
-        # cur = im(u) (+) ker(v); sigma projects onto the complement
-        e_mat = v.mat @ u.mat
-        k_mod, k_incl = kernel_of(ModuleHom(cur, mod, v.mat))
-        sigma = solve_left(k_incl.mat, Mat.identity(F, cur.dim).sub(e_mat))
-        if sigma is None:
-            raise CertifyError("projective summand complement failed")
-        step = Mat.hstack([v.mat, sigma])
-        overall = overall @ Mat.block_diag([Mat.identity(F, collected), step])
-        projs.append(mod)
-        collected += mod.dim
-        cur = k_mod
-    return cur, projs, overall
 
 
 @memo
@@ -292,7 +226,7 @@ def _syzygy_periodic_window(res: Resolution, p: int, theta: ModuleHom,
 def _combine_with_split(x: FDModule, overall: Mat, projs: list[FDModule],
                         core_wc: ComplexWindow, core_ki: ModuleHom,
                         span: int) -> tuple[ComplexWindow, ModuleHom]:
-    """Direct-sum a contractible window for the stripped projective part
+    """Direct-sum a contractible window for the split-off projective part
     onto a certified window for the core."""
     psum = projs[0] if len(projs) == 1 else direct_sum(projs)[0]
     split_wc, split_ki = _split_window(psum, span)
@@ -362,7 +296,7 @@ def certify_gorenstein_projective(x: FDModule, window: int = 6,
     Ext^i(x, A) = 0 is checked for 1 <= i <= d, or on the window when d is
     unproven, where x's right tail (by minimal left add(A)-approximations)
     and the two-sided probe may also refute.  Then x's projective summands
-    are stripped and a cosyzygy or syzygy period of the core is searched
+    are split off and a cosyzygy or syzygy period of the core is searched
     for: a period gives reason "self-injective" at d = 0 and "periodic"
     otherwise; with none, d = 0 certifies the two-sided window the search
     built, and any other d gives "unknown".
@@ -411,11 +345,10 @@ def certify_gorenstein_projective(x: FDModule, window: int = 6,
         if obstruction is not None:
             return not_gp(NotGPWitness("homology_obstruction", obstruction,
                                        steps=steps))
-    # stripped only now, so that a refutation pays for no strip; the
-    # strip's generator is its own, so no other draw moves
-    core, projs, overall = strip_projective_summands(x, seed)
+    # split only now, so that a refutation pays for no split
+    core, projs, overall = split_projective_summands(x)
     if projs or d is not None:
-        # x's tails are the core's only with nothing stripped, and whole only
+        # x's tails are the core's only with nothing split off, and whole only
         # over an unproven d
         steps, res = [], None
     found, res = _search_period(core, steps, window + 1, res, window,

@@ -6,13 +6,13 @@ algebra; duals swap the sides by transposing all action matrices.
 Nothing here takes a seed: these are facts about the algebra, and the
 idempotents behind them draw from one fixed stream (see `idempotents`),
 so each algebra keeps one set of block representatives.  Projectivity
-and projective summands are counted, not found: `is_projective` counts
-the copies of each A e_b in the projective cover, and
-`projective_summand_count` the copies of each A e_b that split off,
-so neither builds a cover or searches for a summand.  The left
-self-injective dimension id(_A A) (`self_injective_dimension`) is kept per
-algebra: it bounds how far from its end a window of projectives needs its
-Hom(-, A) complex.  The Gorenstein dimension d = id(_A A) = id(A_A)
+is counted, not found: `is_projective` counts the copies of each A e_b in
+the projective cover without building it.  Projective summands are split
+off without a search: `split_projective_summands` reads the copies of
+each A e_b off the rank of a pairing, and a nonsingular minor of that
+pairing is the split.  The left self-injective dimension id(_A A)
+(`self_injective_dimension`) is kept per algebra: it bounds how far from
+its end a window of projectives needs its Hom(-, A) complex.  The Gorenstein dimension d = id(_A A) = id(A_A)
 (`gorenstein_dimension`) is kept per algebra too: a module is
 Gorenstein-projective exactly when Ext^i(-, A) vanishes for 1 <= i <= d.
 """
@@ -23,12 +23,12 @@ from dataclasses import dataclass
 from .algebra import Algebra, frobenius_form, memo, opposite_algebra, radical_basis
 from .bimodules import balanced_tensor_space
 from .idempotents import indecomposable_projectives
-from .linalg import (Mat, in_row_space, left_kernel, quotient_maps, rank, row_space,
-                     solve_left)
+from .linalg import (Mat, coordinates, in_row_space, left_kernel, quotient_maps, rank,
+                     row_space, rref, solve_left)
 from .modules import (
     FDModule, ModuleError, ModuleHom, direct_sum, direct_summands, dual_module,
-    hom_dim, hom_space, kernel_of, quotient_by_rows, regular_module, zero_hom,
-    zero_module,
+    hom_dim, hom_space, kernel_of, quotient_by_rows, regular_module,
+    submodule_from_rows, zero_hom, zero_module,
 )
 
 
@@ -150,29 +150,60 @@ def _summand_functionals(a: Algebra) -> Mat:
     return Mat.hstack(cols)
 
 
-def projective_summand_count(x: FDModule) -> int:
-    """The number of indecomposable projective summands of x, counted
-    without finding them.  End(A e)/rad is k, so the multiplicity of A e
-    as a summand of x is the rank of the composition pairing
-    Hom(A e, x) x Hom(x, A e) -> End(A e)/rad (Auslander, Reiten & Smalø,
-    ch. I).  Hom(A e_b, x) is e_b x, and every map x -> A e_b is some
-    h in Hom(x, A) followed by right multiplication by e_b; so the pairing
-    is (v, h) |-> tau_b(e_b (v h) e_b), which already vanishes on
-    (1 - e_b) x.  Its rank is that of the k x dim x matrix of the values
-    of each h against `_summand_functionals`, one product for all blocks.
-    A block whose A e_b is larger than x has no summand there, and when
-    every block is such, no Hom space is solved.  Hom(x, A) is the
-    memoized entry that the minimal approximation of x reads."""
+def split_projective_summands(x: FDModule) -> tuple[FDModule, list[FDModule], Mat]:
+    """Split x as P_1 (+) ... (+) P_k (+) core, the P_i block
+    representatives in block order and no projective summand left in the
+    core; returns (core, projs, overall), overall the isomorphism.
+    End(A e)/rad is k, so the multiplicity of A e as a summand of x is the
+    rank of the composition pairing Hom(A e, x) x Hom(x, A e) ->
+    End(A e)/rad (Auslander, Reiten & Smalø, ch. I).  Hom(A e_b, x) is
+    e_b x, and every map x -> A e_b is some h in Hom(x, A) followed by
+    right multiplication by e_b; so the pairing is the k x dim x matrix M_b
+    of (x_i, h_j) |-> tau_b(e_b h_j(x_i) e_b), one product against
+    `_summand_functionals` for all blocks.  Its pivot columns I and pivot
+    rows J give a nonsingular minor M_b[J, I], and the maps
+    u_i: a |-> a x_i and r_j: v |-> h_j(v) e_b compose to right
+    multiplication by e_b h_j(x_i) e_b, which is M_b[j, i] modulo the
+    radical; maps between blocks lie in the radical.  So E = U R is
+    invertible, R E^-1 retracts U, and its kernel is the core.  A block
+    whose A e_b is larger than x has none, and when every block is such,
+    no Hom space is solved.  Hom(x, A) is the memoized entry that the
+    minimal approximation of x reads."""
     a = x.algebra
-    blocks = [b for b, (mod, _, _, _) in enumerate(_block_reps(a)) if mod.dim <= x.dim]
-    if not blocks:
-        return 0
-    homs = hom_space(x, regular_module(a))
+    F = a.field
+    unsplit = x, [], Mat.identity(F, x.dim)
+    reps = _block_reps(a)
+    blocks = [b for b, (mod, _, _, _) in enumerate(reps) if mod.dim <= x.dim]
+    homs = hom_space(x, regular_module(a)) if blocks else []
     if not homs:
-        return 0
+        return unsplit
     vals = Mat.vstack([h.mat for h in homs]) @ _summand_functionals(a)
-    return sum(rank(vals.block(0, vals.rows, b, b + 1).reshape(len(homs), x.dim))
-               for b in blocks)
+    projs: list[FDModule] = []
+    us, rs = [], []
+    for b in blocks:
+        mod, incl, e, _ = reps[b]
+        pairing = vals.block(0, vals.rows, b, b + 1).reshape(len(homs), x.dim)
+        cols = rref(pairing)[1]
+        if not cols:
+            continue
+        acts = Mat.hstack([x.act_of(incl.mat.row(t)) for t in range(mod.dim)])
+        for i, j in zip(cols, rref(pairing.transpose())[1]):
+            projs.append(mod)
+            us.append(acts.block(i, i + 1, 0, acts.cols).reshape(mod.dim, x.dim))
+            rs.append(coordinates(incl.mat, homs[j].mat @ a.rmul_of(e)))
+    if not projs:
+        return unsplit
+    U, R = Mat.vstack(us), Mat.hstack(rs)
+    E = U @ R
+    if rank(E) != E.rows:
+        raise ModuleError("the projective summands found do not split off")
+    retract = solve_left(E, R)
+    core, incl = submodule_from_rows(x, left_kernel(retract))
+    # sigma projects x onto the core along the projective part
+    sigma = solve_left(incl.mat, Mat.identity(F, x.dim).sub(retract @ U))
+    if sigma is None:
+        raise ModuleError("projective summand complement failed")
+    return core, projs, Mat.hstack([retract, sigma])
 
 
 @dataclass

@@ -26,6 +26,7 @@ from gpmorita.gpcert import (
 from gpmorita.homology import (
     _block_reps, first_nonzero_ext, global_dimension, is_projective,
     is_self_injective, minimal_resolution, projective_cover, simple_modules,
+    split_projective_summands,
 )
 from gpmorita.jsonio import certificate_to_json
 from gpmorita.linalg import Mat, left_kernel
@@ -335,7 +336,7 @@ def _cokernel_targets(monkeypatch):
     return targets
 
 
-def test_the_general_path_builds_its_two_sided_probe(monkeypatch):
+def test_the_tail_targets_stay_at_dim_two_and_the_period_is_one(monkeypatch):
     # minimal approximations keep every target of this tail at dim 2, far
     # below the budget, and the tail closes up with period 1
     for F in (QQ(), GF(7)):
@@ -473,7 +474,7 @@ def eager_certify(x, window=6, period_bound=12, seed=0, dim_budget=600):
             "not_gp", x,
             witness=NotGPWitness("non_vanishing_ext", i, resolution=res))
     self_inj = is_self_injective(a)
-    core, projs, overall = gpcert.strip_projective_summands(x, seed)
+    core, projs, overall = split_projective_summands(x)
     core_is_x = not projs
 
     def emit(wc, ki, reason, period):

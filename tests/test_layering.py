@@ -46,15 +46,15 @@ read in one, `modules.direct_summands`, which checks it against the
 module's actions before any caller answers from the summands.  The
 structure of an algebra (its idempotents, projectives, resolutions and
 dimensions) takes no seed: only the randomized searches whose results
-are printed, the isomorphism and projective-summand searches, and the
-entry points that reach them take a `seed` (`catalog`, which draws with
-the `random.Random` its callers pass, is not scanned).  An algebra has
-one regular module: only `modules.regular_module`, which is memoized on
-the algebra, builds an `FDModule` from `lmul_mats()`, so every Hom into A
-hits the same memo entries.  The unmemoized body of `hom_space` is
-reached only where no entry may be kept: in `modules.hom_space` itself,
-for the pieces of a sum into a target other than A, and in
-`gpcert.strip_projective_summands`, whose source is kept on the algebra.
+are printed, the isomorphism search, and the entry points that reach it
+take a `seed` (`catalog`, which draws with the `random.Random` its
+callers pass, is not scanned); projective summands are split off without
+a search.  An algebra has one regular module: only
+`modules.regular_module`, which is memoized on the algebra, builds an
+`FDModule` from `lmul_mats()`, so every Hom into A hits the same memo
+entries.  The unmemoized body of `hom_space` is
+reached from one place, where no entry may be kept: `modules.hom_space`
+itself, for the pieces of a sum into a target other than A.
 One number, `homology.gorenstein_dimension`, decides the certifier's
 path: `gpcert` asks no other proof of it (`global_dimension`,
 `is_self_injective`), and `complexes` reads the self-injective dimension
@@ -444,7 +444,7 @@ def test_the_summands_record_has_one_writer_and_one_reader():
 # the randomized searches whose results are printed, and their entry points
 SEEDED = {
     ("modules.py", "is_isomorphic"), ("modules.py", "_invertible_in_span"),
-    ("gpcert.py", "strip_projective_summands"), ("gpcert.py", "_search_period"),
+    ("gpcert.py", "_search_period"),
     ("gpcert.py", "certify_gorenstein_projective"),
     ("engine.py", "check_conditions"), ("engine.py", "build_total_resolution"),
     ("engine.py", "audit_equivalence"), ("engine.py", "zero_case_check"),
@@ -490,11 +490,10 @@ def test_only_regular_module_builds_the_regular_module():
 
 
 # where the unmemoized hom_space body may be called
-UNWRAPPED_HOM = {("modules.py", "hom_space"),
-                 ("gpcert.py", "strip_projective_summands")}
+UNWRAPPED_HOM = {("modules.py", "hom_space")}
 
 
-def test_the_unmemoized_hom_space_is_reached_from_two_places():
+def test_the_unmemoized_hom_space_is_reached_from_one_place():
     seen = set()
     for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
         name = os.path.basename(path)

@@ -1,15 +1,17 @@
-"""The projective-summand count against the search it lets the strip skip.
+"""The deterministic split of projective summands against the search it
+replaced.
 
-`homology.projective_summand_count` counts the indecomposable projective
-summands of a module as the rank of the composition pairing
-Hom(A e, x) x Hom(x, A e) -> End(A e)/rad, per block.  The strip
-(`gpcert.strip_projective_summands`) returns at once when the count is 0
-and otherwise stops its seeded search once it holds that many summands.
-The strip as it was before the count, a search to exhaustion, is kept
-below verbatim apart from its name as the oracle: on every input the two
-must give equal cores, the same projective summands and the same
-isomorphism, the count must equal the number of summands found, and the
-core must count none.
+`homology.split_projective_summands` reads the multiplicity of each A e as
+a summand of x off the rank of the composition pairing
+Hom(A e, x) x Hom(x, A e) -> End(A e)/rad, per block, and splits the
+summands off through a nonsingular minor of that pairing, with no search.
+The strip as it was before the pairing, a seeded search to exhaustion, is
+kept below verbatim apart from its name as the oracle: on every input the
+two must give the same projective summands in the same order and
+isomorphic cores, `overall` must be an invertible module map
+x -> P_1 (+) ... (+) P_k (+) core, and the core must split off nothing
+more.  The cores agree up to isomorphism only, since the split reads the
+core in another basis than the search does on some inputs.
 
 The inputs are built explicitly, since random modules are mostly
 projective: per algebra and its opposite, each simple, its first syzygy,
@@ -32,13 +34,13 @@ from gpmorita.catalog import (
 )
 from gpmorita.complexes import solve_module_hom
 from gpmorita.fields import GF, QQ
-from gpmorita.gpcert import CertifyError, strip_projective_summands
+from gpmorita.gpcert import CertifyError
 from gpmorita.homology import (
-    _block_reps, minimal_resolution, projective_summand_count, simple_modules,
+    _block_reps, minimal_resolution, simple_modules, split_projective_summands,
 )
 from gpmorita.linalg import Mat, linear_combination, rank, solve_left
 from gpmorita.modules import (
-    FDModule, ModuleHom, direct_sum, hom_space, kernel_of,
+    FDModule, ModuleHom, direct_sum, hom_space, is_isomorphic, kernel_of,
 )
 from gpmorita.morita import build_ring
 
@@ -127,20 +129,20 @@ def _inputs(a):
 
 
 @pytest.mark.parametrize("F", [QQ(), GF(11)], ids=["Q", "GF11"])
-def test_the_count_skips_only_searches_that_find_nothing(F):
+def test_the_split_finds_the_summands_the_search_finds(F):
     counts = []
     for alg in _algebras(F):
         for a in (alg, opposite_algebra(alg)):
             for x in _inputs(a):
-                count = projective_summand_count(x)
-                core, projs, overall = strip_projective_summands(x)
-                old_core, old_projs, old_overall = _searched_strip(x)
-                assert count == len(old_projs), (a, x)
-                assert projs == old_projs and all(
-                    p is q for p, q in zip(projs, old_projs))
-                assert (core.dim, core.acts) == (old_core.dim, old_core.acts)
-                assert overall == old_overall
-                assert projective_summand_count(core) == 0
-                counts.append(count)
-    # both verdicts of the count are exercised, and more than one summand
+                core, projs, overall = split_projective_summands(x)
+                old_core, old_projs, _ = _searched_strip(x)
+                assert len(projs) == len(old_projs) and all(
+                    p is q for p, q in zip(projs, old_projs)), (a, x)
+                assert is_isomorphic(core, old_core) is not None
+                target = direct_sum(projs + [core])[0]
+                split = ModuleHom(x, target, overall)
+                assert split.is_iso() and split.intertwines()
+                assert split_projective_summands(core)[1] == []
+                counts.append(len(projs))
+    # both outcomes of the pairing are exercised, and more than one summand
     assert 0 in counts and 1 in counts and max(counts) >= 2

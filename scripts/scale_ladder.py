@@ -13,6 +13,10 @@ print one JSON line per case.
 - certify_split: `certify_gorenstein_projective` on M (+) A (+) M over
   k[x]/(x^16), M as above, which has period 2; the certifier splits off
   the regular summand A before it searches the core M (+) M for a period
+- certify_reach: `certify_gorenstein_projective` at window 3 on Z_A(S_0)
+  = (S_0, 0) over T2(N(2,2,2,2,2)), a ring of dimension 30, S_0 the simple
+  at vertex 0 of the cyclic Nakayama algebra, which has period 5: the one
+  case whose period is window + 2, the farthest the period search reaches
 - checker: `verify_certificate` on the certificate of S (+) S over
   k[x]/(x^16), a Frobenius algebra, so the checker builds no Hom complex
 - assembly: `check_conditions`, then `build_total_resolution` (window 3),
@@ -41,9 +45,9 @@ Run from the repository root:
 
     python3 scripts/scale_ladder.py [--repeat N] [--case NAME]
 
-NAME is one of hom, certify, certify_strip, certify_split, checker,
-assembly, generalN, checker_generalN and structure; without --case every
-case runs.
+NAME is one of hom, certify, certify_strip, certify_split, certify_reach,
+checker, assembly, generalN, checker_generalN and structure; without
+--case every case runs.
 """
 from __future__ import annotations
 
@@ -56,7 +60,9 @@ from functools import partial
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from gpmorita.catalog import simple_kx2, triangular_over, truncated_poly
+from gpmorita.catalog import (
+    nakayama, simple_at_idempotent, simple_kx2, triangular_over, truncated_poly,
+)
 from gpmorita.engine import (
     build_total_resolution, check_conditions, identity_extension,
 )
@@ -114,6 +120,16 @@ def certify_split_case(F):
     return {"seconds": secs, "verdict": cert.verdict, "period": cert.period}
 
 
+def certify_reach_case(F):
+    r = nakayama(F, [2, 2, 2, 2, 2])
+    ctx = triangular_over(r)
+    x = quadruple_to_module(build_ring(ctx), z_a(ctx, simple_at_idempotent(r, 0)))
+    cert, secs = _timed(lambda: certify_gorenstein_projective(x, window=3))
+    assert (cert.verdict, cert.period) == ("gp", 5), (cert.verdict, cert.period)
+    return {"seconds": secs, "verdict": cert.verdict, "period": cert.period,
+            "ring_dim": 3 * r.dim}
+
+
 def checker_case(F):
     s = simple_kx2(truncated_poly(F, 16))
     x = direct_sum([s, s])[0]
@@ -168,6 +184,7 @@ def structure_case(F):
 
 CASES = {"hom": hom_case, "certify": certify_case,
          "certify_strip": certify_strip_case, "certify_split": certify_split_case,
+         "certify_reach": certify_reach_case,
          "checker": checker_case,
          "assembly": assembly_case,
          **{f"general{n}": partial(general_case, n=n) for n in range(2, 9)},

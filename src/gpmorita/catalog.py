@@ -60,6 +60,22 @@ def two_cycle_rad_square(F: Field, name: str = "2cyc") -> Algebra:
     return _monomial_algebra(F, 4, products, [one, one, z, z], name)
 
 
+def nakayama(F: Field, kupisch: list[int], name: str = "") -> Algebra:
+    """The cyclic Nakayama algebra N(c_0, .., c_{n-1}): the cyclic quiver
+    0 -> 1 -> .. -> n-1 -> 0 modulo the paths of length c_i from vertex i
+    (admissible when c_{i+1} >= c_i - 1 >= 1).  Basis element (i, l), the
+    path of length l from i, sits at sum(c_0..c_{i-1}) + l, and
+    (i, l)(i + l, m) = (i, l + m) while l + m < c_i."""
+    n = len(kupisch)
+    start = [sum(kupisch[:i]) for i in range(n)]
+    products = {(start[i] + l, start[(i + l) % n] + m): start[i] + l + m
+                for i, c in enumerate(kupisch) for l in range(c)
+                for m in range(c - l)}
+    unit = [F.one() if k in start else F.zero() for k in range(sum(kupisch))]
+    return _monomial_algebra(F, sum(kupisch), products, unit,
+                             name or f"N({','.join(map(str, kupisch))})")
+
+
 # -- hand-built modules -----------------------------------------------------
 
 

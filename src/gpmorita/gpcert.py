@@ -19,9 +19,10 @@ isomorphism, or else a minimal resolution spliced to them, exact, and its
 Hom into A is exact because A is injective; split-off projective
 summands add a contractible window through an isomorphism.  They are
 split off with no search (`homology.split_projective_summands`), so the
-core has none left.  The tails behind a window are built on
-demand: the right tail one cosyzygy at a time, up to the first period,
-and the left resolution only when no cosyzygy period turns up.  Over
+core has none left, and a syzygy period of the core is a cosyzygy
+period: the right tail, built one cosyzygy at a time up to the first
+period, is the one place a period is looked for.  A left resolution of
+the core is built only for a self-injective window with no period.  Over
 d != 0 a periodic window keeps one total_exactness check, for the Hom
 exactness that its construction does not prove.
 verify.verify_certificate is the independent check of every certificate.
@@ -40,7 +41,7 @@ from .homology import (
 from .linalg import Mat, coordinates, left_kernel, row_space, rref
 from .modules import (
     FDModule, ModuleHom, Undetermined, cokernel_of, direct_sum, free_module,
-    hom_space, is_isomorphic, kernel_of, regular_module, zero_hom,
+    hom_space, is_isomorphic, regular_module, zero_hom,
 )
 
 
@@ -209,20 +210,6 @@ def _cosyzygy_periodic_window(steps: list[RightTailStep], p: int,
     return _periodic_window(block, internal, junction, span), steps[0].alpha
 
 
-def _syzygy_periodic_window(res: Resolution, p: int, theta: ModuleHom,
-                            span: int) -> tuple[ComplexWindow, ModuleHom]:
-    """Periodic window from the resolution block, closed with
-    theta: x -> (p-th syzygy)."""
-    block = [res.terms[p - 1 - j] for j in range(p)]     # degrees 0..p-1
-    if p == 1:
-        ker, incl = kernel_of(res.aug)
-    else:
-        ker, incl = kernel_of(res.maps[p - 2])
-    internal = [res.maps[p - 2 - j] for j in range(p - 1)]
-    junction = res.aug.then(theta).then(incl)            # P_0 -> x -> ker -> P_{p-1}
-    return _periodic_window(block, internal, junction, span), theta.then(incl)
-
-
 def _combine_with_split(x: FDModule, overall: Mat, projs: list[FDModule],
                         core_wc: ComplexWindow, core_ki: ModuleHom,
                         span: int) -> tuple[ComplexWindow, ModuleHom]:
@@ -243,26 +230,30 @@ def _combine_with_split(x: FDModule, overall: Mat, projs: list[FDModule],
     return wc, ModuleHom(x, terms[-core_wc.lo], ki_mat)
 
 
-def _search_period(core: FDModule, steps: list[RightTailStep], length: int,
-                   res: Resolution | None, window: int, period_bound: int,
-                   seed: int, dim_budget: int):
+def _search_period(core: FDModule, steps: list[RightTailStep], window: int,
+                   period_bound: int, seed: int, dim_budget: int):
     """Look for a period of the core, building only what the search reads.
 
-    The core's right tail in steps grows one step at a time to `length`
-    steps, and C^p ~ core is tested after step p (p <= period_bound).  A
-    hit returns at once: past it the tail repeats, with the same target
-    dimensions and the same injectivity, so the steps left unbuilt could
-    not have stopped it.  Only then is the left resolution res (built here
-    when None) searched for a syzygy period.  Returns (found, res): found
-    is (window, kernel_ident, period), the tail's stop ("budget" or a
-    NotGPWitness), or None.  Raises Undetermined only when a decisive
-    answer was blocked."""
+    The core's right tail in steps grows one step at a time, and
+    C^p ~ core is tested after step p for p up to the reach
+    min(period_bound, window + 2, 2 * window - 1), the last being the
+    longest period that the window [-window, window] witnesses.  The tail
+    grows to at least window + 1 steps, which the two-sided window reads;
+    a budget stop past them ends the search with no period.  A hit returns
+    at once: past it the tail repeats, with the same target dimensions
+    and the same injectivity, so the steps left unbuilt could not have
+    stopped it.  Returns (window, kernel_ident, period), the tail's stop
+    ("budget" or a NotGPWitness), or None.  Raises Undetermined only when
+    a decisive answer was blocked."""
+    reach = min(period_bound, window + 2, 2 * window - 1)
     undetermined = False
-    for p in range(1, length + 1):
+    for p in range(1, max(window + 1, reach) + 1):
         grown, stop = _right_tail(core, p, dim_budget, steps)
+        if stop == "budget" and p > window + 1:
+            break
         if grown is None or stop == "budget":
-            return stop, res
-        if p > period_bound:
+            return stop
+        if p > reach:
             continue
         try:
             theta = is_isomorphic(steps[p - 1].coker_proj.target, core, seed=seed)
@@ -270,20 +261,10 @@ def _search_period(core: FDModule, steps: list[RightTailStep], length: int,
             undetermined = True
             continue
         if theta is not None:
-            return (*_cosyzygy_periodic_window(steps, p, theta, window), p), res
-    if res is None:
-        res = minimal_resolution(core, window + 1)
-    for p in range(1, min(period_bound, len(res.syzygies)) + 1):
-        try:
-            theta = is_isomorphic(core, res.syzygies[p - 1], seed=seed)
-        except Undetermined:
-            undetermined = True
-            continue
-        if theta is not None:
-            return (*_syzygy_periodic_window(res, p, theta, window), p), res
+            return (*_cosyzygy_periodic_window(steps, p, theta, window), p)
     if undetermined:
         raise Undetermined("periodicity search hit an undetermined isomorphism test")
-    return None, res
+    return None
 
 
 def certify_gorenstein_projective(x: FDModule, window: int = 6,
@@ -296,16 +277,15 @@ def certify_gorenstein_projective(x: FDModule, window: int = 6,
     Ext^i(x, A) = 0 is checked for 1 <= i <= d, or on the window when d is
     unproven, where x's right tail (by minimal left add(A)-approximations)
     and the two-sided probe may also refute.  Then x's projective summands
-    are split off and a cosyzygy or syzygy period of the core is searched
-    for: a period gives reason "self-injective" at d = 0 and "periodic"
-    otherwise; with none, d = 0 certifies the two-sided window the search
-    built, and any other d gives "unknown".
+    are split off and a cosyzygy period p of the core is searched for,
+    p <= min(period_bound, window + 2, 2 * window - 1): a period gives
+    reason "self-injective" at d = 0 and "periodic" otherwise; with none,
+    d = 0 certifies the two-sided window, and any other d gives "unknown".
 
     The core's right tail grows one cosyzygy at a time up to the first
     period, so a period-p module over a self-injective algebra costs p
     approximations whatever the window, and its left resolution is built
-    only when no cosyzygy period turns up.  The certificate is the one
-    that the whole window of both tails would give.
+    only for the two-sided window.
     """
     if window < 2:
         raise ValueError("window must be at least 2")
@@ -325,7 +305,6 @@ def certify_gorenstein_projective(x: FDModule, window: int = 6,
     d = gorenstein_dimension(a)
     reg = regular_module(a)
     steps: list[RightTailStep] = []
-    res = None
     if d != 0:
         res = minimal_resolution(x, window + 1 if d is None else d + 1)
         i = first_nonzero_ext(res, reg)
@@ -348,11 +327,10 @@ def certify_gorenstein_projective(x: FDModule, window: int = 6,
     # split only now, so that a refutation pays for no split
     core, projs, overall = split_projective_summands(x)
     if projs or d is not None:
-        # x's tails are the core's only with nothing split off, and whole only
-        # over an unproven d
-        steps, res = [], None
-    found, res = _search_period(core, steps, window + 1, res, window,
-                                period_bound, seed, dim_budget)
+        # x's right tail is the core's only with nothing split off, and built
+        # only over an unproven d
+        steps = []
+    found = _search_period(core, steps, window, period_bound, seed, dim_budget)
     if isinstance(found, NotGPWitness):
         if d is not None:
             raise CertifyError("non-injective approximation over a Gorenstein algebra")
@@ -362,8 +340,10 @@ def certify_gorenstein_projective(x: FDModule, window: int = 6,
     if found is None and d != 0:
         return unknown("no period found within the bound")
     # with no period (d = 0), the two-sided window on [-window, window]
-    # reads the right-tail steps 0..window, which the search built
-    wc, ki, p = found or (*_two_sided_window(res, steps, window), None)
+    # reads the right-tail steps 0..window, which the search built, and the
+    # core's left resolution up to P_{window - 1}
+    wc, ki, p = found or (*_two_sided_window(minimal_resolution(core, window - 1),
+                                             steps, window), None)
     # over d != 0, Hom(-, A) of the periodic window is the one fact of this
     # path that its construction does not prove
     if d != 0 and not total_exactness(wc):

@@ -8,9 +8,11 @@ from gpmorita.algebra import (
     subalgebra, validate_algebra,
 )
 from gpmorita.catalog import (
-    field_algebra, path_a2, product_fields, truncated_poly, two_cycle_rad_square,
+    field_algebra, nakayama, path_a2, product_fields, truncated_poly,
+    two_cycle_rad_square,
 )
 from gpmorita.fields import GF, QQ
+from gpmorita.homology import _block_reps, gorenstein_dimension
 from gpmorita.linalg import Mat, rank, row_space
 
 
@@ -118,6 +120,26 @@ def test_radical_quotient_is_semisimple():
 def test_radical_unsupported_small_characteristic():
     with pytest.raises(UnsupportedField):
         radical_basis(path_a2(GF(2)))
+
+
+@pytest.mark.parametrize("F", [QQ(), GF(7), GF(11)], ids=["Q", "GF7", "GF11"])
+def test_nakayama_algebras_have_projectives_of_the_kupisch_lengths(F):
+    # N(3,3) and N(2,2,2,2,2) are self-injective, N(3,3,4) is not; the
+    # paths from vertex i span e_i A, of length c_i, and the projectives
+    # A e_i have the same lengths in another order
+    for kupisch in ([3, 3], [2, 2, 2, 2, 2], [3, 3, 4]):
+        a = nakayama(F, kupisch)
+        assert a.dim == sum(kupisch)
+        assert a.name == f"N({','.join(map(str, kupisch))})"
+        assert validate_algebra(a) == []
+        if 0 < F.characteristic <= a.dim:
+            # the radical by the trace form needs p > dim
+            with pytest.raises(UnsupportedField):
+                radical_basis(a)
+            continue
+        dims = sorted(rep[0].dim for rep in _block_reps(a))
+        assert dims == sorted(kupisch), kupisch
+        assert (gorenstein_dimension(a) == 0) == (len(set(kupisch)) == 1)
 
 
 def test_radical_big_characteristic_ok():

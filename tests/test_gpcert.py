@@ -10,7 +10,7 @@ import pytest
 from gpmorita import complexes, gpcert
 from gpmorita.algebra import opposite_algebra
 from gpmorita.catalog import (
-    arrow_ideal_context, field_algebra, glued_psi_context, path_a2,
+    arrow_ideal_context, field_algebra, glued_psi_context, nakayama, path_a2,
     product_fields, proj_a2, random_module, random_quadruple,
     simple_at_idempotent, simple_kx2, triangular_context, triangular_over,
     truncated_poly, two_cycle_context, two_cycle_rad_square,
@@ -21,18 +21,18 @@ from gpmorita.complexes import (
 from gpmorita.fields import GF, QQ
 from gpmorita.gpcert import (
     CertifyError, GPCertificate, NotGPWitness, RightTailStep,
-    certify_gorenstein_projective,
+    _periodic_window, certify_gorenstein_projective,
 )
 from gpmorita.homology import (
-    _block_reps, first_nonzero_ext, global_dimension, is_projective,
-    is_self_injective, minimal_resolution, projective_cover, simple_modules,
-    split_projective_summands,
+    Resolution, _block_reps, first_nonzero_ext, global_dimension,
+    is_projective, is_self_injective, minimal_resolution, projective_cover,
+    simple_modules, split_projective_summands,
 )
 from gpmorita.jsonio import certificate_to_json
 from gpmorita.linalg import Mat, left_kernel
 from gpmorita.modules import (
     FDModule, ModuleHom, Undetermined, cokernel_of, direct_sum, dual_module,
-    is_isomorphic, regular_module, zero_module,
+    is_isomorphic, kernel_of, regular_module, zero_module,
 )
 from gpmorita.morita import (
     ContextError, build_ring, h_a, h_b, quadruple_to_module,
@@ -394,9 +394,12 @@ def test_a_self_injective_module_with_no_period_in_the_bound_is_certified(F):
 # -- tails on demand against the eager certifier ------------------------------
 #
 # The certifier used to build both tails of the core over the whole window
-# before it looked for a period.  Its code is kept here verbatim, renamed,
-# as the oracle of the on-demand search: every step and every isomorphism
-# test is deterministic, so the certificates must agree byte for byte.
+# before it looked for a period, and to look in both.  Its code is kept here
+# verbatim, renamed, with the syzygy window builder that the certifier no
+# longer has, as the oracle of the on-demand search: every step and every
+# isomorphism test is deterministic, so the certificates must agree byte
+# for byte.  They would differ only at a period of window + 2, which no
+# module here has.
 
 
 def eager_right_tail(x, length, seed, dim_budget):
@@ -418,6 +421,20 @@ def eager_right_tail(x, length, seed, dim_budget):
             return steps, "budget"
         cur = nxt
     return steps, cur
+
+
+def _syzygy_periodic_window(res: Resolution, p: int, theta: ModuleHom,
+                            span: int) -> tuple[ComplexWindow, ModuleHom]:
+    """Periodic window from the resolution block, closed with
+    theta: x -> (p-th syzygy)."""
+    block = [res.terms[p - 1 - j] for j in range(p)]     # degrees 0..p-1
+    if p == 1:
+        ker, incl = kernel_of(res.aug)
+    else:
+        ker, incl = kernel_of(res.maps[p - 2])
+    internal = [res.maps[p - 2 - j] for j in range(p - 1)]
+    junction = res.aug.then(theta).then(incl)            # P_0 -> x -> ker -> P_{p-1}
+    return _periodic_window(block, internal, junction, span), theta.then(incl)
 
 
 def eager_search_period(core, steps, tail_end, res, window, period_bound, seed):
@@ -447,7 +464,7 @@ def eager_search_period(core, steps, tail_end, res, window, period_bound, seed):
             undetermined = True
             continue
         if theta is not None:
-            wc, ki = gpcert._syzygy_periodic_window(res, p, theta, window)
+            wc, ki = _syzygy_periodic_window(res, p, theta, window)
             return wc, ki, p
     if undetermined:
         raise Undetermined("periodicity search hit an undetermined isomorphism test")
@@ -639,7 +656,7 @@ def test_the_general_search_reads_what_the_eager_search_read(F):
     # the general path's search with right tails of projective
     # approximations: on a core with no tail built yet, whose tail stops on
     # a non-injective step over kA2 or on a small budget, and on a core
-    # whose whole tail and resolution are given, as when the core is x
+    # whose whole tail is given, as when the core is x
     rng = random.Random(3)
     algs = (path_a2(F), truncated_poly(F, 3), two_cycle_rad_square(F))
     mods = [m for alg in algs for m in
@@ -650,8 +667,7 @@ def test_the_general_search_reads_what_the_eager_search_read(F):
         for window in (2, 3):
             for period_bound, dim_budget in ((1, 600), (12, 600), (12, 2)):
                 args = (window, period_bound, 0)
-                found, res = gpcert._search_period(
-                    m, [], window + 1, None, *args, dim_budget)
+                found = gpcert._search_period(m, [], *args, dim_budget)
                 steps, tail = eager_right_tail(m, window + 1, 0, dim_budget)
                 if steps is None or tail == "budget":
                     seen.add(type(tail).__name__)
@@ -662,17 +678,55 @@ def test_the_general_search_reads_what_the_eager_search_read(F):
                     continue
                 eager_res = minimal_resolution(m, window + 1)
                 eager = eager_search_period(m, steps, tail, eager_res, *args)
-                given, _ = gpcert._search_period(
-                    m, list(steps), window + 1, eager_res, *args, dim_budget)
+                given = gpcert._search_period(m, list(steps), *args, dim_budget)
                 if eager[0] is None:
                     seen.add(None)
                     assert found is None and given is None
-                    assert len(res.syzygies) == len(eager_res.syzygies)
                     continue
                 seen.add(eager[2])
                 text = _found_as_json(m, eager)
                 assert _found_as_json(m, found) == text == _found_as_json(m, given)
     assert {"NotGPWitness", "str", None, 2} <= seen
+
+
+# -- the reach of the period search --------------------------------------------
+#
+# The cosyzygy scan tests periods up to min(period_bound, window + 2,
+# 2 * window - 1): window + 2 is the reach the syzygy scan used to add, and
+# 2 * window - 1 the longest period that the window [-window, window]
+# witnesses.  The simple of N(3,3) has period 4, and of N(2,2,2,2,2)
+# period 5 (Auslander, Reiten & Smalo, ch. IV); over T2 of them, Z_A(S)
+# keeps the period (d = 1).
+
+
+def _t2_nakayama_simple(F, kupisch):
+    """Z_A(S_0) = (S_0, 0) over T2(N(kupisch)), S_0 the simple at vertex 0."""
+    r = nakayama(F, kupisch)
+    ctx = triangular_over(r)
+    return quadruple_to_module(build_ring(ctx), z_a(ctx, simple_at_idempotent(r, 0)))
+
+
+@pytest.mark.parametrize("F", [QQ(), GF(7)], ids=["Q", "GF7"])
+def test_a_period_the_window_cannot_witness_is_not_claimed(F):
+    # at window 2 the window witnesses periods up to 3: the period 4 of the
+    # simple is not claimed, and the two-sided window certifies it
+    s = simple_at_idempotent(nakayama(F, [3, 3]), 0)
+    cert = certify_gorenstein_projective(s, window=2)
+    assert (cert.verdict, cert.reason, cert.period) == ("gp", "self-injective", None)
+    assert verify_certificate(cert, s) == []
+
+
+# T2 of an algebra of dim n has dim 3n, and the radical needs p > 3n
+@pytest.mark.parametrize("F", [QQ(), GF(31)], ids=["Q", "GF31"])
+def test_the_period_search_reaches_window_plus_two_within_the_window(F):
+    x = _t2_nakayama_simple(F, [3, 3])
+    cert = certify_gorenstein_projective(x, window=2)
+    assert (cert.verdict, cert.reason) == ("unknown", "no period found within the bound")
+    assert verify_certificate(cert, x) == []
+    x = _t2_nakayama_simple(F, [2, 2, 2, 2, 2])
+    cert = certify_gorenstein_projective(x, window=3)
+    assert (cert.verdict, cert.reason, cert.period) == ("gp", "periodic", 5)
+    assert verify_certificate(cert, x) == []
 
 
 def test_a_period_two_simple_builds_two_embeddings_and_no_left_resolution(

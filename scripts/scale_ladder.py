@@ -32,8 +32,8 @@ print one JSON line per case.
   ring has no nondegenerate form, so the checker builds the window's
   Hom(-, A) complex
 - structure: `_block_reps` of the ring of T2(k[x]/(x^8)), cold: its
-  radical, the lifting of its idempotents (whose rounds the radical's
-  nilpotency index sets) and its indecomposable projectives
+  radical, the lifting of its idempotents (each stops at its fixed point)
+  and one projective A*e per block
 
 Every case builds its algebra afresh, so no memo carries over from an
 earlier case or repeat.  "seconds" is the minimum over the repeats of the

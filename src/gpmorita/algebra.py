@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dc_field
 from .fields import Field
 from .linalg import (
     Mat, coordinates, in_row_space, left_kernel, linear_combination,
-    quotient_maps, rank, row_space, rref,
+    quotient_maps, rank, row_space,
 )
 
 
@@ -375,36 +375,6 @@ def radical_basis(a: Algebra) -> Mat:
         raise UnsupportedField(
             f"radical via trace form needs char 0 or p > dim; got p={p}, dim={a.dim}")
     return left_kernel(trace_form(a))
-
-
-def nilpotency_index(a: Algebra, rows: Mat, cap: int | None = None) -> int | None:
-    """Least m with J^m = 0 for the nilpotent two-sided ideal J spanned by
-    rows (the radical, say), or None if J^m != 0 for m up to cap.
-
-    After J^2, each power is multiplied by a complement V of J^2 in J
-    only: for k >= 2, J^{k-1} V is a left ideal and J^k = J^{k-1} V +
-    J^{k-1} J^2 = J^{k-1} V + J J^k, so J^k = J^{k-1} V by Nakayama's
-    lemma, J being nilpotent."""
-    n = a.dim
-    cap = cap if cap is not None else n + 1
-    by_left = a.consts.reshape(n, n * n)        # row i: the b_i b_j, j = 0..n-1
-    cur = step = row_space(rows)
-    m = 1
-    while cur.rows:
-        if m > cap:
-            return None
-        # every product x y of a row x of cur with a row y of step: the rows
-        # x b_j, read as one n x (rows * n) matrix by j, times step
-        r = cur.rows
-        xb = (cur @ by_left).reshape(r * n, n).swap_factors(r, n).reshape(n, r * n)
-        cur = row_space((step @ xb).reshape(step.rows * r, n))
-        if m == 1 and cur.rows:
-            # the rows of J that are pivots past J^2 span a complement
-            piv = rref(Mat.vstack([cur, step]).transpose())[1]
-            step = Mat.vstack([step.block(p - cur.rows, p - cur.rows + 1, 0, step.cols)
-                               for p in piv if p >= cur.rows])
-        m += 1
-    return m
 
 
 def ideal_closure(a: Algebra, rows: Mat) -> Mat:

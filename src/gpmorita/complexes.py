@@ -161,15 +161,6 @@ def _first_inexact(c: ComplexWindow, data, lo: int | None = None) -> int | None:
                  if homology_at(dims, maps, i - c.lo)), None)
 
 
-def homology_dim(c: ComplexWindow, i: int) -> int:
-    """dim ker(d^i) - rank(d^{i-1}); needs lo < i < hi."""
-    if not c.lo < i < c.hi:
-        raise ComplexError(f"homology at {i} needs interior degree of "
-                           f"[{c.lo}, {c.hi}]")
-    return homology_at([t.dim for t in c.terms], [d.mat for d in c.diffs],
-                       i - c.lo)
-
-
 def is_exact(c: ComplexWindow) -> bool:
     return _first_inexact(
         c, ([t.dim for t in c.terms], [d.mat for d in c.diffs])) is None

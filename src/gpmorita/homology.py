@@ -12,9 +12,10 @@ off without a search: `split_projective_summands` reads the copies of
 each A e_b off the rank of a pairing, and a nonsingular minor of that
 pairing is the split.  The left self-injective dimension id(_A A)
 (`self_injective_dimension`) is kept per algebra: it bounds how far from
-its end a window of projectives needs its Hom(-, A) complex.  The Gorenstein dimension d = id(_A A) = id(A_A)
-(`gorenstein_dimension`) is kept per algebra too: a module is
-Gorenstein-projective exactly when Ext^i(-, A) vanishes for 1 <= i <= d.
+its end a window of projectives needs its Hom(-, A) complex.  The
+Gorenstein dimension d = id(_A A) = id(A_A) (`gorenstein_dimension`) is
+kept per algebra too: a module is Gorenstein-projective exactly when
+Ext^i(-, A) vanishes for 1 <= i <= d.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 from .algebra import Algebra, frobenius_form, memo, opposite_algebra, radical_basis
 from .bimodules import balanced_tensor_space
-from .idempotents import indecomposable_projectives
+from .idempotents import primitive_idempotents
 from .linalg import (Mat, coordinates, in_row_space, left_kernel, quotient_maps, rank,
                      row_space, rref, solve_left)
 from .modules import (
@@ -34,14 +35,17 @@ from .modules import (
 
 @memo
 def _block_reps(a: Algebra):
-    """One (module, inclusion, idempotent, block) per block of A/rad."""
-    seen = set()
-    reps = []
-    for item in indecomposable_projectives(a):
-        if item[3] not in seen:
-            seen.add(item[3])
-            reps.append(item)
-    return reps
+    """One (module, inclusion, idempotent, block) per block of A/rad: A*e
+    for the block's first primitive idempotent e, named by e's index among
+    all of them."""
+    reg = regular_module(a)
+    reps = {}
+    for k, (e, blk) in enumerate(primitive_idempotents(a)):
+        if blk not in reps:
+            mod, incl = submodule_from_rows(reg, row_space(a.rmul_of(e)),
+                                            name=f"P(e{k})")
+            reps[blk] = (mod, incl, e, blk)
+    return list(reps.values())
 
 
 @memo
@@ -215,7 +219,6 @@ class Resolution:
     maps: list[ModuleHom]        # maps[j]: P_{j+1} -> P_j
     aug: ModuleHom               # P_0 -> module
     syzygies: list[FDModule]     # ker(aug), ker(d_1), ...
-    finished: bool               # resolution terminated within the window
 
     def window(self):
         """P_n -> ... -> P_0 as a window, P_j in degree -j (index n - j)."""
@@ -232,7 +235,6 @@ def minimal_resolution(x: FDModule, length: int) -> Resolution:
     terms.append(P0)
     cur_ker, cur_incl = kernel_of(aug)
     syzygies.append(cur_ker)
-    finished = cur_ker.dim == 0
     for _ in range(length):
         if cur_ker.dim == 0:
             z = zero_module(x.algebra)
@@ -245,9 +247,7 @@ def minimal_resolution(x: FDModule, length: int) -> Resolution:
         maps.append(cov.then(cur_incl))
         cur_ker, cur_incl = kernel_of(cov)
         syzygies.append(cur_ker)
-        if cur_ker.dim == 0:
-            finished = True
-    return Resolution(x, terms, maps, aug, syzygies, finished)
+    return Resolution(x, terms, maps, aug, syzygies)
 
 
 def projective_dimension(x: FDModule, bound: int) -> int | None:

@@ -3,7 +3,11 @@
 Route: radical quotient -> central idempotents of the semisimple quotient
 (splitting minimal polynomials of central elements) -> one minimal left
 ideal per block and a decomposition of the block's regular module ->
-projections give primitive idempotents -> lift through the radical.
+projections give primitive idempotents -> lift through the radical by
+the Newton step x -> 3x^2 - 2x^3, which stops at its fixed point, the
+first x with x^2 = x, within dim.bit_length() + 1 steps: the defect
+x^2 - x starts in rad and after t steps lies in rad^(2^t), while
+rad^dim = 0.
 Every product is a matrix product (a row times R_x, or (E (x) E) @ consts);
 the polynomials serve only to find roots.
 
@@ -23,8 +27,7 @@ import random
 from fractions import Fraction
 
 from .algebra import (
-    Algebra, AlgebraError, corner_algebra, nilpotency_index, quotient_algebra,
-    radical_basis,
+    Algebra, AlgebraError, corner_algebra, quotient_algebra, radical_basis,
 )
 from .fields import Field
 from .linalg import (
@@ -221,11 +224,6 @@ def _krylov(a: Algebra, el: list, unit: list | None = None) -> tuple[Mat, list]:
         k = Mat.vstack([k, nxt])
 
 
-def element_min_poly(a: Algebra, el: list, unit: list | None = None) -> list:
-    """Minimal polynomial of `el` in the (corner) algebra with the given unit."""
-    return _krylov(a, el, unit)[1]
-
-
 def _check_idempotents(a: Algebra, es: list[list], what: str) -> None:
     """Raise unless `es` are orthogonal idempotents that sum to 1: row
     i*k + j of (E (x) E) @ consts is delta_ij e_i, and 1 @ E is the unit."""
@@ -302,8 +300,7 @@ def _singular_candidates(b: Algebra):
                 yield e
     for i in range(b.dim):
         el = b.basis_el(i)
-        mp = element_min_poly(b, el)
-        roots, _ = linear_roots(F, mp)
+        roots, _ = linear_roots(F, _krylov(b, el)[1])
         for lam in roots:
             yield [F.sub(x, F.mul(lam, u)) for x, u in zip(el, b.unit)]
     rng = random.Random(0)
@@ -433,8 +430,6 @@ def primitive_idempotents(a: Algebra) -> list[tuple[list, int]]:
     section = solve_left(proj, Mat.identity(F, ss.dim))
     assert section is not None
     bars = primitive_idempotents_semisimple(ss)
-    # radical nilpotency index bounds the lifting iterations
-    iters = max(1, (nilpotency_index(a, rad) - 1).bit_length() + 1)
     lifted: list[tuple[list, int]] = []
     comp = Mat.from_rows(F, [a.unit], a.dim)    # 1 - the idempotents so far
     for k, (ebar, blk) in enumerate(bars):
@@ -443,25 +438,16 @@ def primitive_idempotents(a: Algebra) -> list[tuple[list, int]]:
             # comp x comp, then the Newton step x -> 3x^2 - 2x^3
             x = Mat.from_rows(F, [ebar], ss.dim) @ section
             e = comp @ a.rmul_of(x.row(0)) @ a.rmul_of(comp.row(0))
-            for _ in range(iters):
+            # an idempotent is the step's fixed point; the module docstring
+            # proves the bound
+            for _ in range(a.dim.bit_length() + 1):
                 r = a.rmul_of(e.row(0))
                 e2 = e @ r
+                if e2 == e:
+                    break
                 e = e2.scale(3).sub((e2 @ r).scale(2))
         lifted.append((e.row(0), blk))
         comp = comp.sub(e)
     _check_idempotents(a, [e for e, _ in lifted], "lifted idempotents")
     return lifted
 
-
-def indecomposable_projectives(a: Algebra):
-    """One projective module A*e per primitive idempotent, with block tags.
-
-    Returns a list of (module, inclusion-into-regular, idempotent, block).
-    """
-    reg = regular_module(a)
-    out = []
-    for e, blk in primitive_idempotents(a):
-        rows = row_space(a.rmul_of(e))
-        mod, incl = submodule_from_rows(reg, rows, name=f"P(e{len(out)})")
-        out.append((mod, incl, e, blk))
-    return out

@@ -476,7 +476,7 @@ def certificate_from_json(a: Algebra, obj) -> GPCertificate:
             maps = [ModuleHom(terms[k + 1], terms[k], mat(d))
                     for k, d in enumerate(rmaps)]
             aug = ModuleHom(terms[0], module, mat(raug))
-            resolution = Resolution(module, terms, maps, aug, [], False)
+            resolution = Resolution(module, terms, maps, aug, [])
         wsteps = wget("steps", list, None)
         if wsteps is not None:
             steps = []

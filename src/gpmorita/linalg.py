@@ -701,13 +701,6 @@ def row_space(m: Mat) -> Mat:
     return R
 
 
-def image_basis(m: Mat) -> Mat:
-    """Basis of the column space: the pivot columns of m, kept verbatim."""
-    _, piv = rref(m.transpose())
-    # pivot columns of m are the pivot "rows" of m^T
-    return _select(m.field, [[r[c] for c in piv] for r in m._ints], m._den, len(piv))
-
-
 def solve(a: Mat, b: Mat) -> Mat | None:
     """One exact solution x of a @ x = b, or None if inconsistent."""
     if a.field != b.field:

@@ -138,7 +138,7 @@ def per_place_certificate_from_json(a, obj) -> GPCertificate:
             maps = [ModuleHom(terms[k + 1], terms[k], mat_from_json(F, d))
                     for k, d in enumerate(rmaps)]
             aug = ModuleHom(terms[0], module, mat_from_json(F, raug))
-            resolution = Resolution(module, terms, maps, aug, [], False)
+            resolution = Resolution(module, terms, maps, aug, [])
         wsteps = wget("steps", list, None)
         if wsteps is not None:
             steps = []

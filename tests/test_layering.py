@@ -1,4 +1,4 @@
-"""Twenty-three layering rules of the package, checked on its source.
+"""Twenty-four layering rules of the package, checked on its source.
 
 Only `linalg` sees matrix entries: no other module reads or writes a
 `.data` attribute or the integer storage behind it, so the storage can
@@ -58,7 +58,10 @@ itself, for the pieces of a sum into a target other than A.
 One number, `homology.gorenstein_dimension`, decides the certifier's
 path: `gpcert` asks no other proof of it (`global_dimension`,
 `is_self_injective`), and `complexes` reads the self-injective dimension
-alone, never a Frobenius form of its own.
+alone, never a Frobenius form of its own.  The primitive idempotents of an
+algebra are found in one place, `homology._block_reps`, which builds the
+projective of each block from them, and their lifting stops at its fixed
+point: no module names a radical's `nilpotency_index`.
 """
 from __future__ import annotations
 
@@ -526,3 +529,27 @@ def test_one_gorenstein_dimension_decides():
                 if (node.id if isinstance(node, ast.Name) else node.attr) in names:
                     hits.append(f"{name}:{node.lineno}")
     assert not hits, f"a proof of the dimension outside homology: {hits}"
+
+
+# the one caller of the idempotent search, and the bound it no longer needs
+IDEMPOTENT_CALLER = ("homology.py", "_block_reps")
+LIFTING_BOUND = "nilpotency_index"
+
+
+def test_only_block_reps_finds_idempotents():
+    hits = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        name = os.path.basename(path)
+        tree = _tree(name)
+        inside = _enclosing(tree, name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and _called(node) == "primitive_idempotents"
+                    and inside.get(id(node)) != IDEMPOTENT_CALLER):
+                hits.append(f"{name}:{node.lineno} calls primitive_idempotents")
+            named = (node.id if isinstance(node, ast.Name)
+                     else node.attr if isinstance(node, ast.Attribute)
+                     else node.name if isinstance(node, (ast.FunctionDef, ast.alias))
+                     else None)
+            if named == LIFTING_BOUND:
+                hits.append(f"{name}:{getattr(node, 'lineno', '?')} names {named}")
+    assert not hits, f"an idempotent search outside _block_reps, or its bound: {hits}"

@@ -16,9 +16,9 @@ from gpmorita.catalog import (
 )
 from gpmorita.fields import GF, QQ, Field, FieldMismatch, FieldSpec
 from gpmorita.linalg import (
-    Mat, NonCanonicalBasis, coordinates, image_basis, in_row_space,
-    is_injective, is_surjective, kernel_basis, left_kernel, rank,
-    row_space, solve, solve_left,
+    Mat, NonCanonicalBasis, coordinates, in_row_space, is_injective,
+    is_surjective, kernel_basis, left_kernel, rank, row_space, solve,
+    solve_left,
 )
 from gpmorita.modules import direct_sum, regular_module
 
@@ -202,14 +202,6 @@ def test_left_kernel():
     lk = left_kernel(m)
     assert lk.rows == 1
     assert (lk @ m).is_zero()
-
-
-def test_image_basis_picks_original_columns():
-    F = QQ()
-    m = Mat.from_rows(F, [[1, 2, 3], [0, 0, 1]])
-    ib = image_basis(m)
-    assert ib.cols == 2
-    assert [row[0] for row in ib.data] == [F.of_int(1), F.of_int(0)]
 
 
 def test_solutions_and_injectivity_flags():

@@ -71,7 +71,7 @@ An algebra's product is one n^2 x n matrix, `consts`, and the block rings
 are glued from tables by `glued_algebra`.  The parent's nested table, its
 per-element `multiply` and action matrices, the associativity and unit
 loops of `validate_algebra`, the loops of `generating_subset`,
-`nilpotency_index`, `corner_algebra` and `quotient_algebra`, and the
+`corner_algebra` and `quotient_algebra`, and the
 per-element transcriptions of `build_ring`, `trivial_extension` and
 `build_nc_tensor` are kept below as oracles.  Over Q, GF(7) and GF(5) the
 structure constants must be equal on every catalog algebra, its opposite,
@@ -107,8 +107,8 @@ import pytest
 from gpmorita import linalg
 from gpmorita.algebra import (
     Algebra, AlgebraError, UnsupportedField, Violation, corner_algebra,
-    generating_subset, ideal_closure, nilpotency_index, opposite_algebra,
-    quotient_algebra, radical_basis, trace_form, validate_algebra,
+    generating_subset, ideal_closure, opposite_algebra, quotient_algebra,
+    radical_basis, trace_form, validate_algebra,
 )
 from gpmorita.bimodules import (
     BalancedMap, Bimodule, BimoduleError, TensorModule, TensorSpace,
@@ -1666,23 +1666,6 @@ def _loop_generating_subset(a: _LoopAlgebra) -> list[int]:
     return gens
 
 
-def _loop_nilpotency_index(a: _LoopAlgebra, rows: Mat, cap: int | None = None) -> int | None:
-    cap = cap if cap is not None else a.dim + 1
-    cur = row_space(rows)
-    m = 1
-    while cur.rows:
-        if m > cap:
-            return None
-        prods = []
-        for i in range(cur.rows):
-            for j in range(rows.rows):
-                prods.append(a.multiply(cur.row(i), rows.row(j)))
-        cur = row_space(Mat.from_rows(a.field, prods, a.dim)) if prods else \
-            Mat.zeros(a.field, 0, a.dim)
-        m += 1
-    return m
-
-
 def _loop_products_in(a: _LoopAlgebra, basis: Mat, what: str) -> list:
     q = basis.rows
     prods = Mat.from_rows(a.field, [a.multiply(basis.row(i), basis.row(j))
@@ -1911,7 +1894,7 @@ def test_product_tables_match_the_nested_loops(field):
     """Every catalog algebra (corners and context rings included), its
     opposite, its corners at idempotent basis elements and its radical
     quotient have the parent's structure constants, and so do their
-    products of elements, generating sets and radical nilpotency."""
+    products of elements and generating sets."""
     F = THREE_FIELDS[field]()
     rng = random.Random(3)
     quotients = 0
@@ -1931,7 +1914,6 @@ def test_product_tables_match_the_nested_loops(field):
             rad = radical_basis(a)
         except UnsupportedField:
             continue
-        assert nilpotency_index(a, rad) == _loop_nilpotency_index(old, rad)
         new_q, new_proj = quotient_algebra(a, rad)
         old_q, old_proj = _loop_quotient_algebra(old, rad)
         _same_table(new_q, old_q)

@@ -25,7 +25,10 @@ x^2 = x, within dim.bit_length() + 1 steps.  The parent ran
 index is kept below as `_old_nilpotency_index`, from which the oracle
 takes its round count.  The cases also include k[x]/(x^6), whose
 radical asks for 4 rounds by that count, the most of any case, the ring of
-T2(k[x]/(x^3)), which asks for 3, and a rebased copy of each.
+T2(k[x]/(x^3)), which asks for 3, and a rebased copy of each.  On the
+same algebras and their opposites over Q, GF(11) and GF(4099), the bound
+itself is checked: the defect after t steps lies in rad^(2^t), and the
+radical's index, by `_old_nilpotency_index`, is at most dim.
 """
 from __future__ import annotations
 
@@ -34,8 +37,8 @@ import random
 import pytest
 
 from gpmorita.algebra import (
-    Algebra, AlgebraError, corner_algebra, opposite_algebra, quotient_algebra,
-    radical_basis,
+    Algebra, AlgebraError, UnsupportedField, corner_algebra, opposite_algebra,
+    quotient_algebra, radical_basis,
 )
 from gpmorita.catalog import (
     arrow_ideal_context, field_algebra, full_context, glued_psi_context,
@@ -48,7 +51,7 @@ from gpmorita.idempotents import (
     SplitError, _minimal_left_ideal, _poly_trim, center_rows, linear_roots,
     primitive_idempotents,
 )
-from gpmorita.linalg import Mat, rank, row_space, solve_left
+from gpmorita.linalg import Mat, in_row_space, rank, row_space, solve_left
 from gpmorita.modules import hom_space, regular_module
 from gpmorita.morita import build_ring
 
@@ -300,3 +303,44 @@ def test_primitive_idempotents_match_the_per_element_code(field):
                 assert repr(_outcome(primitive_idempotents, corner)) == \
                     repr(_outcome(_old_primitive_idempotents, corner))
     assert compared
+
+
+@pytest.mark.parametrize("field", ["Q", "GF11", "GF4099"])
+def test_the_newton_defect_lies_in_the_radical_to_the_power_two_to_the_t(field):
+    """The bound of the lifting loop.  For x = e + r, e a lifted primitive
+    idempotent and r a radical basis row, the defect x^2 - x after t Newton
+    steps lies in rad^(2^t); rad^dim = 0, with the nilpotency index of
+    `_old_nilpotency_index`; so x^2 = x within dim.bit_length() steps."""
+    F = FIELDS[field]()
+    most = 0
+    for alg in _algebras(F) + _deep_radicals(F):
+        for a in (alg, opposite_algebra(alg)):
+            try:
+                rad = radical_basis(a)
+            except UnsupportedField:
+                continue
+            idems = _outcome(primitive_idempotents, a)
+            if rad.rows == 0 or isinstance(idems, tuple):
+                continue
+            powers = [row_space(rad)]    # powers[k] spans rad^(k+1)
+            while powers[-1].rows:
+                powers.append(row_space(powers[-1].kron(rad) @ a.consts))
+            assert len(powers) == _old_nilpotency_index(a, rad) <= a.dim
+            for e, _ in idems:
+                for i in {0, rad.rows - 1}:
+                    x = [F.add(u, v) for u, v in zip(e, rad.row(i))]
+                    for t in range(a.dim.bit_length() + 1):
+                        x2 = a.multiply(x, x)
+                        defect = [F.sub(u, v) for u, v in zip(x2, x)]
+                        if all(F.is_zero(c) for c in defect):
+                            break
+                        assert 2 ** t < len(powers)
+                        assert in_row_space(powers[2 ** t - 1],
+                                            Mat.from_rows(F, [defect], a.dim))
+                        x3 = a.multiply(x2, x)
+                        x = [F.sub(F.mul(F.of_int(3), u), F.mul(F.of_int(2), v))
+                             for u, v in zip(x2, x3)]
+                    else:
+                        raise AssertionError(f"{a.name}: no fixed point")
+                    most = max(most, t)
+    assert most == 3

@@ -31,9 +31,17 @@ print one JSON line per case.
   periodic certificate of Z_A(S) over T2(k[x]/(x^n)), n = 2 to 5: the
   ring has no nondegenerate form, so the checker builds the window's
   Hom(-, A) complex
-- structure: `_block_reps` of the ring of T2(k[x]/(x^8)), cold: its
-  radical, the lifting of its idempotents (each stops at its fixed point)
-  and one projective A*e per block
+- structure: `_block_reps` of the ring of T2(k[x]/(x^8)), cold, by the
+  corner path: the idempotents of its corner k[x]/(x^8) (searched once,
+  as A and B are one algebra, whose radical also serves the check of
+  psi), padded into the ring and checked there, and one projective A*e
+  per block; the ring's own radical is left to its first reader
+- structure_op: `_block_reps` of the opposite of that ring, run right
+  after the ring's own: it reads the ring's idempotents and builds its
+  projectives
+- structure_generic: `_block_reps` of the ring of full_context(k[x]/(x^4))
+  (dimension 16), cold: psi is onto, so the corner path does not apply
+  and the idempotents are searched on the ring itself
 
 Every case builds its algebra afresh, so no memo carries over from an
 earlier case or repeat.  "seconds" is the minimum over the repeats of the
@@ -46,8 +54,8 @@ Run from the repository root:
     python3 scripts/scale_ladder.py [--repeat N] [--case NAME]
 
 NAME is one of hom, certify, certify_strip, certify_split, certify_reach,
-checker, assembly, generalN, checker_generalN and structure; without
---case every case runs.
+checker, assembly, generalN, checker_generalN, structure, structure_op and
+structure_generic; without --case every case runs.
 """
 from __future__ import annotations
 
@@ -60,8 +68,10 @@ from functools import partial
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from gpmorita.algebra import opposite_algebra
 from gpmorita.catalog import (
-    nakayama, simple_at_idempotent, simple_kx2, triangular_over, truncated_poly,
+    full_context, nakayama, simple_at_idempotent, simple_kx2, triangular_over,
+    truncated_poly,
 )
 from gpmorita.engine import (
     build_total_resolution, check_conditions, identity_extension,
@@ -182,6 +192,20 @@ def structure_case(F):
     return {"seconds": secs, "blocks": len(reps), "ring_dim": ring.dim}
 
 
+def structure_op_case(F):
+    ring = build_ring(triangular_over(truncated_poly(F, 8))).ring
+    _block_reps(ring)
+    op = opposite_algebra(ring)
+    reps, secs = _timed(lambda: _block_reps(op))
+    return {"seconds": secs, "blocks": len(reps), "ring_dim": op.dim}
+
+
+def structure_generic_case(F):
+    ring = build_ring(full_context(truncated_poly(F, 4))).ring
+    reps, secs = _timed(lambda: _block_reps(ring))
+    return {"seconds": secs, "blocks": len(reps), "ring_dim": ring.dim}
+
+
 CASES = {"hom": hom_case, "certify": certify_case,
          "certify_strip": certify_strip_case, "certify_split": certify_split_case,
          "certify_reach": certify_reach_case,
@@ -190,7 +214,8 @@ CASES = {"hom": hom_case, "certify": certify_case,
          **{f"general{n}": partial(general_case, n=n) for n in range(2, 9)},
          **{f"checker_general{n}": partial(checker_general_case, n=n)
             for n in range(2, 6)},
-         "structure": structure_case}
+         "structure": structure_case, "structure_op": structure_op_case,
+         "structure_generic": structure_generic_case}
 
 
 def main(argv=None) -> int:

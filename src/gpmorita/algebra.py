@@ -113,6 +113,9 @@ class Algebra:
     # computed, and a dataclasses.replace copy starts with none
     _cache: dict = dc_field(default_factory=dict, init=False, repr=False,
                             compare=False)
+    # the parts `homology._block_reps` reads idempotents from, set by their builders
+    opposite_of: Algebra | None = dc_field(default=None, init=False, repr=False, compare=False)
+    morita_context: object = dc_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.dim
@@ -202,6 +205,7 @@ def opposite_algebra(a: Algebra) -> Algebra:
     swapped.  Cached both ways, so it is an involution on instances."""
     op = Algebra(a.field, a.dim, a.consts.swap_factors(a.dim, a.dim), a.unit[:],
                  name=f"{a.name}^op" if a.name else "op")
+    op.opposite_of = a
     opposite_algebra.put(a, op)
     return op
 

@@ -4,8 +4,11 @@ dimensions over a split finite-dimensional algebra.
 Right modules enter every signature as left modules over the opposite
 algebra; duals swap the sides by transposing all action matrices.
 Nothing here takes a seed: these are facts about the algebra, and the
-idempotents behind them draw from one fixed stream (see `idempotents`),
-so each algebra keeps one set of block representatives.  Projectivity
+idempotents behind them are read from the parts it was built from (an
+opposite's original; a context ring's A and B, when psi and phi land in
+their radicals, Sands' hypothesis; a one-dimensional algebra's unit) or
+drawn from one fixed stream (see `idempotents`), so each algebra keeps
+one set of block representatives, whichever is asked first.  Projectivity
 is counted, not found: `is_projective` counts the copies of each A e_b in
 the projective cover without building it.  Projective summands are split
 off without a search: `split_projective_summands` reads the copies of
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 from .algebra import Algebra, frobenius_form, memo, opposite_algebra, radical_basis
 from .bimodules import balanced_tensor_space
-from .idempotents import primitive_idempotents
+from .idempotents import _check_idempotents, primitive_idempotents
 from .linalg import (Mat, coordinates, in_row_space, left_kernel, quotient_maps, rank,
                      row_space, rref, solve_left)
 from .modules import (
@@ -37,15 +40,46 @@ from .modules import (
 def _block_reps(a: Algebra):
     """One (module, inclusion, idempotent, block) per block of A/rad: A*e
     for the block's first primitive idempotent e, named by e's index among
-    all of them."""
+    all of them.  The idempotents are read from the parts a was built from,
+    never back, and checked: an opposite `opposite_algebra(b)` takes b's
+    list, as e A^op e = (e A e)^op; a ring from `morita.build_ring` whose
+    psi lands in rad A, and so phi in rad B, takes A's, then B's, padded,
+    B's blocks after A's, as then rad = [[rad A, N], [M, rad B]]
+    (A. D. Sands, J. Algebra 24, 1973); a one-dimensional algebra takes its
+    unit.  Every other algebra is searched (`primitive_idempotents`)."""
+    ctx = a.morita_context
+    idems = [(a.unit, 0)] if a.dim == 1 else None
+    if a.opposite_of is not None:
+        idems = _idempotents(a.opposite_of)
+    elif ctx is not None:
+        if 0 < a.field.characteristic <= a.dim:
+            radical_basis(a)    # raises UnsupportedField, as the search would
+        # psi in rad A is enough: (im phi)^(k+1) is in phi(M (x) (im psi)^k N)
+        if in_row_space(radical_basis(ctx.A), ctx.psi.mat):
+            ea, z = _idempotents(ctx.A), [a.field.zero()]
+            shift = len({b for _, b in ea})
+            idems = [(e + z * (a.dim - ctx.A.dim), b) for e, b in ea] + [
+                (z * (a.dim - ctx.B.dim) + f, b + shift) for f, b in _idempotents(ctx.B)]
+    if idems is None:
+        idems = primitive_idempotents(a)
+    else:
+        _check_idempotents(a, [e for e, _ in idems], "derived idempotents")
+    _idempotents.put(idems, a)
     reg = regular_module(a)
     reps = {}
-    for k, (e, blk) in enumerate(primitive_idempotents(a)):
+    for k, (e, blk) in enumerate(idems):
         if blk not in reps:
             mod, incl = submodule_from_rows(reg, row_space(a.rmul_of(e)),
                                             name=f"P(e{k})")
             reps[blk] = (mod, incl, e, blk)
     return list(reps.values())
+
+
+@memo
+def _idempotents(a: Algebra) -> list[tuple[list, int]]:
+    """The (idempotent, block) list `_block_reps(a)` reads its reps from."""
+    _block_reps(a)
+    return _idempotents.get(a)
 
 
 @memo

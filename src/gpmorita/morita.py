@@ -202,6 +202,7 @@ def build_ring(ctx: MoritaContext) -> MoritaRing:
         (2, 0): (2, right_table(M)), (2, 1): (3, ctx.phi.mat),
         (3, 3): (3, B.consts), (3, 2): (2, left_table(M)),
     }, unit, name=ctx.name or "Lambda")
+    ring.morita_context = ctx
     return MoritaRing(ctx, ring, offs, e1, e2)
 
 

@@ -752,3 +752,22 @@ def test_a_period_two_simple_builds_two_embeddings_and_no_left_resolution(
         assert resolutions == []
         counts[window] = len(covers)
     assert counts == {3: 0, 6: 0}
+
+
+@pytest.mark.parametrize("F", [QQ(), GF(7)], ids=["Q", "GF7"])
+@pytest.mark.parametrize("window", [2, 3, 4])
+def test_z_a_of_the_simple_over_t2_dual_numbers_certifies_with_period_one(F, window):
+    # (k, 0) over T2(k[x]/(x^2)), alone and with each block projective of
+    # the ring added: the general path's two-sided probe once cost seconds
+    # here and exceeded the budget past window 2; the ring's projectives
+    # come from its corners
+    r = truncated_poly(F, 2)
+    ctx = triangular_over(r)
+    mr = build_ring(ctx)
+    za = quadruple_to_module(mr, z_a(ctx, simple_kx2(r)))
+    projs = [rep[0] for rep in _block_reps(mr.ring)]
+    assert len(projs) == 2
+    for x in [za] + [direct_sum([za, p])[0] for p in projs]:
+        cert = certify_gorenstein_projective(x, window=window, dim_budget=600)
+        assert (cert.verdict, cert.period) == ("gp", 1), (cert.verdict, cert.reason)
+        assert verify_certificate(cert, x) == []

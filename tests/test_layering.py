@@ -1,4 +1,4 @@
-"""Twenty-four layering rules of the package, checked on its source.
+"""Twenty-five layering rules of the package, checked on its source.
 
 Only `linalg` sees matrix entries: no other module reads or writes a
 `.data` attribute or the integer storage behind it, so the storage can
@@ -61,7 +61,10 @@ path: `gpcert` asks no other proof of it (`global_dimension`,
 alone, never a Frobenius form of its own.  The primitive idempotents of an
 algebra are found in one place, `homology._block_reps`, which builds the
 projective of each block from them, and their lifting stops at its fixed
-point: no module names a radical's `nilpotency_index`.
+point: no module names a radical's `nilpotency_index`.  What an algebra
+was built from is recorded by its builder and read by `_block_reps` alone:
+a ring's context is written by `morita.build_ring`, and an opposite's
+original by `algebra.opposite_algebra`.
 """
 from __future__ import annotations
 
@@ -553,3 +556,25 @@ def test_only_block_reps_finds_idempotents():
             if named == LIFTING_BOUND:
                 hits.append(f"{name}:{getattr(node, 'lineno', '?')} names {named}")
     assert not hits, f"an idempotent search outside _block_reps, or its bound: {hits}"
+
+
+# the record of what an algebra was built from: attribute -> (writer, reader)
+PARTS_RECORDS = {
+    "morita_context": (("morita.py", "build_ring"), ("homology.py", "_block_reps")),
+    "opposite_of": (("algebra.py", "opposite_algebra"), ("homology.py", "_block_reps")),
+}
+
+
+def test_the_parts_records_have_one_writer_and_one_reader():
+    hits = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        name = os.path.basename(path)
+        tree = _tree(name)
+        inside = _enclosing(tree, name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in PARTS_RECORDS:
+                writer, reader = PARTS_RECORDS[node.attr]
+                where = writer if isinstance(node.ctx, ast.Store) else reader
+                if inside.get(id(node)) != where:
+                    hits.append(f"{name}:{node.lineno} {node.attr}")
+    assert not hits, f"a parts record written or read outside its one place: {hits}"

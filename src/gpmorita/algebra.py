@@ -241,7 +241,18 @@ def generating_subset(a: Algebra) -> list[int]:
     Intertwiner computations and the module laws only need constraints
     for a generating set, which keeps the linear systems small.  Memoized
     on a; callers only read the list.
+
+    An algebra of dim <= 1 needs none: its unit spans it.  The unital
+    subalgebra generated by some basis elements is the same subspace of
+    a and of its opposite, so the scan picks the same list in both, and
+    a list already kept on the opposite is reused.
     """
+    if a.dim <= 1:
+        return []
+    op = opposite_algebra.get(a)
+    gens = None if op is None else generating_subset.get(op)
+    if gens is not None:
+        return gens
     F = a.field
     span = row_space(Mat.from_rows(F, [a.unit], a.dim))
     gens: list[int] = []

@@ -285,13 +285,18 @@ def minimal_resolution(x: FDModule, length: int) -> Resolution:
 
 
 def projective_dimension(x: FDModule, bound: int) -> int | None:
-    if x.dim == 0:
-        return 0
-    res = minimal_resolution(x, bound)
-    for j, s in enumerate(res.syzygies):
-        if s.dim == 0:
-            return j
-    return None
+    """The least n <= bound with the syzygy Omega^n x projective, or None.
+    In a minimal resolution Omega^n is projective iff Omega^(n+1) = 0, so
+    the count stops at the first syzygy `is_projective` accepts and builds
+    no cover of it."""
+    n = 0
+    while x.dim and not is_projective(x):
+        if n >= bound:
+            return None
+        _, cover = projective_cover(x)
+        x, _ = kernel_of(cover)
+        n += 1
+    return n
 
 
 def ext_dim(x: FDModule, y: FDModule, i: int) -> int:

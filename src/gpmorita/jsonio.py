@@ -3,7 +3,10 @@
 A problem file is self-contained: a field spec plus named algebras,
 modules, bimodules, balanced maps, contexts, trivial-extension
 declarations, quadruples and complexes.  Names are resolved eagerly and
-every referenced object is validated before any command runs.  Reports
+every referenced object is validated before any command runs.  A
+quadruple is checked on its maps f and g as the file gives them, on the
+full k-tensor spaces, and its balanced tensors are built when a command
+first names it (`Problem.named`).  Reports
 are emitted with sorted keys and no volatile content, so identical input
 and seed give byte-identical output.
 
@@ -38,7 +41,7 @@ from .homology import Resolution
 from .linalg import Mat
 from .modules import FDModule, ModuleError, ModuleHom, validate_module
 from .morita import (
-    ContextError, MoritaContext, make_quadruple, validate_context,
+    MoritaContext, QuadrupleMaps, build_quadruple, validate_context,
     validate_quadruple,
 )
 from .trivext import ExtensionError, recognize_trivial_extension
@@ -145,11 +148,19 @@ def mat_from_json(F: Field, obj) -> Mat:
     if len(entries) != rows * cols:
         raise InputError("matrix entry count does not match its shape")
     try:
-        vals = [F.parse(x) for x in entries]
+        return _read_rows(F, [entries[i * cols:(i + 1) * cols] for i in range(rows)],
+                          cols)
     except ValueError as e:
         raise InputError(f"malformed matrix: {e}")
-    data = [vals[i * cols:(i + 1) * cols] for i in range(rows)]
-    return Mat(F, data, cols)
+
+
+def _read_rows(F: Field, rows: list[list], cols: int) -> Mat:
+    """The matrix with the given rows of JSON scalars.  Rows of plain ints,
+    as most files hold, go straight into integer storage; any other entry
+    is read by F.parse, which refuses true and false."""
+    if all(type(x) is int for row in rows for x in row):
+        return Mat.from_ints(F, rows, cols)
+    return Mat(F, [[F.parse(x) for x in row] for row in rows], cols)
 
 
 # -- named objects ---------------------------------------------------------------
@@ -171,8 +182,7 @@ def algebra_from_json(F: Field, obj, name: str) -> Algebra:
         if not isinstance(dim, int) or len(table) != dim or any(
                 len(row) != dim for row in table):
             raise ValueError("structure constant table has wrong shape")
-        consts = Mat(F, [[F.parse(c) for c in cell] for row in table for cell in row],
-                     dim)
+        consts = _read_rows(F, [cell for row in table for cell in row], dim)
         unit = [F.parse(c) for c in obj["unit"]]
         return Algebra(F, dim, consts, unit, name=name)
     except (KeyError, TypeError, ValueError) as e:
@@ -217,7 +227,7 @@ class Problem:
     maps: dict = dc_field(default_factory=dict)
     contexts: dict = dc_field(default_factory=dict)
     extensions: dict = dc_field(default_factory=dict)
-    quadruples: dict = dc_field(default_factory=dict)
+    quadruples: dict = dc_field(default_factory=dict)     # QuadrupleMaps until named
     complexes: dict = dc_field(default_factory=dict)
     algebra_names: dict = dc_field(default_factory=dict)   # id -> name
 
@@ -227,10 +237,15 @@ class Problem:
         return self.algebras[name]
 
     def named(self, kind: str, name: str):
+        """The object of the section kind called name.  A quadruple, kept
+        as its validated maps, is built on its first access."""
         table = getattr(self, kind)
         if type(name) is not str or name not in table:
             raise InputError(f"unknown {_noun(kind)} {name!r}")
-        return table[name]
+        obj = table[name]
+        if type(obj) is QuadrupleMaps:
+            obj = table[name] = build_quadruple(obj)
+        return obj
 
 
 @contextmanager
@@ -330,10 +345,7 @@ def load_problem(doc: dict) -> Problem:
             if (m.rows, m.cols) != shape:
                 raise InputError(f"quadruple {name!r}: {which} is {m.rows}x{m.cols}, "
                                  f"not {shape[0]}x{shape[1]}")
-        try:
-            q = make_quadruple(ctx, x, y, f_full, g_full, name=name)
-        except ContextError as e:
-            raise ValidationFailure(f"quadruple {name!r} invalid: {e}") from e
+        q = QuadrupleMaps(ctx, x, y, f_full, g_full, name=name)
         bad = validate_quadruple(q)
         if bad:
             raise ValidationFailure(f"quadruple {name!r} invalid: {bad[0]}")

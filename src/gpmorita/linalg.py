@@ -50,7 +50,8 @@ zero, is recognised by one scan, so neither is ever eliminated.
 Boundary.  Field elements, `Fraction`s over Q and ints over F_p, appear
 only where matrices meet the rest of the package: `Mat(F, rows, cols)`
 and `from_rows` take them, and `row`, `to_rows`, `trace` and the
-read-only `data` return fresh ones.
+read-only `data` return fresh ones.  `from_ints` takes rows of plain
+Python ints, as a problem file gives them, straight into the storage.
 
 Convention used by the rest of the package: linear maps act on ROW
 vectors from the right, x |-> x @ M, so a map V -> W is a (dim V x dim W)
@@ -146,6 +147,22 @@ def _drop(field: Field, ints: list[list[int]], den: int) -> list[list]:
     return out
 
 
+def _row_length(data: list[list], cols: int | None) -> int:
+    """The common length of the rows of data, which must agree with cols
+    when cols is given; an empty data needs cols."""
+    if data:
+        if cols is not None and cols != len(data[0]):
+            raise ValueError("declared column count disagrees with data")
+        cols = len(data[0])
+        if len(data) > 1 and set(map(len, data)) != {cols}:
+            bad = next(i for i, row in enumerate(data) if len(row) != cols)
+            raise ValueError(f"row {bad} has {len(data[bad])} entries, "
+                             f"not {cols}")
+    elif cols is None:
+        raise ValueError("empty matrix needs an explicit column count")
+    return cols
+
+
 def _matmul_rows(a: list[list[int]], b: list[list[int]], n: int,
                  p: int | None = None) -> list[list[int]]:
     """a @ b on int rows with n columns, skipping zero entries of a; with a
@@ -167,26 +184,17 @@ class Mat:
 
     The storage belongs to this module: code outside `linalg` builds and
     reads matrices only through the methods and functions here
-    (`Mat(F, rows, cols)`, `from_rows`, `to_rows`, `row`, `data`, `trace`,
-    `block`, `from_blocks`, `reshape`, `flatten`, `swap_factors`,
-    `nonzero_rows` and the arithmetic), which take and return field elements.  The echelon form is
-    cached in `_rref`."""
+    (`Mat(F, rows, cols)`, `from_rows`, `from_ints`, `to_rows`, `row`,
+    `data`, `trace`, `block`, `from_blocks`, `reshape`, `flatten`,
+    `swap_factors`, `nonzero_rows` and the arithmetic), which take and
+    return field elements.  The echelon form is cached in `_rref`."""
 
     __slots__ = ("field", "rows", "cols", "_ints", "_den", "_rref")
 
     def __init__(self, field: Field, data: list[list], cols: int | None = None):
         """The matrix with the given rows of field elements (ints are read
         into the field).  Every row must have the same length."""
-        if data:
-            if cols is not None and cols != len(data[0]):
-                raise ValueError("declared column count disagrees with data")
-            cols = len(data[0])
-            if len(data) > 1 and set(map(len, data)) != {cols}:
-                bad = next(i for i, row in enumerate(data) if len(row) != cols)
-                raise ValueError(f"row {bad} has {len(data[bad])} entries, "
-                                 f"not {cols}")
-        elif cols is None:
-            raise ValueError("empty matrix needs an explicit column count")
+        cols = _row_length(data, cols)
         den = lcm(*{x.denominator for row in data for x in row})
         ints = [[x.numerator * (den // x.denominator) for x in row] for row in data]
         c = _canon(field, ints, den, cols)
@@ -198,6 +206,18 @@ class Mat:
     @staticmethod
     def from_rows(field: Field, rows: list[list], cols: int | None = None) -> "Mat":
         return Mat(field, rows, cols)
+
+    @staticmethod
+    def from_ints(field: Field, rows: list[list[int]], cols: int | None = None) -> "Mat":
+        """The matrix `Mat(field, rows, cols)` for rows of Python ints (no
+        bools), read straight into integer storage with no field element
+        per entry: over Q as they are, over F_p reduced mod p.  The rows
+        are copied."""
+        cols = _row_length(rows, cols)
+        p = field.p
+        ints = ([r[:] for r in rows] if p is None
+                else [[x % p for x in r] for r in rows])
+        return _wrap(field, ints, 1, cols)
 
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Mat":

@@ -7,6 +7,11 @@ maps making the two associativity squares commute.  The ring lives on
 A (+) N (+) M (+) B in that basis order.  A left module is a quadruple
 (X, Y, f: M (x) X -> Y, g: N (x) Y -> X) whose two squares commute.
 
+A quadruple read from a problem file is first a `QuadrupleMaps`, its f
+and g on the full k-tensor spaces, checked as it stands by
+`validate_quadruple` and built into a `QuadrupleModule` by
+`build_quadruple` when it is used.
+
 This module owns the objects and the equivalence (`quadruple_to_module`,
 `module_to_quadruple`).  A map of quadruples (alpha, beta) is the ring
 module map block_diag(alpha, beta) between their images under
@@ -19,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import (
-    Algebra, glued_algebra, memo, opposite_algebra, validate_algebra,
+    Algebra, generating_subset, glued_algebra, memo, opposite_algebra,
+    validate_algebra,
 )
 from .bimodules import (
     BalancedMap, Bimodule, TensorModule, hom_module, left_table,
@@ -29,7 +35,7 @@ from .bimodules import (
 from .fields import Field
 from .homology import _block_reps, indec_injectives
 from .linalg import (
-    Mat, coordinates, factor_through, rank, row_space,
+    Mat, coordinates, factor_through, intertwining_system, rank, row_space,
 )
 from .modules import (
     FDModule, ModuleHom, identity_hom, kernel_of,
@@ -237,8 +243,34 @@ class QuadrupleModule:
     def dim(self) -> int:
         return self.x.dim + self.y.dim
 
+    @property
+    def f_full(self) -> Mat:
+        """f on the full k-tensor space, M (x)_k X -> Y."""
+        return self.mx.proj @ self.f.mat
+
+    @property
+    def g_full(self) -> Mat:
+        """g on the full k-tensor space, N (x)_k Y -> X."""
+        return self.ny.proj @ self.g.mat
+
     def __repr__(self):
         return f"Quadruple({self.name or '?'}: X{self.x.dim}, Y{self.y.dim})"
+
+
+@dataclass
+class QuadrupleMaps:
+    """A quadruple as a problem file gives it, the arguments of
+    `make_quadruple`: f and g on the full k-tensor spaces.
+    `validate_quadruple` checks it as it stands, with no balanced tensor
+    built, and `build_quadruple` makes the `QuadrupleModule`."""
+    ctx: MoritaContext
+    x: FDModule                  # over A
+    y: FDModule                  # over B
+    f_full: Mat                  # M (x)_k X -> Y
+    g_full: Mat                  # N (x)_k Y -> X
+    name: str = ""
+    _cache: dict = dc_field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
 
 def make_quadruple(ctx: MoritaContext, x: FDModule, y: FDModule,
@@ -255,6 +287,16 @@ def make_quadruple(ctx: MoritaContext, x: FDModule, y: FDModule,
         raise ContextError("g does not factor through N (x)_B Y")
     return QuadrupleModule(ctx, x, y, ModuleHom(mx.module, y, f_mat[0]),
                            ModuleHom(ny.module, x, g_mat[0]), mx, ny, name=name)
+
+
+def build_quadruple(d: QuadrupleMaps) -> QuadrupleModule:
+    """The quadruple module of d, by `make_quadruple`.  A verdict of no
+    violations found on d is carried to it, as `swap_quadruple` carries
+    one, so its axioms are not checked again."""
+    q = make_quadruple(d.ctx, d.x, d.y, d.f_full, d.g_full, name=d.name)
+    if _quadruple_verdict.get(d) == []:
+        _quadruple_verdict.put([], q)
+    return q
 
 
 def swap_quadruple(q: QuadrupleModule, name: str | None = None) -> QuadrupleModule:
@@ -290,42 +332,71 @@ def phi_hom(ctx: MoritaContext, y: FDModule, ny: TensorModule,
 
 
 # message labels per side: the corner module, the structure map leaving it,
-# the algebra that map is linear over and the square it closes
-_QUADRUPLE_SIDES = (("X", "f", "B", "first"), ("Y", "g", "A", "second"))
+# the tensor it is defined on, the algebra it is linear over and the square
+# it closes
+_QUADRUPLE_SIDES = (("X", "f", "M (x)_A X", "B", "first"),
+                    ("Y", "g", "N (x)_B Y", "A", "second"))
 
 
-def validate_quadruple(q: QuadrupleModule) -> list[str]:
+def validate_quadruple(q: QuadrupleModule | QuadrupleMaps) -> list[str]:
     """The violated quadruple axioms.  The verdict is stored on q, so each
     instance is checked once; every call returns a fresh list."""
     return _quadruple_verdict(q)[:]
 
 
 @memo
-def _quadruple_verdict(q: QuadrupleModule) -> list[str]:
+def _quadruple_verdict(q: QuadrupleModule | QuadrupleMaps) -> list[str]:
     return _quadruple_violations(q)
 
 
-def _quadruple_violations(q: QuadrupleModule) -> list[str]:
-    """Each square is compared on the k-tensor space N (x)_k M (x)_k X,
-    which maps onto N (x)_B (M (x)_A X), so it holds there iff it holds on
-    the balanced tensor product.  Psi_X(n (x) m (x) x) = g(n (x) f(m (x) x))
-    lies in Im g, so the first square gives I X in Im g, that is
-    I Coker(g) = 0, and the second J Coker(f) = 0."""
-    sides = list(zip((q, swap_quadruple(q)), _QUADRUPLE_SIDES))
-    out = [f"{lab[0]}: {m}" for s, lab in sides for m in validate_module(s.x)]
+def _quadruple_violations(q: QuadrupleModule | QuadrupleMaps) -> list[str]:
+    """The axioms, each only once the ones before it hold, checked on f and
+    g as maps on the full k-tensor spaces, so a `QuadrupleMaps` is checked
+    with no balanced tensor built.  Side by side, for (X, f) and, through
+    the swap, (Y, g):
+
+    - f kills the middle relations m.a (x) x - m (x) a.x of M (x)_A X,
+      which is to say it factors through that quotient.  A
+      `QuadrupleModule` holds f factored, so only a `QuadrupleMaps` is
+      checked for this.  The relations of a generating set of A suffice,
+      M and X being modules: f kills m.(ab) (x) x - m (x) (ab).x once it
+      kills the relations of a at m and b.x and those of b at m.a and x.
+    - X obeys the module laws.
+    - f is B-linear, (L_b (x) 1_X) f = f Y_b for the generators b of B; the
+      full space maps onto the quotient, so that holds there iff it holds
+      on M (x)_A X.
+    - The square (1_N (x) f) g = Psi_X holds on N (x)_k M (x)_k X, which
+      maps onto N (x)_B (M (x)_A X), so it holds there iff it holds on the
+      balanced tensor product.  Psi_X(n (x) m (x) x) = g(n (x) f(m (x) x))
+      lies in Im g, so the first square gives I X in Im g, that is
+      I Coker(g) = 0, and the second J Coker(f) = 0."""
+    f_full, g_full = q.f_full, q.g_full
+    sides = [((q.ctx, q.x, q.y, f_full, g_full), _QUADRUPLE_SIDES[0]),
+             ((swap_context(q.ctx), q.y, q.x, g_full, f_full), _QUADRUPLE_SIDES[1])]
+    if type(q) is QuadrupleMaps:
+        for (ctx, x, _, f, _), lab in sides:
+            gens = generating_subset(ctx.A)
+            rel = intertwining_system(x.algebra.field, ctx.M.dim, x.dim,
+                                      [ctx.M.right_acts[a] for a in gens],
+                                      [x.acts[a] for a in gens])
+            if not (rel @ f).is_zero():
+                return [f"{lab[1]} does not factor through {lab[2]}"]
+    out = [f"{lab[0]}: {m}" for (_, x, *_), lab in sides for m in validate_module(x)]
     if out:
         return out
-    out = [f"{lab[1]} is not {lab[2]}-linear" for s, lab in sides
-           if not s.f.intertwines()]
+    for (ctx, x, y, f, _), lab in sides:
+        eye_x = Mat.identity(x.algebra.field, x.dim)
+        if not all(ctx.M.left_acts[b].kron(eye_x) @ f == f @ y.acts[b]
+                   for b in generating_subset(ctx.B)):
+            out.append(f"{lab[1]} is not {lab[3]}-linear")
     if out:
         return out
     # (1_N (x) f) g = Psi_X on N (x) M (x) X; on the B side
     # (1_M (x) g) f = Phi_Y on M (x) N (x) Y
-    for s, lab in sides:
-        eye_n = Mat.identity(s.x.algebra.field, s.ctx.N.dim)
-        lhs = eye_n.kron(s.mx.proj @ s.f.mat) @ (s.ny.proj @ s.g.mat)
-        if lhs != s.x.acts_of(s.ctx.psi.mat):
-            out.append(f"{lab[3]} compatibility square fails")
+    for (ctx, x, _, f, g), lab in sides:
+        eye_n = Mat.identity(x.algebra.field, ctx.N.dim)
+        if eye_n.kron(f) @ g != x.acts_of(ctx.psi.mat):
+            out.append(f"{lab[4]} compatibility square fails")
     return out
 
 
@@ -349,7 +420,7 @@ def direct_sum_quadruples(qs: list[QuadrupleModule], name: str = "") -> Quadrupl
         eye_m = Mat.identity(F, side[0].ctx.M.dim)
         full = Mat.zeros(F, eye_m.rows * src.dim, dst.dim)
         for q, prj, inc in zip(side, projs, incls):
-            part = q.mx.proj @ q.f.mat @ inc.mat     # M (x)_k X_i -> Y
+            part = q.f_full @ inc.mat     # M (x)_k X_i -> Y
             full = full.add(eye_m.kron(prj.mat) @ part)
         fulls.append(full)
     return make_quadruple(ctx, sums[0][0], sums[1][0], fulls[0], fulls[1],
@@ -368,8 +439,7 @@ def quadruple_to_module(mr: MoritaRing, q: QuadrupleModule) -> FDModule:
     dx, dy = q.x.dim, q.y.dim
     acts = []
     offA, offN, offM, offB = mr.offs
-    g_big = q.ny.proj @ q.g.mat        # N (x)_k Y -> X
-    f_big = q.mx.proj @ q.f.mat        # M (x)_k X -> Y
+    g_big, f_big = q.g_full, q.f_full
     for t in range(mr.ring.dim):
         blocks = [[None, None], [None, None]]
         if offA <= t < offA + ctx.A.dim:
@@ -530,7 +600,7 @@ def f_tilde(q: QuadrupleModule) -> ModuleHom:
     """The adjoint mate X -> Hom_B(M, Y) of f."""
     ctx = q.ctx
     target, basis = hom_module(ctx.M, q.y)
-    big = q.mx.proj @ q.f.mat       # M (x)_k X -> Y
+    big = q.f_full
     if not basis:
         return zero_hom(q.x, target)
     dM, dx = ctx.M.dim, q.x.dim
@@ -595,11 +665,10 @@ def tensor_over_ring(rq: QuadrupleModule, q: QuadrupleModule) -> int:
     F = ctx.A.field
     cx = balanced_tensor_space(rq.x, q.x)
     dy = balanced_tensor_space(rq.y, q.y)
-    g_big = q.ny.proj @ q.g.mat       # N (x)_k Y -> X
-    f_big = q.mx.proj @ q.f.mat
+    g_big, f_big = q.g_full, q.f_full
     # C (x)_k N -> D and D (x)_k M -> C, re-indexed from N (x) C and M (x) D
-    h_big = (rq.mx.proj @ rq.f.mat).swap_factors(ctx.N.dim, rq.x.dim)
-    k_big = (rq.ny.proj @ rq.g.mat).swap_factors(ctx.M.dim, rq.y.dim)
+    h_big = rq.f_full.swap_factors(ctx.N.dim, rq.x.dim)
+    k_big = rq.g_full.swap_factors(ctx.M.dim, rq.y.dim)
     eye_c, eye_d = Mat.identity(F, rq.x.dim), Mat.identity(F, rq.y.dim)
     eye_x, eye_y = Mat.identity(F, q.x.dim), Mat.identity(F, q.y.dim)
     # rows c (x) n (x) y, then d (x) m (x) x, each projected into the two

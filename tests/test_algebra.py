@@ -87,6 +87,42 @@ def test_generating_subset_small():
     assert len(generating_subset(b)) == 2
 
 
+def _catalog_algebras(F):
+    from gpmorita.catalog import (
+        arrow_ideal_context, glued_psi_context, triangular_context,
+        two_cycle_context, wide_psi_context,
+    )
+    from gpmorita.morita import build_ring
+    algs = [field_algebra(F), product_fields(F, 3), truncated_poly(F, 2),
+            truncated_poly(F, 4), path_a2(F), two_cycle_rad_square(F),
+            nakayama(F, [3, 2, 1])]
+    return algs + [build_ring(c(F)[1]).ring for c in (
+        triangular_context, two_cycle_context, glued_psi_context,
+        arrow_ideal_context, wide_psi_context)]
+
+
+def _scanned(a):
+    """generating_subset of a copy of a with no opposite on record: the
+    scan itself, with nothing to reuse."""
+    return generating_subset(Algebra(a.field, a.dim, a.consts, a.unit))
+
+
+@pytest.mark.parametrize("F", [QQ(), GF(7)], ids=["Q", "GF7"])
+def test_an_opposite_reuses_the_generating_list(F):
+    # the unital subalgebra generated by some basis elements is the same
+    # subspace of A and of A^op, so the list scanned on either side is the
+    # list of the other, whichever is asked first
+    for first_op in (False, True):
+        for a in _catalog_algebras(F):
+            op = opposite_algebra(a)
+            first, second = (op, a) if first_op else (a, op)
+            gens = generating_subset(first)
+            assert gens == _scanned(first)
+            assert generating_subset(second) is gens or a.dim <= 1
+            assert gens == _scanned(second), (a.name, first_op)
+            assert (gens == []) == (a.dim <= 1)
+
+
 def test_radical_semisimple_empty():
     r = radical_basis(product_fields(QQ(), 2))
     assert r.rows == 0

@@ -11,6 +11,12 @@ matrix.  The pieces are kept on the summands only when y is the
 algebra's one regular module, so a transient y is never kept alive by a
 long-lived summand such as a block representative.
 
+`homology.projective_dimension` stops at the first syzygy that
+`is_projective` accepts; the oracle is the old count, the first zero
+syzygy of a minimal resolution, on draws and simples over the catalog
+algebras and context rings, their first and second syzygies, at bounds
+0 to 6.
+
 The modules are the catalog algebras, their opposites and four context
 rings, over Q and GF(7): random modules drawn with `max_cuts=1` (the
 default draws are mostly projective), the simples, sums of them, duals
@@ -27,7 +33,10 @@ import pytest
 
 from gpmorita.algebra import opposite_algebra
 from gpmorita.catalog import random_module
-from gpmorita.homology import _block_reps, is_projective, projective_cover, simple_modules
+from gpmorita.homology import (
+    _block_reps, is_projective, minimal_resolution, projective_cover,
+    projective_dimension, simple_modules,
+)
 from gpmorita.modules import (
     direct_sum, direct_summands, dual_module, free_module, hom_space, kernel_of,
     regular_module,
@@ -121,3 +130,32 @@ def test_a_transient_target_is_kept_on_no_summand(field):
         del x, y, homs
         gc.collect()
         assert alive() is None, a
+
+
+def _old_projective_dimension(x, bound):
+    """The count before it stopped at a projective syzygy: the first empty
+    syzygy of a minimal resolution of length bound."""
+    if x.dim == 0:
+        return 0
+    res = minimal_resolution(x, bound)
+    for j, s in enumerate(res.syzygies):
+        if s.dim == 0:
+            return j
+    return None
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_projective_dimension_stops_at_the_first_projective_syzygy(field):
+    values = set()
+    F = FIELDS[field]()
+    for name in sorted(ALGEBRAS):
+        a = ALGEBRAS[name](F)
+        base = _draws(a, random.Random(11)) + simple_modules(a)
+        omega1 = [kernel_of(projective_cover(m)[1])[0] for m in base]
+        omega2 = [kernel_of(projective_cover(m)[1])[0] for m in omega1]
+        for x in base + omega1 + omega2:
+            for bound in range(7):
+                got = projective_dimension(_bare(x), bound)
+                assert got == _old_projective_dimension(_bare(x), bound), (a, x, bound)
+                values.add(got)
+    assert {None, 0, 1} <= values

@@ -31,8 +31,7 @@ OUT = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 def quadruple_entry(q, ctx_name, x_name, y_name):
     return {"context": ctx_name, "x": x_name, "y": y_name,
-            "f_full": mat_to_json(q.mx.proj @ q.f.mat),
-            "g_full": mat_to_json(q.ny.proj @ q.g.mat)}
+            "f_full": mat_to_json(q.f_full), "g_full": mat_to_json(q.g_full)}
 
 
 def context_doc(ext, ctx, quad_builders):

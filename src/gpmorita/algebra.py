@@ -113,7 +113,7 @@ class Algebra:
     # computed, and a dataclasses.replace copy starts with none
     _cache: dict = dc_field(default_factory=dict, init=False, repr=False,
                             compare=False)
-    # the parts `homology._block_reps` reads idempotents from, set by their builders
+    # the parts `homology._idempotents` reads idempotents from, set by their builders
     opposite_of: Algebra | None = dc_field(default=None, init=False, repr=False, compare=False)
     morita_context: object = dc_field(default=None, init=False, repr=False, compare=False)
 

@@ -27,10 +27,10 @@ from .complexes import (
 )
 from .gpcert import GPCertificate, certify_gorenstein_projective
 from .homology import injective_dimension, projective_dimension, tor_dim
-from .linalg import Mat, rank, solve
+from .linalg import Mat, rank, solve, solve_left
 from .modules import (
-    FDModule, ModuleHom, corestrict, direct_sum, image_of, is_isomorphic,
-    kernel_of, restrict_along,
+    FDModule, ModuleHom, direct_sum, is_isomorphic, kernel_of, restrict_along,
+    submodule_from_rows,
 )
 from .morita import (
     MoritaContext, QuadrupleModule, build_ring, direct_sum_quadruples,
@@ -90,10 +90,10 @@ def check_conditions(ext: TrivialExtension, ctx: MoritaContext,
     cert_f = certify_gorenstein_projective(sm.v, window, period_bound, seed)
     b1 = IsoClause("iso_b1", sm.eta.is_injective(),
                    f"M(x)Coker(g) dim {sm.eta.source.dim} vs Im(f) rank "
-                   f"{rank(q.f.mat)}")
+                   f"{rank(q.f_full)}")
     b2 = IsoClause("iso_b2", sm.theta.is_injective(),
                    f"N(x)Coker(f) dim {sm.theta.source.dim} vs Im(g)/IX rank "
-                   f"{rank((q.g.mat @ sm.p_x.mat))}")
+                   f"{rank(q.g_full @ sm.p_x.mat)}")
     b3 = IsoClause("iso_b3", sm.m_x.is_injective(),
                    f"I(x)Coker(g) dim {sm.m_x.source.dim} vs IX dim "
                    f"{sm.ix_rows.rows}")
@@ -209,6 +209,8 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
     tau^i = (1 (x) rho^i)(psi (x) 1) of Z through the I (x) P^{i+1} block
     of the g of T_Lam(P^{i+1}), and sigma^0 = [[psi (x) 1, 0], [0, 1]],
     which sends Im(g) into Z^0, as the g of T^0 without its P^0 columns.
+    Both are read on the full k-tensor spaces (`_sigma`), so no N (x) Y
+    of a T^i, and no balanced tensor of q, is built.
 
     A periodic window is built and checked over one period.  Each check
     above but the kernel's (the C3 exactness of M (x) P, I (x) P and
@@ -280,17 +282,16 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
             name=f"T^{i}"), degrees, lambda i: (pcx.term(i), qcx.term(i)))
 
     # Z window: I (x) P (+) N (x) Q with tau = (1 (x) rho)(psi (x) 1), psi (x) 1
-    # the I (x) P^{i+1} block of the g of T_Lam(P^{i+1}), whose N (x) Y is
-    # N (x) (M (x) P^{i+1}) over ctx.N; tau^i and d_Z^i once per distinct
-    # tuple of their inputs
+    # the I (x) P^{i+1} block of the g of T_Lam(P^{i+1}), descended to
+    # N (x)_B Q^i by its section; tau^i and d_Z^i once per distinct tuple of
+    # their inputs
     z_terms = per_instance(
         lambda i: direct_sum([ip_cx.term(i), nq_lam[i + span]], name=f"Z^{i}")[0],
         degrees, lambda i: (ip_cx.term(i), nq_cx.term(i)))
 
     def tau_and_dz(i):
-        tl = t_lams[i + span + 1]
-        one_rho = tensor_functor_hom(nq_tens[i + span], tl.ny, rho[i])
-        tau_i = one_rho.mat @ _g_off_p(tl, pcx.term(i + 1))
+        tau_i = nq_tens[i + span].section @ _sigma(
+            t_lams[i + span + 1], pcx.term(i + 1), rho[i])
         dz = twisted_diff(ip_cx.diff(i).mat, tau_i, nq_cx.diff(i).mat)
         return (ModuleHom(nq_lam[i + span], ip_cx.term(i + 1), tau_i),
                 ModuleHom(z_terms[i + span], z_terms[i + span + 1], dz))
@@ -302,7 +303,7 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
     zcx = ComplexWindow(-span, span, z_terms, [dz for _, dz in tau_dz])
 
     # identify ker(d_Z^0) with H = Im(g)
-    h_mod, h_incl = image_of(q.g, name="Im(g)")
+    h_mod, h_incl = submodule_from_rows(q.x, q.g_full, name="Im(g)")
     kx_z = _identify_h_with_z_kernel(ext, q, hs1, t_quads[span], pcx.term(0),
                                      zcx, h_mod, h_incl)
     # second horseshoe, over Lambda: 0 -> H -> X -> U -> 0 against Z and P
@@ -372,26 +373,27 @@ def _restrict_window(wc: ComplexWindow, lo: int, hi: int) -> ComplexWindow:
     return ComplexWindow(lo, hi, terms, diffs)
 
 
-def _g_off_p(t: QuadrupleModule, p: FDModule) -> Mat:
-    """The g of t = T_Lam(P) or T_Lam(P) (+) T_B(Q) without its P columns:
-    N (x) Y -> I (x) P or I (x) P (+) N (x) Q, psi (x) 1 on T_Lam(P)."""
-    g = t.g.mat
-    return g.block(0, g.rows, p.dim, g.cols)
+def _sigma(t: QuadrupleModule, p: FDModule, h: ModuleHom) -> Mat:
+    """1_N (x) h followed by the g of t = T_Lam(P) or T_Lam(P) (+) T_B(Q)
+    without its P columns, on N (x)_k of h's source: into I (x) P or
+    I (x) P (+) N (x) Q, psi (x) 1 on T_Lam(P)."""
+    g = t.g_full
+    return (Mat.identity(g.field, t.ctx.N.dim).kron(h.mat)
+            @ g.block(0, g.rows, p.dim, g.cols))
 
 
 def _identify_h_with_z_kernel(ext, q, hs1, t0, p0, zcx,
                               h_mod, h_incl) -> ModuleHom:
     """The canonical map Im(g) -> Z^0 onto ker(d_Z^0): delta, the kernel
     embedding of Y composed with the chain map sigma^0 = [[psi (x) 1, 0],
-    [0, 1]], factored through g corestricted onto Im(g).  sigma^0 is the g
-    of T^0 = T_Lam(P^0) (+) T_B(Q^0) without its P^0 columns: the I (x) P^0
-    block of T_Lam(P^0) is psi (x) 1, and the g of T_B(Q^0) is the
-    identity.  The corestriction has full column rank, so the factor is the
-    one candidate; the second horseshoe checks that it is injective, lands
-    in ker(d_Z^0) and is onto it, which is clause (b)'s content here."""
-    delta = (tensor_functor_hom(q.ny, t0.ny, hs1.embed).mat
-             @ _g_off_p(t0, p0))
-    h_map = solve(corestrict(q.g, h_mod, h_incl).mat, delta)
+    [0, 1]], factored through g corestricted onto Im(g), both on
+    N (x)_k Y.  sigma^0 is the g of T^0 = T_Lam(P^0) (+) T_B(Q^0) without
+    its P^0 columns: the I (x) P^0 block of T_Lam(P^0) is psi (x) 1, and
+    the g of T_B(Q^0) is the projection onto N (x)_B Q^0.  The
+    corestriction has full column rank, so the factor is the one
+    candidate; the second horseshoe checks that it is injective, lands in
+    ker(d_Z^0) and is onto it, which is clause (b)'s content here."""
+    h_map = solve(solve_left(h_incl.mat, q.g_full), _sigma(t0, p0, hs1.embed))
     _require(h_map is not None, "delta does not factor through Im(g)")
     return ModuleHom(ext.lam_module(h_mod), zcx.term(0), h_map)
 

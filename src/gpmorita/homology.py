@@ -37,16 +37,15 @@ from .modules import (
 
 
 @memo
-def _block_reps(a: Algebra):
-    """One (module, inclusion, idempotent, block) per block of A/rad: A*e
-    for the block's first primitive idempotent e, named by e's index among
-    all of them.  The idempotents are read from the parts a was built from,
-    never back, and checked: an opposite `opposite_algebra(b)` takes b's
-    list, as e A^op e = (e A e)^op; a ring from `morita.build_ring` whose
-    psi lands in rad A, and so phi in rad B, takes A's, then B's, padded,
-    B's blocks after A's, as then rad = [[rad A, N], [M, rad B]]
-    (A. D. Sands, J. Algebra 24, 1973); a one-dimensional algebra takes its
-    unit.  Every other algebra is searched (`primitive_idempotents`)."""
+def _idempotents(a: Algebra) -> list[tuple[list, int]]:
+    """The primitive idempotents of a, each with its block of A/rad, read
+    from the parts a was built from, never back, and checked: an opposite
+    `opposite_algebra(b)` takes b's list, as e A^op e = (e A e)^op; a ring
+    from `morita.build_ring` whose psi lands in rad A, and so phi in rad B,
+    takes A's, then B's, padded, B's blocks after A's, as then
+    rad = [[rad A, N], [M, rad B]] (A. D. Sands, J. Algebra 24, 1973); a
+    one-dimensional algebra takes its unit.  Every other algebra is
+    searched (`primitive_idempotents`)."""
     ctx = a.morita_context
     idems = [(a.unit, 0)] if a.dim == 1 else None
     if a.opposite_of is not None:
@@ -61,25 +60,24 @@ def _block_reps(a: Algebra):
             idems = [(e + z * (a.dim - ctx.A.dim), b) for e, b in ea] + [
                 (z * (a.dim - ctx.B.dim) + f, b + shift) for f, b in _idempotents(ctx.B)]
     if idems is None:
-        idems = primitive_idempotents(a)
-    else:
-        _check_idempotents(a, [e for e, _ in idems], "derived idempotents")
-    _idempotents.put(idems, a)
+        return primitive_idempotents(a)
+    _check_idempotents(a, [e for e, _ in idems], "derived idempotents")
+    return idems
+
+
+@memo
+def _block_reps(a: Algebra):
+    """One (module, inclusion, idempotent, block) per block of A/rad: A*e
+    for the block's first primitive idempotent e of `_idempotents`, named
+    by e's index among all of them."""
     reg = regular_module(a)
     reps = {}
-    for k, (e, blk) in enumerate(idems):
+    for k, (e, blk) in enumerate(_idempotents(a)):
         if blk not in reps:
             mod, incl = submodule_from_rows(reg, row_space(a.rmul_of(e)),
                                             name=f"P(e{k})")
             reps[blk] = (mod, incl, e, blk)
     return list(reps.values())
-
-
-@memo
-def _idempotents(a: Algebra) -> list[tuple[list, int]]:
-    """The (idempotent, block) list `_block_reps(a)` reads its reps from."""
-    _block_reps(a)
-    return _idempotents.get(a)
 
 
 @memo

@@ -4,11 +4,11 @@ A problem file is self-contained: a field spec plus named algebras,
 modules, bimodules, balanced maps, contexts, trivial-extension
 declarations, quadruples and complexes.  Names are resolved eagerly and
 every referenced object is validated before any command runs.  A
-quadruple is checked on its maps f and g as the file gives them, on the
-full k-tensor spaces, and its balanced tensors are built when a command
-first names it (`Problem.named`).  Reports
-are emitted with sorted keys and no volatile content, so identical input
-and seed give byte-identical output.
+quadruple is kept and checked as the file gives it, its maps f and g on
+the full k-tensor spaces; its balanced tensors are built only by a
+command that reads f or g on them.  Reports are emitted with sorted keys
+and no volatile content, so identical input and seed give byte-identical
+output.
 
 A certificate's pieces cross JSON once per distinct piece.  Writing, each
 module and matrix instance is encoded once and its dict reused wherever
@@ -41,8 +41,7 @@ from .homology import Resolution
 from .linalg import Mat
 from .modules import FDModule, ModuleError, ModuleHom, validate_module
 from .morita import (
-    MoritaContext, QuadrupleMaps, build_quadruple, validate_context,
-    validate_quadruple,
+    MoritaContext, QuadrupleModule, validate_context, validate_quadruple,
 )
 from .trivext import ExtensionError, recognize_trivial_extension
 
@@ -227,7 +226,7 @@ class Problem:
     maps: dict = dc_field(default_factory=dict)
     contexts: dict = dc_field(default_factory=dict)
     extensions: dict = dc_field(default_factory=dict)
-    quadruples: dict = dc_field(default_factory=dict)     # QuadrupleMaps until named
+    quadruples: dict = dc_field(default_factory=dict)
     complexes: dict = dc_field(default_factory=dict)
     algebra_names: dict = dc_field(default_factory=dict)   # id -> name
 
@@ -237,15 +236,11 @@ class Problem:
         return self.algebras[name]
 
     def named(self, kind: str, name: str):
-        """The object of the section kind called name.  A quadruple, kept
-        as its validated maps, is built on its first access."""
+        """The object of the section kind called name."""
         table = getattr(self, kind)
         if type(name) is not str or name not in table:
             raise InputError(f"unknown {_noun(kind)} {name!r}")
-        obj = table[name]
-        if type(obj) is QuadrupleMaps:
-            obj = table[name] = build_quadruple(obj)
-        return obj
+        return table[name]
 
 
 @contextmanager
@@ -345,7 +340,7 @@ def load_problem(doc: dict) -> Problem:
             if (m.rows, m.cols) != shape:
                 raise InputError(f"quadruple {name!r}: {which} is {m.rows}x{m.cols}, "
                                  f"not {shape[0]}x{shape[1]}")
-        q = QuadrupleMaps(ctx, x, y, f_full, g_full, name=name)
+        q = QuadrupleModule(ctx, x, y, f_full, g_full, name=name)
         bad = validate_quadruple(q)
         if bad:
             raise ValidationFailure(f"quadruple {name!r} invalid: {bad[0]}")

@@ -7,10 +7,12 @@ maps making the two associativity squares commute.  The ring lives on
 A (+) N (+) M (+) B in that basis order.  A left module is a quadruple
 (X, Y, f: M (x) X -> Y, g: N (x) Y -> X) whose two squares commute.
 
-A quadruple read from a problem file is first a `QuadrupleMaps`, its f
-and g on the full k-tensor spaces, checked as it stands by
-`validate_quadruple` and built into a `QuadrupleModule` by
-`build_quadruple` when it is used.
+A `QuadrupleModule` holds f and g on the full k-tensor spaces
+M (x)_k X -> Y and N (x)_k Y -> X, as a problem file gives them and as
+every construction here writes them, so none solves for a factorisation.
+`validate_quadruple` checks the maps as they stand, with no balanced
+tensor built; the balanced tensors M (x)_A X and N (x)_B Y and f and g on
+them are derived when first read.
 
 This module owns the objects and the equivalence (`quadruple_to_module`,
 `module_to_quadruple`).  A map of quadruples (alpha, beta) is the ring
@@ -34,9 +36,7 @@ from .bimodules import (
 )
 from .fields import Field
 from .homology import _block_reps, indec_injectives
-from .linalg import (
-    Mat, coordinates, factor_through, intertwining_system, rank, row_space,
-)
+from .linalg import Mat, coordinates, intertwining_system, rank, row_space
 from .modules import (
     FDModule, ModuleHom, identity_hom, kernel_of,
     quotient_by_rows, regular_module, validate_module, zero_hom, zero_module,
@@ -227,13 +227,14 @@ def opposite_ring(mr: MoritaRing) -> MoritaRing:
 
 @dataclass
 class QuadrupleModule:
+    """f and g are stored on the full k-tensor spaces; `mx`, `ny`, `f` and
+    `g`, the balanced tensors and the maps on them, are derived on first
+    read."""
     ctx: MoritaContext
     x: FDModule                  # over A
     y: FDModule                  # over B
-    f: ModuleHom                 # M (x)_A x -> y, on the quotient coordinates
-    g: ModuleHom                 # N (x)_B y -> x
-    mx: TensorModule
-    ny: TensorModule
+    f_full: Mat                  # M (x)_k X -> Y
+    g_full: Mat                  # N (x)_k Y -> X
     name: str = ""
     # init=False: a dataclasses.replace copy starts with no memo entries
     _cache: dict = dc_field(default_factory=dict, init=False, repr=False,
@@ -244,59 +245,42 @@ class QuadrupleModule:
         return self.x.dim + self.y.dim
 
     @property
-    def f_full(self) -> Mat:
-        """f on the full k-tensor space, M (x)_k X -> Y."""
-        return self.mx.proj @ self.f.mat
+    def mx(self) -> TensorModule:
+        return tensor_module(self.ctx.M, self.x)
 
     @property
-    def g_full(self) -> Mat:
-        """g on the full k-tensor space, N (x)_k Y -> X."""
-        return self.ny.proj @ self.g.mat
+    def ny(self) -> TensorModule:
+        return tensor_module(self.ctx.N, self.y)
+
+    @property
+    def f(self) -> ModuleHom:
+        """f on M (x)_A X."""
+        return _factored(self, 0)
+
+    @property
+    def g(self) -> ModuleHom:
+        """g on N (x)_B Y."""
+        return _factored(self, 1)
 
     def __repr__(self):
         return f"Quadruple({self.name or '?'}: X{self.x.dim}, Y{self.y.dim})"
 
 
-@dataclass
-class QuadrupleMaps:
-    """A quadruple as a problem file gives it, the arguments of
-    `make_quadruple`: f and g on the full k-tensor spaces.
-    `validate_quadruple` checks it as it stands, with no balanced tensor
-    built, and `build_quadruple` makes the `QuadrupleModule`."""
-    ctx: MoritaContext
-    x: FDModule                  # over A
-    y: FDModule                  # over B
-    f_full: Mat                  # M (x)_k X -> Y
-    g_full: Mat                  # N (x)_k Y -> X
-    name: str = ""
-    _cache: dict = dc_field(default_factory=dict, init=False, repr=False,
-                            compare=False)
+# make_quadruple(ctx, x, y, f_full, g_full, name=...) is the constructor
+make_quadruple = QuadrupleModule
 
 
-def make_quadruple(ctx: MoritaContext, x: FDModule, y: FDModule,
-                   f_full: Mat, g_full: Mat, name: str = "") -> QuadrupleModule:
-    """Assemble a quadruple from maps given on the full k-tensor spaces
-    M (x)_k X -> Y and N (x)_k Y -> X (they must kill the middle relations)."""
-    mx = tensor_module(ctx.M, x)
-    ny = tensor_module(ctx.N, y)
-    f_mat = factor_through(mx.proj, [f_full])
-    if f_mat is None:
-        raise ContextError("f does not factor through M (x)_A X")
-    g_mat = factor_through(ny.proj, [g_full])
-    if g_mat is None:
-        raise ContextError("g does not factor through N (x)_B Y")
-    return QuadrupleModule(ctx, x, y, ModuleHom(mx.module, y, f_mat[0]),
-                           ModuleHom(ny.module, x, g_mat[0]), mx, ny, name=name)
-
-
-def build_quadruple(d: QuadrupleMaps) -> QuadrupleModule:
-    """The quadruple module of d, by `make_quadruple`.  A verdict of no
-    violations found on d is carried to it, as `swap_quadruple` carries
-    one, so its axioms are not checked again."""
-    q = make_quadruple(d.ctx, d.x, d.y, d.f_full, d.g_full, name=d.name)
-    if _quadruple_verdict.get(d) == []:
-        _quadruple_verdict.put([], q)
-    return q
+@memo
+def _factored(q: QuadrupleModule, side: int) -> ModuleHom:
+    """f (side 0) or g (side 1) on its balanced tensor, section @ full, as
+    section @ proj is the identity.  It is the map on the quotient exactly
+    when full = proj @ (section @ full), that is when full factors."""
+    t, full, target = (q.mx, q.f_full, q.y) if side == 0 else (q.ny, q.g_full, q.x)
+    mat = t.section @ full
+    if t.proj @ mat != full:
+        _, which, tensor, *_ = _QUADRUPLE_SIDES[side]
+        raise ContextError(f"{which} does not factor through {tensor}")
+    return ModuleHom(t.module, target, mat)
 
 
 def swap_quadruple(q: QuadrupleModule, name: str | None = None) -> QuadrupleModule:
@@ -304,31 +288,11 @@ def swap_quadruple(q: QuadrupleModule, name: str | None = None) -> QuadrupleModu
     Only relabels; nothing is solved again.  The quadruple axioms are
     symmetric under the swap, so a stored verdict of no violations is
     carried over; a list of violations is not, as its messages name sides."""
-    sw = QuadrupleModule(swap_context(q.ctx), q.y, q.x, q.g, q.f, q.ny, q.mx,
+    sw = QuadrupleModule(swap_context(q.ctx), q.y, q.x, q.g_full, q.f_full,
                          name=q.name if name is None else name)
     if _quadruple_verdict.get(q) == []:
         _quadruple_verdict.put([], sw)
     return sw
-
-
-def psi_hom(ctx: MoritaContext, x: FDModule, mx: TensorModule,
-            nmx: TensorModule) -> ModuleHom:
-    """Psi_X : N (x)_B (M (x)_A X) -> X as a module map over A; on the
-    full tensor space N (x)_k M (x)_k X it is n (x) m (x) v |->
-    psi(n (x) m) . v, the actions of the values of psi, stacked."""
-    F = ctx.A.field
-    eye_n = Mat.identity(F, ctx.N.dim)
-    big_proj = eye_n.kron(mx.proj) @ nmx.proj
-    mat = factor_through(big_proj, [x.acts_of(ctx.psi.mat)])
-    if mat is None:
-        raise ContextError("Psi does not factor through the tensor quotient")
-    return ModuleHom(nmx.module, x, mat[0])
-
-
-def phi_hom(ctx: MoritaContext, y: FDModule, ny: TensorModule,
-            mny: TensorModule) -> ModuleHom:
-    """Phi_Y : M (x)_A (N (x)_B Y) -> Y, the Psi of the swapped context."""
-    return psi_hom(swap_context(ctx), y, ny, mny)
 
 
 # message labels per side: the corner module, the structure map leaving it,
@@ -338,27 +302,25 @@ _QUADRUPLE_SIDES = (("X", "f", "M (x)_A X", "B", "first"),
                     ("Y", "g", "N (x)_B Y", "A", "second"))
 
 
-def validate_quadruple(q: QuadrupleModule | QuadrupleMaps) -> list[str]:
+def validate_quadruple(q: QuadrupleModule) -> list[str]:
     """The violated quadruple axioms.  The verdict is stored on q, so each
     instance is checked once; every call returns a fresh list."""
     return _quadruple_verdict(q)[:]
 
 
 @memo
-def _quadruple_verdict(q: QuadrupleModule | QuadrupleMaps) -> list[str]:
+def _quadruple_verdict(q: QuadrupleModule) -> list[str]:
     return _quadruple_violations(q)
 
 
-def _quadruple_violations(q: QuadrupleModule | QuadrupleMaps) -> list[str]:
+def _quadruple_violations(q: QuadrupleModule) -> list[str]:
     """The axioms, each only once the ones before it hold, checked on f and
-    g as maps on the full k-tensor spaces, so a `QuadrupleMaps` is checked
-    with no balanced tensor built.  Side by side, for (X, f) and, through
-    the swap, (Y, g):
+    g as maps on the full k-tensor spaces, so no balanced tensor is built.
+    Side by side, for (X, f) and, through the swap, (Y, g):
 
     - f kills the middle relations m.a (x) x - m (x) a.x of M (x)_A X,
-      which is to say it factors through that quotient.  A
-      `QuadrupleModule` holds f factored, so only a `QuadrupleMaps` is
-      checked for this.  The relations of a generating set of A suffice,
+      which is to say it factors through that quotient.  The relations of
+      a generating set of A suffice,
       M and X being modules: f kills m.(ab) (x) x - m (x) (ab).x once it
       kills the relations of a at m and b.x and those of b at m.a and x.
     - X obeys the module laws.
@@ -373,14 +335,13 @@ def _quadruple_violations(q: QuadrupleModule | QuadrupleMaps) -> list[str]:
     f_full, g_full = q.f_full, q.g_full
     sides = [((q.ctx, q.x, q.y, f_full, g_full), _QUADRUPLE_SIDES[0]),
              ((swap_context(q.ctx), q.y, q.x, g_full, f_full), _QUADRUPLE_SIDES[1])]
-    if type(q) is QuadrupleMaps:
-        for (ctx, x, _, f, _), lab in sides:
-            gens = generating_subset(ctx.A)
-            rel = intertwining_system(x.algebra.field, ctx.M.dim, x.dim,
-                                      [ctx.M.right_acts[a] for a in gens],
-                                      [x.acts[a] for a in gens])
-            if not (rel @ f).is_zero():
-                return [f"{lab[1]} does not factor through {lab[2]}"]
+    for (ctx, x, _, f, _), lab in sides:
+        gens = generating_subset(ctx.A)
+        rel = intertwining_system(x.algebra.field, ctx.M.dim, x.dim,
+                                  [ctx.M.right_acts[a] for a in gens],
+                                  [x.acts[a] for a in gens])
+        if not (rel @ f).is_zero():
+            return [f"{lab[1]} does not factor through {lab[2]}"]
     out = [f"{lab[0]}: {m}" for (_, x, *_), lab in sides for m in validate_module(x)]
     if out:
         return out
@@ -403,8 +364,8 @@ def _quadruple_violations(q: QuadrupleModule | QuadrupleMaps) -> list[str]:
 def zero_quadruple(ctx: MoritaContext) -> QuadrupleModule:
     F = ctx.A.field
     x, y = zero_module(ctx.A), zero_module(ctx.B)
-    return make_quadruple(ctx, x, y, Mat.zeros(F, 0, 0), Mat.zeros(F, 0, 0),
-                          name="0")
+    return QuadrupleModule(ctx, x, y, Mat.zeros(F, 0, 0), Mat.zeros(F, 0, 0),
+                           name="0")
 
 
 def direct_sum_quadruples(qs: list[QuadrupleModule], name: str = "") -> QuadrupleModule:
@@ -423,8 +384,8 @@ def direct_sum_quadruples(qs: list[QuadrupleModule], name: str = "") -> Quadrupl
             part = q.f_full @ inc.mat     # M (x)_k X_i -> Y
             full = full.add(eye_m.kron(prj.mat) @ part)
         fulls.append(full)
-    return make_quadruple(ctx, sums[0][0], sums[1][0], fulls[0], fulls[1],
-                          name=name or "+".join(q.name or "?" for q in qs))
+    return QuadrupleModule(ctx, sums[0][0], sums[1][0], fulls[0], fulls[1],
+                           name=name or "+".join(q.name or "?" for q in qs))
 
 
 # -- the equivalence with modules over the ring ------------------------------
@@ -492,7 +453,7 @@ def module_to_quadruple(mr: MoritaRing, v: FDModule, name: str = "") -> Quadrupl
         if c is None:
             raise ContextError(f"{tag}-action does not land in the {part}-part")
         fulls.append(c)
-    return make_quadruple(ctx, mods[0], mods[1], fulls[0], fulls[1], name=name)
+    return QuadrupleModule(ctx, mods[0], mods[1], fulls[0], fulls[1], name=name)
 
 
 # -- the six-functor zoo -----------------------------------------------------
@@ -524,13 +485,13 @@ def evaluation_full(field: Field, outer_dim: int, hom_basis, target_dim: int) ->
 
 
 def t_a(ctx: MoritaContext, x: FDModule, name: str = "") -> QuadrupleModule:
-    """(X, M (x) X, identity, Psi_X)."""
+    """(X, M (x) X, identity, Psi_X): f is the projection onto M (x)_A X,
+    and Psi_X sends n (x) (m (x) v) to psi(n (x) m).v, the stacked actions
+    of the values of psi read through the section of M (x)_A X."""
     mx = tensor_module(ctx.M, x)
-    y = mx.module
-    ny = tensor_module(ctx.N, y)
-    f = ModuleHom(mx.module, y, Mat.identity(ctx.A.field, y.dim))
-    g = psi_hom(ctx, x, mx, ny)
-    return QuadrupleModule(ctx, x, y, f, g, mx, ny,
+    eye_n = Mat.identity(ctx.A.field, ctx.N.dim)
+    return QuadrupleModule(ctx, x, mx.module, mx.proj,
+                           eye_n.kron(mx.section) @ x.acts_of(ctx.psi.mat),
                            name=name or f"T_A({x.name})")
 
 
@@ -542,17 +503,8 @@ def t_b(ctx: MoritaContext, y: FDModule, name: str = "") -> QuadrupleModule:
 def h_a(ctx: MoritaContext, x: FDModule, name: str = "") -> QuadrupleModule:
     """(X, Hom_A(N, X), zeta_X, evaluation)."""
     y, basis = hom_module(ctx.N, x)
-    mx = tensor_module(ctx.M, x)
-    ny = tensor_module(ctx.N, y)
-    f_mat = factor_through(mx.proj, [zeta_full(ctx, x, basis)])
-    if f_mat is None:
-        raise ContextError("zeta does not factor through the tensor quotient")
-    g_mat = factor_through(
-        ny.proj, [evaluation_full(ctx.A.field, ctx.N.dim, basis, x.dim)])
-    if g_mat is None:
-        raise ContextError("evaluation does not factor through the tensor quotient")
-    return QuadrupleModule(ctx, x, y, ModuleHom(mx.module, y, f_mat[0]),
-                           ModuleHom(ny.module, x, g_mat[0]), mx, ny,
+    return QuadrupleModule(ctx, x, y, zeta_full(ctx, x, basis),
+                           evaluation_full(ctx.A.field, ctx.N.dim, basis, x.dim),
                            name=name or f"H_A({x.name})")
 
 
@@ -567,8 +519,8 @@ def z_a(ctx: MoritaContext, u: FDModule, name: str = "") -> QuadrupleModule:
         raise ContextError("Z functor needs the corner ideal to annihilate the module")
     F = ctx.A.field
     y = zero_module(ctx.B)
-    return make_quadruple(ctx, u, y, Mat.zeros(F, ctx.M.dim * u.dim, 0),
-                          Mat.zeros(F, 0, u.dim), name=name or f"Z_A({u.name})")
+    return QuadrupleModule(ctx, u, y, Mat.zeros(F, ctx.M.dim * u.dim, 0),
+                           Mat.zeros(F, 0, u.dim), name=name or f"Z_A({u.name})")
 
 
 def z_b(ctx: MoritaContext, v: FDModule, name: str = "") -> QuadrupleModule:

@@ -22,12 +22,11 @@ from .linalg import (
     row_space, solve,
 )
 from .modules import (
-    FDModule, ModuleHom, cokernel_of, corestrict, hom_space, image_of,
+    FDModule, ModuleHom, corestrict, hom_space, image_of,
     quotient_by_rows, restrict_along,
 )
 from .morita import (
-    ContextError, MoritaContext, QuadrupleModule, build_ring, make_quadruple,
-    quadruple_to_module,
+    ContextError, MoritaContext, QuadrupleModule, build_ring, quadruple_to_module,
 )
 
 
@@ -191,8 +190,8 @@ def t_lambda(ext: TrivialExtension, ctx: MoritaContext, x: FDModule,
     # I (x) X block
     g_full = Mat.hstack([Mat.zeros(F, ctx.N.dim * y.dim, x.dim),
                          psi_tensor_block(ctx, ext, x)])
-    return make_quadruple(ctx, xi, y, f_full, g_full,
-                          name=name or f"T_Lam({x.name})")
+    return QuadrupleModule(ctx, xi, y, f_full, g_full,
+                           name=name or f"T_Lam({x.name})")
 
 
 # -- structural maps of a quadruple (phi = 0) --------------------------------
@@ -204,7 +203,6 @@ class StructuralMaps:
     lambda_x: ModuleHom          # X -> U
     v: FDModule                  # Coker(f) over B
     mu_y: ModuleHom              # Y -> V
-    mu_tensor: ModuleHom         # 1_M (x) lambda_x : MX -> MU
     eta: ModuleHom               # M (x)_A U -> Y,   f = (1 (x) lambda) eta
     x_mod_ix: FDModule
     p_x: ModuleHom               # X -> X/IX
@@ -230,15 +228,20 @@ def structural_maps(ctx: MoritaContext, q: QuadrupleModule) -> StructuralMaps:
     factorisation identity, so the identities hold by construction, and
     im(m) = IX because 1 (x) lambda is onto.  I Coker(g) = 0 follows
     from the first square of a quadruple (Psi_X lands in Im g), and
-    I Im(g) = 0 from phi = 0 and the two squares."""
+    I Im(g) = 0 from phi = 0 and the two squares.
+
+    f and g are read on the full k-tensor spaces, so the balanced tensors
+    of q are not built: eta solves (1_M (x) lambda) eta = f through the
+    projection onto M (x)_A U, one solution since 1 (x) lambda is onto,
+    and theta likewise."""
     if not ctx.phi_is_zero:
         raise ContextError("structural maps require phi = 0")
     F = ctx.A.field
-    u, lambda_x = cokernel_of(q.g, name=f"Coker(g:{q.name})")
-    v, mu_y = cokernel_of(q.f, name=f"Coker(f:{q.name})")
+    u, lambda_x = quotient_by_rows(q.x, q.g_full, name=f"Coker(g:{q.name})")
+    v, mu_y = quotient_by_rows(q.y, q.f_full, name=f"Coker(f:{q.name})")
     mu_t = tensor_module(ctx.M, u)
-    one_lambda = tensor_functor_hom(q.mx, mu_t, lambda_x)
-    eta_mat = solve(one_lambda.mat, q.f.mat)
+    eta_mat = solve(Mat.identity(F, ctx.M.dim).kron(lambda_x.mat) @ mu_t.proj,
+                    q.f_full)
     if eta_mat is None:
         raise ContextError("f does not factor through M (x) Coker(g)")
     eta = ModuleHom(mu_t.module, q.y, eta_mat)
@@ -247,8 +250,8 @@ def structural_maps(ctx: MoritaContext, q: QuadrupleModule) -> StructuralMaps:
     ix_rows = row_space(mlt_full) if mlt_full.rows else Mat.zeros(F, 0, q.x.dim)
     x_mod_ix, p_x = quotient_by_rows(q.x, ix_rows, name=f"{q.x.name}/IX")
     nv_t = tensor_module(ctx.N, v)
-    one_mu = tensor_functor_hom(q.ny, nv_t, mu_y)
-    theta_mat = solve(one_mu.mat, q.g.mat @ p_x.mat)
+    theta_mat = solve(Mat.identity(F, ctx.N.dim).kron(mu_y.mat) @ nv_t.proj,
+                      q.g_full @ p_x.mat)
     if theta_mat is None:
         raise ContextError("g p does not factor through N (x) Coker(f)")
     theta = ModuleHom(nv_t.module, x_mod_ix, theta_mat)
@@ -264,7 +267,7 @@ def structural_maps(ctx: MoritaContext, q: QuadrupleModule) -> StructuralMaps:
     if m_mat is None:
         raise ContextError("multiplication does not factor through I (x) Coker(g)")
     m_x = ModuleHom(iu_t.module, q.x, m_mat)
-    return StructuralMaps(u, lambda_x, v, mu_y, one_lambda, eta, x_mod_ix, p_x,
+    return StructuralMaps(u, lambda_x, v, mu_y, eta, x_mod_ix, p_x,
                           theta, mlt, m_x, mu_t, nv_t, iu_t, ix_t, ix_rows)
 
 

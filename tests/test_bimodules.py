@@ -182,22 +182,16 @@ def test_natural_psi_map_on_dual_numbers():
     # over the glued context: the psi-action map on X = A sends the
     # generator of N (x) M (x) X to x . 1 = x
     from gpmorita.catalog import glued_psi_context
-    from gpmorita.morita import psi_hom, phi_hom
-    from gpmorita.bimodules import tensor_module as tm
+    from gpmorita.morita import t_a, t_b
     ext, ctx = glued_psi_context(QQ())
     x = regular_module(ctx.A)
-    mx = tm(ctx.M, x)
-    nmx = tm(ctx.N, mx.module)
-    psi_x = psi_hom(ctx, x, mx, nmx)
+    psi_x = t_a(ctx, x).g
     assert psi_x.intertwines()
-    assert nmx.module.dim == 1          # N (x) M (x) A collapses to one line
+    assert psi_x.source.dim == 1        # N (x) M (x) A collapses to one line
     # the image of psi_x is I.X = span{x}
     from gpmorita.linalg import row_space
     img = row_space(psi_x.mat)
     assert img.rows == 1 and img.data[0] == [QQ().zero(), QQ().one()]
     # phi = 0 forces the phi-side composite to vanish
-    y = regular_module(ctx.B)
-    ny = tm(ctx.N, y)
-    mny = tm(ctx.M, ny.module)
-    phi_y = phi_hom(ctx, y, ny, mny)
+    phi_y = t_b(ctx, regular_module(ctx.B)).f
     assert phi_y.is_zero()

@@ -196,8 +196,7 @@ def test_tau_read_off_t_lambda_is_psi_tensor_one_descended(make, F):
         for y in qs:
             nq = tensor_module(ctx.N, y)
             for rho in modules.hom_space(y, mp.module):
-                tau = (tensor_functor_hom(nq, tl.ny, rho).mat
-                       @ engine._g_off_p(tl, p))
+                tau = nq.section @ engine._sigma(tl, p, rho)
                 assert tau == tensor_functor_hom(nq, nmp, rho).mat @ psi_one
                 nonzero += not tau.is_zero()
     assert nonzero

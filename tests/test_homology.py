@@ -67,6 +67,19 @@ def test_idempotent_check_rejects_each_bad_list(es, message):
         _check_idempotents(a, es, "bad")
 
 
+def test_an_idempotent_list_builds_no_projective(count_calls):
+    # a searched algebra's idempotents are read without its projectives:
+    # `_idempotents` finds and checks the list, and only `_block_reps`
+    # builds A*e from it
+    from gpmorita import modules
+    a = truncated_poly(QQ(), 8)
+    subs = count_calls(modules.submodule_from_rows)
+    idems = homology._idempotents(a)
+    assert len(idems) == 1 and idems[0][0] == a.unit
+    assert subs == []
+    assert len(homology._block_reps(a)) == 1 and len(subs) == 1
+
+
 @pytest.mark.parametrize("F", [QQ(), GF(7)], ids=["Q", "GF7"])
 def test_idempotent_endo_of_k2_is_a_rank_one_idempotent(F):
     # End(k^2) is the 2x2 matrix algebra, so a primitive idempotent of it

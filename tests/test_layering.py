@@ -59,10 +59,11 @@ One number, `homology.gorenstein_dimension`, decides the certifier's
 path: `gpcert` asks no other proof of it (`global_dimension`,
 `is_self_injective`), and `complexes` reads the self-injective dimension
 alone, never a Frobenius form of its own.  The primitive idempotents of an
-algebra are found in one place, `homology._block_reps`, which builds the
-projective of each block from them, and their lifting stops at its fixed
-point: no module names a radical's `nilpotency_index`.  What an algebra
-was built from is recorded by its builder and read by `_block_reps` alone:
+algebra are found in one place, `homology._idempotents`, from which
+`_block_reps` builds the projective of each block, and their lifting
+stops at its fixed point: no module names a radical's `nilpotency_index`.
+What an algebra was built from is recorded by its builder and read by
+`_idempotents` alone:
 a ring's context is written by `morita.build_ring`, and an opposite's
 original by `algebra.opposite_algebra`.
 """
@@ -535,11 +536,11 @@ def test_one_gorenstein_dimension_decides():
 
 
 # the one caller of the idempotent search, and the bound it no longer needs
-IDEMPOTENT_CALLER = ("homology.py", "_block_reps")
+IDEMPOTENT_CALLER = ("homology.py", "_idempotents")
 LIFTING_BOUND = "nilpotency_index"
 
 
-def test_only_block_reps_finds_idempotents():
+def test_only_idempotents_finds_idempotents():
     hits = []
     for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
         name = os.path.basename(path)
@@ -555,13 +556,13 @@ def test_only_block_reps_finds_idempotents():
                      else None)
             if named == LIFTING_BOUND:
                 hits.append(f"{name}:{getattr(node, 'lineno', '?')} names {named}")
-    assert not hits, f"an idempotent search outside _block_reps, or its bound: {hits}"
+    assert not hits, f"an idempotent search outside _idempotents, or its bound: {hits}"
 
 
 # the record of what an algebra was built from: attribute -> (writer, reader)
 PARTS_RECORDS = {
-    "morita_context": (("morita.py", "build_ring"), ("homology.py", "_block_reps")),
-    "opposite_of": (("algebra.py", "opposite_algebra"), ("homology.py", "_block_reps")),
+    "morita_context": (("morita.py", "build_ring"), ("homology.py", "_idempotents")),
+    "opposite_of": (("algebra.py", "opposite_algebra"), ("homology.py", "_idempotents")),
 }
 
 

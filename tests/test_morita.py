@@ -469,8 +469,7 @@ def test_the_swap_carries_no_list_of_violations(count_calls):
     _, ctx = glued_psi_context(QQ())
     q = t_a(ctx, regular_module(ctx.A))
     F = ctx.A.field
-    bad = replace(q, f=ModuleHom(q.f.source, q.f.target,
-                                 q.f.mat.scale(F.of_int(2))))
+    bad = replace(q, f_full=q.f_full.scale(F.of_int(2)))
     assert validate_quadruple(bad) == ["first compatibility square fails"]
     assert validate_quadruple(swap_quadruple(bad)) == [
         "second compatibility square fails"]
@@ -487,7 +486,6 @@ def test_a_replaced_quadruple_is_validated_afresh():
     q = t_a(ctx, regular_module(ctx.A))
     assert validate_quadruple(q) == []
     F = ctx.A.field
-    bad = replace(q, f=ModuleHom(q.f.source, q.f.target,
-                                 q.f.mat.scale(F.of_int(2))))
+    bad = replace(q, f_full=q.f_full.scale(F.of_int(2)))
     assert validate_quadruple(bad) == ["first compatibility square fails"]
     assert validate_quadruple(q) == []

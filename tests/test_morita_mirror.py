@@ -2,9 +2,9 @@
 
 The B side of a Morita context is the A side of its corner swap
 (A, B, M, N, phi, psi) -> (B, A, N, M, psi, phi).  This test pins what the
-B-side functions (t_b, h_b, z_b, q_b, p_b, phi_hom) compute on catalog
-contexts over Q and GF(7), so that a change in how the B side is derived
-cannot change a matrix.
+B-side functions (t_b, h_b, z_b, q_b, p_b, and Phi_Y as the f of t_b)
+compute on catalog contexts over Q and GF(7), so that a change in how the
+B side is derived cannot change a matrix.
 
 Regenerate tests/golden/morita_mirror.json with
     PYTHONPATH=src python tests/test_morita_mirror.py
@@ -22,12 +22,11 @@ from gpmorita.catalog import (
     arrow_ideal_context, full_context, glued_psi_context, random_context,
     triangular_context, truncated_poly, two_cycle_context,
 )
-from gpmorita.bimodules import tensor_module
 from gpmorita.fields import GF, QQ
 from gpmorita.linalg import Mat, row_space
 from gpmorita.modules import quotient_by_rows, regular_module
 from gpmorita.morita import (
-    direct_sum_quadruples, h_a, h_b, p_b, phi_hom, q_b, t_a, t_b,
+    direct_sum_quadruples, h_a, h_b, p_b, q_b, t_a, t_b,
     validate_quadruple, z_b,
 )
 
@@ -75,14 +74,12 @@ def _snapshot_context(ctx):
     x, y = regular_module(ctx.A), regular_module(ctx.B)
     tb, hb = t_b(ctx, y), h_b(ctx, y)
     quads = [t_a(ctx, x), tb, h_a(ctx, x), hb]
-    ny = tensor_module(ctx.N, y)
-    mny = tensor_module(ctx.M, ny.module)
     s = direct_sum_quadruples([quads[0], tb])
     out = {
         "t_b": _quad(tb),
         "h_b": _quad(hb),
         "z_b": _quad(z_b(ctx, _quotient_by_j(ctx, y))),
-        "phi_hom": _mat(phi_hom(ctx, y, ny, mny).mat),
+        "phi_hom": _mat(tb.f.mat),
         "q_b": [], "p_b": [],
     }
     for q in quads + [s]:

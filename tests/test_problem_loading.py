@@ -1,11 +1,12 @@
 """Loading a problem file at the cost of what the command reads.
 
-`jsonio.load_problem` checks each quadruple on its maps f and g as the
-file gives them, on the full k-tensor spaces, and `Problem.named` builds
-the `QuadrupleModule` when a command first names it.  The oracle of the
-check is the route it replaces: `make_quadruple`, which factors f and g
-through the balanced tensors, then the old `validate_quadruple`, kept
-here verbatim, on the result.
+`jsonio.load_problem` keeps each quadruple as the file gives it, its maps
+f and g on the full k-tensor spaces, and checks it there; its balanced
+tensors are built only by a command that reads f or g on them.  The
+oracle of the check is the route it replaces: the old `make_quadruple`,
+which factored f and g through the balanced tensors
+(`test_quadruple_route_oracle.old_make_quadruple`), then the old
+`validate_quadruple`, kept here verbatim, on the result.
 Over every fixture quadruple and a mutant per entry of f and of g (each
 entry raised by 1, which breaks a middle relation, the linearity of the
 map or a square), the two give the same verdict, and `validate` the same
@@ -20,7 +21,7 @@ import os
 
 import pytest
 
-from gpmorita import bimodules
+from gpmorita import bimodules, engine
 from gpmorita.cli import main
 from gpmorita.fields import GF, QQ
 from gpmorita.jsonio import (
@@ -29,9 +30,9 @@ from gpmorita.jsonio import (
 from gpmorita.linalg import Mat
 from gpmorita.modules import validate_module
 from gpmorita.morita import (
-    ContextError, QuadrupleMaps, QuadrupleModule, make_quadruple, swap_quadruple,
-    validate_quadruple,
+    ContextError, make_quadruple, validate_quadruple,
 )
+from test_quadruple_route_oracle import old_make_quadruple, old_swap_quadruple
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 FIXTURES = sorted(n for n in os.listdir(FIX) if n.endswith(".json"))
@@ -46,7 +47,7 @@ def _old_violations(q) -> list[str]:
     """`validate_quadruple` before the check moved to the k-tensor maps:
     the module laws, linearity on the balanced tensors (`intertwines`)
     and the squares, the mirror side read off `swap_quadruple`."""
-    sides = list(zip((q, swap_quadruple(q)), (("X", "f", "B", "first"),
+    sides = list(zip((q, old_swap_quadruple(q)), (("X", "f", "B", "first"),
                                                ("Y", "g", "A", "second"))))
     out = [f"{lab[0]}: {m}" for s, lab in sides for m in validate_module(s.x)]
     if out:
@@ -65,7 +66,7 @@ def _old_violations(q) -> list[str]:
 
 def _built_route(doc):
     """The load as it was before the check on the maps: the rest of the
-    file, then each quadruple built by `make_quadruple` and checked by the
+    file, then each quadruple built by the old `make_quadruple` and checked by the
     old `validate_quadruple`, failures raised as the load raised them."""
     prob = load_problem({k: v for k, v in doc.items() if k != "quadruples"})
     for name, obj in doc.get("quadruples", {}).items():
@@ -74,7 +75,7 @@ def _built_route(doc):
         f_full = mat_from_json(prob.field, obj["f_full"])
         g_full = mat_from_json(prob.field, obj["g_full"])
         try:
-            q = make_quadruple(ctx, x, y, f_full, g_full, name=name)
+            q = old_make_quadruple(ctx, x, y, f_full, g_full, name=name)
         except ContextError as e:
             raise ValidationFailure(f"quadruple {name!r} invalid: {e}") from e
         bad = _old_violations(q)
@@ -149,32 +150,36 @@ def test_the_check_on_the_maps_lists_what_validate_quadruple_lists(fixture):
                     mat_from_json(prob.field, obj["f_full"]),
                     mat_from_json(prob.field, obj["g_full"]))
             try:
-                built = make_quadruple(*args, name=name)
+                built = old_make_quadruple(*args, name=name)
             except ContextError as e:
-                assert validate_quadruple(QuadrupleMaps(*args, name=name)) == [str(e)]
+                assert validate_quadruple(make_quadruple(*args, name=name)) == [str(e)]
                 continue
             old = _old_violations(built)
-            assert validate_quadruple(QuadrupleMaps(*args, name=name)) == old, (
+            assert validate_quadruple(make_quadruple(*args, name=name)) == old, (
                 fixture, name)
-            assert validate_quadruple(built) == old, (fixture, name)
             compared += 1
     assert compared
 
 
-def test_a_quadruple_is_built_when_first_named(count_calls, capsys):
-    # certify-gp on S2 builds the balanced tensors of S2 and of none of the
-    # file's other quadruples
-    path = os.path.join(FIX, "triangular.json")
+def test_no_balanced_tensor_of_a_quadruple_is_built_to_load_or_decide_it(
+        count_calls):
+    # neither the load of a fixture nor the criterion and the assembly on
+    # one of its quadruples builds M (x)_A X or N (x)_B Y of a quadruple
     calls = count_calls(bimodules.tensor_module)
-    main(["certify-gp", path, "--context", "ctx", "--quadruple", "S2"])
-    assert capsys.readouterr().err == ""
-    names = {args[1].name for args in calls}
-    assert "S2.x" in names
-    assert not names & {"P1.x", "P1.y", "P2.x", "P2.y"}
-    prob = load_problem(_doc("triangular.json"))
-    assert all(type(q) is QuadrupleMaps for q in prob.quadruples.values())
-    q = prob.named("quadruples", "P1")
-    assert type(q) is QuadrupleModule and prob.named("quadruples", "P1") is q
+    decided = 0
+    for fixture in FIXTURES:
+        prob = load_problem(_doc(fixture))
+        for q in prob.quadruples.values():
+            for ext in prob.extensions.values():
+                if ext.A is q.ctx.A:
+                    rep = engine.check_conditions(ext, q.ctx, q)
+                    if rep.passed:
+                        engine.build_total_resolution(ext, q.ctx, q, rep)
+                        decided += 1
+        assert not [q.name for q in prob.quadruples.values() for m, x in calls
+                    if m is q.ctx.M and x is q.x or m is q.ctx.N and x is q.y], fixture
+        calls.clear()
+    assert decided == 8
 
 
 def _matrices(obj):

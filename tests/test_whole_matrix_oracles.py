@@ -128,7 +128,7 @@ from gpmorita.complexes import (
     tensor_exactness_failure,
 )
 from gpmorita.engine import (
-    _g_off_p, _tensor_window, build_total_resolution, check_conditions,
+    _tensor_window, build_total_resolution, check_conditions,
 )
 from gpmorita.fields import GF, QQ, Field
 from gpmorita.gpcert import certify_gorenstein_projective
@@ -150,8 +150,9 @@ from gpmorita.morita import (
     ContextError, MoritaContext, MoritaRing, QuadrupleModule,
     build_ring, direct_sum_quadruples, evaluation_full, f_tilde, h_a, h_b,
     make_quadruple, module_to_quadruple, opposite_context, opposite_ring,
-    psi_hom, quadruple_to_module, regular_right_quadruples, swap_context,
-    swap_quadruple, t_a, t_b, tensor_over_ring, validate_context, zeta_full,
+    quadruple_to_module, regular_right_quadruples, swap_context,
+    swap_quadruple, t_a, t_b, tensor_over_ring, validate_context,
+    validate_quadruple, zeta_full,
 )
 from gpmorita.nctensor import build_nc_tensor
 from gpmorita.trivext import (
@@ -685,8 +686,8 @@ def test_psi_kron_products_match_the_coefficient_loops(field, context):
             # sigma^0 as the engine reads it off T^0: its g on the full
             # space N (x)_k Y^0, without the P columns
             nq = tensor_module(n_lam, q)
-            t0 = direct_sum_quadruples([new, t_b(ctx, q)])
-            assert t0.ny.proj @ _g_off_p(t0, p) == \
+            g = direct_sum_quadruples([new, t_b(ctx, q)]).g_full
+            assert g.block(0, g.rows, p.dim, g.cols) == \
                 _sigma0_loop(ctx, ext, ip, nq, mp)
     nonzero = 0
     for q in quads + [t_b(ctx, y) for y in qs]:
@@ -1052,9 +1053,12 @@ def test_non_factoring_structure_maps_still_raise(field):
                 full = Mat.hstack([outside[0], Mat.zeros(F, proj.rows, cod.dim - 1)])
                 args = (full, g_full) if bad == "f" else (f_full, full)
                 what = "M (x)_A X" if bad == "f" else "N (x)_B Y"
-                _same_error(lambda: make_quadruple(ctx, q.x, q.y, *args),
+                message = f"{bad} does not factor through {what}"
+                made = make_quadruple(ctx, q.x, q.y, *args)
+                _same_error(lambda: getattr(made, bad),
                             lambda: _quadruple_maps(q.mx.proj, q.ny.proj, *args),
-                            ContextError, f"{bad} does not factor through {what}")
+                            ContextError, message)
+                assert validate_quadruple(made) == [message]
                 cases += 1
     assert cases
 
@@ -2375,7 +2379,7 @@ def test_morita_maps_match_the_element_loops(field, context):
             assert x.acts_of(c.psi.mat) == _psi_action_full(c, x)
             nmx = tensor_module(c.N, s.mx.module)
             big_proj = Mat.identity(c.A.field, c.N.dim).kron(s.mx.proj) @ nmx.proj
-            assert psi_hom(c, x, s.mx, nmx).mat == \
+            assert t_a(c, x).g.mat == \
                 factor_through(big_proj, [_psi_action_full(c, x)])[0]
             _, basis = hom_module(c.N, x)
             assert zeta_full(c, x, basis) == _zeta_full(c, x, basis)

@@ -15,14 +15,14 @@ from gpmorita.catalog import (
     arrow_ideal_context, glued_psi_context, simple_kx2, triangular_context,
     truncated_poly, two_cycle_context,
 )
+from gpmorita.complexes import ComplexWindow
 from gpmorita.fields import QQ
-from gpmorita.gpcert import certify_gorenstein_projective
 from gpmorita.jsonio import (
     algebra_to_json, bimodule_to_json, complex_to_json, field_to_json,
     mat_to_json, module_to_json,
 )
 from gpmorita.linalg import Mat
-from gpmorita.modules import regular_module
+from gpmorita.modules import FDModule, ModuleHom, regular_module
 from gpmorita.morita import t_a, t_b, z_a, z_b  # noqa: F401
 from gpmorita.trivext import t_lambda
 
@@ -127,11 +127,15 @@ def main():
         doc["quadruples"][name] = quadruple_entry(q, "ctx", xn, yn)
     write("nc_phi.json", doc)
 
-    # a one-algebra file for certify-gp and check-compat
+    # a one-algebra file for certify-gp and check-compat; its window is
+    # ... -> A2 -> A2 -> ... in degrees -3 to 3, A2 on the basis (x, 1) and
+    # each differential 1 |-> 3x, so every kernel and image is (x)
     a2 = truncated_poly(F, 2)
     s = simple_kx2(a2)
     reg = regular_module(a2)
-    cert = certify_gorenstein_projective(s, window=3)
+    free = FDModule(a2, 2, [Mat.identity(F, 2), Mat.from_ints(F, [[0, 0], [1, 0]])])
+    d = ModuleHom(free, free, Mat.from_ints(F, [[0, 0], [3, 0]]))
+    window = ComplexWindow(-3, 3, [free] * 7, [d] * 6)
     doc = {"field": field_to_json(F),
            "algebras": {"A2": algebra_to_json(a2)},
            "modules": {"S": module_to_json(s, "A2"),
@@ -142,7 +146,7 @@ def main():
                                        mat_to_json(Mat.zeros(F, 1, 1))],
                          "right_acts": [mat_to_json(Mat.identity(F, 1)),
                                         mat_to_json(Mat.zeros(F, 1, 1))]}},
-           "complexes": {"S_window": complex_to_json(cert.window, "A2")}}
+           "complexes": {"S_window": complex_to_json(window, "A2")}}
     write("dual_numbers.json", doc)
 
 

@@ -137,12 +137,6 @@ class Algebra:
         e[i] = self.field.one()
         return e
 
-    def multiply(self, a: list, b: list) -> list:
-        """The product of two elements, (a (x) b) @ consts."""
-        F, n = self.field, self.dim
-        return (Mat.from_rows(F, [a], n).kron(Mat.from_rows(F, [b], n))
-                @ self.consts).row(0)
-
     @memo
     def lmul_mats(self) -> list[Mat]:
         """Left multiplication by each basis element, as row-action

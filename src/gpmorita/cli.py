@@ -6,14 +6,17 @@ undetermined, 3 input error, 4 internal error (an exception no other code
 covers, reported as one `internal error: <Type>: <message>` line on stderr
 with nothing on stdout).  Identical input and seed give byte-identical
 reports; `verify-report` re-checks the witnesses embedded in a previous
-report against the same problem file.  Each call builds the argument
-parser of its own command only; usage, help and error messages are those
-of the full parser.
+report against the same problem file.  A call's arguments are read by
+a parser of its command's options alone; the full parser, with every
+command, is built only for a call that names no command or has an
+argument its command does not take, and prints the usage and errors.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import shutil
 import sys
 
 from .engine import (
@@ -411,11 +414,9 @@ def _verify_cert_json(prob, cert_obj):
     return verify_certificate(cert, cert.module), cert
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The parser for argv: only the subparser of its command when argv
-    starts with one, all of them otherwise (no command, help, an unknown
-    command, an option first)."""
-    # the options of each command beyond the common ones, in help order
+def _add_options(parser: argparse.ArgumentParser, name: str) -> None:
+    """The arguments of command `name`, in help order."""
+    # the options of each command beyond the common ones
     options = {
         "validate": [],
         "build-ring": [("--context", {"required": True})],
@@ -437,30 +438,51 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
                   ("--quadruples", {"nargs": "+", "required": True})],
         "verify-report": [("--report", {"required": True})],
     }
-    p = argparse.ArgumentParser(prog="gpmorita", description=__doc__)
-    if argv and argv[0] in HANDLERS:
-        # the top-level usage, printed with an unrecognized-argument error,
-        # still lists every command
-        sub = p.add_subparsers(dest="command", required=True,
-                               metavar="{" + ",".join(HANDLERS) + "}")
-        names = [argv[0]]
-    else:
-        sub = p.add_subparsers(dest="command", required=True)
-        names = list(HANDLERS)
-    for name in names:
-        sp = sub.add_parser(name)
-        if name == "nc-tensor":
-            sp.add_argument("mode", choices=["build", "iso", "check"])
-        sp.add_argument("problem", help="JSON problem file")
-        sp.add_argument("--json", action="store_true",
+    if name == "nc-tensor":
+        parser.add_argument("mode", choices=["build", "iso", "check"])
+    parser.add_argument("problem", help="JSON problem file")
+    parser.add_argument("--json", action="store_true",
                         help="emit the machine-readable report")
-        sp.add_argument("--window", type=int, default=6)
-        sp.add_argument("--period-bound", type=int, default=12)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--budget", type=int, default=600)
-        for flag, kwargs in options[name]:
-            sp.add_argument(flag, **kwargs)
+    parser.add_argument("--window", type=int, default=6)
+    parser.add_argument("--period-bound", type=int, default=12)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--budget", type=int, default=600)
+    for flag, kwargs in options[name]:
+        parser.add_argument(flag, **kwargs)
+
+
+def _formatter():
+    """argparse's help formatter at the terminal width, read once: each
+    formatter it makes would read it again."""
+    return functools.partial(argparse.HelpFormatter,
+                             width=shutil.get_terminal_size().columns - 2)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every command's subparser."""
+    fmt = _formatter()
+    p = argparse.ArgumentParser(prog="gpmorita", description=__doc__,
+                                formatter_class=fmt)
+    sub = p.add_subparsers(dest="command", required=True)
+    for name in HANDLERS:
+        _add_options(sub.add_parser(name, formatter_class=fmt), name)
     return p
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """argv read by its command's own parser, the one the full parser runs
+    for that command.  When argv starts with no command, or leaves
+    arguments that parser does not know, the full parser reads it, for
+    its usage, help and messages."""
+    if argv and argv[0] in HANDLERS:
+        p = argparse.ArgumentParser(prog=f"gpmorita {argv[0]}",
+                                    formatter_class=_formatter())
+        _add_options(p, argv[0])
+        args, rest = p.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 HANDLERS = {
@@ -480,7 +502,7 @@ HANDLERS = {
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    args = _parse_args(argv)
     try:
         return _run(args)
     except Exception as e:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 
 import pytest
 
@@ -780,7 +781,7 @@ def test_unmapped_exception_is_an_internal_error(monkeypatch, capsys, exc):
 # -- each call builds the parser of its own command only ----------------------
 
 PARSER_SWEEP = [
-    [], ["-h"], ["--help"], ["bogus"], ["-x"],
+    [], ["-h"], ["--help"], ["bogus"], ["-x"], ["--nope", "-h"],
     ["--json", "validate", fx("glued5.json")],
     ["--", "validate", fx("glued5.json")],
     ["validate"], ["validate", "-h"], ["nc-tensor", "--help"],
@@ -788,10 +789,12 @@ PARSER_SWEEP = [
     ["validate", fx("glued5.json"), "--nope"],
     ["validate", fx("glued5.json"), "extra"],
     ["validate", fx("glued5.json"), "--window", "x"],
+    ["validate", fx("glued5.json"), "--window=3"],
     ["build-ring", fx("glued5.json"), "--window"],
     ["check-gp", fx("triangular.json")],
     ["audit", fx("two_cycle.json"), "--extension", "ext", "--context", "ctx"],
     ["nc-tensor", "bogus", fx("two_cycle.json"), "--context", "ctx"],
+    ["nc-tensor", fx("two_cycle.json"), "--context", "ctx"],
     ["validate", "--", fx("glued5.json")],
     ["build-ring", fx("glued5.json"), "--context", "ctx", "--json"],
     ["check-gp", fx("triangular.json"), "--ext", "ext", "--cont", "ctx",
@@ -799,6 +802,8 @@ PARSER_SWEEP = [
     ["certify-gp", fx("dual_numbers.json"), "--module", "S", "--json"],
     ["check-compat", fx("dual_numbers.json"), "--bimodule", "S_bim",
      "--right-tests", "S_window", "--json"],
+    ["check-compat", fx("dual_numbers.json"), "--bimodule", "S_bim",
+     "--right-tests"],
     ["nc-tensor", "build", fx("two_cycle.json"), "--context", "ctx", "--json"],
     ["verify-report", fx("dual_numbers.json"), "--report",
      fx("no_such_report.json")],
@@ -807,7 +812,7 @@ PARSER_SWEEP = [
 
 def _outcome(monkeypatch, capsys, argv, full):
     """(exit code or SystemExit code, stdout, stderr, parsed namespaces) of
-    main(argv); full=True builds every subparser whatever the command."""
+    main(argv); full=True parses every argv with the full parser."""
     namespaces = []
     with monkeypatch.context() as m:
         run_args = cli._run
@@ -818,8 +823,7 @@ def _outcome(monkeypatch, capsys, argv, full):
 
         m.setattr(cli, "_run", recorded)
         if full:
-            build = cli.build_parser
-            m.setattr(cli, "build_parser", lambda argv=None: build())
+            m.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
         try:
             code = main(list(argv))
         except SystemExit as e:
@@ -828,28 +832,44 @@ def _outcome(monkeypatch, capsys, argv, full):
     return code, captured.out, captured.err, namespaces
 
 
+@pytest.mark.parametrize("columns", [None, "40", "200"],
+                         ids=["COLUMNS unset", "COLUMNS=40", "COLUMNS=200"])
 @pytest.mark.parametrize("argv", PARSER_SWEEP,
                          ids=lambda a: " ".join(os.path.basename(w) for w in a))
-def test_narrowed_parser_behaves_as_the_full_one(monkeypatch, capsys, argv):
+def test_narrowed_parser_behaves_as_the_full_one(monkeypatch, capsys, argv, columns):
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
     narrowed = _outcome(monkeypatch, capsys, argv, full=False)
     assert narrowed == _outcome(monkeypatch, capsys, argv, full=True)
 
 
-def test_a_command_builds_only_its_own_subparser(monkeypatch, capsys):
-    names = []
-    add_parser = argparse._SubParsersAction.add_parser
+@pytest.mark.parametrize("argv, built, widths", [
+    (["validate", fx("glued5.json")], 1, 1),
+    (["--help"], 1 + len(cli.HANDLERS), 1),
+    (["validate", fx("glued5.json"), "--nope"], 2 + len(cli.HANDLERS), 2),
+], ids=["command", "help", "unrecognized"])
+def test_a_command_builds_only_its_own_parser(monkeypatch, capsys, argv, built,
+                                              widths):
+    """A command's call constructs one ArgumentParser, its own; help and an
+    unrecognized argument also build the full one, a root parser and one
+    subparser per command.  Each of the two reads the terminal width once."""
+    parsers, reads = [], []
+    init, size = argparse.ArgumentParser.__init__, shutil.get_terminal_size
 
-    def counted(self, name, **kwargs):
-        names.append(name)
-        return add_parser(self, name, **kwargs)
+    def counted(self, *args, **kwargs):
+        parsers.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
-    assert main(["validate", fx("glued5.json")]) == 0
-    assert names == ["validate"]
-    names.clear()
-    with pytest.raises(SystemExit):
-        main(["--help"])
-    assert names == list(cli.HANDLERS)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    monkeypatch.setattr(shutil, "get_terminal_size",
+                        lambda *args: reads.append(args) or size(*args))
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+    assert (len(parsers), len(reads)) == (built, widths)
 
 
 @pytest.mark.parametrize("argv, error", [

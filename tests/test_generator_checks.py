@@ -3,32 +3,40 @@ all-pairs checks they replaced.
 
 The oracles below are the earlier implementations, kept verbatim apart
 from their names: `validate_module` and `validate_bimodule` on every pair
-of basis elements, and `ModuleHom.intertwines` on every basis element.
+of basis elements, `ModuleHom.intertwines` on every basis element, and the linearity of
+`validate_balanced_map` at every basis element of its target.
 On catalog modules, homs and bimodules over Q and GF(7), and on copies with
 one entry of one action or hom matrix perturbed (as `catalog.corrupt_psi`
 perturbs psi), the generator checks must give the same accept/reject
 verdict.  A perturbed hom keeps valid ends: `intertwines` assumes modules.
+A balanced map, perturbed or over a perturbed bimodule, must get the
+oracle's very list, which names the first failing basis element.
 """
 from __future__ import annotations
 
 import functools
+import glob
+import json
+import os
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpmorita.algebra import opposite_algebra
+from gpmorita.algebra import generating_subset, opposite_algebra
 from gpmorita.bimodules import (
-    Bimodule, outer_bimodule, regular_bimodule, validate_bimodule,
+    BalancedMap, Bimodule, outer_bimodule, regular_bimodule,
+    validate_balanced_map, validate_bimodule,
 )
 from gpmorita.catalog import (
-    arrow_ideal_context, glued_psi_context, path_a2, proj_a2, random_module,
-    simple_at_idempotent, simple_kx2, triangular_context, truncated_poly,
-    two_cycle_context, two_cycle_rad_square,
+    arrow_ideal_context, full_context, glued_psi_context, path_a2, proj_a2,
+    random_module, simple_at_idempotent, simple_kx2, triangular_context,
+    truncated_poly, two_cycle_context, two_cycle_rad_square, wide_psi_context,
 )
 from gpmorita.fields import GF, QQ
-from gpmorita.linalg import Mat
+from gpmorita.jsonio import field_to_json, load_problem
+from gpmorita.linalg import Mat, intertwining_system
 from gpmorita.modules import (
     FDModule, ModuleHom, direct_sum, hom_space, regular_module, validate_module,
 )
@@ -98,6 +106,29 @@ def _intertwines(h: ModuleHom) -> bool:
 # -- cases -----------------------------------------------------------------------
 
 
+def _validate_balanced_map(f: BalancedMap) -> list[str]:
+    F = f.target.field
+    if f.n.left is not f.m.right:
+        return ["middle algebras of the two bimodules differ"]
+    if f.m.left is not f.target or f.n.right is not f.target:
+        return ["outer algebras do not match the target"]
+    out = []
+    rel = intertwining_system(F, f.m.dim, f.n.dim, f.m.right_acts, f.n.left_acts)
+    if not (rel @ f.mat).is_zero():
+        out.append("not balanced over the middle algebra")
+    eye_n = Mat.identity(F, f.n.dim)
+    eye_m = Mat.identity(F, f.m.dim)
+    for t in range(f.target.dim):
+        if f.m.left_acts[t].kron(eye_n) @ f.mat != f.mat @ f.target.lmul_mats()[t]:
+            out.append(f"not left-linear over the target at {t}")
+            break
+    for t in range(f.target.dim):
+        if eye_m.kron(f.n.right_acts[t]) @ f.mat != f.mat @ f.target.rmul_mats()[t]:
+            out.append(f"not right-linear over the target at {t}")
+            break
+    return out
+
+
 @functools.cache
 def _modules(field: str) -> tuple[FDModule, ...]:
     """Catalog modules over k[x]/x^3 (x^2 is no generator), k[x]/x^2,
@@ -135,6 +166,29 @@ def _bimodules(field: str) -> tuple[Bimodule, ...]:
         ctx = make(F)[1]
         out += [ctx.M, ctx.N]
     return tuple(m for m in out if m.dim)
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+@functools.cache
+def _balanced_maps(field: str) -> tuple[BalancedMap, ...]:
+    """Every map of every fixture, read over the field, and the phi and psi
+    of the catalog contexts."""
+    F = FIELDS[field]()
+    out = []
+    for path in sorted(glob.glob(os.path.join(FIXTURES, "*.json"))):
+        with open(path) as fh:
+            doc = json.load(fh)
+        doc["field"] = field_to_json(F)
+        out += load_problem(doc).maps.values()
+    contexts = [make(F)[1] for make in (triangular_context, two_cycle_context,
+                                        glued_psi_context, arrow_ideal_context,
+                                        wide_psi_context)]
+    contexts.append(full_context(truncated_poly(F, 3)))
+    for ctx in contexts:
+        out += [ctx.phi, ctx.psi]
+    return tuple(out)
 
 
 def _bump(F, draw: int):
@@ -246,6 +300,39 @@ def test_bimodule_verdicts_match_all_pairs_oracle(field, data):
     b = _corrupt_bimodule(m, right, t, i, j,
                           _bump(m.left.field, data.draw(st.integers(1, 12))))
     assert _agree(validate_bimodule(b), _validate_bimodule(b))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_balanced_maps_get_the_oracle_lists(field):
+    """Each map, each map with one entry perturbed, and each map with the
+    target's action on M or on N perturbed at one basis element.  A map
+    off by one entry fails at a generator; an action perturbed at a
+    non-generator makes its bimodule invalid, and the first failure may
+    be there."""
+    F = FIELDS[field]()
+    rng = random.Random(5)
+    named = set()
+    for f in _balanced_maps(field):
+        assert validate_balanced_map(f) == _validate_balanced_map(f) == []
+        mutants = [BalancedMap(f.m, f.n, f.target,
+                               _perturbed(f.mat, rng.randrange(f.mat.rows),
+                                          rng.randrange(f.mat.cols),
+                                          _bump(F, rng.randint(1, 6))))
+                   for _ in range(3) if f.mat.rows]
+        for t in range(f.target.dim):
+            for right, b in ((False, f.m), (True, f.n)):
+                if b.dim:
+                    b = _corrupt_bimodule(b, right, t, rng.randrange(b.dim),
+                                          rng.randrange(b.dim), _bump(F, rng.randint(1, 6)))
+                    m, n = (f.m, b) if right else (b, f.n)
+                    mutants.append(BalancedMap(m, n, f.target, f.mat))
+        gens = generating_subset(f.target)
+        for g in mutants:
+            old = _validate_balanced_map(g)
+            assert validate_balanced_map(g) == old, (f, old)
+            named |= {int(msg.rsplit(" ", 1)[1]) in gens
+                      for msg in old if "linear" in msg}
+    assert named == {True, False}
 
 
 def test_validate_module_checks_each_instance_once(monkeypatch):

@@ -161,6 +161,8 @@ from gpmorita.trivext import (
     recognize_trivial_extension, structural_maps, t_lambda, trivial_extension,
 )
 
+from element_products import multiply
+
 FIELDS = {"Q": QQ, "GF7": lambda: GF(7)}
 THREE_FIELDS = {**FIELDS, "GF5": lambda: GF(5)}
 CONTEXTS = {"triangular": triangular_context, "two_cycle": two_cycle_context,
@@ -1907,7 +1909,7 @@ def test_product_tables_match_the_nested_loops(field):
         _same_table(opposite_algebra(a), _loop_opposite(old))
         for _ in range(4):
             x, y = ([_random_scalar(F, rng) for _ in range(a.dim)] for _ in range(2))
-            assert a.multiply(x, y) == old.multiply(x, y)
+            assert multiply(a, x, y) == old.multiply(x, y)
         assert generating_subset(a) == _loop_generating_subset(old)
         for eps in _idempotents(a, old):
             new_c, new_rows = corner_algebra(a, eps)

@@ -50,6 +50,8 @@ def memo(f=None, *, on: int = 0):
     numbers, strings and None by value, any other object by id.  Those
     objects are held in the entry, so a reused id cannot hit, and a hit
     returns the very instance that was stored.  An exception is not stored.
+    A function of one parameter, called with one positional argument, finds
+    its entry, keyed (f,), by one dict lookup.
 
     `f.put(value, *args)` records a value known without computing it, such
     as the reverse of an involution; `f.get(*args)` reads an entry without
@@ -83,8 +85,14 @@ def memo(f=None, *, on: int = 0):
             entry = None
         return cache, key, held, entry
 
+    alone = (f,) if n == 1 else None
+
     @functools.wraps(f)
     def cached(*args, **kw):
+        if alone and len(args) == 1 and not kw:
+            entry = args[0]._cache.get(alone)
+            if entry is not None:
+                return entry[1]
         cache, key, held, entry = find(args, kw)
         if entry is None:
             entry = cache[key] = (held, f(*args, **kw))

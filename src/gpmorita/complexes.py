@@ -107,7 +107,9 @@ def per_instance(build, degrees, inputs) -> list:
     instances (`is`) of an earlier degree's shares the value built there,
     as a periodic window shares its terms; the shared value is itself one
     instance, so a later build keyed by it shares in turn, and a window
-    that repeats costs one period."""
+    that repeats costs one period.  A matrix with no rows or no columns is
+    one instance per shape and field (`linalg`), so the zero pieces of the
+    degrees, such as every M (x) P^i when M = 0, are the same instances."""
     built: list[tuple[tuple, object]] = []
     out = []
     for i in degrees:

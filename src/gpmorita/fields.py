@@ -1,6 +1,10 @@
 """Exact scalars: the rationals or a prime field F_p.
 
-A Field instance fixes the ground field for a whole session.  Rational
+A Field instance fixes the ground field for a whole session.  There is
+one instance per `FieldSpec`: `Field(spec)`, `QQ()`, `GF(p)` and a
+problem file's field all return it, so two fields are equal exactly when
+they are the same instance, and a field carries linalg's shared empty
+matrices (`empties`) for every caller.  Rational
 values are `fractions.Fraction` (always lowest terms, positive
 denominator); F_p values are ints in [0, p).  These are the scalar types
 at the boundary of `linalg`: matrices take and return them, but store
@@ -46,11 +50,21 @@ class FieldSpec:
 
 
 class Field:
-    """Arithmetic in one fixed exact field."""
+    """Arithmetic in one fixed exact field, one instance per spec."""
 
-    def __init__(self, spec: FieldSpec):
-        self.spec = spec
-        self.p = spec.p
+    _instances: dict[FieldSpec, Field] = {}
+
+    def __new__(cls, spec: FieldSpec):
+        f = cls._instances.get(spec)
+        if f is None:
+            f = cls._instances[spec] = object.__new__(cls)
+            f.spec, f.p = spec, spec.p
+            f.empties = {}      # linalg's shared matrices with no rows or no columns
+        return f
+
+    def __reduce__(self):
+        # a copy or an unpickled field is the one instance of its spec
+        return Field, (self.spec,)
 
     @property
     def is_rational(self) -> bool:
@@ -125,12 +139,6 @@ class Field:
                 return int(a)
             return f"{a.numerator}/{a.denominator}"
         return int(a)
-
-    def __eq__(self, other):
-        return isinstance(other, Field) and self.spec == other.spec
-
-    def __hash__(self):
-        return hash(self.spec)
 
     def __repr__(self):
         return "QQ" if self.is_rational else f"GF({self.p})"

@@ -35,7 +35,7 @@ from functools import partial
 from .algebra import Algebra, validate_algebra
 from .bimodules import BalancedMap, Bimodule, BimoduleError, validate_bimodule
 from .complexes import ComplexError, ComplexWindow, validate_complex
-from .fields import Field, FieldSpec
+from .fields import GF, QQ, Field
 from .gpcert import GPCertificate, NotGPWitness, RightTailStep
 from .homology import Resolution
 from .linalg import Mat
@@ -86,13 +86,13 @@ def field_to_json(F: Field):
 
 def field_from_json(obj) -> Field:
     if obj == "Q":
-        return Field(FieldSpec("Q"))
+        return QQ()
     if isinstance(obj, dict) and "p" in obj:
         p = obj["p"]
         if type(p) is not int:
             raise InputError(f"field modulus must be an integer, got {p!r}")
         try:
-            return Field(FieldSpec("Fp", p))
+            return GF(p)
         except ValueError as e:
             raise InputError(str(e)) from None
     raise InputError(f"unrecognized field spec {obj!r}")

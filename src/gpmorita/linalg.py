@@ -24,7 +24,10 @@ positive denominator, `_ints / _den`, built once at construction and
 never written afterwards.  Over F_p the denominator is 1 and the entries
 lie in [0, p).  Over Q the denominator is canonical, the least positive
 one with integer rows, so two matrices are equal exactly when their
-storage is.
+storage is.  Every `Mat` is made by one helper, `_wrap`, and a matrix
+with no rows or no columns is one instance per shape, kept on its field
+(`Field.empties`), so the zero pieces of a construction are the same
+instances to the per-instance memos above this module.
 
 Kernels.  Arithmetic, the builders above, kernels and `solve` compute on
 the integer rows, with one code path for both fields.  A result whose
@@ -75,15 +78,12 @@ _SMALL = {n: Fraction(n) for n in range(-64, 65)}
 
 
 def _wrap(field: Field, ints: list[list[int]], den: int, cols: int) -> "Mat":
-    """A Mat holding ints / den as given, which must be canonical storage."""
+    """A Mat holding ints / den as given, which must be canonical storage;
+    with no rows or no columns, the field's one instance of that shape."""
     m = object.__new__(Mat)
-    m.field = field
-    m.rows = len(ints)
-    m.cols = cols
-    m._ints = ints
-    m._den = den
-    m._rref = None
-    return m
+    m.field, m.rows, m.cols = field, len(ints), cols
+    m._ints, m._den, m._rref = ints, den, None
+    return m if m.rows and cols else field.empties.setdefault((m.rows, cols), m)
 
 
 def _canon(field: Field, ints: list[list[int]], den: int, cols: int) -> "Mat":
@@ -191,15 +191,17 @@ class Mat:
 
     __slots__ = ("field", "rows", "cols", "_ints", "_den", "_rref")
 
-    def __init__(self, field: Field, data: list[list], cols: int | None = None):
+    def __new__(cls, field: Field, data: list[list], cols: int | None = None):
         """The matrix with the given rows of field elements (ints are read
         into the field).  Every row must have the same length."""
         cols = _row_length(data, cols)
         den = lcm(*{x.denominator for row in data for x in row})
         ints = [[x.numerator * (den // x.denominator) for x in row] for row in data]
-        c = _canon(field, ints, den, cols)
-        self.field, self.rows, self.cols = field, c.rows, cols
-        self._ints, self._den, self._rref = c._ints, c._den, None
+        return _canon(field, ints, den, cols)
+
+    def __reduce__(self):
+        # a copy or an unpickled matrix is minted like any other
+        return _wrap, (self.field, self._ints, self._den, self.cols)
 
     # -- constructors -------------------------------------------------
 
@@ -228,13 +230,14 @@ class Mat:
         return _wrap(field, [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)], 1, n)
 
     def copy(self) -> "Mat":
-        """The same matrix with no cached echelon form."""
+        """The same matrix with no cached echelon form; an empty one is the
+        shared instance, whose echelon form costs nothing to keep."""
         return _wrap(self.field, self._ints, self._den, self.cols)
 
     # -- basic queries ------------------------------------------------
 
     def __eq__(self, other):
-        return (isinstance(other, Mat) and self.field == other.field
+        return (isinstance(other, Mat) and self.field is other.field
                 and self.rows == other.rows and self.cols == other.cols
                 and self._den == other._den and self._ints == other._ints)
 
@@ -299,7 +302,7 @@ class Mat:
     # -- arithmetic ---------------------------------------------------
 
     def _same_field(self, other: "Mat"):
-        if self.field is not other.field and self.field != other.field:
+        if self.field is not other.field:
             raise FieldMismatch("matrices over different fields")
 
     def _combine(self, other: "Mat", sign: int, op: str) -> "Mat":
@@ -395,7 +398,7 @@ class Mat:
         for rd, band in zip(row_dims, blocks, strict=True):
             for m, cd in zip(band, col_dims, strict=True):
                 if m is not None:
-                    if m.field is not field and m.field != field:
+                    if m.field is not field:
                         raise FieldMismatch("from_blocks over mixed fields")
                     if (m.rows, m.cols) != (rd, cd):
                         raise ValueError("from_blocks: a block disagrees with "
@@ -601,7 +604,7 @@ def linear_combination(field: Field, rows: int, cols: int, coeffs: list,
     itself."""
     terms = [(c, m) for c, m in zip(coeffs, mats, strict=True) if c]
     for _, m in terms:
-        if m.field is not field and m.field != field:
+        if m.field is not field:
             raise FieldMismatch("linear_combination over mixed fields")
         if (m.rows, m.cols) != (rows, cols):
             raise ValueError("shape mismatch in linear_combination")
@@ -654,7 +657,7 @@ def first_invertible_combination(mats: list[Mat], grid) -> tuple | None:
     F = mats[0].field
     p, n = F.p, mats[0].rows
     for m in mats:
-        if m.field is not F and m.field != F:
+        if m.field is not F:
             raise FieldMismatch("first_invertible_combination over mixed fields")
         if (m.rows, m.cols) != (n, n):
             raise ValueError("first_invertible_combination needs square matrices "
@@ -723,7 +726,7 @@ def row_space(m: Mat) -> Mat:
 
 def solve(a: Mat, b: Mat) -> Mat | None:
     """One exact solution x of a @ x = b, or None if inconsistent."""
-    if a.field != b.field:
+    if a.field is not b.field:
         raise FieldMismatch("solve over mixed fields")
     if a.rows != b.rows:
         raise ValueError("solve: row counts differ")
@@ -784,7 +787,7 @@ def coordinates(basis: Mat, vectors: Mat) -> Mat | None:
     A basis without one raises `NonCanonicalBasis`.  The coordinates are
     read off the unit columns, with no elimination, and one product over
     the whole batch proves the read exact."""
-    if basis.field is not vectors.field and basis.field != vectors.field:
+    if basis.field is not vectors.field:
         raise FieldMismatch("coordinates over mixed fields")
     if basis.cols != vectors.cols:
         raise ValueError("coordinates: column counts differ")
@@ -812,7 +815,7 @@ def factor_through(proj: Mat, mats: list[Mat]) -> list[Mat] | None:
         return []
     if proj.cols == 0:
         for m in mats:
-            if m.field is not proj.field and m.field != proj.field:
+            if m.field is not proj.field:
                 raise FieldMismatch("factor_through over mixed fields")
             if m.rows != proj.rows:
                 raise ValueError("factor_through: row counts differ")

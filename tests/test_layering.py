@@ -1,4 +1,4 @@
-"""Twenty-five layering rules of the package, checked on its source.
+"""Twenty-six layering rules of the package, checked on its source.
 
 Only `linalg` sees matrix entries: no other module reads or writes a
 `.data` attribute or the integer storage behind it, so the storage can
@@ -65,7 +65,9 @@ stops at its fixed point: no module names a radical's `nilpotency_index`.
 What an algebra was built from is recorded by its builder and read by
 `_idempotents` alone:
 a ring's context is written by `morita.build_ring`, and an opposite's
-original by `algebra.opposite_algebra`.
+original by `algebra.opposite_algebra`.  A `Mat` is minted in one place,
+`linalg._wrap`, which hands out each field's shared empty matrices, and
+a `Field` is made only in `fields`, one instance per spec.
 """
 from __future__ import annotations
 
@@ -581,3 +583,31 @@ def test_the_parts_records_have_one_writer_and_one_reader():
                 if inside.get(id(node)) != where:
                     hits.append(f"{name}:{node.lineno} {node.attr}")
     assert not hits, f"a parts record written or read outside its one place: {hits}"
+
+
+# the one place a Mat is minted, which hands out the shared empty matrices
+MAT_MINT = ("linalg.py", "_wrap")
+
+
+def test_matrices_are_minted_in_one_place_and_fields_only_in_fields():
+    """`object.__new__(Mat)` (or any `__new__` naming `Mat`) is called only
+    in `linalg._wrap`, so no matrix with no rows or no columns escapes the
+    field's shared instance.  No module but `fields` calls `Field(...)` or
+    a `__new__` naming `Field`: elsewhere a field is `QQ()` or `GF(p)`,
+    the one instance per spec."""
+    hits = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        name = os.path.basename(path)
+        tree = _tree(name)
+        inside = _enclosing(tree, name)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            new = _called(node) == "__new__"
+            named = {n.id for n in ([node.func.value, *node.args] if new
+                                    else [node.func]) if isinstance(n, ast.Name)}
+            if new and "Mat" in named and inside.get(id(node)) != MAT_MINT:
+                hits.append(f"{name}:{node.lineno} mints a Mat")
+            if name != "fields.py" and "Field" in named:
+                hits.append(f"{name}:{node.lineno} makes a Field")
+    assert not hits, f"a Mat minted outside _wrap, or a Field outside fields: {hits}"

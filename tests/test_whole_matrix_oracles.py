@@ -82,8 +82,10 @@ seeded random contexts, on trivial extensions and on the tensor rings of
 the same violation list, in the same order.
 
 The Morita layer acts by a span with one `FDModule.acts_of` and re-indexes
-whole products with `swap_factors` and `reshape`.  The per-element code it
-replaced is kept below as oracles: the context squares and the ideal checks
+whole products with `swap_factors` and `reshape`; `swap_factors` is checked
+against an index loop at unequal factors, and the N (x) M and M (x) N
+oracles also run on the wide context, over Q and GF(11).  The per-element
+code it replaced is kept below as oracles: the context squares and the ideal checks
 of `validate_context`, the psi, zeta, evaluation and adjoint-mate maps,
 `module_to_quadruple` on the ring's block embeddings, the two loops of
 `structural_maps`, `induced_module`, and the ideal loops of
@@ -171,6 +173,8 @@ CONTEXTS = {"triangular": triangular_context, "two_cycle": two_cycle_context,
 # context, whose bimodules have dimension 2 and whose psi is not symmetric
 # in its two factors
 ALL_CONTEXTS = {**CONTEXTS, "wide": wide_psi_context}
+# the wide context's ring has dimension 7, so its radical needs p > 7
+CASE_FIELDS = {**THREE_FIELDS, "GF11": lambda: GF(11)}
 SEEDS = range(6)
 
 
@@ -581,7 +585,7 @@ def _act_of(F: Field, rows: int, cols: int, coeffs: list, mats: list[Mat]) -> Ma
 def _cases(field: str, context: str):
     """The context, T_A(A), T_B(B), their sum and seeded random quadruples;
     a context name ending in "^swap" names the swap of a catalog context."""
-    ctx = ALL_CONTEXTS[context.removesuffix("^swap")](THREE_FIELDS[field]())[1]
+    ctx = ALL_CONTEXTS[context.removesuffix("^swap")](CASE_FIELDS[field]())[1]
     if context.endswith("^swap"):
         ctx = swap_context(ctx)
     ta, tb = t_a(ctx, regular_module(ctx.A)), t_b(ctx, regular_module(ctx.B))
@@ -594,9 +598,30 @@ PARAMS = [(f, c) for f in FIELDS for c in CONTEXTS]
 WIDE_PARAMS = PARAMS + [(f, "wide") for f in FIELDS]
 # with phi != 0 as well: the swap of the wide context
 RIGHT_PARAMS = WIDE_PARAMS + [(f, "wide^swap") for f in FIELDS]
+# the N (x) M and M (x) N oracles: on the wide context dim M = dim N = 2
+# and psi is not symmetric, so a wrong order of the two factors shows
+NM_PARAMS = PARAMS + [("Q", "wide"), ("GF11", "wide")]
 
 
-@pytest.mark.parametrize("field, context", PARAMS)
+@pytest.mark.parametrize("field", ["Q", "GF11"])
+@pytest.mark.parametrize("a, b", [(2, 3), (3, 2), (2, 4)])
+def test_swap_factors_matches_the_index_loop(field, a, b):
+    # row i * b + j of a (x) b goes to row j * a + i of b (x) a, entry by
+    # entry; every row differs, so any other order of the rows shows
+    F = CASE_FIELDS[field]()
+    cols = 3
+    rows = [[Fraction(r * cols + k + 1, 1 + k) if F.is_rational
+             else F.of_int(r * cols + k + 1) for k in range(cols)]
+            for r in range(a * b)]
+    out = [[None] * cols for _ in range(a * b)]
+    for i in range(a):
+        for j in range(b):
+            for k in range(cols):
+                out[j * a + i][k] = rows[i * b + j][k]
+    assert Mat(F, rows, cols).swap_factors(a, b) == Mat(F, out, cols)
+
+
+@pytest.mark.parametrize("field, context", NM_PARAMS)
 def test_intertwining_system_is_the_middle_relations(field, context):
     ctx, quads = _cases(field, context)
     F = ctx.A.field
@@ -968,7 +993,7 @@ def test_quotient_actions_match_solve_loop(field):
             assert quo.acts == _quotient_acts(h.target, p.mat)
 
 
-@pytest.mark.parametrize("field, context", PARAMS)
+@pytest.mark.parametrize("field, context", NM_PARAMS)
 def test_tensor_actions_match_solve_loop(field, context):
     ctx, quads = _cases(field, context)
     for m, x in [(ctx.M, q.x) for q in quads] + [(ctx.N, q.y) for q in quads]:

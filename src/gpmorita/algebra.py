@@ -45,13 +45,14 @@ _BY_VALUE = (int, str, bool, float, type(None))
 def memo(f=None, *, on: int = 0):
     """The package's one memo of derived values.  f(*args) is kept on the
     `_cache` of its argument number `on`, the holder, and lives as long as
-    the holder does.  The entry is keyed by f and the other arguments, with
+    the holder does.  The entry is keyed by the memoized function (the
+    one its name finds, so a holder pickles) and the other arguments, with
     defaults filled in, so a positional and a keyword call share it:
     numbers, strings and None by value, any other object by id.  Those
     objects are held in the entry, so a reused id cannot hit, and a hit
     returns the very instance that was stored.  An exception is not stored.
     A function of one parameter, called with one positional argument, finds
-    its entry, keyed (f,), by one dict lookup.
+    its entry, keyed by the function alone, by one dict lookup.
 
     `f.put(value, *args)` records a value known without computing it, such
     as the reverse of an involution; `f.get(*args)` reads an entry without
@@ -72,7 +73,7 @@ def memo(f=None, *, on: int = 0):
             args = tuple(bound.arguments.values())
         elif len(args) < n:
             args += defaults[len(args):]
-        key, held = (f,), ()
+        key, held = (cached,), ()
         for v in args[:on] + args[on + 1:]:
             if type(v) in _BY_VALUE:
                 key += (v,)
@@ -84,8 +85,6 @@ def memo(f=None, *, on: int = 0):
         if entry is not None and not all(map(operator.is_, entry[0], held)):
             entry = None
         return cache, key, held, entry
-
-    alone = (f,) if n == 1 else None
 
     @functools.wraps(f)
     def cached(*args, **kw):
@@ -106,6 +105,7 @@ def memo(f=None, *, on: int = 0):
         entry = find(args, kw)[3]
         return None if entry is None else entry[1]
 
+    alone = (cached,) if n == 1 else None
     cached.put, cached.get = put, get
     return cached
 

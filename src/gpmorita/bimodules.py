@@ -1,11 +1,15 @@
 """Bimodules, balanced tensor products over an algebra, and Hom-modules.
 
 A bimodule over (B, A) carries a left B-action and a right A-action that
-commute.  Tensor products M (x)_A X are computed as quotients of the full
-k-tensor space (row-major basis, index (i, j) -> i * dim X + j) by the
-span of the middle relations m.a (x) x - m (x) a.x; the quotient lives on
-the pivot-complement coordinates of that relation span, so all bases are
-canonical and reproducible.
+commute.  One builder, `tensor_module`, computes every M (x)_A X: the
+quotient of the full k-tensor space (row-major basis, index
+(i, j) -> i * dim X + j) by the span of the middle relations
+m.a (x) x - m (x) a.x, on the pivot-complement coordinates of that span,
+so all bases are canonical and reproducible.  A right module U with no
+bimodule at hand enters as `right_bimodule(U)`, the (k, A)-bimodule whose
+left action is the identity of a one-dimensional k; a bimodule N enters
+as its left module, and `bimodule_tensor` descends N's right action
+through the same projection.
 
 Each action is validated as a module (`validate_module`, on the
 algebra's generators; see `modules`).  The two actions commute once the
@@ -219,52 +223,31 @@ def tensor_functor_hom(src: TensorModule, dst: TensorModule, h: ModuleHom) -> Mo
     return ModuleHom(src.module, dst.module, mat)
 
 
-@dataclass
-class TensorSpace:
-    """U (x)_A X for a right module U (given over A^op) and a left module X:
-    a plain vector space quotient of U (x)_k X."""
-
-    dim: int
-    proj: Mat
-    section: Mat
-
-
-@memo(on=1)
-def balanced_tensor_space(u_op: FDModule, x: FDModule) -> TensorSpace:
-    """Tensor over A of a right module (as a module over A^op) and a left
-    module; returns the quotient of the k-tensor space, or with a zero
-    factor the zero space, built with no relation system.  Memoized per
-    (u_op, x) instance pair, on x, as `modules.hom_space` is."""
-    if opposite_algebra(u_op.algebra) is not x.algebra:
-        raise BimoduleError("balanced tensor: algebra mismatch")
-    if u_op.dim == 0 or x.dim == 0:
-        zero = Mat.zeros(x.algebra.field, 0, 0)
-        return TensorSpace(0, zero, zero)
-    # right action of a on u is u @ u_op.acts[a]
-    proj, sec = quotient_maps(intertwining_system(
-        x.algebra.field, u_op.dim, x.dim, u_op.acts, x.acts))
-    return TensorSpace(proj.cols, proj, sec)
+@memo
+def right_bimodule(u_op: FDModule) -> Bimodule:
+    """A right A-module U, given over A^op, as the (k, A)-bimodule whose
+    left action is the identity of a one-dimensional k: its
+    `tensor_module` with X is U (x)_A X, a module over k.  Memoized on
+    u_op, so each tensor product of U is found again."""
+    F = u_op.algebra.field
+    k = Algebra(F, 1, Mat.identity(F, 1), [F.one()], name="k")
+    return Bimodule(k, opposite_algebra(u_op.algebra), u_op.dim,
+                    [Mat.identity(F, u_op.dim)], u_op.acts, name=u_op.name)
 
 
 def bimodule_tensor(m: Bimodule, n: Bimodule, name: str = "") -> tuple[Bimodule, Mat, Mat]:
-    """M (x)_A N as a bimodule over (M.left, N.right); returns it with the
-    projection from and section into M (x)_k N."""
-    if m.right is not n.left:
-        raise BimoduleError("bimodule tensor: middle algebras differ")
-    F = m.left.field
-    proj, sec = quotient_maps(
-        intertwining_system(F, m.dim, n.dim, m.right_acts, n.left_acts))
-    eye_n = Mat.identity(F, n.dim)
-    eye_m = Mat.identity(F, m.dim)
-    la = factor_through(proj, [a.kron(eye_n) @ proj for a in m.left_acts])
-    if la is None:
-        raise BimoduleError("left action does not descend")
-    ra = factor_through(proj, [eye_m.kron(a) @ proj for a in n.right_acts])
+    """M (x)_A N as a bimodule over (M.left, N.right): the tensor module
+    M (x)_A N|left, with N's right action descended through its
+    projection; returns it with the projection from and section into
+    M (x)_k N."""
+    t = tensor_module(m, n.as_left_module())
+    eye_m = Mat.identity(m.left.field, m.dim)
+    ra = factor_through(t.proj, [eye_m.kron(a) @ t.proj for a in n.right_acts])
     if ra is None:
         raise BimoduleError("right action does not descend")
-    out = Bimodule(m.left, n.right, proj.cols, la, ra,
+    out = Bimodule(m.left, n.right, t.module.dim, t.module.acts, ra,
                    name=name or f"{m.name}(x){n.name}")
-    return out, proj, sec
+    return out, t.proj, t.section
 
 
 # -- Hom-modules -------------------------------------------------------------
@@ -354,19 +337,3 @@ def validate_balanced_map(f: BalancedMap) -> list[str]:
             out.append(f"not {side}-linear over the target at {bad}")
     return out
 
-
-def hom_functor_hom(n: Bimodule, h: ModuleHom) -> ModuleHom:
-    """Hom(N, h): the pushforward Hom_A(N, X) -> Hom_A(N, X') along
-    h: X -> X', on the canonical hom-module coordinates."""
-    src_mod, src_basis = hom_module(n, h.source)
-    dst_mod, dst_basis = hom_module(n, h.target)
-    F = n.right.field
-    if not src_basis:
-        return ModuleHom(src_mod, dst_mod, Mat.zeros(F, 0, len(dst_basis)))
-    if not dst_basis:
-        return ModuleHom(src_mod, dst_mod, Mat.zeros(F, len(src_basis), 0))
-    c = coordinates(Mat.vstack([g.mat.flatten() for g in dst_basis]),
-                    Mat.vstack([(f.mat @ h.mat).flatten() for f in src_basis]))
-    if c is None:
-        raise BimoduleError("hom pushforward failed to express")
-    return ModuleHom(src_mod, dst_mod, c)

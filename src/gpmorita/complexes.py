@@ -4,16 +4,17 @@ horseshoe construction for exact complexes.
 
 A window holds terms X^i for lo <= i <= hi and differentials
 d^i : X^i -> X^{i+1} for lo <= i < hi.  Maps compose left to right, so
-d^i then d^{i+1} is d^i.mat @ d^{i+1}.mat.  A window, its Hom complex
-and its tensor complex are each read as (dims, maps), maps[j] joining the
-terms j and j + 1, and homology_at is the one homology count over them.
+d^i then d^{i+1} is d^i.mat @ d^{i+1}.mat.  The termwise tensor of a
+window with a bimodule, `tensor_window`, is again a window.  A window and
+its Hom complex are each read as (dims, maps), maps[j] joining the terms
+j and j + 1, and homology_at is the one homology count over them.
 """
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field as dc_field
 
-from .bimodules import balanced_tensor_space
+from .bimodules import Bimodule, tensor_functor_hom, tensor_module
 from .linalg import Mat, coordinates, intertwining_system, rank, solve
 from .modules import (
     FDModule, ModuleHom, direct_sum, hom_space, regular_module, validate_module,
@@ -163,9 +164,13 @@ def _first_inexact(c: ComplexWindow, data, lo: int | None = None) -> int | None:
                  if homology_at(dims, maps, i - c.lo)), None)
 
 
+def window_data(c: ComplexWindow):
+    """A window read as (dims, maps)."""
+    return [t.dim for t in c.terms], [d.mat for d in c.diffs]
+
+
 def is_exact(c: ComplexWindow) -> bool:
-    return _first_inexact(
-        c, ([t.dim for t in c.terms], [d.mat for d in c.diffs])) is None
+    return _first_inexact(c, window_data(c)) is None
 
 
 def hom_complex_data(c: ComplexWindow, y: FDModule):
@@ -187,17 +192,18 @@ def hom_complex_data(c: ComplexWindow, y: FDModule):
     return [len(b) for b in bases], maps
 
 
-def tensor_complex_data(u_op: FDModule, c: ComplexWindow):
-    """The complex U (x)_A X^. for a right module U, given as a module over
-    the opposite algebra: dims per degree and the maps 1 (x) d^i
-    (degree-preserving)."""
-    F = u_op.algebra.field
-    spaces = [balanced_tensor_space(u_op, t) for t in c.terms]
-    eye = Mat.identity(F, u_op.dim)
-    maps = [s.section @ eye.kron(d.mat) @ t.proj if s.dim and t.dim
-            else Mat.zeros(F, s.dim, t.dim)
-            for s, t, d in zip(spaces, spaces[1:], c.diffs)]
-    return [s.dim for s in spaces], maps
+def tensor_window(bim: Bimodule, wc: ComplexWindow):
+    """Termwise tensor of a bimodule with a complex window; returns the
+    window plus the TensorModule data per degree.  Repeated term instances
+    (periodic windows) share one tensor product, by the memo of
+    `tensor_module`, and repeated (terms, differential) instances one
+    differential (`per_instance`)."""
+    tens = [tensor_module(bim, t) for t in wc.terms]
+    diffs = per_instance(
+        lambda i: tensor_functor_hom(tens[i - wc.lo], tens[i - wc.lo + 1], wc.diff(i)),
+        range(wc.lo, wc.hi),
+        lambda i: (tens[i - wc.lo], tens[i - wc.lo + 1], wc.diff(i).mat))
+    return ComplexWindow(wc.lo, wc.hi, [t.module for t in tens], diffs), tens
 
 
 def hom_exactness_failure(c: ComplexWindow, y: FDModule,
@@ -207,9 +213,9 @@ def hom_exactness_failure(c: ComplexWindow, y: FDModule,
     return _first_inexact(c, hom_complex_data(c, y), lo)
 
 
-def tensor_exactness_failure(c: ComplexWindow, u_op: FDModule) -> int | None:
-    """The first interior degree where U (x)_A X^. is not exact, or None."""
-    return _first_inexact(c, tensor_complex_data(u_op, c))
+def tensor_exactness_failure(c: ComplexWindow, bim: Bimodule) -> int | None:
+    """The first interior degree where M (x)_A X^. is not exact, or None."""
+    return _first_inexact(c, window_data(tensor_window(bim, c)[0]))
 
 
 def total_exactness(c: ComplexWindow) -> bool:

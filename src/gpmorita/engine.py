@@ -19,11 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import UnsupportedField, memo, opposite_algebra
-from .bimodules import Bimodule, tensor_functor_hom, tensor_module
+from .bimodules import Bimodule, right_bimodule, tensor_functor_hom, tensor_module
 from .complexes import (
     ComplexWindow, HorseshoeError, HorseshoeResult, ShortExactSequence,
     hom_exactness_failure, horseshoe, is_exact, one_period, per_instance,
-    tensor_exactness_failure, total_exactness, twisted_diff, validate_complex,
+    tensor_exactness_failure, tensor_window, total_exactness, twisted_diff,
+    validate_complex,
 )
 from .gpcert import GPCertificate, certify_gorenstein_projective
 from .homology import injective_dimension, projective_dimension, tor_dim
@@ -158,20 +159,6 @@ class ResolutionAssembly:
     kernel_iso: ModuleHom                  # ker(d_T^0) -> q, over the ring
 
 
-def _tensor_window(bim: Bimodule, wc: ComplexWindow):
-    """Termwise tensor of a bimodule with a complex window; returns the
-    window plus the TensorModule data per degree.  Repeated term instances
-    (periodic windows) share one tensor product, by the memo of
-    `tensor_module`, and repeated (terms, differential) instances one
-    differential (`per_instance`)."""
-    tens = [tensor_module(bim, t) for t in wc.terms]
-    diffs = per_instance(
-        lambda i: tensor_functor_hom(tens[i - wc.lo], tens[i - wc.lo + 1], wc.diff(i)),
-        range(wc.lo, wc.hi),
-        lambda i: (tens[i - wc.lo], tens[i - wc.lo + 1], wc.diff(i).mat))
-    return ComplexWindow(wc.lo, wc.hi, [t.module for t in tens], diffs), tens
-
-
 def _require(cond: bool, msg: str):
     if not cond:
         raise EngineError(msg)
@@ -244,13 +231,13 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
 
     # weak-compatibility consequences, checked directly.  N (x)_B Q is built
     # over ctx.N, as T_B(Q^i) builds it; Z reads its terms over Lambda
-    mp_cx, mp_tens = _tensor_window(m_lam, pcx)
+    mp_cx, mp_tens = tensor_window(m_lam, pcx)
     _require(is_exact(one_period(mp_cx)),
              "M (x) P is not exact (C3 for M fails here)")
-    ip_cx, _ = _tensor_window(ext.ideal, pcx)
+    ip_cx, _ = tensor_window(ext.ideal, pcx)
     _require(is_exact(one_period(ip_cx)),
              "I (x) P is not exact (C3 for I fails here)")
-    nq_cx, nq_tens = _tensor_window(ctx.N, qcx)
+    nq_cx, nq_tens = tensor_window(ctx.N, qcx)
     _require(is_exact(one_period(nq_cx)),
              "N (x) Q is not exact (C3 for N fails here)")
     # one restriction to Lambda per distinct N (x) Q^i instance
@@ -428,9 +415,8 @@ def check_compat(bim: Bimodule, left_tests: list[ComplexWindow] | None = None,
     left_tests = left_tests or []
     right_tests = right_tests or []
     left_mod = bim.as_left_module()
-    right_mod = bim.as_right_module()
     d_left = injective_dimension(left_mod, bound)
-    d_right = injective_dimension(right_mod, bound)
+    d_right = injective_dimension(bim.as_right_module(), bound)
     if d_left is not None and d_right is not None:
         return CompatVerdict("weakly_compatible", "finite_injective_dimension",
                              True, inj_dims=(d_left, d_right))
@@ -438,12 +424,12 @@ def check_compat(bim: Bimodule, left_tests: list[ComplexWindow] | None = None,
         _require_total(wc)
         for i in range(wc.lo, wc.hi):
             ker, _ = kernel_of(wc.diff(i))
-            if tor_dim(right_mod, ker, 1) != 0:
+            if tor_dim(bim, ker, 1) != 0:
                 return CompatVerdict(
                     "not_compatible", "tor_witness", True,
                     witness={"test": k, "degree": i, "tor": 1},
                     tests_used=len(left_tests) + len(right_tests))
-        if tensor_exactness_failure(wc, right_mod) is not None:
+        if tensor_exactness_failure(wc, bim) is not None:
             return CompatVerdict(
                 "not_compatible", "tensor_witness", True,
                 witness={"test": k, "side": "right"},
@@ -473,24 +459,13 @@ def recheck_compat_witness(bim: Bimodule, wc: ComplexWindow, reason: str,
         if type(i) is not int or not wc.lo <= i < wc.hi:
             return False
         ker, _ = kernel_of(wc.diff(i))
-        return tor_dim(bim.as_right_module(), ker, 1) != 0
+        return tor_dim(bim, ker, 1) != 0
     if reason == "tensor_witness":
-        return tensor_exactness_failure(wc, bim.as_right_module()) is not None
+        return tensor_exactness_failure(wc, bim) is not None
     if reason == "hom_witness":
         deg = hom_exactness_failure(wc, bim.as_left_module())
         return deg is not None and deg == witness.get("degree")
     return False
-
-
-def compose_compat(xy: CompatVerdict, yz: CompatVerdict) -> CompatVerdict:
-    """Weak compatibility of a balanced tensor of bimodules from
-    compatibility of the factors; never proof-grade here because the
-    factor verdicts certify the weak conditions only."""
-    if xy.refuted or yz.refuted:
-        return CompatVerdict("undetermined", "composition_with_refuted_factor",
-                             False)
-    return CompatVerdict("weakly_compatible", "composition", False,
-                         tests_used=xy.tests_used + yz.tests_used)
 
 
 @memo
@@ -585,7 +560,7 @@ def check_semi_weak_quadruple(ext: TrivialExtension, ctx: MoritaContext,
                                        "hom_complex_not_exact",
                                        witness={"test": k, "degree": deg},
                                        tests_used=k + 1)
-        elif tensor_exactness_failure(wc, ring_mod) is not None:
+        elif tensor_exactness_failure(wc, right_bimodule(ring_mod)) is not None:
             return SemiWeakVerdict(side, which, "refuted",
                                    "tensor_complex_not_exact",
                                    witness={"test": k}, tests_used=k + 1)

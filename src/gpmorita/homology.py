@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Algebra, frobenius_form, memo, opposite_algebra, radical_basis
-from .bimodules import balanced_tensor_space
+from .bimodules import Bimodule, tensor_module
 from .idempotents import _check_idempotents, primitive_idempotents
 from .linalg import (Mat, coordinates, in_row_space, left_kernel, quotient_maps, rank,
                      row_space, rref, solve_left)
@@ -315,13 +315,14 @@ def first_nonzero_ext(res: Resolution, y: FDModule) -> int | None:
     return next((i for i in range(1, n) if homology_at(dims, maps, n - i)), None)
 
 
-def tor_dim(u_op: FDModule, x: FDModule, i: int) -> int:
-    """dim Tor_i(U, x) for a right module U given over the opposite algebra."""
-    from .complexes import homology_at, tensor_complex_data
+def tor_dim(bim: Bimodule, x: FDModule, i: int) -> int:
+    """dim Tor_i(M, x) over k, for the right action of a bimodule M; a
+    right module U enters as `bimodules.right_bimodule(U)`."""
+    from .complexes import homology_at, tensor_window, window_data
     if i == 0:
-        return balanced_tensor_space(u_op, x).dim
+        return tensor_module(bim, x).module.dim
     res = minimal_resolution(x, i + 1)
-    return homology_at(*tensor_complex_data(u_op, res.window()),
+    return homology_at(*window_data(tensor_window(bim, res.window())[0]),
                        len(res.maps) - i)
 
 

@@ -31,7 +31,7 @@ from .algebra import (
 )
 from .bimodules import (
     BalancedMap, Bimodule, TensorModule, hom_module, left_table,
-    opposite_bimodule, right_table, tensor_module,
+    opposite_bimodule, right_bimodule, right_table, tensor_module,
     validate_balanced_map, validate_bimodule,
 )
 from .fields import Field
@@ -609,14 +609,13 @@ def tensor_over_ring(rq: QuadrupleModule, q: QuadrupleModule) -> int:
     """dim of (C (x)_A X (+) D (x)_B Y) / H for the right module
     rq = (C, D, h, k), a quadruple over the opposite context, with H spanned
     by c (x) (n (x) y)g - (c (x) n)h (x) y  and  d (x) (m (x) x)f - (d (x) m)k (x) x."""
-    from .bimodules import balanced_tensor_space
     ctx = q.ctx
     if rq.ctx is not opposite_context(ctx):
         raise ContextError("the right module must be a quadruple over the "
                            "opposite context")
     F = ctx.A.field
-    cx = balanced_tensor_space(rq.x, q.x)
-    dy = balanced_tensor_space(rq.y, q.y)
+    cx = tensor_module(right_bimodule(rq.x), q.x)
+    dy = tensor_module(right_bimodule(rq.y), q.y)
     g_big, f_big = q.g_full, q.f_full
     # C (x)_k N -> D and D (x)_k M -> C, re-indexed from N (x) C and M (x) D
     h_big = rq.f_full.swap_factors(ctx.N.dim, rq.x.dim)
@@ -630,16 +629,14 @@ def tensor_over_ring(rq: QuadrupleModule, q: QuadrupleModule) -> int:
                     (h_big.kron(eye_y) @ dy.proj).neg()]),
         Mat.hstack([(k_big.kron(eye_x) @ cx.proj).neg(),
                     eye_d.kron(f_big) @ dy.proj])])
-    return cx.dim + dy.dim - rank(rel)
+    return cx.module.dim + dy.module.dim - rank(rel)
 
 
 def tensor_over_ring_oracle(mr: MoritaRing, rq: QuadrupleModule,
                             q: QuadrupleModule) -> int:
     """Brute-force dim of the tensor over the whole context ring."""
-    from .bimodules import balanced_tensor_space
     u = quadruple_to_module(opposite_ring(mr), rq)
-    v = quadruple_to_module(mr, q)
-    return balanced_tensor_space(u, v).dim
+    return tensor_module(right_bimodule(u), quadruple_to_module(mr, q)).module.dim
 
 
 def natural_maps(ctx: MoritaContext, x: FDModule, y: FDModule) -> dict:

@@ -12,7 +12,7 @@ from itertools import product as iproduct
 import pytest
 
 from gpmorita.algebra import opposite_algebra, validate_algebra
-from gpmorita.bimodules import balanced_tensor_space
+from gpmorita.bimodules import right_bimodule, tensor_module
 from gpmorita.catalog import (
     arrow_ideal_context, corrupt_psi, field_algebra, glued_psi_context,
     path_a2, product_fields, proj_a2, random_context, random_glued_context,
@@ -182,9 +182,9 @@ def test_criterion_3_hom_and_tensor_identities():
             tby = t_b(ctx, y)
             x_lam = x
             assert tensor_over_ring(zc, tlx) == \
-                balanced_tensor_space(c_mod, x_lam).dim
+                tensor_module(right_bimodule(c_mod), x_lam).module.dim
             assert tensor_over_ring(zd, tby) == \
-                balanced_tensor_space(d_mod, y).dim
+                tensor_module(right_bimodule(d_mod), y).module.dim
             assert tensor_over_ring(zc, tby) == 0
             assert tensor_over_ring(zd, tlx) == 0
             count += 1

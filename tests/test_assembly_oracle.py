@@ -29,12 +29,12 @@ from gpmorita.catalog import (
 )
 from gpmorita.complexes import (
     ComplexWindow, HorseshoeError, HorseshoeResult, ShortExactSequence,
-    _check_kernel_sequence, is_exact, solve_module_hom, total_exactness,
-    twisted_diff, validate_complex, window_period,
+    _check_kernel_sequence, is_exact, solve_module_hom, tensor_window,
+    total_exactness, twisted_diff, validate_complex, window_period,
 )
 from gpmorita.engine import (
     EngineError, ResolutionAssembly, _require, _restrict_window,
-    _tensor_window, check_conditions, identity_extension,
+    check_conditions, identity_extension,
 )
 from gpmorita.bimodules import tensor_functor_hom, tensor_module
 from gpmorita.fields import GF, QQ
@@ -204,11 +204,11 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
 
     # weak-compatibility consequences, checked directly.  N (x)_B Q is built
     # over ctx.N, as T_B(Q^i) builds it; Z reads its terms over Lambda
-    mp_cx, mp_tens = _tensor_window(m_lam, pcx)
+    mp_cx, mp_tens = tensor_window(m_lam, pcx)
     _require(is_exact(mp_cx), "M (x) P is not exact (C3 for M fails here)")
-    ip_cx, _ = _tensor_window(ext.ideal, pcx)
+    ip_cx, _ = tensor_window(ext.ideal, pcx)
     _require(is_exact(ip_cx), "I (x) P is not exact (C3 for I fails here)")
-    nq_cx, nq_tens = _tensor_window(ctx.N, qcx)
+    nq_cx, nq_tens = tensor_window(ctx.N, qcx)
     _require(is_exact(nq_cx), "N (x) Q is not exact (C3 for N fails here)")
     nq_lam = [ext.lam_module(t) for t in nq_cx.terms]
 

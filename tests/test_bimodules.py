@@ -6,8 +6,8 @@ import pytest
 
 from gpmorita.algebra import opposite_algebra, radical_basis
 from gpmorita.bimodules import (
-    BalancedMap, Bimodule, balanced_tensor_space, bimodule_tensor, hom_module,
-    outer_bimodule, regular_bimodule, restrict_right, sub_bimodule_from_rows,
+    BalancedMap, Bimodule, bimodule_tensor, hom_module, outer_bimodule,
+    regular_bimodule, restrict_right, right_bimodule, sub_bimodule_from_rows,
     tensor_functor_hom, tensor_module, validate_balanced_map, validate_bimodule,
     zero_balanced_map, zero_bimodule,
 )
@@ -155,27 +155,8 @@ def test_balanced_tensor_space_regular():
     aop = opposite_algebra(a)
     u = regular_module(aop)
     x = regular_module(a)
-    t = balanced_tensor_space(u, x)
-    assert t.dim == a.dim    # A (x)_A A = A
-
-
-def test_hom_functor_pushforward():
-    from gpmorita.bimodules import hom_functor_hom
-    a = truncated_poly(QQ(), 2)
-    n = regular_bimodule(a)
-    x = regular_module(a)
-    ident = hom_functor_hom(n, ModuleHom(x, x, Mat.identity(QQ(), x.dim)))
-    assert ident.mat == Mat.identity(QQ(), ident.source.dim)
-    zero = hom_functor_hom(n, ModuleHom(x, x, Mat.zeros(QQ(), x.dim, x.dim)))
-    assert zero.is_zero()
-    # functoriality: Hom(N, h h') = Hom(N, h) then Hom(N, h')
-    import random as _r
-    rng = _r.Random(4)
-    h1 = random_hom(x, x, rng)
-    h2 = random_hom(x, x, rng)
-    lhs = hom_functor_hom(n, h1.then(h2))
-    rhs = hom_functor_hom(n, h1).mat @ hom_functor_hom(n, h2).mat
-    assert lhs.mat == rhs
+    t = tensor_module(right_bimodule(u), x)
+    assert t.module.dim == a.dim    # A (x)_A A = A
 
 
 def test_natural_psi_map_on_dual_numbers():

@@ -24,8 +24,7 @@ from gpmorita.complexes import (
 from gpmorita.engine import (
     AuditReport, CompatVerdict, EngineError, audit_equivalence,
     build_total_resolution, check_compat, check_conditions,
-    check_semi_weak_quadruple, compose_compat, identity_extension,
-    zero_case_check,
+    check_semi_weak_quadruple, identity_extension, zero_case_check,
 )
 from gpmorita.fields import GF, QQ
 from gpmorita.gpcert import certify_gorenstein_projective
@@ -279,13 +278,6 @@ def test_check_compat_tor_witness():
     v = check_compat(s_bim, right_tests=[cert.window])
     assert v.kind == "not_compatible"
     assert v.reason == "tor_witness"
-
-
-def test_compose_compat():
-    ext, ctx = glued_psi_context(QQ())
-    v = check_compat(ext.ideal)
-    c = compose_compat(v, v)
-    assert c.kind == "weakly_compatible" and not c.proof_grade
 
 
 def test_corner_complex_extraction_round_trip():
@@ -734,7 +726,7 @@ def test_assembly_tensors_each_pair_once(F, make, count_calls):
 def test_audit_tensors_each_pair_once(count_calls):
     # the right-side semi-weak check reads Z(W) (x) T^i over the ring for
     # each term of a test window, and a window's period repeats its term
-    # instances; the memo of `balanced_tensor_space` builds each pair once
+    # instances; the memo of `tensor_module` builds each pair once
     prob = load_problem_file(os.path.join(FIX, "two_cycle.json"))
     ext, ctx = prob.named("extensions", "ext"), prob.named("contexts", "ctx")
     family = [prob.named("quadruples", n) for n in ("S1", "S2")]

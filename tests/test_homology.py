@@ -6,6 +6,7 @@ import pytest
 
 from gpmorita import homology, idempotents
 from gpmorita.algebra import AlgebraError, opposite_algebra
+from gpmorita.bimodules import right_bimodule
 from gpmorita.catalog import (
     field_algebra, path_a2, product_fields, proj_a2, random_module,
     simple_at_idempotent, simple_kx2, truncated_poly, two_cycle_rad_square,
@@ -261,8 +262,8 @@ def test_ext_and_tor_over_kx2():
     # right module S over the opposite algebra (commutative, same thing)
     aop = opposite_algebra(a)
     s_op = dual_module(s, aop)
-    assert tor_dim(s_op, s, 1) == 1
-    assert tor_dim(s_op, s, 0) == 1
+    assert tor_dim(right_bimodule(s_op), s, 1) == 1
+    assert tor_dim(right_bimodule(s_op), s, 0) == 1
 
 
 def test_ext_s2_s1_path_a2():

@@ -1,4 +1,4 @@
-"""Twenty-six layering rules of the package, checked on its source.
+"""Twenty-seven layering rules of the package, checked on its source.
 
 Only `linalg` sees matrix entries: no other module reads or writes a
 `.data` attribute or the integer storage behind it, so the storage can
@@ -67,13 +67,16 @@ What an algebra was built from is recorded by its builder and read by
 a ring's context is written by `morita.build_ring`, and an opposite's
 original by `algebra.opposite_algebra`.  A `Mat` is minted in one place,
 `linalg._wrap`, which hands out each field's shared empty matrices, and
-a `Field` is made only in `fields`, one instance per spec.
+a `Field` is made only in `fields`, one instance per spec.  A balanced
+tensor quotient is formed in one place, `bimodules.tensor_module`, and a
+window is tensored termwise in one, `complexes.tensor_window`.
 """
 from __future__ import annotations
 
 import ast
 import glob
 import os
+import re
 
 PACKAGE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src",
                        "gpmorita")
@@ -611,3 +614,57 @@ def test_matrices_are_minted_in_one_place_and_fields_only_in_fields():
             if name != "fields.py" and "Field" in named:
                 hits.append(f"{name}:{node.lineno} makes a Field")
     assert not hits, f"a Mat minted outside _wrap, or a Field outside fields: {hits}"
+
+
+# the one builder of a balanced tensor quotient and the one termwise tensor
+# of a window, and the names of the builders they replaced
+TENSOR_QUOTIENT = ("bimodules.py", "tensor_module")
+WINDOW_TENSOR = ("complexes.py", "tensor_window")
+TENSOR_CALLS = {"tensor_module", "tensor_functor_hom"}
+WINDOW_PARTS = {"terms", "diffs", "term", "diff"}
+REPLACED_TENSORS = ("balanced_tensor_space", "TensorSpace", "tensor_complex_data",
+                    "_tensor_window", "compose_compat", "hom_functor_hom")
+
+
+def _calls(node: ast.AST, names) -> bool:
+    return any(isinstance(n, ast.Call) and _called(n) in names for n in ast.walk(node))
+
+
+def _identifiers(text: str) -> set[str]:
+    """Every word of a source text, comments and docstrings included."""
+    return set(re.findall(r"\w+", text))
+
+
+def test_one_tensor_quotient_and_one_window_tensor():
+    """Only `bimodules.tensor_module` forms a tensor quotient,
+    `quotient_maps` of an `intertwining_system` (called inline or through
+    a name bound to one), and only `complexes.tensor_window` tensors a
+    window termwise: no loop, comprehension or lambda elsewhere calls
+    `tensor_module` or `tensor_functor_hom` and reads a window's terms or
+    differentials.  The builders they replaced are named nowhere."""
+    hits = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        name = os.path.basename(path)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        hits += [f"{name} names {gone}" for gone in REPLACED_TENSORS
+                 if gone in _identifiers(text)]
+        tree = ast.parse(text, path)
+        inside = _enclosing(tree, name)
+        relations = {t.id for n in ast.walk(tree) if isinstance(n, ast.Assign)
+                     and _calls(n.value, {"intertwining_system"})
+                     for t in n.targets if isinstance(t, ast.Name)}
+        for node in ast.walk(tree):
+            where = inside.get(id(node))
+            if (isinstance(node, ast.Call) and _called(node) == "quotient_maps"
+                    and where != TENSOR_QUOTIENT
+                    and (_calls(node, {"intertwining_system"})
+                         or any(isinstance(n, ast.Name) and n.id in relations
+                                for a in node.args for n in ast.walk(a)))):
+                hits.append(f"{name}:{node.lineno} forms a tensor quotient")
+            if (isinstance(node, (*_LOOPS, ast.Lambda)) and where != WINDOW_TENSOR
+                    and _calls(node, TENSOR_CALLS)
+                    and any(isinstance(n, ast.Attribute) and n.attr in WINDOW_PARTS
+                            for n in ast.walk(node))):
+                hits.append(f"{name}:{node.lineno} tensors a window termwise")
+    assert not hits, f"a second tensor quotient or window tensor: {hits}"

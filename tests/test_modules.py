@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 import random
 from dataclasses import replace
 
@@ -207,6 +208,19 @@ def test_a_replaced_module_is_validated_afresh():
     bad = replace(x, acts=[m.scale(QQ().of_int(2)) for m in x.acts])
     assert validate_module(bad) == ["unit does not act as identity",
                                     "action not multiplicative at (1,0)"]
+
+
+@pytest.mark.parametrize("F", [QQ(), GF(7)], ids=["Q", "GF7"])
+def test_an_algebra_and_a_module_with_memo_entries_pickle(F):
+    # each entry is keyed by the memoized function, the object that pickle
+    # finds by its name; the copies answer as the originals do
+    a = path_a2(F)
+    x = regular_module(a)
+    n = len(hom_space(x, x))
+    b = pickle.loads(pickle.dumps(a))
+    assert b == a and len(hom_space(regular_module(b), regular_module(b))) == n
+    y = pickle.loads(pickle.dumps(x))
+    assert y == x and len(hom_space(y, y)) == n
 
 
 def test_memo_answers_only_its_own_arguments(count_calls):

@@ -27,8 +27,9 @@ from gpmorita.catalog import (
     arrow_ideal_context, full_context, glued_psi_context, random_quadruple,
     triangular_context, truncated_poly, two_cycle_context, wide_psi_context,
 )
+from gpmorita.bimodules import right_bimodule
 from gpmorita.complexes import (
-    ComplexWindow, _first_inexact, hom_complex_data, tensor_complex_data,
+    ComplexWindow, _first_inexact, hom_complex_data, tensor_window, window_data,
 )
 from gpmorita.engine import (
     EngineError, check_semi_weak_quadruple, identity_extension,
@@ -119,7 +120,8 @@ def _one_column(ext, ctx, side: str, which: str):
 def _exactness(side: str, c: ComplexWindow, y):
     """(dims per degree, first failing degree) of Hom(c, y) (left) or of
     y (x) c (right)."""
-    data = hom_complex_data(c, y) if side == "left" else tensor_complex_data(y, c)
+    data = (hom_complex_data(c, y) if side == "left"
+            else window_data(tensor_window(right_bimodule(y), c)[0]))
     return data[0], _first_inexact(c, data)
 
 

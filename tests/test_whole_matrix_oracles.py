@@ -57,15 +57,19 @@ nonzero bimodules and modules (the simples and random modules with one
 cut, so that non-projectives occur) and on seeded random matrices:
 echelon, near-echelon, with no rows and with no columns.
 
-Hom(-, y) and U (x) - of a window are `hom_complex_data` and
-`tensor_complex_data`, and `homology_at` is the one homology count over
-them.  The code they replaced (`ext_dim` and `tor_dim` with their own
-complexes, the engine's tensor exactness, `hom_exactness_failure`, the
-balanced tensor space with no zero short cut and the certifier's
+Hom(-, y) of a window is `hom_complex_data`, M (x) - of a window is
+`complexes.tensor_window`, and `homology_at` is the one homology count
+over them; a right module U is tensored as `right_bimodule(U)`.  The code
+they replaced (`ext_dim` and `tor_dim` with their own complexes, the
+engine's tensor exactness, `hom_exactness_failure`, the balanced tensor
+space with no zero short cut, `tensor_complex_data` and the certifier's
 per-degree Ext loop) is kept below as an oracle, over Q, GF(7) and GF(5),
 on catalog algebras and their opposites, on simples, random cyclic
 modules with one cut and zero modules, and on certificate and resolution
-windows.
+windows.  On the windows of `tests/test_reduction_oracle.py` and the
+fixtures' complexes, over Q and GF(7), each tensored term must have the
+parent's proj and section and each tensored differential its matrix,
+and Tor_0 to Tor_2 its dimensions.
 
 An algebra's product is one n^2 x n matrix, `consts`, and the block rings
 are glued from tables by `glued_algebra`.  The parent's nested table, its
@@ -100,6 +104,9 @@ axioms prove them.
 """
 from __future__ import annotations
 
+import glob
+import json
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -113,9 +120,9 @@ from gpmorita.algebra import (
     radical_basis, trace_form, validate_algebra,
 )
 from gpmorita.bimodules import (
-    BalancedMap, Bimodule, BimoduleError, TensorModule, TensorSpace,
-    balanced_tensor_space, bimodule_tensor, hom_module, opposite_bimodule,
-    regular_bimodule, tensor_functor_hom, tensor_module, validate_balanced_map,
+    BalancedMap, Bimodule, BimoduleError, TensorModule, bimodule_tensor,
+    hom_module, opposite_bimodule, regular_bimodule, right_bimodule,
+    tensor_functor_hom, tensor_module, validate_balanced_map,
     validate_bimodule, zero_balanced_map, zero_bimodule,
 )
 from gpmorita.catalog import (
@@ -127,17 +134,16 @@ from gpmorita.catalog import (
 )
 from gpmorita.complexes import (
     ComplexWindow, hom_complex_data, hom_exactness_failure,
-    tensor_exactness_failure,
+    tensor_exactness_failure, tensor_window, window_data,
 )
-from gpmorita.engine import (
-    _tensor_window, build_total_resolution, check_conditions,
-)
+from gpmorita.engine import build_total_resolution, check_conditions
 from gpmorita.fields import GF, QQ, Field
 from gpmorita.gpcert import certify_gorenstein_projective
 from gpmorita.homology import (
     _block_reps, ext_dim, first_nonzero_ext, minimal_resolution,
     projective_cover, radical_rows_of_module, simple_modules, top_of, tor_dim,
 )
+from gpmorita.jsonio import load_problem
 from gpmorita.linalg import (
     Mat, coordinates, factor_through, in_row_space, intertwining_system,
     kernel_basis, left_kernel, linear_combination, quotient_maps, rank,
@@ -165,6 +171,8 @@ from gpmorita.trivext import (
 
 from element_products import multiply
 
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                        "fixtures")
 FIELDS = {"Q": QQ, "GF7": lambda: GF(7)}
 THREE_FIELDS = {**FIELDS, "GF5": lambda: GF(5)}
 CONTEXTS = {"triangular": triangular_context, "two_cycle": two_cycle_context,
@@ -280,8 +288,8 @@ def _quadruple_hom_space(q1: QuadrupleModule,
 def _tensor_over_ring(rq, q: QuadrupleModule) -> int:
     ctx = q.ctx
     F = ctx.A.field
-    cx = balanced_tensor_space(rq.c, q.x)
-    dy = balanced_tensor_space(rq.d, q.y)
+    cx = _balanced_tensor_space(rq.c, q.x)
+    dy = _balanced_tensor_space(rq.d, q.y)
     total = cx.dim + dy.dim
     rows = []
     g_big = q.ny.proj @ q.g.mat       # N (x)_k Y -> X
@@ -1053,12 +1061,15 @@ def test_non_descending_actions_still_raise(field):
     _same_error(lambda: tensor_module(bad_left, x),
                 lambda: _tensor_acts(bad_left, x, proj_x), BimoduleError,
                 "left action does not descend to the tensor quotient")
-    for m, n, side in ((bad_left, reg, "left"), (reg, bad_right, "right")):
-        proj = quotient_maps(intertwining_system(a.field, m.dim, n.dim,
-                                                 m.right_acts, n.left_acts))[0]
-        _same_error(lambda: bimodule_tensor(m, n),
-                    lambda: _bimodule_tensor_acts(m, n, proj), BimoduleError,
-                    f"{side} action does not descend")
+    # bimodule_tensor descends its left action in `tensor_module`
+    _same_error(lambda: bimodule_tensor(bad_left, reg),
+                lambda: _tensor_acts(bad_left, x, proj_x), BimoduleError,
+                "left action does not descend to the tensor quotient")
+    proj = quotient_maps(intertwining_system(a.field, a.dim, a.dim,
+                                             reg.right_acts, bad_right.left_acts))[0]
+    _same_error(lambda: bimodule_tensor(reg, bad_right),
+                lambda: _bimodule_tensor_acts(reg, bad_right, proj), BimoduleError,
+                "right action does not descend")
     with pytest.raises(BimoduleError, match="^left action does not descend"):
         tensor_module(opposite_bimodule(bad_right), regular_module(opposite_algebra(a)))
 
@@ -1385,7 +1396,7 @@ def test_a_repeating_window_tensors_each_term_instance_once(count_calls):
                            [zero_hom(u, v) for u, v in zip(terms, terms[1:])])
     bim = regular_bimodule(a)
     systems = count_calls(intertwining_system)
-    cx, tens = _tensor_window(bim, window)
+    cx, tens = tensor_window(bim, window)
     assert len(systems) == 2
     assert tens[0] is tens[2] is tens[4] and tens[1] is tens[3]
     assert [t.module for t in tens] == cx.terms
@@ -1478,6 +1489,16 @@ def _hom_exactness_failure(c: ComplexWindow, y: FDModule,
     return None
 
 
+@dataclass
+class TensorSpace:
+    """U (x)_A X for a right module U (given over A^op) and a left module X:
+    a plain vector space quotient of U (x)_k X."""
+
+    dim: int
+    proj: Mat
+    section: Mat
+
+
 def _balanced_tensor_space(u_op: FDModule, x: FDModule) -> TensorSpace:
     if opposite_algebra(u_op.algebra) is not x.algebra:
         raise BimoduleError("balanced tensor: algebra mismatch")
@@ -1485,6 +1506,19 @@ def _balanced_tensor_space(u_op: FDModule, x: FDModule) -> TensorSpace:
     proj, sec = quotient_maps(intertwining_system(
         x.algebra.field, u_op.dim, x.dim, u_op.acts, x.acts))
     return TensorSpace(proj.cols, proj, sec)
+
+
+def _tensor_complex_data(u_op: FDModule, c: ComplexWindow):
+    """The complex U (x)_A X^. for a right module U, given as a module over
+    the opposite algebra: dims per degree and the maps 1 (x) d^i
+    (degree-preserving)."""
+    F = u_op.algebra.field
+    spaces = [_balanced_tensor_space(u_op, t) for t in c.terms]
+    eye = Mat.identity(F, u_op.dim)
+    maps = [s.section @ eye.kron(d.mat) @ t.proj if s.dim and t.dim
+            else Mat.zeros(F, s.dim, t.dim)
+            for s, t, d in zip(spaces, spaces[1:], c.diffs)]
+    return [s.dim for s in spaces], maps
 
 
 def _functor_modules(a, rng: random.Random) -> list[FDModule]:
@@ -1534,7 +1568,7 @@ def test_ext_and_tor_match_the_parent_code(field):
                 seen.add(("first", first is None))
             for u in us:
                 for i in range(4):
-                    t = tor_dim(u, x, i)
+                    t = tor_dim(right_bimodule(u), x, i)
                     assert t == _tor_dim(u, x, i)
                     seen.add(("tor", i > 0, t > 0))
     assert {("ext", True, True), ("ext", True, False), ("tor", True, True),
@@ -1571,7 +1605,7 @@ def test_window_exactness_matches_the_parent_code(field):
                         == _hom_exactness_failure(w, y, lo=1))
             seen.add(("hom", deg is None))
         for u in _functor_modules(opposite_algebra(a), rng):
-            exact = tensor_exactness_failure(w, u) is None
+            exact = tensor_exactness_failure(w, right_bimodule(u)) is None
             assert exact == _tensor_exact(u, w)
             seen.add(("tensor", exact))
     assert seen == {("hom", True), ("hom", False), ("tensor", True),
@@ -1585,10 +1619,79 @@ def test_zero_balanced_tensor_space_builds_no_relation_system(count_calls):
     systems = count_calls(intertwining_system)
     for u, x in ((zero_module(aop), regular_module(a)),
                  (regular_module(aop), zero_module(a))):
-        t = balanced_tensor_space(u, x)
+        t = tensor_module(right_bimodule(u), x)
         assert systems == []
         old = _balanced_tensor_space(u, x)
-        assert (t.dim, t.proj, t.section) == (old.dim, old.proj, old.section)
+        assert (t.module.dim, t.proj, t.section) == (old.dim, old.proj, old.section)
+
+
+def _tensor_matches_the_parent(bim: Bimodule, u_op: FDModule, wc: ComplexWindow,
+                               seen: set):
+    """bim (x) wc by `tensor_window` against the parent's U (x) wc for the
+    right module U = u_op that is bim's right action: the same dims, proj
+    and section per term and the same tensored differentials, matrix for
+    matrix; and the same dim Tor_i(U, K), i = 0, 1, 2, for the kernel K of
+    each distinct differential."""
+    cx, tens = tensor_window(bim, wc)
+    assert window_data(cx) == _tensor_complex_data(u_op, wc)
+    for t, x in zip(tens, wc.terms):
+        old = _balanced_tensor_space(u_op, x)
+        assert (t.module.dim, t.proj, t.section) == (old.dim, old.proj, old.section)
+    for d in {id(d): d for d in wc.diffs}.values():
+        ker, _ = kernel_of(d)
+        for i in range(3):
+            t = tor_dim(bim, ker, i)
+            assert t == _tor_dim(u_op, ker, i)
+            seen.add((i > 0, t > 0))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_tensor_windows_match_the_parent_code(field):
+    """On the windows of `tests/test_reduction_oracle.py` (the certified
+    ring windows of the audit family, tensored with the right-side Z(W),
+    and their Lambda-side corner complexes, tensored with W, both as
+    `right_bimodule` and as the bimodule W itself) and on the fixtures'
+    complexes (tensored with each bimodule over their algebra and with
+    the regular right module), over Q and GF(7); and on a window whose
+    one term instance is joined by two different differentials."""
+    from test_reduction_oracle import _audit_family, _one_column, corner_complexes
+    F = FIELDS[field]()
+    seen = set()
+    for make in CONTEXTS.values():
+        ext, ctx = make(F)
+        mr = build_ring(ctx)
+        certs = (certify_gorenstein_projective(quadruple_to_module(mr, q), 3)
+                 for q in _audit_family(ctx, 6))
+        windows = [c.window for c in certs if c.verdict == "gp" and c.window]
+        corners = [corner_complexes(ext, ctx, mr, wc)[0] for wc in windows]
+        m_lam, _ = lam_bimodules(ext, ctx)
+        for which, bim in (("M", m_lam), ("I", ext.ideal)):
+            w, zw = _one_column(ext, ctx, "right", which)
+            for wc, pcx in zip(windows, corners):
+                _tensor_matches_the_parent(right_bimodule(zw), zw, wc, seen)
+                _tensor_matches_the_parent(right_bimodule(w), w, pcx, seen)
+                _tensor_matches_the_parent(bim, w, pcx, seen)
+    complexes = 0
+    for path in sorted(glob.glob(os.path.join(FIXTURES, "*.json"))):
+        with open(path) as fh:
+            doc = json.load(fh)
+        doc["field"] = "Q" if field == "Q" else {"p": 7}
+        prob = load_problem(doc)
+        for name in doc.get("complexes", {}):
+            wc = prob.named("complexes", name)
+            u = regular_module(opposite_algebra(wc.algebra))
+            _tensor_matches_the_parent(right_bimodule(u), u, wc, seen)
+            for b in doc.get("bimodules", {}):
+                bim = prob.named("bimodules", b)
+                if bim.right is wc.algebra:
+                    _tensor_matches_the_parent(bim, bim.as_right_module(), wc, seen)
+                    complexes += 1
+    # one term instance, joined by two different differentials
+    a = truncated_poly(F, 2)
+    x, u = regular_module(a), regular_module(opposite_algebra(a))
+    wc = ComplexWindow(0, 2, [x] * 3, [ModuleHom(x, x, a.rmul_mats()[1]), zero_hom(x, x)])
+    _tensor_matches_the_parent(right_bimodule(u), u, wc, seen)
+    assert complexes and {(False, True), (True, False), (True, True)} <= seen
 
 
 # -- oracles: the nested product table and its per-element loops, verbatim -------

@@ -4,12 +4,13 @@ the engine, emit a deterministic report.
 Exit codes: 0 pass/ok, 1 fail (with an embedded witness), 2 unknown or
 undetermined, 3 input error, 4 internal error (an exception no other code
 covers, reported as one `internal error: <Type>: <message>` line on stderr
-with nothing on stdout).  Identical input and seed give byte-identical
-reports; `verify-report` re-checks the witnesses embedded in a previous
-report against the same problem file.  A call's arguments are read by
-a parser of its command's options alone; the full parser, with every
-command, is built only for a call that names no command or has an
-argument its command does not take, and prints the usage and errors.
+with nothing on stdout).  Identical input gives byte-identical reports:
+no command takes a seed.  `verify-report` re-checks the witnesses
+embedded in a previous report against the same problem file.  A call's
+arguments are read by a parser of its command's options alone; the full
+parser, with every command, is built only for a call that names no
+command or has an argument its command does not take, and prints the
+usage and errors.
 """
 from __future__ import annotations
 
@@ -127,8 +128,7 @@ def cmd_check_gp(args, prob) -> int:
     ext = prob.named("extensions", args.extension)
     ctx = prob.named("contexts", args.context)
     q = prob.named("quadruples", args.quadruple)
-    rep = check_conditions(ext, ctx, q, args.window, args.period_bound,
-                           args.seed)
+    rep = check_conditions(ext, ctx, q, args.window, args.period_bound)
     payload = {"command": "check-gp", "quadruple": args.quadruple,
                "verdict": rep.overall}
     payload.update(_criterion_payload(prob, rep))
@@ -149,7 +149,7 @@ def cmd_certify_gp(args, prob) -> int:
         a_name = _register(prob, f"ring({args.context})", mr.ring)
         tag = args.quadruple
     cert = certify_gorenstein_projective(mod, args.window, args.period_bound,
-                                         args.seed, args.budget)
+                                         args.budget)
     payload = {"command": "certify-gp", "module": tag,
                "verdict": cert.verdict,
                "certificate": certificate_to_json(cert, a_name)}
@@ -161,8 +161,7 @@ def cmd_build_resolution(args, prob) -> int:
     ext = prob.named("extensions", args.extension)
     ctx = prob.named("contexts", args.context)
     q = prob.named("quadruples", args.quadruple)
-    rep = check_conditions(ext, ctx, q, args.window, args.period_bound,
-                           args.seed)
+    rep = check_conditions(ext, ctx, q, args.window, args.period_bound)
     if not rep.passed:
         payload = {"command": "build-resolution", "quadruple": args.quadruple,
                    "verdict": "fail",
@@ -171,7 +170,7 @@ def cmd_build_resolution(args, prob) -> int:
         _emit(args, payload)
         return FAIL if rep.overall == "fail" else UNKNOWN
     span = min(args.window, 3)
-    asm = build_total_resolution(ext, ctx, q, rep, window=span, seed=args.seed)
+    asm = build_total_resolution(ext, ctx, q, rep, window=span)
     # build_total_resolution has already required both exactness claims
     payload = {"command": "build-resolution", "quadruple": args.quadruple,
                "verdict": "ok", "window": [asm.tcx.lo, asm.tcx.hi],
@@ -204,32 +203,32 @@ def cmd_check_compat(args, prob) -> int:
     return UNKNOWN
 
 
-def cmd_nc_tensor(args, prob) -> int:
-    ctx = prob.named("contexts", args.context)
-    if args.mode == "build":
-        nc = build_nc_tensor(ctx)
+def _nc_tensor_payload(prob, context: str, mode: str) -> dict:
+    """The report of `nc-tensor build` on the named context, or of
+    `nc-tensor iso` for any other mode."""
+    ctx = prob.named("contexts", context)
+    nc = build_nc_tensor(ctx)
+    if mode == "build":
         exact = build_exact_context(ctx)
-        payload = {"command": "nc-tensor", "mode": "build",
-                   "context": args.context, "ring_dim": nc.ring.dim,
-                   "tensor_block_dim": nc.mn.dim,
-                   "exact_context": {"dims": [exact.dim_r, exact.dim_s,
-                                              exact.dim_t, exact.dim_w],
-                                     "exact": exact.exact,
-                                     "euler": exact.euler},
-                   "verdict": "ok" if exact.exact else "fail"}
+        return {"command": "nc-tensor", "mode": "build", "context": context,
+                "ring_dim": nc.ring.dim, "tensor_block_dim": nc.mn.dim,
+                "exact_context": {"dims": [exact.dim_r, exact.dim_s,
+                                           exact.dim_t, exact.dim_w],
+                                  "exact": exact.exact, "euler": exact.euler},
+                "verdict": "ok" if exact.exact else "fail"}
+    bij = iso_with_morita(nc_morita_presentation(nc))
+    return {"command": "nc-tensor", "mode": "iso", "context": context,
+            "ring_dim": nc.ring.dim, "bijection": mat_to_json(bij),
+            "verdict": "ok"}
+
+
+def cmd_nc_tensor(args, prob) -> int:
+    if args.mode != "check":
+        payload = _nc_tensor_payload(prob, args.context, args.mode)
         _emit(args, payload)
-        return OK if exact.exact else FAIL
-    if args.mode == "iso":
-        nc = build_nc_tensor(ctx)
-        pres = nc_morita_presentation(nc)
-        bij = iso_with_morita(pres)
-        payload = {"command": "nc-tensor", "mode": "iso",
-                   "context": args.context,
-                   "ring_dim": nc.ring.dim,
-                   "bijection": mat_to_json(bij), "verdict": "ok"}
-        _emit(args, payload)
-        return OK
+        return OK if payload["verdict"] == "ok" else FAIL
     # mode == "check": the mirrored criterion over a (phi, 0) context
+    ctx = prob.named("contexts", args.context)
     if not args.extension or not args.quadruple:
         raise InputError("nc-tensor check needs --extension and --quadruple")
     q = prob.named("quadruples", args.quadruple)
@@ -237,8 +236,7 @@ def cmd_nc_tensor(args, prob) -> int:
     if q.ctx is not ctx:
         raise InputError(f"quadruple {args.quadruple} lives over another context")
     q_sw = swap_quadruple(q, f"swap({q.name})")
-    rep = check_conditions(ext, q_sw.ctx, q_sw, args.window, args.period_bound,
-                           args.seed)
+    rep = check_conditions(ext, q_sw.ctx, q_sw, args.window, args.period_bound)
     payload = {"command": "nc-tensor", "mode": "check",
                "quadruple": args.quadruple, "verdict": rep.overall}
     payload.update(_criterion_payload(prob, rep))
@@ -250,8 +248,7 @@ def cmd_audit(args, prob) -> int:
     ext = prob.named("extensions", args.extension)
     ctx = prob.named("contexts", args.context)
     family = [prob.named("quadruples", n) for n in args.quadruples]
-    report = audit_equivalence(ext, ctx, family, args.window,
-                               args.period_bound, args.seed)
+    report = audit_equivalence(ext, ctx, family, args.window, args.period_bound)
     payload = {"command": "audit",
                "entries": [{"name": e.name, "criterion": e.criterion,
                             "failing": e.failing, "certificate": e.certificate,
@@ -287,6 +284,13 @@ def cmd_verify_report(args, prob) -> int:
         problems, cert = _verify_cert_json(prob, rep.get("certificate", {}))
         if not problems:
             problems = _unbound_certify_gp(prob, rep, cert)
+    elif cmd == "nc-tensor" and rep.get("mode") != "check":
+        expected = json.loads(dumps_report(
+            _nc_tensor_payload(prob, rep.get("context", ""), rep.get("mode"))))
+        problems = [f"{key} does not recompute: expected "
+                    f"{json.dumps(expected.get(key))}"
+                    for key in sorted(expected.keys() | rep.keys())
+                    if expected.get(key) != rep.get(key)]
     elif cmd in ("check-gp", "nc-tensor"):
         certs = {}
         for key in ("coker_g_certificate", "coker_f_certificate"):
@@ -299,7 +303,7 @@ def cmd_verify_report(args, prob) -> int:
                 problems.append(f"clause {clause!r} malformed")
             elif not isinstance(clause.get("holds"), bool):
                 problems.append(f"clause {clause.get('name')} malformed")
-        if not problems and (cmd == "check-gp" or rep.get("mode") == "check"):
+        if not problems:
             problems += _reconcile_criterion(prob, rep, certs)
     elif cmd == "check-compat":
         v = rep.get("verdict")
@@ -445,7 +449,6 @@ def _add_options(parser: argparse.ArgumentParser, name: str) -> None:
                         help="emit the machine-readable report")
     parser.add_argument("--window", type=int, default=6)
     parser.add_argument("--period-bound", type=int, default=12)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--budget", type=int, default=600)
     for flag, kwargs in options[name]:
         parser.add_argument(flag, **kwargs)

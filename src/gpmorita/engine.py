@@ -78,7 +78,7 @@ class CriterionReport:
 
 def check_conditions(ext: TrivialExtension, ctx: MoritaContext,
                      q: QuadrupleModule, window: int = 6,
-                     period_bound: int = 12, seed: int = 0) -> CriterionReport:
+                     period_bound: int = 12) -> CriterionReport:
     """Evaluate the sufficiency clauses for a quadruple over the
     one-sided-zero context ring built on A = Lambda |x im(psi)."""
     check_extension_matches(ext, ctx)
@@ -87,8 +87,8 @@ def check_conditions(ext: TrivialExtension, ctx: MoritaContext,
         raise EngineError(f"invalid quadruple: {bad[0]}")
     sm = structural_maps(ctx, q)
     u_lam = ext.lam_module(sm.u, name=f"Coker(g)|{ext.Lam.name}")
-    cert_g = certify_gorenstein_projective(u_lam, window, period_bound, seed)
-    cert_f = certify_gorenstein_projective(sm.v, window, period_bound, seed)
+    cert_g = certify_gorenstein_projective(u_lam, window, period_bound)
+    cert_f = certify_gorenstein_projective(sm.v, window, period_bound)
     b1 = IsoClause("iso_b1", sm.eta.is_injective(),
                    f"M(x)Coker(g) dim {sm.eta.source.dim} vs Im(f) rank "
                    f"{rank(q.f_full)}")
@@ -120,17 +120,6 @@ def criterion_verdict(clauses: list[tuple[str, bool]], verdict_g: str,
     if "unknown" in (verdict_g, verdict_f):
         return "unknown", failing
     return "pass", failing
-
-
-def zero_case_check(ctx: MoritaContext, q: QuadrupleModule, window: int = 6,
-                    period_bound: int = 12, seed: int = 0) -> CriterionReport:
-    """The criterion for contexts with both maps zero (I = 0, Lambda = A)."""
-    if not ctx.psi_is_zero:
-        raise EngineError("zero-case check needs psi = 0")
-    if not ctx.phi_is_zero:
-        raise EngineError("zero-case check needs phi = 0")
-    ext = identity_extension(ctx)
-    return check_conditions(ext, ctx, q, window, period_bound, seed)
 
 
 @memo
@@ -166,7 +155,7 @@ def _require(cond: bool, msg: str):
 
 def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
                            q: QuadrupleModule, report: CriterionReport,
-                           window: int | None = None, seed: int = 0) -> ResolutionAssembly:
+                           window: int | None = None) -> ResolutionAssembly:
     """Run the double-horseshoe construction and assemble the totally
     exact complex of projective quadruples with degree-0 kernel q.
 
@@ -336,7 +325,7 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
 
     # ker(d_T^0) is the given quadruple
     ker_t, _ = kernel_of(t_diffs[span], name="ker(d_T^0)")
-    iso = is_isomorphic(ker_t, quadruple_to_module(mr, q), seed=seed)
+    iso = is_isomorphic(ker_t, quadruple_to_module(mr, q))
     _require(iso is not None, "ker(d_T^0) is not isomorphic to the quadruple")
     return ResolutionAssembly(pcx, qcx, rho, tau, alpha, beta, ycx, zcx, fcx,
                               tcx, t_quads, iso)
@@ -594,7 +583,7 @@ class AuditReport:
 
 def audit_equivalence(ext: TrivialExtension, ctx: MoritaContext,
                       family: list[QuadrupleModule], window: int = 6,
-                      period_bound: int = 12, seed: int = 0) -> AuditReport:
+                      period_bound: int = 12) -> AuditReport:
     """Cross-table criterion verdicts against independent GP certificates.
 
     Divergences are classified: when a necessity hypothesis is refuted
@@ -613,9 +602,9 @@ def audit_equivalence(ext: TrivialExtension, ctx: MoritaContext,
     gp_windows: list[ComplexWindow] = []
     rows = []
     for q in family:
-        rep = check_conditions(ext, ctx, q, window, period_bound, seed)
+        rep = check_conditions(ext, ctx, q, window, period_bound)
         mod = quadruple_to_module(mr, q)
-        cert = certify_gorenstein_projective(mod, window, period_bound, seed)
+        cert = certify_gorenstein_projective(mod, window, period_bound)
         if cert.verdict == "gp" and cert.window is not None:
             gp_windows.append(cert.window)
         rows.append((q, rep, cert))

@@ -231,7 +231,7 @@ def _combine_with_split(x: FDModule, overall: Mat, projs: list[FDModule],
 
 
 def _search_period(core: FDModule, steps: list[RightTailStep], window: int,
-                   period_bound: int, seed: int, dim_budget: int):
+                   period_bound: int, dim_budget: int):
     """Look for a period of the core, building only what the search reads.
 
     The core's right tail in steps grows one step at a time, and
@@ -256,7 +256,7 @@ def _search_period(core: FDModule, steps: list[RightTailStep], window: int,
         if p > reach:
             continue
         try:
-            theta = is_isomorphic(steps[p - 1].coker_proj.target, core, seed=seed)
+            theta = is_isomorphic(steps[p - 1].coker_proj.target, core)
         except Undetermined:
             undetermined = True
             continue
@@ -267,8 +267,7 @@ def _search_period(core: FDModule, steps: list[RightTailStep], window: int,
     return None
 
 
-def certify_gorenstein_projective(x: FDModule, window: int = 6,
-                                  period_bound: int = 12, seed: int = 0,
+def certify_gorenstein_projective(x: FDModule, window: int = 6, period_bound: int = 12,
                                   dim_budget: int = 600) -> GPCertificate:
     """Decide Gorenstein-projectivity within the given bounds.
 
@@ -330,7 +329,7 @@ def certify_gorenstein_projective(x: FDModule, window: int = 6,
         # x's right tail is the core's only with nothing split off, and built
         # only over an unproven d
         steps = []
-    found = _search_period(core, steps, window, period_bound, seed, dim_budget)
+    found = _search_period(core, steps, window, period_bound, dim_budget)
     if isinstance(found, NotGPWitness):
         if d is not None:
             raise CertifyError("non-injective approximation over a Gorenstein algebra")

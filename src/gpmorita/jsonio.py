@@ -7,7 +7,7 @@ every referenced object is validated before any command runs.  A
 quadruple is kept and checked as the file gives it, its maps f and g on
 the full k-tensor spaces; its balanced tensors are built only by a
 command that reads f or g on them.  Reports are emitted with sorted keys
-and no volatile content, so identical input and seed give byte-identical
+and no volatile content, so identical input gives byte-identical
 output.
 
 A certificate's pieces cross JSON once per distinct piece.  Writing, each

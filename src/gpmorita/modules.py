@@ -353,18 +353,19 @@ def restrict_along(x: FDModule, hom_rows: Mat, source_alg: Algebra, name: str = 
 # -- isomorphism testing ----------------------------------------------------
 
 
-def _invertible_in_span(basis: list[Mat], seed: int) -> Mat | None:
+def _invertible_in_span(basis: list[Mat]) -> Mat | None:
     """The combination sum_j c_j basis[j] at the first coefficients c found
     that make it invertible, or None when provably no such c exists.
 
     Over F_p the whole span is enumerated when p^k is small.  Otherwise
-    40 seeded random draws come first; over Q a failed search falls back to
-    the grid {0..n}^k for n x n matrices, which is decisive because the
-    determinant has degree <= n in each coefficient.  If neither decisive
-    step is affordable the search raises Undetermined rather than returning
-    a false negative.  `first_invertible_combination` tests the candidates
-    on integer rows, drawing the random ones one at a time, and only the
-    winner is built as a matrix.
+    40 random draws come first, from one fixed stream, a fresh Random(0)
+    per call; over Q a failed search falls back to the grid {0..n}^k for
+    n x n matrices, which is decisive because the determinant has degree
+    <= n in each coefficient.  If neither decisive step is affordable the
+    search raises Undetermined rather than returning a false negative.
+    `first_invertible_combination` tests the candidates on integer rows,
+    drawing the random ones one at a time, and only the winner is built
+    as a matrix.
     """
     F = basis[0].field
     k, n = len(basis), basis[0].rows
@@ -376,7 +377,7 @@ def _invertible_in_span(basis: list[Mat], seed: int) -> Mat | None:
 
     if not F.is_rational and F.p ** k <= 4096:
         return first_invertible(iter_product(range(F.p), repeat=k))
-    rng = random.Random(seed)
+    rng = random.Random(0)
     if F.is_rational:
         draws = ([rng.randint(-3, 3) for _ in range(k)] for _ in range(40))
     else:
@@ -391,7 +392,7 @@ def _invertible_in_span(basis: list[Mat], seed: int) -> Mat | None:
         f"space, determinant degree {n})")
 
 
-def is_isomorphic(x: FDModule, y: FDModule, seed: int = 0) -> ModuleHom | None:
+def is_isomorphic(x: FDModule, y: FDModule) -> ModuleHom | None:
     """An invertible intertwiner, or None when provably none exists; raises
     Undetermined when the bounded search cannot decide."""
     if x.algebra is not y.algebra:
@@ -403,5 +404,5 @@ def is_isomorphic(x: FDModule, y: FDModule, seed: int = 0) -> ModuleHom | None:
     basis = hom_space(x, y)
     if not basis:
         return None
-    found = _invertible_in_span([h.mat for h in basis], seed)
+    found = _invertible_in_span([h.mat for h in basis])
     return None if found is None else ModuleHom(x, y, found)

@@ -180,7 +180,7 @@ def iso_with_morita(pres: NcMoritaPresentation) -> Mat:
 
 def corollary_criterion(pres: NcMoritaPresentation, q: QuadrupleModule,
                         compat: dict[str, CompatVerdict] | None = None,
-                        window: int = 6, period_bound: int = 12, seed: int = 0,
+                        window: int = 6, period_bound: int = 12,
                         build: bool = False):
     """The mirrored criterion for modules over the noncommutative tensor
     product: swap corners and run the one-sided-zero engine over
@@ -197,11 +197,11 @@ def corollary_criterion(pres: NcMoritaPresentation, q: QuadrupleModule,
         raise NcTensorError("quadruple lives over the wrong context")
     q_sw = swap_quadruple(q, f"swap({q.name})")
     rep = check_conditions(pres.ext_b, pres.swapped_ctx, q_sw,
-                           window, period_bound, seed)
+                           window, period_bound)
     asm = None
     if build and rep.passed:
         asm = build_total_resolution(pres.ext_b, pres.swapped_ctx,
-                                     q_sw, rep, window=min(3, window), seed=seed)
+                                     q_sw, rep, window=min(3, window))
     return rep, asm
 
 

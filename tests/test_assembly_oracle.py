@@ -166,7 +166,7 @@ def _z_diff(xc: ComplexWindow, yc: ComplexWindow, rho: dict, i: int) -> ModuleHo
 
 def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
                            q: QuadrupleModule, report: CriterionReport,
-                           window: int | None = None, seed: int = 0) -> ResolutionAssembly:
+                           window: int | None = None) -> ResolutionAssembly:
     """Run the double-horseshoe construction and assemble the totally
     exact complex of projective quadruples with degree-0 kernel q.
 
@@ -305,7 +305,7 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
 
     # ker(d_T^0) is the given quadruple
     ker_t, _ = kernel_of(t_diffs[span], name="ker(d_T^0)")
-    iso = is_isomorphic(ker_t, quadruple_to_module(mr, q), seed=seed)
+    iso = is_isomorphic(ker_t, quadruple_to_module(mr, q))
     _require(iso is not None, "ker(d_T^0) is not isomorphic to the quadruple")
     return ResolutionAssembly(pcx, qcx, rho, tau, alpha, beta, ycx, zcx, fcx,
                               tcx, t_quads, iso)

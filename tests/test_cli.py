@@ -631,6 +631,54 @@ def test_nc_tensor_build_and_iso(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("name", list(cli.HANDLERS))
+def test_no_command_takes_a_seed(name):
+    p = argparse.ArgumentParser()
+    cli._add_options(p, name)
+    assert "--seed" not in p.format_help()
+
+
+def _verify_nc_report(tmp_path, capsys, rep):
+    rep_path = tmp_path / "report.json"
+    rep_path.write_text(json.dumps(rep))
+    code, out = run(capsys, "verify-report", fx("two_cycle.json"), "--report",
+                    str(rep_path), "--json")
+    return code, json.loads(out)["problems"] if out else None
+
+
+@pytest.mark.parametrize("mode", ["build", "iso"])
+def test_verify_report_recomputes_an_nc_tensor_report(tmp_path, capsys, mode):
+    """The report of nc-tensor build or iso is recomputed whole: the report
+    as made verifies, and one with any key changed, or one key more, fails
+    and names that key (a changed mode names the keys of the other mode's
+    report too)."""
+    _, out = run(capsys, "nc-tensor", mode, fx("two_cycle.json"), "--context",
+                 "ctx", "--json")
+    rep = json.loads(out)
+    assert _verify_nc_report(tmp_path, capsys, rep) == (0, [])
+    for key in sorted(set(rep) - {"command", "context"}) + ["witness"]:
+        code, problems = _verify_nc_report(tmp_path, capsys,
+                                           {**rep, key: "tampered"})
+        named = [p.split()[0] for p in problems]
+        assert code == 1 and (named == [key] or key == "mode" and key in named), key
+    # a context the problem file lacks is an input error, as for every report
+    code, _ = _verify_nc_report(tmp_path, capsys, {**rep, "context": "nope"})
+    assert code == 3
+
+
+def test_verify_report_rejects_a_build_report_claiming_a_failure(tmp_path, capsys):
+    _, out = run(capsys, "nc-tensor", "build", fx("two_cycle.json"), "--context",
+                 "ctx", "--json")
+    rep = json.loads(out)
+    rep["ring_dim"], rep["exact_context"]["exact"], rep["verdict"] = 999, False, "fail"
+    code, problems = _verify_nc_report(tmp_path, capsys, rep)
+    assert code == 1
+    assert problems == ['exact_context does not recompute: expected {"dims": '
+                        '[2, 3, 3, 4], "euler": 0, "exact": true}',
+                        "ring_dim does not recompute: expected 5",
+                        'verdict does not recompute: expected "ok"']
+
+
 def test_nc_tensor_check_mirrored_criterion(capsys):
     code, out = run(capsys, "nc-tensor", "check", fx("nc_phi.json"),
                     "--context", "ctx", "--extension", "extB", "--quadruple",
@@ -665,13 +713,13 @@ def test_reports_are_deterministic(capsys):
     for _ in range(2):
         code, out = run(capsys, "audit", fx("two_cycle.json"), "--extension",
                         "ext", "--context", "ctx", "--quadruples", "S1", "S2",
-                        "--seed", "7", "--json")
+                        "--json")
         outs.append(out)
     assert outs[0] == outs[1]
     outs = []
     for _ in range(2):
         code, out = run(capsys, "certify-gp", fx("dual_numbers.json"),
-                        "--module", "S", "--seed", "3", "--json")
+                        "--module", "S", "--json")
         outs.append(out)
     assert outs[0] == outs[1]
 

@@ -24,7 +24,7 @@ from gpmorita.complexes import (
 from gpmorita.engine import (
     AuditReport, CompatVerdict, EngineError, audit_equivalence,
     build_total_resolution, check_compat, check_conditions,
-    check_semi_weak_quadruple, identity_extension, zero_case_check,
+    check_semi_weak_quadruple, identity_extension,
 )
 from gpmorita.fields import GF, QQ
 from gpmorita.gpcert import certify_gorenstein_projective
@@ -38,7 +38,7 @@ from gpmorita.morita import (
     z_b,
 )
 from gpmorita.trivext import (
-    lam_bimodules, psi_tensor_block, t_lambda, trivial_extension,
+    ExtensionError, lam_bimodules, psi_tensor_block, t_lambda, trivial_extension,
 )
 from test_reduction_oracle import _audit_family, corner_complexes
 
@@ -86,22 +86,24 @@ def test_arrow_ideal_criterion():
 def test_zero_case_check():
     _, ctx = two_cycle_context(QQ())
     p1, p2 = _p1(ctx), _p2(ctx)
-    assert zero_case_check(ctx, p1).overall == "pass"
-    assert zero_case_check(ctx, p2).overall == "pass"
+    ext = identity_extension(ctx)
+    assert check_conditions(ext, ctx, p1).overall == "pass"
+    assert check_conditions(ext, ctx, p2).overall == "pass"
     # (X, 0, 0, 0) with M (x) X != 0 fails clause b1
     sx = z_a(ctx, regular_module(ctx.A), name="S1")
-    rep = zero_case_check(ctx, sx)
+    rep = check_conditions(ext, ctx, sx)
     assert rep.overall == "fail" and "iso_b1" in rep.failing
     # (0, Y, 0, 0) with N (x) Y != 0 fails clause b2
     sy = z_b(ctx, regular_module(ctx.B), name="S2")
-    rep2 = zero_case_check(ctx, sy)
+    rep2 = check_conditions(ext, ctx, sy)
     assert rep2.overall == "fail" and "iso_b2" in rep2.failing
 
 
 def test_zero_case_requires_zero_psi():
     ext, ctx = glued_psi_context(QQ())
-    with pytest.raises(EngineError):
-        zero_case_check(ctx, _p2(ctx))
+    with pytest.raises(ExtensionError,
+                       match=r"im\(psi\) differs from the extension ideal"):
+        check_conditions(identity_extension(ctx), ctx, _p2(ctx))
 
 
 def test_build_total_resolution_triangular_p2():

@@ -402,7 +402,7 @@ def test_a_self_injective_module_with_no_period_in_the_bound_is_certified(F):
 # module here has.
 
 
-def eager_right_tail(x, length, seed, dim_budget):
+def eager_right_tail(x, length, dim_budget):
     """Build cosyzygy steps; returns (steps, final_stage) or a NotGPWitness."""
     steps = []
     cur = x
@@ -437,7 +437,7 @@ def _syzygy_periodic_window(res: Resolution, p: int, theta: ModuleHom,
     return _periodic_window(block, internal, junction, span), theta.then(incl)
 
 
-def eager_search_period(core, steps, tail_end, res, window, period_bound, seed):
+def eager_search_period(core, steps, tail_end, res, window, period_bound):
     """(window, kernel_ident, period) for the core, or (None, None, None);
     raises Undetermined only when a decisive answer was blocked."""
     undetermined = False
@@ -449,7 +449,7 @@ def eager_search_period(core, steps, tail_end, res, window, period_bound, seed):
         else:
             break
         try:
-            theta = is_isomorphic(cand, core, seed=seed)
+            theta = is_isomorphic(cand, core)
         except Undetermined:
             undetermined = True
             continue
@@ -459,7 +459,7 @@ def eager_search_period(core, steps, tail_end, res, window, period_bound, seed):
     for p in range(1, min(period_bound, len(res.syzygies)) + 1):
         cand = res.syzygies[p - 1]
         try:
-            theta = is_isomorphic(core, cand, seed=seed)
+            theta = is_isomorphic(core, cand)
         except Undetermined:
             undetermined = True
             continue
@@ -471,7 +471,7 @@ def eager_search_period(core, steps, tail_end, res, window, period_bound, seed):
     return None, None, None
 
 
-def eager_certify(x, window=6, period_bound=12, seed=0, dim_budget=600):
+def eager_certify(x, window=6, period_bound=12, dim_budget=600):
     """The certifier with both tails of the core built over the whole window."""
     if window < 2:
         raise ValueError("window must be at least 2")
@@ -508,16 +508,16 @@ def eager_certify(x, window=6, period_bound=12, seed=0, dim_budget=600):
     # 0..window, so it needs window + 1 of them
     if self_inj:
         core_res = minimal_resolution(core, window + 1)
-        steps, tail_end = eager_right_tail(core, window, seed, dim_budget)
+        steps, tail_end = eager_right_tail(core, window, dim_budget)
         if steps is None:
             raise CertifyError("embedding failed over a self-injective algebra")
         if tail_end == "budget":
             return unknown("dimension budget exceeded")
         wc, ki, p = eager_search_period(core, steps, tail_end, core_res, window,
-                                        period_bound, seed)
+                                        period_bound)
         if wc is not None:
             return emit(wc, ki, "self-injective", p)
-        steps, tail_end = eager_right_tail(core, window + 1, seed, dim_budget)
+        steps, tail_end = eager_right_tail(core, window + 1, dim_budget)
         if tail_end == "budget":
             return unknown("dimension budget exceeded")
         wc, ki = gpcert._two_sided_window(core_res, steps, window)
@@ -530,7 +530,7 @@ def eager_certify(x, window=6, period_bound=12, seed=0, dim_budget=600):
         return GPCertificate(
             "not_gp", x,
             witness=NotGPWitness("non_vanishing_ext", i, resolution=res))
-    steps_x, tail_x = eager_right_tail(x, window + 1, seed, dim_budget)
+    steps_x, tail_x = eager_right_tail(x, window + 1, dim_budget)
     if steps_x is None:
         return GPCertificate("not_gp", x, witness=tail_x)
     if tail_x == "budget":
@@ -549,13 +549,13 @@ def eager_certify(x, window=6, period_bound=12, seed=0, dim_budget=600):
         steps_c, tail_c, res_c = steps_x, tail_x, res
     else:
         res_c = minimal_resolution(core, window + 1)
-        steps_c, tail_c = eager_right_tail(core, window + 1, seed, dim_budget)
+        steps_c, tail_c = eager_right_tail(core, window + 1, dim_budget)
         if steps_c is None:
             return GPCertificate("not_gp", x, witness=tail_c)
         if tail_c == "budget":
             return unknown("dimension budget exceeded")
     wc, ki, p = eager_search_period(core, steps_c, tail_c, res_c, window,
-                                    period_bound, seed)
+                                    period_bound)
     if wc is not None:
         # Hom(-, A) of the closed-up window is the one fact of this path
         # that its construction does not prove
@@ -666,9 +666,9 @@ def test_the_general_search_reads_what_the_eager_search_read(F):
     for m in mods:
         for window in (2, 3):
             for period_bound, dim_budget in ((1, 600), (12, 600), (12, 2)):
-                args = (window, period_bound, 0)
+                args = (window, period_bound)
                 found = gpcert._search_period(m, [], *args, dim_budget)
-                steps, tail = eager_right_tail(m, window + 1, 0, dim_budget)
+                steps, tail = eager_right_tail(m, window + 1, dim_budget)
                 if steps is None or tail == "budget":
                     seen.add(type(tail).__name__)
                     assert type(found) is type(tail)

@@ -43,13 +43,13 @@ instance's `_cache`.  Each lift of the horseshoe is one
 `solve_left`, `row_space` or `left_kernel` of its own.  A module's record
 of its direct summands is written in one place, `modules.direct_sum`, and
 read in one, `modules.direct_summands`, which checks it against the
-module's actions before any caller answers from the summands.  The
-structure of an algebra (its idempotents, projectives, resolutions and
-dimensions) takes no seed: only the randomized searches whose results
-are printed, the isomorphism search, and the entry points that reach it
-take a `seed` (`catalog`, which draws with the `random.Random` its
-callers pass, is not scanned); projective summands are split off without
-a search.  An algebra has one regular module: only
+module's actions before any caller answers from the summands.  No
+function takes a seed, and every random draw comes from one fixed
+stream: each `random.Random(` call takes the literal 0 (`catalog`, which
+draws with the `random.Random` its callers pass, is not scanned), so the
+isomorphism search, the one randomized search whose result is printed,
+prints the same isomorphism on every run; projective summands are split
+off without a search.  An algebra has one regular module: only
 `modules.regular_module`, which is memoized on the algebra, builds an
 `FDModule` from `lmul_mats()`, so every Hom into A hits the same memo
 entries.  The unmemoized body of `hom_space` is
@@ -455,30 +455,23 @@ def test_the_summands_record_has_one_writer_and_one_reader():
     assert not hits, f"summands written or read outside their one place: {hits}"
 
 
-# the randomized searches whose results are printed, and their entry points
-SEEDED = {
-    ("modules.py", "is_isomorphic"), ("modules.py", "_invertible_in_span"),
-    ("gpcert.py", "_search_period"),
-    ("gpcert.py", "certify_gorenstein_projective"),
-    ("engine.py", "check_conditions"), ("engine.py", "build_total_resolution"),
-    ("engine.py", "audit_equivalence"), ("engine.py", "zero_case_check"),
-    ("nctensor.py", "corollary_criterion"),
-}
-
-
-def test_only_the_randomized_searches_take_a_seed():
-    seeded = set()
+def test_nothing_takes_a_seed_and_every_random_stream_is_random_0():
+    hits = []
     for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
         name = os.path.basename(path)
         if name == "catalog.py":
             continue
-        for fn in ast.walk(_tree(name)):
-            if isinstance(fn, ast.FunctionDef) and "seed" in {
-                    a.arg for a in fn.args.posonlyargs + fn.args.args
-                    + fn.args.kwonlyargs}:
-                seeded.add((name, fn.name))
-    assert seeded == SEEDED, (f"seeded beyond the searches: {sorted(seeded - SEEDED)}, "
-                              f"unseeded searches: {sorted(SEEDED - seeded)}")
+        for node in ast.walk(_tree(name)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                if "seed" in {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}:
+                    hits.append(f"{name}:{node.lineno} takes a seed")
+            elif isinstance(node, ast.Call) and _called(node) == "Random":
+                given = node.args + [k.value for k in node.keywords]
+                if [ast.dump(g) for g in given] != ["Constant(value=0)"]:
+                    hits.append(f"{name}:{node.lineno} draws from another "
+                                f"stream than Random(0)")
+    assert not hits, hits
 
 
 def _called(call: ast.Call) -> str | None:

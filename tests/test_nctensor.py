@@ -9,7 +9,6 @@ from gpmorita.catalog import (
     field_algebra, full_context, glued_psi_context, product_fields,
     triangular_context, truncated_poly, two_cycle_context, zero_context,
 )
-from gpmorita.engine import check_conditions, zero_case_check
 from gpmorita.fields import GF, QQ
 from gpmorita.linalg import Mat
 from gpmorita.modules import regular_module, zero_module

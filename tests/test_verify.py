@@ -255,7 +255,7 @@ def _general_periodic(F):
         for m in simple_modules(alg) + [random_module(alg, rng, max_cuts=3)]:
             if not m.dim or is_projective(m):
                 continue
-            found = gpcert._search_period(m, [], 3, 12, 0, 600)
+            found = gpcert._search_period(m, [], 3, 12, 600)
             wc, ki, p = found
             out.append((f"{alg.name}:{m.name}", m, GPCertificate(
                 "gp", m, reason="periodic", period=p, window=wc, kernel_ident=ki)))

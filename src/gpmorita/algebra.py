@@ -42,6 +42,20 @@ class AlgebraError(ValueError):
 _BY_VALUE = (int, str, bool, float, type(None))
 
 
+class MemoCache(dict):
+    """The `_cache` of a holder of `memo` entries.  A deep copy or a pickle
+    round trip of it keeps only the entries keyed by the function and
+    by-value arguments: an entry that holds an argument is keyed by that
+    argument's id, which the argument's copy does not have, so it could
+    never hit again.  It has no attribute dict, which keeps a lookup in it
+    as fast as in a plain dict."""
+    __slots__ = ()
+
+    def __reduce__(self):
+        return MemoCache, (), None, None, (
+            (key, entry) for key, entry in self.items() if not entry[0])
+
+
 def memo(f=None, *, on: int = 0):
     """The package's one memo of derived values.  f(*args) is kept on the
     `_cache` of its argument number `on`, the holder, and lives as long as
@@ -119,7 +133,7 @@ class Algebra:
     name: str = ""
     # `memo` entries: equality is that of the structure, not of what was
     # computed, and a dataclasses.replace copy starts with none
-    _cache: dict = dc_field(default_factory=dict, init=False, repr=False,
+    _cache: dict = dc_field(default_factory=MemoCache, init=False, repr=False,
                             compare=False)
     # the parts `homology._idempotents` reads idempotents from, set by their builders
     opposite_of: Algebra | None = dc_field(default=None, init=False, repr=False, compare=False)

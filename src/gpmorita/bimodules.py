@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import (
-    Algebra, generating_subset, memo, opposite_algebra, validate_algebra,
+    Algebra, MemoCache, generating_subset, memo, opposite_algebra,
+    validate_algebra,
 )
 from .linalg import (
     Mat, coordinates, factor_through, intertwining_system, linear_combination,
@@ -43,7 +44,7 @@ class Bimodule:
     left_acts: list[Mat]         # b_t . x = x @ left_acts[t]
     right_acts: list[Mat]        # x . b_t = x @ right_acts[t]
     name: str = ""
-    _cache: dict = dc_field(default_factory=dict, init=False, repr=False,
+    _cache: dict = dc_field(default_factory=MemoCache, init=False, repr=False,
                             compare=False)
 
     def __post_init__(self):

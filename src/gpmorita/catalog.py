@@ -301,6 +301,44 @@ def wide_psi_context(F: Field, name="wide"):
     return ext, ctx
 
 
+def upper_triangular3_context(F: Field, n: int, name: str = ""):
+    """The Peirce context of R = T_3(k[x]/(x^n)), the upper triangular
+    3 x 3 matrices over k[x]/(x^n), at e = E11 + E33, with f = E22:
+    A = eRe on the E11, E33 and E13 entries, B = fRf = k[x]/(x^n),
+    M = fRe the E23 entries, N = eRf the E12 entries, psi(n (x) m) = nm in
+    the E13 entries and phi = 0, since E23 E12 = 0.  A is written as the
+    trivial extension Lambda |x I of Lambda = E11 R x E33 R by the ideal
+    I = im(psi) = E13 R.  Every block has the basis x^0, .., x^{n-1}, so
+    the context ring is R on the basis E11, E33, E13, E12, E23, E22 (each
+    times the powers of x); unlike the catalog contexts above, psi != 0,
+    M != 0 and B is not semisimple, so the horseshoes of an assembly need
+    not split."""
+    from .bimodules import BalancedMap, Bimodule, zero_balanced_map
+    from .morita import MoritaContext
+    from .trivext import trivial_extension
+    B = truncated_poly(F, n, name="B")
+    # shift[a]: x^c |-> x^{a + c}, the action of x^a on n powers of x
+    shift = B.lmul_mats()
+    zero = Mat.zeros(F, n, n)
+    lam = _monomial_algebra(
+        F, 2 * n, {(c * n + a, c * n + b): c * n + a + b for c in (0, 1)
+                   for a in range(n) for b in range(n - a)},
+        B.unit + B.unit, "E11R x E33R")
+    # E13 R: E11 x^a acts on the left, E33 x^a on the right
+    ideal = Bimodule(lam, lam, n, shift + [zero] * n, [zero] * n + shift,
+                     name="E13R")
+    ext = trivial_extension(lam, ideal, name="eRe")
+    A = ext.A            # E11 x^a, then E33 x^a, then E13 x^a
+    M = Bimodule(B, A, n, shift, [zero] * n + shift + [zero] * n, name="E23R")
+    N = Bimodule(A, B, n, shift + [zero] * 2 * n, shift, name="E12R")
+    # psi(E12 x^i (x) E23 x^j) = E13 x^{i + j}
+    psi = BalancedMap(N, M, A, Mat.hstack([Mat.zeros(F, n * n, 2 * n),
+                                           B.consts]))
+    ctx = MoritaContext(A, B, M, N, zero_balanced_map(M, N, B), psi,
+                        name=name or f"T3(k[x]/x^{n})")
+    return ext, ctx
+
+
 # -- randomized context generation (for the acceptance sweeps) -----------------
 
 

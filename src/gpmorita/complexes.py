@@ -14,6 +14,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field as dc_field
 
+from .algebra import MemoCache
 from .bimodules import Bimodule, tensor_functor_hom, tensor_module
 from .linalg import Mat, coordinates, intertwining_system, rank, solve
 from .modules import (
@@ -37,7 +38,7 @@ class ComplexWindow:
     terms: list[FDModule]
     diffs: list[ModuleHom]
     # `memo` entries; a window is read, never changed, once built
-    _cache: dict = dc_field(default_factory=dict, init=False, repr=False,
+    _cache: dict = dc_field(default_factory=MemoCache, init=False, repr=False,
                             compare=False)
 
     def __post_init__(self):
@@ -220,7 +221,16 @@ def tensor_exactness_failure(c: ComplexWindow, bim: Bimodule) -> int | None:
 
 def total_exactness(c: ComplexWindow) -> bool:
     """Exactness of X^. and of Hom(X^., regular) at the degrees whose two
-    neighbouring maps lie inside the window; terms must be projective.
+    neighbouring maps lie inside the window; terms must be projective."""
+    for i in range(c.lo, c.hi + 1):
+        if not is_projective(c.term(i)):
+            raise ComplexError(f"term {i} is not projective")
+    return is_exact(c) and hom_exact_into_regular(c)
+
+
+def hom_exact_into_regular(c: ComplexWindow) -> bool:
+    """Exactness of Hom(X^., A) at the degrees whose two neighbouring maps
+    lie inside the window, for an exact window X of projectives over A.
 
     Hom(-, A)-exactness at i is Ext^1(Coker d^i, A) = 0 for an exact
     window.  Let d = id(_A A) (`homology.self_injective_dimension`).  At
@@ -234,11 +244,6 @@ def total_exactness(c: ComplexWindow) -> bool:
     at every degree, and there each degree of the window lies d + 1
     degrees before a later end.  Past the bound of d the whole Hom
     complex is built."""
-    for i in range(c.lo, c.hi + 1):
-        if not is_projective(c.term(i)):
-            raise ComplexError(f"term {i} is not projective")
-    if not is_exact(c):
-        return False
     a = c.algebra
     d = self_injective_dimension(a)
     if d is not None:

@@ -8,7 +8,8 @@ build_total_resolution runs the double-horseshoe construction and
 assembles the totally exact complex over the context ring whose degree-0
 kernel is the given quadruple.  It proves each fact once: the inputs are
 the report's certificates, the horseshoes check what they weave, and the
-output window and its kernel are checked at the end (see its docstring).
+output window and its kernel are checked at the end, through the corner
+data of its quadruples (see its docstring).
 check_compat / check_semi_weak_quadruple evaluate the bimodule
 compatibility hypotheses, separating proof-grade reasons (finite one-sided
 homological dimensions) from sampled evidence; audit_equivalence
@@ -22,21 +23,23 @@ from .algebra import UnsupportedField, memo, opposite_algebra
 from .bimodules import Bimodule, right_bimodule, tensor_functor_hom, tensor_module
 from .complexes import (
     ComplexWindow, HorseshoeError, HorseshoeResult, ShortExactSequence,
-    hom_exactness_failure, horseshoe, is_exact, one_period, per_instance,
-    tensor_exactness_failure, tensor_window, total_exactness, twisted_diff,
-    validate_complex,
+    hom_exact_into_regular, hom_exactness_failure, horseshoe, is_exact,
+    one_period, per_instance, tensor_exactness_failure, tensor_window,
+    total_exactness, twisted_diff,
 )
 from .gpcert import GPCertificate, certify_gorenstein_projective
-from .homology import injective_dimension, projective_dimension, tor_dim
+from .homology import (
+    injective_dimension, is_projective, projective_dimension, tor_dim,
+)
 from .linalg import Mat, rank, solve, solve_left
 from .modules import (
-    FDModule, ModuleHom, direct_sum, is_isomorphic, kernel_of, restrict_along,
+    FDModule, ModuleHom, direct_sum, image_of, kernel_of, restrict_along,
     submodule_from_rows,
 )
 from .morita import (
     MoritaContext, QuadrupleModule, build_ring, direct_sum_quadruples,
-    opposite_context, opposite_ring, quadruple_to_module, t_b,
-    validate_quadruple, z_a,
+    opposite_context, opposite_ring, quadruple_map_violations,
+    quadruple_to_module, t_b, validate_quadruple, z_a,
 )
 from .trivext import (
     StructuralMaps, TrivialExtension, check_extension_matches, lam_bimodules,
@@ -145,7 +148,9 @@ class ResolutionAssembly:
     fcx: ComplexWindow                     # over A
     tcx: ComplexWindow                     # over the context ring
     t_quads: list[QuadrupleModule]
-    kernel_iso: ModuleHom                  # ker(d_T^0) -> q, over the ring
+    # ker(d_T^0) -> q over the ring: the inverse of the horseshoes' kernel
+    # embeddings, read off them with no isomorphism search
+    kernel_iso: ModuleHom
 
 
 def _require(cond: bool, msg: str):
@@ -168,16 +173,29 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
     - Y and Z are exact and resolve their sequences: the horseshoes check
       their inputs (Z's exactness, both kernel identifications) and their
       outputs (the woven window and its kernel sequence);
-    - T is a complex of modules over the context ring and totally exact
-      (which includes exact): checked here on the T window.  Its
-      differential is block_diag(F, Y), so this covers F, and
-      ring-linearity is exactly being a quadruple map.  Total exactness
-      rests on the ring's left self-injective dimension d
-      (`complexes.total_exactness`): a T window that repeats literally
-      builds no Hom(-, Gamma) complex, any other one on its last d + 2
-      terms only, and one over a ring with d past the bound whole;
-    - ker(d_T^0) is isomorphic to q: the kernel of d_T^0 over the ring,
-      matched with the ring module of q by `modules.is_isomorphic`.
+    - T is a complex of projective modules over the context ring, proven
+      at the size of the corners that build it (Green's equivalence):
+      each T^i is a quadruple (`morita.validate_quadruple`), each
+      d_T^i = block_diag(d_F^i, d_Y^i) a map of quadruples
+      (`morita.quadruple_map_violations`: d_F A-linear, d_Y B-linear,
+      both commuting with the f and g maps), which is exactly
+      ring-linearity, and d.d = 0 on F and on Y.  T^i is projective as
+      P^i is over Lambda and Q^i over B, checked here;
+    - T is exact because Y is the first horseshoe's woven window and F,
+      compared here degree by degree, the second's with its Z and P blocks
+      swapped.  Its Hom(-, Gamma)-exactness is the one step run over the
+      ring (`complexes.hom_exact_into_regular`): it rests on the ring's
+      left self-injective dimension d, so a T window that repeats
+      literally builds no Hom(-, Gamma) complex, any other one on its last
+      d + 2 terms only, and one over a ring with d past the bound whole;
+    - ker(d_T^0) is q: e = (embed_2, embed_1), the second horseshoe's
+      kernel embedding with its Z and P columns swapped beside the
+      first's, embeds q onto ker(d_T^0), since each horseshoe proves its
+      embedding injective onto the kernel of its degree 0; only e's being
+      a map of quadruples is checked here.  `kernel_iso` is the inverse
+      of e corestricted onto its image, ker(d_T^0) over the ring, so no
+      isomorphism is searched for and the assembly never ends
+      undetermined.
     A failed horseshoe raises EngineError with its degree.
 
     The quadruples T^i = T_Lam(P^i) (+) T_B(Q^i) are built before Z, and
@@ -190,8 +208,8 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
 
     A periodic window is built and checked over one period.  Each check
     above but the kernel's (the C3 exactness of M (x) P, I (x) P and
-    N (x) Q, the horseshoes' checks, and T's module laws, complex and
-    total exactness) runs on `complexes.one_period` of its window: when
+    N (x) Q, the horseshoes' checks, and those of T, P and Q) runs on
+    `complexes.one_period` of its window: when
     the window repeats literally by p, every check at degree i is the
     check at i - p, so the sub-window [lo, lo + p + 1] stands for the
     whole; a window that does not repeat is checked whole.  The horseshoes
@@ -319,14 +337,39 @@ def build_total_resolution(ext: TrivialExtension, ctx: MoritaContext,
                                  f_diffs[i + span].mat, ycx.diff(i).mat))
     tcx = ComplexWindow(-span, span, t_terms, t_diffs)
     t_checked = one_period(tcx)
-    bad = validate_complex(t_checked)
-    _require(bad == [], f"T window is not a complex: {bad[:1]}")
-    _require(total_exactness(t_checked), "T window is not totally exact")
+    degs = range(t_checked.lo, t_checked.hi + 1)
+    for i in degs:
+        bad = validate_quadruple(t_quads[i + span])
+        _require(not bad, f"T window is not a complex: T^{i}: {bad[:1]}")
+        # T_Lam(P^i) (+) T_B(Q^i) is projective when P^i is over Lambda and
+        # Q^i over B
+        _require(is_projective(pcx.term(i)) and is_projective(qcx.term(i)),
+                 f"T^{i} is not projective: P^{i} over Lambda or Q^{i} over B")
+    for i in degs[:-1]:
+        df, dy = f_diffs[i + span].mat, ycx.diff(i).mat
+        _require(df == _swap_blocks(hs2.zc.diff(i).mat, zcx.term(i).dim,
+                                    zcx.term(i + 1).dim),
+                 f"T window: d_F^{i} is not the second horseshoe's differential")
+        bad = quadruple_map_violations(t_quads[i + span], t_quads[i + span + 1],
+                                       df, dy)
+        _require(not bad, f"T window is not a complex: d_T^{i}: {bad[:1]}")
+    for i in degs[:-2]:
+        _require((f_diffs[i + span].mat @ f_diffs[i + span + 1].mat).is_zero()
+                 and (ycx.diff(i).mat @ ycx.diff(i + 1).mat).is_zero(),
+                 f"T window is not a complex: d.d != 0 at degree {i}")
+    _require(hom_exact_into_regular(t_checked), "T window is not totally exact")
 
-    # ker(d_T^0) is the given quadruple
-    ker_t, _ = kernel_of(t_diffs[span], name="ker(d_T^0)")
-    iso = is_isomorphic(ker_t, quadruple_to_module(mr, q))
-    _require(iso is not None, "ker(d_T^0) is not isomorphic to the quadruple")
+    # ker(d_T^0) is the given quadruple: e = (embed_2, embed_1), embed_2 with
+    # its Z and P columns swapped, embeds q onto it, since each horseshoe
+    # embeds its sequence's middle term onto the kernel of its degree 0
+    e_x = _swap_blocks(hs2.embed.mat, 0, zcx.term(0).dim)
+    bad = quadruple_map_violations(q, t_quads[span], e_x, hs1.embed.mat)
+    _require(not bad, "the horseshoe embeddings are not a map of quadruples: "
+             f"{bad[:1]}")
+    e = ModuleHom(quadruple_to_module(mr, q), t_terms[span],
+                  Mat.block_diag([e_x, hs1.embed.mat]))
+    ker_t, ker_incl = image_of(e, name="ker(d_T^0)")
+    iso = ModuleHom(ker_t, e.source, solve_left(e.mat, ker_incl.mat))
     return ResolutionAssembly(pcx, qcx, rho, tau, alpha, beta, ycx, zcx, fcx,
                               tcx, t_quads, iso)
 
@@ -347,6 +390,15 @@ def _restrict_window(wc: ComplexWindow, lo: int, hi: int) -> ComplexWindow:
     terms = [wc.term(i) for i in range(lo, hi + 1)]
     diffs = [wc.diff(i) for i in range(lo, hi)]
     return ComplexWindow(lo, hi, terms, diffs)
+
+
+def _swap_blocks(m: Mat, rows: int, cols: int) -> Mat:
+    """m, a map X (+) Y -> X' (+) Y' with dim X = rows and dim X' = cols,
+    as the map Y (+) X -> Y' (+) X'."""
+    r, c = m.rows, m.cols
+    return Mat.from_blocks(m.field, [r - rows, rows], [c - cols, cols], [
+        [m.block(rows, r, cols, c), m.block(rows, r, 0, cols)],
+        [m.block(0, rows, cols, c), m.block(0, rows, 0, cols)]])
 
 
 def _sigma(t: QuadrupleModule, p: FDModule, h: ModuleHom) -> Mat:

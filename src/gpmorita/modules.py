@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from itertools import product as iter_product
 
-from .algebra import Algebra, generating_subset, memo
+from .algebra import Algebra, MemoCache, generating_subset, memo
 from .linalg import (
     Mat, coordinates, factor_through, first_invertible_combination,
     intertwining_system, kernel_basis, left_kernel, linear_combination,
@@ -46,7 +46,7 @@ class FDModule:
     dim: int
     acts: list[Mat]
     name: str = ""
-    _cache: dict = dc_field(default_factory=dict, init=False, repr=False,
+    _cache: dict = dc_field(default_factory=MemoCache, init=False, repr=False,
                             compare=False)
     # the parts `direct_sum` built this module from; read only through
     # `direct_summands`, which checks them against the actions
@@ -287,12 +287,18 @@ def direct_sum(mods: list[FDModule], name: str = "") -> tuple[FDModule, list[Mod
     if not mods:
         raise ModuleError("empty direct sum needs an algebra")
     a = mods[0].algebra
+    if any(m.algebra is not a for m in mods):
+        raise ModuleError("direct sum needs a common algebra")
     F = a.field
     total = sum(m.dim for m in mods)
     acts = [Mat.block_diag([m.acts[t] for m in mods]) if total else Mat.zeros(F, 0, 0)
             for t in range(a.dim)]
     s = FDModule(a, total, acts, name=name or "+".join(m.name or "?" for m in mods))
-    s.summands = list(mods)
+    # each action is the block diagonal of the summands' actions, so the
+    # record is stored as checked
+    parts = list(mods)
+    s.summands = parts
+    direct_summands.put(parts, s)
     dims, zeros = [m.dim for m in mods], [None] * len(mods)
     incls, projs = [], []
     for i, m in enumerate(mods):
@@ -310,7 +316,9 @@ def direct_summands(x: FDModule) -> list[FDModule] | None:
     over x's algebra and each action of x the block diagonal of theirs.
     A property additive over direct sums (module laws, projectivity) then
     holds for x iff it holds for each summand, and Hom out of x is read
-    off the summands.  The record is checked once per instance."""
+    off the summands.  `direct_sum` builds x that way and stores its
+    record as the answer; a record found on x without one is checked here,
+    once per instance."""
     parts = x.summands
     if parts is None or any(s.algebra is not x.algebra for s in parts):
         return None

@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import (
-    Algebra, generating_subset, glued_algebra, memo, opposite_algebra,
-    validate_algebra,
+    Algebra, MemoCache, generating_subset, glued_algebra, memo,
+    opposite_algebra, validate_algebra,
 )
 from .bimodules import (
     BalancedMap, Bimodule, TensorModule, hom_module, left_table,
@@ -56,7 +56,7 @@ class MoritaContext:
     phi: BalancedMap             # M (x)_A N -> B
     psi: BalancedMap             # N (x)_B M -> A
     name: str = ""
-    _cache: dict = dc_field(default_factory=dict, init=False, repr=False,
+    _cache: dict = dc_field(default_factory=MemoCache, init=False, repr=False,
                             compare=False)
 
     def ideal_rows_a(self) -> Mat:
@@ -237,7 +237,7 @@ class QuadrupleModule:
     g_full: Mat                  # N (x)_k Y -> X
     name: str = ""
     # init=False: a dataclasses.replace copy starts with no memo entries
-    _cache: dict = dc_field(default_factory=dict, init=False, repr=False,
+    _cache: dict = dc_field(default_factory=MemoCache, init=False, repr=False,
                             compare=False)
 
     @property
@@ -358,6 +358,27 @@ def _quadruple_violations(q: QuadrupleModule) -> list[str]:
         eye_n = Mat.identity(x.algebra.field, ctx.N.dim)
         if eye_n.kron(f) @ g != x.acts_of(ctx.psi.mat):
             out.append(f"{lab[4]} compatibility square fails")
+    return out
+
+
+def quadruple_map_violations(s: QuadrupleModule, t: QuadrupleModule,
+                             alpha: Mat, beta: Mat) -> list[str]:
+    """The ways in which (alpha: X_s -> X_t, beta: Y_s -> Y_t) fails to be
+    a map of valid quadruples over one context: alpha A-linear, beta
+    B-linear, f_s beta = (1_M (x) alpha) f_t on M (x)_k X_s and
+    g_s alpha = (1_N (x) beta) g_t on N (x)_k Y_s.  The ring is spanned by
+    A, N, M and B, whose actions on the module of a quadruple are those of
+    X and Y, g and f, so these are exactly the conditions for
+    block_diag(alpha, beta) to be a map of the ring modules (Green's
+    equivalence), checked at the size of the corners."""
+    out = []
+    for lab, h, x, x2, bim, tag, f, f2, other in (
+            ("alpha", alpha, s.x, t.x, s.ctx.M, "f", s.f_full, t.f_full, beta),
+            ("beta", beta, s.y, t.y, s.ctx.N, "g", s.g_full, t.g_full, alpha)):
+        if not ModuleHom(x, x2, h).intertwines():
+            out.append(f"{lab} is not linear")
+        if f @ other != Mat.identity(h.field, bim.dim).kron(h) @ f2:
+            out.append(f"{lab} does not commute with the {tag} maps")
     return out
 
 

@@ -8,29 +8,39 @@ own rather than read off the T quadruples.  They are kept verbatim (only
 the two function-local imports made absolute) as the oracle of
 `complexes.horseshoe` and `engine.build_total_resolution`, which build
 and check a literally periodic window over one period.  The two must give
-equal windows, lifts, tau, alpha, beta and kernel isomorphism, over Q and
-GF(7), on the catalog contexts (functor images of regular modules and
-seeded random quadruples; the wide context over Q and GF(11)) and on T2(k[x]/(x^n)), whose windows have
-period 2 (1 at n = 2), at windows 3 and 5; the horseshoes alone are also
-compared on short exact sequences whose lifts do not repeat at once.
+equal windows, lifts, tau, alpha and beta, and kernel isomorphisms between
+the same two modules (an isomorphism is not unique), over Q and GF(7), on
+the catalog contexts (functor images of regular modules and seeded random
+quadruples; the wide context over Q and GF(11)), on T2(k[x]/(x^n)), whose
+windows have period 2 (1 at n = 2), and on the Peirce context of
+T3(k[x]/(x^2)), the one with tau != 0, at windows 3 and 5; the horseshoes
+alone are also compared on short exact sequences whose lifts do not
+repeat at once.  The oracle's ring-level proofs (the module laws, module
+maps and projectivity of T, its exactness and the isomorphism search for
+its kernel) still hold on every assembly, and each corner proof that
+replaced one gives its verdict on the assembly and on one-entry
+corruptions of its degree-0 pieces.
 """
 from __future__ import annotations
 
 import random
 import sys
+from dataclasses import replace
 
 import pytest
 
 from gpmorita import engine
 from gpmorita.catalog import (
     arrow_ideal_context, glued_psi_context, random_module, random_quadruple,
-    random_submodule, simple_kx2, triangular_context, triangular_over,
-    truncated_poly, two_cycle_context, two_cycle_rad_square, wide_psi_context,
+    random_submodule, simple_at_idempotent, simple_kx2, triangular_context,
+    triangular_over, truncated_poly, two_cycle_context, two_cycle_rad_square,
+    upper_triangular3_context, wide_psi_context,
 )
 from gpmorita.complexes import (
     ComplexWindow, HorseshoeError, HorseshoeResult, ShortExactSequence,
-    _check_kernel_sequence, is_exact, solve_module_hom, tensor_window,
-    total_exactness, twisted_diff, validate_complex, window_period,
+    _check_kernel_sequence, is_exact, one_period, solve_module_hom,
+    tensor_window, total_exactness, twisted_diff, validate_complex,
+    window_period,
 )
 from gpmorita.engine import (
     EngineError, ResolutionAssembly, _require, _restrict_window,
@@ -39,14 +49,16 @@ from gpmorita.engine import (
 from gpmorita.bimodules import tensor_functor_hom, tensor_module
 from gpmorita.fields import GF, QQ
 from gpmorita.gpcert import certify_gorenstein_projective
+from gpmorita.homology import is_projective, projective_cover, simple_modules
 from gpmorita.linalg import Mat, factor_through, rank, solve, solve_left
 from gpmorita.modules import (
     ModuleHom, corestrict, direct_sum, image_of, is_isomorphic, kernel_of,
-    quotient_by_rows, regular_module, spanned_submodule,
+    quotient_by_rows, regular_module, spanned_submodule, validate_module,
 )
 from gpmorita.morita import (
     ContextError, build_ring, direct_sum_quadruples, h_a, h_b,
-    quadruple_to_module, t_a, t_b, z_a, z_b,
+    module_to_quadruple, quadruple_map_violations, quadruple_to_module, t_a,
+    t_b, validate_quadruple, z_a, z_b,
 )
 from gpmorita.trivext import (
     check_extension_matches, lam_bimodules, psi_tensor_block, t_lambda,
@@ -374,11 +386,88 @@ def _same_maps(a: dict, b: dict) -> bool:
 
 
 def _assert_same_assembly(got, want):
+    """Every window, lift, tau, alpha and beta matrix for matrix; and, as
+    an isomorphism is not unique, a kernel_iso that is an isomorphism of
+    modules over the ring between the oracle's two modules."""
     for part in ("pcx", "qcx", "ycx", "zcx", "fcx", "tcx"):
         assert _same_window(getattr(got, part), getattr(want, part)), part
     for part in ("rho", "tau", "alpha", "beta"):
         assert _same_maps(getattr(got, part), getattr(want, part)), part
-    assert _same_hom(got.kernel_iso, want.kernel_iso)
+    iso, oracle = got.kernel_iso, want.kernel_iso
+    assert _same_module(iso.source, oracle.source)
+    assert _same_module(iso.target, oracle.target)
+    assert iso.is_iso() and iso.intertwines()
+    _assert_ring_level_verdicts(got)
+
+
+def _assert_ring_level_verdicts(asm):
+    """The ring-level proofs that the corner checks of
+    `engine.build_total_resolution` replaced hold on its output: T, over
+    one period, is a complex of projective modules over the ring, exact,
+    and its degree-0 kernel is isomorphic to the ring module of q."""
+    t = one_period(asm.tcx)
+    assert validate_complex(t) == []
+    assert all(is_projective(term) for term in t.terms)
+    assert is_exact(t)
+    assert is_isomorphic(asm.kernel_iso.source, asm.kernel_iso.target) is not None
+
+
+def _bumps(m: Mat):
+    """m with one added to one entry, for each entry in turn."""
+    F = m.field
+    for r in range(m.rows):
+        for c in range(m.cols):
+            rows = m.to_rows()
+            rows[r][c] = F.add(rows[r][c], F.one())
+            yield Mat.from_rows(F, rows, m.cols)
+
+
+def _assert_corner_verdicts_match_the_ring(ext, ctx, q, asm):
+    """Each corner proof of `engine.build_total_resolution` gives the
+    verdict of the ring-level proof it replaced, on the assembly and on
+    every one-entry corruption of its degree-0 pieces: a term T^0 whose g
+    is changed (`validate_quadruple` against the module laws over the
+    ring), a d_F^0 changed in any entry (a map of quadruples against a
+    map of ring modules), the kernel embedding e with its X part left
+    unswapped, and the projectivity of T_Lam(X) (+) T_B(Y) against that
+    of X over Lambda and Y over B.  Returns how many corruptions both
+    rejected."""
+    mr = build_ring(ctx)
+    span = -asm.tcx.lo
+    t0, t1 = asm.t_quads[span], asm.t_quads[span + 1]
+    r0, r1 = quadruple_to_module(mr, t0), quadruple_to_module(mr, t1)
+    rejected = 0
+    for g in _bumps(t0.g_full):
+        bad = replace(t0, g_full=g)
+        corner = validate_quadruple(bad) == []
+        assert corner == (validate_module(quadruple_to_module(mr, bad)) == [])
+        rejected += not corner
+    dy = asm.ycx.diff(0).mat
+    for df in [asm.fcx.diff(0).mat, *_bumps(asm.fcx.diff(0).mat)]:
+        corner = quadruple_map_violations(t0, t1, df, dy) == []
+        assert corner == ModuleHom(r0, r1, Mat.block_diag([df, dy])).intertwines()
+        rejected += not corner
+    # e = kernel_iso^{-1} followed by the inclusion of ker(d_T^0) into T^0,
+    # block diagonal from X (+) Y to F^0 (+) Y^0, F^0 on P^0 (+) Z^0
+    _, incl = kernel_of(asm.tcx.diff(0))
+    e = solve(asm.kernel_iso.mat, incl.mat)
+    dx, df0, p0 = q.x.dim, t0.x.dim, asm.pcx.term(0).dim
+    e_x, e_y = e.block(0, dx, 0, df0), e.block(dx, e.rows, df0, e.cols)
+    assert e == Mat.block_diag([e_x, e_y])
+    unswapped = Mat.hstack([e_x.block(0, dx, p0, df0), e_x.block(0, dx, 0, p0)])
+    q_ring = asm.kernel_iso.target
+    for ex, expect in ((e_x, True), (unswapped, unswapped == e_x)):
+        corner = quadruple_map_violations(q, t0, ex, e_y) == []
+        ring = ModuleHom(q_ring, r0, Mat.block_diag([ex, e_y])).intertwines()
+        assert corner == ring == expect
+        rejected += not corner
+    # the terms of P and Q, and the simples, some of them not projective
+    for x in [*asm.pcx.terms, *simple_modules(ext.Lam)]:
+        assert is_projective(x) == is_projective(
+            quadruple_to_module(mr, t_lambda(ext, ctx, x)))
+    for y in [*asm.qcx.terms, *simple_modules(ctx.B)]:
+        assert is_projective(y) == is_projective(quadruple_to_module(mr, t_b(ctx, y)))
+    return rejected
 
 
 def _images(ext, ctx):
@@ -420,6 +509,7 @@ def _assert_images_match_the_oracle(ext, ctx, window):
         got = engine.build_total_resolution(ext, ctx, q, rep, window=window)
         _assert_same_assembly(got, build_total_resolution(ext, ctx, q, rep,
                                                           window=window))
+        _assert_corner_verdicts_match_the_ring(ext, ctx, q, got)
         assembled += 1
     assert assembled
 
@@ -511,7 +601,33 @@ def test_truncated_polynomial_assemblies_match_the_oracle(n, F, window,
     monkeypatch.setattr(sys.modules[__name__], "solve_module_hom", counted)
     _assert_same_assembly(got, build_total_resolution(ext, ctx, q, rep,
                                                       window=window))
+    _assert_corner_verdicts_match_the_ring(ext, ctx, q, got)
     assert len(lifts) < len(oracle_lifts)
     period = 1 if n == 2 else 2
     for part in ("pcx", "qcx", "ycx", "zcx", "fcx", "tcx"):
         assert window_period(getattr(got, part)) == period, part
+
+
+# T3(k[x]/(x^2)) at e = E11 + E33, the one context here with psi != 0,
+# M != 0 and B not semisimple, so the one whose horseshoes do not split.
+# Omega^1 of the simple S at E33 (ring basis element 2), whose projective
+# cover R E33 is the third column, of dimension 6, assembles with rho and
+# tau nonzero in every degree.  Over GF(7) its ring of dimension 12 has no
+# radical search (UnsupportedField), so GF(13) stands in
+@pytest.mark.parametrize("F", [QQ(), GF(13)], ids=["Q", "GF13"])
+@WINDOWS
+def test_upper_triangular3_assembly_twists_and_matches_the_oracle(F, window):
+    ext, ctx = upper_triangular3_context(F, 2)
+    mr = build_ring(ctx)
+    _, cover = projective_cover(simple_at_idempotent(mr.ring, 2))
+    q = module_to_quadruple(mr, kernel_of(cover)[0], name="Omega1(S)")
+    assert (q.x.dim, q.y.dim) == (3, 2)
+    rep = check_conditions(ext, ctx, q)
+    assert rep.passed
+    got = engine.build_total_resolution(ext, ctx, q, rep, window=window)
+    for part in ("rho", "tau"):
+        maps = getattr(got, part)
+        assert len(maps) == 2 * window and not any(h.is_zero() for h in maps.values()), part
+    _assert_same_assembly(got, build_total_resolution(ext, ctx, q, rep,
+                                                      window=window))
+    assert _assert_corner_verdicts_match_the_ring(ext, ctx, q, got)

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from gpmorita import complexes, engine, homology, linalg, modules
+from gpmorita import complexes, engine, homology, linalg, modules, morita
 
 from gpmorita.bimodules import (
     BalancedMap, Bimodule, regular_bimodule, tensor_functor_hom, tensor_module,
@@ -658,16 +658,30 @@ def test_assembly_rejects_a_p_window_corrupted_at_its_last_differential(F, which
 
 
 def test_assembly_checks_each_fact_once(count_calls):
+    # T repeats by 1 on [-3, 3], so its facts are proven on [-3, -1]: three
+    # quadruples T^i, two differentials d_T^i as maps of quadruples and the
+    # kernel embedding as a third; the two horseshoes validate their woven
+    # windows, projectivity is proven on the terms of P and Q, and the
+    # Hom(-, Gamma) step is the one check over the ring
     ext, ctx = triangular_context(QQ())
     q = _p2(ctx)
     rep = check_conditions(ext, ctx, q)
     counts = {fn.__name__: count_calls(fn)
-              for fn in (complexes.total_exactness, modules.is_isomorphic,
-                         homology.ext_dim, homology.first_nonzero_ext)}
-    build_total_resolution(ext, ctx, q, rep, window=3)
+              for fn in (complexes.total_exactness, complexes.validate_complex,
+                         complexes.hom_exact_into_regular, modules.is_isomorphic,
+                         morita.validate_quadruple,
+                         morita.quadruple_map_violations, homology.ext_dim,
+                         homology.first_nonzero_ext)}
+    projective = count_calls(homology.is_projective)
+    asm = build_total_resolution(ext, ctx, q, rep, window=3)
+    assert one_period(asm.tcx).hi == -1
     assert {k: len(v) for k, v in counts.items()} == {
-        "total_exactness": 1, "is_isomorphic": 1, "ext_dim": 0,
-        "first_nonzero_ext": 0}
+        "total_exactness": 0, "validate_complex": 2, "hom_exact_into_regular": 1,
+        "is_isomorphic": 0, "validate_quadruple": 3,
+        "quadruple_map_violations": 3, "ext_dim": 0, "first_nonzero_ext": 0}
+    ring = build_ring(ctx).ring
+    assert projective and all(m.algebra is not ring for (m,) in projective)
+    assert all(c.algebra is not ring for (c,) in counts["validate_complex"])
 
 
 # -- the quadruple terms reuse the tensors of the C3 checks -------------------

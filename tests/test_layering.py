@@ -1,4 +1,4 @@
-"""Twenty-seven layering rules of the package, checked on its source.
+"""Twenty-nine layering rules of the package, checked on its source.
 
 Only `linalg` sees matrix entries: no other module reads or writes a
 `.data` attribute or the integer storage behind it, so the storage can
@@ -24,8 +24,13 @@ the context ring alone: it never reads a ring module back as a quadruple
 route to the same verdict would need.  Nor does it compute psi (x) 1
 (`psi_tensor_block`) or descend a map to a tensor quotient
 (`factor_through`) of its own: tau and sigma^0 are read off the g of the
-T quadruples.  The builders of windows (`complexes`, `engine`, `gpcert`)
-share repeated term instances through `complexes.per_instance` alone,
+T quadruples.  The engine searches for no isomorphism (`is_isomorphic`),
+which leaves the certifier as the search's last caller, and
+`build_total_resolution` proves no window over the context ring whole
+(`validate_complex`, `total_exactness`): the laws, maps and projectivity
+of T are proven on its quadruples, at the size of the corners.  The
+builders of windows (`complexes`, `engine`, `gpcert`) share repeated term
+instances through `complexes.per_instance` alone,
 with no `id()`-keyed table of their own.  Vectors are expressed in a stacked basis of
 flattened maps through one batched `coordinates` call, never through a
 `solve_left` per vector in a loop, which row-reduces the same basis once
@@ -42,8 +47,10 @@ instance's `_cache`.  Each lift of the horseshoe is one
 `solve_module_hom` system: `complexes.horseshoe` calls no `solve`,
 `solve_left`, `row_space` or `left_kernel` of its own.  A module's record
 of its direct summands is written in one place, `modules.direct_sum`, and
-read in one, `modules.direct_summands`, which checks it against the
-module's actions before any caller answers from the summands.  No
+read in one, `modules.direct_summands`, which answers the record that
+`direct_sum` stores as checked (it builds each action as the block
+diagonal of the summands') and checks any other against the module's
+actions before any caller answers from the summands.  No
 function takes a seed, and every random draw comes from one fixed
 stream: each `random.Random(` call takes the literal 0 (`catalog`, which
 draws with the `random.Random` its callers pass, is not scanned), so the
@@ -232,6 +239,25 @@ OWN_PSI_TENSOR = {"psi_tensor_block", "factor_through"}
 def test_engine_reads_psi_tensor_one_off_the_t_quadruples():
     hits = _engine_uses(OWN_PSI_TENSOR)
     assert not hits, f"the engine computes psi (x) 1 of its own: {hits}"
+
+
+def test_the_engine_searches_for_no_isomorphism():
+    # the certifier is the last caller of the bounded search
+    hits = _engine_uses({"is_isomorphic"})
+    assert not hits, f"the engine searches for an isomorphism: {hits}"
+
+
+# the proofs of a whole window's module laws, module maps and projectivity,
+# which the assembly gives at the size of the corners instead
+RING_WINDOW_PROOFS = {"validate_complex", "total_exactness"}
+
+
+def test_the_assembly_proves_no_ring_window_whole():
+    fn = next(n for n in ast.walk(_tree("engine.py"))
+              if isinstance(n, ast.FunctionDef) and n.name == "build_total_resolution")
+    hits = [f"engine.py:{c.lineno}" for c in ast.walk(fn)
+            if isinstance(c, ast.Call) and _called(c) in RING_WINDOW_PROOFS]
+    assert not hits, f"the assembly proves a window over the ring whole: {hits}"
 
 
 def test_repeated_window_terms_are_shared_by_one_helper():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import pickle
 import random
 from dataclasses import replace
@@ -221,6 +222,21 @@ def test_an_algebra_and_a_module_with_memo_entries_pickle(F):
     assert b == a and len(hom_space(regular_module(b), regular_module(b))) == n
     y = pickle.loads(pickle.dumps(x))
     assert y == x and len(hom_space(y, y)) == n
+
+
+@pytest.mark.parametrize("dup", [copy.deepcopy,
+                                 lambda v: pickle.loads(pickle.dumps(v))],
+                         ids=["deepcopy", "pickle"])
+def test_a_copy_keeps_only_the_memo_entries_that_can_hit(dup):
+    # hom_space(x, x) is kept on x under the id of its second argument,
+    # which no copy of x has; direct_summands(x) under the function alone
+    x = regular_module(path_a2(QQ()))
+    basis = hom_space(x, x)
+    assert len(x._cache) == 2
+    y = dup(x)
+    assert len(y._cache) == 1
+    assert [h.mat for h in hom_space(y, y)] == [h.mat for h in basis]
+    assert len(y._cache) == 2
 
 
 def test_memo_answers_only_its_own_arguments(count_calls):

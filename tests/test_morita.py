@@ -14,7 +14,8 @@ from gpmorita.algebra import opposite_algebra, validate_algebra
 from gpmorita.bimodules import BalancedMap
 from gpmorita.catalog import (
     arrow_ideal_context, glued_psi_context, path_a2, random_module,
-    triangular_context, two_cycle_context, wide_psi_context,
+    triangular_context, two_cycle_context, upper_triangular3_context,
+    wide_psi_context,
 )
 from gpmorita.fields import GF, QQ
 from gpmorita.linalg import Mat
@@ -114,6 +115,27 @@ def test_build_ring_triangular_matches_path_algebra():
     assert mr.ring.dim == 3
     # basis order (A, N, B) gives literally the upper triangular table
     assert mr.ring.consts == path_a2(QQ()).consts
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_build_ring_upper_triangular3_is_the_matrix_ring(n):
+    # the ring of the Peirce context of T3(k[x]/(x^n)) is that matrix ring
+    # on the basis E11, E33, E13, E12, E23, E22, each times 1, x, ..,
+    # x^{n-1}: E_ij x^a . E_kl x^b = E_il x^{a+b} when j = k and a + b < n
+    F = QQ()
+    _, ctx = upper_triangular3_context(F, n)
+    assert validate_context(ctx) == []
+    entries = [(1, 1), (3, 3), (1, 3), (1, 2), (2, 3), (2, 2)]
+    d = 6 * n
+    rows = [[0] * d for _ in range(d * d)]
+    for s, (i, j) in enumerate(entries):
+        for t, (k, l) in enumerate(entries):
+            for a in range(n):
+                for b in range(n - a):
+                    if j == k:
+                        u = entries.index((i, l))
+                        rows[(s * n + a) * d + t * n + b][u * n + a + b] = 1
+    assert build_ring(ctx).ring.consts == Mat(F, rows, d)
 
 
 def test_functor_images_are_valid_quadruples():
